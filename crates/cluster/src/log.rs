@@ -11,7 +11,7 @@
 //! DRAM").
 
 use drtm_base::sync::{Mutex, RwLock};
-use drtm_base::{CostModel, LinkBudget, VClock};
+use drtm_base::{CostModel, LinkBudget, VClock, CACHE_LINE};
 use drtm_rdma::NodeId;
 
 use crate::ConfigService;
@@ -37,6 +37,11 @@ impl LogEntry {
     pub fn wire_size(&self) -> usize {
         4 + 8 + 8 + 8 + 1 + self.value.len()
     }
+
+    /// Serialised size of one redo batch: the payload of its RDMA WRITE.
+    pub fn batch_wire_size(entries: &[LogEntry]) -> usize {
+        entries.iter().map(LogEntry::wire_size).sum()
+    }
 }
 
 /// All replication logs of a cluster: `logs[backup][primary]` is the redo
@@ -61,9 +66,47 @@ impl ReplLogStore {
         }
     }
 
-    /// Appends `entries` from `primary` to its log on `backup`, charging
-    /// `clock` and the two NIC budgets like a single batched RDMA WRITE
-    /// (the paper batches one log write per transaction per backup).
+    /// Posts one redo WRITE without waiting for it: machine `src` issues
+    /// `entries` at virtual time `issue` toward `primary`'s log on
+    /// `backup`, and the entries are enqueued. Returns the WRITE's
+    /// completion horizon — `issue + rdma_write(bytes)`, or later if
+    /// either NIC (`nics` = source, destination) is in byte deficit. A
+    /// transaction's R.1 posts one WRITE per `(primary, backup)` pair and
+    /// waits once for the latest horizon; [`Self::append`] is the
+    /// blocking form.
+    ///
+    /// Loopback (`src == backup`: the coordinator is itself a backup of
+    /// a primary it wrote) never leaves the machine: it is a local NVRAM
+    /// store, `mem_access_ns` per cache line, and reserves no NIC.
+    #[allow(clippy::too_many_arguments)]
+    pub fn post(
+        &self,
+        issue: u64,
+        cost: &CostModel,
+        nics: (&LinkBudget, &LinkBudget),
+        src: NodeId,
+        primary: NodeId,
+        backup: NodeId,
+        entries: &[LogEntry],
+    ) -> u64 {
+        let bytes = LogEntry::batch_wire_size(entries);
+        let done = if src == backup {
+            issue + cost.mem_access_ns * bytes.div_ceil(CACHE_LINE) as u64
+        } else {
+            let wire = cost.wire_bytes(bytes);
+            let t1 = nics.0.reserve(issue, wire);
+            let t2 = nics.1.reserve(issue, wire);
+            (issue + cost.rdma_write(bytes)).max(t1).max(t2)
+        };
+        self.logs[backup][primary].lock().extend_from_slice(entries);
+        done
+    }
+
+    /// Appends `entries` from `primary` to its log on `backup` and waits
+    /// for the ack: one complete blocking [`Self::post`] issued by the
+    /// primary itself, charging `clock` and the two NIC budgets like a
+    /// single batched RDMA WRITE (the paper batches one log write per
+    /// transaction per backup).
     pub fn append(
         &self,
         clock: &mut VClock,
@@ -73,17 +116,8 @@ impl ReplLogStore {
         backup: NodeId,
         entries: &[LogEntry],
     ) {
-        let bytes: usize = entries.iter().map(LogEntry::wire_size).sum();
-        let wire = cost.wire_bytes(bytes);
-        let t1 = nics.0.reserve(clock.now(), wire);
-        let t2 = if primary != backup {
-            nics.1.reserve(clock.now(), wire)
-        } else {
-            t1
-        };
-        clock.advance(cost.rdma_write(bytes));
-        clock.advance_to(t1.max(t2));
-        self.logs[backup][primary].lock().extend_from_slice(entries);
+        let done = self.post(clock.now(), cost, nics, primary, primary, backup, entries);
+        clock.advance_to(done);
     }
 
     /// Runs one transaction's R.1 appends atomically with respect to
@@ -223,6 +257,35 @@ mod tests {
         s.append(&mut clock, &cost, (&a, &b), 0, 1, &[entry(1, 2)]);
         assert!(clock.now() > 0);
         assert!(a.granted() > 0 && b.granted() > 0);
+    }
+
+    #[test]
+    fn post_returns_the_horizon_append_waits_for() {
+        let s = ReplLogStore::new(2);
+        let cost = CostModel::default();
+        let (a, b) = nics();
+        let batch = [entry(1, 2)];
+        let done = s.post(500, &cost, (&a, &b), 0, 0, 1, &batch);
+        assert_eq!(done, 500 + cost.rdma_write(batch[0].wire_size()));
+        let mut clock = VClock::new();
+        clock.advance(500);
+        s.append(&mut clock, &cost, (&a, &b), 0, 1, &batch);
+        assert_eq!(clock.now(), done, "append = post + wait");
+        assert_eq!(s.len(1, 0), 2);
+    }
+
+    #[test]
+    fn loopback_append_is_a_local_store() {
+        // Machine 1 coordinates a write to primary 0 and is itself one of
+        // 0's backups: its own log is local NVRAM, not a NIC round trip.
+        let s = ReplLogStore::new(2);
+        let cost = CostModel::default();
+        let (a, b) = nics();
+        let batch = [entry(1, 2), entry(2, 2), entry(3, 2)]; // 96 B: two lines.
+        let done = s.post(0, &cost, (&a, &b), 1, 0, 1, &batch);
+        assert_eq!(done, 2 * cost.mem_access_ns);
+        assert_eq!((a.granted(), b.granted()), (0, 0));
+        assert_eq!(s.len(1, 0), 3, "still enqueued");
     }
 
     #[test]

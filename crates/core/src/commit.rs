@@ -1227,7 +1227,18 @@ impl TxnCtx<'_> {
     }
 
     /// R.1: appends redo records to the logs on each written record's
-    /// backups, batched per `(primary, backup)` pair.
+    /// backups as one overlapped fan-out.
+    ///
+    /// Entries are grouped by destination backup machine: each machine
+    /// gets one doorbell carrying one WRITE per primary it backs. The
+    /// doorbells ring back to back on the CPU, every WRITE completes
+    /// `rdma_write(bytes)` after its own issue instant (later if a link
+    /// or verb-op budget on either port is in deficit), and the
+    /// transaction waits once, for the slowest ack: `Σ_dst doorbell +
+    /// max_dst(issue + write)`. The coordinator's own log (it backs a
+    /// remote primary it wrote) is a local NVRAM store, done while the
+    /// WRITEs fly. Blocking verbs (`batched_verbs = false`) are batches
+    /// of one: each WRITE is waited for before the next issues.
     ///
     /// All-or-nothing with respect to recovery: the appends run under
     /// the log store's recovery gate, and only if the configuration
@@ -1238,13 +1249,16 @@ impl TxnCtx<'_> {
     async fn append_logs(&mut self, entries: Vec<(NodeId, LogEntry)>) -> bool {
         let cluster = Arc::clone(&self.w.cluster);
         let batched = self.batched_verbs();
-        let mut primaries: Vec<NodeId> = entries.iter().map(|(p, _)| *p).collect();
-        primaries.sort_unstable();
-        primaries.dedup();
         let me = self.w.node;
+        let nodes = cluster.nodes();
+        let mut by_primary: Vec<Vec<LogEntry>> = vec![Vec::new(); nodes];
+        for (p, e) in entries {
+            by_primary[p].push(e);
+        }
         let before = self.w.clock.now();
-        // CPU the appends consume (doorbell charges); everything else in
-        // the span is NIC/NVRAM latency a routine can hide.
+        // CPU the appends consume (doorbell charges, the loopback
+        // store); everything else in the span is NIC/NVRAM latency a
+        // routine can hide.
         let mut cpu_ns: u64 = 0;
         let ok = {
             let clock = &mut self.w.clock;
@@ -1252,41 +1266,66 @@ impl TxnCtx<'_> {
             cluster
                 .logs
                 .append_fenced(&cluster.config, self.start_epoch, |logs| {
-                    for p in primaries {
-                        let batch: Vec<LogEntry> = entries
-                            .iter()
-                            .filter(|(q, _)| *q == p)
-                            .map(|(_, e)| e.clone())
-                            .collect();
-                        for b in cluster.backups_of(p) {
-                            let src = cluster.fabric.port(me);
-                            let dst = cluster.fabric.port(b);
-                            if batched {
-                                // R.1 rides the work queue too: the whole
-                                // redo batch for this backup is one doorbell
-                                // (charged up front) plus pipelined per-entry
-                                // occupancy, counted on the destination port
-                                // like every other doorbell.
-                                let charge = cost.doorbell_ns
-                                    + cost.verb_pipeline_ns * (batch.len() as u64 - 1);
-                                clock.advance(charge);
-                                cpu_ns += charge;
-                                dst.stats().doorbells.inc();
+                    let mut by_backup: Vec<Vec<(NodeId, &[LogEntry])>> = vec![Vec::new(); nodes];
+                    for (p, batch) in by_primary.iter().enumerate() {
+                        if !batch.is_empty() {
+                            for b in cluster.backups_of(p) {
+                                by_backup[b].push((p, batch));
                             }
-                            logs.append(clock, cost, (src.nic(), dst.nic()), p, b, &batch);
-                            // One WRITE-verb op reservation per log append, on
-                            // both ports (the batch travels as one chained WR).
-                            let now = clock.now();
-                            let o1 = src.nic_ops().reserve(now, 1);
-                            let o2 = dst.nic_ops().reserve(now, 1);
-                            clock.advance_to(o1.max(o2));
                         }
                     }
+                    let src = cluster.fabric.port(me);
+                    let loopback = std::mem::take(&mut by_backup[me]);
+                    let mut horizon = clock.now();
+                    for (b, batches) in by_backup.iter().enumerate() {
+                        if batches.is_empty() {
+                            continue;
+                        }
+                        let dst = cluster.fabric.port(b);
+                        if batched {
+                            // R.1 rides the work queue too: everything
+                            // bound for this backup is one doorbell
+                            // (charged up front) plus pipelined per-entry
+                            // occupancy, counted on the destination port
+                            // like every other doorbell.
+                            let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
+                            let charge =
+                                cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
+                            clock.advance(charge);
+                            cpu_ns += charge;
+                            dst.stats().doorbells.inc();
+                        }
+                        for &(p, batch) in batches {
+                            // One chained WRITE per log: one verb-op
+                            // reservation on both ports beside the bytes.
+                            let issue = clock.now();
+                            let done = logs
+                                .post(issue, cost, (src.nic(), dst.nic()), me, p, b, batch)
+                                .max(src.nic_ops().reserve(issue, 1))
+                                .max(dst.nic_ops().reserve(issue, 1));
+                            dst.stats().writes.inc();
+                            dst.stats()
+                                .bytes
+                                .add(LogEntry::batch_wire_size(batch) as u64);
+                            if batched {
+                                horizon = horizon.max(done);
+                            } else {
+                                clock.advance_to(done);
+                            }
+                        }
+                    }
+                    for (p, batch) in loopback {
+                        let issue = clock.now();
+                        let done = logs.post(issue, cost, (src.nic(), src.nic()), me, p, me, batch);
+                        cpu_ns += done - issue;
+                        clock.advance_to(done);
+                    }
+                    clock.advance_to(horizon);
                 })
         };
-        // One collapsed yield over the appends' total wait: model the
-        // CPU charges as spent up front and the remainder of the span
-        // as hideable latency.
+        // One collapsed yield over the slowest ack: the CPU charges are
+        // spent up front and the remainder of the span is hideable
+        // latency.
         let span = self.w.clock.now().saturating_sub(before);
         let wait = span.saturating_sub(cpu_ns);
         let release = self.w.clock.now() - wait;

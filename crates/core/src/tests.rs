@@ -776,6 +776,61 @@ fn one_doorbell_per_destination_in_commit_fanout() {
         d.reads + d.writes + d.atomics,
         "legacy path: one doorbell per verb: {d:?}"
     );
+
+    // Replicated: R.1 rings one doorbell per remote backup *machine*.
+    // Worker 0 writes primaries 0 (backups {1, 2}) and 1 (backups
+    // {2, 0}): node 2 takes both logs behind one doorbell as two WRITEs,
+    // node 1 takes one, and node 0's own log of primary 1 is a local
+    // store — no doorbell, no verb.
+    let c = cluster(3, 3);
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new([drtm_rdma::NicSnapshot::default(); 3]);
+    w.run(|t| {
+        t.write(0, T_ACCT, key(0, 1), val(1))?;
+        t.write(1, T_ACCT, key(1, 1), val(2))?;
+        base.set(std::array::from_fn(|n| c.fabric.port(n).stats().snapshot()));
+        Ok(())
+    })
+    .unwrap();
+    let d: [drtm_rdma::NicSnapshot; 3] =
+        std::array::from_fn(|n| c.fabric.port(n).stats().snapshot().delta(&base.get()[n]));
+    assert_eq!(d[0], drtm_rdma::NicSnapshot::default(), "loopback: {d:?}");
+    assert_eq!(d[1].doorbells, 4 + 1, "C.1, C.2, C.5, C.6 + R.1: {d:?}");
+    assert_eq!(d[1].writes, 1 + 1, "C.5 image + one redo WRITE: {d:?}");
+    assert_eq!(d[2].doorbells, 1, "two logs, one doorbell: {d:?}");
+    assert_eq!(d[2].writes, 2, "one redo WRITE per log: {d:?}");
+    let redo = 29 + 16; // `LogEntry::wire_size` of a 16-byte value.
+    assert_eq!(d[2].bytes, 2 * redo, "redo bytes are counted: {d:?}");
+    for (backup, primary) in [(1, 0), (2, 0), (2, 1), (0, 1)] {
+        assert_eq!(c.logs.len(backup, primary), 1, "logs[{backup}][{primary}]");
+    }
+}
+
+/// R.1's virtual cost is pinned: the redo WRITEs to a record's f backups
+/// overlap, so the phase costs the doorbells (CPU, back to back) plus
+/// *one* WRITE latency — the slowest ack, not the sum. Blocking verbs
+/// are batches of one and wait for each WRITE in turn.
+#[test]
+fn r1_waits_for_the_slowest_ack_not_the_sum() {
+    let log_span = |batched: bool| -> u64 {
+        let opts = EngineOpts::builder()
+            .replicas(3)
+            .region_size(4 << 20)
+            .batched_verbs(batched)
+            .build();
+        let c = DrtmCluster::new(3, &schema(), opts);
+        c.seed_record(0, T_ACCT, key(0, 1), &val(100));
+        let mut w = c.worker(0, 1);
+        w.run(|t| t.write(0, T_ACCT, key(0, 1), val(7))).unwrap();
+        let snap = c.obs.scrape();
+        let log = snap.phases.iter().find(|(n, _)| *n == "log").unwrap().1;
+        assert_eq!(log.count, 1);
+        log.sum
+    };
+    let cost = drtm_base::CostModel::default();
+    let write = cost.rdma_write(29 + 16);
+    assert_eq!(log_span(true), 2 * cost.doorbell_ns + write);
+    assert_eq!(log_span(false), 2 * write);
 }
 
 /// One-shot injector: drops the `n`-th verb of class `verb` issued from

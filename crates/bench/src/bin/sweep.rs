@@ -5,7 +5,7 @@
 //! sweep [tpcc|smallbank|ycsb] [--engine drtm+r|drtm|calvin|silo]
 //!       [--nodes N] [--threads T] [--replicas R] [--cross P]
 //!       [--txns N] [--routines R] [--full] [--msg-locking] [--no-cache]
-//!       [--fuse] [--legacy-verbs] [--no-value-cache] [--raw]
+//!       [--fuse] [--no-value-cache] [--raw]
 //!       [--json FILE]
 //! ```
 //!
@@ -13,11 +13,9 @@
 //! can build arbitrary grids beyond the paper's figures. With `--raw`
 //! only the aggregate throughput (txn/s, bare float) is printed — the
 //! machine-comparable form the CI observability-overhead check diffs
-//! between obs-enabled and obs-disabled builds, the batched-verbs A/B
-//! check diffs between `--legacy-verbs` (or `DRTM_VERB_PATH=blocking`)
-//! and the batched default, and the pipeline A/B diffs between
-//! `--routines 1` and `--routines 8`. With `--json FILE` a one-object
-//! summary (`workload`, `rev`, `routines`, `throughput`, `abort_rate`,
+//! between obs-enabled and obs-disabled builds, and the pipeline A/B
+//! diffs between `--routines 1` and `--routines 8`. With `--json FILE`
+//! a one-object summary (`workload`, `rev`, `routines`, `throughput`, `abort_rate`,
 //! `p50`, `p99`, `nic_bytes_per_txn`, `pipeline`) is also written to
 //! `FILE` for artifact upload; `rev` comes from `DRTM_GIT_REV` or
 //! `git rev-parse --short HEAD`, so summaries from different PRs are
@@ -113,7 +111,6 @@ fn main() {
     let mut msg_locking = false;
     let mut no_cache = false;
     let mut fuse = false;
-    let mut legacy_verbs = false;
     let mut no_value_cache = false;
     let mut raw = false;
     let mut json: Option<String> = None;
@@ -141,7 +138,6 @@ fn main() {
             "--msg-locking" => msg_locking = true,
             "--no-cache" => no_cache = true,
             "--fuse" => fuse = true,
-            "--legacy-verbs" => legacy_verbs = true,
             "--no-value-cache" => no_value_cache = true,
             "--raw" => raw = true,
             "--json" => json = Some(grab(&mut it)),
@@ -164,15 +160,8 @@ fn main() {
         no_location_cache: no_cache,
         fuse_lock_validate: fuse,
         routines,
+        no_value_cache,
         ..Default::default()
-    };
-    // `..Default::default()` already honours `DRTM_VERB_PATH=blocking` and
-    // `DRTM_VALUE_CACHE=off`; the flags are the explicit spellings for
-    // scripts and CI matrices.
-    let run = RunCfg {
-        batched_verbs: run.batched_verbs && !legacy_verbs,
-        no_value_cache: run.no_value_cache || no_value_cache,
-        ..run
     };
 
     if !raw {

@@ -67,7 +67,7 @@ pub fn run_cfg_json(run: &RunCfg) -> String {
             "{{\"engine\":\"{:?}\",\"threads\":{},\"replicas\":{},",
             "\"txns_per_worker\":{},\"seed\":{},\"cross_override\":{},",
             "\"fuse_lock_validate\":{},\"no_location_cache\":{},",
-            "\"msg_locking\":{},\"batched_verbs\":{},\"no_value_cache\":{},",
+            "\"msg_locking\":{},\"no_value_cache\":{},",
             "\"routines\":{},\"contention\":\"{}\",\"route\":\"{}\"}}"
         ),
         run.engine,
@@ -79,7 +79,6 @@ pub fn run_cfg_json(run: &RunCfg) -> String {
         run.fuse_lock_validate,
         run.no_location_cache,
         run.msg_locking,
-        run.batched_verbs,
         run.no_value_cache,
         run.routines,
         run.contention.label(),
@@ -132,7 +131,7 @@ mod tests {
         drtm_obs::jsonlint::validate(&full).expect("full stamp parses");
         assert!(full.contains("\"git_rev\":\""));
         assert!(full.contains("\"routines\":"));
-        assert!(full.contains("\"batched_verbs\":"));
+        assert!(full.contains("\"no_value_cache\":"));
         assert!(full.contains("\"contention\":\"off\""));
         assert!(full.contains("\"route\":\"off\""));
     }

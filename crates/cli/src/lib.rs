@@ -58,13 +58,12 @@ pub enum Cmd {
         /// Transactions attempted per worker thread.
         txns: usize,
     },
-    /// `breakdown [txns]` — run the default SmallBank benchmark twice,
-    /// once over the legacy blocking verb path and once over the
-    /// doorbell-batched work-queue path, and report per-phase virtual
-    /// time, the combined C.1+C.2+C.5+C.6 fan-out share, and the
-    /// achieved verbs-per-doorbell batching factor.
+    /// `breakdown [txns]` — run the default SmallBank benchmark on a
+    /// fresh cluster and report per-phase virtual time, the combined
+    /// C.1+C.2+C.5+C.6 fan-out share, and the achieved
+    /// verbs-per-doorbell batching factor.
     Breakdown {
-        /// Transactions attempted per worker thread on each side.
+        /// Transactions attempted per worker thread.
         txns: usize,
     },
     /// `cache [txns]` — run a read-heavy cross-machine YCSB-B twice,
@@ -355,11 +354,10 @@ commands:
                                conservation audit is printed
   smallbank [txns]             run SmallBank on a fresh 2-machine
                                cluster (fills the metrics registry)
-  breakdown [txns]             A/B the doorbell-batched verb path
-                               against the legacy blocking path on the
-                               default SmallBank run: per-phase virtual
-                               time, the C.1+C.2+C.5+C.6 fan-out
-                               share, and verbs per doorbell
+  breakdown [txns]             commit-phase breakdown of the default
+                               SmallBank run: per-phase virtual time,
+                               the C.1+C.2+C.5+C.6 fan-out share, and
+                               verbs per doorbell
   cache [txns]                 A/B the read-mostly value cache on a
                                read-heavy cross-machine YCSB-B run:
                                NIC bytes and READ verbs per committed
@@ -427,13 +425,10 @@ fn shell_smallbank_cfg() -> drtm_workloads::smallbank::SbCfg {
     }
 }
 
-/// One measured side of the `breakdown` verb-path A/B: the shell's
-/// default SmallBank benchmark run entirely over one verb path.
+/// The `breakdown` command's result: where the shell's default
+/// SmallBank benchmark spends its virtual time, phase by phase.
 #[derive(Debug, Clone)]
-pub struct VerbPathSide {
-    /// `true` for the doorbell-batched work-queue path, `false` for the
-    /// legacy per-record blocking path.
-    pub batched: bool,
+pub struct BreakdownReport {
     /// Committed transactions over the whole run.
     pub committed: u64,
     /// Per-phase virtual-time sums, `(registry phase name, ns)`.
@@ -444,7 +439,7 @@ pub struct VerbPathSide {
     pub doorbells: u64,
 }
 
-impl VerbPathSide {
+impl BreakdownReport {
     /// Virtual-time sum of one phase, 0 if it never recorded.
     pub fn phase(&self, name: &str) -> u64 {
         self.phase_ns
@@ -453,27 +448,19 @@ impl VerbPathSide {
             .map_or(0, |(_, ns)| *ns)
     }
 
-    /// Combined commit fan-out time: C.1 lock + C.2 validate + C.5
-    /// update + C.6 unlock — the four phases the doorbell batching
-    /// targets (C.2 joined when header validation moved onto the
-    /// posted work queue alongside the value cache).
-    pub fn fanout_ns(&self) -> u64 {
-        self.phase("lock") + self.phase("validate") + self.phase("update") + self.phase("unlock")
-    }
-
-    /// Total virtual time across all phases.
-    pub fn total_ns(&self) -> u64 {
-        self.phase_ns.iter().map(|(_, ns)| ns).sum()
-    }
-
-    /// Share of total virtual time spent in commit fan-out.
+    /// Share of total virtual time spent in commit fan-out: C.1 lock +
+    /// C.2 validate + C.5 update + C.6 unlock, the four phases that
+    /// ring one doorbell per destination node.
     pub fn fanout_share(&self) -> f64 {
-        let total = self.total_ns();
+        let total: u64 = self.phase_ns.iter().map(|(_, ns)| ns).sum();
         if total == 0 {
-            0.0
-        } else {
-            self.fanout_ns() as f64 / total as f64
+            return 0.0;
         }
+        let fanout = self.phase("lock")
+            + self.phase("validate")
+            + self.phase("update")
+            + self.phase("unlock");
+        fanout as f64 / total as f64
     }
 
     /// Achieved batching factor: verbs flushed per doorbell rung.
@@ -484,105 +471,51 @@ impl VerbPathSide {
             self.verbs as f64 / self.doorbells as f64
         }
     }
+
+    /// Renders the human-readable phase table.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "commit-phase breakdown of the default SmallBank sweep ({} committed):\n",
+            self.committed
+        );
+        out += &format!("  {:<10} {:>14}\n", "phase", "virtual us");
+        for (name, ns) in &self.phase_ns {
+            out += &format!("  {:<10} {:>14.1}\n", name, *ns as f64 / 1_000.0);
+        }
+        out += &format!(
+            "  C.1+C.2+C.5+C.6 fan-out share: {:.1}%\n",
+            self.fanout_share() * 100.0,
+        );
+        out += &format!("  verbs per doorbell: {:.2}", self.verbs_per_doorbell());
+        out
+    }
 }
 
-/// Runs the shell's default SmallBank on a fresh cluster over the
-/// requested verb path and scrapes the phase/NIC numbers.
-fn measure_verb_path(txns: usize, batched: bool) -> VerbPathSide {
+/// Runs the shell's default SmallBank on a fresh cluster and scrapes
+/// the phase/NIC numbers.
+pub fn smallbank_breakdown(txns: usize) -> BreakdownReport {
     use drtm_workloads::driver::{build_smallbank, run_smallbank_on, RunCfg};
     let cfg = shell_smallbank_cfg();
     let run = RunCfg {
         threads: 3,
         txns_per_worker: txns.max(1),
-        batched_verbs: batched,
         ..Default::default()
     };
     let (cluster, calvin) = build_smallbank(&cfg, &run);
     let m = run_smallbank_on(&cfg, &run, &cluster, calvin.as_ref());
     let snap = drtm_core::scrape_cluster(&cluster);
-    VerbPathSide {
-        batched,
+    let nic_count = |doorbell: bool| -> u64 {
+        snap.nic
+            .iter()
+            .filter(|r| (r.verb == "doorbell") == doorbell)
+            .map(|r| r.count)
+            .sum()
+    };
+    BreakdownReport {
         committed: m.committed,
         phase_ns: snap.phases.iter().map(|(p, h)| (*p, h.sum)).collect(),
-        verbs: snap
-            .nic
-            .iter()
-            .filter(|r| r.verb != "doorbell")
-            .map(|r| r.count)
-            .sum(),
-        doorbells: snap
-            .nic
-            .iter()
-            .filter(|r| r.verb == "doorbell")
-            .map(|r| r.count)
-            .sum(),
-    }
-}
-
-/// The `breakdown` command's result: both verb paths measured on the
-/// same workload, ready to render or assert on.
-#[derive(Debug, Clone)]
-pub struct BreakdownReport {
-    /// The legacy blocking-verb side.
-    pub blocking: VerbPathSide,
-    /// The doorbell-batched side.
-    pub batched: VerbPathSide,
-}
-
-impl BreakdownReport {
-    /// Relative reduction of the C.1+C.2+C.5+C.6 fan-out share going
-    /// from the blocking path to the batched path (0.25 = 25% lower
-    /// share).
-    pub fn reduction(&self) -> f64 {
-        let b = self.blocking.fanout_share();
-        if b == 0.0 {
-            0.0
-        } else {
-            1.0 - self.batched.fanout_share() / b
-        }
-    }
-
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "verb-path A/B on the default SmallBank sweep \
-             ({} committed blocking, {} committed batched):\n",
-            self.blocking.committed, self.batched.committed
-        );
-        out += &format!(
-            "  {:<10} {:>14} {:>14}\n",
-            "phase", "blocking us", "batched us"
-        );
-        for (name, _) in &self.blocking.phase_ns {
-            out += &format!(
-                "  {:<10} {:>14.1} {:>14.1}\n",
-                name,
-                self.blocking.phase(name) as f64 / 1_000.0,
-                self.batched.phase(name) as f64 / 1_000.0,
-            );
-        }
-        out += &format!(
-            "  C.1+C.2+C.5+C.6 fan-out share: blocking {:.1}% -> batched {:.1}% \
-             ({:.1}% reduction)\n",
-            self.blocking.fanout_share() * 100.0,
-            self.batched.fanout_share() * 100.0,
-            self.reduction() * 100.0,
-        );
-        out += &format!(
-            "  verbs per doorbell: blocking {:.2} -> batched {:.2}",
-            self.blocking.verbs_per_doorbell(),
-            self.batched.verbs_per_doorbell(),
-        );
-        out
-    }
-}
-
-/// Measures the default SmallBank benchmark over both verb paths
-/// (blocking first, then batched) on fresh clusters.
-pub fn smallbank_breakdown(txns: usize) -> BreakdownReport {
-    BreakdownReport {
-        blocking: measure_verb_path(txns, false),
-        batched: measure_verb_path(txns, true),
+        verbs: nic_count(false),
+        doorbells: nic_count(true),
     }
 }
 
@@ -1850,16 +1783,16 @@ impl Shell {
                 )))
             }
             Cmd::Breakdown { txns } => {
-                // Standalone A/B on two fresh clusters — the shell's
+                // Standalone run on a fresh cluster — the shell's
                 // interactive cluster (if any) is not touched.
                 Ok(Some(smallbank_breakdown(txns.max(1)).render()))
             }
             Cmd::Cache { txns } => {
-                // Same standalone-A/B shape as `breakdown`.
+                // Standalone A/B on two fresh clusters.
                 Ok(Some(value_cache_ab(txns.max(1)).render()))
             }
             Cmd::Pipeline { txns } => {
-                // Same standalone-A/B shape as `breakdown`.
+                // Same standalone-A/B shape as `cache`.
                 Ok(Some(pipeline_ab(txns.max(1)).render()))
             }
             Cmd::Contend { txns } => {
@@ -2311,38 +2244,7 @@ mod tests {
             .unwrap()
             .unwrap();
         drtm_obs::jsonlint::validate(&json).expect("stats json must be valid");
-    }
-
-    /// On the default SmallBank sweep, doorbell batching must cut the
-    /// combined C.1+C.2+C.5+C.6 share of virtual commit time by at
-    /// least 20% relative to the legacy blocking verb path (C.2 counts
-    /// as fan-out since header validation moved onto the posted work
-    /// queue). (The verbs-per-doorbell factor stays at 1.0
-    /// here — a two-machine SmallBank transfer has exactly one remote
-    /// record per destination — so the win is fewer, cheaper doorbells,
-    /// not wider batches; multi-WR batches are exercised by the
-    /// doorbell-count test in `drtm-core`.)
-    #[test]
-    fn breakdown_reduces_commit_fanout_share() {
-        let report = smallbank_breakdown(200);
-        assert!(report.blocking.committed > 0 && report.batched.committed > 0);
-        assert!(report.batched.doorbells > 0, "{report:?}");
-        assert!(
-            report.batched.verbs_per_doorbell() >= report.blocking.verbs_per_doorbell(),
-            "batching factor must not drop: {report:?}"
-        );
-        // The share drop hovers around 20-23% but the exact figure
-        // moves a couple of points with OS thread interleaving (retried
-        // phases re-accrue virtual time), so assert a floor with margin.
-        assert!(
-            report.reduction() >= 0.15,
-            "C.1+C.2+C.5+C.6 share must drop >= 15%, got {:.1}% \
-             (blocking {:.1}% -> batched {:.1}%)",
-            report.reduction() * 100.0,
-            report.blocking.fanout_share() * 100.0,
-            report.batched.fanout_share() * 100.0,
-        );
-        let mut sh = Shell::new();
+        // `breakdown` condenses the same run shape into one phase table.
         let text = sh.execute(Cmd::Breakdown { txns: 1 }).unwrap().unwrap();
         assert!(text.contains("fan-out share"), "{text}");
         assert!(text.contains("verbs per doorbell"), "{text}");

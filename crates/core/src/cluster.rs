@@ -75,17 +75,11 @@ pub struct EngineOpts {
     pub txn_retries: usize,
     /// FaRM-style two-sided locking ablation: remote lock/unlock and
     /// validation travel as SEND/RECV messages served by the host CPU
-    /// instead of one-sided RDMA verbs. Costs message round trips and
-    /// interrupts the host, aborting its in-flight HTM regions — the
-    /// §4.4 argument for one-sided operations.
+    /// instead of one-sided RDMA verbs (C.5 writes and R.1 appends stay
+    /// one-sided). Costs message round trips and interrupts the host,
+    /// aborting its in-flight HTM regions — the §4.4 argument for
+    /// one-sided operations.
     pub msg_locking: bool,
-    /// Batch commit-phase verbs through the posted work-queue API: C.1
-    /// locks, C.5 updates, R.1 appends and C.6 unlocks ring one doorbell
-    /// per destination node instead of paying one blocking round trip
-    /// per record. `false` restores the legacy per-record blocking path
-    /// (the A/B baseline). Ignored under `msg_locking`, whose verbs are
-    /// SEND/RECV round trips with no doorbell to amortise.
-    pub batched_verbs: bool,
     /// Cache remote record values for tables listed in
     /// [`EngineOpts::read_mostly_tables`]: a hit skips the full-record
     /// execution-phase RDMA READ and is re-validated at C.2 with a
@@ -131,7 +125,6 @@ impl Default for EngineOpts {
             pointer_swap: true,
             txn_retries: 1_000_000,
             msg_locking: false,
-            batched_verbs: true,
             value_cache: true,
             read_mostly_tables: Vec::new(),
             routines: 1,
@@ -180,11 +173,10 @@ impl EngineOpts {
 ///
 /// let opts = EngineOpts::builder()
 ///     .replicas(3)
-///     .batched_verbs(false)
 ///     .read_mostly_tables(vec![4])
 ///     .build();
 /// assert_eq!(opts.replicas, 3);
-/// assert!(!opts.batched_verbs);
+/// assert_eq!(opts.read_mostly_tables, [4]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptsBuilder {
@@ -258,12 +250,6 @@ impl EngineOptsBuilder {
     /// FaRM-style two-sided locking ablation.
     pub fn msg_locking(mut self, on: bool) -> Self {
         self.opts.msg_locking = on;
-        self
-    }
-
-    /// Batch commit-phase verbs through the posted work-queue API.
-    pub fn batched_verbs(mut self, on: bool) -> Self {
-        self.opts.batched_verbs = on;
         self
     }
 

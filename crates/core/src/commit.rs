@@ -28,10 +28,10 @@ use std::sync::Arc;
 
 use drtm_cluster::LogEntry;
 use drtm_htm::RunOutcome;
-use drtm_rdma::{NodeId, WorkRequest, WrResult};
+use drtm_rdma::{NodeId, VerbError, WorkRequest, WrResult};
 use drtm_store::record::{
     lock_owner, lock_word, locked_write_wrs, remote_read_consistent, remote_read_header,
-    remote_write_locked, RecordHeader, HEADER_BYTES, INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
+    RecordHeader, HEADER_BYTES, INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
 };
 use drtm_store::{TableId, CONTROL_LINE_OFF};
 
@@ -271,7 +271,7 @@ impl TxnCtx<'_> {
             // refused to issue further verbs) and `unlock_all` is a
             // no-op: whatever it already locked dangles for the
             // recovery sweep.
-            self.unlock_all(&held);
+            self.unlock_all(&held).await;
             return Err(err);
         }
         self.probe("C.1")?;
@@ -283,7 +283,7 @@ impl TxnCtx<'_> {
         let remote_new_seqs = match self.validate_remote().await {
             Ok(s) => s,
             Err(e) => {
-                self.unlock_all(&locks);
+                self.unlock_all(&locks).await;
                 return Err(e);
             }
         };
@@ -300,7 +300,7 @@ impl TxnCtx<'_> {
         // everything else, before anything irreversible. The window
         // between here and R.1 is closed by the fenced append itself.
         if cluster.config.epoch() != self.start_epoch {
-            self.unlock_all(&locks);
+            self.unlock_all(&locks).await;
             return Err(TxnError::Aborted(AbortReason::Validation));
         }
 
@@ -311,13 +311,13 @@ impl TxnCtx<'_> {
         let local_new_seqs = match self.htm_validate_and_apply(local_bump) {
             Ok(Ok(seqs)) => seqs,
             Ok(Err(reason)) => {
-                self.unlock_all(&locks);
+                self.unlock_all(&locks).await;
                 return Err(TxnError::Aborted(reason));
             }
             Err(()) => {
                 // HTM retries exhausted: the fallback handler takes over
                 // with the remote locks already released (§6.1).
-                self.unlock_all(&locks);
+                self.unlock_all(&locks).await;
                 return self.commit_fallback().await;
             }
         };
@@ -339,7 +339,7 @@ impl TxnCtx<'_> {
             let entries = self.log_entries(&local_new_seqs, &remote_new_seqs, local_bump);
             if !self.append_logs(entries).await {
                 self.rollback_local_writes(false).await;
-                self.unlock_all(&locks);
+                self.unlock_all(&locks).await;
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
@@ -380,7 +380,7 @@ impl TxnCtx<'_> {
         // locks dangle until a survivor releases them passively.
         self.probe("C.5")?;
 
-        self.unlock_all(&locks);
+        self.unlock_all(&locks).await;
         self.probe("C.6")?;
         let (unlock_ns, unlock_wait) = lap(self.w);
         phase_span(Phase::Unlock.name(), unlock_ns);
@@ -407,16 +407,16 @@ impl TxnCtx<'_> {
         Ok(())
     }
 
-    /// Remote CAS via either a one-sided verb (default) or, under the
-    /// FaRM-messaging ablation, a SEND/RECV round trip serviced by the
-    /// target's CPU. The message handler interrupts the host, which
-    /// aborts its in-flight HTM regions — modelled by bumping the
-    /// target's control line (every HTM commit region subscribes to it
-    /// in messaging mode).
+    /// One blocking lock-word CAS: a one-sided verb (a batch of one) by
+    /// default or, under the FaRM-messaging ablation, a SEND/RECV round
+    /// trip serviced by the target's CPU. The message handler interrupts
+    /// the host, which aborts its in-flight HTM regions — modelled by
+    /// bumping the target's control line (every HTM commit region
+    /// subscribes to it in messaging mode).
     fn remote_cas(&mut self, node: NodeId, off: usize, expect: u64, new: u64) -> Result<u64, u64> {
         let cluster = Arc::clone(&self.w.cluster);
+        let w = &mut *self.w;
         if cluster.opts.msg_locking {
-            let w = &mut *self.w;
             cluster
                 .fabric
                 .charge_message(&mut w.clock, w.node, node, 32);
@@ -427,9 +427,48 @@ impl TxnCtx<'_> {
             region.faa64(CONTROL_LINE_OFF, 1); // The interrupt.
             region.cas64(off, expect, new)
         } else {
-            let w = &mut *self.w;
             w.qps[node].cas(&mut w.clock, off, expect, new)
         }
+    }
+
+    /// The lock-word CASes of one destination (`group` is one node's
+    /// run of the sorted lock set), outcomes in order. One-sided, they
+    /// ride a single doorbell: `signalled` waits for the completions —
+    /// a reactor suspension point — while unsignalled WRs are claimed
+    /// without spinning the clock forward to them. Under the messaging
+    /// ablation there is no doorbell to share: each CAS is its own
+    /// round trip, and none is ever dropped in flight.
+    async fn remote_cas_batch(
+        &mut self,
+        group: &[LockAddr],
+        expect: u64,
+        new: u64,
+        signalled: bool,
+    ) -> Vec<Result<Result<u64, u64>, VerbError>> {
+        let node = group[0].0;
+        if self.w.cluster.opts.msg_locking {
+            return group
+                .iter()
+                .map(|&(_, off)| Ok(self.remote_cas(node, off, expect, new)))
+                .collect();
+        }
+        let w = &mut *self.w;
+        for &(_, raddr) in group {
+            w.qps[node].post(WorkRequest::Cas { raddr, expect, new });
+        }
+        let wcs = if signalled {
+            w.finish_batch(node).await
+        } else {
+            w.finish_batch_ff(node)
+        };
+        wcs.into_iter()
+            .map(|wc| {
+                wc.result.map(|r| match r {
+                    WrResult::Cas(res) => res,
+                    _ => unreachable!("CAS WRs complete with CAS results"),
+                })
+            })
+            .collect()
     }
 
     /// The remote lock set: read ∪ write addresses, sorted and deduped.
@@ -443,14 +482,6 @@ impl TxnCtx<'_> {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Whether commit-phase verbs ride the batched work-queue paths.
-    /// The messaging ablation's verbs are SEND/RECV round trips with no
-    /// doorbell to amortise, so it always takes the per-record path.
-    fn batched_verbs(&self) -> bool {
-        let opts = &self.w.cluster.opts;
-        opts.batched_verbs && !opts.msg_locking
     }
 
     /// The error a failed lock acquisition surfaces: a dead machine is a
@@ -525,61 +556,19 @@ impl TxnCtx<'_> {
         }
     }
 
-    /// Acquires every lock in `addrs` (already sorted) with RDMA CAS —
-    /// batched one doorbell per destination node, or one blocking CAS
-    /// per record on the legacy path.
-    ///
-    /// On failure returns the locks actually acquired (the batched path
-    /// can win later CASes of a batch whose earlier one lost, so this is
-    /// not always a prefix of `addrs`) plus the error to surface; the
-    /// caller releases them. Locks owned by machines outside the current
-    /// configuration are stolen, healed and kept (§5.2). With `wait`,
+    /// C.1: acquires every lock in `addrs` (already sorted), one CAS
+    /// group per destination node ([`Self::remote_cas_batch`]).
+    /// Conflicted words (a CAS that found the lock taken) fall back to
+    /// [`Self::acquire_one`], which distinguishes a live owner (abort)
+    /// from a dangling dead one (steal and heal, §5.2). With `wait`,
     /// busy words are spun on under a [`SpinBudget`] (rung 2) instead of
     /// failing on first sight.
+    ///
+    /// On failure returns the locks actually acquired (a group can win
+    /// later CASes after an earlier one lost, so this is not always a
+    /// prefix of `addrs`) plus the error to surface; the caller releases
+    /// them.
     async fn lock_all(
-        &mut self,
-        addrs: &[LockAddr],
-        wait: bool,
-    ) -> Result<(), (Vec<LockAddr>, TxnError)> {
-        if self.batched_verbs() {
-            self.lock_all_batched(addrs, wait).await
-        } else {
-            self.lock_all_blocking(addrs, wait).await
-        }
-    }
-
-    async fn lock_all_blocking(
-        &mut self,
-        addrs: &[LockAddr],
-        wait: bool,
-    ) -> Result<(), (Vec<LockAddr>, TxnError)> {
-        let cluster = Arc::clone(&self.w.cluster);
-        let me = lock_word(self.w.node);
-        let members = cluster.config.get();
-        for (i, &(node, rec_off)) in addrs.iter().enumerate() {
-            // Fencing: never lock (and therefore never write) records on
-            // a machine that has left the configuration — its shard has
-            // been (or is being) recovered elsewhere.
-            if !members.contains(node) {
-                return Err((addrs[..i].to_vec(), self.lock_fail_err()));
-            }
-            match self.acquire_one(node, rec_off, me, wait).await {
-                OneLock::Acquired => {}
-                OneLock::Busy => {
-                    self.note_conflict((node, rec_off), true);
-                    return Err((addrs[..i].to_vec(), self.lock_fail_err()));
-                }
-                OneLock::Dead => return Err((addrs[..i].to_vec(), TxnError::Crashed)),
-            }
-        }
-        Ok(())
-    }
-
-    /// C.1 over the work queue: all CAS WRs for one destination node ride
-    /// a single doorbell. Conflicted words (a CAS that found the lock
-    /// taken) fall back to [`Self::acquire_one`], which distinguishes a
-    /// live owner (abort) from a dangling dead one (steal and heal).
-    async fn lock_all_batched(
         &mut self,
         addrs: &[LockAddr],
         wait: bool,
@@ -588,36 +577,25 @@ impl TxnCtx<'_> {
         let me = lock_word(self.w.node);
         let members = cluster.config.get();
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
-        let mut i = 0;
-        while i < addrs.len() {
-            let node = addrs[i].0;
-            let end = i + addrs[i..].iter().take_while(|a| a.0 == node).count();
-            let group = &addrs[i..end];
-            // Same fences as the blocking path, once per destination:
-            // the doorbell is the point verbs are issued.
+        for group in addrs.chunk_by(|a, b| a.0 == b.0) {
+            let node = group[0].0;
+            // Fencing, once per destination (the point verbs are
+            // issued): never lock (and therefore never write) records
+            // on a machine that has left the configuration — its shard
+            // has been (or is being) recovered elsewhere — and a dead
+            // machine issues no verbs.
             if !members.contains(node) {
                 return Err((acquired, self.lock_fail_err()));
             }
             if !cluster.is_alive(self.w.node) {
                 return Err((acquired, TxnError::Crashed));
             }
-            let wcs = {
-                let w = &mut *self.w;
-                for &(_, rec_off) in group {
-                    w.qps[node].post(WorkRequest::Cas {
-                        raddr: rec_off,
-                        expect: LOCK_FREE,
-                        new: me,
-                    });
-                }
-                // Doorbell + completion wait — a reactor suspension point.
-                w.finish_batch(node).await
-            };
+            let results = self.remote_cas_batch(group, LOCK_FREE, me, true).await;
             let mut failed: Option<TxnError> = None;
-            for (wc, &(_, rec_off)) in wcs.iter().zip(group) {
-                match &wc.result {
-                    Ok(WrResult::Cas(Ok(_))) => acquired.push((node, rec_off)),
-                    Ok(WrResult::Cas(Err(_))) => {
+            for (res, &(_, rec_off)) in results.iter().zip(group) {
+                match res {
+                    Ok(Ok(_)) => acquired.push((node, rec_off)),
+                    Ok(Err(_)) => {
                         // Already failing: don't fight for further locks
                         // the caller would immediately release.
                         if failed.is_some() {
@@ -632,10 +610,9 @@ impl TxnCtx<'_> {
                             OneLock::Dead => failed = Some(TxnError::Crashed),
                         }
                     }
-                    Ok(_) => unreachable!("CAS WRs complete with CAS results"),
                     // The CAS never took effect (injected drop): abort —
-                    // but keep scanning, later WRs of the batch may have
-                    // acquired locks that must be released.
+                    // but keep scanning, later CASes of the group may
+                    // have acquired locks that must be released.
                     Err(e) => {
                         failed.get_or_insert(TxnError::from(*e));
                     }
@@ -644,7 +621,6 @@ impl TxnCtx<'_> {
             if let Some(err) = failed {
                 return Err((acquired, err));
             }
-            i = end;
         }
         Ok(())
     }
@@ -701,12 +677,11 @@ impl TxnCtx<'_> {
         }
     }
 
-    /// Releases locks in `addrs` with RDMA CAS (or messaging, under the
-    /// ablation). The batched path rings one doorbell per destination
-    /// and does not wait for completions: the transaction already
-    /// reported committed after C.5, so C.6 is fire-and-forget, exactly
-    /// like an unsignalled unlock WR on real hardware.
-    fn unlock_all(&mut self, addrs: &[LockAddr]) {
+    /// C.6: releases the locks in `addrs`, one unsignalled CAS group per
+    /// destination node. The transaction already reported committed
+    /// after C.5, so nothing waits for the completions — fire-and-forget,
+    /// exactly like an unsignalled unlock WR on real hardware.
+    async fn unlock_all(&mut self, addrs: &[LockAddr]) {
         // A dead machine cannot release its own locks — that is the
         // recovery sweep's job (which may already have stolen them, so a
         // CAS here could also spuriously fail the assertion below). Its
@@ -716,52 +691,17 @@ impl TxnCtx<'_> {
             return;
         }
         let me = lock_word(self.w.node);
-        if !self.batched_verbs() {
-            for &(node, rec_off) in addrs {
-                let res = self.remote_cas(node, rec_off, me, LOCK_FREE);
-                debug_assert!(res.is_ok(), "lost a lock we held");
-            }
-            self.grant_waiters(addrs);
-            return;
-        }
         // `addrs` is sorted (the lock set, or the acquired subset of it,
         // both built in global order), so destinations are contiguous.
-        let mut i = 0;
-        while i < addrs.len() {
-            let node = addrs[i].0;
-            let end = i + addrs[i..].iter().take_while(|a| a.0 == node).count();
-            let group = &addrs[i..end];
-            let wcs = {
-                let w = &mut *self.w;
-                for &(_, rec_off) in group {
-                    w.qps[node].post(WorkRequest::Cas {
-                        raddr: rec_off,
-                        expect: me,
-                        new: LOCK_FREE,
-                    });
-                }
-                // Fire-and-forget: inspect completions without spinning
-                // the clock forward to them (and without yielding — the
-                // transaction already reported committed).
-                w.finish_batch_ff(node)
-            };
-            for (wc, &(_, rec_off)) in wcs.iter().zip(group) {
-                match &wc.result {
-                    Ok(WrResult::Cas(res)) => {
-                        debug_assert!(res.is_ok(), "lost a lock we held");
-                    }
-                    Ok(_) => unreachable!("CAS WRs complete with CAS results"),
-                    Err(_) => {
-                        // A dropped unlock would dangle forever (recovery
-                        // only sweeps locks of dead machines), so
-                        // retransmit it through the blocking wrapper.
-                        let w = &mut *self.w;
-                        let res = w.qps[node].cas(&mut w.clock, rec_off, me, LOCK_FREE);
-                        debug_assert!(res.is_ok(), "lost a lock we held");
-                    }
-                }
+        for group in addrs.chunk_by(|a, b| a.0 == b.0) {
+            let results = self.remote_cas_batch(group, me, LOCK_FREE, false).await;
+            for (res, &(node, rec_off)) in results.iter().zip(group) {
+                // A dropped unlock would dangle forever (recovery only
+                // sweeps locks of dead machines), so retransmit it
+                // through the blocking wrapper.
+                let res = res.unwrap_or_else(|_| self.remote_cas(node, rec_off, me, LOCK_FREE));
+                debug_assert!(res.is_ok(), "lost a lock we held");
             }
-            i = end;
         }
         self.grant_waiters(addrs);
     }
@@ -781,10 +721,9 @@ impl TxnCtx<'_> {
         }
     }
 
-    /// C.5: writes every remote write-set primary under its lock. The
-    /// batched path posts all per-line WRITEs for one destination node
-    /// and rings a single doorbell; the legacy path issues one blocking
-    /// WRITE per line per record.
+    /// C.5: writes every remote write-set primary under its lock — all
+    /// per-line WRITEs for one destination node behind a single
+    /// doorbell, one-sided in both arms of the messaging ablation.
     ///
     /// A machine that died mid-step stops issuing doorbells — its redo
     /// entries are durable, so the recovery sweep rolls the still-locked
@@ -792,29 +731,6 @@ impl TxnCtx<'_> {
     async fn remote_update(&mut self, new_seqs: &[u64]) -> Result<(), TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let me = self.w.node;
-        if !self.batched_verbs() {
-            for i in 0..self.r_ws.len() {
-                if !cluster.is_alive(me) {
-                    return Err(TxnError::Crashed);
-                }
-                let (node, rec_off, table) = {
-                    let e = &self.r_ws[i];
-                    (e.node, e.rec_off, e.table)
-                };
-                let layout = cluster.stores[me].table(table).layout;
-                let w = &mut *self.w;
-                remote_write_locked(
-                    &w.qps[node],
-                    &mut w.clock,
-                    rec_off,
-                    layout,
-                    &self.r_ws[i].buf,
-                    new_seqs[i],
-                );
-            }
-            self.write_through_cache(new_seqs);
-            return Ok(());
-        }
         let mut nodes: Vec<NodeId> = self.r_ws.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -880,95 +796,100 @@ impl TxnCtx<'_> {
     }
 
     /// Reads the header (lock, incarnation, seq — [`HEADER_BYTES`] at the
-    /// record base, a partial cache line) of a remote record. Under the
-    /// GLOB-fusion ablation this models the result the fused CAS already
-    /// carried, so no extra verb is charged.
+    /// record base, a partial cache line) of one remote record with a
+    /// blocking READ (a batch of one). Under the GLOB-fusion ablation
+    /// this models the result the fused CAS already carried, so no verb
+    /// is charged; under the messaging ablation the lock service
+    /// answers a validation peek with its own round trip.
     fn remote_header(&mut self, node: NodeId, rec_off: usize) -> RecordHeader {
         let cluster = Arc::clone(&self.w.cluster);
-        if cluster.opts.fuse_lock_validate || cluster.opts.msg_locking {
-            // Fused CAS (GLOB) carries the answer; the messaging handler
-            // returns it in its response (already charged by remote_cas
-            // — but a validation-only peek still costs a round trip).
-            if cluster.opts.msg_locking {
-                let w = &mut *self.w;
-                cluster
-                    .fabric
-                    .charge_message(&mut w.clock, w.node, node, 24);
-                cluster
-                    .fabric
-                    .charge_message(&mut w.clock, node, w.node, 24);
-                cluster.stores[node].region.faa64(CONTROL_LINE_OFF, 1);
-            }
-            let region = &cluster.stores[node].region;
-            RecordHeader {
-                lock: region.load64(rec_off + LOCK_OFF),
-                incarnation: region.load64(rec_off + INCARNATION_OFF),
-                seq: region.load64(rec_off + SEQ_OFF),
-            }
-        } else {
-            let w = &mut *self.w;
-            remote_read_header(&w.qps[node], &mut w.clock, rec_off)
+        let w = &mut *self.w;
+        if cluster.opts.msg_locking {
+            cluster
+                .fabric
+                .charge_message(&mut w.clock, w.node, node, 24);
+            cluster
+                .fabric
+                .charge_message(&mut w.clock, node, w.node, 24);
+            cluster.stores[node].region.faa64(CONTROL_LINE_OFF, 1);
+        } else if !cluster.opts.fuse_lock_validate {
+            return remote_read_header(&w.qps[node], &mut w.clock, rec_off);
+        }
+        let region = &cluster.stores[node].region;
+        RecordHeader {
+            lock: region.load64(rec_off + LOCK_OFF),
+            incarnation: region.load64(rec_off + INCARNATION_OFF),
+            seq: region.load64(rec_off + SEQ_OFF),
         }
     }
 
+    /// The header reads of one destination, in `offs` order. One-sided,
+    /// they are [`HEADER_BYTES`]-byte READs behind a single doorbell; a
+    /// dropped completion is retransmitted through the blocking wrapper
+    /// (header reads are idempotent). The ablations have no READ to
+    /// batch: each header comes from [`Self::remote_header`].
+    async fn remote_headers(&mut self, node: NodeId, offs: &[usize]) -> Vec<RecordHeader> {
+        let opts = &self.w.cluster.opts;
+        if opts.fuse_lock_validate || opts.msg_locking {
+            return offs
+                .iter()
+                .map(|&off| self.remote_header(node, off))
+                .collect();
+        }
+        let w = &mut *self.w;
+        for &raddr in offs {
+            w.qps[node].post(WorkRequest::Read {
+                raddr,
+                len: HEADER_BYTES,
+            });
+        }
+        // Doorbell + completion wait — a reactor suspension point.
+        let wcs = w.finish_batch(node).await;
+        wcs.iter()
+            .zip(offs)
+            .map(|(wc, &off)| match &wc.result {
+                Ok(WrResult::Read { data, .. }) => RecordHeader::parse(data),
+                Ok(_) => unreachable!("READ WRs complete with READ results"),
+                Err(_) => remote_read_header(&w.qps[node], &mut w.clock, off),
+            })
+            .collect()
+    }
+
     /// Fetches the headers of every `(node, rec_off)` in `addrs`,
-    /// preserving order. On the batched path all header READs for one
-    /// destination node ride a single doorbell (C.2's fan-out shares the
-    /// amortisation C.1/C.5 already enjoy), and *duplicate* addresses —
-    /// a record both read and written appears once for validation and
-    /// once for the sequence peek — are coalesced into one
-    /// [`HEADER_BYTES`]-byte READ serving every occurrence, counted in
-    /// the destination port's `saved` statistic. The ablations fall
-    /// back to one blocking header read per record, uncoalesced.
+    /// preserving order: one [`Self::remote_headers`] group per
+    /// destination node (C.2's fan-out shares the amortisation C.1/C.5
+    /// enjoy). *Duplicate* addresses — a record both read and written
+    /// appears once for validation and once for the sequence peek — are
+    /// coalesced into one header read serving every occurrence, counted
+    /// in the destination port's `saved` statistic.
     async fn read_headers(
         &mut self,
         addrs: &[(NodeId, usize)],
     ) -> Result<Vec<RecordHeader>, TxnError> {
-        let opts = &self.w.cluster.opts;
-        if self.batched_verbs() && !opts.fuse_lock_validate {
-            let mut uniq: Vec<(NodeId, usize)> = Vec::with_capacity(addrs.len());
-            let mut map: Vec<usize> = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                match uniq.iter().position(|&u| u == a) {
-                    Some(i) => {
-                        map.push(i);
-                        self.w.cluster.fabric.port(a.0).stats().saved.inc();
-                    }
-                    None => {
-                        map.push(uniq.len());
-                        uniq.push(a);
-                    }
+        let cluster = Arc::clone(&self.w.cluster);
+        let mut uniq: Vec<(NodeId, usize)> = Vec::with_capacity(addrs.len());
+        let mut map: Vec<usize> = Vec::with_capacity(addrs.len());
+        for &a in addrs {
+            match uniq.iter().position(|&u| u == a) {
+                Some(i) => {
+                    map.push(i);
+                    cluster.fabric.port(a.0).stats().saved.inc();
+                }
+                None => {
+                    map.push(uniq.len());
+                    uniq.push(a);
                 }
             }
-            let hdrs = self.read_headers_batched(&uniq).await?;
-            Ok(map.into_iter().map(|i| hdrs[i]).collect())
-        } else {
-            let mut out = Vec::with_capacity(addrs.len());
-            for &(node, rec_off) in addrs {
-                out.push(self.remote_header(node, rec_off));
-            }
-            Ok(out)
         }
-    }
-
-    /// The batched half of [`Self::read_headers`]: posts one
-    /// [`HEADER_BYTES`]-byte READ per record and rings one doorbell per
-    /// destination node. A dropped completion is retransmitted through
-    /// the blocking wrapper — header reads are idempotent.
-    async fn read_headers_batched(
-        &mut self,
-        addrs: &[(NodeId, usize)],
-    ) -> Result<Vec<RecordHeader>, TxnError> {
-        let cluster = Arc::clone(&self.w.cluster);
-        let mut out = vec![
+        let mut hdrs = vec![
             RecordHeader {
                 lock: 0,
                 incarnation: 0,
                 seq: 0,
             };
-            addrs.len()
+            uniq.len()
         ];
-        let mut nodes: Vec<NodeId> = addrs.iter().map(|a| a.0).collect();
+        let mut nodes: Vec<NodeId> = uniq.iter().map(|a| a.0).collect();
         nodes.sort_unstable();
         nodes.dedup();
         for node in nodes {
@@ -977,30 +898,13 @@ impl TxnCtx<'_> {
             if !cluster.is_alive(self.w.node) {
                 return Err(TxnError::Crashed);
             }
-            let idxs: Vec<usize> = (0..addrs.len()).filter(|&i| addrs[i].0 == node).collect();
-            let wcs = {
-                let w = &mut *self.w;
-                for &i in &idxs {
-                    w.qps[node].post(WorkRequest::Read {
-                        raddr: addrs[i].1,
-                        len: HEADER_BYTES,
-                    });
-                }
-                // Doorbell + completion wait — a reactor suspension point.
-                w.finish_batch(node).await
-            };
-            for (wc, &i) in wcs.iter().zip(&idxs) {
-                match &wc.result {
-                    Ok(WrResult::Read { data, .. }) => out[i] = RecordHeader::parse(data),
-                    Ok(_) => unreachable!("READ WRs complete with READ results"),
-                    Err(_) => {
-                        let w = &mut *self.w;
-                        out[i] = remote_read_header(&w.qps[node], &mut w.clock, addrs[i].1);
-                    }
-                }
+            let idxs: Vec<usize> = (0..uniq.len()).filter(|&i| uniq[i].0 == node).collect();
+            let offs: Vec<usize> = idxs.iter().map(|&i| uniq[i].1).collect();
+            for (h, i) in self.remote_headers(node, &offs).await.into_iter().zip(idxs) {
+                hdrs[i] = h;
             }
         }
-        Ok(out)
+        Ok(map.into_iter().map(|i| hdrs[i]).collect())
     }
 
     /// Drops the value-cache entry behind remote read-set entry `i` after
@@ -1027,8 +931,8 @@ impl TxnCtx<'_> {
     /// sequence number of every remote write.
     ///
     /// All headers — read-set validations and write-set sequence peeks —
-    /// are fetched with one [`Self::read_headers`] call, so on the
-    /// batched path the whole step is one doorbell per destination node.
+    /// are fetched with one [`Self::read_headers`] call, so the whole
+    /// step is one doorbell per destination node.
     /// Every record here is locked by C.1, so its header is stable.
     async fn validate_remote(&mut self) -> Result<Vec<u64>, TxnError> {
         let addrs: Vec<(NodeId, usize)> = self
@@ -1237,8 +1141,7 @@ impl TxnCtx<'_> {
     /// transaction waits once, for the slowest ack: `Σ_dst doorbell +
     /// max_dst(issue + write)`. The coordinator's own log (it backs a
     /// remote primary it wrote) is a local NVRAM store, done while the
-    /// WRITEs fly. Blocking verbs (`batched_verbs = false`) are batches
-    /// of one: each WRITE is waited for before the next issues.
+    /// WRITEs fly.
     ///
     /// All-or-nothing with respect to recovery: the appends run under
     /// the log store's recovery gate, and only if the configuration
@@ -1248,7 +1151,6 @@ impl TxnCtx<'_> {
     /// local writes).
     async fn append_logs(&mut self, entries: Vec<(NodeId, LogEntry)>) -> bool {
         let cluster = Arc::clone(&self.w.cluster);
-        let batched = self.batched_verbs();
         let me = self.w.node;
         let nodes = cluster.nodes();
         let mut by_primary: Vec<Vec<LogEntry>> = vec![Vec::new(); nodes];
@@ -1282,19 +1184,16 @@ impl TxnCtx<'_> {
                             continue;
                         }
                         let dst = cluster.fabric.port(b);
-                        if batched {
-                            // R.1 rides the work queue too: everything
-                            // bound for this backup is one doorbell
-                            // (charged up front) plus pipelined per-entry
-                            // occupancy, counted on the destination port
-                            // like every other doorbell.
-                            let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
-                            let charge =
-                                cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
-                            clock.advance(charge);
-                            cpu_ns += charge;
-                            dst.stats().doorbells.inc();
-                        }
+                        // R.1 rides the work queue too: everything
+                        // bound for this backup is one doorbell (charged
+                        // up front) plus pipelined per-entry occupancy,
+                        // counted on the destination port like every
+                        // other doorbell.
+                        let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
+                        let charge = cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
+                        clock.advance(charge);
+                        cpu_ns += charge;
+                        dst.stats().doorbells.inc();
                         for &(p, batch) in batches {
                             // One chained WRITE per log: one verb-op
                             // reservation on both ports beside the bytes.
@@ -1307,11 +1206,7 @@ impl TxnCtx<'_> {
                             dst.stats()
                                 .bytes
                                 .add(LogEntry::batch_wire_size(batch) as u64);
-                            if batched {
-                                horizon = horizon.max(done);
-                            } else {
-                                clock.advance_to(done);
-                            }
+                            horizon = horizon.max(done);
                         }
                     }
                     for (p, batch) in loopback {
@@ -1473,7 +1368,7 @@ impl TxnCtx<'_> {
 
         let wait_mode = self.pessimistic_c1();
         if let Err((held, err)) = self.lock_all(&addrs, wait_mode).await {
-            self.unlock_all(&held);
+            self.unlock_all(&held).await;
             return Err(err);
         }
         self.probe("C.1")?;
@@ -1481,7 +1376,7 @@ impl TxnCtx<'_> {
         // Same fence as the HTM path: a transaction must not span a
         // reconfiguration.
         if cluster.config.epoch() != self.start_epoch {
-            self.unlock_all(&addrs);
+            self.unlock_all(&addrs).await;
             return Err(TxnError::Aborted(AbortReason::Validation));
         }
 
@@ -1548,7 +1443,7 @@ impl TxnCtx<'_> {
             }
         }
         if !ok {
-            self.unlock_all(&addrs);
+            self.unlock_all(&addrs).await;
             return Err(TxnError::Aborted(reason));
         }
 
@@ -1572,7 +1467,7 @@ impl TxnCtx<'_> {
                 // the locks held here cover every local record, so the
                 // rollback needs no lock dance.
                 self.rollback_local_writes(true).await;
-                self.unlock_all(&addrs);
+                self.unlock_all(&addrs).await;
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
             self.probe("R.1")?;
@@ -1590,7 +1485,7 @@ impl TxnCtx<'_> {
 
         self.apply_mutations();
         self.probe("C.5")?;
-        self.unlock_all(&addrs);
+        self.unlock_all(&addrs).await;
         self.probe("C.6")?;
         Ok(())
     }

@@ -57,7 +57,7 @@ pub use contention::{ConflictTracker, ContentionPolicy, SpinBudget, WaitRegistry
 pub use obs_bridge::scrape_cluster;
 pub use recovery::{full_restart_scrub, recover_node, RecoveryReport};
 pub use replication::BackupStore;
-pub use routine::{Admission, QueueGroup, RoutePolicy, RoutinePool, SubmitQueue};
+pub use routine::{Admission, QueueGroup, RoutePolicy, RoutinePool};
 pub use txn::{AbortReason, TxnCtx, TxnError, Worker, WorkerStats};
 
 /// Validates a read: the current sequence number must be the *closest

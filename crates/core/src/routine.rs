@@ -525,7 +525,7 @@ impl Future for YieldFut {
     }
 }
 
-/// Outcome of [`SubmitQueue::submit`].
+/// Outcome of [`QueueGroup::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// The request entered the bounded queue and will be executed.
@@ -536,162 +536,18 @@ pub enum Admission {
     Rejected,
 }
 
-struct SubmitState<T> {
-    q: VecDeque<(Instant, T)>,
-    closed: bool,
-}
-
-/// Bounded MPMC admission queue feeding externally-arriving work into a
-/// [`RoutinePool::serve`] loop.
-///
-/// Producers (connection reader threads) call [`SubmitQueue::submit`];
-/// past the high-water mark submissions are *shed* — refused
-/// immediately rather than queued — so overload degrades to fast
-/// rejects instead of unbounded queue growth and latency collapse.
-/// The consumer is a serve reactor: running routines drain with a
-/// non-blocking pop between transactions, and only when every routine
-/// is idle does the reactor block on the queue's condvar in host time
-/// (see [`RoutinePool::serve`]).
-///
-/// The queue keeps its own counters (admitted/shed/delivered) and a
-/// host-time (wall-clock, not virtual) queue-wait histogram measured
-/// from submit to routine pickup — the serving tier's real queueing
-/// delay. Every admitted item is eventually delivered; stats-only
-/// requests are answered inline by connection readers and must never
-/// enter the queue, which [`RoutinePool::serve`] asserts at drain via
-/// `accepted == delivered`.
-pub struct SubmitQueue<T> {
-    inner: Mutex<SubmitState<T>>,
-    cv: Condvar,
-    high_water: usize,
-    accepted: Counter,
-    rejected: Counter,
-    delivered: Counter,
-    wait_ns: Histogram,
-}
-
-impl<T> SubmitQueue<T> {
-    /// Creates a queue shedding submissions once `high_water` items are
-    /// waiting (`high_water >= 1`).
-    pub fn new(high_water: usize) -> Self {
-        assert!(high_water >= 1, "high-water mark must admit something");
-        Self {
-            inner: Mutex::new(SubmitState {
-                q: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            high_water,
-            accepted: Counter::new(),
-            rejected: Counter::new(),
-            delivered: Counter::new(),
-            wait_ns: Histogram::new(),
-        }
-    }
-
-    /// Offers `item` for execution. Returns [`Admission::Rejected`]
-    /// without blocking when the queue is at high water or closed.
-    pub fn submit(&self, item: T) -> Admission {
-        let mut s = self.inner.lock();
-        if s.closed || s.q.len() >= self.high_water {
-            drop(s);
-            self.rejected.inc();
-            return Admission::Rejected;
-        }
-        s.q.push_back((Instant::now(), item));
-        drop(s);
-        self.accepted.inc();
-        self.cv.notify_all();
-        Admission::Admitted
-    }
-
-    /// Closes the queue: every later [`SubmitQueue::submit`] is shed,
-    /// and once the backlog drains, [`SubmitQueue::pop_blocking`]
-    /// returns `None` so serving routines retire. Items already queued
-    /// are still delivered (graceful drain).
-    pub fn close(&self) {
-        self.inner.lock().closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Non-blocking pop. `None` means empty right now (*or* closed) —
-    /// callers distinguish by following up with
-    /// [`SubmitQueue::pop_blocking`].
-    pub fn try_pop(&self) -> Option<T> {
-        let mut s = self.inner.lock();
-        let (at, item) = s.q.pop_front()?;
-        drop(s);
-        self.delivered.inc();
-        self.note_wait(at);
-        Some(item)
-    }
-
-    /// Blocking pop: waits for an item or for close-and-drained
-    /// (`None`). Only the serve reactor calls this, and only when every
-    /// routine of its pool is idle — virtual time is untouched by the
-    /// host-time block.
-    pub fn pop_blocking(&self) -> Option<T> {
-        let mut s = self.inner.lock();
-        loop {
-            if let Some((at, item)) = s.q.pop_front() {
-                drop(s);
-                self.delivered.inc();
-                self.note_wait(at);
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.cv.wait(s);
-        }
-    }
-
-    fn note_wait(&self, enqueued: Instant) {
-        self.wait_ns
-            .record(enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Items admitted so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.get()
-    }
-
-    /// Items shed so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.get()
-    }
-
-    /// Items handed to a consumer so far. At close-and-drained this
-    /// equals [`SubmitQueue::accepted`]: every admitted item was
-    /// executed, and nothing that bypassed admission (stats-only
-    /// requests, fast rejects) consumed a queue slot.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.get()
-    }
-
-    /// Items waiting right now.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().q.len()
-    }
-
-    /// Host-time queue-wait histogram (submit → routine pickup, ns).
-    pub fn wait_hist(&self) -> &Histogram {
-        &self.wait_ns
-    }
-}
-
 /// Dispatcher policy of the serving tier's admission plane
 /// (DESIGN.md §16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
-    /// One [`SubmitQueue`] shared by every pool — the PR 6 behaviour,
-    /// byte-identical (the regression pin the routed path is measured
-    /// against).
+    /// A one-member [`QueueGroup`] that every pool serves: one FIFO
+    /// queue, no routing, and — with no sibling queue — no steals. The
+    /// baseline the routed shape is measured against.
     #[default]
     Shared,
-    /// Per-pool queues ([`QueueGroup`]): admission routes each request
-    /// to its home pool (majority shard, first-writer tiebreak) and an
-    /// empty pool steals from the deepest sibling queue, bounded by the
+    /// One member queue per pool: admission routes each request to its
+    /// home pool (majority shard, first-writer tiebreak) and an empty
+    /// pool steals from the deepest sibling queue, bounded by the
     /// group's reserve.
     Routed,
 }
@@ -737,27 +593,39 @@ struct GroupState<T> {
     closed: bool,
 }
 
-/// Per-pool admission queues with bounded work stealing
-/// (DESIGN.md §16) — the routed alternative to the one shared
-/// [`SubmitQueue`].
+/// The serving tier's bounded MPMC admission plane (DESIGN.md §12,
+/// §16): a group of member queues feeding externally-arriving work into
+/// [`RoutinePool::serve_group`] loops. One member served by every pool
+/// is the shared queue ([`RoutePolicy::Shared`]); one member per pool
+/// adds routing and bounded work stealing ([`RoutePolicy::Routed`]).
 ///
-/// Admission enqueues each item on its *home* queue (the router's
-/// pick), shedding on a two-level test: a per-queue `high_water`
-/// (bounds how much backlog one hot pool may hoard) and a group-wide
-/// `global_cap` (preserving the shared queue's fast-reject semantics —
-/// the total backlog never exceeds it). Consumers pop their own queue
-/// front-first; a consumer whose queue is empty **steals** the oldest
-/// item from the deepest sibling queue, but never drains a sibling
-/// below `reserve` items — those stay put for the home pool, keeping
-/// steals from destroying the locality the router just created. All
-/// removals take queue fronts, so per-queue FIFO order is preserved
-/// whether the home pool or a thief executes the item.
+/// Producers (connection reader threads) call [`QueueGroup::submit`],
+/// which enqueues each item on its *home* queue (the router's pick).
+/// Past the water marks submissions are *shed* — refused immediately
+/// rather than queued — so overload degrades to fast rejects instead of
+/// unbounded queue growth and latency collapse. The test is two-level:
+/// a per-queue `high_water` (bounds how much backlog one hot pool may
+/// hoard) and a group-wide `global_cap` on the total backlog.
+/// Consumers are serve reactors: running routines drain with a
+/// non-blocking pop between transactions, and only when every routine
+/// is idle does the reactor block on the group's condvar in host time.
+/// They pop their own queue front-first; a consumer whose queue is
+/// empty **steals** the oldest item from the deepest sibling queue, but
+/// never drains a sibling below `reserve` items — those stay put for
+/// the home pool, keeping steals from destroying the locality the
+/// router just created. All removals take queue fronts, so per-queue
+/// FIFO order is preserved whether the home pool or a thief executes
+/// the item.
 ///
-/// Every removal is counted against the queue it came *from*, so at
-/// close-and-drained each member independently satisfies
-/// `accepted == delivered` — the same conservation invariant
-/// [`RoutinePool::serve`] asserts for the shared queue, checked by
-/// [`RoutinePool::serve_group`] across all members.
+/// The group keeps its own counters (admitted/shed/delivered/stolen)
+/// and a host-time (wall-clock, not virtual) queue-wait histogram
+/// measured from submit to routine pickup — the serving tier's real
+/// queueing delay. Every removal is counted against the queue it came
+/// *from*, so at close-and-drained each member independently satisfies
+/// `accepted == delivered`: every admitted item was executed, and
+/// nothing that bypassed admission (stats-only requests answered inline
+/// by connection readers, fast rejects) consumed a queue slot.
+/// [`RoutinePool::serve_group`] asserts this at drain.
 pub struct QueueGroup<T> {
     inner: Mutex<GroupState<T>>,
     cv: Condvar,
@@ -1039,75 +907,15 @@ enum NextJob {
     Parked,
 }
 
-/// Where a serve pool pulls work from: the shared [`SubmitQueue`]
-/// (routing off) or one member of a [`QueueGroup`] plus its steal
-/// protocol (routing on). Keeps [`RoutinePool::serve`] and
-/// [`RoutinePool::serve_group`] one code path, so the shared-queue
-/// behaviour cannot drift from its regression pins.
-trait JobSource<T> {
-    /// Non-blocking pop (for the group source this may steal).
-    fn try_pop(&self) -> Option<T>;
-    /// Host-time blocking pop; `None` means closed and fully drained.
-    fn pop_blocking(&self) -> Option<T>;
-    /// Drain-time conservation check, run exactly once when
-    /// `pop_blocking` reported done.
-    fn note_drained(&self);
-}
-
-impl<T> JobSource<T> for SubmitQueue<T> {
-    fn try_pop(&self) -> Option<T> {
-        SubmitQueue::try_pop(self)
-    }
-
-    fn pop_blocking(&self) -> Option<T> {
-        SubmitQueue::pop_blocking(self)
-    }
-
-    fn note_drained(&self) {
-        // Satellite invariant: every admitted item was delivered to a
-        // routine, and nothing that bypassed admission (stats-only
-        // requests, fast rejects) consumed a submit-queue slot.
-        assert_eq!(
-            self.accepted(),
-            self.delivered(),
-            "submit queue drained with undelivered admissions \
-             (a non-admitted request consumed a slot?)"
-        );
-    }
-}
-
-/// One pool's view of a [`QueueGroup`]: pops its own queue, steals
-/// from siblings per the group's bounds.
-struct GroupMember<'g, T> {
-    group: &'g QueueGroup<T>,
-    pool: usize,
-}
-
-impl<T> JobSource<T> for GroupMember<'_, T> {
-    fn try_pop(&self) -> Option<T> {
-        self.group.try_pop(self.pool)
-    }
-
-    fn pop_blocking(&self) -> Option<T> {
-        self.group.pop_blocking(self.pool)
-    }
-
-    fn note_drained(&self) {
-        // `pop_blocking` returned `None`, so the group is closed and
-        // *every* queue is empty — the per-member invariant holds
-        // group-wide, whichever pool observes the drain first.
-        self.group.assert_drained();
-    }
-}
-
 /// The next-job future of a serve routine: an inline non-blocking pop
 /// while the routine is running (no clock fold — the routine keeps its
 /// step), else an idle park whose delivery the reactor provides.
 /// Resolves to `(delivery, resume_at)`; a `None` delivery means the
-/// queue closed and drained.
-struct NextJobFut<'q, T, S: JobSource<T>> {
+/// group closed and drained.
+struct NextJobFut<'q, T> {
     reactor: Arc<Reactor>,
-    source: &'q S,
+    group: &'q QueueGroup<T>,
+    pool: usize,
     slots: Slots<T>,
     id: usize,
     /// The routine's clock when the wait began.
@@ -1115,14 +923,14 @@ struct NextJobFut<'q, T, S: JobSource<T>> {
     state: NextJob,
 }
 
-impl<T, S: JobSource<T>> Future for NextJobFut<'_, T, S> {
+impl<T> Future for NextJobFut<'_, T> {
     type Output = (Option<T>, u64);
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         match this.state {
             NextJob::Start => {
-                if let Some(item) = this.source.try_pop() {
+                if let Some(item) = this.group.try_pop(this.pool) {
                     // Backlog available: keep running in the current
                     // step, exactly like the pre-reactor inline drain.
                     return Poll::Ready((Some(item), this.at));
@@ -1261,43 +1069,29 @@ impl RoutinePool {
             .collect()
     }
 
-    /// Serves externally-submitted work: every worker becomes a routine
-    /// that drains `queue` through `handler(routine_id, worker, item)`
-    /// until the queue is closed *and* empty, then returns the workers
-    /// in routine-id order.
+    /// Serves externally-submitted work from member `pool` of `group`:
+    /// every worker becomes a routine that runs
+    /// `handler(routine_id, worker, item)` on the items the pool pops,
+    /// until the group is closed *and* **all** member queues have
+    /// drained, then returns the workers in routine-id order. The pool
+    /// drains its own queue front-first and, when that is empty, steals
+    /// the oldest item from the deepest sibling queue still above the
+    /// group's reserve (DESIGN.md §16). Several pools may serve the same
+    /// member — that is the shared queue.
     ///
-    /// While the queue has backlog, routines interleave exactly as in
+    /// While there is backlog, routines interleave exactly as in
     /// [`RoutinePool::run`] — one CPU, overlapped verb waits. When a
-    /// routine finds the queue empty it parks *idle* (leaving the
+    /// routine finds nothing to pop it parks *idle* (leaving the
     /// virtual-time race so the others keep running); once every live
-    /// routine is idle and the queue is empty, the reactor itself
-    /// blocks on the queue in host time. External idle time therefore
-    /// never advances virtual time, and a pool blocked on an empty
-    /// queue consumes no simulated CPU. Arriving items are handed to
-    /// the lowest-id idle routine at each scheduling point.
+    /// routine is idle, the reactor itself blocks on the group in host
+    /// time. External idle time therefore never advances virtual time,
+    /// and a pool blocked on an empty queue consumes no simulated CPU.
+    /// Arriving items are handed to the lowest-id idle routine at each
+    /// scheduling point.
     ///
-    /// At drain (queue closed and empty) the pool asserts
-    /// `accepted == delivered`: every admitted item was executed and
-    /// nothing that bypassed admission — stats-only requests answered
-    /// inline by connection readers, fast rejects — consumed a
-    /// submit-queue slot. This is the invariant the serving tier's
+    /// At drain the pool asserts the per-queue `accepted == delivered`
+    /// invariant (see [`QueueGroup`]) — what the serving tier's
     /// `completed == accepted` audit rests on.
-    pub fn serve<T, F>(workers: Vec<Worker>, queue: &SubmitQueue<T>, handler: F) -> Vec<Worker>
-    where
-        F: AsyncFn(usize, &mut Worker, T),
-    {
-        Self::serve_on(workers, queue, handler)
-    }
-
-    /// Serves one member of a [`QueueGroup`] (DESIGN.md §16): the pool
-    /// drains its own queue front-first and, when that is empty,
-    /// steals the oldest item from the deepest sibling queue still
-    /// above the group's reserve. Scheduling, idle parking, and the
-    /// host-time blocking point behave exactly as in
-    /// [`RoutinePool::serve`]; only the source differs. The pool
-    /// retires when the group is closed and **all** member queues have
-    /// drained, at which point the group-wide per-queue
-    /// `accepted == delivered` invariant is asserted.
     pub fn serve_group<T, F>(
         workers: Vec<Worker>,
         group: &QueueGroup<T>,
@@ -1308,16 +1102,6 @@ impl RoutinePool {
         F: AsyncFn(usize, &mut Worker, T),
     {
         assert!(pool < group.pools(), "pool index outside the group");
-        Self::serve_on(workers, &GroupMember { group, pool }, handler)
-    }
-
-    /// The one serve loop behind both sources; `serve` passes the
-    /// shared queue, `serve_group` a [`GroupMember`].
-    fn serve_on<T, F, S>(workers: Vec<Worker>, source: &S, handler: F) -> Vec<Worker>
-    where
-        F: AsyncFn(usize, &mut Worker, T),
-        S: JobSource<T>,
-    {
         let r = workers.len();
         assert!(r >= 1, "a pool needs at least one routine");
         let nodes = workers[0].cluster.nodes();
@@ -1341,7 +1125,8 @@ impl RoutinePool {
                     loop {
                         let (popped, resume_at) = NextJobFut {
                             reactor: Arc::clone(&reactor),
-                            source,
+                            group,
+                            pool,
                             slots: Arc::clone(&slots),
                             id,
                             at: w.clock.now(),
@@ -1387,7 +1172,7 @@ impl RoutinePool {
             // each scheduling decision, mirroring the parked threads
             // that woke and re-joined under the baton design.
             while reactor.idle_count() > 0 {
-                match source.try_pop() {
+                match group.try_pop(pool) {
                     Some(item) => {
                         let id = reactor.rejoin_lowest_idle();
                         slots.lock()[id] = Some(Some(item));
@@ -1415,7 +1200,7 @@ impl RoutinePool {
                 live,
                 "serve pool wedged: live routines neither runnable nor idle"
             );
-            match source.pop_blocking() {
+            match group.pop_blocking(pool) {
                 Some(item) => {
                     let id = reactor.rejoin_lowest_idle();
                     slots.lock()[id] = Some(Some(item));
@@ -1428,7 +1213,11 @@ impl RoutinePool {
                         let id = reactor.rejoin_lowest_idle();
                         slots.lock()[id] = Some(None);
                     }
-                    source.note_drained();
+                    // `pop_blocking` returned `None`, so the group is
+                    // closed and *every* queue is empty: the per-member
+                    // invariant holds group-wide, whichever pool
+                    // observes the drain first.
+                    group.assert_drained();
                 }
             }
         }

@@ -629,6 +629,94 @@ fn msg_locking_mode_is_correct_and_interrupts_htm() {
     assert_eq!(c.fabric.port(1).stats().atomics.get(), 0);
 }
 
+/// The messaging ablation swaps the transport of lock, validate and
+/// unlock only: a transaction writing k records on one remote node
+/// still rings exactly one WRITE doorbell for C.5 (the A/B differs in
+/// the one thing it measures), while every lock-service request is a
+/// SEND that interrupts the host.
+#[test]
+fn msg_locking_keeps_c5_one_sided_and_batched() {
+    let k = 3u64;
+    let opts = EngineOpts::builder()
+        .region_size(4 << 20)
+        .msg_locking(true)
+        .build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for i in 0..k {
+        c.seed_record(1, T_ACCT, key(1, i), &val(100));
+    }
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+    w.run(|t| {
+        // Zero-sum: record 0 pays one unit to each of the others.
+        for i in 0..k {
+            let v = num(&t.read(1, T_ACCT, key(1, i))?);
+            let next = if i == 0 { v - (k - 1) } else { v + 1 };
+            t.write(1, T_ACCT, key(1, i), val(next))?;
+        }
+        base.set(c.fabric.port(1).stats().snapshot());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(w.stats.committed, 1);
+    let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
+    assert_eq!(d.doorbells, 1, "C.5 alone rings a doorbell: {d:?}");
+    assert_eq!(d.writes, k, "one C.5 line image per record: {d:?}");
+    assert_eq!(d.atomics, 0, "no one-sided CAS: {d:?}");
+    assert_eq!(d.reads, 0, "no one-sided header READ: {d:?}");
+    // k locks, k validations (each record's read-set check and sequence
+    // peek coalesce into one request) and k unlocks, one message each…
+    assert_eq!(d.sends, 3 * k, "{d:?}");
+    // …and each serviced request interrupted machine 1.
+    assert_eq!(
+        c.stores[1].region.load64(drtm_store::CONTROL_LINE_OFF),
+        3 * k
+    );
+    let total: u64 = (0..k)
+        .map(|i| num(&w.run_ro(|t| t.read(1, T_ACCT, key(1, i))).unwrap()))
+        .sum();
+    assert_eq!(total, k * 100, "transfers conserve");
+}
+
+/// A C.1 group whose *later* record is held by a live owner aborts with
+/// every lock it did win released — under both lock transports.
+#[test]
+fn busy_lock_late_in_group_releases_the_locks_already_won() {
+    for msg_locking in [false, true] {
+        let opts = EngineOpts::builder()
+            .region_size(4 << 20)
+            .msg_locking(msg_locking)
+            .build();
+        let c = DrtmCluster::new(2, &schema(), opts);
+        for i in 0..3u64 {
+            c.seed_record(1, T_ACCT, key(1, i), &val(100));
+        }
+        // Locks are taken in offset order: hold the last one.
+        let mut offs: Vec<usize> = (0..3u64)
+            .map(|i| c.stores[1].get_loc(T_ACCT, key(1, i)).unwrap() as usize)
+            .collect();
+        offs.sort_unstable();
+        let region = &c.stores[1].region;
+        let owner = drtm_store::lock_word(1);
+        region.cas64(offs[2], drtm_store::LOCK_FREE, owner).unwrap();
+        let mut w = c.worker(0, 1);
+        let r = w.run_once_for_test(|t| {
+            for i in 0..3u64 {
+                t.write(1, T_ACCT, key(1, i), val(7))?;
+            }
+            Ok(())
+        });
+        assert_eq!(
+            r.unwrap_err(),
+            TxnError::Aborted(AbortReason::LockBusy),
+            "msg_locking={msg_locking}"
+        );
+        assert_eq!(region.load64(offs[0]), drtm_store::LOCK_FREE);
+        assert_eq!(region.load64(offs[1]), drtm_store::LOCK_FREE);
+        assert_eq!(region.load64(offs[2]), owner, "the holder keeps its lock");
+    }
+}
+
 #[test]
 fn full_restart_scrub_repairs_inflight_state() {
     use crate::recovery::full_restart_scrub;
@@ -719,19 +807,15 @@ fn fused_lock_validate_produces_same_results() {
     let _ = atomics_before;
 }
 
-/// Acceptance: the batched commit fan-out rings exactly one doorbell
-/// per (txn, destination node) in C.1, C.2, C.5 and C.6 — one CAS
-/// batch, one header-READ batch, one WRITE batch, one unlock batch
-/// against node 1 no matter how many records the txn touches there.
-/// The legacy path pays one doorbell per verb across the board.
+/// Acceptance: the commit fan-out rings exactly one doorbell per (txn,
+/// destination node) in C.1, C.2, C.5 and C.6 — one CAS batch, one
+/// header-READ batch, one WRITE batch, one unlock batch against node 1
+/// no matter how many records the txn touches there.
 #[test]
 fn one_doorbell_per_destination_in_commit_fanout() {
     let k = 3u64;
-    let run_once = |batched: bool| -> drtm_rdma::NicSnapshot {
-        let opts = EngineOpts::builder()
-            .region_size(4 << 20)
-            .batched_verbs(batched)
-            .build();
+    let d = {
+        let opts = EngineOpts::builder().region_size(4 << 20).build();
         let c = DrtmCluster::new(2, &schema(), opts);
         for shard in 0..2 {
             for i in 0..8u64 {
@@ -754,8 +838,6 @@ fn one_doorbell_per_destination_in_commit_fanout() {
         assert_eq!(w.stats.committed, 1);
         c.fabric.port(1).stats().snapshot().delta(&base.get())
     };
-
-    let d = run_once(true);
     assert_eq!(d.atomics, 2 * k, "k lock + k unlock CAS: {d:?}");
     assert_eq!(d.writes, k, "one C.5 line image per record: {d:?}");
     // Every record is both read and written, so its C.2 validation and
@@ -766,15 +848,6 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     assert_eq!(
         d.doorbells, 4,
         "exactly one doorbell each for C.1, C.2, C.5 and C.6: {d:?}"
-    );
-
-    let d = run_once(false);
-    assert_eq!(d.atomics, 2 * k);
-    assert_eq!(d.saved, 0, "the blocking path coalesces nothing: {d:?}");
-    assert_eq!(
-        d.doorbells,
-        d.reads + d.writes + d.atomics,
-        "legacy path: one doorbell per verb: {d:?}"
     );
 
     // Replicated: R.1 rings one doorbell per remote backup *machine*.
@@ -808,29 +881,18 @@ fn one_doorbell_per_destination_in_commit_fanout() {
 
 /// R.1's virtual cost is pinned: the redo WRITEs to a record's f backups
 /// overlap, so the phase costs the doorbells (CPU, back to back) plus
-/// *one* WRITE latency — the slowest ack, not the sum. Blocking verbs
-/// are batches of one and wait for each WRITE in turn.
+/// *one* WRITE latency — the slowest ack, not the sum.
 #[test]
 fn r1_waits_for_the_slowest_ack_not_the_sum() {
-    let log_span = |batched: bool| -> u64 {
-        let opts = EngineOpts::builder()
-            .replicas(3)
-            .region_size(4 << 20)
-            .batched_verbs(batched)
-            .build();
-        let c = DrtmCluster::new(3, &schema(), opts);
-        c.seed_record(0, T_ACCT, key(0, 1), &val(100));
-        let mut w = c.worker(0, 1);
-        w.run(|t| t.write(0, T_ACCT, key(0, 1), val(7))).unwrap();
-        let snap = c.obs.scrape();
-        let log = snap.phases.iter().find(|(n, _)| *n == "log").unwrap().1;
-        assert_eq!(log.count, 1);
-        log.sum
-    };
+    let c = cluster(3, 3);
+    let mut w = c.worker(0, 1);
+    w.run(|t| t.write(0, T_ACCT, key(0, 1), val(7))).unwrap();
+    let snap = c.obs.scrape();
+    let log = snap.phases.iter().find(|(n, _)| *n == "log").unwrap().1;
+    assert_eq!(log.count, 1);
     let cost = drtm_base::CostModel::default();
     let write = cost.rdma_write(29 + 16);
-    assert_eq!(log_span(true), 2 * cost.doorbell_ns + write);
-    assert_eq!(log_span(false), 2 * write);
+    assert_eq!(log.sum, 2 * cost.doorbell_ns + write);
 }
 
 /// One-shot injector: drops the `n`-th verb of class `verb` issued from
@@ -1272,33 +1334,35 @@ fn conflicting_routines_make_progress() {
     assert_eq!(a + b, 2000, "transfers conserve under contention");
 }
 
-/// Admission control sheds at the high-water mark and counts it.
+/// The shared admission queue is a one-member group: it sheds at the
+/// high-water mark and counts it, pops FIFO, and drains after close.
 #[test]
 fn submit_queue_sheds_past_high_water() {
-    use crate::routine::{Admission, SubmitQueue};
-    let q: SubmitQueue<u64> = SubmitQueue::new(3);
-    assert_eq!(q.submit(1), Admission::Admitted);
-    assert_eq!(q.submit(2), Admission::Admitted);
-    assert_eq!(q.submit(3), Admission::Admitted);
-    assert_eq!(q.submit(4), Admission::Rejected, "queue full must shed");
-    assert_eq!(q.depth(), 3);
-    assert_eq!(q.try_pop(), Some(1));
-    assert_eq!(q.delivered(), 1, "pop counts as a delivery");
-    assert_eq!(q.submit(5), Admission::Admitted, "pop frees a slot");
-    assert_eq!((q.accepted(), q.rejected()), (4, 1));
+    use crate::routine::{Admission, QueueGroup};
+    let q: QueueGroup<u64> = QueueGroup::new(1, 3, 3, 0);
+    assert_eq!(q.submit(0, 1), Admission::Admitted);
+    assert_eq!(q.submit(0, 2), Admission::Admitted);
+    assert_eq!(q.submit(0, 3), Admission::Admitted);
+    assert_eq!(q.submit(0, 4), Admission::Rejected, "queue full must shed");
+    assert_eq!(q.depth(0), 3);
+    assert_eq!(q.try_pop(0), Some(1));
+    assert_eq!(q.delivered(0), 1, "pop counts as a delivery");
+    assert_eq!(q.submit(0, 5), Admission::Admitted, "pop frees a slot");
+    assert_eq!((q.accepted_total(), q.rejected_total()), (4, 1));
     q.close();
-    assert_eq!(q.submit(6), Admission::Rejected, "closed queue sheds");
+    assert_eq!(q.submit(0, 6), Admission::Rejected, "closed queue sheds");
     // The backlog still drains after close, then pops report done.
-    assert_eq!(q.pop_blocking(), Some(2));
-    assert_eq!(q.pop_blocking(), Some(3));
-    assert_eq!(q.pop_blocking(), Some(5));
-    assert_eq!(q.pop_blocking(), None);
+    assert_eq!(q.pop_blocking(0), Some(2));
+    assert_eq!(q.pop_blocking(0), Some(3));
+    assert_eq!(q.pop_blocking(0), Some(5));
+    assert_eq!(q.pop_blocking(0), None);
     assert_eq!(q.wait_hist().count(), 4, "every delivery recorded a wait");
     assert_eq!(
-        q.delivered(),
-        q.accepted(),
+        q.delivered(0),
+        q.accepted(0),
         "every admitted item was delivered; a shed or closing pop must not count"
     );
+    assert_eq!(q.steals_total(), 0, "one member: nothing to steal from");
 }
 
 /// Two-level shedding (DESIGN.md §16): a hot queue sheds at its own
@@ -1461,50 +1525,62 @@ fn serve_group_drains_skewed_load_via_steals() {
     assert_eq!(total, 8 * 200, "stolen transfers conserve");
 }
 
-/// A serving pool drains externally-submitted transactions: routines
-/// leave the baton while the queue is empty (host-time block, no
-/// virtual-time burn), re-join on arrival, and retire cleanly when the
-/// queue closes. Every submitted transfer commits exactly once.
+/// Two serving pools drain externally-submitted transactions from the
+/// one shared member queue: routines park idle while it is empty
+/// (host-time block, no virtual-time burn), re-join on arrival, and
+/// retire cleanly when the queue closes. Every submitted transfer
+/// commits exactly once, and sharing a queue is never counted a steal.
 #[test]
 fn serve_drains_external_submissions_and_stops_on_close() {
-    use crate::routine::{Admission, RoutinePool, SubmitQueue};
+    use crate::routine::{Admission, QueueGroup, RoutinePool};
     let c = cluster(2, 1);
-    let q: Arc<SubmitQueue<u64>> = Arc::new(SubmitQueue::new(1024));
+    let q: QueueGroup<u64> = QueueGroup::new(1, 1024, 1024, 0);
     const SUBMITTED: u64 = 40;
-    let producer = {
-        let q = Arc::clone(&q);
-        std::thread::spawn(move || {
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
             for i in 0..SUBMITTED {
-                assert_eq!(q.submit(i % 8), Admission::Admitted);
+                assert_eq!(q.submit(0, i % 8), Admission::Admitted);
                 if i % 16 == 7 {
-                    // Let the pool empty the queue so the leave/join
+                    // Let the pools empty the queue so the idle-park
                     // path (external block) actually exercises.
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
             }
             q.close();
-        })
-    };
-    let workers: Vec<_> = (0..3).map(|id| c.worker(0, 500 + id as u64)).collect();
-    let done = RoutinePool::serve(workers, &q, async |_, w, k| {
-        w.run_async(async |t| {
-            let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
-            let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
-            t.write_async(0, T_ACCT, key(0, k), val(a - 1)).await?;
-            t.write_async(1, T_ACCT, key(1, k), val(b + 1)).await
-        })
-        .await
-        .unwrap();
+        });
+        let pools: Vec<_> = (0..2)
+            .map(|node| {
+                let (c, q) = (&c, &q);
+                scope.spawn(move || {
+                    let workers: Vec<_> = (0..2)
+                        .map(|id| c.worker(node, 500 + (node * 10 + id) as u64))
+                        .collect();
+                    RoutinePool::serve_group(workers, q, 0, async |_, w, k| {
+                        w.run_async(async |t| {
+                            let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
+                            let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
+                            t.write_async(0, T_ACCT, key(0, k), val(a - 1)).await?;
+                            t.write_async(1, T_ACCT, key(1, k), val(b + 1)).await
+                        })
+                        .await
+                        .unwrap();
+                    })
+                })
+            })
+            .collect();
+        for p in pools {
+            assert_eq!(p.join().unwrap().len(), 2);
+        }
     });
-    producer.join().unwrap();
-    assert_eq!(done.len(), 3);
-    assert_eq!(q.accepted(), SUBMITTED);
+    assert_eq!(q.accepted(0), SUBMITTED);
     assert_eq!(
-        q.delivered(),
+        q.delivered(0),
         SUBMITTED,
         "every admission reached a routine"
     );
-    assert_eq!(q.depth(), 0, "close drains the backlog");
+    assert_eq!(q.steals_total(), 0, "own-queue pops are not steals");
+    assert_eq!(q.wait_hist().count(), SUBMITTED);
+    assert_eq!(q.depth_total(), 0, "close drains the backlog");
     let snap = c.obs.scrape();
     assert_eq!(snap.committed, SUBMITTED);
     // Conservation: each key moved (submissions of that key) units.

@@ -20,6 +20,7 @@ fn usage() -> ! {
          to the pool owning the majority of its shards (per-pool queues with\n\
          bounded work stealing; --steal-reserve is the per-queue steal floor);\n\
          off (default, also via DRTM_ROUTE) keeps the one shared queue.\n\
+         --high-water must be at least 1.\n\
          --sample-ms sets the in-server time-series sampler period (0\n\
          disables). --trace writes the server's chrome://tracing span export\n\
          to FILE on drain (head-sampled; set DRTM_TRACE_SAMPLE=1 to trace\n\
@@ -70,6 +71,10 @@ fn main() {
     drtm_base::shutdown::install();
     let server = match Server::start(cfg) {
         Ok(s) => s,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("drtm-server: {e}");
+            usage();
+        }
         Err(e) => {
             eprintln!("drtm-server: bind failed: {e}");
             std::process::exit(1);

@@ -11,7 +11,7 @@
 //!   SmallBank op or raw read/write txn; response = committed /
 //!   aborted / rejected plus queue wait);
 //! * [`server`] — a TCP server fronting the engine with a bounded
-//!   admission queue ([`drtm_core::SubmitQueue`]) feeding per-node
+//!   admission queue ([`drtm_core::QueueGroup`]) feeding per-node
 //!   routine pools, per-connection in-flight windows (backpressure via
 //!   TCP flow control), and explicit load shedding past the queue's
 //!   high-water mark;

@@ -19,14 +19,13 @@
 //!   outbox, which a per-connection **writer** thread flushes — engine
 //!   routines never block on socket I/O.
 //!
-//! The admission plane takes one of two shapes per
+//! The admission plane is one [`QueueGroup`], shaped by
 //! [`ServerCfg::route`]:
 //!
-//! * **`RoutePolicy::Shared`** (default): one bounded [`SubmitQueue`]
-//!   drained by every pump — byte-identical to the pre-routing server,
-//!   the baseline its regression pins hold against.
-//! * **`RoutePolicy::Routed`** (DESIGN.md §16): a [`QueueGroup`] of
-//!   per-pool queues. Admission routes each request to its *home* pool
+//! * **`RoutePolicy::Shared`** (default): a single member queue drained
+//!   by every pump — no routing, and with no sibling queue, no steals.
+//! * **`RoutePolicy::Routed`** (DESIGN.md §16): one member queue per
+//!   pool. Admission routes each request to its *home* pool
 //!   ([`crate::route::home_of`]: majority shard, first-writer
 //!   tiebreak), so single-home requests execute as all-local HTM
 //!   transactions with zero commit-path verbs; an empty pool steals
@@ -52,8 +51,7 @@ use drtm_base::stats::Counter;
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::{
-    scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, SubmitQueue,
-    Worker,
+    scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, Worker,
 };
 use drtm_obs::trace::{self, event, event_id, EventKind};
 use drtm_obs::{expo, HistSummary, NetStats, RouteStats, Snapshot, TsRing, TsSample};
@@ -88,8 +86,8 @@ pub struct ServerCfg {
     /// Period of the telemetry sampler thread that feeds the in-server
     /// time-series ring; 0 disables the sampler.
     pub sample_ms: u64,
-    /// Admission dispatcher: `Shared` (one queue, the pre-routing
-    /// behaviour) or `Routed` (per-pool queues + bounded stealing,
+    /// Admission dispatcher: `Shared` (one queue that every pool
+    /// serves) or `Routed` (per-pool queues + bounded stealing,
     /// DESIGN.md §16).
     pub route: RoutePolicy,
     /// Steal floor with `route = Routed`: a pool never drains a sibling
@@ -215,106 +213,6 @@ impl Conn {
     }
 }
 
-/// The admission plane: the one shared queue (routing off) or the
-/// per-pool [`QueueGroup`] plus local/remote dispatch counters
-/// (routing on). Readers submit through it, pumps drain it, telemetry
-/// scrapes it — one enum so no caller can mix the two shapes.
-enum Admit {
-    Shared(Arc<SubmitQueue<Job>>),
-    Routed {
-        group: Arc<QueueGroup<Job>>,
-        /// Admitted requests whose whole shard set was home-owned.
-        local: Counter,
-        /// Admitted requests with at least one off-home shard.
-        remote: Counter,
-    },
-}
-
-impl Admit {
-    fn routed(&self) -> bool {
-        matches!(self, Admit::Routed { .. })
-    }
-
-    /// Offers a job to the plane. `home`/`all_local` are the router's
-    /// verdict and are ignored on the shared path.
-    fn submit(&self, home: usize, all_local: bool, job: Job) -> Admission {
-        match self {
-            Admit::Shared(q) => q.submit(job),
-            Admit::Routed {
-                group,
-                local,
-                remote,
-            } => {
-                let adm = group.submit(home, job);
-                if adm == Admission::Admitted {
-                    if all_local {
-                        local.inc();
-                    } else {
-                        remote.inc();
-                    }
-                }
-                adm
-            }
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Admit::Shared(q) => q.close(),
-            Admit::Routed { group, .. } => group.close(),
-        }
-    }
-
-    fn accepted(&self) -> u64 {
-        match self {
-            Admit::Shared(q) => q.accepted(),
-            Admit::Routed { group, .. } => group.accepted_total(),
-        }
-    }
-
-    fn rejected(&self) -> u64 {
-        match self {
-            Admit::Shared(q) => q.rejected(),
-            Admit::Routed { group, .. } => group.rejected_total(),
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            Admit::Shared(q) => q.depth(),
-            Admit::Routed { group, .. } => group.depth_total(),
-        }
-    }
-
-    fn wait_summary(&self) -> HistSummary {
-        match self {
-            Admit::Shared(q) => HistSummary::of(q.wait_hist()),
-            Admit::Routed { group, .. } => HistSummary::of(group.wait_hist()),
-        }
-    }
-
-    /// The routing section of a scrape; disabled/zero on the shared
-    /// path.
-    fn route_stats(&self) -> RouteStats {
-        match self {
-            Admit::Shared(_) => RouteStats::default(),
-            Admit::Routed {
-                group,
-                local,
-                remote,
-            } => RouteStats {
-                enabled: true,
-                local: local.get(),
-                remote: remote.get(),
-                steals: group.steals_total(),
-                shed_queue: group.shed_queue(),
-                shed_global: group.shed_global(),
-                depths: group.depths(),
-            },
-        }
-    }
-}
-
 /// The shared telemetry plane of one running server.
 ///
 /// Every scrape — the drain snapshot returned by [`Server::shutdown`],
@@ -324,7 +222,16 @@ impl Admit {
 /// scrapes of the same cumulative counter are comparable (monotone).
 struct Telemetry {
     cluster: Arc<DrtmCluster>,
-    admit: Admit,
+    /// The admission plane: readers submit to it, pumps drain it.
+    queue: QueueGroup<Job>,
+    /// Whether admission routes requests to home pools
+    /// ([`RoutePolicy::Routed`]) or feeds the one shared member.
+    routed: bool,
+    /// Admitted requests whose whole shard set was home-owned (routed
+    /// only).
+    local: Counter,
+    /// Admitted requests with at least one off-home shard (routed only).
+    remote: Counter,
     conns_opened: Counter,
     conns_closed: Counter,
     completed: Counter,
@@ -336,10 +243,13 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn new(cluster: Arc<DrtmCluster>, admit: Admit) -> Self {
+    fn new(cluster: Arc<DrtmCluster>, queue: QueueGroup<Job>, routed: bool) -> Self {
         Self {
             cluster,
-            admit,
+            queue,
+            routed,
+            local: Counter::new(),
+            remote: Counter::new(),
             conns_opened: Counter::new(),
             conns_closed: Counter::new(),
             completed: Counter::new(),
@@ -356,14 +266,25 @@ impl Telemetry {
         s.net = NetStats {
             conns_opened: self.conns_opened.get(),
             conns_closed: self.conns_closed.get(),
-            accepted: self.admit.accepted(),
-            rejected: self.admit.rejected(),
+            accepted: self.queue.accepted_total(),
+            rejected: self.queue.rejected_total(),
             completed: self.completed.get(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth: self.admit.depth() as u64,
-            queue_wait_ns: self.admit.wait_summary(),
+            queue_depth: self.queue.depth_total() as u64,
+            queue_wait_ns: HistSummary::of(self.queue.wait_hist()),
         };
-        s.route = self.admit.route_stats();
+        // The routing section stays disabled/zero on the shared shape.
+        if self.routed {
+            s.route = RouteStats {
+                enabled: true,
+                local: self.local.get(),
+                remote: self.remote.get(),
+                steals: self.queue.steals_total(),
+                shed_queue: self.queue.shed_queue(),
+                shed_global: self.queue.shed_global(),
+                depths: self.queue.depths(),
+            };
+        }
         s
     }
 
@@ -392,10 +313,10 @@ impl Telemetry {
         }
         TsSample {
             wall_ms: self.started.elapsed().as_millis() as u64,
-            queue_depth: self.admit.depth() as u64,
+            queue_depth: self.queue.depth_total() as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            accepted: self.admit.accepted(),
-            rejected: self.admit.rejected(),
+            accepted: self.queue.accepted_total(),
+            rejected: self.queue.rejected_total(),
             completed: self.completed.get(),
             committed,
             aborted,
@@ -419,7 +340,16 @@ pub struct Server {
 impl Server {
     /// Boots a server: builds and loads the simulated cluster, binds
     /// the listener, and spawns the acceptor and engine pumps.
+    ///
+    /// A `high_water` of 0 would shed every request; it is refused with
+    /// [`std::io::ErrorKind::InvalidInput`] before anything is built.
     pub fn start(cfg: ServerCfg) -> std::io::Result<Server> {
+        if cfg.high_water == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "high-water mark must admit at least one request",
+            ));
+        }
         let sb = SbCfg {
             nodes: cfg.nodes,
             accounts: cfg.accounts,
@@ -433,38 +363,29 @@ impl Server {
         let cluster = DrtmCluster::new(cfg.nodes, &sb.schema(), opts);
         smallbank::load(&cluster, &sb);
 
-        // The admission plane: one shared queue, or per-pool queues
-        // with a two-level shed — each queue's high-water scaled so a
-        // single hot pool can hoard at most twice its fair share, the
-        // group cap preserving the shared queue's total-backlog
-        // fast-reject semantics exactly.
-        let admit = match cfg.route {
-            RoutePolicy::Shared => Admit::Shared(Arc::new(SubmitQueue::new(cfg.high_water))),
-            RoutePolicy::Routed => {
-                let pools = cfg.nodes.max(1);
-                let per_queue = (2 * cfg.high_water / pools).max(1);
-                Admit::Routed {
-                    group: Arc::new(QueueGroup::new(
-                        pools,
-                        per_queue,
-                        cfg.high_water,
-                        cfg.steal_reserve,
-                    )),
-                    local: Counter::new(),
-                    remote: Counter::new(),
-                }
-            }
+        // The admission plane. Shared: one member queue bounded by the
+        // high-water mark. Routed: per-pool queues with a two-level
+        // shed — each queue's high-water scaled so a single hot pool
+        // can hoard at most twice its fair share, the group cap keeping
+        // the shared shape's total-backlog fast-reject semantics
+        // exactly.
+        let routed = cfg.route == RoutePolicy::Routed;
+        let queue = if routed {
+            let pools = cfg.nodes.max(1);
+            let per_queue = (2 * cfg.high_water / pools).max(1);
+            QueueGroup::new(pools, per_queue, cfg.high_water, cfg.steal_reserve)
+        } else {
+            QueueGroup::new(1, cfg.high_water, cfg.high_water, 0)
         };
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let tele = Arc::new(Telemetry::new(Arc::clone(&cluster), admit));
+        let tele = Arc::new(Telemetry::new(Arc::clone(&cluster), queue, routed));
 
-        // Engine pumps: one routine pool per node. Routing off: every
-        // pool drains the one shared admission queue. Routing on: each
-        // pool serves its own member of the queue group, stealing from
-        // siblings per the group's bounds.
+        // Engine pumps: one routine pool per node. Shared: every pool
+        // serves the one member queue. Routed: each pool serves its own
+        // member, stealing from siblings per the group's bounds.
         let pumps = (0..cfg.nodes)
             .map(|node| {
                 let cluster = Arc::clone(&cluster);
@@ -473,21 +394,15 @@ impl Server {
                     let workers: Vec<Worker> = (0..cfg.routines.max(1))
                         .map(|r| cluster.worker(node, 0xC0FFEE + (node * 131 + r) as u64))
                         .collect();
-                    match &tele.admit {
-                        Admit::Shared(queue) => {
-                            RoutinePool::serve(workers, queue, async |_, w, job: Job| {
-                                execute_job(w, job, &tele).await;
-                            })
-                        }
-                        Admit::Routed { group, .. } => RoutinePool::serve_group(
-                            workers,
-                            group,
-                            node,
-                            async |_, w, job: Job| {
-                                execute_job(w, job, &tele).await;
-                            },
-                        ),
-                    }
+                    let member = if tele.routed { node } else { 0 };
+                    RoutinePool::serve_group(
+                        workers,
+                        &tele.queue,
+                        member,
+                        async |_, w, job: Job| {
+                            execute_job(w, job, &tele).await;
+                        },
+                    )
                 })
             })
             .collect();
@@ -621,7 +536,7 @@ impl Server {
     pub fn shutdown(mut self) -> Drained {
         event(EventKind::Net, "drain", 0, 0);
         self.stop.store(true, Ordering::SeqCst);
-        self.tele.admit.close();
+        self.tele.queue.close();
         // The pools' virtual clocks are the denominator of any
         // simulated-throughput claim: committed / (virtual_ns / 1e9) is
         // what an A/B across dispatcher policies must compare, not wall
@@ -877,10 +792,10 @@ fn spawn_conn(
                 // Same deterministic head-sampling decision the client
                 // made, recomputed from the request id — no wire bit.
                 let tr = trace::trace_for(id);
-                // Routing on: pick the home pool from the request's
-                // shard set before admission. Off: skip the router
-                // entirely so the shared path stays byte-identical.
-                let (home, all_local) = if tele.admit.routed() {
+                // Routed: pick the home pool from the request's shard
+                // set before admission. Shared: everything goes to the
+                // one member queue, no router.
+                let (home, all_local) = if tele.routed {
                     home_of_body(&body, tele.cluster.nodes())
                 } else {
                     (0, false)
@@ -893,7 +808,7 @@ fn spawn_conn(
                     admitted: Instant::now(),
                     trace: tr,
                 };
-                if tele.admit.submit(home, all_local, job) == Admission::Rejected {
+                if tele.queue.submit(home, job) == Admission::Rejected {
                     // Shed: answer immediately, release the slot — the
                     // engine never sees this request.
                     event(EventKind::Net, "reject", id, 0);
@@ -908,7 +823,12 @@ fn spawn_conn(
                     }));
                 } else {
                     event_id(EventKind::Net, "admit", sched_ns, tr, 0);
-                    if tele.admit.routed() {
+                    if tele.routed {
+                        if all_local {
+                            tele.local.inc();
+                        } else {
+                            tele.remote.inc();
+                        }
                         // Routing decision, observable per request:
                         // arg packs all_local (bit 32) over the home
                         // pool index.

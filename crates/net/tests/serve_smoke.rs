@@ -101,6 +101,32 @@ fn overload_burst_sheds_conserves_and_drains() {
     let json = drtm_obs::expo::render_json(&snap);
     drtm_obs::jsonlint::validate(&json).expect("stats json parses");
     assert!(json.contains("\"net\":{"));
+
+    // The shared policy is a one-member queue group, but the scrape
+    // still says routing is off: sheds at the member's high water are
+    // plain rejects, and pools sharing the member never count a steal.
+    assert_eq!(snap.route, drtm_obs::RouteStats::default());
+    assert!(!drtm_obs::expo::render_text(&snap).contains("routing:"));
+    assert!(prom.contains("drtm_route_enabled 0\n"));
+    assert!(prom.contains("drtm_route_steal_total 0\n"));
+    assert!(!prom.contains("drtm_route_queue_depth{"));
+    assert!(json.contains(
+        "\"route\":{\"enabled\":false,\"local\":0,\"remote\":0,\"steals\":0,\
+         \"shed_queue\":0,\"shed_global\":0,\"depths\":[]}"
+    ));
+}
+
+/// A zero high-water mark would shed every request: the server refuses
+/// the configuration up front instead of panicking after the load.
+#[test]
+fn zero_high_water_is_rejected_before_boot() {
+    let err = Server::start(ServerCfg {
+        high_water: 0,
+        ..Default::default()
+    })
+    .err()
+    .expect("high_water 0 must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 /// A paced run under capacity: nothing is shed, every request commits

@@ -59,17 +59,10 @@ pub struct RunCfg {
     pub no_location_cache: bool,
     /// FaRM-style messaging for remote locking (ablation, §4.4).
     pub msg_locking: bool,
-    /// Commit-phase verbs ride the batched work-queue paths (one
-    /// doorbell per destination node). `false` is the legacy per-record
-    /// blocking baseline. Defaults from `DRTM_VERB_PATH` (`blocking`
-    /// selects the legacy path) so A/B sweeps can toggle it without a
-    /// flag on every binary.
-    pub batched_verbs: bool,
     /// Disable the read-mostly value cache (A/B baseline). The cache
     /// only engages on tables the workload marks read-mostly (YCSB's KV
     /// table on read-heavy mixes, TPC-C's `ITEM`); with this set those
-    /// reads pay the full-record READ every time. Defaults from
-    /// `DRTM_VALUE_CACHE` (`off` disables).
+    /// reads pay the full-record READ every time.
     pub no_value_cache: bool,
     /// In-flight transaction routines multiplexed per worker thread
     /// (DESIGN.md §11). With `routines > 1` each DrTM+R worker slot runs
@@ -94,29 +87,6 @@ pub struct RunCfg {
     /// `DRTM_ROUTE` toggle to pick shared-queue vs. shard-affinity
     /// routed admission.
     pub route: RoutePolicy,
-}
-
-/// Reads the `DRTM_VERB_PATH` environment toggle: `blocking` (legacy
-/// per-record verbs) or `batched` / unset (the doorbell-batched
-/// default).
-pub fn verb_path_from_env() -> bool {
-    match std::env::var("DRTM_VERB_PATH") {
-        Ok(v) if v.eq_ignore_ascii_case("blocking") => false,
-        Ok(v) if v.eq_ignore_ascii_case("batched") || v.is_empty() => true,
-        Ok(v) => panic!("DRTM_VERB_PATH must be `batched` or `blocking`, got `{v}`"),
-        Err(_) => true,
-    }
-}
-
-/// Reads the `DRTM_VALUE_CACHE` environment toggle: `off` disables the
-/// read-mostly value cache, `on` / unset keeps the default.
-pub fn value_cache_from_env() -> bool {
-    match std::env::var("DRTM_VALUE_CACHE") {
-        Ok(v) if v.eq_ignore_ascii_case("off") => false,
-        Ok(v) if v.eq_ignore_ascii_case("on") || v.is_empty() => true,
-        Ok(v) => panic!("DRTM_VALUE_CACHE must be `on` or `off`, got `{v}`"),
-        Err(_) => true,
-    }
 }
 
 /// Reads the `DRTM_CONTENTION` environment toggle: `off` (unset), or
@@ -155,8 +125,7 @@ impl Default for RunCfg {
             fuse_lock_validate: false,
             no_location_cache: false,
             msg_locking: false,
-            batched_verbs: verb_path_from_env(),
-            no_value_cache: !value_cache_from_env(),
+            no_value_cache: false,
             routines: 1,
             contention: contention_from_env(),
             route: route_from_env(),
@@ -318,7 +287,6 @@ fn engine_opts(run: &RunCfg, region_size: usize, read_mostly_tables: Vec<u32>) -
         .fuse_lock_validate(run.fuse_lock_validate)
         .use_location_cache(!run.no_location_cache)
         .msg_locking(run.msg_locking)
-        .batched_verbs(run.batched_verbs)
         .value_cache(!run.no_value_cache)
         .read_mostly_tables(read_mostly_tables)
         .routines(run.routines)

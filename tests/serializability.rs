@@ -199,66 +199,62 @@ fn insert_delete_visibility_across_machines() {
 /// transfers debit two accounts and credit two others across three
 /// machines — so commits routinely ring multi-WR lock, update and
 /// unlock batches per destination — and the global total must be
-/// conserved under the doorbell-batched path exactly as under the
-/// legacy blocking path, across seeds and replica counts.
+/// conserved across seeds and replica counts.
 #[test]
 fn batched_fanout_interleavings_preserve_serializability() {
     for case in 0..3u64 {
-        for batched in [false, true] {
-            let opts = EngineOpts::builder()
-                .replicas(1 + (case % 3) as usize)
-                .region_size(4 << 20)
-                .batched_verbs(batched)
-                .build();
-            let c = DrtmCluster::new(3, &[TableSpec::hash(T, 8192, 16)], opts);
-            for shard in 0..3usize {
-                for k in 0..8u64 {
-                    c.seed_record(shard, T, key(shard, k), &val(1000));
-                }
+        let opts = EngineOpts::builder()
+            .replicas(1 + (case % 3) as usize)
+            .region_size(4 << 20)
+            .build();
+        let c = DrtmCluster::new(3, &[TableSpec::hash(T, 8192, 16)], opts);
+        for shard in 0..3usize {
+            for k in 0..8u64 {
+                c.seed_record(shard, T, key(shard, k), &val(1000));
             }
-            let mut handles = Vec::new();
-            for node in 0..3usize {
-                let c = Arc::clone(&c);
-                handles.push(std::thread::spawn(move || {
-                    let mut w = c.worker(node, case * 7 + node as u64 + 1);
-                    let mut rng = drtm::base::SplitMix64::new(case * 131 + node as u64);
-                    for _ in 0..60 {
-                        // Four distinct accounts: two debited, two credited.
-                        let mut picks: Vec<(usize, u64)> = Vec::new();
-                        while picks.len() < 4 {
-                            let p = (rng.below(3) as usize, rng.below(8));
-                            if !picks.contains(&p) {
-                                picks.push(p);
-                            }
-                        }
-                        let _ = w.run(|t| {
-                            let mut vals = Vec::new();
-                            for &(s, k) in &picks {
-                                vals.push(num(&t.read(s, T, key(s, k))?));
-                            }
-                            if vals[0] < 5 || vals[1] < 5 {
-                                return Err(TxnError::UserAbort);
-                            }
-                            for (i, &(s, k)) in picks.iter().enumerate() {
-                                let next = if i < 2 { vals[i] - 5 } else { vals[i] + 5 };
-                                t.write(s, T, key(s, k), val(next))?;
-                            }
-                            Ok(())
-                        });
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let mut w = c.worker(0, 99);
-            let mut total = 0;
-            for shard in 0..3usize {
-                for k in 0..8u64 {
-                    total += num(&w.run_ro(|t| t.read(shard, T, key(shard, k))).unwrap());
-                }
-            }
-            assert_eq!(total, 3 * 8 * 1000, "case={case} batched={batched}");
         }
+        let mut handles = Vec::new();
+        for node in 0..3usize {
+            let c = Arc::clone(&c);
+            handles.push(std::thread::spawn(move || {
+                let mut w = c.worker(node, case * 7 + node as u64 + 1);
+                let mut rng = drtm::base::SplitMix64::new(case * 131 + node as u64);
+                for _ in 0..60 {
+                    // Four distinct accounts: two debited, two credited.
+                    let mut picks: Vec<(usize, u64)> = Vec::new();
+                    while picks.len() < 4 {
+                        let p = (rng.below(3) as usize, rng.below(8));
+                        if !picks.contains(&p) {
+                            picks.push(p);
+                        }
+                    }
+                    let _ = w.run(|t| {
+                        let mut vals = Vec::new();
+                        for &(s, k) in &picks {
+                            vals.push(num(&t.read(s, T, key(s, k))?));
+                        }
+                        if vals[0] < 5 || vals[1] < 5 {
+                            return Err(TxnError::UserAbort);
+                        }
+                        for (i, &(s, k)) in picks.iter().enumerate() {
+                            let next = if i < 2 { vals[i] - 5 } else { vals[i] + 5 };
+                            t.write(s, T, key(s, k), val(next))?;
+                        }
+                        Ok(())
+                    });
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut w = c.worker(0, 99);
+        let mut total = 0;
+        for shard in 0..3usize {
+            for k in 0..8u64 {
+                total += num(&w.run_ro(|t| t.read(shard, T, key(shard, k))).unwrap());
+            }
+        }
+        assert_eq!(total, 3 * 8 * 1000, "case={case}");
     }
 }

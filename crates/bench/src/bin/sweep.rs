@@ -13,8 +13,8 @@
 //! can build arbitrary grids beyond the paper's figures. With `--raw`
 //! only the aggregate throughput (txn/s, bare float) is printed — the
 //! machine-comparable form the CI observability-overhead check diffs
-//! between obs-enabled and obs-disabled builds, and the pipeline A/B
-//! diffs between `--routines 1` and `--routines 8`. With `--json FILE`
+//! between obs-enabled and obs-disabled builds (the gated A/Bs live in
+//! `drtm_bench::experiment`). With `--json FILE`
 //! a one-object summary (`workload`, `rev`, `routines`, `throughput`, `abort_rate`,
 //! `p50`, `p99`, `nic_bytes_per_txn`, `pipeline`) is also written to
 //! `FILE` for artifact upload; `rev` comes from `DRTM_GIT_REV` or
@@ -182,9 +182,7 @@ fn main() {
             (m, 0.0, cluster)
         }
         _ => {
-            // YCSB-only shape knobs (`--mix`, `--theta`, `--records`),
-            // so contention A/Bs can request the 99%-zipfian hot head
-            // without a bespoke binary.
+            // YCSB-only shape knobs (`--mix`, `--theta`, `--records`).
             let mut cfg = ycsb_cfg(scale, nodes, cross.unwrap_or(0.05));
             if let Some(m) = &mix {
                 cfg.mix = match m.to_ascii_uppercase().as_str() {

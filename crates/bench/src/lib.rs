@@ -5,7 +5,8 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured results). Binaries run
 //! a **quick** profile by default — smaller datasets and fewer threads so
 //! the whole suite finishes on a small host — and the paper-scale
-//! profile with `--full` (or `DRTM_FULL=1`).
+//! profile with `--full`. The A/B experiments behind `drtm-shell` and CI
+//! live in one table, [`experiment::EXPERIMENTS`].
 //!
 //! Throughput numbers are in *virtual time* (see `drtm-base::clock`):
 //! absolute values depend on the calibrated cost model, but the shapes —
@@ -17,6 +18,7 @@ use drtm_workloads::smallbank::SbCfg;
 use drtm_workloads::tpcc::TpccCfg;
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 
+pub mod experiment;
 pub mod stamp;
 
 pub use stamp::{git_rev, stamp_json, utc_rfc3339};
@@ -29,11 +31,11 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the profile from argv (`--full`) or `DRTM_FULL=1`.
+    /// Reads the profile from argv (`--full`).
     pub fn from_env() -> Self {
-        let full = std::env::args().any(|a| a == "--full")
-            || std::env::var("DRTM_FULL").is_ok_and(|v| v == "1");
-        Self { full }
+        Self {
+            full: std::env::args().any(|a| a == "--full"),
+        }
     }
 
     /// Picks `full` or `quick`.

@@ -1,11 +1,11 @@
 //! Artifact stamping: one shared helper every JSON artifact uses.
 //!
 //! Every machine-readable artifact the repo emits — `sweep --json`
-//! summaries, `BENCH_loadcurve.json`, chrome://tracing exports — must
-//! be self-describing across PRs and machines: which revision produced
-//! it, when, and under what run configuration. This module is the one
-//! place that stamp is built, so the fields never drift between
-//! artifact kinds.
+//! summaries, experiment `BENCH_<name>.json` files, chrome://tracing
+//! exports — must be self-describing across PRs and machines: which
+//! revision produced it, when, and under what run configuration. This
+//! module is the one place that stamp is built, so the fields never
+//! drift between artifact kinds.
 
 use drtm_workloads::driver::RunCfg;
 
@@ -68,7 +68,7 @@ pub fn run_cfg_json(run: &RunCfg) -> String {
             "\"txns_per_worker\":{},\"seed\":{},\"cross_override\":{},",
             "\"fuse_lock_validate\":{},\"no_location_cache\":{},",
             "\"msg_locking\":{},\"no_value_cache\":{},",
-            "\"routines\":{},\"contention\":\"{}\",\"route\":\"{}\"}}"
+            "\"routines\":{},\"contention\":\"{}\"}}"
         ),
         run.engine,
         run.threads,
@@ -82,7 +82,6 @@ pub fn run_cfg_json(run: &RunCfg) -> String {
         run.no_value_cache,
         run.routines,
         run.contention.label(),
-        run.route.label(),
     )
 }
 
@@ -133,6 +132,5 @@ mod tests {
         assert!(full.contains("\"routines\":"));
         assert!(full.contains("\"no_value_cache\":"));
         assert!(full.contains("\"contention\":\"off\""));
-        assert!(full.contains("\"route\":\"off\""));
     }
 }

@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use drtm_bench::experiment::{self, Experiment, Size};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::recovery::{full_restart_scrub, recover_node};
 use drtm_core::txn::{TxnError, Worker};
@@ -58,77 +59,22 @@ pub enum Cmd {
         /// Transactions attempted per worker thread.
         txns: usize,
     },
-    /// `breakdown [txns]` — run the default SmallBank benchmark on a
-    /// fresh cluster and report per-phase virtual time, the combined
-    /// C.1+C.2+C.5+C.6 fan-out share, and the achieved
-    /// verbs-per-doorbell batching factor.
-    Breakdown {
-        /// Transactions attempted per worker thread.
-        txns: usize,
-    },
-    /// `cache [txns]` — run a read-heavy cross-machine YCSB-B twice,
-    /// once with the read-mostly value cache disabled and once enabled,
-    /// and report remote NIC bytes per committed transaction, READ
-    /// verbs per committed transaction, and the achieved hit rate.
-    Cache {
-        /// Transactions attempted per worker thread on each side.
-        txns: usize,
-    },
-    /// `pipeline [txns]` — run a read-heavy cross-machine YCSB-B twice,
-    /// once with one blocking routine per worker and once with 8
-    /// pipelined routines, and report virtual-time throughput, abort
-    /// rate, and the scheduler's latency-hiding ratio.
-    Pipeline {
-        /// Transactions attempted per worker slot on each side.
-        txns: usize,
-    },
-    /// `contend [txns]` — run a 99%-zipfian write-heavy YCSB-A and a
-    /// hot-account SmallBank twice each, once with contention
-    /// management `off` (rung-1 backoff only) and once with the full
-    /// `escalate` ladder, and report committed virtual-time throughput,
-    /// abort rate, and the escalation counters (DESIGN.md §15).
-    Contend {
-        /// Transactions attempted per worker slot on each side.
-        txns: usize,
-    },
-    /// `serve [requests]` — boot the TCP serving front-end on loopback
-    /// and A/B the same zero-sum SmallBank request count offered twice:
-    /// paced under capacity and as one all-at-once burst far past the
-    /// admission high-water mark. Reports goodput, admitted p50/p99
-    /// wall latency, shed rate, and the conservation audit.
-    Serve {
-        /// Requests offered per side.
-        requests: usize,
-    },
-    /// `route [requests] [json FILE]` — A/B the shard-affinity
-    /// admission router (DESIGN.md §16) on loopback: the same
-    /// single-home-heavy zero-sum SmallBank burst offered once through
-    /// the shared admission queue and once through per-pool routed
-    /// queues with bounded work stealing. Reports committed txns per
-    /// *virtual* second per side (locality shows up as commit-path
-    /// verbs avoided), local/remote dispatch, steals, and the
-    /// conservation audit; `json FILE` also writes the stamped A/B
-    /// artifact.
-    Route {
-        /// Requests offered per side.
-        requests: usize,
-        /// Optional artifact path.
-        out: Option<String>,
-    },
-    /// `loadcurve [rates r1,r2,...] [requests N] [json FILE]` — sweep
-    /// an offered-rate grid against one loopback serving front-end:
-    /// per rate, an open-loop client run plus a live `StatsRequest`
-    /// scrape of the running server, reporting goodput, rejects, and
-    /// coordinated-omission-safe p50/p99/p999. With `json FILE` the
-    /// stamped latency-vs-load artifact (`BENCH_loadcurve.json`) is
-    /// written too.
-    LoadCurve {
-        /// Offered rates (req/s), swept in ascending order.
+    /// `<name> [size] [rates r1,r2,...] [json FILE] [gate]` — run one
+    /// entry of the experiment table
+    /// ([`drtm_bench::experiment::EXPERIMENTS`]) on fresh clusters and
+    /// print its arms-by-metrics report and checks.
+    Experiment {
+        /// The table entry's name.
+        name: &'static str,
+        /// Transactions per worker, or requests per arm.
+        size: usize,
+        /// Offered rates of a sweep entry (`loadcurve`); empty for a
+        /// fixed-arm entry.
         rates: Vec<f64>,
-        /// Requests per grid point.
-        requests: usize,
-        /// Optional artifact path.
+        /// Optional path for the stamped JSON artifact.
         out: Option<String>,
+        /// Turn a failed check into an error.
+        gate: bool,
     },
     /// `stats [prom|json]`
     Stats {
@@ -227,84 +173,6 @@ pub fn parse(line: &str) -> Result<Option<Cmd>, String> {
         ["smallbank", n] => Cmd::Smallbank {
             txns: num(n)? as usize,
         },
-        ["breakdown"] => Cmd::Breakdown { txns: 200 },
-        ["breakdown", n] => Cmd::Breakdown {
-            txns: num(n)? as usize,
-        },
-        ["cache"] => Cmd::Cache { txns: 200 },
-        ["cache", n] => Cmd::Cache {
-            txns: num(n)? as usize,
-        },
-        // A larger default than the other A/Bs: hot-key interleaving
-        // is noisy run-to-run, and the gain only stabilizes with
-        // enough conflicted commits per side.
-        ["contend"] => Cmd::Contend { txns: 1_000 },
-        ["contend", n] => Cmd::Contend {
-            txns: num(n)? as usize,
-        },
-        ["pipeline"] => Cmd::Pipeline { txns: 200 },
-        ["pipeline", n] => Cmd::Pipeline {
-            txns: num(n)? as usize,
-        },
-        ["serve"] => Cmd::Serve { requests: 400 },
-        ["serve", n] => Cmd::Serve {
-            requests: num(n)? as usize,
-        },
-        ["route"] => Cmd::Route {
-            requests: 600,
-            out: None,
-        },
-        ["route", "json", f] => Cmd::Route {
-            requests: 600,
-            out: Some((*f).to_string()),
-        },
-        ["route", n] => Cmd::Route {
-            requests: num(n)? as usize,
-            out: None,
-        },
-        ["route", n, "json", f] => Cmd::Route {
-            requests: num(n)? as usize,
-            out: Some((*f).to_string()),
-        },
-        ["loadcurve", rest @ ..] => {
-            let mut rates = vec![200.0, 500.0, 1_000.0];
-            let mut requests = 200usize;
-            let mut out = None;
-            let mut it = rest.iter();
-            while let Some(key) = it.next() {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("loadcurve: {key} needs a value"))?;
-                match *key {
-                    "rates" => {
-                        rates = v
-                            .split(',')
-                            .map(|r| {
-                                r.parse::<f64>()
-                                    .ok()
-                                    .filter(|r| *r > 0.0)
-                                    .ok_or_else(|| format!("bad rate: {r:?}"))
-                            })
-                            .collect::<Result<_, _>>()?;
-                        if rates.is_empty() {
-                            return Err("loadcurve: empty rate list".into());
-                        }
-                    }
-                    "requests" => requests = num(v)? as usize,
-                    "json" => out = Some((*v).to_string()),
-                    other => {
-                        return Err(format!(
-                            "loadcurve: unknown key {other:?} (rates|requests|json)"
-                        ))
-                    }
-                }
-            }
-            Cmd::LoadCurve {
-                rates,
-                requests,
-                out,
-            }
-        }
         ["stats"] => Cmd::Stats {
             format: StatsFormat::Text,
         },
@@ -319,9 +187,62 @@ pub fn parse(line: &str) -> Result<Option<Cmd>, String> {
         },
         ["help"] => Cmd::Help,
         ["quit"] | ["exit"] => Cmd::Quit,
-        other => return Err(format!("unknown command: {other:?} (try `help`)")),
+        [name, rest @ ..] => match experiment::find(name) {
+            Some(exp) => parse_experiment(exp, rest)?,
+            None => return Err(format!("unknown command: {words:?} (try `help`)")),
+        },
     };
     Ok(Some(cmd))
+}
+
+/// Parses the words after an experiment's name: an optional leading
+/// size, then `requests N` / `rates r1,r2,...` / `json FILE` pairs, then
+/// an optional trailing `gate`.
+fn parse_experiment(exp: &'static Experiment, words: &[&str]) -> Result<Cmd, String> {
+    let name = exp.name;
+    let size = |w: &str| {
+        w.parse::<usize>()
+            .map_err(|_| format!("{name}: not a size: {w:?}"))
+    };
+    let Size { mut n, rates } = exp.default;
+    let (mut rates, mut out, mut gate) = (rates.to_vec(), None, false);
+    let mut it = words.iter().peekable();
+    if let Some(w) = it.next_if(|w| w.starts_with(|c: char| c.is_ascii_digit())) {
+        n = size(w)?;
+    }
+    while let Some(&key) = it.next() {
+        if key == "gate" && it.peek().is_none() {
+            gate = true;
+            break;
+        }
+        let mut value = || it.next().ok_or(format!("{name}: {key} needs a value"));
+        match key {
+            "requests" => n = size(value()?)?,
+            "json" => out = Some(value()?.to_string()),
+            "rates" if rates.is_empty() => {
+                return Err(format!("{name}: not a sweep, takes no rates"))
+            }
+            "rates" => {
+                let list = value()?;
+                rates = (list.split(','))
+                    .map(|r| r.parse().ok().filter(|r: &f64| *r > 0.0 && r.is_finite()))
+                    .collect::<Option<_>>()
+                    .ok_or(format!("{name}: bad rate list {list:?}"))?
+            }
+            other => {
+                return Err(format!(
+                    "{name}: expected [size] [rates r1,r2,...] [json FILE] [gate], got {other:?}"
+                ))
+            }
+        }
+    }
+    Ok(Cmd::Experiment {
+        name,
+        size: n,
+        rates,
+        out,
+        gate,
+    })
 }
 
 /// The interpreter state: a cluster plus one worker per machine.
@@ -334,8 +255,13 @@ pub struct Shell {
     last_nic: Vec<NicSnapshot>,
 }
 
-/// The help text.
-pub const HELP: &str = "\
+/// The help text: the fixed commands, then one line per entry of the
+/// experiment table.
+pub fn help() -> String {
+    format!("{COMMANDS}\n{}", experiment::help())
+}
+
+const COMMANDS: &str = "\
 commands:
   cluster <nodes> [replicas]   create a cluster (one KV table)
   put <shard> <key> <value>    transactional insert-or-update
@@ -354,55 +280,6 @@ commands:
                                conservation audit is printed
   smallbank [txns]             run SmallBank on a fresh 2-machine
                                cluster (fills the metrics registry)
-  breakdown [txns]             commit-phase breakdown of the default
-                               SmallBank run: per-phase virtual time,
-                               the C.1+C.2+C.5+C.6 fan-out share, and
-                               verbs per doorbell
-  cache [txns]                 A/B the read-mostly value cache on a
-                               read-heavy cross-machine YCSB-B run:
-                               NIC bytes and READ verbs per committed
-                               transaction, cache hit rate (DESIGN.md
-                               section 8)
-  pipeline [txns]              A/B the routine scheduler on a
-                               read-heavy cross-machine YCSB-B run:
-                               1 blocking routine vs 8 pipelined
-                               routines per worker, virtual-time
-                               throughput, abort rate, and the
-                               latency-hiding ratio (DESIGN.md
-                               section 11)
-  contend [txns]               A/B the contention-management ladder
-                               on a 99%-zipfian write-heavy YCSB-A
-                               and a hot-account SmallBank: policy
-                               `off` vs `escalate`, committed
-                               virtual-time throughput, abort rate,
-                               and the escalation counters (DESIGN.md
-                               section 15)
-  serve [requests]             A/B the TCP serving front-end on
-                               loopback: the same zero-sum SmallBank
-                               load offered paced under capacity and
-                               as one burst far past the admission
-                               high-water mark — goodput, admitted
-                               p50/p99, shed rate, and the
-                               conservation audit (DESIGN.md
-                               section 12)
-  route [requests] [json FILE] A/B the shard-affinity admission
-                               router on loopback: the same
-                               single-home-heavy zero-sum SmallBank
-                               burst through one shared queue vs
-                               per-pool routed queues with bounded
-                               work stealing — committed txns per
-                               virtual second, local/remote dispatch,
-                               steals, and the conservation audit;
-                               `json FILE` also writes the stamped
-                               A/B artifact (DESIGN.md section 16)
-  loadcurve [rates r1,r2,...] [requests N] [json FILE]
-                               sweep an offered-rate grid against one
-                               loopback serving front-end: per rate, an
-                               open-loop client run + a live stats
-                               scrape of the running server — goodput,
-                               rejects, coordinated-omission-safe
-                               p50/p99/p999; `json FILE` also writes
-                               the stamped latency-vs-load artifact
   stats [prom|json]            commit-phase latencies, abort taxonomy,
                                HTM abort classes, NIC counters, and
                                per-machine liveness (default: text)
@@ -411,10 +288,10 @@ commands:
                                https://ui.perfetto.dev)
   help | quit";
 
-/// The SmallBank configuration behind `smallbank` and `breakdown`:
-/// small and hot on purpose — a couple of machines, a tiny account set,
-/// and plenty of cross-machine transactions, so the abort taxonomy and
-/// every commit phase light up.
+/// The SmallBank configuration behind `smallbank`: small and hot on
+/// purpose — a couple of machines, a tiny account set, and plenty of
+/// cross-machine transactions, so the abort taxonomy and every commit
+/// phase light up.
 fn shell_smallbank_cfg() -> drtm_workloads::smallbank::SbCfg {
     drtm_workloads::smallbank::SbCfg {
         nodes: 2,
@@ -423,1128 +300,6 @@ fn shell_smallbank_cfg() -> drtm_workloads::smallbank::SbCfg {
         hot_prob: 0.95,
         cross_prob: 0.4,
     }
-}
-
-/// The `breakdown` command's result: where the shell's default
-/// SmallBank benchmark spends its virtual time, phase by phase.
-#[derive(Debug, Clone)]
-pub struct BreakdownReport {
-    /// Committed transactions over the whole run.
-    pub committed: u64,
-    /// Per-phase virtual-time sums, `(registry phase name, ns)`.
-    pub phase_ns: Vec<(&'static str, u64)>,
-    /// Verbs issued across all NICs (reads + writes + atomics + sends).
-    pub verbs: u64,
-    /// Doorbells rung (each flushes a batch of one or more WRs).
-    pub doorbells: u64,
-}
-
-impl BreakdownReport {
-    /// Virtual-time sum of one phase, 0 if it never recorded.
-    pub fn phase(&self, name: &str) -> u64 {
-        self.phase_ns
-            .iter()
-            .find(|(p, _)| *p == name)
-            .map_or(0, |(_, ns)| *ns)
-    }
-
-    /// Share of total virtual time spent in commit fan-out: C.1 lock +
-    /// C.2 validate + C.5 update + C.6 unlock, the four phases that
-    /// ring one doorbell per destination node.
-    pub fn fanout_share(&self) -> f64 {
-        let total: u64 = self.phase_ns.iter().map(|(_, ns)| ns).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let fanout = self.phase("lock")
-            + self.phase("validate")
-            + self.phase("update")
-            + self.phase("unlock");
-        fanout as f64 / total as f64
-    }
-
-    /// Achieved batching factor: verbs flushed per doorbell rung.
-    pub fn verbs_per_doorbell(&self) -> f64 {
-        if self.doorbells == 0 {
-            0.0
-        } else {
-            self.verbs as f64 / self.doorbells as f64
-        }
-    }
-
-    /// Renders the human-readable phase table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "commit-phase breakdown of the default SmallBank sweep ({} committed):\n",
-            self.committed
-        );
-        out += &format!("  {:<10} {:>14}\n", "phase", "virtual us");
-        for (name, ns) in &self.phase_ns {
-            out += &format!("  {:<10} {:>14.1}\n", name, *ns as f64 / 1_000.0);
-        }
-        out += &format!(
-            "  C.1+C.2+C.5+C.6 fan-out share: {:.1}%\n",
-            self.fanout_share() * 100.0,
-        );
-        out += &format!("  verbs per doorbell: {:.2}", self.verbs_per_doorbell());
-        out
-    }
-}
-
-/// Runs the shell's default SmallBank on a fresh cluster and scrapes
-/// the phase/NIC numbers.
-pub fn smallbank_breakdown(txns: usize) -> BreakdownReport {
-    use drtm_workloads::driver::{build_smallbank, run_smallbank_on, RunCfg};
-    let cfg = shell_smallbank_cfg();
-    let run = RunCfg {
-        threads: 3,
-        txns_per_worker: txns.max(1),
-        ..Default::default()
-    };
-    let (cluster, calvin) = build_smallbank(&cfg, &run);
-    let m = run_smallbank_on(&cfg, &run, &cluster, calvin.as_ref());
-    let snap = drtm_core::scrape_cluster(&cluster);
-    let nic_count = |doorbell: bool| -> u64 {
-        snap.nic
-            .iter()
-            .filter(|r| (r.verb == "doorbell") == doorbell)
-            .map(|r| r.count)
-            .sum()
-    };
-    BreakdownReport {
-        committed: m.committed,
-        phase_ns: snap.phases.iter().map(|(p, h)| (*p, h.sum)).collect(),
-        verbs: nic_count(false),
-        doorbells: nic_count(true),
-    }
-}
-
-/// One measured side of the `cache` value-cache A/B: the shell's
-/// read-heavy YCSB benchmark run with the cache disabled or enabled.
-#[derive(Debug, Clone)]
-pub struct CacheSide {
-    /// `true` when the read-mostly value cache was enabled.
-    pub cached: bool,
-    /// Committed transactions over the whole run.
-    pub committed: u64,
-    /// NIC bytes moved across all ports (payload + header model).
-    pub nic_bytes: u64,
-    /// READ verbs completed across all ports.
-    pub reads: u64,
-    /// Cache hits (0 on the disabled side).
-    pub hits: u64,
-    /// Cache misses (0 on the disabled side).
-    pub misses: u64,
-    /// Cache invalidations (0 on the disabled side).
-    pub invalidations: u64,
-    /// Wire bytes the hits avoided.
-    pub bytes_saved: u64,
-}
-
-impl CacheSide {
-    /// NIC bytes per committed transaction.
-    pub fn bytes_per_txn(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.nic_bytes as f64 / self.committed as f64
-        }
-    }
-
-    /// READ verbs per committed transaction.
-    pub fn reads_per_txn(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.reads as f64 / self.committed as f64
-        }
-    }
-
-    /// Cache hit fraction in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-}
-
-/// The shared YCSB configuration behind the `cache` A/B: read-heavy
-/// (mix B) and aggressively cross-machine, so most reads are remote and
-/// the value cache has traffic worth absorbing, over a key space small
-/// enough that the same records recur.
-fn shell_ycsb_cfg() -> drtm_workloads::ycsb::YcsbCfg {
-    drtm_workloads::ycsb::YcsbCfg {
-        nodes: 2,
-        records: 256,
-        cross_prob: 0.6,
-        mix: drtm_workloads::ycsb::YcsbMix::B,
-        ..Default::default()
-    }
-}
-
-/// Runs the shell's read-heavy YCSB on a fresh cluster with the value
-/// cache on or off and scrapes the NIC and cache counters.
-fn measure_value_cache(txns: usize, cached: bool) -> CacheSide {
-    use drtm_workloads::driver::{build_ycsb, run_ycsb_on, RunCfg};
-    let cfg = shell_ycsb_cfg();
-    let run = RunCfg {
-        threads: 3,
-        txns_per_worker: txns.max(1),
-        no_value_cache: !cached,
-        ..Default::default()
-    };
-    let (cluster, calvin) = build_ycsb(&cfg, &run);
-    let m = run_ycsb_on(&cfg, &run, &cluster, calvin.as_ref());
-    let snap = drtm_core::scrape_cluster(&cluster);
-    CacheSide {
-        cached,
-        committed: m.committed,
-        nic_bytes: snap.nic_bytes.iter().map(|(_, b)| b).sum(),
-        reads: snap
-            .nic
-            .iter()
-            .filter(|r| r.verb == "read")
-            .map(|r| r.count)
-            .sum(),
-        hits: snap.cache.hits,
-        misses: snap.cache.misses,
-        invalidations: snap.cache.invalidations,
-        bytes_saved: snap.cache.bytes_saved,
-    }
-}
-
-/// The `cache` command's result: the same read-heavy YCSB measured
-/// with the value cache off and on, ready to render or assert on.
-#[derive(Debug, Clone)]
-pub struct CacheReport {
-    /// The cache-disabled side.
-    pub off: CacheSide,
-    /// The cache-enabled side.
-    pub on: CacheSide,
-}
-
-impl CacheReport {
-    /// Relative reduction of NIC bytes per committed transaction going
-    /// from cache-off to cache-on (0.25 = 25% fewer bytes per txn).
-    pub fn byte_reduction(&self) -> f64 {
-        let off = self.off.bytes_per_txn();
-        if off == 0.0 {
-            0.0
-        } else {
-            1.0 - self.on.bytes_per_txn() / off
-        }
-    }
-
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "value-cache A/B on read-heavy YCSB-B, 60% cross-machine \
-             ({} committed off, {} committed on):\n",
-            self.off.committed, self.on.committed
-        );
-        out += &format!(
-            "  {:<16} {:>12} {:>12}\n  {:<16} {:>12.1} {:>12.1}\n  {:<16} {:>12.2} {:>12.2}\n",
-            "",
-            "cache off",
-            "cache on",
-            "NIC bytes/txn",
-            self.off.bytes_per_txn(),
-            self.on.bytes_per_txn(),
-            "READ verbs/txn",
-            self.off.reads_per_txn(),
-            self.on.reads_per_txn(),
-        );
-        out += &format!(
-            "  cache on: {} hits, {} misses ({:.1}% hit rate), {} invalidated, {:.1} KB saved\n",
-            self.on.hits,
-            self.on.misses,
-            self.on.hit_rate() * 100.0,
-            self.on.invalidations,
-            self.on.bytes_saved as f64 / 1024.0,
-        );
-        out += &format!(
-            "  NIC bytes per committed txn: {:.1} -> {:.1} ({:.1}% reduction)",
-            self.off.bytes_per_txn(),
-            self.on.bytes_per_txn(),
-            self.byte_reduction() * 100.0,
-        );
-        out
-    }
-}
-
-/// Measures the read-heavy YCSB over both cache settings (off first,
-/// then on) on fresh clusters.
-pub fn value_cache_ab(txns: usize) -> CacheReport {
-    CacheReport {
-        off: measure_value_cache(txns, false),
-        on: measure_value_cache(txns, true),
-    }
-}
-
-/// One side of the `pipeline` A/B.
-#[derive(Debug, Clone)]
-pub struct PipelineSide {
-    /// Routines multiplexed per worker slot on this side.
-    pub routines: usize,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted attempts.
-    pub aborted: u64,
-    /// Cluster virtual-time throughput, txns/sec.
-    pub throughput: f64,
-    /// Total virtual ns routines spent waiting on verb completions.
-    pub wait_ns: u64,
-    /// Portion of the wait overlapped with other routines' CPU work.
-    pub overlap_ns: u64,
-}
-
-impl PipelineSide {
-    /// Aborted attempts per attempt, in `[0, 1]`.
-    pub fn abort_rate(&self) -> f64 {
-        let attempts = self.committed + self.aborted;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.aborted as f64 / attempts as f64
-        }
-    }
-
-    /// Fraction of verb wait hidden behind other routines' CPU work.
-    pub fn hiding_ratio(&self) -> f64 {
-        if self.wait_ns == 0 {
-            0.0
-        } else {
-            self.overlap_ns as f64 / self.wait_ns as f64
-        }
-    }
-}
-
-/// Runs the shell's read-heavy YCSB on a fresh cluster with `routines`
-/// in-flight transactions per worker slot and scrapes the pipeline
-/// counters.
-fn measure_pipeline(txns: usize, routines: usize) -> PipelineSide {
-    use drtm_workloads::driver::{build_ycsb, run_ycsb_on, RunCfg};
-    let cfg = shell_ycsb_cfg();
-    let run = RunCfg {
-        threads: 2,
-        txns_per_worker: txns.max(1),
-        routines,
-        ..Default::default()
-    };
-    let (cluster, calvin) = build_ycsb(&cfg, &run);
-    let m = run_ycsb_on(&cfg, &run, &cluster, calvin.as_ref());
-    let snap = drtm_core::scrape_cluster(&cluster);
-    PipelineSide {
-        routines,
-        committed: m.committed,
-        aborted: m.aborted,
-        throughput: m.throughput,
-        wait_ns: snap.pipeline.wait_ns,
-        overlap_ns: snap.pipeline.overlap_ns,
-    }
-}
-
-/// The `pipeline` command's result: the same read-heavy YCSB measured
-/// with 1 blocking routine and 8 pipelined routines per worker slot.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// The blocking baseline (`routines = 1`).
-    pub base: PipelineSide,
-    /// The pipelined side (`routines = 8`).
-    pub piped: PipelineSide,
-}
-
-impl PipelineReport {
-    /// Relative virtual-time throughput gain of the pipelined side
-    /// (0.25 = 25% faster than the blocking baseline).
-    pub fn gain(&self) -> f64 {
-        if self.base.throughput == 0.0 {
-            0.0
-        } else {
-            self.piped.throughput / self.base.throughput - 1.0
-        }
-    }
-
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "routine-pipelining A/B on read-heavy YCSB-B, 60% cross-machine \
-             ({} committed blocking, {} committed pipelined):\n",
-            self.base.committed, self.piped.committed
-        );
-        out += &format!(
-            "  {:<18} {:>12} {:>12}\n  {:<18} {:>12.0} {:>12.0}\n  \
-             {:<18} {:>11.1}% {:>11.1}%\n  {:<18} {:>11.1}% {:>11.1}%\n",
-            "",
-            format!("{} routine", self.base.routines),
-            format!("{} routines", self.piped.routines),
-            "throughput (tps)",
-            self.base.throughput,
-            self.piped.throughput,
-            "abort rate",
-            self.base.abort_rate() * 100.0,
-            self.piped.abort_rate() * 100.0,
-            "latency hidden",
-            self.base.hiding_ratio() * 100.0,
-            self.piped.hiding_ratio() * 100.0,
-        );
-        out += &format!(
-            "  throughput: {:.0} -> {:.0} tps ({:+.1}% virtual-time gain)",
-            self.base.throughput,
-            self.piped.throughput,
-            self.gain() * 100.0,
-        );
-        out
-    }
-}
-
-/// Measures the read-heavy YCSB with 1 and then 8 routines per worker
-/// slot on fresh clusters.
-pub fn pipeline_ab(txns: usize) -> PipelineReport {
-    PipelineReport {
-        base: measure_pipeline(txns, 1),
-        piped: measure_pipeline(txns, 8),
-    }
-}
-
-/// The YCSB behind `contend`: read-modify-write (mix F), 99%-zipfian
-/// over a deliberately tiny record set, and mostly cross-machine, so
-/// the hot head of the distribution turns into genuine lock occupancy.
-/// Mix F rather than A because every F op both reads and locks its
-/// row — an abort throws away a remote round trip, which is exactly
-/// the waste the escalation ladder exists to avoid; A's blind
-/// single-key writes re-execute nearly for free.
-fn contend_ycsb_cfg() -> drtm_workloads::ycsb::YcsbCfg {
-    drtm_workloads::ycsb::YcsbCfg {
-        nodes: 2,
-        records: 32,
-        theta: 0.99,
-        cross_prob: 0.6,
-        mix: drtm_workloads::ycsb::YcsbMix::F,
-        ..Default::default()
-    }
-}
-
-/// The SmallBank behind `contend`: a handful of accounts with almost
-/// every access landing in the hot set, so send-payment convoys form
-/// on the same few savings/checking rows.
-fn contend_smallbank_cfg() -> drtm_workloads::smallbank::SbCfg {
-    drtm_workloads::smallbank::SbCfg {
-        nodes: 2,
-        accounts: 16,
-        hot_fraction: 0.25,
-        hot_prob: 0.95,
-        cross_prob: 0.4,
-    }
-}
-
-/// One measured side of the `contend` A/B: a hot-key workload run
-/// under one contention-management policy.
-#[derive(Debug, Clone)]
-pub struct ContendSide {
-    /// The policy this side ran under.
-    pub policy: drtm_core::ContentionPolicy,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted attempts.
-    pub aborted: u64,
-    /// Cluster virtual-time throughput, txns/sec.
-    pub throughput: f64,
-    /// Commits forced through rung 2's pessimistic C.1.
-    pub pessimistic: u64,
-    /// Routines parked on a per-key wait list (rung 3).
-    pub parks: u64,
-    /// Parked routines granted by a holder's unlock.
-    pub grants: u64,
-}
-
-impl ContendSide {
-    /// Aborted attempts per attempt, in `[0, 1]`.
-    pub fn abort_rate(&self) -> f64 {
-        let attempts = self.committed + self.aborted;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.aborted as f64 / attempts as f64
-        }
-    }
-}
-
-/// The same hot-key workload measured with the ladder off and on.
-#[derive(Debug, Clone)]
-pub struct ContendPair {
-    /// Rung-1 backoff only (`ContentionPolicy::Off`).
-    pub off: ContendSide,
-    /// The full ladder (`ContentionPolicy::Escalate`).
-    pub escalated: ContendSide,
-}
-
-impl ContendPair {
-    /// Relative committed virtual-time throughput gain of the ladder
-    /// (0.15 = 15% more committed txns per virtual second).
-    pub fn gain(&self) -> f64 {
-        if self.off.throughput == 0.0 {
-            0.0
-        } else {
-            self.escalated.throughput / self.off.throughput - 1.0
-        }
-    }
-
-    fn render_into(&self, out: &mut String, name: &str) {
-        *out += &format!(
-            "  {name}: {:.0} -> {:.0} tps ({:+.1}%), abort rate {:.1}% -> {:.1}%\n",
-            self.off.throughput,
-            self.escalated.throughput,
-            self.gain() * 100.0,
-            self.off.abort_rate() * 100.0,
-            self.escalated.abort_rate() * 100.0,
-        );
-        *out += &format!(
-            "    escalations: {} pessimistic commits, {} parks ({} granted)\n",
-            self.escalated.pessimistic, self.escalated.parks, self.escalated.grants,
-        );
-    }
-}
-
-/// The `contend` command's result: the escalation-ladder A/B over the
-/// two canonical hot-key workloads.
-#[derive(Debug, Clone)]
-pub struct ContendReport {
-    /// 99%-zipfian write-heavy YCSB-A, 60% cross-machine.
-    pub ycsb: ContendPair,
-    /// Hot-account SmallBank (16 accounts, 95% hot).
-    pub smallbank: ContendPair,
-}
-
-impl ContendReport {
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let mut out =
-            String::from("contention-ladder A/B (policy off vs escalate, DESIGN.md \u{a7}15):\n");
-        self.ycsb.render_into(&mut out, "ycsb-f 99%-zipfian");
-        self.smallbank
-            .render_into(&mut out, "smallbank hot-account");
-        out += &format!(
-            "  committed throughput gain: ycsb {:+.1}%, smallbank {:+.1}%",
-            self.ycsb.gain() * 100.0,
-            self.smallbank.gain() * 100.0,
-        );
-        out
-    }
-}
-
-/// Runs the hot YCSB on a fresh cluster under `policy` and scrapes the
-/// contention counters.
-fn measure_contend_ycsb(txns: usize, policy: drtm_core::ContentionPolicy) -> ContendSide {
-    use drtm_workloads::driver::{build_ycsb, run_ycsb_on, RunCfg};
-    let cfg = contend_ycsb_cfg();
-    let run = RunCfg {
-        threads: 2,
-        txns_per_worker: txns.max(1),
-        routines: 8,
-        contention: policy,
-        ..Default::default()
-    };
-    let (cluster, calvin) = build_ycsb(&cfg, &run);
-    let m = run_ycsb_on(&cfg, &run, &cluster, calvin.as_ref());
-    let snap = drtm_core::scrape_cluster(&cluster);
-    ContendSide {
-        policy,
-        committed: m.committed,
-        aborted: m.aborted,
-        throughput: m.throughput,
-        pessimistic: snap.contention.pessimistic,
-        parks: snap.contention.parks,
-        grants: snap.contention.grants,
-    }
-}
-
-/// Runs the hot SmallBank on a fresh cluster under `policy` and
-/// scrapes the contention counters.
-fn measure_contend_smallbank(txns: usize, policy: drtm_core::ContentionPolicy) -> ContendSide {
-    use drtm_workloads::driver::{build_smallbank, run_smallbank_on, RunCfg};
-    let cfg = contend_smallbank_cfg();
-    let run = RunCfg {
-        threads: 2,
-        txns_per_worker: txns.max(1),
-        routines: 8,
-        contention: policy,
-        ..Default::default()
-    };
-    let (cluster, calvin) = build_smallbank(&cfg, &run);
-    let m = run_smallbank_on(&cfg, &run, &cluster, calvin.as_ref());
-    let snap = drtm_core::scrape_cluster(&cluster);
-    ContendSide {
-        policy,
-        committed: m.committed,
-        aborted: m.aborted,
-        throughput: m.throughput,
-        pessimistic: snap.contention.pessimistic,
-        parks: snap.contention.parks,
-        grants: snap.contention.grants,
-    }
-}
-
-/// Measures both hot-key workloads under `off` and then `escalate` on
-/// fresh clusters (four runs total).
-pub fn contend_ab(txns: usize) -> ContendReport {
-    use drtm_core::ContentionPolicy;
-    ContendReport {
-        ycsb: ContendPair {
-            off: measure_contend_ycsb(txns, ContentionPolicy::Off),
-            escalated: measure_contend_ycsb(txns, ContentionPolicy::Escalate),
-        },
-        smallbank: ContendPair {
-            off: measure_contend_smallbank(txns, ContentionPolicy::Off),
-            escalated: measure_contend_smallbank(txns, ContentionPolicy::Escalate),
-        },
-    }
-}
-
-/// One measured side of the `serve` A/B: an open-loop client run over
-/// real loopback TCP against a fresh in-process serving front-end.
-#[derive(Debug, Clone)]
-pub struct ServeSide {
-    /// Offered rate in requests/sec (`0` = all-at-once burst).
-    pub offered: f64,
-    /// Requests sent.
-    pub sent: u64,
-    /// Requests admitted and committed by the engine.
-    pub committed: u64,
-    /// Requests admitted but aborted by the engine.
-    pub aborted: u64,
-    /// Requests shed by admission control with a fast `Rejected`.
-    pub rejected: u64,
-    /// Committed requests per wall-clock second.
-    pub goodput: f64,
-    /// Median wall latency of admitted requests, ns from each
-    /// request's *scheduled* arrival (coordinated-omission-safe).
-    pub p50_ns: u64,
-    /// 99th-percentile wall latency of admitted requests, ns.
-    pub p99_ns: u64,
-    /// `true` when the post-drain conservation audit balanced.
-    pub conserved: bool,
-}
-
-impl ServeSide {
-    /// Fraction of offered requests shed by admission control.
-    pub fn shed_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.sent as f64
-        }
-    }
-}
-
-/// Boots a fresh loopback serving front-end (2 engine machines, 2
-/// routines each, a 16-deep admission queue) and drives `requests`
-/// zero-sum SmallBank requests at `rate` req/s (0 = burst), then
-/// drains gracefully and audits conservation.
-fn measure_serve(requests: usize, rate: f64) -> Result<ServeSide, String> {
-    use drtm_net::{run_client, ClientCfg, Server, ServerCfg};
-    let server = Server::start(ServerCfg {
-        nodes: 2,
-        accounts: 200,
-        replicas: 1,
-        routines: 2,
-        high_water: 16,
-        window: 2_048,
-        ..Default::default()
-    })
-    .map_err(|e| format!("serve: bind failed: {e}"))?;
-    let initial = server.initial_total();
-    let report = run_client(&ClientCfg {
-        addr: server.local_addr().to_string(),
-        rate,
-        requests,
-        seed: 0xAB,
-        conns: 4,
-        zero_sum: true,
-        cross_prob: 0.2,
-        shard_skew: 0.0,
-    })
-    .map_err(|e| format!("serve: client failed: {e}"))?;
-    let drained = server.shutdown();
-    let (cluster, sb) = (drained.cluster, drained.sb);
-    Ok(ServeSide {
-        offered: rate,
-        sent: report.sent,
-        committed: report.committed,
-        aborted: report.aborted,
-        rejected: report.rejected,
-        goodput: report.goodput,
-        p50_ns: report.latency.quantile(0.5),
-        p99_ns: report.latency.quantile(0.99),
-        conserved: Server::audit_total(&cluster, &sb) == initial,
-    })
-}
-
-/// The `serve` command's result: the same zero-sum SmallBank request
-/// count offered once paced under capacity and once as an all-at-once
-/// burst far past the admission high-water mark.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// The paced, under-capacity side.
-    pub paced: ServeSide,
-    /// The all-at-once overload side.
-    pub burst: ServeSide,
-}
-
-impl ServeReport {
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let audit = |ok: bool| if ok { "OK" } else { "VIOLATED" };
-        let mut out = format!(
-            "serving-tier A/B on loopback TCP, zero-sum SmallBank x{} \
-             (2 machines, 16-deep admission queue):\n",
-            self.paced.sent
-        );
-        out += &format!(
-            "  {:<18} {:>12} {:>12}\n  {:<18} {:>12.0} {:>12.0}\n  \
-             {:<18} {:>12.1} {:>12.1}\n  {:<18} {:>12.1} {:>12.1}\n  \
-             {:<18} {:>11.1}% {:>11.1}%\n",
-            "",
-            format!("{:.0}/s paced", self.paced.offered),
-            "burst",
-            "goodput (txn/s)",
-            self.paced.goodput,
-            self.burst.goodput,
-            "p50 (us)",
-            self.paced.p50_ns as f64 / 1e3,
-            self.burst.p50_ns as f64 / 1e3,
-            "p99 (us)",
-            self.paced.p99_ns as f64 / 1e3,
-            self.burst.p99_ns as f64 / 1e3,
-            "shed",
-            self.paced.shed_rate() * 100.0,
-            self.burst.shed_rate() * 100.0,
-        );
-        out += &format!(
-            "  conservation: paced {}, burst {} — admission control sheds the \
-             overload while admitted p99 stays bounded",
-            audit(self.paced.conserved),
-            audit(self.burst.conserved),
-        );
-        out
-    }
-}
-
-/// Runs the serving-tier A/B: `requests` zero-sum SmallBank requests
-/// paced at 500/s, then the same count as one all-at-once burst, each
-/// against a fresh front-end.
-pub fn serve_ab(requests: usize) -> Result<ServeReport, String> {
-    Ok(ServeReport {
-        paced: measure_serve(requests, 500.0)?,
-        burst: measure_serve(requests, 0.0)?,
-    })
-}
-
-/// One measured side of the `route` A/B: the same single-home-heavy
-/// zero-sum SmallBank burst against a fresh loopback front-end running
-/// one admission policy (DESIGN.md §16).
-#[derive(Debug, Clone)]
-pub struct RouteSide {
-    /// Admission policy label: `"off"` = one shared queue, `"on"` =
-    /// per-pool routed queues with bounded work stealing.
-    pub route: &'static str,
-    /// Requests sent by the client.
-    pub sent: u64,
-    /// Committed requests.
-    pub committed: u64,
-    /// Aborted requests.
-    pub aborted: u64,
-    /// Requests shed by admission control (0 here: the high-water mark
-    /// is set above the burst so the A/B compares commit-path locality,
-    /// not shedding).
-    pub rejected: u64,
-    /// Virtual nanoseconds the engine pools ran for (the slowest pump
-    /// worker's clock at drain).
-    pub virtual_ns: u64,
-    /// Requests enqueued on their home pool (routed side only).
-    pub local: u64,
-    /// Requests enqueued away from their home pool.
-    pub remote: u64,
-    /// Cross-pool work steals over the drain.
-    pub steals: u64,
-    /// `true` when the post-drain conservation audit balanced.
-    pub conserved: bool,
-}
-
-impl RouteSide {
-    /// Committed transactions per *virtual* second — the A/B metric.
-    /// Routing pays off as all-local HTM commits that skip the
-    /// commit-path verbs (C.1 CAS, C.2 validate READs, C.5 writes, C.6
-    /// unlock), which shows up directly as less virtual time per
-    /// committed transaction.
-    pub fn vtps(&self) -> f64 {
-        self.committed as f64 / (self.virtual_ns.max(1) as f64 / 1e9)
-    }
-}
-
-/// Runs one side of the `route` A/B: a fresh front-end under `policy`,
-/// hit with a single-home-heavy (5% cross-shard) zero-sum SmallBank
-/// burst, mildly skewed toward one home shard so the routed side's
-/// steal path also engages.
-fn measure_route(requests: usize, policy: drtm_core::RoutePolicy) -> Result<RouteSide, String> {
-    use drtm_net::{run_client, ClientCfg, Server, ServerCfg};
-    let server = Server::start(ServerCfg {
-        nodes: 2,
-        accounts: 200,
-        replicas: 1,
-        routines: 2,
-        // Above the burst so nothing sheds: the A/B compares commit
-        // locality, not admission control.
-        high_water: requests.max(16),
-        window: 2_048,
-        route: policy,
-        steal_reserve: 2,
-        ..Default::default()
-    })
-    .map_err(|e| format!("route: bind failed: {e}"))?;
-    let initial = server.initial_total();
-    let report = run_client(&ClientCfg {
-        addr: server.local_addr().to_string(),
-        rate: 0.0,
-        requests,
-        seed: 0x60,
-        conns: 4,
-        zero_sum: true,
-        cross_prob: 0.05,
-        shard_skew: 0.3,
-    })
-    .map_err(|e| format!("route: client failed: {e}"))?;
-    let drained = server.shutdown();
-    Ok(RouteSide {
-        route: if drained.snap.route.enabled {
-            "on"
-        } else {
-            "off"
-        },
-        sent: report.sent,
-        committed: report.committed,
-        aborted: report.aborted,
-        rejected: report.rejected,
-        virtual_ns: drained.virtual_ns,
-        local: drained.snap.route.local,
-        remote: drained.snap.route.remote,
-        steals: drained.snap.route.steals,
-        conserved: Server::audit_total(&drained.cluster, &drained.sb) == initial,
-    })
-}
-
-/// The `route` command's result: the same burst through the shared
-/// queue and through the shard-affinity router.
-#[derive(Debug, Clone)]
-pub struct RouteReport {
-    /// The shared-queue (`--route off`) side.
-    pub shared: RouteSide,
-    /// The routed (`--route on`) side.
-    pub routed: RouteSide,
-    /// Requests offered per side.
-    pub requests: usize,
-}
-
-impl RouteReport {
-    /// Routed over shared committed txns per virtual second.
-    pub fn speedup(&self) -> f64 {
-        self.routed.vtps() / self.shared.vtps().max(f64::MIN_POSITIVE)
-    }
-
-    /// Renders the human-readable A/B table.
-    pub fn render(&self) -> String {
-        let audit = |ok: bool| if ok { "OK" } else { "VIOLATED" };
-        let mut out = format!(
-            "shard-affinity routing A/B on loopback TCP, zero-sum SmallBank x{} \
-             burst (2 machines, 5% cross-shard, skew 0.30):\n",
-            self.requests
-        );
-        out += &format!(
-            "  {:<22} {:>12} {:>12}\n  {:<22} {:>12} {:>12}\n  \
-             {:<22} {:>12.0} {:>12.0}\n  {:<22} {:>12.3} {:>12.3}\n  \
-             {:<22} {:>12} {:>12}\n  {:<22} {:>12} {:>12}\n",
-            "",
-            "shared",
-            "routed",
-            "committed",
-            self.shared.committed,
-            self.routed.committed,
-            "committed/virt-s",
-            self.shared.vtps(),
-            self.routed.vtps(),
-            "virtual time (s)",
-            self.shared.virtual_ns as f64 / 1e9,
-            self.routed.virtual_ns as f64 / 1e9,
-            "local/remote",
-            format!("{}/{}", self.shared.local, self.shared.remote),
-            format!("{}/{}", self.routed.local, self.routed.remote),
-            "steals",
-            self.shared.steals,
-            self.routed.steals,
-        );
-        out += &format!(
-            "  conservation: shared {}, routed {}\n  speedup: {:.2}x committed \
-             txns per virtual second — home-pool dispatch turns single-home \
-             requests into all-local HTM commits with zero commit-path verbs",
-            audit(self.shared.conserved),
-            audit(self.routed.conserved),
-            self.speedup(),
-        );
-        out
-    }
-
-    fn side_json(s: &RouteSide) -> String {
-        format!(
-            concat!(
-                "{{\"route\":\"{}\",\"sent\":{},\"committed\":{},\"aborted\":{},",
-                "\"rejected\":{},\"virtual_ns\":{},\"vtps\":{:.1},\"local\":{},",
-                "\"remote\":{},\"steals\":{},\"conserved\":{}}}"
-            ),
-            s.route,
-            s.sent,
-            s.committed,
-            s.aborted,
-            s.rejected,
-            s.virtual_ns,
-            s.vtps(),
-            s.local,
-            s.remote,
-            s.steals,
-            s.conserved,
-        )
-    }
-
-    /// Serializes the A/B as the `BENCH_pr10.json` artifact: the shared
-    /// stamp object plus both sides and the virtual-time speedup.
-    pub fn to_json(&self, stamp: &str) -> String {
-        format!(
-            "{{\"stamp\":{stamp},\"requests\":{},\"speedup\":{:.3},\n\
-             \"shared\":{},\n\"routed\":{}}}\n",
-            self.requests,
-            self.speedup(),
-            Self::side_json(&self.shared),
-            Self::side_json(&self.routed),
-        )
-    }
-}
-
-/// Runs the routing A/B: `requests` single-home-heavy zero-sum
-/// SmallBank requests as one burst, once against a shared-queue
-/// front-end and once against the shard-affinity router.
-pub fn route_ab(requests: usize) -> Result<RouteReport, String> {
-    Ok(RouteReport {
-        shared: measure_route(requests, drtm_core::RoutePolicy::Shared)?,
-        routed: measure_route(requests, drtm_core::RoutePolicy::Routed)?,
-        requests,
-    })
-}
-
-/// One grid point of a `loadcurve` sweep.
-#[derive(Debug, Clone)]
-pub struct LoadCurvePoint {
-    /// Offered rate, req/s.
-    pub offered: f64,
-    /// Requests sent at this rate.
-    pub sent: u64,
-    /// Committed / aborted / shed split.
-    pub committed: u64,
-    /// Engine aborts.
-    pub aborted: u64,
-    /// Requests shed by admission control.
-    pub rejected: u64,
-    /// Committed requests per wall second.
-    pub goodput: f64,
-    /// Admitted wall latency from the *scheduled* arrival
-    /// (coordinated-omission-safe), ns.
-    pub p50_ns: u64,
-    /// 99th percentile, ns.
-    pub p99_ns: u64,
-    /// 99.9th percentile, ns.
-    pub p999_ns: u64,
-    /// Cumulative `accepted` read from the live mid-sweep scrape of
-    /// the running server (monotone across points).
-    pub live_accepted: u64,
-    /// Cumulative `completed` from the same live scrape.
-    pub live_completed: u64,
-}
-
-/// The `loadcurve` sweep result: one server, ascending offered rates,
-/// a live scrape after every point, and the post-drain conservation
-/// audit.
-#[derive(Debug, Clone)]
-pub struct LoadCurveReport {
-    /// Grid points in ascending offered-rate order.
-    pub points: Vec<LoadCurvePoint>,
-    /// Requests offered per point.
-    pub requests: usize,
-    /// `true` when the post-drain conservation audit balanced.
-    pub conserved: bool,
-    /// Admission routing policy the server ran (`"off"` / `"on"`,
-    /// DESIGN.md §16), stamped into the artifact.
-    pub route: &'static str,
-    /// Total cross-pool work steals over the sweep (0 with routing
-    /// off).
-    pub steals: u64,
-}
-
-impl LoadCurveReport {
-    /// Renders the human-readable latency-vs-load table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "latency vs offered load, zero-sum SmallBank x{} per point \
-             (one server, live-scraped between points):\n  {:>9} {:>9} {:>7} \
-             {:>9} {:>9} {:>9} {:>7}\n",
-            self.requests, "rate/s", "goodput", "shed%", "p50 us", "p99 us", "p999 us", "live ok"
-        );
-        for p in &self.points {
-            let shed = if p.sent == 0 {
-                0.0
-            } else {
-                p.rejected as f64 / p.sent as f64 * 100.0
-            };
-            out += &format!(
-                "  {:>9.0} {:>9.0} {:>6.1}% {:>9.1} {:>9.1} {:>9.1} {:>7}\n",
-                p.offered,
-                p.goodput,
-                shed,
-                p.p50_ns as f64 / 1e3,
-                p.p99_ns as f64 / 1e3,
-                p.p999_ns as f64 / 1e3,
-                if p.live_completed <= p.live_accepted {
-                    "yes"
-                } else {
-                    "NO"
-                },
-            );
-        }
-        out += &format!(
-            "  conservation: {}",
-            if self.conserved { "OK" } else { "VIOLATED" }
-        );
-        out
-    }
-
-    /// Serializes the sweep as the `BENCH_loadcurve.json` artifact:
-    /// the shared stamp object (git rev, UTC, run config) plus one
-    /// entry per grid point, rates ascending.
-    pub fn to_json(&self, stamp: &str) -> String {
-        let mut out = format!(
-            "{{\"stamp\":{stamp},\"requests_per_point\":{},\"conserved\":{},\
-             \"route\":\"{}\",\"steals\":{},\"points\":[",
-            self.requests, self.conserved, self.route, self.steals
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out += &format!(
-                concat!(
-                    "\n{{\"offered\":{:.1},\"sent\":{},\"committed\":{},",
-                    "\"aborted\":{},\"rejected\":{},\"goodput\":{:.1},",
-                    "\"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1},",
-                    "\"live_accepted\":{},\"live_completed\":{}}}"
-                ),
-                p.offered,
-                p.sent,
-                p.committed,
-                p.aborted,
-                p.rejected,
-                p.goodput,
-                p.p50_ns as f64 / 1e3,
-                p.p99_ns as f64 / 1e3,
-                p.p999_ns as f64 / 1e3,
-                p.live_accepted,
-                p.live_completed,
-            );
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-}
-
-/// Pulls one integer counter out of a live stats-JSON scrape's
-/// `"net":{...}` section.
-fn live_net_counter(json: &str, key: &str) -> u64 {
-    json.split("\"net\":{")
-        .nth(1)
-        .and_then(|net| net.split(&format!("\"{key}\":")).nth(1))
-        .map(|t| {
-            t.chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
-}
-
-/// Sweeps `rates` (sorted ascending) against one loopback serving
-/// front-end: each point is an open-loop client run followed by a live
-/// `StatsRequest` scrape of the still-running server, so the artifact
-/// also demonstrates the live telemetry path. The server drains once,
-/// after the whole sweep, and the conservation audit runs then.
-pub fn load_curve(rates: &[f64], requests: usize) -> Result<LoadCurveReport, String> {
-    use drtm_net::{run_client, scrape, ClientCfg, ScrapeFormat, Server, ServerCfg};
-    let mut rates: Vec<f64> = rates.to_vec();
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
-    let server = Server::start(ServerCfg {
-        nodes: 2,
-        accounts: 200,
-        replicas: 1,
-        routines: 2,
-        high_water: 64,
-        window: 2_048,
-        ..Default::default()
-    })
-    .map_err(|e| format!("loadcurve: bind failed: {e}"))?;
-    let initial = server.initial_total();
-    let addr = server.local_addr().to_string();
-
-    let mut points = Vec::with_capacity(rates.len());
-    for (i, &rate) in rates.iter().enumerate() {
-        let report = run_client(&ClientCfg {
-            addr: addr.clone(),
-            rate,
-            requests,
-            seed: 0xAB + i as u64,
-            conns: 4,
-            zero_sum: true,
-            cross_prob: 0.2,
-            shard_skew: 0.0,
-        })
-        .map_err(|e| format!("loadcurve: client failed at {rate}/s: {e}"))?;
-        let live = scrape(&addr, ScrapeFormat::Json)
-            .map_err(|e| format!("loadcurve: live scrape failed at {rate}/s: {e}"))?;
-        let live = String::from_utf8_lossy(&live);
-        points.push(LoadCurvePoint {
-            offered: rate,
-            sent: report.sent,
-            committed: report.committed,
-            aborted: report.aborted,
-            rejected: report.rejected,
-            goodput: report.goodput,
-            p50_ns: report.latency.quantile(0.5),
-            p99_ns: report.latency.quantile(0.99),
-            p999_ns: report.latency.quantile(0.999),
-            live_accepted: live_net_counter(&live, "accepted"),
-            live_completed: live_net_counter(&live, "completed"),
-        });
-    }
-    let drained = server.shutdown();
-    Ok(LoadCurveReport {
-        points,
-        requests,
-        conserved: Server::audit_total(&drained.cluster, &drained.sb) == initial,
-        route: if drained.snap.route.enabled {
-            "on"
-        } else {
-            "off"
-        },
-        steals: drained.snap.route.steals,
-    })
 }
 
 fn val(x: u64) -> Vec<u8> {
@@ -1782,62 +537,21 @@ impl Shell {
                     m.committed, m.aborted, m.fallbacks, cfg.nodes, run.txns_per_worker,
                 )))
             }
-            Cmd::Breakdown { txns } => {
-                // Standalone run on a fresh cluster — the shell's
-                // interactive cluster (if any) is not touched.
-                Ok(Some(smallbank_breakdown(txns.max(1)).render()))
-            }
-            Cmd::Cache { txns } => {
-                // Standalone A/B on two fresh clusters.
-                Ok(Some(value_cache_ab(txns.max(1)).render()))
-            }
-            Cmd::Pipeline { txns } => {
-                // Same standalone-A/B shape as `cache`.
-                Ok(Some(pipeline_ab(txns.max(1)).render()))
-            }
-            Cmd::Contend { txns } => {
-                // Same standalone-A/B shape: four fresh clusters, two
-                // policies over two hot-key workloads.
-                Ok(Some(contend_ab(txns.max(1)).render()))
-            }
-            Cmd::Serve { requests } => {
-                // Same standalone-A/B shape, but over real loopback
-                // TCP: each side boots its own serving front-end.
-                Ok(Some(serve_ab(requests.max(1))?.render()))
-            }
-            Cmd::Route { requests, out } => {
-                // Two fresh front-ends, one per admission policy, same
-                // single-home-heavy burst.
-                let report = route_ab(requests.max(1))?;
-                let mut text = report.render();
-                if let Some(path) = out {
-                    let json = report.to_json(&drtm_bench::stamp_json(None));
-                    drtm_obs::jsonlint::validate(&json).map_err(|e| {
-                        format!("internal error: route artifact is not valid JSON: {e}")
-                    })?;
-                    std::fs::write(&path, &json)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    text += &format!("\n  wrote {path} ({} bytes)", json.len());
-                }
-                Ok(Some(text))
-            }
-            Cmd::LoadCurve {
+            Cmd::Experiment {
+                name,
+                size,
                 rates,
-                requests,
                 out,
+                gate,
             } => {
-                let report = load_curve(&rates, requests.max(1))?;
-                let mut text = report.render();
-                if let Some(path) = out {
-                    let json = report.to_json(&drtm_bench::stamp_json(None));
-                    drtm_obs::jsonlint::validate(&json).map_err(|e| {
-                        format!("internal error: loadcurve artifact is not valid JSON: {e}")
-                    })?;
-                    std::fs::write(&path, &json)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    text += &format!("\n  wrote {path} ({} bytes)", json.len());
-                }
-                Ok(Some(text))
+                // Standalone runs on fresh clusters — the shell's
+                // interactive cluster (if any) is not touched.
+                let exp = experiment::find(name).ok_or(format!("no experiment {name:?}"))?;
+                let size = Size {
+                    n: size,
+                    rates: &rates,
+                };
+                exp.execute(size, out.as_deref(), gate).map(Some)
             }
             Cmd::Stats { format } => {
                 let cluster = Arc::clone(self.cluster.as_ref().ok_or("no cluster")?);
@@ -1883,10 +597,46 @@ impl Shell {
                     json.len()
                 )))
             }
-            Cmd::Help => Ok(Some(HELP.to_string())),
+            Cmd::Help => Ok(Some(help())),
             Cmd::Quit => Ok(None),
         }
     }
+}
+
+/// The shell's read-parse-execute loop over `input`, printing results
+/// to stdout and errors to stderr. An interactive session reports a
+/// failed command and carries on; a script or pipe stops at the first
+/// one. Returns `false` when it stopped that way, so the caller can
+/// exit nonzero.
+pub fn run_lines(shell: &mut Shell, input: impl std::io::BufRead, interactive: bool) -> bool {
+    use std::io::Write;
+    for line in input.lines() {
+        if drtm_base::shutdown::requested() {
+            break;
+        }
+        let Ok(line) = line else { break };
+        if interactive {
+            // The prompt appears *after* the previous output.
+            print!("> ");
+            let _ = std::io::stdout().flush();
+        }
+        let result = match parse(&line) {
+            Ok(None) => continue,
+            Ok(Some(cmd)) => shell.execute(cmd),
+            Err(e) => Err(e),
+        };
+        match result {
+            Ok(Some(out)) => println!("{out}"),
+            Ok(None) => break,
+            Err(e) => {
+                eprintln!("error: {e}");
+                if !interactive {
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -2135,58 +885,6 @@ mod tests {
             Some(Cmd::Smallbank { txns: 50 })
         );
         assert_eq!(
-            parse("breakdown").unwrap(),
-            Some(Cmd::Breakdown { txns: 200 })
-        );
-        assert_eq!(
-            parse("breakdown 80").unwrap(),
-            Some(Cmd::Breakdown { txns: 80 })
-        );
-        assert_eq!(parse("cache").unwrap(), Some(Cmd::Cache { txns: 200 }));
-        assert_eq!(parse("cache 60").unwrap(), Some(Cmd::Cache { txns: 60 }));
-        assert_eq!(
-            parse("contend").unwrap(),
-            Some(Cmd::Contend { txns: 1_000 })
-        );
-        assert_eq!(
-            parse("contend 40").unwrap(),
-            Some(Cmd::Contend { txns: 40 })
-        );
-        assert_eq!(parse("serve").unwrap(), Some(Cmd::Serve { requests: 400 }));
-        assert_eq!(
-            parse("serve 100").unwrap(),
-            Some(Cmd::Serve { requests: 100 })
-        );
-        assert_eq!(
-            parse("route").unwrap(),
-            Some(Cmd::Route {
-                requests: 600,
-                out: None
-            })
-        );
-        assert_eq!(
-            parse("route 150").unwrap(),
-            Some(Cmd::Route {
-                requests: 150,
-                out: None
-            })
-        );
-        assert_eq!(
-            parse("route 150 json /tmp/r.json").unwrap(),
-            Some(Cmd::Route {
-                requests: 150,
-                out: Some("/tmp/r.json".into())
-            })
-        );
-        assert_eq!(
-            parse("route json /tmp/r.json").unwrap(),
-            Some(Cmd::Route {
-                requests: 600,
-                out: Some("/tmp/r.json".into())
-            })
-        );
-        assert!(parse("route nope").is_err());
-        assert_eq!(
             parse("trace /tmp/out.json").unwrap(),
             Some(Cmd::Trace {
                 path: "/tmp/out.json".into()
@@ -2244,271 +942,172 @@ mod tests {
             .unwrap()
             .unwrap();
         drtm_obs::jsonlint::validate(&json).expect("stats json must be valid");
-        // `breakdown` condenses the same run shape into one phase table.
-        let text = sh.execute(Cmd::Breakdown { txns: 1 }).unwrap().unwrap();
-        assert!(text.contains("fan-out share"), "{text}");
-        assert!(text.contains("verbs per doorbell"), "{text}");
     }
 
-    /// The PR's acceptance criterion: on a read-heavy cross-machine
-    /// YCSB-B, enabling the read-mostly value cache must reduce NIC
-    /// bytes per committed transaction — cache hits skip the READ
-    /// entirely and C.2 re-validates with a 24-byte header line instead
-    /// of refetching the whole record.
-    #[test]
-    fn cache_reduces_remote_read_bytes_per_txn() {
-        let report = value_cache_ab(200);
-        assert!(report.off.committed > 0 && report.on.committed > 0);
-        // The disabled side must not record cache traffic.
-        assert_eq!(report.off.hits + report.off.misses, 0, "{report:?}");
-        // The enabled side must actually get hits on a 256-record
-        // zipfian working set.
-        assert!(report.on.hits > 0, "{report:?}");
-        assert!(
-            report.on.bytes_per_txn() < report.off.bytes_per_txn(),
-            "cache must cut NIC bytes per committed txn: {report:?}"
-        );
-        assert!(
-            report.on.reads_per_txn() < report.off.reads_per_txn(),
-            "cache must cut READ verbs per committed txn: {report:?}"
-        );
-        let mut sh = Shell::new();
-        let text = sh.execute(Cmd::Cache { txns: 1 }).unwrap().unwrap();
-        assert!(text.contains("NIC bytes per committed txn"), "{text}");
-        assert!(text.contains("hit rate"), "{text}");
+    fn exp(name: &'static str, size: usize, out: Option<&str>, gate: bool) -> Cmd {
+        Cmd::Experiment {
+            name,
+            size,
+            rates: experiment::find(name).unwrap().default.rates.to_vec(),
+            out: out.map(String::from),
+            gate,
+        }
     }
 
-    /// The PR's acceptance criterion: on a read-heavy cross-machine
-    /// YCSB-B, 8 pipelined routines per worker slot must deliver at
-    /// least 25% more virtual-time throughput than the blocking
-    /// baseline, with the abort rate within 2x of it, because the
-    /// scheduler overlaps independent routines' verb waits.
+    /// Every spelling the seven hand-parsed A/B commands accepted still
+    /// parses, now through the table lookup.
     #[test]
-    fn pipeline_hides_remote_verb_latency() {
-        let report = pipeline_ab(200);
-        assert!(report.base.committed > 0 && report.piped.committed > 0);
-        // The blocking side has one routine, so nothing can overlap.
-        assert_eq!(report.base.overlap_ns, 0, "{report:?}");
-        assert!(
-            report.gain() >= 0.25,
-            "pipelining must gain >= 25%, got {:.1}%: {report:?}",
-            report.gain() * 100.0
-        );
-        // Aborts rise with 16 txns in flight (2 workers x 8 routines)
-        // and the exact count varies with OS thread interleaving, so
-        // bound the rate absolutely rather than relative to the
-        // single-routine baseline.
-        assert!(
-            report.piped.abort_rate() <= 0.05,
-            "pipelined abort rate must stay low: {report:?}"
-        );
-        assert!(
-            report.piped.hiding_ratio() > 0.25,
-            "most of the wait should overlap: {report:?}"
-        );
-        let mut sh = Shell::new();
-        let text = sh.execute(Cmd::Pipeline { txns: 20 }).unwrap().unwrap();
-        assert!(text.contains("virtual-time gain"), "{text}");
-        assert!(text.contains("latency hidden"), "{text}");
-    }
-
-    /// The PR's acceptance criterion (DESIGN.md §15): on the
-    /// 99%-zipfian read-modify-write YCSB-F, the full escalation
-    /// ladder must deliver at least 15% more committed transactions
-    /// per virtual second than rung-1 backoff alone, and it must
-    /// actually have escalated — rung-2 pessimistic commits observed,
-    /// none under `off`. The hot-account SmallBank side reports its
-    /// own gain but is only asserted to escalate: at shell scale its
-    /// run-to-run interleaving noise swamps any fixed threshold.
-    #[test]
-    fn contend_escalate_beats_backoff() {
-        let report = contend_ab(1_000);
-        assert!(report.ycsb.off.committed > 0 && report.ycsb.escalated.committed > 0);
-        assert_eq!(
-            report.ycsb.off.pessimistic + report.ycsb.off.parks,
-            0,
-            "policy off must never escalate: {report:?}"
-        );
-        assert!(
-            report.ycsb.escalated.pessimistic > 0,
-            "the hot head must trip rung 2: {report:?}"
-        );
-        assert!(
-            report.ycsb.gain() >= 0.15,
-            "escalate must gain >= 15% on zipfian ycsb, got {:.1}%: {report:?}",
-            report.ycsb.gain() * 100.0
-        );
-        assert!(
-            report.smallbank.escalated.pessimistic > 0,
-            "hot accounts must trip rung 2: {report:?}"
-        );
-        let mut sh = Shell::new();
-        let text = sh.execute(Cmd::Contend { txns: 20 }).unwrap().unwrap();
-        assert!(text.contains("committed throughput gain"), "{text}");
-        assert!(text.contains("pessimistic commits"), "{text}");
-    }
-
-    /// The serving tier's acceptance criterion, in-shell: a burst far
-    /// past the admission high-water mark must shed load with fast
-    /// rejects while admitted p99 stays bounded, the paced side must
-    /// shed (nearly) nothing, and both sides must conserve money
-    /// through the graceful drain.
-    #[test]
-    fn serve_sheds_overload_and_conserves() {
-        let report = serve_ab(600).expect("serve A/B");
-        assert_eq!(report.paced.sent, 600);
-        assert_eq!(report.burst.sent, 600);
-        assert!(report.paced.committed > 0 && report.burst.committed > 0);
-        assert!(
-            report.burst.rejected > 0,
-            "a burst past high-water must shed: {report:?}"
-        );
-        assert!(
-            report.paced.shed_rate() < 0.05,
-            "paced load under capacity must (almost) never shed: {report:?}"
-        );
-        assert!(
-            report.burst.p99_ns < 2_000_000_000,
-            "admitted p99 unbounded under overload: {report:?}"
-        );
-        assert!(
-            report.paced.conserved && report.burst.conserved,
-            "conservation violated: {report:?}"
-        );
-        let mut sh = Shell::new();
-        let text = sh.execute(Cmd::Serve { requests: 40 }).unwrap().unwrap();
-        assert!(text.contains("goodput"), "{text}");
-        assert!(text.contains("shed"), "{text}");
-        assert!(text.contains("conservation: paced OK, burst OK"), "{text}");
+    fn parse_experiment_spellings() {
+        for e in experiment::EXPERIMENTS {
+            assert_eq!(
+                parse(e.name).unwrap(),
+                Some(exp(e.name, e.default.n, None, false))
+            );
+        }
+        for (line, want) in [
+            ("breakdown 80", exp("breakdown", 80, None, false)),
+            ("cache 60", exp("cache", 60, None, false)),
+            ("contend 40 gate", exp("contend", 40, None, true)),
+            ("serve requests 100", exp("serve", 100, None, false)),
+            (
+                "route 150 json r.json",
+                exp("route", 150, Some("r.json"), false),
+            ),
+            (
+                "route json r.json gate",
+                exp("route", 200, Some("r.json"), true),
+            ),
+        ] {
+            assert_eq!(parse(line).unwrap(), Some(want), "{line}");
+        }
+        // Unknown experiment name, malformed size, stray words.
+        assert!(parse("nosuch 100").is_err());
+        assert!(parse("cache 12x").is_err());
+        assert!(parse("route nope").is_err());
+        assert!(parse("route gate 5").is_err());
+        assert!(parse("cache rates 1,2").is_err(), "not a sweep");
     }
 
     #[test]
     fn parse_loadcurve_forms() {
         assert_eq!(
             parse("loadcurve").unwrap(),
-            Some(Cmd::LoadCurve {
-                rates: vec![200.0, 500.0, 1_000.0],
-                requests: 200,
-                out: None,
-            })
+            Some(exp("loadcurve", 300, None, false))
         );
         assert_eq!(
             parse("loadcurve rates 800,100,400 requests 50 json /tmp/x.json").unwrap(),
-            Some(Cmd::LoadCurve {
+            Some(Cmd::Experiment {
+                name: "loadcurve",
+                size: 50,
                 rates: vec![800.0, 100.0, 400.0],
-                requests: 50,
                 out: Some("/tmp/x.json".into()),
+                gate: false,
             })
         );
         assert!(parse("loadcurve rates").is_err());
         assert!(parse("loadcurve rates 0").is_err());
+        assert!(parse("loadcurve rates 5,").is_err());
         assert!(parse("loadcurve bogus 1").is_err());
     }
 
-    /// The loadcurve tentpole end to end: one server, an ascending rate
-    /// grid, live scrapes between points, and a stamped artifact whose
-    /// offered rates are monotone and whose p99s came from the
-    /// coordinated-omission-safe scheduled-arrival clock.
-    #[test]
-    fn loadcurve_sweeps_and_writes_stamped_artifact() {
-        let path = std::env::temp_dir().join(format!("drtm-loadcurve-{}.json", std::process::id()));
-        let path_str = path.to_str().unwrap().to_string();
-        let mut sh = Shell::new();
-        // Rates given out of order: the sweep must sort them.
-        let text = sh
-            .execute(Cmd::LoadCurve {
-                rates: vec![4_000.0, 2_000.0],
-                requests: 80,
-                out: Some(path_str.clone()),
-            })
-            .unwrap()
-            .unwrap();
-        assert!(text.contains("latency vs offered load"), "{text}");
-        assert!(text.contains("conservation: OK"), "{text}");
+    /// The three throughput floors that, as at the parent, only the CI
+    /// matrix gates: a release build with the host to itself. Each sits
+    /// beside a looser check of the same arms that is asserted here.
+    /// Unoptimized, r8 alone already reaches r256's throughput (ratio
+    /// 0.62-1.43 over 16 runs) and the routed arm steals enough to miss
+    /// 1.20 three times running in one of eight; beside the other tests,
+    /// in either profile, SmallBank's r8/r1 dips under 1.15 in one run
+    /// of three.
+    const CI_ONLY: [&str; 3] = [
+        "SmallBank r8/r1 vtps >= 1.15",
+        "r256/r8 vtps >= 1.20",
+        "routed/shared vtps >= 1.20",
+    ];
 
-        let json = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        drtm_obs::jsonlint::validate(&json).expect("artifact parses");
-        // The shared stamp rode along.
-        assert!(json.contains("\"stamp\":{\"git_rev\":\""), "{json}");
-        assert!(json.contains("\"utc\":\""), "{json}");
-        // Points are in ascending offered-rate order with percentiles.
-        let offered: Vec<f64> = json
-            .split("\"offered\":")
-            .skip(1)
-            .map(|t| {
-                t.chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '.')
-                    .collect::<String>()
-                    .parse()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(offered, vec![2_000.0, 4_000.0]);
-        assert!(json.contains("\"p999_us\":"), "{json}");
-        assert!(json.contains("\"live_accepted\":"), "{json}");
-        // The routing policy (off here) and steal count ride along.
-        assert!(json.contains("\"route\":\"off\""), "{json}");
-        assert!(json.contains("\"steals\":0"), "{json}");
+    /// Every table entry, once, at its default size, through the shell
+    /// with `json` + `gate`: the text names every metric the arms
+    /// declared, the artifact is valid stamped JSON in the one schema,
+    /// and every check of the entry but the `CI_ONLY` floors holds.
+    /// What the per-command tests used to assert lives on the entries
+    /// as named checks.
+    #[test]
+    fn every_experiment_runs_gated_and_every_check_holds() {
+        let mut sh = Shell::new();
+        for e in experiment::EXPERIMENTS {
+            let path =
+                std::env::temp_dir().join(format!("drtm-{}-{}.json", e.name, std::process::id()));
+            let text = match sh.execute(exp(e.name, e.default.n, path.to_str(), true)) {
+                Ok(text) => text.unwrap(),
+                Err(text) => text,
+            };
+            assert!(
+                text.starts_with(&format!("{}: {}", e.name, e.about)),
+                "{text}"
+            );
+            assert!(text.contains("last/first"), "{text}");
+            let missed = |name: &&str| !text.contains(&format!("[ok] {name}"));
+            let failed: Vec<&str> = e.checks.iter().map(|c| c.0).filter(missed).collect();
+            assert!(failed.iter().all(|name| CI_ONLY.contains(name)), "{text}");
+            // `gate` reported exactly the failed checks, as an error.
+            let gate = format!("\n{}: gate failed: {}", e.name, failed.join("; "));
+            assert_eq!(text.ends_with(&gate), !failed.is_empty(), "{text}");
+            let json = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            drtm_obs::jsonlint::validate(&json).expect("artifact parses");
+            let stamp = json.split_once("\"run_cfg\"").expect("stamped").0;
+            assert!(stamp.starts_with("{\"stamp\":{\"git_rev\":\""), "{json}");
+            assert!(!stamp.contains("\"\"") && stamp.ends_with("Z\","), "{json}");
+            assert!(
+                json.contains(&format!("\"experiment\":\"{}\",\"size\":", e.name)),
+                "{json}"
+            );
+            assert!(json.contains("\"checks\":["), "{json}");
+            let metrics: Vec<&str> = json
+                .split("{\"name\":\"")
+                .skip(1)
+                .filter(|t| t.contains("\"unit\":"))
+                .map(|t| t.split('"').next().unwrap())
+                .collect();
+            assert!(!metrics.is_empty(), "{json}");
+            for m in metrics {
+                assert!(text.contains(&format!("  {m} (")), "missing {m}: {text}");
+            }
+        }
     }
 
-    /// The routing A/B end to end: the same single-home-heavy burst
-    /// through the shared queue and the shard-affinity router. The
-    /// routed side must dispatch mostly-local, conserve money, and
-    /// commit the same work in strictly less virtual time (the CI job
-    /// gates the 1.20x floor; here we assert routed > shared so the
-    /// test stays robust at a small request count).
+    /// A grid given out of order is swept ascending: the gated
+    /// "points ascend by offered rate" check holds on it.
     #[test]
-    fn route_ab_wins_on_virtual_time_and_writes_artifact() {
-        let path = std::env::temp_dir().join(format!("drtm-route-{}.json", std::process::id()));
-        let path_str = path.to_str().unwrap().to_string();
+    fn loadcurve_sorts_its_grid() {
+        let cmd = parse("loadcurve rates 4000,2000 requests 40 gate").unwrap();
+        let text = Shell::new().execute(cmd.unwrap()).unwrap().unwrap();
+        let (lo, hi) = (text.find("2000/s").unwrap(), text.find("4000/s").unwrap());
+        assert!(lo < hi, "{text}");
+    }
+
+    /// Script mode stops at the first failed command and reports it;
+    /// an interactive session survives it and keeps executing.
+    #[test]
+    fn scripts_stop_at_the_first_error_interactive_sessions_do_not() {
+        let script = "cluster 2\nnosuch\nput 0 1 5\n";
         let mut sh = Shell::new();
-        let text = sh
-            .execute(Cmd::Route {
-                requests: 200,
-                out: Some(path_str.clone()),
-            })
-            .unwrap()
-            .unwrap();
-        assert!(text.contains("shard-affinity routing A/B"), "{text}");
-        assert!(
-            text.contains("conservation: shared OK, routed OK"),
-            "{text}"
-        );
-        assert!(text.contains("speedup:"), "{text}");
+        assert!(!run_lines(&mut sh, script.as_bytes(), false));
+        let get = Cmd::Get { shard: 0, key: 1 };
+        let out = sh.execute(get.clone()).unwrap().unwrap();
+        assert!(out.contains("not found"), "put ran after the error: {out}");
 
-        let json = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        drtm_obs::jsonlint::validate(&json).expect("artifact parses");
-        assert!(json.contains("\"stamp\":{\"git_rev\":\""), "{json}");
-        assert!(json.contains("\"route\":\"off\""), "{json}");
-        assert!(json.contains("\"route\":\"on\""), "{json}");
-        assert!(json.contains("\"speedup\":"), "{json}");
-        assert!(json.contains("\"steals\":"), "{json}");
-
-        // Re-run through the library API for structural assertions.
-        let report = route_ab(200).expect("route A/B");
-        assert_eq!(report.shared.sent, 200);
-        assert_eq!(report.routed.sent, 200);
-        // High-water sits above the burst: nothing sheds on either side.
-        assert_eq!(report.shared.rejected, 0, "{report:?}");
-        assert_eq!(report.routed.rejected, 0, "{report:?}");
-        // Only the routed side classifies dispatch; 5% cross-shard
-        // means the overwhelming majority of requests are single-home.
-        assert_eq!(report.shared.local + report.shared.remote, 0);
-        assert_eq!(
-            report.routed.local + report.routed.remote,
-            report.routed.committed + report.routed.aborted
-        );
-        assert!(
-            report.routed.local > report.routed.remote,
-            "single-home-heavy load must dispatch mostly local: {report:?}"
-        );
-        assert!(report.shared.conserved && report.routed.conserved);
-        assert!(
-            report.speedup() > 1.0,
-            "routed must beat shared on virtual time: {report:?}"
-        );
+        let mut sh = Shell::new();
+        assert!(run_lines(&mut sh, script.as_bytes(), true));
+        let out = sh.execute(get).unwrap().unwrap();
+        assert!(out.contains("= 5"), "{out}");
+        // A command that fails in `execute` (not only in `parse`) stops
+        // a script too; `quit` ends one cleanly.
+        assert!(!run_lines(&mut Shell::new(), "get 0 1\n".as_bytes(), false));
+        assert!(run_lines(
+            &mut Shell::new(),
+            "quit\nnosuch\n".as_bytes(),
+            false
+        ));
     }
 
     #[test]

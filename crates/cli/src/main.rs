@@ -1,56 +1,38 @@
 //! `drtm-shell`: an interactive shell over a simulated DrTM+R cluster.
 //!
 //! ```text
-//! drtm-shell                # interactive REPL on stdin
+//! drtm-shell                # interactive REPL on a terminal
 //! drtm-shell script.drtm    # run a command file, then exit
+//! ... | drtm-shell          # run piped commands, then exit
 //! ```
+//!
+//! A script or pipe stops at its first failed command and exits
+//! nonzero; the interactive REPL reports the error and carries on.
 
-use std::io::{BufRead, Write};
+use std::io::{BufReader, IsTerminal};
 
-use drtm_cli::{parse, Shell};
+use drtm_cli::{run_lines, Shell};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut shell = Shell::new();
     drtm_base::shutdown::install();
 
-    let interactive = args.is_empty();
-    let reader: Box<dyn BufRead> = if let Some(path) = args.first() {
-        match std::fs::File::open(path) {
-            Ok(f) => Box::new(std::io::BufReader::new(f)),
+    let ok = match std::env::args().nth(1) {
+        Some(path) => match std::fs::File::open(&path) {
+            Ok(f) => run_lines(&mut shell, BufReader::new(f), false),
             Err(e) => {
                 eprintln!("cannot open {path}: {e}");
                 std::process::exit(1);
             }
+        },
+        None => {
+            let interactive = std::io::stdin().is_terminal();
+            if interactive {
+                println!("drtm-shell — type `help` for commands");
+            }
+            run_lines(&mut shell, std::io::stdin().lock(), interactive)
         }
-    } else {
-        println!("drtm-shell — type `help` for commands");
-        Box::new(std::io::BufReader::new(std::io::stdin()))
     };
-
-    for line in reader.lines() {
-        if drtm_base::shutdown::requested() {
-            break;
-        }
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if interactive {
-            // The prompt appears *after* the previous output.
-            print!("> ");
-            let _ = std::io::stdout().flush();
-        }
-        match parse(&line) {
-            Ok(None) => continue,
-            Ok(Some(cmd)) => match shell.execute(cmd) {
-                Ok(Some(out)) => println!("{out}"),
-                Ok(None) => break,
-                Err(e) => eprintln!("error: {e}"),
-            },
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
 
     // Graceful SIGINT/SIGTERM: surface a final scrape of whatever
     // cluster was live so an interrupted session still reports.
@@ -59,5 +41,8 @@ fn main() {
             eprintln!("drtm-shell: interrupted — final stats:");
             println!("{out}");
         }
+    }
+    if !ok {
+        std::process::exit(1);
     }
 }

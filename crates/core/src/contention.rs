@@ -84,10 +84,8 @@ pub const PARK_SPIN_CAP: u32 = 4_096;
 /// How a worker responds to repeated conflicts on a key.
 ///
 /// Configured globally and per table through
-/// [`crate::EngineOpts::builder`], per run through
-/// `drtm_workloads::driver::RunCfg`, and per process through the
-/// `DRTM_CONTENTION` environment variable (`off`, `escalate`, or
-/// `always-pessimistic`).
+/// [`crate::EngineOpts::builder`] and per run through
+/// `drtm_workloads::driver::RunCfg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentionPolicy {
     /// No contention management: every conflict takes the legacy
@@ -107,20 +105,7 @@ pub enum ContentionPolicy {
 }
 
 impl ContentionPolicy {
-    /// Parses the `DRTM_CONTENTION` spelling of a policy.
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("off") || s.is_empty() {
-            Some(Self::Off)
-        } else if s.eq_ignore_ascii_case("escalate") {
-            Some(Self::Escalate)
-        } else if s.eq_ignore_ascii_case("always-pessimistic") {
-            Some(Self::AlwaysPessimistic)
-        } else {
-            None
-        }
-    }
-
-    /// The `DRTM_CONTENTION` spelling of this policy.
+    /// The policy's label in reports and artifact stamps.
     pub fn label(self) -> &'static str {
         match self {
             Self::Off => "off",
@@ -310,28 +295,6 @@ impl WaitRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_parses_env_spellings() {
-        assert_eq!(ContentionPolicy::parse("off"), Some(ContentionPolicy::Off));
-        assert_eq!(ContentionPolicy::parse(""), Some(ContentionPolicy::Off));
-        assert_eq!(
-            ContentionPolicy::parse("Escalate"),
-            Some(ContentionPolicy::Escalate)
-        );
-        assert_eq!(
-            ContentionPolicy::parse("always-pessimistic"),
-            Some(ContentionPolicy::AlwaysPessimistic)
-        );
-        assert_eq!(ContentionPolicy::parse("sometimes"), None);
-        for p in [
-            ContentionPolicy::Off,
-            ContentionPolicy::Escalate,
-            ContentionPolicy::AlwaysPessimistic,
-        ] {
-            assert_eq!(ContentionPolicy::parse(p.label()), Some(p));
-        }
-    }
 
     #[test]
     fn spin_budget_matches_legacy_2pl_bounds() {

@@ -563,14 +563,6 @@ impl RoutePolicy {
             None
         }
     }
-
-    /// Canonical toggle label (`off` / `on`), stamped into artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Shared => "off",
-            Self::Routed => "on",
-        }
-    }
 }
 
 /// Counters of one member queue of a [`QueueGroup`].

@@ -19,7 +19,7 @@ fn usage() -> ! {
          frame (see drtm-client --scrape). --route on dispatches each request\n\
          to the pool owning the majority of its shards (per-pool queues with\n\
          bounded work stealing; --steal-reserve is the per-queue steal floor);\n\
-         off (default, also via DRTM_ROUTE) keeps the one shared queue.\n\
+         off (the default) keeps the one shared queue.\n\
          --high-water must be at least 1.\n\
          --sample-ms sets the in-server time-series sampler period (0\n\
          disables). --trace writes the server's chrome://tracing span export\n\
@@ -35,10 +35,6 @@ fn main() {
         addr: "127.0.0.1:7070".into(),
         ..Default::default()
     };
-    // DRTM_ROUTE sets the default dispatcher; --route overrides it.
-    if let Ok(v) = std::env::var("DRTM_ROUTE") {
-        cfg.route = RoutePolicy::parse(&v).unwrap_or_else(|| usage());
-    }
     let mut audit = false;
     let mut format = "text";
     let mut trace_out: Option<String> = None;

@@ -17,7 +17,7 @@ use drtm_base::{Histogram, SplitMix64};
 use drtm_baselines::CalvinEngine;
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::txn::{TxnError, Worker};
-use drtm_core::{ContentionPolicy, RoutePolicy, RoutinePool};
+use drtm_core::{ContentionPolicy, RoutinePool};
 
 use crate::engine::{EngineWorker, TxnApi};
 use crate::smallbank::{self, SbCfg};
@@ -77,40 +77,8 @@ pub struct RunCfg {
     /// `Off` keeps the paper's randomized backoff byte-identical,
     /// `Escalate` climbs the three-rung ladder on consecutive aborts,
     /// `AlwaysPessimistic` takes wait-mode C.1 locks from the first
-    /// attempt. Defaults from `DRTM_CONTENTION` (`off` / `escalate` /
-    /// `always-pessimistic`) so A/B sweeps can toggle it per process.
+    /// attempt.
     pub contention: ContentionPolicy,
-    /// Serving-tier admission routing policy (DESIGN.md §16), recorded
-    /// so benchmark artifacts stamp which dispatcher produced them. The
-    /// closed-loop driver has no admission queue, so this is
-    /// stamp-only here; the serving tier (`drtm-net`) reads the same
-    /// `DRTM_ROUTE` toggle to pick shared-queue vs. shard-affinity
-    /// routed admission.
-    pub route: RoutePolicy,
-}
-
-/// Reads the `DRTM_CONTENTION` environment toggle: `off` (unset), or
-/// `escalate` / `always-pessimistic` to enable the contention ladder
-/// (DESIGN.md §15) on every table.
-pub fn contention_from_env() -> ContentionPolicy {
-    match std::env::var("DRTM_CONTENTION") {
-        Ok(v) => ContentionPolicy::parse(&v).unwrap_or_else(|| {
-            panic!("DRTM_CONTENTION must be `off`, `escalate`, or `always-pessimistic`, got `{v}`")
-        }),
-        Err(_) => ContentionPolicy::Off,
-    }
-}
-
-/// Reads the `DRTM_ROUTE` environment toggle: `off` / `shared` (unset)
-/// keeps the single shared admission queue, `on` / `routed` selects the
-/// shard-affinity per-pool dispatcher (DESIGN.md §16).
-pub fn route_from_env() -> RoutePolicy {
-    match std::env::var("DRTM_ROUTE") {
-        Ok(v) => RoutePolicy::parse(&v).unwrap_or_else(|| {
-            panic!("DRTM_ROUTE must be `off`, `shared`, `on`, or `routed`, got `{v}`")
-        }),
-        Err(_) => RoutePolicy::Shared,
-    }
 }
 
 impl Default for RunCfg {
@@ -127,8 +95,7 @@ impl Default for RunCfg {
             msg_locking: false,
             no_value_cache: false,
             routines: 1,
-            contention: contention_from_env(),
-            route: route_from_env(),
+            contention: ContentionPolicy::Off,
         }
     }
 }

@@ -25,7 +25,7 @@ pub mod smallbank;
 pub mod tpcc;
 pub mod ycsb;
 
-pub use driver::{route_from_env, EngineKind, Measurement, RunCfg};
+pub use driver::{EngineKind, Measurement, RunCfg};
 pub use engine::{EngineWorker, TxnApi};
 
 #[cfg(test)]

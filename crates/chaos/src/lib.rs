@@ -35,24 +35,23 @@ pub use injector::{ChaosEvent, ChaosInjector};
 pub use plan::{CrashSpec, FaultPlan, FaultRule, NicFlap, Partition, PerMille};
 pub use supervisor::{RecoveryEvent, Supervisor, SupervisorCfg};
 
+use drtm_core::commit::STAGES;
+
 /// The crash points a [`FaultPlan`] may name, with the state a crash
-/// there leaves behind (the probe fires *after* the step completes).
+/// there leaves behind (the probe fires *after* the step completes):
+/// the commit pipeline's [`STAGES`], then `R.3`.
 ///
 /// There is no `C.3` probe: C.3 (local validation) and C.4 (local
 /// apply) execute inside a single HTM region, so a machine cannot die
 /// *between* them — a crash mid-region simply aborts the hardware
 /// transaction and leaves no state, which is the HTM atomicity the
 /// paper's protocol relies on.
-pub const CRASH_POINTS: [(&str, &str); 8] = [
-    ("C.1", "remote read/write sets locked; nothing applied"),
-    ("C.2", "remote read set validated; locks held"),
-    ("C.4", "local writes applied odd in HTM; nothing logged"),
-    (
-        "R.1",
-        "redo logs durable on all backups; commit not yet visible",
-    ),
-    ("R.2", "local primaries flipped even; remote writes missing"),
-    ("C.5", "remote primaries written; every lock still held"),
-    ("C.6", "fully committed and unlocked"),
-    ("R.3", "log truncation step (auxiliary thread)"),
-];
+pub const CRASH_POINTS: [(&str, &str); 8] = {
+    let mut points = [("R.3", "log truncation step (auxiliary thread)"); 8];
+    let mut i = 0;
+    while i < STAGES.len() {
+        points[i] = (STAGES[i].probe, STAGES[i].leaves);
+        i += 1;
+    }
+    points
+};

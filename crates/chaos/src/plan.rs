@@ -185,7 +185,17 @@ impl FaultPlan {
     }
 
     /// Kills `node` the `hit`-th time it passes `point`.
+    ///
+    /// # Panics
+    ///
+    /// If `point` is not one of [`crate::CRASH_POINTS`]: a misspelt
+    /// point would never fire and the run would pass as "no crash".
     pub fn crash_at(mut self, node: NodeId, point: &'static str, hit: u64) -> Self {
+        let valid = crate::CRASH_POINTS.map(|(p, _)| p);
+        assert!(
+            valid.contains(&point),
+            "unknown crash point {point:?}; valid points: {valid:?}"
+        );
         self.crashes.push(CrashSpec { node, point, hit });
         self
     }

@@ -114,6 +114,20 @@ fn crash_spec_counts_passages_and_fires_once() {
     assert!(inj.crash_instant(0).is_none());
 }
 
+/// A point no probe ever names (here `C.3`: C.3+C.4 are one HTM region)
+/// is rejected when the plan is built, not silently never fired; every
+/// name the stage table lists — and `R.3` — is accepted.
+#[test]
+#[should_panic(expected = "unknown crash point \"C.3\"; valid points: [\"C.1\", \"C.2\", \"C.4\"")]
+fn misspelt_crash_point_is_rejected_at_plan_build() {
+    let mut plan = FaultPlan::new(7);
+    for (point, _) in drtm_chaos::CRASH_POINTS {
+        plan = plan.crash_at(1, point, 1);
+    }
+    assert_eq!(plan.crashes.len(), 8);
+    let _ = plan.crash_at(1, "C.3", 1);
+}
+
 #[test]
 fn crash_at_c4_recovers_through_lease_expiry() {
     let cfg = ChaosRunCfg {

@@ -1,7 +1,8 @@
 //! The six-step commit phase (Figure 7), read-only commit (§4.5), the
 //! fallback handler (§6.1), and optimistic replication (§5.1).
 //!
-//! Steps for a read-write transaction:
+//! A read-write transaction walks [`STAGES`] in order (the fallback
+//! handler is the same walk in another `Mode`):
 //!
 //! * **C.1** lock every remote record in the read *and* write sets with
 //!   one-sided RDMA CAS, in global `(node, offset)` order. Locking reads
@@ -30,16 +31,143 @@ use drtm_cluster::LogEntry;
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkRequest, WrResult};
 use drtm_store::record::{
-    lock_owner, lock_word, locked_write_wrs, remote_read_consistent, remote_read_header,
-    RecordHeader, HEADER_BYTES, INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
+    lock_owner, lock_word, locked_write_wrs, remote_read_header, RecordHeader, HEADER_BYTES,
+    INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
 };
-use drtm_store::{TableId, CONTROL_LINE_OFF};
+use drtm_store::CONTROL_LINE_OFF;
 
 use drtm_obs::{EventKind, Phase};
 
 use crate::contention::{ConflictSite, ContentionPolicy, SpinBudget};
-use crate::txn::{AbortReason, TxnCtx, TxnError};
+use crate::txn::{AbortReason, TxnCtx, TxnError, Worker};
 use crate::{read_validates, write_validates};
+
+/// One stage of the read-write commit pipeline.
+pub struct Stage {
+    /// Crash-point label: the paper step that has just completed when
+    /// the stage's probe fires.
+    pub probe: &'static str,
+    /// The obs phase the stage's virtual time is recorded under.
+    pub phase: Phase,
+    /// What a machine dying at the probe leaves behind for recovery.
+    pub leaves: &'static str,
+}
+
+/// The commit pipeline, in protocol order — its only spelling: the
+/// commit walk closes each stage through its row, and
+/// `drtm_chaos::CRASH_POINTS` and DESIGN.md §4 quote the table.
+pub const STAGES: [Stage; 7] = [
+    Stage {
+        probe: "C.1",
+        phase: Phase::Lock,
+        leaves: "read/write sets locked; nothing applied",
+    },
+    Stage {
+        probe: "C.2",
+        phase: Phase::Validate,
+        leaves: "remote read set validated; locks held",
+    },
+    Stage {
+        probe: "C.4",
+        phase: Phase::Htm,
+        leaves: "local writes applied (odd when replicated); nothing logged",
+    },
+    Stage {
+        probe: "R.1",
+        phase: Phase::Log,
+        leaves: "redo logs durable on all backups; commit not yet visible",
+    },
+    Stage {
+        probe: "R.2",
+        phase: Phase::Makeup,
+        leaves: "local primaries flipped even; remote writes missing",
+    },
+    Stage {
+        probe: "C.5",
+        phase: Phase::Update,
+        leaves: "remote primaries written; every lock still held",
+    },
+    Stage {
+        probe: "C.6",
+        phase: Phase::Unlock,
+        leaves: "fully committed and unlocked",
+    },
+];
+
+/// What isolates the local half of a commit (C.3 + C.4) — the only two
+/// places the walk differs between the HTM commit and its fallback.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// C.1 locks the remote read and write sets; the local read set is
+    /// validated and the local writes applied inside one HTM region.
+    Htm,
+    /// The fallback handler (§6.1), entered when the HTM region
+    /// exhausted its retries: C.1 locks *every* touched record — local
+    /// ones via loopback RDMA CAS (§6.2) — and the local half runs
+    /// under those locks.
+    Locked,
+}
+
+/// Lap clock over the commit phases of one transaction: each lap adds
+/// the virtual time since the previous one — and how much of it was
+/// verb wait (doorbell to batch horizon), the wait/occupied split the
+/// pipeline metrics expose — to its phase, so a phase entered twice
+/// (the HTM attempt, then the [`Mode::Locked`] re-entry) accumulates
+/// and the phases always sum to the transaction's latency.
+struct PhaseClock {
+    mark: u64,
+    wait_mark: u64,
+    wall_mark: u64,
+    ns: [u64; Phase::COUNT],
+    wait_ns: [u64; Phase::COUNT],
+}
+
+impl PhaseClock {
+    /// A clock whose first lap starts where the transaction began.
+    fn start(txn: &TxnCtx<'_>) -> Self {
+        Self {
+            mark: txn.start_ns,
+            wait_mark: txn.start_wait_ns,
+            wall_mark: txn.w.trace_wall_ns,
+            ns: [0; Phase::COUNT],
+            wait_ns: [0; Phase::COUNT],
+        }
+    }
+
+    /// Ends `phase`'s current span. A head-sampled request also gets a
+    /// trace span — a complete event with real wall boundaries, the
+    /// virtual span riding in args — emitted as each phase laps, so an
+    /// aborted commit still shows how far it got.
+    fn lap(&mut self, w: &Worker, phase: Phase) {
+        let now = w.clock.now();
+        let span = now.saturating_sub(self.mark);
+        self.ns[phase.index()] += span;
+        self.mark = now;
+        self.wait_ns[phase.index()] += w.wait_accum_ns.saturating_sub(self.wait_mark);
+        self.wait_mark = w.wait_accum_ns;
+        if w.trace_id != 0 {
+            let wall = drtm_obs::trace::wall_ns();
+            drtm_obs::trace::span_complete(
+                EventKind::Phase,
+                phase.name(),
+                w.trace_id,
+                self.wall_mark,
+                wall.saturating_sub(self.wall_mark),
+                span,
+            );
+            self.wall_mark = wall;
+        }
+    }
+
+    /// Records the phase spans of a *committed* transaction into the
+    /// worker's metrics shard (scrape-time aggregation across workers).
+    fn note(&self, w: &Worker) {
+        for phase in Phase::ALL {
+            w.obs.note_phase(phase, self.ns[phase.index()]);
+            w.obs.note_phase_wait(phase, self.wait_ns[phase.index()]);
+        }
+    }
+}
 
 /// A record to lock: `(node, record offset)`; ordering this tuple gives
 /// the global sort order that makes lock acquisition deadlock-free.
@@ -56,11 +184,6 @@ enum OneLock {
     Dead,
 }
 
-// Index loops below are deliberate: iterating `self.l_ws`/`self.r_ws` by
-// reference would hold a borrow of `self` across calls that need
-// `&mut self.w` (split-borrow limitation), so entries are copied out by
-// index instead.
-#[allow(clippy::needless_range_loop)]
 impl TxnCtx<'_> {
     /// Fires the named crash-point probe (the step that just completed).
     ///
@@ -75,6 +198,12 @@ impl TxnCtx<'_> {
         } else {
             Ok(())
         }
+    }
+
+    /// Closes a stage: laps its phase span, then fires its probe.
+    fn stage_done(&mut self, pc: &mut PhaseClock, stage: &Stage) -> Result<(), TxnError> {
+        pc.lap(self.w, stage.phase);
+        self.probe(stage.probe)
     }
 
     /// Attempts to commit the transaction. Consumes the context.
@@ -120,28 +249,22 @@ impl TxnCtx<'_> {
                 self.w.stats.aborted += 1;
                 // A `Crashed` machine is a death, not an abort; only
                 // protocol and transport aborts enter the taxonomy.
-                match e {
-                    TxnError::Aborted(reason) => {
-                        self.w.obs.note_abort(reason.obs_index());
-                        drtm_obs::trace::event_id(
-                            EventKind::TxnAbort,
-                            reason.label(),
-                            self.w.node as u64,
-                            self.w.trace_id,
-                            self.w.clock.now(),
-                        );
-                    }
+                let abort = match e {
+                    TxnError::Aborted(reason) => Some((reason.obs_index(), reason.label())),
                     TxnError::Transport(verb) => {
-                        self.w.obs.note_abort(crate::txn::TRANSPORT_OBS_INDEX);
-                        drtm_obs::trace::event_id(
-                            EventKind::TxnAbort,
-                            verb.label(),
-                            self.w.node as u64,
-                            self.w.trace_id,
-                            self.w.clock.now(),
-                        );
+                        Some((crate::txn::TRANSPORT_OBS_INDEX, verb.label()))
                     }
-                    _ => {}
+                    _ => None,
+                };
+                if let Some((index, label)) = abort {
+                    self.w.obs.note_abort(index);
+                    drtm_obs::trace::event_id(
+                        EventKind::TxnAbort,
+                        label,
+                        self.w.node as u64,
+                        self.w.trace_id,
+                        self.w.clock.now(),
+                    );
                 }
             }
         }
@@ -152,22 +275,9 @@ impl TxnCtx<'_> {
     async fn commit_ro(&mut self) -> Result<(), TxnError> {
         assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
         // Traced read-only commits get an execute span (begin → here)
-        // and, on success, a validate span — the only phases they have.
-        let trace = self.w.trace_id;
-        let mut wall_mark = self.w.trace_wall_ns;
-        if trace != 0 {
-            let now = drtm_obs::trace::wall_ns();
-            drtm_obs::trace::span_complete(
-                EventKind::Phase,
-                Phase::Execute.name(),
-                trace,
-                wall_mark,
-                now.saturating_sub(wall_mark),
-                self.w.clock.now().saturating_sub(self.start_ns),
-            );
-            wall_mark = now;
-        }
-        let validate_start_ns = self.w.clock.now();
+        // and, on success, a validate span; neither enters a histogram.
+        let mut pc = PhaseClock::start(self);
+        pc.lap(self.w, Phase::Execute);
         let cluster = Arc::clone(&self.w.cluster);
         let cost = &cluster.opts.cost;
         let region = Arc::clone(&cluster.stores[self.w.node].region);
@@ -181,18 +291,14 @@ impl TxnCtx<'_> {
         }
         let addrs: Vec<(NodeId, usize)> = self.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
         let hdrs = self.read_headers(&addrs).await?;
-        for i in 0..self.r_rs.len() {
-            let (seen_seq, seen_inc, from_cache) = {
-                let e = &self.r_rs[i];
-                (e.seq, e.incarnation, e.from_cache)
-            };
-            let h = hdrs[i];
+        for (i, h) in hdrs.iter().enumerate() {
+            let e = &self.r_rs[i];
             // A cached entry skipped the read-time lock check a fresh
             // read-only READ performs (§4.5), so reject a locked record
             // here: its committer may be mid-rewrite.
-            if h.incarnation != seen_inc
-                || !read_validates(seen_seq, h.seq)
-                || (from_cache && h.lock != LOCK_FREE)
+            if h.incarnation != e.incarnation
+                || !read_validates(e.seq, h.seq)
+                || (e.from_cache && h.lock != LOCK_FREE)
             {
                 self.invalidate_cached_read(i);
                 return Err(TxnError::Aborted(AbortReason::Validation));
@@ -204,79 +310,44 @@ impl TxnCtx<'_> {
         if cluster.config.epoch() != self.start_epoch {
             return Err(TxnError::Aborted(AbortReason::Validation));
         }
-        if trace != 0 {
-            let now = drtm_obs::trace::wall_ns();
-            drtm_obs::trace::span_complete(
-                EventKind::Phase,
-                Phase::Validate.name(),
-                trace,
-                wall_mark,
-                now.saturating_sub(wall_mark),
-                self.w.clock.now().saturating_sub(validate_start_ns),
-            );
-        }
+        pc.lap(self.w, Phase::Validate);
         Ok(())
     }
 
-    /// Read-write commit: the six steps plus replication, each doorbell
-    /// a suspension point of the commit state machine.
+    /// Read-write commit: the HTM walk and, should the HTM region
+    /// exhaust its retries, the same walk again under locks (§6.1) —
+    /// on one [`PhaseClock`], so the abandoned attempt's time stays in
+    /// the committed transaction's phases.
     async fn commit_rw(&mut self) -> Result<(), TxnError> {
-        let cluster = Arc::clone(&self.w.cluster);
-        let exec_ns = self.w.clock.now().saturating_sub(self.start_ns);
-        let exec_wait = self.w.wait_accum_ns.saturating_sub(self.start_wait_ns);
-        let mut mark = self.w.clock.now();
-        let mut wait_mark = self.w.wait_accum_ns;
-        // Each lap yields the phase's span plus how much of it was verb
-        // wait (doorbell to batch horizon) — the wait/occupied split the
-        // pipeline metrics expose.
-        let mut lap = |w: &crate::txn::Worker| -> (u64, u64) {
-            let d = w.clock.now().saturating_sub(mark);
-            mark = w.clock.now();
-            let dw = w.wait_accum_ns.saturating_sub(wait_mark);
-            wait_mark = w.wait_accum_ns;
-            (d, dw)
-        };
-        // Per-phase trace spans of a head-sampled request: complete
-        // events with real wall boundaries (the virtual span rides in
-        // args), emitted as each phase laps so an aborted commit still
-        // shows how far it got.
-        let trace = self.w.trace_id;
-        let mut wall_mark = self.w.trace_wall_ns;
-        let mut phase_span = |label: &'static str, virt_ns: u64| {
-            if trace == 0 {
-                return;
-            }
-            let now = drtm_obs::trace::wall_ns();
-            drtm_obs::trace::span_complete(
-                EventKind::Phase,
-                label,
-                trace,
-                wall_mark,
-                now.saturating_sub(wall_mark),
-                virt_ns,
-            );
-            wall_mark = now;
-        };
-        phase_span(Phase::Execute.name(), exec_ns);
+        let mut pc = PhaseClock::start(self);
+        pc.lap(self.w, Phase::Execute);
+        let mut mode = Mode::Htm;
+        while !self.commit_walk(mode, &mut pc).await? {
+            self.w.stats.fallbacks += 1;
+            self.w.obs.note_fallback();
+            mode = Mode::Locked;
+        }
+        pc.note(self.w);
+        Ok(())
+    }
 
-        // C.1: lock remote read + write sets in global order. Rung 2 of
-        // the escalation ladder (DESIGN.md §15) acquires in *wait mode*:
+    /// One walk over [`STAGES`], each doorbell a suspension point of
+    /// the commit state machine. `Ok(true)` is a commit; `Ok(false)`
+    /// means the HTM gave up with every lock released again, and the
+    /// caller re-enters in [`Mode::Locked`].
+    async fn commit_walk(&mut self, mode: Mode, pc: &mut PhaseClock) -> Result<bool, TxnError> {
+        let cluster = Arc::clone(&self.w.cluster);
+        let [lock, validate, apply, log, makeup, update, unlock] = &STAGES;
+
+        // C.1: lock the mode's lock set in global order. Rung 2 of the
+        // escalation ladder (DESIGN.md §15) acquires in *wait mode*:
         // busy locks are spun on under a bounded budget instead of
         // aborting on first sight, so a large transaction keeps what it
         // already won. Global order keeps wait mode deadlock-free.
-        let locks = self.remote_lock_addrs();
+        let locks = self.lock_addrs(mode);
         let wait_mode = self.pessimistic_c1();
-        if let Err((held, err)) = self.lock_all(&locks, wait_mode).await {
-            // On `Crashed` the machine died mid-acquisition (`lock_all`
-            // refused to issue further verbs) and `unlock_all` is a
-            // no-op: whatever it already locked dangles for the
-            // recovery sweep.
-            self.unlock_all(&held).await;
-            return Err(err);
-        }
-        self.probe("C.1")?;
-        let (lock_ns, lock_wait) = lap(self.w);
-        phase_span(Phase::Lock.name(), lock_ns);
+        self.lock_all(&locks, wait_mode).await?;
+        self.stage_done(pc, lock)?;
 
         // C.2: validate remote reads; learn current sequence numbers for
         // remote writes.
@@ -287,9 +358,7 @@ impl TxnCtx<'_> {
                 return Err(e);
             }
         };
-        self.probe("C.2")?;
-        let (validate_ns, validate_wait) = lap(self.w);
-        phase_span(Phase::Validate.name(), validate_ns);
+        self.stage_done(pc, validate)?;
 
         // Fencing: a transaction must not span a reconfiguration (§5.2).
         // A machine removed from the configuration (falsely suspected,
@@ -304,11 +373,15 @@ impl TxnCtx<'_> {
             return Err(TxnError::Aborted(AbortReason::Validation));
         }
 
-        // C.3 + C.4: validate local reads and apply local writes inside
-        // one HTM region.
+        // C.3 + C.4: validate local reads and apply local writes, inside
+        // one HTM region or under the locks C.1 took.
         let replicated = cluster.opts.replicas > 1;
         let local_bump = if replicated { 1 } else { 2 };
-        let local_new_seqs = match self.htm_validate_and_apply(local_bump) {
+        let applied = match mode {
+            Mode::Htm => self.htm_validate_and_apply(local_bump),
+            Mode::Locked => Ok(self.locked_validate_and_apply(local_bump, locks.len())),
+        };
+        let local_new_seqs = match applied {
             Ok(Ok(seqs)) => seqs,
             Ok(Err(reason)) => {
                 self.unlock_all(&locks).await;
@@ -317,16 +390,16 @@ impl TxnCtx<'_> {
             Err(()) => {
                 // HTM retries exhausted: the fallback handler takes over
                 // with the remote locks already released (§6.1).
+                pc.lap(self.w, apply.phase);
                 self.unlock_all(&locks).await;
-                return self.commit_fallback().await;
+                pc.lap(self.w, unlock.phase);
+                return Ok(false);
             }
         };
         // A crash here leaves local writes applied but unlogged: odd
         // sequence numbers under replication — never reported committed,
         // and recovery rolls them back.
-        self.probe("C.4")?;
-        let (htm_ns, htm_wait) = lap(self.w);
-        phase_span(Phase::Htm.name(), htm_ns);
+        self.stage_done(pc, apply)?;
 
         // R.1: redo records to every written record's backups. The
         // append is fenced: if a recovery pass committed a new
@@ -338,29 +411,24 @@ impl TxnCtx<'_> {
         if replicated {
             let entries = self.log_entries(&local_new_seqs, &remote_new_seqs, local_bump);
             if !self.append_logs(entries).await {
-                self.rollback_local_writes(false).await;
+                self.rollback_local_writes(mode == Mode::Locked).await;
                 self.unlock_all(&locks).await;
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
         // A crash here leaves the logs durable on the backups but the
         // local primaries still odd: recovery rolls them *forward*.
-        self.probe("R.1")?;
-        let (log_ns, log_wait) = lap(self.w);
-        phase_span(Phase::Log.name(), log_ns);
+        self.stage_done(pc, log)?;
 
         // R.2: makeup — flip local primaries to even (committable).
         if replicated {
             let store = &cluster.stores[self.w.node];
-            for (i, &new_seq) in local_new_seqs.iter().enumerate() {
-                let e = &self.l_ws[i];
+            for (e, &new_seq) in self.l_ws.iter().zip(&local_new_seqs) {
                 store.record(e.table, e.rec_off).set_seq(new_seq + 1);
                 self.w.clock.advance(cluster.opts.cost.mem_access_ns);
             }
         }
-        self.probe("R.2")?;
-        let (makeup_ns, makeup_wait) = lap(self.w);
-        phase_span(Phase::Makeup.name(), makeup_ns);
+        self.stage_done(pc, makeup)?;
 
         // C.5: write remote primaries. A machine that died mid-step stops
         // issuing WRITEs: its redo entries are durable, so the recovery
@@ -368,8 +436,7 @@ impl TxnCtx<'_> {
         // late write could stomp a *newer* value committed after the
         // sweep healed and released the record.
         self.remote_update(&remote_new_seqs).await?;
-        let (remote_write_ns, remote_write_wait) = lap(self.w);
-        phase_span(Phase::Update.name(), remote_write_ns);
+        pc.lap(self.w, update.phase);
 
         // Inserts and deletes become visible only now, after validation
         // and logging.
@@ -378,33 +445,11 @@ impl TxnCtx<'_> {
         // The transaction reports committed here; C.6 happens after. A
         // crash at C.5 is therefore a *committed* transaction whose
         // locks dangle until a survivor releases them passively.
-        self.probe("C.5")?;
+        self.probe(update.probe)?;
 
         self.unlock_all(&locks).await;
-        self.probe("C.6")?;
-        let (unlock_ns, unlock_wait) = lap(self.w);
-        phase_span(Phase::Unlock.name(), unlock_ns);
-
-        // Phase spans of this committed transaction, into the worker's
-        // metrics shard (scrape-time aggregation across workers).
-        let obs = &self.w.obs;
-        obs.note_phase(Phase::Execute, exec_ns);
-        obs.note_phase(Phase::Lock, lock_ns);
-        obs.note_phase(Phase::Validate, validate_ns);
-        obs.note_phase(Phase::Htm, htm_ns);
-        obs.note_phase(Phase::Log, log_ns);
-        obs.note_phase(Phase::Makeup, makeup_ns);
-        obs.note_phase(Phase::Update, remote_write_ns);
-        obs.note_phase(Phase::Unlock, unlock_ns);
-        obs.note_phase_wait(Phase::Execute, exec_wait);
-        obs.note_phase_wait(Phase::Lock, lock_wait);
-        obs.note_phase_wait(Phase::Validate, validate_wait);
-        obs.note_phase_wait(Phase::Htm, htm_wait);
-        obs.note_phase_wait(Phase::Log, log_wait);
-        obs.note_phase_wait(Phase::Makeup, makeup_wait);
-        obs.note_phase_wait(Phase::Update, remote_write_wait);
-        obs.note_phase_wait(Phase::Unlock, unlock_wait);
-        Ok(())
+        self.stage_done(pc, unlock)?;
+        Ok(true)
     }
 
     /// One blocking lock-word CAS: a one-sided verb (a batch of one) by
@@ -471,14 +516,21 @@ impl TxnCtx<'_> {
             .collect()
     }
 
-    /// The remote lock set: read ∪ write addresses, sorted and deduped.
-    fn remote_lock_addrs(&self) -> Vec<LockAddr> {
+    /// C.1's lock set, sorted and deduped: the remote read ∪ write
+    /// addresses, plus — in [`Mode::Locked`] — every local record the
+    /// transaction touched.
+    fn lock_addrs(&self, mode: Mode) -> Vec<LockAddr> {
+        let me = self.w.node;
         let mut v: Vec<LockAddr> = self
             .r_rs
             .iter()
             .map(|e| (e.node, e.rec_off))
             .chain(self.r_ws.iter().map(|e| (e.node, e.rec_off)))
             .collect();
+        if mode == Mode::Locked {
+            v.extend(self.l_rs.iter().map(|e| (me, e.rec_off)));
+            v.extend(self.l_ws.iter().map(|e| (me, e.rec_off)));
+        }
         v.sort_unstable();
         v.dedup();
         v
@@ -524,28 +576,23 @@ impl TxnCtx<'_> {
         if !self.w.cluster.opts.contention_active() {
             return;
         }
-        let (node, rec_off) = addr;
-        let id = self
+        // Remote sets first; a [`Mode::Locked`] lock set and the HTM
+        // region's held-lock check name local write-set records too.
+        let me = self.w.node;
+        let remote_r = self
             .r_rs
             .iter()
-            .find(|e| e.node == node && e.rec_off == rec_off)
-            .map(|e| (e.table, e.key))
-            .or_else(|| {
-                self.r_ws
-                    .iter()
-                    .find(|e| e.node == node && e.rec_off == rec_off)
-                    .map(|e| (e.table, e.key))
-            })
-            .or_else(|| {
-                // Fallback-path addresses cover local records too.
-                if node != self.w.node {
-                    return None;
-                }
-                self.l_ws
-                    .iter()
-                    .find(|e| e.rec_off == rec_off)
-                    .map(|e| (e.table, e.key))
-            });
+            .map(|e| ((e.node, e.rec_off), (e.table, e.key)));
+        let remote_w = self
+            .r_ws
+            .iter()
+            .map(|e| ((e.node, e.rec_off), (e.table, e.key)));
+        let local_w = self
+            .l_ws
+            .iter()
+            .map(|e| ((me, e.rec_off), (e.table, e.key)));
+        let mut sites = remote_r.chain(remote_w).chain(local_w);
+        let id = sites.find_map(|(a, id)| (a == addr).then_some(id));
         if let Some((table, key)) = id {
             self.w.last_conflict = Some(ConflictSite {
                 table,
@@ -564,19 +611,17 @@ impl TxnCtx<'_> {
     /// busy words are spun on under a [`SpinBudget`] (rung 2) instead of
     /// failing on first sight.
     ///
-    /// On failure returns the locks actually acquired (a group can win
+    /// On failure releases the locks actually acquired (a group can win
     /// later CASes after an earlier one lost, so this is not always a
-    /// prefix of `addrs`) plus the error to surface; the caller releases
-    /// them.
-    async fn lock_all(
-        &mut self,
-        addrs: &[LockAddr],
-        wait: bool,
-    ) -> Result<(), (Vec<LockAddr>, TxnError)> {
+    /// prefix of `addrs`) and returns the error to surface. On `Crashed`
+    /// the machine died mid-acquisition and that release is a no-op:
+    /// whatever it already locked dangles for the recovery sweep.
+    async fn lock_all(&mut self, addrs: &[LockAddr], wait: bool) -> Result<(), TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let me = lock_word(self.w.node);
         let members = cluster.config.get();
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
+        let mut failed: Option<TxnError> = None;
         for group in addrs.chunk_by(|a, b| a.0 == b.0) {
             let node = group[0].0;
             // Fencing, once per destination (the point verbs are
@@ -585,19 +630,20 @@ impl TxnCtx<'_> {
             // has been (or is being) recovered elsewhere — and a dead
             // machine issues no verbs.
             if !members.contains(node) {
-                return Err((acquired, self.lock_fail_err()));
+                failed = Some(self.lock_fail_err());
+                break;
             }
             if !cluster.is_alive(self.w.node) {
-                return Err((acquired, TxnError::Crashed));
+                failed = Some(TxnError::Crashed);
+                break;
             }
             let results = self.remote_cas_batch(group, LOCK_FREE, me, true).await;
-            let mut failed: Option<TxnError> = None;
             for (res, &(_, rec_off)) in results.iter().zip(group) {
                 match res {
                     Ok(Ok(_)) => acquired.push((node, rec_off)),
                     Ok(Err(_)) => {
                         // Already failing: don't fight for further locks
-                        // the caller would immediately release.
+                        // that would immediately be released.
                         if failed.is_some() {
                             continue;
                         }
@@ -618,11 +664,15 @@ impl TxnCtx<'_> {
                     }
                 }
             }
-            if let Some(err) = failed {
-                return Err((acquired, err));
+            if failed.is_some() {
+                break;
             }
         }
-        Ok(())
+        let Some(err) = failed else {
+            return Ok(());
+        };
+        self.unlock_all(&acquired).await;
+        Err(err)
     }
 
     /// Acquires one lock with blocking CAS, retrying through the §5.2
@@ -741,13 +791,11 @@ impl TxnCtx<'_> {
             // Every line image destined for this node, in the per-record
             // reverse-line order version matching depends on.
             let mut wrs: Vec<(usize, Vec<u8>)> = Vec::new();
-            for i in 0..self.r_ws.len() {
-                let e = &self.r_ws[i];
-                if e.node != node {
-                    continue;
+            for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
+                if e.node == node {
+                    let layout = cluster.stores[me].table(e.table).layout;
+                    wrs.extend(locked_write_wrs(e.rec_off, layout, &e.buf, seq));
                 }
-                let layout = cluster.stores[me].table(e.table).layout;
-                wrs.extend(locked_write_wrs(e.rec_off, layout, &e.buf, new_seqs[i]));
             }
             let wcs = {
                 let w = &mut *self.w;
@@ -783,60 +831,42 @@ impl TxnCtx<'_> {
     /// value and (even) sequence number it just installed, instead of
     /// paying an invalidate-then-refetch cycle on its next read.
     fn write_through_cache(&mut self, new_seqs: &[u64]) {
-        for i in 0..self.r_ws.len() {
-            let (node, table, key) = {
-                let e = &self.r_ws[i];
-                (e.node, e.table, e.key)
-            };
-            if !self.value_cacheable(table) {
-                continue;
+        for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
+            if self.value_cacheable(e.table) {
+                self.w.value_caches[e.node].refresh(e.table, e.key, &e.buf, seq);
             }
-            self.w.value_caches[node].refresh(table, key, &self.r_ws[i].buf, new_seqs[i]);
         }
     }
 
-    /// Reads the header (lock, incarnation, seq — [`HEADER_BYTES`] at the
-    /// record base, a partial cache line) of one remote record with a
-    /// blocking READ (a batch of one). Under the GLOB-fusion ablation
-    /// this models the result the fused CAS already carried, so no verb
-    /// is charged; under the messaging ablation the lock service
-    /// answers a validation peek with its own round trip.
-    fn remote_header(&mut self, node: NodeId, rec_off: usize) -> RecordHeader {
-        let cluster = Arc::clone(&self.w.cluster);
-        let w = &mut *self.w;
-        if cluster.opts.msg_locking {
-            cluster
-                .fabric
-                .charge_message(&mut w.clock, w.node, node, 24);
-            cluster
-                .fabric
-                .charge_message(&mut w.clock, node, w.node, 24);
-            cluster.stores[node].region.faa64(CONTROL_LINE_OFF, 1);
-        } else if !cluster.opts.fuse_lock_validate {
-            return remote_read_header(&w.qps[node], &mut w.clock, rec_off);
-        }
-        let region = &cluster.stores[node].region;
-        RecordHeader {
-            lock: region.load64(rec_off + LOCK_OFF),
-            incarnation: region.load64(rec_off + INCARNATION_OFF),
-            seq: region.load64(rec_off + SEQ_OFF),
-        }
-    }
-
-    /// The header reads of one destination, in `offs` order. One-sided,
-    /// they are [`HEADER_BYTES`]-byte READs behind a single doorbell; a
+    /// The header reads (lock, incarnation, seq — [`HEADER_BYTES`] at the
+    /// record base, a partial cache line) of one destination, in `offs`
+    /// order. One-sided, they are READs behind a single doorbell; a
     /// dropped completion is retransmitted through the blocking wrapper
     /// (header reads are idempotent). The ablations have no READ to
-    /// batch: each header comes from [`Self::remote_header`].
+    /// batch: GLOB fusion models the result the fused CAS already
+    /// carried, so no verb is charged, and under messaging the lock
+    /// service answers each validation peek with its own round trip.
     async fn remote_headers(&mut self, node: NodeId, offs: &[usize]) -> Vec<RecordHeader> {
-        let opts = &self.w.cluster.opts;
-        if opts.fuse_lock_validate || opts.msg_locking {
-            return offs
-                .iter()
-                .map(|&off| self.remote_header(node, off))
-                .collect();
-        }
+        let cluster = Arc::clone(&self.w.cluster);
         let w = &mut *self.w;
+        if cluster.opts.fuse_lock_validate || cluster.opts.msg_locking {
+            let region = &cluster.stores[node].region;
+            let mut hdrs = Vec::with_capacity(offs.len());
+            for &off in offs {
+                if cluster.opts.msg_locking {
+                    let fabric = &cluster.fabric;
+                    fabric.charge_message(&mut w.clock, w.node, node, 24);
+                    fabric.charge_message(&mut w.clock, node, w.node, 24);
+                    region.faa64(CONTROL_LINE_OFF, 1);
+                }
+                hdrs.push(RecordHeader {
+                    lock: region.load64(off + LOCK_OFF),
+                    incarnation: region.load64(off + INCARNATION_OFF),
+                    seq: region.load64(off + SEQ_OFF),
+                });
+            }
+            return hdrs;
+        }
         for &raddr in offs {
             w.qps[node].post(WorkRequest::Read {
                 raddr,
@@ -881,14 +911,7 @@ impl TxnCtx<'_> {
                 }
             }
         }
-        let mut hdrs = vec![
-            RecordHeader {
-                lock: 0,
-                incarnation: 0,
-                seq: 0,
-            };
-            uniq.len()
-        ];
+        let mut hdrs = vec![RecordHeader::default(); uniq.len()];
         let mut nodes: Vec<NodeId> = uniq.iter().map(|a| a.0).collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -943,21 +966,17 @@ impl TxnCtx<'_> {
             .collect();
         let hdrs = self.read_headers(&addrs).await?;
         for i in 0..self.r_rs.len() {
-            let (seen_seq, seen_inc) = {
-                let e = &self.r_rs[i];
-                (e.seq, e.incarnation)
+            let (e, h) = (&self.r_rs[i], hdrs[i]);
+            let reason = if h.incarnation != e.incarnation {
+                AbortReason::Incarnation
+            } else if !read_validates(e.seq, h.seq) {
+                AbortReason::Validation
+            } else {
+                continue;
             };
-            let h = hdrs[i];
-            if h.incarnation != seen_inc {
-                self.invalidate_cached_read(i);
-                self.note_conflict(addrs[i], false);
-                return Err(TxnError::Aborted(AbortReason::Incarnation));
-            }
-            if !read_validates(seen_seq, h.seq) {
-                self.invalidate_cached_read(i);
-                self.note_conflict(addrs[i], false);
-                return Err(TxnError::Aborted(AbortReason::Validation));
-            }
+            self.invalidate_cached_read(i);
+            self.note_conflict(addrs[i], false);
+            return Err(TxnError::Aborted(reason));
         }
         let mut new_seqs = Vec::with_capacity(self.r_ws.len());
         for i in 0..self.r_ws.len() {
@@ -1078,6 +1097,47 @@ impl TxnCtx<'_> {
                 Err(())
             }
         }
+    }
+
+    /// C.3 + C.4 under the locks of [`Mode::Locked`]: this transaction
+    /// holds the lock word of every local record it touched, which
+    /// every local HTM path checks, so plain loads and stores get the
+    /// isolation the HTM region would provide. Same contract as
+    /// [`Self::htm_validate_and_apply`], minus giving up; `locked` is
+    /// the size of the lock set the handler's CPU cost scales with.
+    fn locked_validate_and_apply(
+        &mut self,
+        bump: u64,
+        locked: usize,
+    ) -> Result<Vec<u64>, AbortReason> {
+        let cluster = Arc::clone(&self.w.cluster);
+        let store = &cluster.stores[self.w.node];
+        for e in &self.l_rs {
+            let inc = store.region.load64(e.rec_off + INCARNATION_OFF);
+            let seq = store.region.load64(e.rec_off + SEQ_OFF);
+            if inc != e.incarnation {
+                return Err(AbortReason::Incarnation);
+            }
+            if !read_validates(e.seq, seq) {
+                return Err(AbortReason::Validation);
+            }
+        }
+        let mut new_seqs = Vec::with_capacity(self.l_ws.len());
+        for e in &self.l_ws {
+            let seq = store.region.load64(e.rec_off + SEQ_OFF);
+            if !write_validates(seq) {
+                return Err(AbortReason::Validation);
+            }
+            new_seqs.push(seq + bump);
+        }
+        for (e, &seq) in self.l_ws.iter().zip(&new_seqs) {
+            store.record(e.table, e.rec_off).write_locked(&e.buf, seq);
+        }
+        let cost = &cluster.opts.cost;
+        self.w.clock.advance(
+            cost.local_cas_ns * locked as u64 + cost.mem_access_ns * self.l_ws.len() as u64,
+        );
+        Ok(new_seqs)
     }
 
     /// Builds the redo records for every write (local, remote, and
@@ -1238,9 +1298,9 @@ impl TxnCtx<'_> {
     /// later transaction re-commits the record at exactly the sequence
     /// number that reader expects (an ABA on sequence numbers).
     ///
-    /// `already_locked` is set on the fallback path, which holds every
+    /// `already_locked` is set in [`Mode::Locked`], which holds every
     /// local record's lock from its global lock acquisition; the HTM
-    /// path must take each lock here (any current holder is
+    /// walk must take each lock here (any current holder is
     /// mid-validation and will abort on the odd sequence number; a
     /// non-member holder died without logging this record — its lock is
     /// stolen).
@@ -1304,9 +1364,7 @@ impl TxnCtx<'_> {
                 store.region.store64_coherent(rec_off, LOCK_FREE);
                 // Local release: grant a parked waiter of this record,
                 // like C.6 does for the commit-path unlock.
-                if cluster.opts.contention_active() && cluster.waiters.grant((me, rec_off)) {
-                    self.w.obs.note_key_grant();
-                }
+                self.grant_waiters(&[(me, rec_off)]);
             }
             self.w.clock.advance(cluster.opts.cost.mem_access_ns);
         }
@@ -1343,159 +1401,5 @@ impl TxnCtx<'_> {
             }
             self.w.clock.advance(cluster.opts.cost.record_logic_ns);
         }
-    }
-
-    /// The fallback handler (§6.1): locks *all* records — local ones via
-    /// loopback RDMA CAS (§6.2) — in global order, validates, applies,
-    /// replicates, and unlocks.
-    async fn commit_fallback(&mut self) -> Result<(), TxnError> {
-        self.w.stats.fallbacks += 1;
-        self.w.obs.note_fallback();
-        let cluster = Arc::clone(&self.w.cluster);
-        let me = self.w.node;
-
-        // Every record this transaction touched, in global order.
-        let mut addrs: Vec<LockAddr> = self
-            .l_rs
-            .iter()
-            .map(|e| (me, e.rec_off))
-            .chain(self.l_ws.iter().map(|e| (me, e.rec_off)))
-            .chain(self.r_rs.iter().map(|e| (e.node, e.rec_off)))
-            .chain(self.r_ws.iter().map(|e| (e.node, e.rec_off)))
-            .collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-
-        let wait_mode = self.pessimistic_c1();
-        if let Err((held, err)) = self.lock_all(&addrs, wait_mode).await {
-            self.unlock_all(&held).await;
-            return Err(err);
-        }
-        self.probe("C.1")?;
-
-        // Same fence as the HTM path: a transaction must not span a
-        // reconfiguration.
-        if cluster.config.epoch() != self.start_epoch {
-            self.unlock_all(&addrs).await;
-            return Err(TxnError::Aborted(AbortReason::Validation));
-        }
-
-        // Validate everything under the locks.
-        let mut ok = true;
-        let mut reason = AbortReason::Validation;
-        for i in 0..self.l_rs.len() {
-            let (rec_off, seen_seq, seen_inc) = {
-                let e = &self.l_rs[i];
-                (e.rec_off, e.seq, e.incarnation)
-            };
-            let region = &cluster.stores[me].region;
-            let inc = region.load64(rec_off + INCARNATION_OFF);
-            let seq = region.load64(rec_off + SEQ_OFF);
-            if inc != seen_inc || !read_validates(seen_seq, seq) {
-                ok = false;
-                if inc != seen_inc {
-                    reason = AbortReason::Incarnation;
-                }
-                break;
-            }
-        }
-        let mut r_new_seqs = Vec::with_capacity(self.r_ws.len());
-        let mut l_new_seqs = Vec::with_capacity(self.l_ws.len());
-        if ok {
-            for i in 0..self.r_rs.len() {
-                let (node, rec_off, seen_seq, seen_inc) = {
-                    let e = &self.r_rs[i];
-                    (e.node, e.rec_off, e.seq, e.incarnation)
-                };
-                let h = self.remote_header(node, rec_off);
-                if h.incarnation != seen_inc || !read_validates(seen_seq, h.seq) {
-                    self.invalidate_cached_read(i);
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        let replicated = cluster.opts.replicas > 1;
-        let bump = if replicated { 1 } else { 2 };
-        if ok {
-            for i in 0..self.l_ws.len() {
-                let rec_off = self.l_ws[i].rec_off;
-                let seq = cluster.stores[me].region.load64(rec_off + SEQ_OFF);
-                if !write_validates(seq) {
-                    ok = false;
-                    break;
-                }
-                l_new_seqs.push(seq + bump);
-            }
-        }
-        if ok {
-            for i in 0..self.r_ws.len() {
-                let (node, rec_off) = {
-                    let e = &self.r_ws[i];
-                    (e.node, e.rec_off)
-                };
-                let seq = self.remote_header(node, rec_off).seq;
-                if !write_validates(seq) {
-                    ok = false;
-                    break;
-                }
-                r_new_seqs.push(seq + 2);
-            }
-        }
-        if !ok {
-            self.unlock_all(&addrs).await;
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // Apply local writes directly (the lock word, which every local
-        // HTM path checks, provides the isolation the HTM region would).
-        for i in 0..self.l_ws.len() {
-            let e = &self.l_ws[i];
-            let rec = cluster.stores[me].record(e.table, e.rec_off);
-            rec.write_locked(&e.buf, l_new_seqs[i]);
-        }
-        self.w.clock.advance(
-            cluster.opts.cost.local_cas_ns * addrs.len() as u64
-                + cluster.opts.cost.mem_access_ns * self.l_ws.len() as u64,
-        );
-        self.probe("C.4")?;
-
-        if replicated {
-            let entries = self.log_entries(&l_new_seqs, &r_new_seqs, bump);
-            if !self.append_logs(entries).await {
-                // Fenced append (see `commit_rw`): nothing was logged;
-                // the locks held here cover every local record, so the
-                // rollback needs no lock dance.
-                self.rollback_local_writes(true).await;
-                self.unlock_all(&addrs).await;
-                return Err(TxnError::Aborted(AbortReason::Validation));
-            }
-            self.probe("R.1")?;
-            for i in 0..self.l_ws.len() {
-                let e = &self.l_ws[i];
-                cluster.stores[me]
-                    .record(e.table, e.rec_off)
-                    .set_seq(l_new_seqs[i] + 1);
-            }
-            self.probe("R.2")?;
-        }
-
-        // C.5 with the same death gate as the HTM path.
-        self.remote_update(&r_new_seqs).await?;
-
-        self.apply_mutations();
-        self.probe("C.5")?;
-        self.unlock_all(&addrs).await;
-        self.probe("C.6")?;
-        Ok(())
-    }
-
-    /// Re-reads a remote record for diagnostics and tests (consistent
-    /// snapshot outside any transaction).
-    pub fn peek_remote(&mut self, node: NodeId, table: TableId, rec_off: usize) -> Option<Vec<u8>> {
-        let cluster = Arc::clone(&self.w.cluster);
-        let layout = cluster.stores[self.w.node].table(table).layout;
-        let w = &mut *self.w;
-        remote_read_consistent(&w.qps[node], &mut w.clock, rec_off, layout, 8).map(|r| r.value)
     }
 }

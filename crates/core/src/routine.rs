@@ -1,5 +1,5 @@
 //! The routine reactor: thread-free cooperative transactions
-//! (DESIGN.md §14, superseding the §11 baton scheduler).
+//! (DESIGN.md §11; §14 for shared doorbells and serving pools).
 //!
 //! A real DrTM+R worker thread hides one-sided verb latency by
 //! multiplexing several in-flight transactions: when one transaction
@@ -957,7 +957,7 @@ impl<T> Future for NextJobFut<'_, T> {
 }
 
 /// A pool of cooperative transaction routines multiplexed over one
-/// simulated core by a reactor on the *calling* thread (DESIGN.md §14).
+/// simulated core by a reactor on the *calling* thread (DESIGN.md §11).
 ///
 /// [`RoutinePool::run`] drives `workers.len()` routines — each a
 /// polled future owning one of the given [`Worker`]s — through `job`,

@@ -363,8 +363,66 @@ fn fallback_commits_when_htm_always_fails() {
         .unwrap();
     }
     assert_eq!(w.stats.fallbacks, 5);
+    // A fallback commit is accounted like any other: every phase
+    // histogram has one entry per commit, and the phases — abandoned
+    // HTM attempt included — sum to the recorded latency. (Scraped
+    // before the read-only check below: those record no phases.)
+    let snap = c.obs.scrape();
+    for (name, h) in &snap.phases {
+        assert_eq!(h.count, 5, "phase {name}");
+    }
+    let phase_sum: u64 = snap.phases.iter().map(|(_, h)| h.sum).sum();
+    assert_eq!(phase_sum, snap.latency.sum);
     let v = w.run_ro(|t| t.read(0, T_ACCT, key(0, 0))).unwrap();
     assert_eq!(num(&v), 15);
+}
+
+/// Records every crash-point probe the cluster fires; kills nobody.
+struct ProbeLog(std::sync::Mutex<Vec<&'static str>>);
+
+impl crate::CrashPointHook for ProbeLog {
+    fn on_point(&self, _node: drtm_rdma::NodeId, point: &'static str) -> bool {
+        self.0.lock().unwrap().push(point);
+        false
+    }
+}
+
+/// The fallback handler is the commit walk in another mode, not another
+/// walk: after the abandoned HTM attempt's C.1 and C.2 it passes the
+/// same seven probes, in the same order, as an HTM commit — replicated
+/// or not.
+#[test]
+fn fallback_fires_the_same_seven_probes_as_an_htm_commit() {
+    let seven = ["C.1", "C.2", "C.4", "R.1", "R.2", "C.5", "C.6"];
+    for (replicas, htm_fails) in [(1, false), (1, true), (3, false), (3, true)] {
+        let opts = EngineOpts::builder()
+            .replicas(replicas)
+            .region_size(4 << 20)
+            .htm(drtm_htm::HtmConfig {
+                spurious_abort_prob: if htm_fails { 1.0 } else { 0.0 },
+                max_retries: 2,
+                ..Default::default()
+            })
+            .build();
+        let c = DrtmCluster::new(3, &schema(), opts);
+        for shard in 0..2 {
+            c.seed_record(shard, T_ACCT, key(shard, 0), &val(10));
+        }
+        let log = Arc::new(ProbeLog(Default::default()));
+        c.set_crash_hook(log.clone());
+        let mut w = c.worker(0, 1);
+        w.run(|t| {
+            let v = num(&t.read(1, T_ACCT, key(1, 0))?);
+            t.write(0, T_ACCT, key(0, 0), val(v + 1))?;
+            t.write(1, T_ACCT, key(1, 0), val(v - 1))
+        })
+        .unwrap();
+        assert_eq!(w.stats.fallbacks, u64::from(htm_fails));
+        let abandoned = if htm_fails { 2 } else { 0 };
+        let seen = log.0.lock().unwrap();
+        assert_eq!(seen[..abandoned], seven[..abandoned], "replicas {replicas}");
+        assert_eq!(seen[abandoned..], seven, "replicas {replicas}");
+    }
 }
 
 #[test]

@@ -748,7 +748,7 @@ impl<'w> TxnCtx<'w> {
                         // The real yield lets the (possibly descheduled)
                         // lock holder run on an oversubscribed host; the
                         // spin-park poll happens only after the region is
-                        // dropped — HTM never spans a reactor yield (§14).
+                        // dropped — HTM never spans a reactor yield (§11).
                         drop(htm);
                         let ns = self.w.rng.below(2_000);
                         self.charge(ns);

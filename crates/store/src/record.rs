@@ -300,7 +300,7 @@ impl<'a> RecordRef<'a> {
 /// The header words of a record as observed by a one-sided READ of
 /// [`HEADER_BYTES`] at the record base (the C.2 validation wire format
 /// for value-cached records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordHeader {
     /// Lock word as observed (read-only validation rejects a locked
     /// record; read-write validation ignores the lock — the validator

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use drtm::core::cluster::{DrtmCluster, EngineOpts};
 use drtm::core::txn::TxnError;
+use drtm::htm::HtmConfig;
 use drtm::store::record::SEQ_OFF;
 use drtm::store::TableSpec;
 
@@ -20,10 +21,16 @@ fn num(v: &[u8]) -> u64 {
     u64::from_le_bytes(v[..8].try_into().unwrap())
 }
 
-fn build() -> Arc<DrtmCluster> {
+/// A 3-node, 3-replica cluster. With `htm_fails` every HTM region
+/// aborts, so each read-write commit takes the fallback handler (§6.1).
+fn build(htm_fails: bool) -> Arc<DrtmCluster> {
     let opts = EngineOpts::builder()
         .replicas(3)
         .region_size(2 << 20)
+        .htm(HtmConfig {
+            spurious_abort_prob: if htm_fails { 1.0 } else { 0.0 },
+            ..Default::default()
+        })
         .build();
     let c = DrtmCluster::new(3, &[TableSpec::hash(T, 1024, 16)], opts);
     for shard in 0..3 {
@@ -38,17 +45,20 @@ fn build() -> Arc<DrtmCluster> {
 /// flight, for local, remote, and fallback commit paths.
 #[test]
 fn quiescent_sequence_numbers_are_even() {
-    let c = build();
-    let mut w = c.worker(0, 1);
-    // Local write.
-    w.run(|t| t.write(0, T, 1, val(1))).unwrap();
-    // Remote write.
-    w.run(|t| t.write(1, T, 1 << 32 | 1, val(2))).unwrap();
-    for (node, key) in [(0usize, 1u64), (1, 1 << 32 | 1)] {
-        let off = c.stores[node].get_loc(T, key).unwrap() as usize;
-        let seq = c.stores[node].region.load64(off + SEQ_OFF);
-        assert_eq!(seq % 2, 0, "node {node} seq {seq}");
-        assert!(seq >= 4, "sequence advanced");
+    for htm_fails in [false, true] {
+        let c = build(htm_fails);
+        let mut w = c.worker(0, 1);
+        // Local write.
+        w.run(|t| t.write(0, T, 1, val(1))).unwrap();
+        // Remote write.
+        w.run(|t| t.write(1, T, 1 << 32 | 1, val(2))).unwrap();
+        assert_eq!(w.stats.fallbacks, if htm_fails { 2 } else { 0 });
+        for (node, key) in [(0usize, 1u64), (1, 1 << 32 | 1)] {
+            let off = c.stores[node].get_loc(T, key).unwrap() as usize;
+            let seq = c.stores[node].region.load64(off + SEQ_OFF);
+            assert_eq!(seq % 2, 0, "node {node} seq {seq}");
+            assert!(seq >= 4, "sequence advanced");
+        }
     }
 }
 
@@ -56,29 +66,32 @@ fn quiescent_sequence_numbers_are_even() {
 /// its record's primary — including remote writes and inserts.
 #[test]
 fn all_writes_reach_all_backups() {
-    let c = build();
-    let mut w = c.worker(0, 1);
-    w.run(|t| {
-        t.write(0, T, 0, val(7))?; // Local record: primary 0.
-        t.write(2, T, 2 << 32, val(8))?; // Remote record: primary 2.
-        t.insert(1, T, (1 << 32) | 99, val(9)); // Insert on primary 1.
-        Ok(())
-    })
-    .unwrap();
-    // Backups of 0 are {1, 2}; of 2 are {0, 1}; of 1 are {2, 0}.
-    assert_eq!(c.logs.len(1, 0), 1);
-    assert_eq!(c.logs.len(2, 0), 1);
-    assert_eq!(c.logs.len(0, 2), 1);
-    assert_eq!(c.logs.len(1, 2), 1);
-    assert_eq!(c.logs.len(2, 1), 1);
-    assert_eq!(c.logs.len(0, 1), 1);
+    for htm_fails in [false, true] {
+        let c = build(htm_fails);
+        let mut w = c.worker(0, 1);
+        w.run(|t| {
+            t.write(0, T, 0, val(7))?; // Local record: primary 0.
+            t.write(2, T, 2 << 32, val(8))?; // Remote record: primary 2.
+            t.insert(1, T, (1 << 32) | 99, val(9)); // Insert on primary 1.
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(w.stats.fallbacks, u64::from(htm_fails));
+        // Backups of 0 are {1, 2}; of 2 are {0, 1}; of 1 are {2, 0}.
+        assert_eq!(c.logs.len(1, 0), 1);
+        assert_eq!(c.logs.len(2, 0), 1);
+        assert_eq!(c.logs.len(0, 2), 1);
+        assert_eq!(c.logs.len(1, 2), 1);
+        assert_eq!(c.logs.len(2, 1), 1);
+        assert_eq!(c.logs.len(0, 1), 1);
+    }
 }
 
 /// Auxiliary truncation keeps the logs bounded while preserving the
 /// backup images' contents.
 #[test]
 fn truncation_preserves_backup_contents() {
-    let c = build();
+    let c = build(false);
     let mut w = c.worker(0, 1);
     for i in 0..10u64 {
         w.run(|t| t.write(0, T, 2, val(i))).unwrap();
@@ -99,7 +112,7 @@ fn truncation_preserves_backup_contents() {
 /// only commit after the writer's makeup step.
 #[test]
 fn odd_version_gates_concurrent_committers() {
-    let c = build();
+    let c = build(false);
     let off = c.stores[0].get_loc(T, 3).unwrap() as usize;
     let rec = c.stores[0].record(T, off);
 

@@ -2,10 +2,11 @@
 //!
 //! The reactor in `drtm-core::routine` polls transaction futures by
 //! hand; the yield points those futures contain only ever suspend when
-//! the owning worker is registered with a routine pool. Outside a pool
-//! (the legacy blocking path, unit tests, baseline engines) the same
-//! async code completes without suspending, so a synchronous caller can
-//! drive it with a single poll. [`block_now`] is that single poll: it
+//! the owning worker runs in a routine pool of two or more. Outside a
+//! pool a worker waits on its own reactor of one, which resolves every
+//! wait inside the yield point (and the baseline engines have no yield
+//! points at all), so a synchronous caller can drive the same async
+//! code with a single poll. [`block_now`] is that single poll: it
 //! panics if the future dares to return `Pending`, which turns "a
 //! blocking caller reached a real suspension point" from a silent hang
 //! into a loud bug.
@@ -17,16 +18,17 @@ use std::task::{Context, Poll, Waker};
 /// Drives `fut` to completion with exactly one poll.
 ///
 /// This is the synchronous facade over the engine's async primitives:
-/// when no routine scheduler is attached, every yield point completes
-/// immediately (the wait is folded into the virtual clock instead), so
-/// one poll finishes the whole future.
+/// on a worker outside any routine pool every yield point completes
+/// immediately (its reactor of one folds the wait into the virtual
+/// clock on the spot), so one poll finishes the whole future.
 ///
 /// # Panics
 ///
 /// Panics if the future returns `Poll::Pending` — that means a real
-/// suspension point was reached from a context with no reactor to
-/// resume it, which is a programming error (a routine-pool body ran
-/// outside its pool).
+/// suspension point was reached from a context with no drive loop to
+/// resume it, which is a programming error (a synchronous facade was
+/// called inside a routine pool, or the future awaited something that
+/// is not an engine yield point).
 pub fn block_now<F: Future>(fut: F) -> F::Output {
     let mut fut = pin!(fut);
     let mut cx = Context::from_waker(Waker::noop());
@@ -34,7 +36,7 @@ pub fn block_now<F: Future>(fut: F) -> F::Output {
         Poll::Ready(out) => out,
         Poll::Pending => panic!(
             "block_now: future suspended with no reactor attached \
-             (a routine yield point was reached outside a routine pool)"
+             (a sync facade inside a routine pool, or a foreign future)"
         ),
     }
 }

@@ -50,11 +50,11 @@ pub struct ChaosRunCfg {
     /// crash before giving up.
     pub await_recoveries: Duration,
     /// In-flight transaction routines per worker thread (DESIGN.md
-    /// §11). With `routines > 1` each worker multiplexes `R` routines
-    /// through a `RoutinePool`, so injected delays wake routines out of
+    /// §11): each worker multiplexes `R` routines through a
+    /// `RoutinePool`. With `R > 1` injected delays wake routines out of
     /// posting order and crash points fire at yield boundaries while
-    /// sibling routines are mid-transaction. `1` is the legacy blocking
-    /// path.
+    /// sibling routines are mid-transaction; with `1` the pool's one
+    /// routine runs its transactions back to back.
     pub routines: usize,
     /// Contention-management policy for every table (DESIGN.md §15).
     /// Chaos cares because rung 3 parks routines on per-key wait lists
@@ -206,22 +206,21 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
                     }
                     (committed, aborted, crashed)
                 };
-                if routines == 1 {
-                    let mut w =
-                        cluster.worker(node, seed ^ (wid.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-                    let mut rng = SplitMix64::new(seed.wrapping_add(wid * 7919));
-                    // Outside a pool nothing suspends, so one poll
-                    // drives the whole share.
-                    return drtm_base::task::block_now(body(&mut w, &mut rng, txns));
-                }
+                // Seed stream of routine `rid`. A lone routine keeps
+                // the worker id itself, so `routines = 1` runs replay
+                // the seeds recorded before routines existed.
+                let stream = |rid: usize| match routines {
+                    1 => wid,
+                    _ => wid * 31 + rid as u64,
+                };
                 let pool: Vec<drtm_core::txn::Worker> = (0..routines)
                     .map(|rid| {
-                        let rw = wid * 31 + rid as u64;
+                        let rw = stream(rid);
                         cluster.worker(node, seed ^ (rw.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
                     })
                     .collect();
                 let outs = drtm_core::RoutinePool::run(pool, async |rid, w| {
-                    let rw = wid * 31 + rid as u64;
+                    let rw = stream(rid);
                     let mut rng = SplitMix64::new(seed.wrapping_add(rw * 7919));
                     let share = txns / routines + usize::from(rid < txns % routines);
                     body(w, &mut rng, share).await

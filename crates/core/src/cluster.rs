@@ -43,7 +43,6 @@ pub trait CrashPointHook: Send + Sync {
 /// let opts = EngineOpts::builder()
 ///     .replicas(3)
 ///     .region_size(8 << 20)
-///     .routines(64)
 ///     .build();
 /// assert_eq!(opts.replicas, 3);
 /// ```
@@ -91,15 +90,6 @@ pub struct EngineOpts {
     /// these tables stay correct — the seqlock validation at C.2 catches
     /// stale cached reads — they just waste cache churn.
     pub read_mostly_tables: Vec<u32>,
-    /// In-flight transaction routines multiplexed per worker thread
-    /// (§7 / DESIGN.md §11). With `1` (the default) a worker runs its
-    /// transactions serially on the literal legacy code path. With `R >
-    /// 1`, drivers run `R` cooperative routines per worker slot through
-    /// [`crate::routine::RoutinePool`]: each routine yields at every
-    /// doorbell instead of spinning on the CQ, so independent routines'
-    /// verb latencies overlap on the simulated NIC while their CPU
-    /// segments stay serialized.
-    pub routines: usize,
     /// Default contention-management policy (DESIGN.md §15): how a
     /// worker responds to repeated conflicts on one key. The default,
     /// [`ContentionPolicy::Off`], keeps the legacy randomized-backoff
@@ -127,7 +117,6 @@ impl Default for EngineOpts {
             msg_locking: false,
             value_cache: true,
             read_mostly_tables: Vec::new(),
-            routines: 1,
             contention: ContentionPolicy::Off,
             contention_tables: Vec::new(),
         }
@@ -262,13 +251,6 @@ impl EngineOptsBuilder {
     /// Tables whose records are read-mostly and worth caching locally.
     pub fn read_mostly_tables(mut self, tables: Vec<u32>) -> Self {
         self.opts.read_mostly_tables = tables;
-        self
-    }
-
-    /// In-flight transaction routines multiplexed per worker thread.
-    pub fn routines(mut self, r: usize) -> Self {
-        assert!(r >= 1, "every worker runs at least one routine");
-        self.opts.routines = r;
         self
     }
 

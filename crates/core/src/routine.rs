@@ -29,6 +29,15 @@
 //! a poll that returns `Pending` without registering a park is a bug
 //! (the routine suspended on a foreign future) and panics the pool.
 //!
+//! A reactor of **one** routine has nobody else to run, so its verb
+//! waits resolve inside the yield point's first poll: `YieldFut::poll`
+//! folds the park, flushes and dispatches — the steps the drive loop
+//! takes between polls — and returns the grant at once. That is how a
+//! [`Worker`] outside any pool waits (it carries its own one-routine
+//! reactor, see `Reactor::solo`), and why the synchronous facades
+//! (`Worker::run`, `TxnCtx::read`, …) finish in
+//! `drtm_base::task::block_now`'s single poll.
+//!
 //! # Virtual-time protocol
 //!
 //! The reactor tracks `cpu_now`, the frontier of CPU time consumed by
@@ -38,7 +47,7 @@
 //! * `cpu_release` — the instant its doorbell charge ended (the CPU is
 //!   free from here on), and
 //! * `wake` — the batch horizon (the completion time of its last WR,
-//!   read from [`drtm_rdma::Cq::batch_horizon`] by batch cookie).
+//!   read from [`drtm_rdma::Cq::cookie_horizon`] by routine cookie).
 //!
 //! The reactor folds `cpu_release` into `cpu_now`, parks the routine,
 //! and resumes the parked routine with the smallest `wake` (ties broken
@@ -48,9 +57,8 @@
 //! pool models one core — while their NIC waits overlap freely; the
 //! per-QP pipelined occupancy of the fabric remains the serialization
 //! point for the verbs themselves. With a pool of one, `resume_at`
-//! always equals `wake`, which is exactly the clock arithmetic of the
-//! legacy blocking [`drtm_rdma::Cq::poll`] — routines = 1 is
-//! byte-identical to the pre-routine engine (regression-pinned).
+//! always equals `wake`, which is exactly the clock arithmetic of a
+//! blocking [`drtm_rdma::Cq::poll`] (regression-pinned).
 //!
 //! The gap `wake - cpu_now` at resume time is CPU idleness nothing
 //! could hide; the rest of the routine's wait was overlapped with other
@@ -74,9 +82,9 @@
 //!   grant through `spin_yield`, so it stays perpetually runnable and
 //!   flush-exempt exactly like a lock spin, and the §14 quiescence
 //!   rules need no new park kind.
-//! * Routine bodies must be genuinely async: driving one with
-//!   `drtm_base::task::block_now` outside a pool panics at the first
-//!   real suspension point rather than deadlocking.
+//! * Bodies of a pool of two or more must be genuinely async: a
+//!   synchronous facade reaching a verb wait there panics in
+//!   `drtm_base::task::block_now` rather than deadlocking.
 
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
@@ -197,39 +205,115 @@ struct ReactorState {
     granted: Option<usize>,
     /// The grant for `granted`.
     grant: Grant,
-    /// Routines that have performed their initial park (startup
-    /// barrier: no dispatch until the whole pool has registered).
-    registered: usize,
+    /// Routines yet to perform their initial park (startup barrier:
+    /// no dispatch until the whole pool has registered).
+    unregistered: usize,
     /// Routines whose future has not yet completed.
     live: usize,
-}
-
-/// The per-pool reactor core. See the module docs for the protocol.
-pub(crate) struct Reactor {
-    state: Mutex<ReactorState>,
-    total: usize,
-}
-
-/// The flush layer's verb-issue state, owned by the pool's drive loop
-/// (not the reactor — QPs are not `Sync` wrapped and never need to be):
-/// one lazily-opened QP per `(src, dst)` pair over which the shared
-/// doorbells of every routine on that edge ride.
-struct FlushCtx {
-    fabric: Arc<Fabric>,
+    /// The flush layer's QPs: one, opened lazily, per `(src, dst)`
+    /// pair, over which the shared doorbells of every routine on that
+    /// edge ride.
     qps: HashMap<(NodeId, NodeId), Qp>,
 }
 
-impl FlushCtx {
-    fn new(fabric: Arc<Fabric>) -> Self {
-        Self {
-            fabric,
-            qps: HashMap::new(),
+impl ReactorState {
+    /// Folds one park into the scheduler state.
+    fn fold(&mut self, park: Park) {
+        match park {
+            Park::Initial { id, wake } => {
+                self.unregistered -= 1;
+                self.release[id] = wake;
+                self.spin[id] = false;
+                self.waiting.push((id, wake));
+            }
+            Park::Yield {
+                id,
+                cpu_release,
+                wake,
+                spin,
+            } => {
+                self.cpu_now = self.cpu_now.max(cpu_release);
+                self.release[id] = cpu_release;
+                self.spin[id] = spin;
+                self.waiting.push((id, wake));
+            }
+            Park::Flush {
+                id,
+                src,
+                dst,
+                wrs,
+                at,
+            } => {
+                self.cpu_now = self.cpu_now.max(at);
+                self.pending.push(PendingFlush { id, src, dst, wrs });
+            }
+            Park::Idle { id, at } => {
+                self.cpu_now = self.cpu_now.max(at);
+                self.idle.push((id, at));
+                self.idle.sort_unstable();
+            }
         }
+    }
+
+    /// Grants the CPU to the parked routine with the smallest
+    /// `(wake, id)` and returns its id for the reactor to poll; `None`
+    /// when nothing is runnable.
+    fn dispatch(&mut self) -> Option<usize> {
+        debug_assert!(self.granted.is_none(), "dispatch with an unconsumed grant");
+        if self.unregistered > 0 {
+            return None;
+        }
+        let (best, _) = self
+            .waiting
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(id, wake))| (wake, id))?;
+        let depth = self.waiting.len() as u64;
+        let (id, wake) = self.waiting.swap_remove(best);
+        let idle = wake.saturating_sub(self.cpu_now);
+        let resume_at = self.cpu_now.max(wake);
+        self.cpu_now = resume_at;
+        self.granted = Some(id);
+        self.grant = Grant {
+            resume_at,
+            idle_ns: idle,
+            depth,
+            wake,
+            release: self.release[id],
+        };
+        Some(id)
+    }
+
+    /// Whether deferred batches are waiting and no routine is runnable
+    /// at the CPU frontier — the moment the event loop rings its shared
+    /// doorbells (eRPC's "tx burst at the end of the loop iteration").
+    /// Flushing any earlier would forfeit amortization; any later would
+    /// let virtual time jump over CPU work that is ready to issue.
+    fn needs_flush(&self) -> bool {
+        self.unregistered == 0
+            && !self.pending.is_empty()
+            && !self
+                .waiting
+                .iter()
+                .any(|&(id, wake)| wake <= self.cpu_now && !self.spin[id])
     }
 }
 
+/// The reactor core: one per pool, and one per [`Worker`] outside any
+/// pool. See the module docs for the protocol.
+pub(crate) struct Reactor {
+    state: Mutex<ReactorState>,
+    total: usize,
+    fabric: Arc<Fabric>,
+    /// Per-destination CQs, one per peer node, shared by every routine
+    /// of the reactor. Completions carry the routine id as cookie, so
+    /// one CQ holds interleaved completions of many routines and each
+    /// claims exactly its own with [`Cq::take_cookie`].
+    pub(crate) cqs: Vec<Cq>,
+}
+
 impl Reactor {
-    fn new(total: usize) -> Self {
+    fn new(total: usize, fabric: Arc<Fabric>) -> Self {
         Self {
             state: Mutex::new(ReactorState {
                 cpu_now: 0,
@@ -241,10 +325,26 @@ impl Reactor {
                 park: None,
                 granted: None,
                 grant: Grant::default(),
-                registered: 0,
+                unregistered: total,
                 live: total,
+                qps: HashMap::new(),
             }),
             total,
+            cqs: (0..fabric.nodes()).map(|_| Cq::new()).collect(),
+            fabric,
+        }
+    }
+
+    /// The control handle of a worker outside any pool: routine 0 of
+    /// its own reactor of one, already past the startup barrier, so
+    /// every wait resolves inside the yield point (see the module
+    /// docs).
+    pub(crate) fn solo(fabric: Arc<Fabric>) -> RoutineCtl {
+        let reactor = Self::new(1, fabric);
+        reactor.state.lock().unregistered = 0;
+        RoutineCtl {
+            id: 0,
+            reactor: Arc::new(reactor),
         }
     }
 
@@ -323,40 +423,7 @@ impl Reactor {
             panic!("routine {id} suspended on a foreign future (no park registered)")
         });
         assert_eq!(park.id(), id, "park registered by a foreign routine");
-        match park {
-            Park::Initial { id, wake } => {
-                s.registered += 1;
-                s.release[id] = wake;
-                s.spin[id] = false;
-                s.waiting.push((id, wake));
-            }
-            Park::Yield {
-                id,
-                cpu_release,
-                wake,
-                spin,
-            } => {
-                s.cpu_now = s.cpu_now.max(cpu_release);
-                s.release[id] = cpu_release;
-                s.spin[id] = spin;
-                s.waiting.push((id, wake));
-            }
-            Park::Flush {
-                id,
-                src,
-                dst,
-                wrs,
-                at,
-            } => {
-                s.cpu_now = s.cpu_now.max(at);
-                s.pending.push(PendingFlush { id, src, dst, wrs });
-            }
-            Park::Idle { id, at } => {
-                s.cpu_now = s.cpu_now.max(at);
-                s.idle.push((id, at));
-                s.idle.sort_unstable();
-            }
-        }
+        s.fold(park);
     }
 
     /// Retires a routine whose future completed with its clock at
@@ -367,54 +434,6 @@ impl Reactor {
         s.live -= 1;
     }
 
-    /// Grants the CPU to the parked routine with the smallest
-    /// `(wake, id)` and returns its id for the reactor to poll; `None`
-    /// when nothing is runnable.
-    fn dispatch(&self) -> Option<usize> {
-        let mut s = self.state.lock();
-        debug_assert!(s.granted.is_none(), "dispatch with an unconsumed grant");
-        if s.registered < self.total || s.waiting.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..s.waiting.len() {
-            let (bid, bw) = s.waiting[best];
-            let (cid, cw) = s.waiting[i];
-            if (cw, cid) < (bw, bid) {
-                best = i;
-            }
-        }
-        let depth = s.waiting.len() as u64;
-        let (id, wake) = s.waiting.swap_remove(best);
-        let idle = wake.saturating_sub(s.cpu_now);
-        let resume_at = s.cpu_now.max(wake);
-        s.cpu_now = resume_at;
-        s.granted = Some(id);
-        s.grant = Grant {
-            resume_at,
-            idle_ns: idle,
-            depth,
-            wake,
-            release: s.release[id],
-        };
-        Some(id)
-    }
-
-    /// Whether deferred batches are waiting and no routine is runnable
-    /// at the CPU frontier — the moment the event loop rings its shared
-    /// doorbells (eRPC's "tx burst at the end of the loop iteration").
-    /// Flushing any earlier would forfeit amortization; any later would
-    /// let virtual time jump over CPU work that is ready to issue.
-    fn needs_flush(&self) -> bool {
-        let s = self.state.lock();
-        s.registered == self.total
-            && !s.pending.is_empty()
-            && !s
-                .waiting
-                .iter()
-                .any(|&(id, wake)| wake <= s.cpu_now && !s.spin[id])
-    }
-
     /// Rings the pool's shared doorbells over every deferred batch: one
     /// doorbell (well, one per `sq_depth` chunk) per `(src, dst)` pair
     /// rather than one per routine, charged to the pool's single
@@ -422,58 +441,59 @@ impl Reactor {
     /// joins the runnable list at its own completions' horizon.
     ///
     /// With one routine this fires immediately after its park, at the
-    /// same instant — and with the same single-doorbell charge — the
-    /// pre-flush path rang from inside the routine, so `routines = 1`
-    /// stays byte-identical to the legacy blocking path.
-    fn flush(&self, ctx: &mut FlushCtx, cqs: &[Cq]) {
-        let (entries, cpu_now) = {
-            let mut s = self.state.lock();
-            (std::mem::take(&mut s.pending), s.cpu_now)
-        };
+    /// same instant — and with the same single-doorbell charge — as a
+    /// doorbell rung from inside the routine.
+    fn flush(&self, s: &mut ReactorState) {
+        let mut entries = std::mem::take(&mut s.pending);
         debug_assert!(!entries.is_empty(), "flush with nothing pending");
-        // Group by (src, dst) preserving first-park order of groups and
-        // park order within each — the deterministic issue order.
-        let mut groups: Vec<((NodeId, NodeId), Vec<PendingFlush>)> = Vec::new();
-        for e in entries {
-            let key = (e.src, e.dst);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, g)) => g.push(e),
-                None => groups.push((key, vec![e])),
-            }
-        }
         let mut clk = VClock::new();
-        clk.advance_to(cpu_now);
-        let mut woken: Vec<(usize, u64, u64)> = Vec::new();
-        for ((src, dst), group) in groups {
-            let qp = ctx
-                .qps
-                .entry((src, dst))
-                .or_insert_with(|| ctx.fabric.qp(src, dst));
-            let ids: Vec<usize> = group.iter().map(|e| e.id).collect();
-            let wrs: Vec<(u64, WorkRequest)> = group
-                .into_iter()
+        clk.advance_to(s.cpu_now);
+        // One doorbell per (src, dst), groups in first-park order and
+        // park order within each — the deterministic issue order.
+        while let Some(first) = entries.first() {
+            let edge = (first.src, first.dst);
+            let wrs: Vec<(u64, WorkRequest)> = entries
+                .iter_mut()
+                .filter(|e| (e.src, e.dst) == edge)
                 .flat_map(|e| {
                     let id = e.id as u64;
-                    e.wrs.into_iter().map(move |wr| (id, wr))
+                    e.wrs.drain(..).map(move |wr| (id, wr))
                 })
                 .collect();
-            qp.doorbell_shared(&mut clk, &cqs[dst], wrs);
+            let cq = &self.cqs[edge.1];
+            let qp = s
+                .qps
+                .entry(edge)
+                .or_insert_with(|| self.fabric.qp(edge.0, edge.1));
+            qp.doorbell_shared(&mut clk, cq, wrs);
             let release = clk.now();
-            for id in ids {
-                let wake = cqs[dst]
-                    .cookie_horizon(id as u64)
-                    .unwrap_or(release)
-                    .max(release);
-                woken.push((id, wake, release));
-            }
+            // The group's routines become runnable at their horizons.
+            entries.retain(|e| {
+                if (e.src, e.dst) != edge {
+                    return true;
+                }
+                let wake = cq
+                    .cookie_horizon(e.id as u64)
+                    .map_or(release, |h| h.max(release));
+                s.release[e.id] = release;
+                s.spin[e.id] = false;
+                s.waiting.push((e.id, wake));
+                false
+            });
         }
-        let mut s = self.state.lock();
+        // Hand the emptied buffer back so the next park reuses it.
+        s.pending = entries;
         s.cpu_now = s.cpu_now.max(clk.now());
-        for (id, wake, release) in woken {
-            s.release[id] = release;
-            s.spin[id] = false;
-            s.waiting.push((id, wake));
+    }
+
+    /// One scheduling decision: flush if the CPU frontier ran dry, then
+    /// grant the next runnable routine. The drive loop takes it between
+    /// polls; a reactor of one takes it inside the yield point.
+    fn next(&self, s: &mut ReactorState) -> Option<usize> {
+        if s.needs_flush() {
+            self.flush(s);
         }
+        s.dispatch()
     }
 
     fn live(&self) -> usize {
@@ -497,7 +517,8 @@ impl Reactor {
 
 /// The suspended yield point of a routine: first poll registers its
 /// [`Park`] and suspends; the re-poll (which only the reactor issues,
-/// after dispatching this routine) consumes the grant and resumes.
+/// after dispatching this routine) consumes the grant and resumes. In
+/// a reactor of one the first poll does both.
 pub(crate) struct YieldFut {
     reactor: Arc<Reactor>,
     park: Option<Park>,
@@ -511,9 +532,16 @@ impl Future for YieldFut {
         let this = self.get_mut();
         let mut s = this.reactor.state.lock();
         if let Some(park) = this.park.take() {
-            debug_assert!(s.park.is_none(), "two parks registered in one step");
-            s.park = Some(park);
-            return Poll::Pending;
+            if this.reactor.total > 1 {
+                debug_assert!(s.park.is_none(), "two parks registered in one step");
+                s.park = Some(park);
+                return Poll::Pending;
+            }
+            // A reactor of one: nobody else can run inside this wait,
+            // so take the drive loop's steps here and resume at once.
+            s.fold(park);
+            let granted = this.reactor.next(&mut s);
+            assert_eq!(granted, Some(this.id), "lone routine not runnable");
         }
         debug_assert_eq!(
             s.granted,
@@ -870,19 +898,14 @@ impl<T> QueueGroup<T> {
     }
 }
 
-/// Per-routine control handle carried by a [`Worker`] while it runs
-/// inside a pool. Its presence flips the worker's wait primitives from
-/// the legacy blocking path to tagged doorbells plus reactor yields.
+/// Per-routine control handle every [`Worker`] carries: which routine
+/// of which reactor its wait primitives park on — its own reactor of
+/// one ([`Reactor::solo`]) outside a pool, the pool's while inside.
 pub(crate) struct RoutineCtl {
-    /// This routine's id within its pool (doubles as the CQ cookie).
+    /// This routine's id within its reactor (doubles as the CQ cookie).
     pub(crate) id: usize,
-    /// The pool's reactor.
+    /// The reactor.
     pub(crate) reactor: Arc<Reactor>,
-    /// Pool-shared per-destination CQs: one CQ per peer node, shared by
-    /// every routine of the pool. Batches are tagged with the routine
-    /// id, so one CQ holds interleaved completions of many routines and
-    /// each claims exactly its own with [`Cq::take_batch`].
-    pub(crate) cqs: Arc<Vec<Cq>>,
 }
 
 /// The delivery mailbox of a serve pool: one slot per routine, filled
@@ -971,28 +994,73 @@ pub struct RoutinePool;
 /// it consumed plus the job's output.
 type RoutineFut<'a, T> = Pin<Box<dyn Future<Output = (Worker, T)> + 'a>>;
 
-/// Boxes the per-routine future of a pool: sets up the worker's
-/// [`RoutineCtl`], performs the initial park, runs `body`, and tears
-/// the control handle down.
-macro_rules! routine_future {
-    ($id:ident, $w:ident, $r:expr, $reactor:expr, $cqs:expr, $body:expr) => {{
-        let reactor = Arc::clone($reactor);
-        let cqs = Arc::clone($cqs);
-        let r = $r;
-        async move {
-            $w.obs.note_routines(r as u64);
-            $w.routine = Some(RoutineCtl {
-                id: $id,
-                reactor: Arc::clone(&reactor),
-                cqs,
-            });
-            let grant = reactor.park_initial($id, $w.clock.now()).await;
-            $w.clock.advance_to(grant.resume_at);
-            let out = $body;
-            $w.routine = None;
-            ($w, out)
+/// One pooled routine: attaches the worker to the pool's reactor as
+/// routine `id`, performs the initial park, runs `body`, and hands the
+/// worker its own reactor of one back.
+async fn routine<T>(
+    reactor: Arc<Reactor>,
+    id: usize,
+    mut w: Worker,
+    body: impl AsyncFnOnce(&mut Worker) -> T,
+) -> (Worker, T) {
+    w.obs.note_routines(reactor.total as u64);
+    let solo = std::mem::replace(
+        &mut w.routine,
+        RoutineCtl {
+            id,
+            reactor: Arc::clone(&reactor),
+        },
+    );
+    let grant = reactor.park_initial(id, w.clock.now()).await;
+    w.clock.advance_to(grant.resume_at);
+    let out = body(&mut w).await;
+    w.routine = solo;
+    (w, out)
+}
+
+/// The drive loop of a pool: resume the runnable routine with the
+/// smallest wake horizon, advance it one step, fold its park. Deferred
+/// batches flush — one shared doorbell per destination — exactly when
+/// no routine is runnable at the CPU frontier. `admit` runs before
+/// every scheduling decision and `stalled` when nothing is runnable
+/// although routines remain; both may make parked routines runnable.
+/// Returns each routine's output in routine-id order.
+fn drive<T>(
+    reactor: &Reactor,
+    mut futs: Vec<RoutineFut<'_, T>>,
+    mut admit: impl FnMut(),
+    mut stalled: impl FnMut(),
+) -> Vec<(Worker, T)> {
+    let mut results: Vec<Option<(Worker, T)>> = futs.iter().map(|_| None).collect();
+    // The reactor resumes routines by re-polling, never through wakers.
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut step = |id: usize| match futs[id].as_mut().poll(&mut cx) {
+        Poll::Ready(done) => {
+            reactor.finish(done.0.clock.now());
+            results[id] = Some(done);
         }
-    }};
+        Poll::Pending => reactor.fold_park(id),
+    };
+    // Startup: poll every routine once, in id order; each registers
+    // its initial park (the startup barrier — no dispatch happens
+    // until the whole pool is registered; a pool of one passes it
+    // inline and runs on, possibly to completion).
+    (0..reactor.total).for_each(&mut step);
+    loop {
+        admit();
+        // Decided under the lock, polled outside it: the routine's
+        // yield points take the lock themselves.
+        let next = reactor.next(&mut reactor.state.lock());
+        match next {
+            Some(id) => step(id),
+            None if reactor.live() == 0 => break,
+            None => stalled(),
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every routine produced a result"))
+        .collect()
 }
 
 impl RoutinePool {
@@ -1000,65 +1068,31 @@ impl RoutinePool {
     /// cooperative routines, returning each worker (clock advanced to
     /// its routine's end) with its job's result, in routine-id order.
     ///
-    /// A pool of one is byte-identical to driving `job(0, &mut w)`
-    /// with `drtm_base::task::block_now` on a worker outside any pool:
-    /// the single routine's every yield resumes immediately at its own
-    /// wake time.
+    /// A pool of one charges exactly what `job(0, &mut w)` charges on
+    /// a worker outside any pool: the single routine's every yield
+    /// resumes immediately at its own wake time (regression-pinned).
     pub fn run<T, F>(workers: Vec<Worker>, job: F) -> Vec<(Worker, T)>
     where
         F: AsyncFn(usize, &mut Worker) -> T,
     {
-        let r = workers.len();
-        assert!(r >= 1, "a pool needs at least one routine");
-        let nodes = workers[0].cluster.nodes();
-        let reactor = Arc::new(Reactor::new(r));
-        let cqs: Arc<Vec<Cq>> = Arc::new((0..nodes).map(|_| Cq::new()).collect());
-        let mut flush_ctx = FlushCtx::new(Arc::clone(&workers[0].cluster.fabric));
+        assert!(!workers.is_empty(), "a pool needs at least one routine");
+        let fabric = Arc::clone(&workers[0].cluster.fabric);
+        let reactor = Arc::new(Reactor::new(workers.len(), fabric));
         let job = &job;
-        let mut futs: Vec<RoutineFut<'_, T>> = workers
+        let futs = workers
             .into_iter()
             .enumerate()
-            .map(|(id, mut w)| {
-                let fut = routine_future!(id, w, r, &reactor, &cqs, job(id, &mut w).await);
+            .map(|(id, w)| {
+                let fut = routine(Arc::clone(&reactor), id, w, async move |w| job(id, w).await);
                 Box::pin(fut) as RoutineFut<'_, T>
             })
             .collect();
-
-        let mut results: Vec<Option<(Worker, T)>> = (0..r).map(|_| None).collect();
-        let mut cx = Context::from_waker(Waker::noop());
-
-        // Startup: poll every routine once, in id order; each registers
-        // its initial park (the startup barrier — no dispatch happens
-        // until the whole pool is registered).
-        for (id, fut) in futs.iter_mut().enumerate() {
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(_) => unreachable!("routine completed before its initial park"),
-                Poll::Pending => reactor.fold_park(id),
-            }
-        }
-
-        // The dispatch loop: resume the runnable routine with the
-        // smallest wake horizon, advance it one step, fold its park.
-        // Deferred batches flush — one shared doorbell per destination —
-        // exactly when no routine is runnable at the CPU frontier.
-        loop {
-            if reactor.needs_flush() {
-                reactor.flush(&mut flush_ctx, &cqs);
-            }
-            let Some(id) = reactor.dispatch() else { break };
-            match futs[id].as_mut().poll(&mut cx) {
-                Poll::Ready((w, out)) => {
-                    reactor.finish(w.clock.now());
-                    results[id] = Some((w, out));
-                }
-                Poll::Pending => reactor.fold_park(id),
-            }
-        }
-        assert_eq!(reactor.live(), 0, "routine pool wedged with live routines");
-        results
-            .into_iter()
-            .map(|r| r.expect("every routine produced a result"))
-            .collect()
+        drive(
+            &reactor,
+            futs,
+            || {},
+            || panic!("routine pool wedged with live routines"),
+        )
     }
 
     /// Serves externally-submitted work from member `pool` of `group`:
@@ -1094,128 +1128,82 @@ impl RoutinePool {
         F: AsyncFn(usize, &mut Worker, T),
     {
         assert!(pool < group.pools(), "pool index outside the group");
-        let r = workers.len();
-        assert!(r >= 1, "a pool needs at least one routine");
-        let nodes = workers[0].cluster.nodes();
-        let reactor = Arc::new(Reactor::new(r));
-        let cqs: Arc<Vec<Cq>> = Arc::new((0..nodes).map(|_| Cq::new()).collect());
-        let mut flush_ctx = FlushCtx::new(Arc::clone(&workers[0].cluster.fabric));
-        let slots: Slots<T> = Arc::new(Mutex::new((0..r).map(|_| None).collect()));
+        assert!(!workers.is_empty(), "a pool needs at least one routine");
+        let fabric = Arc::clone(&workers[0].cluster.fabric);
+        let reactor = Arc::new(Reactor::new(workers.len(), fabric));
+        let slots: Slots<T> = Arc::new(Mutex::new(workers.iter().map(|_| None).collect()));
         let handler = &handler;
-        let mut futs: Vec<RoutineFut<'_, ()>> = workers
+        let futs = workers
             .into_iter()
             .enumerate()
-            .map(|(id, mut w)| {
-                let slots = Arc::clone(&slots);
-                let fut = routine_future!(id, w, r, &reactor, &cqs, {
-                    let reactor = Arc::clone(
-                        &w.routine
-                            .as_ref()
-                            .expect("routine ctl just installed")
-                            .reactor,
-                    );
-                    loop {
-                        let (popped, resume_at) = NextJobFut {
-                            reactor: Arc::clone(&reactor),
-                            group,
-                            pool,
-                            slots: Arc::clone(&slots),
-                            id,
-                            at: w.clock.now(),
-                            state: NextJob::Start,
-                        }
-                        .await;
-                        w.clock.advance_to(resume_at);
-                        match popped {
-                            Some(item) => handler(id, &mut w, item).await,
-                            None => break, // closed and drained
-                        }
+            .map(|(id, w)| {
+                let (reactor, slots) = (Arc::clone(&reactor), Arc::clone(&slots));
+                let fut = routine(Arc::clone(&reactor), id, w, async move |w| loop {
+                    let (popped, resume_at) = NextJobFut {
+                        reactor: Arc::clone(&reactor),
+                        group,
+                        pool,
+                        slots: Arc::clone(&slots),
+                        id,
+                        at: w.clock.now(),
+                        state: NextJob::Start,
+                    }
+                    .await;
+                    w.clock.advance_to(resume_at);
+                    match popped {
+                        Some(item) => handler(id, w, item).await,
+                        None => break, // closed and drained
                     }
                 });
                 Box::pin(fut) as RoutineFut<'_, ()>
             })
             .collect();
-
-        let mut results: Vec<Option<Worker>> = (0..r).map(|_| None).collect();
-        // A fresh no-op context per poll: the reactor resumes routines by
-        // re-polling, never through wakers.
-        let poll_one =
-            |id: usize, futs: &mut Vec<RoutineFut<'_, ()>>, results: &mut Vec<Option<Worker>>| {
-                let mut cx = Context::from_waker(Waker::noop());
-                match futs[id].as_mut().poll(&mut cx) {
-                    Poll::Ready((w, ())) => {
-                        reactor.finish(w.clock.now());
-                        results[id] = Some(w);
-                    }
-                    Poll::Pending => reactor.fold_park(id),
-                }
-            };
-
-        let mut cx = Context::from_waker(Waker::noop());
-        for (id, fut) in futs.iter_mut().enumerate() {
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(_) => unreachable!("routine completed before its initial park"),
-                Poll::Pending => reactor.fold_park(id),
-            }
-        }
-
-        loop {
+        // Makes the lowest-id idle routine runnable with `msg` in its slot.
+        let deliver = |msg: Option<T>| {
+            let id = reactor.rejoin_lowest_idle();
+            slots.lock()[id] = Some(msg);
+        };
+        let done = drive(
+            &reactor,
+            futs,
             // Hand arrivals to idle routines (lowest id first) before
-            // each scheduling decision, mirroring the parked threads
-            // that woke and re-joined under the baton design.
-            while reactor.idle_count() > 0 {
-                match group.try_pop(pool) {
-                    Some(item) => {
-                        let id = reactor.rejoin_lowest_idle();
-                        slots.lock()[id] = Some(Some(item));
-                    }
-                    None => break,
+            // each scheduling decision.
+            || {
+                while reactor.idle_count() > 0 {
+                    let Some(item) = group.try_pop(pool) else {
+                        break;
+                    };
+                    deliver(Some(item));
                 }
-            }
-            if reactor.needs_flush() {
-                reactor.flush(&mut flush_ctx, &cqs);
-            }
-            if let Some(id) = reactor.dispatch() {
-                poll_one(id, &mut futs, &mut results);
-                continue;
-            }
-            let live = reactor.live();
-            if live == 0 {
-                break;
-            }
+            },
             // Nothing runnable but routines remain: they must all be
             // idle on the empty queue. Block in host time — the only
             // blocking point of the whole pool — and hand the outcome
             // to the idle routines.
-            assert_eq!(
-                reactor.idle_count(),
-                live,
-                "serve pool wedged: live routines neither runnable nor idle"
-            );
-            match group.pop_blocking(pool) {
-                Some(item) => {
-                    let id = reactor.rejoin_lowest_idle();
-                    slots.lock()[id] = Some(Some(item));
-                }
-                None => {
-                    // Closed and drained: deliver the stop signal to
-                    // every idle routine; the dispatch loop retires
-                    // them in virtual-time order.
-                    while reactor.idle_count() > 0 {
-                        let id = reactor.rejoin_lowest_idle();
-                        slots.lock()[id] = Some(None);
+            || {
+                assert_eq!(
+                    reactor.idle_count(),
+                    reactor.live(),
+                    "serve pool wedged: live routines neither runnable nor idle"
+                );
+                match group.pop_blocking(pool) {
+                    Some(item) => deliver(Some(item)),
+                    None => {
+                        // Closed and drained: deliver the stop signal to
+                        // every idle routine; the dispatch loop retires
+                        // them in virtual-time order.
+                        while reactor.idle_count() > 0 {
+                            deliver(None);
+                        }
+                        // `pop_blocking` returned `None`, so the group is
+                        // closed and *every* queue is empty: the per-member
+                        // invariant holds group-wide, whichever pool
+                        // observes the drain first.
+                        group.assert_drained();
                     }
-                    // `pop_blocking` returned `None`, so the group is
-                    // closed and *every* queue is empty: the per-member
-                    // invariant holds group-wide, whichever pool
-                    // observes the drain first.
-                    group.assert_drained();
                 }
-            }
-        }
-        results
-            .into_iter()
-            .map(|w| w.expect("every routine returned its worker"))
-            .collect()
+            },
+        );
+        done.into_iter().map(|(w, ())| w).collect()
     }
 }

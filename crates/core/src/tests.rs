@@ -1234,13 +1234,23 @@ async fn identity_job(w: &mut crate::txn::Worker, txns: u64) {
     }
 }
 
-/// Acceptance: a pool of one routine is *byte-identical* to the legacy
-/// blocking path — same final clock, same commit counts, same per-verb
-/// NIC traffic, same per-phase virtual-time breakdown. Every yield of
-/// the single routine resumes at its own wake time, so the clock
-/// arithmetic collapses to `Cq::poll`'s.
+/// `(count, sum, p50, p99)` per phase, in [`drtm_obs::Phase::ALL`]
+/// order — the digest the routines = 1 pins compare.
+fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u64, u64)> {
+    v.iter()
+        .map(|(_, h)| (h.count, h.sum, h.p50, h.p99))
+        .collect()
+}
+
+/// Pin: one routine charges what the blocking engine charged. The
+/// constants were recorded from a worker on the pre-reactor blocking
+/// wait path (a private CQ and one `Cq::poll` per doorbell) the commit
+/// before that path was deleted; a worker outside any pool and a pool
+/// of one must both still land on them — same final clock, commit
+/// counts, per-verb NIC traffic and per-phase virtual-time breakdown.
 #[test]
-fn routines_one_matches_legacy_path_exactly() {
+fn routines_one_matches_blocking_path_pins() {
+    use drtm_rdma::NicSnapshot;
     let build = || {
         let opts = EngineOpts::builder()
             .replicas(2)
@@ -1254,36 +1264,142 @@ fn routines_one_matches_legacy_path_exactly() {
         }
         c
     };
+    let check = |arm: &str, c: &DrtmCluster, w: &crate::txn::Worker| {
+        assert_eq!(w.clock.now(), 190_192, "{arm}: virtual time");
+        assert_eq!((w.stats.committed, w.stats.aborted), (24, 0), "{arm}");
+        let nic = |node| c.fabric.port(node).stats().snapshot();
+        assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
+        let expect = NicSnapshot {
+            reads: 52,
+            writes: 24,
+            atomics: 24,
+            sends: 0,
+            doorbells: 100,
+            bytes: 3388,
+            saved: 12,
+        };
+        assert_eq!(nic(1), expect, "{arm}: node 1 traffic");
+        let snap = c.obs.scrape();
+        assert_eq!(
+            phase_digest(&snap.phases),
+            [
+                (12, 37984, 3584, 8192),
+                (12, 29400, 3072, 4096),
+                (12, 21036, 1536, 2048),
+                (12, 840, 96, 128),
+                (12, 19872, 1536, 2048),
+                (12, 720, 48, 64),
+                (12, 19836, 1536, 2048),
+                (12, 3000, 192, 256),
+            ],
+            "{arm}: per-phase breakdown"
+        );
+        assert_eq!(
+            phase_digest(&snap.phase_waits),
+            [
+                (12, 24144, 1792, 4096),
+                (12, 26400, 3072, 4096),
+                (12, 18036, 1536, 2048),
+                (12, 0, 1, 2),
+                (12, 16152, 1536, 2048),
+                (12, 0, 1, 2),
+                (12, 16836, 1536, 2048),
+                (12, 0, 1, 2),
+            ],
+            "{arm}: per-phase verb waits"
+        );
+        assert_eq!(snap.pipeline.wait_ns, 137_712, "{arm}");
+        // A single routine can never overlap its own waits, and is
+        // resumed exactly at each wake horizon.
+        assert_eq!(snap.pipeline.overlap_ns, 0, "{arm}");
+        assert_eq!(snap.pipeline.routines, 1, "{arm}");
+        assert_eq!(snap.pipeline.wakes, 88, "{arm}");
+        assert_eq!(snap.pipeline.depth_sum, 88, "{arm}");
+        assert_eq!(snap.pipeline.wake_lag_ns, 0, "{arm}");
+    };
 
-    // Arm A: plain worker, legacy blocking waits (no reactor attached,
-    // so every yield point completes inline in one poll).
-    let ca = build();
-    let mut wa = ca.worker(0, 42);
-    drtm_base::task::block_now(identity_job(&mut wa, 12));
+    // A worker outside any pool: every wait resolves inside its yield
+    // point, so one poll drives the whole job.
+    let c = build();
+    let mut w = c.worker(0, 42);
+    drtm_base::task::block_now(identity_job(&mut w, 12));
+    check("bare worker", &c, &w);
 
-    // Arm B: the same worker seed driven through a pool of one.
-    let cb = build();
-    let wb = cb.worker(0, 42);
-    let mut out =
-        crate::routine::RoutinePool::run(vec![wb], async |_, w| identity_job(w, 12).await);
-    let (wb, ()) = out.remove(0);
+    // The same worker seed driven through a pool of one.
+    let c = build();
+    let w = c.worker(0, 42);
+    let mut out = crate::routine::RoutinePool::run(vec![w], async |_, w| identity_job(w, 12).await);
+    check("pool of one", &c, &out.remove(0).0);
+}
 
-    assert_eq!(wa.clock.now(), wb.clock.now(), "identical virtual time");
-    assert_eq!(wa.stats.committed, wb.stats.committed);
-    assert_eq!(wa.stats.aborted, wb.stats.aborted);
-    for node in 0..2 {
-        let a = ca.fabric.port(node).stats().snapshot();
-        let b = cb.fabric.port(node).stats().snapshot();
-        assert_eq!(a, b, "node {node} NIC traffic diverged");
+/// A bare worker under fault injection: sync `t.read`/`t.write` bodies
+/// still finish in `block_now`'s single poll when the injector delays
+/// one WR and drops another — the delayed completion is waited out
+/// inline, the dropped one surfaces through its `WorkCompletion` and is
+/// retried (execution READ) or aborts retriably (commit path) — and the
+/// scrape shows the waits went through the worker's reactor of one.
+#[test]
+fn bare_worker_waits_inline_under_injected_delay_and_drop() {
+    use drtm_rdma::{Fault, FaultInjector, NodeId, Verb};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    /// Delays the 2nd one-sided WR it sees by 40 µs and drops the 5th.
+    struct DelayThenDrop(AtomicU64);
+    impl FaultInjector for DelayThenDrop {
+        fn on_verb(&self, _src: NodeId, _dst: NodeId, verb: Verb, _now: u64) -> Fault {
+            if verb == Verb::Send {
+                return Fault::NONE;
+            }
+            match self.0.fetch_add(1, Ordering::Relaxed) {
+                1 => Fault {
+                    delay_ns: 40_000,
+                    ..Fault::NONE
+                },
+                4 => Fault {
+                    drop: true,
+                    ..Fault::NONE
+                },
+                _ => Fault::NONE,
+            }
+        }
     }
-    let sa = ca.obs.scrape();
-    let sb = cb.obs.scrape();
-    assert_eq!(sa.phases, sb.phases, "per-phase breakdown diverged");
-    assert_eq!(sa.phase_waits, sb.phase_waits);
-    assert_eq!(sa.pipeline.wait_ns, sb.pipeline.wait_ns);
-    // A single routine can never overlap its own waits.
-    assert_eq!(sb.pipeline.overlap_ns, 0);
-    assert_eq!(sb.pipeline.routines, 1);
+    let opts = EngineOpts::builder().region_size(4 << 20).build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for k in 0..4u64 {
+        c.seed_record(1, T_ACCT, key(1, k), &val(100));
+    }
+    c.fabric
+        .set_injector(Arc::new(DelayThenDrop(AtomicU64::new(0))));
+    let mut w = c.worker(0, 5);
+    let mut outcomes = Vec::new();
+    for k in 0..4u64 {
+        // `Worker::run` is `block_now` over the async engine: a wait
+        // that suspended would panic here.
+        outcomes.push(w.run(|t| {
+            let v = num(&t.read(1, T_ACCT, key(1, k))?);
+            t.write(1, T_ACCT, key(1, k), val(v + 1))
+        }));
+    }
+    for r in &outcomes {
+        assert!(
+            matches!(
+                r,
+                Ok(()) | Err(TxnError::Aborted(_)) | Err(TxnError::Transport(_))
+            ),
+            "commit or retriable abort, got {r:?}"
+        );
+    }
+    assert!(outcomes.iter().any(|r| r.is_ok()), "{outcomes:?}");
+    assert!(w.clock.now() >= 40_000, "the injected delay was waited out");
+    let snap = c.obs.scrape();
+    assert_eq!(snap.pipeline.routines, 1);
+    assert!(snap.pipeline.wakes > 0);
+    assert_eq!(snap.pipeline.overlap_ns, 0);
+    // Nothing was lost to the drop: every key reads 100 or 101.
+    c.fabric.clear_injector();
+    for k in 0..4u64 {
+        let v = num(&w.run_ro(|t| t.read(1, T_ACCT, key(1, k))).unwrap());
+        assert_eq!(v, 100 + u64::from(outcomes[k as usize].is_ok()), "key {k}");
+    }
 }
 
 /// Acceptance: with several routines in flight, verb waits genuinely

@@ -12,13 +12,13 @@ use drtm_base::task::block_now;
 use drtm_base::{Histogram, SplitMix64, VClock};
 use drtm_htm::HtmTxn;
 use drtm_obs::{EventKind, Shard};
-use drtm_rdma::{Cq, NodeId, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
-use drtm_store::record::{parse_consistent, remote_read_consistent, LOCK_FREE};
+use drtm_rdma::{NodeId, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
+use drtm_store::record::{parse_consistent, LOCK_FREE};
 use drtm_store::{CachedRecord, LocationCache, TableId, ValueCache};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
-use crate::routine::RoutineCtl;
+use crate::routine::{Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,13 +133,13 @@ pub struct Worker {
     pub stats: WorkerStats,
     /// This worker's shard of the cluster metrics registry.
     pub obs: Arc<Shard>,
-    /// Cooperative-routine control handle, set while this worker runs
-    /// inside a [`crate::routine::RoutinePool`]. `None` (the default)
-    /// keeps every wait primitive on the legacy blocking path.
-    pub(crate) routine: Option<RoutineCtl>,
+    /// The routine of the reactor every wait primitive parks on: this
+    /// worker's own reactor of one, or — while it runs inside a
+    /// [`crate::routine::RoutinePool`] — the pool's.
+    pub(crate) routine: RoutineCtl,
     /// Cumulative virtual ns this worker spent waiting on verb
-    /// completions (doorbell to batch horizon), on either path. The
-    /// commit path laps it for the per-phase wait/occupied split.
+    /// completions (doorbell to batch horizon). The commit path laps
+    /// it for the per-phase wait/occupied split.
     pub(crate) wait_accum_ns: u64,
     /// Trace id of the request currently executing on this worker
     /// (0 = untraced). Set by the serving tier for head-sampled
@@ -236,7 +236,9 @@ impl Worker {
         let n = cluster.nodes();
         let qps = (0..n).map(|dst| cluster.fabric.qp(node, dst)).collect();
         let obs = cluster.obs.shard(node);
+        obs.note_routines(1);
         let epoch = cluster.config.epoch();
+        let routine = Reactor::solo(Arc::clone(&cluster.fabric));
         Self {
             cluster,
             node,
@@ -248,7 +250,7 @@ impl Worker {
             cache_epoch: epoch,
             stats: WorkerStats::default(),
             obs,
-            routine: None,
+            routine,
             wait_accum_ns: 0,
             trace_id: 0,
             trace_wall_ns: 0,
@@ -274,58 +276,36 @@ impl Worker {
 
     /// Rings the doorbell for every WR posted to `node`'s send queue
     /// and waits for the batch's completions. This is a *yield point*:
-    /// the returned future suspends under a routine reactor.
-    ///
-    /// Without an active routine this is the legacy blocking sequence —
-    /// a private CQ, one doorbell, one [`Cq::poll`] spinning the clock
-    /// to the batch horizon — and the future completes in a single poll
-    /// (so `block_now` facades stay sound). Under a reactor the batch
-    /// is tagged with the routine id into the pool's shared
-    /// per-destination CQ and the routine *parks* until the horizon, so
-    /// other routines' CPU segments run inside this one's verb wait.
-    /// Both paths advance the clock to the same instant when the pool
-    /// has a single routine.
+    /// the batch is handed to the reactor's deferred-flush layer, which
+    /// rings one shared doorbell over every routine that parks before
+    /// the CPU frontier runs dry — so the MMIO charge amortizes across
+    /// a pool instead of landing on this routine alone — and the
+    /// routine *parks* until its completions' horizon while other
+    /// routines' CPU segments run inside its verb wait. On a reactor of
+    /// one (any worker outside a pool) the doorbell rings at once and
+    /// the future completes in a single poll, so `block_now` facades
+    /// stay sound.
     pub(crate) async fn finish_batch(&mut self, node: NodeId) -> Vec<WorkCompletion> {
         debug_assert!(
             !drtm_htm::region_active(),
             "verb waits must never run inside an HTM region"
         );
-        match &self.routine {
-            None => {
-                let cq = Cq::new();
-                self.qps[node].doorbell(&mut self.clock, &cq);
-                let cpu_release = self.clock.now();
-                let wcs = cq.poll(&mut self.clock);
-                let wait = self.clock.now().saturating_sub(cpu_release);
-                self.wait_accum_ns += wait;
-                self.obs.note_verb_wait(wait, 0);
-                wcs
-            }
-            Some(ctl) => {
-                let (reactor, id) = (Arc::clone(&ctl.reactor), ctl.id);
-                let cqs = Arc::clone(&ctl.cqs);
-                let wrs = self.qps[node].take_posted();
-                if wrs.is_empty() {
-                    return Vec::new();
-                }
-                // Hand the batch to the pool's deferred-flush layer: the
-                // reactor rings one shared doorbell over every routine
-                // that parks before the CPU frontier runs dry, so the
-                // MMIO charge amortizes across the pool instead of
-                // landing on this routine alone.
-                let grant = reactor
-                    .flush_wait(id, self.node, node, wrs, self.clock.now())
-                    .await;
-                self.clock.advance_to(grant.resume_at);
-                let wait = grant.wake.saturating_sub(grant.release);
-                self.wait_accum_ns += wait;
-                self.obs
-                    .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
-                self.obs
-                    .note_reactor(grant.depth, grant.resume_at.saturating_sub(grant.wake));
-                cqs[node].take_cookie(id as u64)
-            }
+        let wrs = self.qps[node].take_posted();
+        if wrs.is_empty() {
+            return Vec::new();
         }
+        let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
+        let grant = reactor
+            .flush_wait(id, self.node, node, wrs, self.clock.now())
+            .await;
+        self.clock.advance_to(grant.resume_at);
+        let wait = grant.wake.saturating_sub(grant.release);
+        self.wait_accum_ns += wait;
+        self.obs
+            .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
+        self.obs
+            .note_reactor(grant.depth, grant.resume_at.saturating_sub(grant.wake));
+        reactor.cqs[node].take_cookie(id as u64)
     }
 
     /// Fire-and-forget variant of [`Self::finish_batch`] for C.6:
@@ -338,27 +318,19 @@ impl Worker {
             !drtm_htm::region_active(),
             "verb waits must never run inside an HTM region"
         );
-        match &self.routine {
-            None => {
-                let cq = Cq::new();
-                self.qps[node].doorbell(&mut self.clock, &cq);
-                cq.drain()
-            }
-            Some(ctl) => {
-                let id = ctl.id;
-                let cqs = Arc::clone(&ctl.cqs);
-                let batch = self.qps[node].doorbell_tagged(&mut self.clock, &cqs[node], id as u64);
-                cqs[node].take_batch(batch)
-            }
-        }
+        // A running routine has claimed every earlier completion of
+        // its own, so its cookie selects exactly this batch.
+        let cookie = self.routine.id as u64;
+        let cq = &self.routine.reactor.cqs[node];
+        self.qps[node].doorbell_tagged(&mut self.clock, cq, cookie);
+        cq.take_cookie(cookie)
     }
 
-    /// Accounts (and, under a routine scheduler, yields through) a verb
-    /// wait a *blocking* wrapper already spun the clock across:
-    /// `cpu_release` is the instant the CPU went idle — typically right
-    /// after the doorbell charge — and the worker clock now sits at the
-    /// completion horizon. With a single-routine pool the yield resumes
-    /// at the current clock, changing nothing.
+    /// Yields through a verb wait a *blocking* wrapper already spun the
+    /// clock across: `cpu_release` is the instant the CPU went idle —
+    /// typically right after the doorbell charge — and the worker clock
+    /// now sits at the completion horizon. On a reactor of one the
+    /// yield resumes at the current clock, changing nothing.
     pub(crate) async fn yield_remote_wait(&mut self, cpu_release: u64) {
         debug_assert!(
             !drtm_htm::region_active(),
@@ -370,35 +342,26 @@ impl Worker {
             return;
         }
         self.wait_accum_ns += wait;
-        match &self.routine {
-            None => self.obs.note_verb_wait(wait, 0),
-            Some(ctl) => {
-                let (reactor, id) = (Arc::clone(&ctl.reactor), ctl.id);
-                let grant = reactor.yield_wait(id, wake - wait, wake).await;
-                self.clock.advance_to(grant.resume_at);
-                self.obs
-                    .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
-                self.obs
-                    .note_reactor(grant.depth, grant.resume_at.saturating_sub(wake));
-            }
-        }
+        let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
+        let grant = reactor.yield_wait(id, wake - wait, wake).await;
+        self.clock.advance_to(grant.resume_at);
+        self.obs
+            .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
+        self.obs
+            .note_reactor(grant.depth, grant.resume_at.saturating_sub(wake));
     }
 
     /// Parks the routine at a CPU spin-wait (lock backoff and retry
     /// loops) so another routine of the same pool — possibly the
     /// conflicting lock holder — gets to run; without this a spinner
     /// could starve the pool forever. The clock jumps over any CPU time
-    /// other routines consume meanwhile. A no-op (single ready poll)
-    /// without a reactor.
+    /// other routines consume meanwhile (none on a reactor of one).
     pub(crate) async fn spin_yield(&mut self) {
         debug_assert!(
             !drtm_htm::region_active(),
             "yields must never run inside an HTM region"
         );
-        let Some(ctl) = &self.routine else {
-            return;
-        };
-        let (reactor, id) = (Arc::clone(&ctl.reactor), ctl.id);
+        let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let now = self.clock.now();
         let grant = reactor.spin_wait(id, now).await;
         self.clock.advance_to(grant.resume_at);
@@ -471,7 +434,8 @@ impl Worker {
     /// abort. Returns the body's value once a commit succeeds.
     ///
     /// Synchronous facade over [`Self::run_async`] for callers outside a
-    /// routine pool (the body never suspends without a reactor).
+    /// routine pool (on the worker's own reactor of one no wait
+    /// suspends).
     pub fn run<R>(
         &mut self,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
@@ -492,8 +456,8 @@ impl Worker {
     /// Runs `body` as a read-write transaction with automatic retry on
     /// abort, suspending at every verb wait so a routine reactor can
     /// interleave other routines. This is the primary entry point inside
-    /// a [`crate::routine::RoutinePool`]; outside a pool it behaves like
-    /// [`Self::run`].
+    /// a [`crate::routine::RoutinePool`]; outside a pool it completes in
+    /// one poll, like [`Self::run`].
     pub async fn run_async<R>(
         &mut self,
         mut body: impl AsyncFnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
@@ -557,9 +521,10 @@ impl Worker {
                     last = e;
                 }
                 Err(e @ TxnError::Transport(verb)) => {
-                    // Execution-phase reads ride the blocking wrappers
-                    // (which retransmit rather than fault), so this arm
-                    // only fires if a future execution path goes batched.
+                    // No engine read surfaces this today (a dropped
+                    // execution READ is retried like a torn one and the
+                    // location probes retransmit); the arm is for bodies
+                    // that return a transport error of their own.
                     self.stats.aborted += 1;
                     self.obs.note_abort(TRANSPORT_OBS_INDEX);
                     drtm_obs::trace::event_id(
@@ -904,37 +869,23 @@ impl<'w> TxnCtx<'w> {
                 self.w.obs.note_cache_miss();
             }
             let rec_off = self.locate_remote(node, table, key).await?;
-            let cost = cluster.opts.cost.clone();
-            self.w.clock.advance(cost.record_logic_ns);
+            self.w.clock.advance(cluster.opts.cost.record_logic_ns);
             let mut read = None;
             for _ in 0..cluster.opts.remote_read_retries {
-                let rr_opt = if self.w.routine.is_some() {
-                    // Posted path: the READ rides the pool's shared
-                    // doorbell flush, so its MMIO charge amortizes over
-                    // every routine parked this round.
-                    self.w.qps[node].post(WorkRequest::Read {
-                        raddr: rec_off,
-                        len: layout.size(),
-                    });
-                    let wcs = self.w.finish_batch(node).await;
-                    match wcs.first().map(|wc| &wc.result) {
-                        Some(Ok(WrResult::Read { data, .. })) => parse_consistent(data, layout),
-                        // An injected drop surfaces as an error on the
-                        // posted path; retry it like a torn read — one
-                        // honest retransmission round through the loop.
-                        _ => None,
-                    }
-                } else {
-                    // The CPU is occupied only for the doorbell; the rest
-                    // of the blocking read is NIC latency another routine
-                    // can hide.
-                    let before = self.w.clock.now();
-                    let rr_opt = {
-                        let w = &mut *self.w;
-                        remote_read_consistent(&w.qps[node], &mut w.clock, rec_off, layout, 0)
-                    };
-                    self.w.yield_remote_wait(before + cost.doorbell_ns).await;
-                    rr_opt
+                // The READ rides the reactor's shared doorbell flush, so
+                // its MMIO charge amortizes over every routine parked
+                // this round.
+                self.w.qps[node].post(WorkRequest::Read {
+                    raddr: rec_off,
+                    len: layout.size(),
+                });
+                let wcs = self.w.finish_batch(node).await;
+                let rr_opt = match wcs.first().map(|wc| &wc.result) {
+                    Some(Ok(WrResult::Read { data, .. })) => parse_consistent(data, layout),
+                    // An injected drop surfaces as an error; retry it
+                    // like a torn read — one honest retransmission
+                    // round through the loop.
+                    _ => None,
                 };
                 let Some(rr) = rr_opt else {
                     continue;

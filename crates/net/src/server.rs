@@ -358,7 +358,6 @@ impl Server {
         let opts = EngineOpts::builder()
             .replicas(cfg.replicas)
             .region_size(sb.region_size())
-            .routines(cfg.routines)
             .build();
         let cluster = DrtmCluster::new(cfg.nodes, &sb.schema(), opts);
         smallbank::load(&cluster, &sb);

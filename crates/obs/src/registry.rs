@@ -44,9 +44,9 @@ pub struct Shard {
     /// Wire bytes the value cache avoided reading (full record size per
     /// hit, minus the header-only validation READ each hit still pays).
     pub cache_bytes_saved: Counter,
-    /// In-flight routines this shard's worker multiplexes (1 on the
-    /// legacy blocking path; the pool size under the routine scheduler).
-    /// Scrape reports the *maximum* across shards as the gauge.
+    /// Size of the reactor this shard's worker last attached to (1 for
+    /// a worker outside any pool; the pool size inside one). Scrape
+    /// reports the *maximum* across shards as the gauge.
     pub routines: Counter,
     /// Total virtual ns this shard's routines spent waiting on verb
     /// completions (doorbell rung → batch horizon).
@@ -60,7 +60,7 @@ pub struct Shard {
     /// CPU-occupied remainder of each phase.
     pub phase_waits: [Histogram; Phase::COUNT],
     /// Reactor wake-ups: times a parked routine was granted the CPU
-    /// after a yield point (zero on the legacy blocking path).
+    /// after a yield point (a lone routine is granted at every wait).
     pub reactor_wakes: Counter,
     /// Sum over wakes of the reactor's waiting-set depth at dispatch —
     /// `depth_sum / wakes` is the mean number of runnable-or-parked
@@ -187,11 +187,14 @@ impl Shard {
         }
     }
 
-    /// Records the number of routines this worker multiplexes. Called
-    /// once at pool attach; the scrape gauge is the max across shards.
+    /// Records the size of the reactor this worker's routine just
+    /// attached to (its own reactor of one at construction, a pool's at
+    /// pool attach), replacing the previous value; the scrape gauge is
+    /// the max across shards.
     #[inline]
     pub fn note_routines(&self, n: u64) {
         if enabled() {
+            self.routines.take();
             self.routines.add(n);
         }
     }
@@ -428,19 +431,19 @@ impl CacheStats {
 }
 
 /// Aggregated routine-scheduler counters (merged across shards at
-/// scrape). All zero on the legacy blocking path.
+/// scrape). Every worker waits through a reactor, so these count on
+/// every run; a reactor of one reports depth 1, no overlap and no lag.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// In-flight-routines gauge: the largest pool size any worker
-    /// multiplexes (1 when no scheduler is active).
+    /// In-flight-routines gauge: the largest reactor any worker waits
+    /// on (1 when no worker ran in a pool).
     pub routines: u64,
     /// Total virtual ns spent waiting on verb completions.
     pub wait_ns: u64,
     /// Portion of [`PipelineStats::wait_ns`] overlapped with other
     /// routines' CPU work on the same worker.
     pub overlap_ns: u64,
-    /// Reactor wake-ups (parked routines granted the CPU). Zero on the
-    /// legacy blocking path.
+    /// Reactor wake-ups (parked routines granted the CPU).
     pub wakes: u64,
     /// Sum over wakes of the reactor waiting-set depth at dispatch.
     pub depth_sum: u64,
@@ -452,7 +455,7 @@ pub struct PipelineStats {
 impl PipelineStats {
     /// Latency-hiding ratio in `[0, 1]`: overlapped verb wait over total
     /// verb wait. 0 when nothing waited (or nothing overlapped —
-    /// notably the whole legacy path and single-routine pools).
+    /// notably every reactor of one).
     pub fn hiding_ratio(&self) -> f64 {
         if self.wait_ns == 0 {
             0.0

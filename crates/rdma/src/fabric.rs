@@ -212,32 +212,29 @@ pub struct WorkCompletion {
 /// A completion queue.
 ///
 /// Doorbells deposit [`WorkCompletion`]s here in issue order. There is
-/// one completion-delivery API, with three consumption disciplines
+/// one completion-delivery API, with two consumption disciplines
 /// layered over the same deposit stream:
 ///
 /// * **Blocking** — [`poll`](Cq::poll) drains everything and advances
 ///   the caller's clock to the latest completion time: the caller spins
-///   until the whole fan-out has finished. This is the legacy
-///   (`routines = 1`) discipline.
-/// * **Fire-and-forget** — [`drain`](Cq::drain) drains everything
-///   without touching the clock, for batches whose latency nobody sits
-///   on (C.6 unlocks).
+///   until the whole fan-out has finished.
 /// * **Reactor** — a scheduler multiplexing many routines over one CQ
-///   reads [`batch_horizon`](Cq::batch_horizon) to learn when a tagged
-///   doorbell's batch retires, sleeps the owning routine until then,
-///   and the woken routine claims exactly its own completions with
-///   [`take_batch`](Cq::take_batch). Horizon reads never consume, so
-///   any number of routines can share the CQ without stealing each
-///   other's work; [`horizon`](Cq::horizon) is the all-batches variant
-///   the reactor idles against.
+///   stamps each routine's WRs with its cookie, reads
+///   [`cookie_horizon`](Cq::cookie_horizon) to learn when they retire,
+///   sleeps the owning routine until then, and the woken routine claims
+///   exactly its own completions with [`take_cookie`](Cq::take_cookie).
+///   Horizon reads never consume, so any number of routines can share
+///   the CQ without stealing each other's work. Claiming without
+///   sleeping is fire-and-forget: a batch whose latency nobody sits on
+///   (C.6 unlocks).
 ///
 /// **Every WR surfaces exactly once.** A WR dropped by an injected fault
 /// still deposits its completion — carrying
 /// `Err(`[`VerbError::Dropped`]`)` and a `done_ns` that includes the
-/// exhausted retransmission budget — so `poll`/`drain`/`take_batch`
-/// always return one completion per posted WR. Dropped work never
-/// silently vanishes from the CQ; callers detect it from the per-WR
-/// `result`, not from a missing entry.
+/// exhausted retransmission budget — so `poll`/`take_cookie` always
+/// return one completion per posted WR. Dropped work never silently
+/// vanishes from the CQ; callers detect it from the per-WR `result`,
+/// not from a missing entry.
 #[derive(Debug, Default)]
 pub struct Cq {
     done: Mutex<Vec<WorkCompletion>>,
@@ -273,58 +270,11 @@ impl Cq {
     /// in the clock advance (the NIC spent the retry budget before
     /// erroring the WR).
     pub fn poll(&self, clock: &mut VClock) -> Vec<WorkCompletion> {
-        let wcs = self.drain();
+        let wcs = std::mem::take(&mut *self.done.lock());
         if let Some(t) = wcs.iter().map(|w| w.done_ns).max() {
             clock.advance_to(t);
         }
         wcs
-    }
-
-    /// Drains all completions without touching the caller's clock. The
-    /// per-WR completion times remain available in
-    /// [`WorkCompletion::done_ns`]; use this when the protocol retires a
-    /// batch asynchronously (the NIC finishes it in the background).
-    /// Dropped-WR completions are included exactly as in
-    /// [`poll`](Cq::poll).
-    pub fn drain(&self) -> Vec<WorkCompletion> {
-        std::mem::take(&mut *self.done.lock())
-    }
-
-    /// Latest completion time of anything queued, without consuming it.
-    /// `None` when the CQ is empty.
-    pub fn horizon(&self) -> Option<u64> {
-        self.done.lock().iter().map(|w| w.done_ns).max()
-    }
-
-    /// Latest completion time of the queued completions belonging to
-    /// doorbell `batch`, without consuming them. This is the wake time a
-    /// routine sleeps until after ringing that doorbell.
-    pub fn batch_horizon(&self, batch: u64) -> Option<u64> {
-        self.done
-            .lock()
-            .iter()
-            .filter(|w| w.batch == batch)
-            .map(|w| w.done_ns)
-            .max()
-    }
-
-    /// Removes and returns the completions of doorbell `batch`, in
-    /// deposit order, leaving other batches queued. On a CQ shared by
-    /// several routines this is how each waiter claims exactly its own
-    /// work after the scheduler wakes it; dropped-WR completions are
-    /// returned exactly once like everywhere else.
-    pub fn take_batch(&self, batch: u64) -> Vec<WorkCompletion> {
-        let mut g = self.done.lock();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < g.len() {
-            if g[i].batch == batch {
-                out.push(g.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
     }
 
     /// Latest completion time of the queued completions carrying
@@ -342,9 +292,11 @@ impl Cq {
     }
 
     /// Removes and returns the completions carrying `cookie`, in deposit
-    /// (= issue) order, leaving other cookies queued. The shared-flush
-    /// counterpart of [`take_batch`](Cq::take_batch): a routine claims
-    /// exactly its own WRs out of a batch that carried many routines'.
+    /// (= issue) order, leaving other cookies queued: on a CQ shared by
+    /// several routines each claims exactly its own WRs, even out of a
+    /// batch that carried many routines'. The per-WR completion times
+    /// stay available in [`WorkCompletion::done_ns`]; dropped-WR
+    /// completions are returned exactly once like everywhere else.
     pub fn take_cookie(&self, cookie: u64) -> Vec<WorkCompletion> {
         let mut g = self.done.lock();
         let mut out = Vec::new();
@@ -1034,7 +986,7 @@ impl Qp {
     }
 
     /// Runs one WR through the full post → doorbell → poll cycle with
-    /// transparent retransmission: the blocking legacy path.
+    /// transparent retransmission: the blocking path.
     fn run_blocking(&self, clock: &mut VClock, wr: WorkRequest) -> WrResult {
         debug_assert_eq!(
             self.posted(),
@@ -1347,10 +1299,10 @@ mod unit {
     }
 
     #[test]
-    fn drain_returns_completions_without_advancing_clock() {
+    fn take_cookie_returns_completions_without_advancing_clock() {
         // Fire-and-forget: the doorbell charges only its own latency;
-        // drain() hands back completions without making the caller sit
-        // on the round trip (the commit protocol's C.6 unlock path).
+        // take_cookie() hands back completions without making the caller
+        // sit on the round trip (the commit protocol's C.6 unlock path).
         let f = fabric(2);
         let qp = f.qp(0, 1);
         let cq = Cq::new();
@@ -1363,8 +1315,8 @@ mod unit {
         qp.doorbell(&mut clock, &cq);
         let after_doorbell = clock.now();
         assert_eq!(after_doorbell, f.cost.doorbell_ns);
-        let wcs = cq.drain();
-        assert_eq!(clock.now(), after_doorbell, "drain never blocks");
+        let wcs = cq.take_cookie(0);
+        assert_eq!(clock.now(), after_doorbell, "claiming never blocks");
         assert_eq!(wcs.len(), 1);
         assert!(wcs[0].done_ns > after_doorbell);
         assert_eq!(wcs[0].result, Ok(WrResult::Cas(Ok(0))));
@@ -1437,9 +1389,9 @@ mod unit {
             raddr: 0,
             data: vec![1u8; 8],
         });
-        let batch = qp.doorbell(&mut clock, &cq);
+        qp.doorbell(&mut clock, &cq);
         assert_eq!(cq.len(), 1, "dropped WR still deposits its completion");
-        let wcs = cq.take_batch(batch);
+        let wcs = cq.take_cookie(0);
         assert_eq!(wcs.len(), 1);
         assert_eq!(wcs[0].result, Err(VerbError::Dropped));
         assert!(
@@ -1448,11 +1400,11 @@ mod unit {
         );
         // Exactly once: nothing left behind for any other consumer.
         assert!(cq.is_empty());
-        assert!(cq.drain().is_empty());
+        assert!(cq.poll(&mut clock).is_empty());
     }
 
     #[test]
-    fn batch_horizons_order_chaos_delayed_batches() {
+    fn cookie_horizons_order_chaos_delayed_batches() {
         let f = Fabric::builder()
             .fresh_regions(2, 4096)
             .injector(Arc::new(DelayReads(50_000)))
@@ -1460,28 +1412,27 @@ mod unit {
         let qp = f.qp(0, 1);
         let cq = Cq::new();
         let mut clock = VClock::new();
-        // A fast WRITE and a chaos-delayed READ in separate batches.
+        // A fast WRITE and a chaos-delayed READ in separate batches,
+        // each tagged with its own routine's cookie.
         qp.post(WorkRequest::Write {
             raddr: 0,
             data: vec![2u8; 8],
         });
-        let b_write = qp.doorbell(&mut clock, &cq);
+        qp.doorbell_tagged(&mut clock, &cq, 1);
         qp.post(WorkRequest::Read { raddr: 0, len: 8 });
-        let b_read = qp.doorbell(&mut clock, &cq);
-        // The reactor sleeps each routine until its own batch horizon;
-        // the delayed READ's horizon must dominate both the WRITE's and
-        // the all-batches horizon.
-        let hw = cq.batch_horizon(b_write).expect("write batch queued");
-        let hr = cq.batch_horizon(b_read).expect("read batch queued");
+        qp.doorbell_tagged(&mut clock, &cq, 2);
+        // The reactor sleeps each routine until its own horizon; the
+        // delayed READ's must dominate the WRITE's.
+        let hw = cq.cookie_horizon(1).expect("write queued");
+        let hr = cq.cookie_horizon(2).expect("read queued");
         assert!(hr >= 50_000, "delayed READ dominates its horizon");
         assert!(hw < hr, "undelayed WRITE retires first");
-        assert_eq!(cq.horizon(), Some(hr));
         // Claiming the early batch leaves the in-flight one queued.
-        let early = cq.take_batch(b_write);
+        let early = cq.take_cookie(1);
         assert_eq!(early.len(), 1);
         assert_eq!(early[0].verb, Verb::Write);
         assert_eq!(cq.len(), 1, "the in-flight READ stays queued");
-        let late = cq.take_batch(b_read);
+        let late = cq.take_cookie(2);
         assert_eq!(late.len(), 1);
         assert_eq!(late[0].verb, Verb::Read);
         assert!(cq.is_empty());
@@ -1509,16 +1460,16 @@ mod unit {
         let b2 = qp.doorbell_tagged(&mut clock, &cq, 2);
         assert_ne!(b1, b2);
         assert_eq!(cq.len(), 3);
-        let h2 = cq.batch_horizon(b2).expect("batch 2 queued");
-        assert!(h2 >= cq.batch_horizon(b1).unwrap());
-        let mine = cq.take_batch(b2);
+        let h2 = cq.cookie_horizon(2).expect("batch 2 queued");
+        assert!(h2 >= cq.cookie_horizon(1).unwrap());
+        let mine = cq.take_cookie(2);
         assert_eq!(mine.len(), 2);
         assert!(mine.iter().all(|w| w.cookie == 2 && w.batch == b2));
-        let theirs = cq.take_batch(b1);
+        let theirs = cq.take_cookie(1);
         assert_eq!(theirs.len(), 1);
-        assert_eq!(theirs[0].cookie, 1);
+        assert_eq!((theirs[0].cookie, theirs[0].batch), (1, b1));
         assert!(cq.is_empty());
-        assert!(cq.batch_horizon(b1).is_none());
+        assert!(cq.cookie_horizon(1).is_none());
     }
 
     #[test]

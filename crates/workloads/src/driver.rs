@@ -65,13 +65,13 @@ pub struct RunCfg {
     /// reads pay the full-record READ every time.
     pub no_value_cache: bool,
     /// In-flight transaction routines multiplexed per worker thread
-    /// (DESIGN.md §11). With `routines > 1` each DrTM+R worker slot runs
-    /// `R` cooperative routines through a [`RoutinePool`], splitting its
-    /// transaction budget across them; the slot's virtual time is the
-    /// slowest routine's clock, so verb waits hidden behind other
-    /// routines' CPU work show up directly as throughput. `1` (the
-    /// default) is the unchanged legacy blocking path; baseline engines
-    /// have no routine scheduler and always run as if `routines = 1`.
+    /// (DESIGN.md §11). Each DrTM+R worker slot runs `R` cooperative
+    /// routines through a [`RoutinePool`], splitting its transaction
+    /// budget across them; the slot's virtual time is the slowest
+    /// routine's clock, so verb waits hidden behind other routines' CPU
+    /// work show up directly as throughput. With `1` (the default) the
+    /// pool's one routine runs the transactions back to back; baseline
+    /// engines have no routine scheduler and always run that way.
     pub routines: usize,
     /// Contention-management policy for every table (DESIGN.md §15):
     /// `Off` keeps the paper's randomized backoff byte-identical,
@@ -137,6 +137,10 @@ impl Measurement {
     }
 }
 
+/// What one measurement loop returns: its commit count and, per
+/// transaction type, the count and latency histogram.
+type LoopOut = (u64, HashMap<&'static str, (u64, Histogram)>);
+
 struct WorkerResult {
     vtime_ns: u64,
     committed: u64,
@@ -146,10 +150,9 @@ struct WorkerResult {
 }
 
 /// The minimal surface the measurement loops need, so one loop body
-/// serves both the legacy path (an [`EngineWorker`] of any engine,
-/// driven to completion in a single poll) and the routine-pool path (a
-/// raw DrTM+R [`Worker`] that suspends back to the reactor at every
-/// doorbell).
+/// serves both a baseline engine's [`EngineWorker`] (driven to
+/// completion in a single poll) and a DrTM+R [`Worker`] routine (which
+/// suspends back to its pool's reactor at every doorbell).
 trait MeasuredWorker {
     /// Runs one transaction body to commit or abort.
     async fn exec_txn<B>(&mut self, ro: bool, body: B) -> Result<(), TxnError>
@@ -189,28 +192,24 @@ impl MeasuredWorker for Worker {
     }
 }
 
-/// Runs one worker slot's transactions through a [`RoutinePool`] when
-/// `run.routines > 1` on DrTM+R: `R` routines split the slot's budget
+/// Runs one DrTM+R worker slot's transactions through a
+/// [`RoutinePool`]: `run.routines` routines split the slot's budget
 /// (`loop_fn(id, worker, index_base, count)` runs one routine's share
 /// with disjoint transaction indices), and the slot's virtual time is
 /// the *slowest* routine's clock — the routines share one simulated
 /// core, so verb waits hidden behind other routines' CPU work shrink
-/// vtime and show up as throughput. Returns `None` on the legacy
-/// single-routine path and for baseline engines.
+/// vtime and show up as throughput.
 fn run_pipelined<F>(
     run: &RunCfg,
     cluster: &Arc<DrtmCluster>,
     node: usize,
     seed: u64,
     loop_fn: F,
-) -> Option<WorkerResult>
+) -> WorkerResult
 where
-    F: AsyncFn(usize, &mut Worker, usize, usize) -> (u64, HashMap<&'static str, (u64, Histogram)>),
+    F: AsyncFn(usize, &mut Worker, usize, usize) -> LoopOut,
 {
-    let r = run.routines;
-    if r <= 1 || run.engine != EngineKind::DrtmR {
-        return None;
-    }
+    let r = run.routines.max(1);
     let workers: Vec<Worker> = (0..r)
         .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
         .collect();
@@ -241,7 +240,64 @@ where
             e.1.merge(&hist);
         }
     }
-    Some(res)
+    res
+}
+
+/// Runs one worker slot of `run.engine`: a DrTM+R slot's routines run
+/// `pooled` (see [`run_pipelined`]); a baseline engine has no routine
+/// scheduler and nothing in it suspends, so its one worker drives
+/// `baseline` — the same loop with the whole budget — in a single poll.
+fn run_slot(
+    run: &RunCfg,
+    cluster: &Arc<DrtmCluster>,
+    calvin: Option<&Arc<CalvinEngine>>,
+    node: usize,
+    seed: u64,
+    pooled: impl AsyncFn(usize, &mut Worker, usize, usize) -> LoopOut,
+    baseline: impl AsyncFnOnce(&mut EngineWorker) -> LoopOut,
+) -> WorkerResult {
+    if run.engine == EngineKind::DrtmR {
+        return run_pipelined(run, cluster, node, seed, pooled);
+    }
+    let mut ew = EngineWorker::new(run.engine, cluster, calvin, node, seed);
+    let (committed, per_type) = drtm_base::task::block_now(baseline(&mut ew));
+    WorkerResult {
+        vtime_ns: ew.clock_now(),
+        committed,
+        aborted: ew.stats().aborted,
+        fallbacks: ew.stats().fallbacks,
+        per_type,
+    }
+}
+
+/// The closed-loop harness every workload shares: `slot(node, tid)` on
+/// its own OS thread for each of `nodes × run.threads` worker slots,
+/// the log-truncation thread beside them on replicated runs, results
+/// aggregated in virtual time.
+fn run_slots(
+    nodes: usize,
+    run: &RunCfg,
+    cluster: &Arc<DrtmCluster>,
+    slot: impl Fn(usize, usize) -> WorkerResult + Sync,
+) -> Measurement {
+    let stop = Arc::new(AtomicBool::new(false));
+    let aux = (run.replicas > 1).then(|| spawn_aux(cluster, &stop));
+    let slot = &slot;
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..nodes)
+            .flat_map(|node| (0..run.threads).map(move |tid| (node, tid)))
+            .map(|(node, tid)| s.spawn(move || slot(node, tid)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker slot panicked"))
+            .collect()
+    });
+    stop.store(true, Ordering::Relaxed);
+    if let Some(a) = aux {
+        a.join().unwrap();
+    }
+    aggregate(results)
 }
 
 /// Builds the engine options for a run. `read_mostly_tables` comes from
@@ -256,7 +312,6 @@ fn engine_opts(run: &RunCfg, region_size: usize, read_mostly_tables: Vec<u32>) -
         .msg_locking(run.msg_locking)
         .value_cache(!run.no_value_cache)
         .read_mostly_tables(read_mostly_tables)
-        .routines(run.routines)
         .contention(run.contention)
         .build()
 }
@@ -357,81 +412,30 @@ pub fn run_tpcc_on(
         run.engine != EngineKind::Silo || cfg.nodes == 1,
         "Silo is single-machine"
     );
-    let stop = Arc::new(AtomicBool::new(false));
-    let aux = (run.replicas > 1).then(|| spawn_aux(cluster, &stop));
     let cross = run.cross_override.unwrap_or(cfg.cross_new_order);
-
-    let mut handles = Vec::new();
-    for node in 0..cfg.nodes {
-        for tid in 0..run.threads {
-            let cluster = Arc::clone(cluster);
-            let calvin = calvin.map(Arc::clone);
-            let cfg = cfg.clone();
-            let run = run.clone();
-            handles.push(std::thread::spawn(move || {
-                tpcc_worker(&cfg, &run, cluster, calvin, node, tid, cross)
-            }));
-        }
-    }
-    let results: Vec<WorkerResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    stop.store(true, Ordering::Relaxed);
-    if let Some(a) = aux {
-        a.join().unwrap();
-    }
-    aggregate(results)
-}
-
-fn tpcc_worker(
-    cfg: &TpccCfg,
-    run: &RunCfg,
-    cluster: Arc<DrtmCluster>,
-    calvin: Option<Arc<CalvinEngine>>,
-    node: usize,
-    tid: usize,
-    cross: f64,
-) -> WorkerResult {
-    let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20);
-    let home_w = (node * cfg.warehouses_per_node + tid % cfg.warehouses_per_node) as u64;
-    let hist_base = ((node as u64) << 24 | tid as u64) << 32;
-    if let Some(res) = run_pipelined(run, &cluster, node, seed, async |id, w, base, count| {
+    run_slots(cfg.nodes, run, cluster, |node, tid| {
+        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20);
+        let home_w = (node * cfg.warehouses_per_node + tid % cfg.warehouses_per_node) as u64;
+        let hist_base = ((node as u64) << 24 | tid as u64) << 32;
         // Routines get disjoint RNG streams and history-key ranges so
         // their insert keys never collide.
-        tpcc_loop(
-            cfg,
-            &cluster,
-            w,
-            node,
-            home_w,
-            cross,
-            seed ^ 0xBEEF ^ ((id as u64) << 12),
-            hist_base | ((id as u64) << 26),
-            base,
-            count,
-        )
-        .await
-    }) {
-        return res;
-    }
-    let mut ew = EngineWorker::new(run.engine, &cluster, calvin.as_ref(), node, seed);
-    let (committed, per_type) = drtm_base::task::block_now(tpcc_loop(
-        cfg,
-        &cluster,
-        &mut ew,
-        node,
-        home_w,
-        cross,
-        seed ^ 0xBEEF,
-        hist_base,
-        0,
-        run.txns_per_worker,
-    ));
-    WorkerResult {
-        vtime_ns: ew.clock_now(),
-        committed,
-        aborted: ew.stats().aborted,
-        fallbacks: ew.stats().fallbacks,
-        per_type,
-    }
+        let routine = async |id: usize, w: &mut Worker, base, count| {
+            let rng_seed = seed ^ 0xBEEF ^ ((id as u64) << 12);
+            let hist_base = hist_base | ((id as u64) << 26);
+            tpcc_loop(
+                cfg, cluster, w, node, home_w, cross, rng_seed, hist_base, base, count,
+            )
+            .await
+        };
+        let whole = async |ew: &mut EngineWorker| {
+            let (rng_seed, count) = (seed ^ 0xBEEF, run.txns_per_worker);
+            tpcc_loop(
+                cfg, cluster, ew, node, home_w, cross, rng_seed, hist_base, 0, count,
+            )
+            .await
+        };
+        run_slot(run, cluster, calvin, node, seed, routine, whole)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -446,7 +450,7 @@ async fn tpcc_loop<M: MeasuredWorker>(
     hist_base: u64,
     base: usize,
     count: usize,
-) -> (u64, HashMap<&'static str, (u64, Histogram)>) {
+) -> LoopOut {
     let mut rng = SplitMix64::new(rng_seed);
     let mut hist_key = hist_base;
     let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
@@ -542,68 +546,18 @@ pub fn run_ycsb_on(
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
-    let stop = Arc::new(AtomicBool::new(false));
-    let aux = (run.replicas > 1).then(|| spawn_aux(cluster, &stop));
-    let mut handles = Vec::new();
-    for node in 0..cfg.nodes {
-        for tid in 0..run.threads {
-            let cluster = Arc::clone(cluster);
-            let calvin = calvin.map(Arc::clone);
-            let cfg = cfg.clone();
-            let run = run.clone();
-            handles.push(std::thread::spawn(move || {
-                ycsb_worker(&cfg, &run, cluster, calvin, node, tid)
-            }));
-        }
-    }
-    let results: Vec<WorkerResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    stop.store(true, Ordering::Relaxed);
-    if let Some(a) = aux {
-        a.join().unwrap();
-    }
-    aggregate(results)
-}
-
-fn ycsb_worker(
-    cfg: &YcsbCfg,
-    run: &RunCfg,
-    cluster: Arc<DrtmCluster>,
-    calvin: Option<Arc<CalvinEngine>>,
-    node: usize,
-    tid: usize,
-) -> WorkerResult {
-    let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x4C5B;
-    if let Some(res) = run_pipelined(run, &cluster, node, seed, async |id, w, base, count| {
-        ycsb_loop(
-            cfg,
-            &cluster,
-            w,
-            node,
-            seed ^ 0xD00D ^ ((id as u64) << 12),
-            base,
-            count,
-        )
-        .await
-    }) {
-        return res;
-    }
-    let mut ew = EngineWorker::new(run.engine, &cluster, calvin.as_ref(), node, seed);
-    let (committed, per_type) = drtm_base::task::block_now(ycsb_loop(
-        cfg,
-        &cluster,
-        &mut ew,
-        node,
-        seed ^ 0xD00D,
-        0,
-        run.txns_per_worker,
-    ));
-    WorkerResult {
-        vtime_ns: ew.clock_now(),
-        committed,
-        aborted: ew.stats().aborted,
-        fallbacks: ew.stats().fallbacks,
-        per_type,
-    }
+    run_slots(cfg.nodes, run, cluster, |node, tid| {
+        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x4C5B;
+        let routine = async |id: usize, w: &mut Worker, base, count| {
+            let rng_seed = seed ^ 0xD00D ^ ((id as u64) << 12);
+            ycsb_loop(cfg, cluster, w, node, rng_seed, base, count).await
+        };
+        let whole = async |ew: &mut EngineWorker| {
+            let (rng_seed, count) = (seed ^ 0xD00D, run.txns_per_worker);
+            ycsb_loop(cfg, cluster, ew, node, rng_seed, 0, count).await
+        };
+        run_slot(run, cluster, calvin, node, seed, routine, whole)
+    })
 }
 
 async fn ycsb_loop<M: MeasuredWorker>(
@@ -614,7 +568,7 @@ async fn ycsb_loop<M: MeasuredWorker>(
     rng_seed: u64,
     base: usize,
     count: usize,
-) -> (u64, HashMap<&'static str, (u64, Histogram)>) {
+) -> LoopOut {
     let mut rng = SplitMix64::new(rng_seed);
     let zipf = ycsb::Zipf::new(cfg.records as u64, cfg.theta);
     let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
@@ -658,67 +612,17 @@ pub fn run_smallbank_on(
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
-    let stop = Arc::new(AtomicBool::new(false));
-    let aux = (run.replicas > 1).then(|| spawn_aux(cluster, &stop));
-
-    let mut handles = Vec::new();
-    for node in 0..cfg.nodes {
-        for tid in 0..run.threads {
-            let cluster = Arc::clone(cluster);
-            let calvin = calvin.map(Arc::clone);
-            let cfg = cfg.clone();
-            let run = run.clone();
-            handles.push(std::thread::spawn(move || {
-                sb_worker(&cfg, &run, cluster, calvin, node, tid)
-            }));
-        }
-    }
-    let results: Vec<WorkerResult> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    stop.store(true, Ordering::Relaxed);
-    if let Some(a) = aux {
-        a.join().unwrap();
-    }
-    aggregate(results)
-}
-
-fn sb_worker(
-    cfg: &SbCfg,
-    run: &RunCfg,
-    cluster: Arc<DrtmCluster>,
-    calvin: Option<Arc<CalvinEngine>>,
-    node: usize,
-    tid: usize,
-) -> WorkerResult {
-    let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x5B;
-    if let Some(res) = run_pipelined(run, &cluster, node, seed, async |id, w, _base, count| {
-        sb_loop(
-            cfg,
-            &cluster,
-            w,
-            node,
-            seed ^ 0xFACE ^ ((id as u64) << 12),
-            count,
-        )
-        .await
-    }) {
-        return res;
-    }
-    let mut ew = EngineWorker::new(run.engine, &cluster, calvin.as_ref(), node, seed);
-    let (committed, per_type) = drtm_base::task::block_now(sb_loop(
-        cfg,
-        &cluster,
-        &mut ew,
-        node,
-        seed ^ 0xFACE,
-        run.txns_per_worker,
-    ));
-    WorkerResult {
-        vtime_ns: ew.clock_now(),
-        committed,
-        aborted: ew.stats().aborted,
-        fallbacks: ew.stats().fallbacks,
-        per_type,
-    }
+    run_slots(cfg.nodes, run, cluster, |node, tid| {
+        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x5B;
+        let routine = async |id: usize, w: &mut Worker, _base, count| {
+            let rng_seed = seed ^ 0xFACE ^ ((id as u64) << 12);
+            sb_loop(cfg, cluster, w, node, rng_seed, count).await
+        };
+        let whole = async |ew: &mut EngineWorker| {
+            sb_loop(cfg, cluster, ew, node, seed ^ 0xFACE, run.txns_per_worker).await
+        };
+        run_slot(run, cluster, calvin, node, seed, routine, whole)
+    })
 }
 
 async fn sb_loop<M: MeasuredWorker>(
@@ -728,7 +632,7 @@ async fn sb_loop<M: MeasuredWorker>(
     node: usize,
     rng_seed: u64,
     count: usize,
-) -> (u64, HashMap<&'static str, (u64, Histogram)>) {
+) -> LoopOut {
     let mut rng = SplitMix64::new(rng_seed);
     let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
     let mut committed = 0u64;

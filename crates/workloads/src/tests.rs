@@ -258,17 +258,19 @@ fn smallbank_send_payments_conserve_with_routines() {
     }
 }
 
-/// Pin: with `routines = 1` the reactor is an exact re-implementation
-/// of the legacy blocking path at the workload level too — a seeded
-/// SmallBank run driven through a pool of one ends at the same virtual
-/// clock with the same commit counts, NIC traffic and per-phase
-/// breakdown as the plain blocking worker. (The core crate pins the
-/// same identity on a synthetic verb mix; this covers the full workload
+/// Pin: one routine charges what the blocking engine charged, at the
+/// workload level too — a seeded SmallBank run ends at the virtual
+/// clock, commit counts, NIC traffic and per-phase breakdown recorded
+/// from a worker on the pre-reactor blocking wait path the commit
+/// before that path was deleted, both on a worker outside any pool and
+/// through a pool of one. (The core crate pins the same constants-style
+/// identity on a synthetic verb mix; this covers the full workload
 /// stack: generator, async transaction bodies, driver plumbing.)
 #[test]
-fn smallbank_routines_one_pins_legacy_path() {
+fn smallbank_routines_one_pins_blocking_path() {
     use crate::smallbank::{self, SbInput, SbTxn};
-    use drtm_core::RoutinePool;
+    use drtm_core::{DrtmCluster, RoutinePool};
+    use drtm_rdma::NicSnapshot;
 
     let cfg = SbCfg {
         nodes: 2,
@@ -298,34 +300,78 @@ fn smallbank_routines_one_pins_legacy_path() {
                 .await;
         }
     };
-
-    // Arm A: plain worker, legacy blocking waits.
-    let (ca, _) = crate::driver::build_smallbank(&cfg, &run);
-    let mut wa = ca.worker(0, 7);
-    drtm_base::task::block_now(job(&mut wa, &cfg));
-
-    // Arm B: the same seed through a pool of one routine.
-    let (cb, _) = crate::driver::build_smallbank(&cfg, &run);
-    let wb = cb.worker(0, 7);
-    let mut out = RoutinePool::run(vec![wb], async |_, w| job(w, &cfg).await);
-    let (wb, ()) = out.remove(0);
-
-    assert_eq!(wa.clock.now(), wb.clock.now(), "virtual clock diverged");
-    assert_eq!(wa.stats.committed, wb.stats.committed);
-    assert_eq!(wa.stats.aborted, wb.stats.aborted);
-    for node in 0..2 {
-        assert_eq!(
-            ca.fabric.port(node).stats().snapshot(),
-            cb.fabric.port(node).stats().snapshot(),
-            "node {node} NIC traffic diverged"
+    let check = |arm: &str, c: &DrtmCluster, w: &drtm_core::txn::Worker| {
+        assert_eq!(w.clock.now(), 290_543, "{arm}: virtual clock");
+        assert_eq!((w.stats.committed, w.stats.aborted), (54, 0), "{arm}");
+        let nic = |node| c.fabric.port(node).stats().snapshot();
+        assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
+        let expect = NicSnapshot {
+            reads: 57,
+            writes: 25,
+            atomics: 50,
+            sends: 0,
+            doorbells: 132,
+            bytes: 4248,
+            saved: 25,
+        };
+        assert_eq!(nic(1), expect, "{arm}: node 1 traffic");
+        let snap = c.obs.scrape();
+        // `(count, sum, p50, p99)` per phase, in `Phase::ALL` order.
+        let (phases, waits): (Vec<_>, Vec<_>) = (
+            snap.phases
+                .iter()
+                .map(|(_, h)| (h.count, h.sum, h.p50, h.p99))
+                .collect(),
+            snap.phase_waits
+                .iter()
+                .map(|(_, h)| (h.count, h.sum, h.p50, h.p99))
+                .collect(),
         );
-    }
-    let (sa, sb) = (ca.obs.scrape(), cb.obs.scrape());
-    assert_eq!(sa.phases, sb.phases, "per-phase breakdown diverged");
-    assert_eq!(sa.phase_waits, sb.phase_waits);
-    assert_eq!(sa.pipeline.wait_ns, sb.pipeline.wait_ns);
-    // A single routine can never overlap its own waits.
-    assert_eq!(sb.pipeline.overlap_ns, 0);
+        assert_eq!(
+            phases,
+            [
+                (54, 103468, 988, 8192),
+                (54, 61250, 1, 4096),
+                (54, 43825, 1, 2048),
+                (54, 4650, 96, 128),
+                (54, 0, 1, 2),
+                (54, 0, 1, 2),
+                (54, 41400, 1, 2048),
+                (54, 6250, 1, 256),
+            ],
+            "{arm}: per-phase breakdown"
+        );
+        assert_eq!(
+            waits,
+            [
+                (54, 48288, 1, 4096),
+                (54, 55000, 1, 4096),
+                (54, 37575, 1, 2048),
+                (54, 0, 1, 2),
+                (54, 0, 1, 2),
+                (54, 0, 1, 2),
+                (54, 35150, 1, 2048),
+                (54, 0, 1, 2),
+            ],
+            "{arm}: per-phase verb waits"
+        );
+        assert_eq!(snap.pipeline.wait_ns, 176_013, "{arm}");
+        // A single routine can never overlap its own waits.
+        assert_eq!(snap.pipeline.overlap_ns, 0, "{arm}");
+        assert_eq!((snap.pipeline.routines, snap.pipeline.wakes), (1, 107));
+    };
+
+    // A worker outside any pool: one poll drives the whole job.
+    let (c, _) = crate::driver::build_smallbank(&cfg, &run);
+    let mut w = c.worker(0, 7);
+    drtm_base::task::block_now(job(&mut w, &cfg));
+    check("bare worker", &c, &w);
+
+    // The same seed through a pool of one routine.
+    let (c, _) = crate::driver::build_smallbank(&cfg, &run);
+    let w = c.worker(0, 7);
+    let mut out = RoutinePool::run(vec![w], async |_, w| job(w, &cfg).await);
+    check("pool of one", &c, &out.remove(0).0);
 }
 
 /// The driver's routine-pool path on the full SmallBank mix: every

@@ -436,16 +436,15 @@ impl TxnCtx<'_> {
         // late write could stomp a *newer* value committed after the
         // sweep healed and released the record.
         self.remote_update(&remote_new_seqs).await?;
-        pc.lap(self.w, update.phase);
 
         // Inserts and deletes become visible only now, after validation
-        // and logging.
+        // and logging — part of C.5, and timed as such.
         self.apply_mutations();
 
         // The transaction reports committed here; C.6 happens after. A
         // crash at C.5 is therefore a *committed* transaction whose
         // locks dangle until a survivor releases them passively.
-        self.probe(update.probe)?;
+        self.stage_done(pc, update)?;
 
         self.unlock_all(&locks).await;
         self.stage_done(pc, unlock)?;
@@ -618,6 +617,9 @@ impl TxnCtx<'_> {
     /// whatever it already locked dangles for the recovery sweep.
     async fn lock_all(&mut self, addrs: &[LockAddr], wait: bool) -> Result<(), TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
+        // From this post until C.6's the reactor resumes this routine
+        // ahead of its execution-phase siblings (DESIGN.md §11).
+        self.w.routine.set_committing(!addrs.is_empty());
         let me = lock_word(self.w.node);
         let members = cluster.config.get();
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
@@ -732,6 +734,7 @@ impl TxnCtx<'_> {
     /// after C.5, so nothing waits for the completions — fire-and-forget,
     /// exactly like an unsignalled unlock WR on real hardware.
     async fn unlock_all(&mut self, addrs: &[LockAddr]) {
+        self.w.routine.set_committing(false);
         // A dead machine cannot release its own locks — that is the
         // recovery sweep's job (which may already have stolen them, so a
         // CAS here could also spuriously fail the assertion below). Its
@@ -827,13 +830,15 @@ impl TxnCtx<'_> {
     }
 
     /// C.5 write-through (DESIGN.md §8): a transaction that rewrote a
-    /// read-mostly record it had cached refreshes its own entry with the
-    /// value and (even) sequence number it just installed, instead of
-    /// paying an invalidate-then-refetch cycle on its next read.
+    /// read-mostly record its thread has cached refreshes the entry with
+    /// the value and (even) sequence number it just installed, so neither
+    /// it nor a sibling routine pays an invalidate-then-refetch cycle on
+    /// the next read.
     fn write_through_cache(&mut self, new_seqs: &[u64]) {
+        let mut caches = self.w.caches();
         for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
             if self.value_cacheable(e.table) {
-                self.w.value_caches[e.node].refresh(e.table, e.key, &e.buf, seq);
+                caches.values[e.node].refresh(e.table, e.key, &e.buf, seq);
             }
         }
     }
@@ -939,7 +944,7 @@ impl TxnCtx<'_> {
             return;
         }
         let (node, table, key) = (e.node, e.table, e.key);
-        if self.w.value_caches[node].invalidate(table, key) {
+        if self.w.caches().values[node].invalidate(table, key) {
             self.w.obs.note_cache_invalidations(1);
             drtm_obs::trace::event(
                 EventKind::Cache,

@@ -1,13 +1,15 @@
 //! Property-based tests of the transaction engine: randomized workloads
 //! must preserve global invariants on every engine configuration.
 
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use drtm_base::SplitMix64;
 use drtm_store::TableSpec;
 
 use crate::cluster::{DrtmCluster, EngineOpts};
-use crate::txn::TxnError;
+use crate::txn::{TxnError, Worker};
 
 const T: u32 = 0;
 
@@ -81,10 +83,88 @@ fn gen_schedule(rng: &mut SplitMix64, max_len: u64) -> Vec<Op> {
 /// Applies a schedule through the engine and in parallel to a sequential
 /// model; the final database state must match the model exactly.
 fn run_schedule(ops: Vec<Op>, replicas: usize, spurious: f64) {
-    run_schedule_opts(ops, replicas, spurious, false)
+    run_schedule_opts(ops, replicas, spurious, false, 1)
 }
 
-fn run_schedule_opts(ops: Vec<Op>, replicas: usize, spurious: f64, value_cached: bool) {
+/// Runs one op as a transaction on `w` and, if it commits, on `model`.
+async fn apply_op(w: &mut Worker, op: &Op, model: &RefCell<HashMap<(usize, u64), u64>>) {
+    match *op {
+        Op::Transfer { from, to, amt } => {
+            if from == to {
+                return;
+            }
+            let r = w
+                .run_async(async |t| {
+                    let a = num(&t.read_async(from.0, T, key(from.0, from.1)).await?);
+                    let b = num(&t.read_async(to.0, T, key(to.0, to.1)).await?);
+                    if a < amt {
+                        return Err(TxnError::UserAbort);
+                    }
+                    t.write_async(from.0, T, key(from.0, from.1), val(a - amt))
+                        .await?;
+                    t.write_async(to.0, T, key(to.0, to.1), val(b + amt)).await
+                })
+                .await;
+            match r {
+                Ok(()) => {
+                    let mut model = model.borrow_mut();
+                    *model.get_mut(&from).unwrap() -= amt;
+                    *model.get_mut(&to).unwrap() += amt;
+                }
+                Err(TxnError::UserAbort) => {}
+                Err(e) => panic!("unexpected error {e:?}"),
+            }
+        }
+        Op::Inc { at, by } => {
+            let r = w
+                .run_async(async |t| {
+                    let a = num(&t.read_async(at.0, T, key(at.0, at.1)).await?);
+                    t.write_async(at.0, T, key(at.0, at.1), val(a + by)).await
+                })
+                .await;
+            if r.is_ok() {
+                *model.borrow_mut().get_mut(&at).unwrap() += by;
+            }
+        }
+        Op::Insert { at, init } => {
+            if model.borrow().contains_key(&at) {
+                return;
+            }
+            w.run_async(async |t| {
+                t.insert(at.0, T, key(at.0, at.1), val(init));
+                Ok(())
+            })
+            .await
+            .unwrap();
+            model.borrow_mut().insert(at, init);
+        }
+        Op::Delete { at } => {
+            if !model.borrow().contains_key(&at) || at.1 < 100 {
+                return;
+            }
+            w.run_async(async |t| {
+                t.delete(at.0, T, key(at.0, at.1));
+                Ok(())
+            })
+            .await
+            .unwrap();
+            model.borrow_mut().remove(&at);
+        }
+    }
+}
+
+/// `routines` routines of one pool on machine 0 deal the schedule out
+/// round-robin and still apply it strictly in order — a routine spins
+/// until its op's turn — so one sequential model serves every pool
+/// size while the ops of a pool of several go through sibling
+/// routines' shared caches.
+fn run_schedule_opts(
+    ops: Vec<Op>,
+    replicas: usize,
+    spurious: f64,
+    value_cached: bool,
+    routines: usize,
+) {
     let opts = EngineOpts::builder()
         .replicas(replicas)
         .region_size(2 << 20)
@@ -96,7 +176,7 @@ fn run_schedule_opts(ops: Vec<Op>, replicas: usize, spurious: f64, value_cached:
         .read_mostly_tables(if value_cached { vec![T] } else { vec![] })
         .build();
     let c = DrtmCluster::new(3, &[TableSpec::hash(T, 2048, 16)], opts);
-    let mut model = std::collections::HashMap::new();
+    let mut model = HashMap::new();
     for shard in 0..3usize {
         for k in 0..6u64 {
             c.seed_record(shard, T, key(shard, k), &val(100));
@@ -104,64 +184,20 @@ fn run_schedule_opts(ops: Vec<Op>, replicas: usize, spurious: f64, value_cached:
         }
     }
 
-    let mut w = c.worker(0, 7);
-    for op in ops {
-        match op {
-            Op::Transfer { from, to, amt } => {
-                if from == to {
-                    continue;
-                }
-                let r = w.run(|t| {
-                    let a = num(&t.read(from.0, T, key(from.0, from.1))?);
-                    let b = num(&t.read(to.0, T, key(to.0, to.1))?);
-                    if a < amt {
-                        return Err(TxnError::UserAbort);
-                    }
-                    t.write(from.0, T, key(from.0, from.1), val(a - amt))?;
-                    t.write(to.0, T, key(to.0, to.1), val(b + amt))
-                });
-                match r {
-                    Ok(()) => {
-                        *model.get_mut(&from).unwrap() -= amt;
-                        *model.get_mut(&to).unwrap() += amt;
-                    }
-                    Err(TxnError::UserAbort) => {}
-                    Err(e) => panic!("unexpected error {e:?}"),
-                }
+    let model = RefCell::new(model);
+    let turn = Cell::new(0);
+    let workers = (0..routines).map(|id| c.worker(0, 7 + id as u64)).collect();
+    crate::RoutinePool::run(workers, async |id, w| {
+        for (i, op) in ops.iter().enumerate().skip(id).step_by(routines) {
+            while turn.get() != i {
+                w.clock.advance(200);
+                w.spin_yield().await;
             }
-            Op::Inc { at, by } => {
-                let r = w.run(|t| {
-                    let a = num(&t.read(at.0, T, key(at.0, at.1))?);
-                    t.write(at.0, T, key(at.0, at.1), val(a + by))
-                });
-                if r.is_ok() {
-                    *model.get_mut(&at).unwrap() += by;
-                }
-            }
-            Op::Insert { at, init } => {
-                if model.contains_key(&at) {
-                    continue;
-                }
-                w.run(|t| {
-                    t.insert(at.0, T, key(at.0, at.1), val(init));
-                    Ok(())
-                })
-                .unwrap();
-                model.insert(at, init);
-            }
-            Op::Delete { at } => {
-                if !model.contains_key(&at) || at.1 < 100 {
-                    continue;
-                }
-                w.run(|t| {
-                    t.delete(at.0, T, key(at.0, at.1));
-                    Ok(())
-                })
-                .unwrap();
-                model.remove(&at);
-            }
+            apply_op(w, op, &model).await;
+            turn.set(i + 1);
         }
-    }
+    });
+    let model = model.into_inner();
 
     // Final state equals the model.
     let mut auditor = c.worker(1, 8);
@@ -211,7 +247,12 @@ fn schedule_matches_model_replicated() {
 fn schedule_matches_model_value_cached() {
     let mut rng = SplitMix64::new(0x5eed_000b);
     for _ in 0..24 {
-        run_schedule_opts(gen_schedule(&mut rng, 40), 1, 0.0, true);
+        let ops = gen_schedule(&mut rng, 40);
+        run_schedule_opts(ops.clone(), 1, 0.0, true, 1);
+        // The same schedule through a pool of four on one shared cache
+        // set: what one routine cached, rewrote or invalidated is what
+        // the next op's routine is served.
+        run_schedule_opts(ops, 1, 0.0, true, 4);
     }
 }
 
@@ -221,7 +262,7 @@ fn schedule_matches_model_value_cached() {
 fn schedule_matches_model_value_cached_replicated_flaky() {
     let mut rng = SplitMix64::new(0x5eed_000c);
     for _ in 0..12 {
-        run_schedule_opts(gen_schedule(&mut rng, 25), 3, 0.2, true);
+        run_schedule_opts(gen_schedule(&mut rng, 25), 3, 0.2, true, 1);
     }
 }
 

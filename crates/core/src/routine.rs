@@ -6,9 +6,10 @@
 //! rings a doorbell and would otherwise spin on the CQ, the worker
 //! switches to another transaction whose completions already arrived.
 //! This module reproduces that structure as an explicit polled state
-//! machine: each *routine* is a suspended future owning a full
+//! machine: each *routine* is a suspended future owning a
 //! [`Worker`], and a per-pool **reactor** — running entirely on the
-//! calling thread — polls exactly one routine at a time. The commit
+//! calling thread, and owning the one set of location and value caches
+//! its routines share — polls exactly one routine at a time. The commit
 //! path's yield points (`finish_batch`, `yield_remote_wait`,
 //! `spin_yield`) are `await`s that park the routine and return control
 //! to the reactor; the OS thread count is therefore independent of the
@@ -52,7 +53,10 @@
 //! The reactor folds `cpu_release` into `cpu_now`, parks the routine,
 //! and resumes the parked routine with the smallest `wake` (ties broken
 //! by routine id, so schedules are deterministic) at
-//! `resume_at = max(cpu_now, wake)`, advancing `cpu_now` to that point.
+//! `resume_at = max(cpu_now, wake)`, advancing `cpu_now` to that point —
+//! except that a routine holding commit locks (between posting C.1 and
+//! posting C.6) whose completions have landed goes ahead of the rest,
+//! see `ReactorState::dispatch`.
 //! CPU segments of different routines therefore never overlap — the
 //! pool models one core — while their NIC waits overlap freely; the
 //! per-QP pipelined occupancy of the fabric remains the serialization
@@ -97,6 +101,7 @@ use drtm_base::clock::VClock;
 use drtm_base::stats::{Counter, Histogram};
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_rdma::{Cq, Fabric, NodeId, Qp, WorkRequest};
+use drtm_store::{LocationCache, ValueCache};
 
 use crate::txn::Worker;
 
@@ -195,6 +200,11 @@ struct ReactorState {
     /// id). Spinners are perpetually runnable at the CPU frontier and
     /// must not hold back a deferred-doorbell flush.
     spin: Vec<bool>,
+    /// Whether each routine is between posting its C.1 lock CASes and
+    /// posting its C.6 unlocks (indexed by id): it holds — or is about
+    /// to hold — lock words the whole cluster can collide with, so
+    /// [`Self::dispatch`] resumes it first once its completions landed.
+    committing: Vec<bool>,
     /// Externally-idle routines of a serve pool: `(id, clock at park)`,
     /// kept in id order.
     idle: Vec<(usize, u64)>,
@@ -217,6 +227,25 @@ struct ReactorState {
 }
 
 impl ReactorState {
+    /// The state of a reactor of `total` routines, none registered yet.
+    fn new(total: usize) -> Self {
+        Self {
+            cpu_now: 0,
+            waiting: Vec::with_capacity(total),
+            pending: Vec::new(),
+            release: vec![0; total],
+            spin: vec![false; total],
+            committing: vec![false; total],
+            idle: Vec::new(),
+            park: None,
+            granted: None,
+            grant: Grant::default(),
+            unregistered: total,
+            live: total,
+            qps: HashMap::new(),
+        }
+    }
+
     /// Folds one park into the scheduler state.
     fn fold(&mut self, park: Park) {
         match park {
@@ -255,9 +284,20 @@ impl ReactorState {
         }
     }
 
-    /// Grants the CPU to the parked routine with the smallest
-    /// `(wake, id)` and returns its id for the reactor to poll; `None`
-    /// when nothing is runnable.
+    /// Whether a parked routine can use the CPU frontier right now:
+    /// its completions have landed and it is not a spin retry.
+    fn runnable(&self, id: usize, wake: u64) -> bool {
+        wake <= self.cpu_now && !self.spin[id]
+    }
+
+    /// Grants the CPU to the next parked routine and returns its id for
+    /// the reactor to poll; `None` when nothing is parked. Lock holders
+    /// runnable at the CPU frontier go first — every instant one of
+    /// them queues behind an execution-phase sibling is an instant its
+    /// C.1 locks stay held against the cluster — and everything else
+    /// follows in `(wake, id)` order (ids break ties, so schedules are
+    /// deterministic). A spin park never takes the priority, locks or
+    /// not: it is waiting on some other holder, which it would starve.
     fn dispatch(&mut self) -> Option<usize> {
         debug_assert!(self.granted.is_none(), "dispatch with an unconsumed grant");
         if self.unregistered > 0 {
@@ -267,7 +307,10 @@ impl ReactorState {
             .waiting
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &(id, wake))| (wake, id))?;
+            .min_by_key(|&(_, &(id, wake))| {
+                let holder = self.committing[id] && self.runnable(id, wake);
+                (!holder, wake, id)
+            })?;
         let depth = self.waiting.len() as u64;
         let (id, wake) = self.waiting.swap_remove(best);
         let idle = wake.saturating_sub(self.cpu_now);
@@ -295,8 +338,22 @@ impl ReactorState {
             && !self
                 .waiting
                 .iter()
-                .any(|&(id, wake)| wake <= self.cpu_now && !self.spin[id])
+                .any(|&(id, wake)| self.runnable(id, wake))
     }
+}
+
+/// The client-side caches of one worker thread (DESIGN.md §8): where
+/// each peer's records live and, for read-mostly tables, what they
+/// held. One set per reactor, shared by all of its routines — they
+/// never run concurrently, so a sibling's fill, write-through or
+/// invalidation is simply the next lookup's state.
+pub(crate) struct CacheSet {
+    /// Location caches, indexed by home node.
+    pub(crate) locations: Vec<LocationCache>,
+    /// Value caches of remote read-mostly records, indexed by home node.
+    pub(crate) values: Vec<ValueCache>,
+    /// Configuration epoch the value caches were last pruned against.
+    pub(crate) epoch: u64,
 }
 
 /// The reactor core: one per pool, and one per [`Worker`] outside any
@@ -310,27 +367,25 @@ pub(crate) struct Reactor {
     /// one CQ holds interleaved completions of many routines and each
     /// claims exactly its own with [`Cq::take_cookie`].
     pub(crate) cqs: Vec<Cq>,
+    /// The worker thread's caches. Uncontended like `state`, and never
+    /// held across a yield point.
+    pub(crate) caches: Mutex<CacheSet>,
 }
 
 impl Reactor {
-    fn new(total: usize, fabric: Arc<Fabric>) -> Self {
+    /// A reactor of `total` routines whose (empty) caches count as
+    /// pruned against configuration `epoch`.
+    fn new(total: usize, fabric: Arc<Fabric>, epoch: u64) -> Self {
+        let nodes = fabric.nodes();
         Self {
-            state: Mutex::new(ReactorState {
-                cpu_now: 0,
-                waiting: Vec::with_capacity(total),
-                pending: Vec::new(),
-                release: vec![0; total],
-                spin: vec![false; total],
-                idle: Vec::new(),
-                park: None,
-                granted: None,
-                grant: Grant::default(),
-                unregistered: total,
-                live: total,
-                qps: HashMap::new(),
-            }),
+            state: Mutex::new(ReactorState::new(total)),
             total,
-            cqs: (0..fabric.nodes()).map(|_| Cq::new()).collect(),
+            cqs: (0..nodes).map(|_| Cq::new()).collect(),
+            caches: Mutex::new(CacheSet {
+                locations: (0..nodes).map(|_| LocationCache::new()).collect(),
+                values: (0..nodes).map(|_| ValueCache::new()).collect(),
+                epoch,
+            }),
             fabric,
         }
     }
@@ -339,13 +394,22 @@ impl Reactor {
     /// its own reactor of one, already past the startup barrier, so
     /// every wait resolves inside the yield point (see the module
     /// docs).
-    pub(crate) fn solo(fabric: Arc<Fabric>) -> RoutineCtl {
-        let reactor = Self::new(1, fabric);
+    pub(crate) fn solo(fabric: Arc<Fabric>, epoch: u64) -> RoutineCtl {
+        let reactor = Self::new(1, fabric, epoch);
         reactor.state.lock().unregistered = 0;
         RoutineCtl {
             id: 0,
             reactor: Arc::new(reactor),
         }
+    }
+
+    /// The reactor of a pool multiplexing `workers` — one worker
+    /// thread's in-flight transactions — with a fresh cache set.
+    fn for_pool(workers: &[Worker]) -> Arc<Self> {
+        assert!(!workers.is_empty(), "a pool needs at least one routine");
+        let cluster = &workers[0].cluster;
+        let fabric = Arc::clone(&cluster.fabric);
+        Arc::new(Self::new(workers.len(), fabric, cluster.config.epoch()))
     }
 
     /// The initial-park future of routine `id` (startup barrier).
@@ -908,6 +972,14 @@ pub(crate) struct RoutineCtl {
     pub(crate) reactor: Arc<Reactor>,
 }
 
+impl RoutineCtl {
+    /// Marks this routine as holding commit locks (from posting C.1 to
+    /// posting C.6) or not; see [`ReactorState::dispatch`].
+    pub(crate) fn set_committing(&self, on: bool) {
+        self.reactor.state.lock().committing[self.id] = on;
+    }
+}
+
 /// The delivery mailbox of a serve pool: one slot per routine, filled
 /// by the reactor when it hands a queued item (or the close signal) to
 /// an idle routine.
@@ -994,9 +1066,9 @@ pub struct RoutinePool;
 /// it consumed plus the job's output.
 type RoutineFut<'a, T> = Pin<Box<dyn Future<Output = (Worker, T)> + 'a>>;
 
-/// One pooled routine: attaches the worker to the pool's reactor as
-/// routine `id`, performs the initial park, runs `body`, and hands the
-/// worker its own reactor of one back.
+/// One pooled routine: attaches the worker to the pool's reactor — its
+/// wait queue and its caches — as routine `id`, performs the initial
+/// park, runs `body`, and hands the worker its own reactor of one back.
 async fn routine<T>(
     reactor: Arc<Reactor>,
     id: usize,
@@ -1018,8 +1090,8 @@ async fn routine<T>(
     (w, out)
 }
 
-/// The drive loop of a pool: resume the runnable routine with the
-/// smallest wake horizon, advance it one step, fold its park. Deferred
+/// The drive loop of a pool: resume the next routine in dispatch
+/// order, advance it one step, fold its park. Deferred
 /// batches flush — one shared doorbell per destination — exactly when
 /// no routine is runnable at the CPU frontier. `admit` runs before
 /// every scheduling decision and `stalled` when nothing is runnable
@@ -1075,9 +1147,7 @@ impl RoutinePool {
     where
         F: AsyncFn(usize, &mut Worker) -> T,
     {
-        assert!(!workers.is_empty(), "a pool needs at least one routine");
-        let fabric = Arc::clone(&workers[0].cluster.fabric);
-        let reactor = Arc::new(Reactor::new(workers.len(), fabric));
+        let reactor = Reactor::for_pool(&workers);
         let job = &job;
         let futs = workers
             .into_iter()
@@ -1128,9 +1198,7 @@ impl RoutinePool {
         F: AsyncFn(usize, &mut Worker, T),
     {
         assert!(pool < group.pools(), "pool index outside the group");
-        assert!(!workers.is_empty(), "a pool needs at least one routine");
-        let fabric = Arc::clone(&workers[0].cluster.fabric);
-        let reactor = Arc::new(Reactor::new(workers.len(), fabric));
+        let reactor = Reactor::for_pool(&workers);
         let slots: Slots<T> = Arc::new(Mutex::new(workers.iter().map(|_| None).collect()));
         let handler = &handler;
         let futs = workers
@@ -1205,5 +1273,79 @@ impl RoutinePool {
             },
         );
         done.into_iter().map(|(w, ())| w).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reactor state of three registered routines whose CPU frontier
+    /// stands at `cpu_now`, parked as given: `(cpu_release, wake, spin)`
+    /// per routine id.
+    fn parked(cpu_now: u64, parks: [(u64, u64, bool); 3]) -> ReactorState {
+        let mut s = ReactorState::new(3);
+        s.unregistered = 0;
+        for (id, (cpu_release, wake, spin)) in parks.into_iter().enumerate() {
+            s.fold(Park::Yield {
+                id,
+                cpu_release,
+                wake,
+                spin,
+            });
+        }
+        s.cpu_now = s.cpu_now.max(cpu_now);
+        s
+    }
+
+    /// Drains the runnable list: the grant order and each resume time.
+    fn grants(s: &mut ReactorState) -> Vec<(usize, u64)> {
+        std::iter::from_fn(|| {
+            let id = s.dispatch()?;
+            s.granted = None;
+            Some((id, s.grant.resume_at))
+        })
+        .collect()
+    }
+
+    /// Schedule pin, R = 3: routine 1 sits in a commit-phase verb wait
+    /// (C.2 or C.5) whose completions landed at 150; routine 0 is an
+    /// execution-phase read that landed earlier, at 100; routine 2's
+    /// completions are still in flight. With the CPU frontier at 200
+    /// the lock holder resumes first, then `(wake, id)` order.
+    #[test]
+    fn landed_lock_holder_is_granted_before_an_earlier_execution_wake() {
+        let mut s = parked(200, [(10, 100, false), (20, 150, false), (30, 900, false)]);
+        s.committing[1] = true;
+        assert_eq!(grants(&mut s), [(1, 200), (0, 200), (2, 900)]);
+        // The same parks with nobody committing: plain `(wake, id)`.
+        let mut s = parked(200, [(10, 100, false), (20, 150, false), (30, 900, false)]);
+        assert_eq!(grants(&mut s), [(0, 200), (1, 200), (2, 900)]);
+    }
+
+    /// A spin park — routine 1 retrying a busy C.1 lock in wait mode,
+    /// earlier locks in hand — is perpetually "landed" but takes no
+    /// priority: the routine it waits on may be the one it would cut
+    /// in front of.
+    #[test]
+    fn spinning_lock_holder_is_not_prioritised() {
+        let mut s = parked(200, [(10, 100, false), (200, 200, true), (30, 150, false)]);
+        s.committing[1] = true;
+        assert_eq!(grants(&mut s), [(0, 200), (2, 200), (1, 200)]);
+    }
+
+    /// With no completions landed at the CPU frontier the choice — and
+    /// the idle time charged to it — is still the smallest
+    /// `(wake, id)`, lock holder or not.
+    #[test]
+    fn nothing_runnable_grants_min_wake() {
+        let mut s = parked(50, [(10, 100, false), (20, 150, false), (30, 100, false)]);
+        s.committing[1] = true;
+        assert_eq!(s.dispatch(), Some(0));
+        assert_eq!((s.grant.resume_at, s.grant.idle_ns), (100, 50));
+        s.granted = None;
+        // The frontier moved to 100: routine 2 landed, the holder (150)
+        // has not, so it still waits its turn.
+        assert_eq!(grants(&mut s), [(2, 100), (1, 150)]);
     }
 }

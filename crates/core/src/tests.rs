@@ -1139,7 +1139,7 @@ fn stale_cached_read_is_caught_at_validation() {
     let mut w0 = c.worker(0, 1);
     let v = w0.run_ro(|t| t.read(1, T_ACCT, key(1, 7))).unwrap();
     assert_eq!(num(&v), 100);
-    assert_eq!(w0.value_cache(1).len(), 1);
+    assert_eq!(w0.value_cache_len(1), 1);
 
     // The home node rewrites the record behind the cache's back.
     let mut w1 = c.worker(1, 2);
@@ -1153,12 +1153,12 @@ fn stale_cached_read_is_caught_at_validation() {
         ctx.commit(),
         Err(TxnError::Aborted(AbortReason::Validation))
     ));
-    assert_eq!(w0.value_cache(1).len(), 0, "failed validation invalidates");
+    assert_eq!(w0.value_cache_len(1), 0, "failed validation invalidates");
 
     // The retry refetches the fresh value and re-caches it.
     let v = w0.run_ro(|t| t.read(1, T_ACCT, key(1, 7))).unwrap();
     assert_eq!(num(&v), 200);
-    assert_eq!(w0.value_cache(1).len(), 1);
+    assert_eq!(w0.value_cache_len(1), 1);
     assert!(c.obs.scrape().cache.invalidations >= 1);
 }
 
@@ -1197,8 +1197,8 @@ fn recovery_epoch_bump_drops_cached_entries() {
         t.read(2, T_ACCT, key(2, 3))
     })
     .unwrap();
-    assert_eq!(w.value_cache(1).len(), 1);
-    assert_eq!(w.value_cache(2).len(), 1);
+    assert_eq!(w.value_cache_len(1), 1);
+    assert_eq!(w.value_cache_len(2), 1);
 
     c.crash(2);
     recover_node(&c, 2);
@@ -1206,8 +1206,146 @@ fn recovery_epoch_bump_drops_cached_entries() {
     // The next transaction begins under the new epoch and prunes.
     let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, 3))).unwrap();
     assert_eq!(num(&v), 100);
-    assert_eq!(w.value_cache(2).len(), 0, "dead node's entries dropped");
+    assert_eq!(w.value_cache_len(2), 0, "dead node's entries dropped");
     assert!(c.obs.scrape().cache.invalidations >= 2);
+}
+
+/// Runs `job` on a pool of four routines of machine 0 — one worker
+/// thread, one shared cache set. Routine `id` starts at virtual time
+/// `id` ms, far beyond any single transaction here, so the routines'
+/// transactions run strictly in id order.
+fn staggered_pool<T>(
+    c: &Arc<DrtmCluster>,
+    job: impl AsyncFn(usize, &mut crate::txn::Worker) -> T,
+) -> Vec<T> {
+    let workers = (0..4u64)
+        .map(|id| {
+            let mut w = c.worker(0, 30 + id);
+            w.clock.advance(id * 1_000_000);
+            w
+        })
+        .collect();
+    let done = crate::routine::RoutinePool::run(workers, job);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// One cache set per worker thread: what routine 0 fetched, routine 1
+/// is served from — its whole transaction is the one C.2 header READ.
+#[test]
+fn sibling_routine_hits_what_another_routine_fetched() {
+    use drtm_store::HEADER_BYTES;
+    let c = cached_cluster(2, 1);
+    let nic = || c.fabric.port(1).stats().snapshot();
+    let deltas = staggered_pool(&c, async |id, w| {
+        if id > 1 {
+            return None;
+        }
+        let base = nic();
+        let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 5)).await);
+        assert_eq!(num(&v.await.unwrap()), 100);
+        Some(nic().delta(&base))
+    });
+    let miss = deltas[0].unwrap();
+    assert!(miss.bytes > HEADER_BYTES as u64, "the record travels once");
+    let hit = deltas[1].unwrap();
+    assert_eq!((hit.reads, hit.atomics, hit.writes), (1, 0, 0), "{hit:?}");
+    assert_eq!(hit.bytes, HEADER_BYTES as u64, "{hit:?}");
+    let snap = c.obs.scrape();
+    assert_eq!((snap.cache.hits, snap.cache.misses), (1, 1));
+}
+
+/// C.5 write-through warms siblings: routine 1 reads what routine 0
+/// just rewrote from the refreshed entry and validates first time.
+#[test]
+fn write_through_warms_sibling_routines() {
+    let c = cached_cluster(2, 1);
+    let aborted = staggered_pool(&c, async |id, w| {
+        match id {
+            0 => w
+                .run_async(async |t| {
+                    let v = num(&t.read_async(1, T_ACCT, key(1, 9)).await?);
+                    t.write_async(1, T_ACCT, key(1, 9), val(v + 1)).await
+                })
+                .await
+                .unwrap(),
+            1 => {
+                let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 9)).await);
+                assert_eq!(num(&v.await.unwrap()), 101);
+            }
+            _ => {}
+        }
+        w.stats.aborted
+    });
+    assert_eq!(aborted, [0; 4]);
+    let snap = c.obs.scrape();
+    assert_eq!(snap.cache.invalidations, 0, "write-through, not refetch");
+    assert_eq!((snap.cache.hits, snap.cache.misses), (1, 1));
+}
+
+/// A rewrite by the home node behind the pool's back: the first routine
+/// to hit the stale entry aborts at C.2 and drops it — once, for the
+/// whole thread — and the next routine refetches the fresh value.
+#[test]
+fn stale_shared_entry_aborts_once_and_the_next_routine_refetches() {
+    let c = cached_cluster(2, 1);
+    staggered_pool(&c, async |id, w| match id {
+        0 => {
+            let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 7)).await);
+            assert_eq!(num(&v.await.unwrap()), 100);
+        }
+        1 => {
+            let mut home = c.worker(1, 2);
+            home.run(|t| t.write(1, T_ACCT, key(1, 7), val(200)))
+                .unwrap();
+            let mut ctx = w.begin_ro();
+            let stale = ctx.read_async(1, T_ACCT, key(1, 7)).await.unwrap();
+            assert_eq!(num(&stale), 100, "execution serves the shared entry");
+            assert_eq!(
+                ctx.commit_async().await,
+                Err(TxnError::Aborted(AbortReason::Validation))
+            );
+            assert_eq!(w.value_cache_len(1), 0, "failed validation invalidates");
+        }
+        _ => {
+            let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 7)).await);
+            assert_eq!(num(&v.await.unwrap()), 200);
+            assert_eq!(w.stats.aborted, 0);
+        }
+    });
+    let snap = c.obs.scrape();
+    assert_eq!(snap.cache.invalidations, 1);
+    // Routine 0 missed, 1 hit stale, 2 refetched, 3 hit fresh.
+    assert_eq!((snap.cache.hits, snap.cache.misses), (2, 2));
+}
+
+/// Recovery under a live pool: the first routine to begin under the new
+/// epoch prunes the thread's set — both pre-crash entries, each counted
+/// once — and its siblings find the epoch current and nothing to drop.
+#[test]
+fn epoch_prune_runs_once_per_cache_set() {
+    let c = cached_cluster(3, 2);
+    staggered_pool(&c, async |id, w| {
+        if id == 0 {
+            w.run_ro_async(async |t| {
+                t.read_async(1, T_ACCT, key(1, 3)).await?;
+                t.read_async(2, T_ACCT, key(2, 3)).await
+            })
+            .await
+            .unwrap();
+            assert_eq!((w.value_cache_len(1), w.value_cache_len(2)), (1, 1));
+            return;
+        }
+        if id == 1 {
+            c.crash(2);
+            recover_node(&c, 2);
+        }
+        // Shard 2 is re-homed: every later routine reads it through the
+        // new shard map and never from a pre-crash entry.
+        let v = w.run_ro_async(async |t| t.read_async(2, T_ACCT, key(2, 3)).await);
+        assert_eq!(num(&v.await.unwrap()), 100);
+        assert_eq!(w.value_cache_len(2), 0, "dead node's entries dropped");
+        assert_eq!(c.obs.scrape().cache.invalidations, 2);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1506,6 +1644,54 @@ fn conflicting_routines_make_progress() {
     assert_eq!(a, 1000 - 24);
     assert_eq!(b, 1000 + 24);
     assert_eq!(a + b, 2000, "transfers conserve under contention");
+}
+
+/// Schedule pin, R = 3, CPU-bound: routine 0 commits one remote
+/// read-modify-write while routines 1 and 2 run read-only transactions
+/// whose bodies burn 4 us of CPU after every remote read — longer than
+/// a verb round trip, so whenever a segment ends both other routines'
+/// completions have already landed. `(wake, id)` order would make
+/// routine 0 queue behind both siblings at each of its three
+/// commit-phase parks (C.1, C.2, C.5), its locks held throughout; the
+/// reactor instead resumes it at the first scheduling point after its
+/// completions land. The log is every resume in grant order: the
+/// commit's stage probes (fired as routine 0 runs on from the park)
+/// and `r<id>` for each read an execution-phase routine returns from.
+#[test]
+fn lock_holder_resumes_ahead_of_landed_execution_reads() {
+    let c = cluster(2, 1);
+    let log = Arc::new(ProbeLog(Default::default()));
+    c.set_crash_hook(log.clone());
+    let workers: Vec<_> = (0..3).map(|id| c.worker(0, 60 + id)).collect();
+    let done = crate::routine::RoutinePool::run(workers, async |id, w| {
+        if id == 0 {
+            return w
+                .run_async(async |t| {
+                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
+                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                })
+                .await;
+        }
+        w.run_ro_async(async |t| {
+            for k in 0..4 {
+                t.read_async(1, T_ACCT, key(1, 8 * id as u64 + k)).await?;
+                log.0.lock().unwrap().push(["", "r1", "r2"][id]);
+                t.w.clock.advance(4_000);
+            }
+            Ok(())
+        })
+        .await
+    });
+    assert!(done.iter().all(|(_, r)| r.is_ok()));
+    // Under `(wake, id)` alone this reads r1 r2 C.1 .. R.2 r1 r2 C.5 ..:
+    // two 4 us segments ahead of the holder at every park.
+    assert_eq!(
+        *log.0.lock().unwrap(),
+        [
+            "r1", "C.1", "r2", "C.2", "C.4", "R.1", "R.2", "r1", "C.5", "C.6", "r2", "r1", "r2",
+            "r1", "r2"
+        ]
+    );
 }
 
 /// The shared admission queue is a one-member group: it sheds at the

@@ -1,10 +1,12 @@
 //! Worker threads and the transaction execution phase (§4.3).
 //!
-//! A [`Worker`] is one of the paper's worker threads: it runs on a
-//! machine, owns a private virtual clock, queue pairs to every peer, and
-//! a location cache. A [`TxnCtx`] is one in-flight transaction: the
-//! execution phase tracks local/remote read and write sets; the commit
-//! phase lives in [`crate::commit`].
+//! A [`Worker`] is one in-flight slot of one of the paper's worker
+//! threads: it runs on a machine and owns a private virtual clock and
+//! queue pairs to every peer. The thread's location and value caches
+//! live on its reactor, shared with the thread's other slots. A
+//! [`TxnCtx`] is one in-flight transaction: the execution phase tracks
+//! local/remote read and write sets; the commit phase lives in
+//! [`crate::commit`].
 
 use std::sync::Arc;
 
@@ -14,11 +16,11 @@ use drtm_htm::HtmTxn;
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, LOCK_FREE};
-use drtm_store::{CachedRecord, LocationCache, TableId, ValueCache};
+use drtm_store::{CachedRecord, TableId};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
-use crate::routine::{Reactor, RoutineCtl};
+use crate::routine::{CacheSet, Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,18 +125,13 @@ pub struct Worker {
     pub clock: VClock,
     pub(crate) rng: SplitMix64,
     pub(crate) qps: Vec<Qp>,
-    pub(crate) caches: Vec<LocationCache>,
-    /// Per-peer value caches of remote read-mostly records (see
-    /// DESIGN.md §8); indexed by home node, like `caches`.
-    pub(crate) value_caches: Vec<ValueCache>,
-    /// Configuration epoch the value caches were last pruned against.
-    pub(crate) cache_epoch: u64,
     /// Commit/abort/latency counters.
     pub stats: WorkerStats,
     /// This worker's shard of the cluster metrics registry.
     pub obs: Arc<Shard>,
-    /// The routine of the reactor every wait primitive parks on: this
-    /// worker's own reactor of one, or — while it runs inside a
+    /// The routine of the reactor every wait primitive parks on and
+    /// whose caches every remote access goes through: this worker's
+    /// own reactor of one, or — while it runs inside a
     /// [`crate::routine::RoutinePool`] — the pool's.
     pub(crate) routine: RoutineCtl,
     /// Cumulative virtual ns this worker spent waiting on verb
@@ -237,17 +234,13 @@ impl Worker {
         let qps = (0..n).map(|dst| cluster.fabric.qp(node, dst)).collect();
         let obs = cluster.obs.shard(node);
         obs.note_routines(1);
-        let epoch = cluster.config.epoch();
-        let routine = Reactor::solo(Arc::clone(&cluster.fabric));
+        let routine = Reactor::solo(Arc::clone(&cluster.fabric), cluster.config.epoch());
         Self {
             cluster,
             node,
             clock: VClock::new(),
             rng: SplitMix64::new(seed ^ (node as u64) << 32),
             qps,
-            caches: (0..n).map(|_| LocationCache::new()).collect(),
-            value_caches: (0..n).map(|_| ValueCache::new()).collect(),
-            cache_epoch: epoch,
             stats: WorkerStats::default(),
             obs,
             routine,
@@ -369,10 +362,17 @@ impl Worker {
             .note_reactor(grant.depth, grant.resume_at.saturating_sub(now));
     }
 
-    /// Read access to the value cache of records homed on `node`
-    /// (diagnostics and tests; the engine mutates it internally).
-    pub fn value_cache(&self, node: NodeId) -> &ValueCache {
-        &self.value_caches[node]
+    /// The caches of this worker's thread (its reactor's). The guard
+    /// must not live across a yield point: a sibling routine would
+    /// block on it.
+    pub(crate) fn caches(&self) -> std::sync::MutexGuard<'_, CacheSet> {
+        self.routine.reactor.caches.lock()
+    }
+
+    /// Live entries in the value cache of records homed on `node`
+    /// (diagnostics and tests).
+    pub fn value_cache_len(&self, node: NodeId) -> usize {
+        self.caches().values[node].len()
     }
 
     /// Starts a read-write transaction.
@@ -394,16 +394,27 @@ impl Worker {
         // Recovery invalidation: a reconfiguration re-homed some shards,
         // so cached values filled under the old membership — including
         // every entry for a machine that just died — must not be served
-        // again (DESIGN.md §8).
-        if self.cluster.opts.value_cache && start_epoch != self.cache_epoch {
-            let mut dropped = 0;
-            for c in &mut self.value_caches {
-                dropped += c.retain_epoch(start_epoch);
-            }
-            self.cache_epoch = start_epoch;
-            if dropped > 0 {
-                self.obs.note_cache_invalidations(dropped);
-                drtm_obs::trace::event(EventKind::Cache, "reconfig", self.node as u64, start_ns);
+        // again (DESIGN.md §8). The first routine of the thread to begin
+        // under the new epoch prunes; its siblings find the set's epoch
+        // current and skip.
+        if self.cluster.opts.value_cache {
+            let mut caches = self.caches();
+            if start_epoch != caches.epoch {
+                let dropped: u64 = caches
+                    .values
+                    .iter_mut()
+                    .map(|c| c.retain_epoch(start_epoch))
+                    .sum();
+                caches.epoch = start_epoch;
+                if dropped > 0 {
+                    self.obs.note_cache_invalidations(dropped);
+                    drtm_obs::trace::event(
+                        EventKind::Cache,
+                        "reconfig",
+                        self.node as u64,
+                        start_ns,
+                    );
+                }
             }
         }
         if self.trace_id != 0 {
@@ -843,9 +854,12 @@ impl<'w> TxnCtx<'w> {
             // header-only READ.
             let cacheable = self.value_cacheable(table);
             if cacheable {
-                if let Some(c) = self.w.value_caches[node].get(table, key) {
-                    let (rec_off, seq, incarnation, value) =
-                        (c.rec_off as usize, c.seq, c.incarnation, c.value.clone());
+                // Copied out once, under the guard: a sibling may refresh
+                // or drop the shared entry at this routine's next park.
+                let hit = self.w.caches().values[node]
+                    .get(table, key)
+                    .map(|c| (c.rec_off as usize, c.seq, c.incarnation, c.value.clone()));
+                if let Some((rec_off, seq, incarnation, value)) = hit {
                     self.w.obs.note_cache_hit(layout.size() as u64);
                     drtm_obs::trace::event(
                         EventKind::Cache,
@@ -901,22 +915,26 @@ impl<'w> TxnCtx<'w> {
             let Some(rr) = read else {
                 return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
             };
-            // Stale location cache: the block was freed/reused. Invalidate
-            // and retry the whole lookup once.
-            if let Some(cached_inc) = self.cached_incarnation(node, table, key) {
-                if cached_inc != rr.incarnation {
-                    self.w.caches[node].invalidate(table, key);
-                    continue 'lookup;
+            let mut caches = self.w.caches();
+            if cluster.opts.use_location_cache {
+                let locations = &mut caches.locations[node];
+                match locations.get(table, key) {
+                    // Stale location cache: the block was freed/reused.
+                    // Invalidate and retry the whole lookup once.
+                    Some((_, cached_inc)) if cached_inc != rr.incarnation => {
+                        locations.invalidate(table, key);
+                        continue 'lookup;
+                    }
+                    Some(_) => {}
+                    None => locations.put(table, key, rec_off as u64, rr.incarnation),
                 }
-            } else if cluster.opts.use_location_cache {
-                self.w.caches[node].put(table, key, rec_off as u64, rr.incarnation);
             }
             // Fill the value cache from this consistent read. Only unlocked,
             // committed (even-sequence) snapshots are deposited: an odd
             // sequence number is visible-but-uncommittable and a locked one
             // may be mid-rewrite.
             if cacheable && rr.lock == LOCK_FREE && rr.seq % 2 == 0 {
-                self.w.value_caches[node].put(
+                caches.values[node].put(
                     table,
                     key,
                     CachedRecord {
@@ -1135,13 +1153,6 @@ impl<'w> TxnCtx<'w> {
         opts.value_cache && opts.read_mostly_tables.contains(&table)
     }
 
-    fn cached_incarnation(&mut self, node: NodeId, table: TableId, key: u64) -> Option<u64> {
-        if !self.w.cluster.opts.use_location_cache {
-            return None;
-        }
-        self.w.caches[node].get(table, key).map(|(_, inc)| inc)
-    }
-
     /// Resolves a remote record offset via the location cache or one-sided
     /// hash probes of the peer's directory.
     async fn locate_remote(
@@ -1152,7 +1163,7 @@ impl<'w> TxnCtx<'w> {
     ) -> Result<usize, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         if cluster.opts.use_location_cache {
-            if let Some((loc, _)) = self.w.caches[node].get(table, key) {
+            if let Some((loc, _)) = self.w.caches().locations[node].get(table, key) {
                 return Ok(loc as usize);
             }
         }

@@ -3,7 +3,8 @@
 //! * the DrTM location cache (remote lookups become multi-READ probes
 //!   without it);
 //! * the IBV_ATOMIC_GLOB fused lock+validate CAS (§4.4 C.2), which
-//!   saves one RDMA READ per remote read-set record;
+//!   saves one RDMA READ per remote read-set record — a WR in C.1's
+//!   doorbell here (DESIGN.md §7), no longer a round trip of its own;
 //! * the §6.4 pointer-swap local-record update (HTM write-set footprint
 //!   and commit cost).
 

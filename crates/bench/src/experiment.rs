@@ -163,12 +163,18 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
         ),
         "nic_bytes_per_txn" => ("B", per_txn(s.nic_bytes.iter().map(|(_, b)| b).sum())),
         "reads_per_txn" => ("verb", per_txn(verbs(|v| v == "read"))),
+        "doorbells_per_txn" => ("doorbell", per_txn(verbs(|v| v == "doorbell"))),
         "cache_hits" => ("read", s.cache.hits as f64),
         "cache_misses" => ("read", s.cache.misses as f64),
         "cache_hit_pct" => ("%", 100.0 * s.cache.hit_rate()),
         "cache_kb_saved" => ("KB", s.cache.bytes_saved as f64 / 1024.0),
         "overlap_ns" => ("ns", s.pipeline.overlap_ns as f64),
         "hiding_pct" => ("%", 100.0 * s.pipeline.hiding_ratio()),
+        // Verb wait no sibling's CPU segment overlapped: core idle.
+        "idle_ns_per_txn" => (
+            "ns",
+            per_txn(s.pipeline.wait_ns.saturating_sub(s.pipeline.overlap_ns)),
+        ),
         "pessimistic" => ("commit", s.contention.pessimistic as f64),
         "parks" => ("park", s.contention.parks as f64),
         "grants" => ("park", s.contention.grants as f64),
@@ -272,13 +278,13 @@ impl Report {
             }
         }
         let mut out = format!("{}: {} (size {})\n", e.name, e.about, self.size);
-        out += &format!("  {:<26}", "metric");
+        out += &format!("  {:<34}", "metric");
         for a in &self.arms {
             out += &format!(" {:>11}", a.label);
         }
         out += &format!(" {:>10}\n", "last/first");
         for (name, unit) in rows {
-            out += &format!("  {:<26}", format!("{name} ({unit})"));
+            out += &format!("  {:<34}", format!("{name} ({unit})"));
             for a in &self.arms {
                 out += &format!(" {:>11}", fmt_value(a[name], "-", 2));
             }
@@ -561,10 +567,28 @@ fn run_cache(size: Size) -> Result<Vec<Arm>, String> {
 fn routines_arm(txns: usize, routines: usize, with_smallbank: bool) -> Arm {
     let run = two_by_two(txns, routines, ContentionPolicy::Off);
     let mut arm = Arm::new(format!("r{routines}"));
-    let scraped = ["overlap_ns", "hiding_pct"];
-    ycsb_arm(&mut arm, "ycsb_", &ycsb_cfg(QUICK, 2, 0.6), &run, &scraped);
+    // The last two are the trade the reactor's doorbell timing makes
+    // (DESIGN.md §14): ringing sooner costs doorbells and buys idle.
+    let scraped = [
+        "overlap_ns",
+        "hiding_pct",
+        "doorbells_per_txn",
+        "idle_ns_per_txn",
+    ];
+    // Idle as a share of the core time a committed transaction costs:
+    // one simulated core per worker slot, `slots / vtps` seconds each.
+    let idle_share = |arm: &mut Arm, prefix: &str, nodes: usize| {
+        let core_ns = (nodes * run.threads) as f64 * 1e9 / arm[&format!("{prefix}vtps")];
+        let idle_pct = 100.0 * arm[&format!("{prefix}idle_ns_per_txn")] / core_ns;
+        arm.push(format!("{prefix}idle_pct"), "%", idle_pct);
+    };
+    let ycsb = ycsb_cfg(QUICK, 2, 0.6);
+    ycsb_arm(&mut arm, "ycsb_", &ycsb, &run, &scraped);
+    idle_share(&mut arm, "ycsb_", ycsb.nodes);
     if with_smallbank {
-        smallbank_arm(&mut arm, "sb_", &sb_cfg(QUICK, 2, 0.6), &run, &scraped);
+        let sb = sb_cfg(QUICK, 2, 0.6);
+        smallbank_arm(&mut arm, "sb_", &sb, &run, &scraped);
+        idle_share(&mut arm, "sb_", sb.nodes);
     }
     arm
 }
@@ -798,6 +822,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
             }),
             ("r256 overlaps more verb wait than r8", 1, |_, a| {
                 ratio(a, "ycsb_overlap_ns") > 1.0
+            }),
+            // What R = 8 leaves on the table, and the one arm where
+            // ringing a doorbell early can only cost (the backlog always
+            // covers a round trip): it must never buy R = 8's gain with
+            // R = 256's throughput.
+            ("r256 vtps not below r8", 1, |_, a| {
+                ratio(a, "ycsb_vtps") >= 1.0
             }),
             ("r256/r8 vtps >= 1.20", 1, |_, a| {
                 ratio(a, "ycsb_vtps") >= 1.20

@@ -8,7 +8,7 @@ use drtm_base::sync::{Mutex, RwLock};
 use drtm_base::{CostModel, MemoryRegion};
 use drtm_cluster::{ConfigService, LeaseBoard, ReplLogStore};
 use drtm_htm::{Htm, HtmConfig};
-use drtm_rdma::{Fabric, NodeId};
+use drtm_rdma::{Fabric, FabricBuilder, NodeId};
 use drtm_store::{Store, TableSpec};
 
 use crate::contention::{ContentionPolicy, WaitRegistry};
@@ -317,6 +317,17 @@ pub struct DrtmCluster {
 impl DrtmCluster {
     /// Builds an `n`-node cluster instantiating `schema` on every node.
     pub fn new(n: usize, schema: &[TableSpec], opts: EngineOpts) -> Arc<Self> {
+        Self::with_fabric(n, schema, opts, |fabric| fabric)
+    }
+
+    /// [`Self::new`] on a fabric whose builder went through `tune`
+    /// first (tests shrink the send queue with it).
+    pub(crate) fn with_fabric(
+        n: usize,
+        schema: &[TableSpec],
+        opts: EngineOpts,
+        tune: impl FnOnce(FabricBuilder) -> FabricBuilder,
+    ) -> Arc<Self> {
         assert!(n >= 1);
         assert!(
             opts.replicas >= 1 && opts.replicas <= n,
@@ -332,8 +343,8 @@ impl DrtmCluster {
                 drtm_rdma::AtomicLevel::Glob
             } else {
                 drtm_rdma::AtomicLevel::Hca
-            })
-            .build();
+            });
+        let fabric = tune(fabric).build();
         let stores = regions
             .iter()
             .map(|r| Arc::new(Store::new(Arc::clone(r), schema)))

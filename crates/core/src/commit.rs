@@ -10,8 +10,9 @@
 //!   validation *inside* the HTM region (§4.6). A lock held by a machine
 //!   that has left the configuration is released passively (§5.2).
 //! * **C.2** validate the remote read set (sequence number + incarnation)
-//!   with one-sided READs — or, under the `IBV_ATOMIC_GLOB` ablation,
-//!   fused into C.1's CAS.
+//!   with one-sided header READs. They ride C.1's doorbell, each behind
+//!   its record's CAS, so C.1 and C.2 cost one round trip together;
+//!   under the `IBV_ATOMIC_GLOB` ablation they are fused into the CAS.
 //! * **C.3 + C.4** one HTM region validates the local read set, checks
 //!   that no remote committer locked a local write-set record, and
 //!   applies the buffered local writes. With replication on, the new
@@ -29,7 +30,7 @@ use std::sync::Arc;
 
 use drtm_cluster::LogEntry;
 use drtm_htm::RunOutcome;
-use drtm_rdma::{NodeId, VerbError, WorkRequest, WrResult};
+use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{
     lock_owner, lock_word, locked_write_wrs, remote_read_header, RecordHeader, HEADER_BYTES,
     INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
@@ -173,7 +174,30 @@ impl PhaseClock {
 /// the global sort order that makes lock acquisition deadlock-free.
 type LockAddr = (NodeId, usize);
 
-/// Outcome of one blocking lock acquisition (see `TxnCtx::acquire_one`).
+/// What one lock-word CAS came back with: the swap's result (`Err` is
+/// the word found instead), or the transport fault that ate the WR.
+type CasOutcome = Result<Result<u64, u64>, VerbError>;
+
+/// C.2's READ of the header of the record at `raddr`.
+fn header_read(raddr: usize) -> WorkRequest {
+    WorkRequest::Read {
+        raddr,
+        len: HEADER_BYTES,
+    }
+}
+
+/// The header a [`header_read`] completed with; `None` when the
+/// injector dropped it.
+fn header_of(wc: WorkCompletion) -> Option<RecordHeader> {
+    match wc.result {
+        Ok(WrResult::Read { data, .. }) => Some(RecordHeader::parse(&data)),
+        Ok(_) => unreachable!("READ WRs complete with READ results"),
+        Err(_) => None,
+    }
+}
+
+/// Outcome of acquiring one lock whose group CAS lost (see
+/// `TxnCtx::acquire_one`).
 enum OneLock {
     /// The lock is held by this transaction (possibly after stealing it
     /// from a dead owner and healing the record).
@@ -289,8 +313,8 @@ impl TxnCtx<'_> {
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
-        let addrs: Vec<(NodeId, usize)> = self.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
-        let hdrs = self.read_headers(&addrs).await?;
+        let addrs: Vec<LockAddr> = self.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
+        let hdrs = self.read_headers(&addrs, |_| None).await?;
         for (i, h) in hdrs.iter().enumerate() {
             let e = &self.r_rs[i];
             // A cached entry skipped the read-time lock check a fresh
@@ -346,12 +370,13 @@ impl TxnCtx<'_> {
         // already won. Global order keeps wait mode deadlock-free.
         let locks = self.lock_addrs(mode);
         let wait_mode = self.pessimistic_c1();
-        self.lock_all(&locks, wait_mode).await?;
+        let peeked = self.lock_all(&locks, wait_mode, mode).await?;
         self.stage_done(pc, lock)?;
 
         // C.2: validate remote reads; learn current sequence numbers for
-        // remote writes.
-        let remote_new_seqs = match self.validate_remote().await {
+        // remote writes — from the headers C.1's doorbells brought back,
+        // so a round trip is paid here only for what they missed.
+        let remote_new_seqs = match self.validate_remote(&locks, &peeked).await {
             Ok(s) => s,
             Err(e) => {
                 self.unlock_all(&locks).await;
@@ -477,40 +502,47 @@ impl TxnCtx<'_> {
 
     /// The lock-word CASes of one destination (`group` is one node's
     /// run of the sorted lock set), outcomes in order. One-sided, they
-    /// ride a single doorbell: `signalled` waits for the completions —
-    /// a reactor suspension point — while unsignalled WRs are claimed
-    /// without spinning the clock forward to them. Under the messaging
-    /// ablation there is no doorbell to share: each CAS is its own
-    /// round trip, and none is ever dropped in flight.
+    /// ride a single doorbell (per `sq_depth` WRs): `signalled` waits
+    /// for the completions — a reactor suspension point — while
+    /// unsignalled WRs are claimed without spinning the clock forward to
+    /// them. With `peek`, a [`HEADER_BYTES`] READ of every record rides
+    /// the same doorbell behind the CASes: an RC QP executes in post
+    /// order, so the READ behind a *winning* CAS returns the header C.2
+    /// validates, already stable under the lock (`None` where the
+    /// injector dropped it). Under the messaging ablation there is no
+    /// doorbell to share: each CAS is its own round trip, none is ever
+    /// dropped in flight, and no header comes back.
     async fn remote_cas_batch(
         &mut self,
         group: &[LockAddr],
         expect: u64,
         new: u64,
         signalled: bool,
-    ) -> Vec<Result<Result<u64, u64>, VerbError>> {
+        peek: bool,
+    ) -> Vec<(CasOutcome, Option<RecordHeader>)> {
         let node = group[0].0;
         if self.w.cluster.opts.msg_locking {
             return group
                 .iter()
-                .map(|&(_, off)| Ok(self.remote_cas(node, off, expect, new)))
+                .map(|&(_, off)| (Ok(self.remote_cas(node, off, expect, new)), None))
                 .collect();
         }
-        let w = &mut *self.w;
-        for &(_, raddr) in group {
-            w.qps[node].post(WorkRequest::Cas { raddr, expect, new });
-        }
-        let wcs = if signalled {
-            w.finish_batch(node).await
-        } else {
-            w.finish_batch_ff(node)
-        };
+        let cas = group
+            .iter()
+            .map(|&(_, raddr)| WorkRequest::Cas { raddr, expect, new });
+        let reads = group.iter().filter(|_| peek).map(|a| header_read(a.1));
+        let mut wcs = self
+            .w
+            .ring(node, cas.chain(reads).collect(), signalled)
+            .await;
+        let mut hdrs = wcs.split_off(group.len()).into_iter().map(header_of);
         wcs.into_iter()
             .map(|wc| {
-                wc.result.map(|r| match r {
+                let outcome = wc.result.map(|r| match r {
                     WrResult::Cas(res) => res,
                     _ => unreachable!("CAS WRs complete with CAS results"),
-                })
+                });
+                (outcome, hdrs.next().flatten())
             })
             .collect()
     }
@@ -610,19 +642,35 @@ impl TxnCtx<'_> {
     /// busy words are spun on under a [`SpinBudget`] (rung 2) instead of
     /// failing on first sight.
     ///
+    /// Each group's doorbell also carries the header READs C.2 needs —
+    /// every record of the group, except the loopback group of local
+    /// records in [`Mode::Locked`] (validated from memory) and under
+    /// the two ablations whose transports have no READ to chain. On
+    /// success returns those headers aligned with `addrs`: `None` where
+    /// no READ rode along, where it was dropped, or where the lock was
+    /// won later through [`Self::acquire_one`] (the header behind a
+    /// losing CAS was not stable, and a steal's heal rewrites it).
+    ///
     /// On failure releases the locks actually acquired (a group can win
     /// later CASes after an earlier one lost, so this is not always a
     /// prefix of `addrs`) and returns the error to surface. On `Crashed`
     /// the machine died mid-acquisition and that release is a no-op:
     /// whatever it already locked dangles for the recovery sweep.
-    async fn lock_all(&mut self, addrs: &[LockAddr], wait: bool) -> Result<(), TxnError> {
+    async fn lock_all(
+        &mut self,
+        addrs: &[LockAddr],
+        wait: bool,
+        mode: Mode,
+    ) -> Result<Vec<Option<RecordHeader>>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         // From this post until C.6's the reactor resumes this routine
         // ahead of its execution-phase siblings (DESIGN.md §11).
         self.w.routine.set_committing(!addrs.is_empty());
         let me = lock_word(self.w.node);
         let members = cluster.config.get();
+        let chained = !(cluster.opts.msg_locking || cluster.opts.fuse_lock_validate);
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
+        let mut peeked: Vec<Option<RecordHeader>> = Vec::with_capacity(addrs.len());
         let mut failed: Option<TxnError> = None;
         for group in addrs.chunk_by(|a, b| a.0 == b.0) {
             let node = group[0].0;
@@ -639,20 +687,29 @@ impl TxnCtx<'_> {
                 failed = Some(TxnError::Crashed);
                 break;
             }
-            let results = self.remote_cas_batch(group, LOCK_FREE, me, true).await;
-            for (res, &(_, rec_off)) in results.iter().zip(group) {
+            let peek = chained && (mode == Mode::Htm || node != self.w.node);
+            let results = self
+                .remote_cas_batch(group, LOCK_FREE, me, true, peek)
+                .await;
+            for ((res, hdr), &addr) in results.into_iter().zip(group) {
                 match res {
-                    Ok(Ok(_)) => acquired.push((node, rec_off)),
-                    Ok(Err(_)) => {
+                    Ok(Ok(_)) => {
+                        acquired.push(addr);
+                        peeked.push(hdr);
+                    }
+                    Ok(Err(seen)) => {
                         // Already failing: don't fight for further locks
                         // that would immediately be released.
                         if failed.is_some() {
                             continue;
                         }
-                        match self.acquire_one(node, rec_off, me, wait).await {
-                            OneLock::Acquired => acquired.push((node, rec_off)),
+                        match self.acquire_one(addr, me, wait, seen).await {
+                            OneLock::Acquired => {
+                                acquired.push(addr);
+                                peeked.push(None);
+                            }
                             OneLock::Busy => {
-                                self.note_conflict((node, rec_off), true);
+                                self.note_conflict(addr, true);
                                 failed = Some(self.lock_fail_err());
                             }
                             OneLock::Dead => failed = Some(TxnError::Crashed),
@@ -662,7 +719,7 @@ impl TxnCtx<'_> {
                     // but keep scanning, later CASes of the group may
                     // have acquired locks that must be released.
                     Err(e) => {
-                        failed.get_or_insert(TxnError::from(*e));
+                        failed.get_or_insert(TxnError::from(e));
                     }
                 }
             }
@@ -671,50 +728,41 @@ impl TxnCtx<'_> {
             }
         }
         let Some(err) = failed else {
-            return Ok(());
+            return Ok(peeked);
         };
         self.unlock_all(&acquired).await;
         Err(err)
     }
 
-    /// Acquires one lock with blocking CAS, retrying through the §5.2
-    /// passive-release dance: a word owned by a machine outside the
-    /// configuration is stolen (release-then-relock would let another
-    /// writer slip in before the repair), the record rolled forward to
-    /// its freshest durable version, and the lock kept.
+    /// Acquires the lock at `addr` after its group CAS lost, finding
+    /// `seen` in the word — classified from that word, with no CAS
+    /// spent on learning the owner — through the §5.2 passive-release
+    /// dance: a word owned by a machine outside the configuration is
+    /// stolen (release-then-relock would let another writer slip in
+    /// before the repair), the record rolled forward to its freshest
+    /// durable version, and the lock kept.
     ///
     /// With `wait`, a word held by a *live* member is retried under a
     /// [`SpinBudget`] — the same bounded spin-with-backoff the `drtm2pl`
     /// baseline's 2PL acquisition uses — instead of returning
     /// [`OneLock::Busy`] on first sight (rung 2 of the ladder). The spin
-    /// parks between CASes, so the holder's routine can run.
-    async fn acquire_one(&mut self, node: NodeId, rec_off: usize, me: u64, wait: bool) -> OneLock {
+    /// parks between CASes, so the holder's routine can run, and every
+    /// CAS is a posted batch of one: its round trip parks the routine
+    /// like any other commit verb instead of walking the pool's CPU
+    /// frontier across it.
+    async fn acquire_one(&mut self, addr: LockAddr, me: u64, wait: bool, seen: u64) -> OneLock {
         let cluster = Arc::clone(&self.w.cluster);
         let members = cluster.config.get();
         let mut budget = SpinBudget::default();
+        // What the latest CAS found in the lock word.
+        let mut word = seen;
         loop {
-            // A dead machine issues no verbs (its QPs died with it).
-            // Without this per-attempt check, a worker thread of the
-            // victim descheduled mid-acquisition could wake up *after*
-            // the recovery sweep released its dangling locks and acquire
-            // fresh ones that nothing ever sweeps again.
-            if !cluster.is_alive(self.w.node) {
-                return OneLock::Dead;
-            }
-            match self.remote_cas(node, rec_off, LOCK_FREE, me) {
-                Ok(_) => return OneLock::Acquired,
-                Err(actual) => {
-                    let owner = lock_owner(actual).expect("non-free lock words name an owner");
-                    if !members.contains(owner) {
-                        if self.remote_cas(node, rec_off, actual, me).is_ok() {
-                            cluster.heal_record(node, rec_off);
-                            return OneLock::Acquired;
-                        }
-                        continue;
-                    }
-                    if !wait {
-                        return OneLock::Busy;
-                    }
+            let expect = match lock_owner(word) {
+                // Dangling: swap this machine's word over the dead
+                // owner's.
+                Some(owner) if !members.contains(owner) => word,
+                Some(_) if !wait => return OneLock::Busy,
+                Some(_) => {
                     let Some(ns) = budget.step(&mut self.w.rng) else {
                         // Budget spent: the record is convoyed beyond
                         // what waiting should absorb — give up and let
@@ -724,7 +772,32 @@ impl TxnCtx<'_> {
                     self.w.clock.advance(ns);
                     std::thread::yield_now();
                     self.w.spin_yield().await;
+                    LOCK_FREE
                 }
+                // A failed steal found the word released meanwhile.
+                None => LOCK_FREE,
+            };
+            // A dead machine issues no verbs (its QPs died with it).
+            // Without this per-attempt check, a worker thread of the
+            // victim descheduled mid-acquisition could wake up *after*
+            // the recovery sweep released its dangling locks and acquire
+            // fresh ones that nothing ever sweeps again.
+            if !cluster.is_alive(self.w.node) {
+                return OneLock::Dead;
+            }
+            let mut cas = self
+                .remote_cas_batch(&[addr], expect, me, true, false)
+                .await;
+            match cas.pop().expect("one CAS, one outcome").0 {
+                Ok(Ok(_)) => {
+                    if expect != LOCK_FREE {
+                        cluster.heal_record(addr.0, addr.1);
+                    }
+                    return OneLock::Acquired;
+                }
+                Ok(Err(actual)) => word = actual,
+                // Dropped: the CAS never took effect — one more lap.
+                Err(_) => {}
             }
         }
     }
@@ -747,8 +820,10 @@ impl TxnCtx<'_> {
         // `addrs` is sorted (the lock set, or the acquired subset of it,
         // both built in global order), so destinations are contiguous.
         for group in addrs.chunk_by(|a, b| a.0 == b.0) {
-            let results = self.remote_cas_batch(group, me, LOCK_FREE, false).await;
-            for (res, &(node, rec_off)) in results.iter().zip(group) {
+            let results = self
+                .remote_cas_batch(group, me, LOCK_FREE, false, false)
+                .await;
+            for ((res, _), &(node, rec_off)) in results.into_iter().zip(group) {
                 // A dropped unlock would dangle forever (recovery only
                 // sweeps locks of dead machines), so retransmit it
                 // through the blocking wrapper.
@@ -800,20 +875,15 @@ impl TxnCtx<'_> {
                     wrs.extend(locked_write_wrs(e.rec_off, layout, &e.buf, seq));
                 }
             }
-            let wcs = {
-                let w = &mut *self.w;
-                for (raddr, img) in &wrs {
-                    w.qps[node].post(WorkRequest::Write {
-                        raddr: *raddr,
-                        data: img.clone(),
-                    });
-                }
-                // C.6 for this node must come strictly after these
-                // completions, so wait (not fire-and-forget) here. A
-                // resumed routine is never scheduled before its batch
-                // horizon, preserving the ordering across a suspension.
-                w.finish_batch(node).await
-            };
+            let writes = wrs.iter().map(|(raddr, img)| WorkRequest::Write {
+                raddr: *raddr,
+                data: img.clone(),
+            });
+            // C.6 for this node must come strictly after these
+            // completions, so wait (not fire-and-forget) here. A
+            // resumed routine is never scheduled before its batch
+            // horizon, preserving the ordering across a suspension.
+            let wcs = self.w.ring(node, writes.collect(), true).await;
             // A dropped line image would leave a torn record under a
             // lock we still hold; nobody can validate it before C.6, so
             // retransmitting the identical image through the blocking
@@ -872,37 +942,30 @@ impl TxnCtx<'_> {
             }
             return hdrs;
         }
-        for &raddr in offs {
-            w.qps[node].post(WorkRequest::Read {
-                raddr,
-                len: HEADER_BYTES,
-            });
-        }
+        let reads = offs.iter().map(|&off| header_read(off));
         // Doorbell + completion wait — a reactor suspension point.
-        let wcs = w.finish_batch(node).await;
-        wcs.iter()
-            .zip(offs)
-            .map(|(wc, &off)| match &wc.result {
-                Ok(WrResult::Read { data, .. }) => RecordHeader::parse(data),
-                Ok(_) => unreachable!("READ WRs complete with READ results"),
-                Err(_) => remote_read_header(&w.qps[node], &mut w.clock, off),
-            })
+        let wcs = w.ring(node, reads.collect(), true).await;
+        let mut retransmit = |off| remote_read_header(&w.qps[node], &mut w.clock, off);
+        let hdrs = wcs.into_iter().zip(offs);
+        hdrs.map(|(wc, &off)| header_of(wc).unwrap_or_else(|| retransmit(off)))
             .collect()
     }
 
-    /// Fetches the headers of every `(node, rec_off)` in `addrs`,
-    /// preserving order: one [`Self::remote_headers`] group per
-    /// destination node (C.2's fan-out shares the amortisation C.1/C.5
-    /// enjoy). *Duplicate* addresses — a record both read and written
-    /// appears once for validation and once for the sequence peek — are
-    /// coalesced into one header read serving every occurrence, counted
-    /// in the destination port's `saved` statistic.
+    /// The headers of every `(node, rec_off)` in `addrs`, preserving
+    /// order: whatever `known` already holds (the headers C.1's
+    /// doorbells brought back), the rest fetched with one
+    /// [`Self::remote_headers`] group per destination node. *Duplicate*
+    /// addresses — a record both read and written appears once for
+    /// validation and once for the sequence peek — are coalesced into
+    /// one header serving every occurrence, counted in the destination
+    /// port's `saved` statistic.
     async fn read_headers(
         &mut self,
-        addrs: &[(NodeId, usize)],
+        addrs: &[LockAddr],
+        known: impl Fn(LockAddr) -> Option<RecordHeader>,
     ) -> Result<Vec<RecordHeader>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
-        let mut uniq: Vec<(NodeId, usize)> = Vec::with_capacity(addrs.len());
+        let mut uniq: Vec<LockAddr> = Vec::with_capacity(addrs.len());
         let mut map: Vec<usize> = Vec::with_capacity(addrs.len());
         for &a in addrs {
             match uniq.iter().position(|&u| u == a) {
@@ -916,23 +979,25 @@ impl TxnCtx<'_> {
                 }
             }
         }
-        let mut hdrs = vec![RecordHeader::default(); uniq.len()];
-        let mut nodes: Vec<NodeId> = uniq.iter().map(|a| a.0).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        for node in nodes {
+        let mut hdrs: Vec<Option<RecordHeader>> = uniq.iter().map(|&a| known(a)).collect();
+        for node in 0..cluster.nodes() {
+            let missing = |&i: &usize| uniq[i].0 == node && hdrs[i].is_none();
+            let idxs: Vec<usize> = (0..uniq.len()).filter(missing).collect();
+            if idxs.is_empty() {
+                continue;
+            }
             // Same death gate as every other doorbell site: a dead
             // machine issues no verbs.
             if !cluster.is_alive(self.w.node) {
                 return Err(TxnError::Crashed);
             }
-            let idxs: Vec<usize> = (0..uniq.len()).filter(|&i| uniq[i].0 == node).collect();
             let offs: Vec<usize> = idxs.iter().map(|&i| uniq[i].1).collect();
             for (h, i) in self.remote_headers(node, &offs).await.into_iter().zip(idxs) {
-                hdrs[i] = h;
+                hdrs[i] = Some(h);
             }
         }
-        Ok(map.into_iter().map(|i| hdrs[i]).collect())
+        let hdr = |i: usize| hdrs[i].expect("every header is known or was fetched");
+        Ok(map.into_iter().map(hdr).collect())
     }
 
     /// Drops the value-cache entry behind remote read-set entry `i` after
@@ -958,18 +1023,25 @@ impl TxnCtx<'_> {
     /// C.2: validates every remote read and computes the new (even)
     /// sequence number of every remote write.
     ///
-    /// All headers — read-set validations and write-set sequence peeks —
-    /// are fetched with one [`Self::read_headers`] call, so the whole
-    /// step is one doorbell per destination node.
-    /// Every record here is locked by C.1, so its header is stable.
-    async fn validate_remote(&mut self) -> Result<Vec<u64>, TxnError> {
-        let addrs: Vec<(NodeId, usize)> = self
+    /// The headers — read-set validations and write-set sequence peeks —
+    /// are the ones C.1 read behind its winning CASes (`peeked`,
+    /// aligned with the sorted lock set `locks`); only what is missing
+    /// there costs a [`Self::read_headers`] round trip, one doorbell per
+    /// destination node. Either way every record here is locked by C.1,
+    /// so its header is stable.
+    async fn validate_remote(
+        &mut self,
+        locks: &[LockAddr],
+        peeked: &[Option<RecordHeader>],
+    ) -> Result<Vec<u64>, TxnError> {
+        let addrs: Vec<LockAddr> = self
             .r_rs
             .iter()
             .map(|e| (e.node, e.rec_off))
             .chain(self.r_ws.iter().map(|e| (e.node, e.rec_off)))
             .collect();
-        let hdrs = self.read_headers(&addrs).await?;
+        let known = |a: LockAddr| locks.binary_search(&a).ok().and_then(|i| peeked[i]);
+        let hdrs = self.read_headers(&addrs, known).await?;
         for i in 0..self.r_rs.len() {
             let (e, h) = (&self.r_rs[i], hdrs[i]);
             let reason = if h.incarnation != e.incarnation {

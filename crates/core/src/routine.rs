@@ -97,7 +97,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use drtm_base::clock::VClock;
+use drtm_base::clock::{CostModel, VClock};
 use drtm_base::stats::{Counter, Histogram};
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_rdma::{Cq, Fabric, NodeId, Qp, WorkRequest};
@@ -157,6 +157,8 @@ struct PendingFlush {
     src: NodeId,
     dst: NodeId,
     wrs: Vec<WorkRequest>,
+    /// The instant the routine parked the batch.
+    at: u64,
 }
 
 /// The wake-up handed to a granted routine.
@@ -190,8 +192,8 @@ struct ReactorState {
     waiting: Vec<(usize, u64)>,
     /// Deferred verb batches awaiting the next shared doorbell flush,
     /// in park order. Flushed — one doorbell per destination, not per
-    /// routine — only once no routine is runnable at `cpu_now`, so the
-    /// MMIO charge amortizes over every routine that parked meanwhile.
+    /// routine — when [`Self::needs_flush`] says so, so the MMIO charge
+    /// amortizes over every routine that parked meanwhile.
     pending: Vec<PendingFlush>,
     /// Per-routine CPU-idle instant of the last wait (indexed by id);
     /// flush parks learn theirs only when the reactor rings.
@@ -224,11 +226,25 @@ struct ReactorState {
     /// pair, over which the shared doorbells of every routine on that
     /// edge ride.
     qps: HashMap<(NodeId, NodeId), Qp>,
+    /// What ringing one doorbell costs the core (`doorbell_ns`).
+    doorbell_ns: u64,
+    /// The soonest a batch rung now can land: the doorbell plus one
+    /// READ latency, the shortest one-sided verb.
+    round_trip_ns: u64,
+    /// Where the CPU segment now running began: the last grant's
+    /// `resume_at`.
+    seg_start: u64,
+    /// Total length and count of the CPU segments measured so far, each
+    /// from a grant to the granted routine's next park — their mean is
+    /// how long a runnable routine keeps the core.
+    seg_ns: u64,
+    segs: u64,
 }
 
 impl ReactorState {
-    /// The state of a reactor of `total` routines, none registered yet.
-    fn new(total: usize) -> Self {
+    /// The state of a reactor of `total` routines, none registered yet,
+    /// on a fabric charging `cost`.
+    fn new(total: usize, cost: &CostModel) -> Self {
         Self {
             cpu_now: 0,
             waiting: Vec::with_capacity(total),
@@ -243,7 +259,20 @@ impl ReactorState {
             unregistered: total,
             live: total,
             qps: HashMap::new(),
+            doorbell_ns: cost.doorbell_ns,
+            round_trip_ns: cost.doorbell_ns + cost.rdma_read_ns,
+            seg_start: 0,
+            seg_ns: 0,
+            segs: 0,
         }
+    }
+
+    /// Ends, at `at`, the CPU segment the last grant began: the core
+    /// is free from there on.
+    fn end_segment(&mut self, at: u64) {
+        self.cpu_now = self.cpu_now.max(at);
+        self.seg_ns += at.saturating_sub(self.seg_start);
+        self.segs += 1;
     }
 
     /// Folds one park into the scheduler state.
@@ -261,7 +290,7 @@ impl ReactorState {
                 wake,
                 spin,
             } => {
-                self.cpu_now = self.cpu_now.max(cpu_release);
+                self.end_segment(cpu_release);
                 self.release[id] = cpu_release;
                 self.spin[id] = spin;
                 self.waiting.push((id, wake));
@@ -273,11 +302,18 @@ impl ReactorState {
                 wrs,
                 at,
             } => {
-                self.cpu_now = self.cpu_now.max(at);
-                self.pending.push(PendingFlush { id, src, dst, wrs });
+                self.end_segment(at);
+                let batch = PendingFlush {
+                    id,
+                    src,
+                    dst,
+                    wrs,
+                    at,
+                };
+                self.pending.push(batch);
             }
             Park::Idle { id, at } => {
-                self.cpu_now = self.cpu_now.max(at);
+                self.end_segment(at);
                 self.idle.push((id, at));
                 self.idle.sort_unstable();
             }
@@ -316,6 +352,7 @@ impl ReactorState {
         let idle = wake.saturating_sub(self.cpu_now);
         let resume_at = self.cpu_now.max(wake);
         self.cpu_now = resume_at;
+        self.seg_start = resume_at;
         self.granted = Some(id);
         self.grant = Grant {
             resume_at,
@@ -327,18 +364,37 @@ impl ReactorState {
         Some(id)
     }
 
-    /// Whether deferred batches are waiting and no routine is runnable
-    /// at the CPU frontier — the moment the event loop rings its shared
-    /// doorbells (eRPC's "tx burst at the end of the loop iteration").
-    /// Flushing any earlier would forfeit amortization; any later would
-    /// let virtual time jump over CPU work that is ready to issue.
+    /// Whether to ring the shared doorbells over the deferred batches
+    /// now. Always once no routine is runnable at the CPU frontier
+    /// (eRPC's "tx burst at the end of the loop iteration": any later
+    /// would let virtual time jump over CPU work that is ready to
+    /// issue). Waiting for that moment amortizes each doorbell best,
+    /// but it also makes every batch leave in one burst and land one
+    /// round trip later, with the core idle until then — so the
+    /// doorbells ring *while routines are still runnable* when both
+    ///
+    /// 1. the runnable backlog would run dry before a batch rung now
+    ///    could land: `runnable x mean CPU segment <= round trip` (with
+    ///    a backlog longer than that nothing idles, and ringing early
+    ///    would only forfeit amortization), and
+    /// 2. the deferred batches have together waited what one more
+    ///    doorbell would cost: `sum(cpu_now - parked at) >=
+    ///    doorbell_ns` (otherwise each park would ring its own).
+    ///
+    /// Both read only virtual-time reactor state, so a schedule stays a
+    /// pure function of its park sequence.
     fn needs_flush(&self) -> bool {
-        self.unregistered == 0
-            && !self.pending.is_empty()
-            && !self
-                .waiting
-                .iter()
-                .any(|&(id, wake)| self.runnable(id, wake))
+        if self.unregistered > 0 || self.pending.is_empty() {
+            return false;
+        }
+        let landed = self
+            .waiting
+            .iter()
+            .filter(|&&(id, wake)| self.runnable(id, wake));
+        let runnable = landed.count() as u64;
+        let runs_dry = runnable * self.seg_ns <= self.round_trip_ns * self.segs;
+        let waited: u64 = self.pending.iter().map(|b| self.cpu_now - b.at).sum();
+        runnable == 0 || (runs_dry && waited >= self.doorbell_ns)
     }
 }
 
@@ -378,7 +434,7 @@ impl Reactor {
     fn new(total: usize, fabric: Arc<Fabric>, epoch: u64) -> Self {
         let nodes = fabric.nodes();
         Self {
-            state: Mutex::new(ReactorState::new(total)),
+            state: Mutex::new(ReactorState::new(total, &fabric.cost)),
             total,
             cqs: (0..nodes).map(|_| Cq::new()).collect(),
             caches: Mutex::new(CacheSet {
@@ -1092,8 +1148,8 @@ async fn routine<T>(
 
 /// The drive loop of a pool: resume the next routine in dispatch
 /// order, advance it one step, fold its park. Deferred
-/// batches flush — one shared doorbell per destination — exactly when
-/// no routine is runnable at the CPU frontier. `admit` runs before
+/// batches flush — one shared doorbell per destination — when
+/// `ReactorState::needs_flush` says it is time. `admit` runs before
 /// every scheduling decision and `stalled` when nothing is runnable
 /// although routines remain; both may make parked routines runnable.
 /// Returns each routine's output in routine-id order.
@@ -1284,7 +1340,7 @@ mod tests {
     /// stands at `cpu_now`, parked as given: `(cpu_release, wake, spin)`
     /// per routine id.
     fn parked(cpu_now: u64, parks: [(u64, u64, bool); 3]) -> ReactorState {
-        let mut s = ReactorState::new(3);
+        let mut s = ReactorState::new(3, &CostModel::default());
         s.unregistered = 0;
         for (id, (cpu_release, wake, spin)) in parks.into_iter().enumerate() {
             s.fold(Park::Yield {
@@ -1347,5 +1403,100 @@ mod tests {
         // The frontier moved to 100: routine 2 landed, the holder (150)
         // has not, so it still waits its turn.
         assert_eq!(grants(&mut s), [(2, 100), (1, 150)]);
+    }
+
+    /// `s` with a measured mean CPU segment of `mean` ns and one
+    /// deferred batch parked at each instant of `batches`.
+    fn deferring(mut s: ReactorState, mean: u64, batches: &[u64]) -> ReactorState {
+        (s.seg_ns, s.segs) = (mean, 1);
+        s.pending.extend(batches.iter().map(|&at| PendingFlush {
+            id: 0,
+            src: 0,
+            dst: 1,
+            wrs: Vec::new(),
+            at,
+        }));
+        s
+    }
+
+    /// The default cost model's doorbell is 250 ns and its shortest
+    /// round trip 250 + 1 500: with nothing runnable at the frontier
+    /// the doorbells ring however briefly the batches waited, as they
+    /// always did.
+    #[test]
+    fn nothing_runnable_flushes() {
+        let s = parked(200, [(10, 900, false), (20, 900, false), (30, 900, false)]);
+        assert!(deferring(s, 1_000, &[200]).needs_flush());
+        // Nothing deferred, nothing to ring.
+        let s = parked(200, [(10, 900, false), (20, 900, false), (30, 900, false)]);
+        assert!(!deferring(s, 1_000, &[]).needs_flush());
+    }
+
+    /// Two runnable routines at a mean 1 000 ns apiece keep the core
+    /// busy past a 1 750 ns round trip: ringing early would only forfeit
+    /// amortization, however long the batches have waited.
+    #[test]
+    fn backlog_longer_than_a_round_trip_defers() {
+        let s = parked(
+            1_000_000,
+            [(10, 100, false), (20, 150, false), (30, 2_000_000, false)],
+        );
+        assert!(!deferring(s, 1_000, &[0, 5]).needs_flush());
+        // At 875 ns apiece the same two run dry exactly as a batch rung
+        // now would land: ring.
+        let s = parked(
+            1_000_000,
+            [(10, 100, false), (20, 150, false), (30, 2_000_000, false)],
+        );
+        assert!(deferring(s, 875, &[0, 5]).needs_flush());
+    }
+
+    /// One runnable routine is a short backlog; then the batches ring
+    /// once they have *together* waited one doorbell's cost.
+    #[test]
+    fn short_backlog_rings_once_the_batches_waited_a_doorbell() {
+        let parks = [(10, 100, false), (20, 9_000, false), (30, 9_000, false)];
+        assert!(!deferring(parked(1_000, parks), 1_000, &[751]).needs_flush());
+        assert!(deferring(parked(1_000, parks), 1_000, &[750]).needs_flush());
+        assert!(!deferring(parked(1_000, parks), 1_000, &[875, 876]).needs_flush());
+        assert!(deferring(parked(1_000, parks), 1_000, &[875, 875]).needs_flush());
+    }
+
+    /// A spin park is neither runnable nor backlog: alone it cannot
+    /// hold the doorbells back (the lock it spins on may be released by
+    /// one of the deferred WRs), and beside one runnable routine it does
+    /// not make the backlog look a round trip long.
+    #[test]
+    fn spin_parks_count_on_neither_side_of_the_flush_rule() {
+        let spinners = [(200, 200, true), (200, 200, true), (30, 900, false)];
+        assert!(deferring(parked(200, spinners), 1_000, &[200]).needs_flush());
+        let mixed = [(10, 100, false), (1_000, 1_000, true), (30, 9_000, false)];
+        assert!(deferring(parked(1_000, mixed), 1_000, &[0]).needs_flush());
+        // The same three with the spinner's park a plain landed wait:
+        // two runnable, a backlog of 2 000 ns, no early ring.
+        let landed = [(10, 100, false), (1_000, 1_000, false), (30, 9_000, false)];
+        assert!(!deferring(parked(1_000, landed), 1_000, &[0]).needs_flush());
+    }
+
+    /// A reactor of one rings inside the yield point, at the park
+    /// instant, with the charge of a doorbell rung by the routine
+    /// itself: the core is released `doorbell_ns` later and the routine
+    /// resumes at its completion's horizon, the whole round trip idle.
+    #[test]
+    fn reactor_of_one_flushes_at_its_park() {
+        let fabric = Fabric::builder().fresh_regions(2, 4096).build();
+        let cost = fabric.cost.clone();
+        let ctl = Reactor::solo(Arc::clone(&fabric), 0);
+        let wrs = vec![WorkRequest::Read { raddr: 0, len: 8 }];
+        let park = ctl.reactor.flush_wait(0, 0, 1, wrs, 5_000);
+        let grant = drtm_base::task::block_now(park);
+        let release = 5_000 + cost.doorbell_ns;
+        let wake = release + cost.rdma_read(8);
+        assert_eq!(
+            (grant.release, grant.wake, grant.resume_at, grant.idle_ns),
+            (release, wake, wake, cost.rdma_read(8))
+        );
+        assert_eq!(fabric.port(1).stats().doorbells.get(), 1);
+        assert_eq!(ctl.reactor.cqs[1].take_cookie(0).len(), 1);
     }
 }

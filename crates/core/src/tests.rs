@@ -522,12 +522,22 @@ fn dangling_lock_released_passively() {
     c.config.remove_member(1);
 
     let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
     w.run(|t| {
         let v = num(&t.read(2, T_ACCT, key(2, 4))?);
-        t.write(2, T_ACCT, key(2, 4), val(v + 1))
+        t.write(2, T_ACCT, key(2, 4), val(v + 1))?;
+        base.set(c.fabric.port(2).stats().snapshot());
+        Ok(())
     })
     .unwrap();
     assert_eq!(c.stores[2].region.load64(off), drtm_store::LOCK_FREE);
+    // The lost group CAS already named the owner, so the steal is the
+    // very next CAS (lock, steal, unlock: no CAS spent on re-learning
+    // the word), and the header read behind the lost CAS is not
+    // trusted: the steal healed the record, so C.2 reads it again.
+    let d = c.fabric.port(2).stats().snapshot().delta(&base.get());
+    assert_eq!((d.atomics, d.reads), (3, 2), "{d:?}");
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
 }
 
 #[test]
@@ -544,6 +554,9 @@ fn lock_held_by_live_member_aborts_instead() {
         t.write(2, T_ACCT, key(2, 4), val(v + 1))
     });
     assert_eq!(r.unwrap_err(), TxnError::Aborted(AbortReason::LockBusy));
+    // The word the lost CAS returned names a live member: busy, with
+    // no second CAS to find that out.
+    assert_eq!(c.fabric.port(2).stats().atomics.get(), 1);
 }
 
 #[test]
@@ -736,11 +749,17 @@ fn msg_locking_keeps_c5_one_sided_and_batched() {
     assert_eq!(total, k * 100, "transfers conserve");
 }
 
-/// A C.1 group whose *later* record is held by a live owner aborts with
-/// every lock it did win released — under both lock transports.
+/// A C.1 group whose *later* record cannot be locked aborts with every
+/// lock it did win released and no verb beyond the group's own and the
+/// two unlocks: under both lock transports when a live owner holds the
+/// record (`LockBusy`, classified from the word the lost CAS returned),
+/// and — one-sided only, messages are never dropped — when the injector
+/// eats that record's CAS while the header READ chained behind it lands
+/// (`Transport`: a header without its lock is worth nothing).
 #[test]
 fn busy_lock_late_in_group_releases_the_locks_already_won() {
-    for msg_locking in [false, true] {
+    for (msg_locking, dropped) in [(false, false), (true, false), (false, true)] {
+        let arm = format!("msg_locking={msg_locking} dropped={dropped}");
         let opts = EngineOpts::builder()
             .region_size(4 << 20)
             .msg_locking(msg_locking)
@@ -749,29 +768,45 @@ fn busy_lock_late_in_group_releases_the_locks_already_won() {
         for i in 0..3u64 {
             c.seed_record(1, T_ACCT, key(1, i), &val(100));
         }
-        // Locks are taken in offset order: hold the last one.
+        // Locks are taken in offset order: block the last one.
         let mut offs: Vec<usize> = (0..3u64)
             .map(|i| c.stores[1].get_loc(T_ACCT, key(1, i)).unwrap() as usize)
             .collect();
         offs.sort_unstable();
         let region = &c.stores[1].region;
         let owner = drtm_store::lock_word(1);
-        region.cas64(offs[2], drtm_store::LOCK_FREE, owner).unwrap();
+        let (last, expect) = if dropped {
+            c.fabric
+                .set_injector(Arc::new(DropNth::new(drtm_rdma::Verb::Cas, 2)));
+            let fault = TxnError::Transport(drtm_rdma::VerbError::Dropped);
+            (drtm_store::LOCK_FREE, fault)
+        } else {
+            region.cas64(offs[2], drtm_store::LOCK_FREE, owner).unwrap();
+            (owner, TxnError::Aborted(AbortReason::LockBusy))
+        };
         let mut w = c.worker(0, 1);
+        let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
         let r = w.run_once_for_test(|t| {
             for i in 0..3u64 {
                 t.write(1, T_ACCT, key(1, i), val(7))?;
             }
+            base.set(c.fabric.port(1).stats().snapshot());
             Ok(())
         });
-        assert_eq!(
-            r.unwrap_err(),
-            TxnError::Aborted(AbortReason::LockBusy),
-            "msg_locking={msg_locking}"
-        );
-        assert_eq!(region.load64(offs[0]), drtm_store::LOCK_FREE);
-        assert_eq!(region.load64(offs[1]), drtm_store::LOCK_FREE);
-        assert_eq!(region.load64(offs[2]), owner, "the holder keeps its lock");
+        assert_eq!(r.unwrap_err(), expect, "{arm}");
+        assert_eq!(region.load64(offs[0]), drtm_store::LOCK_FREE, "{arm}");
+        assert_eq!(region.load64(offs[1]), drtm_store::LOCK_FREE, "{arm}");
+        assert_eq!(region.load64(offs[2]), last, "{arm}: the holder's lock");
+        // Three lock attempts, two unlocks; one-sided, the three header
+        // READs rode the lock doorbell and all landed.
+        let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
+        let verbs = (d.atomics, d.reads, d.sends, d.doorbells);
+        let want = if msg_locking {
+            (0, 0, 5, 0)
+        } else {
+            (5, 3, 0, 2)
+        };
+        assert_eq!(verbs, want, "{arm}: {d:?}");
     }
 }
 
@@ -865,10 +900,12 @@ fn fused_lock_validate_produces_same_results() {
     let _ = atomics_before;
 }
 
-/// Acceptance: the commit fan-out rings exactly one doorbell per (txn,
-/// destination node) in C.1, C.2, C.5 and C.6 — one CAS batch, one
-/// header-READ batch, one WRITE batch, one unlock batch against node 1
-/// no matter how many records the txn touches there.
+/// Acceptance: the commit fan-out rings exactly three doorbells per
+/// (txn, destination node) — one carrying C.1's CASes with C.2's header
+/// READs behind them (four before the two shared one: the count this
+/// test pinned dropped by exactly that doorbell, the verbs it carried
+/// did not), one WRITE batch for C.5, one unlock batch for C.6 — against
+/// node 1 no matter how many records the txn touches there.
 #[test]
 fn one_doorbell_per_destination_in_commit_fanout() {
     let k = 3u64;
@@ -888,7 +925,7 @@ fn one_doorbell_per_destination_in_commit_fanout() {
                 t.write(1, T_ACCT, key(1, i), val(num(&v) + 1))?;
             }
             // Snapshot after execute: the remaining delta against node 1
-            // is exactly the commit fan-out (C.1, C.2, C.5, C.6).
+            // is exactly the commit fan-out (C.1 + C.2, C.5, C.6).
             base.set(c.fabric.port(1).stats().snapshot());
             Ok(())
         })
@@ -904,8 +941,8 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     // …and the coalesced half is counted, not silently dropped.
     assert_eq!(d.saved, k, "one saved header READ per overlap: {d:?}");
     assert_eq!(
-        d.doorbells, 4,
-        "exactly one doorbell each for C.1, C.2, C.5 and C.6: {d:?}"
+        d.doorbells, 3,
+        "exactly one doorbell each for C.1 + C.2, C.5 and C.6: {d:?}"
     );
 
     // Replicated: R.1 rings one doorbell per remote backup *machine*.
@@ -926,7 +963,7 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     let d: [drtm_rdma::NicSnapshot; 3] =
         std::array::from_fn(|n| c.fabric.port(n).stats().snapshot().delta(&base.get()[n]));
     assert_eq!(d[0], drtm_rdma::NicSnapshot::default(), "loopback: {d:?}");
-    assert_eq!(d[1].doorbells, 4 + 1, "C.1, C.2, C.5, C.6 + R.1: {d:?}");
+    assert_eq!(d[1].doorbells, 3 + 1, "C.1 + C.2, C.5, C.6 + R.1: {d:?}");
     assert_eq!(d[1].writes, 1 + 1, "C.5 image + one redo WRITE: {d:?}");
     assert_eq!(d[2].doorbells, 1, "two logs, one doorbell: {d:?}");
     assert_eq!(d[2].writes, 2, "one redo WRITE per log: {d:?}");
@@ -1075,6 +1112,281 @@ fn dropped_unlock_wr_is_retransmitted() {
     })
     .unwrap();
     assert_eq!(w.stats.aborted, 0, "no stale lock can remain");
+}
+
+/// Dropping a header READ chained behind C.1's CASes costs the commit
+/// nothing but the round trip it was saving: the lock was won, so C.2
+/// fetches that one header again and the transaction commits on its
+/// first attempt.
+#[test]
+fn dropped_peek_read_is_retransmitted() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    /// Drops the first READ issued after it is armed.
+    struct DropNextRead(AtomicBool);
+    impl drtm_rdma::FaultInjector for DropNextRead {
+        fn on_verb(
+            &self,
+            _src: drtm_rdma::NodeId,
+            _dst: drtm_rdma::NodeId,
+            verb: drtm_rdma::Verb,
+            _now: u64,
+        ) -> drtm_rdma::Fault {
+            drtm_rdma::Fault {
+                drop: verb == drtm_rdma::Verb::Read && self.0.swap(false, Ordering::SeqCst),
+                ..drtm_rdma::Fault::NONE
+            }
+        }
+    }
+    let c = cluster(2, 1);
+    let injector = Arc::new(DropNextRead(AtomicBool::new(false)));
+    c.fabric.set_injector(injector.clone());
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+    w.run(|t| {
+        for i in 0..3u64 {
+            let v = t.read(1, T_ACCT, key(1, i))?;
+            t.write(1, T_ACCT, key(1, i), val(num(&v) + 1))?;
+        }
+        // Execution is over: the next READ is C.1's first header peek.
+        injector.0.store(true, Ordering::SeqCst);
+        base.set(c.fabric.port(1).stats().snapshot());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    // Three peeks (one dropped) plus the one refetch, in a doorbell of
+    // its own between C.1's, C.5's and C.6's.
+    let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
+    assert_eq!((d.reads, d.doorbells), (3 + 1, 3 + 1), "{d:?}");
+    for i in 0..3u64 {
+        let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, i))).unwrap();
+        assert_eq!(num(&v), 101);
+    }
+}
+
+/// Snapshots a port's NIC counters at every crash-point probe; kills
+/// nobody.
+struct NicAtProbe {
+    fabric: Arc<drtm_rdma::Fabric>,
+    port: drtm_rdma::NodeId,
+    log: std::sync::Mutex<Vec<(&'static str, drtm_rdma::NicSnapshot)>>,
+}
+
+impl crate::CrashPointHook for NicAtProbe {
+    fn on_point(&self, _node: drtm_rdma::NodeId, point: &'static str) -> bool {
+        let now = self.fabric.port(self.port).stats().snapshot();
+        self.log.lock().unwrap().push((point, now));
+        false
+    }
+}
+
+/// NIC pin of one remote read-modify-write, stage by stage: C.1's
+/// doorbell carries the lock CAS *and* the header READ C.2 validates, so
+/// C.2 adds no verb and no virtual time; then one doorbell for C.5's
+/// line image and one for C.6's unlock.
+#[test]
+fn lock_and_validate_share_one_doorbell() {
+    let c = cluster(2, 1);
+    let probe = Arc::new(NicAtProbe {
+        fabric: Arc::clone(&c.fabric),
+        port: 1,
+        log: Default::default(),
+    });
+    c.set_crash_hook(probe.clone());
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+    w.run(|t| {
+        let v = num(&t.read(1, T_ACCT, key(1, 0))?);
+        t.write(1, T_ACCT, key(1, 0), val(v + 1))?;
+        base.set(c.fabric.port(1).stats().snapshot());
+        Ok(())
+    })
+    .unwrap();
+    // `(doorbells, atomics, reads, writes)` since execution ended.
+    let log = probe.log.lock().unwrap();
+    let seen: Vec<_> = log
+        .iter()
+        .map(|(point, nic)| {
+            let d = nic.delta(&base.get());
+            (*point, (d.doorbells, d.atomics, d.reads, d.writes))
+        })
+        .collect();
+    assert_eq!(
+        seen,
+        [
+            ("C.1", (1, 1, 1, 0)),
+            ("C.2", (1, 1, 1, 0)),
+            ("C.4", (1, 1, 1, 0)),
+            ("R.1", (1, 1, 1, 0)),
+            ("R.2", (1, 1, 1, 0)),
+            ("C.5", (2, 1, 1, 1)),
+            ("C.6", (3, 2, 1, 1)),
+        ]
+    );
+    let snap = c.obs.scrape();
+    let validate = snap
+        .phases
+        .iter()
+        .find(|(n, _)| *n == "validate")
+        .unwrap()
+        .1;
+    assert_eq!((validate.count, validate.sum), (1, 0));
+}
+
+/// Rung-2 wait mode: a lock lost in the group CAS and won later, after
+/// its holder committed and released, is validated against a header
+/// read *after* the win — the one the doorbell brought back predates the
+/// holder's write — while the record whose CAS won outright costs no
+/// second READ.
+#[test]
+fn lock_won_after_waiting_rereads_exactly_that_header() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    /// Plays the holder of the record at `off` finishing its commit
+    /// just before the `n`-th CAS (0-based) toward node 1 executes:
+    /// installs sequence number `seq`, frees the lock word.
+    struct HolderCommitsBeforeNthCas {
+        store: Arc<drtm_store::Store>,
+        off: usize,
+        seq: u64,
+        n: u64,
+        seen: AtomicU64,
+    }
+    impl drtm_rdma::FaultInjector for HolderCommitsBeforeNthCas {
+        fn on_verb(
+            &self,
+            _src: drtm_rdma::NodeId,
+            dst: drtm_rdma::NodeId,
+            verb: drtm_rdma::Verb,
+            _now: u64,
+        ) -> drtm_rdma::Fault {
+            if dst == 1
+                && verb == drtm_rdma::Verb::Cas
+                && self.seen.fetch_add(1, Ordering::SeqCst) == self.n
+            {
+                self.store.record(T_ACCT, self.off).set_seq(self.seq);
+                let free = drtm_store::LOCK_FREE;
+                self.store.region.store64_coherent(self.off, free);
+            }
+            drtm_rdma::Fault::NONE
+        }
+    }
+    let opts = EngineOpts::builder()
+        .region_size(4 << 20)
+        .contention(crate::ContentionPolicy::AlwaysPessimistic)
+        .build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for i in 0..2u64 {
+        c.seed_record(1, T_ACCT, key(1, i), &val(100));
+    }
+    let mut offs: Vec<usize> = (0..2u64)
+        .map(|i| c.stores[1].get_loc(T_ACCT, key(1, i)).unwrap() as usize)
+        .collect();
+    offs.sort_unstable();
+    let region = &c.stores[1].region;
+    let seq = |off: usize| region.load64(off + SEQ_OFF);
+    let seeded = seq(offs[1]);
+    // A live member holds the second record: CAS 0 wins, CAS 1 loses,
+    // CAS 2 is wait mode's retry — by then the holder has committed.
+    let held = drtm_store::lock_word(1);
+    region.cas64(offs[1], drtm_store::LOCK_FREE, held).unwrap();
+    c.fabric.set_injector(Arc::new(HolderCommitsBeforeNthCas {
+        store: Arc::clone(&c.stores[1]),
+        off: offs[1],
+        seq: seeded + 2,
+        n: 2,
+        seen: AtomicU64::new(0),
+    }));
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+    w.run(|t| {
+        for i in 0..2u64 {
+            t.write(1, T_ACCT, key(1, i), val(7))?;
+        }
+        base.set(c.fabric.port(1).stats().snapshot());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    // Two lock CASes, the retry, two unlocks; two peeks and one re-read.
+    let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
+    assert_eq!((d.atomics, d.reads), (2 + 1 + 2, 2 + 1), "{d:?}");
+    // The write went in on top of the holder's version, not the seeded
+    // one the stale peek saw.
+    assert_eq!(seq(offs[0]), seeded + 2);
+    assert_eq!(seq(offs[1]), seeded + 4);
+}
+
+/// The fallback handler locks its local records through loopback CAS
+/// and validates them from memory: no header READ is chained behind
+/// those CASes, while the remote group's peek rides as usual.
+#[test]
+fn fallback_locks_local_records_without_a_header_read() {
+    let opts = EngineOpts::builder()
+        .region_size(4 << 20)
+        .htm(drtm_htm::HtmConfig {
+            spurious_abort_prob: 1.0,
+            max_retries: 2,
+            ..Default::default()
+        })
+        .build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for shard in 0..2 {
+        c.seed_record(shard, T_ACCT, key(shard, 0), &val(10));
+    }
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new([drtm_rdma::NicSnapshot::default(); 2]);
+    w.run(|t| {
+        let v = num(&t.read(0, T_ACCT, key(0, 0))?);
+        t.write(0, T_ACCT, key(0, 0), val(v + 1))?;
+        t.write(1, T_ACCT, key(1, 0), val(v))?;
+        base.set(std::array::from_fn(|n| c.fabric.port(n).stats().snapshot()));
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(w.stats.fallbacks, 1);
+    let d: [drtm_rdma::NicSnapshot; 2] =
+        std::array::from_fn(|n| c.fabric.port(n).stats().snapshot().delta(&base.get()[n]));
+    // Loopback: lock + unlock of the one local record, in the locked
+    // walk only. Remote: lock + peek + unlock in both walks.
+    assert_eq!((d[0].atomics, d[0].reads), (2, 0), "{d:?}");
+    assert_eq!((d[1].atomics, d[1].reads), (4, 2), "{d:?}");
+}
+
+/// A transaction larger than the send queue: every per-destination
+/// group — C.1's CASes and header READs, C.5's line images, C.6's
+/// unlocks — is posted `sq_depth` WRs at a time instead of overflowing
+/// the queue, with the verb counts of one unchunked batch.
+#[test]
+fn groups_larger_than_the_send_queue_are_chunked() {
+    for (records, sq_depth) in [(130u64, drtm_rdma::DEFAULT_SQ_DEPTH), (5, 4)] {
+        let opts = EngineOpts::builder().region_size(4 << 20).build();
+        let c = DrtmCluster::with_fabric(2, &schema(), opts, |f| f.sq_depth(sq_depth));
+        for i in 0..records {
+            c.seed_record(1, T_ACCT, key(1, i), &val(100));
+        }
+        let mut w = c.worker(0, 1);
+        let base = std::cell::Cell::new(drtm_rdma::NicSnapshot::default());
+        w.run(|t| {
+            for i in 0..records {
+                t.write(1, T_ACCT, key(1, i), val(7))?;
+            }
+            base.set(c.fabric.port(1).stats().snapshot());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+        let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
+        let verbs = (d.atomics, d.reads, d.writes, d.saved);
+        assert_eq!(verbs, (2 * records, records, records, 0), "{d:?}");
+        // 2k WRs of C.1 + C.2, k of C.5, k of C.6, each in chunks.
+        let chunks = |wrs: u64| wrs.div_ceil(sq_depth as u64);
+        let doorbells = chunks(2 * records) + 2 * chunks(records);
+        assert_eq!(d.doorbells, doorbells, "{d:?}");
+        let v = w
+            .run_ro(|t| t.read(1, T_ACCT, key(1, records - 1)))
+            .unwrap();
+        assert_eq!(num(&v), 7);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1386,6 +1698,17 @@ fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u
 /// before that path was deleted; a worker outside any pool and a pool
 /// of one must both still land on them — same final clock, commit
 /// counts, per-verb NIC traffic and per-phase virtual-time breakdown.
+///
+/// Re-recorded once since, when C.2's header READs moved into C.1's
+/// doorbell (DESIGN.md §7). Each of the 12 read-write commits used to
+/// pay one validate round trip of `doorbell_ns + rdma_read(24)` =
+/// 250 + 1 503 ns; the READ now issues 100 ns behind the CAS and lands
+/// 597 ns before it, so the lock phase costs what it did and the whole
+/// round trip is gone: validate 21 036 -> 0 ns (its wait 18 036 -> 0),
+/// final clock 190 192 -> 169 156 = minus 21 036, verb wait 137 712 ->
+/// 119 676 = minus 18 036, 12 fewer doorbells (100 -> 88) and 12 fewer
+/// parks (wakes and depth 88 -> 76). Every verb count, byte and `saved`
+/// and every other phase is what the blocking path recorded.
 #[test]
 fn routines_one_matches_blocking_path_pins() {
     use drtm_rdma::NicSnapshot;
@@ -1403,7 +1726,7 @@ fn routines_one_matches_blocking_path_pins() {
         c
     };
     let check = |arm: &str, c: &DrtmCluster, w: &crate::txn::Worker| {
-        assert_eq!(w.clock.now(), 190_192, "{arm}: virtual time");
+        assert_eq!(w.clock.now(), 169_156, "{arm}: virtual time");
         assert_eq!((w.stats.committed, w.stats.aborted), (24, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -1412,7 +1735,7 @@ fn routines_one_matches_blocking_path_pins() {
             writes: 24,
             atomics: 24,
             sends: 0,
-            doorbells: 100,
+            doorbells: 88,
             bytes: 3388,
             saved: 12,
         };
@@ -1423,7 +1746,7 @@ fn routines_one_matches_blocking_path_pins() {
             [
                 (12, 37984, 3584, 8192),
                 (12, 29400, 3072, 4096),
-                (12, 21036, 1536, 2048),
+                (12, 0, 1, 2),
                 (12, 840, 96, 128),
                 (12, 19872, 1536, 2048),
                 (12, 720, 48, 64),
@@ -1437,7 +1760,7 @@ fn routines_one_matches_blocking_path_pins() {
             [
                 (12, 24144, 1792, 4096),
                 (12, 26400, 3072, 4096),
-                (12, 18036, 1536, 2048),
+                (12, 0, 1, 2),
                 (12, 0, 1, 2),
                 (12, 16152, 1536, 2048),
                 (12, 0, 1, 2),
@@ -1446,13 +1769,13 @@ fn routines_one_matches_blocking_path_pins() {
             ],
             "{arm}: per-phase verb waits"
         );
-        assert_eq!(snap.pipeline.wait_ns, 137_712, "{arm}");
+        assert_eq!(snap.pipeline.wait_ns, 119_676, "{arm}");
         // A single routine can never overlap its own waits, and is
         // resumed exactly at each wake horizon.
         assert_eq!(snap.pipeline.overlap_ns, 0, "{arm}");
         assert_eq!(snap.pipeline.routines, 1, "{arm}");
-        assert_eq!(snap.pipeline.wakes, 88, "{arm}");
-        assert_eq!(snap.pipeline.depth_sum, 88, "{arm}");
+        assert_eq!(snap.pipeline.wakes, 76, "{arm}");
+        assert_eq!(snap.pipeline.depth_sum, 76, "{arm}");
         assert_eq!(snap.pipeline.wake_lag_ns, 0, "{arm}");
     };
 
@@ -1651,10 +1974,11 @@ fn conflicting_routines_make_progress() {
 /// whose bodies burn 4 us of CPU after every remote read — longer than
 /// a verb round trip, so whenever a segment ends both other routines'
 /// completions have already landed. `(wake, id)` order would make
-/// routine 0 queue behind both siblings at each of its three
-/// commit-phase parks (C.1, C.2, C.5), its locks held throughout; the
-/// reactor instead resumes it at the first scheduling point after its
-/// completions land. The log is every resume in grant order: the
+/// routine 0 queue behind both siblings at each of its two
+/// commit-phase parks (C.1 with C.2's READ in its doorbell, and C.5;
+/// three parks before the two shared one), its locks held throughout;
+/// the reactor instead resumes it at the first scheduling point after
+/// its completions land. The log is every resume in grant order: the
 /// commit's stage probes (fired as routine 0 runs on from the park)
 /// and `r<id>` for each read an execution-phase routine returns from.
 #[test]
@@ -1684,11 +2008,19 @@ fn lock_holder_resumes_ahead_of_landed_execution_reads() {
     });
     assert!(done.iter().all(|(_, r)| r.is_ok()));
     // Under `(wake, id)` alone this reads r1 r2 C.1 .. R.2 r1 r2 C.5 ..:
-    // two 4 us segments ahead of the holder at every park.
+    // two 4 us segments ahead of the holder at every park. Re-derived
+    // for the shared C.1 + C.2 doorbell: C.2 now fires in the step C.1
+    // does (its headers came back with the lock), so the one sibling
+    // segment that used to run inside the validate round trip (`r2`,
+    // between C.1 and C.2) runs inside C.5's instead. The holder's
+    // lock batch rings at 4 519 ns and lands at 6 969, inside r1's
+    // segment (5 048 - 9 298), and it is granted at 9 298, ahead of the
+    // long-landed r2; its C.5 batch lands at 15 241, inside r2's
+    // (15 097 - 15 277), and it is granted at 15 277.
     assert_eq!(
         *log.0.lock().unwrap(),
         [
-            "r1", "C.1", "r2", "C.2", "C.4", "R.1", "R.2", "r1", "C.5", "C.6", "r2", "r1", "r2",
+            "r1", "C.1", "C.2", "C.4", "R.1", "R.2", "r2", "C.5", "C.6", "r1", "r2", "r1", "r2",
             "r1", "r2"
         ]
     );

@@ -271,13 +271,13 @@ impl Worker {
     /// and waits for the batch's completions. This is a *yield point*:
     /// the batch is handed to the reactor's deferred-flush layer, which
     /// rings one shared doorbell over every routine that parks before
-    /// the CPU frontier runs dry — so the MMIO charge amortizes across
-    /// a pool instead of landing on this routine alone — and the
-    /// routine *parks* until its completions' horizon while other
-    /// routines' CPU segments run inside its verb wait. On a reactor of
-    /// one (any worker outside a pool) the doorbell rings at once and
-    /// the future completes in a single poll, so `block_now` facades
-    /// stay sound.
+    /// it is time to ring (DESIGN.md §14) — so the MMIO charge
+    /// amortizes across a pool instead of landing on this routine
+    /// alone — and the routine *parks* until its completions' horizon
+    /// while other routines' CPU segments run inside its verb wait. On
+    /// a reactor of one (any worker outside a pool) the doorbell rings
+    /// at once and the future completes in a single poll, so
+    /// `block_now` facades stay sound.
     pub(crate) async fn finish_batch(&mut self, node: NodeId) -> Vec<WorkCompletion> {
         debug_assert!(
             !drtm_htm::region_active(),
@@ -317,6 +317,34 @@ impl Worker {
         let cq = &self.routine.reactor.cqs[node];
         self.qps[node].doorbell_tagged(&mut self.clock, cq, cookie);
         cq.take_cookie(cookie)
+    }
+
+    /// Posts `wrs` to `node` and rings them, completions in post order:
+    /// one batch per `sq_depth` WRs, so a transaction of any size fits
+    /// the send queue. `signalled` batches wait for their completions
+    /// ([`Self::finish_batch`]), each chunk before the next is posted;
+    /// unsignalled ones are fire-and-forget
+    /// ([`Self::finish_batch_ff`]).
+    pub(crate) async fn ring(
+        &mut self,
+        node: NodeId,
+        wrs: Vec<WorkRequest>,
+        signalled: bool,
+    ) -> Vec<WorkCompletion> {
+        let depth = self.cluster.fabric.sq_depth();
+        let mut wcs = Vec::with_capacity(wrs.len());
+        let mut wrs = wrs.into_iter().peekable();
+        while wrs.peek().is_some() {
+            for wr in wrs.by_ref().take(depth) {
+                self.qps[node].post(wr);
+            }
+            wcs.extend(if signalled {
+                self.finish_batch(node).await
+            } else {
+                self.finish_batch_ff(node)
+            });
+        }
+        wcs
     }
 
     /// Yields through a verb wait a *blocking* wrapper already spun the

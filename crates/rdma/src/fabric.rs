@@ -679,6 +679,11 @@ impl Fabric {
         &self.ports[node]
     }
 
+    /// Maximum WRs postable on one QP send queue between doorbells.
+    pub fn sq_depth(&self) -> usize {
+        self.sq_depth
+    }
+
     /// Installs a fault injector consulted on every verb.
     pub fn set_injector(&self, injector: Arc<dyn FaultInjector>) {
         *self.injector.write() = Some(injector);

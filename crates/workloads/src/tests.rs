@@ -266,6 +266,13 @@ fn smallbank_send_payments_conserve_with_routines() {
 /// through a pool of one. (The core crate pins the same constants-style
 /// identity on a synthetic verb mix; this covers the full workload
 /// stack: generator, async transaction bodies, driver plumbing.)
+///
+/// Re-recorded once since, when C.2's header READs moved into C.1's
+/// doorbell (DESIGN.md §7): the 25 commits that touch node 1 each lose
+/// the validate round trip of 250 + 1 503 ns and nothing else moves —
+/// validate 43 825 -> 0 ns (its wait 37 575 -> 0), clock 290 543 ->
+/// 246 718, verb wait 176 013 -> 138 438, doorbells 132 -> 107 and
+/// wakes 107 -> 82 (25 fewer each), verb counts and bytes as recorded.
 #[test]
 fn smallbank_routines_one_pins_blocking_path() {
     use crate::smallbank::{self, SbInput, SbTxn};
@@ -301,7 +308,7 @@ fn smallbank_routines_one_pins_blocking_path() {
         }
     };
     let check = |arm: &str, c: &DrtmCluster, w: &drtm_core::txn::Worker| {
-        assert_eq!(w.clock.now(), 290_543, "{arm}: virtual clock");
+        assert_eq!(w.clock.now(), 246_718, "{arm}: virtual clock");
         assert_eq!((w.stats.committed, w.stats.aborted), (54, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -310,7 +317,7 @@ fn smallbank_routines_one_pins_blocking_path() {
             writes: 25,
             atomics: 50,
             sends: 0,
-            doorbells: 132,
+            doorbells: 107,
             bytes: 4248,
             saved: 25,
         };
@@ -332,7 +339,7 @@ fn smallbank_routines_one_pins_blocking_path() {
             [
                 (54, 103468, 988, 8192),
                 (54, 61250, 1, 4096),
-                (54, 43825, 1, 2048),
+                (54, 0, 1, 2),
                 (54, 4650, 96, 128),
                 (54, 0, 1, 2),
                 (54, 0, 1, 2),
@@ -346,7 +353,7 @@ fn smallbank_routines_one_pins_blocking_path() {
             [
                 (54, 48288, 1, 4096),
                 (54, 55000, 1, 4096),
-                (54, 37575, 1, 2048),
+                (54, 0, 1, 2),
                 (54, 0, 1, 2),
                 (54, 0, 1, 2),
                 (54, 0, 1, 2),
@@ -355,10 +362,10 @@ fn smallbank_routines_one_pins_blocking_path() {
             ],
             "{arm}: per-phase verb waits"
         );
-        assert_eq!(snap.pipeline.wait_ns, 176_013, "{arm}");
+        assert_eq!(snap.pipeline.wait_ns, 138_438, "{arm}");
         // A single routine can never overlap its own waits.
         assert_eq!(snap.pipeline.overlap_ns, 0, "{arm}");
-        assert_eq!((snap.pipeline.routines, snap.pipeline.wakes), (1, 107));
+        assert_eq!((snap.pipeline.routines, snap.pipeline.wakes), (1, 82));
     };
 
     // A worker outside any pool: one poll drives the whole job.

@@ -11,7 +11,9 @@
 //! ([`Experiment::run_checked`] / [`Experiment::execute`]) alone
 //! retries, evaluates the checks, renders the arms-by-metrics table and
 //! writes the stamped JSON artifact, so adding an experiment is adding
-//! a table entry and nothing else.
+//! a table entry and nothing else. The paper's figures and tables (§7)
+//! are rows too — their arms are the x-axis points, their metrics the
+//! series; the run functions live in [`crate::figures`].
 
 use drtm_core::{scrape_cluster, ContentionPolicy, RoutePolicy};
 use drtm_net::{
@@ -20,15 +22,15 @@ use drtm_net::{
 };
 use drtm_obs::Snapshot;
 use drtm_workloads::driver::{
-    build_smallbank, build_tpcc, build_ycsb, run_smallbank_on, run_ycsb_on, EngineKind,
-    Measurement, RunCfg,
+    build_smallbank, build_tpcc, build_ycsb, run_smallbank_on, run_tpcc_on, run_ycsb_on,
+    EngineKind, Measurement, RunCfg,
 };
 use drtm_workloads::engine::EngineWorker;
 use drtm_workloads::smallbank::SbCfg;
-use drtm_workloads::tpcc::txns;
+use drtm_workloads::tpcc::{txns, TpccCfg};
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 
-use crate::{run_cfg, sb_cfg, stamp_json, tpcc_cfg, ycsb_cfg, Scale};
+use crate::{figures, run_cfg, sb_cfg, stamp_json, tpcc_cfg, ycsb_cfg, Scale};
 
 /// How much of an experiment to run.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +40,33 @@ pub struct Size<'a> {
     /// Offered rates of a sweep entry, one arm each (`loadcurve`);
     /// empty for fixed-arm entries.
     pub rates: &'a [f64],
+    /// The paper-scale shape (machines, threads, dataset) of a figure
+    /// entry instead of its quick one; the A/B entries have one shape.
+    pub full: bool,
+}
+
+impl Size<'_> {
+    /// `n` at the quick shape, no rate sweep.
+    pub const fn of(n: usize) -> Size<'static> {
+        Size {
+            n,
+            rates: &[],
+            full: false,
+        }
+    }
+
+    /// The profile `full` selects.
+    pub fn scale(&self) -> Scale {
+        Scale { full: self.full }
+    }
+
+    /// A figure entry's run: `n` transactions per worker.
+    pub fn run(&self, engine: EngineKind, threads: usize, replicas: usize) -> RunCfg {
+        RunCfg {
+            txns_per_worker: self.n,
+            ..run_cfg(self.scale(), engine, threads, replicas)
+        }
+    }
 }
 
 /// One labelled configuration of an experiment and what it measured.
@@ -65,7 +94,8 @@ impl Arm {
         self.metrics.push((name.into(), unit, value));
     }
 
-    /// Extractor 1: the closed-loop driver's end-to-end numbers.
+    /// Extractor 1: the closed-loop driver's end-to-end numbers, and for
+    /// TPC-C the new-order rate the paper plots.
     pub fn measured(&mut self, prefix: &str, m: &Measurement) {
         let attempts = (m.committed + m.aborted).max(1) as f64;
         self.push(format!("{prefix}committed"), "txn", m.committed as f64);
@@ -75,6 +105,9 @@ impl Arm {
             "%",
             100.0 * m.aborted as f64 / attempts,
         );
+        if let Some(t) = m.per_type.get("new-order") {
+            self.push(format!("{prefix}new_order_vtps"), "txn/s", t.tps);
+        }
     }
 
     /// Extractor 2: the layered numbers of an obs scrape, picked by
@@ -178,12 +211,19 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
         "pessimistic" => ("commit", s.contention.pessimistic as f64),
         "parks" => ("park", s.contention.parks as f64),
         "grants" => ("park", s.contention.grants as f64),
-        // `<phase>_pct`: one commit phase's share of all phase time.
+        // `<phase>_pct`: one commit phase's share of all phase time;
+        // `<phase>_p50_us` / `<phase>_p99_us`: its latency quantiles.
         other => {
-            let phase = other.strip_suffix("_pct");
-            let found = phase.and_then(|p| s.phases.iter().find(|(n, _)| *n == p));
-            let (_, h) = found.unwrap_or_else(|| panic!("unknown snapshot metric {other:?}"));
-            ("%", 100.0 * h.sum as f64 / total)
+            let found = other.split_once('_').and_then(|(phase, stat)| {
+                let h = &s.phases.iter().find(|(n, _)| *n == phase)?.1;
+                match stat {
+                    "pct" => Some(("%", 100.0 * h.sum as f64 / total)),
+                    "p50_us" => Some(("us", h.p50 as f64 / 1e3)),
+                    "p99_us" => Some(("us", h.p99 as f64 / 1e3)),
+                    _ => None,
+                }
+            });
+            found.unwrap_or_else(|| panic!("unknown snapshot metric {other:?}"))
         }
     }
 }
@@ -219,9 +259,10 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// One help line per table entry, for `drtm-shell help`.
 pub fn help() -> String {
     let mut out = String::from(
-        "experiments: <name> [size] [rates r1,r2,...] [json FILE] [gate]\n\
-         \x20 fresh clusters per arm; `json FILE` writes the stamped artifact,\n\
-         \x20 a trailing `gate` turns a failed check into an error\n",
+        "experiments: <name> [size] [full] [rates r1,r2,...] [json FILE] [gate]\n\
+         \x20 fresh clusters per arm; `full` runs a figure at the paper's scale,\n\
+         \x20 `json FILE` writes the stamped artifact, a trailing `gate` turns a\n\
+         \x20 failed check into an error\n",
     );
     for e in EXPERIMENTS {
         out += &format!("  {:<10} {:>5}  {}\n", e.name, e.default.n, e.about);
@@ -232,10 +273,15 @@ pub fn help() -> String {
 
 /// A finished experiment: the reported run's arms and check outcomes.
 pub struct Report {
-    /// The table entry that ran.
-    pub experiment: &'static Experiment,
+    /// Name of the table entry that ran (`sweep` for the free-form
+    /// grid-point program).
+    pub name: &'static str,
+    /// What its arms are compared on.
+    pub about: &'static str,
     /// Transactions per worker, or requests per arm, it ran at.
     pub size: usize,
+    /// Whether it ran the paper-scale shape.
+    pub full: bool,
     /// The reported run's arms.
     pub arms: Vec<Arm>,
     /// Each check of the entry and whether it held, in table order.
@@ -270,23 +316,24 @@ impl Report {
     /// The one text form of an experiment: arms as columns, metrics as
     /// rows, the last-over-first ratio, then one line per check.
     pub fn render(&self) -> String {
-        let e = self.experiment;
         let mut rows: Vec<(&str, &str)> = Vec::new();
         for (name, unit, _) in self.arms.iter().flat_map(|a| &a.metrics) {
             if !rows.iter().any(|(n, _)| n == name) {
                 rows.push((name, unit));
             }
         }
-        let mut out = format!("{}: {} (size {})\n", e.name, e.about, self.size);
+        let full = if self.full { ", full" } else { "" };
+        let mut out = format!("{}: {} (size {}{full})\n", self.name, self.about, self.size);
+        let w = self.arms.iter().map(|a| a.label.len()).fold(11, usize::max);
         out += &format!("  {:<34}", "metric");
         for a in &self.arms {
-            out += &format!(" {:>11}", a.label);
+            out += &format!(" {:>w$}", a.label);
         }
         out += &format!(" {:>10}\n", "last/first");
         for (name, unit) in rows {
             out += &format!("  {:<34}", format!("{name} ({unit})"));
             for a in &self.arms {
-                out += &format!(" {:>11}", fmt_value(a[name], "-", 2));
+                out += &format!(" {:>w$}", fmt_value(a[name], "-", 2));
             }
             let r = ratio(&self.arms, name);
             let r = if r.is_finite() {
@@ -309,7 +356,8 @@ impl Report {
     }
 
     /// The one JSON form of an experiment, around the shared `stamp`
-    /// object: `stamp`, `experiment`, `size`, `arms[]`, `checks[]`.
+    /// object: `stamp`, `experiment`, `size`, `full`, `arms[]`,
+    /// `checks[]`.
     pub fn to_json(&self, stamp: &str) -> String {
         let arm = |a: &Arm| {
             let metric = |(name, unit, value): &(String, &str, f64)| {
@@ -326,9 +374,10 @@ impl Report {
         let arms: Vec<String> = self.arms.iter().map(arm).collect();
         let checks: Vec<String> = self.checks.iter().map(check).collect();
         format!(
-            "{{\"stamp\":{stamp},\"experiment\":\"{}\",\"size\":{},\n\"arms\":[\n{}],\n\"checks\":[\n{}]}}\n",
-            self.experiment.name,
+            "{{\"stamp\":{stamp},\"experiment\":\"{}\",\"size\":{},\"full\":{},\n\"arms\":[\n{}],\n\"checks\":[\n{}]}}\n",
+            self.name,
             self.size,
+            self.full,
             arms.join(",\n"),
             checks.join(",\n"),
         )
@@ -353,8 +402,10 @@ impl Experiment {
             let checks: Vec<_> = self.checks.iter().map(held).collect();
             if !checks.iter().any(|(c, ok)| !ok && c.1 > runs) {
                 return Ok(Report {
-                    experiment: self,
+                    name: self.name,
+                    about: self.about,
                     size: size.n,
+                    full: size.full,
                     arms,
                     checks,
                 });
@@ -396,20 +447,49 @@ impl Experiment {
 /// One closed-loop YCSB run on a fresh cluster, recorded under
 /// `prefix`: the driver's end-to-end numbers plus the named scrape
 /// metrics.
-fn ycsb_arm(arm: &mut Arm, prefix: &str, cfg: &YcsbCfg, run: &RunCfg, scraped: &[&str]) {
+pub fn ycsb_arm(
+    arm: &mut Arm,
+    prefix: &str,
+    cfg: &YcsbCfg,
+    run: &RunCfg,
+    scraped: &[&str],
+) -> Measurement {
     let (cluster, calvin) = build_ycsb(cfg, run);
     let m = run_ycsb_on(cfg, run, &cluster, calvin.as_ref());
     arm.measured(prefix, &m);
     arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
+    m
 }
 
 /// The same over SmallBank (the drivers share no build/run signature
 /// to be generic over).
-fn smallbank_arm(arm: &mut Arm, prefix: &str, cfg: &SbCfg, run: &RunCfg, scraped: &[&str]) {
+pub fn smallbank_arm(
+    arm: &mut Arm,
+    prefix: &str,
+    cfg: &SbCfg,
+    run: &RunCfg,
+    scraped: &[&str],
+) -> Measurement {
     let (cluster, calvin) = build_smallbank(cfg, run);
     let m = run_smallbank_on(cfg, run, &cluster, calvin.as_ref());
     arm.measured(prefix, &m);
     arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
+    m
+}
+
+/// The same over TPC-C.
+pub fn tpcc_arm(
+    arm: &mut Arm,
+    prefix: &str,
+    cfg: &TpccCfg,
+    run: &RunCfg,
+    scraped: &[&str],
+) -> Measurement {
+    let (cluster, calvin) = build_tpcc(cfg, run);
+    let m = run_tpcc_on(cfg, run, &cluster, calvin.as_ref());
+    arm.measured(prefix, &m);
+    arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
+    m
 }
 
 /// Boots a fresh loopback front-end, drives one client run at it,
@@ -723,12 +803,25 @@ fn ascending(arms: &[Arm], metric: &str) -> bool {
     arms.windows(2).all(|w| w[0][metric] <= w[1][metric])
 }
 
+/// The failed machine was recovered once, through its own lease, and
+/// the restart audit found the money conserved and no lock held.
+fn recovered_once(arm: &Arm) -> bool {
+    arm["recoveries"] == 1.0 && arm["audit_ok"] == 1.0
+}
+
+/// The dead machine's last renewal is at most a heartbeat (a fifth of
+/// the lease) and a late wake-up old, so suspicion cannot come much
+/// sooner than 0.8 of a lease after the crash.
+fn waited_out_lease(arm: &Arm) -> bool {
+    arm["detect_ms"] >= 0.7 * arm["lease_ms"]
+}
+
 /// Every experiment the shell, the tests and CI run.
 pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "breakdown",
         about: "TPC-C new-order commit-phase shares: local / 100% cross x R=1 / R=3",
-        default: Size { n: 300, rates: &[] },
+        default: Size::of(300),
         run: run_breakdown,
         checks: &[
             (
@@ -755,7 +848,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "cache",
         about: "read-mostly value cache off / on / on at 8 routines, YCSB-B 60% cross: NIC bytes, READs, hit rate",
-        default: Size { n: 200, rates: &[] },
+        default: Size::of(200),
         run: run_cache,
         checks: &[
             ("off arm records no cache lookups", 1, |_, a| {
@@ -784,7 +877,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "pipeline",
         about: "1 blocking routine vs 8 pipelined per worker, YCSB-B and SmallBank 60% cross",
-        default: Size { n: 300, rates: &[] },
+        default: Size::of(300),
         run: run_pipeline,
         checks: &[
             ("r1 overlaps nothing", 1, |_, a| {
@@ -810,10 +903,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "reactor",
         about: "8 vs 256 reactor-polled routines per worker, YCSB-B 60% cross",
-        default: Size {
-            n: 1_000,
-            rates: &[],
-        },
+        default: Size::of(1_000),
         run: run_reactor,
         checks: &[
             ("both arms commit every transaction", 1, |s, a| {
@@ -838,10 +928,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "contend",
         about: "contention ladder off vs escalate, 99%-zipfian YCSB-F and hot-account SmallBank",
-        default: Size {
-            n: 1_000,
-            rates: &[],
-        },
+        default: Size::of(1_000),
         run: run_contend,
         checks: &[
             ("policy off never escalates", 1, |_, a| {
@@ -868,7 +955,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         name: "serve",
         about:
             "TCP serving tier, zero-sum SmallBank paced at 500/s vs one burst past high-water 16",
-        default: Size { n: 400, rates: &[] },
+        default: Size::of(400),
         run: run_serve,
         checks: &[
             ("every request is sent on both arms", 1, |s, a| {
@@ -887,7 +974,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         name: "route",
         about:
             "shared admission queue vs shard-affinity routing, single-home-heavy SmallBank burst",
-        default: Size { n: 200, rates: &[] },
+        default: Size::of(200),
         run: run_route,
         checks: &[
             ("every request is sent and nothing sheds", 1, |s, a| {
@@ -928,6 +1015,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         default: Size {
             n: 300,
             rates: &[500.0, 1_500.0, 3_000.0],
+            full: false,
         },
         run: run_loadcurve,
         checks: &[
@@ -957,6 +1045,203 @@ pub static EXPERIMENTS: &[Experiment] = &[
             }),
         ],
     },
+    // ---- the paper's evaluation (§7); run functions in `figures` ------
+    // Each named check held in 20 of 20 release runs with margin;
+    // series too noisy to gate are reported without one
+    // (EXPERIMENTS.md).
+    Experiment {
+        name: "fig10",
+        about: "TPC-C new-order vtps vs machines: DrTM+R, replicated, DrTM, Calvin",
+        default: Size::of(120),
+        run: figures::fig10,
+        checks: &[
+            ("DrTM+R scales: 3 machines >= 2.2 x 1 machine", 1, |_, a| {
+                a[2]["drtm+r"] >= 2.2 * a[0]["drtm+r"]
+            }),
+            // No remote access on one machine: the generality cost alone.
+            ("DrTM above DrTM+R on one machine", 1, |_, a| {
+                a[0]["drtm"] > a[0]["drtm+r"]
+            }),
+            ("DrTM+R >= 4 x Calvin at every machine count", 1, |_, a| {
+                a.iter().all(|p| p["drtm+r"] >= 4.0 * p["calvin"])
+            }),
+        ],
+    },
+    Experiment {
+        name: "fig11",
+        about: "TPC-C new-order vtps vs threads per machine: DrTM+R, replicated, DrTM",
+        default: Size::of(120),
+        run: figures::fig11,
+        checks: &[
+            ("DrTM+R scales: 4 threads >= 3 x 1 thread", 1, |_, a| {
+                a[2]["drtm+r"] >= 3.0 * a[0]["drtm+r"]
+            }),
+            // The replicated series is `drtm+r=2` quick, `drtm+r=3` full.
+            ("replication costs throughput at every thread count", 1, |_, a| {
+                let copies = |m: &(String, &str, f64)| m.0.starts_with("drtm+r=");
+                a.iter().all(|p| p.metrics.iter().any(|m| copies(m) && m.2 < p["drtm+r"]))
+            }),
+        ],
+    },
+    Experiment {
+        name: "fig12",
+        about: "TPC-C new-order vtps vs logical nodes of 4 workers sharing NICs 4 to a machine",
+        default: Size::of(100),
+        run: figures::fig12,
+        checks: &[("every step of logical nodes adds throughput", 1, |_, a| {
+            a.windows(2).all(|w| w[0]["drtm+r"] < w[1]["drtm+r"])
+        })],
+    },
+    Experiment {
+        name: "fig13",
+        about: "SmallBank vtps vs machines at 1 / 5 / 10 % cross-machine, no replication",
+        default: Size::of(120),
+        run: |size| figures::smallbank_fig(size, false, 1),
+        checks: &[
+            ("1 % cross scales: 3 machines >= 2.5 x 1 machine", 1, |_, a| {
+                a[2]["cross=1%"] >= 2.5 * a[0]["cross=1%"]
+            }),
+            ("from 2 machines up, 1 % cross is above 5 % and 10 %", 1, |_, a| {
+                a[1..].iter().all(|p| p["cross=1%"] > p["cross=5%"].max(p["cross=10%"]))
+            }),
+        ],
+    },
+    Experiment {
+        name: "fig14",
+        about: "SmallBank vtps vs threads per machine at 1 / 5 / 10 % cross-machine, no replication",
+        default: Size::of(120),
+        run: |size| figures::smallbank_fig(size, true, 1),
+        checks: &[
+            ("1 % cross scales: 4 threads >= 3 x 1 thread", 1, |_, a| {
+                a[2]["cross=1%"] >= 3.0 * a[0]["cross=1%"]
+            }),
+            ("1 % cross is above 5 % and 10 % at 1 and 2 threads", 1, |_, a| {
+                let top = |p: &Arm| p["cross=1%"] > p["cross=5%"].max(p["cross=10%"]);
+                a[..2].iter().all(top)
+            }),
+        ],
+    },
+    Experiment {
+        name: "fig15",
+        about: "SmallBank vtps vs machines at 1 / 5 / 10 % cross-machine, 3-way replication",
+        default: Size::of(120),
+        run: |size| figures::smallbank_fig(size, false, 3),
+        checks: &[],
+    },
+    Experiment {
+        name: "fig16",
+        about: "SmallBank vtps vs threads per machine at 1 / 5 / 10 % cross-machine, 3-way replication",
+        default: Size::of(120),
+        run: |size| figures::smallbank_fig(size, true, 3),
+        checks: &[("1 % cross still scales: 4 threads >= 1.3 x 1 thread", 1, |_, a| {
+            a[2]["cross=1%"] >= 1.3 * a[0]["cross=1%"]
+        })],
+    },
+    Experiment {
+        name: "fig17",
+        about: "TPC-C new-order vtps vs cross-warehouse %: DrTM+R, replicated, DrTM",
+        default: Size::of(120),
+        run: figures::fig17,
+        checks: &[
+            ("DrTM+R at 100 % cross <= 0.6 x at 1 %", 1, |_, a| {
+                ratio(a, "drtm+r") <= 0.6
+            }),
+            ("DrTM at 100 % cross <= 0.4 x at 1 %", 1, |_, a| {
+                ratio(a, "drtm") <= 0.4
+            }),
+        ],
+    },
+    Experiment {
+        name: "fig18",
+        about: "TPC-C new-order vtps vs threads, one warehouse per machine: DrTM+R vs DrTM",
+        default: Size::of(120),
+        run: figures::fig18,
+        checks: &[("DrTM+R still scales: 4 threads >= 1.5 x 1 thread", 1, |_, a| {
+            a[2]["drtm+r"] >= 1.5 * a[0]["drtm+r"]
+        })],
+    },
+    Experiment {
+        name: "fig19",
+        about: "TPC-C new-order vtps vs warehouses per machine: DrTM+R, replicated",
+        default: Size::of(120),
+        run: figures::fig19,
+        checks: &[("DrTM+R stable across database sizes: max/min <= 1.4", 1, |_, a| {
+            let v = a.iter().map(|p| p["drtm+r"]);
+            v.clone().fold(0.0, f64::max) <= 1.4 * v.fold(f64::MAX, f64::min)
+        })],
+    },
+    Experiment {
+        name: "recovery",
+        about: "Figure 20: commits before / during / after a machine failure under leases",
+        default: Size::of(600),
+        run: figures::recovery,
+        checks: &[
+            ("one lease-driven recovery; money conserved, no stale lock", 1, |_, a| {
+                recovered_once(&a[1])
+            }),
+            ("suspicion waits out the lease: detect >= 0.7 x lease", 1, |_, a| {
+                waited_out_lease(&a[1])
+            }),
+            ("the commit rate falls with the failed machine", 1, |_, a| {
+                a[1]["commits_per_ms"] < a[0]["commits_per_ms"]
+            }),
+            ("survivors keep committing after the recovery", 1, |_, a| {
+                a[2]["commits_per_ms"] > 0.0
+            }),
+        ],
+    },
+    Experiment {
+        name: "lease",
+        about: "Figure 20 decomposition vs lease length (ms): detect / config / rebuild",
+        default: Size::of(400),
+        run: figures::lease,
+        checks: &[
+            ("every lease length: one recovery, audit ok", 1, |_, a| {
+                a.iter().all(recovered_once)
+            }),
+            ("suspicion waits out every lease: detect >= 0.7 x lease", 1, |_, a| {
+                a.iter().all(waited_out_lease)
+            }),
+            ("detection time grows with the lease", 1, |_, a| {
+                ascending(a, "detect_ms")
+            }),
+        ],
+    },
+    Experiment {
+        name: "table6",
+        about: "TPC-C standard mix without / with 3-way replication: throughput, latency, phases",
+        default: Size::of(120),
+        run: figures::table6,
+        checks: &[
+            ("replication overhead on new-order <= 60 %", 1, |_, a| {
+                ratio(a, "new_order_vtps") >= 0.4
+            }),
+            ("R.1 costs nothing unreplicated, something replicated", 1, |_, a| {
+                a[0]["log_p99_us"] < 0.01 && a[1]["log_p50_us"] > 1.0
+            }),
+        ],
+    },
+    Experiment {
+        name: "ablations",
+        about: "TPC-C 50 % cross: baseline vs one design decision switched off per arm",
+        default: Size::of(120),
+        run: figures::ablations,
+        checks: &[],
+    },
+    Experiment {
+        name: "ycsb",
+        about: "YCSB A / B / C / F vtps vs machines, zipfian 0.99, 5 % cross-machine",
+        default: Size::of(150),
+        run: figures::ycsb,
+        checks: &[
+            ("every mix scales: third point >= 2 x 1 machine", 1, |_, a| {
+                ["A", "B", "C", "F"].iter().all(|m| a[2][*m] >= 2.0 * a[0][*m])
+            }),
+            ("read-modify-write F is below read-mostly B and C at every point", 1, |_, a| {
+                a.iter().all(|p| p["F"] < p["B"].min(p["C"]))
+            }),
+        ],
+    },
 ];
 
 #[cfg(test)]
@@ -979,7 +1264,7 @@ mod tests {
     static FAKE: Experiment = Experiment {
         name: "fake",
         about: "two canned arms",
-        default: Size { n: 7, rates: &[] },
+        default: Size::of(7),
         run: two_arms,
         checks: &[
             ("b beats a", 1, |_, a| ratio(a, "vtps") > 1.0),
@@ -1024,6 +1309,19 @@ mod tests {
         assert!(json.contains("{\"name\":\"b doubles a\",\"tries\":3,\"ok\":false}"));
         // A metric one arm lacks renders as `-` and serializes nowhere.
         assert!(text.contains(" - "), "{text}");
+    }
+
+    /// `recovery` and `lease` at a small size: the supervisor recovers
+    /// the one failed machine once, through its own lease, and the
+    /// restart audit holds, in every arm that ran the failover.
+    #[test]
+    fn failover_entries_recover_once_and_audit_ok() {
+        for (name, runs) in [("recovery", 1), ("lease", 3)] {
+            let report = find(name).unwrap().run_checked(Size::of(150)).unwrap();
+            let ran = report.arms.iter().filter(|a| a["lease_ms"] > 0.0);
+            let ok = ran.filter(|a| recovered_once(a) && waited_out_lease(a));
+            assert_eq!(ok.count(), runs, "{}", report.render());
+        }
     }
 
     #[test]

@@ -1,0 +1,474 @@
+//! The paper's evaluation (§7) as run functions of
+//! [`crate::experiment::EXPERIMENTS`]: Figures 10–20, Table 6, the
+//! ablations and the YCSB grid.
+//!
+//! A figure's arms are its x-axis points (machines, threads, cross %,
+//! lease length) and its metrics are its series, named as the paper
+//! names them (`drtm+r`, `drtm+r=3`, `drtm`, `calvin`, `cross=1%`); a
+//! replicated series carries the copy count actually configured. Each
+//! entry's "paper shape" — what the curve should look like — is the
+//! `about` line and the named checks of its table row; EXPERIMENTS.md
+//! records paper vs. measured.
+
+use std::fmt::Display;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use drtm_base::task::block_now;
+use drtm_base::SplitMix64;
+use drtm_chaos::{ChaosInjector, FaultPlan, Supervisor, SupervisorCfg};
+use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::recovery::full_restart_scrub;
+use drtm_core::txn::TxnError;
+use drtm_workloads::audit;
+use drtm_workloads::driver::{
+    run_smallbank, run_tpcc, run_tpcc_on, run_ycsb, EngineKind, Measurement, RunCfg,
+};
+use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
+use drtm_workloads::tpcc::{self, TpccCfg};
+use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
+use EngineKind::{Calvin, Drtm, DrtmR};
+
+use crate::experiment::{tpcc_arm, Arm, Size};
+use crate::{sb_cfg, tpcc_cfg};
+
+type Arms = Result<Vec<Arm>, String>;
+
+/// One arm per x-axis point, labelled by the point.
+fn axis<T: Copy + Display>(xs: &[T], mut point: impl FnMut(T, &mut Arm)) -> Arms {
+    let arm = |&x: &T| {
+        let mut arm = Arm::new(x.to_string());
+        point(x, &mut arm);
+        arm
+    };
+    Ok(xs.iter().map(arm).collect())
+}
+
+/// One point of a TPC-C series: the run's new-order rate (the y-axis
+/// of every TPC-C figure) under the series' name — the engine, and the
+/// copies per record when there is more than one.
+fn tpcc_point(arm: &mut Arm, run: &RunCfg, m: Measurement) -> Measurement {
+    let engine = match run.engine {
+        DrtmR => "drtm+r",
+        Drtm => "drtm",
+        Calvin => "calvin",
+        EngineKind::Silo => "silo",
+    };
+    let series = match run.replicas {
+        1 => engine.to_string(),
+        copies => format!("{engine}={copies}"),
+    };
+    arm.push(series, "txn/s", m.tps_of("new-order"));
+    m
+}
+
+/// TPC-C on a cluster whose engine options `RunCfg` cannot spell.
+fn run_tpcc_with(cfg: &TpccCfg, run: &RunCfg, tweak: impl FnOnce(&mut EngineOpts)) -> Measurement {
+    let expected = run.txns_per_worker * run.threads * 2;
+    let mut opts = EngineOpts::builder()
+        .region_size(cfg.region_size(expected))
+        .read_mostly_tables(cfg.read_mostly_tables())
+        .build();
+    tweak(&mut opts);
+    let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
+    tpcc::load(&cluster, cfg);
+    run_tpcc_on(cfg, run, &cluster, None)
+}
+
+/// Figure 10: machines sweep, one warehouse per worker thread.
+pub fn fig10(size: Size) -> Arms {
+    let scale = size.scale();
+    let threads = scale.pick(8, 2);
+    let machines: &[usize] = scale.pick(&[1, 2, 3, 4, 5, 6], &[1, 2, 3]);
+    axis(machines, |n, arm| {
+        let cfg = tpcc_cfg(scale, n, threads);
+        let series = [(DrtmR, 1), (Drtm, 1), (Calvin, 1), (DrtmR, 3)];
+        for (engine, replicas) in series.into_iter().filter(|s| s.1 <= n) {
+            let run = size.run(engine, threads, replicas);
+            tpcc_point(arm, &run, run_tpcc(&cfg, &run));
+        }
+    })
+}
+
+/// Figure 11: threads-per-machine sweep.
+pub fn fig11(size: Size) -> Arms {
+    let scale = size.scale();
+    let nodes = scale.pick(6, 2);
+    let threads: &[usize] = scale.pick(&[1, 2, 4, 8, 12, 16], &[1, 2, 4]);
+    axis(threads, |t, arm| {
+        let cfg = tpcc_cfg(scale, nodes, t);
+        for (engine, replicas) in [(DrtmR, 1), (DrtmR, 3.min(nodes)), (Drtm, 1)] {
+            let run = size.run(engine, t, replicas);
+            tpcc_point(arm, &run, run_tpcc(&cfg, &run));
+        }
+    })
+}
+
+/// Figure 12: logical nodes of 4 workers, up to 4 to a machine.
+/// Co-located nodes run the full RDMA protocol against each other and
+/// share the machine's NIC: both of its budgets, bytes and verbs per
+/// second, are divided by the co-location factor.
+pub fn fig12(size: Size) -> Arms {
+    let scale = size.scale();
+    let logical: &[usize] = scale.pick(&[4, 8, 12, 16, 20, 24], &[2, 4, 6]);
+    axis(logical, |n, arm| {
+        let run = RunCfg {
+            seed: 7,
+            ..size.run(DrtmR, 4, 1)
+        };
+        let co = n.min(4) as f64;
+        let m = run_tpcc_with(&tpcc_cfg(scale, n, 4), &run, |opts| {
+            opts.cost.nic_bytes_per_sec /= co;
+            opts.cost.nic_ops_per_sec /= co;
+        });
+        tpcc_point(arm, &run, m);
+    })
+}
+
+/// Figures 13–16: SmallBank at 1 / 5 / 10 % cross-machine payments,
+/// swept over machines or (`by_threads`) threads per machine.
+pub fn smallbank_fig(size: Size, by_threads: bool, replicas: usize) -> Arms {
+    let scale = size.scale();
+    let xs: &[usize] = match (by_threads, replicas) {
+        (true, _) => scale.pick(&[1, 2, 4, 8, 12, 16], &[1, 2, 4]),
+        (false, 1) => scale.pick(&[1, 2, 3, 4, 5, 6], &[1, 2, 3]),
+        (false, _) => scale.pick(&[3, 4, 5, 6], &[3, 4]),
+    };
+    axis(xs, |x, arm| {
+        let (nodes, threads) = match by_threads {
+            true => (scale.pick(6, replicas.max(2)), x),
+            false => (x, scale.pick(16, 2)),
+        };
+        for cross in [1, 5, 10] {
+            let cfg = sb_cfg(scale, nodes, f64::from(cross) / 100.0);
+            let m = run_smallbank(&cfg, &size.run(DrtmR, threads, replicas));
+            arm.push(format!("cross={cross}%"), "txn/s", m.throughput);
+        }
+    })
+}
+
+/// Figure 17: cross-warehouse new-order probability sweep.
+pub fn fig17(size: Size) -> Arms {
+    let scale = size.scale();
+    let (nodes, threads) = (scale.pick(6, 2), scale.pick(8, 2));
+    let cfg = tpcc_cfg(scale, nodes, threads);
+    let percents: &[u32] = scale.pick(&[1, 5, 10, 25, 50, 75, 100], &[1, 10, 50, 100]);
+    axis(percents, |percent, arm| {
+        for (engine, replicas) in [(DrtmR, 1), (DrtmR, 3.min(nodes)), (Drtm, 1)] {
+            let run = RunCfg {
+                cross_override: Some(f64::from(percent) / 100.0),
+                ..size.run(engine, threads, replicas)
+            };
+            tpcc_point(arm, &run, run_tpcc(&cfg, &run));
+        }
+    })
+}
+
+/// Figure 18: high contention — every thread of a machine shares its
+/// one warehouse.
+pub fn fig18(size: Size) -> Arms {
+    let scale = size.scale();
+    let nodes = scale.pick(6, 2);
+    let threads: &[usize] = scale.pick(&[1, 2, 4, 8, 10, 12, 16], &[1, 2, 4]);
+    axis(threads, |t, arm| {
+        let cfg = TpccCfg {
+            warehouses_per_node: 1,
+            ..tpcc_cfg(scale, nodes, t)
+        };
+        let [a, b] = [DrtmR, Drtm].map(|engine| {
+            let run = size.run(engine, t, 1);
+            tpcc_point(arm, &run, run_tpcc(&cfg, &run))
+        });
+        let aborts = a.aborted as f64 / a.committed.max(1) as f64;
+        arm.push("drtm+r_aborts_per_commit", "ratio", aborts);
+        let fallbacks = 100.0 * b.fallbacks as f64 / (b.committed + b.fallbacks).max(1) as f64;
+        arm.push("drtm_fallback_pct", "%", fallbacks);
+    })
+}
+
+/// Figure 19: database size (warehouses per machine) sweep.
+pub fn fig19(size: Size) -> Arms {
+    let scale = size.scale();
+    let (nodes, threads) = (scale.pick(6, 2), scale.pick(8, 2));
+    let warehouses: &[usize] = scale.pick(&[8, 16, 32, 48, 64], &[2, 4, 8]);
+    axis(warehouses, |wh, arm| {
+        let cfg = TpccCfg {
+            nodes,
+            warehouses_per_node: wh,
+            customers: scale.pick(120, 32),
+            items: scale.pick(2_000, 128),
+            init_orders: scale.pick(10, 4),
+            history_buckets: 1 << scale.pick(17, 13),
+            ..Default::default()
+        };
+        for replicas in [1, 3.min(nodes)] {
+            let run = size.run(DrtmR, threads, replicas);
+            tpcc_point(arm, &run, run_tpcc(&cfg, &run));
+        }
+    })
+}
+
+/// YCSB A/B/C/F (zipfian 0.99, 5 % cross-machine) vs machines. Not a
+/// paper figure: the neutral-ground grid of a transactional KV store.
+pub fn ycsb(size: Size) -> Arms {
+    let scale = size.scale();
+    let run = RunCfg {
+        threads: scale.pick(8, 2),
+        txns_per_worker: size.n,
+        ..Default::default()
+    };
+    let machines: &[usize] = scale.pick(&[1, 2, 4, 6], &[1, 2, 3]);
+    axis(machines, |n, arm| {
+        for mix in [YcsbMix::A, YcsbMix::B, YcsbMix::C, YcsbMix::F] {
+            let cfg = YcsbCfg {
+                nodes: n,
+                records: scale.pick(100_000, 2_000),
+                mix,
+                ..Default::default()
+            };
+            arm.push(format!("{mix:?}"), "txn/s", run_ycsb(&cfg, &run).throughput);
+        }
+    })
+}
+
+/// Table 6: the cost of 3-way replication on the TPC-C standard mix —
+/// throughput, per-type latency, per-commit-phase latency quantiles.
+pub fn table6(size: Size) -> Arms {
+    let scale = size.scale();
+    let (nodes, threads) = (scale.pick(6, 3), scale.pick(8, 2));
+    let cfg = tpcc_cfg(scale, nodes, threads);
+    let phases = drtm_obs::Phase::ALL.map(|p| p.name());
+    let quantiles = phases.map(|p| [format!("{p}_p50_us"), format!("{p}_p99_us")]);
+    let quantiles: Vec<&str> = quantiles.iter().flatten().map(String::as_str).collect();
+    let arms = [1, 3].map(|replicas| {
+        let mut arm = Arm::new(format!("r{replicas}"));
+        let run = size.run(DrtmR, threads, replicas);
+        let m = tpcc_arm(&mut arm, "", &cfg, &run, &quantiles);
+        for t in tpcc::txns::TxnType::ALL {
+            let Some(stats) = m.per_type.get(t.name()) else {
+                continue;
+            };
+            let (name, t) = (t.name().replace('-', "_"), stats);
+            for (stat, us) in [("mean", t.mean_us), ("p50", t.p50_us), ("p99", t.p99_us)] {
+                arm.push(format!("{name}_{stat}_us"), "us", us);
+            }
+        }
+        arm
+    });
+    Ok(arms.into())
+}
+
+/// The design decisions DESIGN.md calls out, one switched per arm, on
+/// TPC-C with half the new-orders cross-warehouse so remote traffic
+/// matters: the DrTM location cache (a remote lookup is a multi-READ
+/// probe without it), the `IBV_ATOMIC_GLOB` fused lock+validate CAS
+/// (§4.4 C.2 — one READ WR per remote read-set record in C.1's
+/// doorbell, DESIGN.md §7), FaRM-style messaging for locks (round
+/// trips, and the lock service's interrupts abort the host's HTM
+/// regions), and the §6.4 pointer-swap local update.
+pub fn ablations(size: Size) -> Arms {
+    let scale = size.scale();
+    let (nodes, threads) = (scale.pick(4, 2), scale.pick(4, 2));
+    let cfg = tpcc_cfg(scale, nodes, threads);
+    let base = RunCfg {
+        cross_override: Some(0.5),
+        ..size.run(DrtmR, threads, 1)
+    };
+    let switched = |label, flip: fn(&mut RunCfg)| {
+        let (mut run, mut arm) = (base.clone(), Arm::new(label));
+        flip(&mut run);
+        tpcc_arm(&mut arm, "", &cfg, &run, &[]);
+        arm
+    };
+    let mut no_swap = Arm::new("no_pointer_swap");
+    let m = run_tpcc_with(&cfg, &base, |opts| opts.pointer_swap = false);
+    no_swap.measured("", &m);
+    Ok(vec![
+        switched("baseline", |_| {}),
+        switched("no_location_cache", |r| r.no_location_cache = true),
+        switched("glob", |r| r.fuse_lock_validate = true),
+        switched("msg_locking", |r| r.msg_locking = true),
+        no_swap,
+    ])
+}
+
+// ---- Figure 20: a machine failure under load ---------------------------
+
+/// Wall-clock pause between a worker's transactions. The lease
+/// machinery runs on host time: unpaced workers on an oversubscribed
+/// host starve the heartbeat thread (a healthy machine gets suspected)
+/// and *speed up* when peers die, inverting the timeline.
+const PACE: Duration = Duration::from_micros(400);
+
+/// Zero-sum SmallBank payments (half of them cross-machine) on 3-way
+/// replicated machines, `size.n` paced transactions per worker, under
+/// the `drtm-chaos` supervisor with `lease_us` leases. The last machine
+/// dies at C.5 — committed, every lock still dangling — about 40 % into
+/// the run; the supervisor suspects it when its lease drains and
+/// recovers it; then money and locks are audited as a restart would.
+///
+/// Pushes the Figure 20 decomposition and the audit onto `arm` and
+/// returns the timeline's three windows — before the crash, from the
+/// crash until recovery finished, from then until the last survivor
+/// ran out of work — as (commits per host ms, length in ms).
+fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
+    let scale = size.scale();
+    let (nodes, threads) = (scale.pick(6, 3), scale.pick(4, 2));
+    let victim = nodes - 1;
+    let sb = SbCfg {
+        nodes,
+        accounts: 1_000,
+        cross_prob: 0.5,
+        ..Default::default()
+    };
+    let opts = EngineOpts::builder()
+        .replicas(3)
+        .region_size(sb.region_size())
+        .build();
+    let cluster = DrtmCluster::new(nodes, &sb.schema(), opts);
+    smallbank::load(&cluster, &sb);
+
+    // The C.5 probe fires once per commit, remote writes or not.
+    let hit = (size.n * threads * 2 / 5).max(1) as u64;
+    let plan = FaultPlan::new(0xF1620 ^ lease_us).crash_at(victim, "C.5", hit);
+    let injector = Arc::new(ChaosInjector::new(plan, nodes));
+    cluster.fabric.set_injector(Arc::clone(&injector) as _);
+    cluster.set_crash_hook(Arc::clone(&injector) as _);
+    // Heartbeat well under the lease, poll fast enough not to dominate
+    // detection.
+    let timing = SupervisorCfg {
+        lease_us,
+        heartbeat: Duration::from_micros((lease_us / 5).max(500)),
+        poll: Duration::from_micros(200),
+    };
+    let sup = Supervisor::start(&cluster, timing, Some(Arc::clone(&injector)));
+
+    // Commits before the crash, until its recovery finished, and after.
+    let committed = [0, 1, 2].map(|_| AtomicU64::new(0));
+    let window = || injector.crashes_fired().min(1) + sup.recoveries().min(1);
+    // One worker's paced load; `None` when its machine died under it
+    // (or was suspected while healthy and voted out: nothing it starts
+    // after that can commit), else when it finished.
+    let worker = |wid: usize| {
+        let node = wid / threads;
+        let mut w = cluster.worker(node, 0xF16 + wid as u64);
+        let mut rng = SplitMix64::new(7919 * (wid as u64 + 1));
+        for _ in 0..size.n {
+            if !cluster.is_alive(node) || !cluster.is_member(node) {
+                return None;
+            }
+            let a = (node, sb.pick_account(&mut rng, node));
+            let shard = sb.pick_second_shard(&mut rng, node);
+            let b = (shard, sb.pick_account(&mut rng, shard));
+            let inp = SbInput {
+                txn: SbTxn::SendPayment,
+                a,
+                b,
+                amount: rng.range(1, 50),
+            };
+            if a != b {
+                match block_now(w.run_async(async |t| smallbank::execute(t, &inp).await)) {
+                    Ok(()) => _ = committed[window()].fetch_add(1, Ordering::Relaxed),
+                    Err(TxnError::Crashed) => return None,
+                    Err(_) => {}
+                }
+            }
+            std::thread::sleep(PACE);
+        }
+        Some(Instant::now())
+    };
+    // This thread is the auxiliary log-truncation thread meanwhile.
+    let start = Instant::now();
+    let all_done = std::thread::scope(|s| {
+        let worker = &worker;
+        let workers: Vec<_> = (0..nodes * threads)
+            .map(|wid| s.spawn(move || worker(wid)))
+            .collect();
+        while workers.iter().any(|w| !w.is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+            (0..nodes).for_each(|node| _ = cluster.truncate_step(node));
+        }
+        let done = workers
+            .into_iter()
+            .filter_map(|w| w.join().expect("worker panicked"));
+        done.max()
+    });
+    sup.await_recoveries(injector.crashes_fired(), Duration::from_secs(10));
+    let events = sup.stop();
+    cluster.clear_crash_hook();
+    cluster.fabric.clear_injector();
+    let (stale_locks, ..) = full_restart_scrub(&cluster);
+    let conserved = audit::smallbank_total(&cluster, &sb) == smallbank::initial_total(&sb);
+
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let event = events.first().filter(|e| e.dead == victim);
+    let phase =
+        |pick: fn(&drtm_chaos::RecoveryEvent) -> Duration| event.map_or(f64::NAN, |e| ms(pick(e)));
+    let detect = phase(|e| e.detect.unwrap_or_default());
+    let (config, rebuild) = (
+        phase(|e| e.report.config_commit),
+        phase(|e| e.report.rebuild),
+    );
+    let replayed = event.map_or(f64::NAN, |e| e.report.log_entries_replayed as f64);
+    for (name, unit, value) in [
+        ("lease_ms", "ms", lease_us as f64 / 1e3),
+        ("detect_ms", "ms", detect),
+        ("config_ms", "ms", config),
+        ("rebuild_ms", "ms", rebuild),
+        ("total_ms", "ms", detect + config + rebuild),
+        ("replayed", "entry", replayed),
+        ("recoveries", "event", events.len() as f64),
+        (
+            "audit_ok",
+            "bool",
+            f64::from(u8::from(conserved && stale_locks == 0)),
+        ),
+    ] {
+        arm.push(name, unit, value);
+    }
+
+    // The three windows of the timeline. (A commit racing the crash or
+    // the end of the rebuild lands in the neighbouring window.)
+    let crash = injector.crash_instant(victim);
+    let recovered = event.map(|e| e.suspected_at + e.report.config_commit + e.report.rebuild);
+    let edges = [Some(start), crash, recovered, all_done];
+    [0, 1, 2].map(|i| match (edges[i], edges[i + 1]) {
+        (Some(from), Some(to)) if to > from => {
+            let len = ms(to - from);
+            (committed[i].load(Ordering::Relaxed) as f64 / len, len)
+        }
+        _ => (f64::NAN, f64::NAN),
+    })
+}
+
+/// Figure 20: the timeline's three windows as arms, the decomposition
+/// on the outage. `full` runs the paper's 10 ms lease; the quick shape
+/// the 50 ms the chaos tests and `drtm-shell chaos` use, because a
+/// heartbeat thread descheduled for most of a lease gets a healthy
+/// machine suspected, and a 2-core host does that to 10 ms leases in
+/// about 1 run of 30, to 50 ms ones in 1 of 300 (EXPERIMENTS.md).
+pub fn recovery(size: Size) -> Arms {
+    let mut outage = Arm::new("outage");
+    let windows = failover(size, size.scale().pick(10_000, 50_000), &mut outage);
+    let mut arms = vec![Arm::new("before"), outage, Arm::new("after")];
+    for (arm, (rate, len)) in arms.iter_mut().zip(windows) {
+        arm.push("commits_per_ms", "txn/ms", rate);
+        arm.push("window_ms", "ms", len);
+    }
+    Ok(arms)
+}
+
+/// The Figure 20 decomposition swept over the lease length (ms):
+/// suspicion cannot fire before the dead machine's last grant drains
+/// and fires at most a heartbeat and a poll after; configuration commit
+/// and rebuild do not depend on the lease. The quick grid starts where
+/// [`recovery`]'s quick lease does.
+pub fn lease(size: Size) -> Arms {
+    let leases = size
+        .scale()
+        .pick::<&[u64]>(&[5, 10, 20, 50, 100], &[50, 100, 200]);
+    axis(leases, |lease_ms, arm| {
+        failover(size, lease_ms * 1_000, arm);
+    })
+}

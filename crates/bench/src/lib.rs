@@ -1,24 +1,26 @@
-//! Shared infrastructure for the experiment harnesses.
+//! The measurement harness: one table, one driver.
 //!
-//! One binary per table/figure of the paper's evaluation regenerates the
-//! corresponding rows/series (see DESIGN.md's experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results). Binaries run
-//! a **quick** profile by default — smaller datasets and fewer threads so
-//! the whole suite finishes on a small host — and the paper-scale
-//! profile with `--full`. The A/B experiments behind `drtm-shell` and CI
-//! live in one table, [`experiment::EXPERIMENTS`].
+//! Every figure and table of the paper's evaluation, and every A/B the
+//! repo gates on, is a row of [`experiment::EXPERIMENTS`], run as
+//! `drtm-shell <name> [size] [full] [json FILE] [gate]` (see DESIGN.md
+//! §5 for the index and EXPERIMENTS.md for recorded paper-vs-measured
+//! results). Entries run a **quick** shape by default — smaller
+//! datasets and fewer threads so the whole table finishes on a small
+//! host — and the paper-scale shape with `full`. The one binary,
+//! `sweep`, runs a grid point chosen on the command line.
 //!
 //! Throughput numbers are in *virtual time* (see `drtm-base::clock`):
 //! absolute values depend on the calibrated cost model, but the shapes —
 //! who wins, by what factor, where curves flatten — are the reproduction
 //! targets.
 
-use drtm_workloads::driver::{EngineKind, Measurement, RunCfg};
+use drtm_workloads::driver::{EngineKind, RunCfg};
 use drtm_workloads::smallbank::SbCfg;
 use drtm_workloads::tpcc::TpccCfg;
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 
 pub mod experiment;
+pub mod figures;
 pub mod stamp;
 
 pub use stamp::{git_rev, stamp_json, utc_rfc3339};
@@ -31,13 +33,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the profile from argv (`--full`).
-    pub fn from_env() -> Self {
-        Self {
-            full: std::env::args().any(|a| a == "--full"),
-        }
-    }
-
     /// Picks `full` or `quick`.
     pub fn pick<T>(&self, full: T, quick: T) -> T {
         if self.full {
@@ -48,7 +43,7 @@ impl Scale {
     }
 }
 
-/// The TPC-C configuration used by the figure harnesses.
+/// The TPC-C configuration used by the figure entries.
 ///
 /// Paper setting: each worker thread hosts one warehouse with 10
 /// districts (so `warehouses_per_node = threads`).
@@ -64,7 +59,7 @@ pub fn tpcc_cfg(scale: Scale, nodes: usize, threads: usize) -> TpccCfg {
     }
 }
 
-/// The SmallBank configuration used by the figure harnesses.
+/// The SmallBank configuration used by the figure entries.
 pub fn sb_cfg(scale: Scale, nodes: usize, cross_prob: f64) -> SbCfg {
     SbCfg {
         nodes,
@@ -74,7 +69,7 @@ pub fn sb_cfg(scale: Scale, nodes: usize, cross_prob: f64) -> SbCfg {
     }
 }
 
-/// The YCSB configuration used by the figure harnesses: the B mix
+/// The YCSB configuration used by the A/B entries: the B mix
 /// (95% reads) with mild skew — the routine-pipelining A/B's workload,
 /// where cross-node READs dominate and verb latency is there to hide.
 pub fn ycsb_cfg(scale: Scale, nodes: usize, cross_prob: f64) -> YcsbCfg {
@@ -88,7 +83,8 @@ pub fn ycsb_cfg(scale: Scale, nodes: usize, cross_prob: f64) -> YcsbCfg {
     }
 }
 
-/// A run configuration for the figure harnesses.
+/// A run configuration at the profile's default length (see
+/// [`experiment::Size::run`] for an entry's own).
 pub fn run_cfg(scale: Scale, engine: EngineKind, threads: usize, replicas: usize) -> RunCfg {
     RunCfg {
         engine,
@@ -99,29 +95,6 @@ pub fn run_cfg(scale: Scale, engine: EngineKind, threads: usize, replicas: usize
     }
 }
 
-/// Prints a figure/table header.
-pub fn header(id: &str, what: &str, cols: &[&str]) {
-    println!("# {id}: {what}");
-    println!("# quick profile unless --full; throughput in virtual txns/sec");
-    println!("{}", cols.join("\t"));
-}
-
-/// Formats a throughput in K/M units.
-pub fn fmt_tps(tps: f64) -> String {
-    if tps >= 1e6 {
-        format!("{:.2}M", tps / 1e6)
-    } else if tps >= 1e3 {
-        format!("{:.1}K", tps / 1e3)
-    } else {
-        format!("{tps:.0}")
-    }
-}
-
-/// Convenience: new-order throughput of a TPC-C measurement.
-pub fn new_order_tps(m: &Measurement) -> f64 {
-    m.tps_of("new-order")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,13 +103,6 @@ mod tests {
     fn scale_pick() {
         assert_eq!(Scale { full: true }.pick(1, 2), 1);
         assert_eq!(Scale { full: false }.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn fmt_units() {
-        assert_eq!(fmt_tps(1_500_000.0), "1.50M");
-        assert_eq!(fmt_tps(2_500.0), "2.5K");
-        assert_eq!(fmt_tps(42.0), "42");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! module is the one place that stamp is built, so the fields never
 //! drift between artifact kinds.
 
-use drtm_workloads::driver::RunCfg;
-
 /// The git revision being benchmarked: `DRTM_GIT_REV` if CI exported
 /// it, else `git rev-parse --short HEAD`, else `"unknown"`. Stamped
 /// into every artifact so `BENCH_*.json` files from different PRs stay
@@ -58,43 +56,17 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if mo <= 2 { y + 1 } else { y }, mo, d)
 }
 
-/// Serializes a [`RunCfg`] as one JSON object, every field spelled
-/// out so an artifact records the exact knob settings that produced
-/// it.
-pub fn run_cfg_json(run: &RunCfg) -> String {
-    format!(
-        concat!(
-            "{{\"engine\":\"{:?}\",\"threads\":{},\"replicas\":{},",
-            "\"txns_per_worker\":{},\"seed\":{},\"cross_override\":{},",
-            "\"fuse_lock_validate\":{},\"no_location_cache\":{},",
-            "\"msg_locking\":{},\"no_value_cache\":{},",
-            "\"routines\":{},\"contention\":\"{}\"}}"
-        ),
-        run.engine,
-        run.threads,
-        run.replicas,
-        run.txns_per_worker,
-        run.seed,
-        run.cross_override.map_or("null".into(), |c| format!("{c}")),
-        run.fuse_lock_validate,
-        run.no_location_cache,
-        run.msg_locking,
-        run.no_value_cache,
-        run.routines,
-        run.contention.label(),
-    )
-}
-
 /// The artifact stamp: one JSON object with the git revision, the UTC
-/// wall-clock timestamp, and (when the artifact came from a driver
-/// run) the full [`RunCfg`]. Splice it into an artifact as a
+/// wall-clock timestamp, and — when the configuration was chosen on a
+/// command line rather than written in the experiment table — that
+/// configuration's `{:?}` as a string. Splice it into an artifact as a
 /// `"stamp"` / `"meta"` member.
-pub fn stamp_json(run: Option<&RunCfg>) -> String {
+pub fn stamp_json(cfg: Option<&dyn std::fmt::Debug>) -> String {
     format!(
         "{{\"git_rev\":\"{}\",\"utc\":\"{}\",\"run_cfg\":{}}}",
         git_rev(),
         utc_rfc3339(),
-        run.map_or("null".into(), run_cfg_json),
+        cfg.map_or("null".into(), |c| format!("{:?}", format!("{c:?}"))),
     )
 }
 
@@ -125,12 +97,10 @@ mod tests {
         let bare = stamp_json(None);
         drtm_obs::jsonlint::validate(&bare).expect("bare stamp parses");
         assert!(bare.contains("\"run_cfg\":null"));
-        let run = RunCfg::default();
-        let full = stamp_json(Some(&run));
+        let run = drtm_workloads::driver::RunCfg::default();
+        let full = stamp_json(Some(&("a \"quoted\" label", &run)));
         drtm_obs::jsonlint::validate(&full).expect("full stamp parses");
         assert!(full.contains("\"git_rev\":\""));
-        assert!(full.contains("\"routines\":"));
-        assert!(full.contains("\"no_value_cache\":"));
-        assert!(full.contains("\"contention\":\"off\""));
+        assert!(full.contains("routines: 1") && full.contains("contention: Off"));
     }
 }

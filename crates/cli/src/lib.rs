@@ -59,8 +59,8 @@ pub enum Cmd {
         /// Transactions attempted per worker thread.
         txns: usize,
     },
-    /// `<name> [size] [rates r1,r2,...] [json FILE] [gate]` — run one
-    /// entry of the experiment table
+    /// `<name> [size] [full] [rates r1,r2,...] [json FILE] [gate]` — run
+    /// one entry of the experiment table
     /// ([`drtm_bench::experiment::EXPERIMENTS`]) on fresh clusters and
     /// print its arms-by-metrics report and checks.
     Experiment {
@@ -71,6 +71,8 @@ pub enum Cmd {
         /// Offered rates of a sweep entry (`loadcurve`); empty for a
         /// fixed-arm entry.
         rates: Vec<f64>,
+        /// The paper-scale shape of a figure entry.
+        full: bool,
         /// Optional path for the stamped JSON artifact.
         out: Option<String>,
         /// Turn a failed check into an error.
@@ -196,15 +198,19 @@ pub fn parse(line: &str) -> Result<Option<Cmd>, String> {
 }
 
 /// Parses the words after an experiment's name: an optional leading
-/// size, then `requests N` / `rates r1,r2,...` / `json FILE` pairs, then
-/// an optional trailing `gate`.
+/// size, then `full` and `requests N` / `rates r1,r2,...` / `json FILE`
+/// pairs in any order, then an optional trailing `gate`.
 fn parse_experiment(exp: &'static Experiment, words: &[&str]) -> Result<Cmd, String> {
     let name = exp.name;
     let size = |w: &str| {
         w.parse::<usize>()
             .map_err(|_| format!("{name}: not a size: {w:?}"))
     };
-    let Size { mut n, rates } = exp.default;
+    let Size {
+        mut n,
+        rates,
+        mut full,
+    } = exp.default;
     let (mut rates, mut out, mut gate) = (rates.to_vec(), None, false);
     let mut it = words.iter().peekable();
     if let Some(w) = it.next_if(|w| w.starts_with(|c: char| c.is_ascii_digit())) {
@@ -217,6 +223,8 @@ fn parse_experiment(exp: &'static Experiment, words: &[&str]) -> Result<Cmd, Str
         }
         let mut value = || it.next().ok_or(format!("{name}: {key} needs a value"));
         match key {
+            "full" if full => return Err(format!("{name}: full given twice")),
+            "full" => full = true,
             "requests" => n = size(value()?)?,
             "json" => out = Some(value()?.to_string()),
             "rates" if rates.is_empty() => {
@@ -231,7 +239,7 @@ fn parse_experiment(exp: &'static Experiment, words: &[&str]) -> Result<Cmd, Str
             }
             other => {
                 return Err(format!(
-                    "{name}: expected [size] [rates r1,r2,...] [json FILE] [gate], got {other:?}"
+                    "{name}: expected [size] [full] [rates r1,r2,...] [json FILE] [gate], got {other:?}"
                 ))
             }
         }
@@ -240,6 +248,7 @@ fn parse_experiment(exp: &'static Experiment, words: &[&str]) -> Result<Cmd, Str
         name,
         size: n,
         rates,
+        full,
         out,
         gate,
     })
@@ -541,6 +550,7 @@ impl Shell {
                 name,
                 size,
                 rates,
+                full,
                 out,
                 gate,
             } => {
@@ -550,6 +560,7 @@ impl Shell {
                 let size = Size {
                     n: size,
                     rates: &rates,
+                    full,
                 };
                 exp.execute(size, out.as_deref(), gate).map(Some)
             }
@@ -949,6 +960,7 @@ mod tests {
             name,
             size,
             rates: experiment::find(name).unwrap().default.rates.to_vec(),
+            full: false,
             out: out.map(String::from),
             gate,
         }
@@ -980,6 +992,34 @@ mod tests {
         ] {
             assert_eq!(parse(line).unwrap(), Some(want), "{line}");
         }
+        // `full` in any position after the size and before `gate`.
+        for (line, size, out, gate) in [
+            ("fig10 full", 120, None, false),
+            ("fig10 50 full", 50, None, false),
+            ("fig10 full json f.json", 120, Some("f.json"), false),
+            ("fig10 json f.json full gate", 120, Some("f.json"), true),
+            ("lease requests 90 full gate", 90, None, true),
+        ] {
+            let Ok(Some(Cmd::Experiment {
+                size: n,
+                full,
+                out: o,
+                gate: g,
+                ..
+            })) = parse(line)
+            else {
+                panic!("{line}");
+            };
+            assert_eq!(
+                (n, full, o.as_deref(), g),
+                (size, true, out, gate),
+                "{line}"
+            );
+        }
+        assert!(parse("fig10 full full").is_err(), "given twice");
+        assert!(parse("fig10 full json f.json full").is_err(), "given twice");
+        assert!(parse("fig10 gate full").is_err(), "`gate` is last");
+        assert!(parse("fig10 full 50").is_err(), "the size leads");
         // Unknown experiment name, malformed size, stray words.
         assert!(parse("nosuch 100").is_err());
         assert!(parse("cache 12x").is_err());
@@ -1000,6 +1040,7 @@ mod tests {
                 name: "loadcurve",
                 size: 50,
                 rates: vec![800.0, 100.0, 400.0],
+                full: false,
                 out: Some("/tmp/x.json".into()),
                 gate: false,
             })

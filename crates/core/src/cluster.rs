@@ -58,10 +58,6 @@ pub struct EngineOpts {
     pub cost: CostModel,
     /// Region bytes per node.
     pub region_size: usize,
-    /// Retries when a local read finds the record lock held.
-    pub local_read_retries: usize,
-    /// Retries for a consistent remote read (version matching).
-    pub remote_read_retries: usize,
     /// Use the DrTM location cache for remote hash lookups.
     pub use_location_cache: bool,
     /// `IBV_ATOMIC_GLOB` ablation: fuse remote lock + validate into one
@@ -70,8 +66,6 @@ pub struct EngineOpts {
     /// §6.4 pointer-swap accounting: local-only tables charge one HTM
     /// line per write instead of the full record.
     pub pointer_swap: bool,
-    /// Database-transaction retries before giving up.
-    pub txn_retries: usize,
     /// FaRM-style two-sided locking ablation: remote lock/unlock and
     /// validation travel as SEND/RECV messages served by the host CPU
     /// instead of one-sided RDMA verbs (C.5 writes and R.1 appends stay
@@ -108,12 +102,9 @@ impl Default for EngineOpts {
             htm: HtmConfig::default(),
             cost: CostModel::default(),
             region_size: 32 << 20,
-            local_read_retries: 10_000,
-            remote_read_retries: 64,
             use_location_cache: true,
             fuse_lock_validate: false,
             pointer_swap: true,
-            txn_retries: 1_000_000,
             msg_locking: false,
             value_cache: true,
             read_mostly_tables: Vec::new(),
@@ -199,18 +190,6 @@ impl EngineOptsBuilder {
         self
     }
 
-    /// Retries when a local read finds the record lock held.
-    pub fn local_read_retries(mut self, n: usize) -> Self {
-        self.opts.local_read_retries = n;
-        self
-    }
-
-    /// Retries for a consistent remote read (version matching).
-    pub fn remote_read_retries(mut self, n: usize) -> Self {
-        self.opts.remote_read_retries = n;
-        self
-    }
-
     /// Use the DrTM location cache for remote hash lookups.
     pub fn use_location_cache(mut self, on: bool) -> Self {
         self.opts.use_location_cache = on;
@@ -227,12 +206,6 @@ impl EngineOptsBuilder {
     /// §6.4 pointer-swap accounting for local-only tables.
     pub fn pointer_swap(mut self, on: bool) -> Self {
         self.opts.pointer_swap = on;
-        self
-    }
-
-    /// Database-transaction retries before giving up.
-    pub fn txn_retries(mut self, n: usize) -> Self {
-        self.opts.txn_retries = n;
         self
     }
 

@@ -529,9 +529,10 @@ impl Worker {
         read_only: bool,
         body: &mut impl AsyncFnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
     ) -> Result<R, TxnError> {
-        let retries = self.cluster.opts.txn_retries;
+        /// Database-transaction retries before giving up.
+        const TXN_RETRIES: usize = 1_000_000;
         let mut last = TxnError::Aborted(AbortReason::Validation);
-        for attempt in 0..=retries {
+        for attempt in 0..=TXN_RETRIES {
             let mut ctx = self.begin_inner(read_only);
             match body(&mut ctx).await {
                 Ok(value) => match ctx.commit_async().await {
@@ -741,7 +742,9 @@ impl<'w> TxnCtx<'w> {
         let mut value = vec![0u8; rec.layout.value_len];
         let lines = rec.layout.lines() as u64;
         let mut result = None;
-        for _ in 0..cluster.opts.local_read_retries {
+        /// Retries when a local read finds the record lock held.
+        const LOCAL_READ_RETRIES: usize = 10_000;
+        for _ in 0..LOCAL_READ_RETRIES {
             self.charge(cost.htm_begin_ns + cost.record_logic_ns);
             let mut htm = HtmTxn::begin(&store.region, &cluster.opts.htm);
             match rec.read_htm(&mut htm, &mut value) {
@@ -913,7 +916,9 @@ impl<'w> TxnCtx<'w> {
             let rec_off = self.locate_remote(node, table, key).await?;
             self.w.clock.advance(cluster.opts.cost.record_logic_ns);
             let mut read = None;
-            for _ in 0..cluster.opts.remote_read_retries {
+            /// Retries for a consistent remote read (version matching).
+            const REMOTE_READ_RETRIES: usize = 64;
+            for _ in 0..REMOTE_READ_RETRIES {
                 // The READ rides the reactor's shared doorbell flush, so
                 // its MMIO charge amortizes over every routine parked
                 // this round.

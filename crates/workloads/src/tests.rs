@@ -382,19 +382,19 @@ fn smallbank_routines_one_pins_blocking_path() {
 }
 
 /// The driver's routine-pool path on the full SmallBank mix: every
-/// routine count commits work, and the multiplexed slots finish in less
-/// virtual time than the blocking baseline.
+/// routine count commits work. That the multiplexed slots finish in
+/// less virtual time than one routine is the `pipeline` experiment's
+/// "SmallBank r8/r1 vtps >= 1.15" check, gated on a release build; a
+/// ratio over debug OS-thread interleavings is not asserted here.
 #[test]
-fn smallbank_driver_routines_hide_latency() {
+fn smallbank_driver_commits_at_every_routine_count() {
     let cfg = SbCfg {
         nodes: 2,
         accounts: 400,
         cross_prob: 0.5,
         ..Default::default()
     };
-    let base = run_smallbank(&cfg, &quick_run(EngineKind::DrtmR, 1, 120));
-    assert!(base.committed > 0);
-    for routines in [2usize, 4, 8] {
+    for routines in [1usize, 2, 4, 8] {
         let m = run_smallbank(
             &cfg,
             &RunCfg {
@@ -403,20 +403,15 @@ fn smallbank_driver_routines_hide_latency() {
             },
         );
         assert!(m.committed > 0, "routines={routines} committed nothing");
-        assert!(
-            m.throughput > base.throughput,
-            "routines={routines} hid no latency: {} vs {}",
-            m.throughput,
-            base.throughput
-        );
     }
 }
 
-/// The PR's headline acceptance check: YCSB-B at 60% cross-node gains
-/// at least 25% virtual-time throughput from 8 routines, with the abort
-/// rate within 2x of the blocking baseline.
+/// YCSB-B at 60% cross-node commits its whole budget at 1 and at 8
+/// routines (a read-mostly mix never gives up on a transaction). The
+/// gain and the abort rate are the `pipeline` experiment's "YCSB-B
+/// r8/r1 vtps >= 1.25" and "YCSB-B r8 abort rate <= 5%" checks.
 #[test]
-fn ycsb_b_cross_node_routines_gain() {
+fn ycsb_b_cross_node_commits_at_every_routine_count() {
     use crate::ycsb::{YcsbCfg, YcsbMix};
     let cfg = YcsbCfg {
         nodes: 2,
@@ -426,29 +421,14 @@ fn ycsb_b_cross_node_routines_gain() {
         mix: YcsbMix::B,
         ..Default::default()
     };
-    let r1 = crate::driver::run_ycsb(&cfg, &quick_run(EngineKind::DrtmR, 1, 200));
-    let r8 = crate::driver::run_ycsb(
-        &cfg,
-        &RunCfg {
-            routines: 8,
+    for routines in [1usize, 8] {
+        let run = RunCfg {
+            routines,
             ..quick_run(EngineKind::DrtmR, 1, 200)
-        },
-    );
-    assert!(
-        r8.throughput >= 1.25 * r1.throughput,
-        "pipelining gained only {:.1}%: {} vs {}",
-        (r8.throughput / r1.throughput - 1.0) * 100.0,
-        r8.throughput,
-        r1.throughput
-    );
-    let rate =
-        |m: &crate::driver::Measurement| m.aborted as f64 / (m.committed + m.aborted).max(1) as f64;
-    assert!(
-        rate(&r8) <= 2.0 * rate(&r1) + 0.01,
-        "abort rate blew up: {} vs {}",
-        rate(&r8),
-        rate(&r1)
-    );
+        };
+        let m = crate::driver::run_ycsb(&cfg, &run);
+        assert_eq!(m.committed, 2 * 200, "routines={routines}");
+    }
 }
 
 #[test]

@@ -843,6 +843,14 @@ pub static EXPERIMENTS: &[Experiment] = &[
                         && a[3]["us_per_txn"] > a[2]["us_per_txn"]
                 },
             ),
+            (
+                "C.6 rides C.5's doorbell: unlock_pct < 0.05 local, < 0.7 with a second written machine",
+                1,
+                |_, a| {
+                    let unlock = |i: usize| a[i]["unlock_pct"];
+                    unlock(0).max(unlock(2)) < 0.05 && unlock(1).max(unlock(3)) < 0.7
+                },
+            ),
         ],
     },
     Experiment {

@@ -22,6 +22,8 @@ use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 pub mod experiment;
 pub mod figures;
 pub mod stamp;
+#[cfg(test)]
+mod tests;
 
 pub use stamp::{git_rev, stamp_json, utc_rfc3339};
 
@@ -92,27 +94,5 @@ pub fn run_cfg(scale: Scale, engine: EngineKind, threads: usize, replicas: usize
         replicas,
         txns_per_worker: scale.pick(400, 120),
         ..Default::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_pick() {
-        assert_eq!(Scale { full: true }.pick(1, 2), 1);
-        assert_eq!(Scale { full: false }.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn cfgs_are_consistent() {
-        let s = Scale { full: false };
-        let t = tpcc_cfg(s, 2, 3);
-        assert_eq!(t.nodes, 2);
-        assert_eq!(t.warehouses_per_node, 3);
-        let b = sb_cfg(s, 4, 0.05);
-        assert_eq!(b.nodes, 4);
-        assert!((b.cross_prob - 0.05).abs() < 1e-12);
     }
 }

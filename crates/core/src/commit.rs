@@ -23,8 +23,11 @@
 //! * **R.2** "makeup": flip local primaries to *even* (committable).
 //! * **C.5** write remote primaries (even sequence numbers) with RDMA
 //!   WRITEs.
-//! * **C.6** unlock everything with RDMA CAS. The transaction reports
-//!   committed after C.5 and before C.6, like the paper.
+//! * **C.6** unlock everything with RDMA CAS. The unlocks of the last
+//!   destination C.5 writes ride its doorbell, unsignalled, behind the
+//!   WRITEs (an RC QP executes in post order and flushes what is posted
+//!   behind a failed WR); the rest are released after C.5. The
+//!   transaction reports committed after C.5, like the paper.
 
 use std::sync::Arc;
 
@@ -86,7 +89,7 @@ pub const STAGES: [Stage; 7] = [
     Stage {
         probe: "C.5",
         phase: Phase::Update,
-        leaves: "remote primaries written; every lock still held",
+        leaves: "remote primaries written, the last written machine already unlocked",
     },
     Stage {
         probe: "C.6",
@@ -460,18 +463,19 @@ impl TxnCtx<'_> {
         // sweep rolls the still-locked remainder forward — whereas a
         // late write could stomp a *newer* value committed after the
         // sweep healed and released the record.
-        self.remote_update(&remote_new_seqs).await?;
+        let still_locked = self.remote_update(&remote_new_seqs, &locks).await?;
 
         // Inserts and deletes become visible only now, after validation
         // and logging — part of C.5, and timed as such.
         self.apply_mutations();
 
-        // The transaction reports committed here; C.6 happens after. A
-        // crash at C.5 is therefore a *committed* transaction whose
-        // locks dangle until a survivor releases them passively.
+        // The transaction reports committed here; what C.5's doorbells
+        // did not release, C.6 does after. A crash at C.5 is therefore
+        // a *committed* transaction whose remaining locks dangle until
+        // a survivor releases them passively.
         self.stage_done(pc, update)?;
 
-        self.unlock_all(&locks).await;
+        self.unlock_all(&still_locked).await;
         self.stage_done(pc, unlock)?;
         Ok(true)
     }
@@ -502,10 +506,11 @@ impl TxnCtx<'_> {
 
     /// The lock-word CASes of one destination (`group` is one node's
     /// run of the sorted lock set), outcomes in order. One-sided, they
-    /// ride a single doorbell (per `sq_depth` WRs): `signalled` waits
-    /// for the completions — a reactor suspension point — while
-    /// unsignalled WRs are claimed without spinning the clock forward to
-    /// them. With `peek`, a [`HEADER_BYTES`] READ of every record rides
+    /// ride a single doorbell (per `sq_depth` WRs) — a reactor
+    /// suspension point: `signalled` waits for the completions, while
+    /// unsignalled WRs are claimed as soon as the doorbell rang, without
+    /// spinning the clock forward to them. With `peek`, a
+    /// [`HEADER_BYTES`] READ of every record rides
     /// the same doorbell behind the CASes: an RC QP executes in post
     /// order, so the READ behind a *winning* CAS returns the header C.2
     /// validates, already stable under the lock (`None` where the
@@ -531,10 +536,9 @@ impl TxnCtx<'_> {
             .iter()
             .map(|&(_, raddr)| WorkRequest::Cas { raddr, expect, new });
         let reads = group.iter().filter(|_| peek).map(|a| header_read(a.1));
-        let mut wcs = self
-            .w
-            .ring(node, cas.chain(reads).collect(), signalled)
-            .await;
+        let wrs: Vec<WorkRequest> = cas.chain(reads).collect();
+        let waited = if signalled { wrs.len() } else { 0 };
+        let mut wcs = self.w.ring(node, wrs, waited).await;
         let mut hdrs = wcs.split_off(group.len()).into_iter().map(header_of);
         wcs.into_iter()
             .map(|wc| {
@@ -802,10 +806,12 @@ impl TxnCtx<'_> {
         }
     }
 
-    /// C.6: releases the locks in `addrs`, one unsignalled CAS group per
-    /// destination node. The transaction already reported committed
-    /// after C.5, so nothing waits for the completions — fire-and-forget,
-    /// exactly like an unsignalled unlock WR on real hardware.
+    /// C.6 for what C.5's doorbell did not carry, and every abort-path
+    /// release: frees the locks in `addrs`, one unsignalled CAS group
+    /// per destination node on the reactor's shared flush. Nothing
+    /// waits for the completions — the routine resumes when the
+    /// doorbell rang, exactly like an unsignalled unlock WR on real
+    /// hardware.
     async fn unlock_all(&mut self, addrs: &[LockAddr]) {
         self.w.routine.set_committing(false);
         // A dead machine cannot release its own locks — that is the
@@ -849,54 +855,105 @@ impl TxnCtx<'_> {
         }
     }
 
+    /// The line images C.5 writes to `node`, in post order: per record
+    /// the reverse-line order version matching depends on.
+    fn line_images(&self, node: NodeId, new_seqs: &[u64]) -> Vec<(usize, Vec<u8>)> {
+        let tables = &self.w.cluster.stores[self.w.node];
+        let mut images = Vec::new();
+        for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
+            if e.node == node {
+                let layout = tables.table(e.table).layout;
+                images.extend(locked_write_wrs(e.rec_off, layout, &e.buf, seq));
+            }
+        }
+        images
+    }
+
     /// C.5: writes every remote write-set primary under its lock — all
     /// per-line WRITEs for one destination node behind a single
-    /// doorbell, one-sided in both arms of the messaging ablation.
+    /// doorbell, one-sided in both arms of the messaging ablation — and
+    /// returns the locks of `locks` (C.1's sorted lock set) it left
+    /// held.
+    ///
+    /// C.6 rides along where it can: an unlock may land only after
+    /// *every* image of the transaction has (a reader that finds one
+    /// record released must find all of them written), and the
+    /// destinations are written one round trip after another, so the
+    /// doorbell of the **last** one carries, behind its WRITEs, the
+    /// unlock CAS of every lock held on that machine, unsignalled. The
+    /// RC QP executes them in post order, and a failed WR flushes
+    /// everything posted behind it ([`VerbError::Flushed`]), so no
+    /// unlock overtakes an image that did not land. The messaging
+    /// ablation's unlock is a message and rides nothing.
     ///
     /// A machine that died mid-step stops issuing doorbells — its redo
     /// entries are durable, so the recovery sweep rolls the still-locked
     /// remainder forward.
-    async fn remote_update(&mut self, new_seqs: &[u64]) -> Result<(), TxnError> {
+    async fn remote_update(
+        &mut self,
+        new_seqs: &[u64],
+        locks: &[LockAddr],
+    ) -> Result<Vec<LockAddr>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
-        let me = self.w.node;
+        let me = lock_word(self.w.node);
         let mut nodes: Vec<NodeId> = self.r_ws.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
-        for node in nodes {
-            if !cluster.is_alive(me) {
+        let chained = nodes.last().filter(|_| !cluster.opts.msg_locking);
+        let (released, held): (Vec<LockAddr>, Vec<LockAddr>) =
+            locks.iter().partition(|a| Some(&a.0) == chained);
+        for &node in &nodes {
+            if !cluster.is_alive(self.w.node) {
                 return Err(TxnError::Crashed);
             }
-            // Every line image destined for this node, in the per-record
-            // reverse-line order version matching depends on.
-            let mut wrs: Vec<(usize, Vec<u8>)> = Vec::new();
-            for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
-                if e.node == node {
-                    let layout = cluster.stores[me].table(e.table).layout;
-                    wrs.extend(locked_write_wrs(e.rec_off, layout, &e.buf, seq));
+            let images = self.line_images(node, new_seqs).into_iter();
+            let mut wrs: Vec<WorkRequest> = images
+                .map(|(raddr, data)| WorkRequest::Write { raddr, data })
+                .collect();
+            let writes = wrs.len();
+            if Some(&node) == chained {
+                wrs.extend(released.iter().map(|&(_, raddr)| WorkRequest::Cas {
+                    raddr,
+                    expect: me,
+                    new: LOCK_FREE,
+                }));
+                // Posting the last unlock ends the lock holder's
+                // dispatch priority (DESIGN.md §11).
+                if held.is_empty() {
+                    self.w.routine.set_committing(false);
                 }
             }
-            let writes = wrs.iter().map(|(raddr, img)| WorkRequest::Write {
-                raddr: *raddr,
-                data: img.clone(),
-            });
-            // C.6 for this node must come strictly after these
-            // completions, so wait (not fire-and-forget) here. A
-            // resumed routine is never scheduled before its batch
-            // horizon, preserving the ordering across a suspension.
-            let wcs = self.w.ring(node, writes.collect(), true).await;
-            // A dropped line image would leave a torn record under a
-            // lock we still hold; nobody can validate it before C.6, so
-            // retransmitting the identical image through the blocking
-            // wrapper is idempotent and closes the tear before unlock.
-            for (wc, (raddr, img)) in wcs.iter().zip(&wrs) {
-                if wc.result.is_err() {
-                    let w = &mut *self.w;
-                    w.qps[node].write(&mut w.clock, *raddr, img);
+            // One send queue's worth at a time, each chunk settled
+            // before the next is posted: the routine wakes at the
+            // WRITEs' horizon and retransmits what failed, blocking and
+            // in post order — an image (idempotent under the lock still
+            // held) before the unlocks flushed behind it. So unlocks in
+            // later chunks are posted behind images that all landed.
+            let mut settled = 0;
+            while !wrs.is_empty() {
+                let tail = wrs.split_off(wrs.len().min(cluster.fabric.sq_depth()));
+                let chunk = std::mem::replace(&mut wrs, tail);
+                let waited = writes.saturating_sub(settled);
+                let wcs = self.w.ring(node, chunk, waited).await;
+                for (i, _) in wcs.iter().enumerate().filter(|(_, wc)| wc.result.is_err()) {
+                    match (settled + i).checked_sub(writes) {
+                        None => {
+                            let (raddr, img) = &self.line_images(node, new_seqs)[settled + i];
+                            let w = &mut *self.w;
+                            w.qps[node].write(&mut w.clock, *raddr, img);
+                        }
+                        Some(lock) => {
+                            let res = self.remote_cas(node, released[lock].1, me, LOCK_FREE);
+                            debug_assert!(res.is_ok(), "lost a lock we held");
+                        }
+                    }
                 }
+                settled += wcs.len();
             }
         }
+        self.grant_waiters(&released);
         self.write_through_cache(new_seqs);
-        Ok(())
+        Ok(held)
     }
 
     /// C.5 write-through (DESIGN.md §8): a transaction that rewrote a
@@ -944,7 +1001,7 @@ impl TxnCtx<'_> {
         }
         let reads = offs.iter().map(|&off| header_read(off));
         // Doorbell + completion wait — a reactor suspension point.
-        let wcs = w.ring(node, reads.collect(), true).await;
+        let wcs = w.ring(node, reads.collect(), offs.len()).await;
         let mut retransmit = |off| remote_read_header(&w.qps[node], &mut w.clock, off);
         let hdrs = wcs.into_iter().zip(offs);
         hdrs.map(|(wc, &off)| header_of(wc).unwrap_or_else(|| retransmit(off)))

@@ -100,7 +100,7 @@ use std::time::Instant;
 use drtm_base::clock::{CostModel, VClock};
 use drtm_base::stats::{Counter, Histogram};
 use drtm_base::sync::{Condvar, Mutex};
-use drtm_rdma::{Cq, Fabric, NodeId, Qp, WorkRequest};
+use drtm_rdma::{Cq, Fabric, NodeId, PostedWr, Qp};
 use drtm_store::{LocationCache, ValueCache};
 
 use crate::txn::Worker;
@@ -122,15 +122,16 @@ enum Park {
         wake: u64,
         spin: bool,
     },
-    /// Deferred verb batch: the routine drained its QP's posted WRs at
-    /// virtual time `at` and handed them to the pool's flush layer. It
-    /// has no wake horizon yet — the reactor assigns one when it rings
-    /// the shared doorbell (see [`Reactor::flush`]).
+    /// Deferred verb batch: the routine handed its WRs (cookie = its
+    /// id) to the pool's flush layer at virtual time `at`. It has no
+    /// wake horizon yet — the reactor assigns one when it rings the
+    /// shared doorbell (see [`Reactor::flush`]): the horizon of the
+    /// batch's signalled WRs, or the ring instant if it has none.
     Flush {
         id: usize,
         src: NodeId,
         dst: NodeId,
-        wrs: Vec<WorkRequest>,
+        wrs: Vec<PostedWr>,
         at: u64,
     },
     /// External wait (serve pools): the routine found the submit queue
@@ -156,7 +157,7 @@ struct PendingFlush {
     id: usize,
     src: NodeId,
     dst: NodeId,
-    wrs: Vec<WorkRequest>,
+    wrs: Vec<PostedWr>,
     /// The instant the routine parked the batch.
     at: u64,
 }
@@ -381,8 +382,14 @@ impl ReactorState {
     ///    doorbell would cost: `sum(cpu_now - parked at) >=
     ///    doorbell_ns` (otherwise each park would ring its own).
     ///
-    /// Both read only virtual-time reactor state, so a schedule stays a
-    /// pure function of its park sequence.
+    /// And they ring at once, whatever is runnable, when a deferred
+    /// batch has no signalled WR: nobody waits for it, so it is a lock
+    /// release (C.6 proper, or an abort's), and every instant it sits
+    /// here its locks stay held against the whole cluster — the doorbell
+    /// it would have rung itself, shared with whoever else is pending.
+    ///
+    /// All three read only virtual-time reactor state, so a schedule
+    /// stays a pure function of its park sequence.
     fn needs_flush(&self) -> bool {
         if self.unregistered > 0 || self.pending.is_empty() {
             return false;
@@ -394,7 +401,9 @@ impl ReactorState {
         let runnable = landed.count() as u64;
         let runs_dry = runnable * self.seg_ns <= self.round_trip_ns * self.segs;
         let waited: u64 = self.pending.iter().map(|b| self.cpu_now - b.at).sum();
-        runnable == 0 || (runs_dry && waited >= self.doorbell_ns)
+        let release = |b: &PendingFlush| !b.wrs.iter().any(|wr| wr.signalled);
+        let rings_early = runs_dry && waited >= self.doorbell_ns;
+        runnable == 0 || rings_early || self.pending.iter().any(release)
     }
 }
 
@@ -510,14 +519,14 @@ impl Reactor {
 
     /// The deferred-batch future of routine `id`: its WRs for `dst`
     /// ride the pool's next shared doorbell flush, and the routine
-    /// sleeps until its own completions' horizon (learned from the
-    /// grant — the reactor decides when the doorbell rings).
+    /// sleeps until its signalled completions' horizon (learned from
+    /// the grant — the reactor decides when the doorbell rings).
     pub(crate) fn flush_wait(
         self: &Arc<Self>,
         id: usize,
         src: NodeId,
         dst: NodeId,
-        wrs: Vec<WorkRequest>,
+        wrs: Vec<PostedWr>,
         at: u64,
     ) -> YieldFut {
         YieldFut {
@@ -572,13 +581,10 @@ impl Reactor {
         // park order within each — the deterministic issue order.
         while let Some(first) = entries.first() {
             let edge = (first.src, first.dst);
-            let wrs: Vec<(u64, WorkRequest)> = entries
+            let wrs: Vec<PostedWr> = entries
                 .iter_mut()
                 .filter(|e| (e.src, e.dst) == edge)
-                .flat_map(|e| {
-                    let id = e.id as u64;
-                    e.wrs.drain(..).map(move |wr| (id, wr))
-                })
+                .flat_map(|e| e.wrs.drain(..))
                 .collect();
             let cq = &self.cqs[edge.1];
             let qp = s
@@ -1405,15 +1411,24 @@ mod tests {
         assert_eq!(grants(&mut s), [(2, 100), (1, 150)]);
     }
 
+    /// A READ posted by routine 0.
+    fn read(signalled: bool) -> PostedWr {
+        PostedWr {
+            cookie: 0,
+            signalled,
+            wr: drtm_rdma::WorkRequest::Read { raddr: 0, len: 8 },
+        }
+    }
+
     /// `s` with a measured mean CPU segment of `mean` ns and one
-    /// deferred batch parked at each instant of `batches`.
+    /// deferred batch, waited for, parked at each instant of `batches`.
     fn deferring(mut s: ReactorState, mean: u64, batches: &[u64]) -> ReactorState {
         (s.seg_ns, s.segs) = (mean, 1);
         s.pending.extend(batches.iter().map(|&at| PendingFlush {
             id: 0,
             src: 0,
             dst: 1,
-            wrs: Vec::new(),
+            wrs: vec![read(true)],
             at,
         }));
         s
@@ -1449,6 +1464,20 @@ mod tests {
             [(10, 100, false), (20, 150, false), (30, 2_000_000, false)],
         );
         assert!(deferring(s, 875, &[0, 5]).needs_flush());
+    }
+
+    /// The same long backlog does not hold back a batch nobody waits
+    /// for: an unsignalled unlock rings the moment it parks, and takes
+    /// the deferred batches along.
+    #[test]
+    fn a_lock_release_rings_at_once() {
+        let parks = [(10, 100, false), (20, 150, false), (30, 2_000_000, false)];
+        let mut s = deferring(parked(1_000_000, parks), 1_000, &[0, 5]);
+        assert!(!s.needs_flush());
+        s.pending[1].wrs = vec![read(true), read(false)];
+        assert!(!s.needs_flush(), "C.5 + C.6 waits for its image");
+        s.pending[1].wrs = vec![read(false)];
+        assert!(s.needs_flush());
     }
 
     /// One runnable routine is a short backlog; then the batches ring
@@ -1487,8 +1516,7 @@ mod tests {
         let fabric = Fabric::builder().fresh_regions(2, 4096).build();
         let cost = fabric.cost.clone();
         let ctl = Reactor::solo(Arc::clone(&fabric), 0);
-        let wrs = vec![WorkRequest::Read { raddr: 0, len: 8 }];
-        let park = ctl.reactor.flush_wait(0, 0, 1, wrs, 5_000);
+        let park = ctl.reactor.flush_wait(0, 0, 1, vec![read(true)], 5_000);
         let grant = drtm_base::task::block_now(park);
         let release = 5_000 + cost.doorbell_ns;
         let wake = release + cost.rdma_read(8);

@@ -754,8 +754,8 @@ fn msg_locking_keeps_c5_one_sided_and_batched() {
 /// two unlocks: under both lock transports when a live owner holds the
 /// record (`LockBusy`, classified from the word the lost CAS returned),
 /// and — one-sided only, messages are never dropped — when the injector
-/// eats that record's CAS while the header READ chained behind it lands
-/// (`Transport`: a header without its lock is worth nothing).
+/// eats that record's CAS, which flushes the three header READs posted
+/// behind it before they reach the wire (`Transport`).
 #[test]
 fn busy_lock_late_in_group_releases_the_locks_already_won() {
     for (msg_locking, dropped) in [(false, false), (true, false), (false, true)] {
@@ -798,13 +798,13 @@ fn busy_lock_late_in_group_releases_the_locks_already_won() {
         assert_eq!(region.load64(offs[1]), drtm_store::LOCK_FREE, "{arm}");
         assert_eq!(region.load64(offs[2]), last, "{arm}: the holder's lock");
         // Three lock attempts, two unlocks; one-sided, the three header
-        // READs rode the lock doorbell and all landed.
+        // READs rode the lock doorbell and landed unless flushed.
         let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
         let verbs = (d.atomics, d.reads, d.sends, d.doorbells);
-        let want = if msg_locking {
-            (0, 0, 5, 0)
-        } else {
-            (5, 3, 0, 2)
+        let want = match (msg_locking, dropped) {
+            (true, _) => (0, 0, 5, 0),
+            (false, false) => (5, 3, 0, 2),
+            (false, true) => (5, 0, 0, 2),
         };
         assert_eq!(verbs, want, "{arm}: {d:?}");
     }
@@ -900,12 +900,16 @@ fn fused_lock_validate_produces_same_results() {
     let _ = atomics_before;
 }
 
-/// Acceptance: the commit fan-out rings exactly three doorbells per
+/// Acceptance: the commit fan-out rings exactly two doorbells per
 /// (txn, destination node) — one carrying C.1's CASes with C.2's header
-/// READs behind them (four before the two shared one: the count this
-/// test pinned dropped by exactly that doorbell, the verbs it carried
-/// did not), one WRITE batch for C.5, one unlock batch for C.6 — against
-/// node 1 no matter how many records the txn touches there.
+/// READs behind them, one carrying C.5's WRITEs with C.6's unlock CASes
+/// behind them (four, then three, before each pair shared one: each
+/// time the count this test pinned dropped by exactly that doorbell,
+/// the verbs it carried did not) — against node 1 no matter how many
+/// records the txn touches there. A transaction writing two machines
+/// chains only the last one's unlocks: the first machine's must not
+/// land before the second's images, which are posted a round trip
+/// later, so they keep a doorbell of their own after C.5.
 #[test]
 fn one_doorbell_per_destination_in_commit_fanout() {
     let k = 3u64;
@@ -941,9 +945,44 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     // …and the coalesced half is counted, not silently dropped.
     assert_eq!(d.saved, k, "one saved header READ per overlap: {d:?}");
     assert_eq!(
-        d.doorbells, 3,
-        "exactly one doorbell each for C.1 + C.2, C.5 and C.6: {d:?}"
+        d.doorbells, 2,
+        "exactly one doorbell each for C.1 + C.2 and C.5 + C.6: {d:?}"
     );
+
+    let c = cluster(3, 1);
+    // Whether machine 1's record was still locked when machine 2's
+    // image was issued.
+    let held = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let tap = {
+        let (first, held) = (Arc::clone(&c.stores[1]), Arc::clone(&held));
+        let off = first.get_loc(T_ACCT, key(1, 1)).unwrap() as usize;
+        Tap(move |dst, verb| {
+            if (dst, verb) == (2, drtm_rdma::Verb::Write) {
+                let locked = first.region.load64(off) == drtm_store::lock_word(0);
+                held.store(locked, std::sync::atomic::Ordering::SeqCst);
+            }
+            false
+        })
+    };
+    c.fabric.set_injector(Arc::new(tap));
+    let mut w = c.worker(0, 1);
+    let base = std::cell::Cell::new([drtm_rdma::NicSnapshot::default(); 3]);
+    w.run(|t| {
+        t.write(1, T_ACCT, key(1, 1), val(1))?;
+        t.write(2, T_ACCT, key(2, 1), val(2))?;
+        base.set(std::array::from_fn(|n| c.fabric.port(n).stats().snapshot()));
+        Ok(())
+    })
+    .unwrap();
+    assert!(
+        held.load(std::sync::atomic::Ordering::SeqCst),
+        "nothing is released before the transaction's last image"
+    );
+    let d: [u64; 3] = std::array::from_fn(|n| {
+        let now = c.fabric.port(n).stats().snapshot();
+        now.delta(&base.get()[n]).doorbells
+    });
+    assert_eq!(d, [0, 3, 2], "C.6 rides C.5 on the last written machine");
 
     // Replicated: R.1 rings one doorbell per remote backup *machine*.
     // Worker 0 writes primaries 0 (backups {1, 2}) and 1 (backups
@@ -963,7 +1002,7 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     let d: [drtm_rdma::NicSnapshot; 3] =
         std::array::from_fn(|n| c.fabric.port(n).stats().snapshot().delta(&base.get()[n]));
     assert_eq!(d[0], drtm_rdma::NicSnapshot::default(), "loopback: {d:?}");
-    assert_eq!(d[1].doorbells, 3 + 1, "C.1 + C.2, C.5, C.6 + R.1: {d:?}");
+    assert_eq!(d[1].doorbells, 2 + 1, "C.1 + C.2, C.5 + C.6, R.1: {d:?}");
     assert_eq!(d[1].writes, 1 + 1, "C.5 image + one redo WRITE: {d:?}");
     assert_eq!(d[2].doorbells, 1, "two logs, one doorbell: {d:?}");
     assert_eq!(d[2].writes, 2, "one redo WRITE per log: {d:?}");
@@ -1051,11 +1090,59 @@ fn run_three_record_txn(injector: Arc<dyn drtm_rdma::FaultInjector>) -> (Arc<Drt
     (c, w.stats.aborted)
 }
 
+/// Taps every verb issued toward a remote node: `f(dst, verb)` sees it
+/// before it executes (a flushed WR never gets here) and says whether
+/// to drop it.
+struct Tap<F>(F);
+
+impl<F> drtm_rdma::FaultInjector for Tap<F>
+where
+    F: Fn(drtm_rdma::NodeId, drtm_rdma::Verb) -> bool + Send + Sync,
+{
+    fn on_verb(
+        &self,
+        src: drtm_rdma::NodeId,
+        dst: drtm_rdma::NodeId,
+        verb: drtm_rdma::Verb,
+        _now: u64,
+    ) -> drtm_rdma::Fault {
+        drtm_rdma::Fault {
+            drop: src != dst && (self.0)(dst, verb),
+            ..drtm_rdma::Fault::NONE
+        }
+    }
+}
+
+/// Every verb toward node 1 from C.5's first line image on, each with
+/// how many of `offs`' records were still locked when it was issued.
+type ImageLog = Arc<std::sync::Mutex<Vec<(drtm_rdma::Verb, usize)>>>;
+
+/// A [`Tap`] that drops C.5's first line image — without replication
+/// the first WRITE toward node 1 — and keeps an [`ImageLog`] from there.
+fn drop_first_image(
+    store: &Arc<drtm_store::Store>,
+    offs: &[usize],
+) -> (Arc<dyn drtm_rdma::FaultInjector>, ImageLog) {
+    let log = ImageLog::default();
+    let (store, offs, tapped) = (Arc::clone(store), offs.to_vec(), Arc::clone(&log));
+    let tap = Tap(move |_, verb| {
+        let mut log = tapped.lock().unwrap();
+        let first_image = log.is_empty() && verb == drtm_rdma::Verb::Write;
+        if first_image || !log.is_empty() {
+            let locked = |&&off: &&usize| store.region.load64(off) != drtm_store::LOCK_FREE;
+            log.push((verb, offs.iter().filter(locked).count()));
+        }
+        first_image
+    });
+    (Arc::new(tap), log)
+}
+
 /// Dropping the k-th CAS inside a C.1 doorbell batch aborts the attempt
-/// cleanly: the locks the batch *did* win — before and after the
-/// dropped WR — are released (the retry could not lock them otherwise,
-/// since a worker never steals from a live member, itself included),
-/// the abort is classified as a transport fault, and the retry commits.
+/// cleanly: the lock the batch *did* win ahead of the dropped WR is
+/// released (the retry could not lock it otherwise, since a worker
+/// never steals from a live member, itself included), the CAS and the
+/// header READs behind it are flushed, the abort is classified as a
+/// transport fault, and the retry commits.
 #[test]
 fn dropped_wr_in_lock_batch_aborts_cleanly() {
     // The second CAS from node 0 to node 1 is the middle WR of the
@@ -1080,29 +1167,25 @@ fn dropped_wr_in_lock_batch_aborts_cleanly() {
     }
 }
 
-/// Dropping a WRITE inside the C.5 update batch never tears the record:
-/// the WR is retransmitted (blocking) while the record is still locked,
-/// then C.6 releases it — the txn commits on the first attempt.
+/// Dropping the first line image of C.5's doorbell flushes everything
+/// posted behind it — the other two images and the three unlock CASes
+/// chained behind them — so no record is released over a torn or stale
+/// image. The routine retransmits in post order through the blocking
+/// wrappers, images first: the log is every verb the injector saw from
+/// the drop on, with how many of the three records were still locked
+/// when it was issued.
 #[test]
-fn dropped_update_wr_is_retransmitted_before_unlock() {
-    let (c, aborted) = run_three_record_txn(Arc::new(DropNth::new(drtm_rdma::Verb::Write, 0)));
-    assert_eq!(aborted, 0, "C.5 drops are repaired, not aborted");
-    let mut w = c.worker(1, 9);
-    for i in 0..3u64 {
-        let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, i))).unwrap();
-        assert_eq!(num(&v), 101);
-    }
-}
-
-/// Dropping a CAS inside the fire-and-forget C.6 unlock batch is
-/// repaired by a blocking retransmit — no dangling lock survives, so a
-/// second worker can immediately lock the same records.
-#[test]
-fn dropped_unlock_wr_is_retransmitted() {
-    // CAS #0..2 toward node 1 are the C.1 locks; #3..5 the C.6 unlocks.
-    let (c, aborted) = run_three_record_txn(Arc::new(DropNth::new(drtm_rdma::Verb::Cas, 4)));
-    assert_eq!(aborted, 0, "C.6 drops are repaired, not aborted");
-    let mut w = c.worker(0, 2);
+fn dropped_update_wr_flushes_the_unlocks_behind_it() {
+    use drtm_rdma::Verb::{Cas, Write};
+    let c = cluster(2, 1);
+    let store = Arc::clone(&c.stores[1]);
+    let offs: Vec<usize> = (0..3u64)
+        .map(|i| store.get_loc(T_ACCT, key(1, i)).unwrap() as usize)
+        .collect();
+    let seeded = store.region.load64(offs[0] + SEQ_OFF);
+    let (tap, log) = drop_first_image(&store, &offs);
+    c.fabric.set_injector(tap);
+    let mut w = c.worker(0, 1);
     w.run(|t| {
         for i in 0..3u64 {
             let v = t.read(1, T_ACCT, key(1, i))?;
@@ -1111,13 +1194,148 @@ fn dropped_unlock_wr_is_retransmitted() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(w.stats.aborted, 0, "no stale lock can remain");
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!(
+        *log.lock().unwrap(),
+        [
+            (Write, 3),
+            (Write, 3),
+            (Write, 3),
+            (Write, 3),
+            (Cas, 3),
+            (Cas, 2),
+            (Cas, 1)
+        ],
+        "the drop, then three images under all three locks, then the unlocks"
+    );
+    for &off in &offs {
+        assert_eq!(store.region.load64(off), drtm_store::LOCK_FREE);
+        assert_eq!(store.region.load64(off + SEQ_OFF), seeded + 2);
+    }
+    for i in 0..3u64 {
+        let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, i))).unwrap();
+        assert_eq!(num(&v), 101);
+    }
+}
+
+/// Dropping an unsignalled unlock CAS chained behind C.5's images is
+/// repaired by a blocking retransmit of that CAS — and of the unlocks
+/// flushed behind it — and of nothing else: no image is written twice,
+/// no dangling lock survives, so a second worker can immediately lock
+/// the same records.
+#[test]
+fn dropped_unlock_wr_is_retransmitted() {
+    use drtm_rdma::Verb::Cas;
+    // CAS #0..2 toward node 1 are the C.1 locks; #3..5 the C.6 unlocks.
+    for (nth, retransmitted) in [(5, vec![Cas]), (4, vec![Cas, Cas])] {
+        // CASes seen so far, and every verb after the dropped one.
+        let state = Arc::new(std::sync::Mutex::new((0, Vec::new())));
+        let tap = {
+            let state = Arc::clone(&state);
+            Tap(move |_, verb| {
+                let mut s = state.lock().unwrap();
+                if s.0 > nth {
+                    s.1.push(verb);
+                    return false;
+                }
+                s.0 += u64::from(verb == Cas);
+                s.0 > nth
+            })
+        };
+        let (c, aborted) = run_three_record_txn(Arc::new(tap));
+        assert_eq!(aborted, 0, "C.6 drops are repaired, not aborted");
+        assert_eq!(state.lock().unwrap().1, retransmitted, "unlock #{nth}");
+        c.fabric.clear_injector();
+        let mut w = c.worker(0, 2);
+        w.run(|t| {
+            for i in 0..3u64 {
+                let v = t.read(1, T_ACCT, key(1, i))?;
+                t.write(1, T_ACCT, key(1, i), val(num(&v) + 1))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(w.stats.aborted, 0, "no stale lock can remain");
+    }
+}
+
+/// R = 2, one shared doorbell: routine 1's execution READ parks while
+/// routine 0 — its C.1 batch landed — waits for the core, so when
+/// routine 0 then parks its C.5 + C.6 chain the reactor rings both in
+/// one doorbell, the READ ahead. Dropping that READ flushes the whole
+/// chain behind it although it belongs to another transaction: routine
+/// 0 wakes at the flush, retransmits image then unlock, and commits
+/// exactly once; routine 1 retries its READ.
+#[test]
+fn dropped_sibling_read_flushes_a_whole_commit_chain() {
+    use drtm_rdma::Verb::{Cas, Read, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let c = cluster(2, 1);
+    // Armed by routine 1 just before the READ to drop; every verb after
+    // the drop is logged.
+    let armed = Arc::new(AtomicBool::new(false));
+    let after = Arc::new(std::sync::Mutex::new(None::<Vec<drtm_rdma::Verb>>));
+    let tap = {
+        let (armed, after) = (Arc::clone(&armed), Arc::clone(&after));
+        Tap(move |_, verb| {
+            let mut after = after.lock().unwrap();
+            if let Some(log) = after.as_mut() {
+                log.push(verb);
+                return false;
+            }
+            let drop = verb == Read && armed.load(Ordering::SeqCst);
+            if drop {
+                *after = Some(Vec::new());
+            }
+            drop
+        })
+    };
+    c.fabric.set_injector(Arc::new(tap));
+    let mut workers: Vec<_> = (0..2).map(|id| c.worker(0, 70 + id)).collect();
+    // Routine 1 starts late enough that its first READ is still in
+    // flight when routine 0 parks C.1 (so that batch rings at once),
+    // then computes across the instant C.1 lands.
+    workers[1].clock.advance(1_500);
+    let base = c.fabric.port(1).stats().snapshot();
+    let done = crate::routine::RoutinePool::run(workers, async |id, w| {
+        if id == 0 {
+            return w
+                .run_async(async |t| {
+                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
+                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                })
+                .await
+                .map(|()| 0);
+        }
+        w.run_ro_async(async |t| {
+            t.read_async(1, T_ACCT, key(1, 8)).await?;
+            t.w.clock.advance(3_000);
+            armed.store(true, Ordering::SeqCst);
+            t.read_async(1, T_ACCT, key(1, 9)).await.map(|v| num(&v))
+        })
+        .await
+    });
+    let outcomes: Vec<_> = done.iter().map(|(w, r)| (*r, w.stats.aborted)).collect();
+    assert_eq!(outcomes, [(Ok(0), 0), (Ok(100), 0)]);
+    // Nothing behind the dropped READ reached the injector; then the
+    // image, the unlock and the READ again (and routine 1's two C.2
+    // header READs).
+    let after = after.lock().unwrap().clone().expect("a READ was dropped");
+    assert_eq!(after, [Write, Cas, Read, Read, Read]);
+    // The flushed image and unlock never reached the wire: one WRITE
+    // and one unlock CAS in all, both retransmits.
+    let d = c.fabric.port(1).stats().snapshot().delta(&base);
+    assert_eq!((d.writes, d.atomics), (1, 1 + 1), "{d:?}");
+    c.fabric.clear_injector();
+    let mut audit = c.worker(1, 9);
+    let v = audit.run_ro(|t| t.read(1, T_ACCT, key(1, 0))).unwrap();
+    assert_eq!(num(&v), 101, "committed exactly once");
 }
 
 /// Dropping a header READ chained behind C.1's CASes costs the commit
-/// nothing but the round trip it was saving: the lock was won, so C.2
-/// fetches that one header again and the transaction commits on its
-/// first attempt.
+/// nothing but the round trip it was saving: the locks were won, so C.2
+/// fetches that header — and the two flushed behind it — again and the
+/// transaction commits on its first attempt.
 #[test]
 fn dropped_peek_read_is_retransmitted() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1154,10 +1372,11 @@ fn dropped_peek_read_is_retransmitted() {
     })
     .unwrap();
     assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
-    // Three peeks (one dropped) plus the one refetch, in a doorbell of
-    // its own between C.1's, C.5's and C.6's.
+    // The first peek is dropped on the wire and the other two never
+    // reach it (flushed: not counted); all three are refetched, in a
+    // doorbell of their own between C.1's and C.5 + C.6's.
     let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
-    assert_eq!((d.reads, d.doorbells), (3 + 1, 3 + 1), "{d:?}");
+    assert_eq!((d.reads, d.doorbells), (1 + 3, 2 + 1), "{d:?}");
     for i in 0..3u64 {
         let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, i))).unwrap();
         assert_eq!(num(&v), 101);
@@ -1183,7 +1402,8 @@ impl crate::CrashPointHook for NicAtProbe {
 /// NIC pin of one remote read-modify-write, stage by stage: C.1's
 /// doorbell carries the lock CAS *and* the header READ C.2 validates, so
 /// C.2 adds no verb and no virtual time; then one doorbell for C.5's
-/// line image and one for C.6's unlock.
+/// line image with C.6's unlock CAS behind it, so by the C.5 probe the
+/// second atomic is on the wire and C.6 adds nothing.
 #[test]
 fn lock_and_validate_share_one_doorbell() {
     let c = cluster(2, 1);
@@ -1219,8 +1439,8 @@ fn lock_and_validate_share_one_doorbell() {
             ("C.4", (1, 1, 1, 0)),
             ("R.1", (1, 1, 1, 0)),
             ("R.2", (1, 1, 1, 0)),
-            ("C.5", (2, 1, 1, 1)),
-            ("C.6", (3, 2, 1, 1)),
+            ("C.5", (2, 2, 1, 1)),
+            ("C.6", (2, 2, 1, 1)),
         ]
     );
     let snap = c.obs.scrape();
@@ -1353,9 +1573,9 @@ fn fallback_locks_local_records_without_a_header_read() {
 }
 
 /// A transaction larger than the send queue: every per-destination
-/// group — C.1's CASes and header READs, C.5's line images, C.6's
-/// unlocks — is posted `sq_depth` WRs at a time instead of overflowing
-/// the queue, with the verb counts of one unchunked batch.
+/// group — C.1's CASes and header READs, C.5's line images with C.6's
+/// unlocks behind them — is posted `sq_depth` WRs at a time instead of
+/// overflowing the queue, with the verb counts of one unchunked batch.
 #[test]
 fn groups_larger_than_the_send_queue_are_chunked() {
     for (records, sq_depth) in [(130u64, drtm_rdma::DEFAULT_SQ_DEPTH), (5, 4)] {
@@ -1378,15 +1598,53 @@ fn groups_larger_than_the_send_queue_are_chunked() {
         let d = c.fabric.port(1).stats().snapshot().delta(&base.get());
         let verbs = (d.atomics, d.reads, d.writes, d.saved);
         assert_eq!(verbs, (2 * records, records, records, 0), "{d:?}");
-        // 2k WRs of C.1 + C.2, k of C.5, k of C.6, each in chunks.
-        let chunks = |wrs: u64| wrs.div_ceil(sq_depth as u64);
-        let doorbells = chunks(2 * records) + 2 * chunks(records);
-        assert_eq!(d.doorbells, doorbells, "{d:?}");
+        // 2k WRs of C.1 + C.2 and 2k of C.5 + C.6, each in chunks.
+        let chunks = 2 * (2 * records).div_ceil(sq_depth as u64);
+        assert_eq!(d.doorbells, chunks, "{d:?}");
         let v = w
             .run_ro(|t| t.read(1, T_ACCT, key(1, records - 1)))
             .unwrap();
         assert_eq!(num(&v), 7);
     }
+}
+
+/// A 130-record write at `sq_depth` 4 is 33 chunks of images, then the
+/// unlocks in the last 32: no unlock is posted until every chunk of
+/// images has been settled. The first image is dropped, which flushes
+/// the three behind it; all four are retransmitted before the second
+/// chunk is posted, and every WRITE — the injector logs each verb from
+/// the drop on with how many of the records are still locked — finds
+/// all 130 locks held.
+#[test]
+fn dropped_image_in_a_chunked_write_is_settled_before_any_unlock() {
+    use drtm_rdma::Verb::{Cas, Write};
+    let records = 130usize;
+    let opts = EngineOpts::builder().region_size(4 << 20).build();
+    let c = DrtmCluster::with_fabric(2, &schema(), opts, |f| f.sq_depth(4));
+    for i in 0..records as u64 {
+        c.seed_record(1, T_ACCT, key(1, i), &val(100));
+    }
+    let store = Arc::clone(&c.stores[1]);
+    let offs: Vec<usize> = (0..records as u64)
+        .map(|i| store.get_loc(T_ACCT, key(1, i)).unwrap() as usize)
+        .collect();
+    let (tap, log) = drop_first_image(&store, &offs);
+    c.fabric.set_injector(tap);
+    let mut w = c.worker(0, 1);
+    w.run(|t| {
+        for i in 0..records as u64 {
+            t.write(1, T_ACCT, key(1, i), val(7))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    // The drop, its chunk's four retransmits, the other 126 images;
+    // then the unlocks, one fewer record locked at each.
+    let want = (0..1 + 4 + 126)
+        .map(|_| (Write, records))
+        .chain((0..records).map(|i| (Cas, records - i)));
+    assert_eq!(*log.lock().unwrap(), want.collect::<Vec<_>>());
 }
 
 // ---------------------------------------------------------------------
@@ -1709,6 +1967,15 @@ fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u
 /// 119 676 = minus 18 036, 12 fewer doorbells (100 -> 88) and 12 fewer
 /// parks (wakes and depth 88 -> 76). Every verb count, byte and `saved`
 /// and every other phase is what the blocking path recorded.
+///
+/// And once more when C.6's unlock CAS moved into C.5's doorbell
+/// (unsignalled, behind the line image): each of the 12 read-write
+/// commits used to ring a doorbell of its own for it, 250 ns of worker
+/// clock and nothing else — unlock 3 000 -> 0 ns, final clock 169 156
+/// -> 166 156 = minus 12 x 250, doorbells 88 -> 76. The update phase
+/// still ends at the WRITE's horizon (19 836 ns, wait 16 836): the CAS
+/// is posted behind the WRITE and nobody waits for it. Wakes, verb
+/// waits, every verb count, byte and `saved` stand.
 #[test]
 fn routines_one_matches_blocking_path_pins() {
     use drtm_rdma::NicSnapshot;
@@ -1726,7 +1993,7 @@ fn routines_one_matches_blocking_path_pins() {
         c
     };
     let check = |arm: &str, c: &DrtmCluster, w: &crate::txn::Worker| {
-        assert_eq!(w.clock.now(), 169_156, "{arm}: virtual time");
+        assert_eq!(w.clock.now(), 166_156, "{arm}: virtual time");
         assert_eq!((w.stats.committed, w.stats.aborted), (24, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -1735,7 +2002,7 @@ fn routines_one_matches_blocking_path_pins() {
             writes: 24,
             atomics: 24,
             sends: 0,
-            doorbells: 88,
+            doorbells: 76,
             bytes: 3388,
             saved: 12,
         };
@@ -1751,7 +2018,7 @@ fn routines_one_matches_blocking_path_pins() {
                 (12, 19872, 1536, 2048),
                 (12, 720, 48, 64),
                 (12, 19836, 1536, 2048),
-                (12, 3000, 192, 256),
+                (12, 0, 1, 2),
             ],
             "{arm}: per-phase breakdown"
         );
@@ -1974,11 +2241,12 @@ fn conflicting_routines_make_progress() {
 /// whose bodies burn 4 us of CPU after every remote read — longer than
 /// a verb round trip, so whenever a segment ends both other routines'
 /// completions have already landed. `(wake, id)` order would make
-/// routine 0 queue behind both siblings at each of its two
-/// commit-phase parks (C.1 with C.2's READ in its doorbell, and C.5;
-/// three parks before the two shared one), its locks held throughout;
-/// the reactor instead resumes it at the first scheduling point after
-/// its completions land. The log is every resume in grant order: the
+/// routine 0 queue behind both siblings at its C.1 park (C.2's READ in
+/// the same doorbell), its locks held throughout; the reactor instead
+/// resumes it at the first scheduling point after its completions
+/// land. At its C.5 park the priority is over — the unlock rides that
+/// doorbell, so nothing is held for the core any more — and it takes
+/// its `(wake, id)` turn. The log is every resume in grant order: the
 /// commit's stage probes (fired as routine 0 runs on from the park)
 /// and `r<id>` for each read an execution-phase routine returns from.
 #[test]

@@ -14,7 +14,7 @@ use drtm_base::task::block_now;
 use drtm_base::{Histogram, SplitMix64, VClock};
 use drtm_htm::HtmTxn;
 use drtm_obs::{EventKind, Shard};
-use drtm_rdma::{NodeId, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
+use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, LOCK_FREE};
 use drtm_store::{CachedRecord, TableId};
 
@@ -267,84 +267,66 @@ impl Worker {
         self.trace_id
     }
 
-    /// Rings the doorbell for every WR posted to `node`'s send queue
-    /// and waits for the batch's completions. This is a *yield point*:
-    /// the batch is handed to the reactor's deferred-flush layer, which
-    /// rings one shared doorbell over every routine that parks before
-    /// it is time to ring (DESIGN.md §14) — so the MMIO charge
-    /// amortizes across a pool instead of landing on this routine
-    /// alone — and the routine *parks* until its completions' horizon
-    /// while other routines' CPU segments run inside its verb wait. On
-    /// a reactor of one (any worker outside a pool) the doorbell rings
-    /// at once and the future completes in a single poll, so
-    /// `block_now` facades stay sound.
-    pub(crate) async fn finish_batch(&mut self, node: NodeId) -> Vec<WorkCompletion> {
+    /// Rings `wrs` to `node` and waits for the signalled ones among
+    /// them. This is a *yield point*: the batch is handed to the
+    /// reactor's deferred-flush layer, which rings one shared doorbell
+    /// over every routine that parks before it is time to ring
+    /// (DESIGN.md §14) — so the MMIO charge amortizes across a pool
+    /// instead of landing on this routine alone — and the routine
+    /// *parks* until its signalled completions' horizon while other
+    /// routines' CPU segments run inside its verb wait. A batch with no
+    /// signalled WR (lock releases nobody waits for) resumes at the
+    /// ring instant, having waited for nothing. On a reactor of one
+    /// (any worker outside a pool) the doorbell rings at once and the
+    /// future completes in a single poll, so `block_now` facades stay
+    /// sound.
+    async fn finish_batch(&mut self, node: NodeId, wrs: Vec<PostedWr>) -> Vec<WorkCompletion> {
         debug_assert!(
             !drtm_htm::region_active(),
             "verb waits must never run inside an HTM region"
         );
-        let wrs = self.qps[node].take_posted();
-        if wrs.is_empty() {
-            return Vec::new();
-        }
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let grant = reactor
             .flush_wait(id, self.node, node, wrs, self.clock.now())
             .await;
         self.clock.advance_to(grant.resume_at);
         let wait = grant.wake.saturating_sub(grant.release);
-        self.wait_accum_ns += wait;
-        self.obs
-            .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
-        self.obs
-            .note_reactor(grant.depth, grant.resume_at.saturating_sub(grant.wake));
+        if wait > 0 {
+            self.wait_accum_ns += wait;
+            self.obs
+                .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
+            self.obs
+                .note_reactor(grant.depth, grant.resume_at.saturating_sub(grant.wake));
+        }
         reactor.cqs[node].take_cookie(id as u64)
     }
 
-    /// Fire-and-forget variant of [`Self::finish_batch`] for C.6:
-    /// rings the doorbell and claims the batch's completions without
-    /// waiting for (or advancing the clock to) their completion times —
-    /// unlock WRs are effectively unsignalled, and the results are
-    /// inspected only to retransmit injected drops.
-    pub(crate) fn finish_batch_ff(&mut self, node: NodeId) -> Vec<WorkCompletion> {
-        debug_assert!(
-            !drtm_htm::region_active(),
-            "verb waits must never run inside an HTM region"
-        );
-        // A running routine has claimed every earlier completion of
-        // its own, so its cookie selects exactly this batch.
-        let cookie = self.routine.id as u64;
-        let cq = &self.routine.reactor.cqs[node];
-        self.qps[node].doorbell_tagged(&mut self.clock, cq, cookie);
-        cq.take_cookie(cookie)
-    }
-
-    /// Posts `wrs` to `node` and rings them, completions in post order:
-    /// one batch per `sq_depth` WRs, so a transaction of any size fits
-    /// the send queue. `signalled` batches wait for their completions
-    /// ([`Self::finish_batch`]), each chunk before the next is posted;
-    /// unsignalled ones are fire-and-forget
-    /// ([`Self::finish_batch_ff`]).
+    /// Rings `wrs` to `node`, completions in post order: one batch per
+    /// `sq_depth` WRs, so a transaction of any size fits the send
+    /// queue, each chunk's completions claimed before the next is
+    /// posted ([`Self::finish_batch`]). The first `signalled` WRs are
+    /// waited for; the rest are unsignalled.
     pub(crate) async fn ring(
         &mut self,
         node: NodeId,
         wrs: Vec<WorkRequest>,
-        signalled: bool,
+        signalled: usize,
     ) -> Vec<WorkCompletion> {
         let depth = self.cluster.fabric.sq_depth();
+        let cookie = self.routine.id as u64;
         let mut wcs = Vec::with_capacity(wrs.len());
-        let mut wrs = wrs.into_iter().peekable();
-        while wrs.peek().is_some() {
-            for wr in wrs.by_ref().take(depth) {
-                self.qps[node].post(wr);
+        let mut wrs = wrs.into_iter().enumerate().map(|(i, wr)| PostedWr {
+            cookie,
+            signalled: i < signalled,
+            wr,
+        });
+        loop {
+            let chunk: Vec<PostedWr> = wrs.by_ref().take(depth).collect();
+            if chunk.is_empty() {
+                return wcs;
             }
-            wcs.extend(if signalled {
-                self.finish_batch(node).await
-            } else {
-                self.finish_batch_ff(node)
-            });
+            wcs.extend(self.finish_batch(node, chunk).await);
         }
-        wcs
     }
 
     /// Yields through a verb wait a *blocking* wrapper already spun the
@@ -922,11 +904,11 @@ impl<'w> TxnCtx<'w> {
                 // The READ rides the reactor's shared doorbell flush, so
                 // its MMIO charge amortizes over every routine parked
                 // this round.
-                self.w.qps[node].post(WorkRequest::Read {
+                let wr = WorkRequest::Read {
                     raddr: rec_off,
                     len: layout.size(),
-                });
-                let wcs = self.w.finish_batch(node).await;
+                };
+                let wcs = self.w.ring(node, vec![wr], 1).await;
                 let rr_opt = match wcs.first().map(|wc| &wc.result) {
                     Some(Ok(WrResult::Read { data, .. })) => parse_consistent(data, layout),
                     // An injected drop surfaces as an error; retry it

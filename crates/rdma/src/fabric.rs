@@ -94,6 +94,11 @@ pub enum VerbError {
     /// The peer (or the issuing machine itself) is dead or removed from
     /// the membership; the WR never reached remote memory.
     Unreachable,
+    /// An earlier WR of the same doorbell failed, which put the RC QP
+    /// in its error state: this WR, posted behind it, was flushed — it
+    /// never went on the wire and the remote memory operation did
+    /// **not** take effect.
+    Flushed,
 }
 
 impl VerbError {
@@ -102,6 +107,7 @@ impl VerbError {
         match self {
             VerbError::Dropped => "dropped",
             VerbError::Unreachable => "unreachable",
+            VerbError::Flushed => "flushed",
         }
     }
 }
@@ -163,6 +169,21 @@ impl WorkRequest {
     }
 }
 
+/// One entry of the explicit WR list [`Qp::doorbell_shared`] rings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PostedWr {
+    /// Completion cookie: which waiter on the shared CQ the WR belongs
+    /// to (see [`WorkCompletion::cookie`]).
+    pub cookie: u64,
+    /// Whether its poster waits for the completion. An *unsignalled* WR
+    /// still deposits one — a drop must be seen to be retransmitted —
+    /// but does not extend its poster's [`Cq::cookie_horizon`]: nobody
+    /// sits on its latency (C.6 unlocks).
+    pub signalled: bool,
+    /// The work request.
+    pub wr: WorkRequest,
+}
+
 /// Data produced by a successfully executed [`WorkRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WrResult {
@@ -199,12 +220,14 @@ pub struct WorkCompletion {
     pub verb: Verb,
     /// Virtual completion time of this WR, ns.
     pub done_ns: u64,
-    /// Caller-chosen completion cookie, set per batch by
-    /// [`Qp::doorbell_tagged`] (0 for untagged doorbells). A scheduler
+    /// Caller-chosen completion cookie, set per WR by
+    /// [`Qp::doorbell_shared`] (0 for [`Qp::doorbell`]). A scheduler
     /// multiplexing several routines over one shared CQ tags each
-    /// routine's batches with its routine id, so one poll can route
+    /// routine's WRs with its routine id, so one poll can route
     /// completions back to — and wake — many waiters.
     pub cookie: u64,
+    /// Whether the WR was posted signalled (see [`PostedWr`]).
+    pub signalled: bool,
     /// Success payload, or the per-WR transport fault.
     pub result: Result<WrResult, VerbError>,
 }
@@ -224,17 +247,18 @@ pub struct WorkCompletion {
 ///   sleeps the owning routine until then, and the woken routine claims
 ///   exactly its own completions with [`take_cookie`](Cq::take_cookie).
 ///   Horizon reads never consume, so any number of routines can share
-///   the CQ without stealing each other's work. Claiming without
-///   sleeping is fire-and-forget: a batch whose latency nobody sits on
-///   (C.6 unlocks).
+///   the CQ without stealing each other's work. Only *signalled* WRs
+///   count towards the horizon; the unsignalled ones posted with them
+///   are claimed at the same wake-up, whenever they land.
 ///
 /// **Every WR surfaces exactly once.** A WR dropped by an injected fault
 /// still deposits its completion — carrying
 /// `Err(`[`VerbError::Dropped`]`)` and a `done_ns` that includes the
-/// exhausted retransmission budget — so `poll`/`take_cookie` always
-/// return one completion per posted WR. Dropped work never silently
-/// vanishes from the CQ; callers detect it from the per-WR `result`,
-/// not from a missing entry.
+/// exhausted retransmission budget — and so does every WR flushed
+/// behind it (`Err(`[`VerbError::Flushed`]`)`), so `poll`/`take_cookie`
+/// always return one completion per posted WR. Failed work never
+/// silently vanishes from the CQ; callers detect it from the per-WR
+/// `result`, not from a missing entry.
 #[derive(Debug, Default)]
 pub struct Cq {
     done: Mutex<Vec<WorkCompletion>>,
@@ -277,16 +301,16 @@ impl Cq {
         wcs
     }
 
-    /// Latest completion time of the queued completions carrying
-    /// `cookie`, without consuming them. Under a shared doorbell flush
-    /// (see [`Qp::doorbell_shared`]) one batch interleaves WRs of many
-    /// routines, so a waiter's wake horizon is keyed by its per-WR
-    /// cookie rather than the batch id.
+    /// Latest completion time of the queued *signalled* completions
+    /// carrying `cookie`, without consuming them. Under a shared
+    /// doorbell flush (see [`Qp::doorbell_shared`]) one batch
+    /// interleaves WRs of many routines, so a waiter's wake horizon is
+    /// keyed by its per-WR cookie rather than the batch id.
     pub fn cookie_horizon(&self, cookie: u64) -> Option<u64> {
         self.done
             .lock()
             .iter()
-            .filter(|w| w.cookie == cookie)
+            .filter(|w| w.cookie == cookie && w.signalled)
             .map(|w| w.done_ns)
             .max()
     }
@@ -295,20 +319,11 @@ impl Cq {
     /// (= issue) order, leaving other cookies queued: on a CQ shared by
     /// several routines each claims exactly its own WRs, even out of a
     /// batch that carried many routines'. The per-WR completion times
-    /// stay available in [`WorkCompletion::done_ns`]; dropped-WR
+    /// stay available in [`WorkCompletion::done_ns`]; failed-WR
     /// completions are returned exactly once like everywhere else.
     pub fn take_cookie(&self, cookie: u64) -> Vec<WorkCompletion> {
         let mut g = self.done.lock();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < g.len() {
-            if g[i].cookie == cookie {
-                out.push(g.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
+        g.extract_if(.., |w| w.cookie == cookie).collect()
     }
 }
 
@@ -325,7 +340,9 @@ impl Cq {
 /// for real (the receive queue never sees it), which is how upper layers
 /// observe partitions. Faults apply to *individual WRs inside a batch*:
 /// the injector is consulted once per WR, so a single doorbell can see
-/// any mix of dropped, delayed and duplicated work requests.
+/// any mix of delayed and duplicated work requests — up to its first
+/// failed one, which flushes everything posted behind it (see
+/// [`Qp::doorbell`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fault {
     /// Extra latency charged to the issuing worker's virtual clock, in ns
@@ -750,7 +767,8 @@ enum DropPolicy {
     /// so every pre-WR call site keeps its observable behaviour).
     Retransmit,
     /// Batched doorbells: the QP's retry budget expires and the WR
-    /// fails with [`VerbError::Dropped`]; the effect is not applied.
+    /// fails with [`VerbError::Dropped`]; the effect is not applied,
+    /// and the WRs behind it are flushed.
     Fail,
 }
 
@@ -827,41 +845,35 @@ impl Qp {
     /// their sum. The caller's clock is **not** advanced to those
     /// completions — that is [`Cq::poll`]'s job — which is what lets a
     /// protocol fan out doorbells to several destinations and overlap
-    /// their round trips, or fire-and-forget a batch it never waits on.
+    /// their round trips.
     ///
     /// Memory effects are applied here, in post order (RC QPs execute
-    /// in order), except for WRs whose injected fault drops them: those
-    /// complete with [`VerbError::Dropped`] and leave memory untouched.
+    /// in order), up to the first WR whose injected fault drops it:
+    /// that one completes with [`VerbError::Dropped`], and — an RC QP
+    /// whose WR exhausts its retries enters the error state — every WR
+    /// posted behind it is *flushed*: it completes with
+    /// [`VerbError::Flushed`] at that instant, never goes on the wire
+    /// (no NIC charge, no verb count, the injector is not consulted)
+    /// and leaves memory untouched. So a WR's effect landed only if
+    /// every WR ahead of it in the doorbell landed too. The error state
+    /// ends with the call: the poster re-posts what failed.
     ///
     /// Returns the fabric-unique batch id, or 0 when nothing was posted.
     pub fn doorbell(&self, clock: &mut VClock, cq: &Cq) -> u64 {
-        self.doorbell_tagged(clock, cq, 0)
+        self.doorbell_with(clock, cq, DropPolicy::Fail)
     }
 
-    /// [`Qp::doorbell`] with a caller-chosen completion cookie stamped on
-    /// every [`WorkCompletion`] of the batch. Routine schedulers sharing
-    /// one CQ per destination across many in-flight transactions tag each
-    /// batch with the issuing routine's id, so one poll of the shared CQ
-    /// can classify — and wake — many waiters at once.
-    pub fn doorbell_tagged(&self, clock: &mut VClock, cq: &Cq, cookie: u64) -> u64 {
-        self.doorbell_with(clock, cq, DropPolicy::Fail, cookie)
-    }
-
-    fn doorbell_with(&self, clock: &mut VClock, cq: &Cq, policy: DropPolicy, cookie: u64) -> u64 {
+    fn doorbell_with(&self, clock: &mut VClock, cq: &Cq, policy: DropPolicy) -> u64 {
         let wrs = std::mem::take(&mut *self.sq.lock());
         if wrs.is_empty() {
             return 0;
         }
-        let tagged: Vec<(u64, WorkRequest)> = wrs.into_iter().map(|wr| (cookie, wr)).collect();
-        self.ring(clock, cq, policy, tagged)
-    }
-
-    /// Drains this QP's posted-but-unflushed WRs without ringing a
-    /// doorbell. A routine scheduler uses this to hand its batch to the
-    /// pool's deferred-flush layer, which rings one doorbell over many
-    /// routines' WRs (see [`Qp::doorbell_shared`]).
-    pub fn take_posted(&self) -> Vec<WorkRequest> {
-        std::mem::take(&mut *self.sq.lock())
+        let posted = wrs.into_iter().map(|wr| PostedWr {
+            cookie: 0,
+            signalled: true,
+            wr,
+        });
+        self.ring(clock, cq, policy, posted.collect(), &mut None)
     }
 
     /// Rings doorbells over an explicit WR list carrying a per-WR
@@ -872,29 +884,35 @@ impl Qp {
     /// one per routine, which is the whole point of doorbell batching
     /// (amortization grows with the number of concurrently parked
     /// routines). Per-WR pipelined occupancy, NIC backpressure, faults
-    /// and memory-effect ordering are identical to [`Qp::doorbell`];
-    /// each [`WorkCompletion`] carries its WR's own cookie so waiters
-    /// claim their work with [`Cq::take_cookie`].
-    pub fn doorbell_shared(&self, clock: &mut VClock, cq: &Cq, wrs: Vec<(u64, WorkRequest)>) {
+    /// and memory-effect ordering are identical to [`Qp::doorbell`] —
+    /// the chunks are one post sequence on one QP, so a failed WR
+    /// flushes the rest of its chunk *and* every later chunk; each
+    /// [`WorkCompletion`] carries its WR's own cookie so waiters claim
+    /// their work with [`Cq::take_cookie`].
+    pub fn doorbell_shared(&self, clock: &mut VClock, cq: &Cq, wrs: Vec<PostedWr>) {
         let depth = self.fabric.sq_depth;
         let mut rest = wrs;
+        let mut failed_at = None;
         while !rest.is_empty() {
             let tail = rest.split_off(rest.len().min(depth));
-            self.ring(clock, cq, DropPolicy::Fail, rest);
+            self.ring(clock, cq, DropPolicy::Fail, rest, &mut failed_at);
             rest = tail;
         }
     }
 
-    /// Executes one doorbell over `wrs` (cookie, WR) pairs: charges one
-    /// `doorbell_ns`, issues WR `i` at `i * verb_pipeline_ns` past the
-    /// charge, applies effects in post order, deposits per-cookie
-    /// completions. Shared tail of every doorbell flavour.
+    /// Executes one doorbell over `wrs`: charges one `doorbell_ns`,
+    /// issues WR `i` at `i * verb_pipeline_ns` past the charge, applies
+    /// effects in post order, deposits per-cookie completions.
+    /// `failed_at` is the QP's error state — when the WR that entered
+    /// it completed — carried from chunk to chunk of one post sequence.
+    /// Shared tail of every doorbell flavour.
     fn ring(
         &self,
         clock: &mut VClock,
         cq: &Cq,
         policy: DropPolicy,
-        wrs: Vec<(u64, WorkRequest)>,
+        wrs: Vec<PostedWr>,
+        failed_at: &mut Option<u64>,
     ) -> u64 {
         debug_assert!(!wrs.is_empty(), "doorbell rung with nothing posted");
         let f = &self.fabric;
@@ -902,8 +920,8 @@ impl Qp {
         clock.advance(f.cost.doorbell_ns);
         self.port().stats.doorbells.inc();
         let base = clock.now();
-        for (i, (cookie, wr)) in wrs.into_iter().enumerate() {
-            let verb = wr.verb();
+        for (i, posted) in wrs.into_iter().enumerate() {
+            let verb = posted.wr.verb();
             let issue = base + i as u64 * f.cost.verb_pipeline_ns;
             drtm_obs::trace::event_batch(
                 drtm_obs::EventKind::VerbIssue,
@@ -912,8 +930,16 @@ impl Qp {
                 batch,
                 issue,
             );
-            let fault = f.fault(self.src, self.dst, verb, issue);
-            let (result, done_ns) = self.execute_wr(&wr, issue, fault, policy);
+            let (result, done_ns) = match *failed_at {
+                Some(at) => (Err(VerbError::Flushed), at.max(issue)),
+                None => {
+                    let fault = f.fault(self.src, self.dst, verb, issue);
+                    self.execute_wr(&posted.wr, issue, fault, policy)
+                }
+            };
+            if matches!(result, Err(VerbError::Dropped)) {
+                *failed_at = Some(done_ns);
+            }
             drtm_obs::trace::event_batch(
                 drtm_obs::EventKind::VerbComplete,
                 verb.label(),
@@ -927,7 +953,8 @@ impl Qp {
                 dst: self.dst,
                 verb,
                 done_ns,
-                cookie,
+                cookie: posted.cookie,
+                signalled: posted.signalled,
                 result,
             });
         }
@@ -1000,7 +1027,7 @@ impl Qp {
         );
         self.post(wr);
         let cq = Cq::new();
-        self.doorbell_with(clock, &cq, DropPolicy::Retransmit, 0);
+        self.doorbell_with(clock, &cq, DropPolicy::Retransmit);
         let mut wcs = cq.poll(clock);
         debug_assert_eq!(wcs.len(), 1);
         wcs.pop()
@@ -1305,9 +1332,9 @@ mod unit {
 
     #[test]
     fn take_cookie_returns_completions_without_advancing_clock() {
-        // Fire-and-forget: the doorbell charges only its own latency;
-        // take_cookie() hands back completions without making the caller
-        // sit on the round trip (the commit protocol's C.6 unlock path).
+        // The doorbell charges only its own latency; take_cookie() hands
+        // back completions without making the caller sit on the round
+        // trip (how the commit protocol claims its unsignalled unlocks).
         let f = fabric(2);
         let qp = f.qp(0, 1);
         let cq = Cq::new();
@@ -1346,10 +1373,23 @@ mod unit {
         }
     }
 
+    /// An 8-byte WRITE of `1`s at `raddr` for waiter `cookie`.
+    fn write_for(cookie: u64, signalled: bool, raddr: usize) -> PostedWr {
+        let data = vec![1u8; 8];
+        PostedWr {
+            cookie,
+            signalled,
+            wr: WorkRequest::Write { raddr, data },
+        }
+    }
+
     #[test]
-    fn dropped_wr_in_batch_fails_alone_and_leaves_memory_untouched() {
+    fn dropped_wr_in_batch_flushes_the_wrs_behind_it() {
+        // Five WRs at `sq_depth` 2 are three doorbells of one post
+        // sequence: the drop in the first flushes the other two whole.
         let f = Fabric::builder()
             .fresh_regions(2, 4096)
+            .sq_depth(2)
             .injector(Arc::new(DropKth {
                 k: 1,
                 seen: AtomicU64::new(0),
@@ -1358,21 +1398,25 @@ mod unit {
         let qp = f.qp(0, 1);
         let cq = Cq::new();
         let mut clock = VClock::new();
-        for i in 0..3usize {
-            qp.post(WorkRequest::Write {
-                raddr: i * 64,
-                data: vec![1u8; 8],
-            });
-        }
-        qp.doorbell(&mut clock, &cq);
+        let wrs = (0..5).map(|i| write_for(0, true, i * 64)).collect();
+        qp.doorbell_shared(&mut clock, &cq, wrs);
         let wcs = cq.poll(&mut clock);
-        assert_eq!(wcs.len(), 3);
         assert!(wcs[0].result.is_ok());
         assert_eq!(wcs[1].result, Err(VerbError::Dropped));
-        assert!(wcs[2].result.is_ok(), "later WRs still execute");
-        assert_eq!(f.port(1).region().load64(0), 0x0101010101010101);
-        assert_eq!(f.port(1).region().load64(64), 0, "dropped WR has no effect");
-        assert_eq!(f.port(1).region().load64(128), 0x0101010101010101);
+        let region = f.port(1).region();
+        assert_eq!(region.load64(0), 0x0101010101010101);
+        for (i, wc) in wcs.iter().enumerate().skip(2) {
+            assert_eq!(wc.result, Err(VerbError::Flushed), "WR {i}");
+            assert!(wc.done_ns >= wcs[1].done_ns, "flushed when the QP failed");
+            assert_eq!(region.load64(i * 64), 0, "a flushed WR has no effect");
+        }
+        let nic = f.port(1).stats().snapshot();
+        assert_eq!((nic.writes, nic.doorbells), (2, 3), "flushed WRs stay home");
+        // The error state ends with the call, and the injector was not
+        // consulted for the flushed WRs: its count stands at 2.
+        qp.post(WorkRequest::Read { raddr: 0, len: 8 });
+        qp.doorbell(&mut clock, &cq);
+        assert!(cq.poll(&mut clock)[0].result.is_ok());
     }
 
     #[test]
@@ -1417,15 +1461,14 @@ mod unit {
         let qp = f.qp(0, 1);
         let cq = Cq::new();
         let mut clock = VClock::new();
-        // A fast WRITE and a chaos-delayed READ in separate batches,
-        // each tagged with its own routine's cookie.
-        qp.post(WorkRequest::Write {
-            raddr: 0,
-            data: vec![2u8; 8],
-        });
-        qp.doorbell_tagged(&mut clock, &cq, 1);
-        qp.post(WorkRequest::Read { raddr: 0, len: 8 });
-        qp.doorbell_tagged(&mut clock, &cq, 2);
+        // A fast WRITE and a chaos-delayed READ, each carrying its own
+        // routine's cookie.
+        let read = PostedWr {
+            cookie: 2,
+            signalled: true,
+            wr: WorkRequest::Read { raddr: 0, len: 8 },
+        };
+        qp.doorbell_shared(&mut clock, &cq, vec![write_for(1, true, 0), read]);
         // The reactor sleeps each routine until its own horizon; the
         // delayed READ's must dominate the WRITE's.
         let hw = cq.cookie_horizon(1).expect("write queued");
@@ -1452,27 +1495,25 @@ mod unit {
         let qp = f.qp(0, 1);
         let cq = Cq::new();
         let mut clock = VClock::new();
-        qp.post(WorkRequest::Write {
-            raddr: 0,
-            data: vec![3u8; 8],
-        });
-        let b1 = qp.doorbell_tagged(&mut clock, &cq, 1);
-        qp.post(WorkRequest::Write {
-            raddr: 64,
-            data: vec![4u8; 8],
-        });
-        qp.post(WorkRequest::Read { raddr: 64, len: 8 });
-        let b2 = qp.doorbell_tagged(&mut clock, &cq, 2);
-        assert_ne!(b1, b2);
+        qp.doorbell_shared(&mut clock, &cq, vec![write_for(1, true, 0)]);
+        let read = PostedWr {
+            cookie: 2,
+            signalled: true,
+            wr: WorkRequest::Read { raddr: 64, len: 8 },
+        };
+        qp.doorbell_shared(&mut clock, &cq, vec![write_for(2, true, 64), read]);
         assert_eq!(cq.len(), 3);
         let h2 = cq.cookie_horizon(2).expect("batch 2 queued");
         assert!(h2 >= cq.cookie_horizon(1).unwrap());
         let mine = cq.take_cookie(2);
         assert_eq!(mine.len(), 2);
-        assert!(mine.iter().all(|w| w.cookie == 2 && w.batch == b2));
+        assert!(mine
+            .iter()
+            .all(|w| w.cookie == 2 && w.batch == mine[0].batch));
         let theirs = cq.take_cookie(1);
         assert_eq!(theirs.len(), 1);
-        assert_eq!((theirs[0].cookie, theirs[0].batch), (1, b1));
+        assert_eq!(theirs[0].cookie, 1);
+        assert_ne!(theirs[0].batch, mine[0].batch);
         assert!(cq.is_empty());
         assert!(cq.cookie_horizon(1).is_none());
     }

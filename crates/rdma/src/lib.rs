@@ -31,7 +31,8 @@
 //! doorbell latency plus per-WR pipelined occupancy — and [`Cq::poll`]
 //! returns [`WorkCompletion`]s, each carrying either a [`WrResult`] or a
 //! per-WR [`VerbError`] (injected faults surface here instead of
-//! panicking inside the fabric). The blocking verbs (`read`, `write`,
+//! panicking inside the fabric; a failed WR flushes the ones posted
+//! behind it, like an RC QP entering its error state). The blocking verbs (`read`, `write`,
 //! `cas`, `fetch_add`) remain as thin wrappers running one WR through
 //! post → doorbell → poll.
 //!
@@ -56,6 +57,7 @@ pub use fabric::{
     NicStats,
     NodeId,
     NodePort,
+    PostedWr,
     Qp,
     Verb,
     VerbError,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use drtm_base::{SplitMix64, VClock};
 
-use crate::{AtomicLevel, Fabric};
+use crate::{AtomicLevel, Cq, Fabric, PostedWr, WorkRequest};
 
 fn fabric(n: usize) -> Arc<Fabric> {
     Fabric::builder().fresh_regions(n, 8192).build()
@@ -183,4 +183,31 @@ fn verbs_always_cost_time() {
             last = clock.now();
         }
     }
+}
+
+#[test]
+fn unsignalled_wr_is_claimed_but_sets_no_horizon() {
+    let write = |signalled, raddr| PostedWr {
+        cookie: 7,
+        signalled,
+        wr: WorkRequest::Write {
+            raddr,
+            data: vec![1u8; 8],
+        },
+    };
+    let f = fabric(2);
+    let cq = Cq::new();
+    let mut clock = VClock::new();
+    f.qp(0, 1)
+        .doorbell_shared(&mut clock, &cq, vec![write(true, 0), write(false, 64)]);
+    let horizon = cq.cookie_horizon(7).expect("one signalled WR");
+    let wcs = cq.take_cookie(7);
+    assert_eq!(wcs.len(), 2, "both completions are deposited");
+    assert_eq!(horizon, wcs[0].done_ns, "only the signalled one counts");
+    assert!(wcs[1].done_ns > horizon && wcs[1].result.is_ok());
+    // All-unsignalled: nothing to sleep on, everything to claim.
+    f.qp(0, 1)
+        .doorbell_shared(&mut clock, &cq, vec![write(false, 128)]);
+    assert_eq!(cq.cookie_horizon(7), None);
+    assert_eq!(cq.take_cookie(7).len(), 1);
 }

@@ -66,8 +66,8 @@ fn check(trajectory: &str, benchmark: &str) -> Result<usize, String> {
 #[test]
 fn trajectory_rows_name_benchmark_workloads_and_metrics() {
     let rows = check(TRAJECTORY, BENCHMARK).expect("BENCH_trajectory.json");
-    // PRs 18, 20 and 21 on the five workloads each.
-    assert!(rows >= 15, "{rows} rows");
+    // PRs 18, 20, 21 and 22 on the five workloads each.
+    assert!(rows >= 20, "{rows} rows");
     let unknown_workload = TRAJECTORY.replacen("\"ycsb-hot\"", "\"ycsb-warm\"", 1);
     assert!(check(&unknown_workload, BENCHMARK).is_err());
     let unknown_metric = TRAJECTORY.replacen("\"vtps\"", "\"vtpz\"", 1);

@@ -5,7 +5,9 @@
 //! handler is the same walk in another `Mode`):
 //!
 //! * **C.1** lock every remote record in the read *and* write sets with
-//!   one-sided RDMA CAS, in global `(node, offset)` order. Locking reads
+//!   one-sided RDMA CAS: all machines in one park (no-wait locking
+//!   cannot deadlock), or — in the ladder's wait mode — one machine
+//!   after another in global `(node, offset)` order. Locking reads
 //!   too is what makes the early remote validation equivalent to
 //!   validation *inside* the HTM region (§4.6). A lock held by a machine
 //!   that has left the configuration is released passively (§5.2).
@@ -22,12 +24,13 @@
 //!   otherwise open is closed by the odd/even protocol).
 //! * **R.2** "makeup": flip local primaries to *even* (committable).
 //! * **C.5** write remote primaries (even sequence numbers) with RDMA
-//!   WRITEs.
-//! * **C.6** unlock everything with RDMA CAS. The unlocks of the last
-//!   destination C.5 writes ride its doorbell, unsignalled, behind the
-//!   WRITEs (an RC QP executes in post order and flushes what is posted
-//!   behind a failed WR); the rest are released after C.5. The
-//!   transaction reports committed after C.5, like the paper.
+//!   WRITEs, every written machine's in one park.
+//! * **C.6** unlock everything with RDMA CAS. With one written machine
+//!   its unlocks ride C.5's doorbell, unsignalled, behind the WRITEs
+//!   (an RC QP executes in post order and flushes what is posted behind
+//!   a failed WR); everything else is released after C.5, all machines
+//!   in one unsignalled park. The transaction reports committed after
+//!   C.5, like the paper.
 
 use std::sync::Arc;
 
@@ -43,7 +46,7 @@ use drtm_store::CONTROL_LINE_OFF;
 use drtm_obs::{EventKind, Phase};
 
 use crate::contention::{ConflictSite, ContentionPolicy, SpinBudget};
-use crate::txn::{AbortReason, TxnCtx, TxnError, Worker};
+use crate::txn::{AbortReason, Batch, TxnCtx, TxnError, Worker};
 use crate::{read_validates, write_validates};
 
 /// One stage of the read-write commit pipeline.
@@ -89,7 +92,7 @@ pub const STAGES: [Stage; 7] = [
     Stage {
         probe: "C.5",
         phase: Phase::Update,
-        leaves: "remote primaries written, the last written machine already unlocked",
+        leaves: "remote primaries written; a lone written machine already unlocked",
     },
     Stage {
         probe: "C.6",
@@ -197,6 +200,22 @@ fn header_of(wc: WorkCompletion) -> Option<RecordHeader> {
         Ok(_) => unreachable!("READ WRs complete with READ results"),
         Err(_) => None,
     }
+}
+
+/// One written machine's share of C.5 (see `TxnCtx::remote_update`).
+struct Written {
+    node: NodeId,
+    /// Its WRs not yet posted, in post order: the line images, then —
+    /// on a lone written machine — the chained unlocks.
+    unposted: Vec<WorkRequest>,
+    /// How many of its WRs are images.
+    writes: usize,
+    /// How many of its WRs were posted and settled.
+    settled: usize,
+    /// The images again, for retransmission: the WRs own the first
+    /// copy, so these are built when a WR of this machine first fails,
+    /// once.
+    images: Option<Vec<(usize, Vec<u8>)>>,
 }
 
 /// Outcome of acquiring one lock whose group CAS lost (see
@@ -504,51 +523,69 @@ impl TxnCtx<'_> {
         }
     }
 
-    /// The lock-word CASes of one destination (`group` is one node's
-    /// run of the sorted lock set), outcomes in order. One-sided, they
-    /// ride a single doorbell (per `sq_depth` WRs) — a reactor
-    /// suspension point: `signalled` waits for the completions, while
-    /// unsignalled WRs are claimed as soon as the doorbell rang, without
-    /// spinning the clock forward to them. With `peek`, a
-    /// [`HEADER_BYTES`] READ of every record rides
-    /// the same doorbell behind the CASes: an RC QP executes in post
-    /// order, so the READ behind a *winning* CAS returns the header C.2
-    /// validates, already stable under the lock (`None` where the
-    /// injector dropped it). Under the messaging ablation there is no
-    /// doorbell to share: each CAS is its own round trip, none is ever
-    /// dropped in flight, and no header comes back.
-    async fn remote_cas_batch(
+    /// The lock-word CASes of several destinations at once (each of
+    /// `groups` is one node's run of the sorted lock set), outcomes per
+    /// group, in order. One-sided, every group rides its own doorbell
+    /// (per `sq_depth` WRs) and all of them one park — a reactor
+    /// suspension point: `signalled` waits for the completions, at the
+    /// latest group's horizon, while unsignalled WRs are claimed as soon
+    /// as the doorbells rang, without spinning the clock forward to
+    /// them. With `peek(node)`, a [`HEADER_BYTES`] READ of every record
+    /// of that node's group rides the same doorbell behind its CASes:
+    /// an RC QP executes in post order, so the READ behind a *winning*
+    /// CAS returns the header C.2 validates, already stable under the
+    /// lock (`None` where the injector dropped it). Under the messaging
+    /// ablation there is no doorbell to share: each CAS is its own
+    /// round trip, none is ever dropped in flight, and no header comes
+    /// back.
+    async fn remote_cas_batches(
         &mut self,
-        group: &[LockAddr],
+        groups: &[&[LockAddr]],
         expect: u64,
         new: u64,
         signalled: bool,
-        peek: bool,
-    ) -> Vec<(CasOutcome, Option<RecordHeader>)> {
-        let node = group[0].0;
+        peek: impl Fn(NodeId) -> bool,
+    ) -> Vec<Vec<(CasOutcome, Option<RecordHeader>)>> {
         if self.w.cluster.opts.msg_locking {
-            return group
+            let mut cas = |&(node, off): &LockAddr| {
+                let outcome = self.remote_cas(node, off, expect, new);
+                (Ok(outcome), None)
+            };
+            return groups
                 .iter()
-                .map(|&(_, off)| (Ok(self.remote_cas(node, off, expect, new)), None))
+                .map(|g| g.iter().map(&mut cas).collect())
                 .collect();
         }
-        let cas = group
-            .iter()
-            .map(|&(_, raddr)| WorkRequest::Cas { raddr, expect, new });
-        let reads = group.iter().filter(|_| peek).map(|a| header_read(a.1));
-        let wrs: Vec<WorkRequest> = cas.chain(reads).collect();
-        let waited = if signalled { wrs.len() } else { 0 };
-        let mut wcs = self.w.ring(node, wrs, waited).await;
-        let mut hdrs = wcs.split_off(group.len()).into_iter().map(header_of);
-        wcs.into_iter()
-            .map(|wc| {
+        let batch = |group: &&[LockAddr]| {
+            let node = group[0].0;
+            let cas = group
+                .iter()
+                .map(|&(_, raddr)| WorkRequest::Cas { raddr, expect, new });
+            let reads = group
+                .iter()
+                .filter(|_| peek(node))
+                .map(|a| header_read(a.1));
+            let wrs: Vec<WorkRequest> = cas.chain(reads).collect();
+            let signalled = if signalled { wrs.len() } else { 0 };
+            Batch {
+                node,
+                wrs,
+                signalled,
+            }
+        };
+        let wcs = self.w.ring_all(groups.iter().map(batch)).await;
+        let outcomes = |(mut wcs, group): (Vec<WorkCompletion>, &&[LockAddr])| {
+            let mut hdrs = wcs.split_off(group.len()).into_iter().map(header_of);
+            let cas = wcs.into_iter().map(|wc| {
                 let outcome = wc.result.map(|r| match r {
                     WrResult::Cas(res) => res,
                     _ => unreachable!("CAS WRs complete with CAS results"),
                 });
                 (outcome, hdrs.next().flatten())
-            })
-            .collect()
+            });
+            cas.collect()
+        };
+        wcs.into_iter().zip(groups).map(outcomes).collect()
     }
 
     /// C.1's lock set, sorted and deduped: the remote read ∪ write
@@ -639,12 +676,16 @@ impl TxnCtx<'_> {
     }
 
     /// C.1: acquires every lock in `addrs` (already sorted), one CAS
-    /// group per destination node ([`Self::remote_cas_batch`]).
+    /// group per destination node ([`Self::remote_cas_batches`]) and all
+    /// groups in one park: no-wait locking gives up on a busy word, so
+    /// it cannot deadlock whatever order the machines are asked in.
     /// Conflicted words (a CAS that found the lock taken) fall back to
     /// [`Self::acquire_one`], which distinguishes a live owner (abort)
     /// from a dangling dead one (steal and heal, §5.2). With `wait`,
     /// busy words are spun on under a [`SpinBudget`] (rung 2) instead of
-    /// failing on first sight.
+    /// failing on first sight — and there the global order is what
+    /// keeps two waiters from deadlocking, so the machines are locked
+    /// one round trip after another.
     ///
     /// Each group's doorbell also carries the header READs C.2 needs —
     /// every record of the group, except the loopback group of local
@@ -655,8 +696,8 @@ impl TxnCtx<'_> {
     /// won later through [`Self::acquire_one`] (the header behind a
     /// losing CAS was not stable, and a steal's heal rewrites it).
     ///
-    /// On failure releases the locks actually acquired (a group can win
-    /// later CASes after an earlier one lost, so this is not always a
+    /// On failure releases the locks actually acquired (groups win
+    /// CASes beside and after one that lost, so this is not always a
     /// prefix of `addrs`) and returns the error to surface. On `Crashed`
     /// the machine died mid-acquisition and that release is a no-op:
     /// whatever it already locked dangles for the recovery sweep.
@@ -673,17 +714,20 @@ impl TxnCtx<'_> {
         let me = lock_word(self.w.node);
         let members = cluster.config.get();
         let chained = !(cluster.opts.msg_locking || cluster.opts.fuse_lock_validate);
+        let local = self.w.node;
+        let peek = |node| chained && (mode == Mode::Htm || node != local);
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
         let mut peeked: Vec<Option<RecordHeader>> = Vec::with_capacity(addrs.len());
         let mut failed: Option<TxnError> = None;
-        for group in addrs.chunk_by(|a, b| a.0 == b.0) {
-            let node = group[0].0;
+        let groups: Vec<&[LockAddr]> = addrs.chunk_by(|a, b| a.0 == b.0).collect();
+        let per_round = if wait { 1 } else { groups.len().max(1) };
+        for round in groups.chunks(per_round) {
             // Fencing, once per destination (the point verbs are
             // issued): never lock (and therefore never write) records
             // on a machine that has left the configuration — its shard
             // has been (or is being) recovered elsewhere — and a dead
             // machine issues no verbs.
-            if !members.contains(node) {
+            if round.iter().any(|g| !members.contains(g[0].0)) {
                 failed = Some(self.lock_fail_err());
                 break;
             }
@@ -691,11 +735,11 @@ impl TxnCtx<'_> {
                 failed = Some(TxnError::Crashed);
                 break;
             }
-            let peek = chained && (mode == Mode::Htm || node != self.w.node);
             let results = self
-                .remote_cas_batch(group, LOCK_FREE, me, true, peek)
+                .remote_cas_batches(round, LOCK_FREE, me, true, peek)
                 .await;
-            for ((res, hdr), &addr) in results.into_iter().zip(group) {
+            let outcomes = results.into_iter().flatten();
+            for ((res, hdr), &addr) in outcomes.zip(round.iter().copied().flatten()) {
                 match res {
                     Ok(Ok(_)) => {
                         acquired.push(addr);
@@ -720,7 +764,7 @@ impl TxnCtx<'_> {
                         }
                     }
                     // The CAS never took effect (injected drop): abort —
-                    // but keep scanning, later CASes of the group may
+                    // but keep scanning, later CASes of the round may
                     // have acquired locks that must be released.
                     Err(e) => {
                         failed.get_or_insert(TxnError::from(e));
@@ -790,8 +834,9 @@ impl TxnCtx<'_> {
                 return OneLock::Dead;
             }
             let mut cas = self
-                .remote_cas_batch(&[addr], expect, me, true, false)
+                .remote_cas_batches(&[&[addr]], expect, me, true, |_| false)
                 .await;
+            let mut cas = cas.pop().expect("one group, one outcome list");
             match cas.pop().expect("one CAS, one outcome").0 {
                 Ok(Ok(_)) => {
                     if expect != LOCK_FREE {
@@ -808,10 +853,10 @@ impl TxnCtx<'_> {
 
     /// C.6 for what C.5's doorbell did not carry, and every abort-path
     /// release: frees the locks in `addrs`, one unsignalled CAS group
-    /// per destination node on the reactor's shared flush. Nothing
-    /// waits for the completions — the routine resumes when the
-    /// doorbell rang, exactly like an unsignalled unlock WR on real
-    /// hardware.
+    /// per destination node, all in one park on the reactor's shared
+    /// flush. Nothing waits for the completions — the routine resumes
+    /// when the last doorbell rang, exactly like unsignalled unlock WRs
+    /// on real hardware.
     async fn unlock_all(&mut self, addrs: &[LockAddr]) {
         self.w.routine.set_committing(false);
         // A dead machine cannot release its own locks — that is the
@@ -819,23 +864,22 @@ impl TxnCtx<'_> {
         // CAS here could also spuriously fail the assertion below). Its
         // parked waiters get no grant either: they drain through the
         // park-poll liveness bound instead.
-        if !self.w.cluster.is_alive(self.w.node) {
+        if addrs.is_empty() || !self.w.cluster.is_alive(self.w.node) {
             return;
         }
         let me = lock_word(self.w.node);
         // `addrs` is sorted (the lock set, or the acquired subset of it,
         // both built in global order), so destinations are contiguous.
-        for group in addrs.chunk_by(|a, b| a.0 == b.0) {
-            let results = self
-                .remote_cas_batch(group, me, LOCK_FREE, false, false)
-                .await;
-            for ((res, _), &(node, rec_off)) in results.into_iter().zip(group) {
-                // A dropped unlock would dangle forever (recovery only
-                // sweeps locks of dead machines), so retransmit it
-                // through the blocking wrapper.
-                let res = res.unwrap_or_else(|_| self.remote_cas(node, rec_off, me, LOCK_FREE));
-                debug_assert!(res.is_ok(), "lost a lock we held");
-            }
+        let groups: Vec<&[LockAddr]> = addrs.chunk_by(|a, b| a.0 == b.0).collect();
+        let results = self
+            .remote_cas_batches(&groups, me, LOCK_FREE, false, |_| false)
+            .await;
+        for ((res, _), &(node, rec_off)) in results.into_iter().flatten().zip(addrs) {
+            // A dropped unlock would dangle forever (recovery only
+            // sweeps locks of dead machines), so retransmit it
+            // through the blocking wrapper.
+            let res = res.unwrap_or_else(|_| self.remote_cas(node, rec_off, me, LOCK_FREE));
+            debug_assert!(res.is_ok(), "lost a lock we held");
         }
         self.grant_waiters(addrs);
     }
@@ -871,19 +915,21 @@ impl TxnCtx<'_> {
 
     /// C.5: writes every remote write-set primary under its lock — all
     /// per-line WRITEs for one destination node behind a single
-    /// doorbell, one-sided in both arms of the messaging ablation — and
-    /// returns the locks of `locks` (C.1's sorted lock set) it left
-    /// held.
+    /// doorbell, every destination's doorbell in one park, one-sided in
+    /// both arms of the messaging ablation — and returns the locks of
+    /// `locks` (C.1's sorted lock set) it left held.
     ///
     /// C.6 rides along where it can: an unlock may land only after
     /// *every* image of the transaction has (a reader that finds one
-    /// record released must find all of them written), and the
-    /// destinations are written one round trip after another, so the
-    /// doorbell of the **last** one carries, behind its WRITEs, the
-    /// unlock CAS of every lock held on that machine, unsignalled. The
+    /// record released must find all of them written). With **one**
+    /// written machine its doorbell carries, behind the WRITEs, the
+    /// unlock CAS of every lock held on that machine, unsignalled: the
     /// RC QP executes them in post order, and a failed WR flushes
     /// everything posted behind it ([`VerbError::Flushed`]), so no
-    /// unlock overtakes an image that did not land. The messaging
+    /// unlock overtakes an image that did not land. With two or more,
+    /// nothing orders one machine's unlock behind another machine's
+    /// image, so every lock stays held until all images were waited for
+    /// and C.6 follows as its own unsignalled park. The messaging
     /// ablation's unlock is a message and rides nothing.
     ///
     /// A machine that died mid-step stops issuing doorbells — its redo
@@ -899,56 +945,83 @@ impl TxnCtx<'_> {
         let mut nodes: Vec<NodeId> = self.r_ws.iter().map(|e| e.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
-        let chained = nodes.last().filter(|_| !cluster.opts.msg_locking);
+        let chained = match nodes[..] {
+            [only] if !cluster.opts.msg_locking => Some(only),
+            _ => None,
+        };
         let (released, held): (Vec<LockAddr>, Vec<LockAddr>) =
-            locks.iter().partition(|a| Some(&a.0) == chained);
-        for &node in &nodes {
+            locks.iter().partition(|a| Some(a.0) == chained);
+        let mut dests: Vec<Written> = nodes
+            .iter()
+            .map(|&node| {
+                let images = self.line_images(node, new_seqs).into_iter();
+                let unposted: Vec<WorkRequest> = images
+                    .map(|(raddr, data)| WorkRequest::Write { raddr, data })
+                    .collect();
+                Written {
+                    node,
+                    writes: unposted.len(),
+                    unposted,
+                    settled: 0,
+                    images: None,
+                }
+            })
+            .collect();
+        if chained.is_some() {
+            let unlocks = released.iter().map(|&(_, raddr)| WorkRequest::Cas {
+                raddr,
+                expect: me,
+                new: LOCK_FREE,
+            });
+            dests[0].unposted.extend(unlocks);
+        }
+        // One send queue's worth per destination at a time, each round
+        // settled before the next is posted: the routine wakes at the
+        // WRITEs' latest horizon and retransmits what failed, blocking
+        // and in post order — an image (idempotent under the lock still
+        // held) before the unlocks flushed behind it. So unlocks in
+        // later chunks are posted behind images that all landed.
+        let depth = cluster.fabric.sq_depth();
+        while dests.iter().any(|d| !d.unposted.is_empty()) {
             if !cluster.is_alive(self.w.node) {
                 return Err(TxnError::Crashed);
             }
-            let images = self.line_images(node, new_seqs).into_iter();
-            let mut wrs: Vec<WorkRequest> = images
-                .map(|(raddr, data)| WorkRequest::Write { raddr, data })
-                .collect();
-            let writes = wrs.len();
-            if Some(&node) == chained {
-                wrs.extend(released.iter().map(|&(_, raddr)| WorkRequest::Cas {
-                    raddr,
-                    expect: me,
-                    new: LOCK_FREE,
-                }));
-                // Posting the last unlock ends the lock holder's
-                // dispatch priority (DESIGN.md §11).
-                if held.is_empty() {
-                    self.w.routine.set_committing(false);
-                }
+            let round = dests.iter_mut().filter(|d| !d.unposted.is_empty());
+            let (rung, batches): (Vec<&mut Written>, Vec<Batch>) = round
+                .map(|d| {
+                    let tail = d.unposted.split_off(d.unposted.len().min(depth));
+                    let batch = Batch {
+                        node: d.node,
+                        wrs: std::mem::replace(&mut d.unposted, tail),
+                        signalled: d.writes.saturating_sub(d.settled),
+                    };
+                    (d, batch)
+                })
+                .unzip();
+            // Posting the last unlock ends the lock holder's dispatch
+            // priority (DESIGN.md §11).
+            if chained.is_some() && held.is_empty() && rung[0].unposted.is_empty() {
+                self.w.routine.set_committing(false);
             }
-            // One send queue's worth at a time, each chunk settled
-            // before the next is posted: the routine wakes at the
-            // WRITEs' horizon and retransmits what failed, blocking and
-            // in post order — an image (idempotent under the lock still
-            // held) before the unlocks flushed behind it. So unlocks in
-            // later chunks are posted behind images that all landed.
-            let mut settled = 0;
-            while !wrs.is_empty() {
-                let tail = wrs.split_off(wrs.len().min(cluster.fabric.sq_depth()));
-                let chunk = std::mem::replace(&mut wrs, tail);
-                let waited = writes.saturating_sub(settled);
-                let wcs = self.w.ring(node, chunk, waited).await;
+            let wcs = self.w.ring_all(batches).await;
+            for (d, wcs) in rung.into_iter().zip(wcs) {
                 for (i, _) in wcs.iter().enumerate().filter(|(_, wc)| wc.result.is_err()) {
-                    match (settled + i).checked_sub(writes) {
+                    match (d.settled + i).checked_sub(d.writes) {
                         None => {
-                            let (raddr, img) = &self.line_images(node, new_seqs)[settled + i];
+                            let images = d
+                                .images
+                                .get_or_insert_with(|| self.line_images(d.node, new_seqs));
+                            let (raddr, img) = &images[d.settled + i];
                             let w = &mut *self.w;
-                            w.qps[node].write(&mut w.clock, *raddr, img);
+                            w.qps[d.node].write(&mut w.clock, *raddr, img);
                         }
                         Some(lock) => {
-                            let res = self.remote_cas(node, released[lock].1, me, LOCK_FREE);
+                            let res = self.remote_cas(d.node, released[lock].1, me, LOCK_FREE);
                             debug_assert!(res.is_ok(), "lost a lock we held");
                         }
                     }
                 }
-                settled += wcs.len();
+                d.settled += wcs.len();
             }
         }
         self.grant_waiters(&released);
@@ -971,20 +1044,21 @@ impl TxnCtx<'_> {
     }
 
     /// The header reads (lock, incarnation, seq — [`HEADER_BYTES`] at the
-    /// record base, a partial cache line) of one destination, in `offs`
-    /// order. One-sided, they are READs behind a single doorbell; a
-    /// dropped completion is retransmitted through the blocking wrapper
-    /// (header reads are idempotent). The ablations have no READ to
-    /// batch: GLOB fusion models the result the fused CAS already
-    /// carried, so no verb is charged, and under messaging the lock
-    /// service answers each validation peek with its own round trip.
-    async fn remote_headers(&mut self, node: NodeId, offs: &[usize]) -> Vec<RecordHeader> {
+    /// record base, a partial cache line) of `addrs`, sorted by machine,
+    /// in order. One-sided, they are READs behind one doorbell per
+    /// machine, all machines in one park; a dropped completion is
+    /// retransmitted through the blocking wrapper (header reads are
+    /// idempotent). The ablations have no READ to batch: GLOB fusion
+    /// models the result the fused CAS already carried, so no verb is
+    /// charged, and under messaging the lock service answers each
+    /// validation peek with its own round trip.
+    async fn remote_headers(&mut self, addrs: &[LockAddr]) -> Vec<RecordHeader> {
         let cluster = Arc::clone(&self.w.cluster);
         let w = &mut *self.w;
         if cluster.opts.fuse_lock_validate || cluster.opts.msg_locking {
-            let region = &cluster.stores[node].region;
-            let mut hdrs = Vec::with_capacity(offs.len());
-            for &off in offs {
+            let mut hdrs = Vec::with_capacity(addrs.len());
+            for &(node, off) in addrs {
+                let region = &cluster.stores[node].region;
                 if cluster.opts.msg_locking {
                     let fabric = &cluster.fabric;
                     fabric.charge_message(&mut w.clock, w.node, node, 24);
@@ -999,19 +1073,24 @@ impl TxnCtx<'_> {
             }
             return hdrs;
         }
-        let reads = offs.iter().map(|&off| header_read(off));
-        // Doorbell + completion wait — a reactor suspension point.
-        let wcs = w.ring(node, reads.collect(), offs.len()).await;
-        let mut retransmit = |off| remote_read_header(&w.qps[node], &mut w.clock, off);
-        let hdrs = wcs.into_iter().zip(offs);
-        hdrs.map(|(wc, &off)| header_of(wc).unwrap_or_else(|| retransmit(off)))
+        let batch = |group: &[LockAddr]| Batch {
+            node: group[0].0,
+            wrs: group.iter().map(|a| header_read(a.1)).collect(),
+            signalled: group.len(),
+        };
+        let batches = addrs.chunk_by(|a, b| a.0 == b.0).map(batch);
+        // Doorbells + one completion wait — a reactor suspension point.
+        let wcs = w.ring_all(batches).await;
+        let mut retransmit = |(node, off)| remote_read_header(&w.qps[node], &mut w.clock, off);
+        let hdrs = wcs.into_iter().flatten().zip(addrs);
+        hdrs.map(|(wc, &addr)| header_of(wc).unwrap_or_else(|| retransmit(addr)))
             .collect()
     }
 
     /// The headers of every `(node, rec_off)` in `addrs`, preserving
     /// order: whatever `known` already holds (the headers C.1's
     /// doorbells brought back), the rest fetched with one
-    /// [`Self::remote_headers`] group per destination node. *Duplicate*
+    /// [`Self::remote_headers`] park. *Duplicate*
     /// addresses — a record both read and written appears once for
     /// validation and once for the sequence peek — are coalesced into
     /// one header serving every occurrence, counted in the destination
@@ -1037,19 +1116,17 @@ impl TxnCtx<'_> {
             }
         }
         let mut hdrs: Vec<Option<RecordHeader>> = uniq.iter().map(|&a| known(a)).collect();
-        for node in 0..cluster.nodes() {
-            let missing = |&i: &usize| uniq[i].0 == node && hdrs[i].is_none();
-            let idxs: Vec<usize> = (0..uniq.len()).filter(missing).collect();
-            if idxs.is_empty() {
-                continue;
-            }
+        // What is still missing, machine by machine.
+        let mut idxs: Vec<usize> = (0..uniq.len()).filter(|&i| hdrs[i].is_none()).collect();
+        idxs.sort_by_key(|&i| uniq[i].0);
+        if !idxs.is_empty() {
             // Same death gate as every other doorbell site: a dead
             // machine issues no verbs.
             if !cluster.is_alive(self.w.node) {
                 return Err(TxnError::Crashed);
             }
-            let offs: Vec<usize> = idxs.iter().map(|&i| uniq[i].1).collect();
-            for (h, i) in self.remote_headers(node, &offs).await.into_iter().zip(idxs) {
+            let missing: Vec<LockAddr> = idxs.iter().map(|&i| uniq[i]).collect();
+            for (h, i) in self.remote_headers(&missing).await.into_iter().zip(idxs) {
                 hdrs[i] = Some(h);
             }
         }

@@ -527,3 +527,165 @@ fn concurrent_transfers_conserve() {
         assert_eq!(total, 3 * 4 * 50, "seed={seed} replicas={replicas}");
     }
 }
+
+/// A second, never value-cached table for the `read_many` cases.
+const T2: u32 = 1;
+
+/// Drops every `k`-th one-sided READ (`k = 0`: none).
+struct EveryKthReadDropped {
+    k: u64,
+    seen: std::sync::atomic::AtomicU64,
+}
+
+impl drtm_rdma::FaultInjector for EveryKthReadDropped {
+    fn on_verb(
+        &self,
+        _src: drtm_rdma::NodeId,
+        _dst: drtm_rdma::NodeId,
+        verb: drtm_rdma::Verb,
+        _now: u64,
+    ) -> drtm_rdma::Fault {
+        if self.k == 0 || verb != drtm_rdma::Verb::Read {
+            return drtm_rdma::Fault::NONE;
+        }
+        let n = self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        drtm_rdma::Fault {
+            drop: n % self.k == self.k - 1,
+            ..drtm_rdma::Fault::NONE
+        }
+    }
+}
+
+/// Everything a read leaves behind that a later step can observe: the
+/// remote and local read sets in order, and — over `universe` — what
+/// the thread's value and location caches hold.
+type ReadEffects = (
+    Vec<(usize, u32, u64, usize, u64, u64, Vec<u8>, bool)>,
+    Vec<(u32, usize, u64, u64, Vec<u8>)>,
+    Vec<Option<drtm_store::CachedRecord>>,
+    Vec<Option<(u64, u64)>>,
+);
+
+fn read_effects(t: &crate::txn::TxnCtx<'_>, universe: &[(usize, u32, u64)]) -> ReadEffects {
+    let remote = t.r_rs.iter().map(|e| {
+        let value = e.value.clone();
+        let at = (e.node, e.table, e.key, e.rec_off);
+        (
+            at.0,
+            at.1,
+            at.2,
+            at.3,
+            e.seq,
+            e.incarnation,
+            value,
+            e.from_cache,
+        )
+    });
+    let local = t
+        .l_rs
+        .iter()
+        .map(|e| (e.table, e.rec_off, e.seq, e.incarnation, e.value.clone()));
+    let mut caches = t.w.caches();
+    let values = universe
+        .iter()
+        .map(|&(n, tb, k)| caches.values[n].get(tb, k).cloned())
+        .collect();
+    let locations = universe
+        .iter()
+        .map(|&(n, tb, k)| caches.locations[n].get(tb, k))
+        .collect();
+    (remote.collect(), local.collect(), values, locations)
+}
+
+/// `read_many(keys)` is the sequential reads of `keys`: on twin
+/// clusters one worker runs the same prefix — an optional warm-up
+/// transaction (cold vs warm location and value caches), own writes,
+/// earlier reads — and then reads a random key list, through
+/// `read_async` one key at a time on one twin and through one
+/// `read_many_async` on the other. Values (or the error), both read
+/// sets in order, the cache contents and the commit outcome must be
+/// equal; only the clock may differ — downwards, when every key is
+/// found and no verb fails. Keys are
+/// local, remote on two machines, in a value-cached and an uncached
+/// table, repeated, own-written, already read, cached, or missing; half
+/// the cases drop every third or fourth READ, so batched READs come
+/// back dropped or flushed and fall back to the per-key loop.
+#[test]
+fn read_many_is_the_sequential_reads() {
+    let mut rng = SplitMix64::new(0x5eed_0010);
+    // Few buckets, so that probe chains run past their first line.
+    let schema = [TableSpec::hash(T, 16, 16), TableSpec::hash(T2, 8, 16)];
+    let universe: Vec<(usize, u32, u64)> = (0..3usize)
+        .flat_map(|s| (0..6u64).map(move |k| (s, k)))
+        .flat_map(|(s, k)| [(s, T, key(s, k)), (s, T2, key(s, k))])
+        .collect();
+    for case in 0..96u64 {
+        let drop_every = [0, 0, 3, 4][(case % 4) as usize];
+        let read_only = rng.chance(0.3);
+        let warm: Vec<usize> = (0..rng.below(13)).map(|_| rng.below(36) as usize).collect();
+        let pick = |rng: &mut SplitMix64| {
+            let (s, tb, k) = universe[rng.below(universe.len() as u64) as usize];
+            // One key in twenty-five is missing from its table.
+            (s, tb, if rng.chance(0.04) { k + 900 } else { k })
+        };
+        let written: Vec<_> = (0..rng.below(3)).map(|_| pick(&mut rng)).collect();
+        let earlier: Vec<_> = (0..rng.below(3)).map(|_| pick(&mut rng)).collect();
+        let mut keys: Vec<_> = (0..1 + rng.below(8)).map(|_| pick(&mut rng)).collect();
+        // Repeats, own-written and already-read keys on purpose.
+        for extra in [keys.first(), written.first(), earlier.first()].map(|k| k.copied()) {
+            keys.extend(extra.filter(|_| rng.chance(0.5)));
+        }
+        let run = |batched: bool| {
+            let opts = EngineOpts::builder()
+                .region_size(2 << 20)
+                .read_mostly_tables(vec![T])
+                .build();
+            let c = DrtmCluster::new(3, &schema, opts);
+            for &(s, tb, k) in &universe {
+                c.seed_record(s, tb, k, &val(100 + k % 7));
+            }
+            c.fabric.set_injector(Arc::new(EveryKthReadDropped {
+                k: drop_every,
+                seen: Default::default(),
+            }));
+            let mut w = c.worker(0, 5);
+            w.run_ro(|t| {
+                for &i in &warm {
+                    let (s, tb, k) = universe[i];
+                    t.read(s, tb, k)?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            let mut t = if read_only { w.begin_ro() } else { w.begin() };
+            for &(s, tb, k) in written.iter().filter(|_| !read_only) {
+                // A missing key cannot be written; skip it on both twins.
+                let _ = t.write(s, tb, k, val(7));
+            }
+            for &(s, tb, k) in &earlier {
+                let _ = t.read(s, tb, k);
+            }
+            let before = t.w.clock.now();
+            let got = if batched {
+                t.read_many(&keys)
+            } else {
+                keys.iter().map(|&(s, tb, k)| t.read(s, tb, k)).collect()
+            };
+            let spent = t.w.clock.now() - before;
+            let effects = read_effects(&t, &universe);
+            let committed = got.as_ref().map_err(|&e| e).and_then(|_| t.commit());
+            (got, effects, committed, spent)
+        };
+        let (seq, seq_effects, seq_commit, seq_ns) = run(false);
+        let (many, many_effects, many_commit, many_ns) = run(true);
+        let ctx = format!("case {case}: keys {keys:?} written {written:?} earlier {earlier:?}");
+        assert_eq!(many, seq, "{ctx}");
+        assert_eq!(many_effects, seq_effects, "{ctx}");
+        assert_eq!(many_commit, seq_commit, "{ctx}");
+        // (A failing key's successors were probed for nothing, and a
+        // dropped WR flushes the batch behind it.)
+        if drop_every == 0 && seq.is_ok() {
+            assert!(many_ns <= seq_ns, "{ctx}: {many_ns} > {seq_ns}");
+        }
+    }
+}

@@ -122,16 +122,16 @@ enum Park {
         wake: u64,
         spin: bool,
     },
-    /// Deferred verb batch: the routine handed its WRs (cookie = its
-    /// id) to the pool's flush layer at virtual time `at`. It has no
-    /// wake horizon yet — the reactor assigns one when it rings the
-    /// shared doorbell (see [`Reactor::flush`]): the horizon of the
-    /// batch's signalled WRs, or the ring instant if it has none.
+    /// Deferred verb batches: the routine handed its WRs (cookie = its
+    /// id), one batch per destination machine, to the pool's flush layer
+    /// at virtual time `at`. It has no wake horizon yet — the reactor
+    /// assigns one when it rings the shared doorbells (see
+    /// [`Reactor::flush`]): the latest horizon of the batches' signalled
+    /// WRs, or the last ring instant if they have none.
     Flush {
         id: usize,
         src: NodeId,
-        dst: NodeId,
-        wrs: Vec<PostedWr>,
+        batches: Vec<DstBatch>,
         at: u64,
     },
     /// External wait (serve pools): the routine found the submit queue
@@ -151,15 +151,27 @@ impl Park {
     }
 }
 
-/// One routine's deferred batch awaiting the next shared doorbell
+/// The WRs one park posts to one destination machine.
+pub(crate) type DstBatch = (NodeId, Vec<PostedWr>);
+
+/// One routine's deferred batches awaiting the next shared doorbell
 /// flush, in park order.
 struct PendingFlush {
     id: usize,
     src: NodeId,
-    dst: NodeId,
-    wrs: Vec<PostedWr>,
-    /// The instant the routine parked the batch.
+    batches: Vec<DstBatch>,
+    /// The instant the routine parked the batches.
     at: u64,
+    /// The clock right after the last doorbell the park rode (set by
+    /// the flush).
+    release: u64,
+}
+
+impl PendingFlush {
+    /// Whether the park posts to the `(src, dst)` edge.
+    fn rides(&self, edge: (NodeId, NodeId)) -> bool {
+        self.src == edge.0 && self.batches.iter().any(|b| b.0 == edge.1)
+    }
 }
 
 /// The wake-up handed to a granted routine.
@@ -299,19 +311,18 @@ impl ReactorState {
             Park::Flush {
                 id,
                 src,
-                dst,
-                wrs,
+                batches,
                 at,
             } => {
                 self.end_segment(at);
-                let batch = PendingFlush {
+                let park = PendingFlush {
                     id,
                     src,
-                    dst,
-                    wrs,
+                    batches,
                     at,
+                    release: at,
                 };
-                self.pending.push(batch);
+                self.pending.push(park);
             }
             Park::Idle { id, at } => {
                 self.end_segment(at);
@@ -401,7 +412,10 @@ impl ReactorState {
         let runnable = landed.count() as u64;
         let runs_dry = runnable * self.seg_ns <= self.round_trip_ns * self.segs;
         let waited: u64 = self.pending.iter().map(|b| self.cpu_now - b.at).sum();
-        let release = |b: &PendingFlush| !b.wrs.iter().any(|wr| wr.signalled);
+        let release = |p: &PendingFlush| {
+            let mut wrs = p.batches.iter().flat_map(|b| &b.1);
+            !wrs.any(|wr| wr.signalled)
+        };
         let rings_early = runs_dry && waited >= self.doorbell_ns;
         runnable == 0 || rings_early || self.pending.iter().any(release)
     }
@@ -517,16 +531,16 @@ impl Reactor {
         }
     }
 
-    /// The deferred-batch future of routine `id`: its WRs for `dst`
-    /// ride the pool's next shared doorbell flush, and the routine
-    /// sleeps until its signalled completions' horizon (learned from
-    /// the grant — the reactor decides when the doorbell rings).
+    /// The deferred-batch future of routine `id`: each of `batches`
+    /// rides the pool's next shared doorbell to its destination, and
+    /// the routine sleeps once, until the latest horizon of its
+    /// signalled completions on any of them (learned from the grant —
+    /// the reactor decides when the doorbells ring).
     pub(crate) fn flush_wait(
         self: &Arc<Self>,
         id: usize,
         src: NodeId,
-        dst: NodeId,
-        wrs: Vec<PostedWr>,
+        batches: Vec<DstBatch>,
         at: u64,
     ) -> YieldFut {
         YieldFut {
@@ -534,8 +548,7 @@ impl Reactor {
             park: Some(Park::Flush {
                 id,
                 src,
-                dst,
-                wrs,
+                batches,
                 at,
             }),
             id,
@@ -565,50 +578,60 @@ impl Reactor {
 
     /// Rings the pool's shared doorbells over every deferred batch: one
     /// doorbell (well, one per `sq_depth` chunk) per `(src, dst)` pair
-    /// rather than one per routine, charged to the pool's single
-    /// simulated core at the CPU frontier. Each parked routine then
-    /// joins the runnable list at its own completions' horizon.
+    /// rather than one per routine, charged back to back to the pool's
+    /// single simulated core at the CPU frontier. Each parked routine
+    /// then joins the runnable list at the latest horizon of its
+    /// completions on any destination it posted to: its core is
+    /// released when the last of *its* doorbells rang, so a park of k
+    /// destinations costs `Σ doorbell + max(latency)`, not their sum.
     ///
     /// With one routine this fires immediately after its park, at the
-    /// same instant — and with the same single-doorbell charge — as a
-    /// doorbell rung from inside the routine.
+    /// same instant — and with the same doorbell charges — as doorbells
+    /// rung from inside the routine.
     fn flush(&self, s: &mut ReactorState) {
-        let mut entries = std::mem::take(&mut s.pending);
-        debug_assert!(!entries.is_empty(), "flush with nothing pending");
+        let mut parks = std::mem::take(&mut s.pending);
+        debug_assert!(!parks.is_empty(), "flush with nothing pending");
         let mut clk = VClock::new();
         clk.advance_to(s.cpu_now);
-        // One doorbell per (src, dst), groups in first-park order and
-        // park order within each — the deterministic issue order.
-        while let Some(first) = entries.first() {
-            let edge = (first.src, first.dst);
-            let wrs: Vec<PostedWr> = entries
-                .iter_mut()
-                .filter(|e| (e.src, e.dst) == edge)
-                .flat_map(|e| e.wrs.drain(..))
-                .collect();
-            let cq = &self.cqs[edge.1];
-            let qp = s
-                .qps
-                .entry(edge)
-                .or_insert_with(|| self.fabric.qp(edge.0, edge.1));
-            qp.doorbell_shared(&mut clk, cq, wrs);
-            let release = clk.now();
-            // The group's routines become runnable at their horizons.
-            entries.retain(|e| {
-                if (e.src, e.dst) != edge {
-                    return true;
+        // One doorbell per (src, dst): edges in first-post order (park
+        // order, then each park's own batch order) and park order
+        // within each — the deterministic issue order. A batch still
+        // holding WRs names an edge not yet rung; ringing it drains
+        // every park's batch for that edge.
+        for first in 0..parks.len() {
+            for b in 0..parks[first].batches.len() {
+                if parks[first].batches[b].1.is_empty() {
+                    continue;
                 }
-                let wake = cq
-                    .cookie_horizon(e.id as u64)
-                    .map_or(release, |h| h.max(release));
-                s.release[e.id] = release;
-                s.spin[e.id] = false;
-                s.waiting.push((e.id, wake));
-                false
+                let edge = (parks[first].src, parks[first].batches[b].0);
+                let riders = parks[first..].iter_mut().filter(|p| p.rides(edge));
+                let wrs: Vec<PostedWr> = riders
+                    .flat_map(|p| p.batches.iter_mut().filter(move |b| b.0 == edge.1))
+                    .flat_map(|b| b.1.drain(..))
+                    .collect();
+                let qp = s
+                    .qps
+                    .entry(edge)
+                    .or_insert_with(|| self.fabric.qp(edge.0, edge.1));
+                qp.doorbell_shared(&mut clk, &self.cqs[edge.1], wrs);
+                for p in parks[first..].iter_mut().filter(|p| p.rides(edge)) {
+                    p.release = clk.now();
+                }
+            }
+        }
+        // Every park's routine becomes runnable at its latest horizon.
+        for p in parks.drain(..) {
+            let horizons = p.batches.iter().filter_map(|b| {
+                let cq = &self.cqs[b.0];
+                cq.cookie_horizon(p.id as u64)
             });
+            let wake = horizons.max().map_or(p.release, |h| h.max(p.release));
+            s.release[p.id] = p.release;
+            s.spin[p.id] = false;
+            s.waiting.push((p.id, wake));
         }
         // Hand the emptied buffer back so the next park reuses it.
-        s.pending = entries;
+        s.pending = parks;
         s.cpu_now = s.cpu_now.max(clk.now());
     }
 
@@ -1427,9 +1450,9 @@ mod tests {
         s.pending.extend(batches.iter().map(|&at| PendingFlush {
             id: 0,
             src: 0,
-            dst: 1,
-            wrs: vec![read(true)],
+            batches: vec![(1, vec![read(true)])],
             at,
+            release: at,
         }));
         s
     }
@@ -1474,9 +1497,12 @@ mod tests {
         let parks = [(10, 100, false), (20, 150, false), (30, 2_000_000, false)];
         let mut s = deferring(parked(1_000_000, parks), 1_000, &[0, 5]);
         assert!(!s.needs_flush());
-        s.pending[1].wrs = vec![read(true), read(false)];
+        s.pending[1].batches = vec![(1, vec![read(true), read(false)])];
         assert!(!s.needs_flush(), "C.5 + C.6 waits for its image");
-        s.pending[1].wrs = vec![read(false)];
+        // A park is a release only if no destination of it is waited for.
+        s.pending[1].batches = vec![(1, vec![read(false)]), (2, vec![read(true)])];
+        assert!(!s.needs_flush());
+        s.pending[1].batches = vec![(1, vec![read(false)]), (2, vec![read(false)])];
         assert!(s.needs_flush());
     }
 
@@ -1516,7 +1542,9 @@ mod tests {
         let fabric = Fabric::builder().fresh_regions(2, 4096).build();
         let cost = fabric.cost.clone();
         let ctl = Reactor::solo(Arc::clone(&fabric), 0);
-        let park = ctl.reactor.flush_wait(0, 0, 1, vec![read(true)], 5_000);
+        let park = ctl
+            .reactor
+            .flush_wait(0, 0, vec![(1, vec![read(true)])], 5_000);
         let grant = drtm_base::task::block_now(park);
         let release = 5_000 + cost.doorbell_ns;
         let wake = release + cost.rdma_read(8);
@@ -1526,5 +1554,87 @@ mod tests {
         );
         assert_eq!(fabric.port(1).stats().doorbells.get(), 1);
         assert_eq!(ctl.reactor.cqs[1].take_cookie(0).len(), 1);
+    }
+
+    /// A READ of `len` bytes posted by routine `cookie`.
+    fn read_of(cookie: u64, len: usize) -> PostedWr {
+        PostedWr {
+            cookie,
+            signalled: true,
+            wr: drtm_rdma::WorkRequest::Read { raddr: 0, len },
+        }
+    }
+
+    /// The same reactor of one parking on two machines at once: the
+    /// doorbells ring back to back on the core, in batch order, each
+    /// READ flies from its own doorbell, and the routine sleeps once,
+    /// to the later horizon — `Σ doorbell + max(latency)`, where two
+    /// one-machine parks would cost `Σ (doorbell + latency)`.
+    #[test]
+    fn two_destination_park_wakes_at_the_later_horizon() {
+        let fabric = Fabric::builder().fresh_regions(3, 4096).build();
+        let cost = fabric.cost.clone();
+        let (db, short, long) = (cost.doorbell_ns, cost.rdma_read(8), cost.rdma_read(2048));
+        assert!(long > short + db, "the first-rung READ lands last");
+        let ctl = Reactor::solo(Arc::clone(&fabric), 0);
+        let batches = vec![(1, vec![read_of(0, 2048)]), (2, vec![read_of(0, 8)])];
+        let grant = drtm_base::task::block_now(ctl.reactor.flush_wait(0, 0, batches, 5_000));
+        let release = 5_000 + 2 * db;
+        let wake = 5_000 + db + long;
+        assert_eq!(
+            (grant.release, grant.wake, grant.resume_at, grant.idle_ns),
+            (release, wake, wake, wake - release)
+        );
+        // The other way round the later doorbell's READ is the later
+        // horizon: `2 x doorbell + long`.
+        let batches = vec![(2, vec![read_of(0, 8)]), (1, vec![read_of(0, 2048)])];
+        let grant = drtm_base::task::block_now(ctl.reactor.flush_wait(0, 0, batches, wake));
+        assert_eq!(
+            (grant.release, grant.wake),
+            (wake + 2 * db, wake + 2 * db + long)
+        );
+        for node in [1, 2] {
+            assert_eq!(fabric.port(node).stats().doorbells.get(), 2);
+            assert_eq!(ctl.reactor.cqs[node].take_cookie(0).len(), 2);
+        }
+    }
+
+    /// R = 2: routine 0 parks on machines 1 and 2, routine 1 on machine
+    /// 2 alone. One flush rings one doorbell per edge — machine 2's
+    /// carries both routines' WRs, in park order — and each routine
+    /// wakes at its own latest horizon, released when the last doorbell
+    /// *it* rides rang.
+    #[test]
+    fn sibling_parks_share_each_edges_doorbell() {
+        let fabric = Fabric::builder().fresh_regions(3, 4096).build();
+        let cost = fabric.cost.clone();
+        let (db, pipe, read) = (cost.doorbell_ns, cost.verb_pipeline_ns, cost.rdma_read(8));
+        let reactor = Reactor::new(2, Arc::clone(&fabric), 0);
+        let mut s = reactor.state.lock();
+        s.unregistered = 0;
+        s.fold(Park::Flush {
+            id: 1,
+            src: 0,
+            batches: vec![(2, vec![read_of(1, 8)])],
+            at: 900,
+        });
+        s.fold(Park::Flush {
+            id: 0,
+            src: 0,
+            batches: vec![(1, vec![read_of(0, 8)]), (2, vec![read_of(0, 8)])],
+            at: 1_000,
+        });
+        assert!(s.needs_flush());
+        reactor.flush(&mut s);
+        // Edges in first-post order: machine 2 (routine 1's, then
+        // routine 0's WR behind it), then machine 1.
+        assert_eq!(fabric.port(2).stats().doorbells.get(), 1);
+        assert_eq!(fabric.port(1).stats().doorbells.get(), 1);
+        assert_eq!(s.cpu_now, 1_000 + 2 * db);
+        s.waiting.sort_unstable();
+        let wake0 = (1_000 + db + pipe + read).max(1_000 + 2 * db + read);
+        assert_eq!(s.waiting, [(0, wake0), (1, 1_000 + db + read)]);
+        assert_eq!(s.release, [1_000 + 2 * db, 1_000 + db]);
+        assert!(s.pending.is_empty());
     }
 }

@@ -907,9 +907,10 @@ fn fused_lock_validate_produces_same_results() {
 /// time the count this test pinned dropped by exactly that doorbell,
 /// the verbs it carried did not) — against node 1 no matter how many
 /// records the txn touches there. A transaction writing two machines
-/// chains only the last one's unlocks: the first machine's must not
-/// land before the second's images, which are posted a round trip
-/// later, so they keep a doorbell of their own after C.5.
+/// posts both machines' images in one park and chains no unlock: no
+/// queue pair orders one machine's unlock behind the other machine's
+/// image, so both machines' unlocks follow C.5 as one unsignalled park,
+/// a doorbell apiece.
 #[test]
 fn one_doorbell_per_destination_in_commit_fanout() {
     let k = 3u64;
@@ -950,16 +951,18 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     );
 
     let c = cluster(3, 1);
-    // Whether machine 1's record was still locked when machine 2's
+    // Whether both machines' records were still locked whenever an
     // image was issued.
-    let held = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let held = Arc::new(std::sync::atomic::AtomicBool::new(true));
     let tap = {
-        let (first, held) = (Arc::clone(&c.stores[1]), Arc::clone(&held));
-        let off = first.get_loc(T_ACCT, key(1, 1)).unwrap() as usize;
-        Tap(move |dst, verb| {
-            if (dst, verb) == (2, drtm_rdma::Verb::Write) {
-                let locked = first.region.load64(off) == drtm_store::lock_word(0);
-                held.store(locked, std::sync::atomic::Ordering::SeqCst);
+        let (stores, held) = (c.stores.clone(), Arc::clone(&held));
+        let off = |n: usize| stores[n].get_loc(T_ACCT, key(n, 1)).unwrap() as usize;
+        let offs = [off(1), off(2)];
+        Tap(move |_, verb| {
+            if verb == drtm_rdma::Verb::Write {
+                let locked =
+                    |n: usize| stores[n].region.load64(offs[n - 1]) == drtm_store::lock_word(0);
+                held.fetch_and(locked(1) && locked(2), std::sync::atomic::Ordering::SeqCst);
             }
             false
         })
@@ -982,7 +985,7 @@ fn one_doorbell_per_destination_in_commit_fanout() {
         let now = c.fabric.port(n).stats().snapshot();
         now.delta(&base.get()[n]).doorbells
     });
-    assert_eq!(d, [0, 3, 2], "C.6 rides C.5 on the last written machine");
+    assert_eq!(d, [0, 3, 3], "C.1 + C.2, C.5, C.6 on each written machine");
 
     // Replicated: R.1 rings one doorbell per remote backup *machine*.
     // Worker 0 writes primaries 0 (backups {1, 2}) and 1 (backups
@@ -1317,11 +1320,12 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
     });
     let outcomes: Vec<_> = done.iter().map(|(w, r)| (*r, w.stats.aborted)).collect();
     assert_eq!(outcomes, [(Ok(0), 0), (Ok(100), 0)]);
-    // Nothing behind the dropped READ reached the injector; then the
-    // image, the unlock and the READ again (and routine 1's two C.2
-    // header READs).
+    // Nothing behind the dropped READ — key 9's location probe, posted
+    // like every other verb — reached the injector; then the image, the
+    // unlock and the probe again (and routine 1's record READ and two
+    // C.2 header READs).
     let after = after.lock().unwrap().clone().expect("a READ was dropped");
-    assert_eq!(after, [Write, Cas, Read, Read, Read]);
+    assert_eq!(after, [Write, Cas, Read, Read, Read, Read]);
     // The flushed image and unlock never reached the wire: one WRITE
     // and one unlock CAS in all, both retransmits.
     let d = c.fabric.port(1).stats().snapshot().delta(&base);
@@ -1645,6 +1649,202 @@ fn dropped_image_in_a_chunked_write_is_settled_before_any_unlock() {
         .map(|_| (Write, records))
         .chain((0..records).map(|i| (Cas, records - i)));
     assert_eq!(*log.lock().unwrap(), want.collect::<Vec<_>>());
+}
+
+/// Two written machines, both machines' images in one park, and the
+/// first image toward the *first* machine dropped: its second image is
+/// flushed behind it, machine 2's land untouched (another queue pair),
+/// and the routine, woken at the latest horizon, retransmits machine
+/// 1's two — from one rebuilt image list — before C.6 posts a single
+/// unlock. The log is every verb the injector saw from the drop on:
+/// destination, verb, and how many of the four records were still
+/// locked. Every image is issued under all four locks; nothing dangles.
+#[test]
+fn dropped_image_on_the_first_of_two_written_machines_lands_before_any_unlock() {
+    use drtm_rdma::Verb::{Cas, Write};
+    let c = cluster(3, 1);
+    let recs: Vec<(usize, usize)> = [(1, 0), (1, 1), (2, 0), (2, 1)]
+        .into_iter()
+        .map(|(n, i)| (n, c.stores[n].get_loc(T_ACCT, key(n, i)).unwrap() as usize))
+        .collect();
+    let seeded = c.stores[1].region.load64(recs[0].1 + SEQ_OFF);
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let tap = {
+        let (stores, recs, log) = (c.stores.clone(), recs.clone(), Arc::clone(&log));
+        Tap(move |dst, verb| {
+            let mut log = log.lock().unwrap();
+            let first_image = log.is_empty() && verb == Write;
+            if first_image || !log.is_empty() {
+                let locked = |&&(n, off): &&(usize, usize)| {
+                    stores[n].region.load64(off) != drtm_store::LOCK_FREE
+                };
+                log.push((dst, verb, recs.iter().filter(locked).count()));
+            }
+            first_image
+        })
+    };
+    c.fabric.set_injector(Arc::new(tap));
+    let mut w = c.worker(0, 1);
+    w.run(|t| {
+        for n in [1, 2] {
+            for i in 0..2u64 {
+                let v = t.read(n, T_ACCT, key(n, i))?;
+                t.write(n, T_ACCT, key(n, i), val(num(&v) + 1))?;
+            }
+        }
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!(
+        *log.lock().unwrap(),
+        [
+            (1, Write, 4), // dropped; the image behind it is flushed
+            (2, Write, 4),
+            (2, Write, 4),
+            (1, Write, 4), // both retransmitted, in post order
+            (1, Write, 4),
+            (1, Cas, 4),
+            (1, Cas, 3),
+            (2, Cas, 2),
+            (2, Cas, 1),
+        ]
+    );
+    for &(n, off) in &recs {
+        let region = &c.stores[n].region;
+        assert_eq!(region.load64(off), drtm_store::LOCK_FREE);
+        assert_eq!(region.load64(off + SEQ_OFF), seeded + 2);
+    }
+    c.fabric.clear_injector();
+    for n in [1, 2] {
+        for i in 0..2u64 {
+            let v = w.run_ro(|t| t.read(n, T_ACCT, key(n, i))).unwrap();
+            assert_eq!(num(&v), 101);
+        }
+    }
+}
+
+/// A shard re-homed *during* `read_many`'s parks — a recovery pass
+/// running beside the transaction — must not split a key's read across
+/// two machines: the offset the probe found and the bytes the READ
+/// brought back belong to the machine they were posted to, and that is
+/// the machine the read-set entry names (so that C.1 locks, C.2
+/// validates and C.5 writes the record that was read, or is fenced from
+/// a machine that left). The re-homing here happens inside the first
+/// park, when the injector sees the probe.
+#[test]
+fn read_many_keeps_a_key_on_the_machine_its_verbs_went_to() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let c = cluster(3, 1);
+    let rec_off = c.stores[1].get_loc(T_ACCT, key(1, 3)).unwrap() as usize;
+    let moved = Arc::new(AtomicBool::new(false));
+    let tap = {
+        let (c, moved) = (Arc::clone(&c), Arc::clone(&moved));
+        Tap(move |dst, verb| {
+            if (dst, verb) == (1, drtm_rdma::Verb::Read) && !moved.swap(true, Ordering::SeqCst) {
+                c.rehome(1, 2);
+            }
+            false
+        })
+    };
+    c.fabric.set_injector(Arc::new(tap));
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin();
+    let got = t.read_many(&[(0, T_ACCT, key(0, 3)), (1, T_ACCT, key(1, 3))]);
+    c.fabric.clear_injector();
+    assert!(moved.load(Ordering::SeqCst), "the shard moved mid-read");
+    assert_eq!(c.home_of(1), 2);
+    assert_eq!(got.map(|v| num(&v[1])), Ok(100));
+    let read: Vec<_> = t.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
+    assert_eq!(read, [(1, rec_off)]);
+}
+
+/// Kills the probed machine at the `nth` passage of `point`.
+struct CrashAtNth {
+    point: &'static str,
+    nth: usize,
+    seen: std::sync::atomic::AtomicUsize,
+}
+
+impl crate::CrashPointHook for CrashAtNth {
+    fn on_point(&self, _node: drtm_rdma::NodeId, point: &'static str) -> bool {
+        use std::sync::atomic::Ordering::SeqCst;
+        point == self.point && self.seen.fetch_add(1, SeqCst) + 1 == self.nth
+    }
+}
+
+/// A machine dying at any [`crate::commit::STAGES`] probe of a
+/// transaction that writes **two** remote machines (and itself) leaves
+/// something recovery makes whole, under the HTM walk and under the
+/// `Mode::Locked` fallback alike: all three records old before R.1's
+/// logs are durable, all three new from there on — never a mix — with
+/// no lock left on a survivor. With C.1, C.5 and C.6 each one park over
+/// both machines there is no "between the machines" state any more: at
+/// the C.1 probe both are locked, at the C.5 probe both are written.
+#[test]
+fn crash_at_every_stage_with_two_written_machines_is_atomic() {
+    for locked in [false, true] {
+        for stage in &crate::commit::STAGES {
+            let opts = EngineOpts::builder()
+                .replicas(3)
+                .region_size(4 << 20)
+                .htm(drtm_htm::HtmConfig {
+                    spurious_abort_prob: if locked { 1.0 } else { 0.0 },
+                    max_retries: 2,
+                    ..Default::default()
+                })
+                .build();
+            let c = DrtmCluster::new(4, &schema(), opts);
+            for shard in 0..4 {
+                c.seed_record(shard, T_ACCT, key(shard, 0), &val(100));
+            }
+            // The fallback re-enters the walk: its C.1 and C.2 are the
+            // second passage of those probes.
+            let reentered = locked && ["C.1", "C.2"].contains(&stage.probe);
+            c.set_crash_hook(Arc::new(CrashAtNth {
+                point: stage.probe,
+                nth: if reentered { 2 } else { 1 },
+                seen: Default::default(),
+            }));
+            let mut w = c.worker(0, 1);
+            let died = w.run(|t| {
+                let a = num(&t.read(0, T_ACCT, key(0, 0))?);
+                let [b, d] = [1, 2].map(|n| t.read(n, T_ACCT, key(n, 0)));
+                t.write(0, T_ACCT, key(0, 0), val(a - 2))?;
+                t.write(1, T_ACCT, key(1, 0), val(num(&b?) + 1))?;
+                t.write(2, T_ACCT, key(2, 0), val(num(&d?) + 1))
+            });
+            let arm = format!(
+                "{} at {}",
+                if locked { "locked" } else { "htm" },
+                stage.probe
+            );
+            assert_eq!(died, Err(TxnError::Crashed), "{arm}");
+            assert_eq!(w.stats.fallbacks, u64::from(locked), "{arm}");
+            c.clear_crash_hook();
+            c.crash(0);
+            recover_node(&c, 0);
+            let mut survivor = c.worker(3, 2);
+            let got = [0, 1, 2].map(|n| {
+                let v = survivor.run_ro(|t| t.read(n, T_ACCT, key(n, 0)));
+                num(&v.unwrap_or_else(|e| panic!("{arm}: shard {n}: {e:?}")))
+            });
+            let durable = !["C.1", "C.2", "C.4"].contains(&stage.probe);
+            let want = if durable { [98, 101, 101] } else { [100; 3] };
+            assert_eq!(got, want, "{arm}");
+            // Nothing dangles: every record can be locked and rewritten.
+            survivor
+                .run(|t| {
+                    for n in [0, 1, 2] {
+                        let v = num(&t.read(n, T_ACCT, key(n, 0))?);
+                        t.write(n, T_ACCT, key(n, 0), val(v + 1))?;
+                    }
+                    Ok(())
+                })
+                .unwrap_or_else(|e| panic!("{arm}: {e:?}"));
+            assert_eq!(survivor.stats.aborted, 0, "{arm}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2237,18 +2437,20 @@ fn conflicting_routines_make_progress() {
 }
 
 /// Schedule pin, R = 3, CPU-bound: routine 0 commits one remote
-/// read-modify-write while routines 1 and 2 run read-only transactions
-/// whose bodies burn 4 us of CPU after every remote read — longer than
-/// a verb round trip, so whenever a segment ends both other routines'
-/// completions have already landed. `(wake, id)` order would make
-/// routine 0 queue behind both siblings at its C.1 park (C.2's READ in
-/// the same doorbell), its locks held throughout; the reactor instead
-/// resumes it at the first scheduling point after its completions
-/// land. At its C.5 park the priority is over — the unlock rides that
-/// doorbell, so nothing is held for the core any more — and it takes
-/// its `(wake, id)` turn. The log is every resume in grant order: the
-/// commit's stage probes (fired as routine 0 runs on from the park)
-/// and `r<id>` for each read an execution-phase routine returns from.
+/// read-modify-write while routines 1 and 2 are execution-phase
+/// stand-ins that burn 4 us of CPU after every remote READ — longer
+/// than a verb round trip, so whenever a segment ends both other
+/// routines' completions have already landed. (They post bare READs:
+/// one park per read, where a transaction's first read of a key is two
+/// — the location probe is a posted verb like any other.) `(wake, id)`
+/// order would make routine 0 queue behind both siblings at its C.1
+/// park (C.2's READ in the same doorbell), its locks held throughout;
+/// the reactor instead resumes it at the first scheduling point after
+/// its completions land. At its C.5 park the priority is over — the
+/// unlock rides that doorbell, so nothing is held for the core any
+/// more — and it takes its `(wake, id)` turn. The log is every resume
+/// in grant order: the commit's stage probes (fired as routine 0 runs
+/// on from the park) and `r<id>` for each READ a stand-in returns from.
 #[test]
 fn lock_holder_resumes_ahead_of_landed_execution_reads() {
     let c = cluster(2, 1);
@@ -2264,31 +2466,28 @@ fn lock_holder_resumes_ahead_of_landed_execution_reads() {
                 })
                 .await;
         }
-        w.run_ro_async(async |t| {
-            for k in 0..4 {
-                t.read_async(1, T_ACCT, key(1, 8 * id as u64 + k)).await?;
-                log.0.lock().unwrap().push(["", "r1", "r2"][id]);
-                t.w.clock.advance(4_000);
-            }
-            Ok(())
-        })
-        .await
+        for _ in 0..4 {
+            let read = drtm_rdma::WorkRequest::Read { raddr: 0, len: 64 };
+            w.ring(1, vec![read], 1).await;
+            log.0.lock().unwrap().push(["", "r1", "r2"][id]);
+            w.clock.advance(4_000);
+        }
+        Ok(())
     });
     assert!(done.iter().all(|(_, r)| r.is_ok()));
-    // Under `(wake, id)` alone this reads r1 r2 C.1 .. R.2 r1 r2 C.5 ..:
-    // two 4 us segments ahead of the holder at every park. Re-derived
-    // for the shared C.1 + C.2 doorbell: C.2 now fires in the step C.1
-    // does (its headers came back with the lock), so the one sibling
-    // segment that used to run inside the validate round trip (`r2`,
-    // between C.1 and C.2) runs inside C.5's instead. The holder's
-    // lock batch rings at 4 519 ns and lands at 6 969, inside r1's
-    // segment (5 048 - 9 298), and it is granted at 9 298, ahead of the
-    // long-landed r2; its C.5 batch lands at 15 241, inside r2's
-    // (15 097 - 15 277), and it is granted at 15 277.
+    // Routine 0's probe and record READ each wait out a sibling
+    // segment, so its C.1 + C.2 batch parks at 16 678, as r2's second
+    // segment begins, rings there and lands inside it. When that
+    // segment ends (20 678) r1's third READ has landed too, and
+    // earlier: under `(wake, id)` alone this reads r1 r2 r1 r2 r1 C.1 ..
+    // R.2 r2 C.5 .. — a 4 us segment ahead of the holder. Instead the
+    // holder is granted at 20 678 and runs C.1 to its C.5 post, r1
+    // follows at 20 718, and the holder's C.5 batch, landed inside
+    // r1's segment, takes its `(wake, id)` turn after it.
     assert_eq!(
         *log.0.lock().unwrap(),
         [
-            "r1", "C.1", "C.2", "C.4", "R.1", "R.2", "r2", "C.5", "C.6", "r1", "r2", "r1", "r2",
+            "r1", "r2", "r1", "r2", "C.1", "C.2", "C.4", "R.1", "R.2", "r1", "C.5", "C.6", "r2",
             "r1", "r2"
         ]
     );

@@ -15,12 +15,12 @@ use drtm_base::{Histogram, SplitMix64, VClock};
 use drtm_htm::HtmTxn;
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
-use drtm_store::record::{parse_consistent, LOCK_FREE};
-use drtm_store::{CachedRecord, TableId};
+use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
+use drtm_store::{CachedRecord, RemoteProbe, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
-use crate::routine::{CacheSet, Reactor, RoutineCtl};
+use crate::routine::{CacheSet, DstBatch, Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +158,15 @@ pub struct Worker {
     pub(crate) force_pessimistic: bool,
 }
 
+/// What one [`Worker::ring_all`] park posts to one destination machine
+/// (at most one batch per machine and park): the first `signalled` WRs
+/// are waited for, the rest are unsignalled.
+pub(crate) struct Batch {
+    pub node: NodeId,
+    pub wrs: Vec<WorkRequest>,
+    pub signalled: usize,
+}
+
 /// A local read-set entry.
 pub(crate) struct LocalRead {
     pub table: TableId,
@@ -267,27 +276,37 @@ impl Worker {
         self.trace_id
     }
 
-    /// Rings `wrs` to `node` and waits for the signalled ones among
-    /// them. This is a *yield point*: the batch is handed to the
-    /// reactor's deferred-flush layer, which rings one shared doorbell
-    /// over every routine that parks before it is time to ring
-    /// (DESIGN.md §14) — so the MMIO charge amortizes across a pool
+    /// Rings each of `batches` to its destination and waits, once, for
+    /// the signalled WRs among them; hands each batch's completions to
+    /// `land(position, completions)`.
+    /// This is a *yield point*: the batches are handed to the reactor's
+    /// deferred-flush layer, which rings one shared doorbell per
+    /// destination over every routine that parks before it is time to
+    /// ring (DESIGN.md §14) — so the MMIO charges amortize across a pool
     /// instead of landing on this routine alone — and the routine
-    /// *parks* until its signalled completions' horizon while other
-    /// routines' CPU segments run inside its verb wait. A batch with no
-    /// signalled WR (lock releases nobody waits for) resumes at the
-    /// ring instant, having waited for nothing. On a reactor of one
-    /// (any worker outside a pool) the doorbell rings at once and the
-    /// future completes in a single poll, so `block_now` facades stay
-    /// sound.
-    async fn finish_batch(&mut self, node: NodeId, wrs: Vec<PostedWr>) -> Vec<WorkCompletion> {
+    /// *parks* until the latest of its signalled completions' horizons
+    /// while other routines' CPU segments run inside its verb wait. A
+    /// park with no signalled WR (lock releases nobody waits for)
+    /// resumes at the ring instant, having waited for nothing. On a
+    /// reactor of one (any worker outside a pool) the doorbells ring at
+    /// once and the future completes in a single poll, so `block_now`
+    /// facades stay sound.
+    async fn finish_batches(
+        &mut self,
+        batches: Vec<DstBatch>,
+        mut land: impl FnMut(usize, Vec<WorkCompletion>),
+    ) {
         debug_assert!(
             !drtm_htm::region_active(),
             "verb waits must never run inside an HTM region"
         );
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
+        // (A lone destination — the common park — is remembered without
+        // a heap allocation.)
+        let first = batches[0].0;
+        let rest: Vec<NodeId> = batches[1..].iter().map(|b| b.0).collect();
         let grant = reactor
-            .flush_wait(id, self.node, node, wrs, self.clock.now())
+            .flush_wait(id, self.node, batches, self.clock.now())
             .await;
         self.clock.advance_to(grant.resume_at);
         let wait = grant.wake.saturating_sub(grant.release);
@@ -298,35 +317,123 @@ impl Worker {
             self.obs
                 .note_reactor(grant.depth, grant.resume_at.saturating_sub(grant.wake));
         }
-        reactor.cqs[node].take_cookie(id as u64)
+        for (at, node) in std::iter::once(first).chain(rest).enumerate() {
+            land(at, reactor.cqs[node].take_cookie(id as u64));
+        }
     }
 
-    /// Rings `wrs` to `node`, completions in post order: one batch per
-    /// `sq_depth` WRs, so a transaction of any size fits the send
-    /// queue, each chunk's completions claimed before the next is
-    /// posted ([`Self::finish_batch`]). The first `signalled` WRs are
-    /// waited for; the rest are unsignalled.
+    /// The reactor's one verb wait: posts every batch of `batches` —
+    /// one per destination machine, at least one — parks once, and
+    /// wakes at the latest horizon. Each batch's completions, in post
+    /// order, go to `land(batch index, completions)`. A batch longer
+    /// than the send queue goes out `sq_depth` WRs per park, each
+    /// round's completions landed before the next is posted, so a
+    /// transaction of any size fits.
+    async fn ring_all_into(
+        &mut self,
+        batches: impl IntoIterator<Item = Batch>,
+        mut land: impl FnMut(usize, Vec<WorkCompletion>),
+    ) {
+        let depth = self.cluster.fabric.sq_depth();
+        let cookie = self.routine.id as u64;
+        let post = |b: Batch| {
+            let wrs = b.wrs.into_iter().enumerate().map(|(i, wr)| PostedWr {
+                cookie,
+                signalled: i < b.signalled,
+                wr,
+            });
+            (b.node, wrs.collect())
+        };
+        let mut unposted: Vec<DstBatch> = batches.into_iter().map(post).collect();
+        // What fits the send queue — nearly everything — is one round.
+        if unposted.iter().all(|b| b.1.len() <= depth) {
+            return self.finish_batches(unposted, land).await;
+        }
+        loop {
+            // This round: the next `depth` WRs of every batch not yet
+            // drained, and which batch each belongs to.
+            let mut round = Vec::with_capacity(unposted.len());
+            let mut owners = Vec::with_capacity(unposted.len());
+            for (i, (node, wrs)) in unposted.iter_mut().enumerate() {
+                if !wrs.is_empty() {
+                    let tail = wrs.split_off(wrs.len().min(depth));
+                    round.push((*node, std::mem::replace(wrs, tail)));
+                    owners.push(i);
+                }
+            }
+            if round.is_empty() {
+                return;
+            }
+            self.finish_batches(round, |at, done| land(owners[at], done))
+                .await;
+        }
+    }
+
+    /// [`Self::ring_all_into`], the completions collected per batch.
+    pub(crate) async fn ring_all(
+        &mut self,
+        batches: impl IntoIterator<Item = Batch>,
+    ) -> Vec<Vec<WorkCompletion>> {
+        let mut wcs: Vec<Vec<WorkCompletion>> = Vec::new();
+        let land = |i: usize, done| {
+            wcs.resize_with(wcs.len().max(i + 1), Vec::new);
+            extend_or_take(&mut wcs[i], done);
+        };
+        self.ring_all_into(batches, land).await;
+        wcs
+    }
+
+    /// [`Self::ring_all_into`] for one destination: rings `wrs` to
+    /// `node`, the first `signalled` of them waited for, the rest
+    /// unsignalled.
     pub(crate) async fn ring(
         &mut self,
         node: NodeId,
         wrs: Vec<WorkRequest>,
         signalled: usize,
     ) -> Vec<WorkCompletion> {
-        let depth = self.cluster.fabric.sq_depth();
-        let cookie = self.routine.id as u64;
-        let mut wcs = Vec::with_capacity(wrs.len());
-        let mut wrs = wrs.into_iter().enumerate().map(|(i, wr)| PostedWr {
-            cookie,
-            signalled: i < signalled,
-            wr,
-        });
-        loop {
-            let chunk: Vec<PostedWr> = wrs.by_ref().take(depth).collect();
-            if chunk.is_empty() {
-                return wcs;
-            }
-            wcs.extend(self.finish_batch(node, chunk).await);
+        let batch = Batch {
+            node,
+            wrs,
+            signalled,
+        };
+        let mut wcs = Vec::new();
+        let land = |_, done| extend_or_take(&mut wcs, done);
+        self.ring_all_into([batch], land).await;
+        wcs
+    }
+
+    /// [`Self::ring_all`] for signalled READs addressed one by one:
+    /// `reads` go out grouped by machine in one park (none when there
+    /// is nothing to read), and their results come back in `reads`
+    /// order.
+    async fn ring_reads(
+        &mut self,
+        reads: Vec<(NodeId, WorkRequest)>,
+    ) -> Vec<Result<WrResult, VerbError>> {
+        if reads.is_empty() {
+            return Vec::new();
         }
+        let mut batches: Vec<Batch> = Vec::new();
+        let mut batch_of = Vec::with_capacity(reads.len());
+        for (node, wr) in reads {
+            let at = batches.iter().position(|b| b.node == node);
+            let at = at.unwrap_or_else(|| {
+                batches.push(Batch {
+                    node,
+                    wrs: Vec::new(),
+                    signalled: 0,
+                });
+                batches.len() - 1
+            });
+            batches[at].wrs.push(wr);
+            batches[at].signalled += 1;
+            batch_of.push(at);
+        }
+        let wcs = self.ring_all(batches).await;
+        let mut wcs: Vec<_> = wcs.into_iter().map(Vec::into_iter).collect();
+        let next = |at: usize| wcs[at].next().expect("one completion per READ").result;
+        batch_of.into_iter().map(next).collect()
     }
 
     /// Yields through a verb wait a *blocking* wrapper already spun the
@@ -705,12 +812,28 @@ impl<'w> TxnCtx<'w> {
         table: TableId,
         key: u64,
     ) -> Result<Vec<u8>, TxnError> {
+        self.read_local_at(table, key, None).await
+    }
+
+    /// [`Self::read_local_async`] for a caller that may already hold the
+    /// record's offset — an index scan's hit — and so spares the second
+    /// index walk. The offset is the index's answer at scan time, as
+    /// `get_loc`'s is at its own call.
+    async fn read_local_at(
+        &mut self,
+        table: TableId,
+        key: u64,
+        known_off: Option<usize>,
+    ) -> Result<Vec<u8>, TxnError> {
         if let Some(e) = self.l_ws.iter().find(|e| e.table == table && e.key == key) {
             return Ok(e.buf.clone());
         }
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
-        let rec_off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
+        let rec_off = match known_off {
+            Some(off) => off,
+            None => store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize,
+        };
         // Repeatable read: if already in the read set, return the snapshot.
         if let Some(e) = self
             .l_rs
@@ -840,6 +963,21 @@ impl<'w> TxnCtx<'w> {
         table: TableId,
         key: u64,
     ) -> Result<Vec<u8>, TxnError> {
+        self.read_remote_with(node, table, key, None).await
+    }
+
+    /// [`Self::read_remote_async`], its first location lookup and first
+    /// READ answered by `fetched` where [`Self::read_many_async`] ran
+    /// them ahead in its shared parks. Everything else — what is checked
+    /// in which order, what is charged, what enters the read set and the
+    /// caches, every retry — is the one body both callers share.
+    async fn read_remote_with(
+        &mut self,
+        node: NodeId,
+        table: TableId,
+        key: u64,
+        mut fetched: Option<Prefetch>,
+    ) -> Result<Vec<u8>, TxnError> {
         if let Some(e) = self
             .r_ws
             .iter()
@@ -895,22 +1033,33 @@ impl<'w> TxnCtx<'w> {
                 }
                 self.w.obs.note_cache_miss();
             }
-            let rec_off = self.locate_remote(node, table, key).await?;
+            // Only the first lookup can have been run ahead.
+            let (loc, mut ahead) = match fetched.take() {
+                Some(f) => (Some(f.loc), f.read),
+                None => (None, None),
+            };
+            let rec_off = match loc {
+                Some(Located::At(off)) => off,
+                Some(Located::Absent) => return Err(TxnError::NotFound),
+                Some(Located::Past(probe)) => self.probe_remote(node, probe).await?,
+                None => self.locate_remote(node, table, key).await?,
+            };
             self.w.clock.advance(cluster.opts.cost.record_logic_ns);
             let mut read = None;
-            /// Retries for a consistent remote read (version matching).
-            const REMOTE_READ_RETRIES: usize = 64;
             for _ in 0..REMOTE_READ_RETRIES {
                 // The READ rides the reactor's shared doorbell flush, so
                 // its MMIO charge amortizes over every routine parked
                 // this round.
-                let wr = WorkRequest::Read {
-                    raddr: rec_off,
-                    len: layout.size(),
+                let result = match ahead.take() {
+                    Some(result) => result,
+                    None => {
+                        let wr = record_read(rec_off, layout);
+                        let mut wcs = self.w.ring(node, vec![wr], 1).await;
+                        wcs.pop().expect("one READ, one completion").result
+                    }
                 };
-                let wcs = self.w.ring(node, vec![wr], 1).await;
-                let rr_opt = match wcs.first().map(|wc| &wc.result) {
-                    Some(Ok(WrResult::Read { data, .. })) => parse_consistent(data, layout),
+                let rr_opt = match &result {
+                    Ok(WrResult::Read { data, .. }) => parse_consistent(data, layout),
                     // An injected drop surfaces as an error; retry it
                     // like a torn read — one honest retransmission
                     // round through the loop.
@@ -1129,8 +1278,9 @@ impl<'w> TxnCtx<'w> {
         let cluster = Arc::clone(&self.w.cluster);
         let hits = cluster.stores[self.w.node].scan(table, lo, hi, limit);
         let mut out = Vec::with_capacity(hits.len());
-        for (key, _) in hits {
-            out.push((key, self.read_local_async(table, key).await?));
+        for (key, off) in hits {
+            let value = self.read_local_at(table, key, Some(off as usize)).await?;
+            out.push((key, value));
         }
         Ok(out)
     }
@@ -1157,7 +1307,10 @@ impl<'w> TxnCtx<'w> {
     ) -> Result<Option<(u64, Vec<u8>)>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         match cluster.stores[self.w.node].last_in_range(table, lo, hi) {
-            Some((key, _)) => Ok(Some((key, self.read_local_async(table, key).await?))),
+            Some((key, off)) => {
+                let value = self.read_local_at(table, key, Some(off as usize)).await?;
+                Ok(Some((key, value)))
+            }
             None => Ok(None),
         }
     }
@@ -1176,24 +1329,240 @@ impl<'w> TxnCtx<'w> {
         table: TableId,
         key: u64,
     ) -> Result<usize, TxnError> {
-        let cluster = Arc::clone(&self.w.cluster);
-        if cluster.opts.use_location_cache {
-            if let Some((loc, _)) = self.w.caches().locations[node].get(table, key) {
-                return Ok(loc as usize);
+        if let Some(loc) = self.cached_location(node, table, key) {
+            return Ok(loc);
+        }
+        let probe = self.w.cluster.stores[self.w.node].remote_probe(table, key);
+        self.probe_remote(node, probe).await
+    }
+
+    /// Drives `probe` against `node`'s directory to its answer, each
+    /// line a posted READ — a reactor yield point like every other
+    /// verb. A dropped probe is posted again, under the same budget as
+    /// a torn record READ.
+    async fn probe_remote(
+        &mut self,
+        node: NodeId,
+        mut probe: RemoteProbe,
+    ) -> Result<usize, TxnError> {
+        for _ in 0..REMOTE_READ_RETRIES {
+            let mut wcs = self.w.ring(node, vec![probe_read(&probe)], 1).await;
+            let line = wcs.pop().expect("one READ, one completion").result;
+            if let Some(found) = feed_probe(&mut probe, &line) {
+                return found.ok_or(TxnError::NotFound);
             }
         }
-        let before = self.w.clock.now();
-        let loc = {
-            let w = &mut *self.w;
-            let qp = &w.qps[node];
-            let store = &cluster.stores[w.node];
-            store.get_loc_remote(qp, &mut w.clock, table, key)
-        };
-        // The hash probes are blocking READs: yield across their
-        // latency (the doorbell is the only CPU involvement).
-        self.w
-            .yield_remote_wait(before + cluster.opts.cost.doorbell_ns)
-            .await;
-        Ok(loc.ok_or(TxnError::NotFound)? as usize)
+        Err(TxnError::Aborted(AbortReason::RemoteInconsistent))
+    }
+
+    /// The location cache's answer for a remote key, if it is in use
+    /// and has one (a counted lookup).
+    fn cached_location(&self, node: NodeId, table: TableId, key: u64) -> Option<usize> {
+        if !self.w.cluster.opts.use_location_cache {
+            return None;
+        }
+        let hit = self.w.caches().locations[node].get(table, key);
+        hit.map(|(loc, _)| loc as usize)
+    }
+
+    /// Reads the records `keys` name — `(shard, table, key)` each — and
+    /// returns their values in order.
+    ///
+    /// Synchronous facade over [`Self::read_many_async`].
+    pub fn read_many(&mut self, keys: &[(usize, TableId, u64)]) -> Result<Vec<Vec<u8>>, TxnError> {
+        block_now(self.read_many_async(keys))
+    }
+
+    /// Reads the records `keys` name — `(shard, table, key)` each — and
+    /// returns their values in order: *exactly* the sequential
+    /// [`Self::read_async`] calls (same values, same read-set, value- and
+    /// location-cache effects, same per-record charges, same error at
+    /// the same key), except that the verbs those reads would have
+    /// waited for one after another are posted together. Every remote
+    /// key that needs a verb has the first line of its location probe
+    /// posted in one park — one shared doorbell per machine — and its
+    /// record READ in the next; then each key takes its turn through
+    /// the sequential read, which finds its first lookup and first READ
+    /// already answered. Whatever the batch could not settle is taken up
+    /// per key by that same loop: a probe chain running past its first
+    /// line continues from its second, a torn or dropped READ or a
+    /// record locked under a read-only reader is read again, a stale
+    /// cached location is invalidated and looked up afresh.
+    ///
+    /// This batches reads a body is about to issue anyway; it is not the
+    /// a-priori read/write set DrTM needed: a key that depends on a
+    /// value read earlier simply goes in a later call (or to `read`).
+    pub async fn read_many_async(
+        &mut self,
+        keys: &[(usize, TableId, u64)],
+    ) -> Result<Vec<Vec<u8>>, TxnError> {
+        let mut fetched = self.fetch_ahead(keys).await;
+        let mut values = Vec::with_capacity(keys.len());
+        for (i, &(shard, table, key)) in keys.iter().enumerate() {
+            let ahead = fetched.get_mut(i).and_then(Option::take);
+            // A key read ahead takes its turn on the machine its verbs
+            // went to: a recovery may have re-homed the shard during the
+            // parks, and an offset means nothing on another machine.
+            // (C.1 fences a machine that has left, as for any read.)
+            let home = match &ahead {
+                Some(a) => a.node,
+                None => self.w.cluster.home_of(shard),
+            };
+            values.push(if home == self.w.node {
+                self.read_local_async(table, key).await?
+            } else {
+                self.read_remote_with(home, table, key, ahead).await?
+            });
+        }
+        Ok(values)
+    }
+
+    /// The two shared parks of [`Self::read_many_async`]: what they
+    /// learned about each key, `None` where the sequential read needs no
+    /// verb at its first step (local, own-written, already read, a
+    /// repeat within `keys`, value-cached) or where the batch settled
+    /// nothing — and empty when that is every key. Reads and writes
+    /// nothing but the fabric, the clock and the location cache's lookup
+    /// count.
+    async fn fetch_ahead(&mut self, keys: &[(usize, TableId, u64)]) -> Vec<Option<Prefetch>> {
+        let cluster = Arc::clone(&self.w.cluster);
+        let me = self.w.node;
+        // Each key whose read starts with a verb — its index, home and
+        // table — and what is known of where it lives: `None` nothing
+        // yet, `Some(None)` that a probe proved it absent.
+        let mut wanted: Vec<(usize, NodeId, TableId, Option<Option<usize>>)> = Vec::new();
+        for (i, &(shard, table, key)) in keys.iter().enumerate() {
+            let node = cluster.home_of(shard);
+            let same = |n: NodeId, t: TableId, k: u64| (n, t, k) == (node, table, key);
+            let settled = node == me
+                || self.r_ws.iter().any(|e| same(e.node, e.table, e.key))
+                || self.r_rs.iter().any(|e| same(e.node, e.table, e.key))
+                || keys[..i]
+                    .iter()
+                    .any(|&(s, t, k)| same(cluster.home_of(s), t, k))
+                || (self.value_cacheable(table)
+                    && self.w.caches().values[node].contains(table, key));
+            if !settled {
+                let cached = self.cached_location(node, table, key);
+                wanted.push((i, node, table, cached.map(Some)));
+            }
+        }
+        if wanted.is_empty() {
+            return Vec::new();
+        }
+        let mut out: Vec<Option<Prefetch>> = keys.iter().map(|_| None).collect();
+        // Park one: the first probe line of every key not yet located.
+        let store = &cluster.stores[me];
+        let unlocated = wanted.iter().enumerate().filter(|(_, w)| w.3.is_none());
+        let probes: Vec<(usize, RemoteProbe)> = unlocated
+            .map(|(at, &(i, _, table, _))| (at, store.remote_probe(table, keys[i].2)))
+            .collect();
+        let lines = probes.iter().map(|(at, p)| (wanted[*at].1, probe_read(p)));
+        let lines = self.w.ring_reads(lines.collect()).await;
+        for ((at, mut probe), line) in probes.into_iter().zip(&lines) {
+            match feed_probe(&mut probe, line) {
+                Some(found) => wanted[at].3 = Some(found),
+                // The chain runs past its first line (or the probe was
+                // dropped): the key's own turn follows it from here.
+                None => {
+                    let (i, node, ..) = wanted[at];
+                    let loc = Located::Past(probe);
+                    out[i] = Some(Prefetch::at(node, loc));
+                }
+            }
+        }
+        // Park two: the record READ of every key now located.
+        let mut reads = Vec::new();
+        let mut read_for = Vec::new();
+        for &(i, node, table, loc) in &wanted {
+            let Some(loc) = loc else { continue };
+            // An absent key ends the reads at its turn: nothing after
+            // it is worth a READ.
+            let Some(rec_off) = loc else {
+                out[i] = Some(Prefetch::at(node, Located::Absent));
+                break;
+            };
+            out[i] = Some(Prefetch::at(node, Located::At(rec_off)));
+            reads.push((node, record_read(rec_off, store.table(table).layout)));
+            read_for.push(i);
+        }
+        let records = self.w.ring_reads(reads).await;
+        for (i, record) in read_for.into_iter().zip(records) {
+            let ahead = out[i].as_mut().expect("a posted READ has its location");
+            ahead.read = Some(record);
+        }
+        out
+    }
+}
+
+/// Appends `more` to `wcs` — by taking it whole when `wcs` is still
+/// empty, as after every park but an oversize batch's later rounds.
+fn extend_or_take(wcs: &mut Vec<WorkCompletion>, more: Vec<WorkCompletion>) {
+    if wcs.is_empty() {
+        *wcs = more;
+    } else {
+        wcs.extend(more);
+    }
+}
+
+/// Retries for a consistent remote read (version matching), and for the
+/// probe lines of one remote lookup.
+const REMOTE_READ_RETRIES: usize = 64;
+
+/// What [`TxnCtx::read_many_async`]'s shared parks learned about one
+/// remote key before its turn.
+struct Prefetch {
+    /// The machine the verbs went to: the key's home when it was read
+    /// ahead.
+    node: NodeId,
+    loc: Located,
+    /// What the record READ posted at `loc` completed with, if one was.
+    read: Option<Result<WrResult, VerbError>>,
+}
+
+impl Prefetch {
+    fn at(node: NodeId, loc: Located) -> Self {
+        let read = None;
+        Self { node, loc, read }
+    }
+}
+
+/// What is known of where a remote record lives.
+enum Located {
+    /// At this offset (the location cache's or a probe's answer).
+    At(usize),
+    /// Nowhere: the probe proved the key absent.
+    Absent,
+    /// Not yet: the probe's first line was read and its chain runs on
+    /// (or the READ of it failed); the lookup continues from here.
+    Past(RemoteProbe),
+}
+
+/// The READ of the whole record at `rec_off`.
+fn record_read(rec_off: usize, layout: RecordLayout) -> WorkRequest {
+    WorkRequest::Read {
+        raddr: rec_off,
+        len: layout.size(),
+    }
+}
+
+/// The READ of the line `probe` wants next.
+fn probe_read(probe: &RemoteProbe) -> WorkRequest {
+    WorkRequest::Read {
+        raddr: probe.line(),
+        len: PROBE_LINE_BYTES,
+    }
+}
+
+/// Feeds a completed [`probe_read`] to its probe: the lookup's answer,
+/// or `None` when it needs another line (a dropped READ included — the
+/// same line again).
+fn feed_probe(
+    probe: &mut RemoteProbe,
+    line: &Result<WrResult, VerbError>,
+) -> Option<Option<usize>> {
+    match line {
+        Ok(WrResult::Read { data, .. }) => probe.feed(data).map(|f| f.map(|off| off as usize)),
+        _ => None,
     }
 }

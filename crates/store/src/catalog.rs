@@ -9,12 +9,11 @@
 
 use std::sync::Arc;
 
-use drtm_base::{MemoryRegion, VClock};
-use drtm_rdma::Qp;
+use drtm_base::MemoryRegion;
 
 use crate::alloc::Allocator;
 use crate::btree::BTree;
-use crate::hashtable::HashTable;
+use crate::hashtable::{HashTable, RemoteProbe};
 use crate::record::{RecordLayout, RecordRef};
 
 /// Identifies a table within the schema.
@@ -164,8 +163,9 @@ impl Store {
         }
     }
 
-    /// Remote index lookup via one-sided RDMA probes of the *peer's*
-    /// directory (whose offsets equal ours, by symmetric layout).
+    /// Starts a remote index lookup: one-sided probes of the *peer's*
+    /// directory (whose offsets equal ours, by symmetric layout), which
+    /// the caller READs and feeds to the returned [`RemoteProbe`].
     ///
     /// Does not consult the location cache — callers that use one check
     /// it first, comparing the cached incarnation against the record
@@ -179,15 +179,9 @@ impl Store {
     /// # Panics
     ///
     /// Panics on ordered tables, which are local-only in this system.
-    pub fn get_loc_remote(
-        &self,
-        qp: &Qp,
-        clock: &mut VClock,
-        id: TableId,
-        key: u64,
-    ) -> Option<u64> {
+    pub fn remote_probe(&self, id: TableId, key: u64) -> RemoteProbe {
         match &self.table(id).index {
-            Index::Hash(h) => h.get_remote(qp, clock, key + KEY_BIAS),
+            Index::Hash(h) => h.probe(key + KEY_BIAS),
             Index::Tree(_) => panic!("ordered tables are local-only"),
         }
     }
@@ -272,6 +266,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtm_base::VClock;
     use drtm_rdma::Fabric;
 
     fn schema() -> Vec<TableSpec> {
@@ -370,9 +365,12 @@ mod tests {
         let off = remote.insert(1, 42, &[7u8; 100], 4).unwrap();
         let qp = f.qp(0, 1);
         let mut clock = VClock::new();
-        let got = local.get_loc_remote(&qp, &mut clock, 1, 42);
+        let got = local.remote_probe(1, 42).run_blocking(&qp, &mut clock);
         assert_eq!(got, Some(off));
-        assert_eq!(local.get_loc_remote(&qp, &mut clock, 1, 999), None);
+        assert_eq!(
+            local.remote_probe(1, 999).run_blocking(&qp, &mut clock),
+            None
+        );
     }
 
     #[test]
@@ -381,10 +379,7 @@ mod tests {
         let regions: Vec<_> = (0..2)
             .map(|_| Arc::new(MemoryRegion::new(1 << 20)))
             .collect();
-        let f = Fabric::builder().regions(regions.clone()).build();
         let local = Store::new(regions[0].clone(), &schema());
-        let qp = f.qp(0, 1);
-        let mut clock = VClock::new();
-        local.get_loc_remote(&qp, &mut clock, 2, 1);
+        local.remote_probe(2, 1);
     }
 }

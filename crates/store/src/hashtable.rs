@@ -165,32 +165,84 @@ impl HashTable {
         out
     }
 
-    /// Remote lookup via one-sided RDMA READs.
-    ///
-    /// Probes one cache line (four slots) per READ, like DrTM's clustered
-    /// probing. Returns the remote record offset, or `None` if absent.
-    pub fn get_remote(&self, qp: &Qp, clock: &mut VClock, key: u64) -> Option<u64> {
+    /// Starts a remote lookup of `key`: the sequence of line READs a
+    /// client posts against the peer's copy of this table.
+    pub fn probe(&self, key: u64) -> RemoteProbe {
         Self::check_key(key);
-        let start = mix(key) as usize;
-        let mut buf = [0u8; 64];
-        let mut cached_line = usize::MAX;
-        for i in 0..self.nslots {
-            let off = self.slot_off(start + i);
-            let line_off = off & !63;
-            if line_off != cached_line {
-                qp.read(clock, line_off, &mut buf);
-                cached_line = line_off;
-            }
-            let j = off - line_off;
-            let k = u64::from_le_bytes(buf[j..j + 8].try_into().unwrap());
-            if k == key {
-                return Some(u64::from_le_bytes(buf[j + 8..j + 16].try_into().unwrap()));
-            }
-            if k == EMPTY {
-                return None;
+        RemoteProbe {
+            key,
+            slots_off: self.slots_off,
+            nslots: self.nslots,
+            start: mix(key) as usize,
+            probed: 0,
+        }
+    }
+}
+
+/// Bytes one probe READ fetches: a cache line, four slots.
+pub const PROBE_LINE_BYTES: usize = 64;
+
+/// One remote lookup in flight (DrTM's clustered probing): the caller
+/// READs [`PROBE_LINE_BYTES`] at [`line`](Self::line) — with whatever
+/// verb discipline it likes, blocking or posted — and hands the bytes
+/// to [`feed`](Self::feed) until that returns the answer. Most lookups
+/// end in their first line.
+#[derive(Debug, Clone)]
+pub struct RemoteProbe {
+    key: u64,
+    slots_off: usize,
+    nslots: usize,
+    start: usize,
+    /// Slots examined so far.
+    probed: usize,
+}
+
+impl RemoteProbe {
+    fn slot_off(&self) -> usize {
+        self.slots_off + ((self.start + self.probed) & (self.nslots - 1)) * SLOT_BYTES
+    }
+
+    /// Remote byte offset of the line to READ next.
+    pub fn line(&self) -> usize {
+        self.slot_off() & !(PROBE_LINE_BYTES - 1)
+    }
+
+    /// Drives the lookup to its answer with blocking READs on `qp`, one
+    /// per line (tests and reference use; the transaction layer posts
+    /// its probes instead).
+    pub fn run_blocking(mut self, qp: &Qp, clock: &mut VClock) -> Option<u64> {
+        let mut buf = [0u8; PROBE_LINE_BYTES];
+        loop {
+            qp.read(clock, self.line(), &mut buf);
+            if let Some(found) = self.feed(&buf) {
+                return found;
             }
         }
-        None
+    }
+
+    /// Scans the bytes READ at [`line`](Self::line) from the current
+    /// probe position on. `Some(answer)` ends the lookup — the record
+    /// offset, or `None` for an absent key; `None` means the chain
+    /// continues past this line: READ the new [`line`](Self::line).
+    pub fn feed(&mut self, line: &[u8]) -> Option<Option<u64>> {
+        let line_off = self.line();
+        while self.probed < self.nslots {
+            let off = self.slot_off();
+            if off & !(PROBE_LINE_BYTES - 1) != line_off {
+                return None;
+            }
+            let j = off - line_off;
+            let k = u64::from_le_bytes(line[j..j + 8].try_into().unwrap());
+            if k == self.key {
+                let rec = u64::from_le_bytes(line[j + 8..j + 16].try_into().unwrap());
+                return Some(Some(rec));
+            }
+            if k == EMPTY {
+                return Some(None);
+            }
+            self.probed += 1;
+        }
+        Some(None)
     }
 }
 
@@ -304,13 +356,13 @@ mod tests {
         let mut clock = VClock::new();
         for k in 1..=100u64 {
             assert_eq!(
-                t.get_remote(&qp, &mut clock, k * 7),
+                t.probe(k * 7).run_blocking(&qp, &mut clock),
                 Some(k),
                 "key {}",
                 k * 7
             );
         }
-        assert_eq!(t.get_remote(&qp, &mut clock, 5000), None);
+        assert_eq!(t.probe(5000).run_blocking(&qp, &mut clock), None);
         assert!(f.port(1).stats().reads.get() > 0);
     }
 
@@ -389,7 +441,10 @@ mod tests {
                     }
                     _ => {
                         assert_eq!(t.get(r, k), model.get(&k).copied());
-                        assert_eq!(t.get_remote(&qp, &mut clock, k), model.get(&k).copied());
+                        assert_eq!(
+                            t.probe(k).run_blocking(&qp, &mut clock),
+                            model.get(&k).copied()
+                        );
                     }
                 }
             }

@@ -42,6 +42,6 @@ pub mod value_cache;
 pub use alloc::Allocator;
 pub use btree::BTree;
 pub use catalog::{Store, TableId, TableKind, TableSpec, CONTROL_LINE_OFF};
-pub use hashtable::{HashTable, LocationCache};
+pub use hashtable::{HashTable, LocationCache, RemoteProbe, PROBE_LINE_BYTES};
 pub use record::{lock_owner, lock_word, RecordLayout, RecordRef, HEADER_BYTES, LOCK_FREE};
 pub use value_cache::{CachedRecord, ValueCache};

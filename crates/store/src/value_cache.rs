@@ -81,6 +81,11 @@ impl ValueCache {
         }
     }
 
+    /// Whether a lookup of `(table, key)` would hit, counting nothing.
+    pub fn contains(&self, table: u32, key: u64) -> bool {
+        self.map.contains_key(&(table, key))
+    }
+
     /// Deposits (or refreshes) an entry from a consistent remote read or
     /// a write-through at C.5.
     pub fn put(&mut self, table: u32, key: u64, rec: CachedRecord) {

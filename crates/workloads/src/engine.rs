@@ -4,10 +4,10 @@
 //! unchanged on DrTM+R, DrTM, Calvin, and Silo. Shards are routed by the
 //! engines themselves; Silo (single-machine) ignores the shard argument.
 //!
-//! The verbs that may cross the wire (`read`, `write`, `scan_local`,
-//! `last_local`) return boxed futures so a body running inside a
-//! [`RoutinePool`](drtm_core::routine::RoutinePool) suspends at every
-//! doorbell and hands the worker to a sibling routine. The baseline
+//! The verbs that may cross the wire (`read`, `read_many`, `write`,
+//! `scan_local`, `last_local`) return boxed futures so a body running
+//! inside a [`RoutinePool`](drtm_core::routine::RoutinePool) suspends at
+//! every doorbell and hands the worker to a sibling routine. The baseline
 //! engines have no suspension points: their impls evaluate eagerly and
 //! wrap the result, so awaiting them never parks.
 
@@ -33,6 +33,21 @@ pub type TxnFut<'a, R> = Pin<Box<dyn Future<Output = Result<R, TxnError>> + 'a>>
 pub trait TxnApi {
     /// Reads the record `key` of `table` homed on `shard`.
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>>;
+    /// Reads the records `keys` name, `(shard, table, key)` each, and
+    /// returns their values in order: the same as calling
+    /// [`read`](Self::read) on each in turn, which is what every engine
+    /// but DrTM+R does. A body hands over the reads it is about to issue
+    /// anyway; a key that depends on an earlier value goes in a later
+    /// call.
+    fn read_many<'a>(&'a mut self, keys: &'a [(usize, TableId, u64)]) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(async move {
+            let mut values = Vec::with_capacity(keys.len());
+            for &(shard, table, key) in keys {
+                values.push(self.read(shard, table, key).await?);
+            }
+            Ok(values)
+        })
+    }
     /// Writes it.
     fn write(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) -> TxnFut<'_, ()>;
     /// Buffers an insert.
@@ -59,6 +74,9 @@ pub trait TxnApi {
 impl TxnApi for drtm_core::txn::TxnCtx<'_> {
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
         Box::pin(self.read_async(shard, table, key))
+    }
+    fn read_many<'a>(&'a mut self, keys: &'a [(usize, TableId, u64)]) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(self.read_many_async(keys))
     }
     fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
         Box::pin(self.write_async(shard, table, key, v))

@@ -189,56 +189,61 @@ fn set_bal(v: &mut [u8], x: i64) {
     v[..8].copy_from_slice(&x.to_le_bytes());
 }
 
-/// Executes one SmallBank transaction.
+/// Executes one SmallBank transaction. Every type knows all the
+/// records it reads from its input, so it gathers them in one
+/// `read_many`.
 pub async fn execute(t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> {
     let (sa, ka) = inp.a;
+    let (sb, kb) = inp.b;
+    let amount = inp.amount as i64;
     match inp.txn {
         SbTxn::Balance => {
-            let s = t.read(sa, T_SAVINGS, ka).await?;
-            let c = t.read(sa, T_CHECKING, ka).await?;
+            let keys = [(sa, T_SAVINGS, ka), (sa, T_CHECKING, ka)];
+            let [s, c] = read_n(t, &keys).await?;
             let _ = bal(&s) + bal(&c);
             Ok(())
         }
         SbTxn::DepositChecking => {
-            let mut c = t.read(sa, T_CHECKING, ka).await?;
-            let nb = bal(&c) + inp.amount as i64;
+            let [mut c] = read_n(t, &[(sa, T_CHECKING, ka)]).await?;
+            let nb = bal(&c) + amount;
             set_bal(&mut c, nb);
             t.write(sa, T_CHECKING, ka, c).await
         }
         SbTxn::TransactSavings => {
-            let mut s = t.read(sa, T_SAVINGS, ka).await?;
-            let nb = bal(&s) + inp.amount as i64;
+            let [mut s] = read_n(t, &[(sa, T_SAVINGS, ka)]).await?;
+            let nb = bal(&s) + amount;
             set_bal(&mut s, nb);
             t.write(sa, T_SAVINGS, ka, s).await
         }
         SbTxn::WriteCheck => {
-            let s = t.read(sa, T_SAVINGS, ka).await?;
-            let mut c = t.read(sa, T_CHECKING, ka).await?;
+            let keys = [(sa, T_SAVINGS, ka), (sa, T_CHECKING, ka)];
+            let [s, mut c] = read_n(t, &keys).await?;
             let total = bal(&s) + bal(&c);
-            let penalty = if total < inp.amount as i64 { 100 } else { 0 };
-            let nb = bal(&c) - inp.amount as i64 - penalty;
+            let penalty = if total < amount { 100 } else { 0 };
+            let nb = bal(&c) - amount - penalty;
             set_bal(&mut c, nb);
             t.write(sa, T_CHECKING, ka, c).await
         }
         SbTxn::SendPayment => {
-            let (sb, kb) = inp.b;
-            let mut ca = t.read(sa, T_CHECKING, ka).await?;
-            let mut cb = t.read(sb, T_CHECKING, kb).await?;
-            if bal(&ca) < inp.amount as i64 {
+            let keys = [(sa, T_CHECKING, ka), (sb, T_CHECKING, kb)];
+            let [mut ca, mut cb] = read_n(t, &keys).await?;
+            if bal(&ca) < amount {
                 return Err(TxnError::UserAbort);
             }
-            let nb = bal(&ca) - inp.amount as i64;
+            let nb = bal(&ca) - amount;
             set_bal(&mut ca, nb);
-            let nb = bal(&cb) + inp.amount as i64;
+            let nb = bal(&cb) + amount;
             set_bal(&mut cb, nb);
             t.write(sa, T_CHECKING, ka, ca).await?;
             t.write(sb, T_CHECKING, kb, cb).await
         }
         SbTxn::Amalgamate => {
-            let (sb, kb) = inp.b;
-            let mut s = t.read(sa, T_SAVINGS, ka).await?;
-            let mut ca = t.read(sa, T_CHECKING, ka).await?;
-            let mut cb = t.read(sb, T_CHECKING, kb).await?;
+            let keys = [
+                (sa, T_SAVINGS, ka),
+                (sa, T_CHECKING, ka),
+                (sb, T_CHECKING, kb),
+            ];
+            let [mut s, mut ca, mut cb] = read_n(t, &keys).await?;
             let moved = bal(&s) + bal(&ca);
             set_bal(&mut s, 0);
             set_bal(&mut ca, 0);
@@ -249,6 +254,17 @@ pub async fn execute(t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> 
             t.write(sb, T_CHECKING, kb, cb).await
         }
     }
+}
+
+/// `read_many` over a fixed number of keys, the values as an array.
+async fn read_n<const N: usize>(
+    t: &mut dyn TxnApi,
+    keys: &[(usize, TableId, u64); N],
+) -> Result<[Vec<u8>; N], TxnError> {
+    let values = t.read_many(keys).await?;
+    Ok(values
+        .try_into()
+        .expect("read_many returns one value per key"))
 }
 
 /// Loads the SmallBank dataset (every account starts with 10 000 cents

@@ -258,6 +258,104 @@ fn smallbank_send_payments_conserve_with_routines() {
     }
 }
 
+/// Stress, then audit: three machines, one real thread each, eight
+/// routines a thread, the `escalate` ladder on, and a zero-sum SmallBank
+/// mix (send-payment, amalgamate, balance) whose accounts land on any
+/// machine — half of the two-account transactions cross machines, and
+/// where both accounts are remote and on different machines the commit
+/// locks, writes and unlocks two machines in one park each. All threads
+/// start from one barrier. Afterwards the books balance twice: money is
+/// conserved, and every attempt — each time a body began — ended as
+/// exactly one of commit, abort or user abort.
+#[test]
+fn smallbank_zero_sum_stress_balances_money_and_attempts() {
+    use crate::smallbank::{self, SbInput, SbTxn};
+    use drtm_core::{ContentionPolicy, RoutinePool};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Barrier};
+    let cfg = SbCfg {
+        nodes: 3,
+        accounts: 40,
+        cross_prob: 0.5,
+        ..Default::default()
+    };
+    let run = RunCfg {
+        routines: 8,
+        contention: ContentionPolicy::Escalate,
+        ..quick_run(EngineKind::DrtmR, 1, 0)
+    };
+    let (cluster, _) = crate::driver::build_smallbank(&cfg, &run);
+    let initial = audit::smallbank_total(&cluster, &cfg);
+    let start = Arc::new(Barrier::new(cfg.nodes));
+    let attempts = Arc::new(AtomicU64::new(0));
+    let handles: Vec<_> = (0..cfg.nodes)
+        .map(|node| {
+            let (cluster, cfg) = (Arc::clone(&cluster), cfg.clone());
+            let (start, attempts) = (Arc::clone(&start), Arc::clone(&attempts));
+            std::thread::spawn(move || {
+                let workers: Vec<_> = (0..run.routines)
+                    .map(|id| cluster.worker(node, (node * 8 + id) as u64 + 31))
+                    .collect();
+                start.wait();
+                let done = RoutinePool::run(workers, async |id, w| {
+                    let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64 + 5);
+                    let mut failed = 0u64;
+                    for _ in 0..40 {
+                        let first = rng.below(cfg.nodes as u64) as usize;
+                        let a = (first, cfg.pick_account(&mut rng, first));
+                        let second = cfg.pick_second_shard(&mut rng, first);
+                        let b = (second, cfg.pick_account(&mut rng, second));
+                        if b == a {
+                            continue;
+                        }
+                        let txn = [SbTxn::SendPayment, SbTxn::Amalgamate, SbTxn::Balance]
+                            [rng.below(3) as usize];
+                        let inp = SbInput {
+                            txn,
+                            a,
+                            b,
+                            amount: rng.range(1, 50),
+                        };
+                        let body = async |t: &mut drtm_core::TxnCtx<'_>| {
+                            attempts.fetch_add(1, Ordering::Relaxed);
+                            smallbank::execute(t, &inp).await
+                        };
+                        let out = match txn.read_only() {
+                            true => w.run_ro_async(body).await,
+                            false => w.run_async(body).await,
+                        };
+                        failed +=
+                            u64::from(!matches!(out, Ok(()) | Err(drtm_core::TxnError::UserAbort)));
+                    }
+                    failed
+                });
+                let ended = |w: &drtm_core::Worker| {
+                    w.stats.committed + w.stats.aborted + w.stats.user_aborts
+                };
+                let sums = done.iter().map(|(w, failed)| (ended(w), *failed));
+                sums.fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1))
+            })
+        })
+        .collect();
+    let (mut ended, mut failed) = (0, 0);
+    for h in handles {
+        let (e, f) = h.join().unwrap();
+        ended += e;
+        failed += f;
+    }
+    assert_eq!(failed, 0, "every request commits or rolls itself back");
+    assert_eq!(
+        attempts.load(Ordering::Relaxed),
+        ended,
+        "attempts = commits + aborts + user aborts"
+    );
+    assert_eq!(
+        audit::smallbank_total(&cluster, &cfg),
+        initial,
+        "money leaked"
+    );
+}
+
 /// Pin: one routine charges what the blocking engine charged, at the
 /// workload level too — a seeded SmallBank run ends at the virtual
 /// clock, commit counts, NIC traffic and per-phase breakdown recorded

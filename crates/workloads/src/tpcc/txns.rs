@@ -154,13 +154,27 @@ pub async fn new_order(
     t.insert(shard, T_NEW_ORDER, okey(w, d, o), value(8, &[o]));
     t.insert(shard, T_ORDER_CIDX, cidxkey(w, d, inp.c, o), value(8, &[o]));
 
+    // Every line's item and stock record is named by the input: gather
+    // the reads, then update line by line.
+    let line_keys = |&(i, supply_w, _): &(u64, u64, u64)| {
+        let stock = (cfg.shard_of(supply_w), T_STOCK, skey(supply_w, i));
+        [(shard, T_ITEM, ikey(shard, i)), stock]
+    };
+    let keys: Vec<_> = inp.lines.iter().flat_map(line_keys).collect();
+    let mut values = t.read_many(&keys).await?.into_iter();
     let mut total = 0u64;
     for (idx, &(i, supply_w, qty)) in inp.lines.iter().enumerate() {
-        let iv = t.read(shard, T_ITEM, ikey(shard, i)).await?;
+        let iv = values.next().expect("an item per line");
+        let mut sv = values.next().expect("a stock record per line");
         let price = slot(&iv, 0);
         let s_shard = cfg.shard_of(supply_w);
         let sk = skey(supply_w, i);
-        let mut sv = t.read(s_shard, T_STOCK, sk).await?;
+        // A line repeating an earlier line's stock record updates what
+        // that line wrote, not the gathered snapshot.
+        let repeat = |l: &(u64, u64, u64)| (l.0, l.1) == (i, supply_w);
+        if inp.lines[..idx].iter().any(repeat) {
+            sv = t.read(s_shard, T_STOCK, sk).await?;
+        }
         let q = slot(&sv, 0);
         set_slot(
             &mut sv,
@@ -290,17 +304,6 @@ pub async fn payment(
     inp: &PaymentInput,
 ) -> Result<(), TxnError> {
     let shard = cfg.shard_of(inp.w);
-    let mut wv = t.read(shard, T_WAREHOUSE, inp.w).await?;
-    let ns = slot(&wv, 0) + inp.amount;
-    set_slot(&mut wv, 0, ns);
-    t.write(shard, T_WAREHOUSE, inp.w, wv).await?;
-
-    let dk = dkey(inp.w, inp.d);
-    let mut dv = t.read(shard, T_DISTRICT, dk).await?;
-    let ns = slot(&dv, 0) + inp.amount;
-    set_slot(&mut dv, 0, ns);
-    t.write(shard, T_DISTRICT, dk, dv).await?;
-
     let c_shard = cfg.shard_of(inp.cw);
     let c = if inp.cw == inp.w {
         resolve_customer(t, inp.cw, inp.cd, inp.c).await?
@@ -310,8 +313,24 @@ pub async fn payment(
             CustomerBy::LastName(_) => unreachable!("remote customers are selected by id"),
         }
     };
+    let dk = dkey(inp.w, inp.d);
     let ck = ckey(inp.cw, inp.cd, c);
-    let mut cv = t.read(c_shard, T_CUSTOMER, ck).await?;
+    let keys = [
+        (shard, T_WAREHOUSE, inp.w),
+        (shard, T_DISTRICT, dk),
+        (c_shard, T_CUSTOMER, ck),
+    ];
+    let values = t.read_many(&keys).await?;
+    let [mut wv, mut dv, mut cv]: [Vec<u8>; 3] = values.try_into().expect("a value per key");
+
+    let ns = slot(&wv, 0) + inp.amount;
+    set_slot(&mut wv, 0, ns);
+    t.write(shard, T_WAREHOUSE, inp.w, wv).await?;
+
+    let ns = slot(&dv, 0) + inp.amount;
+    set_slot(&mut dv, 0, ns);
+    t.write(shard, T_DISTRICT, dk, dv).await?;
+
     let bal = slot(&cv, 0) as i64 - inp.amount as i64;
     set_slot(&mut cv, 0, bal as u64);
     let ns = slot(&cv, 1) + inp.amount;

@@ -20,10 +20,11 @@ use drtm_base::SplitMix64;
 use drtm_chaos::{ChaosInjector, FaultPlan, Supervisor, SupervisorCfg};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::recovery::full_restart_scrub;
+use drtm_core::scrape_cluster;
 use drtm_core::txn::TxnError;
 use drtm_workloads::audit;
 use drtm_workloads::driver::{
-    run_smallbank, run_tpcc, run_tpcc_on, run_ycsb, EngineKind, Measurement, RunCfg,
+    build_tpcc, run_smallbank, run_tpcc, run_tpcc_on, run_ycsb, EngineKind, Measurement, RunCfg,
 };
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 use drtm_workloads::tpcc::{self, TpccCfg};
@@ -233,7 +234,9 @@ pub fn ycsb(size: Size) -> Arms {
 }
 
 /// Table 6: the cost of 3-way replication on the TPC-C standard mix —
-/// throughput, per-type latency, per-commit-phase latency quantiles.
+/// throughput, per-type latency, per-commit-phase latency quantiles,
+/// and what the backups hold when the run ends: image bytes per
+/// backed-up record and redo bytes not yet folded in.
 pub fn table6(size: Size) -> Arms {
     let scale = size.scale();
     let (nodes, threads) = (scale.pick(6, 3), scale.pick(8, 2));
@@ -244,7 +247,13 @@ pub fn table6(size: Size) -> Arms {
     let arms = [1, 3].map(|replicas| {
         let mut arm = Arm::new(format!("r{replicas}"));
         let run = size.run(DrtmR, threads, replicas);
-        let m = tpcc_arm(&mut arm, "", &cfg, &run, &quantiles);
+        let (cluster, _) = build_tpcc(&cfg, &run);
+        let m = run_tpcc_on(&cfg, &run, &cluster, None);
+        arm.measured("", &m);
+        arm.scraped("", &scrape_cluster(&cluster), &quantiles);
+        let (records, image) = cluster.backups.footprint();
+        arm.push("image_bytes_per_record", "B", image as f64 / records as f64);
+        arm.push("unapplied_log_bytes", "B", cluster.logs.bytes() as f64);
         for t in tpcc::txns::TxnType::ALL {
             let Some(stats) = m.per_type.get(t.name()) else {
                 continue;

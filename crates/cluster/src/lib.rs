@@ -26,4 +26,4 @@ pub mod log;
 
 pub use config::{ConfigService, Configuration};
 pub use lease::LeaseBoard;
-pub use log::{LogEntry, ReplLogStore};
+pub use log::{LogEntry, LogEntryRef, ReplLogStore};

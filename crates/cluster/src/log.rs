@@ -8,7 +8,8 @@
 //! exactly like an RDMA WRITE of the serialised entry, so the replication
 //! bandwidth bottleneck of Figures 15/16 is preserved; the queue itself
 //! is host memory that survives a simulated crash (our "battery-backed
-//! DRAM").
+//! DRAM"): one byte vector of entries in their wire format, so a WRITE
+//! lands as a copy and readers borrow [`LogEntryRef`] views out of it.
 
 use drtm_base::sync::{Mutex, RwLock};
 use drtm_base::{CostModel, LinkBudget, VClock, CACHE_LINE};
@@ -16,9 +17,10 @@ use drtm_rdma::NodeId;
 
 use crate::ConfigService;
 
-/// One redo record: enough to replay an update during recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
+/// One redo record: enough to replay an update during recovery. The
+/// value is owned (`LogEntry`) or borrowed ([`LogEntryRef`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogEntry<V = Vec<u8>> {
     /// Table the record belongs to.
     pub table: u32,
     /// User key.
@@ -27,27 +29,67 @@ pub struct LogEntry {
     /// replayed record is fully replicated by construction).
     pub seq: u64,
     /// The record value (empty for deletions).
-    pub value: Vec<u8>,
+    pub value: V,
     /// Whether this entry records a deletion rather than an update.
     pub delete: bool,
 }
 
-impl LogEntry {
+/// A redo record over someone else's bytes: a committing transaction's
+/// write-set buffer, or the queue it was serialised onto.
+pub type LogEntryRef<'a> = LogEntry<&'a [u8]>;
+
+/// Bytes before the value, on the wire and in a queue:
+/// `table u32 | key u64 | seq u64 | value_len u64 | delete u8`.
+const HEADER: usize = 4 + 8 + 8 + 8 + 1;
+
+impl<V: AsRef<[u8]>> LogEntry<V> {
     /// Serialised size on the wire (header + value).
     pub fn wire_size(&self) -> usize {
-        4 + 8 + 8 + 8 + 1 + self.value.len()
+        HEADER + self.value.as_ref().len()
     }
 
     /// Serialised size of one redo batch: the payload of its RDMA WRITE.
-    pub fn batch_wire_size(entries: &[LogEntry]) -> usize {
-        entries.iter().map(LogEntry::wire_size).sum()
+    pub fn batch_wire_size(entries: &[Self]) -> usize {
+        entries.iter().map(Self::wire_size).sum()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let value = self.value.as_ref();
+        out.extend_from_slice(&self.table.to_le_bytes());
+        out.extend_from_slice(&self.key.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(value.len() as u64).to_le_bytes());
+        out.push(self.delete as u8);
+        out.extend_from_slice(value);
+    }
+}
+
+/// The entries of a queue's bytes, in log order.
+pub struct Entries<'a>(&'a [u8]);
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = LogEntryRef<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = (!self.0.is_empty()).then_some(self.0)?;
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (value, rest) = bytes[HEADER..].split_at(u64_at(20) as usize);
+        self.0 = rest;
+        Some(LogEntry {
+            table: u32::from_le_bytes(bytes[..4].try_into().unwrap()),
+            key: u64_at(4),
+            seq: u64_at(12),
+            value,
+            delete: bytes[HEADER - 1] != 0,
+        })
     }
 }
 
 /// All replication logs of a cluster: `logs[backup][primary]` is the redo
 /// queue that `primary` appends to on machine `backup`.
 pub struct ReplLogStore {
-    logs: Vec<Vec<Mutex<Vec<LogEntry>>>>,
+    /// Each queue is whole entries back to back, oldest first.
+    logs: Vec<Vec<Mutex<Vec<u8>>>>,
     /// Recovery gate ordering appends against log drains. Appenders hold
     /// it shared for the duration of one transaction's R.1 (all queues);
     /// recovery write-acquires it once, *after* committing the new
@@ -60,7 +102,7 @@ impl ReplLogStore {
     pub fn new(n: usize) -> Self {
         Self {
             logs: (0..n)
-                .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+                .map(|_| (0..n).map(|_| Mutex::default()).collect())
                 .collect(),
             gate: RwLock::new(()),
         }
@@ -68,12 +110,12 @@ impl ReplLogStore {
 
     /// Posts one redo WRITE without waiting for it: machine `src` issues
     /// `entries` at virtual time `issue` toward `primary`'s log on
-    /// `backup`, and the entries are enqueued. Returns the WRITE's
-    /// completion horizon — `issue + rdma_write(bytes)`, or later if
-    /// either NIC (`nics` = source, destination) is in byte deficit. A
-    /// transaction's R.1 posts one WRITE per `(primary, backup)` pair and
-    /// waits once for the latest horizon; [`Self::append`] is the
-    /// blocking form.
+    /// `backup`, and the entries are serialised onto the queue. Returns
+    /// the WRITE's completion horizon — `issue + rdma_write(bytes)`, or
+    /// later if either NIC (`nics` = source, destination) is in byte
+    /// deficit. A transaction's R.1 posts one WRITE per `(primary,
+    /// backup)` pair and waits once for the latest horizon;
+    /// [`Self::append`] is the blocking form.
     ///
     /// Loopback (`src == backup`: the coordinator is itself a backup of
     /// a primary it wrote) never leaves the machine: it is a local NVRAM
@@ -87,7 +129,7 @@ impl ReplLogStore {
         src: NodeId,
         primary: NodeId,
         backup: NodeId,
-        entries: &[LogEntry],
+        entries: &[LogEntry<impl AsRef<[u8]>>],
     ) -> u64 {
         let bytes = LogEntry::batch_wire_size(entries);
         let done = if src == backup {
@@ -98,7 +140,9 @@ impl ReplLogStore {
             let t2 = nics.1.reserve(issue, wire);
             (issue + cost.rdma_write(bytes)).max(t1).max(t2)
         };
-        self.logs[backup][primary].lock().extend_from_slice(entries);
+        let mut log = self.logs[backup][primary].lock();
+        log.reserve(bytes);
+        entries.iter().for_each(|e| e.encode(&mut log));
         done
     }
 
@@ -114,7 +158,7 @@ impl ReplLogStore {
         nics: (&LinkBudget, &LinkBudget),
         primary: NodeId,
         backup: NodeId,
-        entries: &[LogEntry],
+        entries: &[LogEntry<impl AsRef<[u8]>>],
     ) {
         let done = self.post(clock.now(), cost, nics, primary, primary, backup, entries);
         clock.advance_to(done);
@@ -159,24 +203,26 @@ impl ReplLogStore {
     /// (the auxiliary threads' job; off the worker critical path).
     pub fn truncate(&self, backup: NodeId, primary: NodeId, n: usize) {
         let mut log = self.logs[backup][primary].lock();
-        let n = n.min(log.len());
-        log.drain(..n);
+        let mut rest = Entries(&log);
+        rest.by_ref().take(n).for_each(drop);
+        let cut = log.len() - rest.0.len();
+        log.drain(..cut);
     }
 
     /// Number of unreclaimed entries `primary` has on `backup`.
     pub fn len(&self, backup: NodeId, primary: NodeId) -> usize {
-        self.logs[backup][primary].lock().len()
+        self.peek(backup, primary, |entries| entries.count())
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self, backup: NodeId, primary: NodeId) -> bool {
-        self.len(backup, primary) == 0
+        self.logs[backup][primary].lock().is_empty()
     }
 
-    /// Drains every entry `primary` ever logged on `backup` — the
-    /// recovery path: survivors replay the dead primary's redo records.
-    pub fn drain_for_recovery(&self, backup: NodeId, primary: NodeId) -> Vec<LogEntry> {
-        std::mem::take(&mut *self.logs[backup][primary].lock())
+    /// Bytes the unreclaimed entries of every log occupy.
+    pub fn bytes(&self) -> usize {
+        let logs = self.logs.iter().flatten();
+        logs.map(|log| log.lock().len()).sum()
     }
 
     /// Drains `primary`'s log on `backup`, running `apply` on each entry
@@ -190,22 +236,24 @@ impl ReplLogStore {
         &self,
         backup: NodeId,
         primary: NodeId,
-        mut apply: impl FnMut(&LogEntry),
+        apply: impl FnMut(LogEntryRef<'_>),
     ) -> usize {
         let mut log = self.logs[backup][primary].lock();
-        let n = log.len();
-        for e in log.drain(..) {
-            apply(&e);
-        }
+        let n = Entries(&log).map(apply).count();
+        log.clear();
         n
     }
 
-    /// Copies (without truncating) every unreclaimed entry `primary`
-    /// has on `backup`. The dangling-lock healing path uses this to
-    /// read durable redo state that the auxiliary threads have not yet
-    /// folded into the backup images.
-    pub fn peek(&self, backup: NodeId, primary: NodeId) -> Vec<LogEntry> {
-        self.logs[backup][primary].lock().clone()
+    /// Runs `read` over (without truncating) the unreclaimed entries
+    /// `primary` has on `backup`, under the queue lock: durable redo
+    /// state not yet folded into the backup images.
+    pub fn peek<R>(
+        &self,
+        backup: NodeId,
+        primary: NodeId,
+        read: impl FnOnce(Entries<'_>) -> R,
+    ) -> R {
+        read(Entries(&self.logs[backup][primary].lock()))
     }
 }
 
@@ -220,6 +268,26 @@ mod tests {
             seq,
             value: vec![1, 2, 3],
             delete: false,
+        }
+    }
+
+    fn view(e: &LogEntry) -> LogEntryRef<'_> {
+        LogEntry {
+            table: e.table,
+            key: e.key,
+            seq: e.seq,
+            value: &e.value,
+            delete: e.delete,
+        }
+    }
+
+    fn owned(e: LogEntryRef<'_>) -> LogEntry {
+        LogEntry {
+            table: e.table,
+            key: e.key,
+            seq: e.seq,
+            value: e.value.to_vec(),
+            delete: e.delete,
         }
     }
 
@@ -296,10 +364,71 @@ mod tests {
         let mut clock = VClock::new();
         s.append(&mut clock, &cost, (&a, &b), 0, 2, &[entry(5, 4)]);
         s.append(&mut clock, &cost, (&a, &b), 1, 2, &[entry(6, 2)]);
-        let got = s.drain_for_recovery(2, 0);
+        let mut got = Vec::new();
+        assert_eq!(s.drain_with(2, 0, |e| got.push(owned(e))), 1);
         assert_eq!(got, vec![entry(5, 4)]);
         assert!(s.is_empty(2, 0));
         assert_eq!(s.len(2, 1), 1, "other primaries' logs untouched");
+    }
+
+    /// What goes in comes out: same entries, same order, through every
+    /// reader, and `truncate` cuts on entry boundaries.
+    #[test]
+    fn queue_round_trips_entries_in_log_order() {
+        let s = ReplLogStore::new(2);
+        let cost = CostModel::default();
+        let (a, b) = nics();
+        let tombstone = LogEntry {
+            table: 3,
+            key: u64::MAX,
+            seq: 10,
+            value: Vec::new(),
+            delete: true,
+        };
+        let wide = LogEntry {
+            table: 7,
+            key: 1 << 40,
+            seq: 2,
+            value: (0..=255).collect(),
+            delete: false,
+        };
+        let batches = [
+            vec![entry(1, 2)],
+            vec![tombstone.clone(), wide.clone(), entry(1, 4)],
+            vec![entry(9, 6), tombstone.clone()],
+        ];
+        let all: Vec<LogEntry> = batches.concat();
+        let mut issue = 0;
+        for batch in &batches {
+            // Owned and borrowed batches serialise alike.
+            let views: Vec<LogEntryRef<'_>> = batch.iter().map(view).collect();
+            let done = s.post(issue, &cost, (&a, &b), 0, 0, 1, &views);
+            let bytes = LogEntry::batch_wire_size(batch);
+            assert_eq!(bytes, LogEntry::batch_wire_size(&views));
+            assert_eq!(done, issue + cost.rdma_write(bytes));
+            issue = done;
+        }
+        assert_eq!(s.len(1, 0), all.len(), "entries, not bytes");
+        assert_eq!(s.bytes(), LogEntry::batch_wire_size(&all));
+        let peeked: Vec<LogEntry> = s.peek(1, 0, |es| es.map(owned).collect());
+        assert_eq!(peeked, all);
+        assert_eq!(s.len(1, 0), all.len(), "peek keeps the queue");
+
+        for cut in [0, 1, 3] {
+            s.truncate(1, 0, cut);
+        }
+        let rest: Vec<LogEntry> = s.peek(1, 0, |es| es.map(owned).collect());
+        assert_eq!(rest, all[4..]);
+        assert_eq!(s.bytes(), LogEntry::batch_wire_size(&all[4..]));
+
+        let mut drained = Vec::new();
+        assert_eq!(s.drain_with(1, 0, |e| drained.push(owned(e))), 2);
+        assert_eq!(drained, all[4..]);
+        assert!(s.is_empty(1, 0) && s.bytes() == 0);
+        assert_eq!(s.len(1, 0), 0);
+        // A drained queue takes appends again.
+        s.post(0, &cost, (&a, &b), 0, 0, 1, &[view(&wide)]);
+        assert_eq!(s.peek(1, 0, |es| es.map(owned).collect::<Vec<_>>()), [wide]);
     }
 
     #[test]

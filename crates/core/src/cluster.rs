@@ -12,7 +12,7 @@ use drtm_rdma::{Fabric, FabricBuilder, NodeId};
 use drtm_store::{Store, TableSpec};
 
 use crate::contention::{ContentionPolicy, WaitRegistry};
-use crate::replication::BackupStore;
+use crate::replication::{BackupRecord, BackupStore};
 use crate::txn::Worker;
 
 /// A fault-injection hook consulted at the named crash points of the
@@ -327,7 +327,7 @@ impl DrtmCluster {
             stores,
             htms: (0..n).map(|_| Htm::new(opts.htm.clone())).collect(),
             logs: ReplLogStore::new(n),
-            backups: BackupStore::new(n),
+            backups: BackupStore::new(n, schema),
             config: ConfigService::new(n),
             leases: LeaseBoard::new(n),
             shard_map: RwLock::new((0..n).collect()),
@@ -480,53 +480,67 @@ impl DrtmCluster {
     /// again, or the logged update is silently lost. The caller must
     /// hold the record's lock so the repair cannot race a new writer.
     ///
+    /// `key` is the record's `(table, key)` where the caller knows it
+    /// (the recovery sweep). A transaction that stole a dangling lock in
+    /// C.1 holds only the address; its offset is reverse-mapped by a
+    /// scan of `primary`'s indexes, once per stranded record it trips on.
+    ///
     /// Returns `true` when a newer durable version was installed.
-    pub fn heal_record(&self, primary: NodeId, rec_off: usize) -> bool {
+    pub fn heal_record(&self, primary: NodeId, rec_off: usize, key: Option<(u32, u64)>) -> bool {
         let store = &self.stores[primary];
-        // Reverse-map the offset to (table, key). Dangling locks are
-        // rare (one per record a machine death strands), so a scan is
-        // acceptable.
-        let mut hit = None;
-        'find: for table in 0..store.table_count() as u32 {
-            for (key, off) in store.keys(table) {
-                if off as usize == rec_off {
-                    hit = Some((table, key));
-                    break 'find;
-                }
-            }
-        }
-        let Some((table, key)) = hit else {
+        let owner = key.or_else(|| {
+            (0..store.table_count() as u32).find_map(|table| {
+                let mut keys = store.keys(table).into_iter();
+                let hit = keys.find(|&(_, off)| off as usize == rec_off);
+                hit.map(|(key, _)| (table, key))
+            })
+        });
+        let Some((table, key)) = owner else {
             return false;
         };
-        let rec = store.record(table, rec_off);
-        let cur = rec.seq();
-        // Freshest durable version: backup images merged with redo
-        // entries still sitting unapplied in the logs.
-        let mut best: Option<(u64, Vec<u8>, bool)> = None;
-        for b in self.backups_of(primary) {
-            for ((t, k), br) in self.backups.snapshot(b, primary) {
-                if t == table && k == key && best.as_ref().is_none_or(|(s, _, _)| br.seq > *s) {
-                    best = Some((br.seq, br.value, br.deleted));
-                }
-            }
-            for e in self.logs.peek(b, primary) {
-                if e.table == table
-                    && e.key == key
-                    && best.as_ref().is_none_or(|(s, _, _)| e.seq > *s)
-                {
-                    best = Some((e.seq, e.value, e.delete));
-                }
-            }
-        }
-        match best {
-            Some((seq, value, false)) if seq > cur => {
+        let cur = store.record(table, rec_off).seq();
+        match self.freshest_durable(primary, table, key) {
+            Some(v) if !v.deleted && v.seq > cur => {
                 let layout = store.table(table).layout;
                 drtm_store::RecordRef::new(&store.region, rec_off, layout)
-                    .write_locked(&value, seq);
+                    .write_locked(&v.value, v.seq);
                 true
             }
             _ => false,
         }
+    }
+
+    /// The freshest durable replicated version of `primary`'s record
+    /// `(table, key)`, tombstones included: on each backup the last
+    /// unapplied redo entry for the key, else the image's slot; across
+    /// backups the higher sequence number. Point lookups only. The log
+    /// is read first: [`ReplLogStore::drain_with`] folds under the queue
+    /// lock, so an entry gone from the log is already in the image.
+    pub fn freshest_durable(&self, primary: NodeId, table: u32, key: u64) -> Option<BackupRecord> {
+        let owned = |seq, value: &[u8], deleted| BackupRecord {
+            seq,
+            value: value.to_vec(),
+            deleted,
+        };
+        let mut best: Option<BackupRecord> = None;
+        for b in self.backups_of(primary) {
+            let logged = self.logs.peek(b, primary, |entries| {
+                let of_key = entries.filter(|e| e.table == table && e.key == key);
+                of_key.last().map(|e| owned(e.seq, e.value, e.delete))
+            });
+            let found = logged.or_else(|| {
+                let image = self.backups.image(b, primary);
+                image
+                    .get(table, key)
+                    .map(|r| owned(r.seq, r.value, r.deleted))
+            });
+            if let Some(v) = found {
+                if best.as_ref().is_none_or(|cur| v.seq > cur.seq) {
+                    best = Some(v);
+                }
+            }
+        }
+        best
     }
 
     /// Loads one record during the initial population: inserts it on the
@@ -540,7 +554,7 @@ impl DrtmCluster {
             .unwrap_or_else(|| panic!("seed failed: table {table} key {key}"));
         if self.opts.replicas > 1 {
             for b in self.backups_of(home) {
-                self.backups.seed(b, home, table, key, 2, value.to_vec());
+                self.backups.seed(b, home, table, key, 2, value);
             }
         }
     }

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use drtm_cluster::LogEntry;
+use drtm_cluster::{LogEntry, LogEntryRef};
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{
@@ -456,8 +456,8 @@ impl TxnCtx<'_> {
         // (odd, never reported committed) are rolled back to their
         // durable pre-images first.
         if replicated {
-            let entries = self.log_entries(&local_new_seqs, &remote_new_seqs, local_bump);
-            if !self.append_logs(entries).await {
+            let logged = self.append_logs(&local_new_seqs, &remote_new_seqs, local_bump);
+            if !logged.await {
                 self.rollback_local_writes(mode == Mode::Locked).await;
                 self.unlock_all(&locks).await;
                 return Err(TxnError::Aborted(AbortReason::Validation));
@@ -840,7 +840,7 @@ impl TxnCtx<'_> {
             match cas.pop().expect("one CAS, one outcome").0 {
                 Ok(Ok(_)) => {
                     if expect != LOCK_FREE {
-                        cluster.heal_record(addr.0, addr.1);
+                        cluster.heal_record(addr.0, addr.1, None);
                     }
                     return OneLock::Acquired;
                 }
@@ -1351,58 +1351,10 @@ impl TxnCtx<'_> {
         Ok(new_seqs)
     }
 
-    /// Builds the redo records for every write (local, remote, and
-    /// pending inserts/deletes).
-    fn log_entries(
-        &self,
-        local_new_seqs: &[u64],
-        remote_new_seqs: &[u64],
-        local_bump: u64,
-    ) -> Vec<(NodeId, LogEntry)> {
-        let mut entries = Vec::new();
-        for (e, &s) in self.l_ws.iter().zip(local_new_seqs) {
-            // Local writes were applied at the odd `s`; the logged (and
-            // made-up) sequence number is the even successor.
-            entries.push((
-                self.w.node,
-                LogEntry {
-                    table: e.table,
-                    key: e.key,
-                    seq: s + (2 - local_bump),
-                    value: e.buf.clone(),
-                    delete: false,
-                },
-            ));
-        }
-        for (e, &s) in self.r_ws.iter().zip(remote_new_seqs) {
-            entries.push((
-                e.node,
-                LogEntry {
-                    table: e.table,
-                    key: e.key,
-                    seq: s,
-                    value: e.buf.clone(),
-                    delete: false,
-                },
-            ));
-        }
-        for m in &self.mutations {
-            entries.push((
-                m.node,
-                LogEntry {
-                    table: m.table,
-                    key: m.key,
-                    seq: 2,
-                    value: m.value.clone().unwrap_or_default(),
-                    delete: m.value.is_none(),
-                },
-            ));
-        }
-        entries
-    }
-
-    /// R.1: appends redo records to the logs on each written record's
-    /// backups as one overlapped fan-out.
+    /// R.1: appends a redo record for every write (local, remote, and
+    /// pending inserts/deletes) to the logs on the written record's
+    /// backups as one overlapped fan-out. The records borrow the write
+    /// sets' buffers; each log serialises them once.
     ///
     /// Entries are grouped by destination backup machine: each machine
     /// gets one doorbell carrying one WRITE per primary it backs. The
@@ -1420,26 +1372,46 @@ impl TxnCtx<'_> {
     /// Returns `false` — with nothing appended anywhere — when the
     /// configuration moved (the transaction must abort and undo its
     /// local writes).
-    async fn append_logs(&mut self, entries: Vec<(NodeId, LogEntry)>) -> bool {
+    async fn append_logs(
+        &mut self,
+        local_new_seqs: &[u64],
+        remote_new_seqs: &[u64],
+        local_bump: u64,
+    ) -> bool {
         let cluster = Arc::clone(&self.w.cluster);
         let me = self.w.node;
         let nodes = cluster.nodes();
-        let mut by_primary: Vec<Vec<LogEntry>> = vec![Vec::new(); nodes];
-        for (p, e) in entries {
-            by_primary[p].push(e);
-        }
         let before = self.w.clock.now();
         // CPU the appends consume (doorbell charges, the loopback
         // store); everything else in the span is NIC/NVRAM latency a
         // routine can hide.
         let mut cpu_ns: u64 = 0;
         let ok = {
+            // Local writes were applied at the odd `s`; the logged (and
+            // made-up) sequence number is the even successor.
+            let local = self.l_ws.iter().zip(local_new_seqs);
+            let local = local.map(|(e, &s)| (me, e.table, e.key, s + 2 - local_bump, Some(&e.buf)));
+            let remote = self.r_ws.iter().zip(remote_new_seqs);
+            let remote = remote.map(|(e, &s)| (e.node, e.table, e.key, s, Some(&e.buf)));
+            let pending = self.mutations.iter();
+            let pending = pending.map(|m| (m.node, m.table, m.key, 2, m.value.as_ref()));
+            let mut by_primary: Vec<Vec<LogEntryRef<'_>>> = vec![Vec::new(); nodes];
+            for (primary, table, key, seq, value) in local.chain(remote).chain(pending) {
+                by_primary[primary].push(LogEntry {
+                    table,
+                    key,
+                    seq,
+                    value: value.map_or(&[][..], Vec::as_slice),
+                    delete: value.is_none(),
+                });
+            }
             let clock = &mut self.w.clock;
             let cost = &cluster.opts.cost;
             cluster
                 .logs
                 .append_fenced(&cluster.config, self.start_epoch, |logs| {
-                    let mut by_backup: Vec<Vec<(NodeId, &[LogEntry])>> = vec![Vec::new(); nodes];
+                    let mut by_backup: Vec<Vec<(NodeId, &[LogEntryRef<'_>])>> =
+                        vec![Vec::new(); nodes];
                     for (p, batch) in by_primary.iter().enumerate() {
                         if !batch.is_empty() {
                             for b in cluster.backups_of(p) {
@@ -1547,29 +1519,9 @@ impl TxnCtx<'_> {
             // Incarnation first: from here on, no reader of the aborted
             // value can validate, whatever the sequence number becomes.
             store.region.faa64(rec_off + INCARNATION_OFF, 1);
-            let mut best: Option<(u64, Vec<u8>)> = None;
-            for b in cluster.backups_of(me) {
-                for ((t, k), br) in cluster.backups.snapshot(b, me) {
-                    if t == table
-                        && k == key
-                        && !br.deleted
-                        && best.as_ref().is_none_or(|(s, _)| br.seq > *s)
-                    {
-                        best = Some((br.seq, br.value));
-                    }
-                }
-                for e in cluster.logs.peek(b, me) {
-                    if e.table == table
-                        && e.key == key
-                        && !e.delete
-                        && best.as_ref().is_none_or(|(s, _)| e.seq > *s)
-                    {
-                        best = Some((e.seq, e.value));
-                    }
-                }
-            }
-            if let Some((seq, value)) = best {
-                store.record(table, rec_off).write_locked(&value, seq);
+            match cluster.freshest_durable(me, table, key) {
+                Some(v) if !v.deleted => store.record(table, rec_off).write_locked(&v.value, v.seq),
+                _ => {}
             }
             if !already_locked {
                 store.region.store64_coherent(rec_off, LOCK_FREE);

@@ -31,14 +31,12 @@
 //! already-recovered machine returns immediately with `repeat = true`,
 //! the original outcome, and no epoch bump or data movement.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use drtm_rdma::NodeId;
 use drtm_store::record::{lock_owner, lock_word, RecordRef, LOCK_FREE};
 
 use crate::cluster::DrtmCluster;
-use crate::replication::BackupRecord;
 
 /// What a recovery pass did, with wall-clock phase timings for the
 /// Figure 20 timeline.
@@ -139,22 +137,20 @@ pub fn recover_node(cluster: &DrtmCluster, dead: NodeId) -> RecoveryReport {
     // image. Every commit logged to *all* backups, so one image is
     // complete. Existing records (left by an interrupted earlier pass)
     // are tolerated: the newest sequence number wins.
-    let image = cluster.backups.snapshot(new_home, dead);
+    let image = cluster.backups.image(new_home, dead);
+    let live = || image.iter().filter(|(_, rec)| !rec.deleted);
     let mut recovered = 0;
-    for ((table, key), rec) in &image {
-        if rec.deleted {
-            continue;
-        }
+    for ((table, key), rec) in live() {
         let store = &cluster.stores[new_home];
-        match store.get_loc(*table, *key) {
+        match store.get_loc(table, key) {
             None => {
-                store.insert(*table, *key, &rec.value, rec.seq);
+                store.insert(table, key, rec.value, rec.seq);
                 recovered += 1;
             }
-            Some(off) if store.record(*table, off as usize).seq() < rec.seq => {
-                let layout = store.table(*table).layout;
+            Some(off) if store.record(table, off as usize).seq() < rec.seq => {
+                let layout = store.table(table).layout;
                 RecordRef::new(&store.region, off as usize, layout)
-                    .write_locked(&rec.value, rec.seq);
+                    .write_locked(rec.value, rec.seq);
                 recovered += 1;
             }
             Some(_) => {}
@@ -164,14 +160,13 @@ pub fn recover_node(cluster: &DrtmCluster, dead: NodeId) -> RecoveryReport {
     // Re-replicate: the recovered shard needs backups again, and they
     // must not include the dead machine.
     for b in cluster.backups_of(new_home) {
-        for ((table, key), rec) in &image {
-            if !rec.deleted {
-                cluster
-                    .backups
-                    .seed(b, new_home, *table, *key, rec.seq, rec.value.clone());
-            }
+        for ((table, key), rec) in live() {
+            cluster
+                .backups
+                .seed(b, new_home, table, key, rec.seq, rec.value);
         }
     }
+    drop(image);
 
     cluster.rehome(dead, new_home);
 
@@ -219,7 +214,7 @@ fn sweep_survivors(cluster: &DrtmCluster) -> (usize, usize) {
     for &p in &members {
         let store = &cluster.stores[p];
         for table in 0..store.table_count() as u32 {
-            for (_, off) in store.keys(table) {
+            for (key, off) in store.keys(table) {
                 let rec = store.record(table, off as usize);
                 let word = rec.lock();
                 let dangling = lock_owner(word).is_some_and(|o| !members.contains(&o));
@@ -237,30 +232,33 @@ fn sweep_survivors(cluster: &DrtmCluster) -> (usize, usize) {
                 {
                     continue; // a survivor stole it first and heals it
                 }
-                if cluster.heal_record(p, off as usize) {
+                if cluster.heal_record(p, off as usize, Some((table, key))) {
                     rolled += 1;
                 }
                 store.region.store64_coherent(rec.lock_off(), LOCK_FREE);
                 swept += 1;
             }
         }
-        // Inserts logged at R.1 but never applied: live in the durable
-        // image, absent from the primary.
-        let mut fresh: HashMap<(u32, u64), BackupRecord> = HashMap::new();
+        // Inserts logged at R.1 but never applied: live in a durable
+        // image, absent from the primary. (Every backup is asked: one
+        // that joined the ring at this reconfiguration holds nothing.)
+        let mut missing: Vec<(u32, u64)> = Vec::new();
         for b in cluster.backups_of(p) {
-            for (k, r) in cluster.backups.snapshot(b, p) {
-                match fresh.get(&k) {
-                    Some(cur) if cur.seq >= r.seq => {}
-                    _ => {
-                        fresh.insert(k, r);
-                    }
-                }
-            }
+            let image = cluster.backups.image(b, p);
+            let absent = image
+                .iter()
+                .filter(|((t, k), r)| !r.deleted && store.get_loc(*t, *k).is_none());
+            missing.extend(absent.map(|(at, _)| at));
         }
-        for (&(table, key), img) in &fresh {
-            if !img.deleted && store.get_loc(table, key).is_none() {
-                store.insert(table, key, &img.value, img.seq);
-                rolled += 1;
+        missing.sort_unstable();
+        missing.dedup();
+        for (table, key) in missing {
+            match cluster.freshest_durable(p, table, key) {
+                Some(v) if !v.deleted => {
+                    store.insert(table, key, &v.value, v.seq);
+                    rolled += 1;
+                }
+                _ => {}
             }
         }
     }
@@ -333,28 +331,20 @@ pub fn full_restart_scrub(cluster: &DrtmCluster) -> (usize, usize, usize) {
                     continue;
                 }
                 // Odd: decide by what the backups hold.
-                let mut replicated: Option<(u64, Vec<u8>)> = None;
-                for b in cluster.backups_of(node) {
-                    for ((t, k), br) in cluster.backups.snapshot(b, node) {
-                        if t == table && k == key && !br.deleted {
-                            match &replicated {
-                                Some((s, _)) if *s >= br.seq => {}
-                                _ => replicated = Some((br.seq, br.value.clone())),
-                            }
-                        }
-                    }
-                }
+                let replicated = cluster
+                    .freshest_durable(node, table, key)
+                    .filter(|v| !v.deleted);
                 match replicated {
-                    Some((rseq, _)) if rseq == seq + 1 => {
+                    Some(v) if v.seq == seq + 1 => {
                         // The odd update was logged: roll forward by
                         // finishing the makeup step.
                         rec.set_seq(seq + 1);
                         rolled_forward += 1;
                     }
-                    Some((rseq, value)) => {
+                    Some(v) => {
                         // Roll back to the newest replicated version.
                         let rec = drtm_store::RecordRef::new(&store.region, off as usize, layout);
-                        rec.write_locked(&value, rseq);
+                        rec.write_locked(&v.value, v.seq);
                         rolled_back += 1;
                     }
                     None => {

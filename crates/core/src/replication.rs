@@ -6,39 +6,174 @@
 //! critical path; auxiliary threads later *apply* those entries to the
 //! image and truncate the log, exactly like the paper's "using auxiliary
 //! threads to truncate logs will not impact worker threads" (§5.1).
-//! Recovery merges the image with any not-yet-applied log entries.
+//! Recovery merges the image with any not-yet-applied log entries
+//! ([`crate::cluster::DrtmCluster::freshest_durable`]).
+//!
+//! An image holds no heap object per record: per table a chunked byte
+//! slab of fixed-stride slots and an open-addressing index of slot
+//! numbers into it. A key keeps its slot for good — a delete
+//! tombstones it in place — so applying an entry is a copy.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::MutexGuard;
 
 use drtm_base::sync::Mutex;
-use drtm_cluster::LogEntry;
+use drtm_cluster::LogEntryRef;
 use drtm_rdma::NodeId;
+use drtm_store::{hashtable::mix, TableKind, TableSpec};
 
-/// State of one record in a backup image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackupRecord {
+/// One durable version of a record: an owned copy, or borrowed from
+/// its image slot ([`BackupRecordRef`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackupRecord<V = Vec<u8>> {
     /// Sequence number of the newest applied update.
     pub seq: u64,
     /// Value bytes (empty if deleted).
-    pub value: Vec<u8>,
+    pub value: V,
     /// Whether the newest update was a deletion.
     pub deleted: bool,
 }
 
-type Image = HashMap<(u32, u64), BackupRecord>;
+/// A record of a backup image, borrowed from its slot.
+pub type BackupRecordRef<'a> = BackupRecord<&'a [u8]>;
+
+/// Slot layout: `key u64 | seq u64 | deleted u8 | value[value_len]`.
+const SEQ_AT: usize = 8;
+const DELETED_AT: usize = 16;
+const VALUE_AT: usize = 17;
+/// Slots per slab chunk. Chunks are never reallocated, so a slab grows
+/// without copying and leaves no freed copies of itself in the allocator.
+const CHUNK_SLOTS: usize = 1 << 10;
+
+/// One table of one image.
+#[derive(Default)]
+struct TableImage {
+    /// Slot size: [`VALUE_AT`] + the table's `value_len`.
+    stride: usize,
+    /// Index positions to start with: a hash table's capacity, 16 for
+    /// an ordered one. Past 3/4 full the index doubles.
+    reserve: usize,
+    slab: Vec<Vec<u8>>,
+    slots: usize,
+    /// Linear-probing table of `slot + 1` (0 = free), a power of two long.
+    index: Vec<u32>,
+}
+
+impl TableImage {
+    fn new(spec: &TableSpec) -> Self {
+        let capacity = match spec.kind {
+            TableKind::Hash { buckets } => buckets.next_power_of_two(),
+            TableKind::Ordered => 0,
+        };
+        Self {
+            stride: VALUE_AT + spec.value_len,
+            reserve: capacity.max(16),
+            ..Self::default()
+        }
+    }
+
+    fn slot(&self, slot: usize) -> &[u8] {
+        &self.slab[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS * self.stride..][..self.stride]
+    }
+
+    fn key_of(&self, slot: usize) -> u64 {
+        u64::from_le_bytes(self.slot(slot)[..SEQ_AT].try_into().unwrap())
+    }
+
+    fn record(&self, slot: usize) -> BackupRecordRef<'_> {
+        let s = self.slot(slot);
+        let deleted = s[DELETED_AT] != 0;
+        BackupRecord {
+            seq: u64::from_le_bytes(s[SEQ_AT..DELETED_AT].try_into().unwrap()),
+            value: if deleted { &[] } else { &s[VALUE_AT..] },
+            deleted,
+        }
+    }
+
+    /// Where `key` is in the index, or the free position it would take:
+    /// `(position, slot)`.
+    fn probe(&self, key: u64) -> (usize, Option<usize>) {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut at = mix(key) as usize & mask;
+        while let Some(&s) = self.index.get(at) {
+            match s as usize {
+                0 => break,
+                s if self.key_of(s - 1) == key => return (at, Some(s - 1)),
+                _ => at = (at + 1) & mask,
+            }
+        }
+        (at, None)
+    }
+
+    /// Installs `value` (`None` = a tombstone) as `key`'s newest version.
+    fn put(&mut self, key: u64, seq: u64, value: Option<&[u8]>) {
+        let stride = self.stride;
+        let slot = self.probe(key).1.unwrap_or_else(|| {
+            let slot = self.slots;
+            if slot.is_multiple_of(CHUNK_SLOTS) {
+                self.slab.push(Vec::with_capacity(CHUNK_SLOTS * stride));
+            }
+            let chunk = self.slab.last_mut().expect("pushed above");
+            chunk.extend_from_slice(&key.to_le_bytes());
+            chunk.resize(chunk.len() + stride - SEQ_AT, 0);
+            self.slots += 1;
+            if self.slots * 4 > self.index.len() * 3 {
+                // Double the index (or make the first one) and re-link.
+                self.index = vec![0; (self.index.len() * 2).max(self.reserve)];
+                (0..slot).for_each(|s| self.link(s));
+            }
+            self.link(slot);
+            slot
+        });
+        let s = &mut self.slab[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS * stride..][..stride];
+        s[SEQ_AT..DELETED_AT].copy_from_slice(&seq.to_le_bytes());
+        s[DELETED_AT] = value.is_none() as u8;
+        if let Some(v) = value {
+            s[VALUE_AT..].copy_from_slice(v);
+        }
+    }
+
+    fn link(&mut self, slot: usize) {
+        let (at, _) = self.probe(self.key_of(slot));
+        self.index[at] = u32::try_from(slot + 1).expect("image table over 4 G slots");
+    }
+}
+
+/// One locked image ([`BackupStore::image`]), and the store's count of
+/// whole-image passes.
+pub struct ImageGuard<'a>(MutexGuard<'a, Vec<TableImage>>, &'a AtomicUsize);
+
+impl ImageGuard<'_> {
+    /// The image's version of `(table, key)`, tombstones included.
+    pub fn get(&self, table: u32, key: u64) -> Option<BackupRecordRef<'_>> {
+        let t = &self.0[table as usize];
+        t.probe(key).1.map(|slot| t.record(slot))
+    }
+
+    /// A pass over the whole image (counted): every record, tombstones
+    /// included, as `((table, key), record)`.
+    pub fn iter(&self) -> impl Iterator<Item = ((u32, u64), BackupRecordRef<'_>)> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.iter().enumerate().flat_map(|(id, t)| {
+            (0..t.slots).map(move |slot| ((id as u32, t.key_of(slot)), t.record(slot)))
+        })
+    }
+}
 
 /// All backup images of a cluster: `image[backup][primary]`.
 pub struct BackupStore {
-    images: Vec<Vec<Mutex<Image>>>,
+    images: Vec<Vec<Mutex<Vec<TableImage>>>>,
+    full_passes: AtomicUsize,
 }
 
 impl BackupStore {
-    /// Creates empty images for an `n`-node cluster.
-    pub fn new(n: usize) -> Self {
+    /// Creates empty images of `schema` for an `n`-node cluster. An
+    /// image allocates at its first record.
+    pub fn new(n: usize, schema: &[TableSpec]) -> Self {
+        let image = || Mutex::new(schema.iter().map(TableImage::new).collect());
         Self {
-            images: (0..n)
-                .map(|_| (0..n).map(|_| Mutex::new(HashMap::new())).collect())
-                .collect(),
+            images: (0..n).map(|_| (0..n).map(|_| image()).collect()).collect(),
+            full_passes: AtomicUsize::new(0),
         }
     }
 
@@ -50,16 +185,9 @@ impl BackupStore {
         table: u32,
         key: u64,
         seq: u64,
-        value: Vec<u8>,
+        value: &[u8],
     ) {
-        self.images[backup][primary].lock().insert(
-            (table, key),
-            BackupRecord {
-                seq,
-                value,
-                deleted: false,
-            },
-        );
+        self.images[backup][primary].lock()[table as usize].put(key, seq, Some(value));
     }
 
     /// Applies one redo entry (last-writer-wins in log order).
@@ -69,44 +197,81 @@ impl BackupStore {
     /// commit that logs it — so applying them in arrival order is
     /// correct. Sequence numbers are *not* compared across entries,
     /// because a delete + re-insert restarts the key's sequence.
-    pub fn apply(&self, backup: NodeId, primary: NodeId, e: &LogEntry) {
-        let mut img = self.images[backup][primary].lock();
-        img.insert(
-            (e.table, e.key),
-            BackupRecord {
-                seq: e.seq,
-                deleted: e.delete,
-                value: if e.delete {
-                    Vec::new()
-                } else {
-                    e.value.clone()
-                },
-            },
-        );
+    pub fn apply(&self, backup: NodeId, primary: NodeId, e: LogEntryRef<'_>) {
+        let value = (!e.delete).then_some(e.value);
+        self.images[backup][primary].lock()[e.table as usize].put(e.key, e.seq, value);
     }
 
-    /// Snapshot of `primary`'s image on `backup` (recovery input).
-    pub fn snapshot(&self, backup: NodeId, primary: NodeId) -> Vec<((u32, u64), BackupRecord)> {
-        self.images[backup][primary]
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+    /// Locks `primary`'s image on `backup`: point lookups, and the
+    /// whole-image pass of recovery's shard rebuild.
+    pub fn image(&self, backup: NodeId, primary: NodeId) -> ImageGuard<'_> {
+        ImageGuard(self.images[backup][primary].lock(), &self.full_passes)
+    }
+
+    /// How many whole-image passes ([`ImageGuard::iter`]) were made.
+    pub fn full_passes(&self) -> usize {
+        self.full_passes.load(Ordering::Relaxed)
     }
 
     /// Number of live (non-deleted) records in an image.
     pub fn live_len(&self, backup: NodeId, primary: NodeId) -> usize {
-        self.images[backup][primary]
-            .lock()
-            .values()
-            .filter(|r| !r.deleted)
-            .count()
+        let image = self.image(backup, primary);
+        image.iter().filter(|(_, r)| !r.deleted).count()
+    }
+
+    /// Slots of all images (live records plus tombstones) and the bytes
+    /// their slabs and indexes have allocated for them.
+    pub fn footprint(&self) -> (usize, usize) {
+        let images = self.images.iter().flatten().map(|image| image.lock());
+        images.fold((0, 0), |(slots, bytes), image| {
+            let slabs = image.iter().flat_map(|t| &t.slab).map(Vec::capacity);
+            let indexes = image.iter().map(|t| t.index.len() * size_of::<u32>());
+            let slots = slots + image.iter().map(|t| t.slots).sum::<usize>();
+            (slots, bytes + slabs.sum::<usize>() + indexes.sum::<usize>())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use drtm_base::SplitMix64;
+    use drtm_cluster::LogEntry;
+
     use super::*;
+
+    fn schema() -> Vec<TableSpec> {
+        vec![
+            TableSpec::hash(0, 64, 40),
+            TableSpec::hash(1, 8, 1),
+            TableSpec::ordered(2, 13),
+        ]
+    }
+
+    fn owned(r: BackupRecordRef<'_>) -> BackupRecord {
+        BackupRecord {
+            seq: r.seq,
+            value: r.value.to_vec(),
+            deleted: r.deleted,
+        }
+    }
+
+    trait View {
+        fn view(&self) -> LogEntryRef<'_>;
+    }
+
+    impl View for LogEntry {
+        fn view(&self) -> LogEntryRef<'_> {
+            LogEntry {
+                table: self.table,
+                key: self.key,
+                seq: self.seq,
+                value: &self.value,
+                delete: self.delete,
+            }
+        }
+    }
 
     fn put(key: u64, seq: u64, v: u8) -> LogEntry {
         LogEntry {
@@ -118,77 +283,184 @@ mod tests {
         }
     }
 
+    fn del(key: u64, seq: u64) -> LogEntry {
+        LogEntry {
+            delete: true,
+            value: vec![],
+            ..put(key, seq, 0)
+        }
+    }
+
     #[test]
     fn apply_is_last_writer_wins_in_log_order() {
-        let b = BackupStore::new(2);
-        b.apply(1, 0, &put(7, 4, 1));
-        b.apply(1, 0, &put(7, 6, 9));
-        let snap = b.snapshot(1, 0);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(
-            snap[0].1,
-            BackupRecord {
-                seq: 6,
-                value: vec![9],
-                deleted: false
-            }
-        );
+        let b = BackupStore::new(2, &schema());
+        b.apply(1, 0, put(7, 4, 1).view());
+        b.apply(1, 0, put(7, 6, 9).view());
+        let snap = b.image(1, 0);
+        let all: Vec<_> = snap.iter().collect();
+        assert_eq!(all.len(), 1);
+        let want = BackupRecordRef {
+            seq: 6,
+            value: &[9],
+            deleted: false,
+        };
+        assert_eq!(all[0], ((1, 7), want));
+        drop(snap);
+        assert_eq!(b.image(1, 0).get(1, 7), Some(want));
+        assert_eq!(b.image(1, 0).get(0, 7), None, "another table");
+        assert_eq!(b.image(0, 1).get(1, 7), None, "another image");
     }
 
     #[test]
     fn delete_then_reinsert_restarts_sequence() {
-        let b = BackupStore::new(2);
-        b.apply(1, 0, &put(7, 8, 1));
-        b.apply(
-            1,
-            0,
-            &LogEntry {
-                table: 1,
-                key: 7,
-                seq: 10,
-                value: vec![],
-                delete: true,
-            },
-        );
+        let b = BackupStore::new(2, &schema());
+        b.apply(1, 0, put(7, 8, 1).view());
+        b.apply(1, 0, del(7, 10).view());
         // Re-insert starts at seq 2 again; log order must win.
-        b.apply(1, 0, &put(7, 2, 5));
-        let snap = b.snapshot(1, 0);
-        assert_eq!(
-            snap[0].1,
-            BackupRecord {
-                seq: 2,
-                value: vec![5],
-                deleted: false
-            }
-        );
+        b.apply(1, 0, put(7, 2, 5).view());
+        let want = BackupRecord {
+            seq: 2,
+            value: vec![5],
+            deleted: false,
+        };
+        assert_eq!(b.image(1, 0).get(1, 7).map(owned), Some(want));
+        assert_eq!(b.footprint().0, 1, "the key keeps its slot");
     }
 
     #[test]
     fn delete_entries_tombstone() {
-        let b = BackupStore::new(2);
-        b.apply(1, 0, &put(7, 2, 1));
-        b.apply(
-            1,
-            0,
-            &LogEntry {
-                table: 1,
-                key: 7,
-                seq: 4,
-                value: vec![],
-                delete: true,
-            },
-        );
+        let b = BackupStore::new(2, &schema());
+        b.apply(1, 0, put(7, 2, 1).view());
+        b.apply(1, 0, del(7, 4).view());
         assert_eq!(b.live_len(1, 0), 0);
+        let want = BackupRecordRef {
+            seq: 4,
+            value: &[],
+            deleted: true,
+        };
+        assert_eq!(b.image(1, 0).get(1, 7), Some(want));
         // Re-insert after delete.
-        b.apply(1, 0, &put(7, 6, 2));
+        b.apply(1, 0, put(7, 6, 2).view());
         assert_eq!(b.live_len(1, 0), 1);
     }
 
     #[test]
     fn seed_is_visible() {
-        let b = BackupStore::new(3);
-        b.seed(2, 0, 5, 100, 2, vec![1, 2]);
+        let b = BackupStore::new(3, &schema());
+        b.seed(2, 0, 1, 100, 2, &[1]);
         assert_eq!(b.live_len(2, 0), 1);
         assert_eq!(b.live_len(2, 1), 0);
+    }
+
+    #[test]
+    fn only_iteration_counts_as_a_full_pass() {
+        let b = BackupStore::new(2, &schema());
+        b.seed(1, 0, 1, 5, 2, &[1]);
+        b.image(1, 0).get(1, 5).unwrap();
+        assert_eq!((b.footprint().0, b.full_passes()), (1, 0));
+        assert_eq!(b.image(1, 0).iter().count(), 1);
+        assert_eq!(b.full_passes(), 1);
+    }
+
+    /// The flat image against a map of owned records: 10 k seeded random
+    /// seeds, updates, deletes and re-inserts over three tables of
+    /// different value sizes (one past its reserved capacity, one
+    /// growing from nothing).
+    #[test]
+    fn flat_image_matches_a_reference_map() {
+        let schema = schema();
+        let b = BackupStore::new(2, &schema);
+        let mut model: HashMap<(u32, u64), BackupRecord> = HashMap::new();
+        let mut rng = SplitMix64::new(0x1A6E);
+        for step in 0..10_000u64 {
+            let table = rng.below(3) as u32;
+            // Shard-prefixed keys, a few hundred per table, so every
+            // key is updated, deleted and re-inserted many times.
+            let key = 1 << 32 | rng.below(300) << (table * 3);
+            let len = schema[table as usize].value_len;
+            let value: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let was = model.get(&(table, key));
+            let rec = match rng.below(10) {
+                0..=1 => {
+                    b.seed(1, 0, table, key, 2, &value);
+                    BackupRecord {
+                        seq: 2,
+                        value,
+                        deleted: false,
+                    }
+                }
+                2..=3 => {
+                    let seq = was.map_or(2, |r| r.seq + 2);
+                    let e = LogEntry {
+                        table,
+                        key,
+                        seq,
+                        value: vec![],
+                        delete: true,
+                    };
+                    b.apply(1, 0, e.view());
+                    BackupRecord {
+                        seq,
+                        value: vec![],
+                        deleted: true,
+                    }
+                }
+                _ => {
+                    // A write bumps the sequence; a re-insert restarts it.
+                    let seq = was.filter(|r| !r.deleted).map_or(2, |r| r.seq + 2);
+                    let e = LogEntry {
+                        table,
+                        key,
+                        seq,
+                        value: value.clone(),
+                        delete: false,
+                    };
+                    b.apply(1, 0, e.view());
+                    BackupRecord {
+                        seq,
+                        value,
+                        deleted: false,
+                    }
+                }
+            };
+            model.insert((table, key), rec);
+            if step % 500 != 499 {
+                continue;
+            }
+            let image = b.image(1, 0);
+            for (&(t, k), want) in &model {
+                assert_eq!(image.get(t, k).map(owned).as_ref(), Some(want));
+            }
+            assert_eq!(image.get(table, key ^ 1 << 40), None);
+            drop(image);
+            let snap = b.image(1, 0);
+            let got: HashMap<(u32, u64), BackupRecord> =
+                snap.iter().map(|(k, r)| (k, owned(r))).collect();
+            assert_eq!(snap.iter().count(), got.len(), "one slot per key");
+            drop(snap);
+            assert_eq!(got, model);
+            let live = model.values().filter(|r| !r.deleted).count();
+            assert_eq!(b.live_len(1, 0), live);
+            assert_eq!(b.footprint().0, model.len());
+        }
+    }
+
+    /// The point of the layout: no per-record heap object. (The map of
+    /// owned records it replaced cost about 150 bytes for each.)
+    #[test]
+    fn hundred_thousand_records_fit_in_100_bytes_each() {
+        let b = BackupStore::new(2, &[TableSpec::hash(0, 200_000, 40)]);
+        for k in 0..100_000u64 {
+            b.seed(1, 0, 0, 1 << 32 | k, 2, &[k as u8; 40]);
+        }
+        assert_eq!(b.footprint().0, 100_000);
+        let per_record = b.footprint().1 as f64 / 100_000.0;
+        assert!(per_record <= 100.0, "{per_record} bytes per record");
+        let idle = BackupStore::new(3, &[TableSpec::hash(0, 200_000, 40)]);
+        assert_eq!(
+            idle.footprint(),
+            (0, 0),
+            "untouched images allocate nothing"
+        );
     }
 }

@@ -328,12 +328,137 @@ fn aux_threads_apply_and_truncate() {
     let applied = c.truncate_step(1);
     assert_eq!(applied, 5);
     assert!(c.logs.is_empty(1, 0));
-    let snap = c.backups.snapshot(1, 0);
-    let rec = snap
-        .iter()
-        .find(|((t, k), _)| *t == T_ACCT && *k == key(0, 2))
-        .unwrap();
-    assert_eq!(num(&rec.1.value), 5);
+    let image = c.backups.image(1, 0);
+    assert_eq!(num(image.get(T_ACCT, key(0, 2)).unwrap().value), 5);
+}
+
+/// Bumps the configuration epoch — as a recovery elsewhere commits —
+/// at the next C.4 probe after it is armed: between a transaction's
+/// local apply and its R.1.
+struct ReconfigureAfterApply {
+    cluster: Arc<DrtmCluster>,
+    bystander: drtm_rdma::NodeId,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl crate::CrashPointHook for ReconfigureAfterApply {
+    fn on_point(&self, _node: drtm_rdma::NodeId, point: &'static str) -> bool {
+        let fire = point == "C.4" && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst);
+        if fire && self.cluster.is_member(self.bystander) {
+            self.cluster.config.remove_member(self.bystander);
+        } else if fire {
+            self.cluster.config.add_member(self.bystander);
+        }
+        false
+    }
+}
+
+/// What a repair costs must not depend on how big the shard is: rolling
+/// 1 000 records of a 100 000-record shard back (R.1 fenced after the
+/// local apply) and healing 1 000 more forward (a newer durable version
+/// in the image or still in the log) looks each record up and never
+/// walks an image.
+#[test]
+fn repairing_1000_records_of_a_100k_shard_walks_no_image() {
+    use drtm_cluster::LogEntryRef;
+    const RECORDS: u64 = 100_000;
+    let opts = EngineOpts::builder()
+        .replicas(2)
+        .region_size(16 << 20)
+        .build();
+    let schema = [TableSpec::hash(T_ACCT, 2 * RECORDS as usize, 16)];
+    let c = DrtmCluster::new(3, &schema, opts);
+    for k in 0..RECORDS {
+        c.seed_record(0, T_ACCT, key(0, k), &val(100));
+    }
+    let record = |k: u64| {
+        let off = c.stores[0].get_loc(T_ACCT, key(0, k)).unwrap() as usize;
+        (off, c.stores[0].record(T_ACCT, off))
+    };
+    let value = |k: u64| {
+        let mut v = [0u8; 16];
+        record(k).1.read_value_raw(&mut v);
+        num(&v)
+    };
+
+    // Roll back: 20 transactions of 50 local writes, each fenced.
+    let hook = Arc::new(ReconfigureAfterApply {
+        cluster: Arc::clone(&c),
+        bystander: 2,
+        armed: Default::default(),
+    });
+    c.set_crash_hook(hook.clone());
+    let mut w = c.worker(0, 1);
+    let picked = |i: u64| i * 97 % RECORDS;
+    for txn in 0..20 {
+        hook.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let fenced = w.run_once_for_test(|t| {
+            (0..50).try_for_each(|i| t.write(0, T_ACCT, key(0, picked(txn * 50 + i)), val(7)))
+        });
+        assert_eq!(fenced, Err(TxnError::Aborted(AbortReason::Validation)));
+    }
+    c.clear_crash_hook();
+    for i in 0..1000 {
+        assert_eq!((value(picked(i)), record(picked(i)).1.seq()), (100, 2));
+    }
+
+    // Heal: the durable version is ahead of the primary, folded into
+    // the image for every other record and still in the log for the rest.
+    let nic = c.fabric.port(0).nic();
+    for i in 1000..2000 {
+        let e = LogEntryRef {
+            table: T_ACCT,
+            key: key(0, picked(i)),
+            seq: 4,
+            value: &val(i),
+            delete: false,
+        };
+        if i % 2 == 0 {
+            c.backups.apply(1, 0, e);
+        } else {
+            c.logs.post(0, &c.opts.cost, (nic, nic), 0, 0, 1, &[e]);
+        }
+        let (off, rec) = record(picked(i));
+        // Every hundredth as the lock stealer of C.1 would: with the
+        // offset and not the key.
+        let known = (i % 100 != 0).then_some((T_ACCT, key(0, picked(i))));
+        assert!(c.heal_record(0, off, known), "record {i}");
+        assert_eq!((value(picked(i)), rec.seq()), (i, 4));
+        assert!(!c.heal_record(0, off, known), "already current");
+    }
+    assert_eq!(c.backups.full_passes(), 0);
+}
+
+/// Past the linear-scan limit the local sets find repeated records
+/// through their index: a second read returns the snapshot, a second
+/// write replaces the buffer, own writes win, and neither set grows.
+#[test]
+fn large_local_sets_find_their_repeats() {
+    let c = cluster(1, 1);
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin();
+    for round in 0..2 {
+        for k in 0..40 {
+            assert_eq!(num(&t.read_local(T_ACCT, key(0, k)).unwrap()), 100);
+            // Someone else's commit must not show in a repeated read.
+            let off = c.stores[0].get_loc(T_ACCT, key(0, k)).unwrap() as usize;
+            c.stores[0].record(T_ACCT, off).write_locked(&val(5), 4);
+        }
+        assert_eq!(t.l_rs.len(), 40, "round {round}");
+    }
+    for round in 0..2 {
+        for k in (0..40).rev() {
+            t.write_local(T_ACCT, key(0, k), val(1000 * round + k))
+                .unwrap();
+        }
+        assert_eq!(t.l_ws.len(), 40, "round {round}");
+    }
+    for k in 0..40 {
+        assert_eq!(num(&t.read_local(T_ACCT, key(0, k)).unwrap()), 1000 + k);
+        assert_eq!(num(&t.l_ws[39 - k as usize].buf), 1000 + k);
+    }
+    assert_eq!((t.l_rs.len(), t.l_ws.len()), (40, 40));
+    assert!(t.commit().is_err(), "the read set went stale on purpose");
 }
 
 // ---------------------------------------------------------------------
@@ -835,11 +960,11 @@ fn full_restart_scrub_repairs_inflight_state() {
         c.backups.apply(
             b,
             1,
-            &drtm_cluster::LogEntry {
+            drtm_cluster::LogEntryRef {
                 table: T_ACCT,
                 key: key(1, 1),
                 seq: 4,
-                value: val(777),
+                value: &val(777),
                 delete: false,
             },
         );

@@ -8,6 +8,7 @@
 //! local/remote read and write sets; the commit phase lives in
 //! [`crate::commit`].
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
@@ -216,6 +217,40 @@ pub(crate) struct PendingMutation {
     pub value: Option<Vec<u8>>,
 }
 
+/// A local read or write set finds a repeated record by scanning while
+/// it is at most this long, and through its [`RepeatIndex`] past that.
+const LINEAR_SET: usize = 16;
+
+/// Position of each entry of a local set by `(table, id)` — record
+/// offset in the read set, key in the write set — for transactions that
+/// touch hundreds of local records (stock-level, delivery).
+#[derive(Default)]
+pub(crate) struct RepeatIndex(BTreeMap<(TableId, u64), usize>);
+
+impl RepeatIndex {
+    fn find<T>(
+        &self,
+        set: &[T],
+        id: impl Fn(&T) -> (TableId, u64),
+        at: (TableId, u64),
+    ) -> Option<usize> {
+        if set.len() <= LINEAR_SET {
+            return set.iter().position(|e| id(e) == at);
+        }
+        self.0.get(&at).copied()
+    }
+
+    /// Notes that `set` just grew by its last entry.
+    fn pushed<T>(&mut self, set: &[T], id: impl Fn(&T) -> (TableId, u64)) {
+        if set.len() > LINEAR_SET {
+            // The first time past the limit indexes what the scan covered.
+            let new = if self.0.is_empty() { 0 } else { set.len() - 1 };
+            let entries = set.iter().enumerate().skip(new);
+            self.0.extend(entries.map(|(i, e)| (id(e), i)));
+        }
+    }
+}
+
 /// One in-flight transaction.
 pub struct TxnCtx<'w> {
     pub(crate) w: &'w mut Worker,
@@ -231,6 +266,8 @@ pub struct TxnCtx<'w> {
     pub(crate) read_only: bool,
     pub(crate) l_rs: Vec<LocalRead>,
     pub(crate) l_ws: Vec<LocalWrite>,
+    l_rs_at: RepeatIndex,
+    l_ws_at: RepeatIndex,
     pub(crate) r_rs: Vec<RemoteRead>,
     pub(crate) r_ws: Vec<RemoteWrite>,
     pub(crate) mutations: Vec<PendingMutation>,
@@ -551,6 +588,8 @@ impl Worker {
             read_only,
             l_rs: Vec::new(),
             l_ws: Vec::new(),
+            l_rs_at: RepeatIndex::default(),
+            l_ws_at: RepeatIndex::default(),
             r_rs: Vec::new(),
             r_ws: Vec::new(),
             mutations: Vec::new(),
@@ -825,8 +864,11 @@ impl<'w> TxnCtx<'w> {
         key: u64,
         known_off: Option<usize>,
     ) -> Result<Vec<u8>, TxnError> {
-        if let Some(e) = self.l_ws.iter().find(|e| e.table == table && e.key == key) {
-            return Ok(e.buf.clone());
+        if let Some(i) = self
+            .l_ws_at
+            .find(&self.l_ws, |e| (e.table, e.key), (table, key))
+        {
+            return Ok(self.l_ws[i].buf.clone());
         }
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
@@ -835,12 +877,12 @@ impl<'w> TxnCtx<'w> {
             None => store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize,
         };
         // Repeatable read: if already in the read set, return the snapshot.
-        if let Some(e) = self
-            .l_rs
-            .iter()
-            .find(|e| e.table == table && e.rec_off == rec_off)
+        let at = (table, rec_off as u64);
+        if let Some(i) = self
+            .l_rs_at
+            .find(&self.l_rs, |e| (e.table, e.rec_off as u64), at)
         {
-            return Ok(e.value.clone());
+            return Ok(self.l_rs[i].value.clone());
         }
         let rec = store.record(table, rec_off);
         let cost = &cluster.opts.cost;
@@ -897,6 +939,8 @@ impl<'w> TxnCtx<'w> {
             incarnation,
             value: value.clone(),
         });
+        self.l_rs_at
+            .pushed(&self.l_rs, |e| (e.table, e.rec_off as u64));
         Ok(value)
     }
 
@@ -915,12 +959,11 @@ impl<'w> TxnCtx<'w> {
             store.table(table).spec.value_len,
             "value size mismatch"
         );
-        if let Some(e) = self
-            .l_ws
-            .iter_mut()
-            .find(|e| e.table == table && e.key == key)
+        if let Some(i) = self
+            .l_ws_at
+            .find(&self.l_ws, |e| (e.table, e.key), (table, key))
         {
-            e.buf = value;
+            self.l_ws[i].buf = value;
             return Ok(());
         }
         let rec_off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
@@ -931,6 +974,7 @@ impl<'w> TxnCtx<'w> {
             rec_off,
             buf: value,
         });
+        self.l_ws_at.pushed(&self.l_ws, |e| (e.table, e.key));
         Ok(())
     }
 

@@ -40,8 +40,9 @@ pub struct HashTable {
     write_lock: Mutex<()>,
 }
 
-fn mix(key: u64) -> u64 {
-    // Fibonacci hashing with an extra xor-shift; cheap and well spread.
+/// The hash of the unordered stores' integer keys: Fibonacci hashing
+/// with an extra xor-shift; cheap and well spread.
+pub fn mix(key: u64) -> u64 {
     let mut h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= h >> 29;
     h

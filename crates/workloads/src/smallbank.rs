@@ -270,12 +270,12 @@ async fn read_n<const N: usize>(
 /// Loads the SmallBank dataset (every account starts with 10 000 cents
 /// in each of savings and checking, so totals are auditable).
 pub fn load(cluster: &DrtmCluster, cfg: &SbCfg) {
+    let mut v = [0u8; 40];
+    set_bal(&mut v, 10_000);
     for shard in 0..cfg.nodes {
         for a in 0..cfg.accounts as u64 {
             let key = cfg.acct(shard, a);
-            let mut v = vec![0u8; 40];
-            set_bal(&mut v, 10_000);
-            cluster.seed_record(shard, T_SAVINGS, key, &v.clone());
+            cluster.seed_record(shard, T_SAVINGS, key, &v);
             cluster.seed_record(shard, T_CHECKING, key, &v);
         }
     }

@@ -102,9 +102,9 @@ fn truncation_preserves_backup_contents() {
     }
     c.truncate_step(1);
     assert!(c.logs.is_empty(1, 0));
-    let snap = c.backups.snapshot(1, 0);
-    let rec = snap.iter().find(|((_, k), _)| *k == 2).unwrap();
-    assert_eq!(num(&rec.1.value), 9, "backup image reflects the last write");
+    let image = c.backups.image(1, 0);
+    let rec = image.get(T, 2).unwrap();
+    assert_eq!(num(rec.value), 9, "backup image reflects the last write");
 }
 
 /// The visibility/replication race, end to end with a real concurrent

@@ -86,14 +86,6 @@ impl LinkBudget {
         self.state.lock().granted
     }
 
-    /// Resets the link to idle (between experiment runs).
-    pub fn reset(&self) {
-        let mut s = self.state.lock();
-        s.last_ns = 0;
-        s.tokens = self.burst;
-        s.granted = 0;
-    }
-
     /// Whether the link is currently in deficit (saturated).
     pub fn saturated(&self) -> bool {
         self.state.lock().tokens < 0.0
@@ -157,15 +149,6 @@ mod tests {
         assert!(done >= 50_000);
         // 1 ms later the bucket has fully refilled.
         assert_eq!(l.reserve(1_000_000, 1_000), 1_000_000);
-    }
-
-    #[test]
-    fn reset_clears_backlog() {
-        let l = LinkBudget::new(1.0e9);
-        l.reserve(0, 10_000_000);
-        l.reset();
-        assert_eq!(l.reserve(5, 10), 5);
-        assert_eq!(l.granted(), 10);
     }
 
     #[test]

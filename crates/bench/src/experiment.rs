@@ -20,7 +20,7 @@ use drtm_net::{
     run_client, scrape, ClientCfg, ClientReport, Drained, ScrapeFormat, Server, ServerCfg,
     WireError,
 };
-use drtm_obs::Snapshot;
+use drtm_obs::{expo, json, Snapshot};
 use drtm_workloads::driver::{
     build_smallbank, build_tpcc, build_ycsb, run_smallbank_on, run_tpcc_on, run_ycsb_on,
     EngineKind, Measurement, RunCfg,
@@ -167,7 +167,11 @@ impl std::ops::Index<&str> for Arm {
 }
 
 /// The catalogue behind [`Arm::scraped`]: every layered metric an
-/// experiment can ask a scrape for.
+/// experiment can ask a scrape for. A recorded scalar is read straight
+/// out of the exposition table under its JSON name — `<section>_<key>`
+/// (`cache_hits`) or the bare key (`parks`), unit `ns` by its suffix
+/// and `count` otherwise — so a new counter needs no line here; what is
+/// spelled out below is only what this catalogue derives from several.
 fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
     let per_txn = |x: u64| x as f64 / s.committed.max(1) as f64;
     // Virtual ns summed over the named phases, or over all of them.
@@ -181,6 +185,31 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
     let total = phase_ns(&[]).max(1.0);
     let verbs = |pick: fn(&str) -> bool| -> u64 {
         s.nic.iter().filter(|r| pick(r.verb)).map(|r| r.count).sum()
+    };
+    // `abort_<reason>_per_ktxn` / `htm_<class>_per_ktxn`: one label of a
+    // counter family per 1 000 commits, as `perf/src/layers.rs` has it.
+    let per_ktxn = |family: &[(&str, u64)], prefix: &str| {
+        let label = name.strip_prefix(prefix)?.strip_suffix("_per_ktxn")?;
+        let n = family.iter().find(|(l, _)| *l == label)?.1;
+        Some(("count", 1e3 * per_txn(n)))
+    };
+    // `<phase>_pct`: one commit phase's share of all phase time;
+    // `<phase>_p50_us` / `<phase>_p99_us`: its latency quantiles.
+    let phase_stat = || {
+        let (phase, stat) = name.split_once('_')?;
+        let h = &s.phases.iter().find(|(n, _)| *n == phase)?.1;
+        match stat {
+            "pct" => Some(("%", 100.0 * h.sum as f64 / total)),
+            "p50_us" => Some(("us", h.p50 as f64 / 1e3)),
+            "p99_us" => Some(("us", h.p99 as f64 / 1e3)),
+            _ => None,
+        }
+    };
+    let from_table = || {
+        let (_, _, v) = expo::scalars(s).find(|&(section, key, _)| {
+            name == key || name.strip_prefix(section).and_then(|k| k.strip_prefix('_')) == Some(key)
+        })?;
+        Some((if name.ends_with("_ns") { "ns" } else { "count" }, v))
     };
     match name {
         "us_per_txn" => ("us", total / s.committed.max(1) as f64 / 1e3),
@@ -197,34 +226,19 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
         "nic_bytes_per_txn" => ("B", per_txn(s.nic_bytes.iter().map(|(_, b)| b).sum())),
         "reads_per_txn" => ("verb", per_txn(verbs(|v| v == "read"))),
         "doorbells_per_txn" => ("doorbell", per_txn(verbs(|v| v == "doorbell"))),
-        "cache_hits" => ("read", s.cache.hits as f64),
-        "cache_misses" => ("read", s.cache.misses as f64),
         "cache_hit_pct" => ("%", 100.0 * s.cache.hit_rate()),
         "cache_kb_saved" => ("KB", s.cache.bytes_saved as f64 / 1024.0),
-        "overlap_ns" => ("ns", s.pipeline.overlap_ns as f64),
         "hiding_pct" => ("%", 100.0 * s.pipeline.hiding_ratio()),
         // Verb wait no sibling's CPU segment overlapped: core idle.
         "idle_ns_per_txn" => (
             "ns",
             per_txn(s.pipeline.wait_ns.saturating_sub(s.pipeline.overlap_ns)),
         ),
-        "pessimistic" => ("commit", s.contention.pessimistic as f64),
-        "parks" => ("park", s.contention.parks as f64),
-        "grants" => ("park", s.contention.grants as f64),
-        // `<phase>_pct`: one commit phase's share of all phase time;
-        // `<phase>_p50_us` / `<phase>_p99_us`: its latency quantiles.
-        other => {
-            let found = other.split_once('_').and_then(|(phase, stat)| {
-                let h = &s.phases.iter().find(|(n, _)| *n == phase)?.1;
-                match stat {
-                    "pct" => Some(("%", 100.0 * h.sum as f64 / total)),
-                    "p50_us" => Some(("us", h.p50 as f64 / 1e3)),
-                    "p99_us" => Some(("us", h.p99 as f64 / 1e3)),
-                    _ => None,
-                }
-            });
-            found.unwrap_or_else(|| panic!("unknown snapshot metric {other:?}"))
-        }
+        other => per_ktxn(&s.aborts, "abort_")
+            .or_else(|| per_ktxn(&s.htm, "htm_"))
+            .or_else(phase_stat)
+            .or_else(from_table)
+            .unwrap_or_else(|| panic!("unknown snapshot metric {other:?}")),
     }
 }
 
@@ -296,13 +310,13 @@ pub fn ratio(arms: &[Arm], metric: &str) -> f64 {
     }
 }
 
-/// A value as text: `missing` when it is not a number, whole numbers
-/// and thousands without a fraction, the rest to `places` decimals.
-fn fmt_value(v: f64, missing: &str, places: usize) -> String {
-    match v {
-        v if !v.is_finite() => missing.into(),
-        v if v.fract() == 0.0 || v.abs() >= 1_000.0 => format!("{v:.0}"),
-        v => format!("{v:.places$}"),
+/// Decimals a report shows `v` with: none for whole numbers and
+/// thousands, `places` for the rest.
+fn decimals(v: f64, places: usize) -> usize {
+    if v.fract() == 0.0 || v.abs() >= 1_000.0 {
+        0
+    } else {
+        places
     }
 }
 
@@ -333,7 +347,9 @@ impl Report {
         for (name, unit) in rows {
             out += &format!("  {:<34}", format!("{name} ({unit})"));
             for a in &self.arms {
-                out += &format!(" {:>w$}", fmt_value(a[name], "-", 2));
+                let v = Some(a[name]).filter(|v| v.is_finite());
+                let v = v.map_or("-".into(), |v| format!("{v:.*}", decimals(v, 2)));
+                out += &format!(" {v:>w$}");
             }
             let r = ratio(&self.arms, name);
             let r = if r.is_finite() {
@@ -359,28 +375,38 @@ impl Report {
     /// object: `stamp`, `experiment`, `size`, `full`, `arms[]`,
     /// `checks[]`.
     pub fn to_json(&self, stamp: &str) -> String {
-        let arm = |a: &Arm| {
-            let metric = |(name, unit, value): &(String, &str, f64)| {
-                let value = fmt_value(*value, "null", 4);
-                format!("{{\"name\":\"{name}\",\"unit\":\"{unit}\",\"value\":{value}}}")
-            };
-            let metrics: Vec<String> = a.metrics.iter().map(metric).collect();
-            let metrics = metrics.join(",");
-            format!("{{\"label\":\"{}\",\"metrics\":[{metrics}]}}", a.label)
+        // `lead` is punctuation and a literal key; `v` becomes a string.
+        let text = |out: &mut String, lead: &str, v: &str| {
+            out.push_str(lead);
+            json::string(out, v);
         };
-        let check = |((name, tries, _), ok): &(&Check, bool)| {
-            format!("{{\"name\":\"{name}\",\"tries\":{tries},\"ok\":{ok}}}")
-        };
-        let arms: Vec<String> = self.arms.iter().map(arm).collect();
-        let checks: Vec<String> = self.checks.iter().map(check).collect();
-        format!(
-            "{{\"stamp\":{stamp},\"experiment\":\"{}\",\"size\":{},\"full\":{},\n\"arms\":[\n{}],\n\"checks\":[\n{}]}}\n",
-            self.name,
-            self.size,
-            self.full,
-            arms.join(",\n"),
-            checks.join(",\n"),
-        )
+        let mut out = format!("{{\"stamp\":{stamp}");
+        text(&mut out, ",\"experiment\":", self.name);
+        out += &format!(",\"size\":{},\"full\":{},\n\"arms\":", self.size, self.full);
+        json::list(&mut out, "[]", &self.arms, |out, a| {
+            text(out, "\n{\"label\":", &a.label);
+            out.push_str(",\"metrics\":");
+            json::list(out, "[]", &a.metrics, |out, (name, unit, value)| {
+                text(out, "{\"name\":", name);
+                text(out, ",\"unit\":", unit);
+                out.push_str(",\"value\":");
+                json::number(out, *value, decimals(*value, 4));
+                out.push('}');
+            });
+            out.push('}');
+        });
+        out.push_str(",\n\"checks\":");
+        json::list(
+            &mut out,
+            "[]",
+            &self.checks,
+            |out, ((name, tries, _), ok)| {
+                text(out, "\n{\"name\":", name);
+                *out += &format!(",\"tries\":{tries},\"ok\":{ok}}}");
+            },
+        );
+        out.push_str("}\n");
+        out
     }
 }
 
@@ -709,7 +735,14 @@ fn run_contend(size: Size) -> Result<Vec<Arm>, String> {
     let arms = [ContentionPolicy::Off, ContentionPolicy::Escalate].map(|policy| {
         let run = two_by_two(size.n, 8, policy);
         let mut arm = Arm::new(policy.label());
-        let scraped = ["pessimistic", "parks", "grants"];
+        // The last two are informational: the rates the ladder moves.
+        let scraped = [
+            "pessimistic",
+            "parks",
+            "grants",
+            "abort_lock_busy_per_ktxn",
+            "htm_conflict_per_ktxn",
+        ];
         ycsb_arm(&mut arm, "ycsb_", &ycsb, &run, &scraped);
         smallbank_arm(&mut arm, "sb_", &sb, &run, &scraped);
         arm

@@ -7,6 +7,8 @@
 //! module is the one place that stamp is built, so the fields never
 //! drift between artifact kinds.
 
+use drtm_obs::json;
+
 /// The git revision being benchmarked: `DRTM_GIT_REV` if CI exported
 /// it, else `git rev-parse --short HEAD`, else `"unknown"`. Stamped
 /// into every artifact so `BENCH_*.json` files from different PRs stay
@@ -62,12 +64,17 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 /// configuration's `{:?}` as a string. Splice it into an artifact as a
 /// `"stamp"` / `"meta"` member.
 pub fn stamp_json(cfg: Option<&dyn std::fmt::Debug>) -> String {
-    format!(
-        "{{\"git_rev\":\"{}\",\"utc\":\"{}\",\"run_cfg\":{}}}",
-        git_rev(),
-        utc_rfc3339(),
-        cfg.map_or("null".into(), |c| format!("{:?}", format!("{c:?}"))),
-    )
+    let mut out = String::from("{\"git_rev\":");
+    json::string(&mut out, &git_rev());
+    out.push_str(",\"utc\":");
+    json::string(&mut out, &utc_rfc3339());
+    out.push_str(",\"run_cfg\":");
+    match cfg {
+        Some(cfg) => json::string(&mut out, &format!("{cfg:?}")),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -102,5 +109,9 @@ mod tests {
         drtm_obs::jsonlint::validate(&full).expect("full stamp parses");
         assert!(full.contains("\"git_rev\":\""));
         assert!(full.contains("routines: 1") && full.contains("contention: Off"));
+        // `{:?}` writes these two as `\u{7f}` and `\0`: Rust's escapes,
+        // not JSON's. (A hostile `DRTM_GIT_REV` is `tests/stamp_env.rs`.)
+        let odd = stamp_json(Some(&"del\u{7f}nul\0"));
+        drtm_obs::jsonlint::validate(&odd).unwrap_or_else(|e| panic!("{odd}: {e}"));
     }
 }

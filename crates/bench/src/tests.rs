@@ -74,3 +74,48 @@ fn trajectory_rows_name_benchmark_workloads_and_metrics() {
     assert!(check(&unknown_metric, BENCHMARK).is_err());
     assert!(check("{\"rows\": [", BENCHMARK).is_err(), "not JSON");
 }
+
+/// Arm labels, metric names and a NaN value come from the run, not from
+/// the table: the artifact must parse whatever they hold.
+#[test]
+fn artifact_escapes_labels_and_nulls_a_nan() {
+    use experiment::{Arm, Report};
+    let mut arm = Arm::new("r\"8\\");
+    arm.push("tab\there", "txn/s", f64::NAN);
+    arm.push("vtps", "txn/s", 0.123456);
+    let report = Report {
+        name: "fake",
+        about: "",
+        size: 1,
+        full: false,
+        arms: vec![arm],
+        checks: vec![(&experiment::find("cache").unwrap().checks[0], true)],
+    };
+    let json = report.to_json("{}");
+    drtm_obs::jsonlint::validate(&json).expect("artifact parses");
+    assert!(json.contains(r#"{"label":"r\"8\\","metrics":[{"name":"tab\there","#));
+    assert!(json.contains(r#""value":null},{"name":"vtps","unit":"txn/s","value":0.1235}"#));
+}
+
+/// The catalogue reads recorded scalars and labelled families out of
+/// the scrape by name, and still refuses a name it cannot find.
+#[test]
+fn catalogue_resolves_table_scalars_and_families() {
+    let mut s = drtm_obs::Snapshot::empty();
+    (s.committed, s.cache.hits, s.contention.parks) = (2_000, 7, 9);
+    (s.pipeline.overlap_ns, s.aborts[0].1, s.htm[0].1) = (40, 30, 5);
+    let names = [
+        ("committed", "count", 2_000.0),
+        ("cache_hits", "count", 7.0),
+        ("parks", "count", 9.0),
+        ("overlap_ns", "ns", 40.0),
+        ("abort_lock_busy_per_ktxn", "count", 15.0),
+        ("htm_conflict_per_ktxn", "count", 2.5),
+    ];
+    let mut arm = experiment::Arm::new("a");
+    arm.scraped("x_", &s, &names.map(|n| n.0));
+    let want = names.map(|(name, unit, v)| (format!("x_{name}"), unit, v));
+    assert_eq!(arm.metrics, want);
+    let unknown = std::panic::catch_unwind(move || arm.scraped("", &s, &["nosuch"]));
+    assert!(unknown.is_err());
+}

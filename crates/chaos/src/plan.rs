@@ -199,12 +199,4 @@ impl FaultPlan {
         self.crashes.push(CrashSpec { node, point, hit });
         self
     }
-
-    /// The distinct machines this plan will kill.
-    pub fn victims(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.crashes.iter().map(|c| c.node).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }

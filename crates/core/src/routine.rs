@@ -986,11 +986,6 @@ impl<T> QueueGroup<T> {
         self.members.iter().map(|m| m.rejected.get()).sum()
     }
 
-    /// Total removals across all queues.
-    pub fn delivered_total(&self) -> u64 {
-        self.members.iter().map(|m| m.delivered.get()).sum()
-    }
-
     /// Total steals across all pools.
     pub fn steals_total(&self) -> u64 {
         self.members.iter().map(|m| m.steals.get()).sum()

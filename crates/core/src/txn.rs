@@ -818,11 +818,6 @@ impl<'w> TxnCtx<'w> {
         self.w.node
     }
 
-    /// Whether `shard`'s records are local to this worker's machine.
-    pub fn is_local(&self, shard: usize) -> bool {
-        self.w.cluster.home_of(shard) == self.w.node
-    }
-
     fn charge(&mut self, ns: u64) {
         self.w.clock.advance(ns);
     }

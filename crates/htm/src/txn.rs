@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use drtm_base::cacheline::line_range;
-use drtm_base::{Counter, CACHE_LINE};
+use drtm_base::Counter;
 use drtm_base::{MemoryRegion, SplitMix64};
 
 /// Why an HTM transaction aborted.
@@ -476,11 +476,5 @@ impl Htm {
         }
         self.stats.fallbacks.inc();
         RunOutcome::Fallback(last)
-    }
-
-    /// Approximate cache-line footprint of an access of `len` bytes,
-    /// used by callers to charge virtual-time commit costs.
-    pub fn lines_for(len: usize) -> usize {
-        len.div_ceil(CACHE_LINE)
     }
 }

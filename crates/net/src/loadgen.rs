@@ -130,24 +130,26 @@ pub struct ClientReport {
 impl ClientReport {
     /// Renders the report as one JSON object (hand-built, no deps).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sent\":{},\"committed\":{},\"aborted\":{},\"rejected\":{},\
-             \"goodput\":{:.1},\"elapsed_ms\":{:.1},\"shard_skew\":{:.2},\
-             \"latency_us\":{{\"mean\":{:.1},\"p50\":{:.1},\"p99\":{:.1},\"p999\":{:.1},\
-             \"max\":{:.1}}}}}",
-            self.sent,
-            self.committed,
-            self.aborted,
-            self.rejected,
-            self.goodput,
-            self.elapsed_ns as f64 / 1e6,
-            self.shard_skew,
-            self.latency.mean() / 1e3,
-            self.latency.quantile(0.5) as f64 / 1e3,
-            self.latency.quantile(0.99) as f64 / 1e3,
-            self.latency.quantile(0.999) as f64 / 1e3,
-            self.latency.max() as f64 / 1e3,
-        )
+        let mut out = format!(
+            "{{\"sent\":{},\"committed\":{},\"aborted\":{},\"rejected\":{}",
+            self.sent, self.committed, self.aborted, self.rejected,
+        );
+        let us = |ns: u64| ns as f64 / 1e3;
+        for (lead, v, places) in [
+            (",\"goodput\":", self.goodput, 1),
+            (",\"elapsed_ms\":", self.elapsed_ns as f64 / 1e6, 1),
+            (",\"shard_skew\":", self.shard_skew, 2),
+            (",\"latency_us\":{\"mean\":", self.latency.mean() / 1e3, 1),
+            (",\"p50\":", us(self.latency.quantile(0.5)), 1),
+            (",\"p99\":", us(self.latency.quantile(0.99)), 1),
+            (",\"p999\":", us(self.latency.quantile(0.999)), 1),
+            (",\"max\":", us(self.latency.max()), 1),
+        ] {
+            out.push_str(lead);
+            drtm_obs::json::number(&mut out, v, places);
+        }
+        out.push_str("}}");
+        out
     }
 }
 

@@ -497,12 +497,6 @@ impl Server {
         self.tele.snapshot()
     }
 
-    /// Renders the in-server time-series ring (the sampler's output) as
-    /// one JSON object.
-    pub fn timeseries_json(&self) -> String {
-        self.tele.ts.render_json()
-    }
-
     /// The conservation baseline for this server's dataset.
     pub fn initial_total(&self) -> i64 {
         smallbank::initial_total(&self.sb)

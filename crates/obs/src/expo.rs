@@ -1,13 +1,11 @@
 //! Exposition: renders a [`Snapshot`] as Prometheus text, JSON, or a
-//! human-readable table.
-//!
-//! Metric naming scheme (see DESIGN.md §6): every series is prefixed
-//! `drtm_`, counters end in `_total`, histograms carry their unit in
-//! the name (`_ns`), and dimensions are labels (`phase=`, `reason=`,
-//! `class=`, `node=`, `verb=`) rather than name suffixes.
+//! human-readable table. The first two are loops over one table of
+//! rows (DESIGN.md §6), so they cannot disagree about what exists; the
+//! naming rules are the test `table_follows_the_naming_rules`.
 
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::registry::{HistSummary, Snapshot};
 
 /// Escapes a Prometheus label *value* per the text exposition format:
@@ -26,337 +24,285 @@ fn prom_escape(v: &str) -> String {
     out
 }
 
-fn prom_summary(out: &mut String, name: &str, labels: &str, h: &HistSummary) {
-    let sep = if labels.is_empty() {
-        ("", "")
-    } else {
-        ("{", "}")
-    };
-    let q = |out: &mut String, quantile: &str, v: u64| {
-        let extra = if labels.is_empty() {
-            format!("{{quantile=\"{quantile}\"}}")
-        } else {
-            format!("{{{labels},quantile=\"{quantile}\"}}")
-        };
-        let _ = writeln!(out, "{name}{extra} {v}");
-    };
-    q(out, "0.5", h.p50);
-    q(out, "0.99", h.p99);
-    q(out, "0.999", h.p999);
-    let _ = writeln!(out, "{name}_sum{}{labels}{} {}", sep.0, sep.1, h.sum);
-    let _ = writeln!(out, "{name}_count{}{labels}{} {}", sep.0, sep.1, h.count);
+/// `label="value"`, the value escaped.
+fn prom_label(label: &str, value: impl std::fmt::Display) -> String {
+    format!("{label}=\"{}\"", prom_escape(&value.to_string()))
 }
 
-/// Prometheus-style text exposition.
+/// One series line, `name{labels} value`; no braces without labels.
+fn prom_line(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Display) {
+    let _ = match labels {
+        "" => writeln!(out, "{name} {value}"),
+        _ => writeln!(out, "{name}{{{labels}}} {value}"),
+    };
+}
+
+fn prom_summary(out: &mut String, name: &str, labels: &str, h: &HistSummary) {
+    let comma = if labels.is_empty() { "" } else { "," };
+    for (quantile, v) in [("0.5", h.p50), ("0.99", h.p99), ("0.999", h.p999)] {
+        let labels = format!("{labels}{comma}quantile=\"{quantile}\"");
+        prom_line(out, name, &labels, v);
+    }
+    prom_line(out, &format!("{name}_sum"), labels, h.sum);
+    prom_line(out, &format!("{name}_count"), labels, h.count);
+}
+
+/// How an exposition row reads its value out of a [`Snapshot`]. The
+/// variant is also the row's Prometheus type and its JSON shape.
+#[derive(Clone, Copy)]
+pub(crate) enum Get {
+    /// Monotone integer: a `counter`.
+    Count(fn(&Snapshot) -> u64),
+    /// Point-in-time integer: a `gauge`.
+    Gauge(fn(&Snapshot) -> u64),
+    /// Derived fraction or mean, four decimals: a `gauge`.
+    Ratio(fn(&Snapshot) -> f64),
+    /// Boolean: a 0/1 `gauge`, `true`/`false` in JSON.
+    Flag(fn(&Snapshot) -> bool),
+    /// One histogram: a `summary`, an object of its fields in JSON.
+    Hist(fn(&Snapshot) -> &HistSummary),
+    /// `counter` family under the named label; a JSON object by label.
+    Counts(&'static str, fn(&Snapshot) -> &[(&'static str, u64)]),
+    /// `summary` family under the named label; a JSON object by label.
+    Hists(
+        &'static str,
+        fn(&Snapshot) -> &[(&'static str, HistSummary)],
+    ),
+    /// `gauge` family labelled by position; a JSON array.
+    Gauges(&'static str, fn(&Snapshot) -> &[u64]),
+}
+
+/// One exposed metric: where it sits in the JSON document (`section`
+/// is empty at the top level), its Prometheus series name, its getter.
+pub(crate) struct Row {
+    pub(crate) section: &'static str,
+    pub(crate) key: &'static str,
+    pub(crate) prom: &'static str,
+    pub(crate) get: Get,
+}
+
+/// Declares [`ROWS`], one `section key prometheus-name Getter(..);` row
+/// per metric, in JSON document order. The rows are a macro's own
+/// syntax rather than struct literals or constructor calls because
+/// rustfmt leaves a braced macro invocation alone: it expands the same
+/// table written as expressions to five lines a row.
+macro_rules! sections {
+    ($($section:literal $key:literal $prom:literal $kind:ident($($get:tt)*);)*) => {
+        /// Every metric of the Prometheus and JSON forms except the
+        /// three per-node tails (`nic`, `nic_bytes`, `machines`).
+        pub(crate) static ROWS: &[Row] = &[$(Row {
+            section: $section,
+            key: $key,
+            prom: $prom,
+            get: Get::$kind($($get)*),
+        }),*];
+    };
+}
+
+sections! {
+    ""           "committed"      "drtm_txn_committed_total"          Count(|s| s.committed);
+    ""           "aborted"        "drtm_txn_aborted_total"            Count(|s| s.aborted);
+    ""           "fallbacks"      "drtm_txn_fallback_total"           Count(|s| s.fallbacks);
+    ""           "user_aborts"    "drtm_txn_user_abort_total"         Count(|s| s.user_aborts);
+    ""           "latency_ns"     "drtm_txn_latency_ns"               Hist(|s| &s.latency);
+    ""           "phases_ns"      "drtm_commit_phase_ns"              Hists("phase", |s| &s.phases);
+    ""           "phase_waits_ns" "drtm_commit_phase_wait_ns"         Hists("phase", |s| &s.phase_waits);
+    "pipeline"   "routines"       "drtm_routines"                     Gauge(|s| s.pipeline.routines);
+    "pipeline"   "wait_ns"        "drtm_verb_wait_ns_total"           Count(|s| s.pipeline.wait_ns);
+    "pipeline"   "overlap_ns"     "drtm_verb_overlap_ns_total"        Count(|s| s.pipeline.overlap_ns);
+    "pipeline"   "hiding_ratio"   "drtm_latency_hiding_ratio"         Ratio(|s| s.pipeline.hiding_ratio());
+    "pipeline"   "wakes"          "drtm_reactor_wakes_total"          Count(|s| s.pipeline.wakes);
+    "pipeline"   "depth_avg"      "drtm_reactor_depth_avg"            Ratio(|s| s.pipeline.avg_depth());
+    "pipeline"   "wake_lag_ns"    "drtm_reactor_wake_lag_ns_total"    Count(|s| s.pipeline.wake_lag_ns);
+    "contention" "pessimistic"    "drtm_contention_pessimistic_total" Count(|s| s.contention.pessimistic);
+    "contention" "parks"          "drtm_contention_park_total"        Count(|s| s.contention.parks);
+    "contention" "unparks"        "drtm_contention_unpark_total"      Count(|s| s.contention.unparks);
+    "contention" "grants"         "drtm_contention_grant_total"       Count(|s| s.contention.grants);
+    "contention" "waiters"        "drtm_contention_waiters"           Gauge(|s| s.contention.waiting());
+    "contention" "parked_ns"      "drtm_contention_parked_ns"         Hist(|s| &s.contention.parked_ns);
+    "net"        "conns_opened"   "drtm_net_conns_opened_total"       Count(|s| s.net.conns_opened);
+    "net"        "conns_closed"   "drtm_net_conns_closed_total"       Count(|s| s.net.conns_closed);
+    "net"        "accepted"       "drtm_net_accepted_total"           Count(|s| s.net.accepted);
+    "net"        "rejected"       "drtm_net_rejected_total"           Count(|s| s.net.rejected);
+    "net"        "completed"      "drtm_net_completed_total"          Count(|s| s.net.completed);
+    "net"        "in_flight"      "drtm_net_in_flight"                Gauge(|s| s.net.in_flight);
+    "net"        "queue_depth"    "drtm_net_queue_depth"              Gauge(|s| s.net.queue_depth);
+    "net"        "queue_wait_ns"  "drtm_net_queue_wait_ns"            Hist(|s| &s.net.queue_wait_ns);
+    "route"      "enabled"        "drtm_route_enabled"                Flag(|s| s.route.enabled);
+    "route"      "local"          "drtm_route_local_total"            Count(|s| s.route.local);
+    "route"      "remote"         "drtm_route_remote_total"           Count(|s| s.route.remote);
+    "route"      "steals"         "drtm_route_steal_total"            Count(|s| s.route.steals);
+    "route"      "shed_queue"     "drtm_route_shed_queue_total"       Count(|s| s.route.shed_queue);
+    "route"      "shed_global"    "drtm_route_shed_global_total"      Count(|s| s.route.shed_global);
+    "route"      "depths"         "drtm_route_queue_depth"            Gauges("pool", |s| &s.route.depths);
+    ""           "aborts"         "drtm_txn_abort_total"              Counts("reason", |s| &s.aborts);
+    ""           "htm_aborts"     "drtm_htm_abort_total"              Counts("class", |s| &s.htm);
+    "cache"      "hits"           "drtm_cache_hit_total"              Count(|s| s.cache.hits);
+    "cache"      "misses"         "drtm_cache_miss_total"             Count(|s| s.cache.misses);
+    "cache"      "invalidations"  "drtm_cache_invalidation_total"     Count(|s| s.cache.invalidations);
+    "cache"      "bytes_saved"    "drtm_cache_bytes_saved_total"      Count(|s| s.cache.bytes_saved);
+}
+
+/// Every single-valued row as `(section, key, value)`, flags as 0/1 —
+/// the table as other crates may read it (the experiment catalogue
+/// resolves recorded scalars by these names instead of listing them).
+pub fn scalars(s: &Snapshot) -> impl Iterator<Item = (&'static str, &'static str, f64)> + '_ {
+    ROWS.iter().filter_map(move |row| {
+        let value = match row.get {
+            Get::Count(get) | Get::Gauge(get) => get(s) as f64,
+            Get::Ratio(get) => get(s),
+            Get::Flag(get) => f64::from(u8::from(get(s))),
+            _ => return None,
+        };
+        Some((row.section, row.key, value))
+    })
+}
+
+/// The single-valued row at `section` / `key` (`""` for the top level),
+/// `None` when the table has no such row or it is a summary or family.
+pub fn scalar(s: &Snapshot, section: &str, key: &str) -> Option<f64> {
+    let mut rows = scalars(s);
+    rows.find(|r| r.0 == section && r.1 == key).map(|r| r.2)
+}
+
+/// Prometheus-style text exposition: the table's rows in order, then
+/// the per-node tails.
 pub fn render_prometheus(s: &Snapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("# TYPE drtm_txn_committed_total counter\n");
-    let _ = writeln!(out, "drtm_txn_committed_total {}", s.committed);
-    out.push_str("# TYPE drtm_txn_aborted_total counter\n");
-    let _ = writeln!(out, "drtm_txn_aborted_total {}", s.aborted);
-    out.push_str("# TYPE drtm_txn_fallback_total counter\n");
-    let _ = writeln!(out, "drtm_txn_fallback_total {}", s.fallbacks);
-    out.push_str("# TYPE drtm_txn_user_abort_total counter\n");
-    let _ = writeln!(out, "drtm_txn_user_abort_total {}", s.user_aborts);
-
-    out.push_str("# TYPE drtm_txn_abort_total counter\n");
-    for (reason, n) in &s.aborts {
-        let _ = writeln!(
-            out,
-            "drtm_txn_abort_total{{reason=\"{}\"}} {n}",
-            prom_escape(reason)
-        );
+    let mut out = String::with_capacity(8192);
+    for &Row { prom, get, .. } in ROWS {
+        let kind = match get {
+            Get::Count(_) | Get::Counts(..) => "counter",
+            Get::Gauge(_) | Get::Ratio(_) | Get::Flag(_) | Get::Gauges(..) => "gauge",
+            Get::Hist(_) | Get::Hists(..) => "summary",
+        };
+        let _ = writeln!(out, "# TYPE {prom} {kind}");
+        match get {
+            Get::Count(get) | Get::Gauge(get) => prom_line(&mut out, prom, "", get(s)),
+            Get::Ratio(get) => prom_line(&mut out, prom, "", format_args!("{:.4}", get(s))),
+            Get::Flag(get) => prom_line(&mut out, prom, "", get(s) as u8),
+            Get::Hist(get) => prom_summary(&mut out, prom, "", get(s)),
+            Get::Counts(label, get) => {
+                for (value, n) in get(s) {
+                    prom_line(&mut out, prom, &prom_label(label, value), n);
+                }
+            }
+            Get::Hists(label, get) => {
+                for (value, h) in get(s) {
+                    prom_summary(&mut out, prom, &prom_label(label, value), h);
+                }
+            }
+            Get::Gauges(label, get) => {
+                for (i, v) in get(s).iter().enumerate() {
+                    prom_line(&mut out, prom, &prom_label(label, i), v);
+                }
+            }
+        }
     }
-    out.push_str("# TYPE drtm_htm_abort_total counter\n");
-    for (class, n) in &s.htm {
-        let _ = writeln!(
-            out,
-            "drtm_htm_abort_total{{class=\"{}\"}} {n}",
-            prom_escape(class)
-        );
-    }
-
-    out.push_str("# TYPE drtm_txn_latency_ns summary\n");
-    prom_summary(&mut out, "drtm_txn_latency_ns", "", &s.latency);
-    out.push_str("# TYPE drtm_commit_phase_ns summary\n");
-    for (phase, h) in &s.phases {
-        prom_summary(
-            &mut out,
-            "drtm_commit_phase_ns",
-            &format!("phase=\"{}\"", prom_escape(phase)),
-            h,
-        );
-    }
-
-    out.push_str("# TYPE drtm_commit_phase_wait_ns summary\n");
-    for (phase, h) in &s.phase_waits {
-        prom_summary(
-            &mut out,
-            "drtm_commit_phase_wait_ns",
-            &format!("phase=\"{}\"", prom_escape(phase)),
-            h,
-        );
-    }
-
-    out.push_str("# TYPE drtm_routines gauge\n");
-    let _ = writeln!(out, "drtm_routines {}", s.pipeline.routines);
-    out.push_str("# TYPE drtm_verb_wait_ns_total counter\n");
-    let _ = writeln!(out, "drtm_verb_wait_ns_total {}", s.pipeline.wait_ns);
-    out.push_str("# TYPE drtm_verb_overlap_ns_total counter\n");
-    let _ = writeln!(out, "drtm_verb_overlap_ns_total {}", s.pipeline.overlap_ns);
-    out.push_str("# TYPE drtm_latency_hiding_ratio gauge\n");
-    let _ = writeln!(
-        out,
-        "drtm_latency_hiding_ratio {:.4}",
-        s.pipeline.hiding_ratio()
-    );
-    out.push_str("# TYPE drtm_reactor_wakes_total counter\n");
-    let _ = writeln!(out, "drtm_reactor_wakes_total {}", s.pipeline.wakes);
-    out.push_str("# TYPE drtm_reactor_depth_avg gauge\n");
-    let _ = writeln!(out, "drtm_reactor_depth_avg {:.4}", s.pipeline.avg_depth());
-    out.push_str("# TYPE drtm_reactor_wake_lag_ns_total counter\n");
-    let _ = writeln!(
-        out,
-        "drtm_reactor_wake_lag_ns_total {}",
-        s.pipeline.wake_lag_ns
-    );
-
-    out.push_str("# TYPE drtm_contention_pessimistic_total counter\n");
-    let _ = writeln!(
-        out,
-        "drtm_contention_pessimistic_total {}",
-        s.contention.pessimistic
-    );
-    out.push_str("# TYPE drtm_contention_park_total counter\n");
-    let _ = writeln!(out, "drtm_contention_park_total {}", s.contention.parks);
-    out.push_str("# TYPE drtm_contention_grant_total counter\n");
-    let _ = writeln!(out, "drtm_contention_grant_total {}", s.contention.grants);
-    out.push_str("# TYPE drtm_contention_waiters gauge\n");
-    let _ = writeln!(out, "drtm_contention_waiters {}", s.contention.waiting());
-    out.push_str("# TYPE drtm_contention_parked_ns summary\n");
-    prom_summary(
-        &mut out,
-        "drtm_contention_parked_ns",
-        "",
-        &s.contention.parked_ns,
-    );
-
-    out.push_str("# TYPE drtm_net_conns_opened_total counter\n");
-    let _ = writeln!(out, "drtm_net_conns_opened_total {}", s.net.conns_opened);
-    out.push_str("# TYPE drtm_net_conns_closed_total counter\n");
-    let _ = writeln!(out, "drtm_net_conns_closed_total {}", s.net.conns_closed);
-    out.push_str("# TYPE drtm_net_accepted_total counter\n");
-    let _ = writeln!(out, "drtm_net_accepted_total {}", s.net.accepted);
-    out.push_str("# TYPE drtm_net_rejected_total counter\n");
-    let _ = writeln!(out, "drtm_net_rejected_total {}", s.net.rejected);
-    out.push_str("# TYPE drtm_net_completed_total counter\n");
-    let _ = writeln!(out, "drtm_net_completed_total {}", s.net.completed);
-    out.push_str("# TYPE drtm_net_in_flight gauge\n");
-    let _ = writeln!(out, "drtm_net_in_flight {}", s.net.in_flight);
-    out.push_str("# TYPE drtm_net_queue_depth gauge\n");
-    let _ = writeln!(out, "drtm_net_queue_depth {}", s.net.queue_depth);
-    out.push_str("# TYPE drtm_net_queue_wait_ns summary\n");
-    prom_summary(&mut out, "drtm_net_queue_wait_ns", "", &s.net.queue_wait_ns);
-
-    out.push_str("# TYPE drtm_route_enabled gauge\n");
-    let _ = writeln!(out, "drtm_route_enabled {}", s.route.enabled as u8);
-    out.push_str("# TYPE drtm_route_local_total counter\n");
-    let _ = writeln!(out, "drtm_route_local_total {}", s.route.local);
-    out.push_str("# TYPE drtm_route_remote_total counter\n");
-    let _ = writeln!(out, "drtm_route_remote_total {}", s.route.remote);
-    out.push_str("# TYPE drtm_route_steal_total counter\n");
-    let _ = writeln!(out, "drtm_route_steal_total {}", s.route.steals);
-    out.push_str("# TYPE drtm_route_shed_queue_total counter\n");
-    let _ = writeln!(out, "drtm_route_shed_queue_total {}", s.route.shed_queue);
-    out.push_str("# TYPE drtm_route_shed_global_total counter\n");
-    let _ = writeln!(out, "drtm_route_shed_global_total {}", s.route.shed_global);
-    out.push_str("# TYPE drtm_route_queue_depth gauge\n");
-    for (pool, depth) in s.route.depths.iter().enumerate() {
-        let _ = writeln!(out, "drtm_route_queue_depth{{pool=\"{pool}\"}} {depth}");
-    }
-
-    out.push_str("# TYPE drtm_cache_hit_total counter\n");
-    let _ = writeln!(out, "drtm_cache_hit_total {}", s.cache.hits);
-    out.push_str("# TYPE drtm_cache_miss_total counter\n");
-    let _ = writeln!(out, "drtm_cache_miss_total {}", s.cache.misses);
-    out.push_str("# TYPE drtm_cache_invalidation_total counter\n");
-    let _ = writeln!(
-        out,
-        "drtm_cache_invalidation_total {}",
-        s.cache.invalidations
-    );
-    out.push_str("# TYPE drtm_cache_bytes_saved_total counter\n");
-    let _ = writeln!(out, "drtm_cache_bytes_saved_total {}", s.cache.bytes_saved);
-
     out.push_str("# TYPE drtm_nic_verbs_total counter\n");
     for row in &s.nic {
-        let _ = writeln!(
-            out,
-            "drtm_nic_verbs_total{{node=\"{}\",verb=\"{}\"}} {}",
-            row.node,
-            prom_escape(row.verb),
-            row.count
-        );
+        let labels = [prom_label("node", row.node), prom_label("verb", row.verb)].join(",");
+        prom_line(&mut out, "drtm_nic_verbs_total", &labels, row.count);
     }
     out.push_str("# TYPE drtm_nic_bytes_total counter\n");
     for (node, bytes) in &s.nic_bytes {
-        let _ = writeln!(out, "drtm_nic_bytes_total{{node=\"{node}\"}} {bytes}");
+        prom_line(
+            &mut out,
+            "drtm_nic_bytes_total",
+            &prom_label("node", node),
+            bytes,
+        );
     }
-
     out.push_str("# TYPE drtm_machine_committed_total counter\n");
     for m in &s.machines {
-        let _ = writeln!(
-            out,
-            "drtm_machine_committed_total{{node=\"{}\"}} {}",
-            m.node, m.committed
-        );
+        let node = prom_label("node", m.node);
+        prom_line(&mut out, "drtm_machine_committed_total", &node, m.committed);
     }
     out.push_str("# TYPE drtm_machine_alive gauge\n");
     for m in &s.machines {
-        let _ = writeln!(
-            out,
-            "drtm_machine_alive{{node=\"{}\"}} {}",
-            m.node, m.alive as u8
-        );
+        let node = prom_label("node", m.node);
+        prom_line(&mut out, "drtm_machine_alive", &node, m.alive as u8);
     }
     out
 }
 
 fn json_summary(out: &mut String, h: &HistSummary) {
+    let _ = write!(out, "{{\"count\":{},\"sum\":{},\"mean\":", h.count, h.sum);
+    json::number(out, h.mean, 3);
     let _ = write!(
         out,
-        "{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-        h.count, h.sum, h.mean, h.p50, h.p99, h.p999, h.max
+        ",\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
+        h.p50, h.p99, h.p999, h.max
     );
 }
 
-/// JSON exposition (guaranteed to pass [`crate::jsonlint::validate`]).
+/// JSON exposition (guaranteed to pass [`crate::jsonlint::validate`]):
+/// the table's rows in order, each run of one section wrapped in an
+/// object of that name, then the per-node tails.
 pub fn render_json(s: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = write!(
-        out,
-        "{{\"committed\":{},\"aborted\":{},\"fallbacks\":{},\"user_aborts\":{},",
-        s.committed, s.aborted, s.fallbacks, s.user_aborts
-    );
-    out.push_str("\"latency_ns\":");
-    json_summary(&mut out, &s.latency);
-    out.push_str(",\"phases_ns\":{");
-    for (i, (phase, h)) in s.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    out.push('{');
+    let mut section = "";
+    // Every member is written with a trailing comma; closing a section
+    // trades its last one for the brace.
+    let close = |out: &mut String, section: &str| {
+        if !section.is_empty() {
+            out.pop();
+            out.push_str("},");
         }
-        let _ = write!(out, "\"{phase}\":");
-        json_summary(&mut out, h);
+    };
+    for row in ROWS {
+        if row.section != section {
+            close(&mut out, section);
+            section = row.section;
+            if !section.is_empty() {
+                out.extend(["\"", section, "\":{"]);
+            }
+        }
+        out.extend(["\"", row.key, "\":"]);
+        match row.get {
+            Get::Count(get) | Get::Gauge(get) => {
+                let _ = write!(out, "{}", get(s));
+            }
+            Get::Ratio(get) => json::number(&mut out, get(s), 4),
+            Get::Flag(get) => {
+                let _ = write!(out, "{}", get(s));
+            }
+            Get::Hist(get) => json_summary(&mut out, get(s)),
+            Get::Counts(_, get) => json::list(&mut out, "{}", get(s), |out, (label, n)| {
+                json::string(out, label);
+                let _ = write!(out, ":{n}");
+            }),
+            Get::Hists(_, get) => json::list(&mut out, "{}", get(s), |out, (label, h)| {
+                json::string(out, label);
+                out.push(':');
+                json_summary(out, h);
+            }),
+            Get::Gauges(_, get) => json::list(&mut out, "[]", get(s), |out, v| {
+                let _ = write!(out, "{v}");
+            }),
+        }
+        out.push(',');
     }
-    out.push_str("},\"phase_waits_ns\":{");
-    for (i, (phase, h)) in s.phase_waits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{phase}\":");
-        json_summary(&mut out, h);
-    }
-    let _ = write!(
-        out,
-        "}},\"pipeline\":{{\"routines\":{},\"wait_ns\":{},\"overlap_ns\":{},\"hiding_ratio\":{:.4},\"wakes\":{},\"depth_avg\":{:.4},\"wake_lag_ns\":{}}}",
-        s.pipeline.routines,
-        s.pipeline.wait_ns,
-        s.pipeline.overlap_ns,
-        s.pipeline.hiding_ratio(),
-        s.pipeline.wakes,
-        s.pipeline.avg_depth(),
-        s.pipeline.wake_lag_ns
-    );
-    let _ = write!(
-        out,
-        ",\"contention\":{{\"pessimistic\":{},\"parks\":{},\"unparks\":{},\"grants\":{},\"waiters\":{},\"parked_ns\":",
-        s.contention.pessimistic,
-        s.contention.parks,
-        s.contention.unparks,
-        s.contention.grants,
-        s.contention.waiting()
-    );
-    json_summary(&mut out, &s.contention.parked_ns);
-    out.push('}');
-    let _ = write!(
-        out,
-        ",\"net\":{{\"conns_opened\":{},\"conns_closed\":{},\"accepted\":{},\"rejected\":{},\"completed\":{},\"in_flight\":{},\"queue_depth\":{},\"queue_wait_ns\":",
-        s.net.conns_opened,
-        s.net.conns_closed,
-        s.net.accepted,
-        s.net.rejected,
-        s.net.completed,
-        s.net.in_flight,
-        s.net.queue_depth
-    );
-    json_summary(&mut out, &s.net.queue_wait_ns);
-    out.push('}');
-    let _ = write!(
-        out,
-        ",\"route\":{{\"enabled\":{},\"local\":{},\"remote\":{},\"steals\":{},\"shed_queue\":{},\"shed_global\":{},\"depths\":[",
-        s.route.enabled,
-        s.route.local,
-        s.route.remote,
-        s.route.steals,
-        s.route.shed_queue,
-        s.route.shed_global
-    );
-    for (i, depth) in s.route.depths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{depth}");
-    }
-    out.push_str("]}");
-    out.push_str(",\"aborts\":{");
-    for (i, (reason, n)) in s.aborts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{reason}\":{n}");
-    }
-    out.push_str("},\"htm_aborts\":{");
-    for (i, (class, n)) in s.htm.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{class}\":{n}");
-    }
-    let _ = write!(
-        out,
-        "}},\"cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"bytes_saved\":{}",
-        s.cache.hits, s.cache.misses, s.cache.invalidations, s.cache.bytes_saved
-    );
-    out.push_str("},\"nic\":[");
-    for (i, row) in s.nic.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"node\":{},\"verb\":\"{}\",\"count\":{}}}",
-            row.node, row.verb, row.count
-        );
-    }
-    out.push_str("],\"nic_bytes\":[");
-    for (i, (node, bytes)) in s.nic_bytes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    close(&mut out, section);
+    out.push_str("\"nic\":");
+    json::list(&mut out, "[]", &s.nic, |out, row| {
+        let _ = write!(out, "{{\"node\":{},\"verb\":", row.node);
+        json::string(out, row.verb);
+        let _ = write!(out, ",\"count\":{}}}", row.count);
+    });
+    out.push_str(",\"nic_bytes\":");
+    json::list(&mut out, "[]", &s.nic_bytes, |out, (node, bytes)| {
         let _ = write!(out, "{{\"node\":{node},\"bytes\":{bytes}}}");
-    }
-    out.push_str("],\"machines\":[");
-    for (i, m) in s.machines.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"machines\":");
+    json::list(&mut out, "[]", &s.machines, |out, m| {
         let _ = write!(
             out,
             "{{\"node\":{},\"committed\":{},\"aborted\":{},\"fallbacks\":{},\"alive\":{}}}",
             m.node, m.committed, m.aborted, m.fallbacks, m.alive
         );
-    }
-    out.push_str("]}");
+    });
+    out.push('}');
     out
 }
 
@@ -539,12 +485,14 @@ pub fn render_text(s: &Snapshot) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::registry::{MachineRow, NicRow, Registry};
     use crate::Phase;
 
-    fn sample() -> Snapshot {
+    /// A snapshot with something in every section (shared with the
+    /// crate-level table tests).
+    pub(crate) fn sample() -> Snapshot {
         let r = Registry::new();
         let sh = r.shard(0);
         for i in 0..100 {

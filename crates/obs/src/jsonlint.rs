@@ -76,52 +76,45 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
+    /// `open`, then `item`s separated by commas, then `close`.
+    fn sequence(
+        &mut self,
+        (open, close): (u8, u8),
+        item: fn(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.i += 1;
             return Ok(());
         }
         loop {
             self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
+            item(self)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(()),
+                Some(c) if c == close => return Ok(()),
                 _ => {
                     self.i -= self.peek().is_some() as usize;
-                    return Err(self.err("expected ',' or '}' in object"));
+                    return Err(self.err(&format!("expected ',' or '{}'", close as char)));
                 }
             }
         }
     }
 
+    fn object(&mut self) -> Result<(), String> {
+        self.sequence((b'{', b'}'), |p| {
+            p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            p.value()
+        })
+    }
+
     fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(()),
-                _ => {
-                    self.i -= self.peek().is_some() as usize;
-                    return Err(self.err("expected ',' or ']' in array"));
-                }
-            }
-        }
+        self.sequence((b'[', b']'), Self::value)
     }
 
     fn string(&mut self) -> Result<(), String> {
@@ -148,39 +141,36 @@ impl Parser<'_> {
         }
     }
 
+    /// One or more digits.
+    fn digits(&mut self, otherwise: &str) -> Result<(), String> {
+        if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            return Err(self.err(otherwise));
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        Ok(())
+    }
+
     fn number(&mut self) -> Result<(), String> {
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        match self.peek() {
-            Some(b'0') => self.i += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.i += 1;
-                }
-            }
-            _ => return Err(self.err("expected digit")),
+        if self.peek() == Some(b'0') {
+            self.i += 1;
+        } else {
+            self.digits("expected digit")?;
         }
         if self.peek() == Some(b'.') {
             self.i += 1;
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected digit after decimal point"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
+            self.digits("expected digit after decimal point")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return Err(self.err("expected digit in exponent"));
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
+            self.digits("expected digit in exponent")?;
         }
         Ok(())
     }

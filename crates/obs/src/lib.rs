@@ -3,17 +3,20 @@
 //! The paper's evaluation is built on decompositions (Table 6 per-phase
 //! latencies, Figure 20 recovery timeline, §6 HTM abort attribution)
 //! that require asking a live run "where did this transaction spend its
-//! time, and why did it abort?". This crate answers that with three
+//! time, and why did it abort?". This crate answers that with four
 //! pieces, none of which touch shared state on the hot path:
 //!
 //! * a **sharded metrics registry** ([`registry`]): each worker owns an
-//!   `Arc<Shard>` of plain `drtm-base` counters/histograms; aggregation
-//!   happens only at scrape time by merging shards into a [`Snapshot`];
+//!   `Arc<Shard>` of plain `drtm-base` counters/histograms, its scalar
+//!   counters declared one `shard!` row each; aggregation happens only
+//!   at scrape time by merging shards into a [`Snapshot`];
+//! * **exposition** ([`expo`]): Prometheus text and JSON as two loops
+//!   over one table of rows (DESIGN.md §6 has the "adding a metric"
+//!   recipe), and a human report; [`json`] is the one writer of JSON
+//!   strings and floats, [`jsonlint`] the checker tests parse with;
 //! * a **structured trace ring** ([`trace`]): fixed-size per-thread
 //!   ring buffers of engine events with wall *and* virtual timestamps,
 //!   exportable as chrome://tracing JSON;
-//! * **exposition** ([`expo`]): Prometheus-style text, JSON, and human
-//!   tables rendered from a [`Snapshot`];
 //! * a **time-series ring** ([`timeseries`]): a bounded history of
 //!   periodic server telemetry samples (queue depth, in-flight, abort
 //!   mix) a live server scrapes into and exports alongside the trace.
@@ -38,6 +41,7 @@
 #![deny(missing_docs)]
 
 pub mod expo;
+pub mod json;
 pub mod jsonlint;
 pub mod registry;
 pub mod timeseries;
@@ -152,34 +156,4 @@ pub const ABORT_REASONS: [&str; 8] = [
 pub const HTM_CLASSES: [&str; 5] = ["conflict", "capacity", "explicit", "spurious", "fallback"];
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn phase_indices_are_dense_and_ordered() {
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
-        assert_eq!(Phase::COUNT, 8);
-    }
-
-    #[test]
-    fn phase_names_are_unique() {
-        let mut names: Vec<_> = Phase::ALL.iter().map(|p| p.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), Phase::COUNT);
-    }
-
-    #[test]
-    fn label_tables_are_unique() {
-        let mut r = ABORT_REASONS.to_vec();
-        r.sort_unstable();
-        r.dedup();
-        assert_eq!(r.len(), ABORT_REASONS.len());
-        let mut c = HTM_CLASSES.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        assert_eq!(c.len(), HTM_CLASSES.len());
-    }
-}
+mod tests;

@@ -12,108 +12,134 @@ use drtm_base::sync::RwLock;
 
 use crate::{enabled, Phase, ABORT_REASONS, HTM_CLASSES};
 
-/// Per-worker metric shard. All fields are plain `drtm-base` atomics;
-/// a shard is only ever written by its owning worker (reads may come
-/// from a concurrent scrape, which the atomics make safe).
-#[derive(Debug)]
-pub struct Shard {
-    /// Node this shard's worker runs on (shards of the same node are
-    /// merged into one machine row at scrape time).
-    pub node: usize,
+/// Declares [`Shard`] from one row per recorded scalar:
+/// `/// doc` / `field => snapshot slot [: max];`. A row generates the
+/// public `Counter` field, its line of `Shard::new`, its fold into the
+/// [`Snapshot`] slot at scrape (summed across shards, or the maximum
+/// for a `: max` gauge) and its line of [`Registry::reset`] — so a new
+/// counter is this row, its stats-struct field, its `note_*` recorder
+/// and its exposition row in `expo.rs`, and nothing else.
+macro_rules! shard {
+    ($($(#[$doc:meta])* $name:ident => $($slot:ident).+ $(: $fold:ident)?;)*) => {
+        /// Per-worker metric shard. All fields are plain `drtm-base` atomics;
+        /// a shard is only ever written by its owning worker (reads may come
+        /// from a concurrent scrape, which the atomics make safe).
+        #[derive(Debug)]
+        pub struct Shard {
+            /// Node this shard's worker runs on (shards of the same node are
+            /// merged into one machine row at scrape time).
+            pub node: usize,
+            $($(#[$doc])* pub $name: Counter,)*
+            /// End-to-end committed-transaction latency, virtual ns.
+            pub latency: Histogram,
+            /// Per-phase time, virtual ns, indexed by [`Phase::index`].
+            pub phases: [Histogram; Phase::COUNT],
+            /// Abort attempts by reason, indexed like [`ABORT_REASONS`].
+            pub aborts: [Counter; ABORT_REASONS.len()],
+            /// Per-phase verb-wait portion, virtual ns, indexed by
+            /// [`Phase::index`] — subtract from [`Shard::phases`] for the
+            /// CPU-occupied remainder of each phase.
+            pub phase_waits: [Histogram; Phase::COUNT],
+            /// Virtual ns each parked routine spent on a key's wait list.
+            pub parked_ns: Histogram,
+        }
+
+        impl Shard {
+            fn new(node: usize) -> Self {
+                Self {
+                    node,
+                    $($name: Counter::new(),)*
+                    latency: Histogram::new(),
+                    phases: std::array::from_fn(|_| Histogram::new()),
+                    aborts: std::array::from_fn(|_| Counter::new()),
+                    phase_waits: std::array::from_fn(|_| Histogram::new()),
+                    parked_ns: Histogram::new(),
+                }
+            }
+
+            /// Folds every scalar row into its slot of `snap`.
+            fn fold_scalars(&self, snap: &mut Snapshot) {
+                $(shard!(@fold snap.$($slot).+, self.$name.get() $(, $fold)?);)*
+            }
+
+            /// Zeroes every scalar row.
+            fn reset_scalars(&self) {
+                $(self.$name.take();)*
+            }
+        }
+
+        /// The rows again, for the table-driven test in `tests.rs`: field
+        /// name, slot path, both accessors and whether shards fold by max.
+        #[cfg(test)]
+        #[allow(clippy::type_complexity)]
+        pub(crate) const SCALARS: &[(&str, &[&str], fn(&Shard) -> &Counter, fn(&Snapshot) -> u64, bool)] = &[$((
+            stringify!($name),
+            &[$(stringify!($slot)),+],
+            |sh| &sh.$name,
+            |snap| snap.$($slot).+,
+            shard!(@max $($fold)?),
+        )),*];
+    };
+    (@fold $slot:expr, $v:expr) => { $slot += $v };
+    (@fold $slot:expr, $v:expr, max) => { $slot = $slot.max($v) };
+    (@max) => { false };
+    (@max max) => { true };
+}
+
+shard! {
     /// Committed transactions.
-    pub committed: Counter,
+    committed => committed;
     /// Aborted transaction *attempts* (a txn retried 3 times counts 3).
-    pub aborted: Counter,
+    aborted => aborted;
     /// Commits that went through the software fallback path (§6.1).
-    pub fallbacks: Counter,
+    fallbacks => fallbacks;
     /// Explicit user aborts.
-    pub user_aborts: Counter,
-    /// End-to-end committed-transaction latency, virtual ns.
-    pub latency: Histogram,
-    /// Per-phase time, virtual ns, indexed by [`Phase::index`].
-    pub phases: [Histogram; Phase::COUNT],
-    /// Abort attempts by reason, indexed like [`ABORT_REASONS`].
-    pub aborts: [Counter; ABORT_REASONS.len()],
+    user_aborts => user_aborts;
     /// Value-cache hits (remote reads served without a READ verb).
-    pub cache_hits: Counter,
+    cache_hits => cache.hits;
     /// Value-cache misses (full-record READ issued and deposited).
-    pub cache_misses: Counter,
+    cache_misses => cache.misses;
     /// Value-cache entries dropped (C.2 validation or incarnation
     /// failures, plus reconfiguration sweeps).
-    pub cache_invalidations: Counter,
+    cache_invalidations => cache.invalidations;
     /// Wire bytes the value cache avoided reading (full record size per
     /// hit, minus the header-only validation READ each hit still pays).
-    pub cache_bytes_saved: Counter,
+    cache_bytes_saved => cache.bytes_saved;
     /// Size of the reactor this shard's worker last attached to (1 for
     /// a worker outside any pool; the pool size inside one). Scrape
     /// reports the *maximum* across shards as the gauge.
-    pub routines: Counter,
+    routines => pipeline.routines: max;
     /// Total virtual ns this shard's routines spent waiting on verb
     /// completions (doorbell rung → batch horizon).
-    pub verb_wait_ns: Counter,
+    verb_wait_ns => pipeline.wait_ns;
     /// Portion of [`Shard::verb_wait_ns`] during which the worker's CPU
     /// was running *other* routines — latency genuinely hidden by the
     /// scheduler. `overlap / wait` is the latency-hiding ratio.
-    pub verb_overlap_ns: Counter,
-    /// Per-phase verb-wait portion, virtual ns, indexed by
-    /// [`Phase::index`] — subtract from [`Shard::phases`] for the
-    /// CPU-occupied remainder of each phase.
-    pub phase_waits: [Histogram; Phase::COUNT],
+    verb_overlap_ns => pipeline.overlap_ns;
     /// Reactor wake-ups: times a parked routine was granted the CPU
     /// after a yield point (a lone routine is granted at every wait).
-    pub reactor_wakes: Counter,
+    reactor_wakes => pipeline.wakes;
     /// Sum over wakes of the reactor's waiting-set depth at dispatch —
     /// `depth_sum / wakes` is the mean number of runnable-or-parked
     /// routines the reactor was juggling.
-    pub reactor_depth_sum: Counter,
+    reactor_depth_sum => pipeline.depth_sum;
     /// Sum over wakes of grant lag: virtual ns between a routine's wake
     /// time (its batch horizon) and the instant the reactor actually
     /// resumed it (another routine's CPU segment was in the way).
-    pub reactor_lag_ns: Counter,
+    reactor_lag_ns => pipeline.wake_lag_ns;
     /// Commits forced onto rung 2 of the contention ladder (pessimistic
     /// wait-mode C.1 acquisition, DESIGN.md §15).
-    pub contention_pessimistic: Counter,
+    contention_pessimistic => contention.pessimistic;
     /// Routines parked on a hot key's wait list (rung 3).
-    pub key_parks: Counter,
+    key_parks => contention.parks;
     /// Parked routines that resumed (granted or timed out);
     /// `parks − unparks` is the live waiters gauge.
-    pub key_unparks: Counter,
+    key_unparks => contention.unparks;
     /// Grants handed to parked waiters by the unlock paths.
-    pub key_grants: Counter,
-    /// Virtual ns each parked routine spent on a key's wait list.
-    pub parked_ns: Histogram,
+    key_grants => contention.grants;
 }
 
 impl Shard {
-    fn new(node: usize) -> Self {
-        Self {
-            node,
-            committed: Counter::new(),
-            aborted: Counter::new(),
-            fallbacks: Counter::new(),
-            user_aborts: Counter::new(),
-            latency: Histogram::new(),
-            phases: std::array::from_fn(|_| Histogram::new()),
-            aborts: std::array::from_fn(|_| Counter::new()),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            cache_invalidations: Counter::new(),
-            cache_bytes_saved: Counter::new(),
-            routines: Counter::new(),
-            verb_wait_ns: Counter::new(),
-            verb_overlap_ns: Counter::new(),
-            phase_waits: std::array::from_fn(|_| Histogram::new()),
-            reactor_wakes: Counter::new(),
-            reactor_depth_sum: Counter::new(),
-            reactor_lag_ns: Counter::new(),
-            contention_pessimistic: Counter::new(),
-            key_parks: Counter::new(),
-            key_unparks: Counter::new(),
-            key_grants: Counter::new(),
-            parked_ns: Histogram::new(),
-        }
-    }
-
     /// Records a committed transaction with its end-to-end latency.
     #[inline]
     pub fn note_commit(&self, latency_ns: u64) {
@@ -285,11 +311,6 @@ impl Registry {
         s
     }
 
-    /// Number of shards handed out.
-    pub fn shard_count(&self) -> usize {
-        self.shards.read().len()
-    }
-
     /// Clones the current shard handles (for tests and custom scrapes).
     pub fn shards(&self) -> Vec<Arc<Shard>> {
         self.shards.read().clone()
@@ -301,70 +322,45 @@ impl Registry {
     /// point-in-time view (counts can trail sums by in-flight updates,
     /// never tear).
     pub fn scrape(&self) -> Snapshot {
-        let shards = self.shards();
-        let latency = Histogram::new();
-        let phases: [Histogram; Phase::COUNT] = std::array::from_fn(|_| Histogram::new());
-        let phase_waits: [Histogram; Phase::COUNT] = std::array::from_fn(|_| Histogram::new());
-        let parked = Histogram::new();
+        // Histograms merge into a scratch shard, scalars fold straight
+        // into the snapshot.
+        let total = Shard::new(0);
         let mut snap = Snapshot::default();
-        let mut machines: Vec<MachineRow> = Vec::new();
-        for s in &shards {
-            snap.committed += s.committed.get();
-            snap.aborted += s.aborted.get();
-            snap.fallbacks += s.fallbacks.get();
-            snap.user_aborts += s.user_aborts.get();
-            latency.merge(&s.latency);
-            for (agg, mine) in phases.iter().zip(s.phases.iter()) {
-                agg.merge(mine);
+        for s in &self.shards() {
+            s.fold_scalars(&mut snap);
+            total.latency.merge(&s.latency);
+            total.parked_ns.merge(&s.parked_ns);
+            let per_phase = total.phases.iter().chain(&total.phase_waits);
+            let mine = s.phases.iter().chain(&s.phase_waits);
+            per_phase.zip(mine).for_each(|(agg, h)| agg.merge(h));
+            for (slot, c) in snap.aborts.iter_mut().zip(&s.aborts) {
+                slot.1 += c.get();
             }
-            for (agg, mine) in phase_waits.iter().zip(s.phase_waits.iter()) {
-                agg.merge(mine);
-            }
-            for (i, c) in s.aborts.iter().enumerate() {
-                snap.aborts[i].1 += c.get();
-            }
-            snap.cache.hits += s.cache_hits.get();
-            snap.cache.misses += s.cache_misses.get();
-            snap.cache.invalidations += s.cache_invalidations.get();
-            snap.cache.bytes_saved += s.cache_bytes_saved.get();
-            snap.pipeline.routines = snap.pipeline.routines.max(s.routines.get());
-            snap.pipeline.wait_ns += s.verb_wait_ns.get();
-            snap.pipeline.overlap_ns += s.verb_overlap_ns.get();
-            snap.pipeline.wakes += s.reactor_wakes.get();
-            snap.pipeline.depth_sum += s.reactor_depth_sum.get();
-            snap.pipeline.wake_lag_ns += s.reactor_lag_ns.get();
-            snap.contention.pessimistic += s.contention_pessimistic.get();
-            snap.contention.parks += s.key_parks.get();
-            snap.contention.unparks += s.key_unparks.get();
-            snap.contention.grants += s.key_grants.get();
-            parked.merge(&s.parked_ns);
-            match machines.iter_mut().find(|m| m.node == s.node) {
-                Some(m) => {
-                    m.committed += s.committed.get();
-                    m.aborted += s.aborted.get();
-                    m.fallbacks += s.fallbacks.get();
-                }
-                None => machines.push(MachineRow {
+            let at = snap.machines.iter().position(|m| m.node == s.node);
+            let at = at.unwrap_or_else(|| {
+                snap.machines.push(MachineRow {
                     node: s.node,
-                    committed: s.committed.get(),
-                    aborted: s.aborted.get(),
-                    fallbacks: s.fallbacks.get(),
+                    committed: 0,
+                    aborted: 0,
+                    fallbacks: 0,
                     alive: true,
-                }),
-            }
+                });
+                snap.machines.len() - 1
+            });
+            let m = &mut snap.machines[at];
+            m.committed += s.committed.get();
+            m.aborted += s.aborted.get();
+            m.fallbacks += s.fallbacks.get();
         }
-        machines.sort_by_key(|m| m.node);
-        snap.contention.parked_ns = HistSummary::of(&parked);
-        snap.latency = HistSummary::of(&latency);
-        snap.phases = Phase::ALL
-            .iter()
-            .map(|p| (p.name(), HistSummary::of(&phases[p.index()])))
-            .collect();
-        snap.phase_waits = Phase::ALL
-            .iter()
-            .map(|p| (p.name(), HistSummary::of(&phase_waits[p.index()])))
-            .collect();
-        snap.machines = machines;
+        snap.machines.sort_by_key(|m| m.node);
+        snap.contention.parked_ns = HistSummary::of(&total.parked_ns);
+        snap.latency = HistSummary::of(&total.latency);
+        let summaries = |hs: &[Histogram]| {
+            let named = Phase::ALL.iter().zip(hs);
+            named.map(|(p, h)| (p.name(), HistSummary::of(h))).collect()
+        };
+        snap.phases = summaries(&total.phases);
+        snap.phase_waits = summaries(&total.phase_waits);
         snap
     }
 
@@ -372,36 +368,27 @@ impl Registry {
     /// the measured window).
     pub fn reset(&self) {
         for s in self.shards() {
-            s.committed.take();
-            s.aborted.take();
-            s.fallbacks.take();
-            s.user_aborts.take();
+            s.reset_scalars();
             s.latency.reset();
-            for h in &s.phases {
-                h.reset();
-            }
+            s.parked_ns.reset();
             for c in &s.aborts {
                 c.take();
             }
-            s.cache_hits.take();
-            s.cache_misses.take();
-            s.cache_invalidations.take();
-            s.cache_bytes_saved.take();
-            s.routines.take();
-            s.verb_wait_ns.take();
-            s.verb_overlap_ns.take();
-            s.reactor_wakes.take();
-            s.reactor_depth_sum.take();
-            s.reactor_lag_ns.take();
-            s.contention_pessimistic.take();
-            s.key_parks.take();
-            s.key_unparks.take();
-            s.key_grants.take();
-            s.parked_ns.reset();
-            for h in &s.phase_waits {
-                h.reset();
-            }
+            s.phases
+                .iter()
+                .chain(&s.phase_waits)
+                .for_each(Histogram::reset);
         }
+    }
+}
+
+/// `num / den`, 0 when `den` is 0: every rate and mean of the stats
+/// structs below.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -421,12 +408,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Hit fraction in `[0, 1]`; 0 when no lookups were recorded.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.hits + self.misses)
     }
 }
 
@@ -457,29 +439,17 @@ impl PipelineStats {
     /// verb wait. 0 when nothing waited (or nothing overlapped —
     /// notably every reactor of one).
     pub fn hiding_ratio(&self) -> f64 {
-        if self.wait_ns == 0 {
-            0.0
-        } else {
-            self.overlap_ns as f64 / self.wait_ns as f64
-        }
+        ratio(self.overlap_ns, self.wait_ns)
     }
 
     /// Mean reactor waiting-set depth at dispatch; 0 with no wakes.
     pub fn avg_depth(&self) -> f64 {
-        if self.wakes == 0 {
-            0.0
-        } else {
-            self.depth_sum as f64 / self.wakes as f64
-        }
+        ratio(self.depth_sum, self.wakes)
     }
 
     /// Mean grant lag per wake, virtual ns; 0 with no wakes.
     pub fn avg_wake_lag_ns(&self) -> f64 {
-        if self.wakes == 0 {
-            0.0
-        } else {
-            self.wake_lag_ns as f64 / self.wakes as f64
-        }
+        ratio(self.wake_lag_ns, self.wakes)
     }
 }
 
@@ -535,12 +505,7 @@ pub struct NetStats {
 impl NetStats {
     /// Fraction of arrivals shed in `[0, 1]`; 0 when nothing arrived.
     pub fn reject_rate(&self) -> f64 {
-        let total = self.accepted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / total as f64
-        }
+        ratio(self.rejected, self.accepted + self.rejected)
     }
 }
 
@@ -571,12 +536,7 @@ impl RouteStats {
     /// Fraction of routed admissions that were all-local, in `[0, 1]`;
     /// 0 when nothing was admitted.
     pub fn local_rate(&self) -> f64 {
-        let total = self.local + self.remote;
-        if total == 0 {
-            0.0
-        } else {
-            self.local as f64 / total as f64
-        }
+        ratio(self.local, self.local + self.remote)
     }
 }
 
@@ -700,16 +660,14 @@ impl Snapshot {
 // `Default` can't derive the labelled arrays, so spell it out.
 impl Default for Snapshot {
     fn default() -> Self {
+        let phases = Phase::ALL.map(|p| (p.name(), HistSummary::default()));
         Self {
             committed: 0,
             aborted: 0,
             fallbacks: 0,
             user_aborts: 0,
             latency: HistSummary::default(),
-            phases: Phase::ALL
-                .iter()
-                .map(|p| (p.name(), HistSummary::default()))
-                .collect(),
+            phases: phases.to_vec(),
             aborts: std::array::from_fn(|i| (ABORT_REASONS[i], 0)),
             htm: std::array::from_fn(|i| (HTM_CLASSES[i], 0)),
             nic: Vec::new(),
@@ -717,10 +675,7 @@ impl Default for Snapshot {
             machines: Vec::new(),
             cache: CacheStats::default(),
             pipeline: PipelineStats::default(),
-            phase_waits: Phase::ALL
-                .iter()
-                .map(|p| (p.name(), HistSummary::default()))
-                .collect(),
+            phase_waits: phases.to_vec(),
             net: NetStats::default(),
             contention: ContentionStats::default(),
             route: RouteStats::default(),

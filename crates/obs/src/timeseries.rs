@@ -11,10 +11,11 @@
 //! and abort mix over time next to the request trace.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 use drtm_base::sync::Mutex;
 
-use crate::ABORT_REASONS;
+use crate::{json, ABORT_REASONS};
 
 /// One periodic telemetry sample. Gauges are point-in-time; counters
 /// are cumulative since server start, so deltas between consecutive
@@ -105,18 +106,14 @@ impl TsRing {
     pub fn render_json(&self) -> String {
         let (samples, dropped) = self.snapshot();
         let mut out = String::with_capacity(128 + samples.len() * 160);
-        out.push_str("{\"dropped\":");
-        out.push_str(&dropped.to_string());
-        out.push_str(",\"series\":[");
-        for (i, s) in samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+        let _ = write!(out, "{{\"dropped\":{dropped},\"series\":");
+        json::list(&mut out, "[]", &samples, |out, s| {
+            let _ = write!(
+                out,
                 concat!(
                     "{{\"wall_ms\":{},\"queue_depth\":{},\"in_flight\":{},",
                     "\"accepted\":{},\"rejected\":{},\"completed\":{},",
-                    "\"committed\":{},\"aborted\":{},\"abort_reasons\":{{"
+                    "\"committed\":{},\"aborted\":{},\"abort_reasons\":"
                 ),
                 s.wall_ms,
                 s.queue_depth,
@@ -126,16 +123,15 @@ impl TsRing {
                 s.completed,
                 s.committed,
                 s.aborted,
-            ));
-            for (j, reason) in ABORT_REASONS.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", reason, s.abort_reasons[j]));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
+            );
+            let mix = ABORT_REASONS.iter().zip(s.abort_reasons);
+            json::list(out, "{}", mix, |out, (reason, n)| {
+                json::string(out, reason);
+                let _ = write!(out, ":{n}");
+            });
+            out.push('}');
+        });
+        out.push('}');
         out
     }
 }

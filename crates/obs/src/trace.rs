@@ -27,13 +27,14 @@
 //! processes the flow ids still link the spans logically.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use drtm_base::sync::Mutex;
 
-use crate::enabled;
+use crate::{enabled, json};
 
 /// Default per-thread ring capacity (events). At ~48 bytes per event
 /// this bounds each thread to ~1.5 MiB of trace memory.
@@ -330,7 +331,7 @@ pub fn trace_for(id: u64) -> u64 {
 /// recording is disabled (feature or runtime toggle).
 #[inline]
 pub fn event(kind: EventKind, label: &'static str, arg: u64, virt_ns: u64) {
-    event_batch(kind, label, arg, 0, virt_ns);
+    instant(kind, label, arg, 0, 0, virt_ns);
 }
 
 /// Records one event carrying a doorbell batch id (verb events emitted
@@ -338,20 +339,7 @@ pub fn event(kind: EventKind, label: &'static str, arg: u64, virt_ns: u64) {
 /// disabled.
 #[inline]
 pub fn event_batch(kind: EventKind, label: &'static str, arg: u64, batch: u64, virt_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    push(TraceEvent {
-        kind,
-        label,
-        ph: EvPhase::Instant,
-        id: 0,
-        arg,
-        batch,
-        wall_ns: wall_ns(),
-        dur_ns: 0,
-        virt_ns,
-    });
+    instant(kind, label, arg, batch, 0, virt_ns);
 }
 
 /// Records an instant event carrying a trace id, so per-request
@@ -359,6 +347,11 @@ pub fn event_batch(kind: EventKind, label: &'static str, arg: u64, batch: u64, v
 /// With `trace == 0` this is identical to [`event`].
 #[inline]
 pub fn event_id(kind: EventKind, label: &'static str, arg: u64, trace: u64, virt_ns: u64) {
+    instant(kind, label, arg, 0, trace, virt_ns);
+}
+
+#[inline]
+fn instant(kind: EventKind, label: &'static str, arg: u64, batch: u64, id: u64, virt_ns: u64) {
     if !enabled() {
         return;
     }
@@ -366,9 +359,9 @@ pub fn event_id(kind: EventKind, label: &'static str, arg: u64, trace: u64, virt
         kind,
         label,
         ph: EvPhase::Instant,
-        id: trace,
+        id,
         arg,
-        batch: 0,
+        batch,
         wall_ns: wall_ns(),
         dur_ns: 0,
         virt_ns,
@@ -461,20 +454,7 @@ pub fn flow_end(trace: u64, virt_ns: u64) {
 
 #[inline]
 fn flow_edge(ph: EvPhase, trace: u64, virt_ns: u64) {
-    if trace == 0 || !enabled() {
-        return;
-    }
-    push(TraceEvent {
-        kind: EventKind::Net,
-        label: FLOW_LABEL,
-        ph,
-        id: trace,
-        arg: 0,
-        batch: 0,
-        wall_ns: wall_ns(),
-        dur_ns: 0,
-        virt_ns,
-    });
+    span_edge(EventKind::Net, FLOW_LABEL, ph, trace, virt_ns);
 }
 
 #[inline]
@@ -494,60 +474,38 @@ pub fn buffered() -> usize {
     rings().lock().iter().map(|(_, r)| r.len()).sum()
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_event(out: &mut String, tid: u64, ev: &TraceEvent) {
     out.push_str("{\"name\":\"");
-    escape_into(out, ev.kind.name());
+    json::escape(out, ev.kind.name());
     if !ev.label.is_empty() {
         out.push(':');
-        escape_into(out, ev.label);
+        json::escape(out, ev.label);
     }
-    out.push_str("\",\"cat\":\"");
-    escape_into(out, ev.kind.cat());
-    out.push_str("\",\"ph\":\"");
-    out.push(ev.ph.letter());
-    out.push('"');
+    out.push_str("\",\"cat\":");
+    json::string(out, ev.kind.cat());
+    let _ = write!(out, ",\"ph\":\"{}\"", ev.ph.letter());
     if ev.ph == EvPhase::Instant {
         out.push_str(",\"s\":\"t\"");
     }
     if ev.ph == EvPhase::Complete {
         // chrome://tracing durations are microseconds, like ts.
         out.push_str(",\"dur\":");
-        out.push_str(&format!("{:.3}", ev.dur_ns as f64 / 1_000.0));
+        json::number(out, ev.dur_ns as f64 / 1_000.0, 3);
     }
     if ev.id != 0 {
         // Spans and flows bind by this id; instants merely carry it so
         // a request's whole record set greps by one value.
-        out.push_str(",\"id\":\"");
-        out.push_str(&ev.id.to_string());
-        out.push('"');
+        let _ = write!(out, ",\"id\":\"{}\"", ev.id);
     }
-    out.push_str(",\"pid\":1,\"tid\":");
-    out.push_str(&tid.to_string());
     // chrome://tracing wants microseconds; keep ns precision with
     // three decimals.
-    out.push_str(",\"ts\":");
-    out.push_str(&format!("{:.3}", ev.wall_ns as f64 / 1_000.0));
-    out.push_str(",\"args\":{\"virt_ns\":");
-    out.push_str(&ev.virt_ns.to_string());
-    out.push_str(",\"arg\":");
-    out.push_str(&ev.arg.to_string());
-    out.push_str(",\"batch\":");
-    out.push_str(&ev.batch.to_string());
-    out.push_str("}}");
+    let _ = write!(out, ",\"pid\":1,\"tid\":{tid},\"ts\":");
+    json::number(out, ev.wall_ns as f64 / 1_000.0, 3);
+    let _ = write!(
+        out,
+        ",\"args\":{{\"virt_ns\":{},\"arg\":{},\"batch\":{}}}}}",
+        ev.virt_ns, ev.arg, ev.batch
+    );
 }
 
 /// Renders a set of (tid, events) streams as chrome://tracing JSON.

@@ -730,21 +730,6 @@ impl Fabric {
         }
     }
 
-    /// Resets all NIC budgets and counters (between experiment phases).
-    pub fn reset_traffic(&self) {
-        for p in &self.ports {
-            p.nic.reset();
-            p.nic_ops.reset();
-            p.stats.reads.take();
-            p.stats.writes.take();
-            p.stats.atomics.take();
-            p.stats.sends.take();
-            p.stats.doorbells.take();
-            p.stats.bytes.take();
-            p.stats.saved.take();
-        }
-    }
-
     /// Charges `wire` bytes against both endpoints' NICs at time `now`,
     /// returning the completion time. Loopback charges the single NIC once.
     fn charge_nics(&self, src: NodeId, dst: NodeId, now: u64, wire: u64) -> u64 {

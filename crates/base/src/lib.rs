@@ -13,7 +13,7 @@
 //!   throughput is meaningless; every worker instead advances a private
 //!   [`clock::VClock`] by charging operation costs from a
 //!   [`clock::CostModel`], and shared resources such as the NIC are modelled
-//!   as virtual-time token buckets ([`link::LinkBudget`]).
+//!   as ledgers of virtual-time windows ([`link::LinkBudget`]).
 //! * [`stats`] — cheap concurrent counters and a log-scale latency histogram.
 //! * [`rng`] — a small deterministic PRNG so experiments are reproducible.
 

@@ -24,7 +24,8 @@ use drtm_core::scrape_cluster;
 use drtm_core::txn::TxnError;
 use drtm_workloads::audit;
 use drtm_workloads::driver::{
-    build_tpcc, run_smallbank, run_tpcc, run_tpcc_on, run_ycsb, EngineKind, Measurement, RunCfg,
+    build_smallbank, build_tpcc, run_smallbank_on, run_tpcc, run_tpcc_on, run_ycsb, EngineKind,
+    Measurement, RunCfg,
 };
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 use drtm_workloads::tpcc::{self, TpccCfg};
@@ -64,8 +65,22 @@ fn tpcc_point(arm: &mut Arm, run: &RunCfg, m: Measurement) -> Measurement {
     m
 }
 
+/// Virtual delay the NIC budgets of `cluster` handed out — bytes and
+/// verbs, every port — ns: how far past the link rate the offered load
+/// went (0 while no NIC saturates).
+fn nic_delay_ns(cluster: &DrtmCluster) -> f64 {
+    let ports = (0..cluster.nodes()).map(|n| cluster.fabric.port(n));
+    ports
+        .map(|p| p.nic().delayed_ns() + p.nic_ops().delayed_ns())
+        .sum::<u64>() as f64
+}
+
 /// TPC-C on a cluster whose engine options `RunCfg` cannot spell.
-fn run_tpcc_with(cfg: &TpccCfg, run: &RunCfg, tweak: impl FnOnce(&mut EngineOpts)) -> Measurement {
+fn run_tpcc_with(
+    cfg: &TpccCfg,
+    run: &RunCfg,
+    tweak: impl FnOnce(&mut EngineOpts),
+) -> (Arc<DrtmCluster>, Measurement) {
     let expected = run.txns_per_worker * run.threads * 2;
     let mut opts = EngineOpts::builder()
         .region_size(cfg.region_size(expected))
@@ -74,7 +89,8 @@ fn run_tpcc_with(cfg: &TpccCfg, run: &RunCfg, tweak: impl FnOnce(&mut EngineOpts
     tweak(&mut opts);
     let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
     tpcc::load(&cluster, cfg);
-    run_tpcc_on(cfg, run, &cluster, None)
+    let m = run_tpcc_on(cfg, run, &cluster, None);
+    (cluster, m)
 }
 
 /// Figure 10: machines sweep, one warehouse per worker thread.
@@ -109,7 +125,8 @@ pub fn fig11(size: Size) -> Arms {
 /// Figure 12: logical nodes of 4 workers, up to 4 to a machine.
 /// Co-located nodes run the full RDMA protocol against each other and
 /// share the machine's NIC: both of its budgets, bytes and verbs per
-/// second, are divided by the co-location factor.
+/// second, are divided by the co-location factor; `nic_delay_ns_per_txn`
+/// says whether the shared budgets bind.
 pub fn fig12(size: Size) -> Arms {
     let scale = size.scale();
     let logical: &[usize] = scale.pick(&[4, 8, 12, 16, 20, 24], &[2, 4, 6]);
@@ -119,16 +136,20 @@ pub fn fig12(size: Size) -> Arms {
             ..size.run(DrtmR, 4, 1)
         };
         let co = n.min(4) as f64;
-        let m = run_tpcc_with(&tpcc_cfg(scale, n, 4), &run, |opts| {
+        let (cluster, m) = run_tpcc_with(&tpcc_cfg(scale, n, 4), &run, |opts| {
             opts.cost.nic_bytes_per_sec /= co;
             opts.cost.nic_ops_per_sec /= co;
         });
+        let delay = nic_delay_ns(&cluster) / m.committed.max(1) as f64;
         tpcc_point(arm, &run, m);
+        arm.push("nic_delay_ns_per_txn", "ns", delay);
     })
 }
 
 /// Figures 13–16: SmallBank at 1 / 5 / 10 % cross-machine payments,
-/// swept over machines or (`by_threads`) threads per machine.
+/// swept over machines or (`by_threads`) threads per machine. With
+/// replication (Figures 15/16) each point also reports the NIC delay
+/// per transaction over its three runs.
 pub fn smallbank_fig(size: Size, by_threads: bool, replicas: usize) -> Arms {
     let scale = size.scale();
     let xs: &[usize] = match (by_threads, replicas) {
@@ -141,10 +162,19 @@ pub fn smallbank_fig(size: Size, by_threads: bool, replicas: usize) -> Arms {
             true => (scale.pick(6, replicas.max(2)), x),
             false => (x, scale.pick(16, 2)),
         };
+        let (mut delay, mut committed) = (0.0, 0);
         for cross in [1, 5, 10] {
             let cfg = sb_cfg(scale, nodes, f64::from(cross) / 100.0);
-            let m = run_smallbank(&cfg, &size.run(DrtmR, threads, replicas));
+            let run = size.run(DrtmR, threads, replicas);
+            let (cluster, _) = build_smallbank(&cfg, &run);
+            let m = run_smallbank_on(&cfg, &run, &cluster, None);
             arm.push(format!("cross={cross}%"), "txn/s", m.throughput);
+            delay += nic_delay_ns(&cluster);
+            committed += m.committed;
+        }
+        if replicas > 1 {
+            let per_txn = delay / committed.max(1) as f64;
+            arm.push("nic_delay_ns_per_txn", "ns", per_txn);
         }
     })
 }
@@ -251,6 +281,8 @@ pub fn table6(size: Size) -> Arms {
         let m = run_tpcc_on(&cfg, &run, &cluster, None);
         arm.measured("", &m);
         arm.scraped("", &scrape_cluster(&cluster), &quantiles);
+        let delay = nic_delay_ns(&cluster) / m.committed.max(1) as f64;
+        arm.push("nic_delay_ns_per_txn", "ns", delay);
         let (records, image) = cluster.backups.footprint();
         arm.push("image_bytes_per_record", "B", image as f64 / records as f64);
         arm.push("unapplied_log_bytes", "B", cluster.logs.bytes() as f64);
@@ -291,7 +323,7 @@ pub fn ablations(size: Size) -> Arms {
         arm
     };
     let mut no_swap = Arm::new("no_pointer_swap");
-    let m = run_tpcc_with(&cfg, &base, |opts| opts.pointer_swap = false);
+    let (_, m) = run_tpcc_with(&cfg, &base, |opts| opts.pointer_swap = false);
     no_swap.measured("", &m);
     Ok(vec![
         switched("baseline", |_| {}),

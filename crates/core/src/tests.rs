@@ -1157,6 +1157,53 @@ fn r1_waits_for_the_slowest_ack_not_the_sum() {
     assert_eq!(log.sum, 2 * cost.doorbell_ns + write);
 }
 
+/// R.1 on a quiet NIC costs the same virtual time while another worker's
+/// clock runs 2 ms ahead as with no other clock running: 400 one-record
+/// commits on machine 0 (two redo WRITEs each, ~0.7 verbs/µs on its
+/// port, an eighth of its verb rate) after a machine-1 worker already
+/// committed at 2 ms into machine 0's log. Each R.1 costs the two
+/// doorbells plus one WRITE latency, as in the test above.
+#[test]
+fn r1_on_a_quiet_nic_ignores_a_clock_running_ahead() {
+    let log_sum = |c: &DrtmCluster| {
+        c.obs
+            .scrape()
+            .phases
+            .iter()
+            .find(|(n, _)| *n == "log")
+            .unwrap()
+            .1
+            .sum
+    };
+    let run = |ahead: bool| {
+        let c = cluster(3, 3);
+        if ahead {
+            let mut w = c.worker(1, 2);
+            w.clock.advance(2_000_000);
+            w.run(|t| t.write(1, T_ACCT, key(1, 1), val(7))).unwrap();
+        }
+        let before = log_sum(&c);
+        let mut w = c.worker(0, 1);
+        for i in 0..400 {
+            w.run(|t| t.write(0, T_ACCT, key(0, i % 64), val(i)))
+                .unwrap();
+        }
+        (w.clock.now(), log_sum(&c) - before)
+    };
+    let (solo, behind) = (run(false), run(true));
+    assert_eq!(behind, solo);
+    assert!(
+        solo.0 < 2_000_000,
+        "the lagging clock stays behind: {}",
+        solo.0
+    );
+    let cost = drtm_base::CostModel::default();
+    assert_eq!(
+        solo.1,
+        400 * (2 * cost.doorbell_ns + cost.rdma_write(29 + 16))
+    );
+}
+
 /// One-shot injector: drops the `n`-th verb of class `verb` issued from
 /// node 0 toward node 1 (0-based), everything else passes untouched.
 struct DropNth {

@@ -1239,8 +1239,8 @@ mod unit {
         let qp = f.qp(0, 1);
         let mut clock = VClock::new();
         qp.write(&mut clock, 0, &vec![0u8; 100_000]);
-        // 100 kB at 1 MB/s = ~100 ms of serialisation delay (minus the
-        // token-bucket burst allowance).
+        // 100 kB at 1 MB/s = ~100 ms of serialisation delay (the first
+        // 100 µs window's share passes free).
         assert!(clock.now() >= 99_000_000, "clock = {}", clock.now());
     }
 

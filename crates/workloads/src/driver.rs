@@ -6,8 +6,8 @@
 //! independent pipeline advancing its own clock, so the cluster rate is
 //! `Σ_w committed_w / vtime_w` — independent of how the (single-core)
 //! host schedules the threads. Shared bottlenecks like the per-node NIC
-//! couple workers through virtual-time token buckets, which is how the
-//! replication experiments saturate exactly like the paper's.
+//! couple workers through ledgers of virtual-time windows, which is how
+//! the replication experiments saturate exactly like the paper's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -53,8 +53,16 @@ pub struct MemoryRegion {
     /// One seqlock word per cache line: odd while a writer holds the line,
     /// even (and monotonically increasing) otherwise.
     line_ver: Box<[AtomicU64]>,
+    /// Line writes begun so far, over the whole region (see
+    /// [`Self::line_writes`]).
+    writes: OwnLine,
     size: usize,
 }
+
+/// A counter on a cache line of its own: the writers that bump it do not
+/// evict the region's read-mostly fields from every reader's cache.
+#[repr(align(64))]
+struct OwnLine(AtomicU64);
 
 impl MemoryRegion {
     /// Creates a zeroed region of at least `size` bytes (rounded up to a
@@ -66,6 +74,7 @@ impl MemoryRegion {
         Self {
             words,
             line_ver,
+            writes: OwnLine(AtomicU64::new(0)),
             size,
         }
     }
@@ -113,7 +122,8 @@ impl MemoryRegion {
         }
     }
 
-    /// Acquires the seqlock of `line`, returning the pre-lock version.
+    /// Acquires the seqlock of `line` to write it, returning the
+    /// pre-lock version; the write is counted ([`Self::line_writes`]).
     #[inline]
     fn lock_line(&self, line: usize) -> u64 {
         let mut spins = 0u32;
@@ -124,6 +134,7 @@ impl MemoryRegion {
                     .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
+                self.count_write();
                 return v;
             }
             spins += 1;
@@ -133,6 +144,26 @@ impl MemoryRegion {
                 std::hint::spin_loop();
             }
         }
+    }
+
+    /// How many line writes have begun in this region: a writer counts
+    /// once it holds a line's seqlock, before it stores the line's new
+    /// version (a write that then changes nothing — a failed CAS, an
+    /// HTM commit that rolls back — has counted too). So a reader that
+    /// observes a new version observes its count, and a reader that
+    /// finds the count where it was knows no line it validated since has
+    /// changed — the HTM's cheap opacity check.
+    #[inline]
+    pub fn line_writes(&self) -> u64 {
+        self.writes.0.load(Ordering::SeqCst)
+    }
+
+    /// Counts a write whose seqlock was just taken. It follows the lock's
+    /// atomic, so it finds the store buffer already drained and stalls on
+    /// none of the writer's data stores.
+    #[inline]
+    fn count_write(&self) {
+        self.writes.0.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Releases the seqlock of `line`, publishing a new even version.
@@ -330,9 +361,9 @@ impl MemoryRegion {
         if v & 1 != 0 {
             return None;
         }
-        self.line_ver[line]
-            .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-            .ok()
+        let locked =
+            self.line_ver[line].compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed);
+        locked.ok().inspect(|_| self.count_write())
     }
 
     /// Releases a line acquired with [`Self::try_lock_line`], bumping its
@@ -468,6 +499,25 @@ mod tests {
         let pre2 = r.try_lock_line(0).unwrap();
         r.release_line_clean(0, pre2);
         assert_eq!(r.line_version(0), pre + 2);
+    }
+
+    #[test]
+    fn line_writes_count_every_line_lock_taken() {
+        let r = MemoryRegion::new(256);
+        r.write_bytes_coherent(0, &[1; 100]); // two lines
+        r.store64_coherent(128, 5);
+        assert_eq!(r.line_writes(), 3);
+        assert!(r.cas64(128, 9, 1).is_err());
+        assert_eq!(r.line_writes(), 4, "counted before the compare");
+        let pre = r.try_lock_line(3).unwrap();
+        assert!(
+            r.try_lock_line(3).is_none(),
+            "a refused lock counts nothing"
+        );
+        r.release_line_clean(3, pre);
+        assert_eq!(r.line_writes(), 5);
+        r.with_lines_locked(0, 128, |_| ());
+        assert_eq!(r.line_writes(), 7);
     }
 
     /// Torn-line check: two threads hammer a single line with full-line

@@ -1127,9 +1127,10 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ("DrTM+R scales: 3 machines >= 2.2 x 1 machine", 1, |_, a| {
                 a[2]["drtm+r"] >= 2.2 * a[0]["drtm+r"]
             }),
-            // No remote access on one machine: the generality cost alone.
-            ("DrTM above DrTM+R on one machine", 1, |_, a| {
-                a[0]["drtm"] > a[0]["drtm+r"]
+            // No remote access on one machine: the generality cost alone,
+            // which read groups brought to parity (EXPERIMENTS.md).
+            ("DrTM within 5 % of DrTM+R on one machine", 1, |_, a| {
+                a[0]["drtm"] >= 0.95 * a[0]["drtm+r"]
             }),
             ("DrTM+R >= 4 x Calvin at every machine count", 1, |_, a| {
                 a.iter().all(|p| p["drtm+r"] >= 4.0 * p["calvin"])

@@ -318,6 +318,13 @@ impl TxnCtx<'_> {
     }
 
     /// Read-only commit: validate sequence numbers with no HTM, no locks.
+    ///
+    /// A locked record fails validation wherever it lives and however it
+    /// was read (§4.5's read-time rule, applied once more at the end): a
+    /// committer between C.1 and C.6 may already have rewritten the
+    /// transaction's *other* records — local ones are written in HTM at
+    /// C.4 and never locked — while this one still shows its old
+    /// sequence number.
     async fn commit_ro(&mut self) -> Result<(), TxnError> {
         assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
         // Traced read-only commits get an execute span (begin → here)
@@ -328,10 +335,13 @@ impl TxnCtx<'_> {
         let cost = &cluster.opts.cost;
         let region = Arc::clone(&cluster.stores[self.w.node].region);
         for e in &self.l_rs {
+            // Line 0 holds the lock word, incarnation and sequence
+            // number: one access.
             self.w.clock.advance(cost.mem_access_ns);
+            let lock = region.load64(e.rec_off + LOCK_OFF);
             let inc = region.load64(e.rec_off + INCARNATION_OFF);
             let seq = region.load64(e.rec_off + SEQ_OFF);
-            if inc != e.incarnation || !read_validates(e.seq, seq) {
+            if lock != LOCK_FREE || inc != e.incarnation || !read_validates(e.seq, seq) {
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
@@ -339,12 +349,9 @@ impl TxnCtx<'_> {
         let hdrs = self.read_headers(&addrs, |_| None).await?;
         for (i, h) in hdrs.iter().enumerate() {
             let e = &self.r_rs[i];
-            // A cached entry skipped the read-time lock check a fresh
-            // read-only READ performs (§4.5), so reject a locked record
-            // here: its committer may be mid-rewrite.
             if h.incarnation != e.incarnation
                 || !read_validates(e.seq, h.seq)
-                || (e.from_cache && h.lock != LOCK_FREE)
+                || h.lock != LOCK_FREE
             {
                 self.invalidate_cached_read(i);
                 return Err(TxnError::Aborted(AbortReason::Validation));

@@ -1931,6 +1931,203 @@ fn read_many_keeps_a_key_on_the_machine_its_verbs_went_to() {
     assert_eq!(read, [(1, rec_off)]);
 }
 
+/// An ordered table of 3-line records (100-byte values), for the read
+/// group tests.
+const T_ORD: u32 = 1;
+
+/// Two machines, keys 0..40 of [`T_ORD`] on machine 0, the HTM read
+/// set capped at `max_read_lines`.
+fn ordered_cluster(max_read_lines: usize) -> Arc<DrtmCluster> {
+    let htm = drtm_htm::HtmConfig {
+        max_read_lines,
+        ..Default::default()
+    };
+    let opts = EngineOpts::builder().region_size(4 << 20).htm(htm).build();
+    let schema = [
+        TableSpec::hash(T_ACCT, 64, 16),
+        TableSpec::ordered(T_ORD, 100),
+    ];
+    let c = DrtmCluster::new(2, &schema, opts);
+    for k in 0..40u64 {
+        c.seed_record(0, T_ORD, k, &[k as u8; 100]);
+    }
+    c
+}
+
+/// A scan reads its hits as one read group: the same values, the same
+/// read set in scan order and the same commit as reading each hit by
+/// itself — an own write and an earlier read among them — for one HTM
+/// region's begin and commit instead of one per record fetched. With
+/// the read capacity at 8 lines the 3-line records go two to a region:
+/// the group splits instead of aborting.
+#[test]
+fn a_scan_is_one_read_group() {
+    for max_read_lines in [4096, 8] {
+        let run = |grouped: bool| {
+            let c = ordered_cluster(max_read_lines);
+            let mut w = c.worker(0, 1);
+            let mut t = w.begin();
+            t.write_local(T_ORD, 7, vec![0xee; 100]).unwrap();
+            t.read_local(T_ORD, 12).unwrap();
+            let before = t.w.clock.now();
+            let got: Vec<(u64, Vec<u8>)> = if grouped {
+                t.scan_local(T_ORD, 5, 30, usize::MAX).unwrap()
+            } else {
+                let hits = c.stores[0].scan(T_ORD, 5, 30, usize::MAX);
+                let read = |(k, _)| (k, t.read_local(T_ORD, k).unwrap());
+                hits.into_iter().map(read).collect()
+            };
+            let spent = t.w.clock.now() - before;
+            let read_set: Vec<_> = (t.l_rs.iter())
+                .map(|e| (e.table, e.rec_off, e.seq, e.incarnation, e.value.clone()))
+                .collect();
+            (got, read_set, t.commit(), spent)
+        };
+        let (seq, seq_reads, seq_commit, seq_ns) = run(false);
+        let (group, group_reads, group_commit, group_ns) = run(true);
+        assert_eq!(group, seq, "cap {max_read_lines}");
+        assert_eq!(group_reads, seq_reads, "cap {max_read_lines}");
+        assert_eq!((group_commit, seq_commit), (Ok(()), Ok(())));
+        assert_eq!(group[2], (7, vec![0xee; 100]), "the own write");
+        // 26 hits; 24 fetched, the own write and the earlier read served.
+        let c = ordered_cluster(max_read_lines);
+        let per_region = max_read_lines / c.stores[0].table(T_ORD).layout.lines();
+        let (records, regions) = (24, 24u64.div_ceil(per_region.min(24) as u64));
+        let cost = &c.opts.cost;
+        assert_eq!(
+            seq_ns - group_ns,
+            (cost.htm_begin_ns + cost.htm_commit_ns) * (records - regions),
+            "cap {max_read_lines}: {regions} regions"
+        );
+    }
+}
+
+/// A read group that finds a member locked by a committer drops its
+/// region, backs off and retries the whole group: released by a sibling
+/// routine that starts 100 µs later, it then reads every hit. A member
+/// whose lock never frees aborts the read `LocalLockBusy`, and the
+/// ladder's conflict site names that record.
+#[test]
+fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
+    use drtm_store::{lock_word, LOCK_FREE};
+    let c = ordered_cluster(4096);
+    let off = c.stores[0].get_loc(T_ORD, 20).unwrap() as usize;
+    let region = &c.stores[0].region;
+    region.cas64(off, LOCK_FREE, lock_word(1)).unwrap();
+
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin_ro();
+    let busy = TxnError::Aborted(AbortReason::LocalLockBusy);
+    assert_eq!(t.scan_local(T_ORD, 10, 30, usize::MAX), Err(busy));
+    drop(t);
+    let site = w.last_conflict.take().expect("the abort names its record");
+    assert_eq!((site.table, site.key, site.addr), (T_ORD, 20, (0, off)));
+
+    let workers = (0..2u64)
+        .map(|id| {
+            let mut w = c.worker(0, 5 + id);
+            w.clock.advance(id * 100_000);
+            w
+        })
+        .collect();
+    let mut out = crate::routine::RoutinePool::run(workers, async |id, w| {
+        if id == 1 {
+            region.cas64(off, lock_word(1), LOCK_FREE).unwrap();
+            return None;
+        }
+        let hits = w.run_ro_async(async |t| t.scan_local_async(T_ORD, 10, 30, 99).await);
+        Some(hits.await)
+    });
+    let (w, hits) = out.remove(0);
+    let hits = hits.unwrap().unwrap();
+    assert_eq!(hits.len(), 21);
+    assert!(hits.iter().all(|(k, v)| *v == [*k as u8; 100]));
+    assert!(
+        w.clock.now() > 100_000,
+        "the read waited for the release: {}",
+        w.clock.now()
+    );
+}
+
+/// Waits for a committer on machine 0 that adds 1 to `key(0, 0)` —
+/// written in HTM at C.4, never locked — and to `key(1, 0)`, locked at
+/// C.1, to reach its C.5 WRITE toward machine 1, and holds it there.
+/// The returned closure lets it finish and checks that it committed.
+fn hold_committer_at_c5(c: &Arc<DrtmCluster>) -> impl FnOnce() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let first = AtomicBool::new(true);
+    let tap = {
+        let (held, release) = (Arc::clone(&held), Arc::clone(&release));
+        Tap(move |dst, verb| {
+            if (dst, verb) == (1, drtm_rdma::Verb::Write) && first.swap(false, Ordering::SeqCst) {
+                held.wait();
+                release.wait();
+            }
+            false
+        })
+    };
+    c.fabric.set_injector(Arc::new(tap));
+    let committer = {
+        let c = Arc::clone(c);
+        std::thread::spawn(move || {
+            let mut w = c.worker(0, 1);
+            w.run(|t| {
+                for n in [0, 1] {
+                    let v = t.read(n, T_ACCT, key(n, 0))?;
+                    t.write(n, T_ACCT, key(n, 0), val(num(&v) + 1))?;
+                }
+                Ok(())
+            })
+        })
+    };
+    held.wait();
+    let c = Arc::clone(c);
+    move || {
+        release.wait();
+        assert_eq!(committer.join().unwrap(), Ok(()));
+        c.fabric.clear_injector();
+    }
+}
+
+/// ROADMAP 2(a): a read-only transaction reads `B` on machine 1 before
+/// a committer locks it, then `A` on its own machine after the
+/// committer's C.4 rewrote it, and validates while the committer is
+/// held between C.4 and C.5 — `B` locked, still at its old sequence
+/// number. Committing would publish `{A new, B old}`; the locked header
+/// fails validation although `B` was read fresh, not from the cache.
+#[test]
+fn read_only_validation_rejects_a_remote_record_a_committer_holds() {
+    let c = cluster(2, 1);
+    let mut r = c.worker(0, 2);
+    let mut t = r.begin_ro();
+    assert_eq!(t.read(1, T_ACCT, key(1, 0)).map(|v| num(&v)), Ok(100));
+    let finish = hold_committer_at_c5(&c);
+    let a = t.read(0, T_ACCT, key(0, 0)).map(|v| num(&v));
+    let outcome = t.commit();
+    finish();
+    assert_eq!(a, Ok(101), "C.4 wrote the committer's local record");
+    assert_eq!(outcome, Err(TxnError::Aborted(AbortReason::Validation)));
+}
+
+/// The mirror case: the reader runs on machine 1, so `B` is in its
+/// *local* read set, locked by the remote committer, and `A` — local to
+/// the committer, so never locked — is read over RDMA after C.4.
+#[test]
+fn read_only_validation_rejects_a_local_record_a_remote_committer_holds() {
+    let c = cluster(2, 1);
+    let mut r = c.worker(1, 2);
+    let mut t = r.begin_ro();
+    assert_eq!(t.read(1, T_ACCT, key(1, 0)).map(|v| num(&v)), Ok(100));
+    let finish = hold_committer_at_c5(&c);
+    let a = t.read(0, T_ACCT, key(0, 0)).map(|v| num(&v));
+    let outcome = t.commit();
+    finish();
+    assert_eq!(a, Ok(101), "C.4 wrote the committer's local record");
+    assert_eq!(outcome, Err(TxnError::Aborted(AbortReason::Validation)));
+}
+
 /// Kills the probed machine at the `nth` passage of `point`.
 struct CrashAtNth {
     point: &'static str,

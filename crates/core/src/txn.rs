@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use drtm_base::task::block_now;
 use drtm_base::{Histogram, SplitMix64, VClock};
-use drtm_htm::HtmTxn;
+use drtm_htm::{HtmConfig, HtmTxn};
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
-use drtm_store::{CachedRecord, RemoteProbe, TableId, PROBE_LINE_BYTES};
+use drtm_store::{CachedRecord, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
@@ -830,17 +830,9 @@ impl<'w> TxnCtx<'w> {
         block_now(self.read_local_async(table, key))
     }
 
-    /// Reads a record on the local machine (Figure 5's `LOCAL_READ`).
-    ///
-    /// Runs a small HTM region that first checks the record's lock word:
-    /// if a remote committer holds the lock, the HTM region aborts and
-    /// the read retries with randomised backoff (§4.3 — the "necessary
-    /// false abort"). The backoff parks the routine as a spin wait in
-    /// the reactor's poll loop (§14): spin parks stay perpetually
-    /// runnable and flush-exempt, so the read cannot wedge a deferred
-    /// doorbell flush while it waits out the lock holder. The HTM
-    /// region itself is opened and closed without suspending. Buffered
-    /// own-writes win.
+    /// Reads a record on the local machine (Figure 5's `LOCAL_READ`): a
+    /// read group of one (`read_group`, DESIGN.md §4). Buffered
+    /// own-writes win, and a record already read returns its snapshot.
     pub async fn read_local_async(
         &mut self,
         table: TableId,
@@ -859,84 +851,155 @@ impl<'w> TxnCtx<'w> {
         key: u64,
         known_off: Option<usize>,
     ) -> Result<Vec<u8>, TxnError> {
-        if let Some(i) = self
-            .l_ws_at
-            .find(&self.l_ws, |e| (e.table, e.key), (table, key))
-        {
-            return Ok(self.l_ws[i].buf.clone());
+        let member = match self.local_source(table, key, known_off)? {
+            LocalSource::Served(value) => return Ok(value.to_vec()),
+            LocalSource::Fetch(member) => member,
+        };
+        match self.read_group(&[member]).await {
+            Ok(mut read) => Ok(self.enter_local_read(read.pop().expect("one member, one read"))),
+            Err(_) => Err(self.local_lock_busy(member)),
         }
-        let cluster = Arc::clone(&self.w.cluster);
-        let store = &cluster.stores[self.w.node];
+    }
+
+    /// What a local read of `(table, key)` starts from: the own write or
+    /// earlier snapshot that serves it, or the record it must fetch.
+    fn local_source(
+        &self,
+        table: TableId,
+        key: u64,
+        known_off: Option<usize>,
+    ) -> Result<LocalSource<'_>, TxnError> {
+        let own = self
+            .l_ws_at
+            .find(&self.l_ws, |e| (e.table, e.key), (table, key));
+        if let Some(i) = own {
+            return Ok(LocalSource::Served(&self.l_ws[i].buf));
+        }
         let rec_off = match known_off {
             Some(off) => off,
-            None => store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize,
+            None => {
+                let store = &self.w.cluster.stores[self.w.node];
+                store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize
+            }
         };
         // Repeatable read: if already in the read set, return the snapshot.
         let at = (table, rec_off as u64);
-        if let Some(i) = self
+        let read = self
             .l_rs_at
-            .find(&self.l_rs, |e| (e.table, e.rec_off as u64), at)
-        {
-            return Ok(self.l_rs[i].value.clone());
-        }
-        let rec = store.record(table, rec_off);
-        let cost = &cluster.opts.cost;
-        let mut value = vec![0u8; rec.layout.value_len];
-        let lines = rec.layout.lines() as u64;
-        let mut result = None;
-        /// Retries when a local read finds the record lock held.
-        const LOCAL_READ_RETRIES: usize = 10_000;
-        for _ in 0..LOCAL_READ_RETRIES {
-            self.charge(cost.htm_begin_ns + cost.record_logic_ns);
-            let mut htm = HtmTxn::begin(&store.region, &cluster.opts.htm);
-            match rec.read_htm(&mut htm, &mut value) {
-                Ok((lock, inc, seq)) => {
-                    if lock != LOCK_FREE {
-                        // Locked by a remote committer: manually abort the
-                        // HTM region and retry after a randomised wait.
-                        // The real yield lets the (possibly descheduled)
-                        // lock holder run on an oversubscribed host; the
-                        // spin-park poll happens only after the region is
-                        // dropped — HTM never spans a reactor yield (§11).
-                        drop(htm);
-                        let ns = self.w.rng.below(2_000);
-                        self.charge(ns);
-                        std::thread::yield_now();
-                        self.w.spin_yield().await;
-                        continue;
-                    }
-                    if htm.commit().is_ok() {
-                        self.charge(cost.htm_commit_ns + lines * cost.mem_access_ns);
-                        result = Some((inc, seq));
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // Conflicting concurrent commit: retry immediately.
-                }
-            }
-        }
-        let Some((incarnation, seq)) = result else {
-            // Attribute the abort to this record's lock occupancy so the
-            // escalation ladder (DESIGN.md §15) can target the key.
-            self.w.last_conflict = Some(ConflictSite {
+            .find(&self.l_rs, |e| (e.table, e.rec_off as u64), at);
+        Ok(match read {
+            Some(i) => LocalSource::Served(&self.l_rs[i].value),
+            None => LocalSource::Fetch(GroupMember {
                 table,
                 key,
-                addr: (self.w.node, rec_off),
-                lockish: true,
-            });
-            return Err(TxnError::Aborted(AbortReason::LocalLockBusy));
-        };
-        self.l_rs.push(LocalRead {
-            table,
-            rec_off,
-            seq,
-            incarnation,
-            value: value.clone(),
-        });
+                rec_off,
+            }),
+        })
+    }
+
+    /// Reads `members` — local records in neither local set, no two
+    /// alike — as one *read group*: one HTM region reads them all and
+    /// checks each lock word, where Figure 5's `LOCAL_READ` opens one
+    /// region per record. Returns one read-set entry per member, in
+    /// order, not yet entered in the read set; `Err(i)`: member `i`'s
+    /// lock outlasted every retry.
+    ///
+    /// A group whose lines exceed the read capacity
+    /// ([`drtm_htm::HtmConfig::max_read_lines`]) is split into
+    /// consecutive regions that each fit, so it never relies on a
+    /// capacity abort.
+    async fn read_group(&mut self, members: &[GroupMember]) -> Result<Vec<LocalRead>, usize> {
+        let cluster = Arc::clone(&self.w.cluster);
+        let store = &cluster.stores[self.w.node];
+        let lines_of = |m: &GroupMember| store.table(m.table).layout.lines();
+        let mut reads = Vec::new();
+        let mut rest = members;
+        while !rest.is_empty() {
+            // The longest prefix whose lines fit one region (a record
+            // always fits: its lines are far below any capacity).
+            let mut lines = 0;
+            let fits = |m: &&GroupMember| {
+                lines += lines_of(m);
+                lines <= cluster.opts.htm.max_read_lines
+            };
+            let n = rest.iter().take_while(fits).count().max(1);
+            let (region, tail) = rest.split_at(n);
+            let done = reads.len();
+            let read = self.read_region(&cluster, region).await;
+            extend_or_take(&mut reads, read.map_err(|i| done + i)?);
+            rest = tail;
+        }
+        Ok(reads)
+    }
+
+    /// One region of a read group, attempted until it commits. A region
+    /// that finds a member locked by a committer is dropped and backs
+    /// off as a per-record read did — a randomised wait, then a spin
+    /// park in the reactor's poll loop (§14), which stays runnable and
+    /// flush-exempt so the wait cannot wedge a deferred doorbell flush;
+    /// a conflicting commit retries it at once. The region is opened and
+    /// closed without suspending (§11). `Err(i)`: member `i` was locked
+    /// at the last of the attempts.
+    ///
+    /// Charges, per attempt, `htm_begin_ns` plus `record_logic_ns` per
+    /// member; on its commit, `htm_commit_ns` plus `mem_access_ns` per
+    /// line read.
+    async fn read_region(
+        &mut self,
+        cluster: &DrtmCluster,
+        members: &[GroupMember],
+    ) -> Result<Vec<LocalRead>, usize> {
+        /// Attempts while a member's lock stays held.
+        const LOCAL_READ_RETRIES: usize = 10_000;
+        let store = &cluster.stores[self.w.node];
+        let cost = &cluster.opts.cost;
+        let lines: usize = (members.iter())
+            .map(|m| store.table(m.table).layout.lines())
+            .sum();
+        let mut busy = 0;
+        for _ in 0..LOCAL_READ_RETRIES {
+            self.charge(cost.htm_begin_ns + members.len() as u64 * cost.record_logic_ns);
+            match attempt_region(store, &cluster.opts.htm, members) {
+                RegionRead::Committed(read) => {
+                    self.charge(cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
+                    return Ok(read);
+                }
+                RegionRead::Locked(i) => {
+                    // The real yield lets the (possibly descheduled) lock
+                    // holder run on an oversubscribed host.
+                    busy = i;
+                    let ns = self.w.rng.below(2_000);
+                    self.charge(ns);
+                    std::thread::yield_now();
+                    self.w.spin_yield().await;
+                }
+                RegionRead::Conflict => {}
+            }
+        }
+        Err(busy)
+    }
+
+    /// Enters a read group's entry in the local read set, returning its
+    /// value.
+    fn enter_local_read(&mut self, read: LocalRead) -> Vec<u8> {
+        let value = read.value.clone();
+        self.l_rs.push(read);
         self.l_rs_at
             .pushed(&self.l_rs, |e| (e.table, e.rec_off as u64));
-        Ok(value)
+        value
+    }
+
+    /// The abort of a read whose record `member` stayed locked, the
+    /// conflict attributed to that record's lock occupancy so the
+    /// escalation ladder (DESIGN.md §15) can target the key.
+    fn local_lock_busy(&mut self, member: GroupMember) -> TxnError {
+        self.w.last_conflict = Some(ConflictSite {
+            table: member.table,
+            key: member.key,
+            addr: (self.w.node, member.rec_off),
+            lockish: true,
+        });
+        TxnError::Aborted(AbortReason::LocalLockBusy)
     }
 
     /// Buffers a write to a local record. The record must exist; reading
@@ -1305,8 +1368,11 @@ impl<'w> TxnCtx<'w> {
         block_now(self.scan_local_async(table, lo, hi, limit))
     }
 
-    /// Reactor-aware variant of [`Self::scan_local`]: each record read
-    /// can yield at its HTM-retry backoff.
+    /// Reactor-aware variant of [`Self::scan_local`]: the hits are read
+    /// as one read group (`read_group`, DESIGN.md §4), which can yield
+    /// at its HTM-retry backoff. Own writes and records read before are
+    /// served as a read of each would serve them, and the group's
+    /// entries enter the read set in scan order.
     pub async fn scan_local_async(
         &mut self,
         table: TableId,
@@ -1316,9 +1382,27 @@ impl<'w> TxnCtx<'w> {
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let hits = cluster.stores[self.w.node].scan(table, lo, hi, limit);
+        let mut served = Vec::with_capacity(hits.len());
+        let mut members = Vec::new();
+        for &(key, off) in &hits {
+            served.push(match self.local_source(table, key, Some(off as usize))? {
+                LocalSource::Served(value) => Some(value.to_vec()),
+                LocalSource::Fetch(member) => {
+                    members.push(member);
+                    None
+                }
+            });
+        }
+        let mut reads = match self.read_group(&members).await {
+            Ok(reads) => reads.into_iter(),
+            Err(i) => return Err(self.local_lock_busy(members[i])),
+        };
         let mut out = Vec::with_capacity(hits.len());
-        for (key, off) in hits {
-            let value = self.read_local_at(table, key, Some(off as usize)).await?;
+        for ((key, _), value) in hits.into_iter().zip(served) {
+            let value = match value {
+                Some(value) => value,
+                None => self.enter_local_read(reads.next().expect("one read per member")),
+            };
             out.push((key, value));
         }
         Ok(out)
@@ -1415,18 +1499,24 @@ impl<'w> TxnCtx<'w> {
     /// Reads the records `keys` name — `(shard, table, key)` each — and
     /// returns their values in order: *exactly* the sequential
     /// [`Self::read_async`] calls (same values, same read-set, value- and
-    /// location-cache effects, same per-record charges, same error at
-    /// the same key), except that the verbs those reads would have
-    /// waited for one after another are posted together. Every remote
-    /// key that needs a verb has the first line of its location probe
-    /// posted in one park — one shared doorbell per machine — and its
-    /// record READ in the next; then each key takes its turn through
-    /// the sequential read, which finds its first lookup and first READ
-    /// already answered. Whatever the batch could not settle is taken up
-    /// per key by that same loop: a probe chain running past its first
-    /// line continues from its second, a torn or dropped READ or a
-    /// record locked under a read-only reader is read again, a stale
-    /// cached location is invalidated and looked up afresh.
+    /// location-cache effects, same error at the same key), except that
+    /// the verbs those reads would have waited for one after another are
+    /// posted together and the local records are read in one HTM region
+    /// instead of one each. Every remote key that needs a verb has the
+    /// first line of its location probe posted in one park — one shared
+    /// doorbell per machine — and its record READ in the next; every
+    /// local key that must fetch its record joins one read group
+    /// (`read_group`, DESIGN.md §4). Then each key takes its turn: a
+    /// local key's group entry enters the read set there, and a remote
+    /// key goes through the sequential read, which finds its first lookup
+    /// and first READ already answered. Whatever the batch could not
+    /// settle is taken up per key by that same loop: a probe chain
+    /// running past its first line continues from its second, a torn or
+    /// dropped READ or a record locked under a read-only reader is read
+    /// again, a stale cached location is invalidated and looked up
+    /// afresh. Charges differ from the sequential reads' only by the
+    /// `htm_begin_ns + htm_commit_ns` of every local record beyond the
+    /// group's regions.
     ///
     /// This batches reads a body is about to issue anyway; it is not the
     /// a-priori read/write set DrTM needed: a key that depends on a
@@ -1436,6 +1526,7 @@ impl<'w> TxnCtx<'w> {
         keys: &[(usize, TableId, u64)],
     ) -> Result<Vec<Vec<u8>>, TxnError> {
         let mut fetched = self.fetch_ahead(keys).await;
+        let mut grouped = self.read_local_keys(keys).await;
         let mut values = Vec::with_capacity(keys.len());
         for (i, &(shard, table, key)) in keys.iter().enumerate() {
             let ahead = fetched.get_mut(i).and_then(Option::take);
@@ -1447,13 +1538,64 @@ impl<'w> TxnCtx<'w> {
                 Some(a) => a.node,
                 None => self.w.cluster.home_of(shard),
             };
-            values.push(if home == self.w.node {
-                self.read_local_async(table, key).await?
-            } else {
-                self.read_remote_with(home, table, key, ahead).await?
+            if home != self.w.node {
+                values.push(self.read_remote_with(home, table, key, ahead).await?);
+                continue;
+            }
+            values.push(match grouped.get_mut(i).and_then(Option::take) {
+                Some(Ok(read)) => self.enter_local_read(read),
+                Some(Err(member)) => return Err(self.local_lock_busy(member)),
+                None => self.read_local_async(table, key).await?,
             });
         }
         Ok(values)
+    }
+
+    /// The read group of [`Self::read_many_async`]: every local key that
+    /// must fetch its record, up to the first one missing from its table
+    /// (whose turn ends the reads), read as one group. Per key: its
+    /// entry; `Err` with the member whose lock outlasted every retry; or
+    /// `None` where the sequential read runs at its turn — a remote key,
+    /// an own write, an earlier read, a repeat within `keys`, a key past
+    /// the missing one, a member of a group that failed. Empty when no
+    /// key joined.
+    async fn read_local_keys(
+        &mut self,
+        keys: &[(usize, TableId, u64)],
+    ) -> Vec<Option<Result<LocalRead, GroupMember>>> {
+        let me = self.w.node;
+        let mut members: Vec<GroupMember> = Vec::new();
+        let mut member_of = Vec::new();
+        let mut repeats = RepeatIndex::default();
+        let id = |m: &GroupMember| (m.table, m.rec_off as u64);
+        for (i, &(shard, table, key)) in keys.iter().enumerate() {
+            if self.w.cluster.home_of(shard) != me {
+                continue;
+            }
+            let member = match self.local_source(table, key, None) {
+                Ok(LocalSource::Fetch(member)) => member,
+                Ok(LocalSource::Served(_)) => continue,
+                Err(_) => break,
+            };
+            if repeats.find(&members, id, id(&member)).is_none() {
+                members.push(member);
+                repeats.pushed(&members, id);
+                member_of.push(i);
+            }
+        }
+        if members.is_empty() {
+            return Vec::new();
+        }
+        let mut out: Vec<_> = keys.iter().map(|_| None).collect();
+        match self.read_group(&members).await {
+            Ok(reads) => {
+                for (i, read) in member_of.into_iter().zip(reads) {
+                    out[i] = Some(Ok(read));
+                }
+            }
+            Err(at) => out[member_of[at]] = Some(Err(members[at])),
+        }
+        out
     }
 
     /// The two shared parks of [`Self::read_many_async`]: what they
@@ -1534,19 +1676,75 @@ impl<'w> TxnCtx<'w> {
     }
 }
 
-/// Appends `more` to `wcs` — by taking it whole when `wcs` is still
-/// empty, as after every park but an oversize batch's later rounds.
-fn extend_or_take(wcs: &mut Vec<WorkCompletion>, more: Vec<WorkCompletion>) {
-    if wcs.is_empty() {
-        *wcs = more;
+/// Appends `more` to `v` — by taking it whole when `v` is still empty,
+/// as after every park but an oversize batch's later rounds, and for
+/// every read group that fits one region.
+fn extend_or_take<T>(v: &mut Vec<T>, more: Vec<T>) {
+    if v.is_empty() {
+        *v = more;
     } else {
-        wcs.extend(more);
+        v.extend(more);
     }
 }
 
 /// Retries for a consistent remote read (version matching), and for the
 /// probe lines of one remote lookup.
 const REMOTE_READ_RETRIES: usize = 64;
+
+/// A local record a read group fetches.
+#[derive(Clone, Copy)]
+struct GroupMember {
+    table: TableId,
+    /// The key the ladder blames should the record stay locked.
+    key: u64,
+    rec_off: usize,
+}
+
+/// Where a local read starts from.
+enum LocalSource<'a> {
+    /// An own write, or the snapshot an earlier read took.
+    Served(&'a [u8]),
+    /// Nothing yet: this record must be read.
+    Fetch(GroupMember),
+}
+
+/// How one attempt at one of a read group's HTM regions ended.
+enum RegionRead {
+    /// Committed: every member's entry, in order.
+    Committed(Vec<LocalRead>),
+    /// Member `i`'s lock word was held; the region was dropped.
+    Locked(usize),
+    /// A concurrent commit conflicted with the region.
+    Conflict,
+}
+
+/// One attempt at one HTM region reading `members` from `store`, each
+/// record's lock word checked inside the region. Never suspends: the
+/// region is closed (committed or dropped) when this returns.
+fn attempt_region(store: &Store, htm: &HtmConfig, members: &[GroupMember]) -> RegionRead {
+    let mut txn = HtmTxn::begin(&store.region, htm);
+    let mut reads = Vec::with_capacity(members.len());
+    for (i, m) in members.iter().enumerate() {
+        let rec = store.record(m.table, m.rec_off);
+        let mut value = vec![0u8; rec.layout.value_len];
+        match rec.read_htm(&mut txn, &mut value) {
+            // Locked by a committer: the region aborts by hand.
+            Ok((lock, ..)) if lock != LOCK_FREE => return RegionRead::Locked(i),
+            Ok((_, incarnation, seq)) => reads.push(LocalRead {
+                table: m.table,
+                rec_off: m.rec_off,
+                seq,
+                incarnation,
+                value,
+            }),
+            Err(_) => return RegionRead::Conflict,
+        }
+    }
+    match txn.commit() {
+        Ok(()) => RegionRead::Committed(reads),
+        Err(_) => RegionRead::Conflict,
+    }
+}
 
 /// What [`TxnCtx::read_many_async`]'s shared parks learned about one
 /// remote key before its turn.

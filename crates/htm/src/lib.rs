@@ -24,9 +24,13 @@
 //!   callers must provide a fallback path; [`Htm::run`] implements the
 //!   bounded-retry policy and reports when the fallback handler must take
 //!   over.
-//! * **Opacity.** Every read re-validates the read set, so a transaction
-//!   never *acts on* an inconsistent snapshot — matching hardware, where a
-//!   conflicting transaction is aborted before it can observe torn state.
+//! * **Opacity.** Every read checks the lines it copied, and re-validates
+//!   the whole read set whenever any line of the region was written
+//!   since the last full validation
+//!   ([`drtm_base::MemoryRegion::line_writes`]), so a transaction never
+//!   *acts on* an inconsistent snapshot — matching hardware, where a
+//!   conflicting transaction is aborted before it can observe torn state
+//!   — while a read costs O(lines read) when nothing moved.
 //!
 //! What is *not* modelled: eager asynchronous aborts (a doomed transaction
 //! here keeps executing until its next read or its commit point — it can

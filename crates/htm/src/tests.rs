@@ -394,6 +394,152 @@ fn eviction_model_off_by_default() {
     assert!(matches!(out, RunOutcome::Committed { .. }));
 }
 
+/// Reads that check only their own lines against reads that re-validate
+/// everything: twin regions run the same seeded transactions — reads,
+/// writes, commits — with coherent writes, CASes and stores injected
+/// into both between operations. Every read returns the same bytes or
+/// the same abort code, every write and commit the same outcome, and
+/// the twins end every transaction with equal bytes and line versions.
+/// The read set is small enough that capacity aborts happen too.
+#[test]
+fn linear_reads_match_validating_every_line() {
+    const SIZE: usize = 16 * 64;
+    let cfg = HtmConfig {
+        max_read_lines: 6,
+        max_write_lines: 4,
+        ..Default::default()
+    };
+    let mut rng = SplitMix64::new(0x0417_0026);
+    let [a, b] = [MemoryRegion::new(SIZE), MemoryRegion::new(SIZE)];
+    let init: Vec<u8> = (0..SIZE).map(|_| rng.next_u64() as u8).collect();
+    a.write_bytes_raw(0, &init);
+    b.write_bytes_raw(0, &init);
+    let mut outcomes = [0u32; 4]; // committed, read abort, write abort, commit abort
+    for case in 0..2_000 {
+        let mut fast = HtmTxn::begin(&a, &cfg);
+        let mut slow = HtmTxn::begin(&b, &cfg);
+        let mut alive = true;
+        for op in 0..rng.below(12) {
+            let ctx = format!("case {case} op {op}");
+            let off = rng.below(SIZE as u64 - 1) as usize;
+            let len = (1 + rng.below(100) as usize).min(SIZE - off);
+            match rng.below(10) {
+                0..=4 => {
+                    let (mut x, mut y) = (vec![0u8; len], vec![0u8; len]);
+                    let got = fast.read_bytes(off, &mut x).map(|()| x);
+                    let want = slow.read_bytes_validating_all(off, &mut y).map(|()| y);
+                    assert_eq!(got, want, "{ctx}: read {off}+{len}");
+                    alive = got.is_ok();
+                    outcomes[1] += u32::from(!alive);
+                }
+                5..=6 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let got = fast.write_bytes(off, &data);
+                    assert_eq!(got, slow.write_bytes(off, &data), "{ctx}: write");
+                    alive = got.is_ok();
+                    outcomes[2] += u32::from(!alive);
+                }
+                // Another writer — a peer's RDMA WRITE, CAS or a plain
+                // store — publishes between two operations.
+                7 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    a.write_bytes_coherent(off, &data);
+                    b.write_bytes_coherent(off, &data);
+                }
+                8 => {
+                    let word = off & !7;
+                    let expect = a.load64(word) ^ rng.below(2);
+                    assert_eq!(a.cas64(word, expect, 9), b.cas64(word, expect, 9));
+                }
+                _ => {
+                    let word = off & !7;
+                    a.store64_coherent(word, op);
+                    b.store64_coherent(word, op);
+                }
+            }
+            if !alive {
+                break;
+            }
+        }
+        if alive {
+            let got = fast.commit();
+            assert_eq!(got, slow.commit(), "case {case}: commit");
+            outcomes[if got.is_ok() { 0 } else { 3 }] += 1;
+        }
+        let (mut x, mut y) = (vec![0u8; SIZE], vec![0u8; SIZE]);
+        a.read_bytes_raw(0, &mut x);
+        b.read_bytes_raw(0, &mut y);
+        assert_eq!(x, y, "case {case}: bytes");
+        let versions =
+            |r: &MemoryRegion| -> Vec<u64> { (0..r.lines()).map(|l| r.line_version(l)).collect() };
+        assert_eq!(versions(&a), versions(&b), "case {case}: versions");
+    }
+    assert!(
+        outcomes.iter().all(|&n| n > 20),
+        "every outcome is exercised: {outcomes:?}"
+    );
+}
+
+/// Opacity survives the skipped re-validation: a write to a line the
+/// transaction never read leaves it alive (the next read validates
+/// everything once and moves on), and a write to a line it read —
+/// however long ago, and whatever it reads next — aborts its next read.
+#[test]
+fn a_write_to_a_read_line_aborts_the_next_read() {
+    let r = region();
+    let cfg = HtmConfig::default();
+    let mut t = HtmTxn::begin(&r, &cfg);
+    for line in 0..4 {
+        t.read_u64(line * 64).unwrap();
+    }
+    r.store64_coherent(10 * 64, 1); // unread line
+    assert_eq!(t.read_u64(4 * 64), Ok(0));
+    assert_eq!(t.read_u64(5 * 64), Ok(0));
+    r.store64_coherent(64 + 8, 2); // line 1, read first of all
+    let mut b = [0u8; 8];
+    assert_eq!(t.read_bytes(6 * 64, &mut b), Err(AbortCode::Conflict));
+}
+
+/// A multi-line committer against a reader that reads the lines in the
+/// other order: the writer keeps lines 0 and 5 equal in every commit
+/// and publishes line 0 first; a reader that reads line 5, then line 0
+/// must abort rather than return a newer line 0 beside an older line 5
+/// (a write is counted before its new version is stored).
+#[test]
+fn reads_never_mix_two_commits_of_a_multi_line_writer() {
+    let r = Arc::new(region());
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (r, stop) = (Arc::clone(&r), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let cfg = HtmConfig::default();
+            let mut v = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                v += 1;
+                let mut t = HtmTxn::begin(&r, &cfg);
+                t.write_u64(0, v).unwrap();
+                t.write_u64(5 * 64, v).unwrap();
+                let _ = t.commit();
+            }
+        })
+    };
+    let cfg = HtmConfig::default();
+    let mut consistent = 0;
+    for _ in 0..400_000 {
+        let mut t = HtmTxn::begin(&r, &cfg);
+        let Ok(high) = t.read_u64(5 * 64) else {
+            continue;
+        };
+        if let Ok(low) = t.read_u64(0) {
+            assert_eq!(low, high, "a read mixed two commits");
+            consistent += 1;
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    assert!(consistent > 0);
+}
+
 #[test]
 fn region_residency_is_tracked_across_commit_and_abort() {
     let region = region();

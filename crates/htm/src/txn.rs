@@ -154,12 +154,15 @@ pub fn region_active() -> bool {
 /// would.
 pub struct HtmTxn<'a> {
     region: &'a MemoryRegion,
-    /// `line -> version observed at first read`.
-    read_set: BTreeMap<usize, u64>,
+    /// `(line, version observed at first read)`, sorted by line.
+    read_set: Vec<(usize, u64)>,
     /// Byte-granular buffered writes (invisible until commit).
     write_buf: BTreeMap<usize, u8>,
     /// Distinct lines written (capacity accounting).
     write_lines: BTreeMap<usize, ()>,
+    /// The region's count of line writes when the whole read set last
+    /// validated; while it stands, a read checks only its own lines.
+    validated_at: u64,
     cfg: &'a HtmConfig,
 }
 
@@ -171,9 +174,10 @@ impl<'a> HtmTxn<'a> {
         HTM_DEPTH.with(|d| d.set(d.get() + 1));
         Self {
             region,
-            read_set: BTreeMap::new(),
+            read_set: Vec::new(),
             write_buf: BTreeMap::new(),
             write_lines: BTreeMap::new(),
+            validated_at: region.line_writes(),
             cfg,
         }
     }
@@ -189,25 +193,53 @@ impl<'a> HtmTxn<'a> {
     }
 
     /// Subscribes a line into the read set, returning its stable version.
+    /// A line past every line read so far — each line of a record, and
+    /// mostly each record of a read group — is appended; any other costs
+    /// a binary search (and, when new, a shift of the lines after it).
     fn track_read(&mut self, line: usize) -> Result<u64, AbortCode> {
-        if let Some(&v) = self.read_set.get(&line) {
-            return Ok(v);
-        }
+        let at = match self.read_set.last() {
+            Some(&(last, _)) if last >= line => {
+                match self.read_set.binary_search_by_key(&line, |e| e.0) {
+                    Ok(i) => return Ok(self.read_set[i].1),
+                    Err(i) => i,
+                }
+            }
+            _ => self.read_set.len(),
+        };
         if self.read_set.len() >= self.cfg.max_read_lines {
             return Err(AbortCode::Capacity);
         }
         let v = self.region.line_version_stable(line);
-        self.read_set.insert(line, v);
+        self.read_set.insert(at, (line, v));
         Ok(v)
     }
 
-    /// Re-validates every line in the read set (opacity check).
-    fn validate_reads(&self) -> Result<(), AbortCode> {
-        for (&line, &ver) in &self.read_set {
-            if self.region.line_version(line) != ver {
-                return Err(AbortCode::Conflict);
-            }
+    /// The version the read set pinned for `line`, if it was read.
+    fn read_version(&self, line: usize) -> Option<u64> {
+        let at = self.read_set.binary_search_by_key(&line, |e| e.0).ok()?;
+        Some(self.read_set[at].1)
+    }
+
+    /// Opacity check after copying `lines`: they still hold the versions
+    /// the read set pinned and — if any line of the region was written
+    /// since the whole read set last validated — so does every other line
+    /// read so far. A version only moves after its write is counted
+    /// ([`MemoryRegion::line_writes`]), so an unmoved count proves the
+    /// earlier lines unmoved without visiting them.
+    fn validate_reads(&mut self, lines: std::ops::Range<usize>) -> Result<(), AbortCode> {
+        let writes = self.region.line_writes();
+        let moved = |&(line, ver): &(usize, u64)| self.region.line_version(line) != ver;
+        let conflict = if writes == self.validated_at {
+            // The lines just tracked: consecutive entries of the set.
+            let first = self.read_set.partition_point(|e| e.0 < lines.start);
+            self.read_set[first..first + lines.len()].iter().any(moved)
+        } else {
+            self.read_set.iter().any(moved)
+        };
+        if conflict {
+            return Err(AbortCode::Conflict);
         }
+        self.validated_at = writes;
         Ok(())
     }
 
@@ -216,9 +248,11 @@ impl<'a> HtmTxn<'a> {
     /// Own buffered writes are visible. On success the snapshot is
     /// consistent with *all* previous reads of this transaction (opacity);
     /// otherwise the conflict abort is returned and the transaction is
-    /// dead (the caller must not commit it).
+    /// dead (the caller must not commit it). Costs O(lines read) while no
+    /// line of the region is written meanwhile.
     pub fn read_bytes(&mut self, off: usize, buf: &mut [u8]) -> Result<(), AbortCode> {
-        for line in line_range(off, buf.len()) {
+        let lines = line_range(off, buf.len());
+        for line in lines.clone() {
             self.track_read(line)?;
         }
         // Snapshot the bytes, then confirm no tracked line moved while we
@@ -227,12 +261,10 @@ impl<'a> HtmTxn<'a> {
         // consistent with everything read so far (opacity). Any movement is
         // a conflict abort, as on hardware.
         self.region.read_bytes_raw(off, buf);
-        self.validate_reads()?;
+        self.validate_reads(lines)?;
         // Overlay buffered writes (read-own-writes).
-        for (i, b) in buf.iter_mut().enumerate() {
-            if let Some(&w) = self.write_buf.get(&(off + i)) {
-                *b = w;
-            }
+        for (&at, &w) in self.write_buf.range(off..off + buf.len()) {
+            buf[at - off] = w;
         }
         Ok(())
     }
@@ -289,7 +321,7 @@ impl<'a> HtmTxn<'a> {
                 Some(pre) => {
                     // If we also *read* this line, its version must not
                     // have moved since (pre == recorded version).
-                    if let Some(&seen) = self.read_set.get(&line) {
+                    if let Some(seen) = self.read_version(line) {
                         if pre != seen {
                             region.release_line_clean(line, pre);
                             Self::rollback(region, &held);
@@ -305,7 +337,7 @@ impl<'a> HtmTxn<'a> {
             }
         }
         // Validate read-only lines.
-        for (&line, &ver) in &self.read_set {
+        for &(line, ver) in &self.read_set {
             if self.write_lines.contains_key(&line) {
                 continue; // Validated during acquisition above.
             }
@@ -347,6 +379,34 @@ impl<'a> HtmTxn<'a> {
         for &(line, pre) in held {
             region.release_line_clean(line, pre);
         }
+    }
+}
+
+#[cfg(test)]
+impl HtmTxn<'_> {
+    /// [`Self::read_bytes`] as it was before reads became O(lines read):
+    /// every read re-validates the whole read set and overlays own writes
+    /// byte by byte. The reference of the model test.
+    pub(crate) fn read_bytes_validating_all(
+        &mut self,
+        off: usize,
+        buf: &mut [u8],
+    ) -> Result<(), AbortCode> {
+        for line in line_range(off, buf.len()) {
+            self.track_read(line)?;
+        }
+        self.region.read_bytes_raw(off, buf);
+        for &(line, ver) in &self.read_set {
+            if self.region.line_version(line) != ver {
+                return Err(AbortCode::Conflict);
+            }
+        }
+        for (i, b) in buf.iter_mut().enumerate() {
+            if let Some(&w) = self.write_buf.get(&(off + i)) {
+                *b = w;
+            }
+        }
+        Ok(())
     }
 }
 

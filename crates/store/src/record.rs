@@ -237,21 +237,21 @@ impl<'a> RecordRef<'a> {
     /// covers the record's lines, so any concurrent local commit or remote
     /// RDMA write aborts the enclosing transaction. The *caller* decides
     /// what to do when `lock != 0` (read-write transactions abort; see
-    /// §4.3).
+    /// §4.3). The record's lines are read in one transactional read.
     pub fn read_htm(
         &self,
         txn: &mut HtmTxn<'_>,
         out: &mut [u8],
     ) -> Result<(u64, u64, u64), AbortCode> {
         assert_eq!(out.len(), self.layout.value_len);
-        let lock = txn.read_u64(self.lock_off())?;
-        let inc = txn.read_u64(self.incarnation_off())?;
-        let seq = txn.read_u64(self.seq_off())?;
+        let mut img = vec![0u8; self.layout.size()];
+        txn.read_bytes(self.base, &mut img)?;
         for (_, rec_off, vr) in self.layout.chunks() {
             let len = vr.len();
-            txn.read_bytes(self.base + rec_off, &mut out[vr][..len])?;
+            out[vr].copy_from_slice(&img[rec_off..rec_off + len]);
         }
-        Ok((lock, inc, seq))
+        let word = |off: usize| u64::from_le_bytes(img[off..off + 8].try_into().expect("a word"));
+        Ok((word(LOCK_OFF), word(INCARNATION_OFF), word(SEQ_OFF)))
     }
 
     /// Buffers a full value + per-line versions + sequence-number update

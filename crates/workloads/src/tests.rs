@@ -377,6 +377,13 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
 /// of worker clock apiece — unlock 6 250 -> 0 ns, clock 246 718 ->
 /// 240 468 = minus 25 x 250, doorbells 107 -> 82; update (41 400 ns,
 /// wait 35 150), wakes, verb counts and bytes as recorded.
+///
+/// And once more when local reads became read groups: the 29
+/// send-payments whose two accounts both live on node 0 read them with
+/// one `read_many` whose local group of two is one HTM region, not two,
+/// so each saves one `htm_begin_ns + htm_commit_ns` (20 + 20 ns) —
+/// execute 103 468 -> 102 308 ns, clock 240 468 -> 239 308 = minus
+/// 29 x 40; nothing else moves. The job counts those send-payments.
 #[test]
 fn smallbank_routines_one_pins_blocking_path() {
     use crate::smallbank::{self, SbInput, SbTxn};
@@ -390,9 +397,11 @@ fn smallbank_routines_one_pins_blocking_path() {
         ..Default::default()
     };
     let run = quick_run(EngineKind::DrtmR, 1, 0);
-    // Both arms run this exact seeded mix from node 0.
+    // Both arms run this exact seeded mix from node 0; it returns how
+    // many of its transactions read two accounts on node 0.
     let job = async |w: &mut drtm_core::txn::Worker, cfg: &SbCfg| {
         let mut rng = drtm_base::SplitMix64::new(0x5b_0001);
+        let mut local_pairs = 0u64;
         for _ in 0..60 {
             let a = (0usize, cfg.pick_account(&mut rng, 0));
             let second = cfg.pick_second_shard(&mut rng, 0);
@@ -400,6 +409,7 @@ fn smallbank_routines_one_pins_blocking_path() {
             if b == a {
                 continue;
             }
+            local_pairs += u64::from(second == 0);
             let inp = SbInput {
                 txn: SbTxn::SendPayment,
                 a,
@@ -410,9 +420,11 @@ fn smallbank_routines_one_pins_blocking_path() {
                 .run_async(async |t| smallbank::execute(t, &inp).await)
                 .await;
         }
+        local_pairs
     };
-    let check = |arm: &str, c: &DrtmCluster, w: &drtm_core::txn::Worker| {
-        assert_eq!(w.clock.now(), 240_468, "{arm}: virtual clock");
+    let check = |arm: &str, c: &DrtmCluster, w: &drtm_core::txn::Worker, local_pairs| {
+        assert_eq!(local_pairs, 29, "{arm}: send-payments within node 0");
+        assert_eq!(w.clock.now(), 240_468 - 29 * 40, "{arm}: virtual clock");
         assert_eq!((w.stats.committed, w.stats.aborted), (54, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -441,7 +453,7 @@ fn smallbank_routines_one_pins_blocking_path() {
         assert_eq!(
             phases,
             [
-                (54, 103468, 988, 8192),
+                (54, 103468 - 29 * 40, 988, 8192),
                 (54, 61250, 1, 4096),
                 (54, 0, 1, 2),
                 (54, 4650, 96, 128),
@@ -475,14 +487,14 @@ fn smallbank_routines_one_pins_blocking_path() {
     // A worker outside any pool: one poll drives the whole job.
     let (c, _) = crate::driver::build_smallbank(&cfg, &run);
     let mut w = c.worker(0, 7);
-    drtm_base::task::block_now(job(&mut w, &cfg));
-    check("bare worker", &c, &w);
+    let local_pairs = drtm_base::task::block_now(job(&mut w, &cfg));
+    check("bare worker", &c, &w, local_pairs);
 
     // The same seed through a pool of one routine.
     let (c, _) = crate::driver::build_smallbank(&cfg, &run);
     let w = c.worker(0, 7);
-    let mut out = RoutinePool::run(vec![w], async |_, w| job(w, &cfg).await);
-    check("pool of one", &c, &out.remove(0).0);
+    let (w, local_pairs) = RoutinePool::run(vec![w], async |_, w| job(w, &cfg).await).remove(0);
+    check("pool of one", &c, &w, local_pairs);
 }
 
 /// The driver's routine-pool path on the full SmallBank mix: every

@@ -6,6 +6,7 @@
 
 use drtm_base::SplitMix64;
 use drtm_core::txn::TxnError;
+use drtm_store::TableId;
 
 use crate::engine::TxnApi;
 use crate::tpcc::*;
@@ -380,9 +381,9 @@ pub async fn delivery(
         t.write(shard, T_ORDER, ok, ov).await?;
 
         let mut sum = 0u64;
-        for ol in 0..ol_cnt {
-            let olk = olkey(w, d, o, ol);
-            let mut olv = t.read(shard, T_ORDER_LINE, olk).await?;
+        let ol_keys = order_line_keys(shard, w, d, o, ol_cnt);
+        let lines = t.read_many(&ol_keys).await?;
+        for (&(_, _, olk), mut olv) in ol_keys.iter().zip(lines) {
             sum += slot(&olv, 3);
             set_slot(&mut olv, 4, ts);
             t.write(shard, T_ORDER_LINE, olk, olv).await?;
@@ -419,10 +420,21 @@ pub async fn order_status(
     let o = slot(&idx, 0);
     let ov = t.read(shard, T_ORDER, okey(w, d, o)).await?;
     let ol_cnt = slot(&ov, 1);
-    for ol in 0..ol_cnt {
-        let _ = t.read(shard, T_ORDER_LINE, olkey(w, d, o, ol)).await?;
-    }
+    t.read_many(&order_line_keys(shard, w, d, o, ol_cnt))
+        .await?;
     Ok(())
+}
+
+/// The `read_many` keys of order `o`'s `ol_cnt` lines.
+fn order_line_keys(
+    shard: usize,
+    w: u64,
+    d: u64,
+    o: u64,
+    ol_cnt: u64,
+) -> Vec<(usize, TableId, u64)> {
+    let line = |ol| (shard, T_ORDER_LINE, olkey(w, d, o, ol));
+    (0..ol_cnt).map(line).collect()
 }
 
 /// Executes a stock-level transaction (read-only; large read set).
@@ -436,26 +448,23 @@ pub async fn stock_level(
     let shard = cfg.shard_of(w);
     let dv = t.read(shard, T_DISTRICT, dkey(w, d)).await?;
     let next_o = slot(&dv, 2);
-    let mut items = std::collections::HashSet::new();
-    for o in next_o.saturating_sub(20)..next_o {
-        let lines = t
-            .scan_local(
-                T_ORDER_LINE,
-                olkey(w, d, o, 0),
-                olkey(w, d, o, 15),
-                usize::MAX,
-            )
-            .await?;
-        for (_, olv) in lines {
-            items.insert(slot(&olv, 0));
-        }
+    if next_o == 0 {
+        return Ok(0);
     }
-    let mut low = 0;
-    for &i in &items {
-        let sv = t.read(shard, T_STOCK, skey(w, i)).await?;
-        if slot(&sv, 0) < threshold {
-            low += 1;
-        }
-    }
-    Ok(low)
+    // The lines of the last 20 orders: the line keys of consecutive
+    // orders are consecutive, so one range covers them.
+    let lo = olkey(w, d, next_o.saturating_sub(20), 0);
+    let lines = t
+        .scan_local(T_ORDER_LINE, lo, olkey(w, d, next_o - 1, 15), usize::MAX)
+        .await?;
+    // Distinct items in id order: the reads' order is the same in every
+    // process.
+    let items: std::collections::BTreeSet<u64> =
+        lines.iter().map(|(_, olv)| slot(olv, 0)).collect();
+    let keys: Vec<_> = items
+        .iter()
+        .map(|&i| (shard, T_STOCK, skey(w, i)))
+        .collect();
+    let stock = t.read_many(&keys).await?;
+    Ok(stock.iter().filter(|sv| slot(sv, 0) < threshold).count())
 }

@@ -353,12 +353,13 @@ impl DrtmWorker {
         // Cost of the big HTM region: one XBEGIN/XEND per transaction,
         // then per-record application logic and per-line memory/HTM
         // tracking for everything it touched — the same per-record terms
-        // DrTM+R pays, minus DrTM+R's per-read HTM region and buffer
-        // maintenance (its "generality cost"). Repeated per retry.
+        // DrTM+R pays (one `record_logic_ns` per record, however often it
+        // is read and written), minus DrTM+R's per-read HTM region and
+        // buffer maintenance (its "generality cost"). Repeated per retry.
         let per_attempt = cost.htm_begin_ns
             + cost.htm_commit_ns
             + local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
-            + (sets.reads.len() + sets.writes.len()) as u64 * cost.record_logic_ns;
+            + sets.distinct_records() as u64 * cost.record_logic_ns;
         self.clock.advance(per_attempt * (retries as u64 + 1));
 
         // Write back remote writes (still holding their locks).

@@ -33,6 +33,18 @@ pub struct RwSets {
     pub deletes: Vec<(NodeId, TableId, u64)>,
 }
 
+impl RwSets {
+    /// Records read or written, each counted once: a record both read
+    /// and written is one.
+    pub fn distinct_records(&self) -> usize {
+        let all = self.reads.iter().chain(&self.writes);
+        let mut all: Vec<(NodeId, TableId, usize)> = all.map(|a| (a.0, a.1, a.3)).collect();
+        all.sort_unstable();
+        all.dedup();
+        all.len()
+    }
+}
+
 /// The snapshot context the oracle pass runs the body against.
 ///
 /// Reads return the record's current value with no consistency protocol
@@ -168,6 +180,8 @@ mod tests {
         assert_eq!(o.sets.reads.len(), 2);
         assert_eq!(o.sets.writes.len(), 1);
         assert_eq!(o.sets.inserts.len(), 1);
+        // The written record was read: two records, not three.
+        assert_eq!(o.sets.distinct_records(), 2);
     }
 
     #[test]

@@ -1128,7 +1128,9 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 a[2]["drtm+r"] >= 2.2 * a[0]["drtm+r"]
             }),
             // No remote access on one machine: the generality cost alone,
-            // which read groups brought to parity (EXPERIMENTS.md).
+            // which read groups brought to parity and one
+            // `record_logic_ns` per record on both engines keeps there
+            // (EXPERIMENTS.md).
             ("DrTM within 5 % of DrTM+R on one machine", 1, |_, a| {
                 a[0]["drtm"] >= 0.95 * a[0]["drtm+r"]
             }),

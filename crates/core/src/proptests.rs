@@ -100,6 +100,8 @@ async fn apply_op(w: &mut Worker, op: &Op, model: &RefCell<HashMap<(usize, u64),
                     if a < amt {
                         return Err(TxnError::UserAbort);
                     }
+                    // Both writes rewrite records read earlier, and so
+                    // take the reads' locations.
                     t.write_async(from.0, T, key(from.0, from.1), val(a - amt))
                         .await?;
                     t.write_async(to.0, T, key(to.0, to.1), val(b + amt)).await
@@ -385,6 +387,11 @@ fn routine_conservation_case_with(
                                     if a < 3 {
                                         return Err(TxnError::UserAbort);
                                     }
+                                    // A repeated read is the first one's
+                                    // snapshot, whatever committed since.
+                                    let again =
+                                        t.read_async(from.0, T, key(from.0, from.1)).await?;
+                                    assert_eq!(num(&again), a, "repeatable read");
                                     t.write_async(from.0, T, key(from.0, from.1), val(a - 3))
                                         .await?;
                                     t.write_async(to.0, T, key(to.0, to.1), val(b + 3)).await
@@ -561,7 +568,7 @@ impl drtm_rdma::FaultInjector for EveryKthReadDropped {
 /// the thread's value and location caches hold.
 type ReadEffects = (
     Vec<(usize, u32, u64, usize, u64, u64, Vec<u8>, bool)>,
-    Vec<(u32, usize, u64, u64, Vec<u8>)>,
+    Vec<(u32, u64, usize, u64, u64, Vec<u8>)>,
     Vec<Option<drtm_store::CachedRecord>>,
     Vec<Option<(u64, u64)>>,
 );
@@ -581,10 +588,10 @@ fn read_effects(t: &crate::txn::TxnCtx<'_>, universe: &[(usize, u32, u64)]) -> R
             e.from_cache,
         )
     });
-    let local = t
-        .l_rs
-        .iter()
-        .map(|e| (e.table, e.rec_off, e.seq, e.incarnation, e.value.clone()));
+    let local = t.l_rs.iter().map(|e| {
+        let value = e.value.clone();
+        (e.table, e.key, e.rec_off, e.seq, e.incarnation, value)
+    });
     let mut caches = t.w.caches();
     let values = universe
         .iter()

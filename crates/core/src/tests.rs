@@ -752,6 +752,129 @@ fn incarnation_change_mid_txn_aborts() {
     assert!(matches!(txn.commit(), Err(TxnError::Aborted(_))));
 }
 
+/// A write to a local record the transaction read takes the read's
+/// location (DESIGN.md §4): on twin clusters, reading a record and
+/// writing it back ends exactly one `record_logic_ns` below reading it
+/// and blind-writing another record of the table, and commits the same
+/// value.
+#[test]
+fn write_after_read_local_pays_no_second_lookup() {
+    let run = |written: u64| {
+        let c = cluster(2, 1);
+        let mut w = c.worker(0, 1);
+        w.run(|t| {
+            let v = num(&t.read(0, T_ACCT, key(0, 1))?);
+            t.write(0, T_ACCT, key(0, written), val(v + 50))
+        })
+        .unwrap();
+        let ns = w.clock.now();
+        let v = w.run_ro(|t| t.read(0, T_ACCT, key(0, written))).unwrap();
+        (ns, num(&v), c.opts.cost.record_logic_ns)
+    };
+    let (rmw_ns, rmw, logic) = run(1);
+    let (blind_ns, blind, _) = run(2);
+    assert_eq!(blind_ns - rmw_ns, logic);
+    assert_eq!((rmw, blind), (150, 150));
+}
+
+/// The remote twin, with the location cache off so every lookup is
+/// probe READs: the write to the record just read posts no verb and
+/// charges nothing, where a blind write pays the probe's round trip and
+/// its `record_logic_ns`.
+#[test]
+fn write_after_read_remote_posts_no_probe() {
+    use drtm_rdma::NicSnapshot;
+    let opts = EngineOpts::builder()
+        .region_size(4 << 20)
+        .use_location_cache(false)
+        .build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for k in 0..8 {
+        c.seed_record(1, T_ACCT, key(1, k), &val(100));
+    }
+    let cost = c.opts.cost.clone();
+    let nic = || c.fabric.port(1).stats().snapshot();
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin();
+    let v = num(&t.read_remote(1, T_ACCT, key(1, 3)).unwrap());
+    let (ns, base) = (t.w.clock.now(), nic());
+    t.write_remote(1, T_ACCT, key(1, 4), val(7)).unwrap();
+    let (blind_ns, blind) = (t.w.clock.now() - ns, nic().delta(&base));
+    let (ns, base) = (t.w.clock.now(), nic());
+    t.write_remote(1, T_ACCT, key(1, 3), val(v + 1)).unwrap();
+    let (rmw_ns, rmw) = (t.w.clock.now() - ns, nic().delta(&base));
+    assert_eq!((rmw_ns, rmw), (0, NicSnapshot::default()));
+    let probe = NicSnapshot {
+        reads: 1,
+        doorbells: 1,
+        bytes: drtm_store::PROBE_LINE_BYTES as u64,
+        ..NicSnapshot::default()
+    };
+    assert_eq!(blind, probe, "one probe line locates the blind write");
+    let round_trip = cost.doorbell_ns + cost.rdma_read(drtm_store::PROBE_LINE_BYTES);
+    assert_eq!(blind_ns, round_trip + cost.record_logic_ns);
+    t.commit().unwrap();
+    let mut got = |k| num(&w.run_ro(|t| t.read(1, T_ACCT, key(1, k))).unwrap());
+    assert_eq!((got(3), got(4)), (101, 7));
+}
+
+/// The write at a reused location is safe because the read's
+/// incarnation is validated before the write lands: C.3 in the HTM
+/// region that applies C.4 for a local record, C.2 before C.5 for a
+/// remote one. A record freed and reused between the read and the
+/// commit (its incarnation bumped, as rollback and delete bump it)
+/// aborts the commit, and its bytes are left as they were.
+#[test]
+fn write_after_read_of_a_reused_record_aborts_unwritten() {
+    use drtm_store::record::INCARNATION_OFF;
+    for shard in [0, 1] {
+        let c = cluster(2, 1);
+        let k = key(shard, 2);
+        let store = &c.stores[shard];
+        let off = store.get_loc(T_ACCT, k).unwrap() as usize;
+        let image = || {
+            let mut bytes = vec![0u8; store.table(T_ACCT).layout.size()];
+            store.region.read_bytes_raw(off, &mut bytes);
+            bytes
+        };
+        let mut w = c.worker(0, 1);
+        let mut t = w.begin();
+        let v = num(&t.read(shard, T_ACCT, k).unwrap());
+        store.region.faa64(off + INCARNATION_OFF, 1);
+        let reused = image();
+        t.write(shard, T_ACCT, k, val(v + 1)).unwrap();
+        let reason = AbortReason::Incarnation;
+        assert_eq!(t.commit(), Err(TxnError::Aborted(reason)), "shard {shard}");
+        assert_eq!(image(), reused, "shard {shard}: the record is not written");
+    }
+}
+
+/// A repeated read is found in the read set by key, with no index walk:
+/// a record unlinked from the index after the transaction read it reads
+/// as the same snapshot (not `NotFound`), and the commit aborts on it.
+#[test]
+fn repeated_read_of_an_unlinked_record_keeps_its_snapshot() {
+    let c = cluster(2, 1);
+    let k = key(0, 6);
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin();
+    let first = t.read_local(T_ACCT, k).unwrap();
+    assert!(c.stores[0].remove(T_ACCT, k));
+    assert_eq!(t.read_local(T_ACCT, k), Ok(first));
+    assert_eq!(t.commit(), Err(TxnError::Aborted(AbortReason::Incarnation)));
+}
+
+/// `write_local` refuses a read-only transaction at the call, as every
+/// other write does, not later at `commit_ro`'s set check.
+#[test]
+#[should_panic(expected = "read-only transactions cannot write")]
+fn write_local_in_a_read_only_transaction_panics() {
+    let c = cluster(2, 1);
+    let mut w = c.worker(0, 1);
+    let mut t = w.begin_ro();
+    let _ = t.write_local(T_ACCT, key(0, 1), val(5));
+}
+
 #[test]
 fn read_only_txn_rejects_locked_remote_record() {
     // §4.5: read-only transactions check the lock to avoid reading a
@@ -2545,6 +2668,15 @@ fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u
 /// still ends at the WRITE's horizon (19 836 ns, wait 16 836): the CAS
 /// is posted behind the WRITE and nobody waits for it. Wakes, verb
 /// waits, every verb count, byte and `saved` stand.
+///
+/// And once more when a write to a record the transaction read took the
+/// read's location (DESIGN.md §4): each of the 12 read-write commits
+/// rewrites one local and one remote record it read, and neither write
+/// pays its own `record_logic_ns` (180 ns) any more — execute 37 984 ->
+/// 33 664 ns, final clock 166 156 -> 161 836 = minus 12 x 2 x 180. Its
+/// p50/p99 buckets fall with it (3 584 / 8 192 -> 3 072 / 4 096). The
+/// location cache answered both lookups before, so no verb, wait or
+/// other phase moves.
 #[test]
 fn routines_one_matches_blocking_path_pins() {
     use drtm_rdma::NicSnapshot;
@@ -2562,7 +2694,7 @@ fn routines_one_matches_blocking_path_pins() {
         c
     };
     let check = |arm: &str, c: &DrtmCluster, w: &crate::txn::Worker| {
-        assert_eq!(w.clock.now(), 166_156, "{arm}: virtual time");
+        assert_eq!(w.clock.now(), 161_836, "{arm}: virtual time");
         assert_eq!((w.stats.committed, w.stats.aborted), (24, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -2580,7 +2712,7 @@ fn routines_one_matches_blocking_path_pins() {
         assert_eq!(
             phase_digest(&snap.phases),
             [
-                (12, 37984, 3584, 8192),
+                (12, 33664, 3072, 4096),
                 (12, 29400, 3072, 4096),
                 (12, 0, 1, 2),
                 (12, 840, 96, 128),

@@ -171,6 +171,7 @@ pub(crate) struct Batch {
 /// A local read-set entry.
 pub(crate) struct LocalRead {
     pub table: TableId,
+    pub key: u64,
     pub rec_off: usize,
     pub seq: u64,
     pub incarnation: u64,
@@ -221,33 +222,51 @@ pub(crate) struct PendingMutation {
 /// it is at most this long, and through its [`RepeatIndex`] past that.
 const LINEAR_SET: usize = 16;
 
-/// Position of each entry of a local set by `(table, id)` — record
-/// offset in the read set, key in the write set — for transactions that
-/// touch hundreds of local records (stock-level, delivery).
+/// Position of each entry of a local set by `(table, key)`, for
+/// transactions that touch hundreds of local records (stock-level,
+/// delivery).
 #[derive(Default)]
 pub(crate) struct RepeatIndex(BTreeMap<(TableId, u64), usize>);
 
 impl RepeatIndex {
-    fn find<T>(
-        &self,
-        set: &[T],
-        id: impl Fn(&T) -> (TableId, u64),
-        at: (TableId, u64),
-    ) -> Option<usize> {
+    fn find<T: Keyed>(&self, set: &[T], at: (TableId, u64)) -> Option<usize> {
         if set.len() <= LINEAR_SET {
-            return set.iter().position(|e| id(e) == at);
+            return set.iter().position(|e| e.at() == at);
         }
         self.0.get(&at).copied()
     }
 
     /// Notes that `set` just grew by its last entry.
-    fn pushed<T>(&mut self, set: &[T], id: impl Fn(&T) -> (TableId, u64)) {
+    fn pushed<T: Keyed>(&mut self, set: &[T]) {
         if set.len() > LINEAR_SET {
             // The first time past the limit indexes what the scan covered.
             let new = if self.0.is_empty() { 0 } else { set.len() - 1 };
             let entries = set.iter().enumerate().skip(new);
-            self.0.extend(entries.map(|(i, e)| (id(e), i)));
+            self.0.extend(entries.map(|(i, e)| (e.at(), i)));
         }
+    }
+}
+
+/// An entry of a local set, named by `(table, key)`.
+trait Keyed {
+    fn at(&self) -> (TableId, u64);
+}
+
+impl Keyed for LocalRead {
+    fn at(&self) -> (TableId, u64) {
+        (self.table, self.key)
+    }
+}
+
+impl Keyed for LocalWrite {
+    fn at(&self) -> (TableId, u64) {
+        (self.table, self.key)
+    }
+}
+
+impl Keyed for GroupMember {
+    fn at(&self) -> (TableId, u64) {
+        (self.table, self.key)
     }
 }
 
@@ -862,18 +881,21 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// What a local read of `(table, key)` starts from: the own write or
-    /// earlier snapshot that serves it, or the record it must fetch.
+    /// earlier snapshot that serves it — found by key, with no index
+    /// walk — or the record it must fetch.
     fn local_source(
         &self,
         table: TableId,
         key: u64,
         known_off: Option<usize>,
     ) -> Result<LocalSource<'_>, TxnError> {
-        let own = self
-            .l_ws_at
-            .find(&self.l_ws, |e| (e.table, e.key), (table, key));
-        if let Some(i) = own {
+        if let Some(i) = self.l_ws_at.find(&self.l_ws, (table, key)) {
             return Ok(LocalSource::Served(&self.l_ws[i].buf));
+        }
+        // Repeatable read: if already in the read set, return the
+        // snapshot, even of a record unlinked since (commit aborts on it).
+        if let Some(i) = self.l_rs_at.find(&self.l_rs, (table, key)) {
+            return Ok(LocalSource::Served(&self.l_rs[i].value));
         }
         let rec_off = match known_off {
             Some(off) => off,
@@ -882,19 +904,11 @@ impl<'w> TxnCtx<'w> {
                 store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize
             }
         };
-        // Repeatable read: if already in the read set, return the snapshot.
-        let at = (table, rec_off as u64);
-        let read = self
-            .l_rs_at
-            .find(&self.l_rs, |e| (e.table, e.rec_off as u64), at);
-        Ok(match read {
-            Some(i) => LocalSource::Served(&self.l_rs[i].value),
-            None => LocalSource::Fetch(GroupMember {
-                table,
-                key,
-                rec_off,
-            }),
-        })
+        Ok(LocalSource::Fetch(GroupMember {
+            table,
+            key,
+            rec_off,
+        }))
     }
 
     /// Reads `members` — local records in neither local set, no two
@@ -984,8 +998,7 @@ impl<'w> TxnCtx<'w> {
     fn enter_local_read(&mut self, read: LocalRead) -> Vec<u8> {
         let value = read.value.clone();
         self.l_rs.push(read);
-        self.l_rs_at
-            .pushed(&self.l_rs, |e| (e.table, e.rec_off as u64));
+        self.l_rs_at.pushed(&self.l_rs);
         value
     }
 
@@ -1004,12 +1017,18 @@ impl<'w> TxnCtx<'w> {
 
     /// Buffers a write to a local record. The record must exist; reading
     /// it first is typical but not required (blind writes are allowed).
+    ///
+    /// A record the transaction read is written at the offset the read
+    /// found, with no second index walk and no second `record_logic_ns`:
+    /// C.3 re-checks that read's incarnation in the HTM region that then
+    /// writes there, so a record freed since aborts and is never written.
     pub fn write_local(
         &mut self,
         table: TableId,
         key: u64,
         value: Vec<u8>,
     ) -> Result<(), TxnError> {
+        assert!(!self.read_only, "read-only transactions cannot write");
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
         assert_eq!(
@@ -1017,22 +1036,25 @@ impl<'w> TxnCtx<'w> {
             store.table(table).spec.value_len,
             "value size mismatch"
         );
-        if let Some(i) = self
-            .l_ws_at
-            .find(&self.l_ws, |e| (e.table, e.key), (table, key))
-        {
+        if let Some(i) = self.l_ws_at.find(&self.l_ws, (table, key)) {
             self.l_ws[i].buf = value;
             return Ok(());
         }
-        let rec_off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
-        self.charge(cluster.opts.cost.record_logic_ns);
+        let rec_off = match self.l_rs_at.find(&self.l_rs, (table, key)) {
+            Some(i) => self.l_rs[i].rec_off,
+            None => {
+                let off = store.get_loc(table, key).ok_or(TxnError::NotFound)?;
+                self.charge(cluster.opts.cost.record_logic_ns);
+                off as usize
+            }
+        };
         self.l_ws.push(LocalWrite {
             table,
             key,
             rec_off,
             buf: value,
         });
-        self.l_ws_at.pushed(&self.l_ws, |e| (e.table, e.key));
+        self.l_ws_at.pushed(&self.l_ws);
         Ok(())
     }
 
@@ -1242,6 +1264,10 @@ impl<'w> TxnCtx<'w> {
 
     /// Buffers a write to a record on machine `node`. Locating the record
     /// may issue a lookup verb, which is a reactor yield point.
+    ///
+    /// A record the transaction read is written at the offset the read
+    /// found: no lookup, no verb and no second `record_logic_ns`. C.2
+    /// validates that read's incarnation before C.5 writes there.
     pub async fn write_remote_async(
         &mut self,
         node: NodeId,
@@ -1256,16 +1282,20 @@ impl<'w> TxnCtx<'w> {
             cluster.stores[self.w.node].table(table).spec.value_len,
             "value size mismatch"
         );
-        if let Some(e) = self
-            .r_ws
-            .iter_mut()
-            .find(|e| e.node == node && e.table == table && e.key == key)
-        {
+        let same = |n: NodeId, t: TableId, k: u64| (n, t, k) == (node, table, key);
+        if let Some(e) = self.r_ws.iter_mut().find(|e| same(e.node, e.table, e.key)) {
             e.buf = value;
             return Ok(());
         }
-        let rec_off = self.locate_remote(node, table, key).await?;
-        self.charge(cluster.opts.cost.record_logic_ns);
+        let read = self.r_rs.iter().find(|e| same(e.node, e.table, e.key));
+        let rec_off = match read {
+            Some(e) => e.rec_off,
+            None => {
+                let off = self.locate_remote(node, table, key).await?;
+                self.charge(cluster.opts.cost.record_logic_ns);
+                off
+            }
+        };
         self.r_ws.push(RemoteWrite {
             node,
             table,
@@ -1567,7 +1597,6 @@ impl<'w> TxnCtx<'w> {
         let mut members: Vec<GroupMember> = Vec::new();
         let mut member_of = Vec::new();
         let mut repeats = RepeatIndex::default();
-        let id = |m: &GroupMember| (m.table, m.rec_off as u64);
         for (i, &(shard, table, key)) in keys.iter().enumerate() {
             if self.w.cluster.home_of(shard) != me {
                 continue;
@@ -1577,9 +1606,9 @@ impl<'w> TxnCtx<'w> {
                 Ok(LocalSource::Served(_)) => continue,
                 Err(_) => break,
             };
-            if repeats.find(&members, id, id(&member)).is_none() {
+            if repeats.find(&members, member.at()).is_none() {
                 members.push(member);
-                repeats.pushed(&members, id);
+                repeats.pushed(&members);
                 member_of.push(i);
             }
         }
@@ -1695,7 +1724,8 @@ const REMOTE_READ_RETRIES: usize = 64;
 #[derive(Clone, Copy)]
 struct GroupMember {
     table: TableId,
-    /// The key the ladder blames should the record stay locked.
+    /// The key its read-set entry is found by, and the one the ladder
+    /// blames should the record stay locked.
     key: u64,
     rec_off: usize,
 }
@@ -1732,6 +1762,7 @@ fn attempt_region(store: &Store, htm: &HtmConfig, members: &[GroupMember]) -> Re
             Ok((lock, ..)) if lock != LOCK_FREE => return RegionRead::Locked(i),
             Ok((_, incarnation, seq)) => reads.push(LocalRead {
                 table: m.table,
+                key: m.key,
                 rec_off: m.rec_off,
                 seq,
                 incarnation,

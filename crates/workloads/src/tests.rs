@@ -384,6 +384,14 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
 /// so each saves one `htm_begin_ns + htm_commit_ns` (20 + 20 ns) —
 /// execute 103 468 -> 102 308 ns, clock 240 468 -> 239 308 = minus
 /// 29 x 40; nothing else moves. The job counts those send-payments.
+///
+/// And once more when a write to a record the transaction read took the
+/// read's location (DESIGN.md §4): each of the 54 committed
+/// send-payments rewrites the two accounts it read, and neither write
+/// pays its own `record_logic_ns` (180 ns) any more — execute 102 308 ->
+/// 82 868 ns, clock 239 308 -> 219 868 = minus 54 x 2 x 180, and its
+/// p99 bucket falls 8 192 -> 4 096. The location cache answered every
+/// remote write's lookup before, so no verb, wait or other phase moves.
 #[test]
 fn smallbank_routines_one_pins_blocking_path() {
     use crate::smallbank::{self, SbInput, SbTxn};
@@ -424,7 +432,12 @@ fn smallbank_routines_one_pins_blocking_path() {
     };
     let check = |arm: &str, c: &DrtmCluster, w: &drtm_core::txn::Worker, local_pairs| {
         assert_eq!(local_pairs, 29, "{arm}: send-payments within node 0");
-        assert_eq!(w.clock.now(), 240_468 - 29 * 40, "{arm}: virtual clock");
+        let reads_written = 54 * 2 * 180;
+        assert_eq!(
+            w.clock.now(),
+            240_468 - 29 * 40 - reads_written,
+            "{arm}: virtual clock"
+        );
         assert_eq!((w.stats.committed, w.stats.aborted), (54, 0), "{arm}");
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
@@ -453,7 +466,7 @@ fn smallbank_routines_one_pins_blocking_path() {
         assert_eq!(
             phases,
             [
-                (54, 103468 - 29 * 40, 988, 8192),
+                (54, 103468 - 29 * 40 - reads_written, 988, 4096),
                 (54, 61250, 1, 4096),
                 (54, 0, 1, 2),
                 (54, 4650, 96, 128),

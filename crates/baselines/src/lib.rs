@@ -1,6 +1,6 @@
 //! Comparison systems from the paper's evaluation (§7.1, Table 1).
 //!
-//! Three baselines run over the *same* simulated substrate (regions,
+//! Two baselines run over the *same* simulated substrate (regions,
 //! software HTM, RDMA fabric, virtual-time cost model) as DrTM+R, so the
 //! comparisons measure protocol differences rather than simulator
 //! differences:
@@ -18,16 +18,11 @@
 //!   released Calvin does not use RDMA), and a single per-machine lock
 //!   manager serialises lock acquisition, which is the throughput ceiling
 //!   the paper observes.
-//! * [`silo`] — **Silo** (SOSP'13): single-machine OCC with sequence
-//!   numbers, no HTM, no networking; the per-machine efficiency yardstick
-//!   (§7.2's single-node comparison).
 
 pub mod calvin;
 pub mod drtm2pl;
 pub mod oracle;
-pub mod silo;
 
 pub use calvin::{CalvinEngine, CalvinWorker};
 pub use drtm2pl::DrtmWorker;
 pub use oracle::{OracleCtx, RwSets};
-pub use silo::SiloWorker;

@@ -2,7 +2,7 @@
 //! replicas, cross-probability) grid point from the command line.
 //!
 //! ```text
-//! sweep [tpcc|smallbank|ycsb] [--engine drtm+r|drtm|calvin|silo]
+//! sweep [tpcc|smallbank|ycsb] [--engine drtm+r|drtm|calvin]
 //!       [--nodes N] [--threads T] [--replicas R] [--cross P]
 //!       [--txns N] [--routines R] [--full] [--msg-locking] [--no-cache]
 //!       [--fuse] [--no-value-cache] [--raw]
@@ -58,10 +58,7 @@ fn main() {
                     "drtm+r" | "drtmr" => EngineKind::DrtmR,
                     "drtm" => EngineKind::Drtm,
                     "calvin" => EngineKind::Calvin,
-                    "silo" => EngineKind::Silo,
-                    other => bad(format!(
-                        "unknown engine {other:?} (drtm+r|drtm|calvin|silo)"
-                    )),
+                    other => bad(format!("unknown engine {other:?} (drtm+r|drtm|calvin)")),
                 }
             }
             "--nodes" => nodes = num(),

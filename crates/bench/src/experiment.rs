@@ -25,7 +25,6 @@ use drtm_workloads::driver::{
     build_smallbank, build_tpcc, build_ycsb, run_smallbank_on, run_tpcc_on, run_ycsb_on,
     EngineKind, Measurement, RunCfg,
 };
-use drtm_workloads::engine::EngineWorker;
 use drtm_workloads::smallbank::SbCfg;
 use drtm_workloads::tpcc::{txns, TpccCfg};
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
@@ -600,13 +599,13 @@ fn run_breakdown(size: Size) -> Result<Vec<Arm>, String> {
             ..run_cfg(QUICK, EngineKind::DrtmR, 1, replicas)
         };
         let (cluster, _) = build_tpcc(&cfg, &run);
-        let mut ew = EngineWorker::new(EngineKind::DrtmR, &cluster, None, 0, 7);
+        let mut w = cluster.worker(0, 7);
         let mut rng = drtm_base::SplitMix64::new(11);
         for i in 0..size.n {
             let inp = txns::gen_new_order(&cfg, &mut rng, 0, cross);
-            let _ = drtm_base::task::block_now(ew.exec(false, async |t| {
-                txns::new_order(t, &cfg, &inp, i as u64).await
-            }));
+            let _ = drtm_base::task::block_now(
+                w.run_async(async |t| txns::new_order(t, &cfg, &inp, i as u64).await),
+            );
         }
         // Aux work so the logs do not grow unbounded.
         for node in 0..cfg.nodes {

@@ -11,23 +11,16 @@
 //! records paper vs. measured.
 
 use std::fmt::Display;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use drtm_base::task::block_now;
-use drtm_base::SplitMix64;
-use drtm_chaos::{ChaosInjector, FaultPlan, Supervisor, SupervisorCfg};
+use drtm_chaos::{run_smallbank_chaos, ChaosRunCfg, FaultPlan, RecoveryEvent, SupervisorCfg};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
-use drtm_core::recovery::full_restart_scrub;
 use drtm_core::scrape_cluster;
-use drtm_core::txn::TxnError;
-use drtm_workloads::audit;
 use drtm_workloads::driver::{
     build_smallbank, build_tpcc, run_smallbank_on, run_tpcc, run_tpcc_on, run_ycsb, EngineKind,
     Measurement, RunCfg,
 };
-use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 use drtm_workloads::tpcc::{self, TpccCfg};
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 use EngineKind::{Calvin, Drtm, DrtmR};
@@ -55,7 +48,6 @@ fn tpcc_point(arm: &mut Arm, run: &RunCfg, m: Measurement) -> Measurement {
         DrtmR => "drtm+r",
         Drtm => "drtm",
         Calvin => "calvin",
-        EngineKind::Silo => "silo",
     };
     let series = match run.replicas {
         1 => engine.to_string(),
@@ -336,18 +328,13 @@ pub fn ablations(size: Size) -> Arms {
 
 // ---- Figure 20: a machine failure under load ---------------------------
 
-/// Wall-clock pause between a worker's transactions. The lease
-/// machinery runs on host time: unpaced workers on an oversubscribed
-/// host starve the heartbeat thread (a healthy machine gets suspected)
-/// and *speed up* when peers die, inverting the timeline.
-const PACE: Duration = Duration::from_micros(400);
-
 /// Zero-sum SmallBank payments (half of them cross-machine) on 3-way
-/// replicated machines, `size.n` paced transactions per worker, under
-/// the `drtm-chaos` supervisor with `lease_us` leases. The last machine
-/// dies at C.5 — committed, every lock still dangling — about 40 % into
-/// the run; the supervisor suspects it when its lease drains and
-/// recovers it; then money and locks are audited as a restart would.
+/// replicated machines, `size.n` transactions per worker paced 400 µs
+/// apart, under the `drtm-chaos` supervisor with `lease_us` leases. The
+/// last machine dies at C.5 — committed, every lock still dangling —
+/// about 40 % into the run; the supervisor suspects it when its lease
+/// drains and recovers it; then money and locks are audited as a
+/// restart would.
 ///
 /// Pushes the Figure 20 decomposition and the audit onto `arm` and
 /// returns the timeline's three windows — before the crash, from the
@@ -355,97 +342,30 @@ const PACE: Duration = Duration::from_micros(400);
 /// ran out of work — as (commits per host ms, length in ms).
 fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
     let scale = size.scale();
-    let (nodes, threads) = (scale.pick(6, 3), scale.pick(4, 2));
-    let victim = nodes - 1;
-    let sb = SbCfg {
-        nodes,
-        accounts: 1_000,
+    let cfg = ChaosRunCfg {
+        nodes: scale.pick(6, 3),
+        threads: scale.pick(4, 2),
         cross_prob: 0.5,
-        ..Default::default()
+        txns_per_worker: size.n,
+        // Heartbeat well under the lease, poll fast enough not to
+        // dominate detection.
+        supervisor: SupervisorCfg {
+            lease_us,
+            heartbeat: Duration::from_micros((lease_us / 5).max(500)),
+            poll: Duration::from_micros(200),
+        },
+        pace: Duration::from_micros(400),
+        ..ChaosRunCfg::default()
     };
-    let opts = EngineOpts::builder()
-        .replicas(3)
-        .region_size(sb.region_size())
-        .build();
-    let cluster = DrtmCluster::new(nodes, &sb.schema(), opts);
-    smallbank::load(&cluster, &sb);
-
+    let victim = cfg.nodes - 1;
     // The C.5 probe fires once per commit, remote writes or not.
-    let hit = (size.n * threads * 2 / 5).max(1) as u64;
+    let hit = (size.n * cfg.threads * 2 / 5).max(1) as u64;
     let plan = FaultPlan::new(0xF1620 ^ lease_us).crash_at(victim, "C.5", hit);
-    let injector = Arc::new(ChaosInjector::new(plan, nodes));
-    cluster.fabric.set_injector(Arc::clone(&injector) as _);
-    cluster.set_crash_hook(Arc::clone(&injector) as _);
-    // Heartbeat well under the lease, poll fast enough not to dominate
-    // detection.
-    let timing = SupervisorCfg {
-        lease_us,
-        heartbeat: Duration::from_micros((lease_us / 5).max(500)),
-        poll: Duration::from_micros(200),
-    };
-    let sup = Supervisor::start(&cluster, timing, Some(Arc::clone(&injector)));
-
-    // Commits before the crash, until its recovery finished, and after.
-    let committed = [0, 1, 2].map(|_| AtomicU64::new(0));
-    let window = || injector.crashes_fired().min(1) + sup.recoveries().min(1);
-    // One worker's paced load; `None` when its machine died under it
-    // (or was suspected while healthy and voted out: nothing it starts
-    // after that can commit), else when it finished.
-    let worker = |wid: usize| {
-        let node = wid / threads;
-        let mut w = cluster.worker(node, 0xF16 + wid as u64);
-        let mut rng = SplitMix64::new(7919 * (wid as u64 + 1));
-        for _ in 0..size.n {
-            if !cluster.is_alive(node) || !cluster.is_member(node) {
-                return None;
-            }
-            let a = (node, sb.pick_account(&mut rng, node));
-            let shard = sb.pick_second_shard(&mut rng, node);
-            let b = (shard, sb.pick_account(&mut rng, shard));
-            let inp = SbInput {
-                txn: SbTxn::SendPayment,
-                a,
-                b,
-                amount: rng.range(1, 50),
-            };
-            if a != b {
-                match block_now(w.run_async(async |t| smallbank::execute(t, &inp).await)) {
-                    Ok(()) => _ = committed[window()].fetch_add(1, Ordering::Relaxed),
-                    Err(TxnError::Crashed) => return None,
-                    Err(_) => {}
-                }
-            }
-            std::thread::sleep(PACE);
-        }
-        Some(Instant::now())
-    };
-    // This thread is the auxiliary log-truncation thread meanwhile.
-    let start = Instant::now();
-    let all_done = std::thread::scope(|s| {
-        let worker = &worker;
-        let workers: Vec<_> = (0..nodes * threads)
-            .map(|wid| s.spawn(move || worker(wid)))
-            .collect();
-        while workers.iter().any(|w| !w.is_finished()) {
-            std::thread::sleep(Duration::from_millis(1));
-            (0..nodes).for_each(|node| _ = cluster.truncate_step(node));
-        }
-        let done = workers
-            .into_iter()
-            .filter_map(|w| w.join().expect("worker panicked"));
-        done.max()
-    });
-    sup.await_recoveries(injector.crashes_fired(), Duration::from_secs(10));
-    let events = sup.stop();
-    cluster.clear_crash_hook();
-    cluster.fabric.clear_injector();
-    let (stale_locks, ..) = full_restart_scrub(&cluster);
-    let conserved = audit::smallbank_total(&cluster, &sb) == smallbank::initial_total(&sb);
+    let out = run_smallbank_chaos(&cfg, plan);
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let event = events.first().filter(|e| e.dead == victim);
-    let phase =
-        |pick: fn(&drtm_chaos::RecoveryEvent) -> Duration| event.map_or(f64::NAN, |e| ms(pick(e)));
+    let event = out.events.first().filter(|e| e.dead == victim);
+    let phase = |pick: fn(&RecoveryEvent) -> Duration| event.map_or(f64::NAN, |e| ms(pick(e)));
     let detect = phase(|e| e.detect.unwrap_or_default());
     let (config, rebuild) = (
         phase(|e| e.report.config_commit),
@@ -459,25 +379,18 @@ fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
         ("rebuild_ms", "ms", rebuild),
         ("total_ms", "ms", detect + config + rebuild),
         ("replayed", "entry", replayed),
-        ("recoveries", "event", events.len() as f64),
-        (
-            "audit_ok",
-            "bool",
-            f64::from(u8::from(conserved && stale_locks == 0)),
-        ),
+        ("recoveries", "event", out.events.len() as f64),
+        ("audit_ok", "bool", f64::from(u8::from(out.audit_ok()))),
     ] {
         arm.push(name, unit, value);
     }
 
-    // The three windows of the timeline. (A commit racing the crash or
-    // the end of the rebuild lands in the neighbouring window.)
-    let crash = injector.crash_instant(victim);
     let recovered = event.map(|e| e.suspected_at + e.report.config_commit + e.report.rebuild);
-    let edges = [Some(start), crash, recovered, all_done];
+    let edges = [Some(out.started), out.crashed, recovered, out.finished];
     [0, 1, 2].map(|i| match (edges[i], edges[i + 1]) {
         (Some(from), Some(to)) if to > from => {
             let len = ms(to - from);
-            (committed[i].load(Ordering::Relaxed) as f64 / len, len)
+            (out.window_commits[i] as f64 / len, len)
         }
         _ => (f64::NAN, f64::NAN),
     })

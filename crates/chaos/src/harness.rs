@@ -12,15 +12,15 @@
 //! Recovery is triggered exclusively by the supervisor observing lease
 //! expiry; the harness itself never calls `recover_node`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use drtm_base::SplitMix64;
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::recovery::full_restart_scrub;
-use drtm_core::txn::TxnError;
-use drtm_core::ContentionPolicy;
+use drtm_core::txn::{TxnError, Worker};
+use drtm_core::{ContentionPolicy, RoutinePool};
 use drtm_workloads::audit;
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 
@@ -62,6 +62,14 @@ pub struct ChaosRunCfg {
     /// that crashes never grants, so parked waiters must drain through
     /// the liveness bound instead of deadlocking the pool.
     pub contention: ContentionPolicy,
+    /// Wall-clock pause before each of a worker's transactions (zero:
+    /// none). The lease machinery runs on host time, so a timeline
+    /// measured in host time (Figure 20) needs paced workers: unpaced
+    /// ones on an oversubscribed host starve the heartbeat thread (a
+    /// healthy machine gets suspected) and *speed up* when peers die,
+    /// inverting the timeline. The pause blocks the worker thread, so
+    /// with `routines > 1` it paces the thread's routines together.
+    pub pace: Duration,
 }
 
 impl Default for ChaosRunCfg {
@@ -77,6 +85,7 @@ impl Default for ChaosRunCfg {
             await_recoveries: Duration::from_secs(10),
             routines: 1,
             contention: ContentionPolicy::Off,
+            pace: Duration::ZERO,
         }
     }
 }
@@ -88,7 +97,8 @@ pub struct ChaosOutcome {
     pub committed: u64,
     /// Transactions that aborted (including user aborts).
     pub aborted: u64,
-    /// Workers that observed their machine die under them.
+    /// Workers that stopped early: their machine died under them or
+    /// left the configuration.
     pub crashed_workers: usize,
     /// Crash specs that actually fired.
     pub crashes_fired: usize,
@@ -110,6 +120,17 @@ pub struct ChaosOutcome {
     pub rolled_forward: usize,
     /// Odd records the restart scrub rolled back.
     pub rolled_back: usize,
+    /// When the workers started.
+    pub started: Instant,
+    /// When the first crash fired, if one did.
+    pub crashed: Option<Instant>,
+    /// When the last worker that did not stop early ran out of work
+    /// (`None` if every worker stopped early).
+    pub finished: Option<Instant>,
+    /// `committed` split by the timeline: commits before the first
+    /// crash, from then until the first recovery finished, and after.
+    /// A commit racing either edge lands in the neighbouring window.
+    pub window_commits: [u64; 3],
 }
 
 impl ChaosOutcome {
@@ -142,116 +163,116 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     cluster.set_crash_hook(Arc::clone(&injector) as _);
 
     let sup = Supervisor::start(&cluster, cfg.supervisor, Some(Arc::clone(&injector)));
+    // Commits per timeline window: before the first crash, until the
+    // first recovery finished, after.
+    let window_commits = [0, 1, 2].map(|_| AtomicU64::new(0));
+    let window = || injector.crashes_fired().min(1) + sup.recoveries().min(1);
+    let seed = injector.plan().seed;
+    let routines = cfg.routines.max(1);
+
+    // One worker thread's load: its aborts, and when it ran out of work
+    // (`None`: it stopped early).
+    let worker = |node: usize, tid: usize| {
+        // One routine's share of the worker's load; crashes and
+        // injected faults surface through the usual error paths.
+        let body = async |w: &mut Worker, rng: &mut SplitMix64, txns: usize| {
+            let (mut aborted, mut stopped) = (0u64, false);
+            for _ in 0..txns {
+                if !cfg.pace.is_zero() {
+                    std::thread::sleep(cfg.pace);
+                }
+                // A machine voted out while alive commits nothing it
+                // starts after that.
+                if !cluster.is_alive(node) || !cluster.is_member(node) {
+                    stopped = true;
+                    break;
+                }
+                let a = (node, sb.pick_account(rng, node));
+                let second = sb.pick_second_shard(rng, node);
+                let b = (second, sb.pick_account(rng, second));
+                if a == b {
+                    continue;
+                }
+                let inp = SbInput {
+                    txn: SbTxn::SendPayment,
+                    a,
+                    b,
+                    amount: rng.range(1, 50),
+                };
+                match w
+                    .run_async(async |t| smallbank::execute(t, &inp).await)
+                    .await
+                {
+                    Ok(()) => _ = window_commits[window()].fetch_add(1, Ordering::Relaxed),
+                    Err(TxnError::Crashed) => {
+                        stopped = true;
+                        break;
+                    }
+                    Err(_) => aborted += 1,
+                }
+            }
+            (aborted, stopped)
+        };
+        // Seed stream of routine `rid`. A lone routine keeps the worker
+        // id itself, so `routines = 1` runs replay the seeds recorded
+        // before routines existed.
+        let wid = (node * cfg.threads + tid) as u64;
+        let stream = |rid: usize| match routines {
+            1 => wid,
+            _ => wid * 31 + rid as u64,
+        };
+        let pool: Vec<Worker> = (0..routines)
+            .map(|rid| {
+                cluster.worker(
+                    node,
+                    seed ^ (stream(rid).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                )
+            })
+            .collect();
+        let txns = cfg.txns_per_worker;
+        let outs = RoutinePool::run(pool, async |rid, w| {
+            let mut rng = SplitMix64::new(seed.wrapping_add(stream(rid) * 7919));
+            let share = txns / routines + usize::from(rid < txns % routines);
+            body(w, &mut rng, share).await
+        });
+        let aborted = outs.iter().map(|(_, (a, _))| a).sum::<u64>();
+        let stopped = outs.iter().any(|(_, (_, k))| *k);
+        (aborted, (!stopped).then(Instant::now))
+    };
+    let worker = &worker;
 
     // Auxiliary log truncation, as in the measurement driver.
-    let stop_aux = Arc::new(AtomicBool::new(false));
-    let aux = {
-        let cluster = Arc::clone(&cluster);
-        let stop = Arc::clone(&stop_aux);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
+    let stop_aux = AtomicBool::new(false);
+    let started = Instant::now();
+    let (aborted, crashed_workers, finished) = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop_aux.load(Ordering::Relaxed) {
                 for node in 0..cluster.nodes() {
                     cluster.truncate_step(node);
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
-        })
-    };
-
-    let mut workers = Vec::new();
-    for node in 0..cfg.nodes {
-        for tid in 0..cfg.threads {
-            let cluster = Arc::clone(&cluster);
-            let sb = sb.clone();
-            let txns = cfg.txns_per_worker;
-            let routines = cfg.routines.max(1);
-            let wid = (node * cfg.threads + tid) as u64;
-            let seed = injector.plan().seed;
-            workers.push(std::thread::spawn(move || {
-                // One routine's share of the worker's load; crashes and
-                // injected faults surface through the usual error paths.
-                let body = async |w: &mut drtm_core::txn::Worker,
-                                  rng: &mut SplitMix64,
-                                  txns: usize|
-                       -> (u64, u64, bool) {
-                    let (mut committed, mut aborted, mut crashed) = (0u64, 0u64, false);
-                    for _ in 0..txns {
-                        if !cluster.is_alive(node) {
-                            crashed = true;
-                            break;
-                        }
-                        let a = (node, sb.pick_account(rng, node));
-                        let second = sb.pick_second_shard(rng, node);
-                        let b = (second, sb.pick_account(rng, second));
-                        if a == b {
-                            continue;
-                        }
-                        let inp = SbInput {
-                            txn: SbTxn::SendPayment,
-                            a,
-                            b,
-                            amount: rng.range(1, 50),
-                        };
-                        match w
-                            .run_async(async |t| smallbank::execute(t, &inp).await)
-                            .await
-                        {
-                            Ok(()) => committed += 1,
-                            Err(TxnError::Crashed) => {
-                                crashed = true;
-                                break;
-                            }
-                            Err(_) => aborted += 1,
-                        }
-                    }
-                    (committed, aborted, crashed)
-                };
-                // Seed stream of routine `rid`. A lone routine keeps
-                // the worker id itself, so `routines = 1` runs replay
-                // the seeds recorded before routines existed.
-                let stream = |rid: usize| match routines {
-                    1 => wid,
-                    _ => wid * 31 + rid as u64,
-                };
-                let pool: Vec<drtm_core::txn::Worker> = (0..routines)
-                    .map(|rid| {
-                        let rw = stream(rid);
-                        cluster.worker(node, seed ^ (rw.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-                    })
-                    .collect();
-                let outs = drtm_core::RoutinePool::run(pool, async |rid, w| {
-                    let rw = stream(rid);
-                    let mut rng = SplitMix64::new(seed.wrapping_add(rw * 7919));
-                    let share = txns / routines + usize::from(rid < txns % routines);
-                    body(w, &mut rng, share).await
-                });
-                let (mut committed, mut aborted, mut crashed) = (0u64, 0u64, false);
-                for (_, (c, a, k)) in outs {
-                    committed += c;
-                    aborted += a;
-                    crashed |= k;
-                }
-                (committed, aborted, crashed)
-            }));
+        });
+        let workers: Vec<_> = (0..cfg.nodes)
+            .flat_map(|node| (0..cfg.threads).map(move |tid| (node, tid)))
+            .map(|(node, tid)| s.spawn(move || worker(node, tid)))
+            .collect();
+        let (mut aborted, mut stopped, mut finished) = (0, 0, None);
+        for h in workers {
+            let (a, done) = h.join().expect("worker panicked");
+            aborted += a;
+            stopped += usize::from(done.is_none());
+            finished = finished.max(done);
         }
-    }
-
-    let (mut committed, mut aborted, mut crashed_workers) = (0u64, 0u64, 0usize);
-    for h in workers {
-        let (c, a, k) = h.join().expect("worker panicked");
-        committed += c;
-        aborted += a;
-        crashed_workers += usize::from(k);
-    }
-
-    // Every fired crash must be detected through lease expiry before
-    // the audit makes sense.
+        // Every fired crash must be detected through lease expiry
+        // before the audit makes sense.
+        sup.await_recoveries(injector.crashes_fired(), cfg.await_recoveries);
+        stop_aux.store(true, Ordering::Relaxed);
+        (aborted, stopped, finished)
+    });
+    let window_commits = window_commits.map(AtomicU64::into_inner);
     let crashes_fired = injector.crashes_fired();
-    sup.await_recoveries(crashes_fired, cfg.await_recoveries);
     let events = sup.stop();
-
-    stop_aux.store(true, Ordering::Relaxed);
-    let _ = aux.join();
 
     // Restore a clean substrate before the invariant sweep: the scrub
     // must see the cluster as a restart would.
@@ -261,7 +282,7 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     let final_total = audit::smallbank_total(&cluster, &sb);
 
     ChaosOutcome {
-        committed,
+        committed: window_commits.iter().sum(),
         aborted,
         crashed_workers,
         crashes_fired,
@@ -273,5 +294,11 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
         stale_locks,
         rolled_forward,
         rolled_back,
+        started,
+        crashed: (0..cfg.nodes)
+            .filter_map(|n| injector.crash_instant(n))
+            .min(),
+        finished,
+        window_commits,
     }
 }

@@ -289,6 +289,43 @@ fn crash_with_waiters_parked_on_victims_keys_recovers() {
 }
 
 #[test]
+fn paced_crash_at_c5_splits_commits_into_the_timeline() {
+    // Figure 20's run shape at test size: paced workers, the last
+    // machine dies at C.5 40 % into the run. Every commit lands in one
+    // of the three windows, survivors commit before the crash and after
+    // the recovery, and the timeline's edges are in order. At 400 µs a
+    // transaction the run lasts 200 ms, so the 50 ms lease drains with
+    // survivors' work left over.
+    let cfg = ChaosRunCfg {
+        cross_prob: 0.5,
+        supervisor: test_supervisor(),
+        txns_per_worker: 500,
+        pace: Duration::from_micros(400),
+        ..ChaosRunCfg::default()
+    };
+    let victim = cfg.nodes - 1;
+    let hit = (cfg.txns_per_worker * cfg.threads * 2 / 5) as u64;
+    let out = run_smallbank_chaos(&cfg, FaultPlan::new(0xF20).crash_at(victim, "C.5", hit));
+    assert_eq!(out.crashes_fired, 1);
+    assert_eq!(out.events.len(), 1, "one lease-driven recovery");
+    assert_eq!(out.events[0].dead, victim);
+    assert_eq!(out.window_commits.iter().sum::<u64>(), out.committed);
+    let [before, _, after] = out.window_commits;
+    assert!(before > 0 && after > 0, "{:?}", out.window_commits);
+    let crashed = out.crashed.expect("the crash instant is known");
+    let finished = out.finished.expect("survivors ran out of work");
+    assert!(out.started < crashed && crashed < out.events[0].suspected_at);
+    assert!(out.events[0].suspected_at < finished);
+    assert!(
+        out.audit_ok(),
+        "total {} vs {}, stale locks {}",
+        out.final_total,
+        out.initial_total,
+        out.stale_locks
+    );
+}
+
+#[test]
 fn traffic_faults_alone_never_trigger_recovery() {
     let cfg = ChaosRunCfg {
         supervisor: test_supervisor(),

@@ -84,15 +84,11 @@ pub struct EngineOpts {
     /// these tables stay correct — the seqlock validation at C.2 catches
     /// stale cached reads — they just waste cache churn.
     pub read_mostly_tables: Vec<u32>,
-    /// Default contention-management policy (DESIGN.md §15): how a
-    /// worker responds to repeated conflicts on one key. The default,
+    /// Contention-management policy of every table (DESIGN.md §15): how
+    /// a worker responds to repeated conflicts on one key. The default,
     /// [`ContentionPolicy::Off`], keeps the legacy randomized-backoff
     /// retry path byte-identical.
     pub contention: ContentionPolicy,
-    /// Per-table overrides of [`EngineOpts::contention`]; tables not
-    /// listed use the default policy. See
-    /// [`EngineOpts::contention_for`].
-    pub contention_tables: Vec<(u32, ContentionPolicy)>,
 }
 
 impl Default for EngineOpts {
@@ -109,7 +105,6 @@ impl Default for EngineOpts {
             value_cache: true,
             read_mostly_tables: Vec::new(),
             contention: ContentionPolicy::Off,
-            contention_tables: Vec::new(),
         }
     }
 }
@@ -118,27 +113,6 @@ impl EngineOpts {
     /// Starts a builder seeded with [`EngineOpts::default`].
     pub fn builder() -> EngineOptsBuilder {
         EngineOptsBuilder::default()
-    }
-
-    /// The contention policy governing `table`: its override in
-    /// [`EngineOpts::contention_tables`] if present, the engine-wide
-    /// [`EngineOpts::contention`] default otherwise.
-    pub fn contention_for(&self, table: u32) -> ContentionPolicy {
-        self.contention_tables
-            .iter()
-            .find(|(t, _)| *t == table)
-            .map_or(self.contention, |(_, p)| *p)
-    }
-
-    /// Whether any table can climb the escalation ladder — `false`
-    /// means the unlock paths skip the wait-registry grant hook
-    /// entirely.
-    pub fn contention_active(&self) -> bool {
-        self.contention != ContentionPolicy::Off
-            || self
-                .contention_tables
-                .iter()
-                .any(|(_, p)| *p != ContentionPolicy::Off)
     }
 }
 
@@ -227,15 +201,9 @@ impl EngineOptsBuilder {
         self
     }
 
-    /// Default contention-management policy (DESIGN.md §15).
+    /// Contention-management policy of every table (DESIGN.md §15).
     pub fn contention(mut self, policy: ContentionPolicy) -> Self {
         self.opts.contention = policy;
-        self
-    }
-
-    /// Per-table overrides of the contention policy.
-    pub fn contention_tables(mut self, tables: Vec<(u32, ContentionPolicy)>) -> Self {
-        self.opts.contention_tables = tables;
         self
     }
 

@@ -628,22 +628,18 @@ impl TxnCtx<'_> {
 
     /// Whether C.1 should acquire in wait mode (rung 2 of the ladder,
     /// DESIGN.md §15): either the worker's conflict streak armed
-    /// pessimism for this retry, or a touched table's policy is
-    /// [`ContentionPolicy::AlwaysPessimistic`]. Always `false` while
-    /// contention management is off, keeping the legacy path
-    /// byte-identical.
+    /// pessimism for this retry, or the policy is
+    /// [`ContentionPolicy::AlwaysPessimistic`] and the transaction
+    /// touches a remote record. Always `false` while contention
+    /// management is off, keeping the legacy path byte-identical.
     fn pessimistic_c1(&self) -> bool {
-        let opts = &self.w.cluster.opts;
-        if !opts.contention_active() {
-            return false;
+        match self.w.cluster.opts.contention {
+            ContentionPolicy::Off => false,
+            ContentionPolicy::Escalate => self.w.force_pessimistic,
+            ContentionPolicy::AlwaysPessimistic => {
+                self.w.force_pessimistic || !self.r_rs.is_empty() || !self.r_ws.is_empty()
+            }
         }
-        self.w.force_pessimistic
-            || self
-                .r_rs
-                .iter()
-                .map(|e| e.table)
-                .chain(self.r_ws.iter().map(|e| e.table))
-                .any(|t| opts.contention_for(t) == ContentionPolicy::AlwaysPessimistic)
     }
 
     /// Attributes an abort to the record behind lock address `addr`, so
@@ -652,7 +648,7 @@ impl TxnCtx<'_> {
     /// record and will release it — eligible for rung-3 parking);
     /// validation conflicts have no holder and never park.
     fn note_conflict(&mut self, addr: LockAddr, lockish: bool) {
-        if !self.w.cluster.opts.contention_active() {
+        if self.w.cluster.opts.contention == ContentionPolicy::Off {
             return;
         }
         // Remote sets first; a [`Mode::Locked`] lock set and the HTM
@@ -896,7 +892,7 @@ impl TxnCtx<'_> {
     /// convoy drains in park order. Free when no waiters are registered;
     /// skipped entirely while contention management is off.
     fn grant_waiters(&self, addrs: &[LockAddr]) {
-        if !self.w.cluster.opts.contention_active() {
+        if self.w.cluster.opts.contention == ContentionPolicy::Off {
             return;
         }
         for &addr in addrs {

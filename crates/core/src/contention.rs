@@ -27,7 +27,7 @@
 //!    poll through the reactor's spin-park protocol, so they are
 //!    flush-exempt and cannot deadlock the shared doorbell (§14).
 //!
-//! The policy is per table ([`crate::EngineOpts::contention_for`]),
+//! One policy governs every table ([`crate::EngineOpts::contention`]),
 //! defaulting to [`ContentionPolicy::Off`], which keeps the legacy
 //! retry path byte-identical.
 //!
@@ -35,15 +35,11 @@
 //! use drtm_core::contention::ContentionPolicy;
 //! use drtm_core::EngineOpts;
 //!
-//! // Escalate everywhere, but leave table 7 on plain backoff.
 //! let opts = EngineOpts::builder()
 //!     .contention(ContentionPolicy::Escalate)
-//!     .contention_tables(vec![(7, ContentionPolicy::Off)])
 //!     .build();
-//! assert_eq!(opts.contention_for(0), ContentionPolicy::Escalate);
-//! assert_eq!(opts.contention_for(7), ContentionPolicy::Off);
-//! assert!(opts.contention_active());
-//! assert!(!EngineOpts::default().contention_active());
+//! assert_eq!(opts.contention, ContentionPolicy::Escalate);
+//! assert_eq!(EngineOpts::default().contention, ContentionPolicy::Off);
 //! ```
 
 use std::collections::HashMap;

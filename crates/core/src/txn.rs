@@ -741,14 +741,12 @@ impl Worker {
             // the paper's §4.3 randomized backoff; otherwise the
             // escalation ladder (DESIGN.md §15) picks a rung from the
             // conflicted key's consecutive-abort streak.
-            let escalation = self
-                .last_conflict
-                .take()
-                .map(|s| (s, self.cluster.opts.contention_for(s.table)))
-                .filter(|(_, p)| *p != ContentionPolicy::Off);
-            match escalation {
-                None => self.retry_backoff(attempt).await,
-                Some((site, policy)) => self.escalate(site, policy, attempt).await,
+            let policy = self.cluster.opts.contention;
+            match self.last_conflict.take() {
+                Some(site) if policy != ContentionPolicy::Off => {
+                    self.escalate(site, policy, attempt).await
+                }
+                _ => self.retry_backoff(attempt).await,
             }
         }
         self.force_pessimistic = false;

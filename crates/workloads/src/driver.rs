@@ -33,8 +33,6 @@ pub enum EngineKind {
     Drtm,
     /// Calvin baseline.
     Calvin,
-    /// Silo baseline (single machine only).
-    Silo,
 }
 
 /// A measurement run configuration.
@@ -163,11 +161,11 @@ trait MeasuredWorker {
 }
 
 impl MeasuredWorker for EngineWorker {
-    async fn exec_txn<B>(&mut self, ro: bool, body: B) -> Result<(), TxnError>
+    async fn exec_txn<B>(&mut self, _ro: bool, body: B) -> Result<(), TxnError>
     where
         B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>,
     {
-        self.exec(ro, body).await
+        self.exec(body)
     }
     fn vnow(&self) -> u64 {
         self.clock_now()
@@ -408,10 +406,6 @@ pub fn run_tpcc_on(
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
-    assert!(
-        run.engine != EngineKind::Silo || cfg.nodes == 1,
-        "Silo is single-machine"
-    );
     let cross = run.cross_override.unwrap_or(cfg.cross_new_order);
     run_slots(cfg.nodes, run, cluster, |node, tid| {
         let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20);

@@ -1,8 +1,8 @@
 //! One transaction API over every engine under comparison.
 //!
 //! Workload transactions are written once against [`TxnApi`] and run
-//! unchanged on DrTM+R, DrTM, Calvin, and Silo. Shards are routed by the
-//! engines themselves; Silo (single-machine) ignores the shard argument.
+//! unchanged on DrTM+R, DrTM and Calvin. Shards are routed by the
+//! engines themselves.
 //!
 //! The verbs that may cross the wire (`read`, `read_many`, `write`,
 //! `scan_local`, `last_local`) return boxed futures so a body running
@@ -17,16 +17,15 @@ use std::sync::Arc;
 
 use drtm_baselines::calvin::{CalvinEngine, CalvinTxn, CalvinWorker};
 use drtm_baselines::drtm2pl::{DrtmCtx, DrtmWorker};
-use drtm_baselines::silo::{SiloCtx, SiloWorker};
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::{TxnError, Worker, WorkerStats};
+use drtm_core::txn::{TxnError, WorkerStats};
 use drtm_store::TableId;
 
 /// Future returned by the suspending verbs of [`TxnApi`].
 ///
 /// Boxed (rather than an associated type) so bodies can be written
 /// against `&mut dyn TxnApi` — one monomorphisation of each workload
-/// transaction serves all four engines.
+/// transaction serves all three engines.
 pub type TxnFut<'a, R> = Pin<Box<dyn Future<Output = Result<R, TxnError>> + 'a>>;
 
 /// The uniform transaction interface the workloads are written against.
@@ -178,56 +177,24 @@ impl TxnApi for CalvinTxn<'_, '_> {
     }
 }
 
-impl TxnApi for SiloCtx<'_> {
-    fn read(&mut self, _shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-        let r = SiloCtx::read(self, table, key);
-        Box::pin(async move { r })
-    }
-    fn write(&mut self, _shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
-        let r = SiloCtx::write(self, table, key, v);
-        Box::pin(async move { r })
-    }
-    fn insert(&mut self, _shard: usize, table: TableId, key: u64, v: Vec<u8>) {
-        SiloCtx::insert(self, table, key, v)
-    }
-    fn delete(&mut self, _shard: usize, table: TableId, key: u64) {
-        SiloCtx::delete(self, table, key)
-    }
-    fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        let r = SiloCtx::scan(self, table, lo, hi, limit);
-        Box::pin(async move { r })
-    }
-    fn last_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-        let r = SiloCtx::last(self, table, lo, hi);
-        Box::pin(async move { r })
-    }
-}
-
-/// A worker of any engine under comparison.
+/// A worker of a baseline engine. DrTM+R runs through its own
+/// [`Worker`](drtm_core::txn::Worker), in a routine pool that suspends at
+/// every doorbell; nothing in a baseline suspends, so its worker drives
+/// a body to completion in a single poll.
 pub enum EngineWorker {
-    /// DrTM+R (this paper).
-    DrtmR(Worker),
     /// DrTM (SOSP'15 baseline).
     Drtm(DrtmWorker),
     /// Calvin baseline.
     Calvin(CalvinWorker),
-    /// Silo baseline (single machine).
-    Silo(SiloWorker),
 }
 
 impl EngineWorker {
-    /// Builds a worker of the requested engine on `node`.
+    /// Builds a worker of the baseline engine `kind` on `node`.
+    ///
+    /// # Panics
+    ///
+    /// On [`EngineKind::DrtmR`](crate::driver::EngineKind::DrtmR), which
+    /// is not a baseline.
     pub fn new(
         kind: crate::driver::EngineKind,
         cluster: &Arc<DrtmCluster>,
@@ -237,41 +204,22 @@ impl EngineWorker {
     ) -> Self {
         use crate::driver::EngineKind::*;
         match kind {
-            DrtmR => Self::DrtmR(cluster.worker(node, seed)),
             Drtm => Self::Drtm(DrtmWorker::new(Arc::clone(cluster), node, seed)),
             Calvin => Self::Calvin(calvin.expect("calvin engine").worker(node, seed)),
-            Silo => Self::Silo(SiloWorker::new(Arc::clone(cluster), seed)),
+            DrtmR => panic!("DrTM+R runs through its own Worker, not a baseline's"),
         }
     }
 
-    /// Executes one transaction to commit. `ro` marks read-only bodies
-    /// (only DrTM+R has a distinct read-only protocol, §4.5).
-    ///
-    /// Suspends only on the DrTM+R path (and only when the worker is
-    /// owned by a routine pool); the baselines drive the body to
-    /// completion in a single poll.
-    pub async fn exec<R>(
+    /// Executes one transaction to commit.
+    pub fn exec<R>(
         &mut self,
-        ro: bool,
         mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
     ) -> Result<R, TxnError> {
         match self {
-            EngineWorker::DrtmR(w) => {
-                if ro {
-                    w.run_ro_async(async |t| body(t as &mut dyn TxnApi).await)
-                        .await
-                } else {
-                    w.run_async(async |t| body(t as &mut dyn TxnApi).await)
-                        .await
-                }
-            }
             EngineWorker::Drtm(w) => {
                 w.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
             }
             EngineWorker::Calvin(w) => {
-                w.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
-            }
-            EngineWorker::Silo(w) => {
                 w.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
             }
         }
@@ -280,20 +228,16 @@ impl EngineWorker {
     /// The worker's current virtual time.
     pub fn clock_now(&self) -> u64 {
         match self {
-            EngineWorker::DrtmR(w) => w.clock.now(),
             EngineWorker::Drtm(w) => w.clock.now(),
             EngineWorker::Calvin(w) => w.clock.now(),
-            EngineWorker::Silo(w) => w.clock.now(),
         }
     }
 
     /// The worker's statistics.
     pub fn stats(&self) -> &WorkerStats {
         match self {
-            EngineWorker::DrtmR(w) => &w.stats,
             EngineWorker::Drtm(w) => &w.stats,
             EngineWorker::Calvin(w) => &w.stats,
-            EngineWorker::Silo(w) => &w.stats,
         }
     }
 }

@@ -79,17 +79,6 @@ fn tpcc_on_calvin_passes_audit() {
 }
 
 #[test]
-fn tpcc_on_silo_passes_audit() {
-    let cfg = quick_tpcc(1);
-    let run = quick_run(EngineKind::Silo, 2, 50);
-    let (cluster, _) = crate::driver::build_tpcc(&cfg, &run);
-    let m = crate::driver::run_tpcc_on(&cfg, &run, &cluster, None);
-    assert!(m.committed > 0);
-    let violations = audit::tpcc_audit(&cluster, &cfg);
-    assert!(violations.is_empty(), "audit failed: {violations:?}");
-}
-
-#[test]
 fn smallbank_runs_on_all_distributed_engines() {
     let cfg = SbCfg {
         nodes: 2,

@@ -18,16 +18,23 @@ fn cfg(nodes: usize) -> TpccCfg {
 }
 
 fn check(engine: EngineKind, nodes: usize, threads: usize, replicas: usize) {
+    check_run(
+        nodes,
+        RunCfg {
+            engine,
+            threads,
+            replicas,
+            txns_per_worker: 40,
+            ..Default::default()
+        },
+    );
+}
+
+fn check_run(nodes: usize, run: RunCfg) {
     let cfg = cfg(nodes);
-    let run = RunCfg {
-        engine,
-        threads,
-        replicas,
-        txns_per_worker: 40,
-        ..Default::default()
-    };
     let (cluster, calvin) = build_tpcc(&cfg, &run);
     let m = run_tpcc_on(&cfg, &run, &cluster, calvin.as_ref());
+    let engine = run.engine;
     assert!(m.committed > 0, "{engine:?} committed nothing");
     let violations = tpcc_audit(&cluster, &cfg);
     assert!(violations.is_empty(), "{engine:?}: {violations:?}");
@@ -53,9 +60,20 @@ fn calvin_baseline() {
     check(EngineKind::Calvin, 2, 1, 1);
 }
 
+/// Eight routines per worker thread, whose transactions interleave at
+/// every doorbell and share the thread's caches, still leave a
+/// consistent database.
 #[test]
-fn silo_baseline() {
-    check(EngineKind::Silo, 1, 2, 1);
+fn drtm_r_routines() {
+    check_run(
+        2,
+        RunCfg {
+            threads: 2,
+            txns_per_worker: 80,
+            routines: 8,
+            ..Default::default()
+        },
+    );
 }
 
 /// High-contention configuration (all threads in one warehouse) still

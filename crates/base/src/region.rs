@@ -332,29 +332,10 @@ impl MemoryRegion {
         }
     }
 
-    /// Executes `f` while holding the seqlocks of every line touched by
-    /// `[off, off + len)`, in ascending line order.
-    ///
-    /// This is the primitive the software HTM commit uses to make a
-    /// multi-line update atomic with respect to per-line readers; versions
-    /// of all touched lines are bumped on release.
-    pub fn with_lines_locked<R>(&self, off: usize, len: usize, f: impl FnOnce(&Self) -> R) -> R {
-        let range = line_range(off, len);
-        let mut pres = Vec::with_capacity(range.len());
-        for line in range.clone() {
-            pres.push(self.lock_line(line));
-        }
-        let r = f(self);
-        for (line, pre) in range.zip(pres) {
-            self.unlock_line(line, pre);
-        }
-        r
-    }
-
     /// Tries to acquire the seqlock of `line` without spinning.
     ///
-    /// Returns the pre-lock version on success. Used by the HTM commit
-    /// path, which prefers aborting to blocking.
+    /// Returns the pre-lock version on success. The HTM commit owns its
+    /// write set with it: RTM prefers aborting to blocking.
     #[inline]
     pub fn try_lock_line(&self, line: usize) -> Option<u64> {
         let v = self.line_ver[line].load(Ordering::Relaxed);
@@ -380,15 +361,8 @@ impl MemoryRegion {
         self.line_ver[line].store(pre, Ordering::Release);
     }
 
-    /// Stores a word while the caller already holds the containing line's
-    /// seqlock (e.g. inside [`Self::with_lines_locked`]).
-    #[inline]
-    pub fn store64_locked(&self, off: usize, val: u64) {
-        debug_assert_eq!(off % WORD, 0);
-        self.words[off / WORD].store(val, Ordering::Release);
-    }
-
-    /// Copies bytes in while the caller already holds the line seqlocks.
+    /// Copies bytes in while the caller already holds the line seqlocks
+    /// (taken with [`Self::try_lock_line`]).
     #[inline]
     pub fn write_bytes_locked(&self, off: usize, data: &[u8]) {
         assert!(off + data.len() <= self.size, "write past end of region");
@@ -477,19 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn with_lines_locked_is_atomic_per_reader_line() {
-        let r = MemoryRegion::new(128);
-        let v0 = r.line_version(0);
-        r.with_lines_locked(0, 128, |m| {
-            m.store64_locked(0, 7);
-            m.store64_locked(64, 8);
-        });
-        assert!(r.line_version(0) > v0);
-        assert_eq!(r.load64(0), 7);
-        assert_eq!(r.load64(64), 8);
-    }
-
-    #[test]
     fn try_lock_line_conflicts() {
         let r = MemoryRegion::new(64);
         let pre = r.try_lock_line(0).expect("free line locks");
@@ -516,8 +477,6 @@ mod tests {
         );
         r.release_line_clean(3, pre);
         assert_eq!(r.line_writes(), 5);
-        r.with_lines_locked(0, 128, |_| ());
-        assert_eq!(r.line_writes(), 7);
     }
 
     /// Torn-line check: two threads hammer a single line with full-line

@@ -51,11 +51,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
-
-    /// Forks an independent generator (for per-thread streams).
-    pub fn fork(&mut self) -> Self {
-        Self::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -107,12 +102,5 @@ mod tests {
         let mut r = SplitMix64::new(11);
         let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
         assert!((23_000..27_000).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn fork_diverges() {
-        let mut a = SplitMix64::new(1);
-        let mut b = a.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

@@ -5,8 +5,10 @@
 //! protocol depends on, over a [`drtm_base::MemoryRegion`]:
 //!
 //! * **Cache-line-granularity conflict tracking.** The read set is a set of
-//!   `(line, version)` pairs; the write set is buffered per byte and
-//!   published at commit under per-line seqlocks. Two transactions (or a
+//!   `(line, version)` pairs; the write set buffers one 64-byte image per
+//!   line with a mask of the bytes written, and publishes those bytes at
+//!   commit under per-line seqlocks. Both sets are line-sorted arrays.
+//!   Two transactions (or a
 //!   transaction and any non-transactional coherent write, including a
 //!   simulated RDMA op) conflict iff they touch the same cache line and at
 //!   least one writes — matching RTM's coherence-based detection, including

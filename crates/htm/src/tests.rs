@@ -1,8 +1,10 @@
 //! Unit, concurrency, and property tests for the software RTM.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use drtm_base::cacheline::line_range;
 use drtm_base::{MemoryRegion, SplitMix64};
 
 use crate::{AbortCode, Htm, HtmConfig, HtmTxn, RunOutcome};
@@ -142,7 +144,7 @@ fn explicit_abort_propagates_through_run() {
     let htm = Htm::default();
     let r = region();
     let mut rng = SplitMix64::new(1);
-    let out: RunOutcome<()> = htm.run(&r, &mut rng, |t| Err::<(), _>(t.xabort(3)));
+    let out: RunOutcome<()> = htm.run(&r, &mut rng, |_| Err(AbortCode::Explicit(3)));
     assert!(matches!(out, RunOutcome::Fallback(AbortCode::Explicit(3))));
     assert_eq!(htm.stats.fallbacks.get(), 1);
     assert!(htm.stats.explicit_aborts.get() > 0);
@@ -351,47 +353,107 @@ fn committed_writes_are_line_atomic() {
     }
 }
 
-#[test]
-fn read_eviction_model_aborts_large_read_sets() {
-    let region = MemoryRegion::new(1 << 20);
-    // Tiny threshold with a high per-line eviction probability: a
-    // 64-line read set should essentially never commit, a 4-line one
-    // always.
-    let htm = Htm::new(HtmConfig {
-        read_eviction_threshold: 8,
-        read_eviction_prob: 0.2,
-        max_retries: 2,
-        ..Default::default()
-    });
-    let mut rng = SplitMix64::new(21);
-    let big: RunOutcome<()> = htm.run(&region, &mut rng, |t| {
-        for i in 0..64 {
-            t.read_u64(i * 64)?;
-        }
-        Ok(())
-    });
-    assert!(matches!(big, RunOutcome::Fallback(AbortCode::Capacity)));
-    let small = htm.run(&region, &mut rng, |t| {
-        for i in 0..4 {
-            t.read_u64(i * 64)?;
-        }
-        Ok(())
-    });
-    assert!(matches!(small, RunOutcome::Committed { .. }));
+/// The write set as it was before it became line images: one map entry
+/// per written byte, plus the set of lines written. The reference of
+/// `write_set_matches_a_byte_map`.
+struct ByteMapWrites {
+    bytes: BTreeMap<usize, u8>,
+    lines: BTreeSet<usize>,
+    max_lines: usize,
 }
 
-#[test]
-fn eviction_model_off_by_default() {
-    let region = MemoryRegion::new(1 << 20);
-    let htm = Htm::default();
-    let mut rng = SplitMix64::new(22);
-    let out = htm.run(&region, &mut rng, |t| {
-        for i in 0..1024 {
-            t.read_u64(i * 64)?;
+impl ByteMapWrites {
+    fn write(&mut self, off: usize, data: &[u8]) -> Result<(), AbortCode> {
+        for line in line_range(off, data.len()) {
+            if self.lines.insert(line) && self.lines.len() > self.max_lines {
+                return Err(AbortCode::Capacity);
+            }
+        }
+        for (i, &b) in data.iter().enumerate() {
+            self.bytes.insert(off + i, b);
         }
         Ok(())
-    });
-    assert!(matches!(out, RunOutcome::Committed { .. }));
+    }
+
+    /// Reads `buf.len()` bytes at `off` of `region` with the buffered
+    /// bytes laid over them.
+    fn read(&self, region: &MemoryRegion, off: usize, buf: &mut [u8]) {
+        region.read_bytes_raw(off, buf);
+        for (&at, &b) in self.bytes.range(off..off + buf.len()) {
+            buf[at - off] = b;
+        }
+    }
+
+    fn commit(&self, region: &MemoryRegion) {
+        for (&at, &b) in &self.bytes {
+            region.write_bytes_coherent(at, &[b]);
+        }
+    }
+}
+
+/// The line-image write set against a byte map: twin regions of random
+/// bytes take the same seeded writes and reads — 1 to 129 bytes at any
+/// offset, so ranges straddle lines — under a write capacity of 1 to 12
+/// lines. Every write returns the same result, every read the same
+/// bytes, `write_lines` agrees after every operation, and the twins hold
+/// the same bytes after each commit: a commit publishes exactly the
+/// bytes written, never the rest of their lines.
+#[test]
+fn write_set_matches_a_byte_map() {
+    const SIZE: usize = 24 * 64;
+    let mut rng = SplitMix64::new(0x5eed_0005);
+    let [a, b] = [MemoryRegion::new(SIZE), MemoryRegion::new(SIZE)];
+    let init: Vec<u8> = (0..SIZE).map(|_| rng.next_u64() as u8).collect();
+    a.write_bytes_raw(0, &init);
+    b.write_bytes_raw(0, &init);
+    let (mut commits, mut capacity) = (0u32, 0u32);
+    for case in 0..20_000 {
+        let cfg = HtmConfig {
+            max_write_lines: 1 + rng.below(12) as usize,
+            ..Default::default()
+        };
+        let mut txn = HtmTxn::begin(&a, &cfg);
+        let mut model = ByteMapWrites {
+            bytes: BTreeMap::new(),
+            lines: BTreeSet::new(),
+            max_lines: cfg.max_write_lines,
+        };
+        let mut alive = true;
+        for op in 0..1 + rng.below(12) {
+            let ctx = format!("case {case} op {op}");
+            let len = 1 + rng.below(129) as usize;
+            let off = rng.below((SIZE - len + 1) as u64) as usize;
+            if rng.chance(0.5) {
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let got = txn.write_bytes(off, &data);
+                assert_eq!(got, model.write(off, &data), "{ctx}: write {off}+{len}");
+                alive = got.is_ok();
+            } else {
+                let (mut x, mut y) = (vec![0u8; len], vec![0u8; len]);
+                assert_eq!(txn.read_bytes(off, &mut x), Ok(()), "{ctx}: read");
+                model.read(&b, off, &mut y);
+                assert_eq!(x, y, "{ctx}: read {off}+{len}");
+            }
+            if !alive {
+                capacity += 1;
+                break;
+            }
+            assert_eq!(txn.write_lines(), model.lines.len(), "{ctx}: write_lines");
+        }
+        if alive {
+            assert_eq!(txn.commit(), Ok(()), "case {case}: commit");
+            model.commit(&b);
+            commits += 1;
+        }
+        let (mut x, mut y) = (vec![0u8; SIZE], vec![0u8; SIZE]);
+        a.read_bytes_raw(0, &mut x);
+        b.read_bytes_raw(0, &mut y);
+        assert_eq!(x, y, "case {case}: bytes");
+    }
+    assert!(
+        commits > 1_000 && capacity > 1_000,
+        "both outcomes are exercised: {commits} commits, {capacity} capacity aborts"
+    );
 }
 
 /// Reads that check only their own lines against reads that re-validate

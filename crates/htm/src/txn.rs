@@ -1,9 +1,9 @@
 //! The RTM transaction engine: read/write tracking, commit, retry policy.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-use drtm_base::cacheline::line_range;
+use drtm_base::cacheline::{line_range, CACHE_LINE};
 use drtm_base::Counter;
 use drtm_base::{MemoryRegion, SplitMix64};
 
@@ -38,18 +38,6 @@ pub struct HtmConfig {
     /// interrupts and other environmental aborts. RTM is best-effort, so
     /// a correct client must tolerate any positive value here.
     pub spurious_abort_prob: f64,
-    /// Soft read-set threshold, in cache lines, beyond which tracking
-    /// becomes probabilistic (real RTM tracks reads in an
-    /// implementation-defined structure; once it spills past the private
-    /// caches, evictions abort the transaction with increasing
-    /// likelihood). Lines past the threshold each abort with
-    /// [`HtmConfig::read_eviction_prob`] at commit.
-    pub read_eviction_threshold: usize,
-    /// Per-line eviction-abort probability beyond the soft threshold.
-    /// Zero (the default) disables the model — the DBX-style usage this
-    /// repository reproduces keeps HTM read sets tiny, so the knob only
-    /// matters for whole-transaction HTM designs like the DrTM baseline.
-    pub read_eviction_prob: f64,
     /// Retries before [`Htm::run`] gives up and asks for the fallback
     /// handler.
     pub max_retries: usize,
@@ -61,8 +49,6 @@ impl Default for HtmConfig {
             max_write_lines: 512,
             max_read_lines: 4096,
             spurious_abort_prob: 0.0,
-            read_eviction_threshold: 256,
-            read_eviction_prob: 0.0,
             max_retries: 16,
         }
     }
@@ -145,6 +131,37 @@ pub fn region_active() -> bool {
     HTM_DEPTH.with(|d| d.get() > 0)
 }
 
+/// Bit mask of the `len` bytes (1 to 64) at offset `at` of a line.
+#[inline]
+fn byte_mask(at: usize, len: usize) -> u64 {
+    (u64::MAX >> (CACHE_LINE - len)) << at
+}
+
+/// One cache line of the write set, as RTM buffers it in L1: the line's
+/// image and which of its bytes the transaction wrote.
+struct WriteLine {
+    line: usize,
+    bytes: [u8; CACHE_LINE],
+    /// Bit `i` set: byte `i` of `bytes` was written.
+    mask: u64,
+}
+
+impl WriteLine {
+    /// The maximal runs of written bytes, as offsets within the line.
+    fn runs(&self) -> impl Iterator<Item = Range<usize>> {
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let start = rest.trailing_zeros() as usize;
+            let len = (rest >> start).trailing_ones() as usize;
+            rest &= !byte_mask(start, len);
+            Some(start..start + len)
+        })
+    }
+}
+
 /// An in-flight hardware transaction over one [`MemoryRegion`].
 ///
 /// Created by [`Htm::run`] (which adds the retry/fallback policy) or
@@ -156,10 +173,8 @@ pub struct HtmTxn<'a> {
     region: &'a MemoryRegion,
     /// `(line, version observed at first read)`, sorted by line.
     read_set: Vec<(usize, u64)>,
-    /// Byte-granular buffered writes (invisible until commit).
-    write_buf: BTreeMap<usize, u8>,
-    /// Distinct lines written (capacity accounting).
-    write_lines: BTreeMap<usize, ()>,
+    /// Buffered writes (invisible until commit), sorted by line.
+    write_set: Vec<WriteLine>,
     /// The region's count of line writes when the whole read set last
     /// validated; while it stands, a read checks only its own lines.
     validated_at: u64,
@@ -175,8 +190,7 @@ impl<'a> HtmTxn<'a> {
         Self {
             region,
             read_set: Vec::new(),
-            write_buf: BTreeMap::new(),
-            write_lines: BTreeMap::new(),
+            write_set: Vec::new(),
             validated_at: region.line_writes(),
             cfg,
         }
@@ -189,7 +203,7 @@ impl<'a> HtmTxn<'a> {
 
     /// Number of distinct cache lines in the write set so far.
     pub fn write_lines(&self) -> usize {
-        self.write_lines.len()
+        self.write_set.len()
     }
 
     /// Subscribes a line into the read set, returning its stable version.
@@ -262,11 +276,25 @@ impl<'a> HtmTxn<'a> {
         // a conflict abort, as on hardware.
         self.region.read_bytes_raw(off, buf);
         self.validate_reads(lines)?;
-        // Overlay buffered writes (read-own-writes).
-        for (&at, &w) in self.write_buf.range(off..off + buf.len()) {
-            buf[at - off] = w;
-        }
+        self.overlay_writes(off, buf);
         Ok(())
+    }
+
+    /// Read-own-writes: copies the written bytes of the buffered lines
+    /// inside `[off, off + buf.len())` over `buf`.
+    fn overlay_writes(&self, off: usize, buf: &mut [u8]) {
+        let (lines, end) = (line_range(off, buf.len()), off + buf.len());
+        let first = self.write_set.partition_point(|w| w.line < lines.start);
+        let inside = self.write_set[first..].iter();
+        for w in inside.take_while(|w| w.line < lines.end) {
+            let base = w.line * CACHE_LINE;
+            for run in w.runs() {
+                let (lo, hi) = ((base + run.start).max(off), (base + run.end).min(end));
+                if lo < hi {
+                    buf[lo - off..hi - off].copy_from_slice(&w.bytes[lo - base..hi - base]);
+                }
+            }
+        }
     }
 
     /// Transactionally reads the 8-byte word at `off` (8-aligned).
@@ -276,17 +304,40 @@ impl<'a> HtmTxn<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Buffers a transactional write of `data` at `off`.
-    pub fn write_bytes(&mut self, off: usize, data: &[u8]) -> Result<(), AbortCode> {
-        for line in line_range(off, data.len()) {
-            if self.write_lines.insert(line, ()).is_none()
-                && self.write_lines.len() > self.cfg.max_write_lines
-            {
-                return Err(AbortCode::Capacity);
+    /// The write-set entry of `line`, added when new. A line past every
+    /// line written so far — each line of a record — is appended; any
+    /// other costs a binary search (and, when new, a shift).
+    fn write_line(&mut self, line: usize) -> Result<&mut WriteLine, AbortCode> {
+        let at = match self.write_set.last() {
+            Some(last) if last.line >= line => {
+                match self.write_set.binary_search_by_key(&line, |w| w.line) {
+                    Ok(i) => return Ok(&mut self.write_set[i]),
+                    Err(i) => i,
+                }
             }
+            _ => self.write_set.len(),
+        };
+        if self.write_set.len() >= self.cfg.max_write_lines {
+            return Err(AbortCode::Capacity);
         }
-        for (i, &b) in data.iter().enumerate() {
-            self.write_buf.insert(off + i, b);
+        let w = WriteLine {
+            line,
+            bytes: [0; CACHE_LINE],
+            mask: 0,
+        };
+        self.write_set.insert(at, w);
+        Ok(&mut self.write_set[at])
+    }
+
+    /// Buffers a transactional write of `data` at `off`, line by line.
+    pub fn write_bytes(&mut self, off: usize, data: &[u8]) -> Result<(), AbortCode> {
+        let end = off + data.len();
+        for line in line_range(off, data.len()) {
+            let base = line * CACHE_LINE;
+            let (lo, hi) = (base.max(off), (base + CACHE_LINE).min(end));
+            let w = self.write_line(line)?;
+            w.bytes[lo - base..hi - base].copy_from_slice(&data[lo - off..hi - off]);
+            w.mask |= byte_mask(lo - base, hi - lo);
         }
         Ok(())
     }
@@ -296,97 +347,66 @@ impl<'a> HtmTxn<'a> {
         self.write_bytes(off, &v.to_le_bytes())
     }
 
-    /// Explicitly aborts the transaction (`XABORT imm8`).
-    ///
-    /// Returns the abort code for the body to propagate as its error; the
-    /// transaction must not be committed afterwards (returning the error
-    /// from the [`Htm::run`] body enforces that).
-    pub fn xabort(&mut self, code: u8) -> AbortCode {
-        AbortCode::Explicit(code)
-    }
-
     /// Attempts to commit (`XEND`).
     ///
     /// Owns every write-set line (ascending order, try-lock — RTM prefers
     /// aborting to blocking), validates the read set, publishes the
-    /// buffered writes, and releases the lines with bumped versions so
-    /// concurrent readers and other transactions observe the commit
-    /// atomically per line.
+    /// written bytes of each line, and releases the lines with bumped
+    /// versions so concurrent readers and other transactions observe the
+    /// commit atomically per line.
     pub fn commit(self) -> Result<(), AbortCode> {
         let region = self.region;
-        // Acquire write-line seqlocks in ascending order.
-        let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.write_lines.len());
-        for &line in self.write_lines.keys() {
-            match region.try_lock_line(line) {
-                Some(pre) => {
-                    // If we also *read* this line, its version must not
-                    // have moved since (pre == recorded version).
-                    if let Some(seen) = self.read_version(line) {
-                        if pre != seen {
-                            region.release_line_clean(line, pre);
-                            Self::rollback(region, &held);
-                            return Err(AbortCode::Conflict);
-                        }
-                    }
-                    held.push((line, pre));
-                }
-                None => {
-                    Self::rollback(region, &held);
-                    return Err(AbortCode::Conflict);
-                }
+        // Pre-lock versions of the lines owned so far, in write-set order.
+        let mut held: Vec<u64> = Vec::with_capacity(self.write_set.len());
+        let rollback = |held: &[u64]| {
+            for (w, &pre) in self.write_set.iter().zip(held) {
+                region.release_line_clean(w.line, pre);
             }
-        }
-        // Validate read-only lines.
-        for &(line, ver) in &self.read_set {
-            if self.write_lines.contains_key(&line) {
-                continue; // Validated during acquisition above.
-            }
-            if region.line_version(line) != ver {
-                Self::rollback(region, &held);
+        };
+        for w in &self.write_set {
+            let Some(pre) = region.try_lock_line(w.line) else {
+                rollback(&held);
+                return Err(AbortCode::Conflict);
+            };
+            held.push(pre);
+            // A line also read must not have moved since it was read.
+            if self.read_version(w.line).is_some_and(|seen| seen != pre) {
+                rollback(&held);
                 return Err(AbortCode::Conflict);
             }
         }
-        // Publish buffered writes; lines are locked, so per-line readers
-        // retry until we finish.
-        let mut run_start: Option<usize> = None;
-        let mut run: Vec<u8> = Vec::new();
-        for (&off, &b) in &self.write_buf {
-            match run_start {
-                Some(s) if s + run.len() == off => run.push(b),
-                Some(s) => {
-                    region.write_bytes_locked(s, &run);
-                    run.clear();
-                    run.push(b);
-                    run_start = Some(off);
-                }
-                None => {
-                    run.push(b);
-                    run_start = Some(off);
-                }
+        // Validate the lines only read; written ones were checked above.
+        let written = |line| {
+            self.write_set
+                .binary_search_by_key(&line, |w| w.line)
+                .is_ok()
+        };
+        let moved =
+            |&(line, ver): &(usize, u64)| !written(line) && region.line_version(line) != ver;
+        if self.read_set.iter().any(moved) {
+            rollback(&held);
+            return Err(AbortCode::Conflict);
+        }
+        // Publish; the lines are locked, so per-line readers retry until
+        // the release below makes the commit visible.
+        for w in &self.write_set {
+            let base = w.line * CACHE_LINE;
+            for run in w.runs() {
+                region.write_bytes_locked(base + run.start, &w.bytes[run]);
             }
         }
-        if let Some(s) = run_start {
-            region.write_bytes_locked(s, &run);
-        }
-        // Release with bumped versions: the commit becomes visible.
-        for (line, pre) in held {
-            region.release_line(line, pre);
+        for (w, pre) in self.write_set.iter().zip(held) {
+            region.release_line(w.line, pre);
         }
         Ok(())
-    }
-
-    fn rollback(region: &MemoryRegion, held: &[(usize, u64)]) {
-        for &(line, pre) in held {
-            region.release_line_clean(line, pre);
-        }
     }
 }
 
 #[cfg(test)]
 impl HtmTxn<'_> {
     /// [`Self::read_bytes`] as it was before reads became O(lines read):
-    /// every read re-validates the whole read set and overlays own writes
-    /// byte by byte. The reference of the model test.
+    /// every read re-validates the whole read set. The reference of the
+    /// model test.
     pub(crate) fn read_bytes_validating_all(
         &mut self,
         off: usize,
@@ -401,11 +421,7 @@ impl HtmTxn<'_> {
                 return Err(AbortCode::Conflict);
             }
         }
-        for (i, b) in buf.iter_mut().enumerate() {
-            if let Some(&w) = self.write_buf.get(&(off + i)) {
-                *b = w;
-            }
-        }
+        self.overlay_writes(off, buf);
         Ok(())
     }
 }
@@ -490,34 +506,13 @@ impl Htm {
                 continue;
             }
             let mut txn = HtmTxn::begin(region, &self.cfg);
-            match body(&mut txn) {
+            match body(&mut txn).and_then(|value| txn.commit().map(|()| value)) {
                 Ok(value) => {
-                    // Probabilistic eviction aborts for oversized read
-                    // sets (see `HtmConfig::read_eviction_threshold`).
-                    let over = txn
-                        .read_lines()
-                        .saturating_sub(self.cfg.read_eviction_threshold);
-                    if over > 0 && self.cfg.read_eviction_prob > 0.0 {
-                        let survive = (1.0 - self.cfg.read_eviction_prob).powi(over as i32);
-                        if !rng.chance(survive) {
-                            self.stats.note(AbortCode::Capacity);
-                            last = AbortCode::Capacity;
-                            continue;
-                        }
-                    }
-                    match txn.commit() {
-                        Ok(()) => {
-                            self.stats.commits.inc();
-                            return RunOutcome::Committed {
-                                value,
-                                retries: attempt,
-                            };
-                        }
-                        Err(code) => {
-                            self.stats.note(code);
-                            last = code;
-                        }
-                    }
+                    self.stats.commits.inc();
+                    return RunOutcome::Committed {
+                        value,
+                        retries: attempt,
+                    };
                 }
                 Err(code) => {
                     self.stats.note(code);

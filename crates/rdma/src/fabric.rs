@@ -1,11 +1,9 @@
 //! The simulated RDMA fabric: node ports, queue pairs, and verbs.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use drtm_base::sync::{Condvar, Mutex, RwLock};
+use drtm_base::sync::{Mutex, RwLock};
 use drtm_base::{CostModel, Counter, LinkBudget, MemoryRegion, VClock};
 
 /// Identifies a machine (or logical node) on the fabric.
@@ -37,7 +35,7 @@ pub enum Verb {
     Cas,
     /// One-sided fetch-and-add.
     Faa,
-    /// Two-sided SEND.
+    /// Two-sided SEND, charged by [`Fabric::charge_message`].
     Send,
 }
 
@@ -336,9 +334,9 @@ impl Cq {
 /// still takes effect. On the batched path ([`Qp::doorbell`]) a `drop`
 /// models the QP's retry budget running out: the WR completes with
 /// [`VerbError::Dropped`], its memory effect is *not* applied, and the
-/// caller decides whether to re-post. `drop` on a SEND loses the message
-/// for real (the receive queue never sees it), which is how upper layers
-/// observe partitions. Faults apply to *individual WRs inside a batch*:
+/// caller decides whether to re-post. `drop` on a SEND
+/// ([`Fabric::charge_message`]) costs its retransmission: the message
+/// still lands, later. Faults apply to *individual WRs inside a batch*:
 /// the injector is consulted once per WR, so a single doorbell can see
 /// any mix of delayed and duplicated work requests — up to its first
 /// failed one, which flushes everything posted behind it (see
@@ -350,9 +348,9 @@ pub struct Fault {
     pub delay_ns: u64,
     /// Extra wire bytes charged against both NICs (duplicated packets).
     pub extra_wire: u64,
-    /// Lose the operation's packet once. SENDs are dropped outright;
-    /// blocking one-sided verbs complete after a retransmission penalty;
-    /// batched WRs fail with [`VerbError::Dropped`].
+    /// Lose the operation's packet once. SENDs and blocking one-sided
+    /// verbs complete after a retransmission penalty; batched WRs fail
+    /// with [`VerbError::Dropped`].
     pub drop: bool,
 }
 
@@ -380,17 +378,6 @@ impl Fault {
 pub trait FaultInjector: Send + Sync {
     /// Called before the verb executes; returns the fault to apply.
     fn on_verb(&self, src: NodeId, dst: NodeId, verb: Verb, now: u64) -> Fault;
-}
-
-/// A two-sided message delivered through SEND/RECV verbs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Sending node.
-    pub from: NodeId,
-    /// Application-defined tag (e.g. "insert", "log-truncate").
-    pub tag: u32,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
 /// Per-NIC operation counters.
@@ -478,47 +465,13 @@ impl NicStats {
     }
 }
 
-/// An unbounded MPMC receive queue (SEND/RECV completion queue).
-#[derive(Default)]
-struct RecvQueue {
-    q: Mutex<VecDeque<Message>>,
-    cv: Condvar,
-}
-
-impl RecvQueue {
-    fn push(&self, m: Message) {
-        self.q.lock().push_back(m);
-        self.cv.notify_one();
-    }
-
-    fn try_pop(&self) -> Option<Message> {
-        self.q.lock().pop_front()
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<Message> {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.q.lock();
-        loop {
-            if let Some(m) = g.pop_front() {
-                return Some(m);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            (g, _) = self.cv.wait_timeout(g, deadline - now);
-        }
-    }
-}
-
-/// One endpoint on the fabric: a registered memory region, a NIC link
-/// budget, and a receive queue.
+/// One endpoint on the fabric: a registered memory region and its NIC's
+/// link budgets and counters.
 pub struct NodePort {
     region: Arc<MemoryRegion>,
     nic: LinkBudget,
     nic_ops: LinkBudget,
     stats: NicStats,
-    rx: RecvQueue,
 }
 
 impl NodePort {
@@ -528,7 +481,6 @@ impl NodePort {
             nic: LinkBudget::new(bytes_per_sec),
             nic_ops: LinkBudget::new(ops_per_sec),
             stats: NicStats::default(),
-            rx: RecvQueue::default(),
         }
     }
 
@@ -1087,49 +1039,16 @@ impl Qp {
             _ => unreachable!("FAA WR yields an FAA result"),
         }
     }
-
-    /// Emits a verb issue/complete trace event boundary for two-sided
-    /// verbs. The `arg` packs the destination node so traces show which
-    /// peer a verb hit.
-    #[inline]
-    fn trace(&self, kind: drtm_obs::EventKind, verb: Verb, virt_ns: u64) {
-        drtm_obs::trace::event(kind, verb.label(), self.dst as u64, virt_ns);
-    }
-
-    /// Two-sided SEND: enqueues a message on the destination's receive
-    /// queue. A dropped SEND pays wire and clock costs but never arrives.
-    pub fn send(&self, clock: &mut VClock, tag: u32, payload: Vec<u8>) {
-        let f = &self.fabric;
-        self.trace(drtm_obs::EventKind::VerbIssue, Verb::Send, clock.now());
-        let fault = f.fault(self.src, self.dst, Verb::Send, clock.now());
-        let wire = f.cost.wire_bytes(payload.len()) + fault.extra_wire;
-        let done = f.charge_nics(self.src, self.dst, clock.now(), wire);
-        clock.advance(f.cost.msg_ns);
-        clock.advance(fault.delay_ns);
-        clock.advance_to(done);
-        self.port().stats.sends.inc();
-        self.port().stats.bytes.add(payload.len() as u64);
-        self.trace(drtm_obs::EventKind::VerbComplete, Verb::Send, clock.now());
-        if fault.drop {
-            return;
-        }
-        self.port().rx.push(Message {
-            from: self.src,
-            tag,
-            payload,
-        });
-    }
 }
 
 impl Fabric {
     /// Charges the virtual-time cost of a SEND/RECV round trip of
-    /// `bytes` from `src` to `dst` without enqueuing a message.
-    ///
-    /// Used where the simulation applies the message's effect directly
-    /// (e.g. shipping an insert to its host machine) but the wire cost
-    /// must still be paid. Injected SEND faults apply their delay here
-    /// too (the effect is still applied: RC retransmits until the
-    /// request lands).
+    /// `bytes` from `src` to `dst`: every two-sided message of the
+    /// simulation. The caller applies the message's effect directly
+    /// (e.g. shipping an insert to its host machine); only the wire cost
+    /// is paid here. Injected SEND faults apply their delay, and a
+    /// dropped SEND costs its retransmission — the effect still applies:
+    /// RC retransmits until the request lands.
     pub fn charge_message(&self, clock: &mut VClock, src: NodeId, dst: NodeId, bytes: usize) {
         let fault = self.fault(src, dst, Verb::Send, clock.now());
         let wire = self.cost.wire_bytes(bytes) + fault.extra_wire;
@@ -1142,16 +1061,6 @@ impl Fabric {
         clock.advance_to(done);
         self.ports[dst].stats.sends.inc();
         self.ports[dst].stats.bytes.add(bytes as u64);
-    }
-
-    /// Non-blocking RECV on `node`'s queue.
-    pub fn try_recv(&self, node: NodeId) -> Option<Message> {
-        self.ports[node].rx.try_pop()
-    }
-
-    /// Blocking RECV with a host-time timeout (used by auxiliary threads).
-    pub fn recv_timeout(&self, node: NodeId, timeout: std::time::Duration) -> Option<Message> {
-        self.ports[node].rx.pop_timeout(timeout)
     }
 }
 
@@ -1197,32 +1106,6 @@ mod unit {
         let mut clock = VClock::new();
         qp.write(&mut clock, 0, &[1u8; 64]);
         assert!(f.port(0).nic().granted() > 0);
-    }
-
-    #[test]
-    fn send_recv_delivery() {
-        let f = fabric(2);
-        let qp = f.qp(0, 1);
-        let mut clock = VClock::new();
-        qp.send(&mut clock, 7, vec![1, 2, 3]);
-        let m = f.try_recv(1).expect("message delivered");
-        assert_eq!(m.from, 0);
-        assert_eq!(m.tag, 7);
-        assert_eq!(m.payload, vec![1, 2, 3]);
-        assert!(f.try_recv(1).is_none());
-    }
-
-    #[test]
-    fn recv_timeout_returns_queued_message() {
-        let f = fabric(2);
-        let qp = f.qp(0, 1);
-        let mut clock = VClock::new();
-        qp.send(&mut clock, 1, vec![9]);
-        let m = f
-            .recv_timeout(1, Duration::from_millis(50))
-            .expect("already queued");
-        assert_eq!(m.payload, vec![9]);
-        assert!(f.recv_timeout(1, Duration::from_millis(1)).is_none());
     }
 
     #[test]
@@ -1529,18 +1412,25 @@ mod unit {
     #[test]
     fn injector_drops_sends_but_not_one_sided() {
         let f = fabric(2);
+        let send = |f: &Fabric| {
+            let mut clock = VClock::new();
+            f.charge_message(&mut clock, 0, 1, 16);
+            clock.now()
+        };
+        let clean = send(&f);
         f.set_injector(Arc::new(DropAllSends));
+        // A dropped SEND is retransmitted: `max(delay, msg_ns)` later.
+        let dropped = send(&f);
+        assert_eq!(dropped, clean + f.cost.msg_ns);
+        assert_eq!(f.port(1).stats().sends.get(), 2, "a dropped SEND counts");
         let qp = f.qp(0, 1);
         let mut clock = VClock::new();
-        qp.send(&mut clock, 3, vec![1]);
-        assert!(f.try_recv(1).is_none(), "dropped SEND never arrives");
         qp.write(&mut clock, 0, b"still lands");
         let mut buf = [0u8; 11];
         qp.read(&mut clock, 0, &mut buf);
         assert_eq!(&buf, b"still lands");
         f.clear_injector();
-        qp.send(&mut clock, 3, vec![2]);
-        assert!(f.try_recv(1).is_some(), "fabric reliable again");
+        assert_eq!(send(&f), clean, "fabric reliable again");
     }
 
     struct DelayReads(u64);

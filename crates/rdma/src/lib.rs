@@ -22,8 +22,10 @@
 //!   level is plumbed through so the protocol layer can (a) stay within the
 //!   HCA discipline and (b) enable the paper's `IBV_ATOMIC_GLOB`
 //!   optimisation (fusing lock+validate into one CAS) as an ablation.
-//! * **SEND/RECV** — two-sided messaging used only where the paper uses it:
+//! * **SEND** — two-sided messaging, used only where the paper uses it:
 //!   shipping inserts/deletes to the host machine and control traffic.
+//!   The caller applies the message's effect itself;
+//!   [`Fabric::charge_message`] charges its wire and clock cost.
 //!
 //! The native interface is a posted work-queue model mirroring real
 //! verbs: [`Qp::post`] enqueues [`WorkRequest`] descriptors,
@@ -52,7 +54,6 @@ pub use fabric::{
     FabricBuilder,
     Fault,
     FaultInjector,
-    Message,
     NicSnapshot,
     NicStats,
     NodeId,

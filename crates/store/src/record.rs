@@ -256,7 +256,8 @@ impl<'a> RecordRef<'a> {
 
     /// Buffers a full value + per-line versions + sequence-number update
     /// into an HTM transaction (the paper's C.4: update of local
-    /// write-set records inside HTM).
+    /// write-set records inside HTM). It buffers the same line images
+    /// that [`Self::write_locked`] and [`locked_write_wrs`] write.
     pub fn write_htm(
         &self,
         txn: &mut HtmTxn<'_>,
@@ -264,12 +265,8 @@ impl<'a> RecordRef<'a> {
         new_seq: u64,
     ) -> Result<(), AbortCode> {
         assert_eq!(value.len(), self.layout.value_len);
-        txn.write_u64(self.seq_off(), new_seq)?;
-        for (line, rec_off, vr) in self.layout.chunks() {
-            if line > 0 {
-                txn.write_u64(self.base + line * CACHE_LINE, new_seq & 0xffff)?;
-            }
-            txn.write_bytes(self.base + rec_off, &value[vr])?;
+        for (off, img) in self.layout.line_images(value, new_seq) {
+            txn.write_bytes(self.base + off, &img)?;
         }
         Ok(())
     }
@@ -489,6 +486,7 @@ pub fn locked_write_wrs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drtm_base::SplitMix64;
     use drtm_htm::HtmConfig;
     use drtm_rdma::Fabric;
     use std::sync::Arc;
@@ -565,6 +563,44 @@ mod tests {
         assert_eq!(out, vec![9u8; 100]);
         // Per-line version updated too.
         assert_eq!(region.load64(64) & 0xffff, 4);
+    }
+
+    /// C.4 and the fallback write one description of an update: twin
+    /// records of 1 to 5 lines, one updated by a committed HTM write and
+    /// the other by `write_locked`, hold the same bytes, and an HTM read
+    /// returns the new value and sequence number.
+    #[test]
+    fn write_htm_and_write_locked_leave_the_same_bytes() {
+        let mut rng = SplitMix64::new(0x5eed_0006);
+        let cfg = HtmConfig::default();
+        let bytes = |rng: &mut SplitMix64, n| (0..n).map(|_| rng.next_u64() as u8).collect();
+        for case in 0..500 {
+            let layout = RecordLayout::new(rng.range(1, 264) as usize);
+            let [a, b] = [MemoryRegion::new(512), MemoryRegion::new(512)];
+            let [ra, rb] = [&a, &b].map(|r| RecordRef::new(r, 64, layout));
+            let old: Vec<u8> = bytes(&mut rng, layout.value_len);
+            let (seq, inc) = (rng.next_u64() >> 1, rng.below(8));
+            ra.init(&old, seq, inc);
+            rb.init(&old, seq, inc);
+            let new: Vec<u8> = bytes(&mut rng, layout.value_len);
+            let new_seq = seq + 1 + rng.below(4);
+
+            let mut txn = HtmTxn::begin(&a, &cfg);
+            ra.write_htm(&mut txn, &new, new_seq).unwrap();
+            assert_eq!(txn.write_lines(), layout.lines(), "case {case}");
+            txn.commit().unwrap();
+            rb.write_locked(&new, new_seq);
+
+            let (mut x, mut y) = (vec![0u8; 512], vec![0u8; 512]);
+            a.read_bytes_raw(0, &mut x);
+            b.read_bytes_raw(0, &mut y);
+            assert_eq!(x, y, "case {case}: {} lines", layout.lines());
+            let mut txn = HtmTxn::begin(&a, &cfg);
+            let mut got = vec![0u8; layout.value_len];
+            let header = ra.read_htm(&mut txn, &mut got).unwrap();
+            assert_eq!(header, (LOCK_FREE, inc, new_seq), "case {case}");
+            assert_eq!(got, new, "case {case}");
+        }
     }
 
     fn two_node_fabric() -> Arc<Fabric> {

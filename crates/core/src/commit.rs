@@ -325,12 +325,42 @@ impl TxnCtx<'_> {
     /// transaction's *other* records — local ones are written in HTM at
     /// C.4 and never locked — while this one still shows its old
     /// sequence number.
+    ///
+    /// A read set that one atomic read built — one read-group region or
+    /// one consistent READ, each of which saw every record unlocked —
+    /// and whose sequence numbers are all even (committed) serializes at
+    /// that read, as FaRM's lock-free single-object reads do: there is
+    /// nothing to validate. Value-cache hits, odd reads and read sets
+    /// built by more than one read validate as above.
     async fn commit_ro(&mut self) -> Result<(), TxnError> {
         assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
         // Traced read-only commits get an execute span (begin → here)
         // and, on success, a validate span; neither enters a histogram.
         let mut pc = PhaseClock::start(self);
         pc.lap(self.w, Phase::Execute);
+        if !self.one_snapshot() {
+            self.validate_ro().await?;
+        }
+        // A reconfiguration mid-transaction may have re-homed a shard
+        // this transaction read from; the abandoned store's headers stay
+        // frozen and would keep validating stale values forever.
+        if self.w.cluster.config.epoch() != self.start_epoch {
+            return Err(TxnError::Aborted(AbortReason::Validation));
+        }
+        pc.lap(self.w, Phase::Validate);
+        Ok(())
+    }
+
+    /// Whether one atomic read of committed records built the read set.
+    fn one_snapshot(&self) -> bool {
+        self.snapshots == 1
+            && self.l_rs.iter().all(|e| e.seq % 2 == 0)
+            && self.r_rs.iter().all(|e| !e.from_cache && e.seq % 2 == 0)
+    }
+
+    /// The read-only validation pass: local headers by load, remote ones
+    /// by one header READ each.
+    async fn validate_ro(&mut self) -> Result<(), TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let cost = &cluster.opts.cost;
         let region = Arc::clone(&cluster.stores[self.w.node].region);
@@ -357,13 +387,6 @@ impl TxnCtx<'_> {
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
-        // A reconfiguration mid-transaction may have re-homed a shard
-        // this transaction read from; the abandoned store's headers stay
-        // frozen and would keep validating stale values forever.
-        if cluster.config.epoch() != self.start_epoch {
-            return Err(TxnError::Aborted(AbortReason::Validation));
-        }
-        pc.lap(self.w, Phase::Validate);
         Ok(())
     }
 

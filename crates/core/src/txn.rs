@@ -290,6 +290,10 @@ pub struct TxnCtx<'w> {
     pub(crate) r_rs: Vec<RemoteRead>,
     pub(crate) r_ws: Vec<RemoteWrite>,
     pub(crate) mutations: Vec<PendingMutation>,
+    /// Atomic reads that built the read sets: one per committed read
+    /// group region, one per consistent READ of a remote record. A value
+    /// cache hit is none. `commit_ro`'s one-snapshot rule reads it.
+    pub(crate) snapshots: u32,
 }
 
 impl Worker {
@@ -612,6 +616,7 @@ impl Worker {
             r_rs: Vec::new(),
             r_ws: Vec::new(),
             mutations: Vec::new(),
+            snapshots: 0,
             w: self,
         }
     }
@@ -974,6 +979,7 @@ impl<'w> TxnCtx<'w> {
             match attempt_region(store, &cluster.opts.htm, members) {
                 RegionRead::Committed(read) => {
                     self.charge(cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
+                    self.snapshots += 1;
                     return Ok(read);
                 }
                 RegionRead::Locked(i) => {
@@ -1233,6 +1239,7 @@ impl<'w> TxnCtx<'w> {
                 );
             }
             let value = rr.value.clone();
+            self.snapshots += 1;
             self.r_rs.push(RemoteRead {
                 node,
                 table,

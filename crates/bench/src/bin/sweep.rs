@@ -5,7 +5,7 @@
 //! sweep [tpcc|smallbank|ycsb] [--engine drtm+r|drtm|calvin]
 //!       [--nodes N] [--threads T] [--replicas R] [--cross P]
 //!       [--txns N] [--routines R] [--full] [--msg-locking] [--no-cache]
-//!       [--fuse] [--no-value-cache] [--raw]
+//!       [--fuse] [--raw]
 //!       [--json FILE]
 //! ```
 //!
@@ -81,7 +81,6 @@ fn main() {
             "--msg-locking" => run.msg_locking = true,
             "--no-cache" => run.no_location_cache = true,
             "--fuse" => run.fuse_lock_validate = true,
-            "--no-value-cache" => run.no_value_cache = true,
             "--raw" => raw = true,
             "--full" => full = true,
             "--json" => json = Some(value()),

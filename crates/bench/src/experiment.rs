@@ -168,7 +168,7 @@ impl std::ops::Index<&str> for Arm {
 /// The catalogue behind [`Arm::scraped`]: every layered metric an
 /// experiment can ask a scrape for. A recorded scalar is read straight
 /// out of the exposition table under its JSON name — `<section>_<key>`
-/// (`cache_hits`) or the bare key (`parks`), unit `ns` by its suffix
+/// (`net_accepted`) or the bare key (`parks`), unit `ns` by its suffix
 /// and `count` otherwise — so a new counter needs no line here; what is
 /// spelled out below is only what this catalogue derives from several.
 fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
@@ -225,8 +225,6 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
         "nic_bytes_per_txn" => ("B", per_txn(s.nic_bytes.iter().map(|(_, b)| b).sum())),
         "reads_per_txn" => ("verb", per_txn(verbs(|v| v == "read"))),
         "doorbells_per_txn" => ("doorbell", per_txn(verbs(|v| v == "doorbell"))),
-        "cache_hit_pct" => ("%", 100.0 * s.cache.hit_rate()),
-        "cache_kb_saved" => ("KB", s.cache.bytes_saved as f64 / 1024.0),
         "hiding_pct" => ("%", 100.0 * s.pipeline.hiding_ratio()),
         // Verb wait no sibling's CPU segment overlapped: core idle.
         "idle_ns_per_txn" => (
@@ -631,41 +629,6 @@ fn run_breakdown(size: Size) -> Result<Vec<Arm>, String> {
     Ok(arms.collect())
 }
 
-/// Read-heavy (mix B), aggressively cross-machine YCSB over a key
-/// space small enough that records recur, so the value cache has
-/// remote reads worth absorbing.
-fn run_cache(size: Size) -> Result<Vec<Arm>, String> {
-    let cfg = YcsbCfg {
-        nodes: 2,
-        records: 256,
-        cross_prob: 0.6,
-        mix: YcsbMix::B,
-        ..Default::default()
-    };
-    let arms = [("off", true, 1), ("on", false, 1), ("on_r8", false, 8)];
-    let arms = arms.map(|(label, no_value_cache, routines)| {
-        let run = RunCfg {
-            threads: 3,
-            txns_per_worker: size.n,
-            no_value_cache,
-            routines,
-            ..Default::default()
-        };
-        let mut arm = Arm::new(label);
-        let scraped = [
-            "nic_bytes_per_txn",
-            "reads_per_txn",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_pct",
-            "cache_kb_saved",
-        ];
-        ycsb_arm(&mut arm, "", &cfg, &run, &scraped);
-        arm
-    });
-    Ok(arms.into())
-}
-
 /// `routines` in-flight transactions per worker slot over the figure
 /// harnesses' YCSB-B and (for `pipeline`) SmallBank, both 60%
 /// cross-machine.
@@ -899,35 +862,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
                         && phase_us(&a[1], "lock_pct") < 5.66
                 },
             ),
-        ],
-    },
-    Experiment {
-        name: "cache",
-        about: "read-mostly value cache off / on / on at 8 routines, YCSB-B 60% cross: NIC bytes, READs, hit rate",
-        default: Size::of(200),
-        run: run_cache,
-        checks: &[
-            ("off arm records no cache lookups", 1, |_, a| {
-                a[0]["cache_hits"] + a[0]["cache_misses"] == 0.0
-            }),
-            ("on arm gets cache hits", 1, |_, a| a[1]["cache_hits"] > 0.0),
-            // Bytes, not READs: a one-record reader pays one READ either
-            // way, the header on a hit and the record on a miss, since a
-            // fresh read of one record commits unvalidated (DESIGN.md §8).
-            ("NIC bytes per committed txn drop", 1, |_, a| {
-                ratio(&a[..2], "nic_bytes_per_txn") < 1.0
-            }),
-            // A thread's routines share one cache set (DESIGN.md §8), so
-            // splitting its transactions over 8 of them warms it once:
-            // 0.78-0.86 of the one-routine rate here, against 0.35 with
-            // a set per routine. The rest is this keyspace (256 records,
-            // theta 0.99): siblings that miss a key while its first
-            // fill is in flight each fetch it, and their aborted
-            // attempts look it up again. At the benchmark's shape
-            // (`ycsb-remote`) the two rates are equal.
-            ("hit rate holds with R: on_r8 >= 0.7 x on", 1, |_, a| {
-                a[2]["cache_hit_pct"] >= 0.7 * a[1]["cache_hit_pct"]
-            }),
         ],
     },
     Experiment {

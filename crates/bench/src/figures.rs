@@ -76,7 +76,6 @@ fn run_tpcc_with(
     let expected = run.txns_per_worker * run.threads * 2;
     let mut opts = EngineOpts::builder()
         .region_size(cfg.region_size(expected))
-        .read_mostly_tables(cfg.read_mostly_tables())
         .build();
     tweak(&mut opts);
     let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);

@@ -89,7 +89,7 @@ fn artifact_escapes_labels_and_nulls_a_nan() {
         size: 1,
         full: false,
         arms: vec![arm],
-        checks: vec![(&experiment::find("cache").unwrap().checks[0], true)],
+        checks: vec![(&experiment::find("pipeline").unwrap().checks[0], true)],
     };
     let json = report.to_json("{}");
     drtm_obs::jsonlint::validate(&json).expect("artifact parses");
@@ -102,11 +102,11 @@ fn artifact_escapes_labels_and_nulls_a_nan() {
 #[test]
 fn catalogue_resolves_table_scalars_and_families() {
     let mut s = drtm_obs::Snapshot::empty();
-    (s.committed, s.cache.hits, s.contention.parks) = (2_000, 7, 9);
+    (s.committed, s.net.accepted, s.contention.parks) = (2_000, 7, 9);
     (s.pipeline.overlap_ns, s.aborts[0].1, s.htm[0].1) = (40, 30, 5);
     let names = [
         ("committed", "count", 2_000.0),
-        ("cache_hits", "count", 7.0),
+        ("net_accepted", "count", 7.0),
         ("parks", "count", 9.0),
         ("overlap_ns", "ns", 40.0),
         ("abort_lock_busy_per_ktxn", "count", 15.0),

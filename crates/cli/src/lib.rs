@@ -978,7 +978,7 @@ mod tests {
         }
         for (line, want) in [
             ("breakdown 80", exp("breakdown", 80, None, false)),
-            ("cache 60", exp("cache", 60, None, false)),
+            ("pipeline 60", exp("pipeline", 60, None, false)),
             ("contend 40 gate", exp("contend", 40, None, true)),
             ("serve requests 100", exp("serve", 100, None, false)),
             (
@@ -1022,10 +1022,10 @@ mod tests {
         assert!(parse("fig10 full 50").is_err(), "the size leads");
         // Unknown experiment name, malformed size, stray words.
         assert!(parse("nosuch 100").is_err());
-        assert!(parse("cache 12x").is_err());
+        assert!(parse("pipeline 12x").is_err());
         assert!(parse("route nope").is_err());
         assert!(parse("route gate 5").is_err());
-        assert!(parse("cache rates 1,2").is_err(), "not a sweep");
+        assert!(parse("pipeline rates 1,2").is_err(), "not a sweep");
     }
 
     #[test]

@@ -73,17 +73,6 @@ pub struct EngineOpts {
     /// aborting its in-flight HTM regions — the §4.4 argument for
     /// one-sided operations.
     pub msg_locking: bool,
-    /// Cache remote record values for tables listed in
-    /// [`EngineOpts::read_mostly_tables`]: a hit skips the full-record
-    /// execution-phase RDMA READ and is re-validated at C.2 with a
-    /// header-only READ (see DESIGN.md §8). Inert while the table list
-    /// is empty.
-    pub value_cache: bool,
-    /// Tables whose records are read-mostly and therefore worth caching
-    /// node-locally (the paper's example is TPC-C `ITEM`). Writes to
-    /// these tables stay correct — the seqlock validation at C.2 catches
-    /// stale cached reads — they just waste cache churn.
-    pub read_mostly_tables: Vec<u32>,
     /// Contention-management policy of every table (DESIGN.md §15): how
     /// a worker responds to repeated conflicts on one key. The default,
     /// [`ContentionPolicy::Off`], keeps the legacy randomized-backoff
@@ -102,8 +91,6 @@ impl Default for EngineOpts {
             fuse_lock_validate: false,
             pointer_swap: true,
             msg_locking: false,
-            value_cache: true,
-            read_mostly_tables: Vec::new(),
             contention: ContentionPolicy::Off,
         }
     }
@@ -127,10 +114,10 @@ impl EngineOpts {
 ///
 /// let opts = EngineOpts::builder()
 ///     .replicas(3)
-///     .read_mostly_tables(vec![4])
+///     .msg_locking(true)
 ///     .build();
 /// assert_eq!(opts.replicas, 3);
-/// assert_eq!(opts.read_mostly_tables, [4]);
+/// assert!(opts.msg_locking);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptsBuilder {
@@ -186,18 +173,6 @@ impl EngineOptsBuilder {
     /// FaRM-style two-sided locking ablation.
     pub fn msg_locking(mut self, on: bool) -> Self {
         self.opts.msg_locking = on;
-        self
-    }
-
-    /// Cache remote record values for read-mostly tables.
-    pub fn value_cache(mut self, on: bool) -> Self {
-        self.opts.value_cache = on;
-        self
-    }
-
-    /// Tables whose records are read-mostly and worth caching locally.
-    pub fn read_mostly_tables(mut self, tables: Vec<u32>) -> Self {
-        self.opts.read_mostly_tables = tables;
         self
     }
 

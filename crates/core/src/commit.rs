@@ -330,8 +330,8 @@ impl TxnCtx<'_> {
     /// one consistent READ, each of which saw every record unlocked —
     /// and whose sequence numbers are all even (committed) serializes at
     /// that read, as FaRM's lock-free single-object reads do: there is
-    /// nothing to validate. Value-cache hits, odd reads and read sets
-    /// built by more than one read validate as above.
+    /// nothing to validate. Odd reads and read sets built by more than
+    /// one read validate as above.
     async fn commit_ro(&mut self) -> Result<(), TxnError> {
         assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
         // Traced read-only commits get an execute span (begin → here)
@@ -355,7 +355,7 @@ impl TxnCtx<'_> {
     fn one_snapshot(&self) -> bool {
         self.snapshots == 1
             && self.l_rs.iter().all(|e| e.seq % 2 == 0)
-            && self.r_rs.iter().all(|e| !e.from_cache && e.seq % 2 == 0)
+            && self.r_rs.iter().all(|e| e.seq % 2 == 0)
     }
 
     /// The read-only validation pass: local headers by load, remote ones
@@ -377,13 +377,11 @@ impl TxnCtx<'_> {
         }
         let addrs: Vec<LockAddr> = self.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
         let hdrs = self.read_headers(&addrs, |_| None).await?;
-        for (i, h) in hdrs.iter().enumerate() {
-            let e = &self.r_rs[i];
+        for (h, e) in hdrs.iter().zip(&self.r_rs) {
             if h.incarnation != e.incarnation
                 || !read_validates(e.seq, h.seq)
                 || h.lock != LOCK_FREE
             {
-                self.invalidate_cached_read(i);
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
         }
@@ -1051,22 +1049,7 @@ impl TxnCtx<'_> {
             }
         }
         self.grant_waiters(&released);
-        self.write_through_cache(new_seqs);
         Ok(held)
-    }
-
-    /// C.5 write-through (DESIGN.md §8): a transaction that rewrote a
-    /// read-mostly record its thread has cached refreshes the entry with
-    /// the value and (even) sequence number it just installed, so neither
-    /// it nor a sibling routine pays an invalidate-then-refetch cycle on
-    /// the next read.
-    fn write_through_cache(&mut self, new_seqs: &[u64]) {
-        let mut caches = self.w.caches();
-        for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
-            if self.value_cacheable(e.table) {
-                caches.values[e.node].refresh(e.table, e.key, &e.buf, seq);
-            }
-        }
     }
 
     /// The header reads (lock, incarnation, seq — [`HEADER_BYTES`] at the
@@ -1160,26 +1143,6 @@ impl TxnCtx<'_> {
         Ok(map.into_iter().map(hdr).collect())
     }
 
-    /// Drops the value-cache entry behind remote read-set entry `i` after
-    /// a failed C.2 validation: the record moved on (or its block was
-    /// reused), so the next read must refetch — and will re-cache.
-    fn invalidate_cached_read(&mut self, i: usize) {
-        let e = &self.r_rs[i];
-        if !e.from_cache {
-            return;
-        }
-        let (node, table, key) = (e.node, e.table, e.key);
-        if self.w.caches().values[node].invalidate(table, key) {
-            self.w.obs.note_cache_invalidations(1);
-            drtm_obs::trace::event(
-                EventKind::Cache,
-                "invalidate",
-                self.w.node as u64,
-                self.w.clock.now(),
-            );
-        }
-    }
-
     /// C.2: validates every remote read and computes the new (even)
     /// sequence number of every remote write.
     ///
@@ -1211,7 +1174,6 @@ impl TxnCtx<'_> {
             } else {
                 continue;
             };
-            self.invalidate_cached_read(i);
             self.note_conflict(addrs[i], false);
             return Err(TxnError::Aborted(reason));
         }

@@ -83,7 +83,7 @@ fn gen_schedule(rng: &mut SplitMix64, max_len: u64) -> Vec<Op> {
 /// Applies a schedule through the engine and in parallel to a sequential
 /// model; the final database state must match the model exactly.
 fn run_schedule(ops: Vec<Op>, replicas: usize, spurious: f64) {
-    run_schedule_opts(ops, replicas, spurious, false, 1)
+    run_schedule_opts(ops, replicas, spurious, 1)
 }
 
 /// Runs one op as a transaction on `w` and, if it commits, on `model`.
@@ -159,14 +159,8 @@ async fn apply_op(w: &mut Worker, op: &Op, model: &RefCell<HashMap<(usize, u64),
 /// round-robin and still apply it strictly in order — a routine spins
 /// until its op's turn — so one sequential model serves every pool
 /// size while the ops of a pool of several go through sibling
-/// routines' shared caches.
-fn run_schedule_opts(
-    ops: Vec<Op>,
-    replicas: usize,
-    spurious: f64,
-    value_cached: bool,
-    routines: usize,
-) {
+/// routines' shared location caches.
+fn run_schedule_opts(ops: Vec<Op>, replicas: usize, spurious: f64, routines: usize) {
     let opts = EngineOpts::builder()
         .replicas(replicas)
         .region_size(2 << 20)
@@ -175,7 +169,6 @@ fn run_schedule_opts(
             max_retries: 8,
             ..Default::default()
         })
-        .read_mostly_tables(if value_cached { vec![T] } else { vec![] })
         .build();
     let c = DrtmCluster::new(3, &[TableSpec::hash(T, 2048, 16)], opts);
     let mut model = HashMap::new();
@@ -240,31 +233,24 @@ fn schedule_matches_model_replicated() {
     }
 }
 
-/// The same with every table marked read-mostly, so cross-node reads are
-/// served from the value cache whenever possible while the schedule's
-/// writes keep racing them. Model equivalence proves a cached read that
-/// went stale is always caught at C.2 — a stale value committing would
-/// diverge the final state from the model.
+/// The same through a pool of four routines on one shared set of
+/// location caches: where one routine located, freed or re-inserted a
+/// record is what the next op's routine looks up.
 #[test]
-fn schedule_matches_model_value_cached() {
+fn schedule_matches_model_pooled() {
     let mut rng = SplitMix64::new(0x5eed_000b);
     for _ in 0..24 {
-        let ops = gen_schedule(&mut rng, 40);
-        run_schedule_opts(ops.clone(), 1, 0.0, true, 1);
-        // The same schedule through a pool of four on one shared cache
-        // set: what one routine cached, rewrote or invalidated is what
-        // the next op's routine is served.
-        run_schedule_opts(ops, 1, 0.0, true, 4);
+        run_schedule_opts(gen_schedule(&mut rng, 40), 1, 0.0, 4);
     }
 }
 
-/// Value cache under replication *and* a flaky HTM: cached reads mix
-/// with fallback-handler commits and R.1/R.2 replication traffic.
+/// Replication *and* a flaky HTM: fallback-handler commits mix with
+/// R.1/R.2 replication traffic.
 #[test]
-fn schedule_matches_model_value_cached_replicated_flaky() {
+fn schedule_matches_model_replicated_flaky() {
     let mut rng = SplitMix64::new(0x5eed_000c);
     for _ in 0..12 {
-        run_schedule_opts(gen_schedule(&mut rng, 25), 3, 0.2, true, 1);
+        run_schedule_opts(gen_schedule(&mut rng, 25), 3, 0.2, 1);
     }
 }
 
@@ -535,7 +521,7 @@ fn concurrent_transfers_conserve() {
     }
 }
 
-/// A second, never value-cached table for the `read_many` cases.
+/// A second table, with fewer buckets, for the `read_many` cases.
 const T2: u32 = 1;
 
 /// Drops every `k`-th one-sided READ (`k = 0`: none).
@@ -565,59 +551,51 @@ impl drtm_rdma::FaultInjector for EveryKthReadDropped {
 
 /// Everything a read leaves behind that a later step can observe: the
 /// remote and local read sets in order, and — over `universe` — what
-/// the thread's value and location caches hold.
+/// the thread's location caches hold.
 type ReadEffects = (
-    Vec<(usize, u32, u64, usize, u64, u64, Vec<u8>, bool)>,
+    Vec<(usize, u32, u64, usize, u64, u64, Vec<u8>)>,
     Vec<(u32, u64, usize, u64, u64, Vec<u8>)>,
-    Vec<Option<drtm_store::CachedRecord>>,
     Vec<Option<(u64, u64)>>,
 );
 
 fn read_effects(t: &crate::txn::TxnCtx<'_>, universe: &[(usize, u32, u64)]) -> ReadEffects {
     let remote = t.r_rs.iter().map(|e| {
         let value = e.value.clone();
-        let at = (e.node, e.table, e.key, e.rec_off);
         (
-            at.0,
-            at.1,
-            at.2,
-            at.3,
+            e.node,
+            e.table,
+            e.key,
+            e.rec_off,
             e.seq,
             e.incarnation,
             value,
-            e.from_cache,
         )
     });
     let local = t.l_rs.iter().map(|e| {
         let value = e.value.clone();
         (e.table, e.key, e.rec_off, e.seq, e.incarnation, value)
     });
-    let mut caches = t.w.caches();
-    let values = universe
-        .iter()
-        .map(|&(n, tb, k)| caches.values[n].get(tb, k).cloned())
-        .collect();
+    let mut caches = t.w.locations();
     let locations = universe
         .iter()
-        .map(|&(n, tb, k)| caches.locations[n].get(tb, k))
+        .map(|&(n, tb, k)| caches[n].get(tb, k))
         .collect();
-    (remote.collect(), local.collect(), values, locations)
+    (remote.collect(), local.collect(), locations)
 }
 
 /// `read_many(keys)` is the sequential reads of `keys`: on twin
 /// clusters one worker runs the same prefix — an optional warm-up
-/// transaction (cold vs warm location and value caches), own writes,
+/// transaction (cold vs warm location caches), own writes,
 /// earlier reads — and then reads a random key list, through
 /// `read_async` one key at a time on one twin and through one
 /// `read_many_async` on the other. Values (or the error), both read
-/// sets in order, the cache contents and the commit outcome must be
+/// sets in order, the location caches and the commit outcome must be
 /// equal; only the clock may differ — downwards, when every key is
 /// found and no verb fails: the local records fetched share one HTM
 /// region, which saves `htm_begin_ns + htm_commit_ns` for each but
 /// one, and that is the whole saving when every key is local (a third
-/// of the cases). Keys are
-/// local, remote on two machines, in a value-cached and an uncached
-/// table, repeated, own-written, already read, cached, or missing; half
+/// of the cases). Keys are local, remote on two machines, in two
+/// tables, repeated, own-written, already read, located, or missing; half
 /// the cases drop every third or fourth READ, so batched READs come
 /// back dropped or flushed and fall back to the per-key loop.
 #[test]
@@ -652,10 +630,7 @@ fn read_many_is_the_sequential_reads() {
             }
         }
         let run = |batched: bool| {
-            let opts = EngineOpts::builder()
-                .region_size(2 << 20)
-                .read_mostly_tables(vec![T])
-                .build();
+            let opts = EngineOpts::builder().region_size(2 << 20).build();
             let c = DrtmCluster::new(3, &schema, opts);
             for &(s, tb, k) in &universe {
                 c.seed_record(s, tb, k, &val(100 + k % 7));

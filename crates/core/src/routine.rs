@@ -8,8 +8,8 @@
 //! This module reproduces that structure as an explicit polled state
 //! machine: each *routine* is a suspended future owning a
 //! [`Worker`], and a per-pool **reactor** — running entirely on the
-//! calling thread, and owning the one set of location and value caches
-//! its routines share — polls exactly one routine at a time. The commit
+//! calling thread, and owning the one set of location caches its
+//! routines share — polls exactly one routine at a time. The commit
 //! path's yield points (`finish_batch`, `yield_remote_wait`,
 //! `spin_yield`) are `await`s that park the routine and return control
 //! to the reactor; the OS thread count is therefore independent of the
@@ -101,7 +101,7 @@ use drtm_base::clock::{CostModel, VClock};
 use drtm_base::stats::{Counter, Histogram};
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_rdma::{Cq, Fabric, NodeId, PostedWr, Qp};
-use drtm_store::{LocationCache, ValueCache};
+use drtm_store::LocationCache;
 
 use crate::txn::Worker;
 
@@ -421,20 +421,6 @@ impl ReactorState {
     }
 }
 
-/// The client-side caches of one worker thread (DESIGN.md §8): where
-/// each peer's records live and, for read-mostly tables, what they
-/// held. One set per reactor, shared by all of its routines — they
-/// never run concurrently, so a sibling's fill, write-through or
-/// invalidation is simply the next lookup's state.
-pub(crate) struct CacheSet {
-    /// Location caches, indexed by home node.
-    pub(crate) locations: Vec<LocationCache>,
-    /// Value caches of remote read-mostly records, indexed by home node.
-    pub(crate) values: Vec<ValueCache>,
-    /// Configuration epoch the value caches were last pruned against.
-    pub(crate) epoch: u64,
-}
-
 /// The reactor core: one per pool, and one per [`Worker`] outside any
 /// pool. See the module docs for the protocol.
 pub(crate) struct Reactor {
@@ -446,25 +432,24 @@ pub(crate) struct Reactor {
     /// one CQ holds interleaved completions of many routines and each
     /// claims exactly its own with [`Cq::take_cookie`].
     pub(crate) cqs: Vec<Cq>,
-    /// The worker thread's caches. Uncontended like `state`, and never
-    /// held across a yield point.
-    pub(crate) caches: Mutex<CacheSet>,
+    /// The worker thread's location caches (DESIGN.md §8), indexed by
+    /// home node: where each peer's records live. One set per reactor,
+    /// shared by all of its routines — they never run concurrently, so
+    /// a sibling's fill or invalidation is simply the next lookup's
+    /// state. Uncontended like `state`, and never held across a yield
+    /// point.
+    pub(crate) locations: Mutex<Vec<LocationCache>>,
 }
 
 impl Reactor {
-    /// A reactor of `total` routines whose (empty) caches count as
-    /// pruned against configuration `epoch`.
-    fn new(total: usize, fabric: Arc<Fabric>, epoch: u64) -> Self {
+    /// A reactor of `total` routines with empty location caches.
+    fn new(total: usize, fabric: Arc<Fabric>) -> Self {
         let nodes = fabric.nodes();
         Self {
             state: Mutex::new(ReactorState::new(total, &fabric.cost)),
             total,
             cqs: (0..nodes).map(|_| Cq::new()).collect(),
-            caches: Mutex::new(CacheSet {
-                locations: (0..nodes).map(|_| LocationCache::new()).collect(),
-                values: (0..nodes).map(|_| ValueCache::new()).collect(),
-                epoch,
-            }),
+            locations: Mutex::new((0..nodes).map(|_| LocationCache::new()).collect()),
             fabric,
         }
     }
@@ -473,8 +458,8 @@ impl Reactor {
     /// its own reactor of one, already past the startup barrier, so
     /// every wait resolves inside the yield point (see the module
     /// docs).
-    pub(crate) fn solo(fabric: Arc<Fabric>, epoch: u64) -> RoutineCtl {
-        let reactor = Self::new(1, fabric, epoch);
+    pub(crate) fn solo(fabric: Arc<Fabric>) -> RoutineCtl {
+        let reactor = Self::new(1, fabric);
         reactor.state.lock().unregistered = 0;
         RoutineCtl {
             id: 0,
@@ -483,12 +468,11 @@ impl Reactor {
     }
 
     /// The reactor of a pool multiplexing `workers` — one worker
-    /// thread's in-flight transactions — with a fresh cache set.
+    /// thread's in-flight transactions — with fresh location caches.
     fn for_pool(workers: &[Worker]) -> Arc<Self> {
         assert!(!workers.is_empty(), "a pool needs at least one routine");
-        let cluster = &workers[0].cluster;
-        let fabric = Arc::clone(&cluster.fabric);
-        Arc::new(Self::new(workers.len(), fabric, cluster.config.epoch()))
+        let fabric = Arc::clone(&workers[0].cluster.fabric);
+        Arc::new(Self::new(workers.len(), fabric))
     }
 
     /// The initial-park future of routine `id` (startup barrier).
@@ -1536,7 +1520,7 @@ mod tests {
     fn reactor_of_one_flushes_at_its_park() {
         let fabric = Fabric::builder().fresh_regions(2, 4096).build();
         let cost = fabric.cost.clone();
-        let ctl = Reactor::solo(Arc::clone(&fabric), 0);
+        let ctl = Reactor::solo(Arc::clone(&fabric));
         let park = ctl
             .reactor
             .flush_wait(0, 0, vec![(1, vec![read(true)])], 5_000);
@@ -1571,7 +1555,7 @@ mod tests {
         let cost = fabric.cost.clone();
         let (db, short, long) = (cost.doorbell_ns, cost.rdma_read(8), cost.rdma_read(2048));
         assert!(long > short + db, "the first-rung READ lands last");
-        let ctl = Reactor::solo(Arc::clone(&fabric), 0);
+        let ctl = Reactor::solo(Arc::clone(&fabric));
         let batches = vec![(1, vec![read_of(0, 2048)]), (2, vec![read_of(0, 8)])];
         let grant = drtm_base::task::block_now(ctl.reactor.flush_wait(0, 0, batches, 5_000));
         let release = 5_000 + 2 * db;
@@ -1604,7 +1588,7 @@ mod tests {
         let fabric = Fabric::builder().fresh_regions(3, 4096).build();
         let cost = fabric.cost.clone();
         let (db, pipe, read) = (cost.doorbell_ns, cost.verb_pipeline_ns, cost.rdma_read(8));
-        let reactor = Reactor::new(2, Arc::clone(&fabric), 0);
+        let reactor = Reactor::new(2, Arc::clone(&fabric));
         let mut s = reactor.state.lock();
         s.unregistered = 0;
         s.fold(Park::Flush {

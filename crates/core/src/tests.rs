@@ -2219,7 +2219,7 @@ fn hold_committer_at_c5(c: &Arc<DrtmCluster>) -> impl FnOnce() {
 /// committer's C.4 rewrote it, and validates while the committer is
 /// held between C.4 and C.5 — `B` locked, still at its old sequence
 /// number. Committing would publish `{A new, B old}`; the locked header
-/// fails validation although `B` was read fresh, not from the cache.
+/// fails validation although `B` was read fresh.
 #[test]
 fn read_only_validation_rejects_a_remote_record_a_committer_holds() {
     let c = cluster(2, 1);
@@ -2289,30 +2289,23 @@ fn one_record_read_only_commit_posts_no_validation() {
     assert_eq!((d.reads, d.doorbells), (2, 1), "two header READs: {d:?}");
 }
 
-/// What the one-snapshot rule leaves to validation. A stale value-cache
-/// hit — alone, or beside one fresh local read that is a snapshot of its
-/// own — aborts `Validation` and drops its entry. A local record left
-/// odd, as C.4 under replication leaves it, aborts while it stays odd
-/// and, once its writer's makeup made it even, commits through the
-/// validation pass's header load.
+/// What the one-snapshot rule leaves to validation. Two snapshots — a
+/// remote read, then a local one after the home machine rewrote the
+/// remote record — abort `Validation`. A local record left odd, as C.4
+/// under replication leaves it, aborts while it stays odd and, once its
+/// writer's makeup made it even, commits through the validation pass's
+/// header load.
 #[test]
-fn one_snapshot_rule_still_validates_cached_and_odd_reads() {
-    for beside in [false, true] {
-        let c = cached_cluster(2, 1);
-        let mut w = c.worker(0, 1);
-        w.run_ro(|t| t.read(1, T_ACCT, key(1, 7))).unwrap();
-        let mut home = c.worker(1, 2);
-        home.run(|t| t.write(1, T_ACCT, key(1, 7), val(200)))
-            .unwrap();
-        let mut t = w.begin_ro();
-        if beside {
-            t.read(0, T_ACCT, key(0, 7)).unwrap();
-        }
-        assert_eq!(t.read(1, T_ACCT, key(1, 7)).map(|v| num(&v)), Ok(100));
-        let validation = Err(TxnError::Aborted(AbortReason::Validation));
-        assert_eq!(t.commit(), validation, "beside a fresh read: {beside}");
-        assert_eq!(w.value_cache_len(1), 0, "failed validation invalidates");
-    }
+fn one_snapshot_rule_still_validates_two_snapshots_and_odd_reads() {
+    let c = cluster(2, 1);
+    let mut w = c.worker(0, 1);
+    let mut home = c.worker(1, 2);
+    let mut t = w.begin_ro();
+    assert_eq!(t.read(1, T_ACCT, key(1, 7)).map(|v| num(&v)), Ok(100));
+    home.run(|t| t.write(1, T_ACCT, key(1, 7), val(200)))
+        .unwrap();
+    assert_eq!(t.read(0, T_ACCT, key(0, 7)).map(|v| num(&v)), Ok(100));
+    assert_eq!(t.commit(), Err(TxnError::Aborted(AbortReason::Validation)));
 
     let c = cluster(3, 3);
     let off = c.stores[0].get_loc(T_ACCT, key(0, 9)).unwrap() as usize;
@@ -2365,73 +2358,67 @@ fn one_record_reads_see_a_held_committer_in_order() {
 /// One-record reads are linearizable. Writers on both machines
 /// increment four counters, two homed on each, and publish each value
 /// after its commit returns. Eight routines on machine 0 read one
-/// counter per read-only transaction, local or remote, with the value
-/// cache off and on. A read returns at least what was published before
-/// it began, and at most what was published after it returned plus one
-/// unpublished increment per writer; no routine sees a counter go back.
+/// counter per read-only transaction, local or remote. A read returns
+/// at least what was published before it began, and at most what was
+/// published after it returned plus one unpublished increment per
+/// writer; no routine sees a counter go back.
 #[test]
 fn one_record_reads_are_linearizable() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
     const WRITERS: u64 = 2;
     const COUNTERS: [(usize, u64); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
-    for cached in [false, true] {
-        let opts = EngineOpts::builder()
-            .region_size(4 << 20)
-            .value_cache(cached)
-            .read_mostly_tables(vec![T_ACCT])
-            .build();
-        let c = DrtmCluster::new(2, &schema(), opts);
-        for (n, k) in COUNTERS {
-            c.seed_record(n, T_ACCT, key(n, k), &val(0));
-        }
-        let published: Arc<Vec<AtomicU64>> =
-            Arc::new(COUNTERS.iter().map(|_| AtomicU64::new(0)).collect());
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|id| {
-                let (c, published) = (Arc::clone(&c), Arc::clone(&published));
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut w = c.worker(id as usize, 100 + id);
-                    let mut i = id as usize;
-                    while !stop.load(SeqCst) {
-                        let at = i % COUNTERS.len();
-                        i += 1;
-                        let (n, k) = COUNTERS[at];
-                        let v = w.run(|t| {
-                            let v = num(&t.read(n, T_ACCT, key(n, k))?) + 1;
-                            t.write(n, T_ACCT, key(n, k), val(v))?;
-                            Ok(v)
-                        });
-                        published[at].fetch_max(v.unwrap(), SeqCst);
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        let readers = (0..8).map(|id| c.worker(0, 10 + id)).collect();
-        let out = crate::routine::RoutinePool::run(readers, async |id, w| {
-            let mut seen = [0u64; COUNTERS.len()];
-            for i in 0..150 {
-                let at = (id + i) % COUNTERS.len();
-                let (n, k) = COUNTERS[at];
-                let floor_before = published[at].load(SeqCst);
-                let read = w.run_ro_async(async |t| t.read_async(n, T_ACCT, key(n, k)).await);
-                let v = num(&read.await.unwrap());
-                let floor_after = published[at].load(SeqCst);
-                if v < floor_before.max(seen[at]) || v > floor_after + WRITERS {
-                    return Some((at, floor_before, seen[at], v, floor_after));
+    let opts = EngineOpts::builder().region_size(4 << 20).build();
+    let c = DrtmCluster::new(2, &schema(), opts);
+    for (n, k) in COUNTERS {
+        c.seed_record(n, T_ACCT, key(n, k), &val(0));
+    }
+    let published: Arc<Vec<AtomicU64>> =
+        Arc::new(COUNTERS.iter().map(|_| AtomicU64::new(0)).collect());
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|id| {
+            let (c, published) = (Arc::clone(&c), Arc::clone(&published));
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut w = c.worker(id as usize, 100 + id);
+                let mut i = id as usize;
+                while !stop.load(SeqCst) {
+                    let at = i % COUNTERS.len();
+                    i += 1;
+                    let (n, k) = COUNTERS[at];
+                    let v = w.run(|t| {
+                        let v = num(&t.read(n, T_ACCT, key(n, k))?) + 1;
+                        t.write(n, T_ACCT, key(n, k), val(v))?;
+                        Ok(v)
+                    });
+                    published[at].fetch_max(v.unwrap(), SeqCst);
+                    std::thread::yield_now();
                 }
-                seen[at] = v;
+            })
+        })
+        .collect();
+    let readers = (0..8).map(|id| c.worker(0, 10 + id)).collect();
+    let out = crate::routine::RoutinePool::run(readers, async |id, w| {
+        let mut seen = [0u64; COUNTERS.len()];
+        for i in 0..150 {
+            let at = (id + i) % COUNTERS.len();
+            let (n, k) = COUNTERS[at];
+            let floor_before = published[at].load(SeqCst);
+            let read = w.run_ro_async(async |t| t.read_async(n, T_ACCT, key(n, k)).await);
+            let v = num(&read.await.unwrap());
+            let floor_after = published[at].load(SeqCst);
+            if v < floor_before.max(seen[at]) || v > floor_after + WRITERS {
+                return Some((at, floor_before, seen[at], v, floor_after));
             }
-            None
-        });
-        stop.store(true, SeqCst);
-        writers.into_iter().for_each(|h| h.join().unwrap());
-        for (_, bad) in out {
-            // (counter, floor before, last seen, read, floor after)
-            assert_eq!(bad, None, "value cache on: {cached}");
+            seen[at] = v;
         }
+        None
+    });
+    stop.store(true, SeqCst);
+    writers.into_iter().for_each(|h| h.join().unwrap());
+    for (_, bad) in out {
+        // (counter, floor before, last seen, read, floor after)
+        assert_eq!(bad, None);
     }
 }
 
@@ -2521,277 +2508,6 @@ fn crash_at_every_stage_with_two_written_machines_is_atomic() {
             assert_eq!(survivor.stats.aborted, 0, "{arm}");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Read-mostly value cache (DESIGN.md §8).
-// ---------------------------------------------------------------------
-
-fn cached_cluster(n: usize, replicas: usize) -> Arc<DrtmCluster> {
-    let opts = EngineOpts::builder()
-        .replicas(replicas)
-        .region_size(4 << 20)
-        .read_mostly_tables(vec![T_ACCT])
-        .build();
-    let c = DrtmCluster::new(n, &schema(), opts);
-    for shard in 0..n {
-        for k in 0..64u64 {
-            c.seed_record(shard, T_ACCT, key(shard, k), &val(100));
-        }
-    }
-    c
-}
-
-/// NIC accounting: a cache hit issues no execution-phase READ at all,
-/// and the C.2 validation that replaces it charges exactly
-/// `HEADER_BYTES` — a partial cache line — instead of the record size.
-#[test]
-fn value_cache_hit_charges_one_header_line() {
-    use drtm_store::HEADER_BYTES;
-    let c = cached_cluster(2, 1);
-    let layout = c.stores[0].table(T_ACCT).layout;
-    assert!(HEADER_BYTES < layout.size(), "savings must be real");
-    let mut w = c.worker(0, 1);
-
-    // Miss: the full record travels (plus location probes).
-    let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, 5))).unwrap();
-    assert_eq!(num(&v), 100);
-
-    // Hit: the only verb of the whole transaction is one header READ.
-    let base = c.fabric.port(1).stats().snapshot();
-    let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, 5))).unwrap();
-    assert_eq!(num(&v), 100);
-    let d = c.fabric.port(1).stats().snapshot().delta(&base);
-    assert_eq!(d.reads, 1, "one C.2 header validation: {d:?}");
-    assert_eq!(d.atomics, 0, "read-only commit takes no locks: {d:?}");
-    assert_eq!(
-        d.bytes, HEADER_BYTES as u64,
-        "validation charges the header line, not the record: {d:?}"
-    );
-
-    let snap = c.obs.scrape();
-    assert_eq!(snap.cache.hits, 1);
-    assert_eq!(snap.cache.misses, 1);
-    assert_eq!(snap.cache.bytes_saved, layout.size() as u64);
-}
-
-/// Serializability: a cached read of a record a remote writer has since
-/// rewritten is always caught by the C.2 header validation — the stale
-/// value is never committed — and the failure invalidates the entry so
-/// the retry refetches.
-#[test]
-fn stale_cached_read_is_caught_at_validation() {
-    let c = cached_cluster(2, 1);
-    let mut w0 = c.worker(0, 1);
-    let v = w0.run_ro(|t| t.read(1, T_ACCT, key(1, 7))).unwrap();
-    assert_eq!(num(&v), 100);
-    assert_eq!(w0.value_cache_len(1), 1);
-
-    // The home node rewrites the record behind the cache's back.
-    let mut w1 = c.worker(1, 2);
-    w1.run(|t| t.write(1, T_ACCT, key(1, 7), val(200))).unwrap();
-
-    // The stale hit is served during execution but cannot commit.
-    let mut ctx = w0.begin_ro();
-    let stale = ctx.read(1, T_ACCT, key(1, 7)).unwrap();
-    assert_eq!(num(&stale), 100, "execution serves the cached value");
-    assert!(matches!(
-        ctx.commit(),
-        Err(TxnError::Aborted(AbortReason::Validation))
-    ));
-    assert_eq!(w0.value_cache_len(1), 0, "failed validation invalidates");
-
-    // The retry refetches the fresh value and re-caches it.
-    let v = w0.run_ro(|t| t.read(1, T_ACCT, key(1, 7))).unwrap();
-    assert_eq!(num(&v), 200);
-    assert_eq!(w0.value_cache_len(1), 1);
-    assert!(c.obs.scrape().cache.invalidations >= 1);
-}
-
-/// C.5 write-through: a transaction that rewrites a record it has
-/// cached refreshes its own entry, so subsequent hits keep validating —
-/// zero invalidations across a read-modify-write loop.
-#[test]
-fn write_through_keeps_own_cache_coherent() {
-    let c = cached_cluster(2, 1);
-    let mut w = c.worker(0, 1);
-    for _ in 0..3 {
-        w.run(|t| {
-            let v = num(&t.read(1, T_ACCT, key(1, 9))?);
-            t.write(1, T_ACCT, key(1, 9), val(v + 1))
-        })
-        .unwrap();
-    }
-    let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, 9))).unwrap();
-    assert_eq!(num(&v), 103);
-    assert_eq!(w.stats.aborted, 0);
-    let snap = c.obs.scrape();
-    assert_eq!(snap.cache.invalidations, 0, "write-through, not refetch");
-    assert!(snap.cache.hits >= 3, "later reads hit: {:?}", snap.cache);
-}
-
-/// Recovery invalidation: a machine death and the reconfiguration that
-/// recovers it bump the configuration epoch; the next transaction prunes
-/// every value-cache entry filled under the old membership — including
-/// all of the dead node's — so re-homed shards never serve stale bytes.
-#[test]
-fn recovery_epoch_bump_drops_cached_entries() {
-    let c = cached_cluster(3, 2);
-    let mut w = c.worker(0, 1);
-    w.run_ro(|t| {
-        t.read(1, T_ACCT, key(1, 3))?;
-        t.read(2, T_ACCT, key(2, 3))
-    })
-    .unwrap();
-    assert_eq!(w.value_cache_len(1), 1);
-    assert_eq!(w.value_cache_len(2), 1);
-
-    c.crash(2);
-    recover_node(&c, 2);
-
-    // The next transaction begins under the new epoch and prunes.
-    let v = w.run_ro(|t| t.read(1, T_ACCT, key(1, 3))).unwrap();
-    assert_eq!(num(&v), 100);
-    assert_eq!(w.value_cache_len(2), 0, "dead node's entries dropped");
-    assert!(c.obs.scrape().cache.invalidations >= 2);
-}
-
-/// Runs `job` on a pool of four routines of machine 0 — one worker
-/// thread, one shared cache set. Routine `id` starts at virtual time
-/// `id` ms, far beyond any single transaction here, so the routines'
-/// transactions run strictly in id order.
-fn staggered_pool<T>(
-    c: &Arc<DrtmCluster>,
-    job: impl AsyncFn(usize, &mut crate::txn::Worker) -> T,
-) -> Vec<T> {
-    let workers = (0..4u64)
-        .map(|id| {
-            let mut w = c.worker(0, 30 + id);
-            w.clock.advance(id * 1_000_000);
-            w
-        })
-        .collect();
-    let done = crate::routine::RoutinePool::run(workers, job);
-    done.into_iter().map(|(_, out)| out).collect()
-}
-
-/// One cache set per worker thread: what routine 0 fetched, routine 1
-/// is served from — its whole transaction is the one C.2 header READ.
-#[test]
-fn sibling_routine_hits_what_another_routine_fetched() {
-    use drtm_store::HEADER_BYTES;
-    let c = cached_cluster(2, 1);
-    let nic = || c.fabric.port(1).stats().snapshot();
-    let deltas = staggered_pool(&c, async |id, w| {
-        if id > 1 {
-            return None;
-        }
-        let base = nic();
-        let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 5)).await);
-        assert_eq!(num(&v.await.unwrap()), 100);
-        Some(nic().delta(&base))
-    });
-    let miss = deltas[0].unwrap();
-    assert!(miss.bytes > HEADER_BYTES as u64, "the record travels once");
-    let hit = deltas[1].unwrap();
-    assert_eq!((hit.reads, hit.atomics, hit.writes), (1, 0, 0), "{hit:?}");
-    assert_eq!(hit.bytes, HEADER_BYTES as u64, "{hit:?}");
-    let snap = c.obs.scrape();
-    assert_eq!((snap.cache.hits, snap.cache.misses), (1, 1));
-}
-
-/// C.5 write-through warms siblings: routine 1 reads what routine 0
-/// just rewrote from the refreshed entry and validates first time.
-#[test]
-fn write_through_warms_sibling_routines() {
-    let c = cached_cluster(2, 1);
-    let aborted = staggered_pool(&c, async |id, w| {
-        match id {
-            0 => w
-                .run_async(async |t| {
-                    let v = num(&t.read_async(1, T_ACCT, key(1, 9)).await?);
-                    t.write_async(1, T_ACCT, key(1, 9), val(v + 1)).await
-                })
-                .await
-                .unwrap(),
-            1 => {
-                let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 9)).await);
-                assert_eq!(num(&v.await.unwrap()), 101);
-            }
-            _ => {}
-        }
-        w.stats.aborted
-    });
-    assert_eq!(aborted, [0; 4]);
-    let snap = c.obs.scrape();
-    assert_eq!(snap.cache.invalidations, 0, "write-through, not refetch");
-    assert_eq!((snap.cache.hits, snap.cache.misses), (1, 1));
-}
-
-/// A rewrite by the home node behind the pool's back: the first routine
-/// to hit the stale entry aborts at C.2 and drops it — once, for the
-/// whole thread — and the next routine refetches the fresh value.
-#[test]
-fn stale_shared_entry_aborts_once_and_the_next_routine_refetches() {
-    let c = cached_cluster(2, 1);
-    staggered_pool(&c, async |id, w| match id {
-        0 => {
-            let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 7)).await);
-            assert_eq!(num(&v.await.unwrap()), 100);
-        }
-        1 => {
-            let mut home = c.worker(1, 2);
-            home.run(|t| t.write(1, T_ACCT, key(1, 7), val(200)))
-                .unwrap();
-            let mut ctx = w.begin_ro();
-            let stale = ctx.read_async(1, T_ACCT, key(1, 7)).await.unwrap();
-            assert_eq!(num(&stale), 100, "execution serves the shared entry");
-            assert_eq!(
-                ctx.commit_async().await,
-                Err(TxnError::Aborted(AbortReason::Validation))
-            );
-            assert_eq!(w.value_cache_len(1), 0, "failed validation invalidates");
-        }
-        _ => {
-            let v = w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, 7)).await);
-            assert_eq!(num(&v.await.unwrap()), 200);
-            assert_eq!(w.stats.aborted, 0);
-        }
-    });
-    let snap = c.obs.scrape();
-    assert_eq!(snap.cache.invalidations, 1);
-    // Routine 0 missed, 1 hit stale, 2 refetched, 3 hit fresh.
-    assert_eq!((snap.cache.hits, snap.cache.misses), (2, 2));
-}
-
-/// Recovery under a live pool: the first routine to begin under the new
-/// epoch prunes the thread's set — both pre-crash entries, each counted
-/// once — and its siblings find the epoch current and nothing to drop.
-#[test]
-fn epoch_prune_runs_once_per_cache_set() {
-    let c = cached_cluster(3, 2);
-    staggered_pool(&c, async |id, w| {
-        if id == 0 {
-            w.run_ro_async(async |t| {
-                t.read_async(1, T_ACCT, key(1, 3)).await?;
-                t.read_async(2, T_ACCT, key(2, 3)).await
-            })
-            .await
-            .unwrap();
-            assert_eq!((w.value_cache_len(1), w.value_cache_len(2)), (1, 1));
-            return;
-        }
-        if id == 1 {
-            c.crash(2);
-            recover_node(&c, 2);
-        }
-        // Shard 2 is re-homed: every later routine reads it through the
-        // new shard map and never from a pre-crash entry.
-        let v = w.run_ro_async(async |t| t.read_async(2, T_ACCT, key(2, 3)).await);
-        assert_eq!(num(&v.await.unwrap()), 100);
-        assert_eq!(w.value_cache_len(2), 0, "dead node's entries dropped");
-        assert_eq!(c.obs.scrape().cache.invalidations, 2);
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
 //!
 //! A [`Worker`] is one in-flight slot of one of the paper's worker
 //! threads: it runs on a machine and owns a private virtual clock and
-//! queue pairs to every peer. The thread's location and value caches
-//! live on its reactor, shared with the thread's other slots. A
+//! queue pairs to every peer. The thread's location caches live on
+//! its reactor, shared with the thread's other slots. A
 //! [`TxnCtx`] is one in-flight transaction: the execution phase tracks
 //! local/remote read and write sets; the commit phase lives in
 //! [`crate::commit`].
@@ -17,11 +17,11 @@ use drtm_htm::{HtmConfig, HtmTxn};
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
-use drtm_store::{CachedRecord, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
+use drtm_store::{LocationCache, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
-use crate::routine::{CacheSet, DstBatch, Reactor, RoutineCtl};
+use crate::routine::{DstBatch, Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ pub struct Worker {
     /// This worker's shard of the cluster metrics registry.
     pub obs: Arc<Shard>,
     /// The routine of the reactor every wait primitive parks on and
-    /// whose caches every remote access goes through: this worker's
+    /// whose location caches every remote access goes through: this worker's
     /// own reactor of one, or — while it runs inside a
     /// [`crate::routine::RoutinePool`] — the pool's.
     pub(crate) routine: RoutineCtl,
@@ -195,9 +195,6 @@ pub(crate) struct RemoteRead {
     pub seq: u64,
     pub incarnation: u64,
     pub value: Vec<u8>,
-    /// Served from the worker's value cache with no execution-phase
-    /// READ; a C.2 validation failure invalidates the entry behind it.
-    pub from_cache: bool,
 }
 
 /// A remote write-set entry.
@@ -291,8 +288,8 @@ pub struct TxnCtx<'w> {
     pub(crate) r_ws: Vec<RemoteWrite>,
     pub(crate) mutations: Vec<PendingMutation>,
     /// Atomic reads that built the read sets: one per committed read
-    /// group region, one per consistent READ of a remote record. A value
-    /// cache hit is none. `commit_ro`'s one-snapshot rule reads it.
+    /// group region, one per consistent READ of a remote record.
+    /// `commit_ro`'s one-snapshot rule reads it.
     pub(crate) snapshots: u32,
 }
 
@@ -303,7 +300,7 @@ impl Worker {
         let qps = (0..n).map(|dst| cluster.fabric.qp(node, dst)).collect();
         let obs = cluster.obs.shard(node);
         obs.note_routines(1);
-        let routine = Reactor::solo(Arc::clone(&cluster.fabric), cluster.config.epoch());
+        let routine = Reactor::solo(Arc::clone(&cluster.fabric));
         Self {
             cluster,
             node,
@@ -539,17 +536,11 @@ impl Worker {
             .note_reactor(grant.depth, grant.resume_at.saturating_sub(now));
     }
 
-    /// The caches of this worker's thread (its reactor's). The guard
-    /// must not live across a yield point: a sibling routine would
-    /// block on it.
-    pub(crate) fn caches(&self) -> std::sync::MutexGuard<'_, CacheSet> {
-        self.routine.reactor.caches.lock()
-    }
-
-    /// Live entries in the value cache of records homed on `node`
-    /// (diagnostics and tests).
-    pub fn value_cache_len(&self, node: NodeId) -> usize {
-        self.caches().values[node].len()
+    /// The location caches of this worker's thread (its reactor's),
+    /// indexed by home node. The guard must not live across a yield
+    /// point: a sibling routine would block on it.
+    pub(crate) fn locations(&self) -> std::sync::MutexGuard<'_, Vec<LocationCache>> {
+        self.routine.reactor.locations.lock()
     }
 
     /// Starts a read-write transaction.
@@ -568,32 +559,6 @@ impl Worker {
         self.clock.advance(cost);
         let start_ns = self.clock.now();
         let start_epoch = self.cluster.config.epoch();
-        // Recovery invalidation: a reconfiguration re-homed some shards,
-        // so cached values filled under the old membership — including
-        // every entry for a machine that just died — must not be served
-        // again (DESIGN.md §8). The first routine of the thread to begin
-        // under the new epoch prunes; its siblings find the set's epoch
-        // current and skip.
-        if self.cluster.opts.value_cache {
-            let mut caches = self.caches();
-            if start_epoch != caches.epoch {
-                let dropped: u64 = caches
-                    .values
-                    .iter_mut()
-                    .map(|c| c.retain_epoch(start_epoch))
-                    .sum();
-                caches.epoch = start_epoch;
-                if dropped > 0 {
-                    self.obs.note_cache_invalidations(dropped);
-                    drtm_obs::trace::event(
-                        EventKind::Cache,
-                        "reconfig",
-                        self.node as u64,
-                        start_ns,
-                    );
-                }
-            }
-        }
         if self.trace_id != 0 {
             self.trace_wall_ns = drtm_obs::trace::wall_ns();
         }
@@ -1098,7 +1063,7 @@ impl<'w> TxnCtx<'w> {
     /// READ answered by `fetched` where [`Self::read_many_async`] ran
     /// them ahead in its shared parks. Everything else — what is checked
     /// in which order, what is charged, what enters the read set and the
-    /// caches, every retry — is the one body both callers share.
+    /// location cache, every retry — is the one body both callers share.
     async fn read_remote_with(
         &mut self,
         node: NodeId,
@@ -1128,39 +1093,6 @@ impl<'w> TxnCtx<'w> {
         // no cached incarnation). A loop rather than recursion keeps the
         // future un-boxed.
         'lookup: loop {
-            // Value cache (DESIGN.md §8): a hit serves the record with no
-            // execution-phase verb; the entry is re-validated at C.2 with a
-            // header-only READ.
-            let cacheable = self.value_cacheable(table);
-            if cacheable {
-                // Copied out once, under the guard: a sibling may refresh
-                // or drop the shared entry at this routine's next park.
-                let hit = self.w.caches().values[node]
-                    .get(table, key)
-                    .map(|c| (c.rec_off as usize, c.seq, c.incarnation, c.value.clone()));
-                if let Some((rec_off, seq, incarnation, value)) = hit {
-                    self.w.obs.note_cache_hit(layout.size() as u64);
-                    drtm_obs::trace::event(
-                        EventKind::Cache,
-                        "hit",
-                        self.w.node as u64,
-                        self.w.clock.now(),
-                    );
-                    self.charge(cluster.opts.cost.record_logic_ns);
-                    self.r_rs.push(RemoteRead {
-                        node,
-                        table,
-                        key,
-                        rec_off,
-                        seq,
-                        incarnation,
-                        value: value.clone(),
-                        from_cache: true,
-                    });
-                    return Ok(value);
-                }
-                self.w.obs.note_cache_miss();
-            }
             // Only the first lookup can have been run ahead.
             let (loc, mut ahead) = match fetched.take() {
                 Some(f) => (Some(f.loc), f.read),
@@ -1207,9 +1139,8 @@ impl<'w> TxnCtx<'w> {
             let Some(rr) = read else {
                 return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
             };
-            let mut caches = self.w.caches();
             if cluster.opts.use_location_cache {
-                let locations = &mut caches.locations[node];
+                let locations = &mut self.w.locations()[node];
                 match locations.get(table, key) {
                     // Stale location cache: the block was freed/reused.
                     // Invalidate and retry the whole lookup once.
@@ -1221,23 +1152,6 @@ impl<'w> TxnCtx<'w> {
                     None => locations.put(table, key, rec_off as u64, rr.incarnation),
                 }
             }
-            // Fill the value cache from this consistent read. Only unlocked,
-            // committed (even-sequence) snapshots are deposited: an odd
-            // sequence number is visible-but-uncommittable and a locked one
-            // may be mid-rewrite.
-            if cacheable && rr.lock == LOCK_FREE && rr.seq % 2 == 0 {
-                caches.values[node].put(
-                    table,
-                    key,
-                    CachedRecord {
-                        rec_off: rec_off as u64,
-                        seq: rr.seq,
-                        incarnation: rr.incarnation,
-                        epoch: self.start_epoch,
-                        value: rr.value.clone(),
-                    },
-                );
-            }
             let value = rr.value.clone();
             self.snapshots += 1;
             self.r_rs.push(RemoteRead {
@@ -1248,7 +1162,6 @@ impl<'w> TxnCtx<'w> {
                 seq: rr.seq,
                 incarnation: rr.incarnation,
                 value: rr.value,
-                from_cache: false,
             });
             return Ok(value);
         }
@@ -1473,12 +1386,6 @@ impl<'w> TxnCtx<'w> {
         }
     }
 
-    /// Whether `table`'s remote records go through the value cache.
-    pub(crate) fn value_cacheable(&self, table: TableId) -> bool {
-        let opts = &self.w.cluster.opts;
-        opts.value_cache && opts.read_mostly_tables.contains(&table)
-    }
-
     /// Resolves a remote record offset via the location cache or one-sided
     /// hash probes of the peer's directory.
     async fn locate_remote(
@@ -1519,7 +1426,7 @@ impl<'w> TxnCtx<'w> {
         if !self.w.cluster.opts.use_location_cache {
             return None;
         }
-        let hit = self.w.caches().locations[node].get(table, key);
+        let hit = self.w.locations()[node].get(table, key);
         hit.map(|(loc, _)| loc as usize)
     }
 
@@ -1533,7 +1440,7 @@ impl<'w> TxnCtx<'w> {
 
     /// Reads the records `keys` name — `(shard, table, key)` each — and
     /// returns their values in order: *exactly* the sequential
-    /// [`Self::read_async`] calls (same values, same read-set, value- and
+    /// [`Self::read_async`] calls (same values, same read-set, same
     /// location-cache effects, same error at the same key), except that
     /// the verbs those reads would have waited for one after another are
     /// posted together and the local records are read in one HTM region
@@ -1635,7 +1542,7 @@ impl<'w> TxnCtx<'w> {
     /// The two shared parks of [`Self::read_many_async`]: what they
     /// learned about each key, `None` where the sequential read needs no
     /// verb at its first step (local, own-written, already read, a
-    /// repeat within `keys`, value-cached) or where the batch settled
+    /// repeat within `keys`) or where the batch settled
     /// nothing — and empty when that is every key. Reads and writes
     /// nothing but the fabric, the clock and the location cache's lookup
     /// count.
@@ -1654,9 +1561,7 @@ impl<'w> TxnCtx<'w> {
                 || self.r_rs.iter().any(|e| same(e.node, e.table, e.key))
                 || keys[..i]
                     .iter()
-                    .any(|&(s, t, k)| same(cluster.home_of(s), t, k))
-                || (self.value_cacheable(table)
-                    && self.w.caches().values[node].contains(table, key));
+                    .any(|&(s, t, k)| same(cluster.home_of(s), t, k));
             if !settled {
                 let cached = self.cached_location(node, table, key);
                 wanted.push((i, node, table, cached.map(Some)));

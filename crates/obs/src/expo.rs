@@ -487,7 +487,7 @@ pub fn render_text(s: &Snapshot) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::registry::{MachineRow, NicRow, Registry};
+    use crate::registry::{CacheStats, MachineRow, NicRow, Registry};
     use crate::Phase;
 
     /// A snapshot with something in every section (shared with the
@@ -503,10 +503,6 @@ pub(crate) mod tests {
         sh.note_abort(0);
         sh.note_abort(4);
         sh.note_fallback();
-        sh.note_cache_hit(192);
-        sh.note_cache_hit(192);
-        sh.note_cache_miss();
-        sh.note_cache_invalidations(1);
         sh.note_routines(4);
         sh.note_verb_wait(1_000, 750);
         sh.note_reactor(3, 100);
@@ -519,6 +515,12 @@ pub(crate) mod tests {
         sh.note_key_grant();
         let mut s = r.scrape();
         s.htm[0].1 = 3;
+        s.cache = CacheStats {
+            hits: 2,
+            misses: 1,
+            invalidations: 1,
+            bytes_saved: 384,
+        };
         s.nic = vec![
             NicRow {
                 node: 0,

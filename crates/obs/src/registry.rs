@@ -95,16 +95,6 @@ shard! {
     fallbacks => fallbacks;
     /// Explicit user aborts.
     user_aborts => user_aborts;
-    /// Value-cache hits (remote reads served without a READ verb).
-    cache_hits => cache.hits;
-    /// Value-cache misses (full-record READ issued and deposited).
-    cache_misses => cache.misses;
-    /// Value-cache entries dropped (C.2 validation or incarnation
-    /// failures, plus reconfiguration sweeps).
-    cache_invalidations => cache.invalidations;
-    /// Wire bytes the value cache avoided reading (full record size per
-    /// hit, minus the header-only validation READ each hit still pays).
-    cache_bytes_saved => cache.bytes_saved;
     /// Size of the reactor this shard's worker last attached to (1 for
     /// a worker outside any pool; the pool size inside one). Scrape
     /// reports the *maximum* across shards as the gauge.
@@ -184,32 +174,6 @@ impl Shard {
     pub fn note_phase(&self, phase: Phase, ns: u64) {
         if enabled() {
             self.phases[phase.index()].record(ns);
-        }
-    }
-
-    /// Records a value-cache hit that avoided reading `bytes_saved`
-    /// wire bytes.
-    #[inline]
-    pub fn note_cache_hit(&self, bytes_saved: u64) {
-        if enabled() {
-            self.cache_hits.inc();
-            self.cache_bytes_saved.add(bytes_saved);
-        }
-    }
-
-    /// Records a value-cache miss.
-    #[inline]
-    pub fn note_cache_miss(&self) {
-        if enabled() {
-            self.cache_misses.inc();
-        }
-    }
-
-    /// Records `n` value-cache entries dropped as stale.
-    #[inline]
-    pub fn note_cache_invalidations(&self, n: u64) {
-        if enabled() {
-            self.cache_invalidations.add(n);
         }
     }
 
@@ -392,7 +356,9 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Aggregated value-cache counters (merged across shards at scrape).
+/// Value-cache counters. No engine path caches values, so a scrape
+/// leaves them zero; the section stays because the benchmark
+/// harness and the exposition names (`drtm_cache_*`) read it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Remote reads served from the cache (no READ verb issued).
@@ -720,27 +686,6 @@ mod tests {
         assert_eq!(s.machines[0].committed, 2);
         assert_eq!(s.machines[1].node, 1);
         assert_eq!(s.machines[1].aborted, 2);
-    }
-
-    #[test]
-    fn cache_counters_merge_and_reset() {
-        let r = Registry::new();
-        let a = r.shard(0);
-        let b = r.shard(1);
-        a.note_cache_hit(128);
-        a.note_cache_hit(128);
-        a.note_cache_miss();
-        b.note_cache_invalidations(3);
-        let s = r.scrape();
-        assert_eq!(s.cache.hits, 2);
-        assert_eq!(s.cache.misses, 1);
-        assert_eq!(s.cache.invalidations, 3);
-        assert_eq!(s.cache.bytes_saved, 256);
-        assert!((s.cache.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        r.reset();
-        let s = r.scrape();
-        assert_eq!(s.cache, CacheStats::default());
-        assert_eq!(s.cache.hit_rate(), 0.0);
     }
 
     #[test]

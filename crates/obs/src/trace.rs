@@ -61,8 +61,6 @@ pub enum EventKind {
     CrashPoint,
     /// A recovery milestone (suspect, reconfig, replay, done).
     Recovery,
-    /// A value-cache event (hit, miss, invalidate, epoch sweep).
-    Cache,
     /// A serving-tier event (accept, admit, reject, drain).
     Net,
     /// A commit-protocol phase span of a traced request (label is the
@@ -88,7 +86,6 @@ impl EventKind {
             EventKind::LeaseExpire => "lease_expire",
             EventKind::CrashPoint => "crash_point",
             EventKind::Recovery => "recovery",
-            EventKind::Cache => "cache",
             EventKind::Net => "net",
             EventKind::Phase => "phase",
             EventKind::Contention => "contention",
@@ -106,7 +103,6 @@ impl EventKind {
             EventKind::LeaseRenew | EventKind::LeaseExpire => "lease",
             EventKind::CrashPoint => "chaos",
             EventKind::Recovery => "recovery",
-            EventKind::Cache => "cache",
             EventKind::Net => "net",
             EventKind::Contention => "contention",
             EventKind::Mark => "mark",

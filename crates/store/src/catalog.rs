@@ -171,10 +171,7 @@ impl Store {
     /// it first, comparing the cached incarnation against the record
     /// they then read *at read time* (a mismatch means the block was
     /// freed or reused: invalidate and re-probe). This layer cannot do
-    /// that check because it never reads the record itself. The value
-    /// cache ([`crate::value_cache::ValueCache`]) re-checks the same
-    /// incarnation once more at commit (C.2), since a cached hit skips
-    /// the read-time check entirely.
+    /// that check because it never reads the record itself.
     ///
     /// # Panics
     ///

@@ -25,10 +25,8 @@
 //!   the same schema in the same order, so table directories land at
 //!   identical offsets on every node and remote nodes can probe a peer's
 //!   hash tables without any metadata exchange.
-//! * [`value_cache`] — a client-side cache of remote read-mostly record
-//!   *values*, validated at commit with header-only READs; the natural
-//!   extension of the location cache once a table is declared
-//!   read-mostly.
+//! * [`value_cache`] — a map of remote record snapshots that no engine
+//!   path uses; it stays for the benchmark harness's store kernel.
 
 #![deny(missing_docs)]
 

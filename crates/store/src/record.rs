@@ -295,8 +295,8 @@ impl<'a> RecordRef<'a> {
 }
 
 /// The header words of a record as observed by a one-sided READ of
-/// [`HEADER_BYTES`] at the record base (the C.2 validation wire format
-/// for value-cached records).
+/// [`HEADER_BYTES`] at the record base (the C.2 and read-only
+/// validation wire format).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordHeader {
     /// Lock word as observed (read-only validation rejects a locked
@@ -428,7 +428,7 @@ pub fn parse_consistent(img: &[u8], layout: RecordLayout) -> Option<RemoteRecord
 /// Reads just the record header — lock, incarnation, sequence number —
 /// over RDMA with one blocking [`HEADER_BYTES`]-byte READ at `base`.
 ///
-/// This is the C.2 validation read for value-cached records: the three
+/// This is the validation read of a remote read-set entry: the three
 /// header words live on one cache line, so the READ is single-line
 /// atomic and needs no version matching. Batched committers post the
 /// equivalent `WorkRequest::Read { raddr: base, len: HEADER_BYTES }`

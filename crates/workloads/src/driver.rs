@@ -57,11 +57,6 @@ pub struct RunCfg {
     pub no_location_cache: bool,
     /// FaRM-style messaging for remote locking (ablation, §4.4).
     pub msg_locking: bool,
-    /// Disable the read-mostly value cache (A/B baseline). The cache
-    /// only engages on tables the workload marks read-mostly (YCSB's KV
-    /// table on read-heavy mixes, TPC-C's `ITEM`); with this set those
-    /// reads pay the full-record READ every time.
-    pub no_value_cache: bool,
     /// In-flight transaction routines multiplexed per worker thread
     /// (DESIGN.md §11). Each DrTM+R worker slot runs `R` cooperative
     /// routines through a [`RoutinePool`], splitting its transaction
@@ -91,7 +86,6 @@ impl Default for RunCfg {
             fuse_lock_validate: false,
             no_location_cache: false,
             msg_locking: false,
-            no_value_cache: false,
             routines: 1,
             contention: ContentionPolicy::Off,
         }
@@ -298,18 +292,14 @@ fn run_slots(
     aggregate(results)
 }
 
-/// Builds the engine options for a run. `read_mostly_tables` comes from
-/// the workload: each benchmark knows which of its tables are rewritten
-/// rarely enough that caching their values remotely pays off.
-fn engine_opts(run: &RunCfg, region_size: usize, read_mostly_tables: Vec<u32>) -> EngineOpts {
+/// Builds the engine options for a run.
+fn engine_opts(run: &RunCfg, region_size: usize) -> EngineOpts {
     EngineOpts::builder()
         .replicas(run.replicas)
         .region_size(region_size)
         .fuse_lock_validate(run.fuse_lock_validate)
         .use_location_cache(!run.no_location_cache)
         .msg_locking(run.msg_locking)
-        .value_cache(!run.no_value_cache)
-        .read_mostly_tables(read_mostly_tables)
         .contention(run.contention)
         .build()
 }
@@ -317,7 +307,7 @@ fn engine_opts(run: &RunCfg, region_size: usize, read_mostly_tables: Vec<u32>) -
 /// Builds and loads a TPC-C cluster for `run`.
 pub fn build_tpcc(cfg: &TpccCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
     let expected = run.txns_per_worker * run.threads * 2;
-    let opts = engine_opts(run, cfg.region_size(expected), cfg.read_mostly_tables());
+    let opts = engine_opts(run, cfg.region_size(expected));
     let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
     tpcc::load(&cluster, cfg);
     let calvin =
@@ -328,7 +318,7 @@ pub fn build_tpcc(cfg: &TpccCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<
 /// Builds and loads a SmallBank cluster for `run`.
 pub fn build_smallbank(cfg: &SbCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
     // SmallBank writes every table it reads; nothing is read-mostly.
-    let opts = engine_opts(run, cfg.region_size(), Vec::new());
+    let opts = engine_opts(run, cfg.region_size());
     let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
     smallbank::load(&cluster, cfg);
     let calvin =
@@ -519,7 +509,7 @@ async fn tpcc_loop<M: MeasuredWorker>(
 
 /// Builds and loads a YCSB cluster for `run`.
 pub fn build_ycsb(cfg: &YcsbCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
-    let opts = engine_opts(run, cfg.region_size(), cfg.read_mostly_tables());
+    let opts = engine_opts(run, cfg.region_size());
     let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
     ycsb::load(&cluster, cfg);
     let calvin =

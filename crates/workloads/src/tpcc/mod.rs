@@ -135,15 +135,6 @@ impl TpccCfg {
         let growth = expected_txns * 512; // order-line records etc.
         (records + slots + growth + (8 << 20)).next_power_of_two()
     }
-
-    /// Tables worth caching node-locally (DESIGN.md §8): `ITEM` is the
-    /// TPC-C catalogue — loaded once, read by every new-order, never
-    /// updated by the standard mix. (Items are also replicated per
-    /// shard, so the cache only engages for the cross-warehouse slice of
-    /// new-orders that reads a remote shard's copy.)
-    pub fn read_mostly_tables(&self) -> Vec<u32> {
-        vec![T_ITEM]
-    }
 }
 
 // --- Key encodings (documented bit budgets; asserted in the loader) ---

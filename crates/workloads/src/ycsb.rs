@@ -98,11 +98,10 @@ impl YcsbCfg {
         (shard as u64) << 40 | r
     }
 
-    /// Tables worth caching node-locally (DESIGN.md §8): the KV table
-    /// qualifies only on read-heavy mixes (B, C), where a cached value
-    /// survives many hits before a writer invalidates it. On write-heavy
-    /// mixes the cache would churn — filled, invalidated at C.2, refilled
-    /// — for no byte savings.
+    /// The read-mostly tables of this mix: the KV table on read-heavy
+    /// mixes (B, C), none otherwise. It classifies the mix and nothing
+    /// more — no engine path caches values. It stays because the
+    /// benchmark harness (`perf/src/workloads.rs`) reads it.
     pub fn read_mostly_tables(&self) -> Vec<u32> {
         if self.mix.read_ratio() >= 0.9 {
             vec![T_KV]

@@ -80,9 +80,6 @@ pub fn write_validates(cur: u64) -> bool {
 }
 
 #[cfg(test)]
-mod proptests;
-
-#[cfg(test)]
 mod tests;
 
 #[cfg(test)]

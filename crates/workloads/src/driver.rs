@@ -348,7 +348,10 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         throughput: 0.0,
         per_type: HashMap::new(),
     };
-    let mut type_acc: HashMap<&'static str, (u64, f64, f64, f64, f64)> = HashMap::new();
+    // Per type: commits, throughput summed over workers, and the
+    // workers' latency histograms merged, so that every quantile is the
+    // merged distribution's and not a mean of per-worker quantiles.
+    let mut types: HashMap<&'static str, (u64, f64, Histogram)> = HashMap::new();
     for r in results {
         m.committed += r.committed;
         m.aborted += r.aborted;
@@ -356,25 +359,24 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         let secs = (r.vtime_ns.max(1)) as f64 / 1e9;
         m.throughput += r.committed as f64 / secs;
         for (name, (count, hist)) in r.per_type {
-            let e = type_acc.entry(name).or_insert((0, 0.0, 0.0, 0.0, 0.0));
+            let e = types
+                .entry(name)
+                .or_insert_with(|| (0, 0.0, Histogram::new()));
             e.0 += count;
             e.1 += count as f64 / secs;
-            // Weighted latency aggregation.
-            e.2 += hist.mean() * count as f64;
-            e.3 += hist.quantile(0.5) as f64 * count as f64;
-            e.4 += hist.quantile(0.99) as f64 * count as f64;
+            e.2.merge(&hist);
         }
     }
-    for (name, (count, tps, mean_w, p50_w, p99_w)) in type_acc {
-        let c = count.max(1) as f64;
+    for (name, (count, tps, hist)) in types {
+        let us = |ns: f64| ns / 1e3;
         m.per_type.insert(
             name,
             TypeStats {
                 count,
                 tps,
-                mean_us: mean_w / c / 1e3,
-                p50_us: p50_w / c / 1e3,
-                p99_us: p99_w / c / 1e3,
+                mean_us: us(hist.mean()),
+                p50_us: us(hist.quantile(0.5) as f64),
+                p99_us: us(hist.quantile(0.99) as f64),
             },
         );
     }
@@ -643,4 +645,38 @@ async fn sb_loop<M: MeasuredWorker>(
         }
     }
     (committed, per_type)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two workers whose latencies of one type differ by three orders of
+    /// magnitude: the reported quantiles are those of one histogram that
+    /// recorded every commit, not count-weighted means of each worker's.
+    #[test]
+    fn per_type_quantiles_are_the_merged_distributions() {
+        let all = Histogram::new();
+        let worker = |commits: u64, ns: u64| {
+            let hist = Histogram::new();
+            for _ in 0..commits {
+                hist.record(ns);
+                all.record(ns);
+            }
+            WorkerResult {
+                vtime_ns: 1_000_000_000,
+                committed: commits,
+                aborted: 0,
+                fallbacks: 0,
+                per_type: HashMap::from([("x", (commits, hist))]),
+            }
+        };
+        let m = aggregate(vec![worker(300, 1_000), worker(100, 1_000_000)]);
+        let x = &m.per_type["x"];
+        assert_eq!((x.count, x.tps), (400, 400.0));
+        assert_eq!(x.mean_us, all.mean() / 1e3);
+        assert_eq!(x.p50_us, all.quantile(0.5) as f64 / 1e3);
+        assert_eq!(x.p99_us, all.quantile(0.99) as f64 / 1e3);
+        assert!(x.p50_us < 2.0 && x.p99_us > 500.0, "{x:?}");
+    }
 }

@@ -326,12 +326,15 @@ impl TxnCtx<'_> {
     /// C.4 and never locked — while this one still shows its old
     /// sequence number.
     ///
-    /// A read set that one atomic read built — one read-group region or
-    /// one consistent READ, each of which saw every record unlocked —
-    /// and whose sequence numbers are all even (committed) serializes at
-    /// that read, as FaRM's lock-free single-object reads do: there is
-    /// nothing to validate. Odd reads and read sets built by more than
-    /// one read validate as above.
+    /// A read set that one atomic read built — one HTM region, however
+    /// many read groups extended it, or one consistent READ, each of
+    /// which saw every record unlocked — and whose sequence numbers are
+    /// all even (committed) serializes at that read, as FaRM's lock-free
+    /// single-object reads do: there is nothing to validate. An
+    /// all-local reader's groups are one region unless a back-off, a
+    /// conflict or the read capacity closed it between them
+    /// (`TxnCtx::read_region`). Odd reads and read sets built by more
+    /// than one read validate as above; the pass is counted.
     async fn commit_ro(&mut self) -> Result<(), TxnError> {
         assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
         // Traced read-only commits get an execute span (begin → here)
@@ -339,6 +342,7 @@ impl TxnCtx<'_> {
         let mut pc = PhaseClock::start(self);
         pc.lap(self.w, Phase::Execute);
         if !self.one_snapshot() {
+            self.w.obs.note_ro_validation();
             self.validate_ro().await?;
         }
         // A reconfiguration mid-transaction may have re-homed a shard

@@ -469,10 +469,12 @@ fn read_effects(t: &crate::TxnCtx<'_>, universe: &[(usize, u32, u64)]) -> ReadEf
 /// `read_many_async` on the other. Values (or the error), both read
 /// sets in order, the location caches and the commit outcome must be
 /// equal; only the clock may differ — downwards, when every key is
-/// found and no verb fails: the local records fetched share one HTM
-/// region, which saves `htm_begin_ns + htm_commit_ns` for each but
-/// one, and that is the whole saving when every key is local (a third
-/// of the cases). Keys are local, remote on two machines, in two
+/// found and no verb fails: in a read-write transaction the local
+/// records fetched share one HTM region, which saves `htm_begin_ns +
+/// htm_commit_ns` for each but one, and that is the whole saving when
+/// every key is local (a third of the cases); a read-only transaction's
+/// sequential reads extend one region just as the group does, so with
+/// every key local the two spend the same. Keys are local, remote on two machines, in two
 /// tables, repeated, own-written, already read, located, or missing; half
 /// the cases drop every third or fourth READ, so batched READs come
 /// back dropped or flushed and fall back to the per-key loop.
@@ -551,7 +553,12 @@ fn read_many_is_the_sequential_reads() {
             // Local records fetched (each 1 line: one region holds all).
             let fetched = (t.l_rs.len() - fetched) as u64;
             let cost = &t.w.cluster.opts.cost;
-            let saved = (cost.htm_begin_ns + cost.htm_commit_ns) * fetched.saturating_sub(1);
+            let regions = if read_only {
+                0
+            } else {
+                fetched.saturating_sub(1)
+            };
+            let saved = (cost.htm_begin_ns + cost.htm_commit_ns) * regions;
             let effects = read_effects(&t, &universe);
             let committed = got.as_ref().map_err(|&e| e).and_then(|_| t.commit());
             (got, effects, committed, spent, saved)

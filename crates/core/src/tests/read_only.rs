@@ -293,3 +293,211 @@ fn one_record_reads_are_linearizable() {
         assert_eq!(*bad, None);
     }
 }
+
+/// Local read groups are one snapshot. Writers on both machines move 1
+/// between two records of machine 0 in one transaction each — machine
+/// 0's commits in HTM, machine 1's over RDMA (C.1–C.6). Eight routines
+/// on machine 0 read the two records in two calls per read-only
+/// transaction, yielding the thread between them so that writers
+/// commit there; a transaction commits with no validation pass when
+/// nothing moved between the calls. Every committed pair sums to the
+/// constant, and some commits skipped the pass.
+#[test]
+fn local_read_groups_are_one_snapshot() {
+    const WRITERS: usize = 2;
+    const SUM: u64 = 2_000;
+    let (x, y) = (key(0, 0), key(0, 1));
+    let c = setup(2).seed(0..1, 0..2, SUM / 2).build();
+    let (stop, moves) = (AtomicBool::new(false), AtomicU64::new(0));
+    // Threads 0 and 1 write; thread 2 runs the readers' pool once both
+    // have moved.
+    let out = threads(WRITERS + 1, |id| {
+        if id < WRITERS {
+            let mut w = c.worker(id, 100 + id as u64);
+            let mut flip = false;
+            while !stop.load(SeqCst) {
+                let (from, to) = if flip { (y, x) } else { (x, y) };
+                flip = !flip;
+                w.run(|t| {
+                    let (f, g) = (num(&t.read(0, T_ACCT, from)?), num(&t.read(0, T_ACCT, to)?));
+                    t.write(0, T_ACCT, from, val(f - 1))?;
+                    t.write(0, T_ACCT, to, val(g + 1))
+                })
+                .unwrap();
+                moves.fetch_add(1, SeqCst);
+                std::thread::yield_now();
+            }
+            return (Vec::new(), 0);
+        }
+        while moves.load(SeqCst) < WRITERS as u64 {
+            std::thread::yield_now();
+        }
+        let readers = (0..8).map(|id| c.worker(0, 10 + id)).collect();
+        let out = crate::routine::RoutinePool::run(readers, async |_, w| {
+            let (mut torn, mut unvalidated) = (Vec::new(), 0);
+            for _ in 0..150 {
+                let validations = w.obs.ro_validations.get();
+                let read = w.run_ro_async(async |t| {
+                    let f = num(&t.read_async(0, T_ACCT, x).await?);
+                    std::thread::yield_now();
+                    let g = num(&t.read_async(0, T_ACCT, y).await?);
+                    Ok((f, g))
+                });
+                let (f, g) = read.await.unwrap();
+                if f + g != SUM {
+                    torn.push((f, g));
+                }
+                unvalidated += u32::from(w.obs.ro_validations.get() == validations);
+            }
+            (torn, unvalidated)
+        });
+        stop.store(true, SeqCst);
+        let unvalidated = out.iter().map(|(_, (_, n))| n).sum();
+        let torn = out.into_iter().flat_map(|(_, (torn, _))| torn).collect();
+        (torn, unvalidated)
+    });
+    let (torn, unvalidated) = &out[WRITERS];
+    assert_eq!(*torn, [], "torn pairs committed");
+    assert!(*unvalidated > 0, "no commit skipped the validation pass");
+    assert_eq!(value(&c, 0, 0) + value(&c, 0, 1), SUM);
+}
+
+/// Two machines: [`setup`]'s accounts, and keys 0..40 of [`T_ORD`] on
+/// machine 0.
+fn accounts_and_orders() -> Arc<DrtmCluster> {
+    let schema = [
+        TableSpec::hash(T_ACCT, 4096, 16),
+        TableSpec::ordered(T_ORD, 100),
+    ];
+    let c = setup(2).schema(&schema).build();
+    for k in 0..40u64 {
+        c.seed_record(0, T_ORD, k, &[k as u8; 100]);
+    }
+    c
+}
+
+/// One HTM region (DESIGN.md "Read-only txns"): a read-only
+/// transaction's local read groups — a point read, a scan, a
+/// `read_many` — extend the region the first one opened, so it pays
+/// one `htm_begin_ns + htm_commit_ns` in all, is one snapshot, and its
+/// commit validates nothing and adds no time. A remote read in the
+/// middle closes the region before its READ: three snapshots, and the
+/// commit pays a header load per local record and one header-READ park.
+#[test]
+fn one_region_read_only_commit_posts_no_validation() {
+    let c = accounts_and_orders();
+    let cost = &c.opts.cost;
+    let lines = |table| c.stores[0].table(table).layout.lines() as u64;
+    let mut w = c.worker(0, 1);
+    // Warms the location cache, so the remote read posts no probe.
+    w.run_ro(|t| t.read(1, T_ACCT, key(1, 5))).unwrap();
+    let nic = Nic::new(&c);
+    for remote in [false, true] {
+        let validations = w.obs.ro_validations.get();
+        let mut t = w.begin_ro();
+        let at = t.w.clock.now();
+        assert_eq!(t.read(0, T_ACCT, key(0, 1)).map(|v| num(&v)), Ok(100));
+        if remote {
+            assert_eq!(t.read(1, T_ACCT, key(1, 5)).map(|v| num(&v)), Ok(100));
+        }
+        let scanned = t.scan_local(T_ORD, 5, 14, usize::MAX).unwrap();
+        assert_eq!(scanned.len(), 10);
+        let many = [(0, T_ACCT, key(0, 2)), (0, T_ACCT, key(0, 3))];
+        assert_eq!(t.read_many(&many).map(|v| v.len()), Ok(2));
+        let spent = t.w.clock.now() - at;
+        let snapshots = t.snapshots;
+        nic.mark();
+        let at = t.w.clock.now();
+        assert_eq!(t.commit(), Ok(()));
+        let (commit_ns, d) = (w.clock.now() - at, nic.since(1));
+        let validated = w.obs.ro_validations.get() - validations;
+        if !remote {
+            let pair = cost.htm_begin_ns + cost.htm_commit_ns;
+            let records = 13 * cost.record_logic_ns;
+            let read = (3 * lines(T_ACCT) + 10 * lines(T_ORD)) * cost.mem_access_ns;
+            assert_eq!(spent, pair + records + read, "one region's charges");
+            assert_eq!((snapshots, commit_ns, validated), (1, 0, 0));
+            assert_eq!((d.reads, d.doorbells), (0, 0), "{d:?}");
+        } else {
+            assert_eq!((snapshots, validated), (3, 1));
+            assert!(commit_ns > 13 * cost.mem_access_ns, "{commit_ns} ns");
+            assert_eq!((d.reads, d.doorbells), (1, 1), "one header READ: {d:?}");
+        }
+    }
+}
+
+/// What closes a read-only transaction's region between two local
+/// reads of `A` = `key(0, 1)` and `B` = `key(0, 2)`: a read capacity
+/// that `B`'s group would pass, a remote read, and `B` found locked,
+/// whose back-off lets a sibling routine free it. Each leaves two
+/// regions (three snapshots with the remote READ), so the commit runs
+/// the validation pass: it commits, and aborts `Validation` when `A`
+/// was rewritten after its region closed.
+#[test]
+fn one_region_closes_at_capacity_a_back_off_and_a_verb() {
+    use drtm_store::{lock_word, LOCK_FREE};
+    let (a, b) = (key(0, 1), key(0, 2));
+    for case in ["capacity", "remote", "locked"] {
+        for rewrite in [false, true] {
+            let one_line = drtm_htm::HtmConfig {
+                max_read_lines: 1,
+                ..Default::default()
+            };
+            let c = match case {
+                "capacity" => setup(2).opts(|o| o.htm(one_line)).build(),
+                _ => cluster(2, 1),
+            };
+            assert_eq!(c.stores[0].table(T_ACCT).layout.lines(), 1);
+            let (snapshots, outcome, validated) = if case == "locked" {
+                let off = c.stores[0].get_loc(T_ACCT, b).unwrap() as usize;
+                let region = &c.stores[0].region;
+                region.cas64(off, LOCK_FREE, lock_word(1)).unwrap();
+                let workers = (0..2u64)
+                    .map(|id| {
+                        let mut w = c.worker(0, 5 + id);
+                        w.clock.advance(id * 100_000);
+                        w
+                    })
+                    .collect();
+                let mut out = crate::routine::RoutinePool::run(workers, async |id, w| {
+                    if id == 1 {
+                        region.cas64(off, lock_word(1), LOCK_FREE).unwrap();
+                        if rewrite {
+                            let write =
+                                w.run_async(async |t| t.write_async(0, T_ACCT, a, val(7)).await);
+                            write.await.unwrap();
+                        }
+                        return None;
+                    }
+                    let mut t = w.begin_ro();
+                    t.read_async(0, T_ACCT, a).await.unwrap();
+                    t.read_async(0, T_ACCT, b).await.unwrap();
+                    let snapshots = t.snapshots;
+                    Some((snapshots, t.commit_async().await))
+                });
+                let (w, out) = out.remove(0);
+                let (snapshots, outcome) = out.unwrap();
+                (snapshots, outcome, w.obs.ro_validations.get())
+            } else {
+                let mut w = c.worker(0, 1);
+                let mut t = w.begin_ro();
+                t.read(0, T_ACCT, a).unwrap();
+                if case == "remote" {
+                    t.read(1, T_ACCT, key(1, 1)).unwrap();
+                }
+                t.read(0, T_ACCT, b).unwrap();
+                if rewrite {
+                    let mut home = c.worker(0, 2);
+                    home.run(|t| t.write(0, T_ACCT, a, val(7))).unwrap();
+                }
+                let snapshots = t.snapshots;
+                let outcome = t.commit();
+                (snapshots, outcome, w.obs.ro_validations.get())
+            };
+            let want = if case == "remote" { 3 } else { 2 };
+            assert_eq!((snapshots, validated), (want, 1), "{case}");
+            let stale = Err(TxnError::Aborted(AbortReason::Validation));
+            assert_eq!(outcome, if rewrite { stale } else { Ok(()) }, "{case}");
+        }
+    }
+}

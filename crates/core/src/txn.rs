@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use drtm_base::task::block_now;
 use drtm_base::{Histogram, SplitMix64, VClock};
-use drtm_htm::{HtmConfig, HtmTxn};
+use drtm_htm::{HtmConfig, HtmTxn, ReadSet};
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
@@ -287,10 +287,15 @@ pub struct TxnCtx<'w> {
     pub(crate) r_rs: Vec<RemoteRead>,
     pub(crate) r_ws: Vec<RemoteWrite>,
     pub(crate) mutations: Vec<PendingMutation>,
-    /// Atomic reads that built the read sets: one per committed read
-    /// group region, one per consistent READ of a remote record.
+    /// Atomic reads that built the read sets: one per HTM region that
+    /// read groups, one per consistent READ of a remote record.
     /// `commit_ro`'s one-snapshot rule reads it.
     pub(crate) snapshots: u32,
+    /// A read-only transaction's open HTM region: the read set of the
+    /// local read groups since it opened, which the next group extends
+    /// (`read_region`). Closed — dropped — before a verb is posted, at a
+    /// group's failed attempt and when the next group would overflow it.
+    region: Option<ReadSet>,
 }
 
 impl Worker {
@@ -582,6 +587,7 @@ impl Worker {
             r_ws: Vec::new(),
             mutations: Vec::new(),
             snapshots: 0,
+            region: None,
             w: self,
         }
     }
@@ -882,13 +888,15 @@ impl<'w> TxnCtx<'w> {
     /// Reads `members` — local records in neither local set, no two
     /// alike — as one *read group*: one HTM region reads them all and
     /// checks each lock word, where Figure 5's `LOCAL_READ` opens one
-    /// region per record. Returns one read-set entry per member, in
-    /// order, not yet entered in the read set; `Err(i)`: member `i`'s
-    /// lock outlasted every retry.
+    /// region per record (and a read-only transaction's group extends
+    /// the region its earlier groups opened, `read_region`). Returns one
+    /// read-set entry per member, in order, not yet entered in the read
+    /// set; `Err(i)`: member `i`'s lock outlasted every retry.
     ///
     /// A group whose lines exceed the read capacity
     /// ([`drtm_htm::HtmConfig::max_read_lines`]) is split into
-    /// consecutive regions that each fit, so it never relies on a
+    /// consecutive regions that each fit, and a region that the next
+    /// part would overflow is closed first, so no read relies on a
     /// capacity abort.
     async fn read_group(&mut self, members: &[GroupMember]) -> Result<Vec<LocalRead>, usize> {
         let cluster = Arc::clone(&self.w.cluster);
@@ -914,18 +922,30 @@ impl<'w> TxnCtx<'w> {
         Ok(reads)
     }
 
-    /// One region of a read group, attempted until it commits. A region
-    /// that finds a member locked by a committer is dropped and backs
-    /// off as a per-record read did — a randomised wait, then a spin
-    /// park in the reactor's poll loop (§14), which stays runnable and
-    /// flush-exempt so the wait cannot wedge a deferred doorbell flush;
-    /// a conflicting commit retries it at once. The region is opened and
-    /// closed without suspending (§11). `Err(i)`: member `i` was locked
-    /// at the last of the attempts.
+    /// One region of a read group, attempted until it commits.
     ///
-    /// Charges, per attempt, `htm_begin_ns` plus `record_logic_ns` per
-    /// member; on its commit, `htm_commit_ns` plus `mem_access_ns` per
-    /// line read.
+    /// A read-only transaction's group extends the region its earlier
+    /// groups opened, while the two fit the read capacity: the attempt
+    /// resumes that region's read set, so its commit proves every line
+    /// the region read unchanged, and the region stays one snapshot
+    /// however many groups it spans. The region stays open after the
+    /// commit for the next group. A read-write transaction's group
+    /// opens a region of its own and closes it: C.3 validates its reads.
+    ///
+    /// An attempt that finds a member locked by a committer is dropped
+    /// and backs off as a per-record read did — a randomised wait, then
+    /// a spin park in the reactor's poll loop (§14), which stays runnable
+    /// and flush-exempt so the wait cannot wedge a deferred doorbell
+    /// flush; a conflicting attempt retries at once. Either closes the
+    /// region it extended, and the retry opens a new one. A region is
+    /// opened and closed without suspending (§11). `Err(i)`: member `i`
+    /// was locked at the last of the attempts.
+    ///
+    /// Charges, per attempt, `record_logic_ns` per member, plus
+    /// `htm_begin_ns` when it opens a region; on its commit,
+    /// `mem_access_ns` per line read, plus `htm_commit_ns` when it opened
+    /// the region: the one `XBEGIN`/`XEND` pair of a region is charged to
+    /// the group that opens it, and extending it costs neither.
     async fn read_region(
         &mut self,
         cluster: &DrtmCluster,
@@ -938,13 +958,23 @@ impl<'w> TxnCtx<'w> {
         let lines: usize = (members.iter())
             .map(|m| store.table(m.table).layout.lines())
             .sum();
+        let max_lines = cluster.opts.htm.max_read_lines;
+        if (self.region.as_ref()).is_some_and(|open| open.lines() + lines > max_lines) {
+            self.region = None;
+        }
         let mut busy = 0;
         for _ in 0..LOCAL_READ_RETRIES {
-            self.charge(cost.htm_begin_ns + members.len() as u64 * cost.record_logic_ns);
-            match attempt_region(store, &cluster.opts.htm, members) {
-                RegionRead::Committed(read) => {
-                    self.charge(cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
-                    self.snapshots += 1;
+            // The attempt takes the open region: a failed one closes it.
+            let open = self.region.take();
+            let opens = u64::from(open.is_none());
+            self.charge(opens * cost.htm_begin_ns + members.len() as u64 * cost.record_logic_ns);
+            match attempt_region(store, &cluster.opts.htm, open, members) {
+                RegionRead::Committed(read, set) => {
+                    self.charge(opens * cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
+                    self.snapshots += opens as u32;
+                    if self.read_only {
+                        self.region = Some(set);
+                    }
                     return Ok(read);
                 }
                 RegionRead::Locked(i) => {
@@ -960,6 +990,14 @@ impl<'w> TxnCtx<'w> {
             }
         }
         Err(busy)
+    }
+
+    /// Closes the open HTM region, if any, before a verb is posted: a
+    /// real RTM region cannot span a doorbell's MMIO write, nor the
+    /// routine switch of the wait. (A read group's back-off closes it by
+    /// failing its attempt.)
+    fn close_region(&mut self) {
+        self.region = None;
     }
 
     /// Enters a read group's entry in the local read set, returning its
@@ -1114,6 +1152,7 @@ impl<'w> TxnCtx<'w> {
                     Some(result) => result,
                     None => {
                         let wr = record_read(rec_off, layout);
+                        self.close_region();
                         let mut wcs = self.w.ring(node, vec![wr], 1).await;
                         wcs.pop().expect("one READ, one completion").result
                     }
@@ -1411,6 +1450,7 @@ impl<'w> TxnCtx<'w> {
         mut probe: RemoteProbe,
     ) -> Result<usize, TxnError> {
         for _ in 0..REMOTE_READ_RETRIES {
+            self.close_region();
             let mut wcs = self.w.ring(node, vec![probe_read(&probe)], 1).await;
             let line = wcs.pop().expect("one READ, one completion").result;
             if let Some(found) = feed_probe(&mut probe, &line) {
@@ -1444,21 +1484,25 @@ impl<'w> TxnCtx<'w> {
     /// location-cache effects, same error at the same key), except that
     /// the verbs those reads would have waited for one after another are
     /// posted together and the local records are read in one HTM region
-    /// instead of one each. Every remote key that needs a verb has the
+    /// instead of one each. Every local key that must fetch its record
+    /// joins one read group (`read_group`, DESIGN.md §4), read first, so
+    /// that it extends a read-only transaction's open region before any
+    /// verb closes it; then every remote key that needs a verb has the
     /// first line of its location probe posted in one park — one shared
-    /// doorbell per machine — and its record READ in the next; every
-    /// local key that must fetch its record joins one read group
-    /// (`read_group`, DESIGN.md §4). Then each key takes its turn: a
-    /// local key's group entry enters the read set there, and a remote
-    /// key goes through the sequential read, which finds its first lookup
-    /// and first READ already answered. Whatever the batch could not
-    /// settle is taken up per key by that same loop: a probe chain
-    /// running past its first line continues from its second, a torn or
-    /// dropped READ or a record locked under a read-only reader is read
-    /// again, a stale cached location is invalidated and looked up
-    /// afresh. Charges differ from the sequential reads' only by the
-    /// `htm_begin_ns + htm_commit_ns` of every local record beyond the
-    /// group's regions.
+    /// doorbell per machine — and its record READ in the next. Then each
+    /// key takes its turn: a local key's group entry enters the read set
+    /// there, and a remote key goes through the sequential read, which
+    /// finds its first lookup and first READ already answered. Whatever
+    /// the batch could not settle is taken up per key by that same loop:
+    /// a probe chain running past its first line continues from its
+    /// second, a torn or dropped READ or a record locked under a
+    /// read-only reader is read again, a stale cached location is
+    /// invalidated and looked up afresh. Charges differ from the sequential reads' only by the
+    /// `htm_begin_ns + htm_commit_ns` pairs the group saves: in a
+    /// read-write transaction, whose reads each open a region, one per
+    /// local record beyond the group's regions; in a read-only one,
+    /// whose reads extend one region, one per region the sequential
+    /// reads reopen after a remote key's verbs closed it.
     ///
     /// This batches reads a body is about to issue anyway; it is not the
     /// a-priori read/write set DrTM needed: a key that depends on a
@@ -1467,8 +1511,8 @@ impl<'w> TxnCtx<'w> {
         &mut self,
         keys: &[(usize, TableId, u64)],
     ) -> Result<Vec<Vec<u8>>, TxnError> {
-        let mut fetched = self.fetch_ahead(keys).await;
         let mut grouped = self.read_local_keys(keys).await;
+        let mut fetched = self.fetch_ahead(keys).await;
         let mut values = Vec::with_capacity(keys.len());
         for (i, &(shard, table, key)) in keys.iter().enumerate() {
             let ahead = fetched.get_mut(i).and_then(Option::take);
@@ -1570,6 +1614,8 @@ impl<'w> TxnCtx<'w> {
         if wanted.is_empty() {
             return Vec::new();
         }
+        // Every key wanted posts a probe line or a record READ.
+        self.close_region();
         let mut out: Vec<Option<Prefetch>> = keys.iter().map(|_| None).collect();
         // Park one: the first probe line of every key not yet located.
         let store = &cluster.stores[me];
@@ -1650,8 +1696,9 @@ enum LocalSource<'a> {
 
 /// How one attempt at one of a read group's HTM regions ended.
 enum RegionRead {
-    /// Committed: every member's entry, in order.
-    Committed(Vec<LocalRead>),
+    /// Committed: every member's entry, in order, and the region's read
+    /// set, for a later group to extend.
+    Committed(Vec<LocalRead>, ReadSet),
     /// Member `i`'s lock word was held; the region was dropped.
     Locked(usize),
     /// A concurrent commit conflicted with the region.
@@ -1659,10 +1706,19 @@ enum RegionRead {
 }
 
 /// One attempt at one HTM region reading `members` from `store`, each
-/// record's lock word checked inside the region. Never suspends: the
-/// region is closed (committed or dropped) when this returns.
-fn attempt_region(store: &Store, htm: &HtmConfig, members: &[GroupMember]) -> RegionRead {
-    let mut txn = HtmTxn::begin(&store.region, htm);
+/// record's lock word checked inside the region — a new region, or the
+/// `open` one extended. Never suspends: the region is committed or
+/// dropped when this returns.
+fn attempt_region(
+    store: &Store,
+    htm: &HtmConfig,
+    open: Option<ReadSet>,
+    members: &[GroupMember],
+) -> RegionRead {
+    let mut txn = match open {
+        Some(set) => HtmTxn::resume(&store.region, htm, set),
+        None => HtmTxn::begin(&store.region, htm),
+    };
     let mut reads = Vec::with_capacity(members.len());
     for (i, m) in members.iter().enumerate() {
         let rec = store.record(m.table, m.rec_off);
@@ -1681,8 +1737,8 @@ fn attempt_region(store: &Store, htm: &HtmConfig, members: &[GroupMember]) -> Re
             Err(_) => return RegionRead::Conflict,
         }
     }
-    match txn.commit() {
-        Ok(()) => RegionRead::Committed(reads),
+    match txn.commit_reads() {
+        Ok(set) => RegionRead::Committed(reads, set),
         Err(_) => RegionRead::Conflict,
     }
 }

@@ -60,6 +60,7 @@ pub use txn::{
     HtmConfig,
     HtmStats,
     HtmTxn,
+    ReadSet,
     RunOutcome, //
 };
 

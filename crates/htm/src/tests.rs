@@ -7,7 +7,7 @@ use std::sync::Arc;
 use drtm_base::cacheline::line_range;
 use drtm_base::{MemoryRegion, SplitMix64};
 
-use crate::{AbortCode, Htm, HtmConfig, HtmTxn, RunOutcome};
+use crate::{AbortCode, Htm, HtmConfig, HtmTxn, ReadSet, RunOutcome};
 
 fn region() -> MemoryRegion {
     MemoryRegion::new(4096)
@@ -630,4 +630,40 @@ fn region_residency_is_tracked_across_commit_and_abort() {
     });
     assert!(matches!(out, RunOutcome::Committed { .. }));
     assert!(!crate::region_active());
+}
+
+/// A resumed region keeps tracking the lines its read set came with: it
+/// commits while none moved, and a write to one of them since the set's
+/// commit aborts its next read, even of an untouched line.
+#[test]
+fn a_resumed_region_tracks_the_lines_it_resumed() {
+    let r = region();
+    let cfg = HtmConfig::default();
+    let read_line = |set: ReadSet, off: usize| {
+        let mut t = HtmTxn::resume(&r, &cfg, set);
+        t.read_u64(off)?;
+        t.commit_reads()
+    };
+    let mut t = HtmTxn::begin(&r, &cfg);
+    t.read_u64(0).unwrap();
+    let set = t.commit_reads().unwrap();
+    assert!(
+        !crate::region_active(),
+        "a kept read set is not a live region"
+    );
+    let set = read_line(set, 64).unwrap();
+    assert_eq!(set.lines(), 2);
+    r.store64_coherent(64, 7);
+    assert_eq!(
+        read_line(set, 128).map(|s| s.lines()),
+        Err(AbortCode::Conflict)
+    );
+
+    let mut t = HtmTxn::begin(&r, &cfg);
+    t.read_u64(0).unwrap();
+    r.store64_coherent(0, 1);
+    assert_eq!(
+        t.commit_reads().map(|s| s.lines()),
+        Err(AbortCode::Conflict)
+    );
 }

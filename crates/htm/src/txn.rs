@@ -162,6 +162,27 @@ impl WriteLine {
     }
 }
 
+/// The read set of a committed read-only HTM region: every line it read
+/// and the version it pinned. [`HtmTxn::resume`] opens a region that
+/// keeps tracking those lines, so one moved since it was read aborts
+/// that region as a line of its own would. A chain of such regions is
+/// one region whose `XEND` is the last one's commit, as far as any
+/// reader of the lines can tell.
+#[derive(Debug)]
+pub struct ReadSet {
+    /// `(line, version observed at first read)`, sorted by line.
+    lines: Vec<(usize, u64)>,
+    /// The region's count of line writes when every line last validated.
+    validated_at: u64,
+}
+
+impl ReadSet {
+    /// Number of distinct cache lines in the set.
+    pub fn lines(&self) -> usize {
+        self.lines.len()
+    }
+}
+
 /// An in-flight hardware transaction over one [`MemoryRegion`].
 ///
 /// Created by [`Htm::run`] (which adds the retry/fallback policy) or
@@ -186,12 +207,24 @@ impl<'a> HtmTxn<'a> {
     /// an HTM region ([`region_active`] returns `true`) until the handle
     /// commits or is dropped.
     pub fn begin(region: &'a MemoryRegion, cfg: &'a HtmConfig) -> Self {
+        let set = ReadSet {
+            lines: Vec::new(),
+            validated_at: region.line_writes(),
+        };
+        Self::resume(region, cfg, set)
+    }
+
+    /// Starts a transaction (`XBEGIN`) whose read set is `set`, taken
+    /// from an earlier region of `region` by [`Self::commit_reads`]: its
+    /// first read re-validates every line of `set` unless no line of the
+    /// region was written since `set` last validated.
+    pub fn resume(region: &'a MemoryRegion, cfg: &'a HtmConfig, set: ReadSet) -> Self {
         HTM_DEPTH.with(|d| d.set(d.get() + 1));
         Self {
             region,
-            read_set: Vec::new(),
+            read_set: set.lines,
             write_set: Vec::new(),
-            validated_at: region.line_writes(),
+            validated_at: set.validated_at,
             cfg,
         }
     }
@@ -399,6 +432,23 @@ impl<'a> HtmTxn<'a> {
             region.release_line(w.line, pre);
         }
         Ok(())
+    }
+
+    /// Commits a transaction that wrote nothing (`XEND`) — the check of
+    /// [`Self::commit`], every line read still at its pinned version —
+    /// and hands back its read set for [`Self::resume`]. The check visits
+    /// the lines only if some line of the region was written since they
+    /// last validated.
+    pub fn commit_reads(mut self) -> Result<ReadSet, AbortCode> {
+        assert!(
+            self.write_set.is_empty(),
+            "only a read-only region keeps its read set"
+        );
+        self.validate_reads(0..0)?;
+        Ok(ReadSet {
+            lines: std::mem::take(&mut self.read_set),
+            validated_at: self.validated_at,
+        })
     }
 }
 

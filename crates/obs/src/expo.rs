@@ -104,6 +104,7 @@ sections! {
     ""           "aborted"        "drtm_txn_aborted_total"            Count(|s| s.aborted);
     ""           "fallbacks"      "drtm_txn_fallback_total"           Count(|s| s.fallbacks);
     ""           "user_aborts"    "drtm_txn_user_abort_total"         Count(|s| s.user_aborts);
+    ""           "ro_validations" "drtm_txn_ro_validation_total"      Count(|s| s.ro_validations);
     ""           "latency_ns"     "drtm_txn_latency_ns"               Hist(|s| &s.latency);
     ""           "phases_ns"      "drtm_commit_phase_ns"              Hists("phase", |s| &s.phases);
     ""           "phase_waits_ns" "drtm_commit_phase_wait_ns"         Hists("phase", |s| &s.phase_waits);
@@ -326,6 +327,11 @@ pub fn render_text(s: &Snapshot) -> String {
     );
     let _ = writeln!(
         out,
+        "read-only commits that ran the validation pass: {}",
+        s.ro_validations
+    );
+    let _ = writeln!(
+        out,
         "latency (virtual): mean {:.1} us, p50 {:.1} us, p99 {:.1} us",
         s.latency.mean / 1_000.0,
         us(s.latency.p50),
@@ -503,6 +509,7 @@ pub(crate) mod tests {
         sh.note_abort(0);
         sh.note_abort(4);
         sh.note_fallback();
+        sh.note_ro_validation();
         sh.note_routines(4);
         sh.note_verb_wait(1_000, 750);
         sh.note_reactor(3, 100);

@@ -95,6 +95,10 @@ shard! {
     fallbacks => fallbacks;
     /// Explicit user aborts.
     user_aborts => user_aborts;
+    /// Read-only commits that ran the validation pass: a read set built
+    /// by more than one atomic read, or holding an odd sequence number.
+    /// A pass that aborts counts too.
+    ro_validations => ro_validations;
     /// Size of the reactor this shard's worker last attached to (1 for
     /// a worker outside any pool; the pool size inside one). Scrape
     /// reports the *maximum* across shards as the gauge.
@@ -166,6 +170,14 @@ impl Shard {
         if enabled() {
             self.user_aborts.inc();
             self.aborts[ABORT_REASONS.len() - 1].inc();
+        }
+    }
+
+    /// Records a read-only commit that runs the validation pass.
+    #[inline]
+    pub fn note_ro_validation(&self) {
+        if enabled() {
+            self.ro_validations.inc();
         }
     }
 
@@ -583,6 +595,8 @@ pub struct Snapshot {
     pub fallbacks: u64,
     /// Total explicit user aborts.
     pub user_aborts: u64,
+    /// Read-only commits that ran the validation pass.
+    pub ro_validations: u64,
     /// End-to-end committed latency summary (virtual ns).
     pub latency: HistSummary,
     /// Per-phase latency summaries in [`Phase::ALL`] order.
@@ -632,6 +646,7 @@ impl Default for Snapshot {
             aborted: 0,
             fallbacks: 0,
             user_aborts: 0,
+            ro_validations: 0,
             latency: HistSummary::default(),
             phases: phases.to_vec(),
             aborts: std::array::from_fn(|i| (ABORT_REASONS[i], 0)),

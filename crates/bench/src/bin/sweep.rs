@@ -22,10 +22,22 @@
 //! workload and run configuration chosen here, so artifacts from
 //! different PRs are directly comparable.
 
-use drtm_bench::experiment::{smallbank_arm, tpcc_arm, ycsb_arm, Arm, Report};
+use drtm_bench::experiment::{closed_arm, Arm, Report};
 use drtm_bench::{sb_cfg, stamp_json, tpcc_cfg, ycsb_cfg, Scale};
+use drtm_core::EngineOpts;
 use drtm_workloads::driver::{EngineKind, RunCfg};
 use drtm_workloads::ycsb::YcsbMix;
+
+/// The choices a `RunCfg` does not carry: the cross-machine
+/// probability and the engine ablations. The `--json` stamp records
+/// them as given.
+#[derive(Debug, Default)]
+struct Flags {
+    cross: Option<f64>,
+    msg_locking: bool,
+    no_cache: bool,
+    fuse: bool,
+}
 
 /// Exits with a usage error.
 fn bad(what: String) -> ! {
@@ -39,7 +51,8 @@ fn main() {
         txns_per_worker: 150,
         ..Default::default()
     };
-    let (mut nodes, mut cross, mut full, mut raw) = (2usize, None::<f64>, false, false);
+    let (mut nodes, mut full, mut raw) = (2usize, false, false);
+    let mut flags = Flags::default();
     // YCSB-only shape knobs.
     let (mut mix, mut theta, mut records) = (None, None::<f64>, None::<usize>);
     let mut json: Option<String> = None;
@@ -67,7 +80,9 @@ fn main() {
             "--txns" => run.txns_per_worker = num(),
             "--routines" => run.routines = num(),
             "--records" => records = Some(num()),
-            "--cross" => cross = Some(value().parse().unwrap_or_else(|_| bad("--cross P".into()))),
+            "--cross" => {
+                flags.cross = Some(value().parse().unwrap_or_else(|_| bad("--cross P".into())))
+            }
             "--theta" => theta = Some(value().parse().unwrap_or_else(|_| bad("--theta T".into()))),
             "--mix" => {
                 mix = Some(match value().to_ascii_uppercase().as_str() {
@@ -78,9 +93,9 @@ fn main() {
                     other => bad(format!("unknown mix {other:?} (one of A, B, C, F)")),
                 })
             }
-            "--msg-locking" => run.msg_locking = true,
-            "--no-cache" => run.no_location_cache = true,
-            "--fuse" => run.fuse_lock_validate = true,
+            "--msg-locking" => flags.msg_locking = true,
+            "--no-cache" => flags.no_cache = true,
+            "--fuse" => flags.fuse = true,
             "--raw" => raw = true,
             "--full" => full = true,
             "--json" => json = Some(value()),
@@ -97,26 +112,31 @@ fn main() {
         "parks",
         "grants",
     ];
+    let tweak = |o: &mut EngineOpts| {
+        o.msg_locking = flags.msg_locking;
+        o.use_location_cache = !flags.no_cache;
+        o.fuse_lock_validate = flags.fuse;
+    };
     let mut arm = Arm::new(workload.clone());
     let (m, cfg): (_, Box<dyn std::fmt::Debug>) = match workload.as_str() {
         "tpcc" => {
-            run.cross_override = cross;
-            let cfg = tpcc_cfg(scale, nodes, run.threads);
-            (tpcc_arm(&mut arm, "", &cfg, &run, &scraped), Box::new(cfg))
+            let mut cfg = tpcc_cfg(scale, nodes, run.threads);
+            cfg.cross_new_order = flags.cross.unwrap_or(cfg.cross_new_order);
+            let m = closed_arm(&mut arm, "", &cfg, &run, tweak, &scraped);
+            (m, Box::new(cfg))
         }
         "smallbank" => {
-            let cfg = sb_cfg(scale, nodes, cross.unwrap_or(0.01));
-            (
-                smallbank_arm(&mut arm, "", &cfg, &run, &scraped),
-                Box::new(cfg),
-            )
+            let cfg = sb_cfg(scale, nodes, flags.cross.unwrap_or(0.01));
+            let m = closed_arm(&mut arm, "", &cfg, &run, tweak, &scraped);
+            (m, Box::new(cfg))
         }
         _ => {
-            let mut cfg = ycsb_cfg(scale, nodes, cross.unwrap_or(0.05));
+            let mut cfg = ycsb_cfg(scale, nodes, flags.cross.unwrap_or(0.05));
             cfg.mix = mix.unwrap_or(cfg.mix);
             cfg.theta = theta.unwrap_or(cfg.theta);
             cfg.records = records.unwrap_or(cfg.records);
-            (ycsb_arm(&mut arm, "", &cfg, &run, &scraped), Box::new(cfg))
+            let m = closed_arm(&mut arm, "", &cfg, &run, tweak, &scraped);
+            (m, Box::new(cfg))
         }
     };
     if raw {
@@ -134,7 +154,7 @@ fn main() {
     };
     println!("{}", report.render());
     if let Some(path) = &json {
-        let json = report.to_json(&stamp_json(Some(&(cfg, &run))));
+        let json = report.to_json(&stamp_json(Some(&(cfg, &run, &flags))));
         std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     }
 }

@@ -15,16 +15,13 @@
 //! are rows too — their arms are the x-axis points, their metrics the
 //! series; the run functions live in [`crate::figures`].
 
-use drtm_core::{scrape_cluster, ContentionPolicy, RoutePolicy};
+use drtm_core::{scrape_cluster, ContentionPolicy, EngineOpts, RoutePolicy};
 use drtm_net::{
     run_client, scrape, ClientCfg, ClientReport, Drained, ScrapeFormat, Server, ServerCfg,
     WireError,
 };
 use drtm_obs::{expo, json, Snapshot};
-use drtm_workloads::driver::{
-    build_smallbank, build_tpcc, build_ycsb, run_smallbank_on, run_tpcc_on, run_ycsb_on,
-    EngineKind, Measurement, RunCfg,
-};
+use drtm_workloads::driver::{self, build_tpcc, EngineKind, Measurement, RunCfg, Workload};
 use drtm_workloads::smallbank::SbCfg;
 use drtm_workloads::tpcc::{txns, TpccCfg};
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
@@ -467,49 +464,18 @@ impl Experiment {
 
 // ---- shared arm runners ------------------------------------------------
 
-/// One closed-loop YCSB run on a fresh cluster, recorded under
-/// `prefix`: the driver's end-to-end numbers plus the named scrape
-/// metrics.
-pub fn ycsb_arm(
+/// One closed-loop run of `wl` on a fresh cluster whose engine options
+/// `tweak` adjusts, recorded under `prefix`: the driver's end-to-end
+/// numbers plus the named scrape metrics.
+pub fn closed_arm<W: Workload>(
     arm: &mut Arm,
     prefix: &str,
-    cfg: &YcsbCfg,
+    wl: &W,
     run: &RunCfg,
+    tweak: impl FnOnce(&mut EngineOpts),
     scraped: &[&str],
 ) -> Measurement {
-    let (cluster, calvin) = build_ycsb(cfg, run);
-    let m = run_ycsb_on(cfg, run, &cluster, calvin.as_ref());
-    arm.measured(prefix, &m);
-    arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
-    m
-}
-
-/// The same over SmallBank (the drivers share no build/run signature
-/// to be generic over).
-pub fn smallbank_arm(
-    arm: &mut Arm,
-    prefix: &str,
-    cfg: &SbCfg,
-    run: &RunCfg,
-    scraped: &[&str],
-) -> Measurement {
-    let (cluster, calvin) = build_smallbank(cfg, run);
-    let m = run_smallbank_on(cfg, run, &cluster, calvin.as_ref());
-    arm.measured(prefix, &m);
-    arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
-    m
-}
-
-/// The same over TPC-C.
-pub fn tpcc_arm(
-    arm: &mut Arm,
-    prefix: &str,
-    cfg: &TpccCfg,
-    run: &RunCfg,
-    scraped: &[&str],
-) -> Measurement {
-    let (cluster, calvin) = build_tpcc(cfg, run);
-    let m = run_tpcc_on(cfg, run, &cluster, calvin.as_ref());
+    let (cluster, m) = driver::run(wl, run, tweak);
     arm.measured(prefix, &m);
     arm.scraped(prefix, &scrape_cluster(&cluster), scraped);
     m
@@ -590,17 +556,17 @@ fn run_breakdown(size: Size) -> Result<Vec<Arm>, String> {
         ("local-r3", 0.01, 3),
         ("cross-r3", 1.0, 3),
     ];
-    let cfg = tpcc_cfg(QUICK, 3, 1);
     let arms = CASES.iter().map(|&(label, cross, replicas)| {
-        let run = RunCfg {
-            cross_override: Some(cross),
-            ..run_cfg(QUICK, EngineKind::DrtmR, 1, replicas)
+        let cfg = TpccCfg {
+            cross_new_order: cross,
+            ..tpcc_cfg(QUICK, 3, 1)
         };
+        let run = run_cfg(QUICK, EngineKind::DrtmR, 1, replicas);
         let (cluster, _) = build_tpcc(&cfg, &run);
         let mut w = cluster.worker(0, 7);
         let mut rng = drtm_base::SplitMix64::new(11);
         for i in 0..size.n {
-            let inp = txns::gen_new_order(&cfg, &mut rng, 0, cross);
+            let inp = txns::gen_new_order(&cfg, &mut rng, 0, cfg.cross_new_order);
             let _ = drtm_base::task::block_now(
                 w.run_async(async |t| txns::new_order(t, &cfg, &inp, i as u64).await),
             );
@@ -651,11 +617,11 @@ fn routines_arm(txns: usize, routines: usize, with_smallbank: bool) -> Arm {
         arm.push(format!("{prefix}idle_pct"), "%", idle_pct);
     };
     let ycsb = ycsb_cfg(QUICK, 2, 0.6);
-    ycsb_arm(&mut arm, "ycsb_", &ycsb, &run, &scraped);
+    closed_arm(&mut arm, "ycsb_", &ycsb, &run, |_| {}, &scraped);
     idle_share(&mut arm, "ycsb_", ycsb.nodes);
     if with_smallbank {
         let sb = sb_cfg(QUICK, 2, 0.6);
-        smallbank_arm(&mut arm, "sb_", &sb, &run, &scraped);
+        closed_arm(&mut arm, "sb_", &sb, &run, |_| {}, &scraped);
         idle_share(&mut arm, "sb_", sb.nodes);
     }
     arm
@@ -705,8 +671,8 @@ fn run_contend(size: Size) -> Result<Vec<Arm>, String> {
             "abort_lock_busy_per_ktxn",
             "htm_conflict_per_ktxn",
         ];
-        ycsb_arm(&mut arm, "ycsb_", &ycsb, &run, &scraped);
-        smallbank_arm(&mut arm, "sb_", &sb, &run, &scraped);
+        closed_arm(&mut arm, "ycsb_", &ycsb, &run, |_| {}, &scraped);
+        closed_arm(&mut arm, "sb_", &sb, &run, |_| {}, &scraped);
         arm
     });
     Ok(arms.into())

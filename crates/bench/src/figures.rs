@@ -11,21 +11,17 @@
 //! records paper vs. measured.
 
 use std::fmt::Display;
-use std::sync::Arc;
 use std::time::Duration;
 
 use drtm_chaos::{run_smallbank_chaos, ChaosRunCfg, FaultPlan, RecoveryEvent, SupervisorCfg};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::scrape_cluster;
-use drtm_workloads::driver::{
-    build_smallbank, build_tpcc, run_smallbank_on, run_tpcc, run_tpcc_on, run_ycsb, EngineKind,
-    Measurement, RunCfg,
-};
+use drtm_workloads::driver::{self, run_tpcc, run_ycsb, EngineKind, Measurement, RunCfg};
 use drtm_workloads::tpcc::{self, TpccCfg};
 use drtm_workloads::ycsb::{YcsbCfg, YcsbMix};
 use EngineKind::{Calvin, Drtm, DrtmR};
 
-use crate::experiment::{tpcc_arm, Arm, Size};
+use crate::experiment::{closed_arm, Arm, Size};
 use crate::{sb_cfg, tpcc_cfg};
 
 type Arms = Result<Vec<Arm>, String>;
@@ -65,23 +61,6 @@ fn nic_delay_ns(cluster: &DrtmCluster) -> f64 {
     ports
         .map(|p| p.nic().delayed_ns() + p.nic_ops().delayed_ns())
         .sum::<u64>() as f64
-}
-
-/// TPC-C on a cluster whose engine options `RunCfg` cannot spell.
-fn run_tpcc_with(
-    cfg: &TpccCfg,
-    run: &RunCfg,
-    tweak: impl FnOnce(&mut EngineOpts),
-) -> (Arc<DrtmCluster>, Measurement) {
-    let expected = run.txns_per_worker * run.threads * 2;
-    let mut opts = EngineOpts::builder()
-        .region_size(cfg.region_size(expected))
-        .build();
-    tweak(&mut opts);
-    let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
-    tpcc::load(&cluster, cfg);
-    let m = run_tpcc_on(cfg, run, &cluster, None);
-    (cluster, m)
 }
 
 /// Figure 10: machines sweep, one warehouse per worker thread.
@@ -127,7 +106,7 @@ pub fn fig12(size: Size) -> Arms {
             ..size.run(DrtmR, 4, 1)
         };
         let co = n.min(4) as f64;
-        let (cluster, m) = run_tpcc_with(&tpcc_cfg(scale, n, 4), &run, |opts| {
+        let (cluster, m) = driver::run(&tpcc_cfg(scale, n, 4), &run, |opts| {
             opts.cost.nic_bytes_per_sec /= co;
             opts.cost.nic_ops_per_sec /= co;
         });
@@ -157,8 +136,7 @@ pub fn smallbank_fig(size: Size, by_threads: bool, replicas: usize) -> Arms {
         for cross in [1, 5, 10] {
             let cfg = sb_cfg(scale, nodes, f64::from(cross) / 100.0);
             let run = size.run(DrtmR, threads, replicas);
-            let (cluster, _) = build_smallbank(&cfg, &run);
-            let m = run_smallbank_on(&cfg, &run, &cluster, None);
+            let (cluster, m) = driver::run(&cfg, &run, |_| {});
             arm.push(format!("cross={cross}%"), "txn/s", m.throughput);
             delay += nic_delay_ns(&cluster);
             committed += m.committed;
@@ -174,14 +152,14 @@ pub fn smallbank_fig(size: Size, by_threads: bool, replicas: usize) -> Arms {
 pub fn fig17(size: Size) -> Arms {
     let scale = size.scale();
     let (nodes, threads) = (scale.pick(6, 2), scale.pick(8, 2));
-    let cfg = tpcc_cfg(scale, nodes, threads);
     let percents: &[u32] = scale.pick(&[1, 5, 10, 25, 50, 75, 100], &[1, 10, 50, 100]);
     axis(percents, |percent, arm| {
+        let cfg = TpccCfg {
+            cross_new_order: f64::from(percent) / 100.0,
+            ..tpcc_cfg(scale, nodes, threads)
+        };
         for (engine, replicas) in [(DrtmR, 1), (DrtmR, 3.min(nodes)), (Drtm, 1)] {
-            let run = RunCfg {
-                cross_override: Some(f64::from(percent) / 100.0),
-                ..size.run(engine, threads, replicas)
-            };
+            let run = size.run(engine, threads, replicas);
             tpcc_point(arm, &run, run_tpcc(&cfg, &run));
         }
     })
@@ -268,8 +246,7 @@ pub fn table6(size: Size) -> Arms {
     let arms = [1, 3].map(|replicas| {
         let mut arm = Arm::new(format!("r{replicas}"));
         let run = size.run(DrtmR, threads, replicas);
-        let (cluster, _) = build_tpcc(&cfg, &run);
-        let m = run_tpcc_on(&cfg, &run, &cluster, None);
+        let (cluster, m) = driver::run(&cfg, &run, |_| {});
         arm.measured("", &m);
         arm.scraped("", &scrape_cluster(&cluster), &quantiles);
         let delay = nic_delay_ns(&cluster) / m.committed.max(1) as f64;
@@ -302,26 +279,22 @@ pub fn table6(size: Size) -> Arms {
 pub fn ablations(size: Size) -> Arms {
     let scale = size.scale();
     let (nodes, threads) = (scale.pick(4, 2), scale.pick(4, 2));
-    let cfg = tpcc_cfg(scale, nodes, threads);
-    let base = RunCfg {
-        cross_override: Some(0.5),
-        ..size.run(DrtmR, threads, 1)
+    let cfg = TpccCfg {
+        cross_new_order: 0.5,
+        ..tpcc_cfg(scale, nodes, threads)
     };
-    let switched = |label, flip: fn(&mut RunCfg)| {
-        let (mut run, mut arm) = (base.clone(), Arm::new(label));
-        flip(&mut run);
-        tpcc_arm(&mut arm, "", &cfg, &run, &[]);
+    let run = size.run(DrtmR, threads, 1);
+    let switched = |label, tweak: fn(&mut EngineOpts)| {
+        let mut arm = Arm::new(label);
+        closed_arm(&mut arm, "", &cfg, &run, tweak, &[]);
         arm
     };
-    let mut no_swap = Arm::new("no_pointer_swap");
-    let (_, m) = run_tpcc_with(&cfg, &base, |opts| opts.pointer_swap = false);
-    no_swap.measured("", &m);
     Ok(vec![
         switched("baseline", |_| {}),
-        switched("no_location_cache", |r| r.no_location_cache = true),
-        switched("glob", |r| r.fuse_lock_validate = true),
-        switched("msg_locking", |r| r.msg_locking = true),
-        no_swap,
+        switched("no_location_cache", |o| o.use_location_cache = false),
+        switched("glob", |o| o.fuse_lock_validate = true),
+        switched("msg_locking", |o| o.msg_locking = true),
+        switched("no_pointer_swap", |o| o.pointer_swap = false),
     ])
 }
 

@@ -528,15 +528,14 @@ impl Shell {
                 Ok(Some(text))
             }
             Cmd::Smallbank { txns } => {
-                use drtm_workloads::driver::{build_smallbank, run_smallbank_on, RunCfg};
+                use drtm_workloads::driver::{self, RunCfg};
                 let cfg = shell_smallbank_cfg();
                 let run = RunCfg {
                     threads: 3,
                     txns_per_worker: txns.max(1),
                     ..Default::default()
                 };
-                let (cluster, calvin) = build_smallbank(&cfg, &run);
-                let m = run_smallbank_on(&cfg, &run, &cluster, calvin.as_ref());
+                let (cluster, m) = driver::run(&cfg, &run, |_| {});
                 self.workers.clear();
                 self.last_nic.clear();
                 self.cluster = Some(cluster);

@@ -421,9 +421,11 @@ impl TxnCtx<'_> {
         // escalation ladder (DESIGN.md §15) acquires in *wait mode*:
         // busy locks are spun on under a bounded budget instead of
         // aborting on first sight, so a large transaction keeps what it
-        // already won. Global order keeps wait mode deadlock-free.
+        // already won. Global order keeps wait mode deadlock-free. Only
+        // the ladder arms it, so it never engages while contention
+        // management is off.
         let locks = self.lock_addrs(mode);
-        let wait_mode = self.pessimistic_c1();
+        let wait_mode = self.w.force_pessimistic;
         let peeked = self.lock_all(&locks, wait_mode, mode).await?;
         self.stage_done(pc, lock)?;
 
@@ -648,22 +650,6 @@ impl TxnCtx<'_> {
             TxnError::Aborted(AbortReason::LockBusy)
         } else {
             TxnError::Crashed
-        }
-    }
-
-    /// Whether C.1 should acquire in wait mode (rung 2 of the ladder,
-    /// DESIGN.md §15): either the worker's conflict streak armed
-    /// pessimism for this retry, or the policy is
-    /// [`ContentionPolicy::AlwaysPessimistic`] and the transaction
-    /// touches a remote record. Always `false` while contention
-    /// management is off, keeping the legacy path byte-identical.
-    fn pessimistic_c1(&self) -> bool {
-        match self.w.cluster.opts.contention {
-            ContentionPolicy::Off => false,
-            ContentionPolicy::Escalate => self.w.force_pessimistic,
-            ContentionPolicy::AlwaysPessimistic => {
-                self.w.force_pessimistic || !self.r_rs.is_empty() || !self.r_ws.is_empty()
-            }
         }
     }
 

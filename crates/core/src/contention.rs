@@ -27,9 +27,10 @@
 //!    poll through the reactor's spin-park protocol, so they are
 //!    flush-exempt and cannot deadlock the shared doorbell (§14).
 //!
-//! One policy governs every table ([`crate::EngineOpts::contention`]),
-//! defaulting to [`ContentionPolicy::Off`], which keeps the legacy
-//! retry path byte-identical.
+//! One policy governs every table ([`crate::EngineOpts::contention`]):
+//! [`ContentionPolicy::Off`], the default, which keeps the legacy retry
+//! path byte-identical, or [`ContentionPolicy::Escalate`], the ladder.
+//! Rungs 2 and 3 engage only on a conflict streak.
 //!
 //! ```
 //! use drtm_core::contention::ContentionPolicy;
@@ -79,9 +80,8 @@ pub const PARK_SPIN_CAP: u32 = 4_096;
 
 /// How a worker responds to repeated conflicts on a key.
 ///
-/// Configured globally and per table through
-/// [`crate::EngineOpts::builder`] and per run through
-/// `drtm_workloads::driver::RunCfg`.
+/// Configured for every table through [`crate::EngineOpts::builder`]
+/// and per run through `drtm_workloads::driver::RunCfg`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentionPolicy {
     /// No contention management: every conflict takes the legacy
@@ -93,11 +93,6 @@ pub enum ContentionPolicy {
     /// pessimistic C.1 acquisition after [`PESSIMISTIC_AFTER`], then
     /// cooperative parking after [`PARK_AFTER`].
     Escalate,
-    /// Every read-write commit acquires its C.1 locks in wait mode
-    /// from the first attempt (2PL-flavoured; no a-priori read/write
-    /// sets needed since the sets are known by commit time). The
-    /// parking rung still requires a conflict streak.
-    AlwaysPessimistic,
 }
 
 impl ContentionPolicy {
@@ -106,7 +101,6 @@ impl ContentionPolicy {
         match self {
             Self::Off => "off",
             Self::Escalate => "escalate",
-            Self::AlwaysPessimistic => "always-pessimistic",
         }
     }
 }

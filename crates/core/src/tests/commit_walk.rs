@@ -485,7 +485,7 @@ fn lock_and_validate_share_one_doorbell() {
 #[test]
 fn lock_won_after_waiting_rereads_exactly_that_header() {
     let c = setup(2)
-        .opts(|o| o.contention(crate::ContentionPolicy::AlwaysPessimistic))
+        .opts(|o| o.contention(crate::ContentionPolicy::Escalate))
         .seed(1..2, 0..2, 100)
         .build();
     let mut offs: Vec<usize> = (0..2u64)
@@ -511,6 +511,8 @@ fn lock_won_after_waiting_rereads_exactly_that_header() {
         }
     });
     let mut w = c.worker(0, 1);
+    // As if a conflict streak had armed rung 2 for this attempt.
+    w.force_pessimistic = true;
     let nic = Nic::new(&c);
     w.run(|t| {
         for i in 0..2u64 {

@@ -330,6 +330,13 @@ fn routine_conservation_case(
         );
         let snap = crate::scrape_cluster(&c);
         assert_eq!(snap.pipeline.routines, r as u64, "pool size gauge");
+        // Wait-mode C.1 ran under the ladder, and only there.
+        let pessimistic = snap.contention.pessimistic;
+        assert_eq!(
+            pessimistic > 0,
+            contention == ContentionPolicy::Escalate,
+            "r={r}: {pessimistic}"
+        );
     }
 }
 
@@ -378,16 +385,6 @@ fn high_r_routine_schedules_conserve_under_delay() {
 #[test]
 fn contended_routine_schedules_conserve_with_ladder() {
     routine_conservation_case(false, &[8, 64], 6, ContentionPolicy::Escalate);
-}
-
-/// `always-pessimistic` is rung 2 on every attempt — every C.1 spins
-/// on busy locks instead of aborting. Conservation plus termination at
-/// R = 8 shows the wait-mode lock path cannot deadlock the reactor:
-/// spins are bounded (`SpinBudget`) and fall back to an abort, never a
-/// blocked OS thread.
-#[test]
-fn always_pessimistic_schedules_conserve() {
-    routine_conservation_case(false, &[8], 8, ContentionPolicy::AlwaysPessimistic);
 }
 
 /// Concurrent random transfers conserve the total for arbitrary seeds

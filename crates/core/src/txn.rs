@@ -717,10 +717,9 @@ impl Worker {
             // the paper's §4.3 randomized backoff; otherwise the
             // escalation ladder (DESIGN.md §15) picks a rung from the
             // conflicted key's consecutive-abort streak.
-            let policy = self.cluster.opts.contention;
             match self.last_conflict.take() {
-                Some(site) if policy != ContentionPolicy::Off => {
-                    self.escalate(site, policy, attempt).await
+                Some(site) if self.cluster.opts.contention == ContentionPolicy::Escalate => {
+                    self.escalate(site, attempt).await
                 }
                 _ => self.retry_backoff(attempt).await,
             }
@@ -745,14 +744,13 @@ impl Worker {
     }
 
     /// One escalation-ladder response (DESIGN.md §15) to an abort
-    /// attributed to `site` under `policy` (never `Off` here): bump the
+    /// attributed to `site` under [`ContentionPolicy::Escalate`]: bump the
     /// key's streak, arm rung 2 (pessimistic C.1) past its threshold,
     /// and either park on the key's wait list (rung 3) or fall back to
     /// the rung-1 backoff.
-    async fn escalate(&mut self, site: ConflictSite, policy: ContentionPolicy, attempt: usize) {
+    async fn escalate(&mut self, site: ConflictSite, attempt: usize) {
         let streak = self.tracker.note_abort(site.table, site.key);
-        self.force_pessimistic = policy == ContentionPolicy::AlwaysPessimistic
-            || streak >= contention::PESSIMISTIC_AFTER;
+        self.force_pessimistic = streak >= contention::PESSIMISTIC_AFTER;
         if self.force_pessimistic {
             self.obs.note_contention_pessimistic();
             drtm_obs::trace::event(

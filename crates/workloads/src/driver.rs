@@ -1,4 +1,5 @@
-//! The measurement harness.
+//! The measurement harness: one closed loop for every [`Workload`] on
+//! every engine.
 //!
 //! Spawns `nodes × threads` worker threads (each a simulated worker on
 //! its machine), runs a fixed number of transactions per worker, and
@@ -14,15 +15,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drtm_base::{Histogram, SplitMix64};
-use drtm_baselines::CalvinEngine;
+use drtm_baselines::{CalvinEngine, CalvinWorker, DrtmWorker};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
-use drtm_core::txn::{TxnError, Worker};
+use drtm_core::txn::{TxnError, Worker, WorkerStats};
 use drtm_core::{ContentionPolicy, RoutinePool};
+use drtm_store::TableSpec;
 
-use crate::engine::{EngineWorker, TxnApi};
-use crate::smallbank::{self, SbCfg};
-use crate::tpcc::{self, txns, TpccCfg};
-use crate::ycsb::{self, YcsbCfg};
+use crate::engine::TxnApi;
+use crate::smallbank::SbCfg;
+use crate::tpcc::TpccCfg;
+use crate::ycsb::YcsbCfg;
 
 /// Which engine to measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +50,6 @@ pub struct RunCfg {
     pub txns_per_worker: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Override of the new-order cross-warehouse probability
-    /// (Figure 17's sweep); `None` uses the workload config.
-    pub cross_override: Option<f64>,
-    /// Enable the `IBV_ATOMIC_GLOB` fused lock+validate ablation.
-    pub fuse_lock_validate: bool,
-    /// Disable the DrTM location cache (ablation).
-    pub no_location_cache: bool,
-    /// FaRM-style messaging for remote locking (ablation, §4.4).
-    pub msg_locking: bool,
     /// In-flight transaction routines multiplexed per worker thread
     /// (DESIGN.md §11). Each DrTM+R worker slot runs `R` cooperative
     /// routines through a [`RoutinePool`], splitting its transaction
@@ -68,9 +61,7 @@ pub struct RunCfg {
     pub routines: usize,
     /// Contention-management policy for every table (DESIGN.md §15):
     /// `Off` keeps the paper's randomized backoff byte-identical,
-    /// `Escalate` climbs the three-rung ladder on consecutive aborts,
-    /// `AlwaysPessimistic` takes wait-mode C.1 locks from the first
-    /// attempt.
+    /// `Escalate` climbs the three-rung ladder on consecutive aborts.
     pub contention: ContentionPolicy,
 }
 
@@ -82,10 +73,6 @@ impl Default for RunCfg {
             replicas: 1,
             txns_per_worker: 200,
             seed: 42,
-            cross_override: None,
-            fuse_lock_validate: false,
-            no_location_cache: false,
-            msg_locking: false,
             routines: 1,
             contention: ContentionPolicy::Off,
         }
@@ -129,22 +116,59 @@ impl Measurement {
     }
 }
 
-/// What one measurement loop returns: its commit count and, per
-/// transaction type, the count and latency histogram.
-type LoopOut = (u64, HashMap<&'static str, (u64, Histogram)>);
+/// A closed-loop workload: what the driver needs to build and load its
+/// cluster, and to draw and run its transactions. TPC-C, SmallBank and
+/// YCSB implement it on their configurations.
+// The driver polls these futures on the thread that made them, so they
+// need no `Send` bound.
+#[allow(async_fn_in_trait)]
+pub trait Workload: Sync {
+    /// Salt of a worker slot's seed.
+    const SLOT_SALT: u64;
+    /// Salt of a routine's generator RNG.
+    const GEN_SALT: u64;
+    /// One routine's generator: its RNG and whatever else its draws
+    /// carry from one transaction to the next.
+    type Gen;
+    /// One drawn transaction, fixed before it runs (an engine may run a
+    /// body several times).
+    type Input;
 
+    /// Machines in the cluster.
+    fn nodes(&self) -> usize;
+    /// The schema instantiated on every node.
+    fn schema(&self) -> Vec<TableSpec>;
+    /// Region bytes per node for `run`.
+    fn region_size(&self, run: &RunCfg) -> usize;
+    /// Loads the initial dataset.
+    fn load(&self, cluster: &DrtmCluster);
+    /// The generator of routine `id` of worker slot `tid` on `node`,
+    /// drawing from `rng`.
+    fn generator(&self, node: usize, tid: usize, id: usize, rng: SplitMix64) -> Self::Gen;
+    /// Draws transaction `i` (unique in its slot): its type name,
+    /// whether it is read-only, and its input.
+    fn next(&self, gen: &mut Self::Gen, i: u64) -> (&'static str, bool, Self::Input);
+    /// Runs `input` as one transaction body.
+    async fn execute(&self, t: &mut dyn TxnApi, input: &Self::Input) -> Result<(), TxnError>;
+}
+
+/// What one measurement loop returns: per transaction type, its commit
+/// count and latency histogram.
+type LoopOut = HashMap<&'static str, (u64, Histogram)>;
+
+#[derive(Default)]
 struct WorkerResult {
     vtime_ns: u64,
     committed: u64,
     aborted: u64,
     fallbacks: u64,
-    per_type: HashMap<&'static str, (u64, Histogram)>,
+    per_type: LoopOut,
 }
 
-/// The minimal surface the measurement loops need, so one loop body
-/// serves both a baseline engine's [`EngineWorker`] (driven to
-/// completion in a single poll) and a DrTM+R [`Worker`] routine (which
-/// suspends back to its pool's reactor at every doorbell).
+/// The minimal surface the measurement loop needs, so one loop body
+/// serves a baseline engine's worker (driven to completion in a single
+/// poll) and a DrTM+R [`Worker`] routine (which suspends back to its
+/// pool's reactor at every doorbell).
 trait MeasuredWorker {
     /// Runs one transaction body to commit or abort.
     async fn exec_txn<B>(&mut self, ro: bool, body: B) -> Result<(), TxnError>
@@ -152,18 +176,8 @@ trait MeasuredWorker {
         B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>;
     /// The worker's current virtual time.
     fn vnow(&self) -> u64;
-}
-
-impl MeasuredWorker for EngineWorker {
-    async fn exec_txn<B>(&mut self, _ro: bool, body: B) -> Result<(), TxnError>
-    where
-        B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>,
-    {
-        self.exec(body)
-    }
-    fn vnow(&self) -> u64 {
-        self.clock_now()
-    }
+    /// The worker's counters.
+    fn stats(&self) -> &WorkerStats;
 }
 
 impl MeasuredWorker for Worker {
@@ -182,48 +196,92 @@ impl MeasuredWorker for Worker {
     fn vnow(&self) -> u64 {
         self.clock.now()
     }
+    fn stats(&self) -> &WorkerStats {
+        &self.stats
+    }
 }
 
-/// Runs one DrTM+R worker slot's transactions through a
-/// [`RoutinePool`]: `run.routines` routines split the slot's budget
-/// (`loop_fn(id, worker, index_base, count)` runs one routine's share
-/// with disjoint transaction indices), and the slot's virtual time is
-/// the *slowest* routine's clock — the routines share one simulated
-/// core, so verb waits hidden behind other routines' CPU work shrink
-/// vtime and show up as throughput.
-fn run_pipelined<F>(
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
+/// A baseline engine's worker: nothing in it suspends, so it drives a
+/// body to completion in a single poll, read-only or not.
+macro_rules! baseline_worker {
+    ($($worker:ty),*) => {$(
+        impl MeasuredWorker for $worker {
+            async fn exec_txn<B>(&mut self, _ro: bool, mut body: B) -> Result<(), TxnError>
+            where
+                B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>,
+            {
+                self.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
+            }
+            fn vnow(&self) -> u64 {
+                self.clock.now()
+            }
+            fn stats(&self) -> &WorkerStats {
+                &self.stats
+            }
+        }
+    )*};
+}
+baseline_worker!(DrtmWorker, CalvinWorker);
+
+/// One worker slot of a run: `run.threads` of them on each machine.
+struct Slot<'a, W> {
+    wl: &'a W,
+    run: &'a RunCfg,
+    cluster: &'a DrtmCluster,
     node: usize,
+    tid: usize,
     seed: u64,
-    loop_fn: F,
-) -> WorkerResult
-where
-    F: AsyncFn(usize, &mut Worker, usize, usize) -> LoopOut,
-{
-    let r = run.routines.max(1);
-    let workers: Vec<Worker> = (0..r)
-        .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
-        .collect();
-    let chunk = run.txns_per_worker / r;
-    let rem = run.txns_per_worker % r;
-    let outs = RoutinePool::run(workers, async |id, w| {
-        let count = chunk + usize::from(id < rem);
-        loop_fn(id, w, id * run.txns_per_worker, count).await
-    });
-    let mut res = WorkerResult {
-        vtime_ns: 0,
-        committed: 0,
-        aborted: 0,
-        fallbacks: 0,
-        per_type: HashMap::new(),
-    };
-    for (w, (committed, per_type)) in outs {
-        res.vtime_ns = res.vtime_ns.max(w.clock.now());
-        res.committed += committed;
-        res.aborted += w.stats.aborted;
-        res.fallbacks += w.stats.fallbacks;
+}
+
+impl<W: Workload> Slot<'_, W> {
+    /// The measurement loop: routine `id`'s `count` transactions on
+    /// `w`, indexed from `id * run.txns_per_worker` so routines never
+    /// share an index, drawn from the routine's own RNG stream.
+    async fn routine(&self, id: usize, count: usize, w: &mut impl MeasuredWorker) -> LoopOut {
+        let rng = SplitMix64::new(self.seed ^ W::GEN_SALT ^ ((id as u64) << 12));
+        let mut gen = self.wl.generator(self.node, self.tid, id, rng);
+        let mut per_type = LoopOut::new();
+        let base = id * self.run.txns_per_worker;
+        for i in base..base + count {
+            if !self.cluster.is_alive(self.node) || drtm_base::shutdown::requested() {
+                break;
+            }
+            let (name, ro, input) = self.wl.next(&mut gen, i as u64);
+            let t0 = w.vnow();
+            let result = w
+                .exec_txn(ro, async |t| self.wl.execute(t, &input).await)
+                .await;
+            let dt = w.vnow().saturating_sub(t0);
+            if result.is_ok() {
+                let e = per_type
+                    .entry(name)
+                    .or_insert_with(|| (0, Histogram::new()));
+                e.0 += 1;
+                e.1.record(dt);
+            }
+        }
+        per_type
+    }
+
+    /// A baseline slot: its one worker, in a single poll.
+    fn solo(&self, mut w: impl MeasuredWorker) -> WorkerResult {
+        let out = drtm_base::task::block_now(self.routine(0, self.run.txns_per_worker, &mut w));
+        tally([(w, out)])
+    }
+}
+
+/// One slot's result from its routines' workers and loops. The slot's
+/// virtual time is the *slowest* routine's clock: the routines share
+/// one simulated core, so verb waits hidden behind other routines' CPU
+/// work shrink vtime and show up as throughput.
+fn tally<M: MeasuredWorker>(outs: impl IntoIterator<Item = (M, LoopOut)>) -> WorkerResult {
+    let mut res = WorkerResult::default();
+    for (w, per_type) in outs {
+        res.vtime_ns = res.vtime_ns.max(w.vnow());
+        res.aborted += w.stats().aborted;
+        res.fallbacks += w.stats().fallbacks;
         for (name, (count, hist)) in per_type {
+            res.committed += count;
             let e = res
                 .per_type
                 .entry(name)
@@ -233,33 +291,6 @@ where
         }
     }
     res
-}
-
-/// Runs one worker slot of `run.engine`: a DrTM+R slot's routines run
-/// `pooled` (see [`run_pipelined`]); a baseline engine has no routine
-/// scheduler and nothing in it suspends, so its one worker drives
-/// `baseline` — the same loop with the whole budget — in a single poll.
-fn run_slot(
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
-    calvin: Option<&Arc<CalvinEngine>>,
-    node: usize,
-    seed: u64,
-    pooled: impl AsyncFn(usize, &mut Worker, usize, usize) -> LoopOut,
-    baseline: impl AsyncFnOnce(&mut EngineWorker) -> LoopOut,
-) -> WorkerResult {
-    if run.engine == EngineKind::DrtmR {
-        return run_pipelined(run, cluster, node, seed, pooled);
-    }
-    let mut ew = EngineWorker::new(run.engine, cluster, calvin, node, seed);
-    let (committed, per_type) = drtm_base::task::block_now(baseline(&mut ew));
-    WorkerResult {
-        vtime_ns: ew.clock_now(),
-        committed,
-        aborted: ew.stats().aborted,
-        fallbacks: ew.stats().fallbacks,
-        per_type,
-    }
 }
 
 /// The closed-loop harness every workload shares: `slot(node, tid)` on
@@ -292,38 +323,103 @@ fn run_slots(
     aggregate(results)
 }
 
-/// Builds the engine options for a run.
-fn engine_opts(run: &RunCfg, region_size: usize) -> EngineOpts {
-    EngineOpts::builder()
+/// Builds and loads a cluster for `wl` under `run`; `tweak` sets the
+/// engine options a [`RunCfg`] does not carry (the ablations, the NIC
+/// cost). The Calvin sequencer comes with it on a Calvin run.
+pub fn build<W: Workload>(
+    wl: &W,
+    run: &RunCfg,
+    tweak: impl FnOnce(&mut EngineOpts),
+) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
+    let mut opts = EngineOpts::builder()
         .replicas(run.replicas)
-        .region_size(region_size)
-        .fuse_lock_validate(run.fuse_lock_validate)
-        .use_location_cache(!run.no_location_cache)
-        .msg_locking(run.msg_locking)
+        .region_size(wl.region_size(run))
         .contention(run.contention)
-        .build()
-}
-
-/// Builds and loads a TPC-C cluster for `run`.
-pub fn build_tpcc(cfg: &TpccCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
-    let expected = run.txns_per_worker * run.threads * 2;
-    let opts = engine_opts(run, cfg.region_size(expected));
-    let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
-    tpcc::load(&cluster, cfg);
+        .build();
+    tweak(&mut opts);
+    let cluster = DrtmCluster::new(wl.nodes(), &wl.schema(), opts);
+    wl.load(&cluster);
     let calvin =
         (run.engine == EngineKind::Calvin).then(|| CalvinEngine::new(Arc::clone(&cluster)));
     (cluster, calvin)
 }
 
-/// Builds and loads a SmallBank cluster for `run`.
-pub fn build_smallbank(cfg: &SbCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
-    // SmallBank writes every table it reads; nothing is read-mostly.
-    let opts = engine_opts(run, cfg.region_size());
-    let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
-    smallbank::load(&cluster, cfg);
-    let calvin =
-        (run.engine == EngineKind::Calvin).then(|| CalvinEngine::new(Arc::clone(&cluster)));
-    (cluster, calvin)
+/// Runs `wl` on an already built and loaded cluster. A DrTM+R worker
+/// slot's `run.routines` routines split its budget in a
+/// [`RoutinePool`]; a baseline engine has no routine scheduler, so its
+/// one worker runs the same loop as routine 0 with the whole budget.
+pub fn run_on<W: Workload>(
+    wl: &W,
+    run: &RunCfg,
+    cluster: &Arc<DrtmCluster>,
+    calvin: Option<&Arc<CalvinEngine>>,
+) -> Measurement {
+    run_slots(wl.nodes(), run, cluster, |node, tid| {
+        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ W::SLOT_SALT;
+        let slot = Slot {
+            wl,
+            run,
+            cluster,
+            node,
+            tid,
+            seed,
+        };
+        match run.engine {
+            EngineKind::DrtmR => {
+                let r = run.routines.max(1);
+                let workers: Vec<Worker> = (0..r)
+                    .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
+                    .collect();
+                let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
+                tally(RoutinePool::run(workers, async |id, w| {
+                    slot.routine(id, chunk + usize::from(id < rem), w).await
+                }))
+            }
+            EngineKind::Drtm => slot.solo(DrtmWorker::new(Arc::clone(cluster), node, seed)),
+            EngineKind::Calvin => slot.solo(calvin.expect("calvin engine").worker(node, seed)),
+        }
+    })
+}
+
+/// Builds a cluster for `wl` (see [`build`]) and runs it; returns the
+/// cluster too, for what a caller reads off it afterwards.
+pub fn run<W: Workload>(
+    wl: &W,
+    run: &RunCfg,
+    tweak: impl FnOnce(&mut EngineOpts),
+) -> (Arc<DrtmCluster>, Measurement) {
+    let (cluster, calvin) = build(wl, run, tweak);
+    let m = run_on(wl, run, &cluster, calvin.as_ref());
+    (cluster, m)
+}
+
+/// The per-workload entry points `perf/`, the examples and the tests
+/// name: [`build`], [`run`] and [`run_on`] at one configuration type.
+macro_rules! entry_points {
+    ($($what:literal $cfg:ty: $build:ident, $run:ident, $run_on:ident;)*) => {$(
+        #[doc = concat!("Builds and loads a ", $what, " cluster for `run`.")]
+        pub fn $build(cfg: &$cfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
+            build(cfg, run, |_| {})
+        }
+        #[doc = concat!("Runs ", $what, " on a fresh cluster.")]
+        pub fn $run(cfg: &$cfg, run: &RunCfg) -> Measurement {
+            self::run(cfg, run, |_| {}).1
+        }
+        #[doc = concat!("Runs ", $what, " against an already built and loaded cluster.")]
+        pub fn $run_on(
+            cfg: &$cfg,
+            run: &RunCfg,
+            cluster: &Arc<DrtmCluster>,
+            calvin: Option<&Arc<CalvinEngine>>,
+        ) -> Measurement {
+            run_on(cfg, run, cluster, calvin)
+        }
+    )*};
+}
+entry_points! {
+    "TPC-C" TpccCfg: build_tpcc, run_tpcc, run_tpcc_on;
+    "SmallBank" SbCfg: build_smallbank, run_smallbank, run_smallbank_on;
+    "YCSB" YcsbCfg: build_ycsb, run_ycsb, run_ycsb_on;
 }
 
 /// Starts the auxiliary log-truncation thread (replication runs).
@@ -381,270 +477,6 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         );
     }
     m
-}
-
-/// Runs the TPC-C standard mix and reports per-type results.
-///
-/// `new-order` throughput is the paper's headline TPC-C metric.
-pub fn run_tpcc(cfg: &TpccCfg, run: &RunCfg) -> Measurement {
-    let (cluster, calvin) = build_tpcc(cfg, run);
-    run_tpcc_on(cfg, run, &cluster, calvin.as_ref())
-}
-
-/// Runs TPC-C against an already built and loaded cluster.
-pub fn run_tpcc_on(
-    cfg: &TpccCfg,
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
-    calvin: Option<&Arc<CalvinEngine>>,
-) -> Measurement {
-    let cross = run.cross_override.unwrap_or(cfg.cross_new_order);
-    run_slots(cfg.nodes, run, cluster, |node, tid| {
-        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20);
-        let home_w = (node * cfg.warehouses_per_node + tid % cfg.warehouses_per_node) as u64;
-        let hist_base = ((node as u64) << 24 | tid as u64) << 32;
-        // Routines get disjoint RNG streams and history-key ranges so
-        // their insert keys never collide.
-        let routine = async |id: usize, w: &mut Worker, base, count| {
-            let rng_seed = seed ^ 0xBEEF ^ ((id as u64) << 12);
-            let hist_base = hist_base | ((id as u64) << 26);
-            tpcc_loop(
-                cfg, cluster, w, node, home_w, cross, rng_seed, hist_base, base, count,
-            )
-            .await
-        };
-        let whole = async |ew: &mut EngineWorker| {
-            let (rng_seed, count) = (seed ^ 0xBEEF, run.txns_per_worker);
-            tpcc_loop(
-                cfg, cluster, ew, node, home_w, cross, rng_seed, hist_base, 0, count,
-            )
-            .await
-        };
-        run_slot(run, cluster, calvin, node, seed, routine, whole)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-async fn tpcc_loop<M: MeasuredWorker>(
-    cfg: &TpccCfg,
-    cluster: &DrtmCluster,
-    ew: &mut M,
-    node: usize,
-    home_w: u64,
-    cross: f64,
-    rng_seed: u64,
-    hist_base: u64,
-    base: usize,
-    count: usize,
-) -> LoopOut {
-    let mut rng = SplitMix64::new(rng_seed);
-    let mut hist_key = hist_base;
-    let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
-    let mut committed = 0u64;
-
-    for j in 0..count {
-        let i = base + j;
-        if !cluster.is_alive(node) || drtm_base::shutdown::requested() {
-            break;
-        }
-        let ttype = txns::TxnType::pick(&mut rng);
-        let t0 = ew.vnow();
-        let result: Result<(), TxnError> = match ttype {
-            txns::TxnType::NewOrder => {
-                let inp = txns::gen_new_order(cfg, &mut rng, home_w, cross);
-                ew.exec_txn(false, async |t| {
-                    txns::new_order(t, cfg, &inp, i as u64).await
-                })
-                .await
-            }
-            txns::TxnType::Payment => {
-                hist_key += 1;
-                let inp = txns::gen_payment(cfg, &mut rng, home_w, hist_key);
-                ew.exec_txn(false, async |t| txns::payment(t, cfg, &inp).await)
-                    .await
-            }
-            txns::TxnType::Delivery => {
-                let carrier = rng.range(1, 10);
-                ew.exec_txn(false, async |t| {
-                    txns::delivery(t, cfg, home_w, carrier, i as u64).await
-                })
-                .await
-            }
-            txns::TxnType::OrderStatus => {
-                let d = rng.below(cfg.districts as u64);
-                let by = if rng.chance(0.6) {
-                    txns::CustomerBy::LastName(crate::tpcc::lastname_id(txns::nurand(
-                        &mut rng,
-                        255,
-                        0,
-                        cfg.customers as u64 - 1,
-                    )))
-                } else {
-                    txns::CustomerBy::Id(txns::nurand(&mut rng, 1023, 0, cfg.customers as u64 - 1))
-                };
-                ew.exec_txn(true, async |t| {
-                    txns::order_status(t, cfg, home_w, d, by).await
-                })
-                .await
-            }
-            txns::TxnType::StockLevel => {
-                let d = rng.below(cfg.districts as u64);
-                let thr = rng.range(10, 20);
-                ew.exec_txn(true, async |t| {
-                    txns::stock_level(t, cfg, home_w, d, thr).await.map(|_| ())
-                })
-                .await
-            }
-        };
-        let dt = ew.vnow().saturating_sub(t0);
-        if result.is_ok() {
-            committed += 1;
-            let e = per_type
-                .entry(ttype.name())
-                .or_insert_with(|| (0, Histogram::new()));
-            e.0 += 1;
-            e.1.record(dt);
-        }
-    }
-    (committed, per_type)
-}
-
-/// Builds and loads a YCSB cluster for `run`.
-pub fn build_ycsb(cfg: &YcsbCfg, run: &RunCfg) -> (Arc<DrtmCluster>, Option<Arc<CalvinEngine>>) {
-    let opts = engine_opts(run, cfg.region_size());
-    let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
-    ycsb::load(&cluster, cfg);
-    let calvin =
-        (run.engine == EngineKind::Calvin).then(|| CalvinEngine::new(Arc::clone(&cluster)));
-    (cluster, calvin)
-}
-
-/// Runs a YCSB mix.
-pub fn run_ycsb(cfg: &YcsbCfg, run: &RunCfg) -> Measurement {
-    let (cluster, calvin) = build_ycsb(cfg, run);
-    run_ycsb_on(cfg, run, &cluster, calvin.as_ref())
-}
-
-/// Runs YCSB against an already built and loaded cluster.
-pub fn run_ycsb_on(
-    cfg: &YcsbCfg,
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
-    calvin: Option<&Arc<CalvinEngine>>,
-) -> Measurement {
-    run_slots(cfg.nodes, run, cluster, |node, tid| {
-        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x4C5B;
-        let routine = async |id: usize, w: &mut Worker, base, count| {
-            let rng_seed = seed ^ 0xD00D ^ ((id as u64) << 12);
-            ycsb_loop(cfg, cluster, w, node, rng_seed, base, count).await
-        };
-        let whole = async |ew: &mut EngineWorker| {
-            let (rng_seed, count) = (seed ^ 0xD00D, run.txns_per_worker);
-            ycsb_loop(cfg, cluster, ew, node, rng_seed, 0, count).await
-        };
-        run_slot(run, cluster, calvin, node, seed, routine, whole)
-    })
-}
-
-async fn ycsb_loop<M: MeasuredWorker>(
-    cfg: &YcsbCfg,
-    cluster: &DrtmCluster,
-    ew: &mut M,
-    node: usize,
-    rng_seed: u64,
-    base: usize,
-    count: usize,
-) -> LoopOut {
-    let mut rng = SplitMix64::new(rng_seed);
-    let zipf = ycsb::Zipf::new(cfg.records as u64, cfg.theta);
-    let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
-    let mut committed = 0u64;
-    for j in 0..count {
-        let i = base + j;
-        if !cluster.is_alive(node) || drtm_base::shutdown::requested() {
-            break;
-        }
-        let op = ycsb::gen(cfg, &zipf, &mut rng, node);
-        let name = if op.is_read { "read" } else { "update" };
-        let t0 = ew.vnow();
-        let result = ew
-            .exec_txn(op.is_read, async |t| {
-                ycsb::execute(t, cfg, &op, i as u64).await
-            })
-            .await;
-        let dt = ew.vnow().saturating_sub(t0);
-        if result.is_ok() {
-            committed += 1;
-            let e = per_type
-                .entry(name)
-                .or_insert_with(|| (0, Histogram::new()));
-            e.0 += 1;
-            e.1.record(dt);
-        }
-    }
-    (committed, per_type)
-}
-
-/// Runs the SmallBank mix.
-pub fn run_smallbank(cfg: &SbCfg, run: &RunCfg) -> Measurement {
-    let (cluster, calvin) = build_smallbank(cfg, run);
-    run_smallbank_on(cfg, run, &cluster, calvin.as_ref())
-}
-
-/// Runs SmallBank against an already built and loaded cluster.
-pub fn run_smallbank_on(
-    cfg: &SbCfg,
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
-    calvin: Option<&Arc<CalvinEngine>>,
-) -> Measurement {
-    run_slots(cfg.nodes, run, cluster, |node, tid| {
-        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ 0x5B;
-        let routine = async |id: usize, w: &mut Worker, _base, count| {
-            let rng_seed = seed ^ 0xFACE ^ ((id as u64) << 12);
-            sb_loop(cfg, cluster, w, node, rng_seed, count).await
-        };
-        let whole = async |ew: &mut EngineWorker| {
-            sb_loop(cfg, cluster, ew, node, seed ^ 0xFACE, run.txns_per_worker).await
-        };
-        run_slot(run, cluster, calvin, node, seed, routine, whole)
-    })
-}
-
-async fn sb_loop<M: MeasuredWorker>(
-    cfg: &SbCfg,
-    cluster: &DrtmCluster,
-    ew: &mut M,
-    node: usize,
-    rng_seed: u64,
-    count: usize,
-) -> LoopOut {
-    let mut rng = SplitMix64::new(rng_seed);
-    let mut per_type: HashMap<&'static str, (u64, Histogram)> = HashMap::new();
-    let mut committed = 0u64;
-
-    for _ in 0..count {
-        if !cluster.is_alive(node) || drtm_base::shutdown::requested() {
-            break;
-        }
-        let inp = smallbank::gen(cfg, &mut rng, node);
-        let t0 = ew.vnow();
-        let result = ew
-            .exec_txn(inp.txn.read_only(), async |t| {
-                smallbank::execute(t, &inp).await
-            })
-            .await;
-        let dt = ew.vnow().saturating_sub(t0);
-        if result.is_ok() {
-            committed += 1;
-            let e = per_type
-                .entry(inp.txn.name())
-                .or_insert_with(|| (0, Histogram::new()));
-            e.0 += 1;
-            e.1.record(dt);
-        }
-    }
-    (committed, per_type)
 }
 
 #[cfg(test)]

@@ -13,12 +13,10 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
 
-use drtm_baselines::calvin::{CalvinEngine, CalvinTxn, CalvinWorker};
-use drtm_baselines::drtm2pl::{DrtmCtx, DrtmWorker};
-use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::{TxnError, WorkerStats};
+use drtm_baselines::calvin::CalvinTxn;
+use drtm_baselines::drtm2pl::DrtmCtx;
+use drtm_core::txn::TxnError;
 use drtm_store::TableId;
 
 /// Future returned by the suspending verbs of [`TxnApi`].
@@ -105,139 +103,45 @@ impl TxnApi for drtm_core::txn::TxnCtx<'_> {
     }
 }
 
-impl TxnApi for DrtmCtx<'_, '_, '_> {
-    fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-        let r = DrtmCtx::read(self, shard, table, key);
-        Box::pin(async move { r })
-    }
-    fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
-        let r = DrtmCtx::write(self, shard, table, key, v);
-        Box::pin(async move { r })
-    }
-    fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
-        DrtmCtx::insert(self, shard, table, key, v)
-    }
-    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-        DrtmCtx::delete(self, shard, table, key)
-    }
-    fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        let r = DrtmCtx::scan_local(self, table, lo, hi, limit);
-        Box::pin(async move { r })
-    }
-    fn last_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-        let r = DrtmCtx::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
-        Box::pin(async move { r })
-    }
-}
-
-impl TxnApi for CalvinTxn<'_, '_> {
-    fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-        let r = CalvinTxn::read(self, shard, table, key);
-        Box::pin(async move { r })
-    }
-    fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
-        let r = CalvinTxn::write(self, shard, table, key, v);
-        Box::pin(async move { r })
-    }
-    fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
-        CalvinTxn::insert(self, shard, table, key, v)
-    }
-    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-        CalvinTxn::delete(self, shard, table, key)
-    }
-    fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        let r = CalvinTxn::scan_local(self, table, lo, hi, limit);
-        Box::pin(async move { r })
-    }
-    fn last_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-        let r = CalvinTxn::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
-        Box::pin(async move { r })
-    }
-}
-
-/// A worker of a baseline engine. DrTM+R runs through its own
-/// [`Worker`](drtm_core::txn::Worker), in a routine pool that suspends at
-/// every doorbell; nothing in a baseline suspends, so its worker drives
-/// a body to completion in a single poll.
-pub enum EngineWorker {
-    /// DrTM (SOSP'15 baseline).
-    Drtm(DrtmWorker),
-    /// Calvin baseline.
-    Calvin(CalvinWorker),
-}
-
-impl EngineWorker {
-    /// Builds a worker of the baseline engine `kind` on `node`.
-    ///
-    /// # Panics
-    ///
-    /// On [`EngineKind::DrtmR`](crate::driver::EngineKind::DrtmR), which
-    /// is not a baseline.
-    pub fn new(
-        kind: crate::driver::EngineKind,
-        cluster: &Arc<DrtmCluster>,
-        calvin: Option<&Arc<CalvinEngine>>,
-        node: usize,
-        seed: u64,
-    ) -> Self {
-        use crate::driver::EngineKind::*;
-        match kind {
-            Drtm => Self::Drtm(DrtmWorker::new(Arc::clone(cluster), node, seed)),
-            Calvin => Self::Calvin(calvin.expect("calvin engine").worker(node, seed)),
-            DrtmR => panic!("DrTM+R runs through its own Worker, not a baseline's"),
-        }
-    }
-
-    /// Executes one transaction to commit.
-    pub fn exec<R>(
-        &mut self,
-        mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
-    ) -> Result<R, TxnError> {
-        match self {
-            EngineWorker::Drtm(w) => {
-                w.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
+/// The baseline engines' contexts: nothing in them suspends, so each
+/// verb evaluates eagerly and its future is ready on the first poll.
+macro_rules! eager_txn_api {
+    ($($ctx:ident<$($lt:lifetime),*>),*) => {$(
+        impl TxnApi for $ctx<$($lt),*> {
+            fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
+                let r = $ctx::read(self, shard, table, key);
+                Box::pin(async move { r })
             }
-            EngineWorker::Calvin(w) => {
-                w.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
+            fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
+                let r = $ctx::write(self, shard, table, key, v);
+                Box::pin(async move { r })
+            }
+            fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
+                $ctx::insert(self, shard, table, key, v)
+            }
+            fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+                $ctx::delete(self, shard, table, key)
+            }
+            fn scan_local(
+                &mut self,
+                table: TableId,
+                lo: u64,
+                hi: u64,
+                limit: usize,
+            ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+                let r = $ctx::scan_local(self, table, lo, hi, limit);
+                Box::pin(async move { r })
+            }
+            fn last_local(
+                &mut self,
+                table: TableId,
+                lo: u64,
+                hi: u64,
+            ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
+                let r = $ctx::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
+                Box::pin(async move { r })
             }
         }
-    }
-
-    /// The worker's current virtual time.
-    pub fn clock_now(&self) -> u64 {
-        match self {
-            EngineWorker::Drtm(w) => w.clock.now(),
-            EngineWorker::Calvin(w) => w.clock.now(),
-        }
-    }
-
-    /// The worker's statistics.
-    pub fn stats(&self) -> &WorkerStats {
-        match self {
-            EngineWorker::Drtm(w) => &w.stats,
-            EngineWorker::Calvin(w) => &w.stats,
-        }
-    }
+    )*};
 }
+eager_txn_api!(DrtmCtx<'_, '_, '_>, CalvinTxn<'_, '_>);

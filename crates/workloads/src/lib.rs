@@ -11,8 +11,10 @@
 //!   (Figures 13–16).
 //! * [`ycsb`] — YCSB A/B/C/F mixes with zipfian skew (not in the paper;
 //!   the standard neutral-ground comparison for KV stores).
-//! * [`driver`] — the multi-threaded measurement harness: per-worker
-//!   virtual clocks, per-transaction-type latency histograms, auxiliary
+//! * [`driver`] — the closed-loop measurement harness over the
+//!   [`Workload`] trait the three workloads implement: one cluster
+//!   builder, one measurement loop for every engine, per-worker virtual
+//!   clocks, per-transaction-type latency histograms, auxiliary
 //!   log-truncation threads, and throughput aggregation
 //!   (`Σ committed_w / vtime_w`, independent of host scheduling).
 //! * [`audit`] — consistency checkers (TPC-C's W_YTD = Σ D_YTD audit,
@@ -25,8 +27,8 @@ pub mod smallbank;
 pub mod tpcc;
 pub mod ycsb;
 
-pub use driver::{EngineKind, Measurement, RunCfg};
-pub use engine::{EngineWorker, TxnApi};
+pub use driver::{EngineKind, Measurement, RunCfg, Workload};
+pub use engine::TxnApi;
 
 #[cfg(test)]
 mod tests;

@@ -12,6 +12,7 @@ use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::TxnError;
 use drtm_store::{TableId, TableSpec};
 
+use crate::driver::{RunCfg, Workload};
 use crate::engine::TxnApi;
 
 /// SAVINGS table id.
@@ -178,6 +179,37 @@ pub fn gen(cfg: &SbCfg, rng: &mut SplitMix64, home: usize) -> SbInput {
         a,
         b,
         amount: rng.range(1, 100),
+    }
+}
+
+impl Workload for SbCfg {
+    const SLOT_SALT: u64 = 0x5B;
+    const GEN_SALT: u64 = 0xFACE;
+    /// The RNG and the worker's machine.
+    type Gen = (SplitMix64, usize);
+    type Input = SbInput;
+
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+    fn schema(&self) -> Vec<TableSpec> {
+        SbCfg::schema(self)
+    }
+    fn region_size(&self, _run: &RunCfg) -> usize {
+        SbCfg::region_size(self)
+    }
+    fn load(&self, cluster: &DrtmCluster) {
+        load(cluster, self)
+    }
+    fn generator(&self, node: usize, _tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
+        (rng, node)
+    }
+    fn next(&self, (rng, node): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
+        let inp = gen(self, rng, *node);
+        (inp.txn.name(), inp.txn.read_only(), inp)
+    }
+    async fn execute(&self, t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> {
+        execute(t, inp).await
     }
 }
 

@@ -601,3 +601,80 @@ fn calvin_is_order_of_magnitude_slower() {
         c.throughput
     );
 }
+
+/// The closed-loop driver end to end on one machine, one worker slot,
+/// 200 transactions: every workload on DrTM+R at 1 and 8 routines, on
+/// DrTM and on Calvin. One thread and one machine leave nothing to host
+/// scheduling, so each run repeats to the bit; the pins are the counts,
+/// the aggregate throughput's bits and, per transaction type, its count
+/// and p99's bits. They fail if a generator's RNG stream, a
+/// transaction index, a seed derivation or the budget split moves.
+#[test]
+fn one_machine_driver_runs_are_pinned() {
+    use crate::driver::{run_ycsb, Measurement};
+    use crate::ycsb::YcsbCfg;
+
+    let pin = |m: &Measurement| {
+        let mut types: Vec<_> = m.per_type.iter().collect();
+        types.sort_by_key(|(name, _)| **name);
+        let types: Vec<String> = types
+            .iter()
+            .map(|(name, t)| format!("{name} {} {:#x}", t.count, t.p99_us.to_bits()))
+            .collect();
+        format!(
+            "{} {} {} {:#x} | {}",
+            m.committed,
+            m.aborted,
+            m.fallbacks,
+            m.throughput.to_bits(),
+            types.join(", ")
+        )
+    };
+    let tpcc = quick_tpcc(1);
+    let sb = SbCfg {
+        accounts: 200,
+        ..Default::default()
+    };
+    let ycsb = YcsbCfg {
+        records: 500,
+        ..Default::default()
+    };
+    let engines = [
+        (EngineKind::DrtmR, 1),
+        (EngineKind::DrtmR, 8),
+        (EngineKind::Drtm, 1),
+        (EngineKind::Calvin, 1),
+    ];
+    let mut got = Vec::new();
+    for (engine, routines) in engines {
+        let run = RunCfg {
+            routines,
+            ..quick_run(engine, 1, 200)
+        };
+        let arm = format!("{engine:?} r{routines}");
+        got.push(format!("{arm} tpcc: {}", pin(&run_tpcc(&tpcc, &run))));
+        got.push(format!(
+            "{arm} smallbank: {}",
+            pin(&run_smallbank(&sb, &run))
+        ));
+        got.push(format!("{arm} ycsb: {}", pin(&run_ycsb(&ycsb, &run))));
+    }
+    let want = [
+        "DrtmR r1 tpcc: 198 0 0 0x40fe5ef3557a6407 | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
+        "DrtmR r1 smallbank: 172 0 0 0x4127c82b02032a9c | amalgamate 26 0x4000624dd2f1a9fc, balance 36 0x4000624dd2f1a9fc, deposit-checking 24 0x3ff0624dd2f1a9fc, send-payment 33 0x4000624dd2f1a9fc, transact-savings 26 0x3ff0624dd2f1a9fc, write-check 27 0x4000624dd2f1a9fc",
+        "DrtmR r1 ycsb: 200 0 0 0x4132201411f1021d | read 93 0x3ff0624dd2f1a9fc, update 107 0x3ff04dd2f1a9fbe7",
+        "DrtmR r8 tpcc: 198 0 0 0x40fad822f8db371f | delivery 7 0x4050624dd2f1a9fc, new-order 95 0x4030624dd2f1a9fc, order-status 5 0x4020624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 11 0x4060624dd2f1a9fc",
+        "DrtmR r8 smallbank: 188 0 0 0x412a241b2d761223 | amalgamate 26 0x4000624dd2f1a9fc, balance 29 0x4000624dd2f1a9fc, deposit-checking 33 0x3ff0624dd2f1a9fc, send-payment 41 0x4000624dd2f1a9fc, transact-savings 30 0x3ff0624dd2f1a9fc, write-check 29 0x4000624dd2f1a9fc",
+        "DrtmR r8 ycsb: 200 0 0 0x41320ec7f3e1b443 | read 100 0x3ff049ba5e353f7d, update 100 0x3ff049ba5e353f7d",
+        "Drtm r1 tpcc: 198 0 0 0x40fd426bdcefe944 | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4000624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
+        "Drtm r1 smallbank: 172 0 0 0x413065c69881f078 | amalgamate 26 0x4000624dd2f1a9fc, balance 36 0x3ff0624dd2f1a9fc, deposit-checking 24 0x3ff0624dd2f1a9fc, send-payment 33 0x3ff0624dd2f1a9fc, transact-savings 26 0x3ff0624dd2f1a9fc, write-check 27 0x3ff0624dd2f1a9fc",
+        "Drtm r1 ycsb: 200 0 0 0x4137a83398ce633a | read 93 0x3ff0624dd2f1a9fc, update 107 0x3ff04dd2f1a9fbe7",
+        "Calvin r1 tpcc: 198 0 0 0x40ce87e196cfb188 | delivery 5 0x4060624dd2f1a9fc, new-order 93 0x4060624dd2f1a9fc, order-status 11 0x4050624dd2f1a9fc, payment 80 0x4050624dd2f1a9fc, stock-level 9 0x4070624dd2f1a9fc",
+        "Calvin r1 smallbank: 172 0 0 0x40cbeb55480b2b3f | amalgamate 26 0x4050624dd2f1a9fc, balance 36 0x4050624dd2f1a9fc, deposit-checking 24 0x4050624dd2f1a9fc, send-payment 33 0x4050624dd2f1a9fc, transact-savings 26 0x4050624dd2f1a9fc, write-check 27 0x4050624dd2f1a9fc",
+        "Calvin r1 ycsb: 200 0 0 0x40d0428110cb3b3f | read 93 0x4050624dd2f1a9fc, update 107 0x40504ea7ef9db22d",
+    ];
+    for (got, want) in got.iter().zip(want) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(got.len(), want.len(), "{got:#?}");
+}

@@ -5,9 +5,11 @@
 //! deterministic functions of their input).
 
 use drtm_base::SplitMix64;
+use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::TxnError;
-use drtm_store::TableId;
+use drtm_store::{TableId, TableSpec};
 
+use crate::driver::{RunCfg, Workload};
 use crate::engine::TxnApi;
 use crate::tpcc::*;
 
@@ -467,4 +469,105 @@ pub async fn stock_level(
         .collect();
     let stock = t.read_many(&keys).await?;
     Ok(stock.iter().filter(|sv| slot(sv, 0) < threshold).count())
+}
+
+/// One drawn TPC-C transaction. The home warehouse and the transaction
+/// index ride along where the body takes them.
+#[derive(Debug, Clone)]
+pub enum TpccInput {
+    /// A new-order and its index (its order's entry timestamp).
+    NewOrder(NewOrderInput, u64),
+    /// A payment.
+    Payment(PaymentInput),
+    /// A delivery of warehouse `w` by `carrier`, stamped `ts`.
+    Delivery { w: u64, carrier: u64, ts: u64 },
+    /// An order-status of a customer of district `d` of warehouse `w`.
+    OrderStatus { w: u64, d: u64, by: CustomerBy },
+    /// A stock-level of district `d` of warehouse `w`.
+    StockLevel { w: u64, d: u64, threshold: u64 },
+}
+
+/// A TPC-C routine's generator.
+pub struct TpccGen {
+    rng: SplitMix64,
+    home_w: u64,
+    /// The last HISTORY key this routine drew.
+    hist_key: u64,
+}
+
+impl Workload for TpccCfg {
+    const SLOT_SALT: u64 = 0;
+    const GEN_SALT: u64 = 0xBEEF;
+    type Gen = TpccGen;
+    type Input = TpccInput;
+
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+    fn schema(&self) -> Vec<TableSpec> {
+        TpccCfg::schema(self)
+    }
+    fn region_size(&self, run: &RunCfg) -> usize {
+        TpccCfg::region_size(self, run.txns_per_worker * run.threads * 2)
+    }
+    fn load(&self, cluster: &DrtmCluster) {
+        crate::tpcc::load(cluster, self)
+    }
+    /// Slot `tid` is homed on warehouse `tid % warehouses_per_node` of
+    /// its machine; routines draw from disjoint HISTORY key ranges so
+    /// their inserts never collide.
+    fn generator(&self, node: usize, tid: usize, id: usize, rng: SplitMix64) -> TpccGen {
+        let home_w = (node * self.warehouses_per_node + tid % self.warehouses_per_node) as u64;
+        let hist_key = ((node as u64) << 24 | tid as u64) << 32 | ((id as u64) << 26);
+        TpccGen {
+            rng,
+            home_w,
+            hist_key,
+        }
+    }
+    fn next(&self, g: &mut TpccGen, i: u64) -> (&'static str, bool, TpccInput) {
+        let (rng, w) = (&mut g.rng, g.home_w);
+        let ttype = TxnType::pick(rng);
+        let input = match ttype {
+            TxnType::NewOrder => {
+                TpccInput::NewOrder(gen_new_order(self, rng, w, self.cross_new_order), i)
+            }
+            TxnType::Payment => {
+                g.hist_key += 1;
+                TpccInput::Payment(gen_payment(self, rng, w, g.hist_key))
+            }
+            TxnType::Delivery => TpccInput::Delivery {
+                w,
+                carrier: rng.range(1, 10),
+                ts: i,
+            },
+            TxnType::OrderStatus => {
+                let d = rng.below(self.districts as u64);
+                let last = self.customers as u64 - 1;
+                let by = if rng.chance(0.6) {
+                    CustomerBy::LastName(lastname_id(nurand(rng, 255, 0, last)))
+                } else {
+                    CustomerBy::Id(nurand(rng, 1023, 0, last))
+                };
+                TpccInput::OrderStatus { w, d, by }
+            }
+            TxnType::StockLevel => {
+                let d = rng.below(self.districts as u64);
+                let threshold = rng.range(10, 20);
+                TpccInput::StockLevel { w, d, threshold }
+            }
+        };
+        (ttype.name(), ttype.read_only(), input)
+    }
+    async fn execute(&self, t: &mut dyn TxnApi, input: &TpccInput) -> Result<(), TxnError> {
+        match *input {
+            TpccInput::NewOrder(ref inp, ts) => new_order(t, self, inp, ts).await,
+            TpccInput::Payment(ref inp) => payment(t, self, inp).await,
+            TpccInput::Delivery { w, carrier, ts } => delivery(t, self, w, carrier, ts).await,
+            TpccInput::OrderStatus { w, d, by } => order_status(t, self, w, d, by).await,
+            TpccInput::StockLevel { w, d, threshold } => {
+                stock_level(t, self, w, d, threshold).await.map(|_| ())
+            }
+        }
+    }
 }

@@ -11,6 +11,7 @@ use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::TxnError;
 use drtm_store::{TableId, TableSpec};
 
+use crate::driver::{RunCfg, Workload};
 use crate::engine::TxnApi;
 
 /// The YCSB table id.
@@ -215,6 +216,39 @@ pub async fn execute(
     };
     v[..8].copy_from_slice(&stamp.to_le_bytes());
     t.write(op.shard, T_KV, key, v).await
+}
+
+impl Workload for YcsbCfg {
+    const SLOT_SALT: u64 = 0x4C5B;
+    const GEN_SALT: u64 = 0xD00D;
+    /// The RNG, the key distribution and the worker's machine.
+    type Gen = (SplitMix64, Zipf, usize);
+    /// The operation and its index, which a write stamps into the row.
+    type Input = (YcsbOp, u64);
+
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+    fn schema(&self) -> Vec<TableSpec> {
+        YcsbCfg::schema(self)
+    }
+    fn region_size(&self, _run: &RunCfg) -> usize {
+        YcsbCfg::region_size(self)
+    }
+    fn load(&self, cluster: &DrtmCluster) {
+        load(cluster, self)
+    }
+    fn generator(&self, node: usize, _tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
+        (rng, Zipf::new(self.records as u64, self.theta), node)
+    }
+    fn next(&self, (rng, zipf, node): &mut Self::Gen, i: u64) -> (&'static str, bool, Self::Input) {
+        let op = gen(self, zipf, rng, *node);
+        let name = if op.is_read { "read" } else { "update" };
+        (name, op.is_read, (op, i))
+    }
+    async fn execute(&self, t: &mut dyn TxnApi, (op, i): &Self::Input) -> Result<(), TxnError> {
+        execute(t, self, op, *i).await
+    }
 }
 
 /// Loads the YCSB dataset.

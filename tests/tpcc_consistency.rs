@@ -99,13 +99,15 @@ fn high_contention_stays_consistent() {
 /// consistent.
 #[test]
 fn all_distributed_new_orders_stay_consistent() {
-    let cfg = cfg(2);
+    let cfg = TpccCfg {
+        cross_new_order: 1.0,
+        ..cfg(2)
+    };
     let run = RunCfg {
         engine: EngineKind::DrtmR,
         threads: 2,
         replicas: 1,
         txns_per_worker: 30,
-        cross_override: Some(1.0),
         ..Default::default()
     };
     let (cluster, _) = build_tpcc(&cfg, &run);

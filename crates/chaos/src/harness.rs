@@ -181,9 +181,9 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
                 if !cfg.pace.is_zero() {
                     std::thread::sleep(cfg.pace);
                 }
-                // A machine voted out while alive commits nothing it
-                // starts after that.
-                if !cluster.is_alive(node) || !cluster.is_member(node) {
+                // A machine voted out while alive stops through the
+                // engine's fence (`Crashed`, below).
+                if !cluster.is_alive(node) {
                     stopped = true;
                     break;
                 }

@@ -54,6 +54,13 @@ impl ConfigService {
         self.current.read().epoch
     }
 
+    /// The current epoch if `node` is a member of it, `None` if it is
+    /// not: one read of the register, no clone.
+    pub fn epoch_of(&self, node: NodeId) -> Option<u64> {
+        let cur = self.current.read();
+        cur.contains(node).then_some(cur.epoch)
+    }
+
     /// Commits a new configuration that excludes `dead`, returning it.
     ///
     /// Idempotent: if `dead` is already excluded the configuration is

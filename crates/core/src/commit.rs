@@ -1,8 +1,16 @@
 //! The six-step commit phase (Figure 7), read-only commit (§4.5), the
 //! fallback handler (§6.1), and optimistic replication (§5.1).
 //!
-//! A read-write transaction walks [`STAGES`] in order (the fallback
-//! handler is the same walk in another `Mode`):
+//! Every commit is one walk over [`STAGES`] in order; the fallback
+//! handler and the read-only commit are the same walk in another
+//! `Mode`. A read-only walk skips C.1, runs only C.2's row — the whole
+//! read set's validation, skipped when one atomic read built it — and
+//! stops at the fence. The fence, before anything irreversible (C.4,
+//! or a read-only `Ok`), is the walk's one configuration check: a
+//! machine that left the configuration stops as
+//! [`TxnError::Crashed`], and a transaction that spans a
+//! reconfiguration aborts. R.1's append re-checks the epoch under the
+//! log store's recovery gate.
 //!
 //! * **C.1** lock every remote record in the read *and* write sets with
 //!   one-sided RDMA CAS: all machines in one park (no-wait locking
@@ -34,6 +42,7 @@
 
 use std::sync::Arc;
 
+use drtm_base::MemoryRegion;
 use drtm_cluster::{LogEntry, LogEntryRef};
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
@@ -101,8 +110,8 @@ pub const STAGES: [Stage; 7] = [
     },
 ];
 
-/// What isolates the local half of a commit (C.3 + C.4) — the only two
-/// places the walk differs between the HTM commit and its fallback.
+/// How a commit walks [`STAGES`]: what C.1 locks, what the validate
+/// row checks, and what isolates the local half (C.3 + C.4).
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// C.1 locks the remote read and write sets; the local read set is
@@ -113,6 +122,37 @@ enum Mode {
     /// ones via loopback RDMA CAS (§6.2) — and the local half runs
     /// under those locks.
     Locked,
+    /// A read-only transaction (§4.5): no lock row; the validate row
+    /// checks the whole read set — unless one atomic read built it —
+    /// and the walk stops after the fence.
+    ReadOnly,
+}
+
+/// The one read-validation rule (Table 4): a read validates while its
+/// record keeps the incarnation it was read at and the sequence number
+/// read or, for an uncommittable read, its replicated successor. Only
+/// [`Mode::ReadOnly`] also fails a locked record: a read-write walk
+/// holds the locks of what C.2 and its fallback's C.3 validate, and lock
+/// words are per machine, so a sibling routine's lock would read as its
+/// own.
+fn check_read((inc, seq): (u64, u64), now: RecordHeader, mode: Mode) -> Result<(), AbortReason> {
+    if now.incarnation != inc {
+        Err(AbortReason::Incarnation)
+    } else if !read_validates(seq, now.seq) || (mode == Mode::ReadOnly && now.lock != LOCK_FREE) {
+        Err(AbortReason::Validation)
+    } else {
+        Ok(())
+    }
+}
+
+/// The header of the record at `off` by plain loads: line 0 holds the
+/// lock word, incarnation and sequence number.
+fn header_at(region: &MemoryRegion, off: usize) -> RecordHeader {
+    RecordHeader {
+        lock: region.load64(off + LOCK_OFF),
+        incarnation: region.load64(off + INCARNATION_OFF),
+        seq: region.load64(off + SEQ_OFF),
+    }
 }
 
 /// Lap clock over the commit phases of one transaction: each lap adds
@@ -127,6 +167,8 @@ struct PhaseClock {
     wall_mark: u64,
     ns: [u64; Phase::COUNT],
     wait_ns: [u64; Phase::COUNT],
+    /// The phases lapped at least once.
+    lapped: [bool; Phase::COUNT],
 }
 
 impl PhaseClock {
@@ -138,6 +180,7 @@ impl PhaseClock {
             wall_mark: txn.w.trace_wall_ns,
             ns: [0; Phase::COUNT],
             wait_ns: [0; Phase::COUNT],
+            lapped: [false; Phase::COUNT],
         }
     }
 
@@ -149,6 +192,7 @@ impl PhaseClock {
         let now = w.clock.now();
         let span = now.saturating_sub(self.mark);
         self.ns[phase.index()] += span;
+        self.lapped[phase.index()] = true;
         self.mark = now;
         self.wait_ns[phase.index()] += w.wait_accum_ns.saturating_sub(self.wait_mark);
         self.wait_mark = w.wait_accum_ns;
@@ -167,9 +211,10 @@ impl PhaseClock {
     }
 
     /// Records the phase spans of a *committed* transaction into the
-    /// worker's metrics shard (scrape-time aggregation across workers).
+    /// worker's metrics shard (scrape-time aggregation across workers):
+    /// one sample per phase its walk lapped.
     fn note(&self, w: &Worker) {
-        for phase in Phase::ALL {
+        for phase in Phase::ALL.into_iter().filter(|p| self.lapped[p.index()]) {
             w.obs.note_phase(phase, self.ns[phase.index()]);
             w.obs.note_phase_wait(phase, self.wait_ns[phase.index()]);
         }
@@ -268,151 +313,82 @@ impl TxnCtx<'_> {
     /// region runs synchronously inside a single step — it can never
     /// span a suspension.
     ///
+    /// One walk over [`STAGES`] in the transaction's mode and, should
+    /// the HTM region exhaust its retries, the same walk again under
+    /// locks (§6.1) — on one phase clock, so the abandoned attempt's
+    /// time stays in the committed transaction's phases.
+    ///
     /// On success the worker's committed counter and latency histogram
     /// are updated; on `Err(TxnError::Aborted(_))` the abort counter is
     /// updated and the caller may retry with a fresh execution.
     pub async fn commit_async(mut self) -> Result<(), TxnError> {
-        let result = if self.read_only {
-            self.commit_ro().await
+        let mut pc = PhaseClock::start(&self);
+        pc.lap(self.w, Phase::Execute);
+        let mut mode = if self.read_only {
+            Mode::ReadOnly
         } else {
-            self.commit_rw().await
+            Mode::Htm
         };
-        match &result {
-            Ok(()) => {
-                self.w.stats.committed += 1;
-                let lat = self.w.clock.now().saturating_sub(self.start_ns);
-                self.w.stats.latency.record(lat);
-                self.w.obs.note_commit(lat);
-                drtm_obs::trace::event_id(
-                    EventKind::TxnCommit,
-                    if self.read_only { "ro" } else { "rw" },
-                    self.w.node as u64,
-                    self.w.trace_id,
-                    self.w.clock.now(),
-                );
-            }
-            Err(e) => {
-                self.w.stats.aborted += 1;
-                // A `Crashed` machine is a death, not an abort; only
-                // protocol and transport aborts enter the taxonomy.
-                let abort = match e {
-                    TxnError::Aborted(reason) => Some((reason.obs_index(), reason.label())),
-                    TxnError::Transport(verb) => {
-                        Some((crate::txn::TRANSPORT_OBS_INDEX, verb.label()))
-                    }
-                    _ => None,
-                };
-                if let Some((index, label)) = abort {
-                    self.w.obs.note_abort(index);
-                    drtm_obs::trace::event_id(
-                        EventKind::TxnAbort,
-                        label,
-                        self.w.node as u64,
-                        self.w.trace_id,
-                        self.w.clock.now(),
-                    );
+        let result = loop {
+            match self.commit_walk(mode, &mut pc).await {
+                Ok(false) => {
+                    self.w.stats.fallbacks += 1;
+                    self.w.obs.note_fallback();
+                    mode = Mode::Locked;
                 }
+                done => break done.map(drop),
             }
-        }
+        };
+        let Err(e) = result else {
+            pc.note(self.w);
+            self.w.stats.committed += 1;
+            let lat = self.w.clock.now().saturating_sub(self.start_ns);
+            self.w.stats.latency.record(lat);
+            self.w.obs.note_commit(lat);
+            drtm_obs::trace::event_id(
+                EventKind::TxnCommit,
+                if self.read_only { "ro" } else { "rw" },
+                self.w.node as u64,
+                self.w.trace_id,
+                self.w.clock.now(),
+            );
+            return result;
+        };
+        self.w.note_abort(e);
         result
     }
 
-    /// Read-only commit: validate sequence numbers with no HTM, no locks.
-    ///
-    /// A locked record fails validation wherever it lives and however it
-    /// was read (§4.5's read-time rule, applied once more at the end): a
-    /// committer between C.1 and C.6 may already have rewritten the
-    /// transaction's *other* records — local ones are written in HTM at
-    /// C.4 and never locked — while this one still shows its old
-    /// sequence number.
-    ///
-    /// A read set that one atomic read built — one HTM region, however
-    /// many read groups extended it, or one consistent READ, each of
-    /// which saw every record unlocked — and whose sequence numbers are
-    /// all even (committed) serializes at that read, as FaRM's lock-free
-    /// single-object reads do: there is nothing to validate. An
-    /// all-local reader's groups are one region unless a back-off, a
-    /// conflict or the read capacity closed it between them
-    /// (`TxnCtx::read_region`). Odd reads and read sets built by more
-    /// than one read validate as above; the pass is counted.
-    async fn commit_ro(&mut self) -> Result<(), TxnError> {
-        assert!(self.l_ws.is_empty() && self.r_ws.is_empty() && self.mutations.is_empty());
-        // Traced read-only commits get an execute span (begin → here)
-        // and, on success, a validate span; neither enters a histogram.
-        let mut pc = PhaseClock::start(self);
-        pc.lap(self.w, Phase::Execute);
-        if !self.one_snapshot() {
-            self.w.obs.note_ro_validation();
-            self.validate_ro().await?;
-        }
-        // A reconfiguration mid-transaction may have re-homed a shard
-        // this transaction read from; the abandoned store's headers stay
-        // frozen and would keep validating stale values forever.
-        if self.w.cluster.config.epoch() != self.start_epoch {
-            return Err(TxnError::Aborted(AbortReason::Validation));
-        }
-        pc.lap(self.w, Phase::Validate);
-        Ok(())
-    }
-
-    /// Whether one atomic read of committed records built the read set.
+    /// Whether one atomic read of committed records built the read set —
+    /// one HTM region however many read groups extended it
+    /// (`TxnCtx::read_region`), or one consistent READ — each of which
+    /// saw every record unlocked: the set serializes at that read, as
+    /// FaRM's lock-free single-object reads do, with nothing to validate.
     fn one_snapshot(&self) -> bool {
         self.snapshots == 1
             && self.l_rs.iter().all(|e| e.seq % 2 == 0)
             && self.r_rs.iter().all(|e| e.seq % 2 == 0)
     }
 
-    /// The read-only validation pass: local headers by load, remote ones
-    /// by one header READ each.
-    async fn validate_ro(&mut self) -> Result<(), TxnError> {
-        let cluster = Arc::clone(&self.w.cluster);
-        let cost = &cluster.opts.cost;
-        let region = Arc::clone(&cluster.stores[self.w.node].region);
-        for e in &self.l_rs {
-            // Line 0 holds the lock word, incarnation and sequence
-            // number: one access.
-            self.w.clock.advance(cost.mem_access_ns);
-            let lock = region.load64(e.rec_off + LOCK_OFF);
-            let inc = region.load64(e.rec_off + INCARNATION_OFF);
-            let seq = region.load64(e.rec_off + SEQ_OFF);
-            if lock != LOCK_FREE || inc != e.incarnation || !read_validates(e.seq, seq) {
-                return Err(TxnError::Aborted(AbortReason::Validation));
-            }
+    /// The walk's one fence (§5.2), before anything irreversible (C.4's
+    /// apply, a read-only `Ok`). A machine that left the configuration,
+    /// dead or alive, stops as [`TxnError::Crashed`]: its shard is being
+    /// recovered elsewhere, and its locks are a non-member's, released
+    /// passively. A transaction that spans a reconfiguration aborts: a
+    /// shard it read may have been re-homed, its abandoned headers
+    /// frozen. R.1's fenced append closes the window after this.
+    fn fence(&self) -> Result<(), TxnError> {
+        match self.w.cluster.config.epoch_of(self.w.node) {
+            None => Err(TxnError::Crashed),
+            now if now == self.start_epoch => Ok(()),
+            _ => Err(TxnError::Aborted(AbortReason::Validation)),
         }
-        let addrs: Vec<LockAddr> = self.r_rs.iter().map(|e| (e.node, e.rec_off)).collect();
-        let hdrs = self.read_headers(&addrs, |_| None).await?;
-        for (h, e) in hdrs.iter().zip(&self.r_rs) {
-            if h.incarnation != e.incarnation
-                || !read_validates(e.seq, h.seq)
-                || h.lock != LOCK_FREE
-            {
-                return Err(TxnError::Aborted(AbortReason::Validation));
-            }
-        }
-        Ok(())
-    }
-
-    /// Read-write commit: the HTM walk and, should the HTM region
-    /// exhaust its retries, the same walk again under locks (§6.1) —
-    /// on one [`PhaseClock`], so the abandoned attempt's time stays in
-    /// the committed transaction's phases.
-    async fn commit_rw(&mut self) -> Result<(), TxnError> {
-        let mut pc = PhaseClock::start(self);
-        pc.lap(self.w, Phase::Execute);
-        let mut mode = Mode::Htm;
-        while !self.commit_walk(mode, &mut pc).await? {
-            self.w.stats.fallbacks += 1;
-            self.w.obs.note_fallback();
-            mode = Mode::Locked;
-        }
-        pc.note(self.w);
-        Ok(())
     }
 
     /// One walk over [`STAGES`], each doorbell a suspension point of
     /// the commit state machine. `Ok(true)` is a commit; `Ok(false)`
     /// means the HTM gave up with every lock released again, and the
-    /// caller re-enters in [`Mode::Locked`].
+    /// caller re-enters in [`Mode::Locked`]. A read-only walk skips the
+    /// lock row and stops after the validate row and the fence.
     async fn commit_walk(&mut self, mode: Mode, pc: &mut PhaseClock) -> Result<bool, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let [lock, validate, apply, log, makeup, update, unlock] = &STAGES;
@@ -424,15 +400,18 @@ impl TxnCtx<'_> {
         // already won. Global order keeps wait mode deadlock-free. Only
         // the ladder arms it, so it never engages while contention
         // management is off.
-        let locks = self.lock_addrs(mode);
-        let wait_mode = self.w.force_pessimistic;
-        let peeked = self.lock_all(&locks, wait_mode, mode).await?;
-        self.stage_done(pc, lock)?;
+        let (mut locks, mut peeked) = (Vec::new(), Vec::new());
+        if mode != Mode::ReadOnly {
+            locks = self.lock_addrs(mode);
+            let wait_mode = self.w.force_pessimistic;
+            peeked = self.lock_all(&locks, wait_mode, mode).await?;
+            self.stage_done(pc, lock)?;
+        }
 
-        // C.2: validate remote reads; learn current sequence numbers for
-        // remote writes — from the headers C.1's doorbells brought back,
-        // so a round trip is paid here only for what they missed.
-        let remote_new_seqs = match self.validate_remote(&locks, &peeked).await {
+        // C.2: validate remote reads — every read of a read-only
+        // transaction — and learn current sequence numbers for remote
+        // writes.
+        let remote_new_seqs = match self.validate_reads(mode, &locks, &peeked).await {
             Ok(s) => s,
             Err(e) => {
                 self.unlock_all(&locks).await;
@@ -441,17 +420,16 @@ impl TxnCtx<'_> {
         };
         self.stage_done(pc, validate)?;
 
-        // Fencing: a transaction must not span a reconfiguration (§5.2).
-        // A machine removed from the configuration (falsely suspected,
-        // lease lost) must not apply writes or append logs — its shard
-        // is being recovered elsewhere — and a survivor's reads of a
-        // re-homed shard validated against a frozen, abandoned store.
-        // `lock_all` fenced each lock *target*; this epoch check covers
-        // everything else, before anything irreversible. The window
-        // between here and R.1 is closed by the fenced append itself.
-        if cluster.config.epoch() != self.start_epoch {
-            self.unlock_all(&locks).await;
-            return Err(TxnError::Aborted(AbortReason::Validation));
+        // `lock_all` fenced each lock *target*; this covers the
+        // committing machine and the configuration it began under.
+        if let Err(e) = self.fence() {
+            if e != TxnError::Crashed {
+                self.unlock_all(&locks).await;
+            }
+            return Err(e);
+        }
+        if mode == Mode::ReadOnly {
+            return Ok(true);
         }
 
         // C.3 + C.4: validate local reads and apply local writes, inside
@@ -461,6 +439,7 @@ impl TxnCtx<'_> {
         let applied = match mode {
             Mode::Htm => self.htm_validate_and_apply(local_bump),
             Mode::Locked => Ok(self.locked_validate_and_apply(local_bump, locks.len())),
+            Mode::ReadOnly => unreachable!("a read-only walk stops at the fence"),
         };
         let local_new_seqs = match applied {
             Ok(Ok(seqs)) => seqs,
@@ -1064,11 +1043,7 @@ impl TxnCtx<'_> {
                     fabric.charge_message(&mut w.clock, node, w.node, 24);
                     region.faa64(CONTROL_LINE_OFF, 1);
                 }
-                hdrs.push(RecordHeader {
-                    lock: region.load64(off + LOCK_OFF),
-                    incarnation: region.load64(off + INCARNATION_OFF),
-                    seq: region.load64(off + SEQ_OFF),
-                });
+                hdrs.push(header_at(region, off));
             }
             return hdrs;
         }
@@ -1142,11 +1117,36 @@ impl TxnCtx<'_> {
     /// there costs a [`Self::read_headers`] round trip, one doorbell per
     /// destination node. Either way every record here is locked by C.1,
     /// so its header is stable.
-    async fn validate_remote(
+    ///
+    /// In [`Mode::ReadOnly`] nothing is locked and this is the whole
+    /// validation, run unless [`Self::one_snapshot`] holds (the pass is
+    /// counted): local headers by load, one memory access each, then
+    /// the remote ones in one park. A locked record fails wherever it
+    /// lives and however it was read (§4.5's read-time rule, applied
+    /// once more at the end): a committer between C.1 and C.6 may
+    /// already have rewritten the transaction's *other* records — local
+    /// ones are written in HTM at C.4 and never locked — while this one
+    /// still shows its old sequence number. A read-only abort feeds the
+    /// ladder no conflict.
+    async fn validate_reads(
         &mut self,
+        mode: Mode,
         locks: &[LockAddr],
         peeked: &[Option<RecordHeader>],
     ) -> Result<Vec<u64>, TxnError> {
+        if mode == Mode::ReadOnly {
+            if self.one_snapshot() {
+                return Ok(Vec::new());
+            }
+            self.w.obs.note_ro_validation();
+            let cluster = Arc::clone(&self.w.cluster);
+            let region = &cluster.stores[self.w.node].region;
+            for e in &self.l_rs {
+                self.w.clock.advance(cluster.opts.cost.mem_access_ns);
+                let now = header_at(region, e.rec_off);
+                check_read((e.incarnation, e.seq), now, mode).map_err(TxnError::Aborted)?;
+            }
+        }
         let addrs: Vec<LockAddr> = self
             .r_rs
             .iter()
@@ -1155,17 +1155,13 @@ impl TxnCtx<'_> {
             .collect();
         let known = |a: LockAddr| locks.binary_search(&a).ok().and_then(|i| peeked[i]);
         let hdrs = self.read_headers(&addrs, known).await?;
-        for i in 0..self.r_rs.len() {
-            let (e, h) = (&self.r_rs[i], hdrs[i]);
-            let reason = if h.incarnation != e.incarnation {
-                AbortReason::Incarnation
-            } else if !read_validates(e.seq, h.seq) {
-                AbortReason::Validation
-            } else {
-                continue;
-            };
-            self.note_conflict(addrs[i], false);
-            return Err(TxnError::Aborted(reason));
+        for (i, e) in self.r_rs.iter().enumerate() {
+            if let Err(reason) = check_read((e.incarnation, e.seq), hdrs[i], mode) {
+                if mode != Mode::ReadOnly {
+                    self.note_conflict(addrs[i], false);
+                }
+                return Err(TxnError::Aborted(reason));
+            }
         }
         let mut new_seqs = Vec::with_capacity(self.r_ws.len());
         for i in 0..self.r_ws.len() {
@@ -1206,17 +1202,15 @@ impl TxnCtx<'_> {
             if msg_locking {
                 t.read_u64(CONTROL_LINE_OFF)?;
             }
-            // C.3: validate local reads (sequence number + incarnation).
-            // The error side carries the conflicted l_ws index (when
-            // one is known) for the ladder's abort attribution.
+            // C.3: validate local reads, each header loaded inside the
+            // region. The error side carries the conflicted l_ws index
+            // (when one is known) for the ladder's abort attribution.
             for e in l_rs {
-                let inc = t.read_u64(e.rec_off + INCARNATION_OFF)?;
-                let seq = t.read_u64(e.rec_off + SEQ_OFF)?;
-                if inc != e.incarnation {
-                    return Ok(Err((AbortReason::Incarnation, None)));
-                }
-                if !read_validates(e.seq, seq) {
-                    return Ok(Err((AbortReason::Validation, None)));
+                let mut hdr = [0u8; HEADER_BYTES];
+                t.read_bytes(e.rec_off, &mut hdr)?;
+                let now = RecordHeader::parse(&hdr);
+                if let Err(reason) = check_read((e.incarnation, e.seq), now, Mode::Htm) {
+                    return Ok(Err((reason, None)));
                 }
             }
             // C.4 precondition: no remote committer may hold a local
@@ -1302,14 +1296,8 @@ impl TxnCtx<'_> {
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
         for e in &self.l_rs {
-            let inc = store.region.load64(e.rec_off + INCARNATION_OFF);
-            let seq = store.region.load64(e.rec_off + SEQ_OFF);
-            if inc != e.incarnation {
-                return Err(AbortReason::Incarnation);
-            }
-            if !read_validates(e.seq, seq) {
-                return Err(AbortReason::Validation);
-            }
+            let now = header_at(&store.region, e.rec_off);
+            check_read((e.incarnation, e.seq), now, Mode::Locked)?;
         }
         let mut new_seqs = Vec::with_capacity(self.l_ws.len());
         for e in &self.l_ws {
@@ -1383,61 +1371,59 @@ impl TxnCtx<'_> {
                     delete: value.is_none(),
                 });
             }
+            let epoch = self.start_epoch.expect("the fence admitted a member");
             let clock = &mut self.w.clock;
             let cost = &cluster.opts.cost;
-            cluster
-                .logs
-                .append_fenced(&cluster.config, self.start_epoch, |logs| {
-                    let mut by_backup: Vec<Vec<(NodeId, &[LogEntryRef<'_>])>> =
-                        vec![Vec::new(); nodes];
-                    for (p, batch) in by_primary.iter().enumerate() {
-                        if !batch.is_empty() {
-                            for b in cluster.backups_of(p) {
-                                by_backup[b].push((p, batch));
-                            }
+            cluster.logs.append_fenced(&cluster.config, epoch, |logs| {
+                let mut by_backup: Vec<Vec<(NodeId, &[LogEntryRef<'_>])>> = vec![Vec::new(); nodes];
+                for (p, batch) in by_primary.iter().enumerate() {
+                    if !batch.is_empty() {
+                        for b in cluster.backups_of(p) {
+                            by_backup[b].push((p, batch));
                         }
                     }
-                    let src = cluster.fabric.port(me);
-                    let loopback = std::mem::take(&mut by_backup[me]);
-                    let mut horizon = clock.now();
-                    for (b, batches) in by_backup.iter().enumerate() {
-                        if batches.is_empty() {
-                            continue;
-                        }
-                        let dst = cluster.fabric.port(b);
-                        // R.1 rides the work queue too: everything
-                        // bound for this backup is one doorbell (charged
-                        // up front) plus pipelined per-entry occupancy,
-                        // counted on the destination port like every
-                        // other doorbell.
-                        let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
-                        let charge = cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
-                        clock.advance(charge);
-                        cpu_ns += charge;
-                        dst.stats().doorbells.inc();
-                        for &(p, batch) in batches {
-                            // One chained WRITE per log: one verb-op
-                            // reservation on both ports beside the bytes.
-                            let issue = clock.now();
-                            let done = logs
-                                .post(issue, cost, (src.nic(), dst.nic()), me, p, b, batch)
-                                .max(src.nic_ops().reserve(issue, 1))
-                                .max(dst.nic_ops().reserve(issue, 1));
-                            dst.stats().writes.inc();
-                            dst.stats()
-                                .bytes
-                                .add(LogEntry::batch_wire_size(batch) as u64);
-                            horizon = horizon.max(done);
-                        }
+                }
+                let src = cluster.fabric.port(me);
+                let loopback = std::mem::take(&mut by_backup[me]);
+                let mut horizon = clock.now();
+                for (b, batches) in by_backup.iter().enumerate() {
+                    if batches.is_empty() {
+                        continue;
                     }
-                    for (p, batch) in loopback {
+                    let dst = cluster.fabric.port(b);
+                    // R.1 rides the work queue too: everything
+                    // bound for this backup is one doorbell (charged
+                    // up front) plus pipelined per-entry occupancy,
+                    // counted on the destination port like every
+                    // other doorbell.
+                    let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
+                    let charge = cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
+                    clock.advance(charge);
+                    cpu_ns += charge;
+                    dst.stats().doorbells.inc();
+                    for &(p, batch) in batches {
+                        // One chained WRITE per log: one verb-op
+                        // reservation on both ports beside the bytes.
                         let issue = clock.now();
-                        let done = logs.post(issue, cost, (src.nic(), src.nic()), me, p, me, batch);
-                        cpu_ns += done - issue;
-                        clock.advance_to(done);
+                        let done = logs
+                            .post(issue, cost, (src.nic(), dst.nic()), me, p, b, batch)
+                            .max(src.nic_ops().reserve(issue, 1))
+                            .max(dst.nic_ops().reserve(issue, 1));
+                        dst.stats().writes.inc();
+                        dst.stats()
+                            .bytes
+                            .add(LogEntry::batch_wire_size(batch) as u64);
+                        horizon = horizon.max(done);
                     }
-                    clock.advance_to(horizon);
-                })
+                }
+                for (p, batch) in loopback {
+                    let issue = clock.now();
+                    let done = logs.post(issue, cost, (src.nic(), src.nic()), me, p, me, batch);
+                    cpu_ns += done - issue;
+                    clock.advance_to(done);
+                }
+                clock.advance_to(horizon);
+            })
         };
         // One collapsed yield over the slowest ack: the CPU charges are
         // spent up front and the remainder of the span is hideable

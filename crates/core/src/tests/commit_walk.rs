@@ -95,7 +95,7 @@ fn fallback_commits_when_htm_always_fails() {
     // A fallback commit is accounted like any other: every phase
     // histogram has one entry per commit, and the phases — abandoned
     // HTM attempt included — sum to the recorded latency. (Scraped
-    // before the read-only check below: those record no phases.)
+    // before the read-only check below, which adds read-only phases.)
     let snap = c.obs.scrape();
     for (name, h) in &snap.phases {
         assert_eq!(h.count, 5, "phase {name}");

@@ -47,7 +47,7 @@ fn read_only_txn_sees_consistent_snapshot() {
 }
 
 /// `write_local` refuses a read-only transaction at the call, as every
-/// other write does, not later at `commit_ro`'s set check.
+/// other write does, not later at commit.
 #[test]
 #[should_panic(expected = "read-only transactions cannot write")]
 fn write_local_in_a_read_only_transaction_panics() {
@@ -163,6 +163,41 @@ fn one_record_read_only_commit_posts_no_validation() {
     assert_eq!(t.commit(), Ok(()));
     let d = nic.since(1);
     assert_eq!((d.reads, d.doorbells), (2, 1), "two header READs: {d:?}");
+}
+
+/// A read-only commit is the commit walk's validate row: it adds one
+/// execute sample (begin to commit) and one validate sample — its
+/// validation pass, or zero when one snapshot built its read set — and
+/// no sample to any other phase.
+#[test]
+fn read_only_commits_enter_the_execute_and_validate_phases() {
+    let c = cluster(2, 1);
+    let mut w = c.worker(0, 1);
+    // Warms the location cache, so each read posts its READ alone.
+    w.run_ro(|t| t.read(1, T_ACCT, key(1, 5))).unwrap();
+    let phases = || -> Vec<(u64, u64)> {
+        let snap = c.obs.scrape();
+        snap.phases.iter().map(|(_, h)| (h.count, h.sum)).collect()
+    };
+    for (keys, validates) in [(&[5, 6][..], true), (&[5][..], false)] {
+        let before = phases();
+        let mut t = w.begin_ro();
+        let begun = t.w.clock.now();
+        for &k in keys {
+            t.read(1, T_ACCT, key(1, k)).unwrap();
+        }
+        let at = t.w.clock.now();
+        assert_eq!(t.commit(), Ok(()));
+        let validate = w.clock.now() - at;
+        assert_eq!(validate > 0, validates, "{keys:?}");
+        let added: Vec<_> = (phases().iter().zip(&before))
+            .map(|(now, then)| (now.0 - then.0, now.1 - then.1))
+            .collect();
+        let mut want = [(0, 0); drtm_obs::Phase::COUNT];
+        want[drtm_obs::Phase::Execute.index()] = (1, at - begun);
+        want[drtm_obs::Phase::Validate.index()] = (1, validate);
+        assert_eq!(added, want, "{keys:?}");
+    }
 }
 
 /// What the one-snapshot rule leaves to validation. Two snapshots — a

@@ -321,6 +321,41 @@ fn writes_to_dead_node_are_fenced() {
     assert!(matches!(r, Err(TxnError::Aborted(_))));
 }
 
+/// Machine 1 voted out of the configuration while alive — no crash —
+/// runs `txn` on its own shard: the fence stops it as a departed machine
+/// (§5.2), `Crashed`, and `key(1, 0)` still reads 100. Re-admitted, the
+/// same worker commits again: the fence is not sticky.
+fn voted_out_machine_stops(txn: impl Fn(&mut Worker) -> Result<u64, TxnError>) {
+    let c = cluster(3, 2);
+    c.config.remove_member(1);
+    let mut w = c.worker(1, 7);
+    assert_eq!(txn(&mut w), Err(TxnError::Crashed));
+    assert_eq!(value(&c, 1, 0), 100);
+    c.config.add_member(1);
+    assert!(txn(&mut w).is_ok());
+}
+
+/// An all-local read-write transaction, committed in HTM with no verb.
+#[test]
+fn a_voted_out_machine_commits_no_local_write() {
+    voted_out_machine_stops(|w| add_one(w, &[(1, 0)], || {}).map(|()| 0));
+}
+
+/// A local read-only transaction of two read groups: one HTM region,
+/// one snapshot, so its commit runs no validation pass.
+#[test]
+fn a_voted_out_machine_commits_no_local_read_groups() {
+    voted_out_machine_stops(|w| {
+        w.run_ro(|t| Ok(num(&t.read(1, T_ACCT, key(1, 0))?) + num(&t.read(1, T_ACCT, key(1, 1))?)))
+    });
+}
+
+/// A one-record read-only transaction.
+#[test]
+fn a_voted_out_machine_commits_no_one_record_read() {
+    voted_out_machine_stops(|w| w.run_ro(|t| t.read(1, T_ACCT, key(1, 0)).map(|v| num(&v))));
+}
+
 #[test]
 fn full_restart_scrub_repairs_inflight_state() {
     let c = cluster(3, 3);

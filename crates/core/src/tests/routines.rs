@@ -59,6 +59,12 @@ fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u
 /// - A read-only transaction built by one atomic read of a committed
 ///   record does not validate: each of the 12 pays its record READ and
 ///   nothing at commit.
+/// - A read-only commit walks the validate row only, so it adds one
+///   execute and one (zero) validate sample: its execute span is
+///   `record_logic_ns` + doorbell + the READ (180 + 250 + 1 509 =
+///   1 939 ns, 1 509 of it wait), so execute reads 33 664 + 12 × 1 939
+///   = 56 932 ns over 24 samples, 24 144 + 12 × 1 509 = 42 252 of it
+///   wait.
 ///
 /// So machine 1 sees, per read-write commit, its record READ, C.1 +
 /// C.2 (one CAS, one header READ), R.1 (one redo WRITE: machine 0's
@@ -66,7 +72,7 @@ fn phase_digest(v: &[(&'static str, drtm_obs::HistSummary)]) -> Vec<(u64, u64, u
 /// four doorbells; per read-only commit one READ and one doorbell; and
 /// four location probes, one per key: 40 READs, 24 WRITEs, 24 CASes,
 /// 64 doorbells, one park each, and 12 header READs saved by C.2's
-/// coalescing. Read-only commits enter no phase histogram.
+/// coalescing.
 #[test]
 fn routines_one_matches_blocking_path_pins() {
     use drtm_rdma::NicSnapshot;
@@ -93,9 +99,9 @@ fn routines_one_matches_blocking_path_pins() {
         assert_eq!(
             phase_digest(&snap.phases),
             [
-                (12, 33664, 3072, 4096),
+                (24, 56932, 2048, 4096),
                 (12, 29400, 3072, 4096),
-                (12, 0, 1, 2),
+                (24, 0, 1, 2),
                 (12, 840, 96, 128),
                 (12, 19872, 1536, 2048),
                 (12, 720, 48, 64),
@@ -107,9 +113,9 @@ fn routines_one_matches_blocking_path_pins() {
         assert_eq!(
             phase_digest(&snap.phase_waits),
             [
-                (12, 24144, 1792, 4096),
+                (24, 42252, 1638, 4096),
                 (12, 26400, 3072, 4096),
-                (12, 0, 1, 2),
+                (24, 0, 1, 2),
                 (12, 0, 1, 2),
                 (12, 16152, 1536, 2048),
                 (12, 0, 1, 2),

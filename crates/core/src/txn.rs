@@ -58,7 +58,7 @@ impl AbortReason {
 
 /// Index of the `transport` slot in [`drtm_obs::ABORT_REASONS`] (the
 /// slot before the final `user` one).
-pub(crate) const TRANSPORT_OBS_INDEX: usize = drtm_obs::ABORT_REASONS.len() - 2;
+const TRANSPORT_OBS_INDEX: usize = drtm_obs::ABORT_REASONS.len() - 2;
 
 /// Errors surfaced to transaction bodies and callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,8 @@ impl From<VerbError> for TxnError {
 pub struct WorkerStats {
     /// Committed transactions.
     pub committed: u64,
-    /// Aborted attempts (all causes).
+    /// Aborted attempts: protocol and transport aborts, in either phase
+    /// (a crash is a death, not an abort).
     pub aborted: u64,
     /// Commit-phase fallback-handler invocations.
     pub fallbacks: u64,
@@ -274,11 +275,13 @@ pub struct TxnCtx<'w> {
     /// The worker's verb-wait accumulator at begin, so commit can
     /// attribute execution-phase waits to the `Execute` span.
     pub(crate) start_wait_ns: u64,
-    /// Configuration epoch at begin. Commit is fenced against it: a
+    /// Configuration epoch at begin, `None` when this machine was not a
+    /// member of it. The commit walk's fence compares against it: a
     /// reconfiguration mid-transaction aborts the transaction rather
     /// than let it validate against (or log towards) a shard whose
-    /// store was abandoned and re-homed (§5.2).
-    pub(crate) start_epoch: u64,
+    /// store was abandoned and re-homed, and a machine voted out of
+    /// the configuration commits nothing (§5.2).
+    pub(crate) start_epoch: Option<u64>,
     pub(crate) read_only: bool,
     pub(crate) l_rs: Vec<LocalRead>,
     pub(crate) l_ws: Vec<LocalWrite>,
@@ -288,8 +291,8 @@ pub struct TxnCtx<'w> {
     pub(crate) r_ws: Vec<RemoteWrite>,
     pub(crate) mutations: Vec<PendingMutation>,
     /// Atomic reads that built the read sets: one per HTM region that
-    /// read groups, one per consistent READ of a remote record.
-    /// `commit_ro`'s one-snapshot rule reads it.
+    /// read groups, one per consistent READ of a remote record. The
+    /// read-only walk's one-snapshot rule reads it.
     pub(crate) snapshots: u32,
     /// A read-only transaction's open HTM region: the read set of the
     /// local read groups since it opened, which the next group extends
@@ -563,7 +566,7 @@ impl Worker {
         let cost = self.cluster.opts.cost.txn_overhead_ns;
         self.clock.advance(cost);
         let start_ns = self.clock.now();
-        let start_epoch = self.cluster.config.epoch();
+        let start_epoch = self.cluster.config.epoch_of(self.node);
         if self.trace_id != 0 {
             self.trace_wall_ns = drtm_obs::trace::wall_ns();
         }
@@ -657,7 +660,7 @@ impl Worker {
         let mut last = TxnError::Aborted(AbortReason::Validation);
         for attempt in 0..=TXN_RETRIES {
             let mut ctx = self.begin_inner(read_only);
-            match body(&mut ctx).await {
+            let e = match body(&mut ctx).await {
                 Ok(value) => match ctx.commit_async().await {
                     Ok(()) => {
                         // Ladder bookkeeping: plain field writes, so the
@@ -666,52 +669,16 @@ impl Worker {
                         self.force_pessimistic = false;
                         return Ok(value);
                     }
-                    Err(e @ (TxnError::Aborted(_) | TxnError::Transport(_))) => last = e,
-                    Err(e) => return Err(e),
+                    Err(e) => e, // `commit_async` accounted it.
                 },
-                Err(e @ TxnError::Aborted(reason)) => {
-                    // Execution-phase aborts (commit-phase ones are
-                    // accounted inside `commit`).
-                    self.stats.aborted += 1;
-                    self.obs.note_abort(reason.obs_index());
-                    drtm_obs::trace::event_id(
-                        EventKind::TxnAbort,
-                        reason.label(),
-                        self.node as u64,
-                        self.trace_id,
-                        self.clock.now(),
-                    );
-                    last = e;
+                Err(e) => {
+                    self.note_abort(e);
+                    e
                 }
-                Err(e @ TxnError::Transport(verb)) => {
-                    // No engine read surfaces this today (a dropped
-                    // execution READ is retried like a torn one and the
-                    // location probes retransmit); the arm is for bodies
-                    // that return a transport error of their own.
-                    self.stats.aborted += 1;
-                    self.obs.note_abort(TRANSPORT_OBS_INDEX);
-                    drtm_obs::trace::event_id(
-                        EventKind::TxnAbort,
-                        verb.label(),
-                        self.node as u64,
-                        self.trace_id,
-                        self.clock.now(),
-                    );
-                    last = e;
-                }
-                Err(TxnError::UserAbort) => {
-                    self.stats.user_aborts += 1;
-                    self.obs.note_user_abort();
-                    drtm_obs::trace::event_id(
-                        EventKind::TxnAbort,
-                        "user",
-                        self.node as u64,
-                        self.trace_id,
-                        self.clock.now(),
-                    );
-                    return Err(TxnError::UserAbort);
-                }
-                Err(e) => return Err(e),
+            };
+            match e {
+                TxnError::Aborted(_) | TxnError::Transport(_) => last = e,
+                _ => return Err(e),
             }
             // Conflict response. With contention management off this is
             // the paper's §4.3 randomized backoff; otherwise the
@@ -726,6 +693,37 @@ impl Worker {
         }
         self.force_pessimistic = false;
         Err(last)
+    }
+
+    /// The one abort ledger: counts a failed attempt — a protocol or
+    /// transport abort, or the application's rollback — in the worker's
+    /// stats and metrics shard and emits its `TxnAbort` trace event. A
+    /// `Crashed` machine is a death, not an abort, and `NotFound` is
+    /// the body's answer: neither is counted.
+    pub(crate) fn note_abort(&mut self, e: TxnError) {
+        let (label, count) = match e {
+            TxnError::Aborted(reason) => {
+                self.obs.note_abort(reason.obs_index());
+                (reason.label(), &mut self.stats.aborted)
+            }
+            TxnError::Transport(verb) => {
+                self.obs.note_abort(TRANSPORT_OBS_INDEX);
+                (verb.label(), &mut self.stats.aborted)
+            }
+            TxnError::UserAbort => {
+                self.obs.note_user_abort();
+                ("user", &mut self.stats.user_aborts)
+            }
+            TxnError::Crashed | TxnError::NotFound => return,
+        };
+        *count += 1;
+        drtm_obs::trace::event_id(
+            EventKind::TxnAbort,
+            label,
+            self.node as u64,
+            self.trace_id,
+            self.clock.now(),
+        );
     }
 
     /// Rung 1 — the paper's randomised virtual-time backoff, growing

@@ -74,7 +74,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Commit-protocol phases, in protocol order. These are the span
-/// boundaries of `commit_rw` in `drtm-core`: `Execute` covers the
+/// boundaries of the commit walk in `drtm-core`: `Execute` covers the
 /// transaction body, `Lock`..`Unlock` map onto the paper's C.1–C.6 and
 /// R.1–R.2 steps (see DESIGN.md §6 for the exact mapping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

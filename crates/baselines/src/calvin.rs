@@ -29,13 +29,14 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use drtm_base::sync::Mutex;
-use drtm_base::{LinkBudget, SplitMix64, VClock};
+use drtm_base::task::block_now;
+use drtm_base::{LinkBudget, VClock};
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::{TxnError, WorkerStats};
+use drtm_core::txn::{TxnError, Worker};
 use drtm_rdma::NodeId;
 use drtm_store::TableId;
 
-use crate::oracle::OracleCtx;
+use crate::oracle::{Exec, OracleCtx, Pass};
 
 /// Virtual nanoseconds of lock-manager service per lock or unlock
 /// operation (single-threaded manager, so this serialises per machine).
@@ -63,28 +64,95 @@ impl CalvinEngine {
         })
     }
 
-    /// Creates a worker on `node`.
-    pub fn worker(self: &Arc<Self>, node: NodeId, seed: u64) -> CalvinWorker {
-        CalvinWorker {
-            engine: Arc::clone(self),
-            node,
-            clock: VClock::new(),
-            rng: SplitMix64::new(seed ^ 0xCA111),
-            stats: WorkerStats::default(),
-        }
-    }
-}
+    /// Runs one transaction deterministically on `w` to commit:
+    /// sequencing, the oracle pass, every lock in global order, then
+    /// the body under its locks. A lock held by an earlier transaction
+    /// is waited for with a [`Worker::pause`] of up to 1 µs per pass.
+    ///
+    /// The body runs on contexts that never suspend, so each pass
+    /// finishes in one poll; only the lock wait parks.
+    pub async fn run<R>(
+        &self,
+        w: &mut Worker,
+        mut body: impl AsyncFnMut(&mut CalvinTxn<'_, '_>) -> Result<R, TxnError>,
+    ) -> Result<R, TxnError> {
+        let cost = &self.cluster.opts.cost;
+        let start = w.clock.now();
 
-/// One Calvin worker thread.
-pub struct CalvinWorker {
-    engine: Arc<CalvinEngine>,
-    /// Machine this worker runs on.
-    pub node: NodeId,
-    /// Virtual clock.
-    pub clock: VClock,
-    rng: SplitMix64,
-    /// Commit/abort counters.
-    pub stats: WorkerStats,
+        // Sequencing: ship the request to the sequencer over IPoIB.
+        w.clock.advance(cost.ipoib_rtt_ns);
+
+        // Oracle pass: Calvin requires the read/write sets up front.
+        let mut oracle = OracleCtx::new(Arc::clone(&self.cluster), w.node);
+        if let Err(e) = block_now(body(&mut CalvinTxn::Oracle(&mut oracle))) {
+            w.note_abort(e);
+            return Err(e);
+        }
+        let sets = oracle.sets;
+
+        // All records this transaction touches, in global order.
+        let mut addrs: Vec<(NodeId, usize)> = sets
+            .reads
+            .iter()
+            .chain(&sets.writes)
+            .map(|a| (a.0, a.3))
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+
+        // Lock-manager service: every lock and unlock passes through the
+        // home machine's single-threaded manager.
+        for &(node, _) in &addrs {
+            let t = self.lock_mgr[node].reserve(w.clock.now(), 1);
+            w.clock.advance_to(t);
+        }
+
+        // Actual mutual exclusion (ordered acquisition; waiting models
+        // Calvin's in-order lock grants).
+        let mut held = 0;
+        loop {
+            {
+                let mut table = self.locks.lock();
+                while held < addrs.len() {
+                    if table.contains(&addrs[held]) {
+                        break;
+                    }
+                    table.insert(addrs[held]);
+                    held += 1;
+                }
+                if held == addrs.len() {
+                    break;
+                }
+            }
+            let ns = w.rng.below(1_000);
+            w.pause(ns).await;
+        }
+
+        // Execute with everything locked.
+        let mut ctx = CalvinCtx {
+            engine: self,
+            node: w.node,
+            clock: &mut w.clock,
+            charged: HashSet::new(),
+        };
+        let result = block_now(body(&mut CalvinTxn::Exec(&mut ctx)));
+
+        // Release.
+        {
+            let mut table = self.locks.lock();
+            for a in &addrs {
+                table.remove(a);
+            }
+        }
+
+        match result {
+            Ok(_) => w.note_commit(start, "rw"),
+            // Deterministic execution does not abort on conflicts; only
+            // application errors land here.
+            Err(e) => w.note_abort(e),
+        }
+        result
+    }
 }
 
 /// Execution context: all locks are held, so reads and writes go
@@ -99,67 +167,7 @@ pub struct CalvinCtx<'a> {
 
 /// The context handed to Calvin transaction bodies: the oracle pass then
 /// the locked execution pass.
-pub enum CalvinTxn<'x, 'a> {
-    /// Set-collection pass.
-    Oracle(&'x mut OracleCtx),
-    /// Locked execution pass.
-    Exec(&'x mut CalvinCtx<'a>),
-}
-
-impl CalvinTxn<'_, '_> {
-    /// Reads a record.
-    pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
-        match self {
-            CalvinTxn::Oracle(o) => o.read(shard, table, key),
-            CalvinTxn::Exec(e) => e.read(shard, table, key),
-        }
-    }
-
-    /// Writes a record.
-    pub fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        match self {
-            CalvinTxn::Oracle(o) => o.write(shard, table, key),
-            CalvinTxn::Exec(e) => e.write(shard, table, key, value),
-        }
-    }
-
-    /// Inserts a record (applied immediately in the exec pass — all
-    /// conflicting transactions are ordered behind this one).
-    pub fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
-        match self {
-            CalvinTxn::Oracle(o) => o.insert(shard, table, key, value),
-            CalvinTxn::Exec(e) => e.insert(shard, table, key, value),
-        }
-    }
-
-    /// Deletes a record.
-    pub fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-        match self {
-            CalvinTxn::Oracle(o) => o.delete(shard, table, key),
-            CalvinTxn::Exec(e) => e.delete(shard, table, key),
-        }
-    }
-
-    /// Local ordered scan.
-    pub fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        match self {
-            CalvinTxn::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit)),
-            CalvinTxn::Exec(e) => Ok(e.scan_local(table, lo, hi, limit)),
-        }
-    }
-}
+pub type CalvinTxn<'x, 'a> = Pass<'x, CalvinCtx<'a>>;
 
 impl CalvinCtx<'_> {
     fn charge_remote(&mut self, home: NodeId) {
@@ -168,7 +176,9 @@ impl CalvinCtx<'_> {
                 .advance(self.engine.cluster.opts.cost.ipoib_rtt_ns);
         }
     }
+}
 
+impl Exec for CalvinCtx<'_> {
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
         let home = self.engine.cluster.home_of(shard);
         self.charge_remote(home);
@@ -201,6 +211,8 @@ impl CalvinCtx<'_> {
         Ok(())
     }
 
+    /// Applied at once: every conflicting transaction is ordered behind
+    /// this one.
     fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
         let home = self.engine.cluster.home_of(shard);
         self.charge_remote(home);
@@ -223,206 +235,16 @@ impl CalvinCtx<'_> {
         lo: u64,
         hi: u64,
         limit: usize,
-    ) -> Vec<(u64, Vec<u8>)> {
+    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let store = &self.engine.cluster.stores[self.node];
-        store
-            .scan(table, lo, hi, limit)
-            .into_iter()
+        let hits = store.scan(table, lo, hi, limit).into_iter();
+        Ok(hits
             .map(|(k, off)| {
                 let rec = store.record(table, off as usize);
                 let mut v = vec![0u8; rec.layout.value_len];
                 rec.read_value_raw(&mut v);
                 (k, v)
             })
-            .collect()
-    }
-}
-
-impl CalvinWorker {
-    /// Runs one transaction deterministically to commit.
-    pub fn run<R>(
-        &mut self,
-        mut body: impl FnMut(&mut CalvinTxn<'_, '_>) -> Result<R, TxnError>,
-    ) -> Result<R, TxnError> {
-        let engine = Arc::clone(&self.engine);
-        let cost = engine.cluster.opts.cost.clone();
-        let start = self.clock.now();
-
-        // Sequencing: ship the request to the sequencer over IPoIB.
-        self.clock.advance(cost.ipoib_rtt_ns);
-
-        // Oracle pass: Calvin requires the read/write sets up front.
-        let mut oracle = OracleCtx::new(Arc::clone(&engine.cluster), self.node);
-        body(&mut CalvinTxn::Oracle(&mut oracle))?;
-        let sets = oracle.sets;
-
-        // All records this transaction touches, in global order.
-        let mut addrs: Vec<(NodeId, usize)> = sets
-            .reads
-            .iter()
-            .chain(&sets.writes)
-            .map(|a| (a.0, a.3))
-            .collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-
-        // Lock-manager service: every lock and unlock passes through the
-        // home machine's single-threaded manager.
-        for &(node, _) in &addrs {
-            let t = engine.lock_mgr[node].reserve(self.clock.now(), 1);
-            self.clock.advance_to(t);
-        }
-
-        // Actual mutual exclusion (ordered acquisition; waiting models
-        // Calvin's in-order lock grants).
-        let mut held = 0;
-        loop {
-            {
-                let mut table = engine.locks.lock();
-                while held < addrs.len() {
-                    if table.contains(&addrs[held]) {
-                        break;
-                    }
-                    table.insert(addrs[held]);
-                    held += 1;
-                }
-                if held == addrs.len() {
-                    break;
-                }
-            }
-            std::thread::yield_now();
-            self.clock.advance(self.rng.below(1_000));
-        }
-
-        // Execute with everything locked.
-        let mut ctx = CalvinCtx {
-            engine: &engine,
-            node: self.node,
-            clock: &mut self.clock,
-            charged: HashSet::new(),
-        };
-        let result = body(&mut CalvinTxn::Exec(&mut ctx));
-
-        // Release.
-        {
-            let mut table = engine.locks.lock();
-            for a in &addrs {
-                table.remove(a);
-            }
-        }
-
-        match result {
-            Ok(v) => {
-                self.stats.committed += 1;
-                self.stats
-                    .latency
-                    .record(self.clock.now().saturating_sub(start));
-                Ok(v)
-            }
-            Err(e) => {
-                // Deterministic execution does not abort on conflicts;
-                // only application errors land here.
-                self.stats.user_aborts += 1;
-                Err(e)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use drtm_core::cluster::EngineOpts;
-    use drtm_store::TableSpec;
-
-    fn setup() -> (Arc<DrtmCluster>, Arc<CalvinEngine>) {
-        let c = DrtmCluster::new(
-            2,
-            &[TableSpec::hash(0, 1024, 16)],
-            EngineOpts::builder().region_size(1 << 20).build(),
-        );
-        for shard in 0..2 {
-            for k in 0..8u64 {
-                let mut v = vec![0u8; 16];
-                v[..8].copy_from_slice(&100u64.to_le_bytes());
-                c.seed_record(shard, 0, (shard as u64) << 32 | k, &v);
-            }
-        }
-        let e = CalvinEngine::new(Arc::clone(&c));
-        (c, e)
-    }
-
-    fn num(v: &[u8]) -> u64 {
-        u64::from_le_bytes(v[..8].try_into().unwrap())
-    }
-
-    fn val(x: u64) -> Vec<u8> {
-        let mut v = vec![0u8; 16];
-        v[..8].copy_from_slice(&x.to_le_bytes());
-        v
-    }
-
-    #[test]
-    fn transfer_commits() {
-        let (c, e) = setup();
-        let mut w = e.worker(0, 1);
-        w.run(|t| {
-            let a = num(&t.read(0, 0, 1)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
-            t.write(0, 0, 1, val(a - 5))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 5))
-        })
-        .unwrap();
-        let mut v = c.worker(0, 9);
-        assert_eq!(num(&v.run_ro(|t| t.read(0, 0, 1)).unwrap()), 95);
-        assert_eq!(num(&v.run_ro(|t| t.read(1, 0, 1 << 32 | 1)).unwrap()), 105);
-    }
-
-    #[test]
-    fn calvin_is_much_slower_than_drtm_r() {
-        let (c, e) = setup();
-        // One remote transaction each.
-        let mut cw = e.worker(0, 1);
-        cw.run(|t| {
-            let v = num(&t.read(1, 0, 1 << 32 | 2)?);
-            t.write(1, 0, 1 << 32 | 2, val(v + 1))
-        })
-        .unwrap();
-        let mut dw = c.worker(0, 2);
-        dw.run(|t| {
-            let v = num(&t.read(1, 0, 1 << 32 | 3)?);
-            t.write(1, 0, 1 << 32 | 3, val(v + 1))
-        })
-        .unwrap();
-        assert!(
-            cw.clock.now() > 5 * dw.clock.now(),
-            "Calvin {} vs DrTM+R {}",
-            cw.clock.now(),
-            dw.clock.now()
-        );
-    }
-
-    #[test]
-    fn concurrent_increments_serialize() {
-        let (c, e) = setup();
-        let mut handles = Vec::new();
-        for id in 0..2u64 {
-            let e = Arc::clone(&e);
-            handles.push(std::thread::spawn(move || {
-                let mut w = e.worker(id as usize, id + 3);
-                for _ in 0..100 {
-                    w.run(|t| {
-                        let v = num(&t.read(0, 0, 4)?);
-                        t.write(0, 0, 4, val(v + 1))
-                    })
-                    .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut v = c.worker(0, 9);
-        assert_eq!(num(&v.run_ro(|t| t.read(0, 0, 4)).unwrap()), 300);
+            .collect())
     }
 }

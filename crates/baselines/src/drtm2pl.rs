@@ -18,46 +18,25 @@
 //! real execution touches records the oracle pass did not predict are
 //! aborted and retried, modelling chopping imperfection.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use drtm_base::task::block_now;
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::contention::SpinBudget;
-use drtm_core::txn::{AbortReason, TxnError, WorkerStats};
+use drtm_core::txn::{AbortReason, TxnError, Worker};
 use drtm_htm::{AbortCode, HtmTxn, RunOutcome};
-use drtm_rdma::{NodeId, Qp};
+use drtm_rdma::{NodeId, WorkRequest, WrResult};
 use drtm_store::record::{
-    lock_owner, lock_word, remote_read_consistent, remote_write_locked, LOCK_FREE,
+    lock_owner, lock_word, locked_write_wrs, parse_consistent, RecordLayout, LOCK_FREE,
 };
 use drtm_store::TableId;
 
-use crate::oracle::{OracleCtx, RwSets};
+use crate::oracle::{Exec, OracleCtx, Pass, RwSets};
 
-use drtm_base::{SplitMix64, VClock};
-
-/// A worker thread of the DrTM baseline engine.
-pub struct DrtmWorker {
-    cluster: Arc<DrtmCluster>,
-    /// The machine this worker runs on.
-    pub node: NodeId,
-    /// Virtual clock.
-    pub clock: VClock,
-    rng: SplitMix64,
-    qps: Vec<Qp>,
-    /// Commit/abort counters.
-    pub stats: WorkerStats,
-}
-
-/// Transaction context handed to DrTM transaction bodies.
-///
-/// The body runs twice: once against [`DrtmCtx::Oracle`] (free dry run
-/// collecting the read/write sets) and once against [`DrtmCtx::Exec`]
-/// (the real, charged execution inside HTM).
-pub enum DrtmCtx<'x, 'a, 'b> {
-    /// The free set-collection pass.
-    Oracle(&'x mut OracleCtx),
-    /// The real execution pass.
-    Exec(&'x mut ExecCtx<'a, 'b>),
-}
+/// Transaction context handed to DrTM transaction bodies: the oracle
+/// pass, then the real, charged execution inside HTM.
+pub type DrtmCtx<'x, 'a, 'b> = Pass<'x, ExecCtx<'a, 'b>>;
 
 /// The real execution pass: local accesses via one big HTM region,
 /// remote reads from the prefetched snapshot, remote writes buffered.
@@ -66,7 +45,7 @@ pub struct ExecCtx<'a, 'b> {
     node: NodeId,
     txn: &'a mut HtmTxn<'b>,
     /// Remote values prefetched under lock: `(node, table, key) -> value`.
-    remote_vals: std::collections::HashMap<(NodeId, TableId, u64), Vec<u8>>,
+    remote_vals: HashMap<(NodeId, TableId, u64), Vec<u8>>,
     /// Buffered remote writes `(node, table, key, off, value)`.
     remote_writes: Vec<(NodeId, TableId, u64, usize, Vec<u8>)>,
     /// Buffered inserts/deletes.
@@ -75,70 +54,9 @@ pub struct ExecCtx<'a, 'b> {
     local_lines: u64,
 }
 
-impl DrtmCtx<'_, '_, '_> {
-    /// Reads a record (local: inside the HTM region; remote: from the
-    /// locked prefetched snapshot).
-    pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
-        match self {
-            DrtmCtx::Oracle(o) => o.read(shard, table, key),
-            DrtmCtx::Exec(e) => e.read(shard, table, key),
-        }
-    }
-
-    /// Writes a record (local: buffered in HTM; remote: buffered until
-    /// after the region commits).
-    pub fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        match self {
-            DrtmCtx::Oracle(o) => o.write(shard, table, key),
-            DrtmCtx::Exec(e) => e.write(shard, table, key, value),
-        }
-    }
-
-    /// Buffers an insert.
-    pub fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
-        match self {
-            DrtmCtx::Oracle(o) => o.insert(shard, table, key, value),
-            DrtmCtx::Exec(e) => {
-                let home = e.cluster.home_of(shard);
-                e.mutations.push((home, table, key, Some(value)));
-            }
-        }
-    }
-
-    /// Buffers a delete.
-    pub fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-        match self {
-            DrtmCtx::Oracle(o) => o.delete(shard, table, key),
-            DrtmCtx::Exec(e) => {
-                let home = e.cluster.home_of(shard);
-                e.mutations.push((home, table, key, None));
-            }
-        }
-    }
-
-    /// Local ordered scan (both passes read directly; the exec pass adds
-    /// the records to the HTM read set via per-record reads).
-    pub fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        match self {
-            DrtmCtx::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit)),
-            DrtmCtx::Exec(e) => e.scan_local(table, lo, hi, limit),
-        }
-    }
-}
-
-impl ExecCtx<'_, '_> {
+impl Exec for ExecCtx<'_, '_> {
+    /// Local: inside the HTM region; remote: from the locked
+    /// prefetched snapshot.
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
         let home = self.cluster.home_of(shard);
         if home != self.node {
@@ -200,6 +118,18 @@ impl ExecCtx<'_, '_> {
         Ok(())
     }
 
+    /// Buffered until the region commits.
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
+        let home = self.cluster.home_of(shard);
+        self.mutations.push((home, table, key, Some(value)));
+    }
+
+    /// Buffered until the region commits.
+    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+        let home = self.cluster.home_of(shard);
+        self.mutations.push((home, table, key, None));
+    }
+
     fn scan_local(
         &mut self,
         table: TableId,
@@ -220,332 +150,267 @@ impl ExecCtx<'_, '_> {
     }
 }
 
-impl DrtmWorker {
-    /// Creates a DrTM worker on `node`.
-    pub fn new(cluster: Arc<DrtmCluster>, node: NodeId, seed: u64) -> Self {
-        let qps = (0..cluster.nodes())
-            .map(|dst| cluster.fabric.qp(node, dst))
-            .collect();
-        Self {
-            cluster,
-            node,
-            clock: VClock::new(),
-            rng: SplitMix64::new(seed.wrapping_mul(0x5851_F42D) ^ node as u64),
-            qps,
-            stats: WorkerStats::default(),
-        }
-    }
-
-    /// Runs one transaction to commit (2PL waits on locks, so only
-    /// execution divergence retries).
-    pub fn run<R>(
-        &mut self,
-        mut body: impl FnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
-    ) -> Result<R, TxnError> {
-        let start = {
-            self.clock
-                .advance(self.cluster.opts.cost.txn_overhead_ns / 2);
-            self.clock.now()
-        };
-        loop {
-            match self.attempt(&mut body) {
-                Ok(r) => {
-                    self.stats.committed += 1;
-                    self.stats
-                        .latency
-                        .record(self.clock.now().saturating_sub(start));
-                    return Ok(r);
-                }
-                Err(TxnError::Aborted(_)) => {
-                    self.stats.aborted += 1;
-                    let ns = self.rng.below(4_000);
-                    self.clock.advance(ns);
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(e),
+/// Runs one DrTM transaction on `w` to commit: an oracle pass, then
+/// 2PL over the remote records and one HTM region for the rest. Locks
+/// are waited for, so only a spent lock-wait budget, a torn prefetch or
+/// an execution that strays from the oracle's sets retries, after a
+/// random pause of up to 4 µs.
+///
+/// The body runs on contexts that never suspend (the oracle's snapshot,
+/// then the HTM region), so each pass finishes in one poll; `w`'s verbs
+/// are what park.
+pub async fn run<R>(
+    w: &mut Worker,
+    mut body: impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
+) -> Result<R, TxnError> {
+    w.clock.advance(w.cluster.opts.cost.txn_overhead_ns / 2);
+    let start = w.clock.now();
+    loop {
+        match attempt(w, &mut body).await {
+            Ok(r) => {
+                w.note_commit(start, "rw");
+                return Ok(r);
             }
-        }
-    }
-
-    fn attempt<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
-    ) -> Result<R, TxnError> {
-        let cluster = Arc::clone(&self.cluster);
-        // Free oracle pass: DrTM's "a-priori read/write sets".
-        let mut oracle = OracleCtx::new(Arc::clone(&cluster), self.node);
-        body(&mut DrtmCtx::Oracle(&mut oracle))?;
-        let sets = oracle.sets;
-
-        // 2PL: lock all remote records in global order, waiting on
-        // conflicts (bounded by a per-record retry cap to stay live).
-        let remote = Self::remote_addrs(&sets, self.node);
-        if let Err(held) = self.lock_remote_waiting(&remote) {
-            self.unlock_remote(&remote[..held]);
-            return Err(TxnError::Aborted(AbortReason::LockBusy));
-        }
-
-        // Prefetch every locked remote record.
-        let mut remote_vals = std::collections::HashMap::new();
-        for &(node, table, key, off) in sets.reads.iter().chain(&sets.writes) {
-            if node == self.node {
-                continue;
+            Err(e) => {
+                w.note_abort(e);
+                let TxnError::Aborted(_) = e else {
+                    return Err(e);
+                };
+                let ns = w.rng.below(4_000);
+                w.pause(ns).await;
             }
-            let layout = cluster.stores[self.node].table(table).layout;
-            let Some(rr) =
-                remote_read_consistent(&self.qps[node], &mut self.clock, off, layout, 16)
-            else {
-                self.unlock_remote(&remote);
-                return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
-            };
-            remote_vals.insert((node, table, key), rr.value);
-        }
-
-        // One HTM region for the entire transaction.
-        let cost = cluster.opts.cost.clone();
-        let htm = &cluster.htms[self.node];
-        let region = &cluster.stores[self.node].region;
-        let node = self.node;
-        let outcome = htm.run(region, &mut self.rng, |t| {
-            let mut e = ExecCtx {
-                cluster: Arc::clone(&cluster),
-                node,
-                txn: t,
-                remote_vals: remote_vals.clone(),
-                remote_writes: Vec::new(),
-                mutations: Vec::new(),
-                local_lines: 0,
-            };
-            let r = body(&mut DrtmCtx::Exec(&mut e));
-            let ExecCtx {
-                remote_writes,
-                mutations,
-                local_lines,
-                ..
-            } = e;
-            match r {
-                Ok(v) => Ok(Ok((v, remote_writes, mutations, local_lines))),
-                Err(TxnError::Aborted(AbortReason::LockBusy)) => Err(AbortCode::Explicit(1)),
-                Err(err) => Ok(Err(err)),
-            }
-        });
-
-        let (value, remote_writes, mutations, local_lines, retries) = match outcome {
-            RunOutcome::Committed {
-                value: Ok((v, rw, m, l)),
-                retries,
-            } => (v, rw, m, l, retries),
-            RunOutcome::Committed { value: Err(e), .. } => {
-                self.unlock_remote(&remote);
-                return Err(e);
-            }
-            RunOutcome::Fallback(_) => {
-                self.stats.fallbacks += 1;
-                self.unlock_remote(&remote);
-                // DrTM's slow path re-runs under locking; modelled as an
-                // abort + retry with an extra locking toll.
-                self.clock
-                    .advance(cost.rdma_atomic_ns * (sets.reads.len() as u64 + 1));
-                return Err(TxnError::Aborted(AbortReason::Fallback));
-            }
-        };
-
-        // Cost of the big HTM region: one XBEGIN/XEND per transaction,
-        // then per-record application logic and per-line memory/HTM
-        // tracking for everything it touched — the same per-record terms
-        // DrTM+R pays (one `record_logic_ns` per record, however often it
-        // is read and written), minus DrTM+R's per-read HTM region and
-        // buffer maintenance (its "generality cost"). Repeated per retry.
-        let per_attempt = cost.htm_begin_ns
-            + cost.htm_commit_ns
-            + local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
-            + sets.distinct_records() as u64 * cost.record_logic_ns;
-        self.clock.advance(per_attempt * (retries as u64 + 1));
-
-        // Write back remote writes (still holding their locks).
-        for (dst, table, _key, off, val) in &remote_writes {
-            let layout = cluster.stores[self.node].table(*table).layout;
-            let cur = cluster.stores[*dst].region.load64(*off + 16);
-            remote_write_locked(&self.qps[*dst], &mut self.clock, *off, layout, val, cur + 2);
-        }
-
-        // Apply inserts/deletes.
-        for (dst, table, key, val) in &mutations {
-            if *dst != self.node {
-                cluster.fabric.charge_message(
-                    &mut self.clock,
-                    self.node,
-                    *dst,
-                    24 + val.as_ref().map_or(0, Vec::len),
-                );
-            }
-            match val {
-                Some(v) => {
-                    cluster.stores[*dst].insert(*table, *key, v, 2);
-                }
-                None => {
-                    cluster.stores[*dst].remove(*table, *key);
-                }
-            }
-        }
-
-        self.unlock_remote(&remote);
-        Ok(value)
-    }
-
-    fn remote_addrs(sets: &RwSets, me: NodeId) -> Vec<(NodeId, usize)> {
-        let mut v: Vec<(NodeId, usize)> = sets
-            .reads
-            .iter()
-            .chain(&sets.writes)
-            .filter(|a| a.0 != me)
-            .map(|a| (a.0, a.3))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// 2PL acquisition: spin on each lock (bounded), in global order.
-    ///
-    /// The spin bound and per-spin backoff live in
-    /// [`drtm_core::contention::SpinBudget`] — the engine's rung-2
-    /// pessimistic C.1 acquisition (DESIGN.md §15) borrows exactly this
-    /// machinery, so the budget is shared rather than duplicated.
-    fn lock_remote_waiting(&mut self, addrs: &[(NodeId, usize)]) -> Result<(), usize> {
-        let me = lock_word(self.node);
-        let members = self.cluster.config.get();
-        for (i, &(node, off)) in addrs.iter().enumerate() {
-            if !members.contains(node) {
-                return Err(i);
-            }
-            let mut budget = SpinBudget::default();
-            loop {
-                match self.qps[node].cas(&mut self.clock, off, LOCK_FREE, me) {
-                    Ok(_) => break,
-                    Err(actual) => {
-                        let owner = lock_owner(actual).expect("locked");
-                        if !members.contains(owner) {
-                            let _ = self.qps[node].cas(&mut self.clock, off, actual, LOCK_FREE);
-                            continue;
-                        }
-                        let Some(ns) = budget.step(&mut self.rng) else {
-                            return Err(i);
-                        };
-                        self.clock.advance(ns);
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn unlock_remote(&mut self, addrs: &[(NodeId, usize)]) {
-        let me = lock_word(self.node);
-        for &(node, off) in addrs {
-            let _ = self.qps[node].cas(&mut self.clock, off, me, LOCK_FREE);
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use drtm_core::cluster::EngineOpts;
-    use drtm_store::TableSpec;
+async fn attempt<R>(
+    w: &mut Worker,
+    body: &mut impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
+) -> Result<R, TxnError> {
+    let cluster = Arc::clone(&w.cluster);
+    let me = w.node;
+    // Free oracle pass: DrTM's "a-priori read/write sets".
+    let mut oracle = OracleCtx::new(Arc::clone(&cluster), me);
+    block_now(body(&mut DrtmCtx::Oracle(&mut oracle)))?;
+    let sets = oracle.sets;
 
-    fn cluster() -> Arc<DrtmCluster> {
-        let c = DrtmCluster::new(
-            2,
-            &[TableSpec::hash(0, 1024, 16)],
-            EngineOpts::builder().region_size(1 << 20).build(),
-        );
-        for shard in 0..2 {
-            for k in 0..8u64 {
-                c.seed_record(shard, 0, (shard as u64) << 32 | k, &{
-                    let mut v = vec![0u8; 16];
-                    v[..8].copy_from_slice(&100u64.to_le_bytes());
-                    v
-                });
+    // 2PL: lock all remote records in global order, waiting on
+    // conflicts (bounded by a per-record retry cap to stay live).
+    let remote = remote_addrs(&sets, me);
+    if let Err(held) = lock_remote_waiting(w, &remote).await {
+        unlock_remote(w, &remote[..held]).await;
+        return Err(TxnError::Aborted(AbortReason::LockBusy));
+    }
+
+    // Prefetch every locked remote record.
+    let mut remote_vals = HashMap::new();
+    for &(node, table, key, off) in sets.reads.iter().chain(&sets.writes) {
+        if node == me {
+            continue;
+        }
+        let layout = cluster.stores[me].table(table).layout;
+        let Some(value) = prefetch(w, node, off, layout).await else {
+            unlock_remote(w, &remote).await;
+            return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
+        };
+        remote_vals.insert((node, table, key), value);
+    }
+
+    // One HTM region for the entire transaction.
+    let cost = cluster.opts.cost.clone();
+    let htm = &cluster.htms[me];
+    let region = &cluster.stores[me].region;
+    let outcome = htm.run(region, &mut w.rng, |t| {
+        let mut e = ExecCtx {
+            cluster: Arc::clone(&cluster),
+            node: me,
+            txn: t,
+            remote_vals: remote_vals.clone(),
+            remote_writes: Vec::new(),
+            mutations: Vec::new(),
+            local_lines: 0,
+        };
+        let r = block_now(body(&mut DrtmCtx::Exec(&mut e)));
+        let ExecCtx {
+            remote_writes,
+            mutations,
+            local_lines,
+            ..
+        } = e;
+        match r {
+            Ok(v) => Ok(Ok((v, remote_writes, mutations, local_lines))),
+            Err(TxnError::Aborted(AbortReason::LockBusy)) => Err(AbortCode::Explicit(1)),
+            Err(err) => Ok(Err(err)),
+        }
+    });
+
+    let (value, remote_writes, mutations, local_lines, retries) = match outcome {
+        RunOutcome::Committed {
+            value: Ok((v, rw, m, l)),
+            retries,
+        } => (v, rw, m, l, retries),
+        RunOutcome::Committed { value: Err(e), .. } => {
+            unlock_remote(w, &remote).await;
+            return Err(e);
+        }
+        RunOutcome::Fallback(_) => {
+            w.note_fallback();
+            unlock_remote(w, &remote).await;
+            // DrTM's slow path re-runs under locking; modelled as an
+            // abort + retry with an extra locking toll.
+            w.clock
+                .advance(cost.rdma_atomic_ns * (sets.reads.len() as u64 + 1));
+            return Err(TxnError::Aborted(AbortReason::Fallback));
+        }
+    };
+
+    // Cost of the big HTM region: one XBEGIN/XEND per transaction,
+    // then per-record application logic and per-line memory/HTM
+    // tracking for everything it touched — the same per-record terms
+    // DrTM+R pays (one `record_logic_ns` per record, however often it
+    // is read and written), minus DrTM+R's per-read HTM region and
+    // buffer maintenance (its "generality cost"). Repeated per retry.
+    let per_attempt = cost.htm_begin_ns
+        + cost.htm_commit_ns
+        + local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
+        + sets.distinct_records() as u64 * cost.record_logic_ns;
+    w.clock.advance(per_attempt * (retries as u64 + 1));
+
+    // Write back remote writes (still holding their locks), one
+    // doorbell per record.
+    for (dst, table, _key, off, val) in &remote_writes {
+        let layout = cluster.stores[me].table(*table).layout;
+        let cur = cluster.stores[*dst].region.load64(*off + 16);
+        let wrs = locked_write_wrs(*off, layout, val, cur + 2)
+            .into_iter()
+            .map(|(raddr, data)| WorkRequest::Write { raddr, data })
+            .collect();
+        ring_until_landed(w, *dst, wrs).await;
+    }
+
+    // Apply inserts/deletes.
+    for (dst, table, key, val) in &mutations {
+        if *dst != me {
+            cluster.fabric.charge_message(
+                &mut w.clock,
+                me,
+                *dst,
+                24 + val.as_ref().map_or(0, Vec::len),
+            );
+        }
+        match val {
+            Some(v) => {
+                cluster.stores[*dst].insert(*table, *key, v, 2);
+            }
+            None => {
+                cluster.stores[*dst].remove(*table, *key);
             }
         }
-        c
     }
 
-    fn num(v: &[u8]) -> u64 {
-        u64::from_le_bytes(v[..8].try_into().unwrap())
-    }
+    unlock_remote(w, &remote).await;
+    Ok(value)
+}
 
-    fn val(x: u64) -> Vec<u8> {
-        let mut v = vec![0u8; 16];
-        v[..8].copy_from_slice(&x.to_le_bytes());
-        v
-    }
+fn remote_addrs(sets: &RwSets, me: NodeId) -> Vec<(NodeId, usize)> {
+    let mut v: Vec<(NodeId, usize)> = sets
+        .reads
+        .iter()
+        .chain(&sets.writes)
+        .filter(|a| a.0 != me)
+        .map(|a| (a.0, a.3))
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
 
-    #[test]
-    fn local_and_remote_transfer() {
-        let c = cluster();
-        let mut w = DrtmWorker::new(Arc::clone(&c), 0, 1);
-        w.run(|t| {
-            let a = num(&t.read(0, 0, 1)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
-            t.write(0, 0, 1, val(a - 10))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 10))
-        })
-        .unwrap();
-        assert_eq!(w.stats.committed, 1);
-        // Check via a DrTM+R read-only transaction on the other machine.
-        let mut v = c.worker(1, 9);
-        let a = v.run_ro(|t| t.read(0, 0, 1)).unwrap();
-        let b = v.run_ro(|t| t.read(1, 0, 1 << 32 | 1)).unwrap();
-        assert_eq!(num(&a), 90);
-        assert_eq!(num(&b), 110);
-    }
-
-    #[test]
-    fn concurrent_increments_serialize() {
-        let c = cluster();
-        let mut handles = Vec::new();
-        for nodeid in 0..2usize {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                let mut w = DrtmWorker::new(c, nodeid, nodeid as u64 + 5);
-                for _ in 0..100 {
-                    w.run(|t| {
-                        let v = num(&t.read(1, 0, 1 << 32)?);
-                        t.write(1, 0, 1 << 32, val(v + 1))
-                    })
-                    .unwrap();
-                }
-            }));
+/// Rings `wrs` to `node` on `w`'s verb path, all signalled, and rings
+/// them again while the fabric drops one: RC retransmits until the
+/// request lands. A dropped WR and those flushed behind it took no
+/// effect, so only batches safe to repeat — one CAS, one READ, one
+/// record's WRITEs — go through here.
+async fn ring_until_landed(w: &mut Worker, node: NodeId, wrs: Vec<WorkRequest>) -> Vec<WrResult> {
+    loop {
+        let wcs = w.ring(node, wrs.clone(), wrs.len()).await;
+        if let Ok(done) = wcs.into_iter().map(|wc| wc.result).collect() {
+            return done;
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut v = c.worker(1, 9);
-        assert_eq!(num(&v.run_ro(|t| t.read(1, 0, 1 << 32)).unwrap()), 300);
     }
+}
 
-    #[test]
-    fn clock_advances_more_for_remote() {
-        let c = cluster();
-        let mut w = DrtmWorker::new(Arc::clone(&c), 0, 1);
-        w.run(|t| {
-            let v = num(&t.read(0, 0, 2)?);
-            t.write(0, 0, 2, val(v + 1))
-        })
-        .unwrap();
-        let local_t = w.clock.now();
-        w.run(|t| {
-            let v = num(&t.read(1, 0, 1 << 32 | 2)?);
-            t.write(1, 0, 1 << 32 | 2, val(v + 1))
-        })
-        .unwrap();
-        let remote_t = w.clock.now() - local_t;
-        assert!(
-            remote_t > local_t,
-            "distributed txns must cost more: {local_t} vs {remote_t}"
-        );
+/// One remote CAS of the lock word at `off` on `node`: `Ok(old)` when
+/// it swapped, `Err(actual)` otherwise.
+async fn cas(w: &mut Worker, node: NodeId, off: usize, expect: u64, new: u64) -> Result<u64, u64> {
+    let wr = WorkRequest::Cas {
+        raddr: off,
+        expect,
+        new,
+    };
+    match ring_until_landed(w, node, vec![wr]).await.pop() {
+        Some(WrResult::Cas(res)) => res,
+        _ => unreachable!("a CAS WR completes with a CAS result"),
+    }
+}
+
+/// Reads the locked record at `off` on `node`, re-reading a torn image
+/// up to 16 times; its value, or `None`.
+async fn prefetch(
+    w: &mut Worker,
+    node: NodeId,
+    off: usize,
+    layout: RecordLayout,
+) -> Option<Vec<u8>> {
+    let wr = WorkRequest::Read {
+        raddr: off,
+        len: layout.size(),
+    };
+    for _ in 0..=16 {
+        let img = ring_until_landed(w, node, vec![wr.clone()]).await.pop();
+        let Some(WrResult::Read { data, .. }) = img else {
+            unreachable!("a READ WR completes with a READ result");
+        };
+        if let Some(rr) = parse_consistent(&data, layout) {
+            return Some(rr.value);
+        }
+    }
+    None
+}
+
+/// 2PL acquisition: wait on each lock (bounded), in global order.
+///
+/// The wait bound and per-wait backoff live in
+/// [`drtm_core::contention::SpinBudget`] — the engine's rung-2
+/// pessimistic C.1 acquisition (DESIGN.md §15) borrows exactly this
+/// machinery, so the budget is shared rather than duplicated. Each wait
+/// is one [`Worker::pause`], so the holder — a worker on another
+/// thread or a parked routine of this one's pool — gets to run.
+async fn lock_remote_waiting(w: &mut Worker, addrs: &[(NodeId, usize)]) -> Result<(), usize> {
+    let me = lock_word(w.node);
+    let members = w.cluster.config.get();
+    for (i, &(node, off)) in addrs.iter().enumerate() {
+        if !members.contains(node) {
+            return Err(i);
+        }
+        let mut budget = SpinBudget::default();
+        while let Err(actual) = cas(w, node, off, LOCK_FREE, me).await {
+            let owner = lock_owner(actual).expect("locked");
+            if !members.contains(owner) {
+                let _ = cas(w, node, off, actual, LOCK_FREE).await;
+                continue;
+            }
+            let Some(ns) = budget.step(&mut w.rng) else {
+                return Err(i);
+            };
+            w.pause(ns).await;
+        }
+    }
+    Ok(())
+}
+
+async fn unlock_remote(w: &mut Worker, addrs: &[(NodeId, usize)]) {
+    let me = lock_word(w.node);
+    for &(node, off) in addrs {
+        let _ = cas(w, node, off, me, LOCK_FREE).await;
     }
 }

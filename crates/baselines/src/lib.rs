@@ -18,11 +18,27 @@
 //!   released Calvin does not use RDMA), and a single per-machine lock
 //!   manager serialises lock acquisition, which is the throughput ceiling
 //!   the paper observes.
+//!
+//! Both run on DrTM+R's own [`Worker`](drtm_core::txn::Worker), which
+//! supplies the clock, RNG, counters and verb path: each entry point
+//! ([`drtm2pl::run`], [`CalvinEngine::run`]) is an `async fn` over
+//! `&mut Worker`, and the measurement driver runs it as routine 0 of a
+//! [`RoutinePool`](drtm_core::RoutinePool) of one. DrTM's remote verbs
+//! park on the worker's verb path ([`Worker::ring`]), and every lock
+//! wait of either engine is one [`Worker::pause`], so two routines of
+//! one pool can contend for a lock on one OS thread. Commits, aborts
+//! and fallbacks go through the worker's ledger (`note_commit`,
+//! `note_abort`, `note_fallback`), so the metrics registry sees a
+//! baseline run as it sees a DrTM+R one.
+//!
+//! [`Worker::ring`]: drtm_core::txn::Worker::ring
+//! [`Worker::pause`]: drtm_core::txn::Worker::pause
 
 pub mod calvin;
 pub mod drtm2pl;
 pub mod oracle;
+#[cfg(test)]
+mod tests;
 
-pub use calvin::{CalvinEngine, CalvinWorker};
-pub use drtm2pl::DrtmWorker;
-pub use oracle::{OracleCtx, RwSets};
+pub use calvin::CalvinEngine;
+pub use oracle::{Exec, OracleCtx, Pass, RwSets};

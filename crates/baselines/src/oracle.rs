@@ -45,6 +45,97 @@ impl RwSets {
     }
 }
 
+/// A baseline's transaction context. The body runs twice: once on the
+/// free [`Pass::Oracle`] dry run, which collects its read/write sets,
+/// then on the engine's charged [`Pass::Exec`] pass.
+pub enum Pass<'x, E> {
+    /// The free set-collection pass.
+    Oracle(&'x mut OracleCtx),
+    /// The engine's execution pass.
+    Exec(&'x mut E),
+}
+
+/// What a baseline engine does with a body's accesses in its execution
+/// pass.
+pub trait Exec {
+    /// Reads a record.
+    fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError>;
+    /// Writes a record.
+    fn write(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        value: Vec<u8>,
+    ) -> Result<(), TxnError>;
+    /// Inserts a record.
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>);
+    /// Deletes a record.
+    fn delete(&mut self, shard: usize, table: TableId, key: u64);
+    /// Scans a local ordered table.
+    fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError>;
+}
+
+impl<E: Exec> Pass<'_, E> {
+    /// Reads a record.
+    pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+        match self {
+            Pass::Oracle(o) => o.read(shard, table, key),
+            Pass::Exec(e) => e.read(shard, table, key),
+        }
+    }
+
+    /// Writes a record.
+    pub fn write(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        value: Vec<u8>,
+    ) -> Result<(), TxnError> {
+        match self {
+            Pass::Oracle(o) => o.write(shard, table, key),
+            Pass::Exec(e) => e.write(shard, table, key, value),
+        }
+    }
+
+    /// Inserts a record.
+    pub fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
+        match self {
+            Pass::Oracle(o) => o.insert(shard, table, key, value),
+            Pass::Exec(e) => e.insert(shard, table, key, value),
+        }
+    }
+
+    /// Deletes a record.
+    pub fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+        match self {
+            Pass::Oracle(o) => o.delete(shard, table, key),
+            Pass::Exec(e) => e.delete(shard, table, key),
+        }
+    }
+
+    /// Scans a local ordered table.
+    pub fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
+        match self {
+            Pass::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit)),
+            Pass::Exec(e) => e.scan_local(table, lo, hi, limit),
+        }
+    }
+}
+
 /// The snapshot context the oracle pass runs the body against.
 ///
 /// Reads return the record's current value with no consistency protocol
@@ -147,47 +238,5 @@ impl OracleCtx {
                 (k, v)
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use drtm_core::cluster::EngineOpts;
-    use drtm_store::TableSpec;
-
-    fn cluster() -> Arc<DrtmCluster> {
-        let c = DrtmCluster::new(
-            2,
-            &[TableSpec::hash(0, 256, 16)],
-            EngineOpts::builder().region_size(1 << 20).build(),
-        );
-        c.seed_record(0, 0, 1, &[1u8; 16]);
-        c.seed_record(1, 0, 2, &[2u8; 16]);
-        c
-    }
-
-    #[test]
-    fn oracle_collects_sets_without_charging() {
-        let c = cluster();
-        let mut o = OracleCtx::new(Arc::clone(&c), 0);
-        let v = o.read(0, 0, 1).unwrap();
-        assert_eq!(v, vec![1u8; 16]);
-        o.read(1, 0, 2).unwrap();
-        o.read(0, 0, 1).unwrap(); // Duplicate: deduped.
-        o.write(1, 0, 2).unwrap();
-        o.insert(0, 0, 99, vec![9u8; 16]);
-        assert_eq!(o.sets.reads.len(), 2);
-        assert_eq!(o.sets.writes.len(), 1);
-        assert_eq!(o.sets.inserts.len(), 1);
-        // The written record was read: two records, not three.
-        assert_eq!(o.sets.distinct_records(), 2);
-    }
-
-    #[test]
-    fn oracle_not_found() {
-        let c = cluster();
-        let mut o = OracleCtx::new(c, 0);
-        assert_eq!(o.read(0, 0, 777).unwrap_err(), TxnError::NotFound);
     }
 }

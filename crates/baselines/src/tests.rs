@@ -1,0 +1,264 @@
+//! The baselines' tests: DrTM and Calvin over one fixture of two
+//! machines and one table, and the oracle pass.
+
+use std::sync::Arc;
+
+use drtm_base::task::block_now;
+use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::txn::TxnError;
+use drtm_core::RoutinePool;
+use drtm_store::TableSpec;
+
+use crate::calvin::{CalvinEngine, CalvinTxn};
+use crate::drtm2pl::{self, DrtmCtx};
+
+/// Two machines, one table of 16-byte records; keys `shard << 32 | k`
+/// for `k < 8` on each shard, every balance 100.
+fn cluster() -> Arc<DrtmCluster> {
+    let c = DrtmCluster::new(
+        2,
+        &[TableSpec::hash(0, 1024, 16)],
+        EngineOpts::builder().region_size(1 << 20).build(),
+    );
+    for shard in 0..2 {
+        for k in 0..8u64 {
+            c.seed_record(shard, 0, (shard as u64) << 32 | k, &val(100));
+        }
+    }
+    c
+}
+
+fn num(v: &[u8]) -> u64 {
+    u64::from_le_bytes(v[..8].try_into().unwrap())
+}
+
+fn val(x: u64) -> Vec<u8> {
+    let mut v = vec![0u8; 16];
+    v[..8].copy_from_slice(&x.to_le_bytes());
+    v
+}
+
+mod drtm {
+    use super::*;
+
+    #[test]
+    fn local_and_remote_transfer() {
+        let c = cluster();
+        let mut w = c.worker(0, 1);
+        block_now(drtm2pl::run(&mut w, async |t| {
+            let a = num(&t.read(0, 0, 1)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
+            t.write(0, 0, 1, val(a - 10))?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+        }))
+        .unwrap();
+        assert_eq!(w.stats.committed, 1);
+        // Check via a DrTM+R read-only transaction on the other machine.
+        let mut v = c.worker(1, 9);
+        let a = v.run_ro(|t| t.read(0, 0, 1)).unwrap();
+        let b = v.run_ro(|t| t.read(1, 0, 1 << 32 | 1)).unwrap();
+        assert_eq!(num(&a), 90);
+        assert_eq!(num(&b), 110);
+    }
+
+    #[test]
+    fn concurrent_increments_serialize() {
+        let c = cluster();
+        let mut handles = Vec::new();
+        for nodeid in 0..2usize {
+            let c = Arc::clone(&c);
+            handles.push(std::thread::spawn(move || {
+                let mut w = c.worker(nodeid, nodeid as u64 + 5);
+                for _ in 0..100 {
+                    block_now(drtm2pl::run(&mut w, async |t| increment(t, 1, 1 << 32))).unwrap();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut v = c.worker(1, 9);
+        assert_eq!(num(&v.run_ro(|t| t.read(1, 0, 1 << 32)).unwrap()), 300);
+    }
+
+    /// Two routines of one pool on one OS thread increment one remote
+    /// record: a lock holder stays parked across its round trips, so
+    /// its sibling's CAS finds the word held and waits for it instead
+    /// of spinning the thread.
+    #[test]
+    fn one_pool_runs_two_routines_on_one_thread() {
+        let c = cluster();
+        let key = 1 << 32 | 3;
+        let before = c.fabric.port(1).stats().snapshot();
+        let workers = (0..2).map(|id| c.worker(0, 11 + id)).collect();
+        let done = RoutinePool::run(workers, async |_, w| {
+            for _ in 0..100 {
+                drtm2pl::run(w, async |t| increment(t, 1, key))
+                    .await
+                    .unwrap();
+            }
+            w.stats.committed
+        });
+        assert_eq!(done.iter().map(|(_, n)| n).sum::<u64>(), 200);
+        let mut v = c.worker(1, 9);
+        assert_eq!(num(&v.run_ro(|t| t.read(1, 0, key)).unwrap()), 300);
+        // Each of the 200 commits is one lock CAS and one unlock CAS;
+        // every CAS beyond those found the word held by the sibling.
+        let atomics = c.fabric.port(1).stats().snapshot().delta(&before).atomics;
+        assert!(
+            atomics > 400,
+            "no lock CAS found the sibling's lock: {atomics}"
+        );
+    }
+
+    fn increment(t: &mut DrtmCtx<'_, '_, '_>, shard: usize, key: u64) -> Result<(), TxnError> {
+        let v = num(&t.read(shard, 0, key)?);
+        t.write(shard, 0, key, val(v + 1))
+    }
+
+    #[test]
+    fn clock_advances_more_for_remote() {
+        let c = cluster();
+        let mut w = c.worker(0, 1);
+        block_now(drtm2pl::run(&mut w, async |t| increment(t, 0, 2))).unwrap();
+        let local_t = w.clock.now();
+        block_now(drtm2pl::run(&mut w, async |t| increment(t, 1, 1 << 32 | 2))).unwrap();
+        let remote_t = w.clock.now() - local_t;
+        assert!(
+            remote_t > local_t,
+            "distributed txns must cost more: {local_t} vs {remote_t}"
+        );
+    }
+}
+
+mod calvin {
+    use super::*;
+
+    fn setup() -> (Arc<DrtmCluster>, Arc<CalvinEngine>) {
+        let c = cluster();
+        let e = CalvinEngine::new(Arc::clone(&c));
+        (c, e)
+    }
+
+    fn increment(t: &mut CalvinTxn<'_, '_>, key: u64) -> Result<(), TxnError> {
+        let v = num(&t.read(0, 0, key)?);
+        t.write(0, 0, key, val(v + 1))
+    }
+
+    #[test]
+    fn transfer_commits() {
+        let (c, e) = setup();
+        let mut w = c.worker(0, 1);
+        block_now(e.run(&mut w, async |t| {
+            let a = num(&t.read(0, 0, 1)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
+            t.write(0, 0, 1, val(a - 5))?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 5))
+        }))
+        .unwrap();
+        let mut v = c.worker(0, 9);
+        assert_eq!(num(&v.run_ro(|t| t.read(0, 0, 1)).unwrap()), 95);
+        assert_eq!(num(&v.run_ro(|t| t.read(1, 0, 1 << 32 | 1)).unwrap()), 105);
+    }
+
+    #[test]
+    fn calvin_is_much_slower_than_drtm_r() {
+        let (c, e) = setup();
+        // One remote transaction each.
+        let mut cw = c.worker(0, 1);
+        block_now(e.run(&mut cw, async |t| {
+            let v = num(&t.read(1, 0, 1 << 32 | 2)?);
+            t.write(1, 0, 1 << 32 | 2, val(v + 1))
+        }))
+        .unwrap();
+        let mut dw = c.worker(0, 2);
+        dw.run(|t| {
+            let v = num(&t.read(1, 0, 1 << 32 | 3)?);
+            t.write(1, 0, 1 << 32 | 3, val(v + 1))
+        })
+        .unwrap();
+        assert!(
+            cw.clock.now() > 5 * dw.clock.now(),
+            "Calvin {} vs DrTM+R {}",
+            cw.clock.now(),
+            dw.clock.now()
+        );
+    }
+
+    #[test]
+    fn concurrent_increments_serialize() {
+        let (c, e) = setup();
+        let mut handles = Vec::new();
+        for id in 0..2u64 {
+            let (c, e) = (Arc::clone(&c), Arc::clone(&e));
+            handles.push(std::thread::spawn(move || {
+                let mut w = c.worker(id as usize, id + 3);
+                for _ in 0..100 {
+                    block_now(e.run(&mut w, async |t| increment(t, 4))).unwrap();
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut v = c.worker(0, 9);
+        assert_eq!(num(&v.run_ro(|t| t.read(0, 0, 4)).unwrap()), 300);
+    }
+
+    /// Two routines of one pool on one OS thread increment one record:
+    /// both finish, so a lock wait parks instead of spinning the thread.
+    #[test]
+    fn one_pool_runs_two_routines_on_one_thread() {
+        let (c, e) = setup();
+        let workers = (0..2).map(|id| c.worker(0, 11 + id)).collect();
+        let done = RoutinePool::run(workers, async |_, w| {
+            for _ in 0..100 {
+                e.run(w, async |t| increment(t, 5)).await.unwrap();
+            }
+            w.stats.committed
+        });
+        assert_eq!(done.iter().map(|(_, n)| n).sum::<u64>(), 200);
+        let mut v = c.worker(0, 9);
+        assert_eq!(num(&v.run_ro(|t| t.read(0, 0, 5)).unwrap()), 300);
+    }
+}
+
+mod oracle {
+    use super::*;
+    use crate::oracle::OracleCtx;
+
+    fn cluster() -> Arc<DrtmCluster> {
+        let c = DrtmCluster::new(
+            2,
+            &[TableSpec::hash(0, 256, 16)],
+            EngineOpts::builder().region_size(1 << 20).build(),
+        );
+        c.seed_record(0, 0, 1, &[1u8; 16]);
+        c.seed_record(1, 0, 2, &[2u8; 16]);
+        c
+    }
+
+    #[test]
+    fn oracle_collects_sets_without_charging() {
+        let c = cluster();
+        let mut o = OracleCtx::new(Arc::clone(&c), 0);
+        let v = o.read(0, 0, 1).unwrap();
+        assert_eq!(v, vec![1u8; 16]);
+        o.read(1, 0, 2).unwrap();
+        o.read(0, 0, 1).unwrap(); // Duplicate: deduped.
+        o.write(1, 0, 2).unwrap();
+        o.insert(0, 0, 99, vec![9u8; 16]);
+        assert_eq!(o.sets.reads.len(), 2);
+        assert_eq!(o.sets.writes.len(), 1);
+        assert_eq!(o.sets.inserts.len(), 1);
+        // The written record was read: two records, not three.
+        assert_eq!(o.sets.distinct_records(), 2);
+    }
+
+    #[test]
+    fn oracle_not_found() {
+        let c = cluster();
+        let mut o = OracleCtx::new(c, 0);
+        assert_eq!(o.read(0, 0, 777).unwrap_err(), TxnError::NotFound);
+    }
+}

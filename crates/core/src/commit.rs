@@ -332,8 +332,7 @@ impl TxnCtx<'_> {
         let result = loop {
             match self.commit_walk(mode, &mut pc).await {
                 Ok(false) => {
-                    self.w.stats.fallbacks += 1;
-                    self.w.obs.note_fallback();
+                    self.w.note_fallback();
                     mode = Mode::Locked;
                 }
                 done => break done.map(drop),
@@ -341,17 +340,8 @@ impl TxnCtx<'_> {
         };
         let Err(e) = result else {
             pc.note(self.w);
-            self.w.stats.committed += 1;
-            let lat = self.w.clock.now().saturating_sub(self.start_ns);
-            self.w.stats.latency.record(lat);
-            self.w.obs.note_commit(lat);
-            drtm_obs::trace::event_id(
-                EventKind::TxnCommit,
-                if self.read_only { "ro" } else { "rw" },
-                self.w.node as u64,
-                self.w.trace_id,
-                self.w.clock.now(),
-            );
+            let kind = if self.read_only { "ro" } else { "rw" };
+            self.w.note_commit(self.start_ns, kind);
             return result;
         };
         self.w.note_abort(e);
@@ -810,9 +800,7 @@ impl TxnCtx<'_> {
                         // the ladder escalate to parking.
                         return OneLock::Busy;
                     };
-                    self.w.clock.advance(ns);
-                    std::thread::yield_now();
-                    self.w.spin_yield().await;
+                    self.w.pause(ns).await;
                     LOCK_FREE
                 }
                 // A failed steal found the word released meanwhile.
@@ -1472,10 +1460,9 @@ impl TxnCtx<'_> {
                             {
                                 break;
                             }
-                            std::thread::yield_now();
                             // The holder may be a parked routine of this
                             // worker's own pool: let the reactor run it.
-                            self.w.spin_yield().await;
+                            self.w.pause(0).await;
                         }
                     }
                 }

@@ -11,7 +11,7 @@
 //! calling thread, and owning the one set of location caches its
 //! routines share — polls exactly one routine at a time. The commit
 //! path's yield points (`finish_batch`, `yield_remote_wait`,
-//! `spin_yield`) are `await`s that park the routine and return control
+//! `pause`) are `await`s that park the routine and return control
 //! to the reactor; the OS thread count is therefore independent of the
 //! routine count R, and `--routines 256` costs no more threads than
 //! `--routines 1`.
@@ -78,14 +78,16 @@
 //!   [`drtm_htm::region_active`] is false — since yields are the *only*
 //!   suspension points a routine future contains, an HTM region is
 //!   provably confined inside a single reactor step.
-//! * A routine spinning on an engine lock must yield
-//!   ([`Worker`]'s `spin_yield`): the conflicting holder may be a
-//!   parked routine of the same pool, and only the reactor can run it.
-//!   The contention ladder's waiters (DESIGN.md §15) ride this same
-//!   primitive — a routine parked on a per-key wait list polls its
-//!   grant through `spin_yield`, so it stays perpetually runnable and
-//!   flush-exempt exactly like a lock spin, and the §14 quiescence
-//!   rules need no new park kind.
+//! * A routine waiting on another worker must yield through
+//!   [`Worker::pause`]: the conflicting holder may be a parked routine
+//!   of the same pool, and only the reactor can run it. It is the one
+//!   wait primitive, and eight sites use it: the rung-1 retry back-off,
+//!   the rung-3 poll of a key's wait list (DESIGN.md §15), the read
+//!   group's lock back-off, rung 2's wait-mode C.1 and the fallback
+//!   handler's local lock loop in DrTM+R; the DrTM baseline's 2PL lock
+//!   wait and its abort back-off; Calvin's lock-table wait. A paused
+//!   routine stays perpetually runnable and flush-exempt, so the §14
+//!   quiescence rules need no new park kind.
 //! * Bodies of a pool of two or more must be genuinely async: a
 //!   synchronous facade reaching a verb wait there panics in
 //!   `drtm_base::task::block_now` rather than deadlocking.

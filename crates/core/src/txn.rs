@@ -120,12 +120,14 @@ pub struct WorkerStats {
 
 /// One worker thread bound to a machine.
 pub struct Worker {
-    pub(crate) cluster: Arc<DrtmCluster>,
+    /// The cluster this worker runs in.
+    pub cluster: Arc<DrtmCluster>,
     /// The machine this worker executes on.
     pub node: NodeId,
     /// The worker's private virtual clock.
     pub clock: VClock,
-    pub(crate) rng: SplitMix64,
+    /// The worker's RNG stream: back-offs and HTM's spurious aborts.
+    pub rng: SplitMix64,
     pub(crate) qps: Vec<Qp>,
     /// Commit/abort/latency counters.
     pub stats: WorkerStats,
@@ -448,10 +450,13 @@ impl Worker {
         wcs
     }
 
-    /// [`Self::ring_all_into`] for one destination: rings `wrs` to
+    /// The worker's one verb path for one destination: rings `wrs` to
     /// `node`, the first `signalled` of them waited for, the rest
-    /// unsignalled.
-    pub(crate) async fn ring(
+    /// unsignalled, and parks until they land — one park per
+    /// send-queue's worth of WRs, on the reactor's shared doorbells.
+    /// A dropped WR comes back as its completion's error, its effect
+    /// not applied.
+    pub async fn ring(
         &mut self,
         node: NodeId,
         wrs: Vec<WorkRequest>,
@@ -526,16 +531,21 @@ impl Worker {
             .note_reactor(grant.depth, grant.resume_at.saturating_sub(wake));
     }
 
-    /// Parks the routine at a CPU spin-wait (lock backoff and retry
-    /// loops) so another routine of the same pool — possibly the
-    /// conflicting lock holder — gets to run; without this a spinner
-    /// could starve the pool forever. The clock jumps over any CPU time
-    /// other routines consume meanwhile (none on a reactor of one).
-    pub(crate) async fn spin_yield(&mut self) {
+    /// The one wait on another worker (lock back-offs, retry loops, a
+    /// key's wait list): spends `ns` of virtual time, yields the host
+    /// thread — so a descheduled lock holder on another OS thread gets
+    /// to run on an oversubscribed host — and spin-parks the routine so
+    /// another routine of the same pool, possibly the holder, gets to
+    /// run; without the park a spinner could starve the pool forever.
+    /// The clock jumps over any CPU time other routines consume
+    /// meanwhile (none on a reactor of one).
+    pub async fn pause(&mut self, ns: u64) {
         debug_assert!(
             !drtm_htm::region_active(),
             "yields must never run inside an HTM region"
         );
+        self.clock.advance(ns);
+        std::thread::yield_now();
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let now = self.clock.now();
         let grant = reactor.spin_wait(id, now).await;
@@ -695,12 +705,37 @@ impl Worker {
         Err(last)
     }
 
+    /// The commit ledger every engine shares: counts a transaction that
+    /// began at virtual `start_ns` and has just committed in the
+    /// worker's stats and metrics shard, and emits its `TxnCommit`
+    /// trace event tagged `kind`.
+    pub fn note_commit(&mut self, start_ns: u64, kind: &'static str) {
+        self.stats.committed += 1;
+        let lat = self.clock.now().saturating_sub(start_ns);
+        self.stats.latency.record(lat);
+        self.obs.note_commit(lat);
+        drtm_obs::trace::event_id(
+            EventKind::TxnCommit,
+            kind,
+            self.node as u64,
+            self.trace_id,
+            self.clock.now(),
+        );
+    }
+
+    /// Counts one invocation of a fallback handler (§6.1, or a
+    /// baseline's slow path) in the worker's stats and metrics shard.
+    pub fn note_fallback(&mut self) {
+        self.stats.fallbacks += 1;
+        self.obs.note_fallback();
+    }
+
     /// The one abort ledger: counts a failed attempt — a protocol or
     /// transport abort, or the application's rollback — in the worker's
     /// stats and metrics shard and emits its `TxnAbort` trace event. A
     /// `Crashed` machine is a death, not an abort, and `NotFound` is
     /// the body's answer: neither is counted.
-    pub(crate) fn note_abort(&mut self, e: TxnError) {
+    pub fn note_abort(&mut self, e: TxnError) {
         let (label, count) = match e {
             TxnError::Aborted(reason) => {
                 self.obs.note_abort(reason.obs_index());
@@ -736,9 +771,7 @@ impl Worker {
     async fn retry_backoff(&mut self, attempt: usize) {
         let cap = 1u64 << (attempt.min(10) as u32 + 7);
         let ns = self.rng.below(cap);
-        self.clock.advance(ns);
-        std::thread::yield_now();
-        self.spin_yield().await;
+        self.pause(ns).await;
     }
 
     /// One escalation-ladder response (DESIGN.md §15) to an abort
@@ -786,9 +819,7 @@ impl Worker {
             if polls > contention::PARK_SPIN_CAP {
                 break false;
             }
-            self.clock.advance(contention::PARK_POLL_NS);
-            std::thread::yield_now();
-            self.spin_yield().await;
+            self.pause(contention::PARK_POLL_NS).await;
         };
         let span = self.clock.now().saturating_sub(parked_at);
         self.obs.note_key_unpark(span);
@@ -978,9 +1009,7 @@ impl<'w> TxnCtx<'w> {
                     // holder run on an oversubscribed host.
                     busy = i;
                     let ns = self.w.rng.below(2_000);
-                    self.charge(ns);
-                    std::thread::yield_now();
-                    self.w.spin_yield().await;
+                    self.w.pause(ns).await;
                 }
                 RegionRead::Conflict => {}
             }

@@ -439,35 +439,13 @@ pub fn remote_read_header(qp: &Qp, clock: &mut VClock, base: usize) -> RecordHea
     RecordHeader::parse(&img)
 }
 
-/// Writes a record's value + versions + sequence number over RDMA while
-/// holding its lock (the paper's C.5: update of remote write-set
-/// primaries).
-///
-/// The lock and incarnation words are not touched. One RDMA WRITE is
-/// issued per cache line (each carrying the line's version slot and value
-/// bytes), later lines first and line 0 — which holds the sequence number
-/// — last, so version matching never accepts a torn record.
-pub fn remote_write_locked(
-    qp: &Qp,
-    clock: &mut VClock,
-    base: usize,
-    layout: RecordLayout,
-    value: &[u8],
-    new_seq: u64,
-) {
-    for (raddr, img) in locked_write_wrs(base, layout, value, new_seq) {
-        qp.write(clock, raddr, &img);
-    }
-}
-
 /// The per-line WRITE descriptors of a locked record update (C.5's wire
 /// format), as `(absolute offset, line image)` pairs in issue order:
 /// later lines first and line 0 — which carries the sequence number —
 /// last, so version matching never accepts a torn record.
 ///
-/// Batched committers post these as `WorkRequest::Write`s and ring one
-/// doorbell per destination; [`remote_write_locked`] issues them through
-/// the blocking wrapper one at a time.
+/// Committers post these as `WorkRequest::Write`s and ring one doorbell
+/// per destination; the lock and incarnation words are not touched.
 pub fn locked_write_wrs(
     base: usize,
     layout: RecordLayout,
@@ -707,7 +685,9 @@ mod tests {
         let qp = f.qp(0, 1);
         let mut clock = VClock::new();
         let newval: Vec<u8> = (0..120).map(|i| i as u8).collect();
-        remote_write_locked(&qp, &mut clock, 1024, layout, &newval, 4);
+        for (raddr, img) in locked_write_wrs(1024, layout, &newval, 4) {
+            qp.write(&mut clock, raddr, &img);
+        }
         let got = remote_read_consistent(&qp, &mut clock, 1024, layout, 3).unwrap();
         assert_eq!(got.seq, 4);
         assert_eq!(got.value, newval);

@@ -1,23 +1,25 @@
 //! The measurement harness: one closed loop for every [`Workload`] on
 //! every engine.
 //!
-//! Spawns `nodes × threads` worker threads (each a simulated worker on
-//! its machine), runs a fixed number of transactions per worker, and
-//! aggregates throughput in *virtual* time: each worker is an
-//! independent pipeline advancing its own clock, so the cluster rate is
-//! `Σ_w committed_w / vtime_w` — independent of how the (single-core)
-//! host schedules the threads. Shared bottlenecks like the per-node NIC
-//! couple workers through ledgers of virtual-time windows, which is how
-//! the replication experiments saturate exactly like the paper's.
+//! Runs `nodes × threads` worker slots, each a [`RoutinePool`] of
+//! [`Worker`]s on its machine and on its own OS thread, whatever the
+//! engine: DrTM+R's routines or a baseline's one. Each slot runs a
+//! fixed number of transactions, and throughput is aggregated in
+//! *virtual* time: each slot is an independent pipeline advancing its
+//! own clock, so the cluster rate is `Σ_s committed_s / vtime_s` —
+//! independent of how the host schedules the threads. Shared
+//! bottlenecks like the per-node NIC couple slots through ledgers of
+//! virtual-time windows, which is how the replication experiments
+//! saturate exactly like the paper's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drtm_base::{Histogram, SplitMix64};
-use drtm_baselines::{CalvinEngine, CalvinWorker, DrtmWorker};
+use drtm_baselines::{drtm2pl, CalvinEngine};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
-use drtm_core::txn::{TxnError, Worker, WorkerStats};
+use drtm_core::txn::{TxnError, Worker};
 use drtm_core::{ContentionPolicy, RoutinePool};
 use drtm_store::TableSpec;
 
@@ -56,8 +58,9 @@ pub struct RunCfg {
     /// budget across them; the slot's virtual time is the slowest
     /// routine's clock, so verb waits hidden behind other routines' CPU
     /// work show up directly as throughput. With `1` (the default) the
-    /// pool's one routine runs the transactions back to back; baseline
-    /// engines have no routine scheduler and always run that way.
+    /// pool's one routine runs the transactions back to back. A
+    /// baseline engine's slot is always a pool of one: DrTM and Calvin
+    /// run one transaction per thread.
     pub routines: usize,
     /// Contention-management policy for every table (DESIGN.md §15):
     /// `Off` keeps the paper's randomized backoff byte-identical,
@@ -165,69 +168,12 @@ struct WorkerResult {
     per_type: LoopOut,
 }
 
-/// The minimal surface the measurement loop needs, so one loop body
-/// serves a baseline engine's worker (driven to completion in a single
-/// poll) and a DrTM+R [`Worker`] routine (which suspends back to its
-/// pool's reactor at every doorbell).
-trait MeasuredWorker {
-    /// Runs one transaction body to commit or abort.
-    async fn exec_txn<B>(&mut self, ro: bool, body: B) -> Result<(), TxnError>
-    where
-        B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>;
-    /// The worker's current virtual time.
-    fn vnow(&self) -> u64;
-    /// The worker's counters.
-    fn stats(&self) -> &WorkerStats;
-}
-
-impl MeasuredWorker for Worker {
-    async fn exec_txn<B>(&mut self, ro: bool, mut body: B) -> Result<(), TxnError>
-    where
-        B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>,
-    {
-        if ro {
-            self.run_ro_async(async |t| body(t as &mut dyn TxnApi).await)
-                .await
-        } else {
-            self.run_async(async |t| body(t as &mut dyn TxnApi).await)
-                .await
-        }
-    }
-    fn vnow(&self) -> u64 {
-        self.clock.now()
-    }
-    fn stats(&self) -> &WorkerStats {
-        &self.stats
-    }
-}
-
-/// A baseline engine's worker: nothing in it suspends, so it drives a
-/// body to completion in a single poll, read-only or not.
-macro_rules! baseline_worker {
-    ($($worker:ty),*) => {$(
-        impl MeasuredWorker for $worker {
-            async fn exec_txn<B>(&mut self, _ro: bool, mut body: B) -> Result<(), TxnError>
-            where
-                B: AsyncFnMut(&mut dyn TxnApi) -> Result<(), TxnError>,
-            {
-                self.run(|t| drtm_base::task::block_now(body(t as &mut dyn TxnApi)))
-            }
-            fn vnow(&self) -> u64 {
-                self.clock.now()
-            }
-            fn stats(&self) -> &WorkerStats {
-                &self.stats
-            }
-        }
-    )*};
-}
-baseline_worker!(DrtmWorker, CalvinWorker);
-
 /// One worker slot of a run: `run.threads` of them on each machine.
 struct Slot<'a, W> {
     wl: &'a W,
     run: &'a RunCfg,
     cluster: &'a DrtmCluster,
+    calvin: Option<&'a CalvinEngine>,
     node: usize,
     tid: usize,
     seed: u64,
@@ -237,7 +183,7 @@ impl<W: Workload> Slot<'_, W> {
     /// The measurement loop: routine `id`'s `count` transactions on
     /// `w`, indexed from `id * run.txns_per_worker` so routines never
     /// share an index, drawn from the routine's own RNG stream.
-    async fn routine(&self, id: usize, count: usize, w: &mut impl MeasuredWorker) -> LoopOut {
+    async fn routine(&self, id: usize, count: usize, w: &mut Worker) -> LoopOut {
         let rng = SplitMix64::new(self.seed ^ W::GEN_SALT ^ ((id as u64) << 12));
         let mut gen = self.wl.generator(self.node, self.tid, id, rng);
         let mut per_type = LoopOut::new();
@@ -247,11 +193,9 @@ impl<W: Workload> Slot<'_, W> {
                 break;
             }
             let (name, ro, input) = self.wl.next(&mut gen, i as u64);
-            let t0 = w.vnow();
-            let result = w
-                .exec_txn(ro, async |t| self.wl.execute(t, &input).await)
-                .await;
-            let dt = w.vnow().saturating_sub(t0);
+            let t0 = w.clock.now();
+            let result = self.exec_txn(w, ro, &input).await;
+            let dt = w.clock.now().saturating_sub(t0);
             if result.is_ok() {
                 let e = per_type
                     .entry(name)
@@ -263,10 +207,18 @@ impl<W: Workload> Slot<'_, W> {
         per_type
     }
 
-    /// A baseline slot: its one worker, in a single poll.
-    fn solo(&self, mut w: impl MeasuredWorker) -> WorkerResult {
-        let out = drtm_base::task::block_now(self.routine(0, self.run.txns_per_worker, &mut w));
-        tally([(w, out)])
+    /// Runs `input` as one transaction on `w` through the run's engine.
+    async fn exec_txn(&self, w: &mut Worker, ro: bool, input: &W::Input) -> Result<(), TxnError> {
+        let body = async |t: &mut dyn TxnApi| self.wl.execute(t, input).await;
+        match self.run.engine {
+            EngineKind::DrtmR if ro => w.run_ro_async(async |t| body(t).await).await,
+            EngineKind::DrtmR => w.run_async(async |t| body(t).await).await,
+            EngineKind::Drtm => drtm2pl::run(w, async |t| body(t).await).await,
+            EngineKind::Calvin => {
+                let calvin = self.calvin.expect("calvin engine");
+                calvin.run(w, async |t| body(t).await).await
+            }
+        }
     }
 }
 
@@ -274,12 +226,12 @@ impl<W: Workload> Slot<'_, W> {
 /// virtual time is the *slowest* routine's clock: the routines share
 /// one simulated core, so verb waits hidden behind other routines' CPU
 /// work shrink vtime and show up as throughput.
-fn tally<M: MeasuredWorker>(outs: impl IntoIterator<Item = (M, LoopOut)>) -> WorkerResult {
+fn tally(outs: impl IntoIterator<Item = (Worker, LoopOut)>) -> WorkerResult {
     let mut res = WorkerResult::default();
     for (w, per_type) in outs {
-        res.vtime_ns = res.vtime_ns.max(w.vnow());
-        res.aborted += w.stats().aborted;
-        res.fallbacks += w.stats().fallbacks;
+        res.vtime_ns = res.vtime_ns.max(w.clock.now());
+        res.aborted += w.stats.aborted;
+        res.fallbacks += w.stats.fallbacks;
         for (name, (count, hist)) in per_type {
             res.committed += count;
             let e = res
@@ -344,10 +296,10 @@ pub fn build<W: Workload>(
     (cluster, calvin)
 }
 
-/// Runs `wl` on an already built and loaded cluster. A DrTM+R worker
-/// slot's `run.routines` routines split its budget in a
-/// [`RoutinePool`]; a baseline engine has no routine scheduler, so its
-/// one worker runs the same loop as routine 0 with the whole budget.
+/// Runs `wl` on an already built and loaded cluster. Every worker slot
+/// is one [`RoutinePool`] whose routines split the slot's budget:
+/// `run.routines` of them on DrTM+R, one on a baseline engine, which
+/// has no routine scheduler of its own.
 pub fn run_on<W: Workload>(
     wl: &W,
     run: &RunCfg,
@@ -360,24 +312,23 @@ pub fn run_on<W: Workload>(
             wl,
             run,
             cluster,
+            calvin: calvin.map(Arc::as_ref),
             node,
             tid,
             seed,
         };
-        match run.engine {
-            EngineKind::DrtmR => {
-                let r = run.routines.max(1);
-                let workers: Vec<Worker> = (0..r)
-                    .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
-                    .collect();
-                let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
-                tally(RoutinePool::run(workers, async |id, w| {
-                    slot.routine(id, chunk + usize::from(id < rem), w).await
-                }))
-            }
-            EngineKind::Drtm => slot.solo(DrtmWorker::new(Arc::clone(cluster), node, seed)),
-            EngineKind::Calvin => slot.solo(calvin.expect("calvin engine").worker(node, seed)),
-        }
+        let r = if run.engine == EngineKind::DrtmR {
+            run.routines.max(1)
+        } else {
+            1
+        };
+        let workers: Vec<Worker> = (0..r)
+            .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
+            .collect();
+        let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
+        tally(RoutinePool::run(workers, async |id, w| {
+            slot.routine(id, chunk + usize::from(id < rem), w).await
+        }))
     })
 }
 

@@ -8,14 +8,15 @@
 //! `scan_local`, `last_local`) return boxed futures so a body running
 //! inside a [`RoutinePool`](drtm_core::routine::RoutinePool) suspends at
 //! every doorbell and hands the worker to a sibling routine. The baseline
-//! engines have no suspension points: their impls evaluate eagerly and
-//! wrap the result, so awaiting them never parks.
+//! engines park on their [`Worker`](drtm_core::txn::Worker)'s verbs and
+//! lock waits, never inside a body: DrTM's body runs inside its one HTM
+//! region and Calvin's under its locks, so their contexts evaluate
+//! eagerly and wrap the result, and awaiting them never parks.
 
 use std::future::Future;
 use std::pin::Pin;
 
-use drtm_baselines::calvin::CalvinTxn;
-use drtm_baselines::drtm2pl::DrtmCtx;
+use drtm_baselines::oracle::{Exec, Pass};
 use drtm_core::txn::TxnError;
 use drtm_store::TableId;
 
@@ -103,45 +104,42 @@ impl TxnApi for drtm_core::txn::TxnCtx<'_> {
     }
 }
 
-/// The baseline engines' contexts: nothing in them suspends, so each
-/// verb evaluates eagerly and its future is ready on the first poll.
-macro_rules! eager_txn_api {
-    ($($ctx:ident<$($lt:lifetime),*>),*) => {$(
-        impl TxnApi for $ctx<$($lt),*> {
-            fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-                let r = $ctx::read(self, shard, table, key);
-                Box::pin(async move { r })
-            }
-            fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
-                let r = $ctx::write(self, shard, table, key, v);
-                Box::pin(async move { r })
-            }
-            fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
-                $ctx::insert(self, shard, table, key, v)
-            }
-            fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-                $ctx::delete(self, shard, table, key)
-            }
-            fn scan_local(
-                &mut self,
-                table: TableId,
-                lo: u64,
-                hi: u64,
-                limit: usize,
-            ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-                let r = $ctx::scan_local(self, table, lo, hi, limit);
-                Box::pin(async move { r })
-            }
-            fn last_local(
-                &mut self,
-                table: TableId,
-                lo: u64,
-                hi: u64,
-            ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-                let r = $ctx::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
-                Box::pin(async move { r })
-            }
-        }
-    )*};
+/// The baseline engines' contexts: DrTM's runs inside its one HTM
+/// region and Calvin's under its locks, where nothing may suspend, so
+/// each verb evaluates eagerly and its future is ready on the first
+/// poll.
+impl<E: Exec> TxnApi for Pass<'_, E> {
+    fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
+        let r = Pass::read(self, shard, table, key);
+        Box::pin(async move { r })
+    }
+    fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
+        let r = Pass::write(self, shard, table, key, v);
+        Box::pin(async move { r })
+    }
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
+        Pass::insert(self, shard, table, key, v)
+    }
+    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+        Pass::delete(self, shard, table, key)
+    }
+    fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+        let r = Pass::scan_local(self, table, lo, hi, limit);
+        Box::pin(async move { r })
+    }
+    fn last_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
+        let r = Pass::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
+        Box::pin(async move { r })
+    }
 }
-eager_txn_api!(DrtmCtx<'_, '_, '_>, CalvinTxn<'_, '_>);

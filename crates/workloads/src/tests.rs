@@ -78,6 +78,26 @@ fn tpcc_on_calvin_passes_audit() {
     assert!(violations.is_empty(), "audit failed: {violations:?}");
 }
 
+/// Every engine keeps one ledger: a baseline run's commits, aborts and
+/// fallbacks reach the cluster's metrics registry exactly as the
+/// driver counts them.
+#[test]
+fn baseline_runs_fill_the_metrics_registry() {
+    let cfg = quick_tpcc(2);
+    for engine in [EngineKind::Drtm, EngineKind::Calvin] {
+        let run = quick_run(engine, 2, 40);
+        let (cluster, calvin) = crate::driver::build_tpcc(&cfg, &run);
+        let m = crate::driver::run_tpcc_on(&cfg, &run, &cluster, calvin.as_ref());
+        let snap = drtm_core::obs_bridge::scrape_cluster(&cluster);
+        assert!(m.committed > 0, "{engine:?}");
+        assert_eq!(
+            (snap.committed, snap.aborted, snap.fallbacks),
+            (m.committed, m.aborted, m.fallbacks),
+            "{engine:?}"
+        );
+    }
+}
+
 #[test]
 fn smallbank_runs_on_all_distributed_engines() {
     let cfg = SbCfg {

@@ -179,7 +179,15 @@ impl CalvinCtx<'_> {
 }
 
 impl Exec for CalvinCtx<'_> {
-    fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+    /// Charges `mem_access_ns` once per record, however many of its
+    /// lines hold the `head` bytes returned.
+    fn read(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        head: usize,
+    ) -> Result<Vec<u8>, TxnError> {
         let home = self.engine.cluster.home_of(shard);
         self.charge_remote(home);
         let store = &self.engine.cluster.stores[home];
@@ -187,6 +195,7 @@ impl Exec for CalvinCtx<'_> {
         let rec = store.record(table, off);
         let mut v = vec![0u8; rec.layout.value_len];
         rec.read_value_raw(&mut v);
+        v.truncate(head);
         self.clock
             .advance(self.engine.cluster.opts.cost.mem_access_ns);
         Ok(v)
@@ -235,6 +244,7 @@ impl Exec for CalvinCtx<'_> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let store = &self.engine.cluster.stores[self.node];
         let hits = store.scan(table, lo, hi, limit).into_iter();
@@ -243,6 +253,7 @@ impl Exec for CalvinCtx<'_> {
                 let rec = store.record(table, off as usize);
                 let mut v = vec![0u8; rec.layout.value_len];
                 rec.read_value_raw(&mut v);
+                v.truncate(head);
                 (k, v)
             })
             .collect())

@@ -55,28 +55,33 @@ pub struct ExecCtx<'a, 'b> {
 }
 
 impl Exec for ExecCtx<'_, '_> {
-    /// Local: inside the HTM region; remote: from the locked
-    /// prefetched snapshot.
-    fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+    /// Local: inside the HTM region, which reads and tracks only the
+    /// lines holding the first `head` value bytes; remote: from the
+    /// locked prefetched snapshot.
+    fn read(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        head: usize,
+    ) -> Result<Vec<u8>, TxnError> {
         let home = self.cluster.home_of(shard);
         if home != self.node {
-            return self
-                .remote_vals
-                .get(&(home, table, key))
-                .cloned()
-                .ok_or(TxnError::Aborted(AbortReason::Validation));
+            let value = self.remote_vals.get(&(home, table, key));
+            let value = value.ok_or(TxnError::Aborted(AbortReason::Validation))?;
+            return Ok(value[..head.min(value.len())].to_vec());
         }
         let store = &self.cluster.stores[home];
         let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
         let rec = store.record(table, off);
-        let mut v = vec![0u8; rec.layout.value_len];
+        let mut v = vec![0u8; head.min(rec.layout.value_len)];
         match rec.read_htm(self.txn, &mut v) {
             Ok((lock, _inc, _seq)) => {
                 if lock != LOCK_FREE {
                     // A remote 2PL owner holds the record.
                     return Err(TxnError::Aborted(AbortReason::LockBusy));
                 }
-                self.local_lines += rec.layout.lines() as u64;
+                self.local_lines += rec.layout.lines_for(head) as u64;
                 Ok(v)
             }
             Err(_) => Err(TxnError::Aborted(AbortReason::Validation)),
@@ -136,6 +141,7 @@ impl Exec for ExecCtx<'_, '_> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let hits = self.cluster.stores[self.node].scan(table, lo, hi, limit);
         let mut out = Vec::with_capacity(hits.len());
@@ -143,7 +149,7 @@ impl Exec for ExecCtx<'_, '_> {
         for k in keys {
             // Route through the HTM read so the scan is in the read set.
             let shard_of_self = self.node; // Scans are local-only tables.
-            let v = self.read(shard_of_self, table, k)?;
+            let v = self.read(shard_of_self, table, k, head)?;
             out.push((k, v));
         }
         Ok(out)

@@ -58,8 +58,15 @@ pub enum Pass<'x, E> {
 /// What a baseline engine does with a body's accesses in its execution
 /// pass.
 pub trait Exec {
-    /// Reads a record.
-    fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError>;
+    /// Reads the first `head` value bytes of a record (`usize::MAX`:
+    /// the whole value).
+    fn read(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        head: usize,
+    ) -> Result<Vec<u8>, TxnError>;
     /// Writes a record.
     fn write(
         &mut self,
@@ -72,22 +79,31 @@ pub trait Exec {
     fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>);
     /// Deletes a record.
     fn delete(&mut self, shard: usize, table: TableId, key: u64);
-    /// Scans a local ordered table.
+    /// Scans a local ordered table, each hit with its value's first
+    /// `head` bytes.
     fn scan_local(
         &mut self,
         table: TableId,
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError>;
 }
 
 impl<E: Exec> Pass<'_, E> {
-    /// Reads a record.
-    pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+    /// Reads the first `head` value bytes of a record (`usize::MAX`:
+    /// the whole value).
+    pub fn read(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        head: usize,
+    ) -> Result<Vec<u8>, TxnError> {
         match self {
-            Pass::Oracle(o) => o.read(shard, table, key),
-            Pass::Exec(e) => e.read(shard, table, key),
+            Pass::Oracle(o) => o.read(shard, table, key, head),
+            Pass::Exec(e) => e.read(shard, table, key, head),
         }
     }
 
@@ -121,17 +137,19 @@ impl<E: Exec> Pass<'_, E> {
         }
     }
 
-    /// Scans a local ordered table.
+    /// Scans a local ordered table, each hit with its value's first
+    /// `head` bytes.
     pub fn scan_local(
         &mut self,
         table: TableId,
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         match self {
-            Pass::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit)),
-            Pass::Exec(e) => e.scan_local(table, lo, hi, limit),
+            Pass::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit, head)),
+            Pass::Exec(e) => e.scan_local(table, lo, hi, limit, head),
         }
     }
 }
@@ -166,8 +184,15 @@ impl OracleCtx {
         Ok((home, off as usize))
     }
 
-    /// Snapshot read (uncharged): records the access.
-    pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+    /// Snapshot read (uncharged) of the first `head` value bytes:
+    /// records the access.
+    pub fn read(
+        &mut self,
+        shard: usize,
+        table: TableId,
+        key: u64,
+        head: usize,
+    ) -> Result<Vec<u8>, TxnError> {
         let (home, off) = self.locate(shard, table, key)?;
         if !self
             .sets
@@ -180,6 +205,7 @@ impl OracleCtx {
         let rec = self.cluster.stores[home].record(table, off);
         let mut v = vec![0u8; rec.layout.value_len];
         rec.read_value_raw(&mut v);
+        v.truncate(head);
         Ok(v)
     }
 
@@ -210,13 +236,15 @@ impl OracleCtx {
         self.sets.deletes.push((home, table, key));
     }
 
-    /// Uncharged ordered-table scan on the local machine.
+    /// Uncharged ordered-table scan on the local machine, each hit with
+    /// its value's first `head` bytes.
     pub fn scan_local(
         &mut self,
         table: TableId,
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Vec<(u64, Vec<u8>)> {
         let store = &self.cluster.stores[self.node];
         store
@@ -226,6 +254,7 @@ impl OracleCtx {
                 let rec = store.record(table, off as usize);
                 let mut v = vec![0u8; rec.layout.value_len];
                 rec.read_value_raw(&mut v);
+                v.truncate(head);
                 // Scanned records join the read set too.
                 if !self
                     .sets

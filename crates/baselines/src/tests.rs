@@ -46,8 +46,8 @@ mod drtm {
         let c = cluster();
         let mut w = c.worker(0, 1);
         block_now(drtm2pl::run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
+            let a = num(&t.read(0, 0, 1, usize::MAX)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
             t.write(0, 0, 1, val(a - 10))?;
             t.write(1, 0, 1 << 32 | 1, val(b + 10))
         }))
@@ -112,8 +112,36 @@ mod drtm {
     }
 
     fn increment(t: &mut DrtmCtx<'_, '_, '_>, shard: usize, key: u64) -> Result<(), TxnError> {
-        let v = num(&t.read(shard, 0, key)?);
+        let v = num(&t.read(shard, 0, key, usize::MAX)?);
         t.write(shard, 0, key, val(v + 1))
+    }
+
+    /// The one HTM region reads, and charges `htm_per_line_ns +
+    /// mem_access_ns` for, only the lines a read's head needs: the
+    /// first 8 bytes of two local 2-line records cost two lines fewer
+    /// than the whole records.
+    #[test]
+    fn region_charges_the_lines_a_head_reads() {
+        let c = DrtmCluster::new(
+            1,
+            &[TableSpec::hash(0, 64, 64)],
+            EngineOpts::builder().region_size(1 << 20).build(),
+        );
+        for k in 0..2u8 {
+            c.seed_record(0, 0, k.into(), &[k; 64]);
+        }
+        let spent = [8, usize::MAX].map(|head| {
+            let mut w = c.worker(0, 1);
+            let read = async |t: &mut DrtmCtx<'_, '_, '_>| {
+                Ok([t.read(0, 0, 0, head)?, t.read(0, 0, 1, head)?])
+            };
+            let got = block_now(drtm2pl::run(&mut w, read)).unwrap();
+            assert_eq!(got[1], vec![1u8; head.min(64)]);
+            w.clock.now()
+        });
+        let cost = &c.opts.cost;
+        let line = cost.htm_per_line_ns + cost.mem_access_ns;
+        assert_eq!(spent[1] - spent[0], 2 * line);
     }
 
     #[test]
@@ -141,7 +169,7 @@ mod calvin {
     }
 
     fn increment(t: &mut CalvinTxn<'_, '_>, key: u64) -> Result<(), TxnError> {
-        let v = num(&t.read(0, 0, key)?);
+        let v = num(&t.read(0, 0, key, usize::MAX)?);
         t.write(0, 0, key, val(v + 1))
     }
 
@@ -150,8 +178,8 @@ mod calvin {
         let (c, e) = setup();
         let mut w = c.worker(0, 1);
         block_now(e.run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1)?);
+            let a = num(&t.read(0, 0, 1, usize::MAX)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
             t.write(0, 0, 1, val(a - 5))?;
             t.write(1, 0, 1 << 32 | 1, val(b + 5))
         }))
@@ -167,7 +195,7 @@ mod calvin {
         // One remote transaction each.
         let mut cw = c.worker(0, 1);
         block_now(e.run(&mut cw, async |t| {
-            let v = num(&t.read(1, 0, 1 << 32 | 2)?);
+            let v = num(&t.read(1, 0, 1 << 32 | 2, usize::MAX)?);
             t.write(1, 0, 1 << 32 | 2, val(v + 1))
         }))
         .unwrap();
@@ -242,10 +270,11 @@ mod oracle {
     fn oracle_collects_sets_without_charging() {
         let c = cluster();
         let mut o = OracleCtx::new(Arc::clone(&c), 0);
-        let v = o.read(0, 0, 1).unwrap();
+        let v = o.read(0, 0, 1, usize::MAX).unwrap();
         assert_eq!(v, vec![1u8; 16]);
-        o.read(1, 0, 2).unwrap();
-        o.read(0, 0, 1).unwrap(); // Duplicate: deduped.
+        o.read(1, 0, 2, usize::MAX).unwrap();
+        // Duplicate: deduped. Its value is cut to the head.
+        assert_eq!(o.read(0, 0, 1, 8), Ok(vec![1u8; 8]));
         o.write(1, 0, 2).unwrap();
         o.insert(0, 0, 99, vec![9u8; 16]);
         assert_eq!(o.sets.reads.len(), 2);
@@ -259,6 +288,9 @@ mod oracle {
     fn oracle_not_found() {
         let c = cluster();
         let mut o = OracleCtx::new(c, 0);
-        assert_eq!(o.read(0, 0, 777).unwrap_err(), TxnError::NotFound);
+        assert_eq!(
+            o.read(0, 0, 777, usize::MAX).unwrap_err(),
+            TxnError::NotFound
+        );
     }
 }

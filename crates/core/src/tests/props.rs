@@ -541,7 +541,7 @@ fn read_many_is_the_sequential_reads() {
             }
             let (before, fetched) = (t.w.clock.now(), t.l_rs.len());
             let got = if batched {
-                t.read_many(&keys)
+                t.read_many(&keys, usize::MAX)
             } else {
                 keys.iter().map(|&(s, tb, k)| t.read(s, tb, k)).collect()
             };

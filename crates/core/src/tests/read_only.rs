@@ -435,10 +435,10 @@ fn one_region_read_only_commit_posts_no_validation() {
         if remote {
             assert_eq!(t.read(1, T_ACCT, key(1, 5)).map(|v| num(&v)), Ok(100));
         }
-        let scanned = t.scan_local(T_ORD, 5, 14, usize::MAX).unwrap();
+        let scanned = t.scan_local(T_ORD, 5, 14, usize::MAX, usize::MAX).unwrap();
         assert_eq!(scanned.len(), 10);
         let many = [(0, T_ACCT, key(0, 2)), (0, T_ACCT, key(0, 3))];
-        assert_eq!(t.read_many(&many).map(|v| v.len()), Ok(2));
+        assert_eq!(t.read_many(&many, usize::MAX).map(|v| v.len()), Ok(2));
         let spent = t.w.clock.now() - at;
         let snapshots = t.snapshots;
         nic.mark();
@@ -533,6 +533,141 @@ fn one_region_closes_at_capacity_a_back_off_and_a_verb() {
             assert_eq!((snapshots, validated), (want, 1), "{case}");
             let stale = Err(TxnError::Aborted(AbortReason::Validation));
             assert_eq!(outcome, if rewrite { stale } else { Ok(()) }, "{case}");
+        }
+    }
+}
+
+/// A table of 2-line records (64-byte values) for the head rule's
+/// tests, in [`T_ORD`]'s slot: keys 0..4 on machine 0, byte `i` of key
+/// `k`'s value is `k + i`. `nodes` machines, `T_ACCT` seeded as
+/// [`setup`] does.
+const T_TWO: u32 = T_ORD;
+
+fn two_line_records(nodes: usize) -> Arc<DrtmCluster> {
+    let schema = [
+        TableSpec::hash(T_ACCT, 4096, 16),
+        TableSpec::hash(T_TWO, 64, 64),
+    ];
+    let c = setup(nodes).schema(&schema).build();
+    for k in 0..4u64 {
+        c.seed_record(0, T_TWO, k, &two_line_value(k, 0));
+    }
+    assert_eq!(c.stores[0].table(T_TWO).layout.lines(), 2);
+    c
+}
+
+/// Key `k`'s value with `bump` added to every byte past the first line
+/// (bytes 40..): a rewrite that leaves the first line's value alone.
+fn two_line_value(k: u64, bump: u8) -> Vec<u8> {
+    let byte = |i: usize| (k as u8 + i as u8).wrapping_add(if i >= 40 { bump } else { 0 });
+    (0..64).map(byte).collect()
+}
+
+/// The head rule (DESIGN.md §4): a read group that uses the first 8
+/// value bytes of two 2-line records reads, tracks and charges one line
+/// each — exactly 2 × `mem_access_ns` less than the whole-record group,
+/// with one line per record in the region's read set — and returns
+/// just those bytes.
+#[test]
+fn a_head_reads_tracks_and_charges_only_its_lines() {
+    let c = two_line_records(1);
+    let cost = &c.opts.cost;
+    let keys = [(0, T_TWO, 0), (0, T_TWO, 1)];
+    let mut spent = Vec::new();
+    for head in [8, usize::MAX] {
+        let mut w = c.worker(0, 1);
+        let mut t = w.begin_ro();
+        let at = t.w.clock.now();
+        let got = t.read_many(&keys, head).unwrap();
+        spent.push(t.w.clock.now() - at);
+        let want: Vec<_> = (0..2).map(|k| two_line_value(k, 0)).collect();
+        let cut = |v: &Vec<u8>| v[..head.min(64)].to_vec();
+        assert_eq!(got, want.iter().map(cut).collect::<Vec<_>>(), "head {head}");
+        let lines = t.region.as_ref().map(|r| r.lines());
+        assert_eq!(lines, Some(if head == 8 { 2 } else { 4 }), "head {head}");
+        assert_eq!(t.commit(), Ok(()));
+    }
+    assert_eq!(spent[1] - spent[0], 2 * cost.mem_access_ns);
+}
+
+/// A head does not weaken validation: a writer that commits to a record
+/// read with a head after the read — touching only the line the read
+/// skipped — still rewrites line 0's sequence number, so a read-write
+/// transaction's C.3 aborts, and so does a read-only one's validation
+/// pass (its region closed by a remote read); untouched, both commit.
+#[test]
+fn a_write_past_the_head_still_fails_validation() {
+    for read_only in [false, true] {
+        for rewrite in [false, true] {
+            let c = two_line_records(2);
+            let mut w = c.worker(0, 1);
+            let mut t = if read_only { w.begin_ro() } else { w.begin() };
+            let keys = [(0, T_TWO, 0), (0, T_TWO, 1)];
+            assert_eq!(t.read_many(&keys, 8).map(|v| v.len()), Ok(2));
+            if read_only {
+                t.read(1, T_ACCT, key(1, 1)).unwrap();
+            } else {
+                t.write(0, T_ACCT, key(0, 1), val(5)).unwrap();
+            }
+            if rewrite {
+                let mut home = c.worker(0, 2);
+                home.run(|t| t.write(0, T_TWO, 1, two_line_value(1, 9)))
+                    .unwrap();
+            }
+            let stale = Err(TxnError::Aborted(AbortReason::Validation));
+            let want = if rewrite { stale } else { Ok(()) };
+            assert_eq!(t.commit(), want, "read-only {read_only}");
+        }
+    }
+}
+
+/// A read that wants more of a record than its read-set entry holds
+/// reads the record again: with nothing moved it returns the whole
+/// value and extends the entry (a later read is served from it), and
+/// when a sibling routine rewrote the record in between — even past the
+/// first head — it aborts `Validation`.
+#[test]
+fn a_longer_re_read_extends_the_entry_or_aborts() {
+    for rewrite in [false, true] {
+        let c = two_line_records(1);
+        let workers = (0..2u64)
+            .map(|id| {
+                let mut w = c.worker(0, 5 + id);
+                w.clock.advance(id * 100_000);
+                w
+            })
+            .collect();
+        let mut out = crate::routine::RoutinePool::run(workers, async |id, w| {
+            if id == 1 {
+                if rewrite {
+                    let value = two_line_value(2, 9);
+                    let write =
+                        w.run_async(async |t| t.write_async(0, T_TWO, 2, value.clone()).await);
+                    write.await.unwrap();
+                }
+                return None;
+            }
+            let mut t = w.begin_ro();
+            let key = [(0, T_TWO, 2)];
+            let head = t.read_many_async(&key, 8).await;
+            // The sibling, 100 µs later, runs inside this wait.
+            t.w.pause(200_000).await;
+            let whole = t.read_many_async(&key, usize::MAX).await;
+            let again = t.read_many_async(&key, 48).await;
+            let entry = t.l_rs.iter().map(|e| e.value.len()).collect::<Vec<_>>();
+            Some((head, whole, again, entry))
+        });
+        let (_, out) = out.remove(0);
+        let (head, whole, again, entry) = out.unwrap();
+        let value = two_line_value(2, 0);
+        assert_eq!(head, Ok(vec![value[..8].to_vec()]));
+        if rewrite {
+            let stale = Err(TxnError::Aborted(AbortReason::Validation));
+            assert_eq!(whole, stale);
+        } else {
+            assert_eq!(whole, Ok(vec![value.clone()]));
+            assert_eq!(again, Ok(vec![value[..48].to_vec()]));
+            assert_eq!(entry, [64], "one entry, extended");
         }
     }
 }

@@ -322,7 +322,10 @@ fn read_many_keeps_a_key_on_the_machine_its_verbs_went_to() {
     });
     let mut w = c.worker(0, 1);
     let mut t = w.begin();
-    let got = t.read_many(&[(0, T_ACCT, key(0, 3)), (1, T_ACCT, key(1, 3))]);
+    let got = t.read_many(
+        &[(0, T_ACCT, key(0, 3)), (1, T_ACCT, key(1, 3))],
+        usize::MAX,
+    );
     c.fabric.clear_injector();
     assert!(moved.load(Ordering::SeqCst), "the shard moved mid-read");
     assert_eq!(c.home_of(1), 2);
@@ -369,7 +372,7 @@ fn a_scan_is_one_read_group() {
             t.read_local(T_ORD, 12).unwrap();
             let before = t.w.clock.now();
             let got: Vec<(u64, Vec<u8>)> = if grouped {
-                t.scan_local(T_ORD, 5, 30, usize::MAX).unwrap()
+                t.scan_local(T_ORD, 5, 30, usize::MAX, usize::MAX).unwrap()
             } else {
                 let hits = c.stores[0].scan(T_ORD, 5, 30, usize::MAX);
                 let read = |(k, _)| (k, t.read_local(T_ORD, k).unwrap());
@@ -416,7 +419,10 @@ fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
     let mut w = c.worker(0, 1);
     let mut t = w.begin_ro();
     let busy = TxnError::Aborted(AbortReason::LocalLockBusy);
-    assert_eq!(t.scan_local(T_ORD, 10, 30, usize::MAX), Err(busy));
+    assert_eq!(
+        t.scan_local(T_ORD, 10, 30, usize::MAX, usize::MAX),
+        Err(busy)
+    );
     drop(t);
     let site = w.last_conflict.take().expect("the abort names its record");
     assert_eq!((site.table, site.key, site.addr), (T_ORD, 20, (0, off)));
@@ -433,7 +439,8 @@ fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
             region.cas64(off, lock_word(1), LOCK_FREE).unwrap();
             return None;
         }
-        let hits = w.run_ro_async(async |t| t.scan_local_async(T_ORD, 10, 30, 99).await);
+        let hits =
+            w.run_ro_async(async |t| t.scan_local_async(T_ORD, 10, 30, 99, usize::MAX).await);
         Some(hits.await)
     });
     let (w, hits) = out.remove(0);

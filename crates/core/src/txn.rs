@@ -178,6 +178,8 @@ pub(crate) struct LocalRead {
     pub rec_off: usize,
     pub seq: u64,
     pub incarnation: u64,
+    /// The value's first bytes: as many as the longest read of the
+    /// record wanted, the whole value for a whole-record read.
     pub value: Vec<u8>,
 }
 
@@ -300,7 +302,7 @@ pub struct TxnCtx<'w> {
     /// local read groups since it opened, which the next group extends
     /// (`read_region`). Closed — dropped — before a verb is posted, at a
     /// group's failed attempt and when the next group would overflow it.
-    region: Option<ReadSet>,
+    pub(crate) region: Option<ReadSet>,
 }
 
 impl Worker {
@@ -858,57 +860,68 @@ impl<'w> TxnCtx<'w> {
         table: TableId,
         key: u64,
     ) -> Result<Vec<u8>, TxnError> {
-        self.read_local_at(table, key, None).await
+        self.read_local_at(table, key, None, usize::MAX).await
     }
 
-    /// [`Self::read_local_async`] for a caller that may already hold the
-    /// record's offset — an index scan's hit — and so spares the second
-    /// index walk. The offset is the index's answer at scan time, as
-    /// `get_loc`'s is at its own call.
+    /// [`Self::read_local_async`] of the value's first `head` bytes, for
+    /// a caller that may already hold the record's offset — an index
+    /// scan's hit — and so spares the second index walk. The offset is
+    /// the index's answer at scan time, as `get_loc`'s is at its own
+    /// call.
     async fn read_local_at(
         &mut self,
         table: TableId,
         key: u64,
         known_off: Option<usize>,
+        head: usize,
     ) -> Result<Vec<u8>, TxnError> {
-        let member = match self.local_source(table, key, known_off)? {
+        let member = match self.local_source(table, key, known_off, head)? {
             LocalSource::Served(value) => return Ok(value.to_vec()),
             LocalSource::Fetch(member) => member,
         };
         match self.read_group(&[member]).await {
-            Ok(mut read) => Ok(self.enter_local_read(read.pop().expect("one member, one read"))),
+            Ok(mut read) => self.enter_local_read(read.pop().expect("one member, one read")),
             Err(_) => Err(self.local_lock_busy(member)),
         }
     }
 
-    /// What a local read of `(table, key)` starts from: the own write or
-    /// earlier snapshot that serves it — found by key, with no index
-    /// walk — or the record it must fetch.
+    /// What a local read of the first `head` value bytes of `(table,
+    /// key)` starts from: the own write or earlier snapshot that serves
+    /// it — found by key, with no index walk — or the record it must
+    /// fetch. An earlier snapshot shorter than `head` is fetched again
+    /// at its offset, and entering the longer read extends it
+    /// (`enter_local_read`).
     fn local_source(
         &self,
         table: TableId,
         key: u64,
         known_off: Option<usize>,
+        head: usize,
     ) -> Result<LocalSource<'_>, TxnError> {
+        let prefix = |v: &[u8]| head.min(v.len());
         if let Some(i) = self.l_ws_at.find(&self.l_ws, (table, key)) {
-            return Ok(LocalSource::Served(&self.l_ws[i].buf));
+            let buf = &self.l_ws[i].buf;
+            return Ok(LocalSource::Served(&buf[..prefix(buf)]));
         }
+        let store = &self.w.cluster.stores[self.w.node];
         // Repeatable read: if already in the read set, return the
         // snapshot, even of a record unlinked since (commit aborts on it).
-        if let Some(i) = self.l_rs_at.find(&self.l_rs, (table, key)) {
-            return Ok(LocalSource::Served(&self.l_rs[i].value));
-        }
-        let rec_off = match known_off {
-            Some(off) => off,
-            None => {
-                let store = &self.w.cluster.stores[self.w.node];
-                store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize
+        let read = self.l_rs_at.find(&self.l_rs, (table, key));
+        let rec_off = match read.map(|i| &self.l_rs[i]) {
+            Some(e) if e.value.len() >= head.min(store.table(table).layout.value_len) => {
+                return Ok(LocalSource::Served(&e.value[..prefix(&e.value)]));
             }
+            Some(e) => e.rec_off,
+            None => match known_off {
+                Some(off) => off,
+                None => store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize,
+            },
         };
         Ok(LocalSource::Fetch(GroupMember {
             table,
             key,
             rec_off,
+            head,
         }))
     }
 
@@ -928,7 +941,7 @@ impl<'w> TxnCtx<'w> {
     async fn read_group(&mut self, members: &[GroupMember]) -> Result<Vec<LocalRead>, usize> {
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
-        let lines_of = |m: &GroupMember| store.table(m.table).layout.lines();
+        let lines_of = |m: &GroupMember| store.table(m.table).layout.lines_for(m.head);
         let mut reads = Vec::new();
         let mut rest = members;
         while !rest.is_empty() {
@@ -968,6 +981,10 @@ impl<'w> TxnCtx<'w> {
     /// opened and closed without suspending (§11). `Err(i)`: member `i`
     /// was locked at the last of the attempts.
     ///
+    /// Each member reads, and the region tracks, only the lines that hold
+    /// its header and its first `head` value bytes
+    /// ([`RecordLayout::lines_for`]).
+    ///
     /// Charges, per attempt, `record_logic_ns` per member, plus
     /// `htm_begin_ns` when it opens a region; on its commit,
     /// `mem_access_ns` per line read, plus `htm_commit_ns` when it opened
@@ -983,7 +1000,7 @@ impl<'w> TxnCtx<'w> {
         let store = &cluster.stores[self.w.node];
         let cost = &cluster.opts.cost;
         let lines: usize = (members.iter())
-            .map(|m| store.table(m.table).layout.lines())
+            .map(|m| store.table(m.table).layout.lines_for(m.head))
             .sum();
         let max_lines = cluster.opts.htm.max_read_lines;
         if (self.region.as_ref()).is_some_and(|open| open.lines() + lines > max_lines) {
@@ -1026,12 +1043,26 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// Enters a read group's entry in the local read set, returning its
-    /// value.
-    fn enter_local_read(&mut self, read: LocalRead) -> Vec<u8> {
+    /// value. A longer re-read of a record already in the set extends
+    /// that entry's value when it found the same version, and aborts
+    /// `Validation` when the record moved between the two reads: the
+    /// transaction would have seen two versions of it.
+    fn enter_local_read(&mut self, read: LocalRead) -> Result<Vec<u8>, TxnError> {
         let value = read.value.clone();
-        self.l_rs.push(read);
-        self.l_rs_at.pushed(&self.l_rs);
-        value
+        match self.l_rs_at.find(&self.l_rs, read.at()) {
+            Some(i) => {
+                let e = &mut self.l_rs[i];
+                if (e.seq, e.incarnation) != (read.seq, read.incarnation) {
+                    return Err(TxnError::Aborted(AbortReason::Validation));
+                }
+                e.value = read.value;
+            }
+            None => {
+                self.l_rs.push(read);
+                self.l_rs_at.pushed(&self.l_rs);
+            }
+        }
+        Ok(value)
     }
 
     /// The abort of a read whose record `member` stayed locked, the
@@ -1119,7 +1150,8 @@ impl<'w> TxnCtx<'w> {
         table: TableId,
         key: u64,
     ) -> Result<Vec<u8>, TxnError> {
-        self.read_remote_with(node, table, key, None).await
+        self.read_remote_with(node, table, key, None, usize::MAX)
+            .await
     }
 
     /// [`Self::read_remote_async`], its first location lookup and first
@@ -1127,19 +1159,23 @@ impl<'w> TxnCtx<'w> {
     /// them ahead in its shared parks. Everything else — what is checked
     /// in which order, what is charged, what enters the read set and the
     /// location cache, every retry — is the one body both callers share.
+    /// The READ and the read-set entry are the whole record; the value
+    /// returned is its first `head` bytes.
     async fn read_remote_with(
         &mut self,
         node: NodeId,
         table: TableId,
         key: u64,
         mut fetched: Option<Prefetch>,
+        head: usize,
     ) -> Result<Vec<u8>, TxnError> {
+        let prefix = |v: &[u8]| v[..head.min(v.len())].to_vec();
         if let Some(e) = self
             .r_ws
             .iter()
             .find(|e| e.node == node && e.table == table && e.key == key)
         {
-            return Ok(e.buf.clone());
+            return Ok(prefix(&e.buf));
         }
         let cluster = Arc::clone(&self.w.cluster);
         // Repeatable read: if already in the read set, return the snapshot.
@@ -1148,7 +1184,7 @@ impl<'w> TxnCtx<'w> {
             .iter()
             .find(|e| e.node == node && e.table == table && e.key == key)
         {
-            return Ok(e.value.clone());
+            return Ok(prefix(&e.value));
         }
         let layout = cluster.stores[self.w.node].table(table).layout;
         // A stale location cache entry restarts the whole lookup (at most
@@ -1216,7 +1252,7 @@ impl<'w> TxnCtx<'w> {
                     None => locations.put(table, key, rec_off as u64, rr.incarnation),
                 }
             }
-            let value = rr.value.clone();
+            let value = prefix(&rr.value);
             self.snapshots += 1;
             self.r_rs.push(RemoteRead {
                 node,
@@ -1365,8 +1401,9 @@ impl<'w> TxnCtx<'w> {
         });
     }
 
-    /// Ordered-table range scan on the local machine. Returns the values
-    /// of up to `limit` records with keys in `[lo, hi]`, reading each
+    /// Ordered-table range scan on the local machine. Returns up to
+    /// `limit` records with keys in `[lo, hi]`, each with its value's
+    /// first `head` bytes (`usize::MAX`: the whole value), reading each
     /// through the transactional local-read path.
     ///
     /// Synchronous facade over [`Self::scan_local_async`].
@@ -1376,8 +1413,9 @@ impl<'w> TxnCtx<'w> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        block_now(self.scan_local_async(table, lo, hi, limit))
+        block_now(self.scan_local_async(table, lo, hi, limit, head))
     }
 
     /// Reactor-aware variant of [`Self::scan_local`]: the hits are read
@@ -1391,19 +1429,22 @@ impl<'w> TxnCtx<'w> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let hits = cluster.stores[self.w.node].scan(table, lo, hi, limit);
         let mut served = Vec::with_capacity(hits.len());
         let mut members = Vec::new();
         for &(key, off) in &hits {
-            served.push(match self.local_source(table, key, Some(off as usize))? {
-                LocalSource::Served(value) => Some(value.to_vec()),
-                LocalSource::Fetch(member) => {
-                    members.push(member);
-                    None
-                }
-            });
+            served.push(
+                match self.local_source(table, key, Some(off as usize), head)? {
+                    LocalSource::Served(value) => Some(value.to_vec()),
+                    LocalSource::Fetch(member) => {
+                        members.push(member);
+                        None
+                    }
+                },
+            );
         }
         let mut reads = match self.read_group(&members).await {
             Ok(reads) => reads.into_iter(),
@@ -1413,7 +1454,7 @@ impl<'w> TxnCtx<'w> {
         for ((key, _), value) in hits.into_iter().zip(served) {
             let value = match value {
                 Some(value) => value,
-                None => self.enter_local_read(reads.next().expect("one read per member")),
+                None => self.enter_local_read(reads.next().expect("one read per member"))?,
             };
             out.push((key, value));
         }
@@ -1443,7 +1484,8 @@ impl<'w> TxnCtx<'w> {
         let cluster = Arc::clone(&self.w.cluster);
         match cluster.stores[self.w.node].last_in_range(table, lo, hi) {
             Some((key, off)) => {
-                let value = self.read_local_at(table, key, Some(off as usize)).await?;
+                let off = Some(off as usize);
+                let value = self.read_local_at(table, key, off, usize::MAX).await?;
                 Ok(Some((key, value)))
             }
             None => Ok(None),
@@ -1496,15 +1538,21 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// Reads the records `keys` name — `(shard, table, key)` each — and
-    /// returns their values in order.
+    /// returns the first `head` bytes of their values in order.
     ///
     /// Synchronous facade over [`Self::read_many_async`].
-    pub fn read_many(&mut self, keys: &[(usize, TableId, u64)]) -> Result<Vec<Vec<u8>>, TxnError> {
-        block_now(self.read_many_async(keys))
+    pub fn read_many(
+        &mut self,
+        keys: &[(usize, TableId, u64)],
+        head: usize,
+    ) -> Result<Vec<Vec<u8>>, TxnError> {
+        block_now(self.read_many_async(keys, head))
     }
 
     /// Reads the records `keys` name — `(shard, table, key)` each — and
-    /// returns their values in order: *exactly* the sequential
+    /// returns the first `head` bytes of their values in order
+    /// (`usize::MAX`: the whole values). With `usize::MAX` this is
+    /// *exactly* the sequential
     /// [`Self::read_async`] calls (same values, same read-set, same
     /// location-cache effects, same error at the same key), except that
     /// the verbs those reads would have waited for one after another are
@@ -1527,7 +1575,11 @@ impl<'w> TxnCtx<'w> {
     /// read-write transaction, whose reads each open a region, one per
     /// local record beyond the group's regions; in a read-only one,
     /// whose reads extend one region, one per region the sequential
-    /// reads reopen after a remote key's verbs closed it.
+    /// reads reopen after a remote key's verbs closed it. A shorter
+    /// `head` also saves `mem_access_ns` per line of a local record that
+    /// holds none of the value's first `head` bytes: those lines are
+    /// neither read nor tracked. A remote key's READ stays the whole
+    /// record and costs the same.
     ///
     /// This batches reads a body is about to issue anyway; it is not the
     /// a-priori read/write set DrTM needed: a key that depends on a
@@ -1535,8 +1587,9 @@ impl<'w> TxnCtx<'w> {
     pub async fn read_many_async(
         &mut self,
         keys: &[(usize, TableId, u64)],
+        head: usize,
     ) -> Result<Vec<Vec<u8>>, TxnError> {
-        let mut grouped = self.read_local_keys(keys).await;
+        let mut grouped = self.read_local_keys(keys, head).await;
         let mut fetched = self.fetch_ahead(keys).await;
         let mut values = Vec::with_capacity(keys.len());
         for (i, &(shard, table, key)) in keys.iter().enumerate() {
@@ -1550,13 +1603,13 @@ impl<'w> TxnCtx<'w> {
                 None => self.w.cluster.home_of(shard),
             };
             if home != self.w.node {
-                values.push(self.read_remote_with(home, table, key, ahead).await?);
+                values.push(self.read_remote_with(home, table, key, ahead, head).await?);
                 continue;
             }
             values.push(match grouped.get_mut(i).and_then(Option::take) {
-                Some(Ok(read)) => self.enter_local_read(read),
+                Some(Ok(read)) => self.enter_local_read(read)?,
                 Some(Err(member)) => return Err(self.local_lock_busy(member)),
-                None => self.read_local_async(table, key).await?,
+                None => self.read_local_at(table, key, None, head).await?,
             });
         }
         Ok(values)
@@ -1573,6 +1626,7 @@ impl<'w> TxnCtx<'w> {
     async fn read_local_keys(
         &mut self,
         keys: &[(usize, TableId, u64)],
+        head: usize,
     ) -> Vec<Option<Result<LocalRead, GroupMember>>> {
         let me = self.w.node;
         let mut members: Vec<GroupMember> = Vec::new();
@@ -1582,7 +1636,7 @@ impl<'w> TxnCtx<'w> {
             if self.w.cluster.home_of(shard) != me {
                 continue;
             }
-            let member = match self.local_source(table, key, None) {
+            let member = match self.local_source(table, key, None, head) {
                 Ok(LocalSource::Fetch(member)) => member,
                 Ok(LocalSource::Served(_)) => continue,
                 Err(_) => break,
@@ -1709,6 +1763,8 @@ struct GroupMember {
     /// blames should the record stay locked.
     key: u64,
     rec_off: usize,
+    /// How many leading value bytes to read (`usize::MAX`: all).
+    head: usize,
 }
 
 /// Where a local read starts from.
@@ -1747,7 +1803,7 @@ fn attempt_region(
     let mut reads = Vec::with_capacity(members.len());
     for (i, m) in members.iter().enumerate() {
         let rec = store.record(m.table, m.rec_off);
-        let mut value = vec![0u8; rec.layout.value_len];
+        let mut value = vec![0u8; m.head.min(rec.layout.value_len)];
         match rec.read_htm(&mut txn, &mut value) {
             // Locked by a committer: the region aborts by hand.
             Ok((lock, ..)) if lock != LOCK_FREE => return RegionRead::Locked(i),

@@ -87,10 +87,19 @@ impl RecordLayout {
 
     /// Number of cache lines the record occupies.
     pub fn lines(&self) -> usize {
-        if self.value_len <= FIRST_LINE_VALUE {
+        self.lines_for(self.value_len)
+    }
+
+    /// Number of leading cache lines that hold the header and the first
+    /// `head` value bytes (the whole record when `head >= value_len`).
+    /// Line 0 always counts: it carries the lock word and the sequence
+    /// number.
+    pub fn lines_for(&self, head: usize) -> usize {
+        let head = head.min(self.value_len);
+        if head <= FIRST_LINE_VALUE {
             1
         } else {
-            1 + (self.value_len - FIRST_LINE_VALUE).div_ceil(LATER_LINE_VALUE)
+            1 + (head - FIRST_LINE_VALUE).div_ceil(LATER_LINE_VALUE)
         }
     }
 
@@ -231,22 +240,28 @@ impl<'a> RecordRef<'a> {
         }
     }
 
-    /// Reads `(lock, incarnation, seq, value)` inside an HTM transaction.
+    /// Reads `(lock, incarnation, seq)` and the first `out.len()` value
+    /// bytes inside an HTM transaction.
     ///
     /// This is the paper's `LOCAL_READ` (Figure 5): the HTM read set now
-    /// covers the record's lines, so any concurrent local commit or remote
-    /// RDMA write aborts the enclosing transaction. The *caller* decides
-    /// what to do when `lock != 0` (read-write transactions abort; see
-    /// §4.3). The record's lines are read in one transactional read.
+    /// covers the lines read — [`RecordLayout::lines_for`] `out.len()`,
+    /// all of them for a whole value — so any concurrent local commit or
+    /// remote RDMA write to them aborts the enclosing transaction. Every
+    /// update rewrites line 0, so the header alone already conflicts
+    /// with every writer. The *caller* decides what to do when
+    /// `lock != 0` (read-write transactions abort; see §4.3). The lines
+    /// are read in one transactional read.
     pub fn read_htm(
         &self,
         txn: &mut HtmTxn<'_>,
         out: &mut [u8],
     ) -> Result<(u64, u64, u64), AbortCode> {
-        assert_eq!(out.len(), self.layout.value_len);
-        let mut img = vec![0u8; self.layout.size()];
+        assert!(out.len() <= self.layout.value_len, "a prefix of the value");
+        let lines = self.layout.lines_for(out.len());
+        let mut img = vec![0u8; lines * CACHE_LINE];
         txn.read_bytes(self.base, &mut img)?;
-        for (_, rec_off, vr) in self.layout.chunks() {
+        for (_, rec_off, vr) in self.layout.chunks().take(lines) {
+            let vr = vr.start..vr.end.min(out.len());
             let len = vr.len();
             out[vr].copy_from_slice(&img[rec_off..rec_off + len]);
         }
@@ -489,6 +504,31 @@ mod tests {
         assert_eq!(RecordLayout::new(40 + 57).lines(), 3);
         assert_eq!(RecordLayout::new(96).size(), 128);
         assert_eq!(RecordLayout::new(100).size(), 192);
+        let l = RecordLayout::new(100);
+        let heads = [0, 8, 40, 41, 96, 97, 100, usize::MAX];
+        let lines = heads.map(|h| l.lines_for(h));
+        assert_eq!(lines, [1, 1, 1, 2, 2, 3, 3, 3]);
+    }
+
+    /// A read of the value's first `head` bytes reads, and tracks in the
+    /// HTM read set, only the lines [`RecordLayout::lines_for`] names,
+    /// and returns exactly those bytes of the value.
+    #[test]
+    fn htm_read_of_a_prefix_tracks_only_its_lines() {
+        let region = MemoryRegion::new(4096);
+        let layout = RecordLayout::new(150);
+        let rec = RecordRef::new(&region, 256, layout);
+        let value: Vec<u8> = (0..150u8).collect();
+        rec.init(&value, 6, 1);
+        let cfg = HtmConfig::default();
+        for head in [0, 1, 8, 40, 41, 96, 97, 150] {
+            let mut txn = HtmTxn::begin(&region, &cfg);
+            let mut got = vec![0u8; head];
+            let header = rec.read_htm(&mut txn, &mut got).unwrap();
+            assert_eq!(header, (LOCK_FREE, 1, 6), "head {head}");
+            assert_eq!(got, value[..head], "head {head}");
+            assert_eq!(txn.read_lines(), layout.lines_for(head), "head {head}");
+        }
     }
 
     #[test]

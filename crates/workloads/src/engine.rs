@@ -28,37 +28,43 @@ use drtm_store::TableId;
 pub type TxnFut<'a, R> = Pin<Box<dyn Future<Output = Result<R, TxnError>> + 'a>>;
 
 /// The uniform transaction interface the workloads are written against.
+///
+/// The batched reads name how many leading value bytes the body uses,
+/// `head` (`usize::MAX`: the whole value), and return just those bytes.
+/// An engine may then read and track less of each record: DrTM+R's and
+/// DrTM's HTM regions read only the cache lines that hold them
+/// (`RecordLayout::lines_for`). `read` and `last_local` read whole
+/// records. A body reads whole every record it writes, since a write
+/// takes the whole value.
 pub trait TxnApi {
     /// Reads the record `key` of `table` homed on `shard`.
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>>;
     /// Reads the records `keys` name, `(shard, table, key)` each, and
-    /// returns their values in order: the same as calling
-    /// [`read`](Self::read) on each in turn, which is what every engine
-    /// but DrTM+R does. A body hands over the reads it is about to issue
-    /// anyway; a key that depends on an earlier value goes in a later
-    /// call.
-    fn read_many<'a>(&'a mut self, keys: &'a [(usize, TableId, u64)]) -> TxnFut<'a, Vec<Vec<u8>>> {
-        Box::pin(async move {
-            let mut values = Vec::with_capacity(keys.len());
-            for &(shard, table, key) in keys {
-                values.push(self.read(shard, table, key).await?);
-            }
-            Ok(values)
-        })
-    }
+    /// returns the first `head` bytes of their values in order: with
+    /// `head = usize::MAX`, the same as calling [`read`](Self::read) on
+    /// each in turn, which is what every engine but DrTM+R does. A body
+    /// hands over the reads it is about to issue anyway; a key that
+    /// depends on an earlier value goes in a later call.
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>>;
     /// Writes it.
     fn write(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) -> TxnFut<'_, ()>;
     /// Buffers an insert.
     fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>);
     /// Buffers a delete.
     fn delete(&mut self, shard: usize, table: TableId, key: u64);
-    /// Scans a local ordered table.
+    /// Scans a local ordered table: up to `limit` records with keys in
+    /// `[lo, hi]`, each with its value's first `head` bytes.
     fn scan_local(
         &mut self,
         table: TableId,
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>>;
     /// Largest key in `[lo, hi]` of a local ordered table.
     fn last_local(
@@ -73,8 +79,12 @@ impl TxnApi for drtm_core::txn::TxnCtx<'_> {
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
         Box::pin(self.read_async(shard, table, key))
     }
-    fn read_many<'a>(&'a mut self, keys: &'a [(usize, TableId, u64)]) -> TxnFut<'a, Vec<Vec<u8>>> {
-        Box::pin(self.read_many_async(keys))
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(self.read_many_async(keys, head))
     }
     fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
         Box::pin(self.write_async(shard, table, key, v))
@@ -91,8 +101,9 @@ impl TxnApi for drtm_core::txn::TxnCtx<'_> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        Box::pin(self.scan_local_async(table, lo, hi, limit))
+        Box::pin(self.scan_local_async(table, lo, hi, limit, head))
     }
     fn last_local(
         &mut self,
@@ -110,7 +121,17 @@ impl TxnApi for drtm_core::txn::TxnCtx<'_> {
 /// poll.
 impl<E: Exec> TxnApi for Pass<'_, E> {
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-        let r = Pass::read(self, shard, table, key);
+        let r = Pass::read(self, shard, table, key, usize::MAX);
+        Box::pin(async move { r })
+    }
+    /// The reads one by one.
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        let read = |&(shard, table, key): &_| Pass::read(self, shard, table, key, head);
+        let r = keys.iter().map(read).collect();
         Box::pin(async move { r })
     }
     fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
@@ -129,8 +150,9 @@ impl<E: Exec> TxnApi for Pass<'_, E> {
         lo: u64,
         hi: u64,
         limit: usize,
+        head: usize,
     ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        let r = Pass::scan_local(self, table, lo, hi, limit);
+        let r = Pass::scan_local(self, table, lo, hi, limit, head);
         Box::pin(async move { r })
     }
     fn last_local(
@@ -139,7 +161,8 @@ impl<E: Exec> TxnApi for Pass<'_, E> {
         lo: u64,
         hi: u64,
     ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-        let r = Pass::scan_local(self, table, lo, hi, usize::MAX).map(|mut v| v.pop());
+        let r = Pass::scan_local(self, table, lo, hi, usize::MAX, usize::MAX);
+        let r = r.map(|mut v| v.pop());
         Box::pin(async move { r })
     }
 }

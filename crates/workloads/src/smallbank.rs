@@ -293,7 +293,7 @@ async fn read_n<const N: usize>(
     t: &mut dyn TxnApi,
     keys: &[(usize, TableId, u64); N],
 ) -> Result<[Vec<u8>; N], TxnError> {
-    let values = t.read_many(keys).await?;
+    let values = t.read_many(keys, usize::MAX).await?;
     Ok(values
         .try_into()
         .expect("read_many returns one value per key"))

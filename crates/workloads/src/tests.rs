@@ -680,13 +680,13 @@ fn one_machine_driver_runs_are_pinned() {
         got.push(format!("{arm} ycsb: {}", pin(&run_ycsb(&ycsb, &run))));
     }
     let want = [
-        "DrtmR r1 tpcc: 198 0 0 0x40fe5ef3557a6407 | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
+        "DrtmR r1 tpcc: 198 0 0 0x40ffa9e0a3b6e55d | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
         "DrtmR r1 smallbank: 172 0 0 0x4127c82b02032a9c | amalgamate 26 0x4000624dd2f1a9fc, balance 36 0x4000624dd2f1a9fc, deposit-checking 24 0x3ff0624dd2f1a9fc, send-payment 33 0x4000624dd2f1a9fc, transact-savings 26 0x3ff0624dd2f1a9fc, write-check 27 0x4000624dd2f1a9fc",
         "DrtmR r1 ycsb: 200 0 0 0x4132201411f1021d | read 93 0x3ff0624dd2f1a9fc, update 107 0x3ff04dd2f1a9fbe7",
-        "DrtmR r8 tpcc: 198 0 0 0x40fad822f8db371f | delivery 7 0x4050624dd2f1a9fc, new-order 95 0x4030624dd2f1a9fc, order-status 5 0x4020624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 11 0x4060624dd2f1a9fc",
+        "DrtmR r8 tpcc: 198 0 0 0x40fc269ff669382d | delivery 7 0x4050624dd2f1a9fc, new-order 95 0x4030624dd2f1a9fc, order-status 5 0x4010624dd2f1a9fc, payment 80 0x4010624dd2f1a9fc, stock-level 11 0x4050624dd2f1a9fc",
         "DrtmR r8 smallbank: 188 0 0 0x412a241b2d761223 | amalgamate 26 0x4000624dd2f1a9fc, balance 29 0x4000624dd2f1a9fc, deposit-checking 33 0x3ff0624dd2f1a9fc, send-payment 41 0x4000624dd2f1a9fc, transact-savings 30 0x3ff0624dd2f1a9fc, write-check 29 0x4000624dd2f1a9fc",
         "DrtmR r8 ycsb: 200 0 0 0x41320ec7f3e1b443 | read 100 0x3ff049ba5e353f7d, update 100 0x3ff049ba5e353f7d",
-        "Drtm r1 tpcc: 198 0 0 0x40fd426bdcefe944 | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4000624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
+        "Drtm r1 tpcc: 198 0 0 0x40fec5b9981270f1 | delivery 5 0x4050624dd2f1a9fc, new-order 93 0x4030624dd2f1a9fc, order-status 11 0x4020624dd2f1a9fc, payment 80 0x4000624dd2f1a9fc, stock-level 9 0x4050624dd2f1a9fc",
         "Drtm r1 smallbank: 172 0 0 0x413065c69881f078 | amalgamate 26 0x4000624dd2f1a9fc, balance 36 0x3ff0624dd2f1a9fc, deposit-checking 24 0x3ff0624dd2f1a9fc, send-payment 33 0x3ff0624dd2f1a9fc, transact-savings 26 0x3ff0624dd2f1a9fc, write-check 27 0x3ff0624dd2f1a9fc",
         "Drtm r1 ycsb: 200 0 0 0x4137a83398ce633a | read 93 0x3ff0624dd2f1a9fc, update 107 0x3ff04dd2f1a9fbe7",
         "Calvin r1 tpcc: 198 0 0 0x40ce87e196cfb188 | delivery 5 0x4060624dd2f1a9fc, new-order 93 0x4060624dd2f1a9fc, order-status 11 0x4050624dd2f1a9fc, payment 80 0x4050624dd2f1a9fc, stock-level 9 0x4070624dd2f1a9fc",

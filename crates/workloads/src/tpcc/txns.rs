@@ -140,6 +140,8 @@ pub async fn new_order(
     let o = slot(&dv, 2);
     set_slot(&mut dv, 2, o + 1);
     t.write(shard, T_DISTRICT, dk, dv).await?;
+    // Whole: spec §2.4.2.2 returns C_LAST and C_CREDIT beside the
+    // discount, and C_LAST starts at byte 40, past the first line.
     let cv = t.read(shard, T_CUSTOMER, ckey(w, d, inp.c)).await?;
     let discount_bp = slot(&cv, 4);
 
@@ -158,13 +160,15 @@ pub async fn new_order(
     t.insert(shard, T_ORDER_CIDX, cidxkey(w, d, inp.c, o), value(8, &[o]));
 
     // Every line's item and stock record is named by the input: gather
-    // the reads, then update line by line.
+    // the reads, then update line by line. Both are read whole: the
+    // stock record is rewritten, and spec §2.4.2.2 returns the item's
+    // I_NAME and tests its I_DATA, which run to the value's last byte.
     let line_keys = |&(i, supply_w, _): &(u64, u64, u64)| {
         let stock = (cfg.shard_of(supply_w), T_STOCK, skey(supply_w, i));
         [(shard, T_ITEM, ikey(shard, i)), stock]
     };
     let keys: Vec<_> = inp.lines.iter().flat_map(line_keys).collect();
-    let mut values = t.read_many(&keys).await?.into_iter();
+    let mut values = t.read_many(&keys, usize::MAX).await?.into_iter();
     let mut total = 0u64;
     for (idx, &(i, supply_w, qty)) in inp.lines.iter().enumerate() {
         let iv = values.next().expect("an item per line");
@@ -255,6 +259,7 @@ pub async fn resolve_customer(
                     nkey(w, d, l, 0),
                     nkey(w, d, l, 4095),
                     usize::MAX,
+                    usize::MAX,
                 )
                 .await?;
             if hits.is_empty() {
@@ -323,7 +328,7 @@ pub async fn payment(
         (shard, T_DISTRICT, dk),
         (c_shard, T_CUSTOMER, ck),
     ];
-    let values = t.read_many(&keys).await?;
+    let values = t.read_many(&keys, usize::MAX).await?;
     let [mut wv, mut dv, mut cv]: [Vec<u8>; 3] = values.try_into().expect("a value per key");
 
     let ns = slot(&wv, 0) + inp.amount;
@@ -365,7 +370,7 @@ pub async fn delivery(
         let lo = okey(w, d, 0);
         let hi = okey(w, d, (1 << 24) - 1);
         let Some((no_key, nov)) = t
-            .scan_local(T_NEW_ORDER, lo, hi, 1)
+            .scan_local(T_NEW_ORDER, lo, hi, 1, usize::MAX)
             .await?
             .into_iter()
             .next()
@@ -384,7 +389,7 @@ pub async fn delivery(
 
         let mut sum = 0u64;
         let ol_keys = order_line_keys(shard, w, d, o, ol_cnt);
-        let lines = t.read_many(&ol_keys).await?;
+        let lines = t.read_many(&ol_keys, usize::MAX).await?;
         for (&(_, _, olk), mut olv) in ol_keys.iter().zip(lines) {
             sum += slot(&olv, 3);
             set_slot(&mut olv, 4, ts);
@@ -422,7 +427,10 @@ pub async fn order_status(
     let o = slot(&idx, 0);
     let ov = t.read(shard, T_ORDER, okey(w, d, o)).await?;
     let ol_cnt = slot(&ov, 1);
-    t.read_many(&order_line_keys(shard, w, d, o, ol_cnt))
+    // Spec §2.6.2.2 returns five fields of each line: OL_I_ID,
+    // OL_SUPPLY_W_ID, OL_QUANTITY, OL_AMOUNT and OL_DELIVERY_D, the
+    // value's first 40 bytes.
+    t.read_many(&order_line_keys(shard, w, d, o, ol_cnt), 40)
         .await?;
     Ok(())
 }
@@ -454,11 +462,12 @@ pub async fn stock_level(
         return Ok(0);
     }
     // The lines of the last 20 orders: the line keys of consecutive
-    // orders are consecutive, so one range covers them.
+    // orders are consecutive, so one range covers them. The body uses
+    // 8 bytes of each line (OL_I_ID) and of each stock record
+    // (S_QUANTITY), so it reads just those.
     let lo = olkey(w, d, next_o.saturating_sub(20), 0);
-    let lines = t
-        .scan_local(T_ORDER_LINE, lo, olkey(w, d, next_o - 1, 15), usize::MAX)
-        .await?;
+    let hi = olkey(w, d, next_o - 1, 15);
+    let lines = t.scan_local(T_ORDER_LINE, lo, hi, usize::MAX, 8).await?;
     // Distinct items in id order: the reads' order is the same in every
     // process.
     let items: std::collections::BTreeSet<u64> =
@@ -467,7 +476,7 @@ pub async fn stock_level(
         .iter()
         .map(|&i| (shard, T_STOCK, skey(w, i)))
         .collect();
-    let stock = t.read_many(&keys).await?;
+    let stock = t.read_many(&keys, 8).await?;
     Ok(stock.iter().filter(|sv| slot(sv, 0) < threshold).count())
 }
 

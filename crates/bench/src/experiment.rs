@@ -571,7 +571,7 @@ fn run_breakdown(size: Size) -> Result<Vec<Arm>, String> {
                 w.run_async(async |t| txns::new_order(t, &cfg, &inp, i as u64).await),
             );
         }
-        // Aux work so the logs do not grow unbounded.
+        // Fold the logs as a worker loop's truncation steps would.
         for node in 0..cfg.nodes {
             cluster.truncate_step(node);
         }

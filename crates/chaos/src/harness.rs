@@ -9,19 +9,25 @@
 //! never-committed (odd) update, or a half-applied transaction all
 //! break conservation.
 //!
-//! Recovery is triggered exclusively by the supervisor observing lease
-//! expiry; the harness itself never calls `recover_node`.
+//! The load runs on the measurement driver ([`driver::run_on`]), as a
+//! private [`Workload`]: the driver's slots are the chaos workers, and
+//! they take their machine's log truncation step between transactions
+//! as every replicated run does. Recovery is triggered exclusively by
+//! the supervisor observing lease expiry; the harness itself never
+//! calls `recover_node`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drtm_base::SplitMix64;
-use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::cluster::DrtmCluster;
 use drtm_core::recovery::full_restart_scrub;
-use drtm_core::txn::{TxnError, Worker};
-use drtm_core::{ContentionPolicy, RoutinePool};
+use drtm_core::txn::TxnError;
+use drtm_core::ContentionPolicy;
+use drtm_store::TableSpec;
 use drtm_workloads::audit;
+use drtm_workloads::driver::{self, EngineKind, RunCfg, Workload};
+use drtm_workloads::engine::TxnApi;
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 
 use crate::injector::ChaosInjector;
@@ -95,10 +101,13 @@ impl Default for ChaosRunCfg {
 pub struct ChaosOutcome {
     /// Transactions reported committed across all workers.
     pub committed: u64,
-    /// Transactions that aborted (including user aborts).
+    /// Aborted attempts, as the driver's [`driver::Measurement`] counts
+    /// them: every protocol or transport abort of an attempt the engine
+    /// then retried. A user abort (insufficient funds) or a crash is
+    /// not one.
     pub aborted: u64,
-    /// Workers that stopped early: their machine died under them or
-    /// left the configuration.
+    /// Worker slots that stopped early: their machine died under them
+    /// or left the configuration.
     pub crashed_workers: usize,
     /// Crash specs that actually fired.
     pub crashes_fired: usize,
@@ -124,12 +133,13 @@ pub struct ChaosOutcome {
     pub started: Instant,
     /// When the first crash fired, if one did.
     pub crashed: Option<Instant>,
-    /// When the last worker that did not stop early ran out of work
-    /// (`None` if every worker stopped early).
+    /// When the driver's slots had all finished, the survivors out of
+    /// work (`None` if every slot stopped early).
     pub finished: Option<Instant>,
     /// `committed` split by the timeline: commits before the first
     /// crash, from then until the first recovery finished, and after.
-    /// A commit racing either edge lands in the neighbouring window.
+    /// A commit counts in the window current when its transaction was
+    /// drawn, so one racing either edge lands in the earlier window.
     pub window_commits: [u64; 3],
 }
 
@@ -141,6 +151,59 @@ impl ChaosOutcome {
     }
 }
 
+/// The timeline windows a commit can fall in, as transaction type
+/// names: before the first crash, until the first recovery finished,
+/// after.
+const WINDOWS: [&str; 3] = ["before-crash", "outage", "recovered"];
+
+/// The chaos load as a driver [`Workload`]: SmallBank's schema and
+/// data, send-payment only (zero-sum), each draw paced and named after
+/// the timeline window current when it is drawn.
+struct Payments<'a> {
+    sb: &'a SbCfg,
+    pace: Duration,
+    injector: &'a ChaosInjector,
+    sup: &'a Supervisor,
+}
+
+impl Workload for Payments<'_> {
+    const SLOT_SALT: u64 = 0xC4A0;
+    const GEN_SALT: u64 = 0x5E7D;
+    /// The RNG and the worker's machine.
+    type Gen = (SplitMix64, usize);
+    type Input = SbInput;
+
+    fn nodes(&self) -> usize {
+        self.sb.nodes
+    }
+    fn schema(&self) -> Vec<TableSpec> {
+        self.sb.schema()
+    }
+    fn region_size(&self, _run: &RunCfg) -> usize {
+        self.sb.region_size()
+    }
+    fn load(&self, cluster: &DrtmCluster) {
+        smallbank::load(cluster, self.sb)
+    }
+    fn generator(&self, node: usize, _tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
+        (rng, node)
+    }
+    fn next(&self, (rng, node): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
+        if !self.pace.is_zero() {
+            std::thread::sleep(self.pace);
+        }
+        let window = self.injector.crashes_fired().min(1) + self.sup.recoveries().min(1);
+        let inp = SbInput {
+            txn: SbTxn::SendPayment,
+            ..smallbank::gen(self.sb, rng, *node)
+        };
+        (WINDOWS[window], false, inp)
+    }
+    async fn execute(&self, t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> {
+        smallbank::execute(t, inp).await
+    }
+}
+
 /// Runs SmallBank (zero-sum mix) under `plan` and audits the outcome.
 pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     let sb = SbCfg {
@@ -149,13 +212,16 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
         cross_prob: cfg.cross_prob,
         ..SbCfg::default()
     };
-    let opts = EngineOpts::builder()
-        .replicas(cfg.replicas.min(cfg.nodes))
-        .region_size(sb.region_size())
-        .contention(cfg.contention)
-        .build();
-    let cluster = DrtmCluster::new(cfg.nodes, &sb.schema(), opts);
-    smallbank::load(&cluster, &sb);
+    let run = RunCfg {
+        engine: EngineKind::DrtmR,
+        threads: cfg.threads,
+        replicas: cfg.replicas.min(cfg.nodes),
+        txns_per_worker: cfg.txns_per_worker,
+        seed: plan.seed,
+        routines: cfg.routines,
+        contention: cfg.contention,
+    };
+    let (cluster, _) = driver::build(&sb, &run, |_| {});
     let initial_total = smallbank::initial_total(&sb);
 
     let injector = Arc::new(ChaosInjector::new(plan, cfg.nodes));
@@ -163,114 +229,19 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     cluster.set_crash_hook(Arc::clone(&injector) as _);
 
     let sup = Supervisor::start(&cluster, cfg.supervisor, Some(Arc::clone(&injector)));
-    // Commits per timeline window: before the first crash, until the
-    // first recovery finished, after.
-    let window_commits = [0, 1, 2].map(|_| AtomicU64::new(0));
-    let window = || injector.crashes_fired().min(1) + sup.recoveries().min(1);
-    let seed = injector.plan().seed;
-    let routines = cfg.routines.max(1);
-
-    // One worker thread's load: its aborts, and when it ran out of work
-    // (`None`: it stopped early).
-    let worker = |node: usize, tid: usize| {
-        // One routine's share of the worker's load; crashes and
-        // injected faults surface through the usual error paths.
-        let body = async |w: &mut Worker, rng: &mut SplitMix64, txns: usize| {
-            let (mut aborted, mut stopped) = (0u64, false);
-            for _ in 0..txns {
-                if !cfg.pace.is_zero() {
-                    std::thread::sleep(cfg.pace);
-                }
-                // A machine voted out while alive stops through the
-                // engine's fence (`Crashed`, below).
-                if !cluster.is_alive(node) {
-                    stopped = true;
-                    break;
-                }
-                let a = (node, sb.pick_account(rng, node));
-                let second = sb.pick_second_shard(rng, node);
-                let b = (second, sb.pick_account(rng, second));
-                if a == b {
-                    continue;
-                }
-                let inp = SbInput {
-                    txn: SbTxn::SendPayment,
-                    a,
-                    b,
-                    amount: rng.range(1, 50),
-                };
-                match w
-                    .run_async(async |t| smallbank::execute(t, &inp).await)
-                    .await
-                {
-                    Ok(()) => _ = window_commits[window()].fetch_add(1, Ordering::Relaxed),
-                    Err(TxnError::Crashed) => {
-                        stopped = true;
-                        break;
-                    }
-                    Err(_) => aborted += 1,
-                }
-            }
-            (aborted, stopped)
-        };
-        // Seed stream of routine `rid`. A lone routine keeps the worker
-        // id itself, so `routines = 1` runs replay the seeds recorded
-        // before routines existed.
-        let wid = (node * cfg.threads + tid) as u64;
-        let stream = |rid: usize| match routines {
-            1 => wid,
-            _ => wid * 31 + rid as u64,
-        };
-        let pool: Vec<Worker> = (0..routines)
-            .map(|rid| {
-                cluster.worker(
-                    node,
-                    seed ^ (stream(rid).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                )
-            })
-            .collect();
-        let txns = cfg.txns_per_worker;
-        let outs = RoutinePool::run(pool, async |rid, w| {
-            let mut rng = SplitMix64::new(seed.wrapping_add(stream(rid) * 7919));
-            let share = txns / routines + usize::from(rid < txns % routines);
-            body(w, &mut rng, share).await
-        });
-        let aborted = outs.iter().map(|(_, (a, _))| a).sum::<u64>();
-        let stopped = outs.iter().any(|(_, (_, k))| *k);
-        (aborted, (!stopped).then(Instant::now))
+    let payments = Payments {
+        sb: &sb,
+        pace: cfg.pace,
+        injector: &injector,
+        sup: &sup,
     };
-    let worker = &worker;
-
-    // Auxiliary log truncation, as in the measurement driver.
-    let stop_aux = AtomicBool::new(false);
     let started = Instant::now();
-    let (aborted, crashed_workers, finished) = std::thread::scope(|s| {
-        s.spawn(|| {
-            while !stop_aux.load(Ordering::Relaxed) {
-                for node in 0..cluster.nodes() {
-                    cluster.truncate_step(node);
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let workers: Vec<_> = (0..cfg.nodes)
-            .flat_map(|node| (0..cfg.threads).map(move |tid| (node, tid)))
-            .map(|(node, tid)| s.spawn(move || worker(node, tid)))
-            .collect();
-        let (mut aborted, mut stopped, mut finished) = (0, 0, None);
-        for h in workers {
-            let (a, done) = h.join().expect("worker panicked");
-            aborted += a;
-            stopped += usize::from(done.is_none());
-            finished = finished.max(done);
-        }
-        // Every fired crash must be detected through lease expiry
-        // before the audit makes sense.
-        sup.await_recoveries(injector.crashes_fired(), cfg.await_recoveries);
-        stop_aux.store(true, Ordering::Relaxed);
-        (aborted, stopped, finished)
-    });
-    let window_commits = window_commits.map(AtomicU64::into_inner);
+    let m = driver::run_on(&payments, &run, &cluster, None);
+    let finished = (m.stopped < cfg.nodes * cfg.threads).then(Instant::now);
+    // Every fired crash must be detected through lease expiry before
+    // the audit makes sense.
+    sup.await_recoveries(injector.crashes_fired(), cfg.await_recoveries);
+    let window_commits = WINDOWS.map(|w| m.per_type.get(w).map_or(0, |t| t.count));
     let crashes_fired = injector.crashes_fired();
     let events = sup.stop();
 
@@ -282,9 +253,9 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     let final_total = audit::smallbank_total(&cluster, &sb);
 
     ChaosOutcome {
-        committed: window_commits.iter().sum(),
-        aborted,
-        crashed_workers,
+        committed: m.committed,
+        aborted: m.aborted,
+        crashed_workers: m.stopped,
         crashes_fired,
         events,
         faults_injected: injector.faults_injected(),

@@ -22,8 +22,9 @@
 //!   lease has genuinely expired, reporting detection / configuration
 //!   commit / rebuild latencies (the Figure 20 decomposition).
 //! * [`harness`] — [`run_smallbank_chaos`]: a zero-sum SmallBank run
-//!   under a plan, audited for money conservation through recovery and
-//!   for a lock-free post-recovery cluster.
+//!   on the measurement driver under a plan, audited for money
+//!   conservation through recovery and for a lock-free post-recovery
+//!   cluster.
 
 pub mod harness;
 pub mod injector;
@@ -47,7 +48,7 @@ use drtm_core::commit::STAGES;
 /// transaction and leaves no state, which is the HTM atomicity the
 /// paper's protocol relies on.
 pub const CRASH_POINTS: [(&str, &str); 8] = {
-    let mut points = [("R.3", "log truncation step (auxiliary thread)"); 8];
+    let mut points = [("R.3", "log truncation step (between two transactions)"); 8];
     let mut i = 0;
     while i < STAGES.len() {
         points[i] = (STAGES[i].probe, STAGES[i].leaves);

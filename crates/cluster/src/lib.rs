@@ -14,7 +14,9 @@
 //!   is a wall-clock timeline rather than a throughput measurement.
 //! * [`log`] — the replication log transport. The paper writes redo
 //!   records into battery-backed memory on each backup with one-sided
-//!   RDMA WRITEs and lets auxiliary threads truncate them. Here each
+//!   RDMA WRITEs and lets auxiliary threads truncate them; here each
+//!   backup's worker loops take that truncation step between their
+//!   transactions (`drtm_core`'s `DrtmCluster::truncate_step`). Each
 //!   backup holds a durable in-process queue per primary; appends charge
 //!   the virtual-time NIC budgets of both endpoints exactly like an RDMA
 //!   WRITE of the serialised entry, and the queue survives a simulated

@@ -3,7 +3,8 @@
 //! In the paper, a committing transaction writes redo records for every
 //! updated record into non-volatile logs on the f backups (R.1) using
 //! one-sided RDMA WRITEs, and backups truncate their logs with auxiliary
-//! threads after full commit. Here each backup holds one durable queue
+//! threads after full commit; here a backup's worker loops truncate
+//! between their transactions. Each backup holds one durable queue
 //! per primary. Appends charge the caller's virtual clock and both NICs
 //! exactly like an RDMA WRITE of the serialised entry, so the replication
 //! bandwidth bottleneck of Figures 15/16 is preserved; the queue itself
@@ -199,8 +200,7 @@ impl ReplLogStore {
         drop(self.gate.write());
     }
 
-    /// Truncates the oldest `n` entries of `primary`'s log on `backup`
-    /// (the auxiliary threads' job; off the worker critical path).
+    /// Truncates the oldest `n` entries of `primary`'s log on `backup`.
     pub fn truncate(&self, backup: NodeId, primary: NodeId, n: usize) {
         let mut log = self.logs[backup][primary].lock();
         let mut rest = Entries(&log);
@@ -229,7 +229,7 @@ impl ReplLogStore {
     /// *while still holding the queue lock*. Entries are therefore never
     /// observable as "drained but not yet applied": anyone who sees the
     /// queue empty afterwards also sees every effect of `apply`. The
-    /// auxiliary truncation threads and recovery both use this so a
+    /// backups' truncation steps and recovery both use this so a
     /// recovery snapshot racing a truncation step cannot miss entries.
     /// Returns the number of entries applied.
     pub fn drain_with(

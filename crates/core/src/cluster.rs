@@ -198,7 +198,8 @@ pub struct DrtmCluster {
     pub htms: Vec<Htm>,
     /// Replication logs (backup-side NVRAM).
     pub logs: ReplLogStore,
-    /// Backup record images, maintained by auxiliary threads.
+    /// Backup record images, maintained by each machine's
+    /// [`Self::truncate_step`].
     pub backups: BackupStore,
     /// Membership agreement service.
     pub config: ConfigService,
@@ -388,18 +389,25 @@ impl DrtmCluster {
         Worker::new(Arc::clone(self), node, seed)
     }
 
-    /// One auxiliary-thread step on `node`: applies and truncates every
-    /// primary's pending log entries on this backup.
+    /// `node`'s log truncation step: applies and truncates every
+    /// primary's pending log entries on this backup. The worker loops
+    /// of a machine (the measurement driver's routines, the serving
+    /// pools) take it between two transactions, never inside one; it
+    /// charges no virtual time. Free on a cluster without backups.
     ///
     /// Returns the number of entries applied.
     pub fn truncate_step(&self, node: NodeId) -> usize {
+        if self.opts.replicas < 2 {
+            return 0;
+        }
         // R.3: a backup can die right before applying its pending log
         // entries — they stay in its NVRAM log for recovery to drain.
         if self.crash_hook_set.load(Ordering::Acquire) && self.crash_point(node, "R.3") {
             return 0;
         }
         let mut applied = 0;
-        for primary in 0..self.nodes() {
+        // A machine never backs itself up: its own queue stays empty.
+        for primary in (0..self.nodes()).filter(|&p| p != node) {
             // Entries are applied under the queue lock so a concurrent
             // recovery snapshot never observes them as drained but not
             // yet folded into the image.

@@ -124,8 +124,9 @@ pub fn recover_node(cluster: &DrtmCluster, dead: NodeId) -> RecoveryReport {
         };
     };
 
-    // Apply any redo entries the auxiliary threads had not yet applied,
-    // on every surviving backup (keeps all images equally fresh).
+    // Apply any redo entries the backups' truncation steps had not yet
+    // applied, on every surviving backup (keeps all images equally
+    // fresh).
     let mut replayed = 0;
     for &b in &backups {
         replayed += cluster

@@ -1,11 +1,14 @@
-//! Backup record images, maintained by auxiliary threads.
+//! Backup record images, maintained by each backup's truncation step.
 //!
 //! Each backup machine keeps, per primary it backs, a durable image of
 //! that primary's records. Redo entries land in the backup's
 //! non-volatile log ([`drtm_cluster::ReplLogStore`]) on the commit
-//! critical path; auxiliary threads later *apply* those entries to the
-//! image and truncate the log, exactly like the paper's "using auxiliary
-//! threads to truncate logs will not impact worker threads" (§5.1).
+//! critical path; the backup's worker loops later *apply* those entries
+//! to the image and truncate the log, one
+//! [`crate::cluster::DrtmCluster::truncate_step`] between two of their
+//! transactions. The paper runs this on auxiliary threads so that it
+//! "will not impact worker threads" (§5.1); here the step charges no
+//! virtual time, which keeps it off the critical path all the same.
 //! Recovery merges the image with any not-yet-applied log entries
 //! ([`crate::cluster::DrtmCluster::freshest_durable`]).
 //!

@@ -17,7 +17,9 @@
 //!   the admission plane, executing each request as a real DrTM+R
 //!   transaction and pushing the response into the connection's bounded
 //!   outbox, which a per-connection **writer** thread flushes — engine
-//!   routines never block on socket I/O.
+//!   routines never block on socket I/O. Between two requests a
+//!   routine takes its machine's log truncation step, so a replicated
+//!   server's backups fold their redo logs as they serve.
 //!
 //! The admission plane is one [`QueueGroup`], shaped by
 //! [`ServerCfg::route`]:
@@ -573,8 +575,9 @@ pub struct Drained {
     pub virtual_ns: u64,
 }
 
-/// Executes one admitted request on a pool routine's worker and
-/// completes it back to its connection.
+/// Executes one admitted request on a pool routine's worker, completes
+/// it back to its connection, then takes the machine's log truncation
+/// step (a no-op without replication).
 async fn execute_job(w: &mut Worker, job: Job, tele: &Telemetry) {
     let queue_us = (job.admitted.elapsed().as_micros()).min(u32::MAX as u128) as u32;
     if job.trace != 0 {
@@ -639,6 +642,7 @@ async fn execute_job(w: &mut Worker, job: Job, tele: &Telemetry) {
         status,
         queue_us,
     }));
+    w.cluster.truncate_step(w.node);
 }
 
 type ConnHandles = (std::thread::JoinHandle<()>, std::thread::JoinHandle<()>);

@@ -557,3 +557,44 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
     drtm_obs::jsonlint::validate(&json).expect("trace json parses");
     assert!(json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""));
 }
+
+/// A replicated server folds its redo logs as it serves: each pool
+/// routine takes its machine's truncation step after every request, so
+/// after a drain the backups' logs hold only what the last requests
+/// appended after a backup's last step, not one entry per committed
+/// write. The bound is `TAIL` redo entries of SmallBank's 40-byte
+/// values (69 bytes each), where ten runs left at most four; with
+/// nothing truncating, the same run leaves about 3 000 (207 KB).
+#[test]
+fn replicated_server_truncates_its_logs() {
+    const TAIL: usize = 64;
+    let server = Server::start(ServerCfg {
+        nodes: 2,
+        accounts: 200,
+        replicas: 2,
+        routines: 2,
+        high_water: 4_096,
+        window: 2_048,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let report = run_client(&ClientCfg {
+        addr: server.local_addr().to_string(),
+        rate: 0.0,
+        requests: 2_000,
+        seed: 17,
+        conns: 2,
+        zero_sum: true,
+        cross_prob: 0.2,
+        shard_skew: 0.0,
+    })
+    .expect("client run");
+    assert_eq!(report.rejected, 0);
+    assert!(report.committed > 1_000, "{report:?}");
+    let drained = server.shutdown();
+    let left = drained.cluster.logs.bytes();
+    assert!(
+        left <= TAIL * 69,
+        "{left} unapplied log bytes after the drain"
+    );
+}

@@ -11,9 +11,13 @@
 //! bottlenecks like the per-node NIC couple slots through ledgers of
 //! virtual-time windows, which is how the replication experiments
 //! saturate exactly like the paper's.
+//!
+//! On a replicated cluster every routine also takes its machine's log
+//! truncation step ([`DrtmCluster::truncate_step`]) between two
+//! transactions: the paper's backup work, off the critical path, on the
+//! workers that run the machine and at no virtual cost.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drtm_base::{Histogram, SplitMix64};
@@ -110,6 +114,9 @@ pub struct Measurement {
     pub throughput: f64,
     /// Per-type breakdown, keyed by type name.
     pub per_type: HashMap<&'static str, TypeStats>,
+    /// Worker slots that stopped early: their machine died under them
+    /// or left the configuration.
+    pub stopped: usize,
 }
 
 impl Measurement {
@@ -166,6 +173,7 @@ struct WorkerResult {
     aborted: u64,
     fallbacks: u64,
     per_type: LoopOut,
+    stopped: bool,
 }
 
 /// One worker slot of a run: `run.threads` of them on each machine.
@@ -182,29 +190,40 @@ struct Slot<'a, W> {
 impl<W: Workload> Slot<'_, W> {
     /// The measurement loop: routine `id`'s `count` transactions on
     /// `w`, indexed from `id * run.txns_per_worker` so routines never
-    /// share an index, drawn from the routine's own RNG stream.
-    async fn routine(&self, id: usize, count: usize, w: &mut Worker) -> LoopOut {
+    /// share an index, drawn from the routine's own RNG stream, with
+    /// the machine's truncation step after each. The routine stops
+    /// early, and says so, when its machine dies or a transaction finds
+    /// it `Crashed` (dead, or voted out of the configuration).
+    async fn routine(&self, id: usize, count: usize, w: &mut Worker) -> (LoopOut, bool) {
         let rng = SplitMix64::new(self.seed ^ W::GEN_SALT ^ ((id as u64) << 12));
         let mut gen = self.wl.generator(self.node, self.tid, id, rng);
         let mut per_type = LoopOut::new();
         let base = id * self.run.txns_per_worker;
         for i in base..base + count {
-            if !self.cluster.is_alive(self.node) || drtm_base::shutdown::requested() {
+            if !self.cluster.is_alive(self.node) {
+                return (per_type, true);
+            }
+            if drtm_base::shutdown::requested() {
                 break;
             }
             let (name, ro, input) = self.wl.next(&mut gen, i as u64);
             let t0 = w.clock.now();
             let result = self.exec_txn(w, ro, &input).await;
             let dt = w.clock.now().saturating_sub(t0);
-            if result.is_ok() {
-                let e = per_type
-                    .entry(name)
-                    .or_insert_with(|| (0, Histogram::new()));
-                e.0 += 1;
-                e.1.record(dt);
+            match result {
+                Ok(()) => {
+                    let e = per_type
+                        .entry(name)
+                        .or_insert_with(|| (0, Histogram::new()));
+                    e.0 += 1;
+                    e.1.record(dt);
+                }
+                Err(TxnError::Crashed) => return (per_type, true),
+                Err(_) => {}
             }
+            self.cluster.truncate_step(self.node);
         }
-        per_type
+        (per_type, false)
     }
 
     /// Runs `input` as one transaction on `w` through the run's engine.
@@ -226,9 +245,10 @@ impl<W: Workload> Slot<'_, W> {
 /// virtual time is the *slowest* routine's clock: the routines share
 /// one simulated core, so verb waits hidden behind other routines' CPU
 /// work shrink vtime and show up as throughput.
-fn tally(outs: impl IntoIterator<Item = (Worker, LoopOut)>) -> WorkerResult {
+fn tally(outs: impl IntoIterator<Item = (Worker, (LoopOut, bool))>) -> WorkerResult {
     let mut res = WorkerResult::default();
-    for (w, per_type) in outs {
+    for (w, (per_type, stopped)) in outs {
+        res.stopped |= stopped;
         res.vtime_ns = res.vtime_ns.max(w.clock.now());
         res.aborted += w.stats.aborted;
         res.fallbacks += w.stats.fallbacks;
@@ -246,21 +266,18 @@ fn tally(outs: impl IntoIterator<Item = (Worker, LoopOut)>) -> WorkerResult {
 }
 
 /// The closed-loop harness every workload shares: `slot(node, tid)` on
-/// its own OS thread for each of `nodes × run.threads` worker slots,
-/// the log-truncation thread beside them on replicated runs, results
-/// aggregated in virtual time.
+/// its own OS thread for each of `nodes × threads` worker slots,
+/// results aggregated in virtual time. The only code that spawns slot
+/// threads.
 fn run_slots(
     nodes: usize,
-    run: &RunCfg,
-    cluster: &Arc<DrtmCluster>,
+    threads: usize,
     slot: impl Fn(usize, usize) -> WorkerResult + Sync,
 ) -> Measurement {
-    let stop = Arc::new(AtomicBool::new(false));
-    let aux = (run.replicas > 1).then(|| spawn_aux(cluster, &stop));
     let slot = &slot;
     let results = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nodes)
-            .flat_map(|node| (0..run.threads).map(move |tid| (node, tid)))
+            .flat_map(|node| (0..threads).map(move |tid| (node, tid)))
             .map(|(node, tid)| s.spawn(move || slot(node, tid)))
             .collect();
         handles
@@ -268,10 +285,6 @@ fn run_slots(
             .map(|h| h.join().expect("worker slot panicked"))
             .collect()
     });
-    stop.store(true, Ordering::Relaxed);
-    if let Some(a) = aux {
-        a.join().unwrap();
-    }
     aggregate(results)
 }
 
@@ -306,7 +319,7 @@ pub fn run_on<W: Workload>(
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
-    run_slots(wl.nodes(), run, cluster, |node, tid| {
+    run_slots(wl.nodes(), run.threads, |node, tid| {
         let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ W::SLOT_SALT;
         let slot = Slot {
             wl,
@@ -373,20 +386,6 @@ entry_points! {
     "YCSB" YcsbCfg: build_ycsb, run_ycsb, run_ycsb_on;
 }
 
-/// Starts the auxiliary log-truncation thread (replication runs).
-fn spawn_aux(cluster: &Arc<DrtmCluster>, stop: &Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
-    let cluster = Arc::clone(cluster);
-    let stop = Arc::clone(stop);
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            for node in 0..cluster.nodes() {
-                cluster.truncate_step(node);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    })
-}
-
 fn aggregate(results: Vec<WorkerResult>) -> Measurement {
     let mut m = Measurement {
         committed: 0,
@@ -394,6 +393,7 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         fallbacks: 0,
         throughput: 0.0,
         per_type: HashMap::new(),
+        stopped: 0,
     };
     // Per type: commits, throughput summed over workers, and the
     // workers' latency histograms merged, so that every quantile is the
@@ -403,6 +403,7 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         m.committed += r.committed;
         m.aborted += r.aborted;
         m.fallbacks += r.fallbacks;
+        m.stopped += usize::from(r.stopped);
         let secs = (r.vtime_ns.max(1)) as f64 / 1e9;
         m.throughput += r.committed as f64 / secs;
         for (name, (count, hist)) in r.per_type {
@@ -452,6 +453,7 @@ mod tests {
                 aborted: 0,
                 fallbacks: 0,
                 per_type: HashMap::from([("x", (commits, hist))]),
+                stopped: false,
             }
         };
         let m = aggregate(vec![worker(300, 1_000), worker(100, 1_000_000)]);

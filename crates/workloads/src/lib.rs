@@ -14,8 +14,9 @@
 //! * [`driver`] — the closed-loop measurement harness over the
 //!   [`Workload`] trait the three workloads implement: one cluster
 //!   builder, one measurement loop for every engine, per-worker virtual
-//!   clocks, per-transaction-type latency histograms, auxiliary
-//!   log-truncation threads, and throughput aggregation
+//!   clocks, per-transaction-type latency histograms, each machine's
+//!   log truncation step between its transactions, and throughput
+//!   aggregation
 //!   (`Σ committed_w / vtime_w`, independent of host scheduling).
 //! * [`audit`] — consistency checkers (TPC-C's W_YTD = Σ D_YTD audit,
 //!   SmallBank balance conservation) used by the integration tests.

@@ -698,3 +698,214 @@ fn one_machine_driver_runs_are_pinned() {
     }
     assert_eq!(got.len(), want.len(), "{got:#?}");
 }
+
+/// Records every crash-point probe, in order, and kills nothing.
+#[derive(Default)]
+struct ProbeLog(std::sync::Mutex<Vec<(usize, &'static str)>>);
+
+impl drtm_core::cluster::CrashPointHook for ProbeLog {
+    fn on_point(&self, node: usize, point: &'static str) -> bool {
+        self.0.lock().unwrap().push((node, point));
+        false
+    }
+}
+
+/// Truncation is a step of the driver's loop, not a thread: on a
+/// replicated SmallBank run (3 machines, replicas 3) each routine takes
+/// its machine's step after every transaction (the step's `R.3` probe
+/// fires once per transaction and machine), every record's freshest
+/// durable version is its primary's, and what is left in a backup's
+/// logs was appended after that backup's last step. The bound: a
+/// transaction logs at most `MAX_WRITES` entries to one backup
+/// (amalgamate writes three records), and each appending transaction
+/// passes its `R.1` probe after its appends, so a backup holds at most
+/// `MAX_WRITES` entries per `R.1` probe fired after its last `R.3`.
+#[test]
+fn replicated_driver_run_truncates_as_it_goes() {
+    use crate::smallbank::{T_CHECKING, T_SAVINGS};
+    use drtm_cluster::LogEntry;
+    use std::sync::Arc;
+
+    const MAX_WRITES: usize = 3;
+    let cfg = SbCfg {
+        nodes: 3,
+        accounts: 300,
+        cross_prob: 0.3,
+        ..Default::default()
+    };
+    let run = RunCfg {
+        replicas: 3,
+        routines: 2,
+        ..quick_run(EngineKind::DrtmR, 1, 150)
+    };
+    let (cluster, _) = crate::driver::build_smallbank(&cfg, &run);
+    let probes = Arc::new(ProbeLog::default());
+    cluster.set_crash_hook(Arc::clone(&probes) as _);
+    let m = crate::driver::run_smallbank_on(&cfg, &run, &cluster, None);
+    cluster.clear_crash_hook();
+    assert_eq!(m.stopped, 0);
+    assert!(m.committed > 0);
+
+    let probes = probes.0.lock().unwrap();
+    let mut left = 0;
+    for b in 0..cfg.nodes {
+        let steps = probes.iter().filter(|&&p| p == (b, "R.3")).count();
+        assert_eq!(steps, run.threads * run.txns_per_worker, "node {b}'s steps");
+        let last = probes.iter().rposition(|&p| p == (b, "R.3")).unwrap();
+        let later = probes[last..].iter().filter(|p| p.1 == "R.1").count();
+        let entries: usize = (0..cfg.nodes).map(|p| cluster.logs.len(b, p)).sum();
+        assert!(
+            entries <= MAX_WRITES * later,
+            "backup {b}: {entries} entries, {later} commits after its last step"
+        );
+        left += entries;
+    }
+    // Every SmallBank value is 40 bytes.
+    let entry_bytes = LogEntry {
+        table: 0,
+        key: 0,
+        seq: 0,
+        value: [0u8; 40],
+        delete: false,
+    };
+    assert_eq!(cluster.logs.bytes(), left * entry_bytes.wire_size());
+
+    for p in 0..cfg.nodes {
+        let store = &cluster.stores[p];
+        for table in [T_SAVINGS, T_CHECKING] {
+            for (key, off) in store.keys(table) {
+                let rec = store.record(table, off as usize);
+                let mut value = vec![0u8; rec.layout.value_len];
+                rec.read_value_raw(&mut value);
+                let durable = cluster.freshest_durable(p, table, key).expect("replicated");
+                assert_eq!(
+                    (durable.seq, durable.value, durable.deleted),
+                    (rec.seq(), value, false),
+                    "primary {p}, table {table}, key {key:#x}"
+                );
+            }
+        }
+    }
+}
+
+/// A machine voted out of the configuration while alive stops drawing:
+/// its routines each meet at most one `Crashed` (at the commit walk's
+/// fence) and stop, the driver counts its slots as stopped, the other
+/// machines run their budgets out, and the money is all there. The load
+/// is send-payments that stay on their machine, so no survivor touches
+/// the removed machine's shard (nothing recovers it here).
+#[test]
+fn a_voted_out_machine_stops_its_driver_slots() {
+    use crate::driver::{run_on, Workload};
+    use crate::engine::TxnApi;
+    use crate::smallbank::{self, SbInput, SbTxn};
+    use drtm_base::SplitMix64;
+    use drtm_core::cluster::{CrashPointHook, DrtmCluster};
+    use drtm_core::txn::TxnError;
+    use drtm_store::TableSpec;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Weak};
+
+    const VICTIM: usize = 1;
+    /// Removes `VICTIM` from the configuration at its `at`-th C.4.
+    struct VoteOut {
+        cluster: Weak<DrtmCluster>,
+        at: usize,
+        seen: AtomicUsize,
+        removed: Arc<AtomicBool>,
+    }
+    impl CrashPointHook for VoteOut {
+        fn on_point(&self, node: usize, point: &'static str) -> bool {
+            if (node, point) == (VICTIM, "C.4")
+                && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at
+            {
+                self.cluster.upgrade().unwrap().config.remove_member(VICTIM);
+                self.removed.store(true, Ordering::SeqCst);
+            }
+            false
+        }
+    }
+    /// Local send-payments, counting the victim's draws after removal.
+    struct Payments<'a> {
+        sb: &'a SbCfg,
+        removed: &'a AtomicBool,
+        late: &'a AtomicUsize,
+    }
+    impl Workload for Payments<'_> {
+        const SLOT_SALT: u64 = 1;
+        const GEN_SALT: u64 = 2;
+        type Gen = (SplitMix64, usize);
+        type Input = SbInput;
+        fn nodes(&self) -> usize {
+            self.sb.nodes
+        }
+        fn schema(&self) -> Vec<TableSpec> {
+            self.sb.schema()
+        }
+        fn region_size(&self, _run: &RunCfg) -> usize {
+            self.sb.region_size()
+        }
+        fn load(&self, cluster: &DrtmCluster) {
+            smallbank::load(cluster, self.sb)
+        }
+        fn generator(&self, node: usize, _: usize, _: usize, rng: SplitMix64) -> Self::Gen {
+            (rng, node)
+        }
+        fn next(&self, (rng, node): &mut Self::Gen, _: u64) -> (&'static str, bool, SbInput) {
+            if *node == VICTIM && self.removed.load(Ordering::SeqCst) {
+                self.late.fetch_add(1, Ordering::SeqCst);
+            }
+            let inp = SbInput {
+                txn: SbTxn::SendPayment,
+                ..smallbank::gen(self.sb, rng, *node)
+            };
+            ("send-payment", false, inp)
+        }
+        async fn execute(&self, t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> {
+            smallbank::execute(t, inp).await
+        }
+    }
+
+    let sb = SbCfg {
+        nodes: 3,
+        accounts: 200,
+        cross_prob: 0.0,
+        ..Default::default()
+    };
+    let run = RunCfg {
+        routines: 4,
+        ..quick_run(EngineKind::DrtmR, 2, 200)
+    };
+    let (removed, late) = (Arc::new(AtomicBool::new(false)), AtomicUsize::new(0));
+    let wl = Payments {
+        sb: &sb,
+        removed: &removed,
+        late: &late,
+    };
+    let (cluster, _) = crate::driver::build(&wl, &run, |_| {});
+    cluster.set_crash_hook(Arc::new(VoteOut {
+        cluster: Arc::downgrade(&cluster),
+        at: 40,
+        seen: AtomicUsize::new(0),
+        removed: Arc::clone(&removed),
+    }));
+    let m = run_on(&wl, &run, &cluster, None);
+    cluster.clear_crash_hook();
+
+    assert!(removed.load(Ordering::SeqCst), "the victim was voted out");
+    assert!(cluster.is_alive(VICTIM) && !cluster.is_member(VICTIM));
+    assert_eq!(
+        m.stopped, run.threads,
+        "the victim's slots, and only they, stopped"
+    );
+    let late = late.load(Ordering::SeqCst);
+    assert!(
+        (1..=run.threads * run.routines).contains(&late),
+        "{late} draws after the removal: at most one per routine"
+    );
+    assert!(m.committed > 0);
+    assert_eq!(
+        audit::smallbank_total(&cluster, &sb),
+        smallbank::initial_total(&sb)
+    );
+}

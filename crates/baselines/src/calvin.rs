@@ -23,7 +23,10 @@
 //!
 //! Actual mutual exclusion uses a process-level lock table; acquisition
 //! is in global address order, waiting on conflicts, which preserves
-//! Calvin's deadlock-freedom-by-ordering property.
+//! Calvin's deadlock-freedom-by-ordering property. A held entry is
+//! waited for through the engine's one lock wait (DESIGN.md §15): a
+//! watch on the address in the cluster's `WaitRegistry`, opened before
+//! the table is checked, ends when the holder's release is counted.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -67,7 +70,7 @@ impl CalvinEngine {
     /// Runs one transaction deterministically on `w` to commit:
     /// sequencing, the oracle pass, every lock in global order, then
     /// the body under its locks. A lock held by an earlier transaction
-    /// is waited for with a [`Worker::pause`] of up to 1 µs per pass.
+    /// is waited for until its release ([`Worker::wait_release`]).
     ///
     /// The body runs on contexts that never suspend, so each pass
     /// finishes in one poll; only the lock wait parks.
@@ -108,24 +111,13 @@ impl CalvinEngine {
         }
 
         // Actual mutual exclusion (ordered acquisition; waiting models
-        // Calvin's in-order lock grants).
-        let mut held = 0;
-        loop {
-            {
-                let mut table = self.locks.lock();
-                while held < addrs.len() {
-                    if table.contains(&addrs[held]) {
-                        break;
-                    }
-                    table.insert(addrs[held]);
-                    held += 1;
-                }
-                if held == addrs.len() {
-                    break;
-                }
+        // Calvin's in-order lock grants). Calvin never aborts on a
+        // conflict, so a wait that runs out waits again.
+        for &addr in &addrs {
+            let mut watch = self.cluster.waiters.watch(addr);
+            while !self.locks.lock().insert(addr) {
+                w.wait_release(&mut watch).await;
             }
-            let ns = w.rng.below(1_000);
-            w.pause(ns).await;
         }
 
         // Execute with everything locked.
@@ -143,6 +135,9 @@ impl CalvinEngine {
             for a in &addrs {
                 table.remove(a);
             }
+        }
+        for &a in &addrs {
+            self.cluster.waiters.release(a);
         }
 
         match result {

@@ -9,6 +9,11 @@
 //! glues 2PL to HTM. After the region commits, buffered remote writes go
 //! back over RDMA and the locks are released.
 //!
+//! A held lock is waited for through the engine's one lock wait
+//! (DESIGN.md §15): a watch on the lock address, opened before the CAS,
+//! ends when the holder's unlock counts its release in the cluster's
+//! `WaitRegistry`. Its one random pause is the abort back-off.
+//!
 //! Two behaviours matter for the paper's comparisons and emerge naturally
 //! here: the *large HTM working set* (the whole transaction, not just
 //! metadata) degrades scalability past one socket (Figure 11) and under
@@ -23,7 +28,6 @@ use std::sync::Arc;
 
 use drtm_base::task::block_now;
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::contention::SpinBudget;
 use drtm_core::txn::{AbortReason, TxnError, Worker};
 use drtm_htm::{AbortCode, HtmTxn, RunOutcome};
 use drtm_rdma::{NodeId, WorkRequest, WrResult};
@@ -158,9 +162,9 @@ impl Exec for ExecCtx<'_, '_> {
 
 /// Runs one DrTM transaction on `w` to commit: an oracle pass, then
 /// 2PL over the remote records and one HTM region for the rest. Locks
-/// are waited for, so only a spent lock-wait budget, a torn prefetch or
-/// an execution that strays from the oracle's sets retries, after a
-/// random pause of up to 4 µs.
+/// are waited for until released, so only a lock wait that outlives its
+/// poll cap, a torn prefetch or an execution that strays from the
+/// oracle's sets retries, after a random pause of up to 4 µs.
 ///
 /// The body runs on contexts that never suspend (the oracle's snapshot,
 /// then the HTM region), so each pass finishes in one poll; `w`'s verbs
@@ -200,8 +204,8 @@ async fn attempt<R>(
     block_now(body(&mut DrtmCtx::Oracle(&mut oracle)))?;
     let sets = oracle.sets;
 
-    // 2PL: lock all remote records in global order, waiting on
-    // conflicts (bounded by a per-record retry cap to stay live).
+    // 2PL: lock all remote records in global order, waiting for each
+    // held one's release (bounded by the wait's poll cap to stay live).
     let remote = remote_addrs(&sets, me);
     if let Err(held) = lock_remote_waiting(w, &remote).await {
         unlock_remote(w, &remote[..held]).await;
@@ -383,32 +387,32 @@ async fn prefetch(
     None
 }
 
-/// 2PL acquisition: wait on each lock (bounded), in global order.
-///
-/// The wait bound and per-wait backoff live in
-/// [`drtm_core::contention::SpinBudget`] — the engine's rung-2
-/// pessimistic C.1 acquisition (DESIGN.md §15) borrows exactly this
-/// machinery, so the budget is shared rather than duplicated. Each wait
-/// is one [`Worker::pause`], so the holder — a worker on another
-/// thread or a parked routine of this one's pool — gets to run.
+/// 2PL acquisition: each lock in global order, waiting for a held one
+/// to be released. The wait is the engine's one lock wait
+/// ([`Worker::wait_release`], DESIGN.md §15), the watch opened before
+/// the first CAS, so a lock held by a sibling routine of this pool or a
+/// worker on another thread costs one lost CAS per release. A wait that
+/// outlives its poll cap gives up, and the attempt aborts.
 async fn lock_remote_waiting(w: &mut Worker, addrs: &[(NodeId, usize)]) -> Result<(), usize> {
+    let cluster = Arc::clone(&w.cluster);
     let me = lock_word(w.node);
-    let members = w.cluster.config.get();
+    let members = cluster.config.get();
     for (i, &(node, off)) in addrs.iter().enumerate() {
         if !members.contains(node) {
             return Err(i);
         }
-        let mut budget = SpinBudget::default();
+        let mut watch = cluster.waiters.watch((node, off));
         while let Err(actual) = cas(w, node, off, LOCK_FREE, me).await {
             let owner = lock_owner(actual).expect("locked");
             if !members.contains(owner) {
-                let _ = cas(w, node, off, actual, LOCK_FREE).await;
+                if cas(w, node, off, actual, LOCK_FREE).await.is_ok() {
+                    cluster.waiters.release((node, off));
+                }
                 continue;
             }
-            let Some(ns) = budget.step(&mut w.rng) else {
+            if !w.wait_release(&mut watch).await {
                 return Err(i);
-            };
-            w.pause(ns).await;
+            }
         }
     }
     Ok(())
@@ -418,5 +422,6 @@ async fn unlock_remote(w: &mut Worker, addrs: &[(NodeId, usize)]) {
     let me = lock_word(w.node);
     for &(node, off) in addrs {
         let _ = cas(w, node, off, me, LOCK_FREE).await;
+        w.cluster.waiters.release((node, off));
     }
 }

@@ -63,10 +63,11 @@ pub struct ChaosRunCfg {
     /// routine runs its transactions back to back.
     pub routines: usize,
     /// Contention-management policy for every table (DESIGN.md §15).
-    /// Chaos cares because rung 3 parks routines on per-key wait lists
-    /// whose grants come from the *holder's* unlock path — a holder
-    /// that crashes never grants, so parked waiters must drain through
-    /// the liveness bound instead of deadlocking the pool.
+    /// Chaos cares because rung 2 waits for a lock's release, which
+    /// comes from the *holder's* unlock path — a holder that crashes
+    /// never releases, so its waiters must drain through recovery's
+    /// lock sweep or the wait's poll cap instead of deadlocking the
+    /// pool.
     pub contention: ContentionPolicy,
     /// Wall-clock pause before each of a worker's transactions (zero:
     /// none). The lease machinery runs on host time, so a timeline

@@ -255,12 +255,12 @@ fn crash_at_yield_boundary_with_routines_recovers() {
 #[test]
 fn crash_with_waiters_parked_on_victims_keys_recovers() {
     // Contention ladder under fire (DESIGN.md §15): a tiny hot account
-    // set plus `escalate` guarantees routines escalate to rung 3 and
-    // park on per-key wait lists. The victim dies at C.5 with its write
-    // locks still dangling, so any waiter parked on one of its keys
-    // will never receive a grant — the holder's C.6 never runs. The
-    // parked routines must drain through the `PARK_SPIN_CAP` liveness
-    // bound, the pool must not deadlock, and recovery's lock sweep must
+    // set plus `escalate` guarantees routines escalate to rung 2 and
+    // wait for locks' releases. The victim dies at C.5 with its write
+    // locks still dangling, so any waiter on one of its keys sees no
+    // release from it — the holder's C.6 never runs. The waiters must
+    // drain through recovery's lock sweep or the `PARK_SPIN_CAP`
+    // liveness bound, the pool must not deadlock, and the sweep must
     // still leave zero stale locks and conserved money.
     let cfg = ChaosRunCfg {
         accounts: 20,

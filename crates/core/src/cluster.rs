@@ -215,9 +215,9 @@ pub struct DrtmCluster {
     pub obs: drtm_obs::Registry,
     /// Tuning knobs.
     pub opts: EngineOpts,
-    /// Cluster-shared registry of routines parked on convoyed keys
-    /// (contention rung 3); granted by the unlock paths. Empty unless
-    /// some table's policy escalates.
+    /// Cluster-shared registry of lock waits: every lock wait watches
+    /// its address here, and every release of a lock word is counted
+    /// here (DESIGN.md §15).
     pub waiters: WaitRegistry,
     /// Completed recoveries: `dead -> new_home`. Held for the duration
     /// of a [`crate::recovery::recover_node`] pass, which serializes

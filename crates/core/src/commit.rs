@@ -14,8 +14,9 @@
 //!
 //! * **C.1** lock every remote record in the read *and* write sets with
 //!   one-sided RDMA CAS: all machines in one park (no-wait locking
-//!   cannot deadlock), or — in the ladder's wait mode — one machine
-//!   after another in global `(node, offset)` order. Locking reads
+//!   cannot deadlock), or — in the ladder's wait mode, which locks the
+//!   local records too — one lock after another in global
+//!   `(node, offset)` order. Locking reads
 //!   too is what makes the early remote validation equivalent to
 //!   validation *inside* the HTM region (§4.6). A lock held by a machine
 //!   that has left the configuration is released passively (§5.2).
@@ -54,7 +55,7 @@ use drtm_store::CONTROL_LINE_OFF;
 
 use drtm_obs::{EventKind, Phase};
 
-use crate::contention::{ConflictSite, ContentionPolicy, SpinBudget};
+use crate::contention::{ConflictSite, ContentionPolicy};
 use crate::txn::{AbortReason, Batch, TxnCtx, TxnError, Worker};
 use crate::{read_validates, write_validates};
 
@@ -326,6 +327,8 @@ impl TxnCtx<'_> {
         pc.lap(self.w, Phase::Execute);
         let mut mode = if self.read_only {
             Mode::ReadOnly
+        } else if self.w.force_pessimistic {
+            Mode::Locked
         } else {
             Mode::Htm
         };
@@ -384,17 +387,16 @@ impl TxnCtx<'_> {
         let [lock, validate, apply, log, makeup, update, unlock] = &STAGES;
 
         // C.1: lock the mode's lock set in global order. Rung 2 of the
-        // escalation ladder (DESIGN.md §15) acquires in *wait mode*:
-        // busy locks are spun on under a bounded budget instead of
+        // escalation ladder (DESIGN.md §15) walks in [`Mode::Locked`] and
+        // acquires in *wait mode*: a busy lock is waited for instead of
         // aborting on first sight, so a large transaction keeps what it
-        // already won. Global order keeps wait mode deadlock-free. Only
-        // the ladder arms it, so it never engages while contention
-        // management is off.
+        // already won, and a validation abort keeps every lock for the
+        // retry (`lock_set`). Only the ladder arms it, so it never
+        // engages while contention management is off.
         let (mut locks, mut peeked) = (Vec::new(), Vec::new());
         if mode != Mode::ReadOnly {
             locks = self.lock_addrs(mode);
-            let wait_mode = self.w.force_pessimistic;
-            peeked = self.lock_all(&locks, wait_mode, mode).await?;
+            peeked = self.lock_set(&locks, mode).await?;
             self.stage_done(pc, lock)?;
         }
 
@@ -404,7 +406,7 @@ impl TxnCtx<'_> {
         let remote_new_seqs = match self.validate_reads(mode, &locks, &peeked).await {
             Ok(s) => s,
             Err(e) => {
-                self.unlock_all(&locks).await;
+                self.keep_or_unlock(locks, e).await;
                 return Err(e);
             }
         };
@@ -434,8 +436,9 @@ impl TxnCtx<'_> {
         let local_new_seqs = match applied {
             Ok(Ok(seqs)) => seqs,
             Ok(Err(reason)) => {
-                self.unlock_all(&locks).await;
-                return Err(TxnError::Aborted(reason));
+                let e = TxnError::Aborted(reason);
+                self.keep_or_unlock(locks, e).await;
+                return Err(e);
             }
             Err(()) => {
                 // HTM retries exhausted: the fallback handler takes over
@@ -624,10 +627,7 @@ impl TxnCtx<'_> {
 
     /// Attributes an abort to the record behind lock address `addr`, so
     /// the retry loop's escalation ladder can target its `(table, key)`.
-    /// `lockish` marks lock-occupancy conflicts (someone holds the
-    /// record and will release it — eligible for rung-3 parking);
-    /// validation conflicts have no holder and never park.
-    fn note_conflict(&mut self, addr: LockAddr, lockish: bool) {
+    fn note_conflict(&mut self, addr: LockAddr) {
         if self.w.cluster.opts.contention == ContentionPolicy::Off {
             return;
         }
@@ -649,12 +649,51 @@ impl TxnCtx<'_> {
         let mut sites = remote_r.chain(remote_w).chain(local_w);
         let id = sites.find_map(|(a, id)| (a == addr).then_some(id));
         if let Some((table, key)) = id {
-            self.w.last_conflict = Some(ConflictSite {
-                table,
-                key,
-                addr,
-                lockish,
-            });
+            self.w.last_conflict = Some(ConflictSite { table, key });
+        }
+    }
+
+    /// C.1 over the sorted lock set `locks`. A rung-2 retry whose lock
+    /// set is the one its failed attempt kept ([`Self::keep_or_unlock`])
+    /// holds it already; any other releases what it kept first, so no
+    /// attempt waits for a lock while it holds one out of global order.
+    async fn lock_set(
+        &mut self,
+        locks: &[LockAddr],
+        mode: Mode,
+    ) -> Result<Vec<Option<RecordHeader>>, TxnError> {
+        let kept = std::mem::take(&mut self.w.kept);
+        if !kept.is_empty() {
+            // A machine that left the configuration must be locked
+            // anew, which the fence in `lock_all` refuses.
+            let members = self.w.cluster.config.get();
+            if kept == locks && kept.iter().all(|a| members.contains(a.0)) {
+                self.w.routine.set_committing(true);
+                return Ok(vec![None; locks.len()]);
+            }
+            self.unlock_all(&kept).await;
+        }
+        self.lock_all(locks, self.w.force_pessimistic, mode).await
+    }
+
+    /// The release of C.1's lock set `locks` after C.2 or C.3 failed
+    /// with `e`. A rung-2 attempt's abort keeps them instead (DESIGN.md §15):
+    /// its retry, run at once, reads under them, so what it read cannot
+    /// be invalidated again, and its C.1 takes only what it did not keep.
+    async fn keep_or_unlock(&mut self, locks: Vec<LockAddr>, e: TxnError) {
+        if self.w.force_pessimistic && matches!(e, TxnError::Aborted(_)) {
+            self.w.kept = locks;
+        } else {
+            self.unlock_all(&locks).await;
+        }
+    }
+
+    /// Releases the locks a rung-2 attempt kept, if any, when they will
+    /// not carry into a commit.
+    pub(crate) async fn unlock_kept(&mut self) {
+        if !self.w.kept.is_empty() {
+            let kept = std::mem::take(&mut self.w.kept);
+            self.unlock_all(&kept).await;
         }
     }
 
@@ -664,11 +703,12 @@ impl TxnCtx<'_> {
     /// it cannot deadlock whatever order the machines are asked in.
     /// Conflicted words (a CAS that found the lock taken) fall back to
     /// [`Self::acquire_one`], which distinguishes a live owner (abort)
-    /// from a dangling dead one (steal and heal, §5.2). With `wait`,
-    /// busy words are spun on under a [`SpinBudget`] (rung 2) instead of
-    /// failing on first sight — and there the global order is what
-    /// keeps two waiters from deadlocking, so the machines are locked
-    /// one round trip after another.
+    /// from a dangling dead one (steal and heal, §5.2). With `wait`
+    /// (rung 2), a busy word is waited for until its holder releases it
+    /// instead of failing on first sight — and there the global order is
+    /// what keeps two waiters from deadlocking, so the locks are taken
+    /// one round trip after another: no wait holds a lock above the one
+    /// it waits for.
     ///
     /// Each group's doorbell also carries the header READs C.2 needs —
     /// every record of the group, except the loopback group of local
@@ -702,7 +742,11 @@ impl TxnCtx<'_> {
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
         let mut peeked: Vec<Option<RecordHeader>> = Vec::with_capacity(addrs.len());
         let mut failed: Option<TxnError> = None;
-        let groups: Vec<&[LockAddr]> = addrs.chunk_by(|a, b| a.0 == b.0).collect();
+        let groups: Vec<&[LockAddr]> = if wait {
+            addrs.chunks(1).collect()
+        } else {
+            addrs.chunk_by(|a, b| a.0 == b.0).collect()
+        };
         let per_round = if wait { 1 } else { groups.len().max(1) };
         for round in groups.chunks(per_round) {
             // Fencing, once per destination (the point verbs are
@@ -740,7 +784,7 @@ impl TxnCtx<'_> {
                                 peeked.push(None);
                             }
                             OneLock::Busy => {
-                                self.note_conflict(addr, true);
+                                self.note_conflict(addr);
                                 failed = Some(self.lock_fail_err());
                             }
                             OneLock::Dead => failed = Some(TxnError::Crashed),
@@ -773,18 +817,20 @@ impl TxnCtx<'_> {
     /// before the repair), the record rolled forward to its freshest
     /// durable version, and the lock kept.
     ///
-    /// With `wait`, a word held by a *live* member is retried under a
-    /// [`SpinBudget`] — the same bounded spin-with-backoff the `drtm2pl`
-    /// baseline's 2PL acquisition uses — instead of returning
-    /// [`OneLock::Busy`] on first sight (rung 2 of the ladder). The spin
-    /// parks between CASes, so the holder's routine can run, and every
-    /// CAS is a posted batch of one: its round trip parks the routine
-    /// like any other commit verb instead of walking the pool's CPU
-    /// frontier across it.
+    /// With `wait`, a word held by a *live* member is not
+    /// [`OneLock::Busy`] on first sight (rung 2 of the ladder): the
+    /// routine watches the address, CASes again, and on a second loss
+    /// waits for the release through [`Worker::wait_release`] before
+    /// each further CAS; only a wait that outlives its poll cap is
+    /// `Busy`. The watch is opened before that second CAS, so a release
+    /// landing between a lost CAS and the wait still ends the wait.
+    /// Every CAS is a posted batch of one: its round trip parks the
+    /// routine like any other commit verb instead of walking the pool's
+    /// CPU frontier across it.
     async fn acquire_one(&mut self, addr: LockAddr, me: u64, wait: bool, seen: u64) -> OneLock {
         let cluster = Arc::clone(&self.w.cluster);
         let members = cluster.config.get();
-        let mut budget = SpinBudget::default();
+        let mut watch = None;
         // What the latest CAS found in the lock word.
         let mut word = seen;
         loop {
@@ -793,16 +839,18 @@ impl TxnCtx<'_> {
                 // owner's.
                 Some(owner) if !members.contains(owner) => word,
                 Some(_) if !wait => return OneLock::Busy,
-                Some(_) => {
-                    let Some(ns) = budget.step(&mut self.w.rng) else {
-                        // Budget spent: the record is convoyed beyond
-                        // what waiting should absorb — give up and let
-                        // the ladder escalate to parking.
-                        return OneLock::Busy;
-                    };
-                    self.w.pause(ns).await;
-                    LOCK_FREE
-                }
+                Some(_) => match watch.as_mut() {
+                    None => {
+                        watch = Some(cluster.waiters.watch(addr));
+                        LOCK_FREE
+                    }
+                    Some(watch) => {
+                        if !self.w.wait_release(watch).await {
+                            return OneLock::Busy;
+                        }
+                        LOCK_FREE
+                    }
+                },
                 // A failed steal found the word released meanwhile.
                 None => LOCK_FREE,
             };
@@ -843,8 +891,8 @@ impl TxnCtx<'_> {
         // A dead machine cannot release its own locks — that is the
         // recovery sweep's job (which may already have stolen them, so a
         // CAS here could also spuriously fail the assertion below). Its
-        // parked waiters get no grant either: they drain through the
-        // park-poll liveness bound instead.
+        // waiters see no release either: recovery's sweep releases the
+        // words, or their waits run out.
         if addrs.is_empty() || !self.w.cluster.is_alive(self.w.node) {
             return;
         }
@@ -862,21 +910,14 @@ impl TxnCtx<'_> {
             let res = res.unwrap_or_else(|_| self.remote_cas(node, rec_off, me, LOCK_FREE));
             debug_assert!(res.is_ok(), "lost a lock we held");
         }
-        self.grant_waiters(addrs);
+        self.release_all(addrs);
     }
 
-    /// C.6's half of the rung-3 protocol (DESIGN.md §15): after the lock
-    /// words are free, grant one parked waiter per released address so a
-    /// convoy drains in park order. Free when no waiters are registered;
-    /// skipped entirely while contention management is off.
-    fn grant_waiters(&self, addrs: &[LockAddr]) {
-        if self.w.cluster.opts.contention == ContentionPolicy::Off {
-            return;
-        }
+    /// Counts the release of every lock in `addrs`, whose words are
+    /// free, so the waits watching them end (DESIGN.md §15).
+    fn release_all(&self, addrs: &[LockAddr]) {
         for &addr in addrs {
-            if self.w.cluster.waiters.grant(addr) {
-                self.w.obs.note_key_grant();
-            }
+            self.w.cluster.waiters.release(addr);
         }
     }
 
@@ -1005,7 +1046,7 @@ impl TxnCtx<'_> {
                 d.settled += wcs.len();
             }
         }
-        self.grant_waiters(&released);
+        self.release_all(&released);
         Ok(held)
     }
 
@@ -1146,7 +1187,7 @@ impl TxnCtx<'_> {
         for (i, e) in self.r_rs.iter().enumerate() {
             if let Err(reason) = check_read((e.incarnation, e.seq), hdrs[i], mode) {
                 if mode != Mode::ReadOnly {
-                    self.note_conflict(addrs[i], false);
+                    self.note_conflict(addrs[i]);
                 }
                 return Err(TxnError::Aborted(reason));
             }
@@ -1158,7 +1199,7 @@ impl TxnCtx<'_> {
             let seq = hdrs[self.r_rs.len() + i].seq;
             if !write_validates(seq) {
                 // Still uncommittable: its writer has not replicated yet.
-                self.note_conflict(addrs[self.r_rs.len() + i], false);
+                self.note_conflict(addrs[self.r_rs.len() + i]);
                 return Err(TxnError::Aborted(AbortReason::Validation));
             }
             new_seqs.push(seq + 2);
@@ -1253,10 +1294,8 @@ impl TxnCtx<'_> {
                     Err((reason, busy_idx)) => {
                         if let Some(i) = busy_idx {
                             // A remote committer holds this local
-                            // write-set record: a lock-occupancy
-                            // conflict the ladder can park on.
-                            let rec_off = self.l_ws[i].rec_off;
-                            self.note_conflict((self.w.node, rec_off), true);
+                            // write-set record.
+                            self.note_conflict((self.w.node, self.l_ws[i].rec_off));
                         }
                         Err(reason)
                     }
@@ -1449,22 +1488,18 @@ impl TxnCtx<'_> {
                 (e.table, e.key, e.rec_off)
             };
             if !already_locked {
-                loop {
-                    match store.region.cas64(rec_off, LOCK_FREE, lock_word(me)) {
-                        Ok(_) => break,
-                        Err(actual) => {
-                            let owner =
-                                lock_owner(actual).expect("non-free lock words name an owner");
-                            if !cluster.config.get().contains(owner)
-                                && store.region.cas64(rec_off, actual, lock_word(me)).is_ok()
-                            {
-                                break;
-                            }
-                            // The holder may be a parked routine of this
-                            // worker's own pool: let the reactor run it.
-                            self.w.pause(0).await;
-                        }
+                // The holder may be a parked routine of this worker's own
+                // pool: the wait lets the reactor run it. The rollback
+                // cannot give up, so a wait that runs out waits again.
+                let mut watch = cluster.waiters.watch((me, rec_off));
+                while let Err(actual) = store.region.cas64(rec_off, LOCK_FREE, lock_word(me)) {
+                    let owner = lock_owner(actual).expect("non-free lock words name an owner");
+                    if !cluster.config.get().contains(owner)
+                        && store.region.cas64(rec_off, actual, lock_word(me)).is_ok()
+                    {
+                        break;
                     }
+                    self.w.wait_release(&mut watch).await;
                 }
             }
             // Incarnation first: from here on, no reader of the aborted
@@ -1476,9 +1511,7 @@ impl TxnCtx<'_> {
             }
             if !already_locked {
                 store.region.store64_coherent(rec_off, LOCK_FREE);
-                // Local release: grant a parked waiter of this record,
-                // like C.6 does for the commit-path unlock.
-                self.grant_waiters(&[(me, rec_off)]);
+                cluster.waiters.release((me, rec_off));
             }
             self.w.clock.advance(cluster.opts.cost.mem_access_ns);
         }

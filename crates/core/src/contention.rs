@@ -1,36 +1,46 @@
-//! Adaptive contention management for hot keys (DESIGN.md §15).
+//! Adaptive contention management for hot keys (DESIGN.md §15), and
+//! the one lock wait every engine uses.
 //!
 //! The paper's hybrid commit handles every conflict the same way: abort,
 //! randomized virtual-time backoff, retry. Under zipfian hot keys that
 //! backoff lottery collapses — a large transaction that must lock a hot
 //! record loses the race to an endless stream of small writers and is
 //! starved, and a routine pool burns its wake queue re-running losers.
-//! This module implements a three-rung *escalation ladder* that adapts
+//! This module implements a two-rung *escalation ladder* that adapts
 //! the conflict response per `(table, key)`:
 //!
 //! 1. **Backoff** (rung 1) — the unchanged randomized virtual-time
 //!    backoff of §4.3. This is the only rung when the policy is
 //!    [`ContentionPolicy::Off`], and the first response under
 //!    [`ContentionPolicy::Escalate`].
-//! 2. **Pessimistic lock** (rung 2) — after
-//!    [`PESSIMISTIC_AFTER`] consecutive aborts attributed to the same
-//!    key, the next attempt acquires its C.1 locks in *wait mode*: a
-//!    busy lock is retried under a [`SpinBudget`] (the same bounded
-//!    spin-with-backoff the `drtm2pl` baseline uses for 2PL) instead of
-//!    aborting on first sight. Large transactions stop losing to small
-//!    ones because they hold what they already won.
-//! 3. **Cooperative wakeup** (rung 3) — after [`PARK_AFTER`]
-//!    consecutive aborts, the routine *parks* on the key's
-//!    [`WaitRegistry`] list and the unlock path (C.6 or the local
-//!    rollback release) grants it, draining lock convoys in
-//!    wake-horizon order instead of by backoff lottery. Parked waiters
-//!    poll through the reactor's spin-park protocol, so they are
-//!    flush-exempt and cannot deadlock the shared doorbell (§14).
+//! 2. **Wait for the release** (rung 2) — after [`PESSIMISTIC_AFTER`]
+//!    consecutive aborts attributed to the same key, the next attempt
+//!    commits pessimistically: it locks every record it touched, local
+//!    ones too, like the §6.1 fallback handler, one after another in
+//!    global order, and waits for a lock held by a live member until
+//!    its holder releases it, instead of aborting on first sight. Large
+//!    transactions stop losing to small ones because they hold what
+//!    they already won. A validation abort keeps the locks, and the
+//!    retry runs at once under them, so its reads cannot be invalidated
+//!    again. No wait holds a lock above the one it waits for — a retry
+//!    keeps its locks only when they are its whole lock set, and its
+//!    body does not wait for a busy local lock — so waits form no cycle.
+//!
+//! Every lock wait — rung 2's, the fallback rollback's local lock,
+//! the `drtm2pl` baseline's 2PL acquisition and Calvin's lock table —
+//! is one primitive: a [`Watch`] on the lock address in the cluster's
+//! [`WaitRegistry`], and `Worker::wait_release`, which checks it every
+//! [`PARK_POLL_NS`] until the address is released or [`PARK_SPIN_CAP`]
+//! polls have passed. An acquisition opens its watch before the attempt
+//! that may fail. Every release of a lock word calls
+//! [`WaitRegistry::release`]. The polls ride the reactor's spin-park
+//! protocol, so a waiter is flush-exempt and cannot deadlock the shared
+//! doorbell (§14).
 //!
 //! One policy governs every table ([`crate::EngineOpts::contention`]):
 //! [`ContentionPolicy::Off`], the default, which keeps the legacy retry
 //! path byte-identical, or [`ContentionPolicy::Escalate`], the ladder.
-//! Rungs 2 and 3 engage only on a conflict streak.
+//! Rung 2 engages only on a conflict streak.
 //!
 //! ```
 //! use drtm_core::contention::ContentionPolicy;
@@ -44,38 +54,23 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use drtm_base::SplitMix64;
 use drtm_rdma::NodeId;
 use drtm_store::TableId;
 
-/// Consecutive aborts on one key before rung 2 (pessimistic C.1
-/// acquisition) engages under [`ContentionPolicy::Escalate`].
+/// Consecutive aborts on one key before rung 2 (the pessimistic,
+/// waiting commit) engages under [`ContentionPolicy::Escalate`].
 pub const PESSIMISTIC_AFTER: u32 = 2;
 
-/// Consecutive aborts on one key before rung 3 (parking on the key's
-/// wait list) engages. Only lock-occupancy conflicts park; validation
-/// conflicts have no holder to wait for.
-pub const PARK_AFTER: u32 = 3;
-
-/// Bounded spins a wait-mode lock acquisition tolerates before giving
-/// the record up as convoyed (shared with the `drtm2pl` baseline's 2PL
-/// acquisition, which always waits).
-pub const WAIT_SPIN_CAP: u32 = 64;
-
-/// Cap of the randomized virtual-time backoff charged per wait-mode
-/// spin, in ns (shared with the `drtm2pl` baseline).
-pub const WAIT_BACKOFF_NS: u64 = 2_000;
-
-/// Deterministic virtual-time cost of one parked-waiter poll, in ns.
-/// Charged every time a parked routine checks its grant so the
-/// escalated side pays honestly for waiting in the virtual-time A/B.
+/// Deterministic virtual-time cost of one lock-wait poll, in ns.
+/// Charged every time a waiting routine checks its watch, so a wait
+/// pays honestly for its time in the virtual-time A/Bs.
 pub const PARK_POLL_NS: u64 = 500;
 
-/// Polls a parked waiter performs before abandoning the wait — the
-/// liveness bound when the lock holder crashed and no grant will ever
-/// arrive (the chaos crash-while-parked audit leans on this).
+/// Polls a lock wait performs before giving up — the liveness bound
+/// when the lock holder crashed and no release comes until recovery
+/// sweeps its locks (the chaos crash-while-waiting audit leans on this).
 pub const PARK_SPIN_CAP: u32 = 4_096;
 
 /// How a worker responds to repeated conflicts on a key.
@@ -89,9 +84,8 @@ pub enum ContentionPolicy {
     /// the pre-ladder engine and is the default.
     #[default]
     Off,
-    /// Climb the ladder on consecutive aborts: backoff, then
-    /// pessimistic C.1 acquisition after [`PESSIMISTIC_AFTER`], then
-    /// cooperative parking after [`PARK_AFTER`].
+    /// Climb the ladder on consecutive aborts: backoff, then a
+    /// pessimistic, waiting commit after [`PESSIMISTIC_AFTER`].
     Escalate,
 }
 
@@ -105,63 +99,14 @@ impl ContentionPolicy {
     }
 }
 
-/// A bounded spin-with-backoff budget for waiting on a busy lock.
-///
-/// One budget covers one record acquisition: each
-/// [`step`](Self::step) spends one spin and returns the randomized
-/// virtual-time backoff to charge before the next CAS, or `None` once
-/// the cap is spent and the acquisition should fail. The constants
-/// ([`WAIT_SPIN_CAP`], [`WAIT_BACKOFF_NS`]) are shared with the
-/// `drtm2pl` baseline, whose 2PL lock acquisition has always waited
-/// this way — rung 2 borrows exactly that machinery.
+/// The record a conflict was attributed to: its `(table, key)`
+/// identity, which the tracker keys on.
 #[derive(Debug)]
-pub struct SpinBudget {
-    spins: u32,
-    max: u32,
-}
-
-impl Default for SpinBudget {
-    fn default() -> Self {
-        Self::new(WAIT_SPIN_CAP)
-    }
-}
-
-impl SpinBudget {
-    /// A budget of `max` spins.
-    pub fn new(max: u32) -> Self {
-        Self { spins: 0, max }
-    }
-
-    /// Spends one spin: `Some(backoff_ns)` while budget remains,
-    /// `None` once the cap is exhausted (no RNG draw happens then,
-    /// keeping the abandoned path deterministic-cheap).
-    pub fn step(&mut self, rng: &mut SplitMix64) -> Option<u64> {
-        self.spins += 1;
-        if self.spins > self.max {
-            None
-        } else {
-            Some(rng.below(WAIT_BACKOFF_NS))
-        }
-    }
-}
-
-/// The site a conflict was attributed to: the record's `(table, key)`
-/// identity (what the tracker keys on) plus its global lock address
-/// (what the unlock path grants on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConflictSite {
     /// Table of the conflicted record.
     pub table: TableId,
     /// Key of the conflicted record.
     pub key: u64,
-    /// Global lock address `(home node, record offset)` — the name the
-    /// unlock path knows the record by.
-    pub addr: (NodeId, usize),
-    /// `true` when the conflict was lock occupancy (C.1 busy, a local
-    /// lock held through every read retry): someone holds the record
-    /// and will release it, so parking on the address can be granted.
-    /// Validation conflicts (`false`) have no holder and never park.
-    pub lockish: bool,
 }
 
 /// Per-worker tracker of consecutive-abort streaks, keyed by
@@ -202,32 +147,32 @@ impl ConflictTracker {
     }
 }
 
-/// One per-key wait list: tickets parked behind a lock address.
-#[derive(Debug, Default)]
-struct WaitCell {
-    /// Next ticket to hand out.
-    next_ticket: u64,
-    /// Tickets `< granted` may run.
-    granted: u64,
+/// Release counters in a [`WaitRegistry`]: addresses share a counter
+/// when their hashes collide, which costs a waiter one spurious wakeup —
+/// one more lock attempt, which every caller's loop already makes.
+const STRIPES: usize = 1 << 10;
+
+/// The cluster-shared registry of lock waits: release counters indexed
+/// by a hash of the global lock address `(home node, record offset)`.
+///
+/// A waiter opens a [`Watch`] — one load of its address's counter —
+/// *before* the acquisition attempt that may fail, and its wait ends
+/// when the counter moves past the value the watch saw. Every release
+/// of a lock word calls [`release`](Self::release) once the word is
+/// free, so a release that lands between the failed attempt and the
+/// wait still ends it: no wakeup falls into the gap. A watch is plain
+/// data: a waiter whose attempt wins just forgets it.
+#[derive(Debug)]
+pub struct WaitRegistry {
+    releases: Box<[AtomicU64]>,
 }
 
-/// The cluster-shared registry of parked waiters, keyed by global lock
-/// address `(home node, record offset)`.
-///
-/// Keys are lock addresses rather than `(table, key)` because the
-/// grant side — C.6's [`unlock`](Self::grant) and the local rollback
-/// release — only knows addresses. Waiters take a FIFO *ticket* when
-/// they park; each grant advances the granted frontier by one, so a
-/// convoy drains strictly in park order (and, through the reactor's
-/// spin-park dispatch, in wake-horizon order among runnable routines).
-///
-/// A waiter that abandons its ticket (its holder crashed and the
-/// [`PARK_SPIN_CAP`] liveness bound expired) wastes at most one future
-/// grant; the waiter behind it is still bounded by its own spin cap,
-/// so abandonment never wedges the list.
-#[derive(Debug, Default)]
-pub struct WaitRegistry {
-    cells: Mutex<HashMap<(NodeId, usize), WaitCell>>,
+impl Default for WaitRegistry {
+    fn default() -> Self {
+        Self {
+            releases: (0..STRIPES).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
 }
 
 impl WaitRegistry {
@@ -236,67 +181,47 @@ impl WaitRegistry {
         Self::default()
     }
 
-    /// Parks behind `addr`: returns the FIFO ticket to poll with
-    /// [`ready`](Self::ready).
-    pub fn park(&self, addr: (NodeId, usize)) -> u64 {
-        let mut cells = self.cells.lock().unwrap();
-        let cell = cells.entry(addr).or_default();
-        let ticket = cell.next_ticket;
-        cell.next_ticket += 1;
-        ticket
+    fn counter(&self, (node, off): (NodeId, usize)) -> &AtomicU64 {
+        let h = ((node as u64) << 48 ^ off as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.releases[(h >> (64 - STRIPES.trailing_zeros())) as usize]
     }
 
-    /// Whether `ticket` has been granted (or the cell was cleaned up,
-    /// which means every outstanding grant was consumed).
-    pub fn ready(&self, addr: (NodeId, usize), ticket: u64) -> bool {
-        let cells = self.cells.lock().unwrap();
-        cells.get(&addr).is_none_or(|c| ticket < c.granted)
+    /// Starts watching `addr` for releases. Take the watch before the
+    /// attempt that may fail.
+    pub fn watch(&self, addr: (NodeId, usize)) -> Watch {
+        // SeqCst orders the load before the attempt's lock-word access,
+        // against the release's increment after its lock-word store.
+        let seen = self.counter(addr).load(Ordering::SeqCst);
+        Watch { addr, seen }
     }
 
-    /// Grants one parked waiter of `addr`, if any; called by the
-    /// unlock paths after releasing the record's lock word. Returns
-    /// `true` when a waiter was actually granted.
-    pub fn grant(&self, addr: (NodeId, usize)) -> bool {
-        let mut cells = self.cells.lock().unwrap();
-        let Some(cell) = cells.get_mut(&addr) else {
-            return false;
-        };
-        if cell.granted < cell.next_ticket {
-            cell.granted += 1;
-        }
-        if cell.granted == cell.next_ticket {
-            // Every ticket granted: drop the cell so the map stays
-            // bounded by the set of *currently* convoyed keys.
-            cells.remove(&addr);
-            return true;
-        }
-        true
+    /// Counts a release of `addr`; called after its lock word is free.
+    pub fn release(&self, addr: (NodeId, usize)) {
+        self.counter(addr).fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Parked tickets not yet granted across all keys (the waiters
-    /// gauge is derived from park/unpark counters instead; this is for
-    /// tests and diagnostics).
-    pub fn waiting(&self) -> u64 {
-        let cells = self.cells.lock().unwrap();
-        cells.values().map(|c| c.next_ticket - c.granted).sum()
+    /// Whether `watch`'s address was released since the watch opened or
+    /// last returned `true`; a `true` catches the watch up, so the next
+    /// wait is for a later release.
+    pub fn released(&self, watch: &mut Watch) -> bool {
+        let now = self.counter(watch.addr).load(Ordering::SeqCst);
+        let moved = now != watch.seen;
+        watch.seen = now;
+        moved
     }
+}
+
+/// One waiter's watch on a lock address (see [`WaitRegistry`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Watch {
+    addr: (NodeId, usize),
+    /// The address's release count this watch has caught up with.
+    seen: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spin_budget_matches_legacy_2pl_bounds() {
-        let mut rng = SplitMix64::new(7);
-        let mut b = SpinBudget::default();
-        for _ in 0..WAIT_SPIN_CAP {
-            let ns = b.step(&mut rng).expect("within budget");
-            assert!(ns < WAIT_BACKOFF_NS);
-        }
-        assert_eq!(b.step(&mut rng), None, "cap exhausted");
-        assert_eq!(b.step(&mut rng), None, "stays exhausted");
-    }
 
     #[test]
     fn tracker_streaks_per_key_and_reset_on_commit() {
@@ -310,25 +235,34 @@ mod tests {
         assert_eq!(t.note_abort(0, 5), 1, "streak restarts after commit");
     }
 
+    /// A release ends every wait watching the address, including one
+    /// it precedes (the watch opened before the release), and only the
+    /// releases after a watch caught up end its next wait.
     #[test]
-    fn registry_grants_in_fifo_ticket_order() {
+    fn registry_counts_releases_per_watched_address() {
         let reg = WaitRegistry::new();
         let addr = (1usize, 0x40usize);
-        let t0 = reg.park(addr);
-        let t1 = reg.park(addr);
-        assert_eq!((t0, t1), (0, 1));
-        assert_eq!(reg.waiting(), 2);
-        assert!(!reg.ready(addr, t0) && !reg.ready(addr, t1));
-        assert!(reg.grant(addr));
-        assert!(reg.ready(addr, t0), "first parked is first granted");
-        assert!(!reg.ready(addr, t1));
-        assert!(reg.grant(addr));
-        assert!(reg.ready(addr, t1));
-        assert_eq!(reg.waiting(), 0, "drained cell is cleaned up");
-        assert!(!reg.grant(addr), "no waiters left to grant");
+        reg.release(addr);
+        let mut first = reg.watch(addr);
         assert!(
-            reg.ready(addr, 99),
-            "a cleaned-up cell blocks no one (stale tickets fail open)"
+            !reg.released(&mut first),
+            "a release before the watch is not seen"
+        );
+        reg.release(addr);
+        let mut second = reg.watch(addr);
+        assert!(
+            reg.released(&mut first),
+            "released between the watch and the wait"
+        );
+        assert!(
+            !reg.released(&mut first),
+            "caught up: the next wait needs a new release"
+        );
+        assert!(!reg.released(&mut second), "opened after that release");
+        reg.release(addr);
+        assert!(
+            reg.released(&mut first) && reg.released(&mut second),
+            "one release ends both"
         );
     }
 
@@ -337,10 +271,14 @@ mod tests {
         let reg = WaitRegistry::new();
         let a = (0usize, 0x40usize);
         let b = (0usize, 0x80usize);
-        let ta = reg.park(a);
-        let tb = reg.park(b);
-        assert!(reg.grant(a));
-        assert!(reg.ready(a, ta));
-        assert!(!reg.ready(b, tb), "grant on a does not leak to b");
+        assert!(
+            !std::ptr::eq(reg.counter(a), reg.counter(b)),
+            "adjacent records share no counter"
+        );
+        let mut wa = reg.watch(a);
+        let mut wb = reg.watch(b);
+        reg.release(a);
+        assert!(reg.released(&mut wa));
+        assert!(!reg.released(&mut wb), "a release of a does not leak to b");
     }
 }

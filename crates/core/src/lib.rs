@@ -37,9 +37,10 @@
 //!   transactions' verb latencies overlap while their CPU segments stay
 //!   serialized on one simulated core.
 //! * [`contention`] — adaptive contention management for hot keys
-//!   (DESIGN.md §15): a per-key conflict tracker drives a three-rung
-//!   escalation ladder from randomized backoff through pessimistic C.1
-//!   locking to cooperative park/grant wakeup on the unlock path.
+//!   (DESIGN.md §15): a per-key conflict tracker drives a two-rung
+//!   escalation ladder from randomized backoff to pessimistic C.1
+//!   locking that waits for each busy lock's release — the one lock
+//!   wait, which the baselines and the rollback share.
 
 #![deny(missing_docs)]
 
@@ -53,7 +54,7 @@ pub mod routine;
 pub mod txn;
 
 pub use cluster::{CrashPointHook, DrtmCluster, EngineOpts};
-pub use contention::{ConflictTracker, ContentionPolicy, SpinBudget, WaitRegistry};
+pub use contention::{ConflictTracker, ContentionPolicy, WaitRegistry};
 pub use obs_bridge::scrape_cluster;
 pub use recovery::{full_restart_scrub, recover_node, RecoveryReport};
 pub use replication::BackupStore;

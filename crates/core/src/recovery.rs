@@ -237,6 +237,8 @@ fn sweep_survivors(cluster: &DrtmCluster) -> (usize, usize) {
                     rolled += 1;
                 }
                 store.region.store64_coherent(rec.lock_off(), LOCK_FREE);
+                // Ends the waits of survivors queued behind the dead owner.
+                cluster.waiters.release((p, off as usize));
                 swept += 1;
             }
         }
@@ -279,6 +281,7 @@ fn sweep_survivors(cluster: &DrtmCluster) -> (usize, usize) {
                 let rec = store.record(table, off as usize);
                 if lock_owner(rec.lock()).is_some_and(|o| !members.contains(&o)) {
                     store.region.store64_coherent(rec.lock_off(), LOCK_FREE);
+                    cluster.waiters.release((node, off as usize));
                     swept += 1;
                 }
             }

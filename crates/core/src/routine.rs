@@ -80,14 +80,18 @@
 //!   provably confined inside a single reactor step.
 //! * A routine waiting on another worker must yield through
 //!   [`Worker::pause`]: the conflicting holder may be a parked routine
-//!   of the same pool, and only the reactor can run it. It is the one
-//!   wait primitive, and eight sites use it: the rung-1 retry back-off,
-//!   the rung-3 poll of a key's wait list (DESIGN.md §15), the read
-//!   group's lock back-off, rung 2's wait-mode C.1 and the fallback
-//!   handler's local lock loop in DrTM+R; the DrTM baseline's 2PL lock
-//!   wait and its abort back-off; Calvin's lock-table wait. A paused
+//!   of the same pool, and only the reactor can run it. A paused
 //!   routine stays perpetually runnable and flush-exempt, so the §14
-//!   quiescence rules need no new park kind.
+//!   quiescence rules need no new park kind. Two kinds of wait use it:
+//!   - **lock waits**, which end when the lock is released: one
+//!     primitive, [`Worker::wait_release`] over a watch on the lock
+//!     address (DESIGN.md §15), polling at a fixed cadence. Four
+//!     acquisitions call it — rung 2's wait-mode C.1 and the fallback
+//!     rollback's local lock in DrTM+R, the DrTM baseline's 2PL lock,
+//!     Calvin's lock table;
+//!   - **back-offs**, random pauses that end by themselves: the rung-1
+//!     retry back-off (§4.3), the read group's lock back-off, and the
+//!     DrTM baseline's abort back-off.
 //! * Bodies of a pool of two or more must be genuinely async: a
 //!   synchronous facade reaching a verb wait there panics in
 //!   `drtm_base::task::block_now` rather than deadlocking.

@@ -376,11 +376,10 @@ fn high_r_routine_schedules_conserve_under_delay() {
 
 /// The escalation ladder (DESIGN.md §15) under the same conservation
 /// audit, at R ∈ {8, 64}: 12 hot keys shared by up to 192 routines
-/// guarantee rung 2 (pessimistic C.1) and rung 3 (park on a per-key
-/// wait list, granted by the holder's unlock) both fire, so a
-/// serializability hole in either rung — a forced lock leaking past an
-/// abort, a granted waiter resuming against stale state — would break
-/// the audited total.
+/// guarantee rung 2 fires — wait-mode C.1, and waits for the release
+/// of a lock that aborted an attempt — so a serializability hole in it
+/// — a forced lock leaking past an abort, a waiter resuming against
+/// stale state — would break the audited total.
 #[test]
 fn contended_routine_schedules_conserve_with_ladder() {
     routine_conservation_case(false, &[8, 64], 6, ContentionPolicy::Escalate);

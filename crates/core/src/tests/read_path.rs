@@ -425,7 +425,7 @@ fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
     );
     drop(t);
     let site = w.last_conflict.take().expect("the abort names its record");
-    assert_eq!((site.table, site.key, site.addr), (T_ORD, 20, (0, off)));
+    assert_eq!((site.table, site.key), (T_ORD, 20));
 
     let workers = (0..2u64)
         .map(|id| {

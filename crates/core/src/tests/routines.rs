@@ -636,15 +636,16 @@ fn serve_drains_external_submissions_and_stops_on_close() {
 /// backoff the large transaction loses the backoff lottery for hundreds
 /// of attempts — every retry finds some key re-locked by a small
 /// writer. Under `escalate`, two consecutive aborts on the same key
-/// force rung 2 (pessimistic C.1), which spins busy locks free instead
-/// of re-rolling the whole transaction, so the 16-key transaction must
-/// commit within a small bounded number of attempts. The transaction
-/// and the storm are routines of one pool on machine 0, dispatched in
-/// virtual time, so the race repeats exactly. Each storm writer thinks
-/// for eight READ round trips between its transactions (a wait that
-/// leaves the core to the others): at half that think time most of the
-/// big transaction's aborts are validation aborts, which no rung waits
-/// out, and it starves under either policy.
+/// force rung 2 (a pessimistic commit), which waits for busy locks'
+/// releases instead of re-rolling the whole transaction and keeps its
+/// locks through a validation abort, so the retry reads under them: the
+/// 16-key transaction must commit within a small bounded number of
+/// attempts. The transaction and the storm are routines of one pool on
+/// machine 0, dispatched in virtual time, so the race repeats exactly.
+/// Each storm writer thinks for eight READ round trips between its
+/// transactions (a wait that leaves the core to the others). Most of
+/// the big transaction's aborts before rung 2 are validation aborts of
+/// reads taken before C.1; only the kept locks stop them.
 #[test]
 fn large_txn_commits_bounded_under_escalate() {
     const STORM: usize = 4;
@@ -706,4 +707,67 @@ fn large_txn_commits_bounded_under_escalate() {
         snap.contention.pessimistic > 0 || attempts <= crate::contention::PESSIMISTIC_AFTER as u64,
         "a bounded win over the storm should have used rung 2: {snap:?}"
     );
+}
+
+/// No lost wakeup (DESIGN.md §15): a wait-mode C.1 watches a busy lock
+/// before the CAS that loses it, so a release that lands between that
+/// lost CAS and the start of the wait ends the wait at its first check.
+/// One pool in virtual time: routine 0 is armed for rung 2 and writes
+/// `key(1, 0)`, whose lock a live member holds; routine 1 plays the
+/// holder, stepping 100 ns at a time until the waiter's second lock CAS
+/// — wait mode's first — has executed and lost, then frees the word and
+/// counts the release before the waiter resumes from that CAS. The
+/// waiter must take the lock within `PARK_POLL_NS` plus one CAS round
+/// trip of the release: one wait of at most one poll, and the next CAS
+/// wins. Watching only after the lost CAS, the wait would run to its
+/// `PARK_SPIN_CAP` polls (2 ms) and the attempt abort.
+#[test]
+fn release_between_lost_cas_and_wait_ends_the_wait() {
+    use drtm_store::{lock_word, LOCK_FREE};
+    let c = setup(2)
+        .opts(|o| o.contention(crate::ContentionPolicy::Escalate))
+        .seed(1..2, 0..1, 100)
+        .build();
+    let off = c.stores[1].get_loc(T_ACCT, key(1, 0)).unwrap() as usize;
+    c.stores[1]
+        .region
+        .cas64(off, LOCK_FREE, lock_word(1))
+        .unwrap();
+    let cases = Arc::new(AtomicU64::new(0));
+    on_verb(&c, {
+        let cases = Arc::clone(&cases);
+        move |_, dst, verb| {
+            if (dst, verb) == (1, Cas) {
+                cases.fetch_add(1, Ordering::SeqCst);
+            }
+            drtm_rdma::Fault::NONE
+        }
+    });
+    let workers = (0..2).map(|id| c.worker(0, 1 + id)).collect();
+    let out = RoutinePool::run(workers, async |id, w| {
+        if id == 1 {
+            while cases.load(Ordering::SeqCst) < 2 {
+                w.pause(100).await;
+            }
+            c.stores[1].region.store64_coherent(off, LOCK_FREE);
+            c.waiters.release((1, off));
+            return 0;
+        }
+        w.force_pessimistic = true;
+        w.run_async(async |t| t.write_async(1, T_ACCT, key(1, 0), val(7)).await)
+            .await
+            .unwrap();
+        w.stats.aborted
+    });
+    assert_eq!(out[0].1, 0, "the waiter's attempt aborted");
+    // Three lock CASes (the group's, wait mode's first, the winner) and
+    // the unlock.
+    assert_eq!(cases.load(Ordering::SeqCst), 4);
+    let waits = crate::scrape_cluster(&c).contention;
+    assert_eq!((waits.parks, waits.grants), (1, 1), "{waits:?}");
+    assert!(
+        waits.parked_ns.sum <= crate::contention::PARK_POLL_NS,
+        "the wait outlived one poll: {waits:?}"
+    );
+    assert_eq!(value(&c, 1, 0), 7);
 }

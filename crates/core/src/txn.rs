@@ -20,7 +20,7 @@ use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
 use drtm_store::{LocationCache, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
-use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy};
+use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy, Watch};
 use crate::routine::{DstBatch, Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
@@ -157,9 +157,14 @@ pub struct Worker {
     /// the failure point (C.1 busy, C.2 mismatch, a held local lock)
     /// and consumed by the retry loop's ladder dispatch.
     pub(crate) last_conflict: Option<ConflictSite>,
-    /// Rung 2: the next commit acquires its C.1 locks in wait mode.
-    /// Set by the ladder after a conflict streak, cleared on commit.
+    /// Rung 2: the next commit locks every record it touched, in wait
+    /// mode. Set by the ladder after a conflict streak, cleared when the
+    /// retry loop returns.
     pub(crate) force_pessimistic: bool,
+    /// The lock set a rung-2 attempt kept through its validation abort,
+    /// sorted: the retry reads under these locks and its C.1 starts
+    /// from them (DESIGN.md §15). Empty unless rung 2 is armed.
+    pub(crate) kept: Vec<(NodeId, usize)>,
 }
 
 /// What one [`Worker::ring_all`] park posts to one destination machine
@@ -328,6 +333,7 @@ impl Worker {
             tracker: ConflictTracker::new(),
             last_conflict: None,
             force_pessimistic: false,
+            kept: Vec::new(),
         }
     }
 
@@ -533,8 +539,8 @@ impl Worker {
             .note_reactor(grant.depth, grant.resume_at.saturating_sub(wake));
     }
 
-    /// The one wait on another worker (lock back-offs, retry loops, a
-    /// key's wait list): spends `ns` of virtual time, yields the host
+    /// The one wait on another worker (back-offs, and each poll of
+    /// [`Self::wait_release`]): spends `ns` of virtual time, yields the host
     /// thread — so a descheduled lock holder on another OS thread gets
     /// to run on an oversubscribed host — and spin-parks the routine so
     /// another routine of the same pool, possibly the holder, gets to
@@ -684,19 +690,31 @@ impl Worker {
                     Err(e) => e, // `commit_async` accounted it.
                 },
                 Err(e) => {
+                    // A retry under kept locks whose body failed gives
+                    // them up; the ladder answers as to any abort.
+                    ctx.unlock_kept().await;
                     self.note_abort(e);
                     e
                 }
             };
+            let site = self.last_conflict.take();
             match e {
                 TxnError::Aborted(_) | TxnError::Transport(_) => last = e,
-                _ => return Err(e),
+                _ => {
+                    self.force_pessimistic = false;
+                    return Err(e);
+                }
+            }
+            // A rung-2 commit that failed validation kept its locks:
+            // the retry runs at once, under them.
+            if !self.kept.is_empty() {
+                continue;
             }
             // Conflict response. With contention management off this is
             // the paper's §4.3 randomized backoff; otherwise the
             // escalation ladder (DESIGN.md §15) picks a rung from the
             // conflicted key's consecutive-abort streak.
-            match self.last_conflict.take() {
+            match site {
                 Some(site) if self.cluster.opts.contention == ContentionPolicy::Escalate => {
                     self.escalate(site, attempt).await
                 }
@@ -704,6 +722,9 @@ impl Worker {
             }
         }
         self.force_pessimistic = false;
+        if !self.kept.is_empty() {
+            self.begin_inner(false).unlock_kept().await;
+        }
         Err(last)
     }
 
@@ -777,10 +798,10 @@ impl Worker {
     }
 
     /// One escalation-ladder response (DESIGN.md §15) to an abort
-    /// attributed to `site` under [`ContentionPolicy::Escalate`]: bump the
-    /// key's streak, arm rung 2 (pessimistic C.1) past its threshold,
-    /// and either park on the key's wait list (rung 3) or fall back to
-    /// the rung-1 backoff.
+    /// attributed to `site` under [`ContentionPolicy::Escalate`]: bumps
+    /// the key's streak and, past [`contention::PESSIMISTIC_AFTER`],
+    /// arms rung 2 — the next attempt commits pessimistically, waiting
+    /// for busy locks. The retry waits out the rung-1 backoff.
     async fn escalate(&mut self, site: ConflictSite, attempt: usize) {
         let streak = self.tracker.note_abort(site.table, site.key);
         self.force_pessimistic = streak >= contention::PESSIMISTIC_AFTER;
@@ -793,28 +814,25 @@ impl Worker {
                 self.clock.now(),
             );
         }
-        if site.lockish && streak >= contention::PARK_AFTER {
-            self.park_on_key(site.addr).await;
-        } else {
-            self.retry_backoff(attempt).await;
-        }
+        self.retry_backoff(attempt).await;
     }
 
-    /// Rung 3 — parks on `addr`'s wait list until the unlock path (C.6
-    /// or the local rollback release) grants this routine, or the
-    /// liveness bound expires (the holder may have died with the lock
-    /// held). Each poll charges a fixed virtual-time cost and rides the
-    /// reactor's spin-park protocol, so parked waiters stay
-    /// flush-exempt (§14) and a convoy drains in wake-horizon order
-    /// instead of by backoff lottery.
-    async fn park_on_key(&mut self, addr: (NodeId, usize)) {
-        let ticket = self.cluster.waiters.park(addr);
+    /// The one lock wait (DESIGN.md §15): waits until `watch`'s address
+    /// is released — `true` — or [`contention::PARK_SPIN_CAP`] polls
+    /// have passed without a release — `false`; the holder may have
+    /// died with the lock held. The caller opened `watch` before the
+    /// acquisition attempt that failed, and tries again after a `true`.
+    /// Each poll is a [`Self::pause`] of [`contention::PARK_POLL_NS`],
+    /// so a waiter stays flush-exempt (§14) and the holder, perhaps a
+    /// routine of this pool, runs. The waiter keeps its own clock: the
+    /// releaser's, on another thread, is not comparable to it.
+    pub async fn wait_release(&mut self, watch: &mut Watch) -> bool {
         let parked_at = self.clock.now();
         self.obs.note_key_park();
         drtm_obs::trace::event(EventKind::Contention, "park", self.node as u64, parked_at);
         let mut polls = 0u32;
-        let granted = loop {
-            if self.cluster.waiters.ready(addr, ticket) {
+        let released = loop {
+            if self.cluster.waiters.released(watch) {
                 break true;
             }
             polls += 1;
@@ -825,12 +843,16 @@ impl Worker {
         };
         let span = self.clock.now().saturating_sub(parked_at);
         self.obs.note_key_unpark(span);
+        if released {
+            self.obs.note_key_grant();
+        }
         drtm_obs::trace::event(
             EventKind::Contention,
-            if granted { "grant" } else { "park-timeout" },
+            if released { "grant" } else { "park-timeout" },
             self.node as u64,
             self.clock.now(),
         );
+        released
     }
 }
 
@@ -1012,7 +1034,8 @@ impl<'w> TxnCtx<'w> {
             let open = self.region.take();
             let opens = u64::from(open.is_none());
             self.charge(opens * cost.htm_begin_ns + members.len() as u64 * cost.record_logic_ns);
-            match attempt_region(store, &cluster.opts.htm, open, members) {
+            let kept = |off| self.w.kept.binary_search(&(self.w.node, off)).is_ok();
+            match attempt_region(store, &cluster.opts.htm, open, members, kept) {
                 RegionRead::Committed(read, set) => {
                     self.charge(opens * cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
                     self.snapshots += opens as u32;
@@ -1020,6 +1043,11 @@ impl<'w> TxnCtx<'w> {
                         self.region = Some(set);
                     }
                     return Ok(read);
+                }
+                RegionRead::Locked(i) if !self.w.kept.is_empty() => {
+                    // Under kept locks the body waits for no other lock:
+                    // its holder may be waiting for a kept one (§15).
+                    return Err(i);
                 }
                 RegionRead::Locked(i) => {
                     // The real yield lets the (possibly descheduled) lock
@@ -1066,14 +1094,12 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// The abort of a read whose record `member` stayed locked, the
-    /// conflict attributed to that record's lock occupancy so the
-    /// escalation ladder (DESIGN.md §15) can target the key.
+    /// conflict attributed to that record so the escalation ladder
+    /// (DESIGN.md §15) can target the key.
     fn local_lock_busy(&mut self, member: GroupMember) -> TxnError {
         self.w.last_conflict = Some(ConflictSite {
             table: member.table,
             key: member.key,
-            addr: (self.w.node, member.rec_off),
-            lockish: true,
         });
         TxnError::Aborted(AbortReason::LocalLockBusy)
     }
@@ -1788,13 +1814,15 @@ enum RegionRead {
 
 /// One attempt at one HTM region reading `members` from `store`, each
 /// record's lock word checked inside the region — a new region, or the
-/// `open` one extended. Never suspends: the region is committed or
-/// dropped when this returns.
+/// `open` one extended — except where `kept(rec_off)`: the transaction
+/// holds that lock itself (`Worker::kept`). Never suspends: the region
+/// is committed or dropped when this returns.
 fn attempt_region(
     store: &Store,
     htm: &HtmConfig,
     open: Option<ReadSet>,
     members: &[GroupMember],
+    kept: impl Fn(usize) -> bool,
 ) -> RegionRead {
     let mut txn = match open {
         Some(set) => HtmTxn::resume(&store.region, htm, set),
@@ -1806,7 +1834,9 @@ fn attempt_region(
         let mut value = vec![0u8; m.head.min(rec.layout.value_len)];
         match rec.read_htm(&mut txn, &mut value) {
             // Locked by a committer: the region aborts by hand.
-            Ok((lock, ..)) if lock != LOCK_FREE => return RegionRead::Locked(i),
+            Ok((lock, ..)) if lock != LOCK_FREE && !kept(m.rec_off) => {
+                return RegionRead::Locked(i)
+            }
             Ok((_, incarnation, seq)) => reads.push(LocalRead {
                 table: m.table,
                 key: m.key,

@@ -40,7 +40,7 @@ macro_rules! shard {
             /// [`Phase::index`] — subtract from [`Shard::phases`] for the
             /// CPU-occupied remainder of each phase.
             pub phase_waits: [Histogram; Phase::COUNT],
-            /// Virtual ns each parked routine spent on a key's wait list.
+            /// Virtual ns each lock wait lasted (DESIGN.md §15).
             pub parked_ns: Histogram,
         }
 
@@ -124,12 +124,12 @@ shard! {
     /// Commits forced onto rung 2 of the contention ladder (pessimistic
     /// wait-mode C.1 acquisition, DESIGN.md §15).
     contention_pessimistic => contention.pessimistic;
-    /// Routines parked on a hot key's wait list (rung 3).
+    /// Lock waits begun (DESIGN.md §15).
     key_parks => contention.parks;
-    /// Parked routines that resumed (granted or timed out);
+    /// Lock waits ended, by a release or by their poll cap;
     /// `parks − unparks` is the live waiters gauge.
     key_unparks => contention.unparks;
-    /// Grants handed to parked waiters by the unlock paths.
+    /// Lock waits ended by a release.
     key_grants => contention.grants;
 }
 
@@ -240,7 +240,7 @@ impl Shard {
         }
     }
 
-    /// Records a routine parking on a hot key's wait list (rung 3).
+    /// Records a lock wait beginning.
     #[inline]
     pub fn note_key_park(&self) {
         if enabled() {
@@ -248,8 +248,8 @@ impl Shard {
         }
     }
 
-    /// Records a parked routine resuming after `span_ns` virtual ns on
-    /// the wait list (granted or timed out).
+    /// Records a lock wait ending after `span_ns` virtual ns (by a
+    /// release or by its poll cap).
     #[inline]
     pub fn note_key_unpark(&self, span_ns: u64) {
         if enabled() {
@@ -258,7 +258,7 @@ impl Shard {
         }
     }
 
-    /// Records a grant handed to a parked waiter by an unlock path.
+    /// Records a lock wait ended by a release.
     #[inline]
     pub fn note_key_grant(&self) {
         if enabled() {
@@ -431,25 +431,26 @@ impl PipelineStats {
     }
 }
 
-/// Aggregated contention-ladder counters (merged across shards at
-/// scrape). All zero while every table's contention policy is off.
+/// Aggregated contention-ladder and lock-wait counters (merged across
+/// shards at scrape). With every table's contention policy off, DrTM+R
+/// escalates and waits never — save a rollback after a fenced R.1
+/// append — while the baselines' lock waits still count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ContentionStats {
     /// Commits escalated to rung 2 (pessimistic wait-mode C.1).
     pub pessimistic: u64,
-    /// Routines parked on a key's wait list (rung 3).
+    /// Lock waits begun.
     pub parks: u64,
-    /// Parked routines that resumed (granted or timed out).
+    /// Lock waits ended: `grants` plus those that ran out of polls.
     pub unparks: u64,
-    /// Grants the unlock paths handed to parked waiters.
+    /// Lock waits ended by a release.
     pub grants: u64,
-    /// Time each parked routine spent waiting, virtual ns.
+    /// Time each lock wait lasted, virtual ns.
     pub parked_ns: HistSummary,
 }
 
 impl ContentionStats {
-    /// Waiters gauge: routines currently parked on some key's wait list
-    /// (parks recorded but not yet resumed).
+    /// Waiters gauge: lock waits begun and not yet ended.
     pub fn waiting(&self) -> u64 {
         self.parks.saturating_sub(self.unparks)
     }

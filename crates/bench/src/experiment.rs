@@ -117,9 +117,9 @@ impl Arm {
 
     /// Extractor 3: an open-loop client run against the serving tier,
     /// plus — when the server drained after this run — the drain's
-    /// virtual-time horizon (over the server's whole life), routing
-    /// counters and conservation audit against the dataset's `initial`
-    /// total.
+    /// virtual-time horizon (over the server's whole life), how unevenly
+    /// the serve pools' clocks ran (`pool_skew`), routing counters and
+    /// conservation audit against the dataset's `initial` total.
     pub fn served(&mut self, offered: f64, r: &ClientReport, drain: Option<(&Drained, i64)>) {
         let us = |q: f64| r.latency.quantile(q) as f64 / 1e3;
         let shed_pct = 100.0 * r.rejected as f64 / r.sent.max(1) as f64;
@@ -141,6 +141,7 @@ impl Arm {
         let conserved = Server::audit_total(&d.cluster, &d.sb) == initial;
         for (name, unit, value) in [
             ("virtual_us", "us", d.virtual_ns as f64 / 1e3),
+            ("pool_skew", "ratio", d.pool_skew()),
             ("routed", "bool", f64::from(u8::from(d.snap.route.enabled))),
             ("local", "req", d.snap.route.local as f64),
             ("remote", "req", d.snap.route.remote as f64),

@@ -1351,7 +1351,8 @@ impl TxnCtx<'_> {
     ///
     /// Entries are grouped by destination backup machine: each machine
     /// gets one doorbell carrying one WRITE per primary it backs. The
-    /// doorbells ring back to back on the CPU, every WRITE completes
+    /// doorbells ring back to back on the CPU, a doorbell's `i`-th WRITE
+    /// issues `i` pipeline slots after it, every WRITE completes
     /// `rdma_write(bytes)` after its own issue instant (later if a link
     /// or verb-op budget on either port is in deficit), and the
     /// transaction waits once, for the slowest ack: `Σ_dst doorbell +
@@ -1418,20 +1419,19 @@ impl TxnCtx<'_> {
                         continue;
                     }
                     let dst = cluster.fabric.port(b);
-                    // R.1 rides the work queue too: everything
-                    // bound for this backup is one doorbell (charged
-                    // up front) plus pipelined per-entry occupancy,
-                    // counted on the destination port like every
-                    // other doorbell.
-                    let wrs: usize = batches.iter().map(|(_, batch)| batch.len()).sum();
-                    let charge = cost.doorbell_ns + cost.verb_pipeline_ns * (wrs as u64 - 1);
-                    clock.advance(charge);
-                    cpu_ns += charge;
+                    // R.1 rides the work queue too, rung like every
+                    // other doorbell (`Qp::ring`): everything bound for
+                    // this backup is one doorbell charged to the core,
+                    // and its `i`-th WRITE issues `i` pipeline slots
+                    // past the charge; counted on the destination port.
+                    clock.advance(cost.doorbell_ns);
+                    cpu_ns += cost.doorbell_ns;
                     dst.stats().doorbells.inc();
-                    for &(p, batch) in batches {
+                    let base = clock.now();
+                    for (i, &(p, batch)) in batches.iter().enumerate() {
                         // One chained WRITE per log: one verb-op
                         // reservation on both ports beside the bytes.
-                        let issue = clock.now();
+                        let issue = base + i as u64 * cost.verb_pipeline_ns;
                         let done = logs
                             .post(issue, cost, (src.nic(), dst.nic()), me, p, b, batch)
                             .max(src.nic_ops().reserve(issue, 1))

@@ -105,6 +105,41 @@ fn r1_waits_for_the_slowest_ack_not_the_sum() {
     assert_eq!(log.sum, 2 * cost.doorbell_ns + write);
 }
 
+/// R.1 rings each backup's doorbell like `Qp::ring`: one doorbell charge
+/// on the core, then WRITE `i` issues `i` pipeline slots past it. A
+/// machine-0 transaction writing a record on machines 0 and 1 sends
+/// machine 2, which backs both, two WRITEs on one doorbell; machine 1
+/// gets one, and machine 0's own log of machine 1 is a local store. The
+/// last ack is machine 2's second WRITE, two doorbells, one pipeline
+/// slot and one WRITE latency in, and the core is busy for the two
+/// doorbells and the one-line local store only: the pipeline slot is
+/// NIC time, hideable like the WRITE latency.
+#[test]
+fn r1_pipelines_a_two_write_doorbell_like_qp_ring() {
+    let c = cluster(3, 3);
+    let mut w = c.worker(0, 1);
+    w.run(|t| {
+        t.write(0, T_ACCT, key(0, 1), val(7))?;
+        t.write(1, T_ACCT, key(1, 1), val(7))
+    })
+    .unwrap();
+    let logs = [(1, 0), (2, 0), (2, 1), (0, 1)];
+    assert!(logs.iter().all(|&(b, p)| c.logs.len(b, p) == 1));
+    let snap = c.obs.scrape();
+    let phase =
+        |v: &[(&str, drtm_obs::HistSummary)]| v.iter().find(|(n, _)| *n == "log").unwrap().1;
+    let (log, wait) = (phase(&snap.phases), phase(&snap.phase_waits));
+    assert_eq!(log.count, 1);
+    let cost = drtm_base::CostModel::default();
+    let write = cost.rdma_write(29 + 16);
+    assert_eq!(
+        log.sum,
+        2 * cost.doorbell_ns + cost.verb_pipeline_ns + write
+    );
+    let cpu = 2 * cost.doorbell_ns + cost.mem_access_ns;
+    assert_eq!(wait.sum, log.sum - cpu);
+}
+
 /// R.1 on a quiet NIC costs the same virtual time while another worker's
 /// clock runs 2 ms ahead as with no other clock running: 400 one-record
 /// commits on machine 0 (two redo WRITEs each, ~0.7 verbs/µs on its

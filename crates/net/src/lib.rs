@@ -39,4 +39,4 @@ pub mod server;
 
 pub use loadgen::{run_client, scrape, ClientCfg, ClientReport, Schedule};
 pub use proto::{Msg, RawOp, ScrapeFormat, Status, WireError, MAX_FRAME, PROTO_VERSION};
-pub use server::{Drained, Server, ServerCfg};
+pub use server::{Drained, PoolRow, Server, ServerCfg};

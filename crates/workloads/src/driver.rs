@@ -91,6 +91,10 @@ impl Default for RunCfg {
 pub struct TypeStats {
     /// Committed count across all workers.
     pub count: u64,
+    /// Failed attempts of this type across all workers: every abort of
+    /// every try, the retried ones included. Summed over the types it
+    /// is [`Measurement::aborted`].
+    pub aborted: u64,
     /// Virtual throughput (txns/sec) across the cluster.
     pub tps: f64,
     /// Mean latency in virtual microseconds.
@@ -162,9 +166,26 @@ pub trait Workload: Sync {
     async fn execute(&self, t: &mut dyn TxnApi, input: &Self::Input) -> Result<(), TxnError>;
 }
 
-/// What one measurement loop returns: per transaction type, its commit
-/// count and latency histogram.
-type LoopOut = HashMap<&'static str, (u64, Histogram)>;
+/// One transaction type's tally in one measurement loop, or merged
+/// over several.
+#[derive(Default)]
+struct TypeTally {
+    committed: u64,
+    aborted: u64,
+    /// Commit latencies, virtual ns.
+    latency: Histogram,
+}
+
+impl TypeTally {
+    fn merge(&mut self, other: &TypeTally) {
+        self.committed += other.committed;
+        self.aborted += other.aborted;
+        self.latency.merge(&other.latency);
+    }
+}
+
+/// What one measurement loop returns: its tally per transaction type.
+type LoopOut = HashMap<&'static str, TypeTally>;
 
 #[derive(Default)]
 struct WorkerResult {
@@ -207,16 +228,15 @@ impl<W: Workload> Slot<'_, W> {
                 break;
             }
             let (name, ro, input) = self.wl.next(&mut gen, i as u64);
-            let t0 = w.clock.now();
+            let (t0, aborted) = (w.clock.now(), w.stats.aborted);
             let result = self.exec_txn(w, ro, &input).await;
             let dt = w.clock.now().saturating_sub(t0);
+            let e = per_type.entry(name).or_default();
+            e.aborted += w.stats.aborted - aborted;
             match result {
                 Ok(()) => {
-                    let e = per_type
-                        .entry(name)
-                        .or_insert_with(|| (0, Histogram::new()));
-                    e.0 += 1;
-                    e.1.record(dt);
+                    e.committed += 1;
+                    e.latency.record(dt);
                 }
                 Err(TxnError::Crashed) => return (per_type, true),
                 Err(_) => {}
@@ -252,14 +272,9 @@ fn tally(outs: impl IntoIterator<Item = (Worker, (LoopOut, bool))>) -> WorkerRes
         res.vtime_ns = res.vtime_ns.max(w.clock.now());
         res.aborted += w.stats.aborted;
         res.fallbacks += w.stats.fallbacks;
-        for (name, (count, hist)) in per_type {
-            res.committed += count;
-            let e = res
-                .per_type
-                .entry(name)
-                .or_insert_with(|| (0, Histogram::new()));
-            e.0 += count;
-            e.1.merge(&hist);
+        for (name, t) in per_type {
+            res.committed += t.committed;
+            res.per_type.entry(name).or_default().merge(&t);
         }
     }
     res
@@ -395,10 +410,10 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         per_type: HashMap::new(),
         stopped: 0,
     };
-    // Per type: commits, throughput summed over workers, and the
-    // workers' latency histograms merged, so that every quantile is the
-    // merged distribution's and not a mean of per-worker quantiles.
-    let mut types: HashMap<&'static str, (u64, f64, Histogram)> = HashMap::new();
+    // Per type: commits and aborts, throughput summed over workers, and
+    // the workers' latency histograms merged, so that every quantile is
+    // the merged distribution's and not a mean of per-worker quantiles.
+    let mut types: HashMap<&'static str, (TypeTally, f64)> = HashMap::new();
     for r in results {
         m.committed += r.committed;
         m.aborted += r.aborted;
@@ -406,21 +421,19 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         m.stopped += usize::from(r.stopped);
         let secs = (r.vtime_ns.max(1)) as f64 / 1e9;
         m.throughput += r.committed as f64 / secs;
-        for (name, (count, hist)) in r.per_type {
-            let e = types
-                .entry(name)
-                .or_insert_with(|| (0, 0.0, Histogram::new()));
-            e.0 += count;
-            e.1 += count as f64 / secs;
-            e.2.merge(&hist);
+        for (name, t) in r.per_type {
+            let e = types.entry(name).or_default();
+            e.0.merge(&t);
+            e.1 += t.committed as f64 / secs;
         }
     }
-    for (name, (count, tps, hist)) in types {
-        let us = |ns: f64| ns / 1e3;
+    for (name, (t, tps)) in types {
+        let (us, hist) = (|ns: f64| ns / 1e3, &t.latency);
         m.per_type.insert(
             name,
             TypeStats {
-                count,
+                count: t.committed,
+                aborted: t.aborted,
                 tps,
                 mean_us: us(hist.mean()),
                 p50_us: us(hist.quantile(0.5) as f64),
@@ -447,12 +460,17 @@ mod tests {
                 hist.record(ns);
                 all.record(ns);
             }
+            let tally = TypeTally {
+                committed: commits,
+                aborted: 0,
+                latency: hist,
+            };
             WorkerResult {
                 vtime_ns: 1_000_000_000,
                 committed: commits,
                 aborted: 0,
                 fallbacks: 0,
-                per_type: HashMap::from([("x", (commits, hist))]),
+                per_type: HashMap::from([("x", tally)]),
                 stopped: false,
             }
         };

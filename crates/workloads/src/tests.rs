@@ -42,6 +42,29 @@ fn tpcc_on_drtm_r_passes_audit() {
     assert!(violations.is_empty(), "audit failed: {violations:?}");
 }
 
+/// Per-type aborts add up: on TPC-C at 8 routines a slot, where
+/// sibling routines collide on their warehouse's district rows, the
+/// failed attempts counted per type sum to the run's total, and the two
+/// district writers, new-order and payment, both abort.
+#[test]
+fn tpcc_per_type_aborts_sum_to_the_total() {
+    let cfg = quick_tpcc(2);
+    let run = RunCfg {
+        routines: 8,
+        ..quick_run(EngineKind::DrtmR, 1, 400)
+    };
+    let m = crate::driver::run_tpcc(&cfg, &run);
+    let per_type: u64 = m.per_type.values().map(|t| t.aborted).sum();
+    assert_eq!(per_type, m.aborted, "{:?}", m.per_type);
+    for name in ["new-order", "payment"] {
+        assert!(
+            m.per_type[name].aborted > 0,
+            "{name}: {:?}",
+            m.per_type[name]
+        );
+    }
+}
+
 #[test]
 fn tpcc_on_drtm_r_with_replication_passes_audit() {
     let cfg = quick_tpcc(3);

@@ -192,6 +192,35 @@ impl MemoryRegion {
         self.unlock_line(line, pre);
     }
 
+    /// Stores `first` at `first_off`, then `second` at `second_off`,
+    /// under one hold of their line's seqlock (one version bump): a
+    /// seqlock reader sees neither or both, a plain [`Self::load64`]
+    /// reader that finds `second` finds `first` too.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the two words are not on one line.
+    pub fn store_two64_coherent(
+        &self,
+        first_off: usize,
+        first: u64,
+        second_off: usize,
+        second: u64,
+    ) {
+        debug_assert_eq!(first_off % WORD, 0, "unaligned 64-bit store at {first_off}");
+        debug_assert_eq!(
+            second_off % WORD,
+            0,
+            "unaligned 64-bit store at {second_off}"
+        );
+        let line = first_off / CACHE_LINE;
+        debug_assert_eq!(second_off / CACHE_LINE, line, "two words of one line");
+        let pre = self.lock_line(line);
+        self.words[first_off / WORD].store(first, Ordering::Release);
+        self.words[second_off / WORD].store(second, Ordering::Release);
+        self.unlock_line(line, pre);
+    }
+
     /// Atomically compares-and-swaps the word at `off`.
     ///
     /// On success the containing line's version is bumped (a CAS is a write
@@ -410,6 +439,15 @@ mod tests {
         r.store64_coherent(8, 0xdead_beef);
         assert_eq!(r.load64(8), 0xdead_beef);
         assert_eq!(r.line_version(0), 2);
+    }
+
+    #[test]
+    fn two_stores_under_one_hold_bump_the_version_once() {
+        let r = MemoryRegion::new(128);
+        r.store_two64_coherent(72, 5, 64, 9);
+        assert_eq!((r.load64(64), r.load64(72)), (9, 5));
+        assert_eq!(r.line_version(1), 2);
+        assert_eq!(r.line_writes(), 1);
     }
 
     #[test]

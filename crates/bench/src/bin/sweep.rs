@@ -24,6 +24,7 @@
 
 use drtm_bench::experiment::{closed_arm, Arm, Report};
 use drtm_bench::{sb_cfg, stamp_json, tpcc_cfg, ycsb_cfg, Scale};
+use drtm_core::cluster::MAX_REPLICAS;
 use drtm_core::EngineOpts;
 use drtm_workloads::driver::{EngineKind, RunCfg};
 use drtm_workloads::ycsb::YcsbMix;
@@ -101,6 +102,9 @@ fn main() {
             "--json" => json = Some(value()),
             other => bad(format!("unknown argument {other:?}")),
         }
+    }
+    if run.replicas > MAX_REPLICAS {
+        bad(format!("--replicas is at most {MAX_REPLICAS}"));
     }
 
     let scale = Scale { full };

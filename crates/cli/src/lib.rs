@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use drtm_bench::experiment::{self, Experiment, Size};
-use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::cluster::{DrtmCluster, EngineOpts, MAX_REPLICAS};
 use drtm_core::recovery::{full_restart_scrub, recover_node};
 use drtm_core::txn::{TxnError, Worker};
 use drtm_rdma::NicSnapshot;
@@ -372,6 +372,9 @@ impl Shell {
             Cmd::Cluster { nodes, replicas } => {
                 if nodes == 0 || replicas == 0 || replicas > nodes {
                     return Err("need nodes >= replicas >= 1".into());
+                }
+                if replicas > MAX_REPLICAS {
+                    return Err(format!("at most {MAX_REPLICAS} replicas"));
                 }
                 let opts = EngineOpts::builder()
                     .replicas(replicas)

@@ -44,9 +44,16 @@ impl ConfigService {
         }
     }
 
-    /// Returns the current configuration (cheap snapshot).
+    /// Returns a copy of the current configuration.
     pub fn get(&self) -> Configuration {
         self.current.read().clone()
+    }
+
+    /// Runs `read` on the current configuration under the register's
+    /// read lock: one membership read, no clone. `read` must not call
+    /// back into the service.
+    pub fn with<R>(&self, read: impl FnOnce(&Configuration) -> R) -> R {
+        read(&self.current.read())
     }
 
     /// Current epoch without cloning the member set.
@@ -96,6 +103,16 @@ mod tests {
         assert_eq!(c.epoch, 1);
         assert!(c.contains(0) && c.contains(1) && c.contains(2));
         assert!(!c.contains(3));
+    }
+
+    #[test]
+    fn with_reads_the_current_configuration() {
+        let s = ConfigService::new(3);
+        s.remove_member(1);
+        assert_eq!(
+            s.with(|c| (c.epoch, c.contains(1), c.contains(2))),
+            (2, false, true)
+        );
     }
 
     #[test]

@@ -29,6 +29,35 @@ pub trait CrashPointHook: Send + Sync {
     fn on_point(&self, node: NodeId, point: &'static str) -> bool;
 }
 
+/// The most copies of a record a cluster keeps ([`EngineOpts::replicas`]):
+/// a primary and up to seven backups.
+pub const MAX_REPLICAS: usize = 8;
+
+/// The backups of one primary ([`DrtmCluster::backups_of`]) in ring
+/// order: a fixed-capacity list, so asking costs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Backups {
+    ids: [NodeId; MAX_REPLICAS - 1],
+    len: usize,
+}
+
+impl std::ops::Deref for Backups {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..self.len]
+    }
+}
+
+impl IntoIterator for Backups {
+    type Item = NodeId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<NodeId, { MAX_REPLICAS - 1 }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len)
+    }
+}
+
 /// Engine-wide tuning knobs.
 ///
 /// Construct through [`EngineOpts::builder`] (or start from
@@ -125,7 +154,8 @@ pub struct EngineOptsBuilder {
 }
 
 impl EngineOptsBuilder {
-    /// Total copies of every record (1 = replication off).
+    /// Total copies of every record (1 = replication off, at most
+    /// [`MAX_REPLICAS`]).
     pub fn replicas(mut self, n: usize) -> Self {
         assert!(n >= 1, "need at least one copy of every record");
         self.opts.replicas = n;
@@ -247,8 +277,8 @@ impl DrtmCluster {
     ) -> Arc<Self> {
         assert!(n >= 1);
         assert!(
-            opts.replicas >= 1 && opts.replicas <= n,
-            "need replicas <= nodes"
+            opts.replicas >= 1 && opts.replicas <= n.min(MAX_REPLICAS),
+            "need 1 <= replicas <= nodes and replicas <= {MAX_REPLICAS}"
         );
         let regions: Vec<Arc<MemoryRegion>> = (0..n)
             .map(|_| Arc::new(MemoryRegion::new(opts.region_size)))
@@ -309,24 +339,32 @@ impl DrtmCluster {
     ///
     /// Placement uses the *current* configuration so that re-replication
     /// after a failure never targets a dead machine.
-    pub fn backups_of(&self, primary: NodeId) -> Vec<NodeId> {
-        let members = self.config.get().members;
+    pub fn backups_of(&self, primary: NodeId) -> Backups {
         let n = self.nodes();
-        let mut out = Vec::with_capacity(self.opts.replicas - 1);
-        let mut i = 1;
-        while out.len() < self.opts.replicas - 1 && i < n {
-            let cand = (primary + i) % n;
-            if cand != primary && members.contains(&cand) {
-                out.push(cand);
-            }
-            i += 1;
+        let mut out = Backups {
+            ids: [0; MAX_REPLICAS - 1],
+            len: 0,
+        };
+        if self.opts.replicas == 1 {
+            return out;
         }
+        self.config.with(|members| {
+            let mut i = 1;
+            while out.len < self.opts.replicas - 1 && i < n {
+                let cand = (primary + i) % n;
+                if cand != primary && members.contains(cand) {
+                    out.ids[out.len] = cand;
+                    out.len += 1;
+                }
+                i += 1;
+            }
+        });
         out
     }
 
     /// Whether `node` is in the current configuration.
     pub fn is_member(&self, node: NodeId) -> bool {
-        self.config.get().contains(node)
+        self.config.with(|c| c.contains(node))
     }
 
     /// Whether `node`'s worker loops should keep running.
@@ -497,16 +535,16 @@ impl DrtmCluster {
     /// Loads one record during the initial population: inserts it on the
     /// shard's serving node and seeds every backup image.
     ///
-    /// Records start at sequence number 2 (even = committable).
+    /// Records start at sequence number 2 (even = committable). Nothing
+    /// on this path allocates or clones (DESIGN.md §4): the backups are
+    /// a fixed-capacity list read without cloning the membership.
     pub fn seed_record(&self, shard: usize, table: u32, key: u64, value: &[u8]) {
         let home = self.home_of(shard);
         self.stores[home]
             .insert(table, key, value, 2)
             .unwrap_or_else(|| panic!("seed failed: table {table} key {key}"));
-        if self.opts.replicas > 1 {
-            for b in self.backups_of(home) {
-                self.backups.seed(b, home, table, key, 2, value);
-            }
+        for b in self.backups_of(home) {
+            self.backups.seed(b, home, table, key, 2, value);
         }
     }
 }
@@ -531,11 +569,12 @@ mod tests {
     fn backup_ring_placement() {
         let opts = EngineOpts::builder().replicas(3).build();
         let c = DrtmCluster::new(4, &schema(), opts);
-        assert_eq!(c.backups_of(0), vec![1, 2]);
-        assert_eq!(c.backups_of(3), vec![0, 1]);
+        assert_eq!(*c.backups_of(0), [1, 2]);
+        assert_eq!(*c.backups_of(3), [0, 1]);
         // After node 1 leaves, placement skips it.
         c.config.remove_member(1);
-        assert_eq!(c.backups_of(0), vec![2, 3]);
+        assert_eq!(*c.backups_of(0), [2, 3]);
+        assert_eq!(c.backups_of(0).into_iter().collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]

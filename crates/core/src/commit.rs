@@ -666,8 +666,8 @@ impl TxnCtx<'_> {
         if !kept.is_empty() {
             // A machine that left the configuration must be locked
             // anew, which the fence in `lock_all` refuses.
-            let members = self.w.cluster.config.get();
-            if kept == locks && kept.iter().all(|a| members.contains(a.0)) {
+            let config = &self.w.cluster.config;
+            if kept == locks && config.with(|c| kept.iter().all(|a| c.contains(a.0))) {
                 self.w.routine.set_committing(true);
                 return Ok(vec![None; locks.len()]);
             }
@@ -735,7 +735,6 @@ impl TxnCtx<'_> {
         // ahead of its execution-phase siblings (DESIGN.md §11).
         self.w.routine.set_committing(!addrs.is_empty());
         let me = lock_word(self.w.node);
-        let members = cluster.config.get();
         let chained = !(cluster.opts.msg_locking || cluster.opts.fuse_lock_validate);
         let local = self.w.node;
         let peek = |node| chained && (mode == Mode::Htm || node != local);
@@ -754,7 +753,10 @@ impl TxnCtx<'_> {
             // on a machine that has left the configuration — its shard
             // has been (or is being) recovered elsewhere — and a dead
             // machine issues no verbs.
-            if round.iter().any(|g| !members.contains(g[0].0)) {
+            let fenced = cluster
+                .config
+                .with(|c| round.iter().any(|g| !c.contains(g[0].0)));
+            if fenced {
                 failed = Some(self.lock_fail_err());
                 break;
             }
@@ -829,7 +831,6 @@ impl TxnCtx<'_> {
     /// CPU frontier across it.
     async fn acquire_one(&mut self, addr: LockAddr, me: u64, wait: bool, seen: u64) -> OneLock {
         let cluster = Arc::clone(&self.w.cluster);
-        let members = cluster.config.get();
         let mut watch = None;
         // What the latest CAS found in the lock word.
         let mut word = seen;
@@ -837,7 +838,7 @@ impl TxnCtx<'_> {
             let expect = match lock_owner(word) {
                 // Dangling: swap this machine's word over the dead
                 // owner's.
-                Some(owner) if !members.contains(owner) => word,
+                Some(owner) if !cluster.is_member(owner) => word,
                 Some(_) if !wait => return OneLock::Busy,
                 Some(_) => match watch.as_mut() {
                     None => {
@@ -1494,7 +1495,7 @@ impl TxnCtx<'_> {
                 let mut watch = cluster.waiters.watch((me, rec_off));
                 while let Err(actual) = store.region.cas64(rec_off, LOCK_FREE, lock_word(me)) {
                     let owner = lock_owner(actual).expect("non-free lock words name an owner");
-                    if !cluster.config.get().contains(owner)
+                    if !cluster.is_member(owner)
                         && store.region.cas64(rec_off, actual, lock_word(me)).is_ok()
                     {
                         break;

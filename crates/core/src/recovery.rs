@@ -128,7 +128,7 @@ pub fn recover_node(cluster: &DrtmCluster, dead: NodeId) -> RecoveryReport {
     // applied, on every surviving backup (keeps all images equally
     // fresh).
     let mut replayed = 0;
-    for &b in &backups {
+    for &b in backups.iter() {
         replayed += cluster
             .logs
             .drain_with(b, dead, |e| cluster.backups.apply(b, dead, e));

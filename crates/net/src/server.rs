@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use drtm_base::stats::Counter;
 use drtm_base::sync::{Condvar, Mutex};
-use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::cluster::{DrtmCluster, EngineOpts, MAX_REPLICAS};
 use drtm_core::{
     scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, Worker,
 };
@@ -347,13 +347,19 @@ impl Server {
     /// Boots a server: builds and loads the simulated cluster, binds
     /// the listener, and spawns the acceptor and engine pumps.
     ///
-    /// A `high_water` of 0 would shed every request; it is refused with
+    /// A `high_water` of 0 would shed every request, and a cluster
+    /// keeps 1 to `nodes` (at most [`MAX_REPLICAS`]) copies of a
+    /// record; anything else is refused with
     /// [`std::io::ErrorKind::InvalidInput`] before anything is built.
     pub fn start(cfg: ServerCfg) -> std::io::Result<Server> {
+        let invalid =
+            |what: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, what));
         if cfg.high_water == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "high-water mark must admit at least one request",
+            return invalid("high-water mark must admit at least one request".into());
+        }
+        if cfg.replicas == 0 || cfg.replicas > cfg.nodes.min(MAX_REPLICAS) {
+            return invalid(format!(
+                "need 1 <= replicas <= nodes and replicas <= {MAX_REPLICAS}"
             ));
         }
         let sb = SbCfg {

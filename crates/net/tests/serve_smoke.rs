@@ -129,6 +129,26 @@ fn zero_high_water_is_rejected_before_boot() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
+/// More copies than machines, or than a cluster keeps, is refused up
+/// front instead of panicking in the cluster's constructor.
+#[test]
+fn out_of_range_replicas_are_rejected_before_boot() {
+    for (nodes, replicas) in [(2, 0), (2, 3), (10, 9)] {
+        let err = Server::start(ServerCfg {
+            nodes,
+            replicas,
+            ..Default::default()
+        })
+        .err()
+        .expect("out-of-range replicas must be refused");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{nodes} x {replicas}"
+        );
+    }
+}
+
 /// A paced run under capacity: nothing is shed, every request commits
 /// or user-aborts, and two identically-seeded clients offer identical
 /// schedules (open-loop determinism end to end).

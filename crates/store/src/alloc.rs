@@ -1,9 +1,9 @@
 //! Cache-line-aligned allocation inside a node's memory region.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use drtm_base::cacheline::round_up_line;
+use drtm_base::cacheline::{round_up_line, CACHE_LINE};
 use drtm_base::sync::Mutex;
 
 /// A bump allocator with per-size free lists over a byte range of a
@@ -15,12 +15,26 @@ use drtm_base::sync::Mutex;
 /// sharing (the paper enforces the same alignment, §4.2).
 ///
 /// Allocation is node-local (remote machines never allocate in a peer's
-/// region), so plain process-level synchronisation is appropriate.
+/// region), so plain process-level synchronisation is appropriate. A
+/// size class that has never had a block freed is served by the bump
+/// pointer alone, without the free-list lock: a cluster load, which
+/// frees nothing, allocates with one atomic add per record.
 #[derive(Debug)]
 pub struct Allocator {
     next: AtomicUsize,
     end: usize,
     free: Mutex<HashMap<usize, Vec<usize>>>,
+    /// One bit per size class that has had a block freed: bit `l - 1`
+    /// for `l`-line blocks, the top bit shared by every class of 64
+    /// lines or more. Set (Release) after the block is on its list and
+    /// read (Acquire) before the list is, though the list's own lock
+    /// orders them too.
+    freed: AtomicU64,
+}
+
+/// The bit of [`Allocator::freed`] for `size`-byte (whole-line) blocks.
+fn class_bit(size: usize) -> u64 {
+    1 << ((size / CACHE_LINE).min(64) - 1)
 }
 
 impl Allocator {
@@ -32,6 +46,7 @@ impl Allocator {
             next: AtomicUsize::new(start),
             end,
             free: Mutex::new(HashMap::new()),
+            freed: AtomicU64::new(0),
         }
     }
 
@@ -40,8 +55,10 @@ impl Allocator {
     /// Returns the byte offset, or `None` when the region is exhausted.
     pub fn alloc(&self, size: usize) -> Option<usize> {
         let size = round_up_line(size.max(1));
-        if let Some(off) = self.free.lock().get_mut(&size).and_then(Vec::pop) {
-            return Some(off);
+        if self.freed.load(Ordering::Acquire) & class_bit(size) != 0 {
+            if let Some(off) = self.free.lock().get_mut(&size).and_then(Vec::pop) {
+                return Some(off);
+            }
         }
         let off = self.next.fetch_add(size, Ordering::Relaxed);
         if off + size > self.end {
@@ -59,6 +76,7 @@ impl Allocator {
     pub fn free(&self, off: usize, size: usize) {
         let size = round_up_line(size.max(1));
         self.free.lock().entry(size).or_default().push(off);
+        self.freed.fetch_or(class_bit(size), Ordering::Release);
     }
 
     /// Bytes handed out so far (high-water mark; ignores free lists).
@@ -95,6 +113,16 @@ mod tests {
         let x = a.alloc(64).unwrap();
         a.free(x, 64);
         assert_eq!(a.alloc(64).unwrap(), x);
+    }
+
+    #[test]
+    fn classes_of_64_lines_and_more_share_a_bit() {
+        let a = Allocator::new(0, 1 << 20);
+        let big = a.alloc(100 * 64).unwrap();
+        a.free(big, 100 * 64);
+        let x = a.alloc(64 * 64).unwrap();
+        assert_ne!(x, big, "a 64-line request must not reuse a 100-line block");
+        assert_eq!(a.alloc(100 * 64).unwrap(), big);
     }
 
     #[test]

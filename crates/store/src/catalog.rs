@@ -190,6 +190,10 @@ impl Store {
     /// The record's incarnation is one above whatever the (possibly
     /// reused) block last held — inserts and deletes both increment it
     /// (§4.3), which is how in-flight transactions detect frees.
+    ///
+    /// Nothing here allocates on the heap: the allocator bumps, the
+    /// record is written line by line from the stack, and the slot is
+    /// published in one hold of its line.
     pub fn insert(&self, id: TableId, key: u64, value: &[u8], seq: u64) -> Option<u64> {
         let t = self.table(id);
         assert_eq!(value.len(), t.spec.value_len, "value size mismatch");

@@ -99,20 +99,23 @@ impl HashTable {
                 free = Some(off);
             }
             if k == EMPTY {
-                let off = free.unwrap_or(off);
-                // Publish offset first, key last: a remote line-atomic
-                // probe read sees either no slot or a complete slot.
-                region.store64_coherent(off + 8, rec_off);
-                region.store64_coherent(off, key);
+                Self::publish(region, free.unwrap_or(off), key, rec_off);
                 return true;
             }
         }
         if let Some(off) = free {
-            region.store64_coherent(off + 8, rec_off);
-            region.store64_coherent(off, key);
+            Self::publish(region, off, key, rec_off);
             return true;
         }
         false
+    }
+
+    /// Fills the slot at `off` in one hold of its line's seqlock, offset
+    /// first and key last: a remote line-atomic probe read sees either
+    /// no slot or a complete slot, and so does a local [`Self::get`],
+    /// which reads the key before the offset.
+    fn publish(region: &MemoryRegion, off: usize, key: u64, rec_off: u64) {
+        region.store_two64_coherent(off + 8, rec_off, off, key);
     }
 
     /// Removes `key`, returning the record offset it mapped to.

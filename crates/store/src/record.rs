@@ -213,20 +213,27 @@ impl<'a> RecordRef<'a> {
     }
 
     /// Initialises the record in place (loading phase; no concurrency).
+    ///
+    /// Each line is assembled on the stack and written whole: header
+    /// or version slot, value bytes, and zeros after the value's end,
+    /// so a reused block keeps none of its previous contents.
     pub fn init(&self, value: &[u8], seq: u64, incarnation: u64) {
         assert_eq!(value.len(), self.layout.value_len);
-        let mut img = vec![0u8; self.layout.size()];
-        img[LOCK_OFF..LOCK_OFF + 8].copy_from_slice(&LOCK_FREE.to_le_bytes());
-        img[INCARNATION_OFF..INCARNATION_OFF + 8].copy_from_slice(&incarnation.to_le_bytes());
-        img[SEQ_OFF..SEQ_OFF + 8].copy_from_slice(&seq.to_le_bytes());
         for (line, rec_off, vr) in self.layout.chunks() {
-            if line > 0 {
-                let ver = (seq & 0xffff).to_le_bytes();
-                img[line * CACHE_LINE..line * CACHE_LINE + 8].copy_from_slice(&ver);
+            let mut img = [0u8; CACHE_LINE];
+            if line == 0 {
+                img[LOCK_OFF..LOCK_OFF + 8].copy_from_slice(&LOCK_FREE.to_le_bytes());
+                img[INCARNATION_OFF..INCARNATION_OFF + 8]
+                    .copy_from_slice(&incarnation.to_le_bytes());
+                img[SEQ_OFF..SEQ_OFF + 8].copy_from_slice(&seq.to_le_bytes());
+            } else {
+                img[..8].copy_from_slice(&(seq & 0xffff).to_le_bytes());
             }
-            img[rec_off..rec_off + vr.len()].copy_from_slice(&value[vr]);
+            let at = rec_off - line * CACHE_LINE;
+            img[at..at + vr.len()].copy_from_slice(&value[vr]);
+            self.region
+                .write_bytes_raw(self.base + line * CACHE_LINE, &img);
         }
-        self.region.write_bytes_raw(self.base, &img);
     }
 
     /// Reads the value without any consistency protocol (tests, recovery
@@ -557,6 +564,25 @@ mod tests {
         let mut out = vec![0u8; 150];
         rec.read_value_raw(&mut out);
         assert_eq!(out, value);
+    }
+
+    /// A reused block comes out of `init` byte for byte as a fresh one
+    /// does: the lines' padding past the value is zeroed too.
+    #[test]
+    fn init_over_a_dirty_block_matches_a_fresh_one() {
+        for len in [1usize, 40, 41, 100, 150] {
+            let layout = RecordLayout::new(len);
+            let value: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+            let (fresh, dirty) = (MemoryRegion::new(1024), MemoryRegion::new(1024));
+            dirty.write_bytes_raw(0, &[0xee; 1024]);
+            for region in [&fresh, &dirty] {
+                RecordRef::new(region, 128, layout).init(&value, 4, 2);
+            }
+            let (mut a, mut b) = (vec![0u8; layout.size()], vec![0u8; layout.size()]);
+            fresh.read_bytes_raw(128, &mut a);
+            dirty.read_bytes_raw(128, &mut b);
+            assert_eq!(a, b, "value_len {len}");
+        }
     }
 
     #[test]

@@ -210,11 +210,20 @@ pub fn set_slot(v: &mut [u8], i: usize, x: u64) {
 
 /// Builds a zeroed value of `len` bytes with the given leading slots.
 pub fn value(len: usize, slots: &[u64]) -> Vec<u8> {
-    let mut v = vec![0u8; len];
-    for (i, &x) in slots.iter().enumerate() {
-        set_slot(&mut v, i, x);
-    }
+    let mut v = Vec::with_capacity(len);
+    fill_value(&mut v, len, slots);
     v
+}
+
+/// Makes `buf` what [`value`] builds, in `buf`'s own allocation: the
+/// loader fills one buffer for every record.
+pub fn fill_value<'a>(buf: &'a mut Vec<u8>, len: usize, slots: &[u64]) -> &'a mut [u8] {
+    buf.clear();
+    buf.resize(len, 0);
+    for (i, &x) in slots.iter().enumerate() {
+        set_slot(buf, i, x);
+    }
+    buf
 }
 
 /// Fills `v[from..]` with printable pseudo-text (the spec's a-strings:
@@ -228,11 +237,17 @@ pub fn fill_astring(v: &mut [u8], rng: &mut drtm_base::SplitMix64, from: usize) 
     }
 }
 
-/// A customer value with realistic text fields after the numeric slots
-/// (bytes 40.. carry C_LAST syllables + C_DATA-style filler).
-pub fn customer_value(rng: &mut drtm_base::SplitMix64, c: u64, slots: &[u64]) -> Vec<u8> {
-    let mut v = value(120, slots);
-    fill_astring(&mut v, rng, 40);
+/// Fills `buf` with a customer value: realistic text fields after the
+/// numeric slots (bytes 40.. carry C_LAST syllables + C_DATA-style
+/// filler).
+pub fn fill_customer<'a>(
+    buf: &'a mut Vec<u8>,
+    rng: &mut drtm_base::SplitMix64,
+    c: u64,
+    slots: &[u64],
+) -> &'a [u8] {
+    let v = fill_value(buf, 120, slots);
+    fill_astring(v, rng, 40);
     let name = lastname(lastname_id(c));
     let name_bytes = name.as_bytes();
     let n = name_bytes.len().min(120 - 40);
@@ -243,7 +258,8 @@ pub fn customer_value(rng: &mut drtm_base::SplitMix64, c: u64, slots: &[u64]) ->
 /// Loads the full TPC-C dataset into `cluster` according to `cfg`.
 ///
 /// Every record is seeded on its shard's serving node and, with
-/// replication on, into the backup images.
+/// replication on, into the backup images. One buffer carries every
+/// record's value.
 pub fn load(cluster: &drtm_core::cluster::DrtmCluster, cfg: &TpccCfg) {
     assert!(cfg.customers <= 4096, "customer id must fit 12 bits");
     assert!(cfg.items <= 1 << 20, "item id must fit 20 bits");
@@ -252,69 +268,52 @@ pub fn load(cluster: &drtm_core::cluster::DrtmCluster, cfg: &TpccCfg) {
         "district key must fit 13 bits"
     );
     let mut rng = drtm_base::SplitMix64::new(t_seed());
+    let mut buf = Vec::with_capacity(120);
     for shard in 0..cfg.nodes {
         // The item catalogue is replicated on every node (read-only).
         for i in 0..cfg.items as u64 {
             let price = 100 + (i * 37) % 9900;
-            let mut iv = value(48, &[price]);
-            fill_astring(&mut iv, &mut rng, 8); // I_NAME + I_DATA.
-            cluster.seed_record(shard, T_ITEM, ikey(shard, i), &iv);
+            let iv = fill_value(&mut buf, 48, &[price]);
+            fill_astring(iv, &mut rng, 8); // I_NAME + I_DATA.
+            cluster.seed_record(shard, T_ITEM, ikey(shard, i), iv);
         }
         for wi in 0..cfg.warehouses_per_node as u64 {
             let w = (shard * cfg.warehouses_per_node) as u64 + wi;
-            cluster.seed_record(
-                shard,
-                T_WAREHOUSE,
-                w,
-                &value(32, &[30_000_000, rng.below(2000)]),
-            );
+            let wv = fill_value(&mut buf, 32, &[30_000_000, rng.below(2000)]);
+            cluster.seed_record(shard, T_WAREHOUSE, w, wv);
             for i in 0..cfg.items as u64 {
                 let qty = 10 + rng.below(91);
-                let mut sv = value(64, &[qty, 0, 0, 0]);
-                fill_astring(&mut sv, &mut rng, 32); // S_DIST_xx / S_DATA.
-                cluster.seed_record(shard, T_STOCK, skey(w, i), &sv);
+                let sv = fill_value(&mut buf, 64, &[qty, 0, 0, 0]);
+                fill_astring(sv, &mut rng, 32); // S_DIST_xx / S_DATA.
+                cluster.seed_record(shard, T_STOCK, skey(w, i), sv);
             }
             for d in 0..cfg.districts as u64 {
-                cluster.seed_record(
-                    shard,
-                    T_DISTRICT,
-                    dkey(w, d),
-                    &value(32, &[3_000_000, rng.below(2000), cfg.init_orders as u64]),
-                );
+                let dv = [3_000_000, rng.below(2000), cfg.init_orders as u64];
+                cluster.seed_record(shard, T_DISTRICT, dkey(w, d), fill_value(&mut buf, 32, &dv));
                 for c in 0..cfg.customers as u64 {
                     let discount = rng.below(5000);
-                    let cv =
-                        customer_value(&mut rng, c, &[(-1000i64) as u64, 100_000, 1, 0, discount]);
-                    cluster.seed_record(shard, T_CUSTOMER, ckey(w, d, c), &cv);
-                    cluster.seed_record(
-                        shard,
-                        T_CUST_NAME,
-                        nkey(w, d, lastname_id(c), c),
-                        &value(8, &[c]),
-                    );
+                    let slots = [(-1000i64) as u64, 100_000, 1, 0, discount];
+                    let cv = fill_customer(&mut buf, &mut rng, c, &slots);
+                    cluster.seed_record(shard, T_CUSTOMER, ckey(w, d, c), cv);
+                    let nk = nkey(w, d, lastname_id(c), c);
+                    cluster.seed_record(shard, T_CUST_NAME, nk, fill_value(&mut buf, 8, &[c]));
                 }
                 for o in 0..cfg.init_orders as u64 {
                     let c = rng.below(cfg.customers as u64);
                     let ol_cnt = 5 + rng.below(11);
-                    cluster.seed_record(
-                        shard,
-                        T_ORDER,
-                        okey(w, d, o),
-                        &value(32, &[c, ol_cnt, 1, 0]),
-                    );
-                    cluster.seed_record(shard, T_ORDER_CIDX, cidxkey(w, d, c, o), &value(8, &[o]));
+                    let ov = fill_value(&mut buf, 32, &[c, ol_cnt, 1, 0]);
+                    cluster.seed_record(shard, T_ORDER, okey(w, d, o), ov);
+                    let cidx = fill_value(&mut buf, 8, &[o]);
+                    cluster.seed_record(shard, T_ORDER_CIDX, cidxkey(w, d, c, o), cidx);
                     for ol in 0..ol_cnt {
                         let i = rng.below(cfg.items as u64);
-                        cluster.seed_record(
-                            shard,
-                            T_ORDER_LINE,
-                            olkey(w, d, o, ol),
-                            &value(48, &[i, w, 5, 500, 1]),
-                        );
+                        let olv = fill_value(&mut buf, 48, &[i, w, 5, 500, 1]);
+                        cluster.seed_record(shard, T_ORDER_LINE, olkey(w, d, o, ol), olv);
                     }
                     // The most recent third are undelivered.
                     if o * 3 >= 2 * cfg.init_orders as u64 {
-                        cluster.seed_record(shard, T_NEW_ORDER, okey(w, d, o), &value(8, &[o]));
+                        let nv = fill_value(&mut buf, 8, &[o]);
+                        cluster.seed_record(shard, T_NEW_ORDER, okey(w, d, o), nv);
                     }
                 }
             }
@@ -389,9 +388,10 @@ mod unit {
     #[test]
     fn loaded_values_carry_realistic_text() {
         let mut rng = drtm_base::SplitMix64::new(1);
-        let cv = customer_value(&mut rng, 371, &[1, 2, 3, 4, 5]);
-        assert_eq!(slot(&cv, 0), 1);
-        assert_eq!(slot(&cv, 4), 5);
+        let mut buf = Vec::new();
+        let cv = fill_customer(&mut buf, &mut rng, 371, &[1, 2, 3, 4, 5]);
+        assert_eq!(slot(cv, 0), 1);
+        assert_eq!(slot(cv, 4), 5);
         let name = lastname(371);
         assert_eq!(&cv[40..40 + name.len()], name.as_bytes());
         assert!(

@@ -253,9 +253,9 @@ impl Workload for YcsbCfg {
 
 /// Loads the YCSB dataset.
 pub fn load(cluster: &DrtmCluster, cfg: &YcsbCfg) {
+    let mut v = vec![0u8; cfg.value_len];
     for shard in 0..cfg.nodes {
         for r in 0..cfg.records as u64 {
-            let mut v = vec![0u8; cfg.value_len];
             v[..8].copy_from_slice(&r.to_le_bytes());
             cluster.seed_record(shard, T_KV, cfg.key(shard, r), &v);
         }

@@ -2,11 +2,11 @@
 //!
 //! The reactor in `drtm-core::routine` polls transaction futures by
 //! hand; the yield points those futures contain only ever suspend when
-//! the owning worker runs in a routine pool of two or more. Outside a
-//! pool a worker waits on its own reactor of one, which resolves every
-//! wait inside the yield point (and the baseline engines have no yield
-//! points at all), so a synchronous caller can drive the same async
-//! code with a single poll. [`block_now`] is that single poll: it
+//! the owning worker runs in a routine pool, of whatever size. Outside
+//! a pool a worker waits on its own solo reactor, which resolves every
+//! wait inside the yield point (and the baseline engines' bodies have
+//! no yield points at all), so a synchronous caller can drive the same
+//! async code with a single poll. [`block_now`] is that single poll: it
 //! panics if the future dares to return `Pending`, which turns "a
 //! blocking caller reached a real suspension point" from a silent hang
 //! into a loud bug.

@@ -25,8 +25,9 @@
 //! `&mut Worker`, and the measurement driver runs it as routine 0 of a
 //! [`RoutinePool`](drtm_core::RoutinePool) of one. DrTM's remote verbs
 //! park on the worker's verb path ([`Worker::ring`]), and every lock
-//! wait of either engine is one [`Worker::pause`], so two routines of
-//! one pool can contend for a lock on one OS thread. Commits, aborts
+//! wait of either engine is one [`Worker::pause`], so the slots of a
+//! run — every one a pool on the driver's one loop — contend for locks
+//! on one OS thread. Commits, aborts
 //! and fallbacks go through the worker's ledger (`note_commit`,
 //! `note_abort`, `note_fallback`), so the metrics registry sees a
 //! baseline run as it sees a DrTM+R one.

@@ -239,9 +239,10 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
 
 /// A named predicate over an experiment's arms: what must hold (as
 /// printed in reports and artifacts), the runs the driver may spend on
-/// it — `1` for a single-shot gate, `3` where the parent's CI took the
-/// best of three because the outcome rides host-thread interleaving —
-/// and the predicate itself, given the run's size and arms in order.
+/// it — `1` for a single-shot gate, `3` where the outcome rides host
+/// threads (`route`) or a floor that fails exactly waits to be
+/// re-based — and the predicate itself, given the run's size and arms
+/// in order.
 pub type Check = (&'static str, u32, fn(Size, &[Arm]) -> bool);
 
 /// One row of the experiment table.
@@ -874,17 +875,17 @@ pub static EXPERIMENTS: &[Experiment] = &[
             // (the backlog always covers a round trip): R = 8's gain must
             // never be bought with R = 256's throughput. Since location
             // probes park like every other verb, R = 8 leaves little on
-            // the table — r256/r8 read 0.84-1.48, median 1.11, under 1.0
-            // in 4 of 23 runs (1.10-1.50 with a floor of 1.20 while a
-            // probe still walked the pool's clock across its round trip)
-            // — so the floor is on what R = 256 still buys, amortized
-            // doorbells: 0.30-0.66x r8's. Both are best of three: about
-            // one run in thirty finds the r256 arm in its slow mode
-            // (1 % aborts, half the core idle, a doorbell per park).
+            // the table, so the floor is on what R = 256 still buys,
+            // amortized doorbells. With every slot on one loop both
+            // ratios repeat exactly: doorbells 0.10x r8's, and vtps
+            // 0.90x — four transactions a routine leave r256 a long
+            // tail at this size (1.04x at 4 000) — so the vtps floor
+            // fails every run and keeps its three tries until the
+            // entry is re-based.
             ("r256 vtps not below r8", 3, |_, a| {
                 ratio(a, "ycsb_vtps") >= 1.0
             }),
-            ("r256 rings <= 0.75x r8's doorbells per txn", 3, |_, a| {
+            ("r256 rings <= 0.75x r8's doorbells per txn", 1, |_, a| {
                 ratio(a, "ycsb_doorbells_per_txn") <= 0.75
             }),
         ],
@@ -910,7 +911,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 1,
                 |_, a| a[1]["ycsb_pessimistic"] > 0.0 && a[1]["sb_pessimistic"] > 0.0,
             ),
-            ("YCSB-F escalate/off vtps >= 1.15", 3, |_, a| {
+            ("YCSB-F escalate/off vtps >= 1.15", 1, |_, a| {
                 ratio(a, "ycsb_vtps") >= 1.15
             }),
         ],

@@ -119,3 +119,17 @@ fn catalogue_resolves_table_scalars_and_families() {
     let unknown = std::panic::catch_unwind(move || arm.scraped("", &s, &["nosuch"]));
     assert!(unknown.is_err());
 }
+
+/// A closed-loop entry repeats to the byte: `contend`'s four slots per
+/// arm meet on a 32-record zipfian head and on 16 hot accounts, yet two
+/// runs render the same artifact under one stamp — every virtual-time
+/// field, the abort and wait counts included.
+#[test]
+fn closed_loop_entries_repeat_to_the_byte() {
+    let contend = experiment::EXPERIMENTS.iter().find(|e| e.name == "contend");
+    let run = || {
+        let report = contend.unwrap().run_checked(experiment::Size::of(200));
+        report.unwrap().to_json("{}")
+    };
+    assert_eq!(run(), run());
+}

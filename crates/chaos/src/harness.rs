@@ -16,6 +16,8 @@
 //! the supervisor observing lease expiry; the harness itself never
 //! calls `recover_node`.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,13 +71,16 @@ pub struct ChaosRunCfg {
     /// lock sweep or the wait's poll cap instead of deadlocking the
     /// pool.
     pub contention: ContentionPolicy,
-    /// Wall-clock pause before each of a worker's transactions (zero:
-    /// none). The lease machinery runs on host time, so a timeline
-    /// measured in host time (Figure 20) needs paced workers: unpaced
-    /// ones on an oversubscribed host starve the heartbeat thread (a
-    /// healthy machine gets suspected) and *speed up* when peers die,
-    /// inverting the timeline. The pause blocks the worker thread, so
-    /// with `routines > 1` it paces the thread's routines together.
+    /// Wall-clock time each worker slot spends per transaction (zero:
+    /// unpaced): a slot starts its next transaction `pace` after it
+    /// started the last one, sleeping the host until then, and its
+    /// routines share that pace. The lease machinery runs on host time,
+    /// so a timeline measured in host time (Figure 20) needs paced
+    /// workers: unpaced ones starve the heartbeat thread (a healthy
+    /// machine gets suspected) and *speed up* when peers die, inverting
+    /// the timeline. Every slot runs on the driver's one loop, but each
+    /// keeps its own schedule, so the paced commit rate follows the
+    /// number of live slots: it falls when a machine dies.
     pub pace: Duration,
 }
 
@@ -165,13 +170,15 @@ struct Payments<'a> {
     pace: Duration,
     injector: &'a ChaosInjector,
     sup: &'a Supervisor,
+    /// When each `(node, tid)` slot may start its next transaction.
+    due: RefCell<HashMap<(usize, usize), Instant>>,
 }
 
 impl Workload for Payments<'_> {
     const SLOT_SALT: u64 = 0xC4A0;
     const GEN_SALT: u64 = 0x5E7D;
-    /// The RNG and the worker's machine.
-    type Gen = (SplitMix64, usize);
+    /// The RNG and the worker's slot, `(node, tid)`.
+    type Gen = (SplitMix64, (usize, usize));
     type Input = SbInput;
 
     fn nodes(&self) -> usize {
@@ -186,17 +193,20 @@ impl Workload for Payments<'_> {
     fn load(&self, cluster: &DrtmCluster) {
         smallbank::load(cluster, self.sb)
     }
-    fn generator(&self, node: usize, _tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
-        (rng, node)
+    fn generator(&self, node: usize, tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
+        (rng, (node, tid))
     }
-    fn next(&self, (rng, node): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
+    fn next(&self, (rng, slot): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
         if !self.pace.is_zero() {
-            std::thread::sleep(self.pace);
+            let mut due = self.due.borrow_mut();
+            let at = due.entry(*slot).or_insert_with(Instant::now);
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            *at = Instant::now() + self.pace;
         }
         let window = self.injector.crashes_fired().min(1) + self.sup.recoveries().min(1);
         let inp = SbInput {
             txn: SbTxn::SendPayment,
-            ..smallbank::gen(self.sb, rng, *node)
+            ..smallbank::gen(self.sb, rng, slot.0)
         };
         (WINDOWS[window], false, inp)
     }
@@ -235,6 +245,7 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
         pace: cfg.pace,
         injector: &injector,
         sup: &sup,
+        due: RefCell::default(),
     };
     let started = Instant::now();
     let m = driver::run_on(&payments, &run, &cluster, None);

@@ -30,12 +30,21 @@
 //! a poll that returns `Pending` without registering a park is a bug
 //! (the routine suspended on a foreign future) and panics the pool.
 //!
-//! A reactor of **one** routine has nobody else to run, so its verb
-//! waits resolve inside the yield point's first poll: `YieldFut::poll`
-//! folds the park, flushes and dispatches — the steps the drive loop
-//! takes between polls — and returns the grant at once. That is how a
-//! [`Worker`] outside any pool waits (it carries its own one-routine
-//! reactor, see `Reactor::solo`), and why the synchronous facades
+//! # One loop for every pool
+//!
+//! The drive loop steps any number of pools on the calling thread —
+//! the measurement driver's every worker slot ([`RoutinePool::run_many`])
+//! — always taking the action that falls due earliest in virtual time:
+//! a pool's due shared-doorbell flush or its next grant, ties to the
+//! lower pool. A routine waiting on another pool's lock spins through
+//! `Worker::pause`, whose clock advances each poll, until the holder's
+//! pool is the earlier one. So a run is a pure function of its inputs.
+//! A pool of one is the same loop over one reactor.
+//!
+//! Only a [`Worker`] outside any pool has no loop: its own *solo*
+//! reactor (`Reactor::solo`) resolves each wait in the yield point's
+//! first poll — `YieldFut::poll` folds the park, flushes and
+//! dispatches, the loop's steps — which is why the synchronous facades
 //! (`Worker::run`, `TxnCtx::read`, …) finish in
 //! `drtm_base::task::block_now`'s single poll.
 //!
@@ -92,7 +101,7 @@
 //!   - **back-offs**, random pauses that end by themselves: the rung-1
 //!     retry back-off (§4.3), the read group's lock back-off, and the
 //!     DrTM baseline's abort back-off.
-//! * Bodies of a pool of two or more must be genuinely async: a
+//! * Bodies of a pool, of any size, must be genuinely async: a
 //!   synchronous facade reaching a verb wait there panics in
 //!   `drtm_base::task::block_now` rather than deadlocking.
 
@@ -355,17 +364,7 @@ impl ReactorState {
     /// not: it is waiting on some other holder, which it would starve.
     fn dispatch(&mut self) -> Option<usize> {
         debug_assert!(self.granted.is_none(), "dispatch with an unconsumed grant");
-        if self.unregistered > 0 {
-            return None;
-        }
-        let (best, _) = self
-            .waiting
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &(id, wake))| {
-                let holder = self.committing[id] && self.runnable(id, wake);
-                (!holder, wake, id)
-            })?;
+        let best = self.choose()?;
         let depth = self.waiting.len() as u64;
         let (id, wake) = self.waiting.swap_remove(best);
         let idle = wake.saturating_sub(self.cpu_now);
@@ -381,6 +380,33 @@ impl ReactorState {
             release: self.release[id],
         };
         Some(id)
+    }
+
+    /// The position in `waiting` of the routine [`Self::dispatch`]
+    /// would grant; `None` before the startup barrier or with nothing
+    /// parked.
+    fn choose(&self) -> Option<usize> {
+        if self.unregistered > 0 {
+            return None;
+        }
+        let parked = self.waiting.iter().enumerate();
+        let (best, _) = parked.min_by_key(|&(_, &(id, wake))| {
+            let holder = self.committing[id] && self.runnable(id, wake);
+            (!holder, wake, id)
+        })?;
+        Some(best)
+    }
+
+    /// The virtual instant of the reactor's next action: a due flush
+    /// rings at the CPU frontier, else the grant [`Self::dispatch`]
+    /// would make resumes its routine at `max(cpu_now, wake)`. `None`
+    /// when the reactor has nothing to do.
+    fn next_at(&self) -> Option<u64> {
+        if self.needs_flush() {
+            return Some(self.cpu_now);
+        }
+        let (_, wake) = self.waiting[self.choose()?];
+        Some(self.cpu_now.max(wake))
     }
 
     /// Whether to ring the shared doorbells over the deferred batches
@@ -433,6 +459,9 @@ impl ReactorState {
 pub(crate) struct Reactor {
     state: Mutex<ReactorState>,
     total: usize,
+    /// Whether this is a worker's own reactor outside any pool
+    /// ([`Self::solo`]): its waits resolve inside the yield point.
+    solo: bool,
     fabric: Arc<Fabric>,
     /// Per-destination CQs, one per peer node, shared by every routine
     /// of the reactor. Completions carry the routine id as cookie, so
@@ -449,12 +478,13 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// A reactor of `total` routines with empty location caches.
+    /// A pool's reactor of `total` routines with empty location caches.
     fn new(total: usize, fabric: Arc<Fabric>) -> Self {
         let nodes = fabric.nodes();
         Self {
             state: Mutex::new(ReactorState::new(total, &fabric.cost)),
             total,
+            solo: false,
             cqs: (0..nodes).map(|_| Cq::new()).collect(),
             locations: Mutex::new((0..nodes).map(|_| LocationCache::new()).collect()),
             fabric,
@@ -466,7 +496,10 @@ impl Reactor {
     /// every wait resolves inside the yield point (see the module
     /// docs).
     pub(crate) fn solo(fabric: Arc<Fabric>) -> RoutineCtl {
-        let reactor = Self::new(1, fabric);
+        let reactor = Self {
+            solo: true,
+            ..Self::new(1, fabric)
+        };
         reactor.state.lock().unregistered = 0;
         RoutineCtl {
             id: 0,
@@ -627,11 +660,23 @@ impl Reactor {
     }
 
     /// One scheduling decision: flush if the CPU frontier ran dry, then
-    /// grant the next runnable routine. The drive loop takes it between
-    /// polls; a reactor of one takes it inside the yield point.
+    /// grant the next runnable routine. A solo reactor takes it inside
+    /// the yield point.
     fn next(&self, s: &mut ReactorState) -> Option<usize> {
         if s.needs_flush() {
             self.flush(s);
+        }
+        s.dispatch()
+    }
+
+    /// One action of the drive loop, the one [`ReactorState::next_at`]
+    /// dates: the due flush, or else the grant. Returns the granted
+    /// routine for the loop to poll.
+    fn act(&self) -> Option<usize> {
+        let mut s = self.state.lock();
+        if s.needs_flush() {
+            self.flush(&mut s);
+            return None;
         }
         s.dispatch()
     }
@@ -668,9 +713,9 @@ impl Reactor {
 }
 
 /// The suspended yield point of a routine: first poll registers its
-/// [`Park`] and suspends; the re-poll (which only the reactor issues,
-/// after dispatching this routine) consumes the grant and resumes. In
-/// a reactor of one the first poll does both.
+/// [`Park`] and suspends; the re-poll (which only the drive loop
+/// issues, after dispatching this routine) consumes the grant and
+/// resumes. On a solo reactor the first poll does both.
 pub(crate) struct YieldFut {
     reactor: Arc<Reactor>,
     park: Option<Park>,
@@ -684,13 +729,13 @@ impl Future for YieldFut {
         let this = self.get_mut();
         let mut s = this.reactor.state.lock();
         if let Some(park) = this.park.take() {
-            if this.reactor.total > 1 {
+            if !this.reactor.solo {
                 debug_assert!(s.park.is_none(), "two parks registered in one step");
                 s.park = Some(park);
                 return Poll::Pending;
             }
-            // A reactor of one: nobody else can run inside this wait,
-            // so take the drive loop's steps here and resume at once.
+            // A solo reactor: no drive loop runs it, so take the
+            // loop's steps here and resume at once.
             s.fold(park);
             let granted = this.reactor.next(&mut s);
             assert_eq!(granted, Some(this.id), "lone routine not runnable");
@@ -1291,7 +1336,9 @@ impl<T> Future for NextJobFut<'_, T> {
 /// serializing their CPU segments under the deterministic reactor
 /// while their verb waits overlap. All workers should live on the same
 /// node (they model one worker thread's in-flight transactions). No
-/// threads are spawned: R = 256 and R = 1 use the same single thread.
+/// threads are spawned: R = 256 and R = 1 use the same single thread,
+/// and [`RoutinePool::run_many`] steps many pools — one per worker
+/// thread of the cluster — on that thread too.
 pub struct RoutinePool;
 
 /// A pooled routine pinned for reactor polling: resolves to the worker
@@ -1322,78 +1369,127 @@ async fn routine<T>(
     (w, out)
 }
 
-/// The drive loop of a pool: resume the next routine in dispatch
-/// order, advance it one step, fold its park. Deferred
-/// batches flush — one shared doorbell per destination — when
-/// `ReactorState::needs_flush` says it is time. `admit` runs before
-/// every scheduling decision and `stalled` when nothing is runnable
-/// although routines remain; both may make parked routines runnable.
-/// Returns each routine's output in routine-id order.
+/// The drive loop of one or more pools, on the calling thread. Each
+/// turn it takes the action that falls due earliest in virtual time
+/// over every pool ([`ReactorState::next_at`]; ties go to the lower
+/// pool index): a due shared-doorbell flush, or a grant whose routine
+/// it then advances one step, folding its park. Pools therefore meet
+/// one another — on a lock word, a NIC ledger — in virtual-time order,
+/// whatever the host does. `admit` runs before every action and says
+/// whether it made parked routines runnable; `stalled` runs when no
+/// pool has anything to do although routines remain. Returns each
+/// pool's routine outputs in routine-id order.
 fn drive<T>(
-    reactor: &Reactor,
-    mut futs: Vec<RoutineFut<'_, T>>,
-    mut admit: impl FnMut(),
+    reactors: &[Arc<Reactor>],
+    mut futs: Vec<Vec<RoutineFut<'_, T>>>,
+    mut admit: impl FnMut() -> bool,
     mut stalled: impl FnMut(),
-) -> Vec<(Worker, T)> {
-    let mut results: Vec<Option<(Worker, T)>> = futs.iter().map(|_| None).collect();
+) -> Vec<Vec<(Worker, T)>> {
+    let mut results: Vec<Vec<Option<(Worker, T)>>> = futs
+        .iter()
+        .map(|pool| pool.iter().map(|_| None).collect())
+        .collect();
     // The reactor resumes routines by re-polling, never through wakers.
     let mut cx = Context::from_waker(Waker::noop());
-    let mut step = |id: usize| match futs[id].as_mut().poll(&mut cx) {
+    let mut step = |p: usize, id: usize| match futs[p][id].as_mut().poll(&mut cx) {
         Poll::Ready(done) => {
-            reactor.finish(done.0.clock.now());
-            results[id] = Some(done);
+            reactors[p].finish(done.0.clock.now());
+            results[p][id] = Some(done);
         }
-        Poll::Pending => reactor.fold_park(id),
+        Poll::Pending => reactors[p].fold_park(id),
     };
-    // Startup: poll every routine once, in id order; each registers
-    // its initial park (the startup barrier — no dispatch happens
-    // until the whole pool is registered; a pool of one passes it
-    // inline and runs on, possibly to completion).
-    (0..reactor.total).for_each(&mut step);
+    // Startup: poll every routine once, in (pool, id) order; each
+    // registers its initial park (the startup barrier — no pool
+    // dispatches until all of its routines are registered).
+    for (p, reactor) in reactors.iter().enumerate() {
+        (0..reactor.total).for_each(|id| step(p, id));
+    }
+    // Only a pool's own actions and routines change its next action,
+    // so the loop re-dates the pool that acted, and every pool after
+    // `admit` or `stalled` moved something.
+    let due = |r: &Reactor| r.state.lock().next_at();
+    let date = || reactors.iter().map(|r| due(r)).collect::<Vec<_>>();
+    let mut next = date();
     loop {
-        admit();
-        // Decided under the lock, polled outside it: the routine's
-        // yield points take the lock themselves.
-        let next = reactor.next(&mut reactor.state.lock());
-        match next {
-            Some(id) => step(id),
-            None if reactor.live() == 0 => break,
-            None => stalled(),
+        if admit() {
+            next = date();
+        }
+        let dated = next.iter().enumerate();
+        match dated.filter_map(|(p, at)| Some((at.as_ref()?, p))).min() {
+            Some((_, p)) => {
+                // Decided under the lock, polled outside it: the
+                // routine's yield points take the lock themselves.
+                if let Some(id) = reactors[p].act() {
+                    step(p, id);
+                }
+                next[p] = due(&reactors[p]);
+            }
+            None if reactors.iter().all(|r| r.live() == 0) => break,
+            None => {
+                stalled();
+                next = date();
+            }
         }
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every routine produced a result"))
-        .collect()
+    let done = |pool: Vec<Option<_>>| {
+        let outs = pool.into_iter();
+        outs.map(|r| r.expect("every routine produced a result"))
+            .collect()
+    };
+    results.into_iter().map(done).collect()
 }
 
 impl RoutinePool {
     /// Runs `job(routine_id, worker)` on every worker concurrently as
     /// cooperative routines, returning each worker (clock advanced to
-    /// its routine's end) with its job's result, in routine-id order.
+    /// its routine's end) with its job's result, in routine-id order:
+    /// [`Self::run_many`] with one pool.
     ///
     /// A pool of one charges exactly what `job(0, &mut w)` charges on
     /// a worker outside any pool: the single routine's every yield
-    /// resumes immediately at its own wake time (regression-pinned).
+    /// resumes at its own wake time (regression-pinned).
     pub fn run<T, F>(workers: Vec<Worker>, job: F) -> Vec<(Worker, T)>
     where
         F: AsyncFn(usize, &mut Worker) -> T,
     {
-        let reactor = Reactor::for_pool(&workers);
+        let mut done = Self::run_many(vec![workers], async |_, id, w| job(id, w).await);
+        done.pop().expect("one pool")
+    }
+
+    /// Runs every pool of `pools` — one per simulated worker thread —
+    /// on one drive loop on the calling thread: `job(pool, routine_id,
+    /// worker)` on each worker, the pools stepped in virtual-time order
+    /// (a routine waiting on another pool's lock spins in virtual time
+    /// until that pool's holder, now earlier, runs and releases it).
+    /// Returns each pool's workers and results in routine-id order.
+    /// The run is a pure function of the workers and the job: no host
+    /// thread decides which pool meets which lock first.
+    ///
+    /// # Panics
+    ///
+    /// If routines stay live but none is runnable: a routine suspended
+    /// on something that is not an engine yield point.
+    pub fn run_many<T, F>(pools: Vec<Vec<Worker>>, job: F) -> Vec<Vec<(Worker, T)>>
+    where
+        F: AsyncFn(usize, usize, &mut Worker) -> T,
+    {
         let job = &job;
-        let futs = workers
-            .into_iter()
-            .enumerate()
-            .map(|(id, w)| {
-                let fut = routine(Arc::clone(&reactor), id, w, async move |w| job(id, w).await);
-                Box::pin(fut) as RoutineFut<'_, T>
+        let reactors: Vec<_> = pools.iter().map(|w| Reactor::for_pool(w)).collect();
+        let futs = (pools.into_iter().enumerate())
+            .map(|(p, workers)| {
+                let reactor = &reactors[p];
+                let routines = workers.into_iter().enumerate().map(|(id, w)| {
+                    let body = async move |w: &mut Worker| job(p, id, w).await;
+                    Box::pin(routine(Arc::clone(reactor), id, w, body)) as RoutineFut<'_, T>
+                });
+                routines.collect()
             })
             .collect();
         drive(
-            &reactor,
+            &reactors,
             futs,
-            || {},
-            || panic!("routine pool wedged with live routines"),
+            || false,
+            || panic!("routine pools wedged with live routines"),
         )
     }
 
@@ -1477,20 +1573,24 @@ impl RoutinePool {
             let id = reactor.rejoin_lowest_idle();
             slots.lock()[id] = Some(msg);
         };
-        let done = drive(
-            &reactor,
-            futs,
+        let reactors = [Arc::clone(&reactor)];
+        let mut done = drive(
+            &reactors,
+            vec![futs],
             // Hand arrivals to idle routines (lowest id first) before
             // each scheduling decision, as long as the rule gives them
             // to this pool.
             || {
+                let mut delivered = false;
                 while reactor.idle_count() > 0 {
                     let bid = reactor.bid(seat.up(), 0, true);
                     let Some(item) = group.try_pop(pool, member, bid) else {
                         break;
                     };
                     deliver(Some(item));
+                    delivered = true;
                 }
+                delivered
             },
             // Nothing runnable but routines remain: they must all be
             // idle on the empty queue (or on work the rule gives to
@@ -1535,6 +1635,7 @@ impl RoutinePool {
             },
         );
         group.leave(pool);
+        let done = done.pop().expect("one pool");
         done.into_iter().map(|(w, ())| w).collect()
     }
 }

@@ -517,8 +517,9 @@ impl Worker {
     /// Yields through a verb wait a *blocking* wrapper already spun the
     /// clock across: `cpu_release` is the instant the CPU went idle —
     /// typically right after the doorbell charge — and the worker clock
-    /// now sits at the completion horizon. On a reactor of one the
-    /// yield resumes at the current clock, changing nothing.
+    /// now sits at the completion horizon. On a reactor of one routine,
+    /// solo or pooled, the yield resumes at the current clock, changing
+    /// nothing.
     pub(crate) async fn yield_remote_wait(&mut self, cpu_release: u64) {
         debug_assert!(
             !drtm_htm::region_active(),
@@ -540,12 +541,15 @@ impl Worker {
     }
 
     /// The one wait on another worker (back-offs, and each poll of
-    /// [`Self::wait_release`]): spends `ns` of virtual time, yields the host
-    /// thread — so a descheduled lock holder on another OS thread gets
-    /// to run on an oversubscribed host — and spin-parks the routine so
-    /// another routine of the same pool, possibly the holder, gets to
-    /// run; without the park a spinner could starve the pool forever.
-    /// The clock jumps over any CPU time other routines consume
+    /// [`Self::wait_release`]): spends `ns` of virtual time and
+    /// spin-parks the routine, so another routine of the same pool,
+    /// possibly the holder, gets to run — without the park a spinner
+    /// could starve the pool forever — and, on the driver's one loop,
+    /// so the spinner's clock moves on until a holder in another slot,
+    /// now earlier in virtual time, runs and releases. It also yields
+    /// the host thread: serve pools still run one OS thread each, and
+    /// there a descheduled holder on another one needs a core. The
+    /// clock jumps over any CPU time other routines of the pool consume
     /// meanwhile (none on a reactor of one).
     pub async fn pause(&mut self, ns: u64) {
         debug_assert!(
@@ -1017,7 +1021,10 @@ impl<'w> TxnCtx<'w> {
         cluster: &DrtmCluster,
         members: &[GroupMember],
     ) -> Result<Vec<LocalRead>, usize> {
-        /// Attempts while a member's lock stays held.
+        /// Attempts while a member's lock stays held. On the driver's
+        /// one loop each pause moves the reader's clock toward the
+        /// holder's release; only a serve pool's holder, descheduled on
+        /// another OS thread, can keep a reader retrying for long.
         const LOCAL_READ_RETRIES: usize = 10_000;
         let store = &cluster.stores[self.w.node];
         let cost = &cluster.opts.cost;
@@ -1050,8 +1057,10 @@ impl<'w> TxnCtx<'w> {
                     return Err(i);
                 }
                 RegionRead::Locked(i) => {
-                    // The real yield lets the (possibly descheduled) lock
-                    // holder run on an oversubscribed host.
+                    // The pause lets the holder run: a sibling routine,
+                    // a slot on the one loop once the waiter's clock
+                    // passes the holder's, or — in a serve pool — a
+                    // descheduled OS thread.
                     busy = i;
                     let ns = self.w.rng.below(2_000);
                     self.w.pause(ns).await;

@@ -2,15 +2,17 @@
 //! every engine.
 //!
 //! Runs `nodes × threads` worker slots, each a [`RoutinePool`] of
-//! [`Worker`]s on its machine and on its own OS thread, whatever the
-//! engine: DrTM+R's routines or a baseline's one. Each slot runs a
-//! fixed number of transactions, and throughput is aggregated in
-//! *virtual* time: each slot is an independent pipeline advancing its
-//! own clock, so the cluster rate is `Σ_s committed_s / vtime_s` —
-//! independent of how the host schedules the threads. Shared
-//! bottlenecks like the per-node NIC couple slots through ledgers of
-//! virtual-time windows, which is how the replication experiments
-//! saturate exactly like the paper's.
+//! [`Worker`]s on its machine, whatever the engine: DrTM+R's routines
+//! or a baseline's one. Every slot runs on one drive loop on the
+//! calling thread, which always steps the slot whose next action comes
+//! earliest in virtual time, so slots meet each other's locks in
+//! virtual-time order and a run is a pure function of its [`RunCfg`]
+//! and seed. Each slot runs a fixed number of transactions, and
+//! throughput is aggregated in *virtual* time: each slot is a pipeline
+//! advancing its own clock, so the cluster rate is
+//! `Σ_s committed_s / vtime_s`. Shared bottlenecks like the per-node
+//! NIC couple slots through ledgers of virtual-time windows, which is
+//! how the replication experiments saturate exactly like the paper's.
 //!
 //! On a replicated cluster every routine also takes its machine's log
 //! truncation step ([`DrtmCluster::truncate_step`]) between two
@@ -136,7 +138,7 @@ impl Measurement {
 // The driver polls these futures on the thread that made them, so they
 // need no `Send` bound.
 #[allow(async_fn_in_trait)]
-pub trait Workload: Sync {
+pub trait Workload {
     /// Salt of a worker slot's seed.
     const SLOT_SALT: u64;
     /// Salt of a routine's generator RNG.
@@ -280,29 +282,6 @@ fn tally(outs: impl IntoIterator<Item = (Worker, (LoopOut, bool))>) -> WorkerRes
     res
 }
 
-/// The closed-loop harness every workload shares: `slot(node, tid)` on
-/// its own OS thread for each of `nodes × threads` worker slots,
-/// results aggregated in virtual time. The only code that spawns slot
-/// threads.
-fn run_slots(
-    nodes: usize,
-    threads: usize,
-    slot: impl Fn(usize, usize) -> WorkerResult + Sync,
-) -> Measurement {
-    let slot = &slot;
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nodes)
-            .flat_map(|node| (0..threads).map(move |tid| (node, tid)))
-            .map(|(node, tid)| s.spawn(move || slot(node, tid)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker slot panicked"))
-            .collect()
-    });
-    aggregate(results)
-}
-
 /// Builds and loads a cluster for `wl` under `run`; `tweak` sets the
 /// engine options a [`RunCfg`] does not carry (the ablations, the NIC
 /// cost). The Calvin sequencer comes with it on a Calvin run.
@@ -327,37 +306,42 @@ pub fn build<W: Workload>(
 /// Runs `wl` on an already built and loaded cluster. Every worker slot
 /// is one [`RoutinePool`] whose routines split the slot's budget:
 /// `run.routines` of them on DrTM+R, one on a baseline engine, which
-/// has no routine scheduler of its own.
+/// has no routine scheduler of its own. All `nodes × threads` pools
+/// run on one drive loop on the calling thread, stepped in virtual-time
+/// order ([`RoutinePool::run_many`]), so the measurement is a function
+/// of `run` and the cluster alone.
 pub fn run_on<W: Workload>(
     wl: &W,
     run: &RunCfg,
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
-    run_slots(wl.nodes(), run.threads, |node, tid| {
-        let seed = run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ W::SLOT_SALT;
-        let slot = Slot {
+    let r = if run.engine == EngineKind::DrtmR {
+        run.routines.max(1)
+    } else {
+        1
+    };
+    let slots: Vec<Slot<'_, W>> = (0..wl.nodes())
+        .flat_map(|node| (0..run.threads).map(move |tid| (node, tid)))
+        .map(|(node, tid)| Slot {
             wl,
             run,
             cluster,
             calvin: calvin.map(Arc::as_ref),
             node,
             tid,
-            seed,
-        };
-        let r = if run.engine == EngineKind::DrtmR {
-            run.routines.max(1)
-        } else {
-            1
-        };
-        let workers: Vec<Worker> = (0..r)
-            .map(|id| cluster.worker(node, seed ^ ((id as u64) << 8)))
-            .collect();
-        let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
-        tally(RoutinePool::run(workers, async |id, w| {
-            slot.routine(id, chunk + usize::from(id < rem), w).await
-        }))
-    })
+            seed: run.seed ^ ((node as u64) << 40) ^ ((tid as u64) << 20) ^ W::SLOT_SALT,
+        })
+        .collect();
+    let pools = slots.iter().map(|slot| {
+        let worker = |id: usize| cluster.worker(slot.node, slot.seed ^ ((id as u64) << 8));
+        (0..r).map(worker).collect()
+    });
+    let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
+    let done = RoutinePool::run_many(pools.collect(), async |p, id, w| {
+        slots[p].routine(id, chunk + usize::from(id < rem), w).await
+    });
+    aggregate(done.into_iter().map(tally).collect())
 }
 
 /// Builds a cluster for `wl` (see [`build`]) and runs it; returns the

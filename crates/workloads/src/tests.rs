@@ -140,7 +140,7 @@ fn smallbank_money_is_conserved_under_conserving_mix() {
     // Only send-payment conserves; force it by generating SP inputs
     // directly through the worker API.
     use crate::smallbank::{self, SbInput, SbTxn};
-    use std::sync::Arc;
+    use drtm_core::RoutinePool;
     let cfg = SbCfg {
         nodes: 2,
         accounts: 200,
@@ -152,38 +152,28 @@ fn smallbank_money_is_conserved_under_conserving_mix() {
     let initial = audit::smallbank_total(&cluster, &cfg);
     assert_eq!(initial, smallbank::initial_total(&cfg));
 
-    let mut handles = Vec::new();
-    for node in 0..2 {
-        let cluster = Arc::clone(&cluster);
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut w = cluster.worker(node, node as u64 + 77);
-            let mut rng = drtm_base::SplitMix64::new(node as u64);
-            for _ in 0..100 {
-                let a = (node, cfg.pick_account(&mut rng, node));
-                let second = cfg.pick_second_shard(&mut rng, node);
-                let b = (second, cfg.pick_account(&mut rng, second));
-                if b == a {
-                    continue;
-                }
-                if b.0 == a.0 && b.1 == a.1 {
-                    continue;
-                }
-                let inp = SbInput {
-                    txn: SbTxn::SendPayment,
-                    a,
-                    b,
-                    amount: rng.range(1, 50),
-                };
-                let _ = drtm_base::task::block_now(
-                    w.run_async(async |t| smallbank::execute(t, &inp).await),
-                );
+    // One worker per machine, each a pool of one on the one loop.
+    let pools = (0..2).map(|node| vec![cluster.worker(node, node as u64 + 77)]);
+    RoutinePool::run_many(pools.collect(), async |node, _, w| {
+        let mut rng = drtm_base::SplitMix64::new(node as u64);
+        for _ in 0..100 {
+            let a = (node, cfg.pick_account(&mut rng, node));
+            let second = cfg.pick_second_shard(&mut rng, node);
+            let b = (second, cfg.pick_account(&mut rng, second));
+            if b == a {
+                continue;
             }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+            let inp = SbInput {
+                txn: SbTxn::SendPayment,
+                a,
+                b,
+                amount: rng.range(1, 50),
+            };
+            let _ = w
+                .run_async(async |t| smallbank::execute(t, &inp).await)
+                .await;
+        }
+    });
     assert_eq!(
         audit::smallbank_total(&cluster, &cfg),
         initial,
@@ -249,39 +239,30 @@ fn smallbank_send_payments_conserve_with_routines() {
             delay_ns: 30_000,
             seen: std::sync::atomic::AtomicU64::new(0),
         }));
-        let mut handles = Vec::new();
-        for node in 0..2usize {
-            let cluster = Arc::clone(&cluster);
-            let cfg = cfg.clone();
-            handles.push(std::thread::spawn(move || {
-                let workers = (0..routines)
-                    .map(|id| cluster.worker(node, (node * 8 + id) as u64 + 77))
-                    .collect::<Vec<_>>();
-                RoutinePool::run(workers, async |id, w| {
-                    let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64);
-                    for _ in 0..25 {
-                        let a = (node, cfg.pick_account(&mut rng, node));
-                        let second = cfg.pick_second_shard(&mut rng, node);
-                        let b = (second, cfg.pick_account(&mut rng, second));
-                        if b == a {
-                            continue;
-                        }
-                        let inp = SbInput {
-                            txn: SbTxn::SendPayment,
-                            a,
-                            b,
-                            amount: rng.range(1, 50),
-                        };
-                        let _ = w
-                            .run_async(async |t| smallbank::execute(t, &inp).await)
-                            .await;
-                    }
-                });
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let pools = (0..2usize).map(|node| {
+            let worker = |id| cluster.worker(node, (node * 8 + id) as u64 + 77);
+            (0..routines).map(worker).collect()
+        });
+        RoutinePool::run_many(pools.collect(), async |node, id, w| {
+            let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64);
+            for _ in 0..25 {
+                let a = (node, cfg.pick_account(&mut rng, node));
+                let second = cfg.pick_second_shard(&mut rng, node);
+                let b = (second, cfg.pick_account(&mut rng, second));
+                if b == a {
+                    continue;
+                }
+                let inp = SbInput {
+                    txn: SbTxn::SendPayment,
+                    a,
+                    b,
+                    amount: rng.range(1, 50),
+                };
+                let _ = w
+                    .run_async(async |t| smallbank::execute(t, &inp).await)
+                    .await;
+            }
+        });
         assert_eq!(
             audit::smallbank_total(&cluster, &cfg),
             initial,
@@ -290,21 +271,20 @@ fn smallbank_send_payments_conserve_with_routines() {
     }
 }
 
-/// Stress, then audit: three machines, one real thread each, eight
-/// routines a thread, the `escalate` ladder on, and a zero-sum SmallBank
+/// Stress, then audit: three machines, one worker slot each, eight
+/// routines a slot, the `escalate` ladder on, and a zero-sum SmallBank
 /// mix (send-payment, amalgamate, balance) whose accounts land on any
 /// machine — half of the two-account transactions cross machines, and
 /// where both accounts are remote and on different machines the commit
-/// locks, writes and unlocks two machines in one park each. All threads
-/// start from one barrier. Afterwards the books balance twice: money is
-/// conserved, and every attempt — each time a body began — ended as
-/// exactly one of commit, abort or user abort.
+/// locks, writes and unlocks two machines in one park each. All slots
+/// start from the drive loop's startup barrier. Afterwards the books
+/// balance twice: money is conserved, and every attempt — each time a
+/// body began — ended as exactly one of commit, abort or user abort.
 #[test]
 fn smallbank_zero_sum_stress_balances_money_and_attempts() {
     use crate::smallbank::{self, SbInput, SbTxn};
     use drtm_core::{ContentionPolicy, RoutinePool};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier};
+    use std::cell::Cell;
     let cfg = SbCfg {
         nodes: 3,
         accounts: 40,
@@ -318,66 +298,49 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
     };
     let (cluster, _) = crate::driver::build_smallbank(&cfg, &run);
     let initial = audit::smallbank_total(&cluster, &cfg);
-    let start = Arc::new(Barrier::new(cfg.nodes));
-    let attempts = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..cfg.nodes)
-        .map(|node| {
-            let (cluster, cfg) = (Arc::clone(&cluster), cfg.clone());
-            let (start, attempts) = (Arc::clone(&start), Arc::clone(&attempts));
-            std::thread::spawn(move || {
-                let workers: Vec<_> = (0..run.routines)
-                    .map(|id| cluster.worker(node, (node * 8 + id) as u64 + 31))
-                    .collect();
-                start.wait();
-                let done = RoutinePool::run(workers, async |id, w| {
-                    let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64 + 5);
-                    let mut failed = 0u64;
-                    for _ in 0..40 {
-                        let first = rng.below(cfg.nodes as u64) as usize;
-                        let a = (first, cfg.pick_account(&mut rng, first));
-                        let second = cfg.pick_second_shard(&mut rng, first);
-                        let b = (second, cfg.pick_account(&mut rng, second));
-                        if b == a {
-                            continue;
-                        }
-                        let txn = [SbTxn::SendPayment, SbTxn::Amalgamate, SbTxn::Balance]
-                            [rng.below(3) as usize];
-                        let inp = SbInput {
-                            txn,
-                            a,
-                            b,
-                            amount: rng.range(1, 50),
-                        };
-                        let body = async |t: &mut drtm_core::TxnCtx<'_>| {
-                            attempts.fetch_add(1, Ordering::Relaxed);
-                            smallbank::execute(t, &inp).await
-                        };
-                        let out = match txn.read_only() {
-                            true => w.run_ro_async(body).await,
-                            false => w.run_async(body).await,
-                        };
-                        failed +=
-                            u64::from(!matches!(out, Ok(()) | Err(drtm_core::TxnError::UserAbort)));
-                    }
-                    failed
-                });
-                let ended = |w: &drtm_core::Worker| {
-                    w.stats.committed + w.stats.aborted + w.stats.user_aborts
-                };
-                let sums = done.iter().map(|(w, failed)| (ended(w), *failed));
-                sums.fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1))
-            })
-        })
-        .collect();
-    let (mut ended, mut failed) = (0, 0);
-    for h in handles {
-        let (e, f) = h.join().unwrap();
-        ended += e;
-        failed += f;
-    }
+    let attempts = Cell::new(0u64);
+    let pools = (0..cfg.nodes).map(|node| {
+        let worker = |id| cluster.worker(node, (node * 8 + id) as u64 + 31);
+        (0..run.routines).map(worker).collect()
+    });
+    let done = RoutinePool::run_many(pools.collect(), async |node, id, w| {
+        let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64 + 5);
+        let mut failed = 0u64;
+        for _ in 0..40 {
+            let first = rng.below(cfg.nodes as u64) as usize;
+            let a = (first, cfg.pick_account(&mut rng, first));
+            let second = cfg.pick_second_shard(&mut rng, first);
+            let b = (second, cfg.pick_account(&mut rng, second));
+            if b == a {
+                continue;
+            }
+            let txn =
+                [SbTxn::SendPayment, SbTxn::Amalgamate, SbTxn::Balance][rng.below(3) as usize];
+            let inp = SbInput {
+                txn,
+                a,
+                b,
+                amount: rng.range(1, 50),
+            };
+            let body = async |t: &mut drtm_core::TxnCtx<'_>| {
+                attempts.set(attempts.get() + 1);
+                smallbank::execute(t, &inp).await
+            };
+            let out = match txn.read_only() {
+                true => w.run_ro_async(body).await,
+                false => w.run_async(body).await,
+            };
+            failed += u64::from(!matches!(out, Ok(()) | Err(drtm_core::TxnError::UserAbort)));
+        }
+        failed
+    });
+    let ended = |w: &drtm_core::Worker| w.stats.committed + w.stats.aborted + w.stats.user_aborts;
+    let (ended, failed) = (done.iter().flatten())
+        .map(|(w, failed)| (ended(w), *failed))
+        .fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1));
     assert_eq!(failed, 0, "every request commits or rolls itself back");
     assert_eq!(
-        attempts.load(Ordering::Relaxed),
+        attempts.get(),
         ended,
         "attempts = commits + aborts + user aborts"
     );
@@ -386,6 +349,169 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
         initial,
         "money leaked"
     );
+}
+
+/// Send-payments between hot SmallBank accounts as a driver
+/// [`Workload`](crate::driver::Workload) that watches its own bodies:
+/// each attempt is counted with the thread it ran on, and each user
+/// abort (insufficient funds) is counted too.
+struct WatchedPayments<'a> {
+    sb: &'a SbCfg,
+    attempts: std::cell::Cell<u64>,
+    user_aborts: std::cell::Cell<u64>,
+    threads: std::cell::RefCell<std::collections::HashSet<std::thread::ThreadId>>,
+}
+
+impl crate::driver::Workload for WatchedPayments<'_> {
+    const SLOT_SALT: u64 = 0x5107;
+    const GEN_SALT: u64 = 0x9A7;
+    type Gen = (drtm_base::SplitMix64, usize);
+    type Input = crate::smallbank::SbInput;
+
+    fn nodes(&self) -> usize {
+        self.sb.nodes
+    }
+    fn schema(&self) -> Vec<drtm_store::TableSpec> {
+        self.sb.schema()
+    }
+    fn region_size(&self, _run: &RunCfg) -> usize {
+        self.sb.region_size()
+    }
+    fn load(&self, cluster: &drtm_core::DrtmCluster) {
+        crate::smallbank::load(cluster, self.sb)
+    }
+    fn generator(
+        &self,
+        node: usize,
+        _tid: usize,
+        _id: usize,
+        rng: drtm_base::SplitMix64,
+    ) -> Self::Gen {
+        (rng, node)
+    }
+    fn next(&self, (rng, node): &mut Self::Gen, _i: u64) -> (&'static str, bool, Self::Input) {
+        let inp = crate::smallbank::SbInput {
+            txn: crate::smallbank::SbTxn::SendPayment,
+            ..crate::smallbank::gen(self.sb, rng, *node)
+        };
+        ("send-payment", false, inp)
+    }
+    async fn execute(
+        &self,
+        t: &mut dyn crate::engine::TxnApi,
+        inp: &Self::Input,
+    ) -> Result<(), drtm_core::TxnError> {
+        self.attempts.set(self.attempts.get() + 1);
+        self.threads
+            .borrow_mut()
+            .insert(std::thread::current().id());
+        let out = crate::smallbank::execute(t, inp).await;
+        if out == Err(drtm_core::TxnError::UserAbort) {
+            self.user_aborts.set(self.user_aborts.get() + 1);
+        }
+        out
+    }
+}
+
+/// Cross-slot lock waits resolve on one thread: hot-account SmallBank
+/// send-payments on 2 machines x 2 worker slots of one routine each,
+/// under `escalate`, so every lock wait (a rung-2 park) waits on a lock
+/// another slot holds. Every body runs on the caller's thread — no slot
+/// thread exists to hand the holder a core — yet the waits end: some
+/// routine parks, every attempt ends as exactly one commit, abort or
+/// user abort, and money is conserved.
+#[test]
+fn cross_slot_lock_waits_resolve_on_the_callers_thread() {
+    use drtm_core::ContentionPolicy;
+    let sb = SbCfg {
+        nodes: 2,
+        accounts: 16,
+        hot_fraction: 0.25,
+        hot_prob: 0.95,
+        cross_prob: 0.5,
+    };
+    let wl = WatchedPayments {
+        sb: &sb,
+        attempts: Default::default(),
+        user_aborts: Default::default(),
+        threads: Default::default(),
+    };
+    let run = RunCfg {
+        contention: ContentionPolicy::Escalate,
+        ..quick_run(EngineKind::DrtmR, 2, 300)
+    };
+    let (cluster, m) = crate::driver::run(&wl, &run, |_| {});
+    let snap = drtm_core::obs_bridge::scrape_cluster(&cluster);
+    assert_eq!(*wl.threads.borrow(), [std::thread::current().id()].into());
+    assert!(
+        snap.contention.parks > 0,
+        "no slot waited on another's lock"
+    );
+    assert_eq!(
+        wl.attempts.get(),
+        m.committed + m.aborted + wl.user_aborts.get(),
+        "attempts = commits + aborts + user aborts"
+    );
+    assert_eq!(
+        audit::smallbank_total(&cluster, &sb),
+        crate::smallbank::initial_total(&sb),
+        "money leaked"
+    );
+}
+
+/// A closed-loop run is a pure function of its `RunCfg` and seed: two
+/// runs of one configuration on fresh clusters of 2 machines x 2 worker
+/// slots — slots that meet on each other's locks and NIC ledgers —
+/// return the same measurement to the bit, on DrTM+R at 1 and 8
+/// routines, on DrTM and on Calvin, for SmallBank and YCSB.
+#[test]
+fn same_seed_runs_repeat_to_the_bit() {
+    use crate::driver::{run_ycsb, Measurement};
+    use crate::ycsb::YcsbCfg;
+    let digest = |m: &Measurement| {
+        let mut types: Vec<_> = m.per_type.iter().collect();
+        types.sort_by_key(|(name, _)| **name);
+        let rows = types.iter().map(|(name, t)| {
+            let bits = [t.tps, t.mean_us, t.p50_us, t.p99_us].map(f64::to_bits);
+            format!("{name} {} {} {bits:x?}", t.count, t.aborted)
+        });
+        let (c, a, f, bits) = (m.committed, m.aborted, m.fallbacks, m.throughput.to_bits());
+        format!(
+            "{c} {a} {f} {bits:#x} {} | {}",
+            m.stopped,
+            rows.collect::<Vec<_>>().join(", ")
+        )
+    };
+    let sb = SbCfg {
+        nodes: 2,
+        accounts: 64,
+        cross_prob: 0.4,
+        ..Default::default()
+    };
+    let ycsb = YcsbCfg {
+        nodes: 2,
+        records: 256,
+        cross_prob: 0.5,
+        ..Default::default()
+    };
+    let engines = [
+        (EngineKind::DrtmR, 1),
+        (EngineKind::DrtmR, 8),
+        (EngineKind::Drtm, 1),
+        (EngineKind::Calvin, 1),
+    ];
+    for (engine, routines) in engines {
+        let run = RunCfg {
+            routines,
+            ..quick_run(engine, 2, 200)
+        };
+        let arm = format!("{engine:?} r{routines}");
+        let twice = |f: &dyn Fn() -> Measurement| [f(), f()].map(|m| digest(&m));
+        let [a, b] = twice(&|| run_smallbank(&sb, &run));
+        assert_eq!(a, b, "{arm} smallbank");
+        let [a, b] = twice(&|| run_ycsb(&ycsb, &run));
+        assert_eq!(a, b, "{arm} ycsb");
+    }
 }
 
 /// Pin: one routine charges what the blocking engine charged, at the

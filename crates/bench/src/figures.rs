@@ -301,17 +301,20 @@ pub fn ablations(size: Size) -> Arms {
 // ---- Figure 20: a machine failure under load ---------------------------
 
 /// Zero-sum SmallBank payments (half of them cross-machine) on 3-way
-/// replicated machines, `size.n` transactions per worker paced 400 µs
-/// apart, under the `drtm-chaos` supervisor with `lease_us` leases. The
-/// last machine dies at C.5 — committed, every lock still dangling —
-/// about 40 % into the run; the supervisor suspects it when its lease
-/// drains and recovers it; then money and locks are audited as a
-/// restart would.
+/// replicated machines, `size.n` transactions per worker, under the
+/// `drtm-chaos` supervisor with `lease_us` leases, all on the driver's
+/// virtual clock. The last machine dies at C.5 — committed, every lock
+/// still dangling — about 40 % into the run; the supervisor suspects it
+/// when its lease drains and recovers it; then money and locks are
+/// audited as a restart would.
 ///
 /// Pushes the Figure 20 decomposition and the audit onto `arm` and
 /// returns the timeline's three windows — before the crash, from the
-/// crash until recovery finished, from then until the last survivor
-/// ran out of work — as (commits per host ms, length in ms).
+/// crash until recovery finished (recovery takes no virtual time: until
+/// the suspicion), from then until the last survivor ran out of work —
+/// as (commits per virtual ms, length in virtual ms). Detection is
+/// virtual time; configuration commit and rebuild are the recovery
+/// pass's host time, which has no cost model.
 fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
     let scale = size.scale();
     let cfg = ChaosRunCfg {
@@ -319,14 +322,7 @@ fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
         threads: scale.pick(4, 2),
         cross_prob: 0.5,
         txns_per_worker: size.n,
-        // Heartbeat well under the lease, poll fast enough not to
-        // dominate detection.
-        supervisor: SupervisorCfg {
-            lease_us,
-            heartbeat: Duration::from_micros((lease_us / 5).max(500)),
-            poll: Duration::from_micros(200),
-        },
-        pace: Duration::from_micros(400),
+        supervisor: SupervisorCfg { lease_us },
         ..ChaosRunCfg::default()
     };
     let victim = cfg.nodes - 1;
@@ -336,6 +332,7 @@ fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
     let out = run_smallbank_chaos(&cfg, plan);
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let vms = |ns: u64| ns as f64 / 1e6;
     let event = out.events.first().filter(|e| e.dead == victim);
     let phase = |pick: fn(&RecoveryEvent) -> Duration| event.map_or(f64::NAN, |e| ms(pick(e)));
     let detect = phase(|e| e.detect.unwrap_or_default());
@@ -357,11 +354,11 @@ fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
         arm.push(name, unit, value);
     }
 
-    let recovered = event.map(|e| e.suspected_at + e.report.config_commit + e.report.rebuild);
+    let recovered = event.map(|e| e.suspected_at);
     let edges = [Some(out.started), out.crashed, recovered, out.finished];
     [0, 1, 2].map(|i| match (edges[i], edges[i + 1]) {
         (Some(from), Some(to)) if to > from => {
-            let len = ms(to - from);
+            let len = vms(to - from);
             (out.window_commits[i] as f64 / len, len)
         }
         _ => (f64::NAN, f64::NAN),
@@ -369,14 +366,20 @@ fn failover(size: Size, lease_us: u64, arm: &mut Arm) -> [(f64, f64); 3] {
 }
 
 /// Figure 20: the timeline's three windows as arms, the decomposition
-/// on the outage. `full` runs the paper's 10 ms lease; the quick shape
-/// the 50 ms the chaos tests and `drtm-shell chaos` use, because a
-/// heartbeat thread descheduled for most of a lease gets a healthy
-/// machine suspected, and a 2-core host does that to 10 ms leases in
-/// about 1 run of 30, to 50 ms ones in 1 of 300 (EXPERIMENTS.md).
+/// on the outage, at the paper's 10 ms lease.
+///
+/// The default size keeps every window non-empty. A quick-shape slot
+/// commits about r = 150 payments per virtual ms before the crash (905
+/// a ms over six slots), the crash comes after 0.4 n of them, and the
+/// suspicion at most a lease (10 ms) later. The survivors still have
+/// work after it if their 0.6 n remaining payments outlast the lease
+/// even at the full rate: 0.6 n > r x 10 ms, n > 2 500. At n = 4 000
+/// they have 16 ms of work left, and more, since they all but stall
+/// on the dead machine's dangling locks until the recovery sweeps
+/// them.
 pub fn recovery(size: Size) -> Arms {
     let mut outage = Arm::new("outage");
-    let windows = failover(size, size.scale().pick(10_000, 50_000), &mut outage);
+    let windows = failover(size, 10_000, &mut outage);
     let mut arms = vec![Arm::new("before"), outage, Arm::new("after")];
     for (arm, (rate, len)) in arms.iter_mut().zip(windows) {
         arm.push("commits_per_ms", "txn/ms", rate);
@@ -385,16 +388,14 @@ pub fn recovery(size: Size) -> Arms {
     Ok(arms)
 }
 
-/// The Figure 20 decomposition swept over the lease length (ms):
-/// suspicion cannot fire before the dead machine's last grant drains
-/// and fires at most a heartbeat and a poll after; configuration commit
-/// and rebuild do not depend on the lease. The quick grid starts where
-/// [`recovery`]'s quick lease does.
+/// The Figure 20 decomposition swept over the paper's lease lengths
+/// (ms): suspicion comes a lease after the dead machine's last grant, a
+/// heartbeat at most before the crash; configuration commit and rebuild
+/// do not depend on the lease. No window is read, so the size only has
+/// to fire the crash: survivors that run out of work first leave the
+/// supervisor to step virtual time on until the lease has drained.
 pub fn lease(size: Size) -> Arms {
-    let leases = size
-        .scale()
-        .pick::<&[u64]>(&[5, 10, 20, 50, 100], &[50, 100, 200]);
-    axis(leases, |lease_ms, arm| {
+    axis(&[5, 10, 20, 50, 100], |lease_ms: u64, arm| {
         failover(size, lease_ms * 1_000, arm);
     })
 }

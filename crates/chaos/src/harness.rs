@@ -12,14 +12,14 @@
 //! The load runs on the measurement driver ([`driver::run_on`]), as a
 //! private [`Workload`]: the driver's slots are the chaos workers, and
 //! they take their machine's log truncation step between transactions
-//! as every replicated run does. Recovery is triggered exclusively by
-//! the supervisor observing lease expiry; the harness itself never
-//! calls `recover_node`.
+//! as every replicated run does. The driver's loop also steps the
+//! supervisor (the workload's tick), so leases, crashes and recoveries
+//! all happen in virtual-time order and a run replays from its seed.
+//! Recovery is triggered exclusively by the supervisor observing lease
+//! expiry; the harness itself never calls `recover_node`.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use drtm_base::SplitMix64;
 use drtm_core::cluster::DrtmCluster;
@@ -54,9 +54,6 @@ pub struct ChaosRunCfg {
     pub replicas: usize,
     /// Supervisor timing.
     pub supervisor: SupervisorCfg,
-    /// How long to wait for the supervisor to recover every fired
-    /// crash before giving up.
-    pub await_recoveries: Duration,
     /// In-flight transaction routines per worker thread (DESIGN.md
     /// §11): each worker multiplexes `R` routines through a
     /// `RoutinePool`. With `R > 1` injected delays wake routines out of
@@ -71,17 +68,6 @@ pub struct ChaosRunCfg {
     /// lock sweep or the wait's poll cap instead of deadlocking the
     /// pool.
     pub contention: ContentionPolicy,
-    /// Wall-clock time each worker slot spends per transaction (zero:
-    /// unpaced): a slot starts its next transaction `pace` after it
-    /// started the last one, sleeping the host until then, and its
-    /// routines share that pace. The lease machinery runs on host time,
-    /// so a timeline measured in host time (Figure 20) needs paced
-    /// workers: unpaced ones starve the heartbeat thread (a healthy
-    /// machine gets suspected) and *speed up* when peers die, inverting
-    /// the timeline. Every slot runs on the driver's one loop, but each
-    /// keeps its own schedule, so the paced commit rate follows the
-    /// number of live slots: it falls when a machine dies.
-    pub pace: Duration,
 }
 
 impl Default for ChaosRunCfg {
@@ -94,10 +80,8 @@ impl Default for ChaosRunCfg {
             txns_per_worker: 200,
             replicas: 3,
             supervisor: SupervisorCfg::default(),
-            await_recoveries: Duration::from_secs(10),
             routines: 1,
             contention: ContentionPolicy::Off,
-            pace: Duration::ZERO,
         }
     }
 }
@@ -135,16 +119,17 @@ pub struct ChaosOutcome {
     pub rolled_forward: usize,
     /// Odd records the restart scrub rolled back.
     pub rolled_back: usize,
-    /// When the workers started.
-    pub started: Instant,
-    /// When the first crash fired, if one did.
-    pub crashed: Option<Instant>,
-    /// When the driver's slots had all finished, the survivors out of
-    /// work (`None` if every slot stopped early).
-    pub finished: Option<Instant>,
+    /// Virtual time (ns) the workers started at.
+    pub started: u64,
+    /// Virtual time (ns) the first crash fired at, if one did.
+    pub crashed: Option<u64>,
+    /// Virtual time (ns) of the driver loop's last action, the
+    /// survivors out of work (`None` if every slot stopped early).
+    pub finished: Option<u64>,
     /// `committed` split by the timeline: commits before the first
-    /// crash, from then until the first recovery finished, and after.
-    /// A commit counts in the window current when its transaction was
+    /// crash, from then until the first recovery finished (recovery
+    /// takes no virtual time: until the first suspicion), and after. A
+    /// commit counts in the window current when its transaction was
     /// drawn, so one racing either edge lands in the earlier window.
     pub window_commits: [u64; 3],
 }
@@ -163,22 +148,20 @@ impl ChaosOutcome {
 const WINDOWS: [&str; 3] = ["before-crash", "outage", "recovered"];
 
 /// The chaos load as a driver [`Workload`]: SmallBank's schema and
-/// data, send-payment only (zero-sum), each draw paced and named after
-/// the timeline window current when it is drawn.
+/// data, send-payment only (zero-sum), each draw named after the
+/// timeline window current when it is drawn, and the supervisor stepped
+/// on the driver's tick.
 struct Payments<'a> {
     sb: &'a SbCfg,
-    pace: Duration,
     injector: &'a ChaosInjector,
-    sup: &'a Supervisor,
-    /// When each `(node, tid)` slot may start its next transaction.
-    due: RefCell<HashMap<(usize, usize), Instant>>,
+    sup: RefCell<Supervisor>,
 }
 
 impl Workload for Payments<'_> {
     const SLOT_SALT: u64 = 0xC4A0;
     const GEN_SALT: u64 = 0x5E7D;
-    /// The RNG and the worker's slot, `(node, tid)`.
-    type Gen = (SplitMix64, (usize, usize));
+    /// The RNG and the worker's machine.
+    type Gen = (SplitMix64, usize);
     type Input = SbInput;
 
     fn nodes(&self) -> usize {
@@ -193,25 +176,23 @@ impl Workload for Payments<'_> {
     fn load(&self, cluster: &DrtmCluster) {
         smallbank::load(cluster, self.sb)
     }
-    fn generator(&self, node: usize, tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
-        (rng, (node, tid))
+    fn generator(&self, node: usize, _tid: usize, _id: usize, rng: SplitMix64) -> Self::Gen {
+        (rng, node)
     }
-    fn next(&self, (rng, slot): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
-        if !self.pace.is_zero() {
-            let mut due = self.due.borrow_mut();
-            let at = due.entry(*slot).or_insert_with(Instant::now);
-            std::thread::sleep(at.saturating_duration_since(Instant::now()));
-            *at = Instant::now() + self.pace;
-        }
-        let window = self.injector.crashes_fired().min(1) + self.sup.recoveries().min(1);
+    fn next(&self, (rng, node): &mut Self::Gen, _i: u64) -> (&'static str, bool, SbInput) {
+        let recovered = self.sup.borrow().recoveries().min(1);
+        let window = self.injector.crashes_fired().min(1) + recovered;
         let inp = SbInput {
             txn: SbTxn::SendPayment,
-            ..smallbank::gen(self.sb, rng, slot.0)
+            ..smallbank::gen(self.sb, rng, *node)
         };
         (WINDOWS[window], false, inp)
     }
     async fn execute(&self, t: &mut dyn TxnApi, inp: &SbInput) -> Result<(), TxnError> {
         smallbank::execute(t, inp).await
+    }
+    fn tick(&self, now_vns: u64) {
+        self.sup.borrow_mut().tick(now_vns);
     }
 }
 
@@ -242,20 +223,17 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
     let sup = Supervisor::start(&cluster, cfg.supervisor, Some(Arc::clone(&injector)));
     let payments = Payments {
         sb: &sb,
-        pace: cfg.pace,
         injector: &injector,
-        sup: &sup,
-        due: RefCell::default(),
+        sup: RefCell::new(sup),
     };
-    let started = Instant::now();
     let m = driver::run_on(&payments, &run, &cluster, None);
-    let finished = (m.stopped < cfg.nodes * cfg.threads).then(Instant::now);
+    let sup = payments.sup.into_inner();
+    let finished = (m.stopped < cfg.nodes * cfg.threads).then(|| sup.now());
     // Every fired crash must be detected through lease expiry before
     // the audit makes sense.
-    sup.await_recoveries(injector.crashes_fired(), cfg.await_recoveries);
+    let events = sup.finish();
     let window_commits = WINDOWS.map(|w| m.per_type.get(w).map_or(0, |t| t.count));
     let crashes_fired = injector.crashes_fired();
-    let events = sup.stop();
 
     // Restore a clean substrate before the invariant sweep: the scrub
     // must see the cluster as a restart would.
@@ -277,7 +255,7 @@ pub fn run_smallbank_chaos(cfg: &ChaosRunCfg, plan: FaultPlan) -> ChaosOutcome {
         stale_locks,
         rolled_forward,
         rolled_back,
-        started,
+        started: 0,
         crashed: (0..cfg.nodes)
             .filter_map(|n| injector.crash_instant(n))
             .min(),

@@ -20,7 +20,6 @@
 //! time it completes C.4" means the same thing in every run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use drtm_base::sync::Mutex;
 use drtm_core::cluster::CrashPointHook;
@@ -103,8 +102,9 @@ pub struct ChaosInjector {
     streams: Vec<AtomicU64>,
     /// Per-[`CrashSpec`] passage counters.
     crash_hits: Vec<AtomicU64>,
-    /// Wall-clock instant each victim died (for detection latency).
-    crashed_at: Mutex<Vec<(NodeId, Instant)>>,
+    /// Virtual time (ns) each victim died at, on its probing worker's
+    /// clock (for detection latency).
+    crashed_at: Mutex<Vec<(NodeId, u64)>>,
     trace: Mutex<Vec<ChaosEvent>>,
 }
 
@@ -139,8 +139,8 @@ impl ChaosInjector {
         self.crashed_at.lock().len()
     }
 
-    /// When `node` was killed, if it was.
-    pub fn crash_instant(&self, node: NodeId) -> Option<Instant> {
+    /// The virtual time (ns) `node` was killed at, if it was.
+    pub fn crash_instant(&self, node: NodeId) -> Option<u64> {
         self.crashed_at
             .lock()
             .iter()
@@ -223,7 +223,7 @@ impl FaultInjector for ChaosInjector {
 }
 
 impl CrashPointHook for ChaosInjector {
-    fn on_point(&self, node: NodeId, point: &'static str) -> bool {
+    fn on_point(&self, node: NodeId, point: &'static str, now: u64) -> bool {
         for (i, spec) in self.plan.crashes.iter().enumerate() {
             let CrashSpec {
                 node: n,
@@ -235,7 +235,7 @@ impl CrashPointHook for ChaosInjector {
             }
             let passage = self.crash_hits[i].fetch_add(1, Ordering::Relaxed) + 1;
             if passage == hit {
-                self.crashed_at.lock().push((node, Instant::now()));
+                self.crashed_at.lock().push((node, now));
                 self.trace.lock().push(ChaosEvent::Crash {
                     node,
                     point,

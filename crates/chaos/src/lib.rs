@@ -19,12 +19,14 @@
 //!   counters, and a fingerprintable decision trace.
 //! * [`supervisor`] — [`Supervisor`]: lease heartbeats for alive
 //!   members plus a detector that recovers machines only when their
-//!   lease has genuinely expired, reporting detection / configuration
-//!   commit / rebuild latencies (the Figure 20 decomposition).
+//!   lease has genuinely expired, stepped on the run's virtual clock,
+//!   reporting detection / configuration commit / rebuild latencies
+//!   (the Figure 20 decomposition).
 //! * [`harness`] — [`run_smallbank_chaos`]: a zero-sum SmallBank run
-//!   on the measurement driver under a plan, audited for money
-//!   conservation through recovery and for a lock-free post-recovery
-//!   cluster.
+//!   on the measurement driver under a plan, the supervisor ticked by
+//!   the driver's loop, audited for money conservation through recovery
+//!   and for a lock-free post-recovery cluster. A run replays from its
+//!   seed.
 
 pub mod harness;
 pub mod injector;

@@ -1,29 +1,33 @@
 //! The recovery supervisor: lease heartbeats plus a failure detector
 //! that drives recovery *only* through genuine lease expiry (§5.2).
 //!
-//! Two host threads:
+//! It runs on the run's virtual clock: whoever steps the workers calls
+//! [`Supervisor::tick`] with the virtual time of each next action (the
+//! chaos harness does it from the driver's loop), and each tick does
+//! the supervisor's two jobs up to that time:
 //!
-//! * **heartbeat** — every alive member renews its lease each beat. A
-//!   machine killed by [`DrtmCluster::fail_silent`] (what crash points
-//!   do) simply stops renewing, so its lease drains over the configured
-//!   lease length — exactly how a real silent failure is observed.
-//! * **detector** — polls [`LeaseBoard::first_expired`] over the
+//! * **heartbeat** — every lease/5 of virtual time, every alive member
+//!   renews its lease. A machine killed by [`DrtmCluster::fail_silent`]
+//!   (what crash points do) simply stops renewing, so its lease drains
+//!   over the configured lease length — exactly how a real silent
+//!   failure is observed.
+//! * **detector** — checks [`LeaseBoard::first_expired`] over the
 //!   current configuration's members and, on expiry, runs
-//!   [`recover_node`], recording when the failure was *suspected* and
-//!   the per-phase latencies of the recovery pass (the Figure 20
-//!   decomposition: detection, configuration commit, rebuild).
+//!   [`recover_node`] inline, recording when the failure was
+//!   *suspected* and the per-phase latencies of the recovery pass (the
+//!   Figure 20 decomposition: detection, configuration commit,
+//!   rebuild). Inline is safe: no routine holds the log gate across a
+//!   yield, since it is held only inside synchronous appends.
 //!
 //! Nothing here ever calls `recover_node` for a machine whose lease is
 //! still live: suspicion is the lease's job, the supervisor only acts
-//! on it.
+//! on it. A run therefore detects, recovers and replays from its seed.
 //!
 //! [`LeaseBoard::first_expired`]: drtm_cluster::LeaseBoard::first_expired
 //! [`DrtmCluster::fail_silent`]: drtm_core::cluster::DrtmCluster::fail_silent
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::recovery::{recover_node, RecoveryReport};
@@ -31,24 +35,17 @@ use drtm_rdma::NodeId;
 
 use crate::injector::ChaosInjector;
 
-/// Supervisor timing knobs.
+/// Supervisor timing: the lease length alone; the heartbeat renews
+/// every fifth of it.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorCfg {
     /// Lease length granted per renewal, in µs (the paper uses 10 ms).
     pub lease_us: u64,
-    /// Heartbeat period (must be well under the lease length).
-    pub heartbeat: Duration,
-    /// Detector poll period.
-    pub poll: Duration,
 }
 
 impl Default for SupervisorCfg {
     fn default() -> Self {
-        Self {
-            lease_us: 10_000,
-            heartbeat: Duration::from_millis(2),
-            poll: Duration::from_millis(1),
-        }
+        Self { lease_us: 10_000 }
     }
 }
 
@@ -57,137 +54,115 @@ impl Default for SupervisorCfg {
 pub struct RecoveryEvent {
     /// The machine recovered.
     pub dead: NodeId,
-    /// When the detector saw the expired lease.
-    pub suspected_at: Instant,
-    /// Crash-to-suspicion latency, when the crash instant is known
-    /// (i.e. the chaos injector killed the machine). Bounded below by
-    /// the remaining lease and above by lease + heartbeat + poll.
+    /// Virtual time (ns) of the tick that saw the expired lease.
+    pub suspected_at: u64,
+    /// Crash-to-suspicion latency in virtual time, when the crash time
+    /// is known (i.e. the chaos injector killed the machine). Above
+    /// lease - heartbeat (the last renewal was at most a heartbeat
+    /// before the crash) and at most a lease plus the gap to the next
+    /// tick after the expiry.
     pub detect: Option<Duration>,
-    /// What the recovery pass did, with config-commit and rebuild
-    /// timings.
+    /// What the recovery pass did, with its configuration-commit and
+    /// rebuild timings — host time, as the pass has no cost model (it
+    /// takes no virtual time).
     pub report: RecoveryReport,
 }
 
-/// A running supervisor. Create with [`Supervisor::start`], collect
-/// results with [`Supervisor::stop`].
+/// A lease supervisor stepped on virtual time. Create with
+/// [`Supervisor::start`], step with [`Supervisor::tick`], and collect
+/// the recoveries with [`Supervisor::finish`].
 pub struct Supervisor {
-    stop: Arc<AtomicBool>,
-    recoveries: Arc<AtomicUsize>,
-    heart: Option<JoinHandle<()>>,
-    detector: Option<JoinHandle<Vec<RecoveryEvent>>>,
+    cluster: Arc<DrtmCluster>,
+    injector: Option<Arc<ChaosInjector>>,
+    lease_ns: u64,
+    /// Virtual time of the next heartbeat.
+    next_beat: u64,
+    /// The latest tick's virtual time.
+    now: u64,
+    events: Vec<RecoveryEvent>,
 }
 
 impl Supervisor {
-    /// Establishes fresh leases for every member, then starts the
-    /// heartbeat and detector threads. `injector`, when given, supplies
-    /// crash instants so events carry a detection latency.
+    /// Grants every member a fresh lease at virtual time 0, where a
+    /// run's workers start. `injector`, when given, supplies crash
+    /// times so events carry a detection latency.
     pub fn start(
         cluster: &Arc<DrtmCluster>,
         cfg: SupervisorCfg,
         injector: Option<Arc<ChaosInjector>>,
     ) -> Self {
-        // Leases start expired; grant them before the detector can
-        // suspect a healthy machine.
-        for &node in &cluster.config.get().members {
-            cluster.leases.renew(node, cfg.lease_us);
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let recoveries = Arc::new(AtomicUsize::new(0));
-
-        let heart = {
-            let cluster = Arc::clone(cluster);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    for &node in &cluster.config.get().members {
-                        if cluster.is_alive(node) {
-                            cluster.leases.renew(node, cfg.lease_us);
-                        }
-                    }
-                    std::thread::sleep(cfg.heartbeat);
-                }
-            })
+        let mut sup = Self {
+            cluster: Arc::clone(cluster),
+            injector,
+            lease_ns: cfg.lease_us * 1_000,
+            next_beat: 0,
+            now: 0,
+            events: Vec::new(),
         };
-
-        let detector = {
-            let cluster = Arc::clone(cluster);
-            let stop = Arc::clone(&stop);
-            let recoveries = Arc::clone(&recoveries);
-            std::thread::spawn(move || {
-                let mut events = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    let members = cluster.config.get().members;
-                    if let Some(dead) = cluster.leases.first_expired(members.iter()) {
-                        let suspected_at = Instant::now();
-                        let report = recover_node(&cluster, dead);
-                        let detect = injector
-                            .as_ref()
-                            .and_then(|i| i.crash_instant(dead))
-                            .map(|t| suspected_at.duration_since(t));
-                        events.push(RecoveryEvent {
-                            dead,
-                            suspected_at,
-                            detect,
-                            report,
-                        });
-                        recoveries.fetch_add(1, Ordering::Release);
-                        continue; // re-scan immediately: correlated failures
-                    }
-                    std::thread::sleep(cfg.poll);
-                }
-                events
-            })
-        };
-
-        Self {
-            stop,
-            recoveries,
-            heart: Some(heart),
-            detector: Some(detector),
-        }
+        sup.tick(0);
+        sup
     }
 
-    /// Recoveries completed so far (safe to poll while running).
+    fn heartbeat(&self) -> u64 {
+        self.lease_ns / 5
+    }
+
+    /// The latest tick's virtual time (ns).
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Recoveries completed so far.
     pub fn recoveries(&self) -> usize {
-        self.recoveries.load(Ordering::Acquire)
+        self.events.len()
     }
 
-    /// Blocks until at least `n` recoveries completed or `timeout`
-    /// elapsed; returns whether the target was reached.
-    pub fn await_recoveries(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.recoveries() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+    /// Steps the supervisor to virtual time `now` (an earlier time is
+    /// read as the latest one): every heartbeat due by then, each
+    /// renewing the members alive at that point, then every expired
+    /// lease's recovery, re-scanning after each for correlated
+    /// failures.
+    pub fn tick(&mut self, now: u64) {
+        self.now = self.now.max(now);
+        let (cluster, now) = (&self.cluster, self.now);
+        while self.next_beat <= now {
+            let beat = self.next_beat;
+            cluster.config.with(|c| {
+                for &node in c.members.iter().filter(|&&n| cluster.is_alive(n)) {
+                    cluster.leases.renew(node, beat, self.lease_ns);
+                }
+            });
+            self.next_beat += self.heartbeat();
         }
-        true
+        let expired = || {
+            cluster
+                .config
+                .with(|c| cluster.leases.first_expired(&c.members, now))
+        };
+        while let Some(dead) = expired() {
+            let report = recover_node(cluster, dead);
+            let crashed = self.injector.as_ref().and_then(|i| i.crash_instant(dead));
+            self.events.push(RecoveryEvent {
+                dead,
+                suspected_at: now,
+                detect: crashed.map(|t| Duration::from_nanos(now.saturating_sub(t))),
+                report,
+            });
+        }
     }
 
-    /// Stops both threads and returns the recovery events in detection
-    /// order.
-    pub fn stop(mut self) -> Vec<RecoveryEvent> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.heart.take() {
-            let _ = h.join();
+    /// Steps on past the last tick, heartbeat by heartbeat, until every
+    /// crash the injector fired is recovered — at most a lease and a
+    /// heartbeat, by when the last renewal a dead machine got has
+    /// drained — and returns the recovery events in detection order.
+    /// Expiries fall on heartbeats (a lease is five of them, granted on
+    /// one), so stepping by heartbeats detects each exactly on time.
+    pub fn finish(mut self) -> Vec<RecoveryEvent> {
+        let fired = self.injector.as_ref().map_or(0, |i| i.crashes_fired());
+        let deadline = self.now + self.lease_ns + self.heartbeat();
+        while self.recoveries() < fired && self.now < deadline {
+            self.tick(self.next_beat.min(deadline));
         }
-        match self.detector.take() {
-            Some(d) => d.join().unwrap_or_default(),
-            None => Vec::new(),
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.heart.take() {
-            let _ = h.join();
-        }
-        if let Some(d) = self.detector.take() {
-            let _ = d.join();
-        }
+        self.events
     }
 }

@@ -13,14 +13,10 @@ use drtm_chaos::{
 use drtm_core::cluster::CrashPointHook;
 use drtm_rdma::{FaultInjector, Verb};
 
-/// Longer-than-paper leases so a descheduled heartbeat thread on a
-/// loaded CI host cannot cause false suspicion.
+/// The paper's 10 ms leases: the supervisor runs on the run's virtual
+/// clock, so no host stall can get a healthy machine suspected.
 fn test_supervisor() -> SupervisorCfg {
-    SupervisorCfg {
-        lease_us: 50_000,
-        heartbeat: Duration::from_millis(5),
-        poll: Duration::from_millis(1),
-    }
+    SupervisorCfg { lease_us: 10_000 }
 }
 
 fn chatty_plan(seed: u64) -> FaultPlan {
@@ -104,13 +100,17 @@ fn fingerprint_is_interleaving_independent_but_seed_sensitive() {
 fn crash_spec_counts_passages_and_fires_once() {
     let plan = FaultPlan::new(7).crash_at(1, "C.4", 3);
     let inj = ChaosInjector::new(plan, 2);
-    assert!(!inj.on_point(1, "C.4"), "passage 1 survives");
-    assert!(!inj.on_point(0, "C.4"), "other nodes unaffected");
-    assert!(!inj.on_point(1, "C.5"), "other points unaffected");
-    assert!(!inj.on_point(1, "C.4"), "passage 2 survives");
-    assert!(inj.on_point(1, "C.4"), "passage 3 fires");
+    assert!(!inj.on_point(1, "C.4", 100), "passage 1 survives");
+    assert!(!inj.on_point(0, "C.4", 200), "other nodes unaffected");
+    assert!(!inj.on_point(1, "C.5", 300), "other points unaffected");
+    assert!(!inj.on_point(1, "C.4", 400), "passage 2 survives");
+    assert!(inj.on_point(1, "C.4", 500), "passage 3 fires");
     assert_eq!(inj.crashes_fired(), 1);
-    assert!(inj.crash_instant(1).is_some());
+    assert_eq!(
+        inj.crash_instant(1),
+        Some(500),
+        "stamped on the prober's clock"
+    );
     assert!(inj.crash_instant(0).is_none());
 }
 
@@ -289,18 +289,17 @@ fn crash_with_waiters_parked_on_victims_keys_recovers() {
 }
 
 #[test]
-fn paced_crash_at_c5_splits_commits_into_the_timeline() {
-    // Figure 20's run shape at test size: paced workers, the last
-    // machine dies at C.5 40 % into the run. Every commit lands in one
-    // of the three windows, survivors commit before the crash and after
-    // the recovery, and the timeline's edges are in order. At 400 µs a
-    // transaction the run lasts 200 ms, so the 50 ms lease drains with
-    // survivors' work left over.
+fn crash_at_c5_splits_commits_into_the_timeline() {
+    // Figure 20's run shape at test size: the last machine dies at C.5
+    // 40 % into the run. Every commit lands in one of the three windows,
+    // survivors commit before the crash and after the recovery, and the
+    // timeline's virtual edges are in order. A slot commits about 150
+    // payments a virtual ms, so the crash comes near 11 ms and the
+    // survivors' remaining 2 400 outlast the 10 ms lease.
     let cfg = ChaosRunCfg {
         cross_prob: 0.5,
         supervisor: test_supervisor(),
-        txns_per_worker: 500,
-        pace: Duration::from_micros(400),
+        txns_per_worker: 4_000,
         ..ChaosRunCfg::default()
     };
     let victim = cfg.nodes - 1;
@@ -323,6 +322,48 @@ fn paced_crash_at_c5_splits_commits_into_the_timeline() {
         out.initial_total,
         out.stale_locks
     );
+}
+
+/// A chaos failure replays from its seed: the supervisor, the crash
+/// stamps and the workers all step on the driver's one virtual clock,
+/// so two runs of one configuration and plan — a C.5 crash under drops
+/// and delays, four routines a slot — agree in every count, in the
+/// fault digest, in the money, and in each recovery's epoch, suspicion
+/// time and detection latency.
+#[test]
+fn a_chaos_failure_replays_from_its_seed() {
+    let cfg = ChaosRunCfg {
+        cross_prob: 0.5,
+        supervisor: test_supervisor(),
+        txns_per_worker: 2_000,
+        routines: 4,
+        ..ChaosRunCfg::default()
+    };
+    let plan = FaultPlan::new(0x5EED)
+        .drop_everywhere(20)
+        .delay_everywhere(80, 10_000)
+        .crash_at(1, "C.5", 1_200);
+    let runs = [(); 2].map(|()| run_smallbank_chaos(&cfg, plan.clone()));
+    let [a, b] = &runs;
+    assert_eq!(a.crashes_fired, 1);
+    assert_eq!(a.events.len(), 1, "one lease-driven recovery");
+    assert!(a.faults_injected > 0 && a.window_commits.iter().all(|&w| w > 0));
+    assert!(
+        a.audit_ok(),
+        "total {} vs {}",
+        a.final_total,
+        a.initial_total
+    );
+    let key = |o: &drtm_chaos::ChaosOutcome| {
+        let events = o.events.iter();
+        let events = events.map(|e| (e.dead, e.report.epoch, e.suspected_at, e.detect));
+        (
+            (o.committed, o.aborted, o.window_commits),
+            (o.fingerprint, o.final_total),
+            events.collect::<Vec<_>>(),
+        )
+    };
+    assert_eq!(key(a), key(b));
 }
 
 #[test]
@@ -462,12 +503,14 @@ fn lease_driven_recovery_rehomes_a_survivors_remote_reads() {
         t.write(2, T, key(2, 0), v)
     });
     assert_eq!(injector.crashes_fired(), 1);
-    assert!(
-        sup.await_recoveries(1, Duration::from_secs(10)),
+    // Step the supervisor's virtual clock on until the victim's lease
+    // has drained and it is recovered.
+    let events = sup.finish();
+    assert_eq!(
+        events.len(),
+        1,
         "supervisor must recover the victim through lease expiry"
     );
-    let events = sup.stop();
-    assert_eq!(events.len(), 1);
     assert_eq!(events[0].dead, 2);
 
     // The survivor's next transactions begin under the bumped epoch,

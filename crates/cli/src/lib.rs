@@ -487,15 +487,11 @@ impl Shell {
                 hit,
             } => {
                 // Standalone run on its own 4-machine cluster — the
-                // shell's interactive cluster (if any) is not touched.
+                // shell's interactive cluster (if any) is not touched —
+                // under the paper's 10 ms leases (the default).
                 let cfg = drtm_chaos::ChaosRunCfg {
                     nodes: 4,
                     cross_prob: 0.5,
-                    supervisor: drtm_chaos::SupervisorCfg {
-                        lease_us: 50_000,
-                        heartbeat: std::time::Duration::from_millis(5),
-                        poll: std::time::Duration::from_millis(1),
-                    },
                     ..drtm_chaos::ChaosRunCfg::default()
                 };
                 if node >= cfg.nodes {
@@ -511,7 +507,7 @@ impl Shell {
                 for ev in &out.events {
                     text += &format!(
                         "\nrecovered machine {} (epoch {}): {} records, {} log entries, \
-                         detect {:?}, config {:?}, rebuild {:?}",
+                         detect {:?} (virtual), config {:?}, rebuild {:?} (host)",
                         ev.dead,
                         ev.report.epoch,
                         ev.report.records_recovered,

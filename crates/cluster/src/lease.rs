@@ -4,17 +4,19 @@
 //! expired lease *suspects* the node and triggers reconfiguration. The
 //! paper sets leases to 10 ms and detects failures in about that time —
 //! the "suspect" marker of Figure 20.
+//!
+//! The board keeps no clock of its own: every call takes the caller's
+//! virtual time in ns, so a lease runs out at the same point of a
+//! simulated run whatever the host does meanwhile.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use drtm_rdma::NodeId;
 
-/// Per-node lease expiry times, in microseconds since the board's epoch.
+/// Per-node lease expiry times, in virtual ns.
 #[derive(Debug)]
 pub struct LeaseBoard {
-    start: Instant,
-    expiry_us: Vec<AtomicU64>,
+    expiry_ns: Vec<AtomicU64>,
 }
 
 impl LeaseBoard {
@@ -22,99 +24,98 @@ impl LeaseBoard {
     /// first renewal.
     pub fn new(n: usize) -> Self {
         Self {
-            start: Instant::now(),
-            expiry_us: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            expiry_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Microseconds since board creation.
-    pub fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    /// Renews `node`'s lease for `duration_us` from now.
-    pub fn renew(&self, node: NodeId, duration_us: u64) {
-        let t = self.now_us() + duration_us;
-        self.expiry_us[node].fetch_max(t, Ordering::Relaxed);
+    /// Renews `node`'s lease at virtual time `now` for `duration_ns`.
+    pub fn renew(&self, node: NodeId, now: u64, duration_ns: u64) {
+        self.expiry_ns[node].fetch_max(now + duration_ns, Ordering::Relaxed);
         drtm_obs::trace::event(drtm_obs::EventKind::LeaseRenew, "", node as u64, 0);
     }
 
-    /// Whether `node`'s lease has expired.
-    pub fn expired(&self, node: NodeId) -> bool {
-        self.expiry_us[node].load(Ordering::Relaxed) <= self.now_us()
+    /// Whether `node`'s lease has expired by virtual time `now`.
+    pub fn expired(&self, node: NodeId, now: u64) -> bool {
+        self.expiry_ns[node].load(Ordering::Relaxed) <= now
     }
 
     /// Kills `node`'s lease immediately (used by crash injection so
     /// detection latency is governed by the checking cadence, and by the
     /// node itself when leaving gracefully).
     pub fn revoke(&self, node: NodeId) {
-        self.expiry_us[node].store(0, Ordering::Relaxed);
+        self.expiry_ns[node].store(0, Ordering::Relaxed);
         drtm_obs::trace::event(drtm_obs::EventKind::LeaseExpire, "revoked", node as u64, 0);
     }
 
-    /// First member of `members` whose lease has expired, if any.
+    /// First member of `members` whose lease has expired by virtual time
+    /// `now`, if any.
     pub fn first_expired<'a>(
         &self,
         members: impl IntoIterator<Item = &'a NodeId>,
+        now: u64,
     ) -> Option<NodeId> {
-        members.into_iter().copied().find(|&n| self.expired(n))
+        members.into_iter().copied().find(|&n| self.expired(n, now))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn fresh_leases_are_expired() {
         let b = LeaseBoard::new(2);
-        assert!(b.expired(0));
-        assert!(b.expired(1));
+        assert!(b.expired(0, 0));
+        assert!(b.expired(1, 0));
     }
 
     #[test]
     fn renewal_extends() {
         let b = LeaseBoard::new(1);
-        b.renew(0, 1_000_000);
-        assert!(!b.expired(0));
+        b.renew(0, 0, 1_000_000);
+        assert!(!b.expired(0, 0));
     }
 
     #[test]
     fn expiry_after_duration() {
         let b = LeaseBoard::new(1);
-        b.renew(0, 2_000); // 2 ms.
-        assert!(!b.expired(0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(b.expired(0));
+        b.renew(0, 1_000, 2_000_000); // 2 ms from 1 µs.
+        assert!(!b.expired(0, 1_000));
+        assert!(!b.expired(0, 2_000_999));
+        assert!(
+            b.expired(0, 2_001_000),
+            "expires exactly at renewal + lease"
+        );
+        assert!(b.expired(0, 6_000_000));
     }
 
     #[test]
     fn revoke_is_immediate() {
         let b = LeaseBoard::new(1);
-        b.renew(0, 10_000_000);
+        b.renew(0, 0, 10_000_000);
         b.revoke(0);
-        assert!(b.expired(0));
+        assert!(b.expired(0, 0));
     }
 
     #[test]
     fn first_expired_scans_members() {
         let b = LeaseBoard::new(3);
-        b.renew(0, 1_000_000);
-        b.renew(2, 1_000_000);
+        b.renew(0, 0, 1_000_000);
+        b.renew(2, 0, 1_000_000);
         let members = [0, 1, 2];
-        assert_eq!(b.first_expired(members.iter()), Some(1));
-        b.renew(1, 1_000_000);
-        assert_eq!(b.first_expired(members.iter()), None);
+        assert_eq!(b.first_expired(members.iter(), 0), Some(1));
+        b.renew(1, 0, 1_000_000);
+        assert_eq!(b.first_expired(members.iter(), 0), None);
+        assert_eq!(b.first_expired(members.iter(), 1_000_000), Some(0));
     }
 
     #[test]
     fn renew_never_shortens() {
         let b = LeaseBoard::new(1);
-        b.renew(0, 10_000_000);
-        b.renew(0, 1_000); // A shorter renewal must not pull expiry in.
-        std::thread::sleep(Duration::from_millis(3));
-        assert!(!b.expired(0));
+        b.renew(0, 0, 10_000_000);
+        b.renew(0, 0, 1_000_000); // A shorter renewal must not pull expiry in.
+        assert!(!b.expired(0, 3_000_000));
+        assert!(b.expired(0, 10_000_000));
     }
 
     #[test]
@@ -124,14 +125,14 @@ mod tests {
         // interleaving, and the lease must never read expired while any
         // renewal is in flight.
         let b = std::sync::Arc::new(LeaseBoard::new(1));
-        b.renew(0, 60_000_000);
+        b.renew(0, 0, 60_000_000_000);
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let b = std::sync::Arc::clone(&b);
                 std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        b.renew(0, 1_000 + i * 137);
-                        assert!(!b.expired(0), "lease lost under concurrent renewal");
+                    for n in 0..10_000 {
+                        b.renew(0, n, 1_000_000 + i * 137_000);
+                        assert!(!b.expired(0, n), "lease lost under concurrent renewal");
                     }
                 })
             })
@@ -141,7 +142,7 @@ mod tests {
         }
         // The initial 60 s grant is the max; short renewals cannot have
         // pulled it in.
-        assert!(b.expiry_us[0].load(Ordering::Relaxed) >= 60_000_000);
+        assert!(b.expiry_ns[0].load(Ordering::Relaxed) >= 60_000_000_000);
     }
 
     #[test]
@@ -156,7 +157,7 @@ mod tests {
             let stop = std::sync::Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    b.renew(0, 500);
+                    b.renew(0, 0, 500_000);
                 }
             })
         };
@@ -165,14 +166,17 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         renewer.join().unwrap();
-        // Heartbeats have stopped: the short outstanding grant drains.
-        std::thread::sleep(Duration::from_millis(2));
+        // Heartbeats have stopped: the last grant, renewed at 0 for
+        // 0.5 ms, has drained by 2 ms.
         assert!(
-            b.expired(0),
+            b.expired(0, 2_000_000),
             "no renewer left; the last short grant drained"
         );
         // Rejoining is just renewing again.
-        b.renew(0, 1_000_000);
-        assert!(!b.expired(0), "a revoked lease must be re-acquirable");
+        b.renew(0, 2_000_000, 1_000_000);
+        assert!(
+            !b.expired(0, 2_000_000),
+            "a revoked lease must be re-acquirable"
+        );
     }
 }

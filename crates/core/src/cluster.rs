@@ -25,8 +25,9 @@ use crate::txn::Worker;
 /// machine stops silently: its lease is *not* revoked, so peers only
 /// learn of the death when the lease genuinely expires.
 pub trait CrashPointHook: Send + Sync {
-    /// Returns `true` to kill `node` at `point`.
-    fn on_point(&self, node: NodeId, point: &'static str) -> bool;
+    /// Returns `true` to kill `node` at `point`, which the probing
+    /// worker passes at virtual time `now` (ns).
+    fn on_point(&self, node: NodeId, point: &'static str, now: u64) -> bool;
 }
 
 /// The most copies of a record a cluster keeps ([`EngineOpts::replicas`]):
@@ -400,11 +401,12 @@ impl DrtmCluster {
         *self.crash_hook.write() = None;
     }
 
-    /// One named crash-point probe for `node`. Returns `true` when the
-    /// machine is (or just became) dead and the caller must stop in
-    /// place. Firing kills the machine silently — the lease keeps
-    /// running out, exactly like a real mid-protocol power loss.
-    pub fn crash_point(&self, node: NodeId, point: &'static str) -> bool {
+    /// One named crash-point probe for `node`, passed by a worker at
+    /// virtual time `now`. Returns `true` when the machine is (or just
+    /// became) dead and the caller must stop in place. Firing kills the
+    /// machine silently — the lease keeps running out, exactly like a
+    /// real mid-protocol power loss.
+    pub fn crash_point(&self, node: NodeId, point: &'static str, now: u64) -> bool {
         if !self.is_alive(node) {
             return true;
         }
@@ -413,7 +415,7 @@ impl DrtmCluster {
         }
         let hook = self.crash_hook.read().clone();
         if let Some(h) = hook {
-            if h.on_point(node, point) {
+            if h.on_point(node, point, now) {
                 drtm_obs::trace::event(drtm_obs::EventKind::CrashPoint, point, node as u64, 0);
                 self.fail_silent(node);
                 return true;
@@ -427,20 +429,27 @@ impl DrtmCluster {
         Worker::new(Arc::clone(self), node, seed)
     }
 
-    /// `node`'s log truncation step: applies and truncates every
-    /// primary's pending log entries on this backup. The worker loops
-    /// of a machine (the measurement driver's routines, the serving
-    /// pools) take it between two transactions, never inside one; it
-    /// charges no virtual time. Free on a cluster without backups.
+    /// The log truncation step a worker loop of `node` (the measurement
+    /// driver's routines, the serving pools) takes between two
+    /// transactions, never inside one, at virtual time `now`: the `R.3`
+    /// probe, then [`Self::truncate_step`]. It charges no virtual time.
+    pub fn truncate_step_at(&self, node: NodeId, now: u64) -> usize {
+        // R.3: a backup can die right before applying its pending log
+        // entries — they stay in its NVRAM log for recovery to drain.
+        let hooked = self.crash_hook_set.load(Ordering::Acquire);
+        if self.opts.replicas >= 2 && hooked && self.crash_point(node, "R.3", now) {
+            return 0;
+        }
+        self.truncate_step(node)
+    }
+
+    /// `node`'s log truncation step without a probe: applies and
+    /// truncates every primary's pending log entries on this backup.
+    /// Free on a cluster without backups.
     ///
     /// Returns the number of entries applied.
     pub fn truncate_step(&self, node: NodeId) -> usize {
         if self.opts.replicas < 2 {
-            return 0;
-        }
-        // R.3: a backup can die right before applying its pending log
-        // entries — they stay in its NVRAM log for recovery to drain.
-        if self.crash_hook_set.load(Ordering::Acquire) && self.crash_point(node, "R.3") {
             return 0;
         }
         let mut applied = 0;
@@ -580,10 +589,10 @@ mod tests {
     #[test]
     fn crash_flips_liveness_and_lease() {
         let c = DrtmCluster::new(2, &schema(), EngineOpts::default());
-        c.leases.renew(1, 1_000_000);
+        c.leases.renew(1, 0, 1_000_000);
         c.crash(1);
         assert!(!c.is_alive(1));
-        assert!(c.leases.expired(1));
+        assert!(c.leases.expired(1, 0));
     }
 
     #[test]

@@ -285,7 +285,11 @@ impl TxnCtx<'_> {
     /// precisely the state a real mid-protocol machine failure leaves
     /// behind for recovery to clean up, so nothing is unwound.
     fn probe(&mut self, point: &'static str) -> Result<(), TxnError> {
-        if self.w.cluster.crash_point(self.w.node, point) {
+        if self
+            .w
+            .cluster
+            .crash_point(self.w.node, point, self.w.clock.now())
+        {
             Err(TxnError::Crashed)
         } else {
             Ok(())

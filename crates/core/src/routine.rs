@@ -1375,14 +1375,15 @@ async fn routine<T>(
 /// pool index): a due shared-doorbell flush, or a grant whose routine
 /// it then advances one step, folding its park. Pools therefore meet
 /// one another — on a lock word, a NIC ledger — in virtual-time order,
-/// whatever the host does. `admit` runs before every action and says
-/// whether it made parked routines runnable; `stalled` runs when no
-/// pool has anything to do although routines remain. Returns each
-/// pool's routine outputs in routine-id order.
+/// whatever the host does. `admit` runs before every action, is handed
+/// the virtual time that action falls due at (`None` while no pool has
+/// one), and says whether it made parked routines runnable; `stalled`
+/// runs when no pool has anything to do although routines remain.
+/// Returns each pool's routine outputs in routine-id order.
 fn drive<T>(
     reactors: &[Arc<Reactor>],
     mut futs: Vec<Vec<RoutineFut<'_, T>>>,
-    mut admit: impl FnMut() -> bool,
+    mut admit: impl FnMut(Option<u64>) -> bool,
     mut stalled: impl FnMut(),
 ) -> Vec<Vec<(Worker, T)>> {
     let mut results: Vec<Vec<Option<(Worker, T)>>> = futs
@@ -1410,12 +1411,17 @@ fn drive<T>(
     let due = |r: &Reactor| r.state.lock().next_at();
     let date = || reactors.iter().map(|r| due(r)).collect::<Vec<_>>();
     let mut next = date();
-    loop {
-        if admit() {
-            next = date();
-        }
+    let earliest = |next: &[Option<u64>]| {
         let dated = next.iter().enumerate();
-        match dated.filter_map(|(p, at)| Some((at.as_ref()?, p))).min() {
+        dated.filter_map(|(p, at)| Some((*at.as_ref()?, p))).min()
+    };
+    loop {
+        let mut first = earliest(&next);
+        if admit(first.map(|(at, _)| at)) {
+            next = date();
+            first = earliest(&next);
+        }
+        match first {
             Some((_, p)) => {
                 // Decided under the lock, polled outside it: the
                 // routine's yield points take the lock themselves.
@@ -1443,7 +1449,7 @@ impl RoutinePool {
     /// Runs `job(routine_id, worker)` on every worker concurrently as
     /// cooperative routines, returning each worker (clock advanced to
     /// its routine's end) with its job's result, in routine-id order:
-    /// [`Self::run_many`] with one pool.
+    /// [`Self::run_many`] with one pool and no tick.
     ///
     /// A pool of one charges exactly what `job(0, &mut w)` charges on
     /// a worker outside any pool: the single routine's every yield
@@ -1452,7 +1458,7 @@ impl RoutinePool {
     where
         F: AsyncFn(usize, &mut Worker) -> T,
     {
-        let mut done = Self::run_many(vec![workers], async |_, id, w| job(id, w).await);
+        let mut done = Self::run_many(vec![workers], |_| {}, async |_, id, w| job(id, w).await);
         done.pop().expect("one pool")
     }
 
@@ -1461,15 +1467,22 @@ impl RoutinePool {
     /// worker)` on each worker, the pools stepped in virtual-time order
     /// (a routine waiting on another pool's lock spins in virtual time
     /// until that pool's holder, now earlier, runs and releases it).
+    /// `tick(now)` runs before every action with the virtual time the
+    /// action falls due at, so what the caller steps on the same clock
+    /// (a lease supervisor) sees the run in virtual-time order too.
     /// Returns each pool's workers and results in routine-id order.
-    /// The run is a pure function of the workers and the job: no host
-    /// thread decides which pool meets which lock first.
+    /// The run is a pure function of the workers, the tick and the job:
+    /// no host thread decides which pool meets which lock first.
     ///
     /// # Panics
     ///
     /// If routines stay live but none is runnable: a routine suspended
     /// on something that is not an engine yield point.
-    pub fn run_many<T, F>(pools: Vec<Vec<Worker>>, job: F) -> Vec<Vec<(Worker, T)>>
+    pub fn run_many<T, F>(
+        pools: Vec<Vec<Worker>>,
+        mut tick: impl FnMut(u64),
+        job: F,
+    ) -> Vec<Vec<(Worker, T)>>
     where
         F: AsyncFn(usize, usize, &mut Worker) -> T,
     {
@@ -1488,7 +1501,10 @@ impl RoutinePool {
         drive(
             &reactors,
             futs,
-            || false,
+            |at| {
+                at.map(&mut tick);
+                false
+            },
             || panic!("routine pools wedged with live routines"),
         )
     }
@@ -1580,7 +1596,7 @@ impl RoutinePool {
             // Hand arrivals to idle routines (lowest id first) before
             // each scheduling decision, as long as the rule gives them
             // to this pool.
-            || {
+            |_| {
                 let mut delivered = false;
                 while reactor.idle_count() > 0 {
                     let bid = reactor.bid(seat.up(), 0, true);
@@ -1610,7 +1626,7 @@ impl RoutinePool {
                 // still folds what its siblings' commits log on it.
                 let bid = reactor.bid(true, 0, true);
                 let popped = group.pop_blocking(pool, member, || {
-                    seat.cluster.truncate_step(seat.node);
+                    seat.cluster.truncate_step_at(seat.node, bid.frontier);
                     Bid {
                         up: seat.up(),
                         ..bid

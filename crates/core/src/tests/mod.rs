@@ -226,7 +226,7 @@ fn threads<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
 struct Probe<F>(F);
 
 impl<F: Fn(NodeId, &'static str) -> bool + Send + Sync> CrashPointHook for Probe<F> {
-    fn on_point(&self, node: NodeId, point: &'static str) -> bool {
+    fn on_point(&self, node: NodeId, point: &'static str, _now: u64) -> bool {
         (self.0)(node, point)
     }
 }

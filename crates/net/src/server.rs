@@ -681,7 +681,7 @@ async fn execute_job(w: &mut Worker, job: Job, tele: &Telemetry) {
         status,
         queue_us,
     }));
-    w.cluster.truncate_step(w.node);
+    w.cluster.truncate_step_at(w.node, w.clock.now());
 }
 
 type ConnHandles = (std::thread::JoinHandle<()>, std::thread::JoinHandle<()>);

@@ -15,7 +15,7 @@
 //! how the replication experiments saturate exactly like the paper's.
 //!
 //! On a replicated cluster every routine also takes its machine's log
-//! truncation step ([`DrtmCluster::truncate_step`]) between two
+//! truncation step ([`DrtmCluster::truncate_step_at`]) between two
 //! transactions: the paper's backup work, off the critical path, on the
 //! workers that run the machine and at no virtual cost.
 
@@ -166,6 +166,10 @@ pub trait Workload {
     fn next(&self, gen: &mut Self::Gen, i: u64) -> (&'static str, bool, Self::Input);
     /// Runs `input` as one transaction body.
     async fn execute(&self, t: &mut dyn TxnApi, input: &Self::Input) -> Result<(), TxnError>;
+    /// Steps what the workload keeps on the run's virtual clock (the
+    /// chaos harness's lease supervisor) to `now_vns`, the time of the
+    /// drive loop's next action; [`run_on`] calls it before every one.
+    fn tick(&self, _now_vns: u64) {}
 }
 
 /// One transaction type's tally in one measurement loop, or merged
@@ -243,7 +247,7 @@ impl<W: Workload> Slot<'_, W> {
                 Err(TxnError::Crashed) => return (per_type, true),
                 Err(_) => {}
             }
-            self.cluster.truncate_step(self.node);
+            self.cluster.truncate_step_at(self.node, w.clock.now());
         }
         (per_type, false)
     }
@@ -338,9 +342,11 @@ pub fn run_on<W: Workload>(
         (0..r).map(worker).collect()
     });
     let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
-    let done = RoutinePool::run_many(pools.collect(), async |p, id, w| {
-        slots[p].routine(id, chunk + usize::from(id < rem), w).await
-    });
+    let done = RoutinePool::run_many(
+        pools.collect(),
+        |now| wl.tick(now),
+        async |p, id, w| slots[p].routine(id, chunk + usize::from(id < rem), w).await,
+    );
     aggregate(done.into_iter().map(tally).collect())
 }
 

@@ -154,26 +154,30 @@ fn smallbank_money_is_conserved_under_conserving_mix() {
 
     // One worker per machine, each a pool of one on the one loop.
     let pools = (0..2).map(|node| vec![cluster.worker(node, node as u64 + 77)]);
-    RoutinePool::run_many(pools.collect(), async |node, _, w| {
-        let mut rng = drtm_base::SplitMix64::new(node as u64);
-        for _ in 0..100 {
-            let a = (node, cfg.pick_account(&mut rng, node));
-            let second = cfg.pick_second_shard(&mut rng, node);
-            let b = (second, cfg.pick_account(&mut rng, second));
-            if b == a {
-                continue;
+    RoutinePool::run_many(
+        pools.collect(),
+        |_| {},
+        async |node, _, w| {
+            let mut rng = drtm_base::SplitMix64::new(node as u64);
+            for _ in 0..100 {
+                let a = (node, cfg.pick_account(&mut rng, node));
+                let second = cfg.pick_second_shard(&mut rng, node);
+                let b = (second, cfg.pick_account(&mut rng, second));
+                if b == a {
+                    continue;
+                }
+                let inp = SbInput {
+                    txn: SbTxn::SendPayment,
+                    a,
+                    b,
+                    amount: rng.range(1, 50),
+                };
+                let _ = w
+                    .run_async(async |t| smallbank::execute(t, &inp).await)
+                    .await;
             }
-            let inp = SbInput {
-                txn: SbTxn::SendPayment,
-                a,
-                b,
-                amount: rng.range(1, 50),
-            };
-            let _ = w
-                .run_async(async |t| smallbank::execute(t, &inp).await)
-                .await;
-        }
-    });
+        },
+    );
     assert_eq!(
         audit::smallbank_total(&cluster, &cfg),
         initial,
@@ -243,26 +247,30 @@ fn smallbank_send_payments_conserve_with_routines() {
             let worker = |id| cluster.worker(node, (node * 8 + id) as u64 + 77);
             (0..routines).map(worker).collect()
         });
-        RoutinePool::run_many(pools.collect(), async |node, id, w| {
-            let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64);
-            for _ in 0..25 {
-                let a = (node, cfg.pick_account(&mut rng, node));
-                let second = cfg.pick_second_shard(&mut rng, node);
-                let b = (second, cfg.pick_account(&mut rng, second));
-                if b == a {
-                    continue;
+        RoutinePool::run_many(
+            pools.collect(),
+            |_| {},
+            async |node, id, w| {
+                let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64);
+                for _ in 0..25 {
+                    let a = (node, cfg.pick_account(&mut rng, node));
+                    let second = cfg.pick_second_shard(&mut rng, node);
+                    let b = (second, cfg.pick_account(&mut rng, second));
+                    if b == a {
+                        continue;
+                    }
+                    let inp = SbInput {
+                        txn: SbTxn::SendPayment,
+                        a,
+                        b,
+                        amount: rng.range(1, 50),
+                    };
+                    let _ = w
+                        .run_async(async |t| smallbank::execute(t, &inp).await)
+                        .await;
                 }
-                let inp = SbInput {
-                    txn: SbTxn::SendPayment,
-                    a,
-                    b,
-                    amount: rng.range(1, 50),
-                };
-                let _ = w
-                    .run_async(async |t| smallbank::execute(t, &inp).await)
-                    .await;
-            }
-        });
+            },
+        );
         assert_eq!(
             audit::smallbank_total(&cluster, &cfg),
             initial,
@@ -303,37 +311,41 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
         let worker = |id| cluster.worker(node, (node * 8 + id) as u64 + 31);
         (0..run.routines).map(worker).collect()
     });
-    let done = RoutinePool::run_many(pools.collect(), async |node, id, w| {
-        let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64 + 5);
-        let mut failed = 0u64;
-        for _ in 0..40 {
-            let first = rng.below(cfg.nodes as u64) as usize;
-            let a = (first, cfg.pick_account(&mut rng, first));
-            let second = cfg.pick_second_shard(&mut rng, first);
-            let b = (second, cfg.pick_account(&mut rng, second));
-            if b == a {
-                continue;
+    let done = RoutinePool::run_many(
+        pools.collect(),
+        |_| {},
+        async |node, id, w| {
+            let mut rng = drtm_base::SplitMix64::new((node * 8 + id) as u64 + 5);
+            let mut failed = 0u64;
+            for _ in 0..40 {
+                let first = rng.below(cfg.nodes as u64) as usize;
+                let a = (first, cfg.pick_account(&mut rng, first));
+                let second = cfg.pick_second_shard(&mut rng, first);
+                let b = (second, cfg.pick_account(&mut rng, second));
+                if b == a {
+                    continue;
+                }
+                let txn =
+                    [SbTxn::SendPayment, SbTxn::Amalgamate, SbTxn::Balance][rng.below(3) as usize];
+                let inp = SbInput {
+                    txn,
+                    a,
+                    b,
+                    amount: rng.range(1, 50),
+                };
+                let body = async |t: &mut drtm_core::TxnCtx<'_>| {
+                    attempts.set(attempts.get() + 1);
+                    smallbank::execute(t, &inp).await
+                };
+                let out = match txn.read_only() {
+                    true => w.run_ro_async(body).await,
+                    false => w.run_async(body).await,
+                };
+                failed += u64::from(!matches!(out, Ok(()) | Err(drtm_core::TxnError::UserAbort)));
             }
-            let txn =
-                [SbTxn::SendPayment, SbTxn::Amalgamate, SbTxn::Balance][rng.below(3) as usize];
-            let inp = SbInput {
-                txn,
-                a,
-                b,
-                amount: rng.range(1, 50),
-            };
-            let body = async |t: &mut drtm_core::TxnCtx<'_>| {
-                attempts.set(attempts.get() + 1);
-                smallbank::execute(t, &inp).await
-            };
-            let out = match txn.read_only() {
-                true => w.run_ro_async(body).await,
-                false => w.run_async(body).await,
-            };
-            failed += u64::from(!matches!(out, Ok(()) | Err(drtm_core::TxnError::UserAbort)));
-        }
-        failed
-    });
+            failed
+        },
+    );
     let ended = |w: &drtm_core::Worker| w.stats.committed + w.stats.aborted + w.stats.user_aborts;
     let (ended, failed) = (done.iter().flatten())
         .map(|(w, failed)| (ended(w), *failed))
@@ -853,7 +865,7 @@ fn one_machine_driver_runs_are_pinned() {
 struct ProbeLog(std::sync::Mutex<Vec<(usize, &'static str)>>);
 
 impl drtm_core::cluster::CrashPointHook for ProbeLog {
-    fn on_point(&self, node: usize, point: &'static str) -> bool {
+    fn on_point(&self, node: usize, point: &'static str, _now: u64) -> bool {
         self.0.lock().unwrap().push((node, point));
         false
     }
@@ -964,7 +976,7 @@ fn a_voted_out_machine_stops_its_driver_slots() {
         removed: Arc<AtomicBool>,
     }
     impl CrashPointHook for VoteOut {
-        fn on_point(&self, node: usize, point: &'static str) -> bool {
+        fn on_point(&self, node: usize, point: &'static str, _now: u64) -> bool {
             if (node, point) == (VICTIM, "C.4")
                 && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at
             {

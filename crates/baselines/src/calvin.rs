@@ -39,7 +39,7 @@ use drtm_core::txn::{TxnError, Worker};
 use drtm_rdma::NodeId;
 use drtm_store::TableId;
 
-use crate::oracle::{Exec, OracleCtx, Pass};
+use crate::oracle::{value_head, Exec, OracleCtx, Pass};
 
 /// Virtual nanoseconds of lock-manager service per lock or unlock
 /// operation (single-threaded manager, so this serialises per machine).
@@ -187,10 +187,7 @@ impl Exec for CalvinCtx<'_> {
         self.charge_remote(home);
         let store = &self.engine.cluster.stores[home];
         let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
-        let rec = store.record(table, off);
-        let mut v = vec![0u8; rec.layout.value_len];
-        rec.read_value_raw(&mut v);
-        v.truncate(head);
+        let v = value_head(store, table, off, head);
         self.clock
             .advance(self.engine.cluster.opts.cost.mem_access_ns);
         Ok(v)
@@ -244,13 +241,7 @@ impl Exec for CalvinCtx<'_> {
         let store = &self.engine.cluster.stores[self.node];
         let hits = store.scan(table, lo, hi, limit).into_iter();
         Ok(hits
-            .map(|(k, off)| {
-                let rec = store.record(table, off as usize);
-                let mut v = vec![0u8; rec.layout.value_len];
-                rec.read_value_raw(&mut v);
-                v.truncate(head);
-                (k, v)
-            })
+            .map(|(k, off)| (k, value_head(store, table, off as usize, head)))
             .collect())
     }
 }

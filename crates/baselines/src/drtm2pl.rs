@@ -9,10 +9,13 @@
 //! glues 2PL to HTM. After the region commits, buffered remote writes go
 //! back over RDMA and the locks are released.
 //!
-//! A held lock is waited for through the engine's one lock wait
-//! (DESIGN.md §15): a watch on the lock address, opened before the CAS,
-//! ends when the holder's unlock counts its release in the cluster's
-//! `WaitRegistry`. Its one random pause is the abort back-off.
+//! The remote half is DrTM+R's commit walk (DESIGN.md §11): its C.1 in
+//! wait mode — one lock per round trip in global order, a held lock
+//! waited for through the engine's one lock wait (§15), a dead owner's
+//! lock stolen and its record healed (§5.2) — then one READ of every
+//! locked record, one doorbell per machine; after the region, its C.5
+//! and C.6. Only the region, the oracle glue and the retry loop, whose
+//! one random pause is the abort back-off, are DrTM's own.
 //!
 //! Two behaviours matter for the paper's comparisons and emerge naturally
 //! here: the *large HTM working set* (the whole transaction, not just
@@ -30,13 +33,11 @@ use drtm_base::task::block_now;
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::{AbortReason, TxnError, Worker};
 use drtm_htm::{AbortCode, HtmTxn, RunOutcome};
-use drtm_rdma::{NodeId, WorkRequest, WrResult};
-use drtm_store::record::{
-    lock_owner, lock_word, locked_write_wrs, parse_consistent, RecordLayout, LOCK_FREE,
-};
+use drtm_rdma::NodeId;
+use drtm_store::record::lock_owner;
 use drtm_store::TableId;
 
-use crate::oracle::{Exec, OracleCtx, Pass, RwSets};
+use crate::oracle::{Access, Exec, OracleCtx, Pass};
 
 /// Transaction context handed to DrTM transaction bodies: the oracle
 /// pass, then the real, charged execution inside HTM.
@@ -49,10 +50,20 @@ pub struct ExecCtx<'a, 'b> {
     node: NodeId,
     txn: &'a mut HtmTxn<'b>,
     /// Remote values prefetched under lock: `(node, table, key) -> value`.
-    remote_vals: HashMap<(NodeId, TableId, u64), Vec<u8>>,
-    /// Buffered remote writes `(node, table, key, off, value)`.
-    remote_writes: Vec<(NodeId, TableId, u64, usize, Vec<u8>)>,
-    /// Buffered inserts/deletes.
+    remote_vals: &'a HashMap<(NodeId, TableId, u64), Vec<u8>>,
+    out: Buffered,
+}
+
+/// An execution pass's abort when its region conflicted or it strayed
+/// from the oracle's sets.
+const CONFLICT: TxnError = TxnError::Aborted(AbortReason::Validation);
+
+/// What one execution pass leaves for after its region commits.
+#[derive(Default)]
+struct Buffered {
+    /// Remote writes `(node, table, key, value)`.
+    remote_writes: Vec<(NodeId, TableId, u64, Vec<u8>)>,
+    /// Inserts/deletes.
     mutations: Vec<(NodeId, TableId, u64, Option<Vec<u8>>)>,
     /// Lines read/written locally (cost accounting).
     local_lines: u64,
@@ -72,24 +83,20 @@ impl Exec for ExecCtx<'_, '_> {
         let home = self.cluster.home_of(shard);
         if home != self.node {
             let value = self.remote_vals.get(&(home, table, key));
-            let value = value.ok_or(TxnError::Aborted(AbortReason::Validation))?;
+            let value = value.ok_or(CONFLICT)?;
             return Ok(value[..head.min(value.len())].to_vec());
         }
         let store = &self.cluster.stores[home];
         let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
         let rec = store.record(table, off);
         let mut v = vec![0u8; head.min(rec.layout.value_len)];
-        match rec.read_htm(self.txn, &mut v) {
-            Ok((lock, _inc, _seq)) => {
-                if lock != LOCK_FREE {
-                    // A remote 2PL owner holds the record.
-                    return Err(TxnError::Aborted(AbortReason::LockBusy));
-                }
-                self.local_lines += rec.layout.lines_for(head) as u64;
-                Ok(v)
-            }
-            Err(_) => Err(TxnError::Aborted(AbortReason::Validation)),
+        let (lock, ..) = rec.read_htm(self.txn, &mut v).map_err(|_| CONFLICT)?;
+        if lock_owner(lock).is_some() {
+            // A remote 2PL owner holds the record.
+            return Err(TxnError::Aborted(AbortReason::LockBusy));
         }
+        self.out.local_lines += rec.layout.lines_for(head) as u64;
+        Ok(v)
     }
 
     fn write(
@@ -103,42 +110,38 @@ impl Exec for ExecCtx<'_, '_> {
         let store = &self.cluster.stores[self.node];
         assert_eq!(value.len(), store.table(table).spec.value_len);
         if home != self.node {
-            let roff = self.cluster.stores[home]
-                .get_loc(table, key)
-                .ok_or(TxnError::NotFound)? as usize;
             if !self.remote_vals.contains_key(&(home, table, key)) {
                 // Written record was not in the oracle's (locked) set.
-                return Err(TxnError::Aborted(AbortReason::Validation));
+                return Err(CONFLICT);
             }
-            self.remote_writes
-                .retain(|w| !(w.0 == home && w.1 == table && w.2 == key));
-            self.remote_writes.push((home, table, key, roff, value));
+            let writes = &mut self.out.remote_writes;
+            writes.retain(|w| (w.0, w.1, w.2) != (home, table, key));
+            writes.push((home, table, key, value));
             return Ok(());
         }
         let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
         let rec = store.record(table, off);
-        let seq = self
-            .txn
-            .read_u64(rec.seq_off())
-            .map_err(|_| TxnError::Aborted(AbortReason::Validation))?;
+        let seq = self.txn.read_u64(rec.seq_off()).map_err(|_| CONFLICT)?;
         rec.write_htm(self.txn, &value, seq + 2)
-            .map_err(|_| TxnError::Aborted(AbortReason::Validation))?;
-        self.local_lines += rec.layout.lines() as u64;
+            .map_err(|_| CONFLICT)?;
+        self.out.local_lines += rec.layout.lines() as u64;
         Ok(())
     }
 
     /// Buffered until the region commits.
     fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
         let home = self.cluster.home_of(shard);
-        self.mutations.push((home, table, key, Some(value)));
+        self.out.mutations.push((home, table, key, Some(value)));
     }
 
     /// Buffered until the region commits.
     fn delete(&mut self, shard: usize, table: TableId, key: u64) {
         let home = self.cluster.home_of(shard);
-        self.mutations.push((home, table, key, None));
+        self.out.mutations.push((home, table, key, None));
     }
 
+    /// Each hit through the region's read, so the scan is in its read
+    /// set (scanned tables are local-only).
     fn scan_local(
         &mut self,
         table: TableId,
@@ -148,27 +151,20 @@ impl Exec for ExecCtx<'_, '_> {
         head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
         let hits = self.cluster.stores[self.node].scan(table, lo, hi, limit);
-        let mut out = Vec::with_capacity(hits.len());
-        let keys: Vec<u64> = hits.into_iter().map(|(k, _)| k).collect();
-        for k in keys {
-            // Route through the HTM read so the scan is in the read set.
-            let shard_of_self = self.node; // Scans are local-only tables.
-            let v = self.read(shard_of_self, table, k, head)?;
-            out.push((k, v));
-        }
-        Ok(out)
+        let mut read = |(k, _)| Ok((k, self.read(self.node, table, k, head)?));
+        hits.into_iter().map(&mut read).collect()
     }
 }
 
 /// Runs one DrTM transaction on `w` to commit: an oracle pass, then
 /// 2PL over the remote records and one HTM region for the rest. Locks
 /// are waited for until released, so only a lock wait that outlives its
-/// poll cap, a torn prefetch or an execution that strays from the
+/// poll cap, a dropped lock CAS or an execution that strays from the
 /// oracle's sets retries, after a random pause of up to 4 µs.
 ///
 /// The body runs on contexts that never suspend (the oracle's snapshot,
-/// then the HTM region), so each pass finishes in one poll; `w`'s verbs
-/// are what park.
+/// then the HTM region), so each pass finishes in one poll; the commit
+/// rows' verbs are what park.
 pub async fn run<R>(
     w: &mut Worker,
     mut body: impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
@@ -183,7 +179,7 @@ pub async fn run<R>(
             }
             Err(e) => {
                 w.note_abort(e);
-                let TxnError::Aborted(_) = e else {
+                let (TxnError::Aborted(_) | TxnError::Transport(_)) = e else {
                     return Err(e);
                 };
                 let ns = w.rng.below(4_000);
@@ -193,6 +189,13 @@ pub async fn run<R>(
     }
 }
 
+/// One attempt: the oracle pass, the commit walk's C.1 in wait mode
+/// over the remote records and their READs under the locks
+/// ([`TxnCtx::lock_and_fetch`]), the one HTM region, then the walk's
+/// C.5 and C.6 ([`TxnCtx::write_back`]).
+///
+/// [`TxnCtx::lock_and_fetch`]: drtm_core::txn::TxnCtx::lock_and_fetch
+/// [`TxnCtx::write_back`]: drtm_core::txn::TxnCtx::write_back
 async fn attempt<R>(
     w: &mut Worker,
     body: &mut impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
@@ -204,71 +207,52 @@ async fn attempt<R>(
     block_now(body(&mut DrtmCtx::Oracle(&mut oracle)))?;
     let sets = oracle.sets;
 
-    // 2PL: lock all remote records in global order, waiting for each
-    // held one's release (bounded by the wait's poll cap to stay live).
-    let remote = remote_addrs(&sets, me);
-    if let Err(held) = lock_remote_waiting(w, &remote).await {
-        unlock_remote(w, &remote[..held]).await;
-        return Err(TxnError::Aborted(AbortReason::LockBusy));
-    }
-
-    // Prefetch every locked remote record.
-    let mut remote_vals = HashMap::new();
-    for &(node, table, key, off) in sets.reads.iter().chain(&sets.writes) {
-        if node == me {
-            continue;
-        }
-        let layout = cluster.stores[me].table(table).layout;
-        let Some(value) = prefetch(w, node, off, layout).await else {
-            unlock_remote(w, &remote).await;
-            return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
-        };
-        remote_vals.insert((node, table, key), value);
-    }
+    // 2PL: lock every remote record in global order, waiting for each
+    // held one's release, and read them under their locks.
+    let all = sets.reads.iter().chain(&sets.writes);
+    let mut remote: Vec<Access> = all.filter(|a| a.0 != me).copied().collect();
+    remote.sort_unstable_by_key(|a| (a.0, a.3));
+    remote.dedup_by_key(|a| (a.0, a.3));
+    let mut t = w.begin_two_phase();
+    let values = t.lock_and_fetch(&remote).await?;
+    let at = remote.iter().map(|a| (a.0, a.1, a.2));
+    let remote_vals: HashMap<_, _> = at.zip(values).collect();
 
     // One HTM region for the entire transaction.
     let cost = cluster.opts.cost.clone();
     let htm = &cluster.htms[me];
     let region = &cluster.stores[me].region;
-    let outcome = htm.run(region, &mut w.rng, |t| {
+    let outcome = htm.run(region, &mut t.worker().rng, |txn| {
         let mut e = ExecCtx {
             cluster: Arc::clone(&cluster),
             node: me,
-            txn: t,
-            remote_vals: remote_vals.clone(),
-            remote_writes: Vec::new(),
-            mutations: Vec::new(),
-            local_lines: 0,
+            txn,
+            remote_vals: &remote_vals,
+            out: Buffered::default(),
         };
-        let r = block_now(body(&mut DrtmCtx::Exec(&mut e)));
-        let ExecCtx {
-            remote_writes,
-            mutations,
-            local_lines,
-            ..
-        } = e;
-        match r {
-            Ok(v) => Ok(Ok((v, remote_writes, mutations, local_lines))),
+        match block_now(body(&mut DrtmCtx::Exec(&mut e))) {
+            Ok(v) => Ok(Ok((v, e.out))),
             Err(TxnError::Aborted(AbortReason::LockBusy)) => Err(AbortCode::Explicit(1)),
             Err(err) => Ok(Err(err)),
         }
     });
 
-    let (value, remote_writes, mutations, local_lines, retries) = match outcome {
+    let (value, out, retries) = match outcome {
         RunOutcome::Committed {
-            value: Ok((v, rw, m, l)),
+            value: Ok((v, out)),
             retries,
-        } => (v, rw, m, l, retries),
+        } => (v, out, retries),
         RunOutcome::Committed { value: Err(e), .. } => {
-            unlock_remote(w, &remote).await;
+            t.release_locks().await;
             return Err(e);
         }
         RunOutcome::Fallback(_) => {
-            w.note_fallback();
-            unlock_remote(w, &remote).await;
+            t.worker().note_fallback();
+            t.release_locks().await;
             // DrTM's slow path re-runs under locking; modelled as an
             // abort + retry with an extra locking toll.
-            w.clock
+            t.worker()
+                .clock
                 .advance(cost.rdma_atomic_ns * (sets.reads.len() as u64 + 1));
             return Err(TxnError::Aborted(AbortReason::Fallback));
         }
@@ -282,146 +266,28 @@ async fn attempt<R>(
     // buffer maintenance (its "generality cost"). Repeated per retry.
     let per_attempt = cost.htm_begin_ns
         + cost.htm_commit_ns
-        + local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
+        + out.local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
         + sets.distinct_records() as u64 * cost.record_logic_ns;
+    let w = t.worker();
     w.clock.advance(per_attempt * (retries as u64 + 1));
 
-    // Write back remote writes (still holding their locks), one
-    // doorbell per record.
-    for (dst, table, _key, off, val) in &remote_writes {
-        let layout = cluster.stores[me].table(*table).layout;
-        let cur = cluster.stores[*dst].region.load64(*off + 16);
-        let wrs = locked_write_wrs(*off, layout, val, cur + 2)
-            .into_iter()
-            .map(|(raddr, data)| WorkRequest::Write { raddr, data })
-            .collect();
-        ring_until_landed(w, *dst, wrs).await;
-    }
-
-    // Apply inserts/deletes.
-    for (dst, table, key, val) in &mutations {
+    // Apply inserts/deletes, each shipped to its home machine.
+    for (dst, table, key, val) in &out.mutations {
         if *dst != me {
-            cluster.fabric.charge_message(
-                &mut w.clock,
-                me,
-                *dst,
-                24 + val.as_ref().map_or(0, Vec::len),
-            );
+            let bytes = 24 + val.as_ref().map_or(0, Vec::len);
+            cluster.fabric.charge_message(&mut w.clock, me, *dst, bytes);
         }
+        let store = &cluster.stores[*dst];
         match val {
-            Some(v) => {
-                cluster.stores[*dst].insert(*table, *key, v, 2);
-            }
-            None => {
-                cluster.stores[*dst].remove(*table, *key);
-            }
+            Some(v) => _ = store.insert(*table, *key, v, 2),
+            None => _ = store.remove(*table, *key),
         }
     }
 
-    unlock_remote(w, &remote).await;
+    // Write back the remote writes under their locks, then unlock.
+    for (dst, table, key, val) in out.remote_writes {
+        t.write_remote_async(dst, table, key, val).await?;
+    }
+    t.write_back().await?;
     Ok(value)
-}
-
-fn remote_addrs(sets: &RwSets, me: NodeId) -> Vec<(NodeId, usize)> {
-    let mut v: Vec<(NodeId, usize)> = sets
-        .reads
-        .iter()
-        .chain(&sets.writes)
-        .filter(|a| a.0 != me)
-        .map(|a| (a.0, a.3))
-        .collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// Rings `wrs` to `node` on `w`'s verb path, all signalled, and rings
-/// them again while the fabric drops one: RC retransmits until the
-/// request lands. A dropped WR and those flushed behind it took no
-/// effect, so only batches safe to repeat — one CAS, one READ, one
-/// record's WRITEs — go through here.
-async fn ring_until_landed(w: &mut Worker, node: NodeId, wrs: Vec<WorkRequest>) -> Vec<WrResult> {
-    loop {
-        let wcs = w.ring(node, wrs.clone(), wrs.len()).await;
-        if let Ok(done) = wcs.into_iter().map(|wc| wc.result).collect() {
-            return done;
-        }
-    }
-}
-
-/// One remote CAS of the lock word at `off` on `node`: `Ok(old)` when
-/// it swapped, `Err(actual)` otherwise.
-async fn cas(w: &mut Worker, node: NodeId, off: usize, expect: u64, new: u64) -> Result<u64, u64> {
-    let wr = WorkRequest::Cas {
-        raddr: off,
-        expect,
-        new,
-    };
-    match ring_until_landed(w, node, vec![wr]).await.pop() {
-        Some(WrResult::Cas(res)) => res,
-        _ => unreachable!("a CAS WR completes with a CAS result"),
-    }
-}
-
-/// Reads the locked record at `off` on `node`, re-reading a torn image
-/// up to 16 times; its value, or `None`.
-async fn prefetch(
-    w: &mut Worker,
-    node: NodeId,
-    off: usize,
-    layout: RecordLayout,
-) -> Option<Vec<u8>> {
-    let wr = WorkRequest::Read {
-        raddr: off,
-        len: layout.size(),
-    };
-    for _ in 0..=16 {
-        let img = ring_until_landed(w, node, vec![wr.clone()]).await.pop();
-        let Some(WrResult::Read { data, .. }) = img else {
-            unreachable!("a READ WR completes with a READ result");
-        };
-        if let Some(rr) = parse_consistent(&data, layout) {
-            return Some(rr.value);
-        }
-    }
-    None
-}
-
-/// 2PL acquisition: each lock in global order, waiting for a held one
-/// to be released. The wait is the engine's one lock wait
-/// ([`Worker::wait_release`], DESIGN.md §15), the watch opened before
-/// the first CAS, so a lock held by a sibling routine of this pool or a
-/// worker on another thread costs one lost CAS per release. A wait that
-/// outlives its poll cap gives up, and the attempt aborts.
-async fn lock_remote_waiting(w: &mut Worker, addrs: &[(NodeId, usize)]) -> Result<(), usize> {
-    let cluster = Arc::clone(&w.cluster);
-    let me = lock_word(w.node);
-    let members = cluster.config.get();
-    for (i, &(node, off)) in addrs.iter().enumerate() {
-        if !members.contains(node) {
-            return Err(i);
-        }
-        let mut watch = cluster.waiters.watch((node, off));
-        while let Err(actual) = cas(w, node, off, LOCK_FREE, me).await {
-            let owner = lock_owner(actual).expect("locked");
-            if !members.contains(owner) {
-                if cas(w, node, off, actual, LOCK_FREE).await.is_ok() {
-                    cluster.waiters.release((node, off));
-                }
-                continue;
-            }
-            if !w.wait_release(&mut watch).await {
-                return Err(i);
-            }
-        }
-    }
-    Ok(())
-}
-
-async fn unlock_remote(w: &mut Worker, addrs: &[(NodeId, usize)]) {
-    let me = lock_word(w.node);
-    for &(node, off) in addrs {
-        let _ = cas(w, node, off, me, LOCK_FREE).await;
-        w.cluster.waiters.release((node, off));
-    }
 }

@@ -11,7 +11,11 @@
 //!   deliberately generous to DrTM — the paper's own DrTM numbers include
 //!   transaction-chopping machinery we do not charge for. Its large HTM
 //!   working sets are what make it degrade past 8 threads (Figure 11) and
-//!   under high contention (Figure 18).
+//!   under high contention (Figure 18). Its remote half is DrTM+R's
+//!   commit walk: the walk's C.1 in wait mode with a READ of every
+//!   record under its lock ([`TxnCtx::lock_and_fetch`]), then the walk's
+//!   C.5 and C.6 ([`TxnCtx::write_back`]); only the region, the oracle
+//!   glue and the retry loop are DrTM's own.
 //! * [`calvin`] — **Calvin** (SIGMOD'12): deterministic transactions. A
 //!   zero-cost oracle supplies the read/write sets (Calvin requires
 //!   them), a sequencer stamps every transaction (IPoIB round trip — the
@@ -24,15 +28,16 @@
 //! ([`drtm2pl::run`], [`CalvinEngine::run`]) is an `async fn` over
 //! `&mut Worker`, and the measurement driver runs it as routine 0 of a
 //! [`RoutinePool`](drtm_core::RoutinePool) of one. DrTM's remote verbs
-//! park on the worker's verb path ([`Worker::ring`]), and every lock
-//! wait of either engine is one [`Worker::pause`], so the slots of a
+//! park on the worker's verb path as the walk's do, and every lock wait
+//! of either engine polls with [`Worker::pause`], so the slots of a
 //! run — every one a pool on the driver's one loop — contend for locks
 //! on one OS thread. Commits, aborts
 //! and fallbacks go through the worker's ledger (`note_commit`,
 //! `note_abort`, `note_fallback`), so the metrics registry sees a
 //! baseline run as it sees a DrTM+R one.
 //!
-//! [`Worker::ring`]: drtm_core::txn::Worker::ring
+//! [`TxnCtx::lock_and_fetch`]: drtm_core::txn::TxnCtx::lock_and_fetch
+//! [`TxnCtx::write_back`]: drtm_core::txn::TxnCtx::write_back
 //! [`Worker::pause`]: drtm_core::txn::Worker::pause
 
 pub mod calvin;

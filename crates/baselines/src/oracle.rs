@@ -15,7 +15,7 @@ use std::sync::Arc;
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::TxnError;
 use drtm_rdma::NodeId;
-use drtm_store::TableId;
+use drtm_store::{Store, TableId};
 
 /// An access recorded by the oracle: `(home node, table, key, offset)`.
 pub type Access = (NodeId, TableId, u64, usize);
@@ -194,33 +194,15 @@ impl OracleCtx {
         head: usize,
     ) -> Result<Vec<u8>, TxnError> {
         let (home, off) = self.locate(shard, table, key)?;
-        if !self
-            .sets
-            .reads
-            .iter()
-            .any(|a| a.0 == home && a.1 == table && a.3 == off)
-        {
-            self.sets.reads.push((home, table, key, off));
-        }
-        let rec = self.cluster.stores[home].record(table, off);
-        let mut v = vec![0u8; rec.layout.value_len];
-        rec.read_value_raw(&mut v);
-        v.truncate(head);
-        Ok(v)
+        note(&mut self.sets.reads, (home, table, key, off));
+        Ok(value_head(&self.cluster.stores[home], table, off, head))
     }
 
     /// Records a write; the value itself is ignored (the real pass
     /// recomputes it).
     pub fn write(&mut self, shard: usize, table: TableId, key: u64) -> Result<(), TxnError> {
         let (home, off) = self.locate(shard, table, key)?;
-        if !self
-            .sets
-            .writes
-            .iter()
-            .any(|a| a.0 == home && a.1 == table && a.3 == off)
-        {
-            self.sets.writes.push((home, table, key, off));
-        }
+        note(&mut self.sets.writes, (home, table, key, off));
         Ok(())
     }
 
@@ -251,21 +233,30 @@ impl OracleCtx {
             .scan(table, lo, hi, limit)
             .into_iter()
             .map(|(k, off)| {
-                let rec = store.record(table, off as usize);
-                let mut v = vec![0u8; rec.layout.value_len];
-                rec.read_value_raw(&mut v);
-                v.truncate(head);
+                let v = value_head(store, table, off as usize, head);
                 // Scanned records join the read set too.
-                if !self
-                    .sets
-                    .reads
-                    .iter()
-                    .any(|a| a.0 == self.node && a.1 == table && a.3 == off as usize)
-                {
-                    self.sets.reads.push((self.node, table, k, off as usize));
-                }
+                note(&mut self.sets.reads, (self.node, table, k, off as usize));
                 (k, v)
             })
             .collect()
     }
+}
+
+/// Adds `access` to `set` unless its record — `(node, table, offset)` —
+/// is there already.
+fn note(set: &mut Vec<Access>, access: Access) {
+    let at = |a: &Access| (a.0, a.1, a.3);
+    if !set.iter().any(|a| at(a) == at(&access)) {
+        set.push(access);
+    }
+}
+
+/// The first `head` value bytes of the record at `off`, read raw: the
+/// caller needs no consistency (the oracle) or holds the lock (Calvin).
+pub(crate) fn value_head(store: &Store, table: TableId, off: usize, head: usize) -> Vec<u8> {
+    let rec = store.record(table, off);
+    let mut v = vec![0u8; rec.layout.value_len];
+    rec.read_value_raw(&mut v);
+    v.truncate(head);
+    v
 }

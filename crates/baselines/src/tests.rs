@@ -4,9 +4,11 @@
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
+use drtm_cluster::LogEntryRef;
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::txn::{AbortReason, TxnError};
 use drtm_core::RoutinePool;
+use drtm_store::record::{lock_word, LOCK_FREE};
 use drtm_store::TableSpec;
 
 use crate::calvin::{CalvinEngine, CalvinTxn};
@@ -116,6 +118,72 @@ mod drtm {
             .iter()
             .find(|(label, _)| *label == AbortReason::LockBusy.label());
         assert_eq!(busy.map(|(_, n)| *n), Some(0), "{aborts:?}");
+    }
+
+    /// A transfer between a local record and one remote record rings
+    /// one doorbell per row at the remote machine: C.1's lock CAS, the
+    /// READ under the lock, and C.5's image with C.6's unlock chained
+    /// behind it — three, where a lock, two READs (one for the read
+    /// set, one for the write set), a write-back and an unlock each
+    /// rang their own.
+    #[test]
+    fn one_remote_record_rings_one_doorbell_per_row() {
+        let c = cluster();
+        let before = c.fabric.port(1).stats().snapshot();
+        let mut w = c.worker(0, 1);
+        block_now(drtm2pl::run(&mut w, async |t| {
+            let a = num(&t.read(0, 0, 1, usize::MAX)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
+            t.write(0, 0, 1, val(a - 10))?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+        }))
+        .unwrap();
+        let d = c.fabric.port(1).stats().snapshot().delta(&before);
+        let shape = (d.doorbells, d.atomics, d.reads, d.writes);
+        assert_eq!(shape, (3, 2, 1, 1), "{d:?}");
+    }
+
+    /// A remote lock word owned by a machine outside the configuration
+    /// is stolen, and its record rolled forward to its freshest durable
+    /// version before the READ under the lock (§5.2): the increment
+    /// lands on the healed value.
+    #[test]
+    fn steals_a_departed_owners_lock_and_heals_the_record() {
+        let c = DrtmCluster::new(
+            3,
+            &[TableSpec::hash(0, 1024, 16)],
+            EngineOpts::builder()
+                .region_size(1 << 20)
+                .replicas(2)
+                .build(),
+        );
+        let key = 2 << 32 | 4;
+        c.seed_record(2, 0, key, &val(100));
+        let off = c.stores[2].get_loc(0, key).unwrap() as usize;
+        // Machine 1 made an update to 500 durable on the record's
+        // backups, then died holding its lock before writing it.
+        let logged = LogEntryRef {
+            table: 0,
+            key,
+            seq: 4,
+            value: &val(500),
+            delete: false,
+        };
+        for b in c.backups_of(2) {
+            c.backups.apply(b, 2, logged);
+        }
+        let region = &c.stores[2].region;
+        region.cas64(off, LOCK_FREE, lock_word(1)).unwrap();
+        c.crash(1);
+        c.config.remove_member(1);
+
+        let mut w = c.worker(0, 1);
+        block_now(drtm2pl::run(&mut w, async |t| increment(t, 2, key))).unwrap();
+        let rec = c.stores[2].record(0, off);
+        let mut v = [0u8; 16];
+        rec.read_value_raw(&mut v);
+        assert_eq!((num(&v), rec.seq(), rec.lock()), (501, 6, LOCK_FREE));
+        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
     }
 
     fn increment(t: &mut DrtmCtx<'_, '_, '_>, shard: usize, key: u64) -> Result<(), TxnError> {

@@ -1053,9 +1053,8 @@ mod tests {
     /// beside a looser check of the same arms that is asserted here.
     /// `route` serves over TCP on host threads: unoptimized, its routed
     /// arm steals enough to miss 1.20 three times running in one of
-    /// eight. `reactor` runs on the one drive loop and repeats exactly
-    /// in either profile, where r256/r8 reads 0.90 (see the entry).
-    const CI_ONLY: [&str; 2] = ["r256 vtps not below r8", "routed/shared vtps >= 1.20"];
+    /// eight.
+    const CI_ONLY: [&str; 1] = ["routed/shared vtps >= 1.20"];
 
     /// Every table entry, once, at its default size, through the shell
     /// with `json` + `gate`: the text names every metric the arms

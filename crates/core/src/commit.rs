@@ -48,15 +48,17 @@ use drtm_cluster::{LogEntry, LogEntryRef};
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{
-    lock_owner, lock_word, locked_write_wrs, remote_read_header, RecordHeader, HEADER_BYTES,
-    INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
+    lock_owner, lock_word, locked_write_wrs, parse_consistent, remote_read_header, RecordHeader,
+    HEADER_BYTES, INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
 };
-use drtm_store::CONTROL_LINE_OFF;
+use drtm_store::{TableId, CONTROL_LINE_OFF};
 
 use drtm_obs::{EventKind, Phase};
 
 use crate::contention::{ConflictSite, ContentionPolicy};
-use crate::txn::{AbortReason, Batch, TxnCtx, TxnError, Worker};
+use crate::txn::{
+    record_read, AbortReason, Batch, RemoteRead, RemoteWrite, TxnCtx, TxnError, Worker,
+};
 use crate::{read_validates, write_validates};
 
 /// One stage of the read-write commit pipeline.
@@ -677,7 +679,15 @@ impl TxnCtx<'_> {
             }
             self.unlock_all(&kept).await;
         }
-        self.lock_all(locks, self.w.force_pessimistic, mode).await
+        // C.2's header READs ride the lock doorbells: every record's,
+        // except the loopback group of local records in
+        // [`Mode::Locked`] (validated from memory) and under the two
+        // ablations whose transports have no READ to chain.
+        let opts = &self.w.cluster.opts;
+        let chained = !(opts.msg_locking || opts.fuse_lock_validate);
+        let local = self.w.node;
+        let peek = |node| chained && (mode == Mode::Htm || node != local);
+        self.lock_all(locks, self.w.force_pessimistic, peek).await
     }
 
     /// The release of C.1's lock set `locks` after C.2 or C.3 failed
@@ -715,13 +725,11 @@ impl TxnCtx<'_> {
     /// it waits for.
     ///
     /// Each group's doorbell also carries the header READs C.2 needs —
-    /// every record of the group, except the loopback group of local
-    /// records in [`Mode::Locked`] (validated from memory) and under
-    /// the two ablations whose transports have no READ to chain. On
-    /// success returns those headers aligned with `addrs`: `None` where
-    /// no READ rode along, where it was dropped, or where the lock was
-    /// won later through [`Self::acquire_one`] (the header behind a
-    /// losing CAS was not stable, and a steal's heal rewrites it).
+    /// every record of the group when `peek(node)`. On success returns
+    /// those headers aligned with `addrs`: `None` where no READ rode
+    /// along, where it was dropped, or where the lock was won later
+    /// through [`Self::acquire_one`] (the header behind a losing CAS
+    /// was not stable, and a steal's heal rewrites it).
     ///
     /// On failure releases the locks actually acquired (groups win
     /// CASes beside and after one that lost, so this is not always a
@@ -732,16 +740,13 @@ impl TxnCtx<'_> {
         &mut self,
         addrs: &[LockAddr],
         wait: bool,
-        mode: Mode,
+        peek: impl Fn(NodeId) -> bool,
     ) -> Result<Vec<Option<RecordHeader>>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         // From this post until C.6's the reactor resumes this routine
         // ahead of its execution-phase siblings (DESIGN.md §11).
         self.w.routine.set_committing(!addrs.is_empty());
         let me = lock_word(self.w.node);
-        let chained = !(cluster.opts.msg_locking || cluster.opts.fuse_lock_validate);
-        let local = self.w.node;
-        let peek = |node| chained && (mode == Mode::Htm || node != local);
         let mut acquired: Vec<LockAddr> = Vec::with_capacity(addrs.len());
         let mut peeked: Vec<Option<RecordHeader>> = Vec::with_capacity(addrs.len());
         let mut failed: Option<TxnError> = None;
@@ -769,7 +774,7 @@ impl TxnCtx<'_> {
                 break;
             }
             let results = self
-                .remote_cas_batches(round, LOCK_FREE, me, true, peek)
+                .remote_cas_batches(round, LOCK_FREE, me, true, &peek)
                 .await;
             let outcomes = results.into_iter().flatten();
             for ((res, hdr), &addr) in outcomes.zip(round.iter().copied().flatten()) {
@@ -1553,5 +1558,94 @@ impl TxnCtx<'_> {
             }
             self.w.clock.advance(cluster.opts.cost.record_logic_ns);
         }
+    }
+}
+
+/// The rows an engine that names its records before executing commits
+/// through: the DrTM baseline's two-phase locking (DESIGN.md §11). Its
+/// C.1 runs first, in wait mode, and reads every record under its
+/// lock; its execution is its own HTM region; C.5 and C.6 write back
+/// and release. There is no validate row, no fence and no log: 2PL
+/// needs none, and the baseline does not replicate.
+impl TxnCtx<'_> {
+    /// C.1 in wait mode over `records` — `(node, table, key, rec_off)`
+    /// of every remote record the transaction reads or writes, sorted
+    /// by `(node, rec_off)` without repeats — then one READ of each
+    /// whole record, one doorbell per machine, all in one park. Each
+    /// image, stable under its lock, enters the remote read set, whose
+    /// sequence numbers [`Self::write_back`] advances; the values come
+    /// back in `records` order. A lock held by a live member is waited
+    /// for, and one held by a machine outside the configuration is
+    /// stolen and its record healed before the READ (`acquire_one`).
+    /// On failure nothing stays locked, unless the machine died
+    /// (`Crashed`).
+    pub async fn lock_and_fetch(
+        &mut self,
+        records: &[(NodeId, TableId, u64, usize)],
+    ) -> Result<Vec<Vec<u8>>, TxnError> {
+        let locks: Vec<LockAddr> = records.iter().map(|r| (r.0, r.3)).collect();
+        debug_assert!(locks.windows(2).all(|p| p[0] < p[1]), "sorted, no repeats");
+        self.lock_all(&locks, true, |_| false).await?;
+        let cluster = Arc::clone(&self.w.cluster);
+        let store = &cluster.stores[self.w.node];
+        let read = |&(node, table, _, off): &(NodeId, TableId, u64, usize)| {
+            (node, record_read(off, store.table(table).layout))
+        };
+        let images = self.w.ring_reads(records.iter().map(read).collect()).await;
+        let mut values = Vec::with_capacity(records.len());
+        for (&(node, table, key, rec_off), image) in records.iter().zip(images) {
+            let layout = store.table(table).layout;
+            let image = match image {
+                Ok(WrResult::Read { data, .. }) => data,
+                // Dropped: read again through the blocking wrapper.
+                _ => {
+                    let mut buf = vec![0; layout.size()];
+                    let w = &mut *self.w;
+                    w.qps[node].read(&mut w.clock, rec_off, &mut buf);
+                    buf
+                }
+            };
+            let Some(rr) = parse_consistent(&image, layout) else {
+                self.unlock_all(&locks).await;
+                return Err(TxnError::Aborted(AbortReason::RemoteInconsistent));
+            };
+            values.push(rr.value.clone());
+            self.r_rs.push(RemoteRead {
+                node,
+                table,
+                key,
+                rec_off,
+                seq: rr.seq,
+                incarnation: rr.incarnation,
+                value: rr.value,
+            });
+        }
+        Ok(values)
+    }
+
+    /// C.5 and C.6 after [`Self::lock_and_fetch`]: writes every remote
+    /// write buffered with [`Self::write_remote`] — each a record that
+    /// was fetched — at its fetched sequence number plus two, one
+    /// doorbell per machine and the unlocks chained behind the images
+    /// when one machine is written (`remote_update`), then releases
+    /// every lock C.5 left held.
+    pub async fn write_back(&mut self) -> Result<(), TxnError> {
+        let new_seq = |e: &RemoteWrite| {
+            let same = |r: &&RemoteRead| (r.node, r.rec_off) == (e.node, e.rec_off);
+            let fetched = self.r_rs.iter().find(same);
+            fetched.expect("every remote write was fetched").seq + 2
+        };
+        let new_seqs: Vec<u64> = self.r_ws.iter().map(new_seq).collect();
+        let locks = self.lock_addrs(Mode::Htm);
+        let held = self.remote_update(&new_seqs, &locks).await?;
+        self.unlock_all(&held).await;
+        Ok(())
+    }
+
+    /// Releases every lock [`Self::lock_and_fetch`] took: the abort of
+    /// a transaction that will not write back.
+    pub async fn release_locks(&mut self) {
+        let locks = self.lock_addrs(Mode::Htm);
+        self.unlock_all(&locks).await;
     }
 }

@@ -464,7 +464,7 @@ impl Worker {
     /// send-queue's worth of WRs, on the reactor's shared doorbells.
     /// A dropped WR comes back as its completion's error, its effect
     /// not applied.
-    pub async fn ring(
+    pub(crate) async fn ring(
         &mut self,
         node: NodeId,
         wrs: Vec<WorkRequest>,
@@ -485,7 +485,7 @@ impl Worker {
     /// `reads` go out grouped by machine in one park (none when there
     /// is nothing to read), and their results come back in `reads`
     /// order.
-    async fn ring_reads(
+    pub(crate) async fn ring_reads(
         &mut self,
         reads: Vec<(NodeId, WorkRequest)>,
     ) -> Vec<Result<WrResult, VerbError>> {
@@ -584,11 +584,18 @@ impl Worker {
         self.begin_inner(true)
     }
 
+    /// Starts a read-write transaction whose engine knows its remote
+    /// records before it executes and locks them up front (two-phase
+    /// locking: the DrTM baseline), committing through
+    /// [`TxnCtx::lock_and_fetch`] and [`TxnCtx::write_back`]. The
+    /// engine charges and traces its own begin; this charges nothing.
+    pub fn begin_two_phase(&mut self) -> TxnCtx<'_> {
+        self.txn_ctx(false)
+    }
+
     fn begin_inner(&mut self, read_only: bool) -> TxnCtx<'_> {
         let cost = self.cluster.opts.cost.txn_overhead_ns;
         self.clock.advance(cost);
-        let start_ns = self.clock.now();
-        let start_epoch = self.cluster.config.epoch_of(self.node);
         if self.trace_id != 0 {
             self.trace_wall_ns = drtm_obs::trace::wall_ns();
         }
@@ -597,12 +604,17 @@ impl Worker {
             if read_only { "ro" } else { "rw" },
             self.node as u64,
             self.trace_id,
-            start_ns,
+            self.clock.now(),
         );
+        self.txn_ctx(read_only)
+    }
+
+    /// A transaction context beginning now.
+    fn txn_ctx(&mut self, read_only: bool) -> TxnCtx<'_> {
         TxnCtx {
-            start_ns,
+            start_ns: self.clock.now(),
             start_wait_ns: self.wait_accum_ns,
-            start_epoch,
+            start_epoch: self.cluster.config.epoch_of(self.node),
             read_only,
             l_rs: Vec::new(),
             l_ws: Vec::new(),
@@ -864,6 +876,11 @@ impl<'w> TxnCtx<'w> {
     /// The machine this transaction executes on.
     pub fn node(&self) -> NodeId {
         self.w.node
+    }
+
+    /// The worker the transaction runs on: its clock, RNG and ledger.
+    pub fn worker(&mut self) -> &mut Worker {
+        self.w
     }
 
     fn charge(&mut self, ns: u64) {
@@ -1893,7 +1910,7 @@ enum Located {
 }
 
 /// The READ of the whole record at `rec_off`.
-fn record_read(rec_off: usize, layout: RecordLayout) -> WorkRequest {
+pub(crate) fn record_read(rec_off: usize, layout: RecordLayout) -> WorkRequest {
     WorkRequest::Read {
         raddr: rec_off,
         len: layout.size(),

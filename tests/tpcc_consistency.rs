@@ -19,7 +19,7 @@ fn cfg(nodes: usize) -> TpccCfg {
 
 fn check(engine: EngineKind, nodes: usize, threads: usize, replicas: usize) {
     check_run(
-        nodes,
+        cfg(nodes),
         RunCfg {
             engine,
             threads,
@@ -30,8 +30,7 @@ fn check(engine: EngineKind, nodes: usize, threads: usize, replicas: usize) {
     );
 }
 
-fn check_run(nodes: usize, run: RunCfg) {
-    let cfg = cfg(nodes);
+fn check_run(cfg: TpccCfg, run: RunCfg) {
     let (cluster, calvin) = build_tpcc(&cfg, &run);
     let m = run_tpcc_on(&cfg, &run, &cluster, calvin.as_ref());
     let engine = run.engine;
@@ -55,6 +54,25 @@ fn drtm_baseline() {
     check(EngineKind::Drtm, 2, 1, 1);
 }
 
+/// DrTM with every new-order cross-warehouse: each one locks its remote
+/// stock records through the commit walk's wait-mode C.1, and the two
+/// slots of a machine wait on each other's locks.
+#[test]
+fn drtm_all_distributed_new_orders() {
+    check_run(
+        TpccCfg {
+            cross_new_order: 1.0,
+            ..cfg(2)
+        },
+        RunCfg {
+            engine: EngineKind::Drtm,
+            threads: 2,
+            txns_per_worker: 40,
+            ..Default::default()
+        },
+    );
+}
+
 #[test]
 fn calvin_baseline() {
     check(EngineKind::Calvin, 2, 1, 1);
@@ -66,7 +84,7 @@ fn calvin_baseline() {
 #[test]
 fn drtm_r_routines() {
     check_run(
-        2,
+        cfg(2),
         RunCfg {
             threads: 2,
             txns_per_worker: 80,
@@ -80,39 +98,31 @@ fn drtm_r_routines() {
 /// produces a consistent database.
 #[test]
 fn high_contention_stays_consistent() {
-    let cfg = cfg(1);
-    let run = RunCfg {
-        engine: EngineKind::DrtmR,
-        threads: 3,
-        replicas: 1,
-        txns_per_worker: 40,
-        ..Default::default()
-    };
-    let (cluster, _) = build_tpcc(&cfg, &run);
-    let m = run_tpcc_on(&cfg, &run, &cluster, None);
-    assert!(m.committed > 0);
-    let violations = tpcc_audit(&cluster, &cfg);
-    assert!(violations.is_empty(), "{violations:?}");
+    check_run(
+        cfg(1),
+        RunCfg {
+            engine: EngineKind::DrtmR,
+            threads: 3,
+            txns_per_worker: 40,
+            ..Default::default()
+        },
+    );
 }
 
 /// 100% cross-warehouse new-orders (the Figure 17 extreme) stay
 /// consistent.
 #[test]
 fn all_distributed_new_orders_stay_consistent() {
-    let cfg = TpccCfg {
-        cross_new_order: 1.0,
-        ..cfg(2)
-    };
-    let run = RunCfg {
-        engine: EngineKind::DrtmR,
-        threads: 2,
-        replicas: 1,
-        txns_per_worker: 30,
-        ..Default::default()
-    };
-    let (cluster, _) = build_tpcc(&cfg, &run);
-    let m = run_tpcc_on(&cfg, &run, &cluster, None);
-    assert!(m.committed > 0);
-    let violations = tpcc_audit(&cluster, &cfg);
-    assert!(violations.is_empty(), "{violations:?}");
+    check_run(
+        TpccCfg {
+            cross_new_order: 1.0,
+            ..cfg(2)
+        },
+        RunCfg {
+            engine: EngineKind::DrtmR,
+            threads: 2,
+            txns_per_worker: 30,
+            ..Default::default()
+        },
+    );
 }

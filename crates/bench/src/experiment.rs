@@ -240,8 +240,8 @@ fn snapshot_metric(s: &Snapshot, name: &str) -> (&'static str, f64) {
 /// A named predicate over an experiment's arms: what must hold (as
 /// printed in reports and artifacts), the runs the driver may spend on
 /// it — `1` for a single-shot gate, `3` where the outcome rides host
-/// threads (`route`) or a floor that fails exactly waits to be
-/// re-based — and the predicate itself, given the run's size and arms
+/// timing (`route`'s TCP arrivals) or a floor that fails exactly waits
+/// to be re-based — and the predicate itself, given the run's size and arms
 /// in order.
 pub type Check = (&'static str, u32, fn(Size, &[Arm]) -> bool);
 
@@ -972,11 +972,9 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 1,
                 |_, a| ratio(a, "vtps") > 1.0,
             ),
-            // Twenty single-shot runs with batched reads: 1.28-2.49,
-            // median 1.72 (shared 450 k, routed 786 k); before, 0.83-2.49
-            // and 1.72 (419 k, 723 k) — both arms lose the same round
-            // trips, so the ratio stayed where it was and so does the
-            // floor, 6 % under the lowest run.
+            // Twenty single-shot runs: 1.73-1.85 (shared 609-645 k,
+            // routed 1.08-1.13 M), so the floor sits 30 % under the
+            // lowest run.
             ("routed/shared vtps >= 1.20", 3, |_, a| {
                 ratio(a, "vtps") >= 1.20
             }),

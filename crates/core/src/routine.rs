@@ -34,7 +34,8 @@
 //!
 //! The drive loop steps any number of pools on the calling thread —
 //! the measurement driver's every worker slot ([`RoutinePool::run_many`])
-//! — always taking the action that falls due earliest in virtual time:
+//! and a server's every serve pool ([`RoutinePool::serve_group`]) —
+//! always taking the action that falls due earliest in virtual time:
 //! a pool's due shared-doorbell flush or its next grant, ties to the
 //! lower pool. A routine waiting on another pool's lock spins through
 //! `Worker::pause`, whose clock advances each poll, until the holder's
@@ -150,9 +151,10 @@ enum Park {
         batches: Vec<DstBatch>,
         at: u64,
     },
-    /// External wait (serve pools): the routine found the submit queue
-    /// empty at virtual time `at` and left the virtual-time race —
-    /// it becomes runnable only when the reactor hands it a delivery.
+    /// External wait (serve pools): the routine found no item the
+    /// dispatch rule gives its pool at virtual time `at` and left the
+    /// virtual-time race — it becomes runnable only when the serve loop
+    /// hands it a delivery.
     Idle { id: usize, at: u64 },
 }
 
@@ -689,18 +691,6 @@ impl Reactor {
         self.state.lock().idle.len()
     }
 
-    /// The pool's bid for one more item, asked for by one of its idle
-    /// routines or by a running routine whose clock stands at `at`.
-    fn bid(&self, up: bool, at: u64, asking_idle: bool) -> Bid {
-        let s = self.state.lock();
-        let idle = s.idle.len();
-        Bid {
-            frontier: s.cpu_now.max(at),
-            up,
-            spare: idle > usize::from(asking_idle),
-        }
-    }
-
     /// Moves the lowest-id externally-idle routine back onto the
     /// runnable list (its wake is its clock at park — external waits
     /// never advance virtual time). Returns the routine id.
@@ -802,94 +792,26 @@ struct MemberStats {
     steals: Counter,
 }
 
-/// What a serve pool tells its [`QueueGroup`] each time it asks for
-/// work: the inputs of the group's dispatch rule (see [`QueueGroup`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Bid {
-    /// The pool's reactor CPU frontier, virtual ns.
-    pub(crate) frontier: u64,
-    /// Whether the pool's machine is up. A down pool ranks behind every
-    /// live one.
-    pub(crate) up: bool,
-    /// Whether the pool still has an idle routine once this ask takes
-    /// an item.
-    pub(crate) spare: bool,
-}
-
-/// How far in virtual time a pool may run ahead of a busy live pool
-/// that could take the same item before it stops taking work: one NIC
-/// ledger window ([`drtm_base::link::WINDOW_NS`]), the model's unit of
-/// simultaneity. Without it a pool whose OS thread the host favours
-/// keeps every routine busy, never looks idle, and leaves the other
-/// pool's clock behind for as long as the favour lasts.
-const RUN_AHEAD_NS: u64 = drtm_base::link::WINDOW_NS;
-
-/// One serve pool's standing in the dispatch rule, as of its last ask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Seat {
-    /// The member queue the pool serves.
-    member: usize,
-    /// The pool's reactor CPU frontier at its last ask.
-    frontier: u64,
-    /// Whether the pool has a routine idle for work: it is up, its loop
-    /// still runs, and its last ask found nothing or took an item with
-    /// an idle routine to spare.
-    idle: bool,
-    /// Whether the pool is up and its loop still runs, idle or busy.
-    live: bool,
-}
+/// One serve pool's standing in the dispatch rule: whether it cannot
+/// serve (its machine is down, or it has no routine left), then its
+/// reactor's CPU frontier in virtual ns. Lower goes first; ties go to
+/// the lower pool id.
+pub(crate) type Rank = (bool, u64);
 
 /// Mutable state of a [`QueueGroup`]: every member deque under one
-/// lock, so routing, shedding, stealing and the dispatch rule are each
-/// a single atomic decision over the whole group.
+/// lock, so routing, shedding and stealing are each a single atomic
+/// decision over the whole group.
 struct GroupState<T> {
     qs: Vec<VecDeque<(Instant, T)>>,
     closed: bool,
-    /// Serve pools by pool id, `None` until a pool first asks.
-    seats: Vec<Option<Seat>>,
-    /// Pools blocked on the condvar right now.
-    waiters: usize,
 }
 
-impl<T> GroupState<T> {
-    /// Whether a pool seated at `t` could take the front of `member`:
-    /// it serves `member`, or its own member is empty and `member` is
-    /// deep enough (above `reserve`) to steal from.
-    fn could_take(&self, t: &Seat, member: usize, reserve: usize) -> bool {
-        t.member == member || (self.qs[t.member].is_empty() && self.qs[member].len() > reserve)
-    }
-
-    /// Whether another pool that could take the front of `member`
-    /// outranks pool `pool` bidding `bid`: an idle one of lower
-    /// `(frontier, pool id)`, or a busy live one more than
-    /// [`RUN_AHEAD_NS`] behind. A down asker ranks behind every live
-    /// pool.
-    fn outranked(&self, member: usize, reserve: usize, pool: usize, bid: Bid) -> bool {
-        let mine = (if bid.up { bid.frontier } else { u64::MAX }, pool);
-        let beats = |q: usize, t: &Seat| {
-            (t.idle && (t.frontier, q) < mine)
-                || (t.live && t.frontier.saturating_add(RUN_AHEAD_NS) < mine.0)
-        };
-        self.seats.iter().enumerate().any(|(q, seat)| {
-            matches!(seat, Some(t) if q != pool
-                && self.could_take(t, member, reserve) && beats(q, t))
-        })
-    }
-
-    /// Records pool `pool`'s seat; whether it changed.
-    fn seat(&mut self, pool: usize, seat: Seat) -> bool {
-        if self.seats.len() <= pool {
-            self.seats.resize(pool + 1, None);
-        }
-        self.seats[pool].replace(seat) != Some(seat)
-    }
-}
-
-/// The serving tier's bounded MPMC admission plane (DESIGN.md §12,
-/// §16): a group of member queues feeding externally-arriving work into
-/// [`RoutinePool::serve_group`] loops. One member served by every pool
-/// is the shared queue ([`RoutePolicy::Shared`]); one member per pool
-/// adds routing and bounded work stealing ([`RoutePolicy::Routed`]).
+/// The serving tier's bounded admission plane (DESIGN.md §12, §16): a
+/// group of member queues feeding externally-arriving work into the
+/// pools of one [`RoutinePool::serve_group`] loop. One member served by
+/// every pool is the shared queue ([`RoutePolicy::Shared`]); one member
+/// per pool adds routing and bounded work stealing
+/// ([`RoutePolicy::Routed`]).
 ///
 /// Producers (connection reader threads) call [`QueueGroup::submit`],
 /// which enqueues each item on its *home* queue (the router's pick).
@@ -898,32 +820,22 @@ impl<T> GroupState<T> {
 /// unbounded queue growth and latency collapse. The test is two-level:
 /// a per-queue `high_water` (bounds how much backlog one hot pool may
 /// hoard) and a group-wide `global_cap` on the total backlog.
-/// Consumers are serve reactors: running routines drain with a
-/// non-blocking pop between transactions, and only when every routine
-/// is idle does the reactor block on the group's condvar in host time.
-/// They pop their own queue front-first; a consumer whose queue is
-/// empty **steals** the oldest item from the deepest sibling queue, but
-/// never drains a sibling below `reserve` items — those stay put for
-/// the home pool, keeping steals from destroying the locality the
-/// router just created. All removals take queue fronts, so per-queue
-/// FIFO order is preserved whether the home pool or a thief executes
-/// the item.
+/// The one consumer is the serve loop: its routines take items between
+/// transactions, and only when every routine is idle does the loop
+/// block on the group in host time. A pool takes its own queue's front;
+/// a pool whose queue is empty **steals** the oldest item from the
+/// deepest sibling queue, but never drains a sibling below `reserve`
+/// items — those stay put for the home pool, keeping steals from
+/// destroying the locality the router just created. All removals take
+/// queue fronts, so per-queue FIFO order is preserved whether the home
+/// pool or a thief executes the item.
 ///
-/// Every item goes out by **virtual time**, not to whichever OS thread
-/// wins the lock. Each ask of a [`RoutinePool::serve_group`] pool
-/// carries its bid: its reactor's CPU frontier, whether its machine is
-/// up, whether an idle routine is left. The pools that could take an
-/// item are those serving its member and, while the member is above
-/// the reserve, those whose own member is empty. The asker takes the
-/// item only if none of the others has an idle routine and a lower
-/// `(frontier, pool id)`, nor is busy more than one NIC ledger window
-/// behind it (`RUN_AHEAD_NS`). So the shared queue hands each request
-/// to the pool furthest behind, and in a routed group a thief steals
-/// only what it would reach before the home pool in virtual time. The
-/// loser parks its routine idle, as on an empty queue, and whenever a
-/// pool's seat (its last bid) changes while work is queued, the condvar
-/// wakes the blocked pools to re-run the rule. A down pool ranks behind
-/// every live one, and a retired pool holds no routine at all.
+/// Every item goes out by **virtual time**: to the earliest of the
+/// pools that could take it (`QueueGroup::take`). The pools that could take
+/// an item are those serving its member and, while the member is above
+/// the reserve, those whose own member is empty. So the shared queue
+/// hands each request to the pool furthest behind, and in a routed
+/// group a thief steals only what it would reach before the home pool.
 ///
 /// The group keeps its own counters (admitted/shed/delivered/stolen)
 /// and a host-time (wall-clock, not virtual) queue-wait histogram
@@ -936,6 +848,7 @@ impl<T> GroupState<T> {
 /// [`RoutinePool::serve_group`] asserts this at drain.
 pub struct QueueGroup<T> {
     inner: Mutex<GroupState<T>>,
+    /// Wakes the serve loop blocked on an empty group.
     cv: Condvar,
     high_water: usize,
     global_cap: usize,
@@ -959,8 +872,6 @@ impl<T> QueueGroup<T> {
             inner: Mutex::new(GroupState {
                 qs: (0..pools).map(|_| VecDeque::new()).collect(),
                 closed: false,
-                seats: Vec::new(),
-                waiters: 0,
             }),
             cv: Condvar::new(),
             high_water,
@@ -1007,138 +918,86 @@ impl<T> QueueGroup<T> {
         s.qs[home].push_back((Instant::now(), item));
         self.members[home].accepted.inc();
         drop(s);
-        self.cv.notify_all();
+        self.cv.notify_one();
         Admission::Admitted
     }
 
     /// Closes the group: later submissions shed, queued backlog still
-    /// drains, and once every queue is empty each pool's
-    /// `pop_blocking` reports done.
+    /// drains, and once every queue is empty the serve loop's wait reports
+    /// drained.
     pub fn close(&self) {
         self.inner.lock().closed = true;
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 
-    /// One removal attempt under the lock by serve pool `pool` of
-    /// `member`, bidding `bid`: the member's front, else — the member
-    /// empty — the *oldest* item of the deepest sibling still above the
-    /// reserve, either only if the dispatch rule gives it to the pool.
-    /// Records the pool's seat. Counters are bumped before the lock
-    /// drops so a concurrent drain check can never observe a removed
-    /// item whose delivery is uncounted.
-    fn take_locked(
-        &self,
-        pool: usize,
-        member: usize,
-        bid: Bid,
-        s: &mut GroupState<T>,
-    ) -> Option<(Instant, T)> {
-        let from = if s.qs[member].is_empty() {
-            s.qs.iter()
-                .enumerate()
-                .filter(|(i, q)| *i != member && q.len() > self.reserve)
-                .max_by_key(|(_, q)| q.len())
-                .map(|(i, _)| i)
-        } else {
-            Some(member)
-        };
-        let from = from.filter(|&m| !s.outranked(m, self.reserve, pool, bid));
-        let it = from.map(|m| {
-            self.members[m].delivered.inc();
-            if m != member {
-                self.members[member].steals.inc();
-                drtm_obs::trace::event(
-                    drtm_obs::EventKind::Net,
-                    "steal",
-                    ((member as u64) << 32) | m as u64,
-                    0,
-                );
-            }
-            s.qs[m].pop_front().expect("chosen queue non-empty")
-        });
-        let seat = Seat {
-            member,
-            frontier: bid.frontier,
-            idle: bid.up && (it.is_none() || bid.spare),
-            live: bid.up,
-        };
-        if s.seat(pool, seat) && s.waiters > 0 && s.qs.iter().any(|q| !q.is_empty()) {
-            self.cv.notify_all(); // a blocked pool may win now
-        }
-        if it.is_some() && s.closed {
-            self.cv.notify_all(); // a sibling may be waiting to retire
-        }
-        it
+    /// The member queue serve pool `pool` serves: pool `p` of a group
+    /// of `m` members serves member `p mod m`, so every pool serves the
+    /// one member of a shared queue and pool `p` member `p` of a routed
+    /// group.
+    fn member_of(&self, pool: usize) -> usize {
+        pool % self.members.len()
     }
 
-    /// Non-blocking pop by serve pool `pool` of `member`, bidding `bid`:
-    /// its own queue first, then the steal protocol, both under the
-    /// dispatch rule. `None` means nothing poppable right now, or the
-    /// rule gives it to another pool.
-    pub(crate) fn try_pop(&self, pool: usize, member: usize, bid: Bid) -> Option<T> {
+    /// The dispatch rule (DESIGN.md §12): removes the item serve pool
+    /// `pool` would take — its member's front, else the oldest item of
+    /// the deepest sibling still above the reserve — if `pool` ranks
+    /// first among the pools that could take that item, `ranks[q]`
+    /// being pool `q`'s standing. A pool could take the front of member
+    /// `m` if it serves `m`, or its own member is empty and `m` holds
+    /// more than the reserve. Counters are bumped before the lock drops
+    /// so a concurrent drain check can never observe a removed item
+    /// whose delivery is uncounted.
+    pub(crate) fn take(&self, pool: usize, ranks: &[Rank]) -> Option<T> {
         let mut s = self.inner.lock();
-        let (at, item) = self.take_locked(pool, member, bid, &mut s)?;
+        let member = self.member_of(pool);
+        let from = if s.qs[member].is_empty() {
+            let deep = s.qs.iter().enumerate();
+            let deep = deep.filter(|(_, q)| q.len() > self.reserve);
+            deep.max_by_key(|(_, q)| q.len())?.0
+        } else {
+            member
+        };
+        let eligible = |q: &usize| {
+            let own = self.member_of(*q);
+            own == from || (s.qs[own].is_empty() && s.qs[from].len() > self.reserve)
+        };
+        let first = (0..ranks.len()).filter(eligible);
+        if first.min_by_key(|&q| (ranks[q], q)) != Some(pool) {
+            return None;
+        }
+        self.members[from].delivered.inc();
+        if from != member {
+            self.members[member].steals.inc();
+            drtm_obs::trace::event(
+                drtm_obs::EventKind::Net,
+                "steal",
+                ((member as u64) << 32) | from as u64,
+                0,
+            );
+        }
+        let (at, item) = s.qs[from].pop_front().expect("chosen queue non-empty");
         drop(s);
-        self.note_wait(at);
+        self.wait_ns
+            .record(at.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         Some(item)
     }
 
-    /// Blocking pop by serve pool `pool` of `member`: waits for an item
-    /// the dispatch rule gives the pool, calling `bid` — outside the
-    /// group's lock — each time the pool wakes. `None` once the group is
+    /// Blocks the serve loop until an item or the close arrives, calling
+    /// `woke` first and each time it wakes. Returns whether the group is
     /// closed and *every* queue has drained (so no member's backlog is
-    /// ever stranded behind a retired pool).
-    pub(crate) fn pop_blocking(
-        &self,
-        pool: usize,
-        member: usize,
-        mut bid: impl FnMut() -> Bid,
-    ) -> Option<T> {
+    /// ever stranded).
+    pub(crate) fn wait(&self, mut woke: impl FnMut()) -> bool {
         loop {
-            // The bid is read outside the lock; every change it could
-            // miss is made under the lock and re-checked below.
-            let bid = bid();
-            let mut s = self.inner.lock();
-            if let Some((at, item)) = self.take_locked(pool, member, bid, &mut s) {
-                drop(s);
-                self.note_wait(at);
-                return Some(item);
+            woke();
+            let s = self.inner.lock();
+            if s.qs.iter().any(|q| !q.is_empty()) {
+                return false;
             }
-            if s.closed && s.qs.iter().all(|q| q.is_empty()) {
-                return None;
+            if s.closed {
+                return true;
             }
-            s.waiters += 1;
-            s = self.cv.wait(s);
-            s.waiters -= 1;
+            drop(self.cv.wait(s));
         }
-    }
-
-    /// Serve pools of `member` whose last ask left them an idle routine.
-    #[cfg(test)]
-    pub(crate) fn idle_pools(&self, member: usize) -> usize {
-        let s = self.inner.lock();
-        let idle = s
-            .seats
-            .iter()
-            .flatten()
-            .filter(|t| t.member == member && t.idle);
-        idle.count()
-    }
-
-    /// Retires serve pool `pool`: it holds no idle routine from now on,
-    /// so it never outranks a live pool again.
-    pub(crate) fn leave(&self, pool: usize) {
-        let mut s = self.inner.lock();
-        if let Some(seat) = s.seats.get_mut(pool).and_then(Option::as_mut) {
-            (seat.idle, seat.live) = (false, false);
-        }
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    fn note_wait(&self, enqueued: Instant) {
-        self.wait_ns
-            .record(enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Member queues in the group.
@@ -1255,10 +1114,97 @@ impl RoutineCtl {
     }
 }
 
-/// The delivery mailbox of a serve pool: one slot per routine, filled
-/// by the reactor when it hands a queued item (or the close signal) to
-/// an idle routine.
-type Slots<T> = Arc<Mutex<Vec<Option<Option<T>>>>>;
+/// The serve pools of one [`RoutinePool::serve_group`] loop, as its
+/// dispatch rule reads them.
+struct Serving<'g, T> {
+    group: &'g QueueGroup<T>,
+    reactors: Vec<Arc<Reactor>>,
+    /// Each pool's machine: its liveness ranks the pool, and the loop
+    /// takes its log truncation step while it waits.
+    nodes: Vec<NodeId>,
+    cluster: Arc<DrtmCluster>,
+    /// Each pool's delivery mailbox: one slot per routine, filled when
+    /// the loop hands an idle routine a queued item (or the close
+    /// signal).
+    slots: Vec<Mutex<Vec<Option<Option<T>>>>>,
+}
+
+impl<T> Serving<'_, T> {
+    /// Every pool's [`Rank`]. `asking` is the pool and clock of a
+    /// running routine that asks for work: its pool's frontier is the
+    /// later of the reactor's and that clock.
+    fn ranks(&self, asking: Option<(usize, u64)>) -> Vec<Rank> {
+        let rank = |(p, r): (usize, &Arc<Reactor>)| {
+            let s = r.state.lock();
+            let clock = asking.filter(|a| a.0 == p).map_or(0, |a| a.1);
+            let down = s.live == 0 || !self.cluster.is_alive(self.nodes[p]);
+            (down, s.cpu_now.max(clock))
+        };
+        self.reactors.iter().enumerate().map(rank).collect()
+    }
+
+    /// Makes pool `p`'s lowest-id idle routine runnable with `msg` in
+    /// its slot.
+    fn deliver(&self, p: usize, msg: Option<T>) {
+        let id = self.reactors[p].rejoin_lowest_idle();
+        self.slots[p].lock()[id] = Some(msg);
+    }
+
+    /// Before the loop's action due at `at` (`None`: no pool has one),
+    /// hands queue fronts to the idle routines of every pool whose
+    /// frontier is not later than `at`, as far as the dispatch rule
+    /// gives them to it. Whether it delivered anything.
+    fn admit(&self, at: Option<u64>) -> bool {
+        if self.reactors.iter().all(|r| r.idle_count() == 0) {
+            return false;
+        }
+        let ranks = self.ranks(None);
+        let mut delivered = false;
+        for (p, reactor) in self.reactors.iter().enumerate() {
+            if at.is_some_and(|at| ranks[p].1 > at) {
+                continue;
+            }
+            while reactor.idle_count() > 0 {
+                let Some(item) = self.group.take(p, &ranks) else {
+                    break;
+                };
+                self.deliver(p, Some(item));
+                delivered = true;
+            }
+        }
+        delivered
+    }
+
+    /// Nothing runnable but routines remain: they must all be idle.
+    /// Blocks the loop in host time — its only blocking point — until
+    /// an item or the close arrives. Every pool is between requests, so
+    /// each wake takes each pool's machine's log truncation step at the
+    /// pool's frontier, as a routine does after each request. Closed and
+    /// drained, every idle routine gets the stop signal.
+    fn stalled(&self) {
+        for r in &self.reactors {
+            assert_eq!(
+                r.idle_count(),
+                r.live(),
+                "serve loop wedged: live routines neither runnable nor idle"
+            );
+        }
+        let drained = self.group.wait(|| {
+            for (r, &node) in self.reactors.iter().zip(&self.nodes) {
+                let frontier = r.state.lock().cpu_now;
+                self.cluster.truncate_step_at(node, frontier);
+            }
+        });
+        if drained {
+            for (p, r) in self.reactors.iter().enumerate() {
+                while r.idle_count() > 0 {
+                    self.deliver(p, None);
+                }
+            }
+            self.group.assert_drained();
+        }
+    }
+}
 
 /// State machine of one "give me the next job" suspension in a serve
 /// routine.
@@ -1269,16 +1215,14 @@ enum NextJob {
     Parked,
 }
 
-/// The next-job future of a serve routine: an inline non-blocking pop
-/// while the routine is running (no clock fold — the routine keeps its
-/// step), else an idle park whose delivery the reactor provides.
-/// Resolves to `(delivery, resume_at)`; a `None` delivery means the
-/// group closed and drained.
-struct NextJobFut<'q, T> {
-    reactor: Arc<Reactor>,
-    group: &'q QueueGroup<T>,
-    seat: PoolSeat<'q>,
-    slots: Slots<T>,
+/// The next-job future of a serve routine: an inline take while the
+/// routine is running (no clock fold — the routine keeps its step), else
+/// an idle park whose delivery the loop provides. Resolves to
+/// `(delivery, resume_at)`; a `None` delivery means the group closed and
+/// drained.
+struct NextJobFut<'a, T> {
+    serving: &'a Serving<'a, T>,
+    pool: usize,
     id: usize,
     /// The routine's clock when the wait began.
     at: u64,
@@ -1290,16 +1234,16 @@ impl<T> Future for NextJobFut<'_, T> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
+        let reactor = &this.serving.reactors[this.pool];
         match this.state {
             NextJob::Start => {
-                let bid = this.reactor.bid(this.seat.up(), this.at, false);
-                let (pool, member) = (this.seat.pool, this.seat.member);
-                if let Some(item) = this.group.try_pop(pool, member, bid) {
+                let ranks = this.serving.ranks(Some((this.pool, this.at)));
+                if let Some(item) = this.serving.group.take(this.pool, &ranks) {
                     // Backlog available: keep running in the current
-                    // step, exactly like the pre-reactor inline drain.
+                    // step.
                     return Poll::Ready((Some(item), this.at));
                 }
-                let mut s = this.reactor.state.lock();
+                let mut s = reactor.state.lock();
                 debug_assert!(s.park.is_none(), "two parks registered in one step");
                 s.park = Some(Park::Idle {
                     id: this.id,
@@ -1310,7 +1254,7 @@ impl<T> Future for NextJobFut<'_, T> {
             }
             NextJob::Parked => {
                 let grant = {
-                    let mut s = this.reactor.state.lock();
+                    let mut s = reactor.state.lock();
                     debug_assert_eq!(
                         s.granted,
                         Some(this.id),
@@ -1319,7 +1263,7 @@ impl<T> Future for NextJobFut<'_, T> {
                     s.granted = None;
                     s.grant
                 };
-                let msg = this.slots.lock()[this.id]
+                let msg = this.serving.slots[this.pool].lock()[this.id]
                     .take()
                     .expect("idle routine granted without a delivery");
                 Poll::Ready((msg, grant.resume_at))
@@ -1509,167 +1453,86 @@ impl RoutinePool {
         )
     }
 
-    /// Serves externally-submitted work from member `member` of `group`
-    /// as serve pool `pool` (an id unique among the group's pools, and
-    /// the tie-break of its dispatch rule): every worker becomes a
-    /// routine that runs `handler(routine_id, worker, item)` on the
-    /// items the pool pops, until the group is closed *and* **all**
-    /// member queues have drained, then returns the workers in
-    /// routine-id order. The pool drains its member front-first and,
-    /// when that is empty, steals the oldest item from the deepest
-    /// sibling queue still above the group's reserve (DESIGN.md §16).
-    /// Several pools may serve the same member — that is the shared
-    /// queue. Pops and steals alike go to the pool furthest behind in
-    /// virtual time (see [`QueueGroup`]).
+    /// Serves externally-submitted work from `group` with every pool of
+    /// `pools` — one per machine, pool `p` serving member `p mod
+    /// members` of the group — on one drive loop on the calling thread:
+    /// every worker becomes a routine that runs `handler(pool,
+    /// routine_id, worker, item)` on the items its pool takes, until
+    /// the group is closed *and* **all** member queues have drained,
+    /// then the workers come back, per pool in routine-id order. A pool
+    /// drains its member front-first and, when that is empty, steals
+    /// the oldest item from the deepest sibling queue still above the
+    /// group's reserve (DESIGN.md §16).
     ///
-    /// While there is backlog, routines interleave exactly as in
-    /// [`RoutinePool::run`] — one CPU, overlapped verb waits. When a
-    /// routine finds nothing to pop it parks *idle* (leaving the
-    /// virtual-time race so the others keep running); once every live
-    /// routine is idle, the reactor itself blocks on the group in host
-    /// time. External idle time therefore never advances virtual time,
-    /// and a pool blocked on an empty queue consumes no simulated CPU.
-    /// Arriving items are handed to the lowest-id idle routine at each
-    /// scheduling point. Every ask reports the pool's CPU frontier, and
-    /// whether the workers' machine is up, to the group; each wake of a
-    /// pool blocked on the group takes the machine's log truncation
-    /// step.
+    /// Every item goes to the earliest pool in virtual time that could
+    /// take it (`QueueGroup::take`; a pool whose machine is down ranks
+    /// last). Before each action of the loop, an idle routine of that
+    /// pool gets the item if the pool's frontier is not later than the
+    /// action; a busy pool takes it inline when a routine of it next
+    /// asks. While there is backlog, routines interleave exactly as in
+    /// [`RoutinePool::run_many`]. A routine that gets nothing parks
+    /// *idle*, out of the virtual-time race, and once every routine is
+    /// idle the loop blocks on the group in host time: external idle
+    /// time never advances virtual time. Each wake takes every pool's
+    /// machine's log truncation step.
     ///
-    /// At drain the pool asserts the per-queue `accepted == delivered`
+    /// At drain the loop asserts the per-queue `accepted == delivered`
     /// invariant (see [`QueueGroup`]) — what the serving tier's
     /// `completed == accepted` audit rests on.
     pub fn serve_group<T, F>(
-        workers: Vec<Worker>,
+        pools: Vec<Vec<Worker>>,
         group: &QueueGroup<T>,
-        pool: usize,
-        member: usize,
         handler: F,
-    ) -> Vec<Worker>
+    ) -> Vec<Vec<Worker>>
     where
-        F: AsyncFn(usize, &mut Worker, T),
+        F: AsyncFn(usize, usize, &mut Worker, T),
     {
-        assert!(member < group.pools(), "member index outside the group");
-        let reactor = Reactor::for_pool(&workers);
-        let cluster = Arc::clone(&workers[0].cluster);
-        let seat = PoolSeat {
-            pool,
-            member,
-            cluster: &cluster,
-            node: workers[0].node,
+        assert!(
+            pools.len() >= group.pools(),
+            "every member queue needs a pool"
+        );
+        let serving = Serving {
+            group,
+            reactors: pools.iter().map(|w| Reactor::for_pool(w)).collect(),
+            nodes: pools.iter().map(|w| w[0].node).collect(),
+            cluster: Arc::clone(&pools[0][0].cluster),
+            slots: (pools.iter())
+                .map(|w| Mutex::new(w.iter().map(|_| None).collect()))
+                .collect(),
         };
-        let slots: Slots<T> = Arc::new(Mutex::new(workers.iter().map(|_| None).collect()));
-        let handler = &handler;
-        let futs = workers
-            .into_iter()
-            .enumerate()
-            .map(|(id, w)| {
-                let (reactor, slots) = (Arc::clone(&reactor), Arc::clone(&slots));
-                let fut = routine(Arc::clone(&reactor), id, w, async move |w| loop {
-                    let (popped, resume_at) = NextJobFut {
-                        reactor: Arc::clone(&reactor),
-                        group,
-                        seat,
-                        slots: Arc::clone(&slots),
-                        id,
-                        at: w.clock.now(),
-                        state: NextJob::Start,
-                    }
-                    .await;
-                    w.clock.advance_to(resume_at);
-                    match popped {
-                        Some(item) => handler(id, w, item).await,
-                        None => break, // closed and drained
-                    }
+        let (serving, handler) = (&serving, &handler);
+        let futs = (pools.into_iter().enumerate())
+            .map(|(pool, workers)| {
+                let reactor = &serving.reactors[pool];
+                let routines = workers.into_iter().enumerate().map(|(id, w)| {
+                    let body = async move |w: &mut Worker| loop {
+                        let (popped, resume_at) = NextJobFut {
+                            serving,
+                            pool,
+                            id,
+                            at: w.clock.now(),
+                            state: NextJob::Start,
+                        }
+                        .await;
+                        w.clock.advance_to(resume_at);
+                        match popped {
+                            Some(item) => handler(pool, id, w, item).await,
+                            None => break, // closed and drained
+                        }
+                    };
+                    Box::pin(routine(Arc::clone(reactor), id, w, body)) as RoutineFut<'_, ()>
                 });
-                Box::pin(fut) as RoutineFut<'_, ()>
+                routines.collect()
             })
             .collect();
-        // Makes the lowest-id idle routine runnable with `msg` in its slot.
-        let deliver = |msg: Option<T>| {
-            let id = reactor.rejoin_lowest_idle();
-            slots.lock()[id] = Some(msg);
-        };
-        let reactors = [Arc::clone(&reactor)];
-        let mut done = drive(
-            &reactors,
-            vec![futs],
-            // Hand arrivals to idle routines (lowest id first) before
-            // each scheduling decision, as long as the rule gives them
-            // to this pool.
-            |_| {
-                let mut delivered = false;
-                while reactor.idle_count() > 0 {
-                    let bid = reactor.bid(seat.up(), 0, true);
-                    let Some(item) = group.try_pop(pool, member, bid) else {
-                        break;
-                    };
-                    deliver(Some(item));
-                    delivered = true;
-                }
-                delivered
-            },
-            // Nothing runnable but routines remain: they must all be
-            // idle on the empty queue (or on work the rule gives to
-            // another pool). Block in host time — the only blocking
-            // point of the whole pool — and hand the outcome to the
-            // idle routines.
-            || {
-                assert_eq!(
-                    reactor.idle_count(),
-                    reactor.live(),
-                    "serve pool wedged: live routines neither runnable nor idle"
-                );
-                // Nothing runs while the pool blocks, so only `up` can
-                // move. A waiting pool is between requests: each wake
-                // takes its machine's log truncation step, as a routine
-                // does after each request, so a pool the rule holds back
-                // still folds what its siblings' commits log on it.
-                let bid = reactor.bid(true, 0, true);
-                let popped = group.pop_blocking(pool, member, || {
-                    seat.cluster.truncate_step_at(seat.node, bid.frontier);
-                    Bid {
-                        up: seat.up(),
-                        ..bid
-                    }
-                });
-                match popped {
-                    Some(item) => deliver(Some(item)),
-                    None => {
-                        // Closed and drained: deliver the stop signal to
-                        // every idle routine; the dispatch loop retires
-                        // them in virtual-time order.
-                        while reactor.idle_count() > 0 {
-                            deliver(None);
-                        }
-                        // `pop_blocking` returned `None`, so the group
-                        // is closed and *every* queue is empty: the
-                        // per-member invariant holds group-wide, whichever
-                        // pool observes the drain first.
-                        group.assert_drained();
-                    }
-                }
-            },
+        let done = drive(
+            &serving.reactors,
+            futs,
+            |at| serving.admit(at),
+            || serving.stalled(),
         );
-        group.leave(pool);
-        let done = done.pop().expect("one pool");
-        done.into_iter().map(|(w, ())| w).collect()
-    }
-}
-
-/// Who a serve pool is to its group: its pool id, the member it serves,
-/// and the machine whose liveness it reports.
-#[derive(Clone, Copy)]
-struct PoolSeat<'a> {
-    pool: usize,
-    member: usize,
-    cluster: &'a DrtmCluster,
-    node: NodeId,
-}
-
-impl PoolSeat<'_> {
-    /// Whether the pool's machine is up.
-    fn up(&self) -> bool {
-        self.cluster.is_alive(self.node)
+        let workers = |pool: Vec<(Worker, ())>| pool.into_iter().map(|(w, ())| w).collect();
+        done.into_iter().map(workers).collect()
     }
 }
 

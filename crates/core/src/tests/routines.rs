@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use drtm_rdma::Verb::{Cas, Read, Write};
 
 use super::*;
-use crate::routine::{Admission, Bid, QueueGroup, RoutinePool};
+use crate::routine::{Admission, QueueGroup, Rank, RoutinePool};
 
 /// The workload both arms of the routines=1 identity test run: a mix of
 /// local, remote and replicated read-modify-writes, plus a read-only
@@ -427,6 +427,17 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
     assert_eq!(value(&c, 1, 0), 101, "committed exactly once");
 }
 
+/// A live pool's rank at `frontier`.
+fn up(frontier: u64) -> Rank {
+    (false, frontier)
+}
+
+/// The rank of a pool at `frontier` that cannot serve: its machine is
+/// down, or its routines retired.
+fn down(frontier: u64) -> Rank {
+    (true, frontier)
+}
+
 /// The shared admission queue is a one-member group: it sheds at the
 /// high-water mark and counts it, pops FIFO, and drains after close.
 #[test]
@@ -437,17 +448,20 @@ fn submit_queue_sheds_past_high_water() {
     assert_eq!(q.submit(0, 3), Admission::Admitted);
     assert_eq!(q.submit(0, 4), Admission::Rejected, "queue full must shed");
     assert_eq!(q.depth(0), 3);
-    assert_eq!(q.try_pop(0, 0, bid(0, false)), Some(1));
+    assert_eq!(q.take(0, &[up(0)]), Some(1));
     assert_eq!(q.delivered(0), 1, "pop counts as a delivery");
     assert_eq!(q.submit(0, 5), Admission::Admitted, "pop frees a slot");
     assert_eq!((q.accepted_total(), q.rejected_total()), (4, 1));
     q.close();
     assert_eq!(q.submit(0, 6), Admission::Rejected, "closed queue sheds");
-    // The backlog still drains after close, then pops report done.
-    assert_eq!(q.pop_blocking(0, 0, || bid(0, false)), Some(2));
-    assert_eq!(q.pop_blocking(0, 0, || bid(0, false)), Some(3));
-    assert_eq!(q.pop_blocking(0, 0, || bid(0, false)), Some(5));
-    assert_eq!(q.pop_blocking(0, 0, || bid(0, false)), None);
+    // The backlog still drains after close, then the loop's wait
+    // reports the group drained.
+    assert!(!q.wait(|| {}), "backlog left");
+    assert_eq!(q.take(0, &[up(0)]), Some(2));
+    assert_eq!(q.take(0, &[up(0)]), Some(3));
+    assert_eq!(q.take(0, &[up(0)]), Some(5));
+    assert_eq!(q.take(0, &[up(0)]), None);
+    assert!(q.wait(|| {}), "closed and drained");
     assert_eq!(q.wait_hist().count(), 4, "every delivery recorded a wait");
     assert_eq!(
         q.delivered(0),
@@ -483,15 +497,12 @@ fn queue_group_sheds_two_level_and_counts_each() {
     assert_eq!((g.rejected(0), g.rejected(1)), (1, 1));
     g.close();
     assert_eq!(g.submit(0, 13), Admission::Rejected, "closed group sheds");
-    assert_eq!(g.pop_blocking(0, 0, || bid(0, false)), Some(10));
-    assert_eq!(g.pop_blocking(0, 0, || bid(0, false)), Some(11));
-    assert_eq!(g.pop_blocking(1, 1, || bid(0, false)), Some(20));
-    assert_eq!(
-        g.pop_blocking(0, 0, || bid(0, false)),
-        None,
-        "closed and all queues drained"
-    );
-    assert_eq!(g.pop_blocking(1, 1, || bid(0, false)), None);
+    let ranks = [up(100), up(0)];
+    assert_eq!(g.take(0, &ranks), Some(10));
+    assert_eq!(g.take(0, &ranks), Some(11));
+    assert_eq!(g.take(1, &ranks), Some(20));
+    assert_eq!(g.take(0, &ranks), None);
+    assert!(g.wait(|| {}), "closed and all queues drained");
     assert_eq!(g.wait_hist().count(), 3, "every delivery recorded a wait");
     for pool in 0..2 {
         assert_eq!(g.accepted(pool), g.delivered(pool));
@@ -500,7 +511,8 @@ fn queue_group_sheds_two_level_and_counts_each() {
 
 /// The steal protocol: an empty pool steals the *oldest* item from the
 /// deepest sibling queue — per-queue FIFO order holds across home pops
-/// and thefts — and never drains a sibling below the reserve.
+/// and thefts — and never drains a sibling below the reserve. The
+/// thief is behind the home pool in virtual time.
 #[test]
 fn queue_group_steal_preserves_fifo_and_respects_reserve() {
     let g: QueueGroup<u64> = QueueGroup::new(2, 16, 32, 1);
@@ -508,21 +520,22 @@ fn queue_group_steal_preserves_fifo_and_respects_reserve() {
         assert_eq!(g.submit(0, v), Admission::Admitted);
     }
     // Pool 1 is empty: it steals queue 0's front, oldest first.
+    let ranks = [up(100), up(0)];
     assert_eq!(
-        g.try_pop(1, 1, bid(0, false)),
+        g.take(1, &ranks),
         Some(10),
         "steal takes the victim's front"
     );
-    assert_eq!(g.try_pop(1, 1, bid(0, false)), Some(11));
-    assert_eq!(g.try_pop(1, 1, bid(0, false)), Some(12));
+    assert_eq!(g.take(1, &ranks), Some(11));
+    assert_eq!(g.take(1, &ranks), Some(12));
     assert_eq!(
-        g.try_pop(1, 1, bid(0, false)),
+        g.take(1, &ranks),
         None,
         "reserve floor: the last item stays for the home pool"
     );
     assert_eq!(g.depth(0), 1);
     assert_eq!(
-        g.try_pop(0, 0, bid(0, false)),
+        g.take(0, &ranks),
         Some(13),
         "home pop below the reserve is fine"
     );
@@ -544,58 +557,44 @@ fn queue_group_steals_from_deepest_sibling() {
     for v in [20, 21, 22] {
         assert_eq!(g.submit(1, v), Admission::Admitted);
     }
-    assert_eq!(
-        g.try_pop(2, 2, bid(0, false)),
-        Some(20),
-        "queue 1 is deepest"
-    );
-    assert_eq!(
-        g.try_pop(2, 2, bid(0, false)),
-        Some(21),
-        "still deepest (2 vs 1)"
-    );
+    let ranks = [up(100), up(100), up(0)];
+    assert_eq!(g.take(2, &ranks), Some(20), "queue 1 is deepest");
+    assert_eq!(g.take(2, &ranks), Some(21), "still deepest (2 vs 1)");
     assert_eq!(g.depth(0), 1);
     assert_eq!(g.depth(1), 1);
 }
 
 /// Steals follow the dispatch rule: while the victim is above the
-/// reserve, an idle thief behind the home pool in virtual time takes
-/// the front ahead of the home pool's own pop; a busy thief within one
-/// window does not hold the home pool back.
+/// reserve, a thief behind the home pool in virtual time takes the
+/// front ahead of the home pool's own ask — idle, or busy and asking
+/// inline — and at the reserve the item is the home pool's alone.
 #[test]
-fn routed_steal_goes_to_an_idle_thief_behind() {
+fn routed_steal_goes_to_a_thief_behind() {
     let g: QueueGroup<u64> = QueueGroup::new(2, 16, 32, 1);
-    assert_eq!(g.try_pop(1, 1, bid(100, true)), None, "pool 1 idles at 100");
     for v in [10, 11, 12] {
         assert_eq!(g.submit(0, v), Admission::Admitted);
     }
+    let ranks = [up(500), up(100)];
     assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
+        g.take(0, &ranks),
         None,
-        "the home pool is ahead of an idle thief"
+        "the home pool is ahead of the thief"
     );
+    assert_eq!(g.take(1, &ranks), Some(10), "the thief steals");
+    assert_eq!(g.take(0, &ranks), None, "the thief is still behind");
+    assert_eq!(g.take(1, &ranks), Some(11), "and steals again");
+    assert_eq!(g.take(1, &ranks), None, "reserve floor");
     assert_eq!(
-        g.try_pop(1, 1, bid(100, false)),
-        Some(10),
-        "the thief steals"
-    );
-    assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
-        Some(11),
-        "the thief is busy, within a window"
-    );
-    assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
+        g.take(0, &ranks),
         Some(12),
         "at the reserve the item is the home pool's alone"
     );
-    assert_eq!((g.steals(1), g.delivered(0)), (1, 3));
+    assert_eq!((g.steals(1), g.delivered(0)), (2, 3));
 }
 
-/// A thief more than one NIC ledger window ahead of a busy home pool
-/// leaves the item to it — the home pool reaches it first in virtual
-/// time — and steals again once the home pool's next ask shows it
-/// caught up. The reserve still bounds every steal.
+/// A thief ahead of the home pool leaves the item to it — the home
+/// pool reaches it first in virtual time — and steals once the home
+/// pool has passed it. The reserve still bounds every steal.
 #[test]
 fn routed_thief_far_ahead_leaves_the_item_home() {
     let window = drtm_base::link::WINDOW_NS;
@@ -603,38 +602,20 @@ fn routed_thief_far_ahead_leaves_the_item_home() {
     for v in [1, 2, 3, 4] {
         assert_eq!(g.submit(0, v), Admission::Admitted);
     }
+    let ranks = [up(100), up(101 + window)];
+    assert_eq!(g.take(0, &ranks), Some(1), "the home pool is behind");
+    assert_eq!(g.take(1, &ranks), None, "the thief is ahead");
+    let ranks = [up(window), up(101 + window)];
+    assert_eq!(g.take(1, &ranks), None, "still ahead");
+    assert_eq!(g.take(0, &ranks), Some(2));
+    let ranks = [up(102 + window), up(101 + window)];
+    assert_eq!(g.take(1, &ranks), Some(3), "the home pool passed it");
     assert_eq!(
-        g.try_pop(0, 0, bid(100, false)),
-        Some(1),
-        "pool 0 busy at 100"
-    );
-    assert_eq!(
-        g.try_pop(1, 1, bid(101 + window, true)),
-        None,
-        "past the window"
-    );
-    assert_eq!(
-        g.try_pop(0, 0, bid(window, false)),
-        Some(2),
-        "pool 0 caught up"
-    );
-    assert_eq!(g.try_pop(1, 1, bid(101 + window, true)), Some(3));
-    assert_eq!(
-        g.try_pop(1, 1, bid(101 + window, true)),
+        g.take(1, &ranks),
         None,
         "reserve floor: the last item stays home"
     );
     assert_eq!((g.steals(1), g.delivered(0)), (1, 3));
-}
-
-/// A live pool's bid at `frontier`, with (`spare`) or without another
-/// idle routine behind the asking one.
-fn bid(frontier: u64, spare: bool) -> Bid {
-    Bid {
-        frontier,
-        up: true,
-        spare,
-    }
 }
 
 /// The dispatch rule of a shared queue (DESIGN.md §16): of two idle
@@ -643,163 +624,107 @@ fn bid(frontier: u64, spare: bool) -> Bid {
 #[test]
 fn shared_queue_gives_the_item_to_the_pool_behind() {
     let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
-    assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
-        None,
-        "empty: pool 0 idles at 500"
-    );
+    let ranks = [up(500), up(900)];
+    assert_eq!(g.take(0, &ranks), None, "empty");
     assert_eq!(g.submit(0, 7), Admission::Admitted);
-    assert_eq!(
-        g.try_pop(1, 0, bid(900, true)),
-        None,
-        "pool 1 is ahead of idle pool 0"
-    );
-    assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
-        Some(7),
-        "the pool behind takes it"
-    );
+    assert_eq!(g.take(1, &ranks), None, "pool 1 is ahead of idle pool 0");
+    assert_eq!(g.take(0, &ranks), Some(7), "the pool behind takes it");
     assert_eq!((g.accepted(0), g.delivered(0)), (1, 1));
 }
 
-/// The rule holds no work back: a pool ahead takes the item when no
-/// pool behind it has an idle routine — pool 0 is behind but took its
-/// last idle routine's item.
+/// A busy pool behind keeps the item from an idle pool ahead, however
+/// far ahead: the rule has no run-ahead window. The busy pool takes it
+/// when a routine of it next asks, and the pool ahead takes work again
+/// once the busy pool's clock has passed it.
 #[test]
-fn shared_queue_gives_a_pool_ahead_the_item_no_idle_pool_behind_wants() {
-    let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
-    assert_eq!(g.try_pop(1, 0, bid(900, true)), None, "pool 1 idles at 900");
-    for v in [1, 2] {
-        assert_eq!(g.submit(0, v), Admission::Admitted);
-    }
-    assert_eq!(g.try_pop(0, 0, bid(100, false)), Some(1), "pool 0 busy now");
-    assert_eq!(
-        g.try_pop(1, 0, bid(900, true)),
-        Some(2),
-        "nobody behind is idle"
-    );
-}
-
-/// A pool ahead stops taking work once a busy live pool of the queue is
-/// more than one NIC ledger window behind it, and takes it again once
-/// that pool's next ask shows it caught up — the bound that keeps a
-/// host-favoured pool from leaving its sibling's clock behind.
-#[test]
-fn shared_queue_holds_a_pool_one_window_ahead_of_a_busy_one() {
+fn shared_queue_busy_pool_behind_keeps_the_item_from_an_idle_pool_ahead() {
     let window = drtm_base::link::WINDOW_NS;
     let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
     for v in [1, 2, 3] {
         assert_eq!(g.submit(0, v), Admission::Admitted);
     }
-    assert_eq!(
-        g.try_pop(0, 0, bid(100, false)),
-        Some(1),
-        "pool 0 busy at 100"
-    );
-    assert_eq!(
-        g.try_pop(1, 0, bid(100 + window, true)),
-        Some(2),
-        "one window ahead"
-    );
-    assert_eq!(
-        g.try_pop(1, 0, bid(101 + window, true)),
-        None,
-        "past the window"
-    );
-    assert_eq!(
-        g.try_pop(0, 0, bid(window, false)),
-        Some(3),
-        "pool 0 caught up"
-    );
-    assert_eq!(g.submit(0, 4), Admission::Admitted);
-    assert_eq!(g.try_pop(1, 0, bid(101 + window, true)), Some(4));
+    let ranks = [up(100), up(100 + window)];
+    assert_eq!(g.take(0, &ranks), Some(1), "pool 0 busy at 100");
+    assert_eq!(g.take(1, &ranks), None, "one window ahead");
+    assert_eq!(g.take(1, &[up(100), up(900)]), None, "less ahead");
+    assert_eq!(g.take(0, &[up(window), up(101 + window)]), Some(2));
+    let ranks = [up(102 + window), up(101 + window)];
+    assert_eq!(g.take(0, &ranks), None, "pool 0 passed pool 1");
+    assert_eq!(g.take(1, &ranks), Some(3));
 }
 
 /// Equal frontiers go to the lower pool id, whichever asks first.
 #[test]
 fn shared_queue_breaks_frontier_ties_by_pool_id() {
     let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
-    assert_eq!(g.try_pop(0, 0, bid(500, true)), None);
+    let ranks = [up(500), up(500)];
+    assert_eq!(g.take(0, &ranks), None);
     assert_eq!(g.submit(0, 3), Admission::Admitted);
-    assert_eq!(g.try_pop(1, 0, bid(500, true)), None, "tie: pool 0 wins");
-    assert_eq!(g.try_pop(0, 0, bid(500, true)), Some(3));
+    assert_eq!(g.take(1, &ranks), None, "tie: pool 0 wins");
+    assert_eq!(g.take(0, &ranks), Some(3));
     assert_eq!(g.submit(0, 4), Admission::Admitted);
-    assert_eq!(
-        g.try_pop(0, 0, bid(500, true)),
-        Some(4),
-        "pool 1 idles at 500 too"
-    );
+    assert_eq!(g.take(0, &ranks), Some(4), "pool 1 at 500 too");
 }
 
-/// A pool whose machine is down, or whose loop retired, never holds
+/// A pool whose machine is down, or whose routines retired, never holds
 /// work back from a live pool; and a down pool's cheap aborts do not
-/// attract work — it ranks behind every live idle pool however far
-/// behind its clock is, and takes only what no live pool is idle for.
+/// attract work — it ranks behind every live pool however far behind
+/// its clock is, and takes only what no live pool can take.
 #[test]
 fn a_dead_or_retired_pool_never_blocks_a_live_one() {
     let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
-    let down = Bid {
-        up: false,
-        ..bid(0, true)
-    };
-    assert_eq!(g.try_pop(0, 0, bid(100, true)), None, "pool 0 idles at 100");
     assert_eq!(g.submit(0, 1), Admission::Admitted);
-    assert_eq!(g.try_pop(1, 0, bid(900, true)), None);
-    // Pool 0's machine goes down: its next ask says so, and it loses.
-    assert_eq!(g.try_pop(0, 0, down), None, "a down pool ranks last");
-    assert_eq!(
-        g.try_pop(1, 0, bid(900, true)),
-        Some(1),
-        "and no longer blocks"
-    );
-    // Pool 1 idles; the down pool asks at clock 0 and is refused again.
+    assert_eq!(g.take(1, &[up(100), up(900)]), None);
+    // Pool 0's machine goes down: its rank says so, and it loses.
+    let ranks = [down(0), up(900)];
+    assert_eq!(g.take(0, &ranks), None, "a down pool ranks last");
+    assert_eq!(g.take(1, &ranks), Some(1), "and no longer blocks");
     assert_eq!(g.submit(0, 2), Admission::Admitted);
-    assert_eq!(g.try_pop(0, 0, down), None, "no work for cheap aborts");
+    assert_eq!(g.take(0, &ranks), None, "no work for cheap aborts");
     // Pool 1 retires with the item still queued: the down pool is all
     // that is left, so it takes the item.
-    g.leave(1);
-    assert_eq!(g.try_pop(0, 0, down), Some(2));
-    // A retired pool never blocks either: pool 2 idles behind, leaves.
-    assert_eq!(g.try_pop(2, 0, bid(10, true)), None);
-    g.leave(2);
+    assert_eq!(g.take(0, &[down(0), down(900)]), Some(2));
+    // A retired pool never blocks either: pool 2 behind has retired.
     assert_eq!(g.submit(0, 3), Admission::Admitted);
-    assert_eq!(g.try_pop(1, 0, bid(900, true)), Some(3));
+    assert_eq!(g.take(1, &[down(0), up(900), down(10)]), Some(3));
 }
 
-/// Close-and-drain is unchanged under the rule: the backlog still
-/// drains after close, blocking asks report done once every queue is
-/// empty, and `accepted == delivered`. A pool refused by an idle pool
-/// behind it blocks until that pool's seat changes — here the pool
-/// behind takes an item with its last idle routine — and then wins.
+/// Close-and-drain is unchanged under the rule: the loop blocked on an
+/// empty group wakes on a submit and on the close, calling its wake
+/// step each time; the backlog still drains after close, the wait
+/// reports done once every queue is empty, and `accepted ==
+/// delivered`.
 #[test]
-fn shared_queue_drains_and_wakes_a_refused_pool() {
+fn shared_queue_drains_and_wakes_the_blocked_loop() {
     let g: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
-    assert_eq!(g.try_pop(0, 0, bid(100, true)), None, "pool 0 idles at 100");
-    for v in [1, 2] {
-        assert_eq!(g.submit(0, v), Admission::Admitted);
-    }
-    g.close();
-    assert_eq!(g.submit(0, 9), Admission::Rejected, "closed group sheds");
-    let refused = AtomicBool::new(false);
+    let wakes = AtomicU64::new(0);
+    let woke = || {
+        wakes.fetch_add(1, Ordering::SeqCst);
+    };
     std::thread::scope(|s| {
-        let blocked = s.spawn(|| {
-            assert_eq!(g.try_pop(1, 0, bid(900, true)), None);
-            refused.store(true, Ordering::SeqCst);
-            let first = g.pop_blocking(1, 0, || bid(900, true));
-            (first, g.pop_blocking(1, 0, || bid(900, true)))
-        });
-        while !refused.load(Ordering::SeqCst) {
+        let blocked = s.spawn(|| g.wait(woke));
+        while wakes.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-        assert_eq!(g.try_pop(0, 0, bid(100, false)), Some(1), "pool 0 busy now");
-        assert_eq!(blocked.join().unwrap(), (Some(2), None));
+        assert_eq!(g.submit(0, 1), Admission::Admitted);
+        assert!(!blocked.join().unwrap(), "a submit wakes the loop");
     });
-    assert_eq!(
-        g.pop_blocking(0, 0, || bid(100, true)),
-        None,
-        "closed and drained"
-    );
+    assert_eq!(g.take(0, &[up(100), up(900)]), Some(1));
+    assert_eq!(g.submit(0, 2), Admission::Admitted);
+    g.close();
+    assert_eq!(g.submit(0, 9), Admission::Rejected, "closed group sheds");
+    assert!(!g.wait(woke), "the backlog still drains");
+    assert_eq!(g.take(0, &[up(100), up(900)]), Some(2));
+    let empty: QueueGroup<u64> = QueueGroup::new(1, 8, 8, 0);
+    std::thread::scope(|s| {
+        let blocked = s.spawn(|| empty.wait(|| {}));
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        empty.close();
+        assert!(blocked.join().unwrap(), "the close wakes the loop");
+    });
+    assert!(g.wait(woke), "closed and drained");
+    assert!(wakes.load(Ordering::SeqCst) >= 3, "one wake step per wait");
     assert_eq!(g.accepted(0), g.delivered(0));
     assert_eq!(g.wait_hist().count(), 2);
 }
@@ -817,6 +742,16 @@ fn submit_and_close(g: &QueueGroup<u64>, n: u64) {
     g.close();
 }
 
+/// Two pools of `routines` routines each, pool `p` on machine `p`,
+/// seeded from `seed`.
+fn serve_pools(c: &Arc<DrtmCluster>, routines: usize, seed: u64) -> Vec<Vec<Worker>> {
+    let pool = |p: usize| {
+        let seeds = (0..routines).map(|r| seed + (p * 10 + r) as u64);
+        seeds.map(|s| c.worker(p, s)).collect()
+    };
+    (0..2).map(pool).collect()
+}
+
 /// Two serve pools over one [`QueueGroup`] with every submission homed
 /// on pool 0: pool 1 lives entirely off steals, both retire when the
 /// group closes, and the per-queue `accepted == delivered` conservation
@@ -826,22 +761,18 @@ fn serve_group_drains_skewed_load_via_steals() {
     const SUBMITTED: u64 = 40;
     let c = cluster(2, 1);
     let g: QueueGroup<u64> = QueueGroup::new(2, 1024, 2048, 0);
-    // Thread 0 submits; threads 1 and 2 serve pools 0 and 1, each on
-    // its own machine, and report how many routines retired.
-    let retired = threads(3, |id| {
-        let Some(pool) = id.checked_sub(1) else {
+    // Thread 0 submits; thread 1 serves pools 0 and 1, each on its own
+    // machine, and reports how many routines of each retired.
+    let retired = threads(2, |id| {
+        if id == 0 {
             submit_and_close(&g, SUBMITTED);
-            return 0;
-        };
-        let workers: Vec<_> = (0..2)
-            .map(|r| c.worker(pool, 700 + (pool * 10 + r) as u64))
-            .collect();
-        RoutinePool::serve_group(workers, &g, pool, pool, async |_, w, k| {
-            transfer(w, k).await
-        })
-        .len()
+            return vec![];
+        }
+        let pools = serve_pools(&c, 2, 700);
+        let done = RoutinePool::serve_group(pools, &g, async |_, _, w, k| transfer(w, k).await);
+        done.iter().map(Vec::len).collect()
     });
-    assert_eq!(retired, [0, 2, 2]);
+    assert_eq!(retired, [vec![], vec![2, 2]]);
     assert_eq!(g.accepted(0), SUBMITTED);
     assert_eq!(g.accepted(1), 0);
     for pool in 0..2 {
@@ -871,19 +802,18 @@ fn serve_drains_external_submissions_and_stops_on_close() {
     const SUBMITTED: u64 = 40;
     let c = cluster(2, 1);
     let q: QueueGroup<u64> = QueueGroup::new(1, 1024, 1024, 0);
-    // Thread 0 submits; threads 1 and 2 serve the one queue from
-    // machines 0 and 1.
-    let retired = threads(3, |id| {
-        let Some(node) = id.checked_sub(1) else {
+    // Thread 0 submits; thread 1 serves the one queue from machines 0
+    // and 1.
+    let retired = threads(2, |id| {
+        if id == 0 {
             submit_and_close(&q, SUBMITTED);
-            return 0;
-        };
-        let workers: Vec<_> = (0..2)
-            .map(|r| c.worker(node, 500 + (node * 10 + r) as u64))
-            .collect();
-        RoutinePool::serve_group(workers, &q, node, 0, async |_, w, k| transfer(w, k).await).len()
+            return vec![];
+        }
+        let pools = serve_pools(&c, 2, 500);
+        let done = RoutinePool::serve_group(pools, &q, async |_, _, w, k| transfer(w, k).await);
+        done.iter().map(Vec::len).collect()
     });
-    assert_eq!(retired, [0, 2, 2]);
+    assert_eq!(retired, [vec![], vec![2, 2]]);
     assert_eq!(q.accepted(0), SUBMITTED);
     assert_eq!(
         q.delivered(0),
@@ -899,26 +829,22 @@ fn serve_drains_external_submissions_and_stops_on_close() {
     assert_eq!(total(&c, 0..2, 0..8), 8 * 200, "transfers conserve");
 }
 
-/// Virtual-time dispatch against a host-time handicap, started on a
-/// barrier: two pools of two routines serve one shared queue, and pool
-/// 1's thread sleeps 100 µs of host time after every job, while a
-/// submitter offers 200 transfers one at a time, once both pools idle
-/// and then each once the last one committed. First-come dispatch hands most items to pool 0, whose
-/// thread is awake when they arrive; the dispatch rule hands each to
-/// the pool behind in virtual time, so the commits split evenly. Every
-/// attempt ends as a commit or an abort, and every admission is
-/// delivered.
+/// Virtual-time dispatch against a host-time handicap: two pools of
+/// two routines serve one shared queue, and pool 1's jobs sleep 100 µs
+/// of host time after every transfer, while a submitter offers 200
+/// transfers one at a time, each once the last one committed, so each
+/// arrives with every routine idle. The rule hands each to the pool
+/// behind in virtual time, so the host delay does not shift the split
+/// and the commits split evenly. Every attempt ends as a commit or an
+/// abort, and every admission is delivered.
 #[test]
 fn serve_group_splits_a_shared_queue_by_virtual_time() {
     const SUBMITTED: u64 = 200;
     let c = cluster(2, 1);
     let q: QueueGroup<u64> = QueueGroup::new(1, 1024, 1024, 0);
     let (attempts, done) = (AtomicU64::new(0), AtomicU64::new(0));
-    let pools = threads(3, |id| {
-        let Some(pool) = id.checked_sub(1) else {
-            while q.idle_pools(0) < 2 {
-                std::thread::yield_now();
-            }
+    let pools = threads(2, |id| {
+        if id == 0 {
             for i in 0..SUBMITTED {
                 while done.load(Ordering::SeqCst) < i {
                     std::thread::yield_now();
@@ -926,12 +852,10 @@ fn serve_group_splits_a_shared_queue_by_virtual_time() {
                 assert_eq!(q.submit(0, i % 8), Admission::Admitted);
             }
             q.close();
-            return (0, 0);
-        };
-        let workers: Vec<_> = (0..2)
-            .map(|r| c.worker(pool, 900 + (pool * 10 + r) as u64))
-            .collect();
-        let workers = RoutinePool::serve_group(workers, &q, pool, 0, async |_, w, k| {
+            return vec![];
+        }
+        let pools = serve_pools(&c, 2, 900);
+        let pools = RoutinePool::serve_group(pools, &q, async |p, _, w, k| {
             w.run_async(async |t| {
                 attempts.fetch_add(1, Ordering::Relaxed);
                 let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
@@ -942,25 +866,65 @@ fn serve_group_splits_a_shared_queue_by_virtual_time() {
             .await
             .unwrap();
             done.fetch_add(1, Ordering::SeqCst);
-            if pool == 1 {
+            if p == 1 {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
         });
-        let stats = workers.iter().map(|w| (w.stats.committed, w.stats.aborted));
-        stats.fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        let stats = |workers: &Vec<Worker>| {
+            let stats = workers.iter().map(|w| (w.stats.committed, w.stats.aborted));
+            stats.fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        };
+        pools.iter().map(stats).collect()
     });
+    let pools = &pools[1];
     let commits: u64 = pools.iter().map(|p| p.0).sum();
     let aborts: u64 = pools.iter().map(|p| p.1).sum();
     assert_eq!(commits, SUBMITTED);
     assert_eq!(attempts.load(Ordering::Relaxed), commits + aborts);
     assert_eq!((q.accepted(0), q.delivered(0)), (SUBMITTED, SUBMITTED));
     assert_eq!(total(&c, 0..2, 0..8), 8 * 200, "transfers conserve");
-    let share = pools[2].0 as f64 / SUBMITTED as f64;
+    let share = pools[1].0 as f64 / SUBMITTED as f64;
     assert!(
         (0.45..=0.55).contains(&share),
         "pool 1 committed {} of {SUBMITTED} ({pools:?})",
-        pools[2].0
+        pools[1].0
     );
+}
+
+/// One serve loop is a pure function of its inputs: two pools of four
+/// routines serve a group filled and closed before the loop starts, a
+/// shared queue and a routed group alike, and two runs on fresh
+/// clusters agree in every pool's commits and final clocks and in which
+/// pool ran each item.
+#[test]
+fn serve_group_runs_repeat_exactly() {
+    const ITEMS: u64 = 64;
+    let run = |members: usize| {
+        let c = cluster(2, 1);
+        let g: QueueGroup<u64> = QueueGroup::new(members, 1024, 1024, 0);
+        for i in 0..ITEMS {
+            let home = (i % members as u64) as usize;
+            assert_eq!(g.submit(home, i), Admission::Admitted);
+        }
+        g.close();
+        let ran = Mutex::new(Vec::new());
+        let pools = RoutinePool::serve_group(serve_pools(&c, 4, 300), &g, async |p, _, w, i| {
+            ran.lock().unwrap().push((i, p));
+            transfer(w, i % 8).await
+        });
+        let pool = |workers: &Vec<Worker>| {
+            let commits = workers.iter().map(|w| w.stats.committed).sum::<u64>();
+            let clocks: Vec<u64> = workers.iter().map(|w| w.clock.now()).collect();
+            (commits, clocks)
+        };
+        let pools: Vec<_> = pools.iter().map(pool).collect();
+        assert_eq!(pools.iter().map(|p| p.0).sum::<u64>(), ITEMS);
+        assert!(pools.iter().all(|p| p.0 > 0), "{pools:?}");
+        (pools, ran.into_inner().unwrap())
+    };
+    for members in [1, 2] {
+        assert_eq!(run(members), run(members), "{members} member(s)");
+    }
 }
 
 /// Starvation regression (DESIGN.md §15): one transaction that

@@ -544,20 +544,17 @@ impl Worker {
     /// [`Self::wait_release`]): spends `ns` of virtual time and
     /// spin-parks the routine, so another routine of the same pool,
     /// possibly the holder, gets to run — without the park a spinner
-    /// could starve the pool forever — and, on the driver's one loop,
-    /// so the spinner's clock moves on until a holder in another slot,
-    /// now earlier in virtual time, runs and releases. It also yields
-    /// the host thread: serve pools still run one OS thread each, and
-    /// there a descheduled holder on another one needs a core. The
-    /// clock jumps over any CPU time other routines of the pool consume
-    /// meanwhile (none on a reactor of one).
+    /// could starve the pool forever — and, on the one loop, so the
+    /// spinner's clock moves on until a holder in another pool,
+    /// now earlier in virtual time, runs and releases. The clock jumps
+    /// over any CPU time other routines of the pool consume meanwhile
+    /// (none on a reactor of one).
     pub async fn pause(&mut self, ns: u64) {
         debug_assert!(
             !drtm_htm::region_active(),
             "yields must never run inside an HTM region"
         );
         self.clock.advance(ns);
-        std::thread::yield_now();
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let now = self.clock.now();
         let grant = reactor.spin_wait(id, now).await;
@@ -1038,10 +1035,10 @@ impl<'w> TxnCtx<'w> {
         cluster: &DrtmCluster,
         members: &[GroupMember],
     ) -> Result<Vec<LocalRead>, usize> {
-        /// Attempts while a member's lock stays held. On the driver's
-        /// one loop each pause moves the reader's clock toward the
-        /// holder's release; only a serve pool's holder, descheduled on
-        /// another OS thread, can keep a reader retrying for long.
+        /// Attempts while a member's lock stays held. On the one loop
+        /// each pause moves the reader's clock toward the holder's
+        /// release, so a holder in another pool runs once the reader's
+        /// clock has passed it.
         const LOCAL_READ_RETRIES: usize = 10_000;
         let store = &cluster.stores[self.w.node];
         let cost = &cluster.opts.cost;
@@ -1075,9 +1072,8 @@ impl<'w> TxnCtx<'w> {
                 }
                 RegionRead::Locked(i) => {
                     // The pause lets the holder run: a sibling routine,
-                    // a slot on the one loop once the waiter's clock
-                    // passes the holder's, or — in a serve pool — a
-                    // descheduled OS thread.
+                    // or a pool on the one loop once the waiter's clock
+                    // passes the holder's.
                     busy = i;
                     let ns = self.w.rng.below(2_000);
                     self.w.pause(ns).await;

@@ -12,7 +12,7 @@
 //!   aborted / rejected plus queue wait);
 //! * [`server`] — a TCP server fronting the engine with a bounded
 //!   admission queue ([`drtm_core::QueueGroup`]) feeding per-node
-//!   routine pools, per-connection in-flight windows (backpressure via
+//!   routine pools on one engine loop, per-connection in-flight windows (backpressure via
 //!   TCP flow control), and explicit load shedding past the queue's
 //!   high-water mark;
 //! * [`loadgen`] — an **open-loop** client: seeded Poisson arrivals at

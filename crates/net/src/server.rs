@@ -12,23 +12,26 @@
 //!   the client, which is the per-connection backpressure story. A
 //!   submission shed by the admission plane is answered with a fast
 //!   `Rejected` instead (load shedding: overload degrades to rejects,
-//!   not latency collapse);
-//! * per-node **engine pumps** drive [`RoutinePool`] serve loops over
-//!   the admission plane, executing each request as a real DrTM+R
+//!   not latency collapse). A request naming a shard or table the
+//!   cluster does not have is a protocol violation: the reader drops
+//!   the connection and the engine never sees it;
+//! * one **engine** thread steps every node's serve pool on one
+//!   [`RoutinePool::serve_group`] loop over the admission plane, in
+//!   virtual-time order, executing each request as a real DrTM+R
 //!   transaction and pushing the response into the connection's bounded
 //!   outbox, which a per-connection **writer** thread flushes — engine
 //!   routines never block on socket I/O. Between two requests a
-//!   routine takes its machine's log truncation step, and a pool
-//!   waiting for work takes it each time it wakes, so a replicated
-//!   server's backups fold their redo logs as they serve.
+//!   routine takes its machine's log truncation step, and the loop
+//!   waiting for work takes every machine's each time it wakes, so a
+//!   replicated server's backups fold their redo logs as they serve.
 //!
 //! The admission plane is one [`QueueGroup`], shaped by
 //! [`ServerCfg::route`]:
 //!
 //! * **`RoutePolicy::Shared`** (default): a single member queue drained
-//!   by every pump — no routing, and with no sibling queue, no steals.
-//!   Each request goes to the pump whose pool is furthest behind in
-//!   virtual time among those with an idle routine (DESIGN.md §12).
+//!   by every pool — no routing, and with no sibling queue, no steals.
+//!   Each request goes to the pool furthest behind in virtual time
+//!   (DESIGN.md §12).
 //! * **`RoutePolicy::Routed`** (DESIGN.md §16): one member queue per
 //!   pool. Admission routes each request to its *home* pool
 //!   ([`crate::route::home_of`]: majority shard, first-writer
@@ -42,9 +45,9 @@
 //!
 //! Shutdown ([`Server::shutdown`], or SIGINT/SIGTERM via
 //! `drtm_base::shutdown`) is graceful: the acceptor stops, the queue
-//! closes (new arrivals shed, backlog drains), pumps retire once the
-//! queue is empty, writers flush every outstanding response, and a
-//! final stats scrape is returned.
+//! closes (new arrivals shed, backlog drains), the engine loop retires
+//! once the queue is empty, writers flush every outstanding response,
+//! and a final stats scrape is returned.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -228,7 +231,7 @@ impl Conn {
 /// scrapes of the same cumulative counter are comparable (monotone).
 struct Telemetry {
     cluster: Arc<DrtmCluster>,
-    /// The admission plane: readers submit to it, pumps drain it.
+    /// The admission plane: readers submit to it, the engine drains it.
     queue: QueueGroup<Job>,
     /// Whether admission routes requests to home pools
     /// ([`RoutePolicy::Routed`]) or feeds the one shared member.
@@ -340,12 +343,13 @@ pub struct Server {
     tele: Arc<Telemetry>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     sampler: Option<std::thread::JoinHandle<()>>,
-    pumps: Vec<std::thread::JoinHandle<Vec<Worker>>>,
+    /// The one engine thread: every serve pool's workers when it ends.
+    engine: std::thread::JoinHandle<Vec<Vec<Worker>>>,
 }
 
 impl Server {
     /// Boots a server: builds and loads the simulated cluster, binds
-    /// the listener, and spawns the acceptor and engine pumps.
+    /// the listener, and spawns the acceptor and the engine thread.
     ///
     /// A `high_water` of 0 would shed every request, and a cluster
     /// keeps 1 to `nodes` (at most [`MAX_REPLICAS`]) copies of a
@@ -394,32 +398,30 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let tele = Arc::new(Telemetry::new(Arc::clone(&cluster), queue, routed));
 
-        // Engine pumps: one routine pool per node, whose pool id is the
-        // node. Shared: every pool serves the one member queue, each
-        // item going to the pool furthest behind in virtual time.
-        // Routed: each pool serves its own member, stealing from
-        // siblings per the group's bounds and the same rule.
-        let pumps = (0..cfg.nodes)
-            .map(|node| {
-                let cluster = Arc::clone(&cluster);
-                let tele = Arc::clone(&tele);
-                std::thread::spawn(move || {
-                    let workers: Vec<Worker> = (0..cfg.routines.max(1))
-                        .map(|r| cluster.worker(node, 0xC0FFEE + (node * 131 + r) as u64))
-                        .collect();
-                    let member = if tele.routed { node } else { 0 };
+        // The engine: one routine pool per node, whose pool id is the
+        // node, all on one loop. Shared: every pool serves the one
+        // member queue, each item going to the pool furthest behind in
+        // virtual time. Routed: each pool serves its own member,
+        // stealing from siblings per the group's bounds and the same
+        // rule.
+        let engine = {
+            let tele = Arc::clone(&tele);
+            std::thread::Builder::new()
+                .name("drtm-engine".into())
+                .spawn(move || {
+                    let pool = |node: usize| {
+                        let routines = 0..cfg.routines.max(1);
+                        let seed = |r: usize| 0xC0FFEE + (node * 131 + r) as u64;
+                        routines.map(|r| cluster.worker(node, seed(r))).collect()
+                    };
                     RoutinePool::serve_group(
-                        workers,
+                        (0..cfg.nodes).map(pool).collect(),
                         &tele.queue,
-                        node,
-                        member,
-                        async |_, w, job: Job| {
-                            execute_job(w, job, &tele).await;
-                        },
+                        async |_, _, w, job: Job| execute_job(w, job, &tele).await,
                     )
                 })
-            })
-            .collect();
+                .expect("spawn engine")
+        };
 
         // The telemetry sampler: periodically push one cheap sample
         // into the time-series ring until shutdown.
@@ -448,6 +450,7 @@ impl Server {
         let acceptor = {
             let stop = Arc::clone(&stop);
             let tele = Arc::clone(&tele);
+            let value_lens: Vec<usize> = sb.schema().iter().map(|t| t.value_len).collect();
             let hello = Msg::Hello {
                 version: proto::PROTO_VERSION,
                 nodes: cfg.nodes as u32,
@@ -473,6 +476,7 @@ impl Server {
                                     Arc::clone(&stop),
                                     Arc::clone(&tele),
                                     cfg.window,
+                                    value_lens.clone(),
                                 ));
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -497,7 +501,7 @@ impl Server {
             tele,
             acceptor: Some(acceptor),
             sampler,
-            pumps,
+            engine,
         })
     }
 
@@ -541,6 +545,11 @@ impl Server {
     /// submissions shed, backlog executed, responses flushed. Returns
     /// the final stats scrape, the quiesced cluster for audits, and the
     /// pools' virtual-time horizon.
+    ///
+    /// # Panics
+    ///
+    /// With the engine's panic, if the engine thread panicked (the
+    /// drain's `accepted == delivered` assert included).
     pub fn shutdown(mut self) -> Drained {
         event(EventKind::Net, "drain", 0, 0);
         self.stop.store(true, Ordering::SeqCst);
@@ -549,10 +558,11 @@ impl Server {
         // simulated-throughput claim: committed / (virtual_ns / 1e9) is
         // what an A/B across dispatcher policies must compare, not wall
         // time (verb waits advance virtual clocks without sleeping).
-        let pools: Vec<PoolRow> = self
-            .pumps
-            .drain(..)
-            .filter_map(|p| p.join().ok())
+        let pools = match self.engine.join() {
+            Ok(pools) => pools,
+            Err(panic) => std::panic::resume_unwind(panic),
+        };
+        let pools: Vec<PoolRow> = (pools.into_iter())
             .map(|workers| PoolRow {
                 committed: workers.iter().map(|w| w.stats.committed).sum(),
                 virtual_ns: workers.iter().map(|w| w.clock.now()).max().unwrap_or(0),
@@ -565,7 +575,7 @@ impl Server {
         if let Some(s) = self.sampler.take() {
             let _ = s.join();
         }
-        let snap = self.snapshot();
+        let snap = self.tele.snapshot();
         Drained {
             cluster: Arc::clone(&self.tele.cluster),
             sb: self.sb.clone(),
@@ -713,13 +723,40 @@ fn home_of_body(body: &JobBody, nodes: usize) -> (usize, bool) {
     }
 }
 
-/// Spawns the reader/writer pair of one accepted connection.
+/// Whether every shard and table a request body uses exists in a
+/// cluster of `nodes` machines whose table `t` holds values of
+/// `value_lens[t]` bytes, and every raw write carries a whole value of
+/// its table. Only the two-account SmallBank types use their second
+/// account.
+fn in_range(body: &JobBody, nodes: usize, value_lens: &[usize]) -> bool {
+    match body {
+        JobBody::SmallBank(inp) => {
+            let two = matches!(inp.txn, SbTxn::SendPayment | SbTxn::Amalgamate);
+            inp.a.0 < nodes && (!two || inp.b.0 < nodes)
+        }
+        JobBody::Raw(ops) => ops.iter().all(|op| match op {
+            RawOp::Read { shard, table, .. } => {
+                (*shard as usize) < nodes && (*table as usize) < value_lens.len()
+            }
+            RawOp::Write {
+                shard,
+                table,
+                value,
+                ..
+            } => (*shard as usize) < nodes && value_lens.get(*table as usize) == Some(&value.len()),
+        }),
+    }
+}
+
+/// Spawns the reader/writer pair of one accepted connection to a
+/// cluster whose table `t` holds values of `value_lens[t]` bytes.
 fn spawn_conn(
     stream: TcpStream,
     hello: &Msg,
     stop: Arc<AtomicBool>,
     tele: Arc<Telemetry>,
     window: usize,
+    value_lens: Vec<usize>,
 ) -> ConnHandles {
     let _ = stream.set_nodelay(true);
     let conn = Arc::new(Conn::new());
@@ -825,6 +862,10 @@ fn spawn_conn(
                         break; // clients must not send server messages
                     }
                 };
+                if !in_range(&body, tele.cluster.nodes(), &value_lens) {
+                    release_slot(&conn);
+                    break; // a shard or table the cluster lacks, or a torn value
+                }
                 // Same deterministic head-sampling decision the client
                 // made, recomputed from the request id — no wire bit.
                 let tr = trace::trace_for(id);
@@ -837,6 +878,12 @@ fn spawn_conn(
                     (0, false)
                 };
                 tele.in_flight.fetch_add(1, Ordering::Relaxed);
+                // The queue span opens before the submit: once queued,
+                // the engine may pick the request up and close it.
+                if tr != 0 {
+                    trace::flow_step(tr, 0);
+                    trace::span_begin(EventKind::Net, "queue", tr, 0);
+                }
                 let job = Job {
                     conn: Arc::clone(&conn),
                     id,
@@ -849,6 +896,7 @@ fn spawn_conn(
                     // engine never sees this request.
                     event(EventKind::Net, "reject", id, 0);
                     if tr != 0 {
+                        trace::span_end(EventKind::Net, "queue", tr, 0);
                         trace::flow_end(tr, 0);
                     }
                     tele.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -874,10 +922,6 @@ fn spawn_conn(
                             ((all_local as u64) << 32) | home as u64,
                             0,
                         );
-                    }
-                    if tr != 0 {
-                        trace::flow_step(tr, 0);
-                        trace::span_begin(EventKind::Net, "queue", tr, 0);
                     }
                 }
             }

@@ -495,7 +495,9 @@ fn routed_drain_survives_node_crash_mid_backlog() {
 /// commit-phase spans, and the request flow arrows.
 #[test]
 fn single_request_trace_links_client_queue_routine_and_phases() {
+    use drtm_net::proto::{self, Msg};
     use drtm_obs::trace::{self, EvPhase, EventKind};
+    use std::net::TcpStream;
 
     // Trace every request: this test asserts on complete span trees,
     // not on the sampling budget (covered by obs unit tests).
@@ -523,6 +525,30 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
     })
     .expect("client run");
     assert!(report.committed > 0);
+    // Requests numbered from `OWN`, far above any other client's ids,
+    // carry trace ids that no concurrently running test shares.
+    const OWN: u64 = 1 << 40;
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    proto::read_msg(&mut conn).expect("greeting");
+    for id in OWN..OWN + 16 {
+        let balance = Msg::SmallBank {
+            id,
+            txn: 1,
+            a_shard: (id % 2) as u32,
+            a_key: id % 200,
+            b_shard: 0,
+            b_key: 0,
+            amount: 0,
+            sched_ns: 0,
+        };
+        proto::write_msg(&mut conn, &balance).expect("send");
+        let reply = proto::read_msg(&mut conn).expect("reply");
+        assert!(
+            matches!(reply, Some(Msg::Response { id: r, .. }) if r == id),
+            "{reply:?}"
+        );
+    }
+    drop(conn);
     let _ = server.shutdown();
 
     // Group every traced event by trace id across all thread rings.
@@ -559,6 +585,23 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
         "no trace id links client+queue+routine+phase spans; ids seen: {}",
         by_id.len()
     );
+    // The reader opens the queue span before the submit that lets the
+    // engine close it: each request of this test's own range has one
+    // queue Begin and one End, in that order.
+    for id in OWN..OWN + 16 {
+        let evs = &by_id[&trace::trace_for(id)];
+        let edge = |ph| {
+            let queue = evs.iter().filter(|e| e.label == "queue" && e.ph == ph);
+            let wall: Vec<u64> = queue.map(|e| e.wall_ns).collect();
+            assert_eq!(wall.len(), 1, "request {id}: queue {ph:?} edges {wall:?}");
+            wall[0]
+        };
+        let (b, e) = (edge(EvPhase::Begin), edge(EvPhase::End));
+        assert!(
+            b <= e,
+            "request {id}: queue span ends at {e} before it begins at {b}"
+        );
+    }
     // A committed read-write request carries the full phase set.
     let phases: std::collections::HashSet<&str> = by_id
         .values()
@@ -576,6 +619,90 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
     let json = trace::export_chrome_json();
     drtm_obs::jsonlint::validate(&json).expect("trace json parses");
     assert!(json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""));
+}
+
+/// A request naming a shard or table the cluster lacks, or writing a
+/// value of the wrong length for its table, is a protocol violation:
+/// the reader drops its connection before the engine or the router
+/// sees it, so no client can panic the one engine thread. Each
+/// bad form closes its own connection; a second client is still
+/// served, and the drain conserves money.
+#[test]
+fn out_of_range_requests_drop_the_connection_and_spare_the_engine() {
+    use drtm_net::proto::{self, Msg, RawOp};
+    use std::net::TcpStream;
+
+    let server = Server::start(ServerCfg {
+        nodes: 2,
+        accounts: 200,
+        replicas: 1,
+        routines: 2,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let initial = server.initial_total();
+    let raw = |op| Msg::Raw {
+        id: 1,
+        sched_ns: 0,
+        ops: vec![op],
+    };
+    let bad = [
+        raw(RawOp::Read {
+            shard: 2,
+            table: 0,
+            key: 1,
+        }),
+        raw(RawOp::Write {
+            shard: 0,
+            table: 99,
+            key: 1,
+            value: vec![0; 40],
+        }),
+        raw(RawOp::Write {
+            shard: 0,
+            table: 0,
+            key: 1,
+            value: vec![0; 1],
+        }),
+        Msg::SmallBank {
+            id: 1,
+            txn: 0,
+            a_shard: 2,
+            a_key: 1,
+            b_shard: 0,
+            b_key: 2,
+            amount: 5,
+            sched_ns: 0,
+        },
+    ];
+    for msg in &bad {
+        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let hello = proto::read_msg(&mut conn).expect("greeting");
+        assert!(
+            matches!(hello, Some(Msg::Hello { nodes: 2, .. })),
+            "{hello:?}"
+        );
+        proto::write_msg(&mut conn, msg).expect("send");
+        let reply = proto::read_msg(&mut conn);
+        assert!(matches!(reply, Ok(None)), "{msg:?} got {reply:?}");
+    }
+    let report = run_client(&ClientCfg {
+        addr: server.local_addr().to_string(),
+        rate: 0.0,
+        requests: 200,
+        seed: 3,
+        conns: 1,
+        zero_sum: true,
+        cross_prob: 0.2,
+        shard_skew: 0.0,
+    })
+    .expect("a second client is served");
+    assert_eq!(report.committed + report.aborted, 200, "{report:?}");
+    let drained = server.shutdown();
+    assert_eq!(drained.snap.net.accepted, 200);
+    assert_eq!(Server::audit_total(&drained.cluster, &drained.sb), initial);
 }
 
 /// A replicated server folds its redo logs as it serves: each pool

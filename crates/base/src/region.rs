@@ -17,13 +17,27 @@
 //!    conflicting HTM transaction".
 //!
 //! Data is stored as a slice of `AtomicU64` words so racing access is
-//! well-defined without any `unsafe` code; all bulk copies use relaxed
-//! per-word operations ordered by the acquire/release seqlock protocol on
-//! the version words.
+//! well-defined; all bulk copies use relaxed per-word operations ordered
+//! by the acquire/release seqlock protocol on the version words.
+//!
+//! **Memory.** A region costs memory only where records live. Its words
+//! and line versions are `Pages`: on Linux (x86-64 and AArch64) a
+//! private anonymous mapping, whose pages the kernel supplies zeroed on
+//! first touch and which is unmapped on drop; elsewhere a zeroed `Box`. `calloc` is not
+//! enough: once a cluster is dropped, the allocator serves the next
+//! one's regions from the freed heap (its mmap threshold rises past a
+//! freed region, and freed backup images leave large free chunks), and
+//! `calloc` must then write zeros over every page of the request, so a
+//! second cluster in one process costs the whole of its regions however
+//! few records it holds. `Pages` holds this module's only `unsafe` code:
+//! the `mmap` that makes the mapping, the slice over it and the `munmap`
+//! that ends it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cacheline::{line_range, round_up_line, CACHE_LINE};
+
+use pages::Pages;
 
 const WORD: usize = 8;
 
@@ -49,10 +63,10 @@ const WORD: usize = 8;
 /// ```
 pub struct MemoryRegion {
     /// Backing storage, one atomic word per 8 bytes.
-    words: Box<[AtomicU64]>,
+    words: Pages,
     /// One seqlock word per cache line: odd while a writer holds the line,
     /// even (and monotonically increasing) otherwise.
-    line_ver: Box<[AtomicU64]>,
+    line_ver: Pages,
     /// Line writes begun so far, over the whole region (see
     /// [`Self::line_writes`]).
     writes: OwnLine,
@@ -64,16 +78,117 @@ pub struct MemoryRegion {
 #[repr(align(64))]
 struct OwnLine(AtomicU64);
 
+// Every machine's region is shared by the fabric and the workers
+// (`Arc<MemoryRegion>`), whatever backs it.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<MemoryRegion>();
+};
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod pages {
+    //! Zeroed words in a private anonymous mapping, over a minimal FFI
+    //! onto libc's `mmap(2)` / `munmap(2)` (the flag values are Linux's
+    //! on x86-64 and AArch64).
+
+    use std::sync::atomic::AtomicU64;
+
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    /// `MAP_FAILED`, `(void *) -1`.
+    const MAP_FAILED: usize = usize::MAX;
+
+    extern "C" {
+        fn mmap(addr: usize, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> usize;
+        fn munmap(addr: usize, len: usize) -> i32;
+    }
+
+    /// Zeroed words that cost memory only where they are written: the
+    /// kernel supplies each page zeroed on first touch, and the mapping
+    /// is unmapped on drop.
+    pub(super) struct Pages {
+        /// Address of the mapping (an integer, so `Pages` is
+        /// `Send + Sync` as the atomics it holds are).
+        addr: usize,
+        words: usize,
+    }
+
+    impl Pages {
+        /// Maps `words` (at least one) zeroed words.
+        pub(super) fn zeroed(words: usize) -> Self {
+            let bytes = words * size_of::<AtomicU64>();
+            let (prot, flags) = (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS);
+            // SAFETY: a fresh anonymous mapping aliases nothing.
+            let addr = unsafe { mmap(0, bytes, prot, flags, -1, 0) };
+            if addr == MAP_FAILED {
+                let layout = std::alloc::Layout::array::<AtomicU64>(words).expect("region size");
+                std::alloc::handle_alloc_error(layout);
+            }
+            Self { addr, words }
+        }
+    }
+
+    impl std::ops::Deref for Pages {
+        type Target = [AtomicU64];
+
+        #[inline]
+        fn deref(&self) -> &[AtomicU64] {
+            // SAFETY: `addr` is a live, page-aligned, readable and
+            // writable mapping of `words` words until `drop`; its pages
+            // start zeroed, and zero is a valid `AtomicU64`.
+            unsafe { std::slice::from_raw_parts(self.addr as *const AtomicU64, self.words) }
+        }
+    }
+
+    impl Drop for Pages {
+        fn drop(&mut self) {
+            // SAFETY: the mapping is this value's own, and no borrow of
+            // it outlives `&mut self`.
+            unsafe { munmap(self.addr, self.words * size_of::<AtomicU64>()) };
+        }
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod pages {
+    //! Zeroed words in a zeroed `Box` (no mapping is made here).
+
+    use std::sync::atomic::AtomicU64;
+
+    pub(super) struct Pages(Box<[AtomicU64]>);
+
+    impl Pages {
+        pub(super) fn zeroed(words: usize) -> Self {
+            Self((0..words).map(|_| AtomicU64::new(0)).collect())
+        }
+    }
+
+    impl std::ops::Deref for Pages {
+        type Target = [AtomicU64];
+
+        #[inline]
+        fn deref(&self) -> &[AtomicU64] {
+            &self.0
+        }
+    }
+}
+
 impl MemoryRegion {
     /// Creates a zeroed region of at least `size` bytes (rounded up to a
     /// whole number of cache lines).
     pub fn new(size: usize) -> Self {
         let size = round_up_line(size.max(CACHE_LINE));
-        let words = (0..size / WORD).map(|_| AtomicU64::new(0)).collect();
-        let line_ver = (0..size / CACHE_LINE).map(|_| AtomicU64::new(0)).collect();
         Self {
-            words,
-            line_ver,
+            words: Pages::zeroed(size / WORD),
+            line_ver: Pages::zeroed(size / CACHE_LINE),
             writes: OwnLine(AtomicU64::new(0)),
             size,
         }
@@ -515,6 +630,24 @@ mod tests {
         );
         r.release_line_clean(3, pre);
         assert_eq!(r.line_writes(), 5);
+    }
+
+    /// A region reads zero on every word and every line version, even
+    /// when it takes memory that a larger, fully written region and heap
+    /// churn gave back just before.
+    #[test]
+    fn a_region_after_a_dropped_one_reads_zero() {
+        let big = MemoryRegion::new(4 << 20);
+        big.write_bytes_coherent(0, &vec![0xa5; big.size()]);
+        assert!((0..big.lines()).all(|l| big.line_version(l) == 2));
+        drop(big);
+        let churn: Vec<Vec<u8>> = (0..64).map(|i| vec![0x5a; 4096 << (i % 8)]).collect();
+        drop(churn);
+        let r = MemoryRegion::new(2 << 20);
+        let mut buf = vec![0xff; r.size()];
+        r.read_bytes_raw(0, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0), "a word reads nonzero");
+        assert!((0..r.lines()).all(|l| r.line_version(l) == 0));
     }
 
     /// Torn-line check: two threads hammer a single line with full-line

@@ -12,7 +12,7 @@ use drtm_rdma::{Fabric, FabricBuilder, NodeId};
 use drtm_store::{Store, TableSpec};
 
 use crate::contention::{ContentionPolicy, WaitRegistry};
-use crate::replication::{BackupRecord, BackupStore};
+use crate::replication::{BackupRecord, BackupStore, ImageGuard};
 use crate::txn::Worker;
 
 /// A fault-injection hook consulted at the named crash points of the
@@ -541,19 +541,51 @@ impl DrtmCluster {
         best
     }
 
-    /// Loads one record during the initial population: inserts it on the
-    /// shard's serving node and seeds every backup image.
-    ///
-    /// Records start at sequence number 2 (even = committable). Nothing
-    /// on this path allocates or clones (DESIGN.md §4): the backups are
-    /// a fixed-capacity list read without cloning the membership.
-    pub fn seed_record(&self, shard: usize, table: u32, key: u64, value: &[u8]) {
+    /// The installer of `shard`'s initial records ([`Seeder`]): resolves
+    /// the shard's serving node and its backups once, and holds each
+    /// backup's image of that node locked until dropped. Loaders take
+    /// one per shard; hold it only while loading.
+    pub fn seeder(&self, shard: usize) -> Seeder<'_> {
         let home = self.home_of(shard);
-        self.stores[home]
+        let backups = self.backups_of(home);
+        Seeder {
+            store: &self.stores[home],
+            images: std::array::from_fn(|i| backups.get(i).map(|&b| self.backups.image(b, home))),
+        }
+    }
+
+    /// Loads one record during the initial population: the one-record
+    /// form of [`Self::seeder`].
+    pub fn seed_record(&self, shard: usize, table: u32, key: u64, value: &[u8]) {
+        self.seeder(shard).put(table, key, value);
+    }
+}
+
+/// Installs one shard's initial records ([`DrtmCluster::seeder`]) on its
+/// serving node and in every backup image. Nothing on this path
+/// allocates or clones (DESIGN.md §4): the backups are a fixed-capacity
+/// list read once without cloning the membership, and their images stay
+/// locked for the seeder's life.
+#[must_use]
+pub struct Seeder<'a> {
+    store: &'a Store,
+    images: [Option<ImageGuard<'a>>; MAX_REPLICAS - 1],
+}
+
+impl Seeder<'_> {
+    /// Inserts `key -> value` into `table` at sequence number 2 (even =
+    /// committable) and copies it into every backup image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the insert fails (the key is present or the region is
+    /// full).
+    pub fn put(&mut self, table: u32, key: u64, value: &[u8]) {
+        self.store
             .insert(table, key, value, 2)
             .unwrap_or_else(|| panic!("seed failed: table {table} key {key}"));
-        for b in self.backups_of(home) {
-            self.backups.seed(b, home, table, key, 2, value);
+        for image in self.images.iter_mut().flatten() {
+            image.put(table, key, 2, value);
         }
     }
 }
@@ -603,6 +635,22 @@ mod tests {
         assert!(c.stores[0].get_loc(0, 42).is_some());
         assert_eq!(c.backups.live_len(1, 0), 1);
         assert_eq!(c.backups.live_len(2, 0), 0, "only replicas-1 backups");
+    }
+
+    #[test]
+    fn a_seeder_installs_on_the_current_home_and_its_backups() {
+        let opts = EngineOpts::builder().replicas(3).build();
+        let c = DrtmCluster::new(4, &schema(), opts);
+        c.rehome(1, 3);
+        let mut seeder = c.seeder(1);
+        for k in 0..5 {
+            seeder.put(0, 1 << 32 | k, &[k as u8; 40]);
+        }
+        drop(seeder);
+        assert!(c.stores[3].get_loc(0, 1 << 32 | 4).is_some());
+        assert!(c.stores[1].get_loc(0, 1 << 32 | 4).is_none());
+        let live = |b| c.backups.live_len(b, 3);
+        assert_eq!([live(0), live(1), live(2)], [5, 5, 0], "node 3's ring");
     }
 
     #[test]

@@ -161,10 +161,9 @@ pub fn recover_node(cluster: &DrtmCluster, dead: NodeId) -> RecoveryReport {
     // Re-replicate: the recovered shard needs backups again, and they
     // must not include the dead machine.
     for b in cluster.backups_of(new_home) {
+        let mut copy = cluster.backups.image(b, new_home);
         for ((table, key), rec) in live() {
-            cluster
-                .backups
-                .seed(b, new_home, table, key, rec.seq, rec.value);
+            copy.put(table, key, rec.seq, rec.value);
         }
     }
     drop(image);

@@ -153,6 +153,13 @@ impl ImageGuard<'_> {
         t.probe(key).1.map(|slot| t.record(slot))
     }
 
+    /// Installs `value` as `(table, key)`'s version at `seq`, bypassing
+    /// the log: the initial load ([`crate::cluster::Seeder`]) and
+    /// recovery's re-replication.
+    pub fn put(&mut self, table: u32, key: u64, seq: u64, value: &[u8]) {
+        self.0[table as usize].put(key, seq, Some(value));
+    }
+
     /// A pass over the whole image (counted): every record, tombstones
     /// included, as `((table, key), record)`.
     pub fn iter(&self) -> impl Iterator<Item = ((u32, u64), BackupRecordRef<'_>)> {
@@ -180,19 +187,6 @@ impl BackupStore {
         }
     }
 
-    /// Seeds one record during initial load (bypasses the log).
-    pub fn seed(
-        &self,
-        backup: NodeId,
-        primary: NodeId,
-        table: u32,
-        key: u64,
-        seq: u64,
-        value: &[u8],
-    ) {
-        self.images[backup][primary].lock()[table as usize].put(key, seq, Some(value));
-    }
-
     /// Applies one redo entry (last-writer-wins in log order).
     ///
     /// Entries for the same key are appended to the log in commit order —
@@ -205,8 +199,9 @@ impl BackupStore {
         self.images[backup][primary].lock()[e.table as usize].put(e.key, e.seq, value);
     }
 
-    /// Locks `primary`'s image on `backup`: point lookups, and the
-    /// whole-image pass of recovery's shard rebuild.
+    /// Locks `primary`'s image on `backup`: point lookups, installs
+    /// ([`ImageGuard::put`]), and the whole-image pass of recovery's
+    /// shard rebuild.
     pub fn image(&self, backup: NodeId, primary: NodeId) -> ImageGuard<'_> {
         ImageGuard(self.images[backup][primary].lock(), &self.full_passes)
     }
@@ -350,7 +345,7 @@ mod tests {
     #[test]
     fn seed_is_visible() {
         let b = BackupStore::new(3, &schema());
-        b.seed(2, 0, 1, 100, 2, &[1]);
+        b.image(2, 0).put(1, 100, 2, &[1]);
         assert_eq!(b.live_len(2, 0), 1);
         assert_eq!(b.live_len(2, 1), 0);
     }
@@ -358,7 +353,7 @@ mod tests {
     #[test]
     fn only_iteration_counts_as_a_full_pass() {
         let b = BackupStore::new(2, &schema());
-        b.seed(1, 0, 1, 5, 2, &[1]);
+        b.image(1, 0).put(1, 5, 2, &[1]);
         b.image(1, 0).get(1, 5).unwrap();
         assert_eq!((b.footprint().0, b.full_passes()), (1, 0));
         assert_eq!(b.image(1, 0).iter().count(), 1);
@@ -385,7 +380,7 @@ mod tests {
             let was = model.get(&(table, key));
             let rec = match rng.below(10) {
                 0..=1 => {
-                    b.seed(1, 0, table, key, 2, &value);
+                    b.image(1, 0).put(table, key, 2, &value);
                     BackupRecord {
                         seq: 2,
                         value,
@@ -454,7 +449,7 @@ mod tests {
     fn hundred_thousand_records_fit_in_100_bytes_each() {
         let b = BackupStore::new(2, &[TableSpec::hash(0, 200_000, 40)]);
         for k in 0..100_000u64 {
-            b.seed(1, 0, 0, 1 << 32 | k, 2, &[k as u8; 40]);
+            b.image(1, 0).put(0, 1 << 32 | k, 2, &[k as u8; 40]);
         }
         assert_eq!(b.footprint().0, 100_000);
         let per_record = b.footprint().1 as f64 / 100_000.0;

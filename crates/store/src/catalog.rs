@@ -27,8 +27,8 @@ pub enum TableKind {
         /// Number of slots (rounded up to a power of two).
         buckets: usize,
     },
-    /// Ordered store: B+-tree, local access only (as in the paper's
-    /// workloads).
+    /// Ordered store ([`crate::BTree`]), local access only (as in the
+    /// paper's workloads).
     Ordered,
 }
 

@@ -14,11 +14,10 @@
 //!   hash table whose slots can be probed remotely with one-sided READs,
 //!   plus a host-transparent location cache that short-circuits repeat
 //!   lookups (from DrTM).
-//! * [`btree`] — the ordered store: a B+-tree with linked leaves for range
-//!   scans. DBX protects its tree with HTM; here structure operations are
-//!   protected by an optimistic seqlock with a write-lock fallback, which
-//!   has the same abstract behaviour (optimistic readers, aborted by
-//!   concurrent writers) — the DESIGN.md inventory records this
+//! * [`btree`] — the ordered store: `std`'s B-tree map under a
+//!   reader-writer lock, with range scans. DBX protects its B+-tree with
+//!   HTM; the lock gives index operations the same abstract behaviour
+//!   (each appears atomic to the others) — DESIGN.md §4 records this
 //!   substitution. Ordered tables are only accessed locally, as in the
 //!   paper's workloads.
 //! * [`catalog`] — typed tables over the two stores. Every node creates

@@ -305,10 +305,11 @@ pub fn load(cluster: &DrtmCluster, cfg: &SbCfg) {
     let mut v = [0u8; 40];
     set_bal(&mut v, 10_000);
     for shard in 0..cfg.nodes {
+        let mut seeder = cluster.seeder(shard);
         for a in 0..cfg.accounts as u64 {
             let key = cfg.acct(shard, a);
-            cluster.seed_record(shard, T_SAVINGS, key, &v);
-            cluster.seed_record(shard, T_CHECKING, key, &v);
+            seeder.put(T_SAVINGS, key, &v);
+            seeder.put(T_CHECKING, key, &v);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! tables that remote machines access live in RDMA-friendly hash tables;
 //! order tables that only the home machine touches (`NEW_ORDER`,
 //! `ORDER`, `ORDER_LINE`, the customer→order index) are ordered,
-//! local-only B+-trees — which also makes them eligible for the §6.4
+//! local-only B-trees — which also makes them eligible for the §6.4
 //! pointer-swap accounting, exactly the tables the paper names.
 //!
 //! Money is integer cents, rates are basis points; all fields are
@@ -258,8 +258,8 @@ pub fn fill_customer<'a>(
 /// Loads the full TPC-C dataset into `cluster` according to `cfg`.
 ///
 /// Every record is seeded on its shard's serving node and, with
-/// replication on, into the backup images. One buffer carries every
-/// record's value.
+/// replication on, into the backup images, through one seeder per
+/// shard. One buffer carries every record's value.
 pub fn load(cluster: &drtm_core::cluster::DrtmCluster, cfg: &TpccCfg) {
     assert!(cfg.customers <= 4096, "customer id must fit 12 bits");
     assert!(cfg.items <= 1 << 20, "item id must fit 20 bits");
@@ -270,50 +270,51 @@ pub fn load(cluster: &drtm_core::cluster::DrtmCluster, cfg: &TpccCfg) {
     let mut rng = drtm_base::SplitMix64::new(t_seed());
     let mut buf = Vec::with_capacity(120);
     for shard in 0..cfg.nodes {
+        let mut seeder = cluster.seeder(shard);
         // The item catalogue is replicated on every node (read-only).
         for i in 0..cfg.items as u64 {
             let price = 100 + (i * 37) % 9900;
             let iv = fill_value(&mut buf, 48, &[price]);
             fill_astring(iv, &mut rng, 8); // I_NAME + I_DATA.
-            cluster.seed_record(shard, T_ITEM, ikey(shard, i), iv);
+            seeder.put(T_ITEM, ikey(shard, i), iv);
         }
         for wi in 0..cfg.warehouses_per_node as u64 {
             let w = (shard * cfg.warehouses_per_node) as u64 + wi;
             let wv = fill_value(&mut buf, 32, &[30_000_000, rng.below(2000)]);
-            cluster.seed_record(shard, T_WAREHOUSE, w, wv);
+            seeder.put(T_WAREHOUSE, w, wv);
             for i in 0..cfg.items as u64 {
                 let qty = 10 + rng.below(91);
                 let sv = fill_value(&mut buf, 64, &[qty, 0, 0, 0]);
                 fill_astring(sv, &mut rng, 32); // S_DIST_xx / S_DATA.
-                cluster.seed_record(shard, T_STOCK, skey(w, i), sv);
+                seeder.put(T_STOCK, skey(w, i), sv);
             }
             for d in 0..cfg.districts as u64 {
                 let dv = [3_000_000, rng.below(2000), cfg.init_orders as u64];
-                cluster.seed_record(shard, T_DISTRICT, dkey(w, d), fill_value(&mut buf, 32, &dv));
+                seeder.put(T_DISTRICT, dkey(w, d), fill_value(&mut buf, 32, &dv));
                 for c in 0..cfg.customers as u64 {
                     let discount = rng.below(5000);
                     let slots = [(-1000i64) as u64, 100_000, 1, 0, discount];
                     let cv = fill_customer(&mut buf, &mut rng, c, &slots);
-                    cluster.seed_record(shard, T_CUSTOMER, ckey(w, d, c), cv);
+                    seeder.put(T_CUSTOMER, ckey(w, d, c), cv);
                     let nk = nkey(w, d, lastname_id(c), c);
-                    cluster.seed_record(shard, T_CUST_NAME, nk, fill_value(&mut buf, 8, &[c]));
+                    seeder.put(T_CUST_NAME, nk, fill_value(&mut buf, 8, &[c]));
                 }
                 for o in 0..cfg.init_orders as u64 {
                     let c = rng.below(cfg.customers as u64);
                     let ol_cnt = 5 + rng.below(11);
                     let ov = fill_value(&mut buf, 32, &[c, ol_cnt, 1, 0]);
-                    cluster.seed_record(shard, T_ORDER, okey(w, d, o), ov);
+                    seeder.put(T_ORDER, okey(w, d, o), ov);
                     let cidx = fill_value(&mut buf, 8, &[o]);
-                    cluster.seed_record(shard, T_ORDER_CIDX, cidxkey(w, d, c, o), cidx);
+                    seeder.put(T_ORDER_CIDX, cidxkey(w, d, c, o), cidx);
                     for ol in 0..ol_cnt {
                         let i = rng.below(cfg.items as u64);
                         let olv = fill_value(&mut buf, 48, &[i, w, 5, 500, 1]);
-                        cluster.seed_record(shard, T_ORDER_LINE, olkey(w, d, o, ol), olv);
+                        seeder.put(T_ORDER_LINE, olkey(w, d, o, ol), olv);
                     }
                     // The most recent third are undelivered.
                     if o * 3 >= 2 * cfg.init_orders as u64 {
                         let nv = fill_value(&mut buf, 8, &[o]);
-                        cluster.seed_record(shard, T_NEW_ORDER, okey(w, d, o), nv);
+                        seeder.put(T_NEW_ORDER, okey(w, d, o), nv);
                     }
                 }
             }

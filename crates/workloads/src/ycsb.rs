@@ -255,9 +255,10 @@ impl Workload for YcsbCfg {
 pub fn load(cluster: &DrtmCluster, cfg: &YcsbCfg) {
     let mut v = vec![0u8; cfg.value_len];
     for shard in 0..cfg.nodes {
+        let mut seeder = cluster.seeder(shard);
         for r in 0..cfg.records as u64 {
             v[..8].copy_from_slice(&r.to_le_bytes());
-            cluster.seed_record(shard, T_KV, cfg.key(shard, r), &v);
+            seeder.put(T_KV, cfg.key(shard, r), &v);
         }
     }
 }

@@ -1,0 +1,53 @@
+//! A cluster's memory does not depend on the clusters built before it.
+//!
+//! Three build-load-drop cycles of a replicated SmallBank cluster in
+//! one process (this binary's own): the resident set right after each
+//! later build and load must be within 5 % of the first one's. Regions
+//! that took their zeroed memory from the heap that a dropped cluster
+//! freed (its regions, its backup images) would write zeros over every
+//! page of it, so a later cluster would cost its whole regions however
+//! few records they hold.
+//!
+//! Linux only: it reads `VmRSS` from `/proc/self/status`.
+#![cfg(target_os = "linux")]
+
+use drtm_core::{DrtmCluster, EngineOpts};
+use drtm_workloads::smallbank::{self, SbCfg};
+
+/// The resident set of this process, in KiB.
+fn vm_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"));
+    let kib = line.and_then(|l| l.split_whitespace().nth(1));
+    kib.and_then(|n| n.parse().ok()).expect("a VmRSS line")
+}
+
+#[test]
+fn later_builds_cost_what_the_first_did() {
+    let cfg = SbCfg {
+        nodes: 3,
+        accounts: 100_000,
+        ..Default::default()
+    };
+    let mut loaded = Vec::new();
+    for _ in 0..3 {
+        let opts = EngineOpts::builder()
+            .replicas(3)
+            .region_size(cfg.region_size())
+            .build();
+        let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
+        smallbank::load(&cluster, &cfg);
+        loaded.push(vm_rss_kib());
+        drop(cluster);
+    }
+    let first = loaded[0] as f64;
+    for (cycle, &kib) in loaded.iter().enumerate().skip(1) {
+        let ratio = kib as f64 / first;
+        assert!(
+            (ratio - 1.0).abs() <= 0.05,
+            "VmRSS after build {}: {kib} KiB, {ratio:.3}x the first build's {first} KiB \
+             (all builds: {loaded:?})",
+            cycle + 1,
+        );
+    }
+}

@@ -1,8 +1,9 @@
 //! The loaded state of each workload, pinned by digest.
 //!
-//! A cluster is loaded one record at a time through `seed_record`:
-//! the allocator picks each record's offset, the hash table its slot,
-//! and every backup image takes a copy. These tests load TPC-C,
+//! A cluster is loaded one shard at a time through a seeder
+//! (`DrtmCluster::seeder`), one record at a time within it: the
+//! allocator picks each record's offset, the hash table its slot, and
+//! every backup image takes a copy. These tests load TPC-C,
 //! SmallBank and YCSB at small sizes and compare one digest of what
 //! that produced with a recorded value, so a change to the install
 //! path that moves one record, one slot, one sequence number or one

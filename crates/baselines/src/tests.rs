@@ -1,6 +1,7 @@
 //! The baselines' tests: DrTM and Calvin over one fixture of two
 //! machines and one table, and the oracle pass.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
@@ -8,6 +9,7 @@ use drtm_cluster::LogEntryRef;
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::txn::{AbortReason, TxnError};
 use drtm_core::RoutinePool;
+use drtm_rdma::{Fault, FaultInjector, NodeId, Verb};
 use drtm_store::record::{lock_word, LOCK_FREE};
 use drtm_store::TableSpec;
 
@@ -141,6 +143,53 @@ mod drtm {
         let d = c.fabric.port(1).stats().snapshot().delta(&before);
         let shape = (d.doorbells, d.atomics, d.reads, d.writes);
         assert_eq!(shape, (3, 2, 1, 1), "{d:?}");
+    }
+
+    /// Drops the first READ from machine 0 to machine 1.
+    struct DropFirstRead(AtomicBool);
+
+    impl FaultInjector for DropFirstRead {
+        fn on_verb(&self, src: NodeId, dst: NodeId, verb: Verb, _now: u64) -> Fault {
+            let first =
+                (src, dst, verb) == (0, 1, Verb::Read) && !self.0.swap(true, Ordering::SeqCst);
+            Fault {
+                drop: first,
+                ..Fault::NONE
+            }
+        }
+    }
+
+    /// A dropped READ under `lock_and_fetch`'s lock is re-posted, in a
+    /// doorbell of its own, while the lock stays held: the transfer
+    /// commits on its first attempt, on the value read the second time,
+    /// and conserves money.
+    #[test]
+    fn dropped_record_read_under_the_lock_is_reposted() {
+        let c = cluster();
+        c.fabric
+            .set_injector(Arc::new(DropFirstRead(AtomicBool::new(false))));
+        let before = c.fabric.port(1).stats().snapshot();
+        let mut w = c.worker(0, 1);
+        block_now(drtm2pl::run(&mut w, async |t| {
+            let a = num(&t.read(0, 0, 1, usize::MAX)?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
+            t.write(0, 0, 1, val(a - 10))?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+        }))
+        .unwrap();
+        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+        let d = c.fabric.port(1).stats().snapshot().delta(&before);
+        let shape = (d.doorbells, d.atomics, d.reads, d.writes);
+        assert_eq!(
+            shape,
+            (4, 2, 2, 1),
+            "one more READ, in its own doorbell: {d:?}"
+        );
+        c.fabric.clear_injector();
+        let mut v = c.worker(1, 9);
+        let a = num(&v.run_ro(|t| t.read(0, 0, 1)).unwrap());
+        let b = num(&v.run_ro(|t| t.read(1, 0, 1 << 32 | 1)).unwrap());
+        assert_eq!((a, b), (90, 110), "money conserved");
     }
 
     /// A remote lock word owned by a machine outside the configuration

@@ -699,7 +699,6 @@ fn run_route(size: Size) -> Result<Vec<Arm>, String> {
     let arm = |label, route| {
         let server = ServerCfg {
             route,
-            steal_reserve: 2,
             ..server_cfg(requests.max(16))
         };
         served_arm(label, server, client_cfg(0.0, requests, 0x60, 0.05, 0.3))

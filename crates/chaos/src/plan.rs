@@ -26,9 +26,13 @@ pub struct FaultRule {
     pub dst: Option<NodeId>,
     /// Only these verb classes (all if empty).
     pub verbs: Vec<Verb>,
-    /// Probability of losing the packet once. One-sided verbs still
-    /// complete after an RC retransmission penalty; SENDs are lost for
-    /// real (see [`drtm_rdma::Fault`]).
+    /// Probability of losing the packet once. A one-sided WR fails with
+    /// `VerbError::Dropped` and flushes the WRs posted behind it; its
+    /// poster re-posts it or aborts the transaction. A SEND lands after
+    /// an RC retransmission penalty (see [`drtm_rdma::Fault`]). Keep it
+    /// below 1000 on one-sided verbs: a commit re-posts a dropped C.5
+    /// image or C.6 unlock until it lands, so a rule that drops every
+    /// one never lets that commit finish.
     pub drop: PerMille,
     /// Probability of duplicating the packet (extra wire bytes on both
     /// NICs, no semantic effect — RC discards the duplicate).
@@ -52,9 +56,10 @@ impl FaultRule {
     }
 }
 
-/// A network partition active over a window of *virtual* time: traffic
-/// crossing the cut is dropped (SENDs lost, one-sided verbs pay a
-/// retransmission stall).
+/// A network partition active over a window of *virtual* time: every
+/// verb crossing the cut pays a stall and is dropped. A one-sided WR
+/// fails, and each re-post fails again until the window closes; a SEND
+/// lands after the stall and its retransmission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// One side of the cut; everything not listed is on the other side.

@@ -393,9 +393,10 @@ fn partition_and_nic_flap_windows_conserve() {
         ..ChaosRunCfg::default()
     };
     // Cut {0} | {1, 2} early in virtual time, then flap machine 1's
-    // NIC. RC semantics: one-sided verbs stall and retransmit, SENDs
-    // are lost (truncation lag only — redo appends survive, so no
-    // committed update can disappear).
+    // NIC. RC semantics: a crossing one-sided WR stalls and fails, and
+    // its poster re-posts it (or aborts) until the window closes; a
+    // SEND lands late (truncation lag only — redo appends survive, so
+    // no committed update can disappear).
     let plan = FaultPlan::new(77)
         .partition(Partition {
             group: vec![0],

@@ -48,8 +48,8 @@ use drtm_cluster::{LogEntry, LogEntryRef};
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{
-    lock_owner, lock_word, locked_write_wrs, parse_consistent, remote_read_header, RecordHeader,
-    HEADER_BYTES, INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
+    lock_owner, lock_word, locked_write_wrs, parse_consistent, RecordHeader, HEADER_BYTES,
+    INCARNATION_OFF, LOCK_FREE, LOCK_OFF, SEQ_OFF,
 };
 use drtm_store::{TableId, CONTROL_LINE_OFF};
 
@@ -250,20 +250,13 @@ fn header_of(wc: WorkCompletion) -> Option<RecordHeader> {
     }
 }
 
-/// One written machine's share of C.5 (see `TxnCtx::remote_update`).
-struct Written {
-    node: NodeId,
-    /// Its WRs not yet posted, in post order: the line images, then —
-    /// on a lone written machine — the chained unlocks.
-    unposted: Vec<WorkRequest>,
-    /// How many of its WRs are images.
-    writes: usize,
-    /// How many of its WRs were posted and settled.
-    settled: usize,
-    /// The images again, for retransmission: the WRs own the first
-    /// copy, so these are built when a WR of this machine first fails,
-    /// once.
-    images: Option<Vec<(usize, Vec<u8>)>>,
+/// The CAS that releases the lock at `raddr`, held by `me`.
+fn unlock(raddr: usize, me: u64) -> WorkRequest {
+    WorkRequest::Cas {
+        raddr,
+        expect: me,
+        new: LOCK_FREE,
+    }
 }
 
 /// Outcome of acquiring one lock whose group CAS lost (see
@@ -511,38 +504,31 @@ impl TxnCtx<'_> {
         Ok(true)
     }
 
-    /// One blocking lock-word CAS: a one-sided verb (a batch of one) by
-    /// default or, under the FaRM-messaging ablation, a SEND/RECV round
-    /// trip serviced by the target's CPU. The message handler interrupts
-    /// the host, which aborts its in-flight HTM regions — modelled by
-    /// bumping the target's control line (every HTM commit region
-    /// subscribes to it in messaging mode).
-    fn remote_cas(&mut self, node: NodeId, off: usize, expect: u64, new: u64) -> Result<u64, u64> {
+    /// One lock-word CAS under the FaRM-messaging ablation: a SEND/RECV
+    /// round trip serviced by the target's CPU. The message handler
+    /// interrupts the host, which aborts its in-flight HTM regions —
+    /// modelled by bumping the target's control line (every HTM commit
+    /// region subscribes to it in messaging mode).
+    fn message_cas(&mut self, node: NodeId, off: usize, expect: u64, new: u64) -> Result<u64, u64> {
         let cluster = Arc::clone(&self.w.cluster);
         let w = &mut *self.w;
-        if cluster.opts.msg_locking {
-            cluster
-                .fabric
-                .charge_message(&mut w.clock, w.node, node, 32);
-            cluster
-                .fabric
-                .charge_message(&mut w.clock, node, w.node, 16);
-            let region = &cluster.stores[node].region;
-            region.faa64(CONTROL_LINE_OFF, 1); // The interrupt.
-            region.cas64(off, expect, new)
-        } else {
-            w.qps[node].cas(&mut w.clock, off, expect, new)
-        }
+        cluster
+            .fabric
+            .charge_message(&mut w.clock, w.node, node, 32);
+        cluster
+            .fabric
+            .charge_message(&mut w.clock, node, w.node, 16);
+        let region = &cluster.stores[node].region;
+        region.faa64(CONTROL_LINE_OFF, 1); // The interrupt.
+        region.cas64(off, expect, new)
     }
 
-    /// The lock-word CASes of several destinations at once (each of
+    /// The lock-acquiring CASes of several destinations at once (each of
     /// `groups` is one node's run of the sorted lock set), outcomes per
     /// group, in order. One-sided, every group rides its own doorbell
     /// (per `sq_depth` WRs) and all of them one park — a reactor
-    /// suspension point: `signalled` waits for the completions, at the
-    /// latest group's horizon, while unsignalled WRs are claimed as soon
-    /// as the doorbells rang, without spinning the clock forward to
-    /// them. With `peek(node)`, a [`HEADER_BYTES`] READ of every record
+    /// suspension point that waits for the completions, at the latest
+    /// group's horizon. With `peek(node)`, a [`HEADER_BYTES`] READ of every record
     /// of that node's group rides the same doorbell behind its CASes:
     /// an RC QP executes in post order, so the READ behind a *winning*
     /// CAS returns the header C.2 validates, already stable under the
@@ -555,12 +541,11 @@ impl TxnCtx<'_> {
         groups: &[&[LockAddr]],
         expect: u64,
         new: u64,
-        signalled: bool,
         peek: impl Fn(NodeId) -> bool,
     ) -> Vec<Vec<(CasOutcome, Option<RecordHeader>)>> {
         if self.w.cluster.opts.msg_locking {
             let mut cas = |&(node, off): &LockAddr| {
-                let outcome = self.remote_cas(node, off, expect, new);
+                let outcome = self.message_cas(node, off, expect, new);
                 (Ok(outcome), None)
             };
             return groups
@@ -578,7 +563,7 @@ impl TxnCtx<'_> {
                 .filter(|_| peek(node))
                 .map(|a| header_read(a.1));
             let wrs: Vec<WorkRequest> = cas.chain(reads).collect();
-            let signalled = if signalled { wrs.len() } else { 0 };
+            let signalled = wrs.len();
             Batch {
                 node,
                 wrs,
@@ -773,9 +758,7 @@ impl TxnCtx<'_> {
                 failed = Some(TxnError::Crashed);
                 break;
             }
-            let results = self
-                .remote_cas_batches(round, LOCK_FREE, me, true, &peek)
-                .await;
+            let results = self.remote_cas_batches(round, LOCK_FREE, me, &peek).await;
             let outcomes = results.into_iter().flatten();
             for ((res, hdr), &addr) in outcomes.zip(round.iter().copied().flatten()) {
                 match res {
@@ -873,7 +856,7 @@ impl TxnCtx<'_> {
                 return OneLock::Dead;
             }
             let mut cas = self
-                .remote_cas_batches(&[&[addr]], expect, me, true, |_| false)
+                .remote_cas_batches(&[&[addr]], expect, me, |_| false)
                 .await;
             let mut cas = cas.pop().expect("one group, one outcome list");
             match cas.pop().expect("one CAS, one outcome").0 {
@@ -895,7 +878,9 @@ impl TxnCtx<'_> {
     /// per destination node, all in one park on the reactor's shared
     /// flush. Nothing waits for the completions — the routine resumes
     /// when the last doorbell rang, exactly like unsignalled unlock WRs
-    /// on real hardware.
+    /// on real hardware. A dropped unlock would dangle forever (recovery
+    /// only sweeps the locks of dead machines), so it is re-posted until
+    /// it lands. Under the messaging ablation each unlock is a message.
     async fn unlock_all(&mut self, addrs: &[LockAddr]) {
         self.w.routine.set_committing(false);
         // A dead machine cannot release its own locks — that is the
@@ -907,18 +892,27 @@ impl TxnCtx<'_> {
             return;
         }
         let me = lock_word(self.w.node);
-        // `addrs` is sorted (the lock set, or the acquired subset of it,
-        // both built in global order), so destinations are contiguous.
-        let groups: Vec<&[LockAddr]> = addrs.chunk_by(|a, b| a.0 == b.0).collect();
-        let results = self
-            .remote_cas_batches(&groups, me, LOCK_FREE, false, |_| false)
-            .await;
-        for ((res, _), &(node, rec_off)) in results.into_iter().flatten().zip(addrs) {
-            // A dropped unlock would dangle forever (recovery only
-            // sweeps locks of dead machines), so retransmit it
-            // through the blocking wrapper.
-            let res = res.unwrap_or_else(|_| self.remote_cas(node, rec_off, me, LOCK_FREE));
-            debug_assert!(res.is_ok(), "lost a lock we held");
+        if self.w.cluster.opts.msg_locking {
+            for &(node, off) in addrs {
+                let res = self.message_cas(node, off, me, LOCK_FREE);
+                debug_assert!(res.is_ok(), "lost a lock we held");
+            }
+        } else {
+            // `addrs` is sorted (the lock set, or the acquired subset of
+            // it, both built in global order), so destinations are
+            // contiguous.
+            let batch = |group: &[LockAddr]| Batch {
+                node: group[0].0,
+                wrs: group.iter().map(|a| unlock(a.1, me)).collect(),
+                signalled: 0,
+            };
+            let batches = addrs.chunk_by(|a, b| a.0 == b.0).map(batch).collect();
+            // A machine that died mid-release leaves the rest to recovery.
+            let Ok(wcs) = self.w.ring_landed(batches, false).await else {
+                return;
+            };
+            let released = |wc: &WorkCompletion| matches!(wc.result, Ok(WrResult::Cas(Ok(_))));
+            debug_assert!(wcs.iter().flatten().all(released), "lost a lock we held");
         }
         self.release_all(addrs);
     }
@@ -929,20 +923,6 @@ impl TxnCtx<'_> {
         for &addr in addrs {
             self.w.cluster.waiters.release(addr);
         }
-    }
-
-    /// The line images C.5 writes to `node`, in post order: per record
-    /// the reverse-line order version matching depends on.
-    fn line_images(&self, node: NodeId, new_seqs: &[u64]) -> Vec<(usize, Vec<u8>)> {
-        let tables = &self.w.cluster.stores[self.w.node];
-        let mut images = Vec::new();
-        for (e, &seq) in self.r_ws.iter().zip(new_seqs) {
-            if e.node == node {
-                let layout = tables.table(e.table).layout;
-                images.extend(locked_write_wrs(e.rec_off, layout, &e.buf, seq));
-            }
-        }
-        images
     }
 
     /// C.5: writes every remote write-set primary under its lock — all
@@ -983,79 +963,46 @@ impl TxnCtx<'_> {
         };
         let (released, held): (Vec<LockAddr>, Vec<LockAddr>) =
             locks.iter().partition(|a| Some(a.0) == chained);
-        let mut dests: Vec<Written> = nodes
+        // Each written record's line images, in the reverse-line order
+        // version matching depends on.
+        let tables = &cluster.stores[self.w.node];
+        let images = |node: NodeId| {
+            let written = self
+                .r_ws
+                .iter()
+                .zip(new_seqs)
+                .filter(move |(e, _)| e.node == node);
+            let lines = written.flat_map(|(e, &seq)| {
+                let layout = tables.table(e.table).layout;
+                locked_write_wrs(e.rec_off, layout, &e.buf, seq)
+            });
+            lines.map(|(raddr, data)| WorkRequest::Write { raddr, data })
+        };
+        let mut batches: Vec<Batch> = nodes
             .iter()
             .map(|&node| {
-                let images = self.line_images(node, new_seqs).into_iter();
-                let unposted: Vec<WorkRequest> = images
-                    .map(|(raddr, data)| WorkRequest::Write { raddr, data })
-                    .collect();
-                Written {
+                let wrs: Vec<WorkRequest> = images(node).collect();
+                let signalled = wrs.len();
+                Batch {
                     node,
-                    writes: unposted.len(),
-                    unposted,
-                    settled: 0,
-                    images: None,
+                    wrs,
+                    signalled,
                 }
             })
             .collect();
         if chained.is_some() {
-            let unlocks = released.iter().map(|&(_, raddr)| WorkRequest::Cas {
-                raddr,
-                expect: me,
-                new: LOCK_FREE,
-            });
-            dests[0].unposted.extend(unlocks);
+            batches[0]
+                .wrs
+                .extend(released.iter().map(|a| unlock(a.1, me)));
         }
         // One send queue's worth per destination at a time, each round
-        // settled before the next is posted: the routine wakes at the
-        // WRITEs' latest horizon and retransmits what failed, blocking
-        // and in post order — an image (idempotent under the lock still
-        // held) before the unlocks flushed behind it. So unlocks in
-        // later chunks are posted behind images that all landed.
-        let depth = cluster.fabric.sq_depth();
-        while dests.iter().any(|d| !d.unposted.is_empty()) {
-            if !cluster.is_alive(self.w.node) {
-                return Err(TxnError::Crashed);
-            }
-            let round = dests.iter_mut().filter(|d| !d.unposted.is_empty());
-            let (rung, batches): (Vec<&mut Written>, Vec<Batch>) = round
-                .map(|d| {
-                    let tail = d.unposted.split_off(d.unposted.len().min(depth));
-                    let batch = Batch {
-                        node: d.node,
-                        wrs: std::mem::replace(&mut d.unposted, tail),
-                        signalled: d.writes.saturating_sub(d.settled),
-                    };
-                    (d, batch)
-                })
-                .unzip();
-            // Posting the last unlock ends the lock holder's dispatch
-            // priority (DESIGN.md §11).
-            if chained.is_some() && held.is_empty() && rung[0].unposted.is_empty() {
-                self.w.routine.set_committing(false);
-            }
-            let wcs = self.w.ring_all(batches).await;
-            for (d, wcs) in rung.into_iter().zip(wcs) {
-                for (i, _) in wcs.iter().enumerate().filter(|(_, wc)| wc.result.is_err()) {
-                    match (d.settled + i).checked_sub(d.writes) {
-                        None => {
-                            let images = d
-                                .images
-                                .get_or_insert_with(|| self.line_images(d.node, new_seqs));
-                            let (raddr, img) = &images[d.settled + i];
-                            let w = &mut *self.w;
-                            w.qps[d.node].write(&mut w.clock, *raddr, img);
-                        }
-                        Some(lock) => {
-                            let res = self.remote_cas(d.node, released[lock].1, me, LOCK_FREE);
-                            debug_assert!(res.is_ok(), "lost a lock we held");
-                        }
-                    }
-                }
-                d.settled += wcs.len();
-            }
-        }
+        // landed before the next is posted; a failed image (idempotent
+        // under the lock still held) is re-posted ahead of the unlocks
+        // flushed behind it. So unlocks in later rounds are posted
+        // behind images that all landed. Posting the last unlock ends
+        // the lock holder's dispatch priority (DESIGN.md §11).
+        let last_unlocks = chained.is_some() && held.is_empty();
+        self.w.ring_landed(batches, last_unlocks).await?;
         self.release_all(&released);
         Ok(held)
     }
@@ -1063,13 +1010,12 @@ impl TxnCtx<'_> {
     /// The header reads (lock, incarnation, seq — [`HEADER_BYTES`] at the
     /// record base, a partial cache line) of `addrs`, sorted by machine,
     /// in order. One-sided, they are READs behind one doorbell per
-    /// machine, all machines in one park; a dropped completion is
-    /// retransmitted through the blocking wrapper (header reads are
-    /// idempotent). The ablations have no READ to batch: GLOB fusion
-    /// models the result the fused CAS already carried, so no verb is
-    /// charged, and under messaging the lock service answers each
-    /// validation peek with its own round trip.
-    async fn remote_headers(&mut self, addrs: &[LockAddr]) -> Vec<RecordHeader> {
+    /// machine, all machines in one park; a dropped READ is re-posted
+    /// (header reads are idempotent). The ablations have no READ to
+    /// batch: GLOB fusion models the result the fused CAS already
+    /// carried, so no verb is charged, and under messaging the lock
+    /// service answers each validation peek with its own round trip.
+    async fn remote_headers(&mut self, addrs: &[LockAddr]) -> Result<Vec<RecordHeader>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let w = &mut *self.w;
         if cluster.opts.fuse_lock_validate || cluster.opts.msg_locking {
@@ -1084,20 +1030,18 @@ impl TxnCtx<'_> {
                 }
                 hdrs.push(header_at(region, off));
             }
-            return hdrs;
+            return Ok(hdrs);
         }
         let batch = |group: &[LockAddr]| Batch {
             node: group[0].0,
             wrs: group.iter().map(|a| header_read(a.1)).collect(),
             signalled: group.len(),
         };
-        let batches = addrs.chunk_by(|a, b| a.0 == b.0).map(batch);
+        let batches = addrs.chunk_by(|a, b| a.0 == b.0).map(batch).collect();
         // Doorbells + one completion wait — a reactor suspension point.
-        let wcs = w.ring_all(batches).await;
-        let mut retransmit = |(node, off)| remote_read_header(&w.qps[node], &mut w.clock, off);
-        let hdrs = wcs.into_iter().flatten().zip(addrs);
-        hdrs.map(|(wc, &addr)| header_of(wc).unwrap_or_else(|| retransmit(addr)))
-            .collect()
+        let wcs = w.ring_landed(batches, false).await?;
+        let hdr = |wc| header_of(wc).expect("a landed READ");
+        Ok(wcs.into_iter().flatten().map(hdr).collect())
     }
 
     /// The headers of every `(node, rec_off)` in `addrs`, preserving
@@ -1139,7 +1083,7 @@ impl TxnCtx<'_> {
                 return Err(TxnError::Crashed);
             }
             let missing: Vec<LockAddr> = idxs.iter().map(|&i| uniq[i]).collect();
-            for (h, i) in self.remote_headers(&missing).await.into_iter().zip(idxs) {
+            for (h, i) in self.remote_headers(&missing).await?.into_iter().zip(idxs) {
                 hdrs[i] = Some(h);
             }
         }
@@ -1588,22 +1532,23 @@ impl TxnCtx<'_> {
         self.lock_all(&locks, true, |_| false).await?;
         let cluster = Arc::clone(&self.w.cluster);
         let store = &cluster.stores[self.w.node];
-        let read = |&(node, table, _, off): &(NodeId, TableId, u64, usize)| {
-            (node, record_read(off, store.table(table).layout))
+        // `records` is sorted, so each machine's READs are contiguous; a
+        // dropped one is re-posted under the lock.
+        let batch = |group: &[(NodeId, TableId, u64, usize)]| Batch {
+            node: group[0].0,
+            wrs: group
+                .iter()
+                .map(|r| record_read(r.3, store.table(r.1).layout))
+                .collect(),
+            signalled: group.len(),
         };
-        let images = self.w.ring_reads(records.iter().map(read).collect()).await;
+        let batches = records.chunk_by(|a, b| a.0 == b.0).map(batch).collect();
+        let images = self.w.ring_landed(batches, false).await?;
         let mut values = Vec::with_capacity(records.len());
-        for (&(node, table, key, rec_off), image) in records.iter().zip(images) {
+        for (&(node, table, key, rec_off), wc) in records.iter().zip(images.into_iter().flatten()) {
             let layout = store.table(table).layout;
-            let image = match image {
-                Ok(WrResult::Read { data, .. }) => data,
-                // Dropped: read again through the blocking wrapper.
-                _ => {
-                    let mut buf = vec![0; layout.size()];
-                    let w = &mut *self.w;
-                    w.qps[node].read(&mut w.clock, rec_off, &mut buf);
-                    buf
-                }
+            let Ok(WrResult::Read { data: image, .. }) = wc.result else {
+                unreachable!("a landed READ");
             };
             let Some(rr) = parse_consistent(&image, layout) else {
                 self.unlock_all(&locks).await;

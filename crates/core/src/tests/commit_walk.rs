@@ -638,10 +638,10 @@ fn dropped_wr_in_lock_batch_aborts_cleanly() {
 /// Dropping the first line image of C.5's doorbell flushes everything
 /// posted behind it — the other two images and the three unlock CASes
 /// chained behind them — so no record is released over a torn or stale
-/// image. The routine retransmits in post order through the blocking
-/// wrappers, images first: the log is every verb the injector saw from
-/// the drop on, with how many of the three records were still locked
-/// when it was issued.
+/// image. The routine re-posts them in post order through the reactor,
+/// images first: the log is every verb the injector saw from the drop
+/// on, with how many of the three records were still locked when it was
+/// issued.
 #[test]
 fn dropped_update_wr_flushes_the_unlocks_behind_it() {
     let c = cluster(2, 1);
@@ -675,8 +675,8 @@ fn dropped_update_wr_flushes_the_unlocks_behind_it() {
 }
 
 /// Dropping an unsignalled unlock CAS chained behind C.5's images is
-/// repaired by a blocking retransmit of that CAS — and of the unlocks
-/// flushed behind it — and of nothing else: no image is written twice,
+/// repaired by re-posting that CAS — and the unlocks flushed behind
+/// it — and nothing else: no image is written twice,
 /// no dangling lock survives, so a second worker can immediately lock
 /// the same records.
 #[test]
@@ -741,8 +741,8 @@ fn dropped_peek_read_is_retransmitted() {
 /// A 130-record write at `sq_depth` 4 is 33 chunks of images, then the
 /// unlocks in the last 32: no unlock is posted until every chunk of
 /// images has been settled. The first image is dropped, which flushes
-/// the three behind it; all four are retransmitted before the second
-/// chunk is posted, and every WRITE — the injector logs each verb from
+/// the three behind it; all four are re-posted before the second chunk
+/// is posted, and every WRITE — the injector logs each verb from
 /// the drop on with how many of the records are still locked — finds
 /// all 130 locks held.
 #[test]
@@ -763,7 +763,7 @@ fn dropped_image_in_a_chunked_write_is_settled_before_any_unlock() {
     })
     .unwrap();
     assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
-    // The drop, its chunk's four retransmits, the other 126 images;
+    // The drop, its chunk's four re-posts, the other 126 images;
     // then the unlocks, one fewer record locked at each.
     let want = (0..1 + 4 + 126)
         .map(|_| (1, Write, records))
@@ -774,9 +774,8 @@ fn dropped_image_in_a_chunked_write_is_settled_before_any_unlock() {
 /// Two written machines, both machines' images in one park, and the
 /// first image toward the *first* machine dropped: its second image is
 /// flushed behind it, machine 2's land untouched (another queue pair),
-/// and the routine, woken at the latest horizon, retransmits machine
-/// 1's two — from one rebuilt image list — before C.6 posts a single
-/// unlock. The log is every verb the injector saw from the drop on:
+/// and the routine, woken at the latest horizon, re-posts machine 1's
+/// two before C.6 posts a single unlock. The log is every verb the injector saw from the drop on:
 /// destination, verb, and how many of the four records were still
 /// locked. Every image is issued under all four locks; nothing dangles.
 #[test]
@@ -795,7 +794,7 @@ fn dropped_image_on_the_first_of_two_written_machines_lands_before_any_unlock() 
             (1, Write, 4), // dropped; the image behind it is flushed
             (2, Write, 4),
             (2, Write, 4),
-            (1, Write, 4), // both retransmitted, in post order
+            (1, Write, 4), // both re-posted, in post order
             (1, Write, 4),
             (1, Cas, 4),
             (1, Cas, 3),

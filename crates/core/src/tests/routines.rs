@@ -363,7 +363,7 @@ fn lock_holder_resumes_ahead_of_landed_execution_reads() {
 /// routine 0 then parks its C.5 + C.6 chain the reactor rings both in
 /// one doorbell, the READ ahead. Dropping that READ flushes the whole
 /// chain behind it although it belongs to another transaction: routine
-/// 0 wakes at the flush, retransmits image then unlock, and commits
+/// 0 wakes at the flush, re-posts image then unlock, and commits
 /// exactly once; routine 1 retries its READ.
 #[test]
 fn dropped_sibling_read_flushes_a_whole_commit_chain() {
@@ -420,9 +420,80 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
     let after = after.lock().unwrap().clone().expect("a READ was dropped");
     assert_eq!(after, [Write, Cas, Read, Read, Read, Read]);
     // The flushed image and unlock never reached the wire: one WRITE
-    // and one unlock CAS in all, both retransmits.
+    // and one unlock CAS in all, both re-posts.
     let d = nic.since(1);
     assert_eq!((d.writes, d.atomics), (1, 1 + 1), "{d:?}");
+    c.fabric.clear_injector();
+    assert_eq!(value(&c, 1, 0), 101, "committed exactly once");
+}
+
+/// Logs the verb class and issue time of every verb from machine 0 to
+/// machine 1, and drops the first WRITE among them.
+#[derive(Default)]
+struct DropFirstWrite(Mutex<Vec<(drtm_rdma::Verb, u64)>>);
+
+impl FaultInjector for DropFirstWrite {
+    fn on_verb(&self, src: NodeId, dst: NodeId, verb: drtm_rdma::Verb, now: u64) -> Fault {
+        let mut log = self.0.lock().unwrap();
+        if (src, dst) != (0, 1) {
+            return Fault::NONE;
+        }
+        let first = verb == Write && log.iter().all(|e| e.0 != Write);
+        log.push((verb, now));
+        drop_if(first)
+    }
+}
+
+/// R = 2: routine 0 commits a remote read-modify-write whose C.5 image
+/// is dropped, flushing the unlock chained behind it; routine 1 runs
+/// 200 ns CPU segments between spin parks. The re-posted image and
+/// unlock park routine 0 on the reactor like any other verb, so a
+/// segment of routine 1 starts inside that wait: after the re-posted
+/// WRITE is issued and before routine 0's commit returns.
+#[test]
+fn dropped_image_is_reposted_on_the_reactor_so_a_sibling_runs() {
+    let c = cluster(2, 1);
+    let tap = Arc::new(DropFirstWrite::default());
+    c.fabric
+        .set_injector(Arc::clone(&tap) as Arc<dyn FaultInjector>);
+    let (done, starts) = (Cell::new(None), Mutex::new(Vec::new()));
+    let workers: Vec<_> = (0..2).map(|id| c.worker(0, 90 + id)).collect();
+    RoutinePool::run(workers, async |id, w| {
+        if id == 0 {
+            let r = w
+                .run_async(async |t| {
+                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
+                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                })
+                .await;
+            assert_eq!((r, w.stats.aborted), (Ok(()), 0));
+            done.set(Some(w.clock.now()));
+            return;
+        }
+        while done.get().is_none() {
+            starts.lock().unwrap().push(w.clock.now());
+            w.clock.advance(200);
+            w.pause(0).await;
+        }
+    });
+    let log = tap.0.lock().unwrap().clone();
+    let writes: Vec<u64> = log.iter().filter(|e| e.0 == Write).map(|e| e.1).collect();
+    let after: Vec<_> = log
+        .iter()
+        .skip_while(|e| e.0 != Write)
+        .map(|e| e.0)
+        .collect();
+    assert_eq!(
+        after,
+        [Write, Write, Cas],
+        "the drop, then image and unlock"
+    );
+    let (reposted, end) = (writes[1], done.get().unwrap());
+    let starts = starts.into_inner().unwrap();
+    assert!(
+        starts.iter().any(|&s| reposted < s && s < end),
+        "no segment of routine 1 starts in ({reposted}, {end}): {starts:?}"
+    );
     c.fabric.clear_injector();
     assert_eq!(value(&c, 1, 0), 101, "committed exactly once");
 }

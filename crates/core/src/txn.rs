@@ -15,7 +15,7 @@ use drtm_base::task::block_now;
 use drtm_base::{Histogram, SplitMix64, VClock};
 use drtm_htm::{HtmConfig, HtmTxn, ReadSet};
 use drtm_obs::{EventKind, Shard};
-use drtm_rdma::{NodeId, PostedWr, Qp, VerbError, WorkCompletion, WorkRequest, WrResult};
+use drtm_rdma::{NodeId, PostedWr, VerbError, WorkCompletion, WorkRequest, WrResult};
 use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
 use drtm_store::{LocationCache, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
@@ -128,7 +128,6 @@ pub struct Worker {
     pub clock: VClock,
     /// The worker's RNG stream: back-offs and HTM's spurious aborts.
     pub rng: SplitMix64,
-    pub(crate) qps: Vec<Qp>,
     /// Commit/abort/latency counters.
     pub stats: WorkerStats,
     /// This worker's shard of the cluster metrics registry.
@@ -174,6 +173,19 @@ pub(crate) struct Batch {
     pub node: NodeId,
     pub wrs: Vec<WorkRequest>,
     pub signalled: usize,
+}
+
+impl Batch {
+    /// Moves the failed WRs of `done` — this batch's completions of one
+    /// round, where a failed WR fails everything posted behind it — back
+    /// to the front of `wrs`, to be re-posted first.
+    fn requeue_failed(&mut self, done: &mut Vec<WorkCompletion>) {
+        let ok = done.iter().take_while(|wc| wc.result.is_ok()).count();
+        self.signalled -= ok.min(self.signalled);
+        let failed = done.drain(ok..);
+        let again = failed.map(|wc| wc.wr.expect("a failed WR comes back"));
+        self.wrs.splice(0..0, again);
+    }
 }
 
 /// A local read-set entry.
@@ -313,8 +325,6 @@ pub struct TxnCtx<'w> {
 impl Worker {
     /// Creates a worker on `node` with a deterministic RNG stream.
     pub fn new(cluster: Arc<DrtmCluster>, node: NodeId, seed: u64) -> Self {
-        let n = cluster.nodes();
-        let qps = (0..n).map(|dst| cluster.fabric.qp(node, dst)).collect();
         let obs = cluster.obs.shard(node);
         obs.note_routines(1);
         let routine = Reactor::solo(Arc::clone(&cluster.fabric));
@@ -323,7 +333,6 @@ impl Worker {
             node,
             clock: VClock::new(),
             rng: SplitMix64::new(seed ^ (node as u64) << 32),
-            qps,
             stats: WorkerStats::default(),
             obs,
             routine,
@@ -458,6 +467,64 @@ impl Worker {
         wcs
     }
 
+    /// [`Self::ring_all`] for WRs that must land, at most one batch per
+    /// machine and none empty. A WR that fails — dropped, or flushed
+    /// behind one that was — comes back to the front of its batch and
+    /// the next round re-posts it, ahead of everything not yet posted,
+    /// so each batch's WRs take effect once each and in post order (an
+    /// RC QP executes in post order). A round posts at most `sq_depth`
+    /// WRs of each batch and lands them before the next is posted. With
+    /// `last_unlocks` the batches end with the transaction's last lock
+    /// releases, so posting their final round ends the routine's
+    /// dispatch priority (DESIGN.md §11). Returns each batch's
+    /// completions in post order, every one a success; stops with
+    /// [`TxnError::Crashed`] once this machine is dead, which issues no
+    /// verbs.
+    pub(crate) async fn ring_landed(
+        &mut self,
+        mut batches: Vec<Batch>,
+        last_unlocks: bool,
+    ) -> Result<Vec<Vec<WorkCompletion>>, TxnError> {
+        debug_assert!(batches.iter().all(|b| !b.wrs.is_empty()), "empty batch");
+        let depth = self.cluster.fabric.sq_depth();
+        let mut landed: Vec<Vec<WorkCompletion>> = Vec::new();
+        while batches.iter().any(|b| !b.wrs.is_empty()) {
+            if !self.cluster.is_alive(self.node) {
+                return Err(TxnError::Crashed);
+            }
+            if last_unlocks && batches.iter().all(|b| b.wrs.len() <= depth) {
+                self.routine.set_committing(false);
+            }
+            let round = batches.iter_mut().filter(|b| !b.wrs.is_empty()).map(|b| {
+                let tail = b.wrs.split_off(b.wrs.len().min(depth));
+                let wrs = std::mem::replace(&mut b.wrs, tail);
+                let signalled = b.signalled.min(wrs.len());
+                Batch {
+                    node: b.node,
+                    wrs,
+                    signalled,
+                }
+            });
+            let wcs = self.ring_all(round).await;
+            if landed.is_empty() {
+                // The first round posted every batch, in order.
+                landed = wcs;
+                for (b, done) in batches.iter_mut().zip(&mut landed) {
+                    b.requeue_failed(done);
+                }
+                continue;
+            }
+            for mut done in wcs {
+                let node = done[0].dst;
+                let at = batches.iter().position(|b| b.node == node);
+                let at = at.expect("one batch per machine");
+                batches[at].requeue_failed(&mut done);
+                landed[at].append(&mut done);
+            }
+        }
+        Ok(landed)
+    }
+
     /// The worker's one verb path for one destination: rings `wrs` to
     /// `node`, the first `signalled` of them waited for, the rest
     /// unsignalled, and parks until they land — one park per
@@ -514,12 +581,12 @@ impl Worker {
         batch_of.into_iter().map(next).collect()
     }
 
-    /// Yields through a verb wait a *blocking* wrapper already spun the
-    /// clock across: `cpu_release` is the instant the CPU went idle —
-    /// typically right after the doorbell charge — and the worker clock
-    /// now sits at the completion horizon. On a reactor of one routine,
-    /// solo or pooled, the yield resumes at the current clock, changing
-    /// nothing.
+    /// Yields through a verb wait whose clock the caller already spun
+    /// across (R.1's appends, charged inline): `cpu_release` is the
+    /// instant the CPU went idle — typically right after the doorbell
+    /// charge — and the worker clock now sits at the completion
+    /// horizon. On a reactor of one routine, solo or pooled, the yield
+    /// resumes at the current clock, changing nothing.
     pub(crate) async fn yield_remote_wait(&mut self, cpu_release: u64) {
         debug_assert!(
             !drtm_htm::region_active(),

@@ -11,14 +11,14 @@ fn usage() -> ! {
     eprintln!(
         "usage: drtm-server [--addr A] [--nodes N] [--accounts N] [--replicas N]\n\
          \x20                 [--routines N] [--high-water N] [--window N]\n\
-         \x20                 [--route on|off] [--steal-reserve N]\n\
+         \x20                 [--route on|off]\n\
          \x20                 [--sample-ms N] [--trace FILE] [--audit] [--prom|--json]\n\
          Serves SmallBank transactions over the drtm-net wire protocol until\n\
          SIGINT/SIGTERM, then drains in-flight work and prints a final scrape.\n\
          While running, clients can scrape live stats with a StatsRequest\n\
          frame (see drtm-client --scrape). --route on dispatches each request\n\
          to the pool owning the majority of its shards (per-pool queues with\n\
-         bounded work stealing; --steal-reserve is the per-queue steal floor);\n\
+         bounded work stealing, leaving each queue at least two items);\n\
          off (the default) keeps the one shared queue.\n\
          --high-water must be at least 1.\n\
          --sample-ms sets the in-server time-series sampler period (0\n\
@@ -52,9 +52,6 @@ fn main() {
             "--high-water" => cfg.high_water = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--window" => cfg.window = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--route" => cfg.route = RoutePolicy::parse(&val(&mut args)).unwrap_or_else(|| usage()),
-            "--steal-reserve" => {
-                cfg.steal_reserve = val(&mut args).parse().unwrap_or_else(|_| usage())
-            }
             "--sample-ms" => cfg.sample_ms = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--trace" => trace_out = Some(val(&mut args)),
             "--audit" => audit = true,

@@ -38,7 +38,7 @@
 //!   tiebreak), so single-home requests execute as all-local HTM
 //!   transactions with zero commit-path verbs; an empty pool steals
 //!   the oldest item from the deepest sibling queue, never draining it
-//!   below [`ServerCfg::steal_reserve`], and only when it is behind the
+//!   below [`STEAL_RESERVE`] items, and only when it is behind the
 //!   home pool in virtual time (the same rule). Shedding is two-level: a
 //!   per-queue high-water mark plus a group-wide cap preserving the
 //!   shared queue's total-backlog fast-reject semantics.
@@ -73,6 +73,10 @@ use crate::route;
 /// cadence this holds the last several minutes of server history.
 const TS_RING_CAP: usize = 4096;
 
+/// Steal floor with `route = Routed`: a pool never drains a sibling
+/// queue below this many items.
+pub const STEAL_RESERVE: usize = 2;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerCfg {
@@ -99,9 +103,6 @@ pub struct ServerCfg {
     /// serves) or `Routed` (per-pool queues + bounded stealing,
     /// DESIGN.md §16).
     pub route: RoutePolicy,
-    /// Steal floor with `route = Routed`: a pool never drains a sibling
-    /// queue below this many items.
-    pub steal_reserve: usize,
 }
 
 impl Default for ServerCfg {
@@ -116,7 +117,6 @@ impl Default for ServerCfg {
             window: 128,
             sample_ms: 5,
             route: RoutePolicy::Shared,
-            steal_reserve: 2,
         }
     }
 }
@@ -388,7 +388,7 @@ impl Server {
         let queue = if routed {
             let pools = cfg.nodes.max(1);
             let per_queue = (2 * cfg.high_water / pools).max(1);
-            QueueGroup::new(pools, per_queue, cfg.high_water, cfg.steal_reserve)
+            QueueGroup::new(pools, per_queue, cfg.high_water, STEAL_RESERVE)
         } else {
             QueueGroup::new(1, cfg.high_water, cfg.high_water, 0)
         };

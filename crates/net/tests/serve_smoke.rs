@@ -360,7 +360,6 @@ fn routed_burst_steals_sheds_conserves_and_drains() {
         high_water: 16,
         window: 2_048,
         route: RoutePolicy::Routed,
-        steal_reserve: 2,
         ..Default::default()
     })
     .expect("bind loopback");
@@ -445,7 +444,6 @@ fn routed_drain_survives_node_crash_mid_backlog() {
         high_water: 64,
         window: 2_048,
         route: RoutePolicy::Routed,
-        steal_reserve: 2,
         ..Default::default()
     })
     .expect("bind loopback");

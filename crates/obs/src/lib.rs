@@ -21,6 +21,8 @@
 //!   periodic server telemetry samples (queue depth, in-flight, abort
 //!   mix) a live server scrapes into and exports alongside the trace.
 //!
+//! Both rings are one type, [`Ring`], over their own entry.
+//!
 //! # Cost model when disabled
 //!
 //! Two switches, compile-time and runtime:
@@ -44,6 +46,7 @@ pub mod expo;
 pub mod json;
 pub mod jsonlint;
 pub mod registry;
+pub mod ring;
 pub mod timeseries;
 pub mod trace;
 
@@ -51,6 +54,7 @@ pub use registry::{
     CacheStats, ContentionStats, HistSummary, MachineRow, NetStats, NicRow, PipelineStats,
     Registry, RouteStats, Shard, Snapshot,
 };
+pub use ring::Ring;
 pub use timeseries::{TsRing, TsSample};
 pub use trace::{EvPhase, EventKind, TraceEvent, TraceRing};
 

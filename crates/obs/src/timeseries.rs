@@ -10,12 +10,9 @@
 //! JSON object via [`TsRing::render_json`] for plotting queue pressure
 //! and abort mix over time next to the request trace.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use drtm_base::sync::Mutex;
-
-use crate::{json, ABORT_REASONS};
+use crate::{json, Ring, ABORT_REASONS};
 
 /// One periodic telemetry sample. Gauges are point-in-time; counters
 /// are cumulative since server start, so deltas between consecutive
@@ -44,62 +41,9 @@ pub struct TsSample {
 
 /// A fixed-capacity ring of [`TsSample`]s; oldest samples are evicted
 /// on overflow, `dropped` counting how many.
-#[derive(Debug)]
-pub struct TsRing {
-    cap: usize,
-    inner: Mutex<Inner>,
-}
+pub type TsRing = Ring<TsSample>;
 
-#[derive(Debug)]
-struct Inner {
-    buf: VecDeque<TsSample>,
-    dropped: u64,
-}
-
-impl TsRing {
-    /// Creates a ring holding at most `cap` samples (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            inner: Mutex::new(Inner {
-                buf: VecDeque::with_capacity(cap.clamp(1, 1024)),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Capacity in samples.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Pushes one sample, evicting the oldest if full.
-    pub fn push(&self, s: TsSample) {
-        let mut g = self.inner.lock();
-        if g.buf.len() == self.cap {
-            g.buf.pop_front();
-            g.dropped += 1;
-        }
-        g.buf.push_back(s);
-    }
-
-    /// Samples currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies out the buffered samples (oldest first) and the count of
-    /// samples dropped so far.
-    pub fn snapshot(&self) -> (Vec<TsSample>, u64) {
-        let g = self.inner.lock();
-        (g.buf.iter().copied().collect(), g.dropped)
-    }
-
+impl Ring<TsSample> {
     /// Renders the ring as one JSON object:
     /// `{"dropped":N,"series":[{...sample...},…]}`, each sample
     /// carrying its abort mix keyed by [`ABORT_REASONS`] label.

@@ -26,7 +26,6 @@
 //! process (the `drtm-shell` harnesses and tests); across real
 //! processes the flow ids still link the spans logically.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -34,7 +33,7 @@ use std::time::Instant;
 
 use drtm_base::sync::Mutex;
 
-use crate::{enabled, json};
+use crate::{enabled, json, Ring};
 
 /// Default per-thread ring capacity (events). At ~48 bytes per event
 /// this bounds each thread to ~1.5 MiB of trace memory.
@@ -173,70 +172,7 @@ pub struct TraceEvent {
 
 /// A fixed-capacity event ring. Oldest events are evicted on overflow;
 /// `dropped` counts how many.
-#[derive(Debug)]
-pub struct TraceRing {
-    cap: usize,
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug)]
-struct Inner {
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// Creates a ring holding at most `cap` events (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            inner: Mutex::new(Inner {
-                buf: VecDeque::with_capacity(cap.clamp(1, 1024)),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Pushes one event, evicting the oldest if full.
-    pub fn push(&self, ev: TraceEvent) {
-        let mut g = self.inner.lock();
-        if g.buf.len() == self.cap {
-            g.buf.pop_front();
-            g.dropped += 1;
-        }
-        g.buf.push_back(ev);
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies out the buffered events (oldest first) and the count of
-    /// events dropped so far. Does not clear the ring — safe while the
-    /// owning thread keeps recording.
-    pub fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
-        let g = self.inner.lock();
-        (g.buf.iter().copied().collect(), g.dropped)
-    }
-
-    /// Clears the ring and its drop counter.
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.buf.clear();
-        g.dropped = 0;
-    }
-}
+pub type TraceRing = Ring<TraceEvent>;
 
 /// Process-wide trace epoch: all wall timestamps are relative to the
 /// first event ever recorded, keeping exported numbers small.

@@ -228,6 +228,9 @@ pub struct WorkCompletion {
     pub signalled: bool,
     /// Success payload, or the per-WR transport fault.
     pub result: Result<WrResult, VerbError>,
+    /// The work request itself when it failed, handed back so its
+    /// poster can re-post it; `None` once it landed.
+    pub wr: Option<WorkRequest>,
 }
 
 /// A completion queue.
@@ -327,20 +330,18 @@ impl Cq {
 
 /// A fault decision applied to one verb, produced by a [`FaultInjector`].
 ///
-/// Semantics follow reliable-connected (RC) transport. On the blocking
-/// wrappers ([`Qp::read`] and friends) a one-sided verb never fails at
-/// the application layer — a lost packet is retransmitted by the NIC —
-/// so `drop` is charged as a retransmission delay while the operation
-/// still takes effect. On the batched path ([`Qp::doorbell`]) a `drop`
-/// models the QP's retry budget running out: the WR completes with
-/// [`VerbError::Dropped`], its memory effect is *not* applied, and the
-/// caller decides whether to re-post. `drop` on a SEND
-/// ([`Fabric::charge_message`]) costs its retransmission: the message
-/// still lands, later. Faults apply to *individual WRs inside a batch*:
-/// the injector is consulted once per WR, so a single doorbell can see
-/// any mix of delayed and duplicated work requests — up to its first
-/// failed one, which flushes everything posted behind it (see
-/// [`Qp::doorbell`]).
+/// Semantics follow reliable-connected (RC) transport. A `drop` on a
+/// one-sided WR models the QP's retry budget running out: the WR
+/// completes with [`VerbError::Dropped`] after a retransmission
+/// penalty, its memory effect is *not* applied, every WR posted behind
+/// it in the doorbell is flushed ([`VerbError::Flushed`]), and its
+/// poster decides whether to re-post — the blocking wrappers
+/// ([`Qp::read`] and friends) re-post until the WR lands. `drop` on a
+/// SEND ([`Fabric::charge_message`]) costs its retransmission: the
+/// message still lands, later. Faults apply to *individual WRs inside a
+/// batch*: the injector is consulted once per WR, so a single doorbell
+/// can see any mix of delayed and duplicated work requests — up to its
+/// first failed one (see [`Qp::doorbell`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fault {
     /// Extra latency charged to the issuing worker's virtual clock, in ns
@@ -348,9 +349,9 @@ pub struct Fault {
     pub delay_ns: u64,
     /// Extra wire bytes charged against both NICs (duplicated packets).
     pub extra_wire: u64,
-    /// Lose the operation's packet once. SENDs and blocking one-sided
-    /// verbs complete after a retransmission penalty; batched WRs fail
-    /// with [`VerbError::Dropped`].
+    /// Lose the operation's packet once. A SEND completes after a
+    /// retransmission penalty; a one-sided WR fails with
+    /// [`VerbError::Dropped`] and flushes the WRs behind it.
     pub drop: bool,
 }
 
@@ -696,19 +697,6 @@ impl Fabric {
     }
 }
 
-/// How a doorbell treats an injected `drop` on a one-sided WR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DropPolicy {
-    /// Blocking wrappers: RC retransmits transparently — the effect
-    /// still applies after a retransmission penalty (legacy semantics,
-    /// so every pre-WR call site keeps its observable behaviour).
-    Retransmit,
-    /// Batched doorbells: the QP's retry budget expires and the WR
-    /// fails with [`VerbError::Dropped`]; the effect is not applied,
-    /// and the WRs behind it are flushed.
-    Fail,
-}
-
 /// A reliable-connected queue pair between two nodes.
 ///
 /// The native interface is the posted work-queue model: [`Qp::post`]
@@ -717,8 +705,8 @@ enum DropPolicy {
 /// — and [`Cq::poll`] returns the [`WorkCompletion`]s. The blocking
 /// verbs ([`read`](Qp::read), [`write`](Qp::write), [`cas`](Qp::cas),
 /// [`fetch_add`](Qp::fetch_add)) are thin wrappers running one WR
-/// through post → doorbell → poll, advancing the caller's clock to the
-/// completion time.
+/// through post → doorbell → poll, re-posting it until it lands and
+/// advancing the caller's clock to the completion time.
 pub struct Qp {
     fabric: Arc<Fabric>,
     src: NodeId,
@@ -793,14 +781,11 @@ impl Qp {
     /// (no NIC charge, no verb count, the injector is not consulted)
     /// and leaves memory untouched. So a WR's effect landed only if
     /// every WR ahead of it in the doorbell landed too. The error state
-    /// ends with the call: the poster re-posts what failed.
+    /// ends with the call: the poster re-posts what failed, each failed
+    /// WR handed back in its completion ([`WorkCompletion::wr`]).
     ///
     /// Returns the fabric-unique batch id, or 0 when nothing was posted.
     pub fn doorbell(&self, clock: &mut VClock, cq: &Cq) -> u64 {
-        self.doorbell_with(clock, cq, DropPolicy::Fail)
-    }
-
-    fn doorbell_with(&self, clock: &mut VClock, cq: &Cq, policy: DropPolicy) -> u64 {
         let wrs = std::mem::take(&mut *self.sq.lock());
         if wrs.is_empty() {
             return 0;
@@ -810,7 +795,7 @@ impl Qp {
             signalled: true,
             wr,
         });
-        self.ring(clock, cq, policy, posted.collect(), &mut None)
+        self.ring(clock, cq, posted.collect(), &mut None)
     }
 
     /// Rings doorbells over an explicit WR list carrying a per-WR
@@ -832,7 +817,7 @@ impl Qp {
         let mut failed_at = None;
         while !rest.is_empty() {
             let tail = rest.split_off(rest.len().min(depth));
-            self.ring(clock, cq, DropPolicy::Fail, rest, &mut failed_at);
+            self.ring(clock, cq, rest, &mut failed_at);
             rest = tail;
         }
     }
@@ -847,7 +832,6 @@ impl Qp {
         &self,
         clock: &mut VClock,
         cq: &Cq,
-        policy: DropPolicy,
         wrs: Vec<PostedWr>,
         failed_at: &mut Option<u64>,
     ) -> u64 {
@@ -871,7 +855,7 @@ impl Qp {
                 Some(at) => (Err(VerbError::Flushed), at.max(issue)),
                 None => {
                     let fault = f.fault(self.src, self.dst, verb, issue);
-                    self.execute_wr(&posted.wr, issue, fault, policy)
+                    self.execute_wr(&posted.wr, issue, fault)
                 }
             };
             if matches!(result, Err(VerbError::Dropped)) {
@@ -892,6 +876,7 @@ impl Qp {
                 done_ns,
                 cookie: posted.cookie,
                 signalled: posted.signalled,
+                wr: result.is_err().then_some(posted.wr),
                 result,
             });
         }
@@ -906,7 +891,6 @@ impl Qp {
         wr: &WorkRequest,
         issue: u64,
         fault: Fault,
-        policy: DropPolicy,
     ) -> (Result<WrResult, VerbError>, u64) {
         let f = &self.fabric;
         let port = self.port();
@@ -927,13 +911,12 @@ impl Qp {
         port.stats.bytes.add(payload as u64);
         let mut t = issue + latency + fault.delay_ns;
         if fault.drop {
-            // A lost packet costs at least one retransmission round trip
-            // whether the NIC recovers (Retransmit) or gives up and
-            // errors the WR (Fail).
+            // The QP spends at least one retransmission round trip
+            // before its retry budget runs out and it errors the WR.
             t += fault.delay_ns.max(f.cost.msg_ns);
         }
         let done = t.max(nic_done);
-        if fault.drop && policy == DropPolicy::Fail {
+        if fault.drop {
             return (Err(VerbError::Dropped), done);
         }
         let result = match wr {
@@ -954,23 +937,24 @@ impl Qp {
         (Ok(result), done)
     }
 
-    /// Runs one WR through the full post → doorbell → poll cycle with
-    /// transparent retransmission: the blocking path.
-    fn run_blocking(&self, clock: &mut VClock, wr: WorkRequest) -> WrResult {
+    /// Runs one WR through the full post → doorbell → poll cycle,
+    /// re-posting it until it lands: the blocking path.
+    fn run_blocking(&self, clock: &mut VClock, mut wr: WorkRequest) -> WrResult {
         debug_assert_eq!(
             self.posted(),
             0,
             "blocking verb issued while WRs are still posted on this QP"
         );
-        self.post(wr);
         let cq = Cq::new();
-        self.doorbell_with(clock, &cq, DropPolicy::Retransmit);
-        let mut wcs = cq.poll(clock);
-        debug_assert_eq!(wcs.len(), 1);
-        wcs.pop()
-            .expect("one WR was posted")
-            .result
-            .expect("blocking verbs retransmit and never error")
+        loop {
+            self.post(wr);
+            self.doorbell(clock, &cq);
+            let wc = cq.poll(clock).pop().expect("one WR was posted");
+            match wc.result {
+                Ok(result) => return result,
+                Err(_) => wr = wc.wr.expect("a failed WR comes back"),
+            }
+        }
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at remote byte offset
@@ -1270,9 +1254,14 @@ mod unit {
         qp.doorbell_shared(&mut clock, &cq, wrs);
         let wcs = cq.poll(&mut clock);
         assert!(wcs[0].result.is_ok());
+        assert_eq!(wcs[0].wr, None, "a landed WR is not handed back");
         assert_eq!(wcs[1].result, Err(VerbError::Dropped));
         let region = f.port(1).region();
         assert_eq!(region.load64(0), 0x0101010101010101);
+        for (i, wc) in wcs.iter().enumerate().skip(1) {
+            let back = Some(write_for(0, true, i * 64).wr);
+            assert_eq!(wc.wr, back, "WR {i} comes back to be re-posted");
+        }
         for (i, wc) in wcs.iter().enumerate().skip(2) {
             assert_eq!(wc.result, Err(VerbError::Flushed), "WR {i}");
             assert!(wc.done_ns >= wcs[1].done_ns, "flushed when the QP failed");
@@ -1318,6 +1307,28 @@ mod unit {
         // Exactly once: nothing left behind for any other consumer.
         assert!(cq.is_empty());
         assert!(cq.poll(&mut clock).is_empty());
+    }
+
+    #[test]
+    fn dropped_wr_of_a_blocking_verb_is_reposted_until_it_lands() {
+        // The first WRITE is dropped: the wrapper waits out its failed
+        // completion, then rings a second doorbell that lands.
+        let f = Fabric::builder()
+            .fresh_regions(2, 4096)
+            .injector(Arc::new(DropKth {
+                k: 0,
+                seen: AtomicU64::new(0),
+            }))
+            .build();
+        let qp = f.qp(0, 1);
+        let mut clock = VClock::new();
+        qp.write(&mut clock, 0, &[1u8; 8]);
+        assert_eq!(f.port(1).region().load64(0), 0x0101010101010101);
+        let nic = f.port(1).stats().snapshot();
+        assert_eq!((nic.writes, nic.doorbells), (2, 2), "{nic:?}");
+        let clean = f.cost.doorbell_ns + f.cost.rdma_write(8);
+        let penalty = f.cost.msg_ns;
+        assert!(clock.now() >= 2 * clean + penalty, "{}", clock.now());
     }
 
     #[test]

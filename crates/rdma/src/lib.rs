@@ -32,11 +32,12 @@
 //! [`Qp::doorbell`] flushes them as one batch — charging a single
 //! doorbell latency plus per-WR pipelined occupancy — and [`Cq::poll`]
 //! returns [`WorkCompletion`]s, each carrying either a [`WrResult`] or a
-//! per-WR [`VerbError`] (injected faults surface here instead of
-//! panicking inside the fabric; a failed WR flushes the ones posted
-//! behind it, like an RC QP entering its error state). The blocking verbs (`read`, `write`,
-//! `cas`, `fetch_add`) remain as thin wrappers running one WR through
-//! post → doorbell → poll.
+//! per-WR [`VerbError`]. There is one drop rule: a WR an injected fault
+//! drops completes `Err(`[`VerbError::Dropped`]`)` with no effect, the
+//! WRs posted behind it are flushed, like an RC QP entering its error
+//! state, and its poster re-posts what failed. The blocking verbs
+//! (`read`, `write`, `cas`, `fetch_add`) remain as thin wrappers running
+//! one WR through post → doorbell → poll, re-posting it until it lands.
 //!
 //! Timing: every verb charges its caller's [`drtm_base::VClock`] a latency
 //! from the [`drtm_base::CostModel`] and reserves wire bytes on both

@@ -447,20 +447,6 @@ pub fn parse_consistent(img: &[u8], layout: RecordLayout) -> Option<RemoteRecord
     })
 }
 
-/// Reads just the record header — lock, incarnation, sequence number —
-/// over RDMA with one blocking [`HEADER_BYTES`]-byte READ at `base`.
-///
-/// This is the validation read of a remote read-set entry: the three
-/// header words live on one cache line, so the READ is single-line
-/// atomic and needs no version matching. Batched committers post the
-/// equivalent `WorkRequest::Read { raddr: base, len: HEADER_BYTES }`
-/// themselves and decode with [`RecordHeader::parse`].
-pub fn remote_read_header(qp: &Qp, clock: &mut VClock, base: usize) -> RecordHeader {
-    let mut img = [0u8; HEADER_BYTES];
-    qp.read(clock, base, &mut img);
-    RecordHeader::parse(&img)
-}
-
 /// The per-line WRITE descriptors of a locked record update (C.5's wire
 /// format), as `(absolute offset, line image)` pairs in issue order:
 /// later lines first and line 0 — which carries the sequence number —
@@ -488,7 +474,7 @@ mod tests {
     use super::*;
     use drtm_base::SplitMix64;
     use drtm_htm::HtmConfig;
-    use drtm_rdma::Fabric;
+    use drtm_rdma::{Cq, Fabric, WorkRequest, WrResult};
     use std::sync::Arc;
 
     #[test]
@@ -727,10 +713,22 @@ mod tests {
         rec.init(&[3u8; 180], 6, 2);
         region.store64_coherent(512 + LOCK_OFF, lock_word(1));
 
+        // C.2's validation READ: the three header words live on one
+        // cache line, so the READ is single-line atomic and needs no
+        // version matching.
         let qp = f.qp(0, 1);
-        let mut clock = VClock::new();
+        let (cq, mut clock) = (Cq::new(), VClock::new());
         let before = f.port(1).stats().snapshot();
-        let h = remote_read_header(&qp, &mut clock, 512);
+        qp.post(WorkRequest::Read {
+            raddr: 512,
+            len: HEADER_BYTES,
+        });
+        qp.doorbell(&mut clock, &cq);
+        let Ok(WrResult::Read { data, versions }) = cq.poll(&mut clock).remove(0).result else {
+            panic!("the READ lands");
+        };
+        assert_eq!(versions.len(), 1, "one line");
+        let h = RecordHeader::parse(&data);
         assert_eq!(h.lock, lock_word(1));
         assert_eq!(h.incarnation, 2);
         assert_eq!(h.seq, 6);

@@ -35,11 +35,11 @@ use drtm_base::sync::Mutex;
 use drtm_base::task::block_now;
 use drtm_base::{LinkBudget, VClock};
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::{TxnError, Worker};
+use drtm_core::txn::{TxnApi, TxnError, TxnFut, Worker};
 use drtm_rdma::NodeId;
 use drtm_store::TableId;
 
-use crate::oracle::{value_head, Exec, OracleCtx, Pass};
+use crate::oracle::{value_head, OracleCtx};
 
 /// Virtual nanoseconds of lock-manager service per lock or unlock
 /// operation (single-threaded manager, so this serialises per machine).
@@ -77,7 +77,7 @@ impl CalvinEngine {
     pub async fn run<R>(
         &self,
         w: &mut Worker,
-        mut body: impl AsyncFnMut(&mut CalvinTxn<'_, '_>) -> Result<R, TxnError>,
+        mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
     ) -> Result<R, TxnError> {
         let cost = &self.cluster.opts.cost;
         let start = w.clock.now();
@@ -87,7 +87,7 @@ impl CalvinEngine {
 
         // Oracle pass: Calvin requires the read/write sets up front.
         let mut oracle = OracleCtx::new(Arc::clone(&self.cluster), w.node);
-        if let Err(e) = block_now(body(&mut CalvinTxn::Oracle(&mut oracle))) {
+        if let Err(e) = block_now(body(&mut oracle)) {
             w.note_abort(e);
             return Err(e);
         }
@@ -127,7 +127,7 @@ impl CalvinEngine {
             clock: &mut w.clock,
             charged: HashSet::new(),
         };
-        let result = block_now(body(&mut CalvinTxn::Exec(&mut ctx)));
+        let result = block_now(body(&mut ctx));
 
         // Release.
         {
@@ -160,10 +160,6 @@ pub struct CalvinCtx<'a> {
     charged: HashSet<NodeId>,
 }
 
-/// The context handed to Calvin transaction bodies: the oracle pass then
-/// the locked execution pass.
-pub type CalvinTxn<'x, 'a> = Pass<'x, CalvinCtx<'a>>;
-
 impl CalvinCtx<'_> {
     fn charge_remote(&mut self, home: NodeId) {
         if home != self.node && self.charged.insert(home) {
@@ -173,43 +169,45 @@ impl CalvinCtx<'_> {
     }
 }
 
-impl Exec for CalvinCtx<'_> {
-    /// Charges `mem_access_ns` once per record, however many of its
-    /// lines hold the `head` bytes returned.
-    fn read(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
+/// Under the transaction's locks, where nothing waits: every future is
+/// ready on its first poll.
+impl TxnApi for CalvinCtx<'_> {
+    /// The reads one by one, each charging `mem_access_ns` once per
+    /// record, however many of its lines hold the `head` bytes
+    /// returned.
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
         head: usize,
-    ) -> Result<Vec<u8>, TxnError> {
-        let home = self.engine.cluster.home_of(shard);
-        self.charge_remote(home);
-        let store = &self.engine.cluster.stores[home];
-        let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
-        let v = value_head(store, table, off, head);
-        self.clock
-            .advance(self.engine.cluster.opts.cost.mem_access_ns);
-        Ok(v)
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(async move {
+            let mut values = Vec::with_capacity(keys.len());
+            for &(shard, table, key) in keys {
+                let home = self.engine.cluster.home_of(shard);
+                self.charge_remote(home);
+                let store = &self.engine.cluster.stores[home];
+                let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
+                values.push(value_head(store, table, off, head));
+                self.clock
+                    .advance(self.engine.cluster.opts.cost.mem_access_ns);
+            }
+            Ok(values)
+        })
     }
 
-    fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        let home = self.engine.cluster.home_of(shard);
-        self.charge_remote(home);
-        let store = &self.engine.cluster.stores[home];
-        let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
-        let rec = store.record(table, off);
-        let seq = rec.seq();
-        rec.write_locked(&value, seq + 2);
-        self.clock
-            .advance(self.engine.cluster.opts.cost.mem_access_ns);
-        Ok(())
+    fn write(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) -> TxnFut<'_, ()> {
+        Box::pin(async move {
+            let home = self.engine.cluster.home_of(shard);
+            self.charge_remote(home);
+            let store = &self.engine.cluster.stores[home];
+            let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
+            let rec = store.record(table, off);
+            let seq = rec.seq();
+            rec.write_locked(&value, seq + 2);
+            self.clock
+                .advance(self.engine.cluster.opts.cost.mem_access_ns);
+            Ok(())
+        })
     }
 
     /// Applied at once: every conflicting transaction is ordered behind
@@ -237,11 +235,13 @@ impl Exec for CalvinCtx<'_> {
         hi: u64,
         limit: usize,
         head: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        let store = &self.engine.cluster.stores[self.node];
-        let hits = store.scan(table, lo, hi, limit).into_iter();
-        Ok(hits
-            .map(|(k, off)| (k, value_head(store, table, off as usize, head)))
-            .collect())
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+        Box::pin(async move {
+            let store = &self.engine.cluster.stores[self.node];
+            let hits = store.scan(table, lo, hi, limit).into_iter();
+            Ok(hits
+                .map(|(k, off)| (k, value_head(store, table, off as usize, head)))
+                .collect())
+        })
     }
 }

@@ -31,17 +31,13 @@ use std::sync::Arc;
 
 use drtm_base::task::block_now;
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::{AbortReason, TxnError, Worker};
+use drtm_core::txn::{AbortReason, TxnApi, TxnError, TxnFut, Worker};
 use drtm_htm::{AbortCode, HtmTxn, RunOutcome};
 use drtm_rdma::NodeId;
 use drtm_store::record::lock_owner;
 use drtm_store::TableId;
 
-use crate::oracle::{Access, Exec, OracleCtx, Pass};
-
-/// Transaction context handed to DrTM transaction bodies: the oracle
-/// pass, then the real, charged execution inside HTM.
-pub type DrtmCtx<'x, 'a, 'b> = Pass<'x, ExecCtx<'a, 'b>>;
+use crate::oracle::{Access, OracleCtx};
 
 /// The real execution pass: local accesses via one big HTM region,
 /// remote reads from the prefetched snapshot, remote writes buffered.
@@ -69,11 +65,12 @@ struct Buffered {
     local_lines: u64,
 }
 
-impl Exec for ExecCtx<'_, '_> {
-    /// Local: inside the HTM region, which reads and tracks only the
-    /// lines holding the first `head` value bytes; remote: from the
-    /// locked prefetched snapshot.
-    fn read(
+impl ExecCtx<'_, '_> {
+    /// Reads the first `head` value bytes of a record (`usize::MAX`:
+    /// the whole value). Local: inside the HTM region, which reads and
+    /// tracks only the lines holding them; remote: from the locked
+    /// prefetched snapshot.
+    fn read_head(
         &mut self,
         shard: usize,
         table: TableId,
@@ -98,34 +95,46 @@ impl Exec for ExecCtx<'_, '_> {
         self.out.local_lines += rec.layout.lines_for(head) as u64;
         Ok(v)
     }
+}
 
-    fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        let home = self.cluster.home_of(shard);
-        let store = &self.cluster.stores[self.node];
-        assert_eq!(value.len(), store.table(table).spec.value_len);
-        if home != self.node {
-            if !self.remote_vals.contains_key(&(home, table, key)) {
-                // Written record was not in the oracle's (locked) set.
-                return Err(CONFLICT);
+/// Inside the one HTM region, where nothing may suspend: every future
+/// is ready on its first poll.
+impl TxnApi for ExecCtx<'_, '_> {
+    /// The reads one by one.
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(async move {
+            let read = |&(shard, table, key): &_| self.read_head(shard, table, key, head);
+            keys.iter().map(read).collect()
+        })
+    }
+
+    fn write(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) -> TxnFut<'_, ()> {
+        Box::pin(async move {
+            let home = self.cluster.home_of(shard);
+            let store = &self.cluster.stores[self.node];
+            assert_eq!(value.len(), store.table(table).spec.value_len);
+            if home != self.node {
+                if !self.remote_vals.contains_key(&(home, table, key)) {
+                    // Written record was not in the oracle's (locked) set.
+                    return Err(CONFLICT);
+                }
+                let writes = &mut self.out.remote_writes;
+                writes.retain(|w| (w.0, w.1, w.2) != (home, table, key));
+                writes.push((home, table, key, value));
+                return Ok(());
             }
-            let writes = &mut self.out.remote_writes;
-            writes.retain(|w| (w.0, w.1, w.2) != (home, table, key));
-            writes.push((home, table, key, value));
-            return Ok(());
-        }
-        let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
-        let rec = store.record(table, off);
-        let seq = self.txn.read_u64(rec.seq_off()).map_err(|_| CONFLICT)?;
-        rec.write_htm(self.txn, &value, seq + 2)
-            .map_err(|_| CONFLICT)?;
-        self.out.local_lines += rec.layout.lines() as u64;
-        Ok(())
+            let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
+            let rec = store.record(table, off);
+            let seq = self.txn.read_u64(rec.seq_off()).map_err(|_| CONFLICT)?;
+            rec.write_htm(self.txn, &value, seq + 2)
+                .map_err(|_| CONFLICT)?;
+            self.out.local_lines += rec.layout.lines() as u64;
+            Ok(())
+        })
     }
 
     /// Buffered until the region commits.
@@ -149,10 +158,12 @@ impl Exec for ExecCtx<'_, '_> {
         hi: u64,
         limit: usize,
         head: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        let hits = self.cluster.stores[self.node].scan(table, lo, hi, limit);
-        let mut read = |(k, _)| Ok((k, self.read(self.node, table, k, head)?));
-        hits.into_iter().map(&mut read).collect()
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+        Box::pin(async move {
+            let hits = self.cluster.stores[self.node].scan(table, lo, hi, limit);
+            let mut read = |(k, _)| Ok((k, self.read_head(self.node, table, k, head)?));
+            hits.into_iter().map(&mut read).collect()
+        })
     }
 }
 
@@ -167,7 +178,7 @@ impl Exec for ExecCtx<'_, '_> {
 /// rows' verbs are what park.
 pub async fn run<R>(
     w: &mut Worker,
-    mut body: impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
+    mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
 ) -> Result<R, TxnError> {
     w.clock.advance(w.cluster.opts.cost.txn_overhead_ns / 2);
     let start = w.clock.now();
@@ -198,13 +209,13 @@ pub async fn run<R>(
 /// [`TxnCtx::write_back`]: drtm_core::txn::TxnCtx::write_back
 async fn attempt<R>(
     w: &mut Worker,
-    body: &mut impl AsyncFnMut(&mut DrtmCtx<'_, '_, '_>) -> Result<R, TxnError>,
+    body: &mut impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
 ) -> Result<R, TxnError> {
     let cluster = Arc::clone(&w.cluster);
     let me = w.node;
     // Free oracle pass: DrTM's "a-priori read/write sets".
     let mut oracle = OracleCtx::new(Arc::clone(&cluster), me);
-    block_now(body(&mut DrtmCtx::Oracle(&mut oracle)))?;
+    block_now(body(&mut oracle))?;
     let sets = oracle.sets;
 
     // 2PL: lock every remote record in global order, waiting for each
@@ -230,7 +241,7 @@ async fn attempt<R>(
             remote_vals: &remote_vals,
             out: Buffered::default(),
         };
-        match block_now(body(&mut DrtmCtx::Exec(&mut e))) {
+        match block_now(body(&mut e)) {
             Ok(v) => Ok(Ok((v, e.out))),
             Err(TxnError::Aborted(AbortReason::LockBusy)) => Err(AbortCode::Explicit(1)),
             Err(err) => Ok(Err(err)),

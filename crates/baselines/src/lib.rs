@@ -26,16 +26,21 @@
 //! Both run on DrTM+R's own [`Worker`](drtm_core::txn::Worker), which
 //! supplies the clock, RNG, counters and verb path: each entry point
 //! ([`drtm2pl::run`], [`CalvinEngine::run`]) is an `async fn` over
-//! `&mut Worker`, and the measurement driver runs it as routine 0 of a
-//! [`RoutinePool`](drtm_core::RoutinePool) of one. DrTM's remote verbs
-//! park on the worker's verb path as the walk's do, and every lock wait
-//! of either engine polls with [`Worker::pause`], so the slots of a
-//! run — every one a pool on the driver's one loop — contend for locks
-//! on one OS thread. Commits, aborts
-//! and fallbacks go through the worker's ledger (`note_commit`,
+//! `&mut Worker` and a body over `&mut dyn` [`TxnApi`], the interface
+//! DrTM+R's bodies take too. The body runs twice, first on the
+//! [`OracleCtx`] dry run, then on the engine's execution context
+//! ([`drtm2pl::ExecCtx`], [`calvin::CalvinCtx`]); all three implement
+//! [`TxnApi`] and never suspend. The measurement driver runs an entry
+//! point as routine 0 of a [`RoutinePool`](drtm_core::RoutinePool) of
+//! one. DrTM's remote verbs park on the worker's verb path as the
+//! walk's do, and every lock wait of either engine polls with
+//! [`Worker::pause`], so the slots of a run — every one a pool on the
+//! driver's one loop — contend for locks on one OS thread. Commits,
+//! aborts and fallbacks go through the worker's ledger (`note_commit`,
 //! `note_abort`, `note_fallback`), so the metrics registry sees a
 //! baseline run as it sees a DrTM+R one.
 //!
+//! [`TxnApi`]: drtm_core::txn::TxnApi
 //! [`TxnCtx::lock_and_fetch`]: drtm_core::txn::TxnCtx::lock_and_fetch
 //! [`TxnCtx::write_back`]: drtm_core::txn::TxnCtx::write_back
 //! [`Worker::pause`]: drtm_core::txn::Worker::pause
@@ -47,4 +52,4 @@ pub mod oracle;
 mod tests;
 
 pub use calvin::CalvinEngine;
-pub use oracle::{Exec, OracleCtx, Pass, RwSets};
+pub use oracle::{OracleCtx, RwSets};

@@ -10,10 +10,11 @@
 //! charged for the dry run, which if anything flatters the baselines
 //! (DESIGN.md notes the bias direction).
 
+use std::future::ready;
 use std::sync::Arc;
 
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::TxnError;
+use drtm_core::txn::{TxnApi, TxnError, TxnFut};
 use drtm_rdma::NodeId;
 use drtm_store::{Store, TableId};
 
@@ -42,115 +43,6 @@ impl RwSets {
         all.sort_unstable();
         all.dedup();
         all.len()
-    }
-}
-
-/// A baseline's transaction context. The body runs twice: once on the
-/// free [`Pass::Oracle`] dry run, which collects its read/write sets,
-/// then on the engine's charged [`Pass::Exec`] pass.
-pub enum Pass<'x, E> {
-    /// The free set-collection pass.
-    Oracle(&'x mut OracleCtx),
-    /// The engine's execution pass.
-    Exec(&'x mut E),
-}
-
-/// What a baseline engine does with a body's accesses in its execution
-/// pass.
-pub trait Exec {
-    /// Reads the first `head` value bytes of a record (`usize::MAX`:
-    /// the whole value).
-    fn read(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        head: usize,
-    ) -> Result<Vec<u8>, TxnError>;
-    /// Writes a record.
-    fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError>;
-    /// Inserts a record.
-    fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>);
-    /// Deletes a record.
-    fn delete(&mut self, shard: usize, table: TableId, key: u64);
-    /// Scans a local ordered table, each hit with its value's first
-    /// `head` bytes.
-    fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-        head: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError>;
-}
-
-impl<E: Exec> Pass<'_, E> {
-    /// Reads the first `head` value bytes of a record (`usize::MAX`:
-    /// the whole value).
-    pub fn read(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        head: usize,
-    ) -> Result<Vec<u8>, TxnError> {
-        match self {
-            Pass::Oracle(o) => o.read(shard, table, key, head),
-            Pass::Exec(e) => e.read(shard, table, key, head),
-        }
-    }
-
-    /// Writes a record.
-    pub fn write(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        match self {
-            Pass::Oracle(o) => o.write(shard, table, key),
-            Pass::Exec(e) => e.write(shard, table, key, value),
-        }
-    }
-
-    /// Inserts a record.
-    pub fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
-        match self {
-            Pass::Oracle(o) => o.insert(shard, table, key, value),
-            Pass::Exec(e) => e.insert(shard, table, key, value),
-        }
-    }
-
-    /// Deletes a record.
-    pub fn delete(&mut self, shard: usize, table: TableId, key: u64) {
-        match self {
-            Pass::Oracle(o) => o.delete(shard, table, key),
-            Pass::Exec(e) => e.delete(shard, table, key),
-        }
-    }
-
-    /// Scans a local ordered table, each hit with its value's first
-    /// `head` bytes.
-    pub fn scan_local(
-        &mut self,
-        table: TableId,
-        lo: u64,
-        hi: u64,
-        limit: usize,
-        head: usize,
-    ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        match self {
-            Pass::Oracle(o) => Ok(o.scan_local(table, lo, hi, limit, head)),
-            Pass::Exec(e) => e.scan_local(table, lo, hi, limit, head),
-        }
     }
 }
 
@@ -239,6 +131,39 @@ impl OracleCtx {
                 (k, v)
             })
             .collect()
+    }
+}
+
+/// The dry run's verbs: each records its access and none suspends.
+/// A write's value is ignored.
+impl TxnApi for OracleCtx {
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        let read = |&(shard, table, key): &_| OracleCtx::read(self, shard, table, key, head);
+        Box::pin(ready(keys.iter().map(read).collect()))
+    }
+    fn write(&mut self, shard: usize, table: TableId, key: u64, _: Vec<u8>) -> TxnFut<'_, ()> {
+        Box::pin(ready(OracleCtx::write(self, shard, table, key)))
+    }
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) {
+        OracleCtx::insert(self, shard, table, key, value)
+    }
+    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+        OracleCtx::delete(self, shard, table, key)
+    }
+    fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        head: usize,
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+        let hits = OracleCtx::scan_local(self, table, lo, hi, limit, head);
+        Box::pin(ready(Ok(hits)))
     }
 }
 

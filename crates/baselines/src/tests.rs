@@ -7,14 +7,14 @@ use std::sync::Arc;
 use drtm_base::task::block_now;
 use drtm_cluster::LogEntryRef;
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
-use drtm_core::txn::{AbortReason, TxnError};
+use drtm_core::txn::{AbortReason, TxnApi, TxnError};
 use drtm_core::RoutinePool;
 use drtm_rdma::{Fault, FaultInjector, NodeId, Verb};
 use drtm_store::record::{lock_word, LOCK_FREE};
 use drtm_store::TableSpec;
 
-use crate::calvin::{CalvinEngine, CalvinTxn};
-use crate::drtm2pl::{self, DrtmCtx};
+use crate::calvin::CalvinEngine;
+use crate::drtm2pl;
 
 /// Two machines, one table of 16-byte records; keys `shard << 32 | k`
 /// for `k < 8` on each shard, every balance 100.
@@ -50,10 +50,10 @@ mod drtm {
         let c = cluster();
         let mut w = c.worker(0, 1);
         block_now(drtm2pl::run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1, usize::MAX)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
-            t.write(0, 0, 1, val(a - 10))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+            let a = num(&t.read(0, 0, 1).await?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1).await?);
+            t.write(0, 0, 1, val(a - 10)).await?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10)).await
         }))
         .unwrap();
         assert_eq!(w.stats.committed, 1);
@@ -74,7 +74,10 @@ mod drtm {
             handles.push(std::thread::spawn(move || {
                 let mut w = c.worker(nodeid, nodeid as u64 + 5);
                 for _ in 0..100 {
-                    block_now(drtm2pl::run(&mut w, async |t| increment(t, 1, 1 << 32))).unwrap();
+                    block_now(drtm2pl::run(&mut w, async |t| {
+                        increment(t, 1, 1 << 32).await
+                    }))
+                    .unwrap();
                 }
             }));
         }
@@ -98,7 +101,7 @@ mod drtm {
         let workers = (0..2).map(|id| c.worker(0, 11 + id)).collect();
         let done = RoutinePool::run(workers, async |_, w| {
             for _ in 0..100 {
-                drtm2pl::run(w, async |t| increment(t, 1, key))
+                drtm2pl::run(w, async |t| increment(t, 1, key).await)
                     .await
                     .unwrap();
             }
@@ -134,10 +137,10 @@ mod drtm {
         let before = c.fabric.port(1).stats().snapshot();
         let mut w = c.worker(0, 1);
         block_now(drtm2pl::run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1, usize::MAX)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
-            t.write(0, 0, 1, val(a - 10))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+            let a = num(&t.read(0, 0, 1).await?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1).await?);
+            t.write(0, 0, 1, val(a - 10)).await?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10)).await
         }))
         .unwrap();
         let d = c.fabric.port(1).stats().snapshot().delta(&before);
@@ -171,10 +174,10 @@ mod drtm {
         let before = c.fabric.port(1).stats().snapshot();
         let mut w = c.worker(0, 1);
         block_now(drtm2pl::run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1, usize::MAX)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
-            t.write(0, 0, 1, val(a - 10))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 10))
+            let a = num(&t.read(0, 0, 1).await?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1).await?);
+            t.write(0, 0, 1, val(a - 10)).await?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 10)).await
         }))
         .unwrap();
         assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
@@ -227,7 +230,7 @@ mod drtm {
         c.config.remove_member(1);
 
         let mut w = c.worker(0, 1);
-        block_now(drtm2pl::run(&mut w, async |t| increment(t, 2, key))).unwrap();
+        block_now(drtm2pl::run(&mut w, async |t| increment(t, 2, key).await)).unwrap();
         let rec = c.stores[2].record(0, off);
         let mut v = [0u8; 16];
         rec.read_value_raw(&mut v);
@@ -235,9 +238,9 @@ mod drtm {
         assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
     }
 
-    fn increment(t: &mut DrtmCtx<'_, '_, '_>, shard: usize, key: u64) -> Result<(), TxnError> {
-        let v = num(&t.read(shard, 0, key, usize::MAX)?);
-        t.write(shard, 0, key, val(v + 1))
+    async fn increment(t: &mut dyn TxnApi, shard: usize, key: u64) -> Result<(), TxnError> {
+        let v = num(&t.read(shard, 0, key).await?);
+        t.write(shard, 0, key, val(v + 1)).await
     }
 
     /// The one HTM region reads, and charges `htm_per_line_ns +
@@ -256,9 +259,7 @@ mod drtm {
         }
         let spent = [8, usize::MAX].map(|head| {
             let mut w = c.worker(0, 1);
-            let read = async |t: &mut DrtmCtx<'_, '_, '_>| {
-                Ok([t.read(0, 0, 0, head)?, t.read(0, 0, 1, head)?])
-            };
+            let read = async |t: &mut dyn TxnApi| t.read_many(&[(0, 0, 0), (0, 0, 1)], head).await;
             let got = block_now(drtm2pl::run(&mut w, read)).unwrap();
             assert_eq!(got[1], vec![1u8; head.min(64)]);
             w.clock.now()
@@ -272,9 +273,12 @@ mod drtm {
     fn clock_advances_more_for_remote() {
         let c = cluster();
         let mut w = c.worker(0, 1);
-        block_now(drtm2pl::run(&mut w, async |t| increment(t, 0, 2))).unwrap();
+        block_now(drtm2pl::run(&mut w, async |t| increment(t, 0, 2).await)).unwrap();
         let local_t = w.clock.now();
-        block_now(drtm2pl::run(&mut w, async |t| increment(t, 1, 1 << 32 | 2))).unwrap();
+        block_now(drtm2pl::run(&mut w, async |t| {
+            increment(t, 1, 1 << 32 | 2).await
+        }))
+        .unwrap();
         let remote_t = w.clock.now() - local_t;
         assert!(
             remote_t > local_t,
@@ -292,9 +296,9 @@ mod calvin {
         (c, e)
     }
 
-    fn increment(t: &mut CalvinTxn<'_, '_>, key: u64) -> Result<(), TxnError> {
-        let v = num(&t.read(0, 0, key, usize::MAX)?);
-        t.write(0, 0, key, val(v + 1))
+    async fn increment(t: &mut dyn TxnApi, key: u64) -> Result<(), TxnError> {
+        let v = num(&t.read(0, 0, key).await?);
+        t.write(0, 0, key, val(v + 1)).await
     }
 
     #[test]
@@ -302,10 +306,10 @@ mod calvin {
         let (c, e) = setup();
         let mut w = c.worker(0, 1);
         block_now(e.run(&mut w, async |t| {
-            let a = num(&t.read(0, 0, 1, usize::MAX)?);
-            let b = num(&t.read(1, 0, 1 << 32 | 1, usize::MAX)?);
-            t.write(0, 0, 1, val(a - 5))?;
-            t.write(1, 0, 1 << 32 | 1, val(b + 5))
+            let a = num(&t.read(0, 0, 1).await?);
+            let b = num(&t.read(1, 0, 1 << 32 | 1).await?);
+            t.write(0, 0, 1, val(a - 5)).await?;
+            t.write(1, 0, 1 << 32 | 1, val(b + 5)).await
         }))
         .unwrap();
         let mut v = c.worker(0, 9);
@@ -319,8 +323,8 @@ mod calvin {
         // One remote transaction each.
         let mut cw = c.worker(0, 1);
         block_now(e.run(&mut cw, async |t| {
-            let v = num(&t.read(1, 0, 1 << 32 | 2, usize::MAX)?);
-            t.write(1, 0, 1 << 32 | 2, val(v + 1))
+            let v = num(&t.read(1, 0, 1 << 32 | 2).await?);
+            t.write(1, 0, 1 << 32 | 2, val(v + 1)).await
         }))
         .unwrap();
         let mut dw = c.worker(0, 2);
@@ -346,7 +350,7 @@ mod calvin {
             handles.push(std::thread::spawn(move || {
                 let mut w = c.worker(id as usize, id + 3);
                 for _ in 0..100 {
-                    block_now(e.run(&mut w, async |t| increment(t, 4))).unwrap();
+                    block_now(e.run(&mut w, async |t| increment(t, 4).await)).unwrap();
                 }
             }));
         }
@@ -365,7 +369,7 @@ mod calvin {
         let workers = (0..2).map(|id| c.worker(0, 11 + id)).collect();
         let done = RoutinePool::run(workers, async |_, w| {
             for _ in 0..100 {
-                e.run(w, async |t| increment(t, 5)).await.unwrap();
+                e.run(w, async |t| increment(t, 5).await).await.unwrap();
             }
             w.stats.committed
         });

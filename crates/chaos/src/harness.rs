@@ -24,12 +24,11 @@ use std::sync::Arc;
 use drtm_base::SplitMix64;
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::recovery::full_restart_scrub;
-use drtm_core::txn::TxnError;
+use drtm_core::txn::{TxnApi, TxnError};
 use drtm_core::ContentionPolicy;
 use drtm_store::TableSpec;
 use drtm_workloads::audit;
 use drtm_workloads::driver::{self, EngineKind, RunCfg, Workload};
-use drtm_workloads::engine::TxnApi;
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn};
 
 use crate::injector::ChaosInjector;

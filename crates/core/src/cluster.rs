@@ -286,12 +286,7 @@ impl DrtmCluster {
             .collect();
         let fabric = Fabric::builder()
             .regions(regions.clone())
-            .cost(opts.cost.clone())
-            .atomic_level(if opts.fuse_lock_validate {
-                drtm_rdma::AtomicLevel::Glob
-            } else {
-                drtm_rdma::AtomicLevel::Hca
-            });
+            .cost(opts.cost.clone());
         let fabric = tune(fabric).build();
         let stores = regions
             .iter()

@@ -12,7 +12,9 @@
 //!   RDMA READs made consistent by per-line version matching. All writes
 //!   are buffered locally, so the read/write sets are known once
 //!   execution finishes — the property that frees DrTM+R from DrTM's
-//!   "know your read/write sets in advance" restriction.
+//!   "know your read/write sets in advance" restriction. Its
+//!   [`TxnApi`](txn::TxnApi) is the one interface every engine's
+//!   transaction context implements.
 //! * [`commit`] — the six-step commit (Figure 7): C.1 lock remote
 //!   read+write sets with RDMA CAS, C.2 validate the remote read set,
 //!   C.3+C.4 validate local reads and apply local writes inside one HTM

@@ -6,9 +6,13 @@
 //! its reactor, shared with the thread's other slots. A
 //! [`TxnCtx`] is one in-flight transaction: the execution phase tracks
 //! local/remote read and write sets; the commit phase lives in
-//! [`crate::commit`].
+//! [`crate::commit`]. [`TxnApi`] is the one transaction interface
+//! workload bodies are written against: [`TxnCtx`] implements it here,
+//! and the baselines' contexts in `drtm-baselines`.
 
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
@@ -865,12 +869,11 @@ impl Worker {
     }
 
     /// Rung 1 — the paper's randomised virtual-time backoff, growing
-    /// with the attempt. The host-level yield prevents retry storms
-    /// from starving the conflicting transaction on an oversubscribed
-    /// host; the spin park keeps this routine perpetually runnable and
-    /// flush-exempt in the reactor's poll loop (§14), so every other
-    /// runnable routine — possibly the conflicting lock holder — is
-    /// polled through to its wake horizon before the retry runs.
+    /// with the attempt. The spin park keeps this routine perpetually
+    /// runnable and flush-exempt in the reactor's poll loop (§14), so
+    /// every other runnable routine — possibly the conflicting lock
+    /// holder — is polled through to its wake horizon before the retry
+    /// runs.
     async fn retry_backoff(&mut self, attempt: usize) {
         let cap = 1u64 << (attempt.min(10) as u32 + 7);
         let ns = self.rng.below(cap);
@@ -1852,6 +1855,127 @@ impl<'w> TxnCtx<'w> {
             ahead.read = Some(record);
         }
         out
+    }
+}
+
+/// Future returned by the suspending verbs of [`TxnApi`].
+///
+/// Boxed (rather than an associated type) so bodies can be written
+/// against `&mut dyn TxnApi` — one monomorphisation of each workload
+/// transaction serves every engine.
+pub type TxnFut<'a, R> = Pin<Box<dyn Future<Output = Result<R, TxnError>> + 'a>>;
+
+/// The uniform transaction interface a body is written against, once,
+/// to run unchanged on DrTM+R ([`TxnCtx`]) and on the baselines: the
+/// read/write-set oracle's dry run, DrTM's HTM region and Calvin's
+/// locked execution. Shards are routed by the engines themselves.
+///
+/// The verbs that may cross the wire return boxed futures, so a body
+/// running inside a [`RoutinePool`](crate::routine::RoutinePool)
+/// suspends at every doorbell and hands the worker to a sibling
+/// routine. The baselines park on their [`Worker`]'s verbs and lock
+/// waits, never inside a body: DrTM's body runs inside its one HTM
+/// region and Calvin's under its locks, so their contexts never suspend
+/// and each future is ready on its first poll.
+///
+/// The batched reads name how many leading value bytes the body uses,
+/// `head` (`usize::MAX`: the whole value), and return just those bytes.
+/// An engine may then read and track less of each record: DrTM+R's and
+/// DrTM's HTM regions read only the cache lines that hold them
+/// (`RecordLayout::lines_for`). `read` and `last_local` read whole
+/// records. A body reads whole every record it writes, since a write
+/// takes the whole value.
+pub trait TxnApi {
+    /// Reads the record `key` of `table` homed on `shard`. Provided as
+    /// a [`read_many`](Self::read_many) of the one key.
+    fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
+        Box::pin(async move {
+            let mut values = self.read_many(&[(shard, table, key)], usize::MAX).await?;
+            Ok(values.pop().expect("one value per key"))
+        })
+    }
+    /// Reads the records `keys` name, `(shard, table, key)` each, and
+    /// returns the first `head` bytes of their values in order: with
+    /// `head = usize::MAX`, the same as calling [`read`](Self::read) on
+    /// each in turn, which is what every engine but DrTM+R does. A body
+    /// hands over the reads it is about to issue anyway; a key that
+    /// depends on an earlier value goes in a later call.
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>>;
+    /// Writes the record `key` of `table` homed on `shard`, its whole
+    /// value.
+    fn write(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>) -> TxnFut<'_, ()>;
+    /// Buffers an insert.
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, value: Vec<u8>);
+    /// Buffers a delete.
+    fn delete(&mut self, shard: usize, table: TableId, key: u64);
+    /// Scans a local ordered table: up to `limit` records with keys in
+    /// `[lo, hi]`, each with its value's first `head` bytes.
+    fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        head: usize,
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>>;
+    /// Largest key in `[lo, hi]` of a local ordered table. Provided as
+    /// the last hit of a whole [`scan_local`](Self::scan_local).
+    fn last_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
+        Box::pin(async move {
+            let mut hits = self
+                .scan_local(table, lo, hi, usize::MAX, usize::MAX)
+                .await?;
+            Ok(hits.pop())
+        })
+    }
+}
+
+impl TxnApi for TxnCtx<'_> {
+    fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
+        Box::pin(self.read_async(shard, table, key))
+    }
+    fn read_many<'a>(
+        &'a mut self,
+        keys: &'a [(usize, TableId, u64)],
+        head: usize,
+    ) -> TxnFut<'a, Vec<Vec<u8>>> {
+        Box::pin(self.read_many_async(keys, head))
+    }
+    fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
+        Box::pin(self.write_async(shard, table, key, v))
+    }
+    fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
+        TxnCtx::insert(self, shard, table, key, v)
+    }
+    fn delete(&mut self, shard: usize, table: TableId, key: u64) {
+        TxnCtx::delete(self, shard, table, key)
+    }
+    fn scan_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        head: usize,
+    ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
+        Box::pin(self.scan_local_async(table, lo, hi, limit, head))
+    }
+    fn last_local(
+        &mut self,
+        table: TableId,
+        lo: u64,
+        hi: u64,
+    ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
+        Box::pin(self.last_local_async(table, lo, hi))
     }
 }
 

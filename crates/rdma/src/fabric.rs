@@ -9,21 +9,6 @@ use drtm_base::{CostModel, Counter, LinkBudget, MemoryRegion, VClock};
 /// Identifies a machine (or logical node) on the fabric.
 pub type NodeId = usize;
 
-/// Atomicity level of RDMA atomics relative to CPU atomics, mirroring
-/// `ibv_exp_atomic_cap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicLevel {
-    /// RDMA atomics unsupported.
-    None,
-    /// RDMA atomics are atomic only with respect to other RDMA atomics on
-    /// the same HCA — the level of the paper's ConnectX-3. Protocols must
-    /// not mix CPU CAS and RDMA CAS on the same word.
-    Hca,
-    /// RDMA atomics are atomic with respect to CPU atomics too; enables
-    /// the paper's fused lock+validate optimisation (§4.4, step C.2).
-    Glob,
-}
-
 /// Verb class, as seen by a [`FaultInjector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verb {
@@ -516,8 +501,6 @@ pub struct Fabric {
     ports: Vec<NodePort>,
     /// Operation cost model used by all verbs.
     pub cost: CostModel,
-    /// Atomicity level advertised by the (simulated) HCA.
-    pub atomic_level: AtomicLevel,
     injector: RwLock<Option<Arc<dyn FaultInjector>>>,
     /// Maximum WRs postable on one QP send queue between doorbells.
     sq_depth: usize,
@@ -528,25 +511,22 @@ pub struct Fabric {
 /// Default per-QP send-queue depth (posted WRs per doorbell).
 pub const DEFAULT_SQ_DEPTH: usize = 128;
 
-/// Fluent construction of a [`Fabric`]: regions, cost model, atomicity
-/// level, fault injector and queue depths in one step.
+/// Fluent construction of a [`Fabric`]: regions, cost model, fault
+/// injector and queue depths in one step.
 ///
 /// Exactly one of [`regions`](Self::regions) or
 /// [`fresh_regions`](Self::fresh_regions) is required (a fabric with no
 /// ports is legal but useless); everything else is optional —
 /// [`cost`](Self::cost) defaults to [`CostModel::default`],
-/// [`atomic_level`](Self::atomic_level) to [`AtomicLevel::Hca`] (the
-/// paper's ConnectX-3), [`injector`](Self::injector) to a reliable
-/// fabric, and [`sq_depth`](Self::sq_depth) to [`DEFAULT_SQ_DEPTH`].
+/// [`injector`](Self::injector) to a reliable fabric, and [`sq_depth`](Self::sq_depth) to [`DEFAULT_SQ_DEPTH`].
 ///
 /// ```
 /// use drtm_base::CostModel;
-/// use drtm_rdma::{AtomicLevel, Fabric};
+/// use drtm_rdma::Fabric;
 ///
 /// let fabric = Fabric::builder()
 ///     .fresh_regions(3, 1 << 20)       // required: one region per node
 ///     .cost(CostModel::default())      // optional
-///     .atomic_level(AtomicLevel::Glob) // optional, default Hca
 ///     .sq_depth(64)                    // optional, default 128
 ///     .build();
 /// assert_eq!(fabric.nodes(), 3);
@@ -554,7 +534,6 @@ pub const DEFAULT_SQ_DEPTH: usize = 128;
 pub struct FabricBuilder {
     regions: Vec<Arc<MemoryRegion>>,
     cost: CostModel,
-    atomic_level: AtomicLevel,
     injector: Option<Arc<dyn FaultInjector>>,
     sq_depth: usize,
 }
@@ -564,7 +543,6 @@ impl Default for FabricBuilder {
         Self {
             regions: Vec::new(),
             cost: CostModel::default(),
-            atomic_level: AtomicLevel::Hca,
             injector: None,
             sq_depth: DEFAULT_SQ_DEPTH,
         }
@@ -587,12 +565,6 @@ impl FabricBuilder {
     /// The virtual-time cost model shared by all verbs.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Atomicity level the simulated HCA advertises.
-    pub fn atomic_level(mut self, level: AtomicLevel) -> Self {
-        self.atomic_level = level;
         self
     }
 
@@ -625,7 +597,6 @@ impl FabricBuilder {
                 .map(|r| NodePort::new(r, bw, ops))
                 .collect(),
             cost: self.cost,
-            atomic_level: self.atomic_level,
             injector: RwLock::new(self.injector),
             sq_depth: self.sq_depth,
             next_batch: AtomicU64::new(1),
@@ -735,15 +706,8 @@ impl Qp {
     /// # Panics
     ///
     /// Panics if the send queue already holds the fabric's `sq_depth`
-    /// posted WRs, or if an atomic WR is posted on a fabric advertising
-    /// [`AtomicLevel::None`].
+    /// posted WRs.
     pub fn post(&self, wr: WorkRequest) {
-        if matches!(wr.verb(), Verb::Cas | Verb::Faa) {
-            assert!(
-                self.fabric.atomic_level != AtomicLevel::None,
-                "HCA does not support RDMA atomics"
-            );
-        }
         let mut sq = self.sq.lock();
         assert!(
             sq.len() < self.fabric.sq_depth,
@@ -998,10 +962,6 @@ impl Qp {
     /// Returns `Ok(old)` when the swap happened, `Err(actual)` otherwise.
     /// On success the containing line's version is bumped (the NIC's DMA
     /// write invalidates the line, aborting conflicting HTM readers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric advertises [`AtomicLevel::None`].
     pub fn cas(&self, clock: &mut VClock, raddr: usize, expect: u64, new: u64) -> Result<u64, u64> {
         let wr = WorkRequest::Cas { raddr, expect, new };
         match self.run_blocking(clock, wr) {
@@ -1012,10 +972,6 @@ impl Qp {
 
     /// One-sided RDMA fetch-and-add on the 8-byte word at `raddr`,
     /// returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric advertises [`AtomicLevel::None`].
     pub fn fetch_add(&self, clock: &mut VClock, raddr: usize, add: u64) -> u64 {
         let wr = WorkRequest::Faa { raddr, add };
         match self.run_blocking(clock, wr) {

@@ -14,14 +14,13 @@
 //!   HTM transaction on the target machine* — the cache-coherence property
 //!   the whole DrTM line of work builds on.
 //! * **CAS / FETCH_ADD** — word atomics against remote memory. The
-//!   configured [`AtomicLevel`] mirrors `ibv_query_device`: the authors' NIC
-//!   only provided `IBV_ATOMIC_HCA` (atomic among RDMA atomics but not
-//!   against local CPU CAS), which is why the DrTM+R protocol only ever
-//!   *reads* lock words locally and both acquires and releases them via
-//!   RDMA CAS. The simulation physically provides global atomicity, but the
-//!   level is plumbed through so the protocol layer can (a) stay within the
-//!   HCA discipline and (b) enable the paper's `IBV_ATOMIC_GLOB`
-//!   optimisation (fusing lock+validate into one CAS) as an ablation.
+//!   authors' NIC only provided `IBV_ATOMIC_HCA` (atomic among RDMA
+//!   atomics but not against local CPU CAS), which is why the DrTM+R
+//!   protocol only ever *reads* lock words locally and both acquires and
+//!   releases them via RDMA CAS. The simulation physically provides
+//!   global atomicity; the paper's `IBV_ATOMIC_GLOB` optimisation (fusing
+//!   lock+validate into one CAS) is the engine's `fuse_lock_validate`
+//!   ablation.
 //! * **SEND** — two-sided messaging, used only where the paper uses it:
 //!   shipping inserts/deletes to the host machine and control traffic.
 //!   The caller applies the message's effect itself;
@@ -49,7 +48,6 @@
 mod fabric;
 
 pub use fabric::{
-    AtomicLevel,
     Cq,
     Fabric,
     FabricBuilder,

@@ -4,17 +4,10 @@ use std::sync::Arc;
 
 use drtm_base::{SplitMix64, VClock};
 
-use crate::{AtomicLevel, Cq, Fabric, PostedWr, WorkRequest};
+use crate::{Cq, Fabric, PostedWr, WorkRequest};
 
 fn fabric(n: usize) -> Arc<Fabric> {
     Fabric::builder().fresh_regions(n, 8192).build()
-}
-
-#[test]
-fn default_atomic_level_is_hca() {
-    // The paper's ConnectX-3 advertises IBV_ATOMIC_HCA; the protocol is
-    // designed around that, so it must be the default.
-    assert_eq!(fabric(1).atomic_level, AtomicLevel::Hca);
 }
 
 #[test]

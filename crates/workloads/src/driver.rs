@@ -25,11 +25,10 @@ use std::sync::Arc;
 use drtm_base::{Histogram, SplitMix64};
 use drtm_baselines::{drtm2pl, CalvinEngine};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
-use drtm_core::txn::{TxnError, Worker};
+use drtm_core::txn::{TxnApi, TxnError, Worker};
 use drtm_core::{ContentionPolicy, RoutinePool};
 use drtm_store::TableSpec;
 
-use crate::engine::TxnApi;
 use crate::smallbank::SbCfg;
 use crate::tpcc::TpccCfg;
 use crate::ycsb::YcsbCfg;
@@ -258,11 +257,8 @@ impl<W: Workload> Slot<'_, W> {
         match self.run.engine {
             EngineKind::DrtmR if ro => w.run_ro_async(async |t| body(t).await).await,
             EngineKind::DrtmR => w.run_async(async |t| body(t).await).await,
-            EngineKind::Drtm => drtm2pl::run(w, async |t| body(t).await).await,
-            EngineKind::Calvin => {
-                let calvin = self.calvin.expect("calvin engine");
-                calvin.run(w, async |t| body(t).await).await
-            }
+            EngineKind::Drtm => drtm2pl::run(w, body).await,
+            EngineKind::Calvin => self.calvin.expect("calvin engine").run(w, body).await,
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The paper's evaluation workloads: TPC-C and SmallBank (§7.1).
 //!
-//! * [`engine`] — a uniform transaction API ([`engine::TxnApi`]) over
-//!   DrTM+R and the three baselines, so one implementation of each
-//!   workload transaction runs on every engine the paper compares.
+//! Every workload transaction is written once against the uniform
+//! transaction interface [`TxnApi`](drtm_core::txn::TxnApi), so one body
+//! runs on DrTM+R and on both baselines the paper compares.
+//!
 //! * [`tpcc`] — TPC-C: nine tables, the five transaction types, the
 //!   standard mix (45 % new-order), warehouse partitioning, and the
 //!   cross-warehouse knobs the paper sweeps (Figures 10–12 and 17–19).
@@ -23,13 +24,11 @@
 
 pub mod audit;
 pub mod driver;
-pub mod engine;
 pub mod smallbank;
 pub mod tpcc;
 pub mod ycsb;
 
 pub use driver::{EngineKind, Measurement, RunCfg, Workload};
-pub use engine::TxnApi;
 
 #[cfg(test)]
 mod tests;

@@ -9,11 +9,10 @@
 
 use drtm_base::SplitMix64;
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::TxnError;
+use drtm_core::txn::{TxnApi, TxnError};
 use drtm_store::{TableId, TableSpec};
 
 use crate::driver::{RunCfg, Workload};
-use crate::engine::TxnApi;
 
 /// SAVINGS table id.
 pub const T_SAVINGS: TableId = 0;

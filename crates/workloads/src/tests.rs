@@ -101,6 +101,53 @@ fn tpcc_on_calvin_passes_audit() {
     assert!(violations.is_empty(), "audit failed: {violations:?}");
 }
 
+/// One `&mut dyn TxnApi` body returns the same bytes on DrTM+R, DrTM and
+/// Calvin: a local and a remote read, the district's last order index,
+/// that order's lines by `read_many` with a 40-byte head and by
+/// `scan_local` with an 8-byte one, each engine on machine 0 of its own
+/// identically loaded cluster.
+#[test]
+fn one_body_reads_the_same_on_every_engine() {
+    use crate::tpcc::*;
+    use drtm_base::task::block_now;
+    use drtm_core::txn::{TxnApi, TxnError};
+
+    async fn probe(t: &mut dyn TxnApi) -> Result<Vec<u8>, TxnError> {
+        let mut out = t.read(0, T_CUSTOMER, ckey(0, 0, 1)).await?;
+        out.extend(t.read(1, T_CUSTOMER, ckey(1, 0, 1)).await?);
+        let (lo, hi) = (cidxkey(0, 0, 0, 0), cidxkey(0, 0, 31, (1 << 24) - 1));
+        let (_, idx) = t.last_local(T_ORDER_CIDX, lo, hi).await?.expect("an order");
+        let o = slot(&idx, 0);
+        let ov = t.read(0, T_ORDER, okey(0, 0, o)).await?;
+        let lines: Vec<_> = (0..slot(&ov, 1))
+            .map(|ol| (0, T_ORDER_LINE, olkey(0, 0, o, ol)))
+            .collect();
+        out.extend(idx.iter().chain(&ov));
+        out.extend(t.read_many(&lines, 40).await?.concat());
+        let (lo, hi) = (olkey(0, 0, o, 0), olkey(0, 0, o, 15));
+        for (k, v) in t.scan_local(T_ORDER_LINE, lo, hi, usize::MAX, 8).await? {
+            out.extend(k.to_le_bytes().iter().chain(&v));
+        }
+        Ok(out)
+    }
+
+    let cfg = quick_tpcc(2);
+    let got = [EngineKind::DrtmR, EngineKind::Drtm, EngineKind::Calvin].map(|engine| {
+        let (cluster, calvin) = crate::driver::build_tpcc(&cfg, &quick_run(engine, 1, 0));
+        let mut w = cluster.worker(0, 1);
+        let body = async |t: &mut dyn TxnApi| probe(t).await;
+        let out = match engine {
+            EngineKind::DrtmR => block_now(w.run_async(async |t| body(t).await)),
+            EngineKind::Drtm => block_now(drtm_baselines::drtm2pl::run(&mut w, body)),
+            EngineKind::Calvin => block_now(calvin.unwrap().run(&mut w, body)),
+        };
+        out.unwrap()
+    });
+    assert!(!got[0].is_empty());
+    assert_eq!(got[0], got[1], "DrTM+R vs DrTM");
+    assert_eq!(got[0], got[2], "DrTM+R vs Calvin");
+}
+
 /// Every engine keeps one ledger: a baseline run's commits, aborts and
 /// fallbacks reach the cluster's metrics registry exactly as the
 /// driver counts them.
@@ -410,7 +457,7 @@ impl crate::driver::Workload for WatchedPayments<'_> {
     }
     async fn execute(
         &self,
-        t: &mut dyn crate::engine::TxnApi,
+        t: &mut dyn drtm_core::txn::TxnApi,
         inp: &Self::Input,
     ) -> Result<(), drtm_core::TxnError> {
         self.attempts.set(self.attempts.get() + 1);
@@ -958,10 +1005,10 @@ fn replicated_driver_run_truncates_as_it_goes() {
 #[test]
 fn a_voted_out_machine_stops_its_driver_slots() {
     use crate::driver::{run_on, Workload};
-    use crate::engine::TxnApi;
     use crate::smallbank::{self, SbInput, SbTxn};
     use drtm_base::SplitMix64;
     use drtm_core::cluster::{CrashPointHook, DrtmCluster};
+    use drtm_core::txn::TxnApi;
     use drtm_core::txn::TxnError;
     use drtm_store::TableSpec;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

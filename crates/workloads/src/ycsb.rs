@@ -8,11 +8,10 @@
 
 use drtm_base::SplitMix64;
 use drtm_core::cluster::DrtmCluster;
-use drtm_core::txn::TxnError;
+use drtm_core::txn::{TxnApi, TxnError};
 use drtm_store::{TableId, TableSpec};
 
 use crate::driver::{RunCfg, Workload};
-use crate::engine::TxnApi;
 
 /// The YCSB table id.
 pub const T_KV: TableId = 0;

@@ -1,17 +1,17 @@
 //! Virtual time and the operation cost model.
 //!
-//! The evaluation host exposes a single CPU core, so measuring wall-clock
-//! throughput of a many-node, many-thread cluster simulation would only
-//! measure the host scheduler. Instead, every simulated worker owns a
-//! [`VClock`] — a private nanosecond counter — and charges each operation
-//! a cost drawn from a [`CostModel`]. Shared resources (the per-node NIC)
-//! are modelled in the same virtual time by [`crate::link::LinkBudget`].
+//! A host of a core or two cannot run a many-node, many-thread cluster at
+//! its speed, so wall-clock throughput would only measure the host.
+//! Instead, every simulated worker owns a [`VClock`] — a private
+//! nanosecond counter — and charges each operation a cost drawn from a
+//! [`CostModel`]. Shared resources (the per-node NIC) are modelled in the
+//! same virtual time by [`crate::link::LinkBudget`].
 //!
-//! Throughput is then `committed transactions / elapsed virtual time`,
-//! which is independent of how the host happens to schedule the worker
-//! threads. Conflicts and aborts still come from *real* interleaving of
-//! the worker threads on shared memory, so the protocol itself is
-//! exercised truthfully; only the *timing* is modelled.
+//! Throughput is then `committed transactions / elapsed virtual time`. A
+//! closed-loop run steps every worker slot on one drive loop in
+//! virtual-time order (`drtm_core::routine`): its conflicts and aborts
+//! come from real accesses to shared memory in that order, and the run is
+//! a pure function of its configuration and seed.
 //!
 //! The default [`CostModel`] constants are calibrated to the paper's
 //! testbed (two-socket Xeon E5-2650 v3, ConnectX-3 56 Gbps InfiniBand):

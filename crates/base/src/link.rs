@@ -8,11 +8,12 @@
 //! that *shape*, every node's NIC is a [`LinkBudget`].
 //!
 //! Each worker owns a private virtual clock, and clocks of co-located
-//! workers drift apart (a delivery transaction costs 20x a payment, and a
-//! worker thread the host deschedules falls behind its peers), so the
-//! link cannot simply serialise completion times — a slow-clock worker
-//! would "queue behind" a fast-clock worker's future and the clocks would
-//! entangle. Nor can it keep one token bucket in any single clock's
+//! workers drift apart (a delivery transaction costs 20x a payment, and
+//! each pool's clock advances by its own routines' CPU segments and
+//! waits), so the link cannot simply serialise completion times — a
+//! slow-clock worker would "queue behind" a fast-clock worker's future
+//! and the clocks would entangle. Nor can it keep one token bucket in
+//! any single clock's
 //! frame: a bucket that refills only as the most advanced clock moves
 //! lets a lagging clock drain it without refill, and charges that clock
 //! drain delay on an idle link.

@@ -4,8 +4,8 @@
 //! ```text
 //! sweep [tpcc|smallbank|ycsb] [--engine drtm+r|drtm|calvin]
 //!       [--nodes N] [--threads T] [--replicas R] [--cross P]
-//!       [--txns N] [--routines R] [--full] [--msg-locking] [--no-cache]
-//!       [--fuse] [--raw]
+//!       [--txns N] [--routines R] [--full] [--msg-locking | --fuse]
+//!       [--no-cache] [--raw]
 //!       [--json FILE]
 //! ```
 //!
@@ -25,7 +25,7 @@
 use drtm_bench::experiment::{closed_arm, Arm, Report};
 use drtm_bench::{sb_cfg, stamp_json, tpcc_cfg, ycsb_cfg, Scale};
 use drtm_core::cluster::MAX_REPLICAS;
-use drtm_core::EngineOpts;
+use drtm_core::{EngineOpts, LockTransport};
 use drtm_workloads::driver::{EngineKind, RunCfg};
 use drtm_workloads::ycsb::YcsbMix;
 
@@ -35,9 +35,8 @@ use drtm_workloads::ycsb::YcsbMix;
 #[derive(Debug, Default)]
 struct Flags {
     cross: Option<f64>,
-    msg_locking: bool,
+    locking: LockTransport,
     no_cache: bool,
-    fuse: bool,
 }
 
 /// Exits with a usage error.
@@ -94,9 +93,12 @@ fn main() {
                     other => bad(format!("unknown mix {other:?} (one of A, B, C, F)")),
                 })
             }
-            "--msg-locking" => flags.msg_locking = true,
+            "--msg-locking" | "--fuse" if flags.locking != LockTransport::OneSided => {
+                bad("--msg-locking and --fuse each pick the lock transport; give one".into())
+            }
+            "--msg-locking" => flags.locking = LockTransport::Messages,
+            "--fuse" => flags.locking = LockTransport::Glob,
             "--no-cache" => flags.no_cache = true,
-            "--fuse" => flags.fuse = true,
             "--raw" => raw = true,
             "--full" => full = true,
             "--json" => json = Some(value()),
@@ -117,9 +119,8 @@ fn main() {
         "grants",
     ];
     let tweak = |o: &mut EngineOpts| {
-        o.msg_locking = flags.msg_locking;
+        o.locking = flags.locking;
         o.use_location_cache = !flags.no_cache;
-        o.fuse_lock_validate = flags.fuse;
     };
     let mut arm = Arm::new(workload.clone());
     let (m, cfg): (_, Box<dyn std::fmt::Debug>) = match workload.as_str() {

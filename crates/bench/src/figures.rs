@@ -14,7 +14,7 @@ use std::fmt::Display;
 use std::time::Duration;
 
 use drtm_chaos::{run_smallbank_chaos, ChaosRunCfg, FaultPlan, RecoveryEvent, SupervisorCfg};
-use drtm_core::cluster::{DrtmCluster, EngineOpts};
+use drtm_core::cluster::{DrtmCluster, EngineOpts, LockTransport};
 use drtm_core::scrape_cluster;
 use drtm_workloads::driver::{self, run_tpcc, run_ycsb, EngineKind, Measurement, RunCfg};
 use drtm_workloads::tpcc::{self, TpccCfg};
@@ -292,8 +292,8 @@ pub fn ablations(size: Size) -> Arms {
     Ok(vec![
         switched("baseline", |_| {}),
         switched("no_location_cache", |o| o.use_location_cache = false),
-        switched("glob", |o| o.fuse_lock_validate = true),
-        switched("msg_locking", |o| o.msg_locking = true),
+        switched("glob", |o| o.locking = LockTransport::Glob),
+        switched("msg_locking", |o| o.locking = LockTransport::Messages),
         switched("no_pointer_swap", |o| o.pointer_swap = false),
     ])
 }

@@ -90,24 +90,33 @@ pub struct EngineOpts {
     pub region_size: usize,
     /// Use the DrTM location cache for remote hash lookups.
     pub use_location_cache: bool,
-    /// `IBV_ATOMIC_GLOB` ablation: fuse remote lock + validate into one
-    /// RDMA CAS (§4.4, C.2). Requires a fabric advertising GLOB.
-    pub fuse_lock_validate: bool,
+    /// How remote locks and their validation travel.
+    pub locking: LockTransport,
     /// §6.4 pointer-swap accounting: local-only tables charge one HTM
     /// line per write instead of the full record.
     pub pointer_swap: bool,
-    /// FaRM-style two-sided locking ablation: remote lock/unlock and
-    /// validation travel as SEND/RECV messages served by the host CPU
-    /// instead of one-sided RDMA verbs (C.5 writes and R.1 appends stay
-    /// one-sided). Costs message round trips and interrupts the host,
-    /// aborting its in-flight HTM regions — the §4.4 argument for
-    /// one-sided operations.
-    pub msg_locking: bool,
     /// Contention-management policy of every table (DESIGN.md §15): how
     /// a worker responds to repeated conflicts on one key. The default,
     /// [`ContentionPolicy::Off`], keeps the legacy randomized-backoff
     /// retry path byte-identical.
     pub contention: ContentionPolicy,
+}
+
+/// The transport of C.1's remote locks and C.2's validation (§4.4).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum LockTransport {
+    /// One-sided RDMA CAS, C.2's header READ chained on its doorbell.
+    #[default]
+    OneSided,
+    /// `IBV_ATOMIC_GLOB` ablation: lock + validate fused into one RDMA
+    /// CAS. Requires a fabric advertising GLOB.
+    Glob,
+    /// FaRM-style ablation: lock, unlock and validation travel as
+    /// SEND/RECV messages served by the host CPU (C.5 writes and R.1
+    /// appends stay one-sided). Costs message round trips and interrupts
+    /// the host, aborting its in-flight HTM regions — the §4.4 argument
+    /// for one-sided operations.
+    Messages,
 }
 
 impl Default for EngineOpts {
@@ -118,9 +127,8 @@ impl Default for EngineOpts {
             cost: CostModel::default(),
             region_size: 32 << 20,
             use_location_cache: true,
-            fuse_lock_validate: false,
+            locking: LockTransport::OneSided,
             pointer_swap: true,
-            msg_locking: false,
             contention: ContentionPolicy::Off,
         }
     }
@@ -140,14 +148,14 @@ impl EngineOpts {
 /// field on [`EngineOpts`] for semantics.
 ///
 /// ```
-/// use drtm_core::cluster::EngineOpts;
+/// use drtm_core::cluster::{EngineOpts, LockTransport};
 ///
 /// let opts = EngineOpts::builder()
 ///     .replicas(3)
-///     .msg_locking(true)
+///     .locking(LockTransport::Messages)
 ///     .build();
 /// assert_eq!(opts.replicas, 3);
-/// assert!(opts.msg_locking);
+/// assert_eq!(opts.locking, LockTransport::Messages);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptsBuilder {
@@ -188,22 +196,15 @@ impl EngineOptsBuilder {
         self
     }
 
-    /// `IBV_ATOMIC_GLOB` ablation: fuse remote lock + validate into one
-    /// RDMA CAS.
-    pub fn fuse_lock_validate(mut self, on: bool) -> Self {
-        self.opts.fuse_lock_validate = on;
+    /// The transport of remote locks and their validation.
+    pub fn locking(mut self, transport: LockTransport) -> Self {
+        self.opts.locking = transport;
         self
     }
 
     /// §6.4 pointer-swap accounting for local-only tables.
     pub fn pointer_swap(mut self, on: bool) -> Self {
         self.opts.pointer_swap = on;
-        self
-    }
-
-    /// FaRM-style two-sided locking ablation.
-    pub fn msg_locking(mut self, on: bool) -> Self {
-        self.opts.msg_locking = on;
         self
     }
 

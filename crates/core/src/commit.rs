@@ -55,6 +55,7 @@ use drtm_store::{TableId, CONTROL_LINE_OFF};
 
 use drtm_obs::{EventKind, Phase};
 
+use crate::cluster::LockTransport;
 use crate::contention::{ConflictSite, ContentionPolicy};
 use crate::txn::{
     record_read, AbortReason, Batch, RemoteRead, RemoteWrite, TxnCtx, TxnError, Worker,
@@ -543,7 +544,7 @@ impl TxnCtx<'_> {
         new: u64,
         peek: impl Fn(NodeId) -> bool,
     ) -> Vec<Vec<(CasOutcome, Option<RecordHeader>)>> {
-        if self.w.cluster.opts.msg_locking {
+        if self.w.cluster.opts.locking == LockTransport::Messages {
             let mut cas = |&(node, off): &LockAddr| {
                 let outcome = self.message_cas(node, off, expect, new);
                 (Ok(outcome), None)
@@ -668,8 +669,7 @@ impl TxnCtx<'_> {
         // except the loopback group of local records in
         // [`Mode::Locked`] (validated from memory) and under the two
         // ablations whose transports have no READ to chain.
-        let opts = &self.w.cluster.opts;
-        let chained = !(opts.msg_locking || opts.fuse_lock_validate);
+        let chained = self.w.cluster.opts.locking == LockTransport::OneSided;
         let local = self.w.node;
         let peek = |node| chained && (mode == Mode::Htm || node != local);
         self.lock_all(locks, self.w.force_pessimistic, peek).await
@@ -892,7 +892,7 @@ impl TxnCtx<'_> {
             return;
         }
         let me = lock_word(self.w.node);
-        if self.w.cluster.opts.msg_locking {
+        if self.w.cluster.opts.locking == LockTransport::Messages {
             for &(node, off) in addrs {
                 let res = self.message_cas(node, off, me, LOCK_FREE);
                 debug_assert!(res.is_ok(), "lost a lock we held");
@@ -958,7 +958,7 @@ impl TxnCtx<'_> {
         nodes.sort_unstable();
         nodes.dedup();
         let chained = match nodes[..] {
-            [only] if !cluster.opts.msg_locking => Some(only),
+            [only] if cluster.opts.locking != LockTransport::Messages => Some(only),
             _ => None,
         };
         let (released, held): (Vec<LockAddr>, Vec<LockAddr>) =
@@ -1018,11 +1018,11 @@ impl TxnCtx<'_> {
     async fn remote_headers(&mut self, addrs: &[LockAddr]) -> Result<Vec<RecordHeader>, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let w = &mut *self.w;
-        if cluster.opts.fuse_lock_validate || cluster.opts.msg_locking {
+        if cluster.opts.locking != LockTransport::OneSided {
             let mut hdrs = Vec::with_capacity(addrs.len());
             for &(node, off) in addrs {
                 let region = &cluster.stores[node].region;
-                if cluster.opts.msg_locking {
+                if cluster.opts.locking == LockTransport::Messages {
                     let fabric = &cluster.fabric;
                     fabric.charge_message(&mut w.clock, w.node, node, 24);
                     fabric.charge_message(&mut w.clock, node, w.node, 24);
@@ -1177,7 +1177,7 @@ impl TxnCtx<'_> {
         let l_ws = &self.l_ws;
         let pointer_swap = cluster.opts.pointer_swap;
 
-        let msg_locking = cluster.opts.msg_locking;
+        let msg_locking = cluster.opts.locking == LockTransport::Messages;
         let outcome = htm.run(region, &mut self.w.rng, |t| {
             // Under the messaging ablation, every HTM region is exposed
             // to lock-service interrupts: subscribe to the control line

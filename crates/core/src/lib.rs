@@ -55,7 +55,7 @@ pub mod replication;
 pub mod routine;
 pub mod txn;
 
-pub use cluster::{CrashPointHook, DrtmCluster, EngineOpts};
+pub use cluster::{CrashPointHook, DrtmCluster, EngineOpts, LockTransport};
 pub use contention::{ConflictTracker, ContentionPolicy, WaitRegistry};
 pub use obs_bridge::scrape_cluster;
 pub use recovery::{full_restart_scrub, recover_node, RecoveryReport};

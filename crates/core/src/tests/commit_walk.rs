@@ -11,6 +11,7 @@ use drtm_store::record::SEQ_OFF;
 use drtm_store::{lock_word, LOCK_FREE};
 
 use super::*;
+use crate::cluster::LockTransport::{self, Messages, OneSided};
 use crate::txn::AbortReason;
 
 #[test]
@@ -186,7 +187,7 @@ fn msg_locking_mode_is_correct_and_interrupts_htm() {
     // The FaRM-messaging ablation must produce the same results; the
     // host's control line moves with every serviced lock message.
     let c = setup(2)
-        .opts(|o| o.msg_locking(true))
+        .opts(|o| o.locking(LockTransport::Messages))
         .seed(1..2, 0..1, 5)
         .build();
     let nic = Nic::new(&c);
@@ -212,7 +213,7 @@ fn msg_locking_mode_is_correct_and_interrupts_htm() {
 fn msg_locking_keeps_c5_one_sided_and_batched() {
     let k = 3u64;
     let c = setup(2)
-        .opts(|o| o.msg_locking(true))
+        .opts(|o| o.locking(LockTransport::Messages))
         .seed(1..2, 0..k, 100)
         .build();
     let mut w = c.worker(0, 1);
@@ -262,10 +263,10 @@ fn drop_nth(c: &DrtmCluster, verb: Verb, n: u64) {
 /// behind it before they reach the wire (`Transport`).
 #[test]
 fn busy_lock_late_in_group_releases_the_locks_already_won() {
-    for (msg_locking, dropped) in [(false, false), (true, false), (false, true)] {
-        let arm = format!("msg_locking={msg_locking} dropped={dropped}");
+    for (locking, dropped) in [(OneSided, false), (Messages, false), (OneSided, true)] {
+        let arm = format!("{locking:?} dropped={dropped}");
         let c = setup(2)
-            .opts(|o| o.msg_locking(msg_locking))
+            .opts(|o| o.locking(locking))
             .seed(1..2, 0..3, 100)
             .build();
         // Locks are taken in offset order: block the last one.
@@ -300,10 +301,10 @@ fn busy_lock_late_in_group_releases_the_locks_already_won() {
         // READs rode the lock doorbell and landed unless flushed.
         let d = nic.since(1);
         let verbs = (d.atomics, d.reads, d.sends, d.doorbells);
-        let want = match (msg_locking, dropped) {
-            (true, _) => (0, 0, 5, 0),
-            (false, false) => (5, 3, 0, 2),
-            (false, true) => (5, 0, 0, 2),
+        let want = match (locking, dropped) {
+            (Messages, _) => (0, 0, 5, 0),
+            (_, false) => (5, 3, 0, 2),
+            (_, true) => (5, 0, 0, 2),
         };
         assert_eq!(verbs, want, "{arm}: {d:?}");
     }
@@ -312,7 +313,7 @@ fn busy_lock_late_in_group_releases_the_locks_already_won() {
 #[test]
 fn fused_lock_validate_produces_same_results() {
     let c = setup(2)
-        .opts(|o| o.fuse_lock_validate(true))
+        .opts(|o| o.locking(LockTransport::Glob))
         .seed(1..2, 0..1, 5)
         .build();
     let mut w = c.worker(0, 1);

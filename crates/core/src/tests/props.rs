@@ -74,10 +74,9 @@ fn bank(buckets: usize, keys: u64, value: u64) -> Setup {
 }
 
 /// Reads `at` and writes it back plus `by`.
-async fn inc(t: &mut crate::TxnCtx<'_>, at: (usize, u64), by: u64) -> Result<(), TxnError> {
-    let a = num(&t.read_async(at.0, T_ACCT, key(at.0, at.1)).await?);
-    t.write_async(at.0, T_ACCT, key(at.0, at.1), val(a + by))
-        .await
+async fn inc(t: &mut dyn crate::txn::TxnApi, at: (usize, u64), by: u64) -> Result<(), TxnError> {
+    let a = num(&t.read(at.0, T_ACCT, key(at.0, at.1)).await?);
+    t.write(at.0, T_ACCT, key(at.0, at.1), val(a + by)).await
 }
 
 /// Runs one op as a transaction on `w` and, if it commits, on `model`.
@@ -89,17 +88,16 @@ async fn apply_op(w: &mut Worker, op: &Op, model: &RefCell<HashMap<(usize, u64),
             }
             let r = w
                 .run_async(async |t| {
-                    let a = num(&t.read_async(from.0, T_ACCT, key(from.0, from.1)).await?);
-                    let b = num(&t.read_async(to.0, T_ACCT, key(to.0, to.1)).await?);
+                    let a = num(&t.read(from.0, T_ACCT, key(from.0, from.1)).await?);
+                    let b = num(&t.read(to.0, T_ACCT, key(to.0, to.1)).await?);
                     if a < amt {
                         return Err(TxnError::UserAbort);
                     }
                     // Both writes rewrite records read earlier, and so
                     // take the reads' locations.
-                    t.write_async(from.0, T_ACCT, key(from.0, from.1), val(a - amt))
+                    t.write(from.0, T_ACCT, key(from.0, from.1), val(a - amt))
                         .await?;
-                    t.write_async(to.0, T_ACCT, key(to.0, to.1), val(b + amt))
-                        .await
+                    t.write(to.0, T_ACCT, key(to.0, to.1), val(b + amt)).await
                 })
                 .await;
             match r {
@@ -301,19 +299,18 @@ fn routine_conservation_case(
                     }
                     let _ = w
                         .run_async(async |t| {
-                            let a = num(&t.read_async(from.0, T_ACCT, key(from.0, from.1)).await?);
-                            let b = num(&t.read_async(to.0, T_ACCT, key(to.0, to.1)).await?);
+                            let a = num(&t.read(from.0, T_ACCT, key(from.0, from.1)).await?);
+                            let b = num(&t.read(to.0, T_ACCT, key(to.0, to.1)).await?);
                             if a < 3 {
                                 return Err(TxnError::UserAbort);
                             }
                             // A repeated read is the first one's snapshot,
                             // whatever committed since.
-                            let again = t.read_async(from.0, T_ACCT, key(from.0, from.1)).await?;
+                            let again = t.read(from.0, T_ACCT, key(from.0, from.1)).await?;
                             assert_eq!(num(&again), a, "repeatable read");
-                            t.write_async(from.0, T_ACCT, key(from.0, from.1), val(a - 3))
+                            t.write(from.0, T_ACCT, key(from.0, from.1), val(a - 3))
                                 .await?;
-                            t.write_async(to.0, T_ACCT, key(to.0, to.1), val(b + 3))
-                                .await
+                            t.write(to.0, T_ACCT, key(to.0, to.1), val(b + 3)).await
                         })
                         .await;
                 }
@@ -460,8 +457,8 @@ fn read_effects(t: &crate::TxnCtx<'_>, universe: &[(usize, u32, u64)]) -> ReadEf
 /// clusters one worker runs the same prefix — an optional warm-up
 /// transaction (cold vs warm location caches), own writes,
 /// earlier reads — and then reads a random key list, through
-/// `read_async` one key at a time on one twin and through one
-/// `read_many_async` on the other. Values (or the error), both read
+/// `read` one key at a time on one twin and through one `read_many`
+/// on the other. Values (or the error), both read
 /// sets in order, the location caches and the commit outcome must be
 /// equal; only the clock may differ — downwards, when every key is
 /// found and no verb fails: in a read-write transaction the local

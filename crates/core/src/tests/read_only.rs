@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 
 use super::*;
 use crate::commit::STAGES;
-use crate::txn::AbortReason;
+use crate::txn::{AbortReason, TxnApi};
 
 #[test]
 fn read_only_txn_sees_consistent_snapshot() {
@@ -310,7 +310,7 @@ fn one_record_reads_are_linearizable() {
                 let at = (id + i) % COUNTERS.len();
                 let (n, k) = COUNTERS[at];
                 let floor_before = published[at].load(SeqCst);
-                let read = w.run_ro_async(async |t| t.read_async(n, T_ACCT, key(n, k)).await);
+                let read = w.run_ro_async(async |t| t.read(n, T_ACCT, key(n, k)).await);
                 let v = num(&read.await.unwrap());
                 let floor_after = published[at].load(SeqCst);
                 if v < floor_before.max(seen[at]) || v > floor_after + WRITERS as u64 {
@@ -373,9 +373,9 @@ fn local_read_groups_are_one_snapshot() {
             for _ in 0..150 {
                 let validations = w.obs.ro_validations.get();
                 let read = w.run_ro_async(async |t| {
-                    let f = num(&t.read_async(0, T_ACCT, x).await?);
+                    let f = num(&t.read(0, T_ACCT, x).await?);
                     std::thread::yield_now();
-                    let g = num(&t.read_async(0, T_ACCT, y).await?);
+                    let g = num(&t.read(0, T_ACCT, y).await?);
                     Ok((f, g))
                 });
                 let (f, g) = read.await.unwrap();
@@ -498,15 +498,14 @@ fn one_region_closes_at_capacity_a_back_off_and_a_verb() {
                     if id == 1 {
                         region.cas64(off, lock_word(1), LOCK_FREE).unwrap();
                         if rewrite {
-                            let write =
-                                w.run_async(async |t| t.write_async(0, T_ACCT, a, val(7)).await);
+                            let write = w.run_async(async |t| t.write(0, T_ACCT, a, val(7)).await);
                             write.await.unwrap();
                         }
                         return None;
                     }
                     let mut t = w.begin_ro();
-                    t.read_async(0, T_ACCT, a).await.unwrap();
-                    t.read_async(0, T_ACCT, b).await.unwrap();
+                    TxnApi::read(&mut t, 0, T_ACCT, a).await.unwrap();
+                    TxnApi::read(&mut t, 0, T_ACCT, b).await.unwrap();
                     let snapshots = t.snapshots;
                     Some((snapshots, t.commit_async().await))
                 });
@@ -641,19 +640,18 @@ fn a_longer_re_read_extends_the_entry_or_aborts() {
             if id == 1 {
                 if rewrite {
                     let value = two_line_value(2, 9);
-                    let write =
-                        w.run_async(async |t| t.write_async(0, T_TWO, 2, value.clone()).await);
+                    let write = w.run_async(async |t| t.write(0, T_TWO, 2, value.clone()).await);
                     write.await.unwrap();
                 }
                 return None;
             }
             let mut t = w.begin_ro();
             let key = [(0, T_TWO, 2)];
-            let head = t.read_many_async(&key, 8).await;
+            let head = TxnApi::read_many(&mut t, &key, 8).await;
             // The sibling, 100 µs later, runs inside this wait.
             t.w.pause(200_000).await;
-            let whole = t.read_many_async(&key, usize::MAX).await;
-            let again = t.read_many_async(&key, 48).await;
+            let whole = TxnApi::read_many(&mut t, &key, usize::MAX).await;
+            let again = TxnApi::read_many(&mut t, &key, 48).await;
             let entry = t.l_rs.iter().map(|e| e.value.len()).collect::<Vec<_>>();
             Some((head, whole, again, entry))
         });

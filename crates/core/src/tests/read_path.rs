@@ -439,8 +439,7 @@ fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
             region.cas64(off, lock_word(1), LOCK_FREE).unwrap();
             return None;
         }
-        let hits =
-            w.run_ro_async(async |t| t.scan_local_async(T_ORD, 10, 30, 99, usize::MAX).await);
+        let hits = w.run_ro_async(async |t| t.scan_local(T_ORD, 10, 30, 99, usize::MAX).await);
         Some(hits.await)
     });
     let (w, hits) = out.remove(0);

@@ -10,6 +10,7 @@ use drtm_rdma::Verb::{Cas, Read, Write};
 
 use super::*;
 use crate::routine::{Admission, QueueGroup, Rank, RoutinePool};
+use crate::txn::TxnApi;
 
 /// The workload both arms of the routines=1 identity test run: a mix of
 /// local, remote and replicated read-modify-writes, plus a read-only
@@ -18,14 +19,14 @@ async fn identity_job(w: &mut Worker, txns: u64) {
     for i in 0..txns {
         let k = i % 4;
         w.run_async(async |t| {
-            let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
-            let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
-            t.write_async(0, T_ACCT, key(0, k), val(a + 1)).await?;
-            t.write_async(1, T_ACCT, key(1, k), val(b + 1)).await
+            let a = num(&t.read(0, T_ACCT, key(0, k)).await?);
+            let b = num(&t.read(1, T_ACCT, key(1, k)).await?);
+            t.write(0, T_ACCT, key(0, k), val(a + 1)).await?;
+            t.write(1, T_ACCT, key(1, k), val(b + 1)).await
         })
         .await
         .unwrap();
-        w.run_ro_async(async |t| t.read_async(1, T_ACCT, key(1, k)).await)
+        w.run_ro_async(async |t| t.read(1, T_ACCT, key(1, k)).await)
             .await
             .unwrap();
     }
@@ -218,8 +219,8 @@ fn routines_overlap_independent_verb_waits() {
         for i in 0..TXNS {
             let k = (id as u64) * 8 + (i % 8);
             w.run_async(async |t| {
-                let v = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
-                t.write_async(1, T_ACCT, key(1, k), val(v + 1)).await
+                let v = num(&t.read(1, T_ACCT, key(1, k)).await?);
+                t.write(1, T_ACCT, key(1, k), val(v + 1)).await
             })
             .await
             .unwrap();
@@ -267,10 +268,10 @@ fn routines_overlap_independent_verb_waits() {
 /// Moves one unit from `key(0, k)` to `key(1, k)`.
 async fn transfer(w: &mut Worker, k: u64) {
     w.run_async(async |t| {
-        let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
-        let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
-        t.write_async(0, T_ACCT, key(0, k), val(a - 1)).await?;
-        t.write_async(1, T_ACCT, key(1, k), val(b + 1)).await
+        let a = num(&t.read(0, T_ACCT, key(0, k)).await?);
+        let b = num(&t.read(1, T_ACCT, key(1, k)).await?);
+        t.write(0, T_ACCT, key(0, k), val(a - 1)).await?;
+        t.write(1, T_ACCT, key(1, k), val(b + 1)).await
     })
     .await
     .unwrap();
@@ -326,8 +327,8 @@ fn lock_holder_resumes_ahead_of_landed_execution_reads() {
         if id == 0 {
             return w
                 .run_async(async |t| {
-                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
-                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                    let v = num(&t.read(1, T_ACCT, key(1, 0)).await?);
+                    t.write(1, T_ACCT, key(1, 0), val(v + 1)).await
                 })
                 .await;
         }
@@ -397,19 +398,18 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
         if id == 0 {
             return w
                 .run_async(async |t| {
-                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
-                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                    let v = num(&t.read(1, T_ACCT, key(1, 0)).await?);
+                    t.write(1, T_ACCT, key(1, 0), val(v + 1)).await
                 })
                 .await
                 .map(|()| 0);
         }
-        w.run_ro_async(async |t| {
-            t.read_async(1, T_ACCT, key(1, 8)).await?;
-            t.w.clock.advance(3_000);
-            armed.store(true, Ordering::SeqCst);
-            t.read_async(1, T_ACCT, key(1, 9)).await.map(|v| num(&v))
-        })
-        .await
+        let mut t = w.begin_ro();
+        TxnApi::read(&mut t, 1, T_ACCT, key(1, 8)).await?;
+        t.w.clock.advance(3_000);
+        armed.store(true, Ordering::SeqCst);
+        let v = num(&TxnApi::read(&mut t, 1, T_ACCT, key(1, 9)).await?);
+        t.commit_async().await.map(|()| v)
     });
     let outcomes: Vec<_> = done.iter().map(|(w, r)| (*r, w.stats.aborted)).collect();
     assert_eq!(outcomes, [(Ok(0), 0), (Ok(100), 0)]);
@@ -462,8 +462,8 @@ fn dropped_image_is_reposted_on_the_reactor_so_a_sibling_runs() {
         if id == 0 {
             let r = w
                 .run_async(async |t| {
-                    let v = num(&t.read_async(1, T_ACCT, key(1, 0)).await?);
-                    t.write_async(1, T_ACCT, key(1, 0), val(v + 1)).await
+                    let v = num(&t.read(1, T_ACCT, key(1, 0)).await?);
+                    t.write(1, T_ACCT, key(1, 0), val(v + 1)).await
                 })
                 .await;
             assert_eq!((r, w.stats.aborted), (Ok(()), 0));
@@ -929,10 +929,10 @@ fn serve_group_splits_a_shared_queue_by_virtual_time() {
         let pools = RoutinePool::serve_group(pools, &q, async |p, _, w, k| {
             w.run_async(async |t| {
                 attempts.fetch_add(1, Ordering::Relaxed);
-                let a = num(&t.read_async(0, T_ACCT, key(0, k)).await?);
-                let b = num(&t.read_async(1, T_ACCT, key(1, k)).await?);
-                t.write_async(0, T_ACCT, key(0, k), val(a - 1)).await?;
-                t.write_async(1, T_ACCT, key(1, k), val(b + 1)).await
+                let a = num(&t.read(0, T_ACCT, key(0, k)).await?);
+                let b = num(&t.read(1, T_ACCT, key(1, k)).await?);
+                t.write(0, T_ACCT, key(0, k), val(a - 1)).await?;
+                t.write(1, T_ACCT, key(1, k), val(b + 1)).await
             })
             .await
             .unwrap();
@@ -1032,9 +1032,8 @@ fn large_txn_commits_bounded_under_escalate() {
             w.run_async(async |t| {
                 for shard in 0..2usize {
                     for k in 0..8u64 {
-                        let v = num(&t.read_async(shard, T_ACCT, key(shard, k)).await?);
-                        t.write_async(shard, T_ACCT, key(shard, k), val(v + 1))
-                            .await?;
+                        let v = num(&t.read(shard, T_ACCT, key(shard, k)).await?);
+                        t.write(shard, T_ACCT, key(shard, k), val(v + 1)).await?;
                     }
                 }
                 Ok(())
@@ -1052,8 +1051,8 @@ fn large_txn_commits_bounded_under_escalate() {
             let k = key(shard, i % 8);
             let _ = w
                 .run_async(async |t| {
-                    let v = num(&t.read_async(shard, T_ACCT, k).await?);
-                    t.write_async(shard, T_ACCT, k, val(v + 1)).await
+                    let v = num(&t.read(shard, T_ACCT, k).await?);
+                    t.write(shard, T_ACCT, k, val(v + 1)).await
                 })
                 .await;
             i = i.wrapping_add(3);
@@ -1122,7 +1121,7 @@ fn release_between_lost_cas_and_wait_ends_the_wait() {
             return 0;
         }
         w.force_pessimistic = true;
-        w.run_async(async |t| t.write_async(1, T_ACCT, key(1, 0), val(7)).await)
+        w.run_async(async |t| t.write(1, T_ACCT, key(1, 0), val(7)).await)
             .await
             .unwrap();
         w.stats.aborted

@@ -700,9 +700,9 @@ impl Worker {
     /// Runs `body` as a read-write transaction with automatic retry on
     /// abort. Returns the body's value once a commit succeeds.
     ///
-    /// Synchronous facade over [`Self::run_async`] for callers outside a
-    /// routine pool (on the worker's own reactor of one no wait
-    /// suspends).
+    /// Synchronous form of [`Self::run_async`] for callers outside a
+    /// routine pool, whose body calls `TxnCtx`'s blocking verbs (on the
+    /// worker's own reactor of one no wait suspends).
     pub fn run<R>(
         &mut self,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
@@ -712,7 +712,7 @@ impl Worker {
 
     /// Runs `body` as a read-only transaction with automatic retry.
     ///
-    /// Synchronous facade over [`Self::run_ro_async`]; see [`Self::run`].
+    /// Synchronous form of [`Self::run_ro_async`]; see [`Self::run`].
     pub fn run_ro<R>(
         &mut self,
         mut body: impl FnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
@@ -724,20 +724,38 @@ impl Worker {
     /// abort, suspending at every verb wait so a routine reactor can
     /// interleave other routines. This is the primary entry point inside
     /// a [`crate::routine::RoutinePool`]; outside a pool it completes in
-    /// one poll, like [`Self::run`].
+    /// one poll, like [`Self::run`]. The body sees the transaction as a
+    /// [`TxnApi`], the body type every engine takes (DrTM's
+    /// `drtm2pl::run` and Calvin's `CalvinEngine::run` too).
+    ///
+    /// ```
+    /// use drtm_base::task::block_now;
+    /// use drtm_core::{txn::TxnApi, DrtmCluster, EngineOpts};
+    ///
+    /// let opts = EngineOpts::builder().region_size(1 << 20).build();
+    /// let cluster = DrtmCluster::new(2, &[drtm_store::TableSpec::hash(0, 64, 8)], opts);
+    /// cluster.seed_record(1, 0, 7, &[5; 8]);
+    /// let mut w = cluster.worker(0, 1);
+    /// let write = async |t: &mut dyn TxnApi| t.write(1, 0, 7, vec![6; 8]).await;
+    /// let read = async |t: &mut dyn TxnApi| t.read(1, 0, 7).await;
+    /// block_now(w.run_async(write)).unwrap();
+    /// assert_eq!(block_now(w.run_ro_async(read)), Ok(vec![6; 8]));
+    /// ```
     pub async fn run_async<R>(
         &mut self,
-        mut body: impl AsyncFnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
+        mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
     ) -> Result<R, TxnError> {
-        self.run_inner(false, &mut body).await
+        self.run_inner(false, &mut async |t: &mut TxnCtx<'_>| body(t).await)
+            .await
     }
 
     /// Read-only variant of [`Self::run_async`].
     pub async fn run_ro_async<R>(
         &mut self,
-        mut body: impl AsyncFnMut(&mut TxnCtx<'_>) -> Result<R, TxnError>,
+        mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
     ) -> Result<R, TxnError> {
-        self.run_inner(true, &mut body).await
+        self.run_inner(true, &mut async |t: &mut TxnCtx<'_>| body(t).await)
+            .await
     }
 
     /// Runs `body` exactly once and attempts a single commit — no retry.
@@ -954,30 +972,17 @@ impl<'w> TxnCtx<'w> {
         self.w.clock.advance(ns);
     }
 
-    /// Reads a record on the local machine (Figure 5's `LOCAL_READ`).
-    ///
-    /// Synchronous facade over [`Self::read_local_async`] for callers
-    /// outside a routine pool.
-    pub fn read_local(&mut self, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
-        block_now(self.read_local_async(table, key))
-    }
-
     /// Reads a record on the local machine (Figure 5's `LOCAL_READ`): a
     /// read group of one (`read_group`, DESIGN.md §4). Buffered
     /// own-writes win, and a record already read returns its snapshot.
-    pub async fn read_local_async(
-        &mut self,
-        table: TableId,
-        key: u64,
-    ) -> Result<Vec<u8>, TxnError> {
-        self.read_local_at(table, key, None, usize::MAX).await
+    pub fn read_local(&mut self, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
+        block_now(self.read_local_at(table, key, None, usize::MAX))
     }
 
-    /// [`Self::read_local_async`] of the value's first `head` bytes, for
-    /// a caller that may already hold the record's offset — an index
-    /// scan's hit — and so spares the second index walk. The offset is
-    /// the index's answer at scan time, as `get_loc`'s is at its own
-    /// call.
+    /// A local read of the value's first `head` bytes, for a caller
+    /// that may already hold the record's offset — an index scan's hit
+    /// — and so spares the second index walk. The offset is the index's
+    /// answer at scan time, as `get_loc`'s is at its own call.
     async fn read_local_at(
         &mut self,
         table: TableId,
@@ -1242,41 +1247,26 @@ impl<'w> TxnCtx<'w> {
     /// Reads a record on machine `node` with a lock-free consistent
     /// one-sided RDMA READ (Figure 6's `REMOTE_READ`).
     ///
-    /// Synchronous facade over [`Self::read_remote_async`] for callers
-    /// outside a routine pool.
+    /// Read-write transactions deliberately do *not* check the lock word
+    /// (a committing transaction read-locks records; rejecting them would
+    /// be a spurious failure — validation at commit decides). Read-only
+    /// transactions reject locked records to avoid uncommitted reads
+    /// (§4.5).
     pub fn read_remote(
         &mut self,
         node: NodeId,
         table: TableId,
         key: u64,
     ) -> Result<Vec<u8>, TxnError> {
-        block_now(self.read_remote_async(node, table, key))
+        block_now(self.read_remote_with(node, table, key, None, usize::MAX))
     }
 
-    /// Reads a record on machine `node` with a lock-free consistent
-    /// one-sided RDMA READ (Figure 6's `REMOTE_READ`). The NIC wait is a
-    /// reactor yield point.
-    ///
-    /// Read-write transactions deliberately do *not* check the lock word
-    /// (a committing transaction read-locks records; rejecting them would
-    /// be a spurious failure — validation at commit decides). Read-only
-    /// transactions reject locked records to avoid uncommitted reads
-    /// (§4.5).
-    pub async fn read_remote_async(
-        &mut self,
-        node: NodeId,
-        table: TableId,
-        key: u64,
-    ) -> Result<Vec<u8>, TxnError> {
-        self.read_remote_with(node, table, key, None, usize::MAX)
-            .await
-    }
-
-    /// [`Self::read_remote_async`], its first location lookup and first
-    /// READ answered by `fetched` where [`Self::read_many_async`] ran
-    /// them ahead in its shared parks. Everything else — what is checked
-    /// in which order, what is charged, what enters the read set and the
-    /// location cache, every retry — is the one body both callers share.
+    /// A remote read (Figure 6's `REMOTE_READ`, the NIC wait a reactor
+    /// yield point), its first location lookup and first READ answered
+    /// by `fetched` where [`Self::read_keys`] ran them ahead in its
+    /// shared parks. Everything else — what is checked in which order,
+    /// what is charged, what enters the read set and the location
+    /// cache, every retry — is the one body every remote read shares.
     /// The READ and the read-set entry are the whole record; the value
     /// returned is its first `head` bytes.
     async fn read_remote_with(
@@ -1443,15 +1433,13 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// Reads a record homed on `shard`, routing locally or over RDMA.
-    ///
-    /// Synchronous facade over [`Self::read_async`].
     pub fn read(&mut self, shard: usize, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
-        block_now(self.read_async(shard, table, key))
+        block_now(self.read_shard(shard, table, key))
     }
 
-    /// Reads a record homed on `shard`, routing locally or over RDMA.
-    /// Remote routes suspend at the NIC wait under a routine reactor.
-    pub async fn read_async(
+    /// [`Self::read`], suspending at a remote route's NIC wait under a
+    /// routine reactor.
+    async fn read_shard(
         &mut self,
         shard: usize,
         table: TableId,
@@ -1459,15 +1447,14 @@ impl<'w> TxnCtx<'w> {
     ) -> Result<Vec<u8>, TxnError> {
         let home = self.w.cluster.home_of(shard);
         if home == self.w.node {
-            self.read_local_async(table, key).await
+            self.read_local_at(table, key, None, usize::MAX).await
         } else {
-            self.read_remote_async(home, table, key).await
+            self.read_remote_with(home, table, key, None, usize::MAX)
+                .await
         }
     }
 
     /// Writes a record homed on `shard`, routing locally or over RDMA.
-    ///
-    /// Synchronous facade over [`Self::write_async`].
     pub fn write(
         &mut self,
         shard: usize,
@@ -1475,11 +1462,11 @@ impl<'w> TxnCtx<'w> {
         key: u64,
         value: Vec<u8>,
     ) -> Result<(), TxnError> {
-        block_now(self.write_async(shard, table, key, value))
+        block_now(self.write_shard(shard, table, key, value))
     }
 
-    /// Writes a record homed on `shard`, routing locally or over RDMA.
-    pub async fn write_async(
+    /// [`Self::write`], suspending at a remote route's lookup verb.
+    async fn write_shard(
         &mut self,
         shard: usize,
         table: TableId,
@@ -1523,8 +1510,6 @@ impl<'w> TxnCtx<'w> {
     /// `limit` records with keys in `[lo, hi]`, each with its value's
     /// first `head` bytes (`usize::MAX`: the whole value), reading each
     /// through the transactional local-read path.
-    ///
-    /// Synchronous facade over [`Self::scan_local_async`].
     pub fn scan_local(
         &mut self,
         table: TableId,
@@ -1533,15 +1518,15 @@ impl<'w> TxnCtx<'w> {
         limit: usize,
         head: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, TxnError> {
-        block_now(self.scan_local_async(table, lo, hi, limit, head))
+        block_now(self.scan_group(table, lo, hi, limit, head))
     }
 
-    /// Reactor-aware variant of [`Self::scan_local`]: the hits are read
-    /// as one read group (`read_group`, DESIGN.md §4), which can yield
-    /// at its HTM-retry backoff. Own writes and records read before are
-    /// served as a read of each would serve them, and the group's
-    /// entries enter the read set in scan order.
-    pub async fn scan_local_async(
+    /// [`Self::scan_local`]: the hits are read as one read group
+    /// (`read_group`, DESIGN.md §4), which can yield at its HTM-retry
+    /// backoff. Own writes and records read before are served as a read
+    /// of each would serve them, and the group's entries enter the read
+    /// set in scan order.
+    async fn scan_group(
         &mut self,
         table: TableId,
         lo: u64,
@@ -1581,19 +1566,18 @@ impl<'w> TxnCtx<'w> {
 
     /// The largest key in `[lo, hi]` of a local ordered table, with its
     /// value read transactionally.
-    ///
-    /// Synchronous facade over [`Self::last_local_async`].
     pub fn last_local(
         &mut self,
         table: TableId,
         lo: u64,
         hi: u64,
     ) -> Result<Option<(u64, Vec<u8>)>, TxnError> {
-        block_now(self.last_local_async(table, lo, hi))
+        block_now(self.last_read(table, lo, hi))
     }
 
-    /// Reactor-aware variant of [`Self::last_local`].
-    pub async fn last_local_async(
+    /// [`Self::last_local`]: one index walk, then a local read at the
+    /// offset it found.
+    async fn last_read(
         &mut self,
         table: TableId,
         lo: u64,
@@ -1656,22 +1640,10 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// Reads the records `keys` name — `(shard, table, key)` each — and
-    /// returns the first `head` bytes of their values in order.
-    ///
-    /// Synchronous facade over [`Self::read_many_async`].
-    pub fn read_many(
-        &mut self,
-        keys: &[(usize, TableId, u64)],
-        head: usize,
-    ) -> Result<Vec<Vec<u8>>, TxnError> {
-        block_now(self.read_many_async(keys, head))
-    }
-
-    /// Reads the records `keys` name — `(shard, table, key)` each — and
     /// returns the first `head` bytes of their values in order
     /// (`usize::MAX`: the whole values). With `usize::MAX` this is
     /// *exactly* the sequential
-    /// [`Self::read_async`] calls (same values, same read-set, same
+    /// [`Self::read`] calls (same values, same read-set, same
     /// location-cache effects, same error at the same key), except that
     /// the verbs those reads would have waited for one after another are
     /// posted together and the local records are read in one HTM region
@@ -1702,7 +1674,16 @@ impl<'w> TxnCtx<'w> {
     /// This batches reads a body is about to issue anyway; it is not the
     /// a-priori read/write set DrTM needed: a key that depends on a
     /// value read earlier simply goes in a later call (or to `read`).
-    pub async fn read_many_async(
+    pub fn read_many(
+        &mut self,
+        keys: &[(usize, TableId, u64)],
+        head: usize,
+    ) -> Result<Vec<Vec<u8>>, TxnError> {
+        block_now(self.read_keys(keys, head))
+    }
+
+    /// [`Self::read_many`], suspending at its parks.
+    async fn read_keys(
         &mut self,
         keys: &[(usize, TableId, u64)],
         head: usize,
@@ -1733,7 +1714,7 @@ impl<'w> TxnCtx<'w> {
         Ok(values)
     }
 
-    /// The read group of [`Self::read_many_async`]: every local key that
+    /// The read group of [`Self::read_keys`]: every local key that
     /// must fetch its record, up to the first one missing from its table
     /// (whose turn ends the reads), read as one group. Per key: its
     /// entry; `Err` with the member whose lock outlasted every retry; or
@@ -1780,7 +1761,7 @@ impl<'w> TxnCtx<'w> {
         out
     }
 
-    /// The two shared parks of [`Self::read_many_async`]: what they
+    /// The two shared parks of [`Self::read_keys`]: what they
     /// learned about each key, `None` where the sequential read needs no
     /// verb at its first step (local, own-written, already read, a
     /// repeat within `keys`) or where the batch settled
@@ -1941,17 +1922,17 @@ pub trait TxnApi {
 
 impl TxnApi for TxnCtx<'_> {
     fn read(&mut self, shard: usize, table: TableId, key: u64) -> TxnFut<'_, Vec<u8>> {
-        Box::pin(self.read_async(shard, table, key))
+        Box::pin(self.read_shard(shard, table, key))
     }
     fn read_many<'a>(
         &'a mut self,
         keys: &'a [(usize, TableId, u64)],
         head: usize,
     ) -> TxnFut<'a, Vec<Vec<u8>>> {
-        Box::pin(self.read_many_async(keys, head))
+        Box::pin(self.read_keys(keys, head))
     }
     fn write(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) -> TxnFut<'_, ()> {
-        Box::pin(self.write_async(shard, table, key, v))
+        Box::pin(self.write_shard(shard, table, key, v))
     }
     fn insert(&mut self, shard: usize, table: TableId, key: u64, v: Vec<u8>) {
         TxnCtx::insert(self, shard, table, key, v)
@@ -1967,7 +1948,7 @@ impl TxnApi for TxnCtx<'_> {
         limit: usize,
         head: usize,
     ) -> TxnFut<'_, Vec<(u64, Vec<u8>)>> {
-        Box::pin(self.scan_local_async(table, lo, hi, limit, head))
+        Box::pin(self.scan_group(table, lo, hi, limit, head))
     }
     fn last_local(
         &mut self,
@@ -1975,7 +1956,7 @@ impl TxnApi for TxnCtx<'_> {
         lo: u64,
         hi: u64,
     ) -> TxnFut<'_, Option<(u64, Vec<u8>)>> {
-        Box::pin(self.last_local_async(table, lo, hi))
+        Box::pin(self.last_read(table, lo, hi))
     }
 }
 
@@ -2067,7 +2048,7 @@ fn attempt_region(
     }
 }
 
-/// What [`TxnCtx::read_many_async`]'s shared parks learned about one
+/// What [`TxnCtx::read_keys`]'s shared parks learned about one
 /// remote key before its turn.
 struct Prefetch {
     /// The machine the verbs went to: the key's home when it was read

@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,9 +160,18 @@ struct ConnShared {
     pending: Mutex<HashMap<u64, Instant>>,
 }
 
+/// The next client run's number; ids below `1 << RUN_BITS` (run 0) are
+/// left to requests numbered by hand.
+static RUNS: AtomicU64 = AtomicU64::new(1);
+
 /// Drives one open-loop run against a server and collects the report.
+///
+/// Run `n` of a process numbers its requests from `n <<`
+/// [`trace::RUN_BITS`], so no two runs share a trace id. Separate
+/// processes (two `drtm-client`s) number alike, and theirs can collide.
 pub fn run_client(cfg: &ClientCfg) -> Result<ClientReport, proto::WireError> {
     assert!(cfg.conns >= 1, "need at least one connection");
+    let first_id = RUNS.fetch_add(1, Ordering::Relaxed) << trace::RUN_BITS;
     let schedule = if cfg.rate > 0.0 {
         Schedule::poisson(cfg.seed, cfg.rate, cfg.requests)
     } else {
@@ -260,7 +270,7 @@ pub fn run_client(cfg: &ClientCfg) -> Result<ClientReport, proto::WireError> {
             if due > now {
                 std::thread::sleep(due - now);
             }
-            let id = i as u64;
+            let id = first_id + i as u64;
             let conn = i % cfg.conns;
             let home = match &zipf {
                 Some(z) => z.sample(&mut rng) as usize,

@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 use drtm_base::stats::Counter;
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_core::cluster::{DrtmCluster, EngineOpts, MAX_REPLICAS};
+use drtm_core::txn::TxnApi;
 use drtm_core::{
     scrape_cluster, Admission, QueueGroup, RecoveryReport, RoutePolicy, RoutinePool, Worker,
 };
@@ -638,47 +639,41 @@ async fn execute_job(w: &mut Worker, job: Job, tele: &Telemetry) {
         trace::flow_step(job.trace, 0);
     }
     w.set_trace(job.trace);
-    let status = match &job.body {
+    let res = match &job.body {
         JobBody::SmallBank(inp) => {
-            let res = if inp.txn.read_only() {
-                w.run_ro_async(async |t| smallbank::execute(t, inp).await)
-                    .await
+            let body = async |t: &mut dyn TxnApi| smallbank::execute(t, inp).await;
+            if inp.txn.read_only() {
+                w.run_ro_async(body).await
             } else {
-                w.run_async(async |t| smallbank::execute(t, inp).await)
-                    .await
-            };
-            match res {
-                Ok(()) => Status::Committed,
-                Err(_) => Status::Aborted,
+                w.run_async(body).await
             }
         }
         JobBody::Raw(ops) => {
-            let res = w
-                .run_async(async |t| {
-                    for op in ops {
-                        match op {
-                            RawOp::Read { shard, table, key } => {
-                                t.read_async(*shard as usize, *table, *key).await?;
-                            }
-                            RawOp::Write {
-                                shard,
-                                table,
-                                key,
-                                value,
-                            } => {
-                                t.write_async(*shard as usize, *table, *key, value.clone())
-                                    .await?;
-                            }
+            w.run_async(async |t| {
+                for op in ops {
+                    match op {
+                        RawOp::Read { shard, table, key } => {
+                            t.read(*shard as usize, *table, *key).await?;
+                        }
+                        RawOp::Write {
+                            shard,
+                            table,
+                            key,
+                            value,
+                        } => {
+                            t.write(*shard as usize, *table, *key, value.clone())
+                                .await?;
                         }
                     }
-                    Ok(())
-                })
-                .await;
-            match res {
-                Ok(()) => Status::Committed,
-                Err(_) => Status::Aborted,
-            }
+                }
+                Ok(())
+            })
+            .await
         }
+    };
+    let status = match res {
+        Ok(()) => Status::Committed,
+        Err(_) => Status::Aborted,
     };
     w.set_trace(0);
     if job.trace != 0 {

@@ -523,9 +523,11 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
     })
     .expect("client run");
     assert!(report.committed > 0);
-    // Requests numbered from `OWN`, far above any other client's ids,
-    // carry trace ids that no concurrently running test shares.
-    const OWN: u64 = 1 << 40;
+    // Requests numbered by hand from `OWN`, below every client run's
+    // range (`trace::RUN_BITS`) and above the other hand-numbered
+    // tests' ids, carry trace ids that no concurrently running test
+    // shares.
+    const OWN: u64 = 1 << 30;
     let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
     proto::read_msg(&mut conn).expect("greeting");
     for id in OWN..OWN + 16 {
@@ -625,6 +627,65 @@ fn single_request_trace_links_client_queue_routine_and_phases() {
 /// sees it, so no client can panic the one engine thread. Each
 /// bad form closes its own connection; a second client is still
 /// served, and the drain conserves money.
+/// Two client runs in one process send under disjoint trace ids: each
+/// request of the second run opens exactly one queue span on the
+/// server. (Numbered from 0 by both runs, each id had two.)
+#[test]
+fn two_client_runs_never_share_a_trace_id() {
+    use drtm_obs::trace::{self, EvPhase, EventKind};
+
+    trace::set_sample_every(1);
+    let server = Server::start(ServerCfg {
+        nodes: 2,
+        accounts: 200,
+        replicas: 1,
+        routines: 2,
+        high_water: 256,
+        window: 64,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let cfg = ClientCfg {
+        addr: server.local_addr().to_string(),
+        rate: 5_000.0,
+        requests: 32,
+        seed: 29,
+        conns: 1,
+        zero_sum: true,
+        cross_prob: 0.2,
+        shard_skew: 0.0,
+    };
+    run_client(&cfg).expect("first run");
+    let between = trace::wall_ns();
+    let report = run_client(&cfg).expect("second run");
+    assert_eq!(report.sent, 32);
+    let _ = server.shutdown();
+
+    // The sender runs on this thread: its ring, found by a marker,
+    // holds the second run's client spans.
+    trace::event(EventKind::Net, "two-runs-marker", 0, 0);
+    let streams = trace::export_streams();
+    let mine = streams
+        .iter()
+        .find(|(_, evs)| evs.iter().any(|e| e.label == "two-runs-marker"))
+        .map(|(_, evs)| evs)
+        .expect("this thread's ring");
+    let second: Vec<u64> = mine
+        .iter()
+        .filter(|e| e.label == "client" && e.ph == EvPhase::Begin && e.wall_ns > between)
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(second.len(), 32, "one client span per request");
+    for id in second {
+        let queued = streams
+            .iter()
+            .flat_map(|(_, evs)| evs)
+            .filter(|e| e.id == id && e.label == "queue" && e.ph == EvPhase::Begin)
+            .count();
+        assert_eq!(queued, 1, "trace id {id}: queue Begin spans");
+    }
+}
+
 #[test]
 fn out_of_range_requests_drop_the_connection_and_spare_the_engine() {
     use drtm_net::proto::{self, Msg, RawOp};

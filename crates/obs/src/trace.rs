@@ -240,13 +240,19 @@ pub fn set_sample_every(n: u64) {
     SAMPLE_EVERY.store(n.max(1), Ordering::Relaxed);
 }
 
+/// A request id's low `RUN_BITS` bits count the requests of one client
+/// run from 0; the bits above tell the runs of one process apart, so
+/// that two runs never share a trace id.
+pub const RUN_BITS: u32 = 40;
+
 /// Deterministic head-sampling decision for a request id. Pure in
 /// (id, period), so the client that stamps the id and the server that
-/// decodes it reach the same verdict with no extra wire bit. Request
-/// ids count up from 0, so the very first request is always sampled.
+/// decodes it reach the same verdict with no extra wire bit. It reads
+/// the count within the run ([`RUN_BITS`]), so every run's first
+/// request is sampled, and one in `every` of the rest.
 pub fn head_sample(id: u64) -> bool {
     let every = sample_every();
-    every <= 1 || id.is_multiple_of(every)
+    every <= 1 || (id & ((1 << RUN_BITS) - 1)).is_multiple_of(every)
 }
 
 /// The trace id for a request id: `id + 1` when head-sampled (trace
@@ -664,6 +670,8 @@ mod tests {
         assert_eq!(trace_for(0), 1, "trace ids are non-zero");
         assert_eq!(trace_for(1), 0);
         assert_eq!(trace_for(8), 9);
+        // A later run's requests sample as the first run's do.
+        assert!(head_sample(3 << RUN_BITS) && !head_sample((3 << RUN_BITS) + 1));
         set_sample_every(1);
         assert!((0..10).all(head_sample), "period 1 traces everything");
         // Leave the period at the compile-time default for other tests.

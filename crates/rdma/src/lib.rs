@@ -19,7 +19,7 @@
 //!   protocol only ever *reads* lock words locally and both acquires and
 //!   releases them via RDMA CAS. The simulation physically provides
 //!   global atomicity; the paper's `IBV_ATOMIC_GLOB` optimisation (fusing
-//!   lock+validate into one CAS) is the engine's `fuse_lock_validate`
+//!   lock+validate into one CAS) is the engine's `LockTransport::Glob`
 //!   ablation.
 //! * **SEND** — two-sided messaging, used only where the paper uses it:
 //!   shipping inserts/deletes to the host machine and control traffic.

@@ -255,8 +255,8 @@ impl<W: Workload> Slot<'_, W> {
     async fn exec_txn(&self, w: &mut Worker, ro: bool, input: &W::Input) -> Result<(), TxnError> {
         let body = async |t: &mut dyn TxnApi| self.wl.execute(t, input).await;
         match self.run.engine {
-            EngineKind::DrtmR if ro => w.run_ro_async(async |t| body(t).await).await,
-            EngineKind::DrtmR => w.run_async(async |t| body(t).await).await,
+            EngineKind::DrtmR if ro => w.run_ro_async(body).await,
+            EngineKind::DrtmR => w.run_async(body).await,
             EngineKind::Drtm => drtm2pl::run(w, body).await,
             EngineKind::Calvin => self.calvin.expect("calvin engine").run(w, body).await,
         }

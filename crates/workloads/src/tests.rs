@@ -137,7 +137,7 @@ fn one_body_reads_the_same_on_every_engine() {
         let mut w = cluster.worker(0, 1);
         let body = async |t: &mut dyn TxnApi| probe(t).await;
         let out = match engine {
-            EngineKind::DrtmR => block_now(w.run_async(async |t| body(t).await)),
+            EngineKind::DrtmR => block_now(w.run_async(body)),
             EngineKind::Drtm => block_now(drtm_baselines::drtm2pl::run(&mut w, body)),
             EngineKind::Calvin => block_now(calvin.unwrap().run(&mut w, body)),
         };
@@ -380,7 +380,7 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
                     b,
                     amount: rng.range(1, 50),
                 };
-                let body = async |t: &mut drtm_core::TxnCtx<'_>| {
+                let body = async |t: &mut dyn drtm_core::txn::TxnApi| {
                     attempts.set(attempts.get() + 1);
                     smallbank::execute(t, &inp).await
                 };

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use drtm_base::task::block_now;
 use drtm_base::MemoryRegion;
-use drtm_core::{DrtmCluster, EngineOpts, TxnCtx, Worker};
+use drtm_core::txn::TxnApi;
+use drtm_core::{DrtmCluster, EngineOpts, Worker};
 use drtm_store::{Store, TableSpec};
 use drtm_workloads::smallbank::{self, SbCfg, SbInput, SbTxn, T_CHECKING};
 
@@ -153,7 +154,7 @@ fn replicated_send_payment_allocations_are_pinned() {
             b: (b.0, cfg.acct(b.0, b.1)),
             amount: 1,
         };
-        let body = async |t: &mut TxnCtx<'_>| smallbank::execute(t, &inp).await;
+        let body = async |t: &mut dyn TxnApi| smallbank::execute(t, &inp).await;
         block_now(worker.run_async(body)).expect("send-payment commits");
     };
     for (label, shard, pinned) in [("local", 0, LOCAL), ("distributed", 1, DISTRIBUTED)] {

@@ -9,8 +9,9 @@
 //!   remote write, which is exactly how the real hardware's cache coherence
 //!   makes a one-sided RDMA write abort a conflicting HTM transaction.
 //! * [`clock`] — the virtual-time infrastructure used by the benchmark
-//!   harness. The evaluation host has a single CPU core, so wall-clock
-//!   throughput is meaningless; every worker instead advances a private
+//!   harness. A host of a core or two cannot run a many-node,
+//!   many-thread cluster at its speed, so wall-clock throughput would
+//!   only measure the host; every worker instead advances a private
 //!   [`clock::VClock`] by charging operation costs from a
 //!   [`clock::CostModel`], and shared resources such as the NIC are modelled
 //!   as ledgers of virtual-time windows ([`link::LinkBudget`]).

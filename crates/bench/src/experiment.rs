@@ -758,6 +758,74 @@ fn run_loadcurve(size: Size) -> Result<Vec<Arm>, String> {
     Ok(arms.collect())
 }
 
+/// Every committed transaction of SmallBank and TPC-C on DrTM+R through
+/// the history checker (DESIGN.md "The history checker"): one worker a
+/// machine, one routine or eight, unreplicated on 2 machines and 3-way
+/// replicated on 3. Both workloads are contended on purpose — a hot
+/// quarter of 64 accounts a machine, half the payments and a tenth of
+/// the new-orders across machines — so the histories interleave.
+fn run_history(size: Size) -> Result<Vec<Arm>, String> {
+    let arms = [(1, 1), (8, 1), (1, 3), (8, 3)].map(|(routines, replicas)| {
+        let nodes = replicas.max(2);
+        let run = RunCfg {
+            threads: 1,
+            replicas,
+            txns_per_worker: size.n,
+            routines,
+            ..Default::default()
+        };
+        let sb = SbCfg {
+            nodes,
+            accounts: 64,
+            hot_fraction: 0.25,
+            cross_prob: 0.5,
+            ..Default::default()
+        };
+        let tpcc = TpccCfg {
+            cross_new_order: 0.1,
+            ..tpcc_cfg(QUICK, nodes, 1)
+        };
+        let label = match replicas {
+            1 => format!("r{routines}"),
+            _ => format!("r{routines}-x{replicas}"),
+        };
+        let mut arm = Arm::new(label);
+        checked_arm(&mut arm, "sb_", &sb, &run);
+        checked_arm(&mut arm, "tpcc_", &tpcc, &run);
+        arm
+    });
+    Ok(arms.into())
+}
+
+/// One closed-loop run of `wl` on a fresh cluster that records its
+/// history, recorded under `prefix`: the driver's end-to-end numbers,
+/// then the checker's verdict (`acyclic`; a violation is printed to
+/// stderr) and the graph's size.
+fn checked_arm<W: Workload>(arm: &mut Arm, prefix: &str, wl: &W, run: &RunCfg) {
+    let (cluster, _) = driver::build(wl, run, |_| {});
+    let history = cluster.record_history();
+    let m = driver::run_on(wl, run, &cluster, None);
+    arm.measured(prefix, &m);
+    let checked = history.check();
+    if let Err(v) = &checked {
+        eprintln!("history {} {prefix}(seed {}): {v}", arm.label, run.seed);
+    }
+    let graph = checked.as_ref().ok().copied().unwrap_or_default();
+    for (name, value) in [
+        ("acyclic", f64::from(u8::from(checked.is_ok()))),
+        ("recorded", history.len() as f64),
+        ("ww", graph.ww as f64),
+        ("wr", graph.wr as f64),
+        ("rw", graph.rw as f64),
+        ("rt", graph.rt as f64),
+        ("wr_cross", graph.wr_cross as f64),
+        ("rw_cross", graph.rw_cross as f64),
+    ] {
+        let unit = if name == "acyclic" { "bool" } else { "count" };
+        arm.push(format!("{prefix}{name}"), unit, value);
+    }
+}
+
 // ---- the table ---------------------------------------------------------
 
 /// `true` when `metric` never decreases from one arm to the next.
@@ -1012,6 +1080,35 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ),
             ("money is conserved after the drain", 1, |_, a| {
                 a.last().is_some_and(|p| p["conserved"] == 1.0)
+            }),
+        ],
+    },
+    Experiment {
+        name: "history",
+        about: "SmallBank and TPC-C histories through the checker: r1 / r8, unreplicated / 3-way",
+        default: Size::of(300),
+        run: run_history,
+        checks: &[
+            ("every arm commits, and its history holds every commit", 1, |_, a| {
+                let whole = |arm: &Arm, w: &str| {
+                    let committed = arm[&format!("{w}committed")];
+                    committed > 0.0 && arm[&format!("{w}recorded")] == committed
+                };
+                a.iter().all(|arm| whole(arm, "sb_") && whole(arm, "tpcc_"))
+            }),
+            ("every history is acyclic: strictly serializable", 1, |_, a| {
+                a.iter().all(|arm| arm["sb_acyclic"] == 1.0 && arm["tpcc_acyclic"] == 1.0)
+            }),
+            ("every graph has wr and rw edges between two workers", 1, |_, a| {
+                let cross = |arm: &Arm, w: &str| {
+                    arm[&format!("{w}wr_cross")] > 0.0 && arm[&format!("{w}rw_cross")] > 0.0
+                };
+                a.iter().all(|arm| cross(arm, "sb_") && cross(arm, "tpcc_"))
+            }),
+            ("the r8 arms abort: their histories interleave", 1, |_, a| {
+                let r8 = a.iter().filter(|arm| arm.label.starts_with("r8"));
+                r8.clone().count() == 2
+                    && r8.into_iter().all(|arm| arm["sb_abort_pct"] > 0.0 && arm["tpcc_abort_pct"] > 0.0)
             }),
         ],
     },

@@ -10,8 +10,9 @@
 //!   reconfiguration commits a new epoch that every survivor observes.
 //! * [`lease`] — per-node leases. A node's workers renew its lease; when
 //!   a lease expires the node is *suspected* and reconfiguration starts.
-//!   Leases run on host time, because the recovery experiment (Figure 20)
-//!   is a wall-clock timeline rather than a throughput measurement.
+//!   The board keeps no clock of its own: every call takes the caller's
+//!   virtual time, so a lease runs out at the same point of a simulated
+//!   run whatever the host does meanwhile.
 //! * [`log`] — the replication log transport. The paper writes redo
 //!   records into battery-backed memory on each backup with one-sided
 //!   RDMA WRITEs and lets auxiliary threads truncate them; here each

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use drtm_base::sync::{Mutex, RwLock};
 use drtm_base::{CostModel, MemoryRegion};
@@ -12,6 +12,7 @@ use drtm_rdma::{Fabric, FabricBuilder, NodeId};
 use drtm_store::{Store, TableSpec};
 
 use crate::contention::{ContentionPolicy, WaitRegistry};
+use crate::history::History;
 use crate::replication::{BackupRecord, BackupStore, ImageGuard};
 use crate::txn::Worker;
 
@@ -251,6 +252,10 @@ pub struct DrtmCluster {
     /// its address here, and every release of a lock word is counted
     /// here (DESIGN.md §15).
     pub waiters: WaitRegistry,
+    /// The history every committed DrTM+R transaction appends to, once
+    /// one is installed ([`Self::record_history`]); unset, a
+    /// transaction pays one `get` at its begin.
+    pub history: OnceLock<History>,
     /// Completed recoveries: `dead -> new_home`. Held for the duration
     /// of a [`crate::recovery::recover_node`] pass, which serializes
     /// concurrent recoveries of the same (or different) machines and
@@ -306,10 +311,18 @@ impl DrtmCluster {
             obs: drtm_obs::Registry::new(),
             opts,
             waiters: WaitRegistry::new(),
+            history: OnceLock::new(),
             recovered: Mutex::new(HashMap::new()),
             crash_hook: RwLock::new(None),
             crash_hook_set: AtomicBool::new(false),
         })
+    }
+
+    /// Installs a history, if none is yet, and returns it: every
+    /// transaction begun from now on is recorded when it commits
+    /// (`drtm_core::history`). Install it before the run.
+    pub fn record_history(&self) -> &History {
+        self.history.get_or_init(History::default)
     }
 
     /// Number of machines (dead or alive).

@@ -57,6 +57,7 @@ use drtm_obs::{EventKind, Phase};
 
 use crate::cluster::LockTransport;
 use crate::contention::{ConflictSite, ContentionPolicy};
+use crate::history::Version;
 use crate::txn::{
     record_read, AbortReason, Batch, RemoteRead, RemoteWrite, TxnCtx, TxnError, Worker,
 };
@@ -344,6 +345,9 @@ impl TxnCtx<'_> {
         let Err(e) = result else {
             pc.note(self.w);
             let kind = if self.read_only { "ro" } else { "rw" };
+            if self.begin_stamp != 0 {
+                self.record();
+            }
             self.w.note_commit(self.start_ns, kind);
             return result;
         };
@@ -482,6 +486,9 @@ impl TxnCtx<'_> {
             }
         }
         self.stage_done(pc, makeup)?;
+        if self.begin_stamp != 0 {
+            self.note_writes(&local_new_seqs, &remote_new_seqs);
+        }
 
         // C.5: write remote primaries. A machine that died mid-step stops
         // issuing WRITEs: its redo entries are durable, so the recovery
@@ -1473,8 +1480,11 @@ impl TxnCtx<'_> {
 
     /// Applies buffered inserts and deletes. Remote mutations are
     /// shipped to their host machine (SEND/RECV cost) and executed there.
+    /// A recorded transaction notes each insert's new incarnation and
+    /// each delete's ended one.
     fn apply_mutations(&mut self) {
         let cluster = Arc::clone(&self.w.cluster);
+        let recorded = self.begin_stamp != 0;
         for m in std::mem::take(&mut self.mutations) {
             // Logged mutations of a dead machine are recovery's to
             // install; a late insert could resurrect a key on a store
@@ -1489,14 +1499,22 @@ impl TxnCtx<'_> {
                     .charge_message(&mut self.w.clock, self.w.node, m.node, bytes);
             }
             let store = &cluster.stores[m.node];
+            let at = (m.table, m.key);
             match m.value {
                 Some(v) => {
                     // Duplicate keys indicate a workload bug (keys are
                     // drawn from counters held in the write set).
                     let inserted = store.insert(m.table, m.key, &v, 2);
                     debug_assert!(inserted.is_some(), "duplicate insert {}:{}", m.table, m.key);
+                    if let Some(off) = inserted.filter(|_| recorded) {
+                        self.note_install(m.node, at, off as usize, 2);
+                    }
                 }
                 None => {
+                    let live = recorded.then(|| store.get_loc(m.table, m.key)).flatten();
+                    if let Some(off) = live {
+                        self.note_install(m.node, at, off as usize, Version::ENDED);
+                    }
                     store.remove(m.table, m.key);
                 }
             }

@@ -38,6 +38,9 @@
 //!   every doorbell instead of spinning on the CQ, so independent
 //!   transactions' verb latencies overlap while their CPU segments stay
 //!   serialized on one simulated core.
+//! * [`history`] — recorded histories of committed transactions and
+//!   the one correctness check over them: strict serializability on a
+//!   direct serialization graph with real-time edges.
 //! * [`contention`] — adaptive contention management for hot keys
 //!   (DESIGN.md §15): a per-key conflict tracker drives a two-rung
 //!   escalation ladder from randomized backoff to pessimistic C.1
@@ -49,6 +52,7 @@
 pub mod cluster;
 pub mod commit;
 pub mod contention;
+pub mod history;
 pub mod obs_bridge;
 pub mod recovery;
 pub mod replication;

@@ -5,6 +5,7 @@
 //! cluster, holds and hooks from here.
 
 mod commit_walk;
+mod history;
 mod props;
 mod read_only;
 mod read_path;

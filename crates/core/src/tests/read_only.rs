@@ -282,6 +282,7 @@ fn one_record_reads_are_linearizable() {
     const WRITERS: usize = 2;
     const COUNTERS: [(usize, u64); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
     let c = setup(2).seed(0..2, 0..2, 0).build();
+    let history = c.record_history();
     let published: Vec<AtomicU64> = COUNTERS.iter().map(|_| AtomicU64::new(0)).collect();
     let stop = AtomicBool::new(false);
     // Threads 0 and 1 write; thread 2 runs the readers' pool.
@@ -327,6 +328,7 @@ fn one_record_reads_are_linearizable() {
         // (counter, floor before, last seen, read, floor after)
         assert_eq!(*bad, None);
     }
+    history.check().unwrap_or_else(|v| panic!("{v}"));
 }
 
 /// Local read groups are one snapshot. Writers on both machines move 1
@@ -343,6 +345,7 @@ fn local_read_groups_are_one_snapshot() {
     const SUM: u64 = 2_000;
     let (x, y) = (key(0, 0), key(0, 1));
     let c = setup(2).seed(0..1, 0..2, SUM / 2).build();
+    let history = c.record_history();
     let (stop, moves) = (AtomicBool::new(false), AtomicU64::new(0));
     // Threads 0 and 1 write; thread 2 runs the readers' pool once both
     // have moved.
@@ -395,6 +398,7 @@ fn local_read_groups_are_one_snapshot() {
     assert_eq!(*torn, [], "torn pairs committed");
     assert!(*unvalidated > 0, "no commit skipped the validation pass");
     assert_eq!(value(&c, 0, 0) + value(&c, 0, 1), SUM);
+    history.check().unwrap_or_else(|v| panic!("{v}"));
 }
 
 /// Two machines: [`setup`]'s accounts, and keys 0..40 of [`T_ORD`] on

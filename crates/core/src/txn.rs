@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
@@ -25,6 +26,7 @@ use drtm_store::{LocationCache, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy, Watch};
+use crate::history::{self, Version};
 use crate::routine::{DstBatch, Reactor, RoutineCtl};
 
 /// Why a transaction could not commit.
@@ -122,12 +124,18 @@ pub struct WorkerStats {
     pub latency: Histogram,
 }
 
+/// The number the next [`Worker`] gets.
+static WORKERS: AtomicU64 = AtomicU64::new(0);
+
 /// One worker thread bound to a machine.
 pub struct Worker {
     /// The cluster this worker runs in.
     pub cluster: Arc<DrtmCluster>,
     /// The machine this worker executes on.
     pub node: NodeId,
+    /// This worker's number, unique in the process: it names the worker
+    /// in a recorded history.
+    pub(crate) id: u64,
     /// The worker's private virtual clock.
     pub clock: VClock,
     /// The worker's RNG stream: back-offs and HTM's spurious aborts.
@@ -324,6 +332,11 @@ pub struct TxnCtx<'w> {
     /// (`read_region`). Closed — dropped — before a verb is posted, at a
     /// group's failed attempt and when the next group would overflow it.
     pub(crate) region: Option<ReadSet>,
+    /// The begin stamp of a transaction the cluster's history records
+    /// (`drtm_core::history`); 0 when it records none.
+    pub(crate) begin_stamp: u64,
+    /// What a recorded transaction's commit walk installed.
+    pub(crate) installed: Vec<Version>,
 }
 
 impl Worker {
@@ -335,6 +348,7 @@ impl Worker {
         Self {
             cluster,
             node,
+            id: WORKERS.fetch_add(1, Ordering::Relaxed),
             clock: VClock::new(),
             rng: SplitMix64::new(seed ^ (node as u64) << 32),
             stats: WorkerStats::default(),
@@ -674,7 +688,10 @@ impl Worker {
             self.trace_id,
             self.clock.now(),
         );
-        self.txn_ctx(read_only)
+        let stamp = self.cluster.history.get().map_or(0, |_| history::stamp());
+        let mut ctx = self.txn_ctx(read_only);
+        ctx.begin_stamp = stamp;
+        ctx
     }
 
     /// A transaction context beginning now.
@@ -693,6 +710,8 @@ impl Worker {
             mutations: Vec::new(),
             snapshots: 0,
             region: None,
+            begin_stamp: 0,
+            installed: Vec::new(),
             w: self,
         }
     }

@@ -88,7 +88,7 @@ impl Default for RunCfg {
 }
 
 /// Per-transaction-type results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeStats {
     /// Committed count across all workers.
     pub count: u64,
@@ -107,7 +107,7 @@ pub struct TypeStats {
 }
 
 /// Aggregated results of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Total committed transactions.
     pub committed: u64,

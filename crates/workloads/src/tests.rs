@@ -1117,3 +1117,44 @@ fn a_voted_out_machine_stops_its_driver_slots() {
         smallbank::initial_total(&sb)
     );
 }
+
+/// Recording a history observes and changes nothing. One SmallBank and
+/// one TPC-C run at routines 8 on two machines, same seed, once with a
+/// history installed and once without, measure the same to the bit:
+/// commits, aborts, throughput and every type's latency quantiles. The
+/// recorded history holds every commit and is serializable.
+#[test]
+fn recording_a_history_changes_no_measurement() {
+    use crate::driver::{build, run_on, Measurement, Workload};
+    use drtm_core::history::Graph;
+
+    fn measure<W: Workload>(wl: &W, record: bool) -> (Measurement, Option<Graph>) {
+        let run = RunCfg {
+            routines: 8,
+            ..quick_run(EngineKind::DrtmR, 1, 200)
+        };
+        let (cluster, _) = build(wl, &run, |_| {});
+        let history = record.then(|| cluster.record_history());
+        let m = run_on(wl, &run, &cluster, None);
+        let graph = history.map(|h| h.check().unwrap_or_else(|v| panic!("{v}")));
+        (m, graph)
+    }
+    fn same<W: Workload>(wl: &W) {
+        let (off, _) = measure(wl, false);
+        let (on, graph) = measure(wl, true);
+        assert_eq!(on, off);
+        let graph = graph.expect("a recorded run");
+        assert_eq!(graph.txns as u64, on.committed);
+        assert!(
+            on.aborted > 0 && graph.wr_cross > 0 && graph.rw_cross > 0,
+            "{on:?} {graph:?}"
+        );
+    }
+    same(&SbCfg {
+        nodes: 2,
+        accounts: 64,
+        cross_prob: 0.5,
+        ..Default::default()
+    });
+    same(&quick_tpcc(2));
+}

@@ -7,6 +7,10 @@
 //! [`CostModel`]. Shared resources (the per-node NIC) are modelled in the
 //! same virtual time by [`crate::link::LinkBudget`].
 //!
+//! Every charge names its [`Cause`] — a `CostModel` term, or what the
+//! worker waited on — and the clock keeps one sum per cause, so a
+//! worker's time splits by what it was spent on ([`Ledger`]).
+//!
 //! Throughput is then `committed transactions / elapsed virtual time`. A
 //! closed-loop run steps every worker slot on one drive loop in
 //! virtual-time order (`drtm_core::routine`): its conflicts and aborts
@@ -20,12 +24,116 @@
 //! and IPoIB messaging (used by the Calvin baseline) is an order of
 //! magnitude slower again.
 
-/// A private virtual-time clock, in nanoseconds.
+/// Declares [`Cause`], its ledger order ([`Cause::ALL`]) and its report
+/// names from one list.
+macro_rules! causes {
+    ($($(#[$doc:meta])* $cause:ident => $name:literal,)*) => {
+        /// Why a clock moved: one CPU kind per [`CostModel`] term the
+        /// engines charge, then one wait kind per thing a worker waits
+        /// on. Every [`VClock::advance`] and [`VClock::advance_to`]
+        /// names one, so a worker's virtual time splits into what it was
+        /// spent on ([`Ledger`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Cause {
+            $($(#[$doc])* $cause,)*
+        }
+
+        impl Cause {
+            /// Every cause, in ledger order: the CPU kinds, then the
+            /// waits.
+            pub const ALL: [Cause; Cause::COUNT] = [$(Cause::$cause),*];
+
+            /// The cause's report name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Cause::$cause => $name,)*
+                }
+            }
+        }
+    };
+}
+
+causes! {
+    /// Per-transaction bookkeeping (`txn_overhead_ns`).
+    TxnOverhead => "txn_overhead",
+    /// Application logic per record (`record_logic_ns`).
+    RecordLogic => "record_logic",
+    /// Local memory touched, per cache line (`mem_access_ns`).
+    MemAccess => "mem_access",
+    /// Local lock-word CASes (`local_cas_ns`).
+    LocalCas => "local_cas",
+    /// Entering HTM regions (`htm_begin_ns`).
+    HtmBegin => "htm_begin",
+    /// Committing HTM regions (`htm_commit_ns`).
+    HtmCommit => "htm_commit",
+    /// Cache lines an HTM commit tracks (`htm_per_line_ns`).
+    HtmLine => "htm_line",
+    /// Ringing doorbells (`doorbell_ns`).
+    Doorbell => "doorbell",
+    /// Two-sided SEND/RECV messages (`msg_ns`), their injected delays
+    /// and NIC backlog included.
+    Message => "message",
+    /// IPoIB round trips (`ipoib_rtt_ns`): Calvin's sequencing and
+    /// result forwarding.
+    Ipoib => "ipoib",
+    /// Randomised back-off before a retry.
+    Backoff => "backoff",
+    /// Waiting for one-sided verbs to complete.
+    VerbWait => "verb_wait",
+    /// R.1's log WRITEs held back past their latency by a NIC budget
+    /// (bytes or verbs per second) in deficit.
+    NicBudget => "nic_budget",
+    /// Waiting for R.1's log WRITEs to land on the backups.
+    LogFlush => "log_flush",
+    /// Waiting for a lock another transaction holds, Calvin's lock
+    /// service included.
+    LockWait => "lock_wait",
+    /// The core held by a sibling routine of the same pool.
+    Sibling => "sibling",
+    /// An idle serve routine waiting for a request.
+    Admission => "admission",
+}
+
+impl Cause {
+    /// How many causes there are.
+    pub const COUNT: usize = Cause::Admission as usize + 1;
+}
+
+/// Virtual nanoseconds spent, per [`Cause`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ledger([u64; Cause::COUNT]);
+
+impl Ledger {
+    /// Nanoseconds spent on `cause`.
+    #[inline]
+    pub fn get(&self, cause: Cause) -> u64 {
+        self.0[cause as usize]
+    }
+
+    /// Nanoseconds spent on every cause together.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+}
+
+impl std::ops::AddAssign<&Ledger> for Ledger {
+    fn add_assign(&mut self, other: &Ledger) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
+
+/// A private virtual-time clock, in nanoseconds, and what it was spent
+/// on.
 ///
 /// Workers advance the clock explicitly; it never reads the host clock.
+/// Each advance names its [`Cause`], so [`Self::spent`] always totals
+/// [`Self::now`].
 #[derive(Debug, Clone, Default)]
 pub struct VClock {
     now_ns: u64,
+    spent: Ledger,
 }
 
 impl VClock {
@@ -40,18 +148,25 @@ impl VClock {
         self.now_ns
     }
 
-    /// Advances the clock by `ns` nanoseconds.
+    /// What the clock's time was spent on.
+    pub fn spent(&self) -> &Ledger {
+        &self.spent
+    }
+
+    /// Advances the clock by `ns` nanoseconds spent on `cause`.
     #[inline]
-    pub fn advance(&mut self, ns: u64) {
+    pub fn advance(&mut self, ns: u64, cause: Cause) {
         self.now_ns += ns;
+        self.spent.0[cause as usize] += ns;
     }
 
     /// Advances the clock to `t` if `t` is in the future (used after
-    /// waiting on a shared resource whose grant time may exceed `now`).
+    /// waiting on a shared resource whose grant time may exceed `now`),
+    /// the jump spent on `cause`.
     #[inline]
-    pub fn advance_to(&mut self, t: u64) {
+    pub fn advance_to(&mut self, t: u64, cause: Cause) {
         if t > self.now_ns {
-            self.now_ns = t;
+            self.advance(t - self.now_ns, cause);
         }
     }
 }
@@ -168,12 +283,25 @@ mod tests {
     fn clock_advances() {
         let mut c = VClock::new();
         assert_eq!(c.now(), 0);
-        c.advance(10);
+        c.advance(10, Cause::Doorbell);
         assert_eq!(c.now(), 10);
-        c.advance_to(5);
+        c.advance_to(5, Cause::VerbWait);
         assert_eq!(c.now(), 10, "advance_to never goes backwards");
-        c.advance_to(50);
+        c.advance_to(50, Cause::VerbWait);
         assert_eq!(c.now(), 50);
+        let spent = c.spent();
+        assert_eq!(
+            (spent.get(Cause::Doorbell), spent.get(Cause::VerbWait)),
+            (10, 40)
+        );
+        assert_eq!(spent.total(), c.now());
+    }
+
+    #[test]
+    fn causes_are_listed_once_in_ledger_order() {
+        for (i, c) in Cause::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{}", c.name());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   many-thread cluster at its speed, so wall-clock throughput would
 //!   only measure the host; every worker instead advances a private
 //!   [`clock::VClock`] by charging operation costs from a
-//!   [`clock::CostModel`], and shared resources such as the NIC are modelled
+//!   [`clock::CostModel`], each charge under its [`clock::Cause`], and shared resources such as the NIC are modelled
 //!   as ledgers of virtual-time windows ([`link::LinkBudget`]).
 //! * [`stats`] — cheap concurrent counters and a log-scale latency histogram.
 //! * [`rng`] — a small deterministic PRNG so experiments are reproducible.
@@ -33,7 +33,7 @@ pub use cacheline::{
     line_range,
     CACHE_LINE, //
 };
-pub use clock::{CostModel, VClock};
+pub use clock::{Cause, CostModel, Ledger, VClock};
 pub use link::LinkBudget;
 pub use region::MemoryRegion;
 pub use rng::SplitMix64;

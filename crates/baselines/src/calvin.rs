@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use drtm_base::sync::Mutex;
 use drtm_base::task::block_now;
-use drtm_base::{LinkBudget, VClock};
+use drtm_base::{Cause, LinkBudget, VClock};
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::{TxnApi, TxnError, TxnFut, Worker};
 use drtm_rdma::NodeId;
@@ -83,7 +83,7 @@ impl CalvinEngine {
         let start = w.clock.now();
 
         // Sequencing: ship the request to the sequencer over IPoIB.
-        w.clock.advance(cost.ipoib_rtt_ns);
+        w.clock.advance(cost.ipoib_rtt_ns, Cause::Ipoib);
 
         // Oracle pass: Calvin requires the read/write sets up front.
         let mut oracle = OracleCtx::new(Arc::clone(&self.cluster), w.node);
@@ -107,7 +107,7 @@ impl CalvinEngine {
         // home machine's single-threaded manager.
         for &(node, _) in &addrs {
             let t = self.lock_mgr[node].reserve(w.clock.now(), 1);
-            w.clock.advance_to(t);
+            w.clock.advance_to(t, Cause::LockWait);
         }
 
         // Actual mutual exclusion (ordered acquisition; waiting models
@@ -164,7 +164,7 @@ impl CalvinCtx<'_> {
     fn charge_remote(&mut self, home: NodeId) {
         if home != self.node && self.charged.insert(home) {
             self.clock
-                .advance(self.engine.cluster.opts.cost.ipoib_rtt_ns);
+                .advance(self.engine.cluster.opts.cost.ipoib_rtt_ns, Cause::Ipoib);
         }
     }
 }
@@ -174,7 +174,8 @@ impl CalvinCtx<'_> {
 impl TxnApi for CalvinCtx<'_> {
     /// The reads one by one, each charging `mem_access_ns` once per
     /// record, however many of its lines hold the `head` bytes
-    /// returned.
+    /// returned, and no `record_logic_ns` (EXPERIMENTS.md, "Known
+    /// deviations").
     fn read_many<'a>(
         &'a mut self,
         keys: &'a [(usize, TableId, u64)],
@@ -188,8 +189,10 @@ impl TxnApi for CalvinCtx<'_> {
                 let store = &self.engine.cluster.stores[home];
                 let off = store.get_loc(table, key).ok_or(TxnError::NotFound)? as usize;
                 values.push(value_head(store, table, off, head));
-                self.clock
-                    .advance(self.engine.cluster.opts.cost.mem_access_ns);
+                self.clock.advance(
+                    self.engine.cluster.opts.cost.mem_access_ns,
+                    Cause::MemAccess,
+                );
             }
             Ok(values)
         })
@@ -204,8 +207,10 @@ impl TxnApi for CalvinCtx<'_> {
             let rec = store.record(table, off);
             let seq = rec.seq();
             rec.write_locked(&value, seq + 2);
-            self.clock
-                .advance(self.engine.cluster.opts.cost.mem_access_ns);
+            self.clock.advance(
+                self.engine.cluster.opts.cost.mem_access_ns,
+                Cause::MemAccess,
+            );
             Ok(())
         })
     }
@@ -216,18 +221,23 @@ impl TxnApi for CalvinCtx<'_> {
         let home = self.engine.cluster.home_of(shard);
         self.charge_remote(home);
         self.engine.cluster.stores[home].insert(table, key, &value, 2);
-        self.clock
-            .advance(self.engine.cluster.opts.cost.record_logic_ns);
+        self.clock.advance(
+            self.engine.cluster.opts.cost.record_logic_ns,
+            Cause::RecordLogic,
+        );
     }
 
     fn delete(&mut self, shard: usize, table: TableId, key: u64) {
         let home = self.engine.cluster.home_of(shard);
         self.charge_remote(home);
         self.engine.cluster.stores[home].remove(table, key);
-        self.clock
-            .advance(self.engine.cluster.opts.cost.record_logic_ns);
+        self.clock.advance(
+            self.engine.cluster.opts.cost.record_logic_ns,
+            Cause::RecordLogic,
+        );
     }
 
+    /// Charges nothing per hit (EXPERIMENTS.md, "Known deviations").
     fn scan_local(
         &mut self,
         table: TableId,

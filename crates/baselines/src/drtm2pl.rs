@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
+use drtm_base::Cause;
 use drtm_core::cluster::DrtmCluster;
 use drtm_core::txn::{AbortReason, TxnApi, TxnError, TxnFut, Worker};
 use drtm_htm::{AbortCode, HtmTxn, RunOutcome};
@@ -180,7 +181,8 @@ pub async fn run<R>(
     w: &mut Worker,
     mut body: impl AsyncFnMut(&mut dyn TxnApi) -> Result<R, TxnError>,
 ) -> Result<R, TxnError> {
-    w.clock.advance(w.cluster.opts.cost.txn_overhead_ns / 2);
+    w.clock
+        .advance(w.cluster.opts.cost.txn_overhead_ns / 2, Cause::TxnOverhead);
     let start = w.clock.now();
     loop {
         match attempt(w, &mut body).await {
@@ -194,7 +196,7 @@ pub async fn run<R>(
                     return Err(e);
                 };
                 let ns = w.rng.below(4_000);
-                w.pause(ns).await;
+                w.pause(ns, Cause::Backoff).await;
             }
         }
     }
@@ -262,9 +264,8 @@ async fn attempt<R>(
             t.release_locks().await;
             // DrTM's slow path re-runs under locking; modelled as an
             // abort + retry with an extra locking toll.
-            t.worker()
-                .clock
-                .advance(cost.rdma_atomic_ns * (sets.reads.len() as u64 + 1));
+            let toll = cost.rdma_atomic_ns * (sets.reads.len() as u64 + 1);
+            t.worker().clock.advance(toll, Cause::LockWait);
             return Err(TxnError::Aborted(AbortReason::Fallback));
         }
     };
@@ -275,12 +276,20 @@ async fn attempt<R>(
     // DrTM+R pays (one `record_logic_ns` per record, however often it
     // is read and written), minus DrTM+R's per-read HTM region and
     // buffer maintenance (its "generality cost"). Repeated per retry.
-    let per_attempt = cost.htm_begin_ns
-        + cost.htm_commit_ns
-        + out.local_lines * (cost.htm_per_line_ns + cost.mem_access_ns)
-        + sets.distinct_records() as u64 * cost.record_logic_ns;
+    // Its inserts and deletes pay no `record_logic_ns`, where DrTM+R's
+    // pay one each (EXPERIMENTS.md, "Known deviations").
+    let (attempts, lines) = (retries as u64 + 1, out.local_lines);
+    let records = sets.distinct_records() as u64;
     let w = t.worker();
-    w.clock.advance(per_attempt * (retries as u64 + 1));
+    let clock = &mut w.clock;
+    clock.advance(attempts * cost.htm_begin_ns, Cause::HtmBegin);
+    clock.advance(attempts * cost.htm_commit_ns, Cause::HtmCommit);
+    clock.advance(attempts * lines * cost.htm_per_line_ns, Cause::HtmLine);
+    clock.advance(attempts * lines * cost.mem_access_ns, Cause::MemAccess);
+    clock.advance(
+        attempts * records * cost.record_logic_ns,
+        Cause::RecordLogic,
+    );
 
     // Apply inserts/deletes, each shipped to its home machine.
     for (dst, table, key, val) in &out.mutations {

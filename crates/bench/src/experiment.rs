@@ -15,6 +15,7 @@
 //! are rows too — their arms are the x-axis points, their metrics the
 //! series; the run functions live in [`crate::figures`].
 
+use drtm_base::Cause;
 use drtm_core::{scrape_cluster, ContentionPolicy, EngineOpts, RoutePolicy};
 use drtm_net::{
     run_client, scrape, ClientCfg, ClientReport, Drained, ScrapeFormat, Server, ServerCfg,
@@ -826,6 +827,45 @@ fn checked_arm<W: Workload>(arm: &mut Arm, prefix: &str, wl: &W, run: &RunCfg) {
     }
 }
 
+/// Where a committed transaction's virtual time goes, by cause
+/// (DESIGN.md "The time ledger"): fig10's one-machine TPC-C point on
+/// each engine, and SmallBank 3-way replicated on DrTM+R at 8 threads a
+/// machine, where the paper's NIC saturates — so R.1's log flush and
+/// the NIC budget's backlog show.
+fn run_causes(size: Size) -> Result<Vec<Arm>, String> {
+    let scale = size.scale();
+    let threads = scale.pick(8, 2);
+    let tpcc = tpcc_cfg(scale, 1, threads);
+    let mut arms: Vec<Arm> = [
+        ("drtm+r", EngineKind::DrtmR),
+        ("drtm", EngineKind::Drtm),
+        ("calvin", EngineKind::Calvin),
+    ]
+    .into_iter()
+    .map(|(label, engine)| {
+        let (_, m) = driver::run(&tpcc, &size.run(engine, threads, 1), |_| {});
+        ledger_arm(label, &m)
+    })
+    .collect();
+    let sb = sb_cfg(scale, 3, 0.01);
+    let (_, m) = driver::run(&sb, &size.run(EngineKind::DrtmR, 8, 3), |_| {});
+    arms.push(ledger_arm("sb-drtm+r=3", &m));
+    Ok(arms)
+}
+
+/// An arm of `m`'s end-to-end numbers, then its workers' virtual time
+/// per committed transaction: in all, and by cause.
+fn ledger_arm(label: &str, m: &Measurement) -> Arm {
+    let mut arm = Arm::new(label);
+    arm.measured("", m);
+    let per_txn = |ns: u64| ns as f64 / m.committed.max(1) as f64;
+    arm.push("total", "ns", per_txn(m.spent.total()));
+    for cause in Cause::ALL {
+        arm.push(cause.name(), "ns", per_txn(m.spent.get(cause)));
+    }
+    arm
+}
+
 // ---- the table ---------------------------------------------------------
 
 /// `true` when `metric` never decreases from one arm to the next.
@@ -1110,6 +1150,37 @@ pub static EXPERIMENTS: &[Experiment] = &[
                 r8.clone().count() == 2
                     && r8.into_iter().all(|arm| arm["sb_abort_pct"] > 0.0 && arm["tpcc_abort_pct"] > 0.0)
             }),
+        ],
+    },
+    Experiment {
+        name: "causes",
+        about: "ns per committed txn by cause: TPC-C on one machine x 3 engines, 3-way SmallBank",
+        default: Size::of(120),
+        run: run_causes,
+        checks: &[
+            (
+                "DrTM charges its inserts and deletes no record logic: DrTM+R's record logic exceeds DrTM's by Calvin's (which charges it for inserts and deletes alone) within 5 %",
+                1,
+                |_, a| {
+                    let [r, d, c] = [0, 1, 2].map(|i| a[i]["record_logic"]);
+                    c > 0.0 && ((r - d) - c).abs() <= 0.05 * c
+                },
+            ),
+            (
+                "Calvin spends most of its time in IPoIB round trips and its lock service",
+                1,
+                |_, a| a[2]["ipoib"] + a[2]["lock_wait"] > 0.5 * a[2]["total"],
+            ),
+            (
+                "DrTM+R's generality costs HTM regions: more XBEGINs per txn than DrTM's one",
+                1,
+                |_, a| a[0]["htm_begin"] > a[1]["htm_begin"],
+            ),
+            (
+                "3-way replicated SmallBank waits on its log flush and on the NIC's budget",
+                1,
+                |_, a| a[3]["log_flush"] > 0.0 && a[3]["nic_budget"] > 0.0,
+            ),
         ],
     },
     // ---- the paper's evaluation (§7); run functions in `figures` ------

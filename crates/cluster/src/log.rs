@@ -13,7 +13,7 @@
 //! lands as a copy and readers borrow [`LogEntryRef`] views out of it.
 
 use drtm_base::sync::{Mutex, RwLock};
-use drtm_base::{CostModel, LinkBudget, VClock, CACHE_LINE};
+use drtm_base::{Cause, CostModel, LinkBudget, VClock, CACHE_LINE};
 use drtm_rdma::NodeId;
 
 use crate::ConfigService;
@@ -162,7 +162,7 @@ impl ReplLogStore {
         entries: &[LogEntry<impl AsRef<[u8]>>],
     ) {
         let done = self.post(clock.now(), cost, nics, primary, primary, backup, entries);
-        clock.advance_to(done);
+        clock.advance_to(done, Cause::LogFlush);
     }
 
     /// Runs one transaction's R.1 appends atomically with respect to
@@ -336,7 +336,7 @@ mod tests {
         let done = s.post(500, &cost, (&a, &b), 0, 0, 1, &batch);
         assert_eq!(done, 500 + cost.rdma_write(batch[0].wire_size()));
         let mut clock = VClock::new();
-        clock.advance(500);
+        clock.advance(500, Cause::TxnOverhead);
         s.append(&mut clock, &cost, (&a, &b), 0, 1, &batch);
         assert_eq!(clock.now(), done, "append = post + wait");
         assert_eq!(s.len(1, 0), 2);

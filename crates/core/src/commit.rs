@@ -27,11 +27,13 @@
 //! * **C.3 + C.4** one HTM region validates the local read set, checks
 //!   that no remote committer locked a local write-set record, and
 //!   applies the buffered local writes. With replication on, the new
-//!   sequence numbers are *odd*: visible but uncommittable.
+//!   sequence numbers are *odd*: visible but uncommittable; without,
+//!   the buffered inserts and deletes install beside the writes.
 //! * **R.1** append redo records to the non-volatile logs of every
 //!   written record's backups (outside HTM — the race this would
 //!   otherwise open is closed by the odd/even protocol).
-//! * **R.2** "makeup": flip local primaries to *even* (committable).
+//! * **R.2** "makeup": flip local primaries to *even* (committable),
+//!   then install the inserts and deletes R.1 logged beside them.
 //! * **C.5** write remote primaries (even sequence numbers) with RDMA
 //!   WRITEs, every written machine's in one park.
 //! * **C.6** unlock everything with RDMA CAS. With one written machine
@@ -43,7 +45,7 @@
 
 use std::sync::Arc;
 
-use drtm_base::MemoryRegion;
+use drtm_base::{Cause, MemoryRegion, VClock};
 use drtm_cluster::{LogEntry, LogEntryRef};
 use drtm_htm::RunOutcome;
 use drtm_rdma::{NodeId, VerbError, WorkCompletion, WorkRequest, WrResult};
@@ -160,13 +162,21 @@ fn header_at(region: &MemoryRegion, off: usize) -> RecordHeader {
     }
 }
 
-/// Lap clock over the commit phases of one transaction: each lap adds
-/// the virtual time since the previous one — and how much of it was
-/// verb wait (doorbell to batch horizon), the wait/occupied split the
-/// pipeline metrics expose — to its phase, so a phase entered twice
-/// (the HTM attempt, then the [`Mode::Locked`] re-entry) accumulates
-/// and the phases always sum to the transaction's latency.
-struct PhaseClock {
+/// The verb wait `clock` has spent: one-sided verbs' completions, and
+/// R.1's log WRITEs' (NIC backlog included) — the wait a sibling
+/// routine can hide.
+fn verb_wait(clock: &VClock) -> u64 {
+    let spent = clock.spent();
+    spent.get(Cause::VerbWait) + spent.get(Cause::LogFlush) + spent.get(Cause::NicBudget)
+}
+
+/// Lap clock over the phases of one transaction: each lap adds the
+/// virtual time since the previous one — and how much of it was verb
+/// wait, the wait/occupied split the pipeline metrics expose — to its
+/// phase, so a phase entered twice (the HTM attempt, then the
+/// [`Mode::Locked`] re-entry) accumulates and the phases always sum to
+/// the transaction's latency.
+pub(crate) struct PhaseClock {
     mark: u64,
     wait_mark: u64,
     wall_mark: u64,
@@ -177,12 +187,13 @@ struct PhaseClock {
 }
 
 impl PhaseClock {
-    /// A clock whose first lap starts where the transaction began.
-    fn start(txn: &TxnCtx<'_>) -> Self {
+    /// A clock whose first lap starts now on `w`: a transaction's
+    /// begin.
+    pub(crate) fn new(w: &Worker) -> Self {
         Self {
-            mark: txn.start_ns,
-            wait_mark: txn.start_wait_ns,
-            wall_mark: txn.w.trace_wall_ns,
+            mark: w.clock.now(),
+            wait_mark: verb_wait(&w.clock),
+            wall_mark: w.trace_wall_ns,
             ns: [0; Phase::COUNT],
             wait_ns: [0; Phase::COUNT],
             lapped: [false; Phase::COUNT],
@@ -199,8 +210,9 @@ impl PhaseClock {
         self.ns[phase.index()] += span;
         self.lapped[phase.index()] = true;
         self.mark = now;
-        self.wait_ns[phase.index()] += w.wait_accum_ns.saturating_sub(self.wait_mark);
-        self.wait_mark = w.wait_accum_ns;
+        let wait = verb_wait(&w.clock);
+        self.wait_ns[phase.index()] += wait - self.wait_mark;
+        self.wait_mark = wait;
         if w.trace_id != 0 {
             let wall = drtm_obs::trace::wall_ns();
             drtm_obs::trace::span_complete(
@@ -294,8 +306,8 @@ impl TxnCtx<'_> {
     }
 
     /// Closes a stage: laps its phase span, then fires its probe.
-    fn stage_done(&mut self, pc: &mut PhaseClock, stage: &Stage) -> Result<(), TxnError> {
-        pc.lap(self.w, stage.phase);
+    fn stage_done(&mut self, stage: &Stage) -> Result<(), TxnError> {
+        self.pc.lap(self.w, stage.phase);
         self.probe(stage.probe)
     }
 
@@ -324,8 +336,7 @@ impl TxnCtx<'_> {
     /// are updated; on `Err(TxnError::Aborted(_))` the abort counter is
     /// updated and the caller may retry with a fresh execution.
     pub async fn commit_async(mut self) -> Result<(), TxnError> {
-        let mut pc = PhaseClock::start(&self);
-        pc.lap(self.w, Phase::Execute);
+        self.pc.lap(self.w, Phase::Execute);
         let mut mode = if self.read_only {
             Mode::ReadOnly
         } else if self.w.force_pessimistic {
@@ -334,7 +345,7 @@ impl TxnCtx<'_> {
             Mode::Htm
         };
         let result = loop {
-            match self.commit_walk(mode, &mut pc).await {
+            match self.commit_walk(mode).await {
                 Ok(false) => {
                     self.w.note_fallback();
                     mode = Mode::Locked;
@@ -343,7 +354,7 @@ impl TxnCtx<'_> {
             }
         };
         let Err(e) = result else {
-            pc.note(self.w);
+            self.pc.note(self.w);
             let kind = if self.read_only { "ro" } else { "rw" };
             if self.begin_stamp != 0 {
                 self.record();
@@ -386,7 +397,7 @@ impl TxnCtx<'_> {
     /// means the HTM gave up with every lock released again, and the
     /// caller re-enters in [`Mode::Locked`]. A read-only walk skips the
     /// lock row and stops after the validate row and the fence.
-    async fn commit_walk(&mut self, mode: Mode, pc: &mut PhaseClock) -> Result<bool, TxnError> {
+    async fn commit_walk(&mut self, mode: Mode) -> Result<bool, TxnError> {
         let cluster = Arc::clone(&self.w.cluster);
         let [lock, validate, apply, log, makeup, update, unlock] = &STAGES;
 
@@ -401,7 +412,7 @@ impl TxnCtx<'_> {
         if mode != Mode::ReadOnly {
             locks = self.lock_addrs(mode);
             peeked = self.lock_set(&locks, mode).await?;
-            self.stage_done(pc, lock)?;
+            self.stage_done(lock)?;
         }
 
         // C.2: validate remote reads — every read of a read-only
@@ -414,7 +425,7 @@ impl TxnCtx<'_> {
                 return Err(e);
             }
         };
-        self.stage_done(pc, validate)?;
+        self.stage_done(validate)?;
 
         // `lock_all` fenced each lock *target*; this covers the
         // committing machine and the configuration it began under.
@@ -447,16 +458,20 @@ impl TxnCtx<'_> {
             Err(()) => {
                 // HTM retries exhausted: the fallback handler takes over
                 // with the remote locks already released (§6.1).
-                pc.lap(self.w, apply.phase);
+                self.pc.lap(self.w, apply.phase);
                 self.unlock_all(&locks).await;
-                pc.lap(self.w, unlock.phase);
+                self.pc.lap(self.w, unlock.phase);
                 return Ok(false);
             }
         };
+        // Unreplicated, the local writes are committed-visible from C.4.
+        if !replicated {
+            self.publish(&local_new_seqs, &remote_new_seqs);
+        }
         // A crash here leaves local writes applied but unlogged: odd
         // sequence numbers under replication — never reported committed,
         // and recovery rolls them back.
-        self.stage_done(pc, apply)?;
+        self.stage_done(apply)?;
 
         // R.1: redo records to every written record's backups. The
         // append is fenced: if a recovery pass committed a new
@@ -475,20 +490,22 @@ impl TxnCtx<'_> {
         }
         // A crash here leaves the logs durable on the backups but the
         // local primaries still odd: recovery rolls them *forward*.
-        self.stage_done(pc, log)?;
+        self.stage_done(log)?;
 
         // R.2: makeup — flip local primaries to even (committable).
         if replicated {
             let store = &cluster.stores[self.w.node];
             for (e, &new_seq) in self.l_ws.iter().zip(&local_new_seqs) {
                 store.record(e.table, e.rec_off).set_seq(new_seq + 1);
-                self.w.clock.advance(cluster.opts.cost.mem_access_ns);
+                self.w
+                    .clock
+                    .advance(cluster.opts.cost.mem_access_ns, Cause::MemAccess);
             }
+            // The local writes are committed-visible from here, and R.1
+            // logged the inserts and deletes.
+            self.publish(&local_new_seqs, &remote_new_seqs);
         }
-        self.stage_done(pc, makeup)?;
-        if self.begin_stamp != 0 {
-            self.note_writes(&local_new_seqs, &remote_new_seqs);
-        }
+        self.stage_done(makeup)?;
 
         // C.5: write remote primaries. A machine that died mid-step stops
         // issuing WRITEs: its redo entries are durable, so the recovery
@@ -497,18 +514,17 @@ impl TxnCtx<'_> {
         // sweep healed and released the record.
         let still_locked = self.remote_update(&remote_new_seqs, &locks).await?;
 
-        // Inserts and deletes become visible only now, after validation
-        // and logging — part of C.5, and timed as such.
-        self.apply_mutations();
+        // The installs' CPU and messages are timed as part of C.5.
+        self.charge_mutations();
 
         // The transaction reports committed here; what C.5's doorbells
         // did not release, C.6 does after. A crash at C.5 is therefore
         // a *committed* transaction whose remaining locks dangle until
         // a survivor releases them passively.
-        self.stage_done(pc, update)?;
+        self.stage_done(update)?;
 
         self.unlock_all(&still_locked).await;
-        self.stage_done(pc, unlock)?;
+        self.stage_done(unlock)?;
         Ok(true)
     }
 
@@ -1132,7 +1148,9 @@ impl TxnCtx<'_> {
             let cluster = Arc::clone(&self.w.cluster);
             let region = &cluster.stores[self.w.node].region;
             for e in &self.l_rs {
-                self.w.clock.advance(cluster.opts.cost.mem_access_ns);
+                self.w
+                    .clock
+                    .advance(cluster.opts.cost.mem_access_ns, Cause::MemAccess);
                 let now = header_at(region, e.rec_off);
                 check_read((e.incarnation, e.seq), now, mode).map_err(TxnError::Aborted)?;
             }
@@ -1243,13 +1261,16 @@ impl TxnCtx<'_> {
                 }
             })
             .sum();
-        let per_attempt = cost.htm_begin_ns
-            + cost.htm_commit_ns
-            + (l_rs.len() as u64 + write_lines) * cost.htm_per_line_ns;
+        let lines = l_rs.len() as u64 + write_lines;
+        let charge = |clock: &mut VClock, attempts: u64| {
+            clock.advance(attempts * cost.htm_begin_ns, Cause::HtmBegin);
+            clock.advance(attempts * cost.htm_commit_ns, Cause::HtmCommit);
+            clock.advance(attempts * lines * cost.htm_per_line_ns, Cause::HtmLine);
+        };
 
         match outcome {
             RunOutcome::Committed { value, retries } => {
-                self.w.clock.advance(per_attempt * (retries as u64 + 1));
+                charge(&mut self.w.clock, retries as u64 + 1);
                 Ok(match value {
                     Ok(seqs) => Ok(seqs),
                     Err((reason, busy_idx)) => {
@@ -1264,7 +1285,7 @@ impl TxnCtx<'_> {
             }
             RunOutcome::Fallback(_) => {
                 let max = cluster.opts.htm.max_retries as u64 + 1;
-                self.w.clock.advance(per_attempt * max);
+                charge(&mut self.w.clock, max);
                 Err(())
             }
         }
@@ -1299,8 +1320,11 @@ impl TxnCtx<'_> {
             store.record(e.table, e.rec_off).write_locked(&e.buf, seq);
         }
         let cost = &cluster.opts.cost;
-        self.w.clock.advance(
-            cost.local_cas_ns * locked as u64 + cost.mem_access_ns * self.l_ws.len() as u64,
+        let clock = &mut self.w.clock;
+        clock.advance(cost.local_cas_ns * locked as u64, Cause::LocalCas);
+        clock.advance(
+            cost.mem_access_ns * self.l_ws.len() as u64,
+            Cause::MemAccess,
         );
         Ok(new_seqs)
     }
@@ -1336,11 +1360,7 @@ impl TxnCtx<'_> {
         let cluster = Arc::clone(&self.w.cluster);
         let me = self.w.node;
         let nodes = cluster.nodes();
-        let before = self.w.clock.now();
-        // CPU the appends consume (doorbell charges, the loopback
-        // store); everything else in the span is NIC/NVRAM latency a
-        // routine can hide.
-        let mut cpu_ns: u64 = 0;
+        let before = verb_wait(&self.w.clock);
         let ok = {
             // Local writes were applied at the odd `s`; the logged (and
             // made-up) sequence number is the even successor.
@@ -1374,7 +1394,9 @@ impl TxnCtx<'_> {
                 }
                 let src = cluster.fabric.port(me);
                 let loopback = std::mem::take(&mut by_backup[me]);
-                let mut horizon = clock.now();
+                // The latest WRITE's ack at its latency alone, and with
+                // the NIC budgets' backlog.
+                let (mut flushed, mut horizon) = (clock.now(), clock.now());
                 for (b, batches) in by_backup.iter().enumerate() {
                     if batches.is_empty() {
                         continue;
@@ -1385,8 +1407,7 @@ impl TxnCtx<'_> {
                     // this backup is one doorbell charged to the core,
                     // and its `i`-th WRITE issues `i` pipeline slots
                     // past the charge; counted on the destination port.
-                    clock.advance(cost.doorbell_ns);
-                    cpu_ns += cost.doorbell_ns;
+                    clock.advance(cost.doorbell_ns, Cause::Doorbell);
                     dst.stats().doorbells.inc();
                     let base = clock.now();
                     for (i, &(p, batch)) in batches.iter().enumerate() {
@@ -1397,27 +1418,25 @@ impl TxnCtx<'_> {
                             .post(issue, cost, (src.nic(), dst.nic()), me, p, b, batch)
                             .max(src.nic_ops().reserve(issue, 1))
                             .max(dst.nic_ops().reserve(issue, 1));
+                        let bytes = LogEntry::batch_wire_size(batch);
                         dst.stats().writes.inc();
-                        dst.stats()
-                            .bytes
-                            .add(LogEntry::batch_wire_size(batch) as u64);
+                        dst.stats().bytes.add(bytes as u64);
+                        flushed = flushed.max(issue + cost.rdma_write(bytes));
                         horizon = horizon.max(done);
                     }
                 }
                 for (p, batch) in loopback {
                     let issue = clock.now();
                     let done = logs.post(issue, cost, (src.nic(), src.nic()), me, p, me, batch);
-                    cpu_ns += done - issue;
-                    clock.advance_to(done);
+                    clock.advance_to(done, Cause::MemAccess);
                 }
-                clock.advance_to(horizon);
+                clock.advance_to(flushed, Cause::LogFlush);
+                clock.advance_to(horizon, Cause::NicBudget);
             })
         };
         // One collapsed yield over the slowest ack: the CPU charges are
-        // spent up front and the remainder of the span is hideable
-        // latency.
-        let span = self.w.clock.now().saturating_sub(before);
-        let wait = span.saturating_sub(cpu_ns);
+        // spent up front and the fan-out's wait is hideable latency.
+        let wait = verb_wait(&self.w.clock) - before;
         let release = self.w.clock.now() - wait;
         self.w.yield_remote_wait(release).await;
         ok
@@ -1474,21 +1493,63 @@ impl TxnCtx<'_> {
                 store.region.store64_coherent(rec_off, LOCK_FREE);
                 cluster.waiters.release((me, rec_off));
             }
-            self.w.clock.advance(cluster.opts.cost.mem_access_ns);
+            self.w
+                .clock
+                .advance(cluster.opts.cost.mem_access_ns, Cause::MemAccess);
         }
     }
 
-    /// Applies buffered inserts and deletes. Remote mutations are
-    /// shipped to their host machine (SEND/RECV cost) and executed there.
-    /// A recorded transaction notes each insert's new incarnation and
-    /// each delete's ended one.
-    fn apply_mutations(&mut self) {
-        let cluster = Arc::clone(&self.w.cluster);
+    /// Where the walk's local writes become committed-visible — after
+    /// C.4 unreplicated, after R.2's makeup replicated (R.1 logged the
+    /// mutations) — installs the buffered inserts and deletes beside
+    /// them, so a reader of the committer's machine sees a
+    /// transaction's rows with its writes or neither. A recorded
+    /// transaction notes its writes, each insert's new incarnation and
+    /// each delete's ended one. What the installs cost is charged after
+    /// C.5 ([`Self::charge_mutations`]).
+    fn publish(&mut self, local_new_seqs: &[u64], remote_new_seqs: &[u64]) {
         let recorded = self.begin_stamp != 0;
-        for m in std::mem::take(&mut self.mutations) {
+        if recorded {
+            self.note_writes(local_new_seqs, remote_new_seqs);
+        }
+        let cluster = Arc::clone(&self.w.cluster);
+        for i in 0..self.mutations.len() {
             // Logged mutations of a dead machine are recovery's to
             // install; a late insert could resurrect a key on a store
             // someone else now owns.
+            if !cluster.is_alive(self.w.node) {
+                return;
+            }
+            let m = &self.mutations[i];
+            let (node, at) = (m.node, (m.table, m.key));
+            let store = &cluster.stores[node];
+            match &m.value {
+                Some(v) => {
+                    // Duplicate keys indicate a workload bug (keys are
+                    // drawn from counters held in the write set).
+                    let inserted = store.insert(at.0, at.1, v, 2);
+                    debug_assert!(inserted.is_some(), "duplicate insert {}:{}", at.0, at.1);
+                    if let Some(off) = inserted.filter(|_| recorded) {
+                        self.note_install(node, at, off as usize, 2);
+                    }
+                }
+                None => {
+                    let live = recorded.then(|| store.get_loc(at.0, at.1)).flatten();
+                    if let Some(off) = live {
+                        self.note_install(node, at, off as usize, Version::ENDED);
+                    }
+                    store.remove(at.0, at.1);
+                }
+            }
+        }
+    }
+
+    /// Charges the installed inserts and deletes, timed as part of C.5:
+    /// a remote one's SEND/RECV to its host machine, and each one's
+    /// record logic.
+    fn charge_mutations(&mut self) {
+        let cluster = Arc::clone(&self.w.cluster);
+        for m in std::mem::take(&mut self.mutations) {
             if !cluster.is_alive(self.w.node) {
                 return;
             }
@@ -1498,27 +1559,9 @@ impl TxnCtx<'_> {
                     .fabric
                     .charge_message(&mut self.w.clock, self.w.node, m.node, bytes);
             }
-            let store = &cluster.stores[m.node];
-            let at = (m.table, m.key);
-            match m.value {
-                Some(v) => {
-                    // Duplicate keys indicate a workload bug (keys are
-                    // drawn from counters held in the write set).
-                    let inserted = store.insert(m.table, m.key, &v, 2);
-                    debug_assert!(inserted.is_some(), "duplicate insert {}:{}", m.table, m.key);
-                    if let Some(off) = inserted.filter(|_| recorded) {
-                        self.note_install(m.node, at, off as usize, 2);
-                    }
-                }
-                None => {
-                    let live = recorded.then(|| store.get_loc(m.table, m.key)).flatten();
-                    if let Some(off) = live {
-                        self.note_install(m.node, at, off as usize, Version::ENDED);
-                    }
-                    store.remove(m.table, m.key);
-                }
-            }
-            self.w.clock.advance(cluster.opts.cost.record_logic_ns);
+            self.w
+                .clock
+                .advance(cluster.opts.cost.record_logic_ns, Cause::RecordLogic);
         }
     }
 }

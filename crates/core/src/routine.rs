@@ -113,7 +113,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use drtm_base::clock::{CostModel, VClock};
+use drtm_base::clock::{Cause, CostModel, VClock};
 use drtm_base::stats::{Counter, Histogram};
 use drtm_base::sync::{Condvar, Mutex};
 use drtm_rdma::{Cq, Fabric, NodeId, PostedWr, Qp};
@@ -210,6 +210,26 @@ pub(crate) struct Grant {
     /// clock right after its batch's doorbell charge. Wait attribution
     /// (`wake - release`) matches the pre-flush accounting exactly.
     pub(crate) release: u64,
+    /// For flush parks, the instant the shared flush began ringing:
+    /// from there to `release` the core rang doorbells. For yield parks
+    /// it equals `release`.
+    pub(crate) ring: u64,
+}
+
+impl Grant {
+    /// Moves `clock` over the grant's jump, each slice under its cause:
+    /// up to `ring` a sibling routine held the core (the flush was
+    /// deferred), up to `release` the core rang the flush's doorbells,
+    /// up to `wake` it waited for the verbs, and up to `resume_at` a
+    /// sibling held it again. A slice already behind the clock — a
+    /// yield park's, whose caller charged its wait inline — moves
+    /// nothing.
+    pub(crate) fn resume(&self, clock: &mut VClock) {
+        clock.advance_to(self.ring, Cause::Sibling);
+        clock.advance_to(self.release, Cause::Doorbell);
+        clock.advance_to(self.wake, Cause::VerbWait);
+        clock.advance_to(self.resume_at, Cause::Sibling);
+    }
 }
 
 /// Shared reactor state, guarded by the reactor mutex. The mutex is
@@ -229,6 +249,9 @@ struct ReactorState {
     /// Per-routine CPU-idle instant of the last wait (indexed by id);
     /// flush parks learn theirs only when the reactor rings.
     release: Vec<u64>,
+    /// Per-routine instant the flush that carried the last park began
+    /// ringing (indexed by id): [`Grant::ring`].
+    ring: Vec<u64>,
     /// Whether each waiting routine's park is a spin retry (indexed by
     /// id). Spinners are perpetually runnable at the CPU frontier and
     /// must not hold back a deferred-doorbell flush.
@@ -281,6 +304,7 @@ impl ReactorState {
             waiting: Vec::with_capacity(total),
             pending: Vec::new(),
             release: vec![0; total],
+            ring: vec![0; total],
             spin: vec![false; total],
             committing: vec![false; total],
             idle: Vec::new(),
@@ -312,6 +336,7 @@ impl ReactorState {
             Park::Initial { id, wake } => {
                 self.unregistered -= 1;
                 self.release[id] = wake;
+                self.ring[id] = wake;
                 self.spin[id] = false;
                 self.waiting.push((id, wake));
             }
@@ -323,6 +348,7 @@ impl ReactorState {
             } => {
                 self.end_segment(cpu_release);
                 self.release[id] = cpu_release;
+                self.ring[id] = cpu_release;
                 self.spin[id] = spin;
                 self.waiting.push((id, wake));
             }
@@ -380,6 +406,7 @@ impl ReactorState {
             depth,
             wake,
             release: self.release[id],
+            ring: self.ring[id],
         };
         Some(id)
     }
@@ -617,8 +644,9 @@ impl Reactor {
     fn flush(&self, s: &mut ReactorState) {
         let mut parks = std::mem::take(&mut s.pending);
         debug_assert!(!parks.is_empty(), "flush with nothing pending");
-        let mut clk = VClock::new();
-        clk.advance_to(s.cpu_now);
+        // A scratch clock of the pool's core: only its time is read.
+        let (mut clk, ring) = (VClock::new(), s.cpu_now);
+        clk.advance_to(ring, Cause::Sibling);
         // One doorbell per (src, dst): edges in first-post order (park
         // order, then each park's own batch order) and park order
         // within each — the deterministic issue order. A batch still
@@ -653,6 +681,7 @@ impl Reactor {
             });
             let wake = horizons.max().map_or(p.release, |h| h.max(p.release));
             s.release[p.id] = p.release;
+            s.ring[p.id] = ring;
             s.spin[p.id] = false;
             s.waiting.push((p.id, wake));
         }
@@ -1307,7 +1336,7 @@ async fn routine<T>(
         },
     );
     let grant = reactor.park_initial(id, w.clock.now()).await;
-    w.clock.advance_to(grant.resume_at);
+    grant.resume(&mut w.clock);
     let out = body(&mut w).await;
     w.routine = solo;
     (w, out)
@@ -1514,7 +1543,7 @@ impl RoutinePool {
                             state: NextJob::Start,
                         }
                         .await;
-                        w.clock.advance_to(resume_at);
+                        w.clock.advance_to(resume_at, Cause::Admission);
                         match popped {
                             Some(item) => handler(pool, id, w, item).await,
                             None => break, // closed and drained

@@ -17,6 +17,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
+use drtm_base::Cause;
 use drtm_rdma::{Fault, FaultInjector, NicSnapshot, NodeId, Verb};
 use drtm_store::TableSpec;
 
@@ -267,6 +268,18 @@ fn drop_if(lost: bool) -> Fault {
 /// written at C.5. It is held at the first passage of the probe,
 /// released when `during` returns, and must then commit.
 fn hold_at<R>(c: &Arc<DrtmCluster>, stage: &Stage, during: impl FnOnce() -> R) -> R {
+    let add = |w: &mut Worker| add_one(w, &[(0, 0), (1, 0)], || {});
+    hold_with(c, stage, add, during)
+}
+
+/// [`hold_at`] holding `commit`, a transaction on a worker of machine 0,
+/// in place of its committer.
+fn hold_with<R>(
+    c: &Arc<DrtmCluster>,
+    stage: &Stage,
+    commit: impl FnOnce(&mut Worker) -> Result<(), TxnError> + Send,
+    during: impl FnOnce() -> R,
+) -> R {
     let (held, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
     let (point, first) = (stage.probe, AtomicBool::new(true));
     on_probe(c, {
@@ -280,7 +293,7 @@ fn hold_at<R>(c: &Arc<DrtmCluster>, stage: &Stage, during: impl FnOnce() -> R) -
         }
     });
     let out = std::thread::scope(|s| {
-        let committer = s.spawn(|| add_one(&mut c.worker(0, 1), &[(0, 0), (1, 0)], || {}));
+        let committer = s.spawn(|| commit(&mut c.worker(0, 1)));
         held.wait();
         // Released even if `during` panics, or the scope would wait on
         // the held committer forever.

@@ -164,7 +164,7 @@ fn run_schedule(ops: Vec<Op>, replicas: usize, spurious: f64, routines: usize) {
     RoutinePool::run(workers, async |id, w| {
         for (i, op) in ops.iter().enumerate().skip(id).step_by(routines) {
             while turn.get() != i {
-                w.pause(200).await;
+                w.pause(200, Cause::Backoff).await;
             }
             apply_op(w, op, &model).await;
             turn.set(i + 1);

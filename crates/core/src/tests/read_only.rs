@@ -401,18 +401,68 @@ fn local_read_groups_are_one_snapshot() {
     history.check().unwrap_or_else(|v| panic!("{v}"));
 }
 
+/// [`setup`]'s accounts and an ordered [`T_ORD`] of 100-byte values.
+fn accounts_and_orders_schema() -> [TableSpec; 2] {
+    [
+        TableSpec::hash(T_ACCT, 4096, 16),
+        TableSpec::ordered(T_ORD, 100),
+    ]
+}
+
 /// Two machines: [`setup`]'s accounts, and keys 0..40 of [`T_ORD`] on
 /// machine 0.
 fn accounts_and_orders() -> Arc<DrtmCluster> {
-    let schema = [
-        TableSpec::hash(T_ACCT, 4096, 16),
-        TableSpec::ordered(T_ORD, 100),
-    ];
-    let c = setup(2).schema(&schema).build();
+    let c = setup(2).schema(&accounts_and_orders_schema()).build();
     for k in 0..40u64 {
         c.seed_record(0, T_ORD, k, &[k as u8; 100]);
     }
     c
+}
+
+/// A commit's inserts become visible with its local writes: after C.4
+/// unreplicated, after R.2's makeup replicated. A committer on machine
+/// 0 adds 1 to the local counter `key(0, 0)`, inserts key 100 into the
+/// ordered [`T_ORD`] and writes `key(1, 0)` on machine 1; held at every
+/// probe, a read-only transaction on machine 0 that reads the counter
+/// and scans the table commits with both changes or neither. (Before
+/// the inserts joined the writes, it committed `(101, no row)` at the
+/// probe where the writes become visible.)
+#[test]
+fn a_reader_sees_a_commits_rows_with_its_writes() {
+    for replicas in [1, 2] {
+        let mut seen = Vec::new();
+        for stage in &STAGES {
+            let c = setup(2)
+                .schema(&accounts_and_orders_schema())
+                .replicas(replicas)
+                .build();
+            let commit = |w: &mut Worker| {
+                w.run(|t| {
+                    let v = num(&t.read(0, T_ACCT, key(0, 0))?);
+                    t.write(0, T_ACCT, key(0, 0), val(v + 1))?;
+                    t.insert(0, T_ORD, 100, vec![7; 100]);
+                    t.write(1, T_ACCT, key(1, 0), val(v + 1))
+                })
+            };
+            let read = hold_with(&c, stage, commit, || {
+                let mut r = c.worker(0, 2);
+                let mut t = r.begin_ro();
+                let counter = t.read(0, T_ACCT, key(0, 0)).map(|v| num(&v));
+                let rows = t.scan_local(T_ORD, 90, 110, usize::MAX, usize::MAX);
+                let (counter, rows) = (counter.ok()?, rows.ok()?.len());
+                t.commit().ok().map(|()| (counter, rows))
+            });
+            let at = (replicas, stage.probe);
+            if let Some(read) = read {
+                assert!(read == (100, 0) || read == (101, 1), "{at:?}: {read:?}");
+                seen.push(read);
+            }
+        }
+        assert!(
+            seen.contains(&(100, 0)) && seen.contains(&(101, 1)),
+            "{replicas}: {seen:?}"
+        );
+    }
 }
 
 /// One HTM region (DESIGN.md "Read-only txns"): a read-only
@@ -494,7 +544,7 @@ fn one_region_closes_at_capacity_a_back_off_and_a_verb() {
                 let workers = (0..2u64)
                     .map(|id| {
                         let mut w = c.worker(0, 5 + id);
-                        w.clock.advance(id * 100_000);
+                        w.clock.advance(id * 100_000, Cause::RecordLogic);
                         w
                     })
                     .collect();
@@ -636,7 +686,7 @@ fn a_longer_re_read_extends_the_entry_or_aborts() {
         let workers = (0..2u64)
             .map(|id| {
                 let mut w = c.worker(0, 5 + id);
-                w.clock.advance(id * 100_000);
+                w.clock.advance(id * 100_000, Cause::RecordLogic);
                 w
             })
             .collect();
@@ -653,7 +703,7 @@ fn a_longer_re_read_extends_the_entry_or_aborts() {
             let key = [(0, T_TWO, 2)];
             let head = TxnApi::read_many(&mut t, &key, 8).await;
             // The sibling, 100 µs later, runs inside this wait.
-            t.w.pause(200_000).await;
+            t.w.pause(200_000, Cause::Backoff).await;
             let whole = TxnApi::read_many(&mut t, &key, usize::MAX).await;
             let again = TxnApi::read_many(&mut t, &key, 48).await;
             let entry = t.l_rs.iter().map(|e| e.value.len()).collect::<Vec<_>>();

@@ -430,7 +430,7 @@ fn a_locked_group_member_backs_off_then_reads_or_aborts_on_it() {
     let workers = (0..2u64)
         .map(|id| {
             let mut w = c.worker(0, 5 + id);
-            w.clock.advance(id * 100_000);
+            w.clock.advance(id * 100_000, Cause::RecordLogic);
             w
         })
         .collect();

@@ -162,7 +162,7 @@ fn r1_on_a_quiet_nic_ignores_a_clock_running_ahead() {
         let c = cluster(3, 3);
         if ahead {
             let mut w = c.worker(1, 2);
-            w.clock.advance(2_000_000);
+            w.clock.advance(2_000_000, Cause::RecordLogic);
             w.run(|t| t.write(1, T_ACCT, key(1, 1), val(7))).unwrap();
         }
         let before = log_sum(&c);

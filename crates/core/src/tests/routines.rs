@@ -336,7 +336,7 @@ fn lock_holder_resumes_ahead_of_landed_execution_reads() {
             let read = drtm_rdma::WorkRequest::Read { raddr: 0, len: 64 };
             w.ring(1, vec![read], 1).await;
             log.lock().unwrap().push(["", "r1", "r2"][id]);
-            w.clock.advance(4_000);
+            w.clock.advance(4_000, Cause::RecordLogic);
         }
         Ok(())
     });
@@ -392,7 +392,7 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
     // Routine 1 starts late enough that its first READ is still in
     // flight when routine 0 parks C.1 (so that batch rings at once),
     // then computes across the instant C.1 lands.
-    workers[1].clock.advance(1_500);
+    workers[1].clock.advance(1_500, Cause::RecordLogic);
     let nic = Nic::new(&c);
     let done = RoutinePool::run(workers, async |id, w| {
         if id == 0 {
@@ -406,7 +406,7 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
         }
         let mut t = w.begin_ro();
         TxnApi::read(&mut t, 1, T_ACCT, key(1, 8)).await?;
-        t.w.clock.advance(3_000);
+        t.w.clock.advance(3_000, Cause::RecordLogic);
         armed.store(true, Ordering::SeqCst);
         let v = num(&TxnApi::read(&mut t, 1, T_ACCT, key(1, 9)).await?);
         t.commit_async().await.map(|()| v)
@@ -472,8 +472,8 @@ fn dropped_image_is_reposted_on_the_reactor_so_a_sibling_runs() {
         }
         while done.get().is_none() {
             starts.lock().unwrap().push(w.clock.now());
-            w.clock.advance(200);
-            w.pause(0).await;
+            w.clock.advance(200, Cause::RecordLogic);
+            w.pause(0, Cause::Backoff).await;
         }
     });
     let log = tap.0.lock().unwrap().clone();
@@ -1114,7 +1114,7 @@ fn release_between_lost_cas_and_wait_ends_the_wait() {
     let out = RoutinePool::run(workers, async |id, w| {
         if id == 1 {
             while cases.load(Ordering::SeqCst) < 2 {
-                w.pause(100).await;
+                w.pause(100, Cause::Backoff).await;
             }
             c.stores[1].region.store64_coherent(off, LOCK_FREE);
             c.waiters.release((1, off));

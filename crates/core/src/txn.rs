@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
-use drtm_base::{Histogram, SplitMix64, VClock};
+use drtm_base::{Cause, Histogram, SplitMix64, VClock};
 use drtm_htm::{HtmConfig, HtmTxn, ReadSet};
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, VerbError, WorkCompletion, WorkRequest, WrResult};
@@ -25,6 +25,7 @@ use drtm_store::record::{parse_consistent, RecordLayout, LOCK_FREE};
 use drtm_store::{LocationCache, RemoteProbe, Store, TableId, PROBE_LINE_BYTES};
 
 use crate::cluster::DrtmCluster;
+use crate::commit::PhaseClock;
 use crate::contention::{self, ConflictSite, ConflictTracker, ContentionPolicy, Watch};
 use crate::history::{self, Version};
 use crate::routine::{DstBatch, Reactor, RoutineCtl};
@@ -149,10 +150,6 @@ pub struct Worker {
     /// own reactor of one, or — while it runs inside a
     /// [`crate::routine::RoutinePool`] — the pool's.
     pub(crate) routine: RoutineCtl,
-    /// Cumulative virtual ns this worker spent waiting on verb
-    /// completions (doorbell to batch horizon). The commit path laps
-    /// it for the per-phase wait/occupied split.
-    pub(crate) wait_accum_ns: u64,
     /// Trace id of the request currently executing on this worker
     /// (0 = untraced). Set by the serving tier for head-sampled
     /// requests so the commit path can tag its phase spans.
@@ -305,9 +302,9 @@ impl Keyed for GroupMember {
 pub struct TxnCtx<'w> {
     pub(crate) w: &'w mut Worker,
     pub(crate) start_ns: u64,
-    /// The worker's verb-wait accumulator at begin, so commit can
-    /// attribute execution-phase waits to the `Execute` span.
-    pub(crate) start_wait_ns: u64,
+    /// The commit phases' lap clock, its first lap (`Execute`) running
+    /// from begin.
+    pub(crate) pc: PhaseClock,
     /// Configuration epoch at begin, `None` when this machine was not a
     /// member of it. The commit walk's fence compares against it: a
     /// reconfiguration mid-transaction aborts the transaction rather
@@ -354,7 +351,6 @@ impl Worker {
             stats: WorkerStats::default(),
             obs,
             routine,
-            wait_accum_ns: 0,
             trace_id: 0,
             trace_wall_ns: 0,
             tracker: ConflictTracker::new(),
@@ -410,10 +406,9 @@ impl Worker {
         let grant = reactor
             .flush_wait(id, self.node, batches, self.clock.now())
             .await;
-        self.clock.advance_to(grant.resume_at);
+        grant.resume(&mut self.clock);
         let wait = grant.wake.saturating_sub(grant.release);
         if wait > 0 {
-            self.wait_accum_ns += wait;
             self.obs
                 .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
             self.obs
@@ -615,10 +610,9 @@ impl Worker {
         if wait == 0 {
             return;
         }
-        self.wait_accum_ns += wait;
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let grant = reactor.yield_wait(id, wake - wait, wake).await;
-        self.clock.advance_to(grant.resume_at);
+        grant.resume(&mut self.clock);
         self.obs
             .note_verb_wait(wait, wait.saturating_sub(grant.idle_ns));
         self.obs
@@ -626,7 +620,7 @@ impl Worker {
     }
 
     /// The one wait on another worker (back-offs, and each poll of
-    /// [`Self::wait_release`]): spends `ns` of virtual time and
+    /// [`Self::wait_release`]): spends `ns` of virtual time on `cause` and
     /// spin-parks the routine, so another routine of the same pool,
     /// possibly the holder, gets to run — without the park a spinner
     /// could starve the pool forever — and, on the one loop, so the
@@ -634,16 +628,16 @@ impl Worker {
     /// now earlier in virtual time, runs and releases. The clock jumps
     /// over any CPU time other routines of the pool consume meanwhile
     /// (none on a reactor of one).
-    pub async fn pause(&mut self, ns: u64) {
+    pub async fn pause(&mut self, ns: u64, cause: Cause) {
         debug_assert!(
             !drtm_htm::region_active(),
             "yields must never run inside an HTM region"
         );
-        self.clock.advance(ns);
+        self.clock.advance(ns, cause);
         let (reactor, id) = (Arc::clone(&self.routine.reactor), self.routine.id);
         let now = self.clock.now();
         let grant = reactor.spin_wait(id, now).await;
-        self.clock.advance_to(grant.resume_at);
+        grant.resume(&mut self.clock);
         self.obs
             .note_reactor(grant.depth, grant.resume_at.saturating_sub(now));
     }
@@ -677,7 +671,7 @@ impl Worker {
 
     fn begin_inner(&mut self, read_only: bool) -> TxnCtx<'_> {
         let cost = self.cluster.opts.cost.txn_overhead_ns;
-        self.clock.advance(cost);
+        self.clock.advance(cost, Cause::TxnOverhead);
         if self.trace_id != 0 {
             self.trace_wall_ns = drtm_obs::trace::wall_ns();
         }
@@ -698,7 +692,7 @@ impl Worker {
     fn txn_ctx(&mut self, read_only: bool) -> TxnCtx<'_> {
         TxnCtx {
             start_ns: self.clock.now(),
-            start_wait_ns: self.wait_accum_ns,
+            pc: PhaseClock::new(self),
             start_epoch: self.cluster.config.epoch_of(self.node),
             read_only,
             l_rs: Vec::new(),
@@ -914,7 +908,7 @@ impl Worker {
     async fn retry_backoff(&mut self, attempt: usize) {
         let cap = 1u64 << (attempt.min(10) as u32 + 7);
         let ns = self.rng.below(cap);
-        self.pause(ns).await;
+        self.pause(ns, Cause::Backoff).await;
     }
 
     /// One escalation-ladder response (DESIGN.md §15) to an abort
@@ -959,7 +953,7 @@ impl Worker {
             if polls > contention::PARK_SPIN_CAP {
                 break false;
             }
-            self.pause(contention::PARK_POLL_NS).await;
+            self.pause(contention::PARK_POLL_NS, Cause::LockWait).await;
         };
         let span = self.clock.now().saturating_sub(parked_at);
         self.obs.note_key_unpark(span);
@@ -985,10 +979,6 @@ impl<'w> TxnCtx<'w> {
     /// The worker the transaction runs on: its clock, RNG and ledger.
     pub fn worker(&mut self) -> &mut Worker {
         self.w
-    }
-
-    fn charge(&mut self, ns: u64) {
-        self.w.clock.advance(ns);
     }
 
     /// Reads a record on the local machine (Figure 5's `LOCAL_READ`): a
@@ -1148,11 +1138,18 @@ impl<'w> TxnCtx<'w> {
             // The attempt takes the open region: a failed one closes it.
             let open = self.region.take();
             let opens = u64::from(open.is_none());
-            self.charge(opens * cost.htm_begin_ns + members.len() as u64 * cost.record_logic_ns);
+            let clock = &mut self.w.clock;
+            clock.advance(opens * cost.htm_begin_ns, Cause::HtmBegin);
+            clock.advance(
+                members.len() as u64 * cost.record_logic_ns,
+                Cause::RecordLogic,
+            );
             let kept = |off| self.w.kept.binary_search(&(self.w.node, off)).is_ok();
             match attempt_region(store, &cluster.opts.htm, open, members, kept) {
                 RegionRead::Committed(read, set) => {
-                    self.charge(opens * cost.htm_commit_ns + lines as u64 * cost.mem_access_ns);
+                    let clock = &mut self.w.clock;
+                    clock.advance(opens * cost.htm_commit_ns, Cause::HtmCommit);
+                    clock.advance(lines as u64 * cost.mem_access_ns, Cause::MemAccess);
                     self.snapshots += opens as u32;
                     if self.read_only {
                         self.region = Some(set);
@@ -1170,7 +1167,7 @@ impl<'w> TxnCtx<'w> {
                     // passes the holder's.
                     busy = i;
                     let ns = self.w.rng.below(2_000);
-                    self.w.pause(ns).await;
+                    self.w.pause(ns, Cause::LockWait).await;
                 }
                 RegionRead::Conflict => {}
             }
@@ -1249,7 +1246,9 @@ impl<'w> TxnCtx<'w> {
             Some(i) => self.l_rs[i].rec_off,
             None => {
                 let off = store.get_loc(table, key).ok_or(TxnError::NotFound)?;
-                self.charge(cluster.opts.cost.record_logic_ns);
+                self.w
+                    .clock
+                    .advance(cluster.opts.cost.record_logic_ns, Cause::RecordLogic);
                 off as usize
             }
         };
@@ -1330,7 +1329,9 @@ impl<'w> TxnCtx<'w> {
                 Some(Located::Past(probe)) => self.probe_remote(node, probe).await?,
                 None => self.locate_remote(node, table, key).await?,
             };
-            self.w.clock.advance(cluster.opts.cost.record_logic_ns);
+            self.w
+                .clock
+                .advance(cluster.opts.cost.record_logic_ns, Cause::RecordLogic);
             let mut read = None;
             for _ in 0..REMOTE_READ_RETRIES {
                 // The READ rides the reactor's shared doorbell flush, so
@@ -1437,7 +1438,9 @@ impl<'w> TxnCtx<'w> {
             Some(e) => e.rec_off,
             None => {
                 let off = self.locate_remote(node, table, key).await?;
-                self.charge(cluster.opts.cost.record_logic_ns);
+                self.w
+                    .clock
+                    .advance(cluster.opts.cost.record_logic_ns, Cause::RecordLogic);
                 off
             }
         };

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drtm_base::sync::{Mutex, RwLock};
-use drtm_base::{CostModel, Counter, LinkBudget, MemoryRegion, VClock};
+use drtm_base::{Cause, CostModel, Counter, LinkBudget, MemoryRegion, VClock};
 
 /// Identifies a machine (or logical node) on the fabric.
 pub type NodeId = usize;
@@ -282,7 +282,7 @@ impl Cq {
     pub fn poll(&self, clock: &mut VClock) -> Vec<WorkCompletion> {
         let wcs = std::mem::take(&mut *self.done.lock());
         if let Some(t) = wcs.iter().map(|w| w.done_ns).max() {
-            clock.advance_to(t);
+            clock.advance_to(t, Cause::VerbWait);
         }
         wcs
     }
@@ -802,7 +802,7 @@ impl Qp {
         debug_assert!(!wrs.is_empty(), "doorbell rung with nothing posted");
         let f = &self.fabric;
         let batch = f.next_batch.fetch_add(1, Ordering::Relaxed);
-        clock.advance(f.cost.doorbell_ns);
+        clock.advance(f.cost.doorbell_ns, Cause::Doorbell);
         self.port().stats.doorbells.inc();
         let base = clock.now();
         for (i, posted) in wrs.into_iter().enumerate() {
@@ -993,12 +993,12 @@ impl Fabric {
         let fault = self.fault(src, dst, Verb::Send, clock.now());
         let wire = self.cost.wire_bytes(bytes) + fault.extra_wire;
         let done = self.charge_nics(src, dst, clock.now(), wire);
-        clock.advance(self.cost.msg_ns);
-        clock.advance(fault.delay_ns);
+        clock.advance(self.cost.msg_ns, Cause::Message);
+        clock.advance(fault.delay_ns, Cause::Message);
         if fault.drop {
-            clock.advance(fault.delay_ns.max(self.cost.msg_ns));
+            clock.advance(fault.delay_ns.max(self.cost.msg_ns), Cause::Message);
         }
-        clock.advance_to(done);
+        clock.advance_to(done, Cause::Message);
         self.ports[dst].stats.sends.inc();
         self.ports[dst].stats.bytes.add(bytes as u64);
     }

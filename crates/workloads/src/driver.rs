@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use drtm_base::{Histogram, SplitMix64};
+use drtm_base::{Histogram, Ledger, SplitMix64};
 use drtm_baselines::{drtm2pl, CalvinEngine};
 use drtm_core::cluster::{DrtmCluster, EngineOpts};
 use drtm_core::txn::{TxnApi, TxnError, Worker};
@@ -122,6 +122,9 @@ pub struct Measurement {
     /// Worker slots that stopped early: their machine died under them
     /// or left the configuration.
     pub stopped: usize,
+    /// Virtual ns the workers' clocks spent, per cause, summed over
+    /// every worker of the run.
+    pub spent: Ledger,
 }
 
 impl Measurement {
@@ -200,6 +203,7 @@ struct WorkerResult {
     fallbacks: u64,
     per_type: LoopOut,
     stopped: bool,
+    spent: Ledger,
 }
 
 /// One worker slot of a run: `run.threads` of them on each machine.
@@ -274,6 +278,7 @@ fn tally(outs: impl IntoIterator<Item = (Worker, (LoopOut, bool))>) -> WorkerRes
         res.vtime_ns = res.vtime_ns.max(w.clock.now());
         res.aborted += w.stats.aborted;
         res.fallbacks += w.stats.fallbacks;
+        res.spent += w.clock.spent();
         for (name, t) in per_type {
             res.committed += t.committed;
             res.per_type.entry(name).or_default().merge(&t);
@@ -316,6 +321,18 @@ pub fn run_on<W: Workload>(
     cluster: &Arc<DrtmCluster>,
     calvin: Option<&Arc<CalvinEngine>>,
 ) -> Measurement {
+    let slots = run_slots(wl, run, cluster, calvin);
+    aggregate(slots.into_iter().map(tally).collect())
+}
+
+/// [`run_on`]'s run: each slot's workers, as the run left them, with
+/// their measurement loops' tallies.
+fn run_slots<W: Workload>(
+    wl: &W,
+    run: &RunCfg,
+    cluster: &Arc<DrtmCluster>,
+    calvin: Option<&Arc<CalvinEngine>>,
+) -> Vec<Vec<(Worker, (LoopOut, bool))>> {
     let r = if run.engine == EngineKind::DrtmR {
         run.routines.max(1)
     } else {
@@ -338,12 +355,11 @@ pub fn run_on<W: Workload>(
         (0..r).map(worker).collect()
     });
     let (chunk, rem) = (run.txns_per_worker / r, run.txns_per_worker % r);
-    let done = RoutinePool::run_many(
+    RoutinePool::run_many(
         pools.collect(),
         |now| wl.tick(now),
         async |p, id, w| slots[p].routine(id, chunk + usize::from(id < rem), w).await,
-    );
-    aggregate(done.into_iter().map(tally).collect())
+    )
 }
 
 /// Builds a cluster for `wl` (see [`build`]) and runs it; returns the
@@ -395,6 +411,7 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         throughput: 0.0,
         per_type: HashMap::new(),
         stopped: 0,
+        spent: Ledger::default(),
     };
     // Per type: commits and aborts, throughput summed over workers, and
     // the workers' latency histograms merged, so that every quantile is
@@ -405,6 +422,7 @@ fn aggregate(results: Vec<WorkerResult>) -> Measurement {
         m.aborted += r.aborted;
         m.fallbacks += r.fallbacks;
         m.stopped += usize::from(r.stopped);
+        m.spent += &r.spent;
         let secs = (r.vtime_ns.max(1)) as f64 / 1e9;
         m.throughput += r.committed as f64 / secs;
         for (name, t) in r.per_type {
@@ -458,6 +476,7 @@ mod tests {
                 fallbacks: 0,
                 per_type: HashMap::from([("x", tally)]),
                 stopped: false,
+                spent: Ledger::default(),
             }
         };
         let m = aggregate(vec![worker(300, 1_000), worker(100, 1_000_000)]);
@@ -467,5 +486,82 @@ mod tests {
         assert_eq!(x.p50_us, all.quantile(0.5) as f64 / 1e3);
         assert_eq!(x.p99_us, all.quantile(0.99) as f64 / 1e3);
         assert!(x.p50_us < 2.0 && x.p99_us > 500.0, "{x:?}");
+    }
+
+    /// Every worker's clock spends its time on named causes, on TPC-C
+    /// on each engine (DrTM+R also in pools of 8 routines) and on 3-way
+    /// replicated SmallBank: the causes
+    /// total the clock, each fixed-cost CPU cause is a whole number of
+    /// its constant, and the wait a sibling routine could hide — verb
+    /// completions, and R.1's log WRITEs with their NIC backlog — is the
+    /// verb wait the metrics registry summed for the same workers.
+    #[test]
+    fn every_clock_spends_its_time_on_named_causes() {
+        use crate::smallbank::SbCfg;
+        use crate::tpcc::TpccCfg;
+        use drtm_base::{Cause, Ledger};
+        use drtm_core::scrape_cluster;
+
+        fn check<W: Workload>(wl: &W, run: &RunCfg) -> Ledger {
+            let (cluster, calvin) = build(wl, run, |_| {});
+            let slots = run_slots(wl, run, &cluster, calvin.as_ref());
+            let cost = &cluster.opts.cost;
+            let mut all = Ledger::default();
+            for (w, _) in slots.iter().flatten() {
+                let spent = w.clock.spent();
+                assert_eq!(spent.total(), w.clock.now(), "{run:?}");
+                for (cause, unit) in [
+                    (Cause::RecordLogic, cost.record_logic_ns),
+                    (Cause::Doorbell, cost.doorbell_ns),
+                    (Cause::HtmBegin, cost.htm_begin_ns),
+                ] {
+                    assert_eq!(spent.get(cause) % unit, 0, "{} {run:?}", cause.name());
+                }
+                all += spent;
+            }
+            let hideable = [Cause::VerbWait, Cause::LogFlush, Cause::NicBudget];
+            let hideable: u64 = hideable.into_iter().map(|c| all.get(c)).sum();
+            if cfg!(feature = "obs") {
+                let registry = scrape_cluster(&cluster).pipeline.wait_ns;
+                assert_eq!(hideable, registry, "{run:?}");
+            }
+            assert!(all.get(Cause::RecordLogic) > 0, "{run:?}");
+            all
+        }
+
+        let tpcc = TpccCfg {
+            nodes: 2,
+            customers: 32,
+            items: 64,
+            init_orders: 6,
+            history_buckets: 1 << 12,
+            ..Default::default()
+        };
+        let run = |engine, replicas| RunCfg {
+            engine,
+            replicas,
+            threads: 2,
+            txns_per_worker: 100,
+            ..Default::default()
+        };
+        let spent = check(&tpcc, &run(EngineKind::DrtmR, 1));
+        assert!(spent.get(Cause::VerbWait) > 0 && spent.get(Cause::HtmBegin) > 0);
+        let pooled = RunCfg {
+            routines: 8,
+            ..run(EngineKind::DrtmR, 1)
+        };
+        assert!(check(&tpcc, &pooled).get(Cause::Sibling) > 0);
+        let spent = check(&tpcc, &run(EngineKind::Drtm, 1));
+        assert!(spent.get(Cause::VerbWait) > 0 && spent.get(Cause::HtmBegin) > 0);
+        let spent = check(&tpcc, &run(EngineKind::Calvin, 1));
+        assert!(spent.get(Cause::Ipoib) > 0 && spent.get(Cause::LockWait) > 0);
+        let sb = SbCfg {
+            nodes: 3,
+            accounts: 200,
+            cross_prob: 0.5,
+            ..Default::default()
+        };
+        let spent = check(&sb, &run(EngineKind::DrtmR, 3));
+        assert!(spent.get(Cause::LogFlush) > 0 && spent.get(Cause::Doorbell) > 0);
     }
 }

@@ -299,18 +299,21 @@ async fn read_n<const N: usize>(
 }
 
 /// Loads the SmallBank dataset (every account starts with 10 000 cents
-/// in each of savings and checking, so totals are auditable).
+/// in each of savings and checking, so totals are auditable). A shard's
+/// accounts draw nothing from another's, so the stores and backup
+/// images load at once, on up to one thread per machine
+/// ([`DrtmCluster::load_shards`]), and the loaded bytes are those of a
+/// serial loop over the shards.
 pub fn load(cluster: &DrtmCluster, cfg: &SbCfg) {
     let mut v = [0u8; 40];
     set_bal(&mut v, 10_000);
-    for shard in 0..cfg.nodes {
-        let mut seeder = cluster.seeder(shard);
+    cluster.load_shards(|shard, seeder| {
         for a in 0..cfg.accounts as u64 {
             let key = cfg.acct(shard, a);
             seeder.put(T_SAVINGS, key, &v);
             seeder.put(T_CHECKING, key, &v);
         }
-    }
+    });
 }
 
 /// Initial total across all accounts (for conservation audits).

@@ -250,16 +250,16 @@ impl Workload for YcsbCfg {
     }
 }
 
-/// Loads the YCSB dataset.
+/// Loads the YCSB dataset, the stores and backup images at once
+/// ([`DrtmCluster::load_shards`]).
 pub fn load(cluster: &DrtmCluster, cfg: &YcsbCfg) {
-    let mut v = vec![0u8; cfg.value_len];
-    for shard in 0..cfg.nodes {
-        let mut seeder = cluster.seeder(shard);
+    cluster.load_shards(|shard, seeder| {
+        let mut v = vec![0u8; cfg.value_len];
         for r in 0..cfg.records as u64 {
             v[..8].copy_from_slice(&r.to_le_bytes());
             seeder.put(T_KV, cfg.key(shard, r), &v);
         }
-    }
+    });
 }
 
 #[cfg(test)]

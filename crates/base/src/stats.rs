@@ -160,15 +160,6 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Clears all recorded data.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -210,11 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_empty_and_reset() {
+    fn empty_histogram_reads_zero() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
-        h.record(7);
-        h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
     }

@@ -56,7 +56,7 @@ mod drtm {
             t.write(1, 0, 1 << 32 | 1, val(b + 10)).await
         }))
         .unwrap();
-        assert_eq!(w.stats.committed, 1);
+        assert_eq!(w.obs.committed.get(), 1);
         // Check via a DrTM+R read-only transaction on the other machine.
         let mut v = c.worker(1, 9);
         let a = v.run_ro(|t| t.read(0, 0, 1)).unwrap();
@@ -105,7 +105,7 @@ mod drtm {
                     .await
                     .unwrap();
             }
-            w.stats.committed
+            w.obs.committed.get()
         });
         assert_eq!(done.iter().map(|(_, n)| n).sum::<u64>(), 200);
         let mut v = c.worker(1, 9);
@@ -180,7 +180,7 @@ mod drtm {
             t.write(1, 0, 1 << 32 | 1, val(b + 10)).await
         }))
         .unwrap();
-        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+        assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
         let d = c.fabric.port(1).stats().snapshot().delta(&before);
         let shape = (d.doorbells, d.atomics, d.reads, d.writes);
         assert_eq!(
@@ -235,7 +235,7 @@ mod drtm {
         let mut v = [0u8; 16];
         rec.read_value_raw(&mut v);
         assert_eq!((num(&v), rec.seq(), rec.lock()), (501, 6, LOCK_FREE));
-        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+        assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     }
 
     async fn increment(t: &mut dyn TxnApi, shard: usize, key: u64) -> Result<(), TxnError> {
@@ -371,7 +371,7 @@ mod calvin {
             for _ in 0..100 {
                 e.run(w, async |t| increment(t, 5).await).await.unwrap();
             }
-            w.stats.committed
+            w.obs.committed.get()
         });
         assert_eq!(done.iter().map(|(_, n)| n).sum::<u64>(), 200);
         let mut v = c.worker(0, 9);

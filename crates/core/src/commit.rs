@@ -1630,7 +1630,7 @@ impl TxnCtx<'_> {
     }
 
     /// C.5 and C.6 after [`Self::lock_and_fetch`]: writes every remote
-    /// write buffered with [`Self::write_remote`] — each a record that
+    /// write buffered with [`Self::write_remote_async`] — each a record that
     /// was fetched — at its fetched sequence number plus two, one
     /// doorbell per machine and the unlocks chained behind the images
     /// when one machine is written (`remote_update`), then releases

@@ -65,7 +65,7 @@ pub use obs_bridge::scrape_cluster;
 pub use recovery::{full_restart_scrub, recover_node, RecoveryReport};
 pub use replication::BackupStore;
 pub use routine::{Admission, QueueGroup, RoutePolicy, RoutinePool};
-pub use txn::{AbortReason, TxnCtx, TxnError, Worker, WorkerStats};
+pub use txn::{AbortReason, TxnCtx, TxnError, Worker};
 
 /// Validates a read: the current sequence number must be the *closest
 /// committable* successor of the sequence number seen at execution time

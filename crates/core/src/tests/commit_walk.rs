@@ -24,7 +24,7 @@ fn write_write_conflict_one_winner_per_round() {
         for _ in 0..200 {
             add_one(&mut w, &[(2, 5)], || {}).unwrap();
         }
-        w.stats.committed
+        w.obs.committed.get()
     });
     assert_eq!(committed.iter().sum::<u64>(), 400);
     assert_eq!(value(&c, 2, 5), 100 + 400);
@@ -69,10 +69,10 @@ fn lock_held_by_live_member_aborts_instead() {
         .unwrap();
     let nic = Nic::new(&c);
     let mut w = c.worker(0, 1);
-    let r = w.run_once_for_test(|t| {
-        let v = num(&t.read(2, T_ACCT, key(2, 4))?);
-        t.write(2, T_ACCT, key(2, 4), val(v + 1))
-    });
+    let mut t = w.begin();
+    let v = num(&t.read(2, T_ACCT, key(2, 4)).unwrap());
+    t.write(2, T_ACCT, key(2, 4), val(v + 1)).unwrap();
+    let r = t.commit();
     assert_eq!(r.unwrap_err(), TxnError::Aborted(AbortReason::LockBusy));
     // The word the lost CAS returned names a live member: busy, with
     // no second CAS to find that out.
@@ -92,7 +92,7 @@ fn fallback_commits_when_htm_always_fails() {
     for _ in 0..5 {
         add_one(&mut w, &[(0, 0)], || {}).unwrap();
     }
-    assert_eq!(w.stats.fallbacks, 5);
+    assert_eq!(w.obs.fallbacks.get(), 5);
     // A fallback commit is accounted like any other: every phase
     // histogram has one entry per commit, and the phases — abandoned
     // HTM attempt included — sum to the recorded latency. (Scraped
@@ -134,7 +134,7 @@ fn fallback_fires_the_same_seven_probes_as_an_htm_commit() {
             t.write(1, T_ACCT, key(1, 0), val(v - 1))
         })
         .unwrap();
-        assert_eq!(w.stats.fallbacks, u64::from(htm_fails));
+        assert_eq!(w.obs.fallbacks.get(), u64::from(htm_fails));
         let abandoned = if htm_fails { 2 } else { 0 };
         let seen = log.lock().unwrap();
         assert_eq!(seen[..abandoned], seven[..abandoned], "replicas {replicas}");
@@ -170,7 +170,7 @@ fn fallback_locks_local_records_without_a_header_read() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(w.stats.fallbacks, 1);
+    assert_eq!(w.obs.fallbacks.get(), 1);
     let d = [nic.since(0), nic.since(1)];
     // Loopback: lock + unlock of the one local record, in the locked
     // walk only. Remote: lock + peek + unlock in both walks.
@@ -229,7 +229,7 @@ fn msg_locking_keeps_c5_one_sided_and_batched() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(w.stats.committed, 1);
+    assert_eq!(w.obs.committed.get(), 1);
     let d = nic.since(1);
     assert_eq!(d.doorbells, 1, "C.5 alone rings a doorbell: {d:?}");
     assert_eq!(d.writes, k, "one C.5 line image per record: {d:?}");
@@ -286,14 +286,12 @@ fn busy_lock_late_in_group_releases_the_locks_already_won() {
         };
         let mut w = c.worker(0, 1);
         let nic = Nic::new(&c);
-        let r = w.run_once_for_test(|t| {
-            for i in 0..3u64 {
-                t.write(1, T_ACCT, key(1, i), val(7))?;
-            }
-            nic.mark();
-            Ok(())
-        });
-        assert_eq!(r.unwrap_err(), expect, "{arm}");
+        let mut t = w.begin();
+        for i in 0..3u64 {
+            t.write(1, T_ACCT, key(1, i), val(7)).unwrap();
+        }
+        nic.mark();
+        assert_eq!(t.commit().unwrap_err(), expect, "{arm}");
         assert_eq!(region.load64(offs[0]), LOCK_FREE, "{arm}");
         assert_eq!(region.load64(offs[1]), LOCK_FREE, "{arm}");
         assert_eq!(region.load64(offs[2]), last, "{arm}: the holder's lock");
@@ -354,7 +352,7 @@ fn one_doorbell_per_destination_in_commit_fanout() {
     // exactly the commit fan-out (C.1 + C.2, C.5, C.6).
     let nic = Nic::new(&c);
     add_one(&mut w, &THREE, || nic.mark()).unwrap();
-    assert_eq!(w.stats.committed, 1);
+    assert_eq!(w.obs.committed.get(), 1);
     let d = nic.since(1);
     assert_eq!(d.atomics, 2 * k, "k lock + k unlock CAS: {d:?}");
     assert_eq!(d.writes, k, "one C.5 line image per record: {d:?}");
@@ -523,7 +521,7 @@ fn lock_won_after_waiting_rereads_exactly_that_header() {
         Ok(())
     })
     .unwrap();
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     // Two lock CASes, the retry, two unlocks; two peeks and one re-read.
     let d = nic.since(1);
     assert_eq!((d.atomics, d.reads), (2 + 1 + 2, 2 + 1), "{d:?}");
@@ -554,7 +552,7 @@ fn groups_larger_than_the_send_queue_are_chunked() {
             Ok(())
         })
         .unwrap();
-        assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+        assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
         let d = nic.since(1);
         let verbs = (d.atomics, d.reads, d.writes, d.saved);
         assert_eq!(verbs, (2 * records, records, records, 0), "{d:?}");
@@ -577,7 +575,7 @@ fn run_three_record_txn(install: impl FnOnce(&DrtmCluster)) -> (Arc<DrtmCluster>
     install(&c);
     let mut w = c.worker(0, 1);
     add_one(&mut w, &THREE, || {}).unwrap();
-    (c, w.stats.aborted)
+    (c, w.obs.aborted.get())
 }
 
 /// Every verb from C.5's first line image on, each with its destination
@@ -652,7 +650,7 @@ fn dropped_update_wr_flushes_the_unlocks_behind_it() {
     let log = drop_first_image(&c, &recs);
     let mut w = c.worker(0, 1);
     add_one(&mut w, &THREE, || {}).unwrap();
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     assert_eq!(
         *log.lock().unwrap(),
         [
@@ -703,7 +701,7 @@ fn dropped_unlock_wr_is_retransmitted() {
         c.fabric.clear_injector();
         let mut w = c.worker(0, 2);
         add_one(&mut w, &THREE, || {}).unwrap();
-        assert_eq!(w.stats.aborted, 0, "no stale lock can remain");
+        assert_eq!(w.obs.aborted.get(), 0, "no stale lock can remain");
     }
 }
 
@@ -728,7 +726,7 @@ fn dropped_peek_read_is_retransmitted() {
         nic.mark();
     })
     .unwrap();
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     // The first peek is dropped on the wire and the other two never
     // reach it (flushed: not counted); all three are refetched, in a
     // doorbell of their own between C.1's and C.5 + C.6's.
@@ -763,7 +761,7 @@ fn dropped_image_in_a_chunked_write_is_settled_before_any_unlock() {
         Ok(())
     })
     .unwrap();
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     // The drop, its chunk's four re-posts, the other 126 images;
     // then the unlocks, one fewer record locked at each.
     let want = (0..1 + 4 + 126)
@@ -788,7 +786,7 @@ fn dropped_image_on_the_first_of_two_written_machines_lands_before_any_unlock() 
     let log = drop_first_image(&c, &recs);
     let mut w = c.worker(0, 1);
     add_one(&mut w, &keys, || {}).unwrap();
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
     assert_eq!(
         *log.lock().unwrap(),
         [

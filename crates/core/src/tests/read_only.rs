@@ -69,7 +69,7 @@ fn read_only_txn_rejects_locked_remote_record() {
         .unwrap();
     let mut w = c.worker(0, 1);
     let mut txn = w.begin_ro();
-    let r = txn.read_remote(1, T_ACCT, key(1, 2));
+    let r = txn.read(1, T_ACCT, key(1, 2));
     assert_eq!(
         r.unwrap_err(),
         TxnError::Aborted(AbortReason::RemoteInconsistent)

@@ -20,7 +20,7 @@ fn local_read_write_commit() {
     })
     .unwrap();
     assert_eq!(value(&c, 0, 1), 150);
-    assert_eq!(w.stats.committed, 1);
+    assert_eq!(w.obs.committed.get(), 1);
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn large_local_sets_find_their_repeats() {
     let mut t = w.begin();
     for round in 0..2 {
         for k in 0..40 {
-            assert_eq!(num(&t.read_local(T_ACCT, key(0, k)).unwrap()), 100);
+            assert_eq!(num(&t.read(0, T_ACCT, key(0, k)).unwrap()), 100);
             // Someone else's commit must not show in a repeated read.
             let off = c.stores[0].get_loc(T_ACCT, key(0, k)).unwrap() as usize;
             c.stores[0].record(T_ACCT, off).write_locked(&val(5), 4);
@@ -108,7 +108,7 @@ fn large_local_sets_find_their_repeats() {
         assert_eq!(t.l_ws.len(), 40, "round {round}");
     }
     for k in 0..40 {
-        assert_eq!(num(&t.read_local(T_ACCT, key(0, k)).unwrap()), 1000 + k);
+        assert_eq!(num(&t.read(0, T_ACCT, key(0, k)).unwrap()), 1000 + k);
         assert_eq!(num(&t.l_ws[39 - k as usize].buf), 1000 + k);
     }
     assert_eq!((t.l_rs.len(), t.l_ws.len()), (40, 40));
@@ -159,7 +159,7 @@ fn incarnation_change_mid_txn_aborts() {
     let mut w = c.worker(0, 1);
     let k = key(0, 6);
     let mut txn = w.begin();
-    let v = txn.read_local(T_ACCT, k).unwrap();
+    let v = txn.read(0, T_ACCT, k).unwrap();
     assert_eq!(num(&v), 100);
     // Concurrent delete + reinsert on the home machine.
     c.stores[0].remove(T_ACCT, k);
@@ -208,13 +208,13 @@ fn write_after_read_remote_posts_no_probe() {
     let cost = c.opts.cost.clone();
     let mut w = c.worker(0, 1);
     let mut t = w.begin();
-    let v = num(&t.read_remote(1, T_ACCT, key(1, 3)).unwrap());
+    let v = num(&t.read(1, T_ACCT, key(1, 3)).unwrap());
     let (ns, nic) = (t.w.clock.now(), Nic::new(&c));
-    t.write_remote(1, T_ACCT, key(1, 4), val(7)).unwrap();
+    t.write(1, T_ACCT, key(1, 4), val(7)).unwrap();
     let (blind_ns, blind) = (t.w.clock.now() - ns, nic.since(1));
     let ns = t.w.clock.now();
     nic.mark();
-    t.write_remote(1, T_ACCT, key(1, 3), val(v + 1)).unwrap();
+    t.write(1, T_ACCT, key(1, 3), val(v + 1)).unwrap();
     let (rmw_ns, rmw) = (t.w.clock.now() - ns, nic.since(1));
     assert_eq!((rmw_ns, rmw), (0, NicSnapshot::default()));
     let probe = NicSnapshot {
@@ -270,9 +270,9 @@ fn repeated_read_of_an_unlinked_record_keeps_its_snapshot() {
     let k = key(0, 6);
     let mut w = c.worker(0, 1);
     let mut t = w.begin();
-    let first = t.read_local(T_ACCT, k).unwrap();
+    let first = t.read(0, T_ACCT, k).unwrap();
     assert!(c.stores[0].remove(T_ACCT, k));
-    assert_eq!(t.read_local(T_ACCT, k), Ok(first));
+    assert_eq!(t.read(0, T_ACCT, k), Ok(first));
     assert_eq!(t.commit(), Err(TxnError::Aborted(AbortReason::Incarnation)));
 }
 
@@ -289,7 +289,7 @@ fn rw_txn_reads_through_remote_lock_optimistically() {
         .unwrap();
     let mut w = c.worker(0, 1);
     let mut txn = w.begin();
-    let v = txn.read_remote(1, T_ACCT, key(1, 2)).unwrap();
+    let v = txn.read(1, T_ACCT, key(1, 2)).unwrap();
     assert_eq!(num(&v), 100, "optimistic read through the lock");
     drop(txn);
     c.stores[1]
@@ -369,13 +369,13 @@ fn a_scan_is_one_read_group() {
             let mut w = c.worker(0, 1);
             let mut t = w.begin();
             t.write_local(T_ORD, 7, vec![0xee; 100]).unwrap();
-            t.read_local(T_ORD, 12).unwrap();
+            t.read(0, T_ORD, 12).unwrap();
             let before = t.w.clock.now();
             let got: Vec<(u64, Vec<u8>)> = if grouped {
                 t.scan_local(T_ORD, 5, 30, usize::MAX, usize::MAX).unwrap()
             } else {
                 let hits = c.stores[0].scan(T_ORD, 5, 30, usize::MAX);
-                let read = |(k, _)| (k, t.read_local(T_ORD, k).unwrap());
+                let read = |(k, _)| (k, t.read(0, T_ORD, k).unwrap());
                 hits.into_iter().map(read).collect()
             };
             let spent = t.w.clock.now() - before;

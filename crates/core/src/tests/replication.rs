@@ -38,11 +38,11 @@ fn uncommittable_record_blocks_dependent_commit() {
     rec.write_locked(&val(555), 3);
 
     let mut w = c.worker(0, 1);
-    let r = w.run_once_for_test(|t| {
-        let v = t.read(0, T_ACCT, key(0, 9))?; // Optimistic read allowed.
-        assert_eq!(num(&v), 555);
-        t.write(0, T_ACCT, key(0, 9), val(556))
-    });
+    let mut t = w.begin();
+    let v = t.read(0, T_ACCT, key(0, 9)).unwrap(); // Optimistic read allowed.
+    assert_eq!(num(&v), 555);
+    t.write(0, T_ACCT, key(0, 9), val(556)).unwrap();
+    let r = t.commit();
     assert!(
         matches!(r, Err(TxnError::Aborted(_))),
         "dependent txn must not commit before replication: {r:?}"
@@ -66,7 +66,7 @@ fn read_validation_accepts_replicated_successor() {
 
     let mut w = c.worker(0, 1);
     let mut txn = w.begin();
-    let v = txn.read_local(T_ACCT, key(0, 8)).unwrap();
+    let v = txn.read(0, T_ACCT, key(0, 8)).unwrap();
     assert_eq!(num(&v), 300);
     // The writer replicates before we commit.
     rec.set_seq(4);
@@ -234,10 +234,12 @@ fn repairing_1000_records_of_a_100k_shard_walks_no_image() {
     let picked = |i: u64| i * 97 % RECORDS;
     for txn in 0..20 {
         armed.store(true, SeqCst);
-        let fenced = w.run_once_for_test(|t| {
-            (0..50).try_for_each(|i| t.write(0, T_ACCT, key(0, picked(txn * 50 + i)), val(7)))
-        });
-        assert_eq!(fenced, Err(TxnError::Aborted(AbortReason::Validation)));
+        let mut t = w.begin();
+        for i in 0..50 {
+            t.write(0, T_ACCT, key(0, picked(txn * 50 + i)), val(7))
+                .unwrap();
+        }
+        assert_eq!(t.commit(), Err(TxnError::Aborted(AbortReason::Validation)));
     }
     c.clear_crash_hook();
     for i in 0..1000 {
@@ -338,7 +340,7 @@ fn dangling_lock_released_passively() {
     // trusted: the steal healed the record, so C.2 reads it again.
     let d = nic.since(2);
     assert_eq!((d.atomics, d.reads), (3, 2), "{d:?}");
-    assert_eq!((w.stats.committed, w.stats.aborted), (1, 0));
+    assert_eq!((w.obs.committed.get(), w.obs.aborted.get()), (1, 0));
 }
 
 #[test]
@@ -346,14 +348,13 @@ fn writes_to_dead_node_are_fenced() {
     let c = cluster(3, 2);
     c.crash(1);
     c.config.remove_member(1);
-    // A transaction explicitly targeting the dead machine's store is
-    // fenced at C.1 (the shard map would normally reroute it).
+    // A transaction on the dead machine's shard, which no recovery has
+    // re-homed, is fenced at C.1.
     let mut w = c.worker(0, 1);
-    let r = w.run_once_for_test(|t| {
-        let v = num(&t.read_remote(1, T_ACCT, key(1, 0))?);
-        t.write_remote(1, T_ACCT, key(1, 0), val(v + 1))
-    });
-    assert!(matches!(r, Err(TxnError::Aborted(_))));
+    let mut t = w.begin();
+    let v = num(&t.read(1, T_ACCT, key(1, 0)).unwrap());
+    t.write(1, T_ACCT, key(1, 0), val(v + 1)).unwrap();
+    assert!(matches!(t.commit(), Err(TxnError::Aborted(_))));
 }
 
 /// Machine 1 voted out of the configuration while alive — no crash —
@@ -482,7 +483,7 @@ fn crash_at_every_stage_with_two_written_machines_is_atomic() {
                 stage.probe
             );
             assert_eq!(died, Err(TxnError::Crashed), "{arm}");
-            assert_eq!(w.stats.fallbacks, u64::from(locked), "{arm}");
+            assert_eq!(w.obs.fallbacks.get(), u64::from(locked), "{arm}");
             c.clear_crash_hook();
             c.crash(0);
             recover_node(&c, 0);
@@ -497,7 +498,7 @@ fn crash_at_every_stage_with_two_written_machines_is_atomic() {
             // Nothing dangles: every record can be locked and rewritten.
             add_one(&mut survivor, &[(0, 0), (1, 0), (2, 0)], || {})
                 .unwrap_or_else(|e| panic!("{arm}: {e:?}"));
-            assert_eq!(survivor.stats.aborted, 0, "{arm}");
+            assert_eq!(survivor.obs.aborted.get(), 0, "{arm}");
         }
     }
 }

@@ -80,7 +80,11 @@ fn routines_one_matches_blocking_path_pins() {
     let build = || setup(2).replicas(2).seed(0..2, 0..8, 100).build();
     let check = |arm: &str, nic: &Nic, w: &Worker| {
         assert_eq!(w.clock.now(), 140_800, "{arm}: virtual time");
-        assert_eq!((w.stats.committed, w.stats.aborted), (24, 0), "{arm}");
+        assert_eq!(
+            (w.obs.committed.get(), w.obs.aborted.get()),
+            (24, 0),
+            "{arm}"
+        );
         assert_eq!(
             nic.since(0),
             NicSnapshot::default(),
@@ -411,7 +415,10 @@ fn dropped_sibling_read_flushes_a_whole_commit_chain() {
         let v = num(&TxnApi::read(&mut t, 1, T_ACCT, key(1, 9)).await?);
         t.commit_async().await.map(|()| v)
     });
-    let outcomes: Vec<_> = done.iter().map(|(w, r)| (*r, w.stats.aborted)).collect();
+    let outcomes: Vec<_> = done
+        .iter()
+        .map(|(w, r)| (*r, w.obs.aborted.get()))
+        .collect();
     assert_eq!(outcomes, [(Ok(0), 0), (Ok(100), 0)]);
     // Nothing behind the dropped READ — key 9's location probe, posted
     // like every other verb — reached the injector; then the image, the
@@ -466,7 +473,7 @@ fn dropped_image_is_reposted_on_the_reactor_so_a_sibling_runs() {
                     t.write(1, T_ACCT, key(1, 0), val(v + 1)).await
                 })
                 .await;
-            assert_eq!((r, w.stats.aborted), (Ok(()), 0));
+            assert_eq!((r, w.obs.aborted.get()), (Ok(()), 0));
             done.set(Some(w.clock.now()));
             return;
         }
@@ -942,7 +949,9 @@ fn serve_group_splits_a_shared_queue_by_virtual_time() {
             }
         });
         let stats = |workers: &Vec<Worker>| {
-            let stats = workers.iter().map(|w| (w.stats.committed, w.stats.aborted));
+            let stats = workers
+                .iter()
+                .map(|w| (w.obs.committed.get(), w.obs.aborted.get()));
             stats.fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
         };
         pools.iter().map(stats).collect()
@@ -984,7 +993,7 @@ fn serve_group_runs_repeat_exactly() {
             transfer(w, i % 8).await
         });
         let pool = |workers: &Vec<Worker>| {
-            let commits = workers.iter().map(|w| w.stats.committed).sum::<u64>();
+            let commits = workers.iter().map(|w| w.obs.committed.get()).sum::<u64>();
             let clocks: Vec<u64> = workers.iter().map(|w| w.clock.now()).collect();
             (commits, clocks)
         };
@@ -1028,7 +1037,7 @@ fn large_txn_commits_bounded_under_escalate() {
         .collect();
     let out = RoutinePool::run(workers, async |id, w| {
         if id == 0 {
-            let before = w.stats.aborted;
+            let before = w.obs.aborted.get();
             w.run_async(async |t| {
                 for shard in 0..2usize {
                     for k in 0..8u64 {
@@ -1041,7 +1050,7 @@ fn large_txn_commits_bounded_under_escalate() {
             .await
             .expect("the 16-key transaction must commit");
             done.set(true);
-            return w.stats.aborted - before + 1;
+            return w.obs.aborted.get() - before + 1;
         }
         // The storm: each writer re-locks one of the 16 hot keys at a
         // time, alternating shards.
@@ -1124,7 +1133,7 @@ fn release_between_lost_cas_and_wait_ends_the_wait() {
         w.run_async(async |t| t.write(1, T_ACCT, key(1, 0), val(7)).await)
             .await
             .unwrap();
-        w.stats.aborted
+        w.obs.aborted.get()
     });
     assert_eq!(out[0].1, 0, "the waiter's attempt aborted");
     // Three lock CASes (the group's, wait mode's first, the winner) and

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use drtm_base::task::block_now;
-use drtm_base::{Cause, Histogram, SplitMix64, VClock};
+use drtm_base::{Cause, SplitMix64, VClock};
 use drtm_htm::{HtmConfig, HtmTxn, ReadSet};
 use drtm_obs::{EventKind, Shard};
 use drtm_rdma::{NodeId, PostedWr, VerbError, WorkCompletion, WorkRequest, WrResult};
@@ -104,27 +104,6 @@ impl From<VerbError> for TxnError {
     }
 }
 
-/// Per-worker statistics.
-///
-/// Per-step commit timing, the abort taxonomy, and everything else the
-/// paper's breakdown tables need now live in the worker's
-/// [`drtm_obs::Shard`] (see [`Worker::obs`]); these plain counters
-/// remain for cheap in-process assertions.
-#[derive(Debug, Default)]
-pub struct WorkerStats {
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted attempts: protocol and transport aborts, in either phase
-    /// (a crash is a death, not an abort).
-    pub aborted: u64,
-    /// Commit-phase fallback-handler invocations.
-    pub fallbacks: u64,
-    /// Application-requested rollbacks.
-    pub user_aborts: u64,
-    /// Per-transaction latency in virtual nanoseconds.
-    pub latency: Histogram,
-}
-
 /// The number the next [`Worker`] gets.
 static WORKERS: AtomicU64 = AtomicU64::new(0);
 
@@ -141,9 +120,9 @@ pub struct Worker {
     pub clock: VClock,
     /// The worker's RNG stream: back-offs and HTM's spurious aborts.
     pub rng: SplitMix64,
-    /// Commit/abort/latency counters.
-    pub stats: WorkerStats,
-    /// This worker's shard of the cluster metrics registry.
+    /// This worker's shard of the cluster metrics registry: its commit,
+    /// abort, fallback and latency results (counted in every build) and
+    /// its recorded instrumentation.
     pub obs: Arc<Shard>,
     /// The routine of the reactor every wait primitive parks on and
     /// whose location caches every remote access goes through: this worker's
@@ -348,7 +327,6 @@ impl Worker {
             id: WORKERS.fetch_add(1, Ordering::Relaxed),
             clock: VClock::new(),
             rng: SplitMix64::new(seed ^ (node as u64) << 32),
-            stats: WorkerStats::default(),
             obs,
             routine,
             trace_id: 0,
@@ -771,18 +749,6 @@ impl Worker {
             .await
     }
 
-    /// Runs `body` exactly once and attempts a single commit — no retry.
-    /// Intended for tests that assert on specific abort outcomes.
-    pub fn run_once_for_test<R>(
-        &mut self,
-        body: impl FnOnce(&mut TxnCtx<'_>) -> Result<R, TxnError>,
-    ) -> Result<R, TxnError> {
-        let mut ctx = self.begin();
-        let value = body(&mut ctx)?;
-        ctx.commit()?;
-        Ok(value)
-    }
-
     async fn run_inner<R>(
         &mut self,
         read_only: bool,
@@ -845,12 +811,10 @@ impl Worker {
 
     /// The commit ledger every engine shares: counts a transaction that
     /// began at virtual `start_ns` and has just committed in the
-    /// worker's stats and metrics shard, and emits its `TxnCommit`
-    /// trace event tagged `kind`.
+    /// worker's shard, and emits its `TxnCommit` trace event tagged
+    /// `kind`.
     pub fn note_commit(&mut self, start_ns: u64, kind: &'static str) {
-        self.stats.committed += 1;
         let lat = self.clock.now().saturating_sub(start_ns);
-        self.stats.latency.record(lat);
         self.obs.note_commit(lat);
         drtm_obs::trace::event_id(
             EventKind::TxnCommit,
@@ -862,34 +826,32 @@ impl Worker {
     }
 
     /// Counts one invocation of a fallback handler (§6.1, or a
-    /// baseline's slow path) in the worker's stats and metrics shard.
+    /// baseline's slow path) in the worker's shard.
     pub fn note_fallback(&mut self) {
-        self.stats.fallbacks += 1;
         self.obs.note_fallback();
     }
 
     /// The one abort ledger: counts a failed attempt — a protocol or
     /// transport abort, or the application's rollback — in the worker's
-    /// stats and metrics shard and emits its `TxnAbort` trace event. A
-    /// `Crashed` machine is a death, not an abort, and `NotFound` is
-    /// the body's answer: neither is counted.
+    /// shard and emits its `TxnAbort` trace event. A `Crashed` machine
+    /// is a death, not an abort, and `NotFound` is the body's answer:
+    /// neither is counted.
     pub fn note_abort(&mut self, e: TxnError) {
-        let (label, count) = match e {
+        let label = match e {
             TxnError::Aborted(reason) => {
                 self.obs.note_abort(reason.obs_index());
-                (reason.label(), &mut self.stats.aborted)
+                reason.label()
             }
             TxnError::Transport(verb) => {
                 self.obs.note_abort(TRANSPORT_OBS_INDEX);
-                (verb.label(), &mut self.stats.aborted)
+                verb.label()
             }
             TxnError::UserAbort => {
                 self.obs.note_user_abort();
-                ("user", &mut self.stats.user_aborts)
+                "user"
             }
             TxnError::Crashed | TxnError::NotFound => return,
         };
-        *count += 1;
         drtm_obs::trace::event_id(
             EventKind::TxnAbort,
             label,
@@ -981,17 +943,13 @@ impl<'w> TxnCtx<'w> {
         self.w
     }
 
-    /// Reads a record on the local machine (Figure 5's `LOCAL_READ`): a
-    /// read group of one (`read_group`, DESIGN.md §4). Buffered
-    /// own-writes win, and a record already read returns its snapshot.
-    pub fn read_local(&mut self, table: TableId, key: u64) -> Result<Vec<u8>, TxnError> {
-        block_now(self.read_local_at(table, key, None, usize::MAX))
-    }
-
-    /// A local read of the value's first `head` bytes, for a caller
-    /// that may already hold the record's offset — an index scan's hit
-    /// — and so spares the second index walk. The offset is the index's
-    /// answer at scan time, as `get_loc`'s is at its own call.
+    /// Reads the first `head` bytes of a record on the local machine
+    /// (Figure 5's `LOCAL_READ`): a read group of one (`read_group`,
+    /// DESIGN.md §4). Buffered own-writes win, and a record already read
+    /// returns its snapshot. `known_off` is the record's offset when the
+    /// caller already holds it — an index scan's hit — and spares the
+    /// second index walk; it is the index's answer at scan time, as
+    /// `get_loc`'s is at its own call.
     async fn read_local_at(
         &mut self,
         table: TableId,
@@ -1263,30 +1221,20 @@ impl<'w> TxnCtx<'w> {
     }
 
     /// Reads a record on machine `node` with a lock-free consistent
-    /// one-sided RDMA READ (Figure 6's `REMOTE_READ`).
+    /// one-sided RDMA READ (Figure 6's `REMOTE_READ`, the NIC wait a
+    /// reactor yield point), its first location lookup and first READ
+    /// answered by `fetched` where [`Self::read_keys`] ran them ahead in
+    /// its shared parks. Everything else — what is checked in which
+    /// order, what is charged, what enters the read set and the location
+    /// cache, every retry — is the one body every remote read shares.
+    /// The READ and the read-set entry are the whole record; the value
+    /// returned is its first `head` bytes.
     ///
     /// Read-write transactions deliberately do *not* check the lock word
     /// (a committing transaction read-locks records; rejecting them would
     /// be a spurious failure — validation at commit decides). Read-only
     /// transactions reject locked records to avoid uncommitted reads
     /// (§4.5).
-    pub fn read_remote(
-        &mut self,
-        node: NodeId,
-        table: TableId,
-        key: u64,
-    ) -> Result<Vec<u8>, TxnError> {
-        block_now(self.read_remote_with(node, table, key, None, usize::MAX))
-    }
-
-    /// A remote read (Figure 6's `REMOTE_READ`, the NIC wait a reactor
-    /// yield point), its first location lookup and first READ answered
-    /// by `fetched` where [`Self::read_keys`] ran them ahead in its
-    /// shared parks. Everything else — what is checked in which order,
-    /// what is charged, what enters the read set and the location
-    /// cache, every retry — is the one body every remote read shares.
-    /// The READ and the read-set entry are the whole record; the value
-    /// returned is its first `head` bytes.
     async fn read_remote_with(
         &mut self,
         node: NodeId,
@@ -1393,19 +1341,6 @@ impl<'w> TxnCtx<'w> {
             });
             return Ok(value);
         }
-    }
-
-    /// Buffers a write to a record on machine `node`.
-    ///
-    /// Synchronous facade over [`Self::write_remote_async`].
-    pub fn write_remote(
-        &mut self,
-        node: NodeId,
-        table: TableId,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), TxnError> {
-        block_now(self.write_remote_async(node, table, key, value))
     }
 
     /// Buffers a write to a record on machine `node`. Locating the record

@@ -565,7 +565,7 @@ impl Server {
         };
         let pools: Vec<PoolRow> = (pools.into_iter())
             .map(|workers| PoolRow {
-                committed: workers.iter().map(|w| w.stats.committed).sum(),
+                committed: workers.iter().map(|w| w.obs.committed.get()).sum(),
                 virtual_ns: workers.iter().map(|w| w.clock.now()).max().unwrap_or(0),
             })
             .collect();

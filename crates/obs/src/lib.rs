@@ -25,21 +25,21 @@
 //!
 //! # Cost model when disabled
 //!
-//! Two switches, compile-time and runtime:
-//!
-//! * Building without the `rec` feature (`default-features = false`)
-//!   turns every recording call into an inlined constant-false branch;
-//!   the optimizer deletes the call sites and the shards/rings are
-//!   never written. CI's `obs-overhead` job builds both and compares
-//!   the `sweep --raw` throughput of one closed-loop TPC-C run. That
-//!   throughput is virtual, a pure function of the run's configuration
-//!   and seed, so both builds print the same number and the job's 5%
-//!   bound cannot fail: it checks that recording changes no virtual
-//!   result, not what recording costs the host. A host-time measurand
-//!   for the bound is ROADMAP item 2.
-//! * At runtime, [`set_enabled`] flips one relaxed `AtomicBool` that
-//!   every recording call checks first — one predictable load on the
-//!   hot path when compiled in but toggled off.
+//! One switch, at compile time: the `rec` feature. Building without it
+//! (`default-features = false`, or `--no-default-features` on a
+//! binary crate, which forwards its own default `rec` here) turns
+//! every recording call into an inlined constant-false branch; the
+//! optimizer deletes the call sites and the rings and per-phase tables
+//! are never written. Only a worker's results — its commits, aborts,
+//! fallbacks, user aborts and commit latency ([`Shard::note_commit`]
+//! and its three siblings) — are counted in every build, because they
+//! are the engine's answer, not instrumentation. CI's `obs-overhead`
+//! job builds both and compares the `sweep --raw` throughput of one
+//! closed-loop TPC-C run. That throughput is virtual, a pure function
+//! of the run's configuration and seed, so both builds print the same
+//! number and the job's 5% bound cannot fail: it checks that recording
+//! changes no virtual result, not what recording costs the host. A
+//! host-time measurand for the bound is ROADMAP item 2.
 //!
 //! The crate deliberately depends only on `drtm-base`, so every other
 //! layer (rdma, htm, cluster, core, chaos, cli, bench) can depend on it
@@ -63,23 +63,11 @@ pub use ring::Ring;
 pub use timeseries::{TsRing, TsSample};
 pub use trace::{EvPhase, EventKind, TraceEvent, TraceRing};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Runtime recording toggle (compiled-in builds only). On by default.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether recording is active: the `rec` feature must be compiled in
-/// *and* the runtime toggle must be on. With `rec` off this folds to
-/// `false` at compile time and callers' recording branches vanish.
+/// Whether recording is compiled in (the `rec` feature). A constant,
+/// so with `rec` off callers' recording branches vanish.
 #[inline(always)]
-pub fn enabled() -> bool {
-    cfg!(feature = "rec") && ENABLED.load(Ordering::Relaxed)
-}
-
-/// Flips the runtime toggle. A no-op (recording stays off) when the
-/// `rec` feature is compiled out.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+pub const fn enabled() -> bool {
+    cfg!(feature = "rec")
 }
 
 /// Commit-protocol phases, in protocol order. These are the span

@@ -16,9 +16,9 @@ use crate::{enabled, Phase, ABORT_REASONS, HTM_CLASSES};
 /// `/// doc` / `field => snapshot slot [: max];`. A row generates the
 /// public `Counter` field, its line of `Shard::new`, its fold into the
 /// [`Snapshot`] slot at scrape (summed across shards, or the maximum
-/// for a `: max` gauge) and its line of [`Registry::reset`] — so a new
-/// counter is this row, its stats-struct field, its `note_*` recorder
-/// and its exposition row in `expo.rs`, and nothing else.
+/// for a `: max` gauge) — so a new counter is this row, its
+/// stats-struct field, its `note_*` recorder and its exposition row in
+/// `expo.rs`, and nothing else.
 macro_rules! shard {
     ($($(#[$doc:meta])* $name:ident => $($slot:ident).+ $(: $fold:ident)?;)*) => {
         /// Per-worker metric shard. All fields are plain `drtm-base` atomics;
@@ -60,11 +60,6 @@ macro_rules! shard {
             /// Folds every scalar row into its slot of `snap`.
             fn fold_scalars(&self, snap: &mut Snapshot) {
                 $(shard!(@fold snap.$($slot).+, self.$name.get() $(, $fold)?);)*
-            }
-
-            /// Zeroes every scalar row.
-            fn reset_scalars(&self) {
-                $(self.$name.take();)*
             }
         }
 
@@ -133,14 +128,17 @@ shard! {
     key_grants => contention.grants;
 }
 
+/// A worker's results — `committed`, `aborted`, `fallbacks`,
+/// `user_aborts` and `latency` — are counted in every build: they are
+/// the engine's answer, read by the drivers and the tests. Every other
+/// recorder, the per-reason abort breakdown included, records only
+/// when [`enabled`].
 impl Shard {
     /// Records a committed transaction with its end-to-end latency.
     #[inline]
     pub fn note_commit(&self, latency_ns: u64) {
-        if enabled() {
-            self.committed.inc();
-            self.latency.record(latency_ns);
-        }
+        self.committed.inc();
+        self.latency.record(latency_ns);
     }
 
     /// Records one aborted attempt. `reason` indexes [`ABORT_REASONS`];
@@ -148,8 +146,8 @@ impl Shard {
     /// panicking in the hot path.
     #[inline]
     pub fn note_abort(&self, reason: usize) {
+        self.aborted.inc();
         if enabled() {
-            self.aborted.inc();
             self.aborts[reason.min(ABORT_REASONS.len() - 1)].inc();
         }
     }
@@ -157,9 +155,7 @@ impl Shard {
     /// Records a commit that used the software fallback path.
     #[inline]
     pub fn note_fallback(&self) {
-        if enabled() {
-            self.fallbacks.inc();
-        }
+        self.fallbacks.inc();
     }
 
     /// Records an explicit user abort. Counted in the per-reason
@@ -167,8 +163,8 @@ impl Shard {
     /// tracks attempts the engine itself had to retry).
     #[inline]
     pub fn note_user_abort(&self) {
+        self.user_aborts.inc();
         if enabled() {
-            self.user_aborts.inc();
             self.aborts[ABORT_REASONS.len() - 1].inc();
         }
     }
@@ -338,23 +334,6 @@ impl Registry {
         snap.phases = summaries(&total.phases);
         snap.phase_waits = summaries(&total.phase_waits);
         snap
-    }
-
-    /// Clears every shard (bench binaries use this between warmup and
-    /// the measured window).
-    pub fn reset(&self) {
-        for s in self.shards() {
-            s.reset_scalars();
-            s.latency.reset();
-            s.parked_ns.reset();
-            for c in &s.aborts {
-                c.take();
-            }
-            s.phases
-                .iter()
-                .chain(&s.phase_waits)
-                .for_each(Histogram::reset);
-        }
     }
 }
 
@@ -705,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn contention_counters_merge_and_reset() {
+    fn contention_counters_merge() {
         let r = Registry::new();
         let a = r.shard(0);
         let b = r.shard(1);
@@ -722,9 +701,6 @@ mod tests {
         assert_eq!(s.contention.waiting(), 1, "one park not yet resumed");
         assert_eq!(s.contention.parked_ns.count, 1);
         assert_eq!(s.contention.parked_ns.sum, 700);
-        r.reset();
-        let s = r.scrape();
-        assert_eq!(s.contention, ContentionStats::default());
     }
 
     #[test]
@@ -734,22 +710,6 @@ mod tests {
         s.note_abort(999);
         let snap = r.scrape();
         assert_eq!(snap.aborts.last().unwrap().1, 1);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let r = Registry::new();
-        let s = r.shard(0);
-        s.note_commit(5);
-        s.note_abort(2);
-        s.note_phase(Phase::Execute, 9);
-        r.reset();
-        let snap = r.scrape();
-        assert_eq!(snap.committed, 0);
-        assert_eq!(snap.aborted, 0);
-        assert_eq!(snap.latency.count, 0);
-        assert!(snap.phases.iter().all(|(_, h)| h.count == 0));
-        assert!(snap.aborts.iter().all(|(_, n)| *n == 0));
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn renderers_match_the_parents_output() {
 }
 
 #[test]
-fn every_shard_row_merges_renders_and_resets() {
+fn every_shard_row_merges_and_renders() {
     use crate::registry::SCALARS;
     let r = Registry::new();
     let (a, b) = (r.shard(0), r.shard(1));
@@ -123,11 +123,6 @@ fn every_shard_row_merges_renders_and_resets() {
                 || json.contains(&format!("\"{key}\":{want}}}")),
             "{name}"
         );
-    }
-    r.reset();
-    let snap = r.scrape();
-    for (name, _, counter, merged, _) in SCALARS {
-        assert_eq!((counter(&a).get(), merged(&snap)), (0, 0), "{name} reset");
     }
 }
 

@@ -268,7 +268,7 @@ pub fn trace_for(id: u64) -> u64 {
 }
 
 /// Records one event into the calling thread's ring. A no-op when
-/// recording is disabled (feature or runtime toggle).
+/// recording is compiled out.
 #[inline]
 pub fn event(kind: EventKind, label: &'static str, arg: u64, virt_ns: u64) {
     instant(kind, label, arg, 0, 0, virt_ns);

@@ -237,11 +237,11 @@ impl<W: Workload> Slot<'_, W> {
                 break;
             }
             let (name, ro, input) = self.wl.next(&mut gen, i as u64);
-            let (t0, aborted) = (w.clock.now(), w.stats.aborted);
+            let (t0, aborted) = (w.clock.now(), w.obs.aborted.get());
             let result = self.exec_txn(w, ro, &input).await;
             let dt = w.clock.now().saturating_sub(t0);
             let e = per_type.entry(name).or_default();
-            e.aborted += w.stats.aborted - aborted;
+            e.aborted += w.obs.aborted.get() - aborted;
             match result {
                 Ok(()) => {
                     e.committed += 1;
@@ -276,8 +276,8 @@ fn tally(outs: impl IntoIterator<Item = (Worker, (LoopOut, bool))>) -> WorkerRes
     for (w, (per_type, stopped)) in outs {
         res.stopped |= stopped;
         res.vtime_ns = res.vtime_ns.max(w.clock.now());
-        res.aborted += w.stats.aborted;
-        res.fallbacks += w.stats.fallbacks;
+        res.aborted += w.obs.aborted.get();
+        res.fallbacks += w.obs.fallbacks.get();
         res.spent += w.clock.spent();
         for (name, t) in per_type {
             res.committed += t.committed;
@@ -521,10 +521,8 @@ mod tests {
             }
             let hideable = [Cause::VerbWait, Cause::LogFlush, Cause::NicBudget];
             let hideable: u64 = hideable.into_iter().map(|c| all.get(c)).sum();
-            if cfg!(feature = "obs") {
-                let registry = scrape_cluster(&cluster).pipeline.wait_ns;
-                assert_eq!(hideable, registry, "{run:?}");
-            }
+            let registry = scrape_cluster(&cluster).pipeline.wait_ns;
+            assert_eq!(hideable, registry, "{run:?}");
             assert!(all.get(Cause::RecordLogic) > 0, "{run:?}");
             all
         }

@@ -393,7 +393,9 @@ fn smallbank_zero_sum_stress_balances_money_and_attempts() {
             failed
         },
     );
-    let ended = |w: &drtm_core::Worker| w.stats.committed + w.stats.aborted + w.stats.user_aborts;
+    let ended = |w: &drtm_core::Worker| {
+        w.obs.committed.get() + w.obs.aborted.get() + w.obs.user_aborts.get()
+    };
     let (ended, failed) = (done.iter().flatten())
         .map(|(w, failed)| (ended(w), *failed))
         .fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1));
@@ -655,7 +657,11 @@ fn smallbank_routines_one_pins_blocking_path() {
             240_468 - 29 * 40 - reads_written,
             "{arm}: virtual clock"
         );
-        assert_eq!((w.stats.committed, w.stats.aborted), (54, 0), "{arm}");
+        assert_eq!(
+            (w.obs.committed.get(), w.obs.aborted.get()),
+            (54, 0),
+            "{arm}"
+        );
         let nic = |node| c.fabric.port(node).stats().snapshot();
         assert_eq!(nic(0), NicSnapshot::default(), "{arm}: node 0 traffic");
         let expect = NicSnapshot {

@@ -68,11 +68,11 @@ fn main() {
         .expect("read-only txn");
     assert_eq!(total, 200, "transfer conserved the total");
 
-    println!("committed {} transactions", worker.stats.committed);
+    println!("committed {} transactions", worker.obs.committed.get());
     println!("virtual time elapsed: {} us", worker.clock.now() / 1000);
     println!(
         "mean txn latency: {:.1} us",
-        worker.stats.latency.mean() / 1000.0
+        worker.obs.latency.mean() / 1000.0
     );
     println!("total of the two transfer accounts: {total} (conserved)");
 }

@@ -1,7 +1,7 @@
 //! The observability layer end to end, through the facade crate: a
 //! small cluster runs local and cross-node transactions, and one scrape
 //! rendered three ways — text, Prometheus, JSON — tells the same story
-//! as the workers' own counters.
+//! as the transactions the workers ran.
 
 use drtm::core::cluster::{DrtmCluster, EngineOpts};
 use drtm::core::scrape_cluster;
@@ -30,23 +30,20 @@ fn three_renderings_of_one_scrape_agree_with_the_workers() {
         let mut w = c.worker(node, 1);
         for k in 0..4 {
             // One local read-modify-write, one that also writes remotely.
-            w.run(|t| {
-                let v = t.read(node, T, key(node, k))?;
-                t.write(node, T, key(node, k), v)
-            })
-            .unwrap();
-            w.run(|t| {
-                let v = t.read(node, T, key(node, k))?;
-                t.write(1 - node, T, key(1 - node, k), v)
-            })
-            .unwrap();
+            let runs = [
+                w.run(|t| {
+                    let v = t.read(node, T, key(node, k))?;
+                    t.write(node, T, key(node, k), v)
+                }),
+                w.run(|t| {
+                    let v = t.read(node, T, key(node, k))?;
+                    t.write(1 - node, T, key(1 - node, k), v)
+                }),
+            ];
+            committed += runs.iter().filter(|r| r.is_ok()).count() as u64;
         }
-        committed += w.stats.committed;
     }
     assert_eq!(committed, 16);
-    if !drtm_obs::enabled() {
-        return; // Built with recording compiled out: nothing to render.
-    }
 
     let snap = scrape_cluster(&c);
     assert_eq!(snap.committed, committed);

@@ -135,12 +135,11 @@ fn unreplicated_update_rolls_back_and_gated_readers_abort() {
 
     // A reader sees the optimistic value but cannot commit against it.
     let mut w = c.worker(0, 1);
-    let r = w.run_once_for_test(|t| {
-        let v = num(&t.read_remote(1, T, key(1, 2))?);
-        assert_eq!(v, 9999, "execution-phase reads are optimistic");
-        t.write_remote(1, T, key(1, 2), val(v + 1))
-    });
-    assert!(matches!(r, Err(TxnError::Aborted(_))));
+    let mut t = w.begin();
+    let v = num(&t.read(1, T, key(1, 2)).unwrap());
+    assert_eq!(v, 9999, "execution-phase reads are optimistic");
+    t.write(1, T, key(1, 2), val(v + 1)).unwrap();
+    assert!(matches!(t.commit(), Err(TxnError::Aborted(_))));
 
     c.crash(1);
     recover_node(&c, 1);

@@ -52,7 +52,7 @@ fn quiescent_sequence_numbers_are_even() {
         w.run(|t| t.write(0, T, 1, val(1))).unwrap();
         // Remote write.
         w.run(|t| t.write(1, T, 1 << 32 | 1, val(2))).unwrap();
-        assert_eq!(w.stats.fallbacks, if htm_fails { 2 } else { 0 });
+        assert_eq!(w.obs.fallbacks.get(), if htm_fails { 2 } else { 0 });
         for (node, key) in [(0usize, 1u64), (1, 1 << 32 | 1)] {
             let off = c.stores[node].get_loc(T, key).unwrap() as usize;
             let seq = c.stores[node].region.load64(off + SEQ_OFF);
@@ -76,7 +76,7 @@ fn all_writes_reach_all_backups() {
             Ok(())
         })
         .unwrap();
-        assert_eq!(w.stats.fallbacks, u64::from(htm_fails));
+        assert_eq!(w.obs.fallbacks.get(), u64::from(htm_fails));
         // Backups of 0 are {1, 2}; of 2 are {0, 1}; of 1 are {2, 0}.
         assert_eq!(c.logs.len(1, 0), 1);
         assert_eq!(c.logs.len(2, 0), 1);
@@ -123,14 +123,14 @@ fn odd_version_gates_concurrent_committers() {
     let mut w = c.worker(0, 2);
     // Optimistic read succeeds...
     let mut txn = w.begin();
-    let v = txn.read_local(T, 3).unwrap();
+    let v = txn.read(0, T, 3).unwrap();
     assert_eq!(num(&v), 555);
     // ...but committing against it fails while the version is odd.
     assert!(matches!(txn.commit(), Err(TxnError::Aborted(_))));
 
     // Writer finishes replication; the even successor validates.
     let mut txn = w.begin();
-    let _ = txn.read_local(T, 3).unwrap();
+    let _ = txn.read(0, T, 3).unwrap();
     rec.set_seq(6);
     // The snapshot was taken at seq 5; (5+1)&!1 == 6 == current: valid.
     txn.commit()

@@ -29,9 +29,15 @@
 //! freed region, and freed backup images leave large free chunks), and
 //! `calloc` must then write zeros over every page of the request, so a
 //! second cluster in one process costs the whole of its regions however
-//! few records it holds. `Pages` holds this module's only `unsafe` code:
-//! the `mmap` that makes the mapping, the slice over it and the `munmap`
-//! that ends it.
+//! few records it holds. The words sit on 2 MiB pages where the kernel
+//! allows them: their mapping is advised `MADV_HUGEPAGE`, so a load
+//! takes one page fault per 2 MiB it touches instead of 512, and random
+//! record accesses miss the TLB less. Their resident memory is rounded
+//! up to whole 2 MiB extents, one per extent touched. The line versions
+//! are touched sparsely and stay on 4 KiB pages. `Pages` holds this
+//! module's only `unsafe` code: the `mmap` that makes the mapping, the
+//! `madvise` that hints it, the slice over it and the `munmap` that
+//! ends it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,8 +97,8 @@ const _: () = {
 ))]
 mod pages {
     //! Zeroed words in a private anonymous mapping, over a minimal FFI
-    //! onto libc's `mmap(2)` / `munmap(2)` (the flag values are Linux's
-    //! on x86-64 and AArch64).
+    //! onto libc's `mmap(2)` / `madvise(2)` / `munmap(2)` (the flag and
+    //! advice values are Linux's on x86-64 and AArch64).
 
     use std::sync::atomic::AtomicU64;
 
@@ -102,9 +108,11 @@ mod pages {
     const MAP_ANONYMOUS: i32 = 0x20;
     /// `MAP_FAILED`, `(void *) -1`.
     const MAP_FAILED: usize = usize::MAX;
+    const MADV_HUGEPAGE: i32 = 14;
 
     extern "C" {
         fn mmap(addr: usize, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> usize;
+        fn madvise(addr: usize, len: usize, advice: i32) -> i32;
         fn munmap(addr: usize, len: usize) -> i32;
     }
 
@@ -119,8 +127,11 @@ mod pages {
     }
 
     impl Pages {
-        /// Maps `words` (at least one) zeroed words.
-        pub(super) fn zeroed(words: usize) -> Self {
+        /// Maps `words` (at least one) zeroed words. With `huge_pages`
+        /// the mapping is advised for transparent huge pages, so the
+        /// kernel may back each touched 2 MiB extent with one page
+        /// (one fault, one TLB entry) instead of 512.
+        pub(super) fn zeroed(words: usize, huge_pages: bool) -> Self {
             let bytes = words * size_of::<AtomicU64>();
             let (prot, flags) = (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS);
             // SAFETY: a fresh anonymous mapping aliases nothing.
@@ -128,6 +139,12 @@ mod pages {
             if addr == MAP_FAILED {
                 let layout = std::alloc::Layout::array::<AtomicU64>(words).expect("region size");
                 std::alloc::handle_alloc_error(layout);
+            }
+            if huge_pages {
+                // A hint: where the kernel refuses it (THP `never`, or
+                // no THP at all) the mapping stays on base pages.
+                // SAFETY: advice on this value's own fresh mapping.
+                unsafe { madvise(addr, bytes, MADV_HUGEPAGE) };
             }
             Self { addr, words }
         }
@@ -166,7 +183,7 @@ mod pages {
     pub(super) struct Pages(Box<[AtomicU64]>);
 
     impl Pages {
-        pub(super) fn zeroed(words: usize) -> Self {
+        pub(super) fn zeroed(words: usize, _huge_pages: bool) -> Self {
             Self((0..words).map(|_| AtomicU64::new(0)).collect())
         }
     }
@@ -187,8 +204,8 @@ impl MemoryRegion {
     pub fn new(size: usize) -> Self {
         let size = round_up_line(size.max(CACHE_LINE));
         Self {
-            words: Pages::zeroed(size / WORD),
-            line_ver: Pages::zeroed(size / CACHE_LINE),
+            words: Pages::zeroed(size / WORD, true),
+            line_ver: Pages::zeroed(size / CACHE_LINE, false),
             writes: OwnLine(AtomicU64::new(0)),
             size,
         }
@@ -680,5 +697,52 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// The words' mapping carries the huge-page advice: the kernel
+    /// reports the mapping that holds a fresh region's words eligible
+    /// for transparent huge pages (`THPeligible: 1` in its
+    /// `/proc/self/smaps` entry). A kernel with them off has nothing to
+    /// check.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn region_words_are_eligible_for_huge_pages() {
+        let thp = "/sys/kernel/mm/transparent_hugepage/enabled";
+        let mode = std::fs::read_to_string(thp).unwrap_or_default();
+        if mode.is_empty() || mode.contains("[never]") {
+            eprintln!("{thp} reads {:?}: no huge pages to check", mode.trim());
+            return;
+        }
+        let r = MemoryRegion::new(8 << 20);
+        let addr = r.words.as_ptr() as usize;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let hex = |a| usize::from_str_radix(a, 16).ok();
+        let (mut inside, mut eligible) = (false, None);
+        for line in smaps.lines() {
+            // An entry starts with its `lo-hi` range in hex; the fields
+            // after it start with their names.
+            let first = line.split_whitespace().next().unwrap_or("");
+            let range = first
+                .split_once('-')
+                .and_then(|(lo, hi)| hex(lo).zip(hex(hi)));
+            match range {
+                Some((lo, hi)) => inside = (lo..hi).contains(&addr),
+                None if inside => {
+                    if let Some(v) = line.strip_prefix("THPeligible:") {
+                        eligible = Some(v.trim().to_owned());
+                    }
+                }
+                None => {}
+            }
+        }
+        assert_eq!(
+            eligible.as_deref(),
+            Some("1"),
+            "the mapping of the words at {addr:#x} (THP mode {:?})",
+            mode.trim()
+        );
     }
 }

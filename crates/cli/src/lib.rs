@@ -612,13 +612,19 @@ impl Shell {
     }
 }
 
-/// The shell's read-parse-execute loop over `input`, printing results
-/// to stdout and errors to stderr. An interactive session reports a
+/// The shell's read-parse-execute loop over `input`, writing results
+/// to `out` and errors to stderr. An interactive session reports a
 /// failed command and carries on; a script or pipe stops at the first
 /// one. Returns `false` when it stopped that way, so the caller can
-/// exit nonzero.
-pub fn run_lines(shell: &mut Shell, input: impl std::io::BufRead, interactive: bool) -> bool {
-    use std::io::Write;
+/// exit nonzero. A failed write to `out` ends the loop as
+/// [`output_failed`] says: quietly, as end of input does, when the
+/// reader has gone.
+pub fn run_lines(
+    shell: &mut Shell,
+    input: impl std::io::BufRead,
+    out: &mut impl std::io::Write,
+    interactive: bool,
+) -> bool {
     for line in input.lines() {
         if drtm_base::shutdown::requested() {
             break;
@@ -626,8 +632,9 @@ pub fn run_lines(shell: &mut Shell, input: impl std::io::BufRead, interactive: b
         let Ok(line) = line else { break };
         if interactive {
             // The prompt appears *after* the previous output.
-            print!("> ");
-            let _ = std::io::stdout().flush();
+            if let Err(e) = write!(out, "> ").and_then(|()| out.flush()) {
+                return output_failed(&e);
+            }
         }
         let result = match parse(&line) {
             Ok(None) => continue,
@@ -635,7 +642,11 @@ pub fn run_lines(shell: &mut Shell, input: impl std::io::BufRead, interactive: b
             Err(e) => Err(e),
         };
         match result {
-            Ok(Some(out)) => println!("{out}"),
+            Ok(Some(text)) => {
+                if let Err(e) = writeln!(out, "{text}") {
+                    return output_failed(&e);
+                }
+            }
             Ok(None) => break,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -646,6 +657,18 @@ pub fn run_lines(shell: &mut Shell, input: impl std::io::BufRead, interactive: b
         }
     }
     true
+}
+
+/// Whether a session whose output failed with `e` ended well. A reader
+/// that has gone (`BrokenPipe`, as when the output is piped into
+/// `head`) ends it quietly, as end of input does; any other failure is
+/// reported on stderr and ends it as a failed command does.
+pub fn output_failed(e: &std::io::Error) -> bool {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        return true;
+    }
+    eprintln!("error: cannot write output: {e}");
+    false
 }
 
 #[cfg(test)]
@@ -1112,24 +1135,46 @@ mod tests {
     #[test]
     fn scripts_stop_at_the_first_error_interactive_sessions_do_not() {
         let script = "cluster 2\nnosuch\nput 0 1 5\n";
-        let mut sh = Shell::new();
-        assert!(!run_lines(&mut sh, script.as_bytes(), false));
+        let (mut sh, sink) = (Shell::new(), &mut std::io::sink());
+        assert!(!run_lines(&mut sh, script.as_bytes(), sink, false));
         let get = Cmd::Get { shard: 0, key: 1 };
         let out = sh.execute(get.clone()).unwrap().unwrap();
         assert!(out.contains("not found"), "put ran after the error: {out}");
 
         let mut sh = Shell::new();
-        assert!(run_lines(&mut sh, script.as_bytes(), true));
+        assert!(run_lines(&mut sh, script.as_bytes(), sink, true));
         let out = sh.execute(get).unwrap().unwrap();
         assert!(out.contains("= 5"), "{out}");
         // A command that fails in `execute` (not only in `parse`) stops
         // a script too; `quit` ends one cleanly.
-        assert!(!run_lines(&mut Shell::new(), "get 0 1\n".as_bytes(), false));
-        assert!(run_lines(
-            &mut Shell::new(),
-            "quit\nnosuch\n".as_bytes(),
-            false
-        ));
+        let (failing, quit) = ("get 0 1\n".as_bytes(), "quit\nnosuch\n".as_bytes());
+        assert!(!run_lines(&mut Shell::new(), failing, sink, false));
+        assert!(run_lines(&mut Shell::new(), quit, sink, false));
+    }
+
+    /// Output whose reader has gone: every write fails as a closed
+    /// pipe's does.
+    struct ClosedPipe;
+
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A session whose reader closes early (`drtm-shell | head`) stops
+    /// reading at its first unwritable output and ends well: in a
+    /// script the failing command after `help` is never read, and at a
+    /// prompt the prompt's own write ends it.
+    #[test]
+    fn a_closed_output_ends_the_session_quietly() {
+        let script = "help\nget 0 1\n".as_bytes();
+        assert!(run_lines(&mut Shell::new(), script, &mut ClosedPipe, false));
+        assert!(run_lines(&mut Shell::new(), script, &mut ClosedPipe, true));
     }
 
     #[test]

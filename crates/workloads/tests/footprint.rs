@@ -18,8 +18,16 @@
 //! on the calling thread, the same chunks left about 66 MB resident in
 //! the main heap after the drop; with every thread on one arena
 //! (`MALLOC_ARENA_MAX=1`) the parallel load leaves about 6 MB.
-//! Everything is measured in one test because `VmRSS` covers the whole
-//! process.
+//!
+//! What a build and load adds to the resident set must be at most what
+//! the cluster has written: each store's words up to its allocator's
+//! high-water mark, rounded up to the 2 MiB extents that transparent
+//! huge pages fault in whole, plus its line versions (one word per
+//! 64-byte line, an eighth of the region's size), plus the backup
+//! images' allocated bytes, plus 8 MiB. A region whose every page were
+//! made resident (`MAP_POPULATE`, or a `calloc` over recycled heap)
+//! breaks it. Everything is measured in one test because `VmRSS`
+//! covers the whole process.
 //!
 //! Linux only: it reads `VmRSS` from `/proc/self/status`.
 #![cfg(target_os = "linux")]
@@ -35,8 +43,21 @@ fn vm_rss_kib() -> u64 {
     kib.and_then(|n| n.parse().ok()).expect("a VmRSS line")
 }
 
-/// How far `VmRSS` after a drop may sit from its value before the build.
+/// How far `VmRSS` after a drop may sit from its value before the
+/// build, and how far past what a build and load wrote it may grow.
 const RETAINED_KIB: u64 = 8 << 10;
+
+/// The extent a transparent huge page makes resident at once.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The most a build and load of `cluster` may add to `VmRSS`, in KiB:
+/// what its stores and backup images hold, plus 8 MiB.
+fn written_kib(cluster: &DrtmCluster) -> u64 {
+    let stores = cluster.stores.iter();
+    let regions = stores.map(|s| s.alloc.used().next_multiple_of(HUGE_PAGE) + s.region.size() / 8);
+    let bytes = regions.sum::<usize>() + cluster.backups.footprint().1;
+    (bytes >> 10) as u64 + RETAINED_KIB
+}
 
 #[test]
 fn later_builds_cost_what_the_first_did() {
@@ -54,7 +75,14 @@ fn later_builds_cost_what_the_first_did() {
             .build();
         let cluster = DrtmCluster::new(cfg.nodes, &cfg.schema(), opts);
         smallbank::load(&cluster, &cfg);
-        loaded.push(vm_rss_kib());
+        let kib = vm_rss_kib();
+        let (grew, bound) = (kib.saturating_sub(before), written_kib(&cluster));
+        assert!(
+            grew <= bound,
+            "VmRSS grew {grew} KiB over build and load {cycle}, past the {bound} KiB \
+             its stores and images wrote, plus slack"
+        );
+        loaded.push(kib);
         drop(cluster);
         let after = vm_rss_kib();
         assert!(

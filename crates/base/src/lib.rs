@@ -35,6 +35,6 @@ pub use cacheline::{
 };
 pub use clock::{Cause, CostModel, Ledger, VClock};
 pub use link::LinkBudget;
-pub use region::MemoryRegion;
+pub use region::{MemoryRegion, ZeroedBytes};
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram};

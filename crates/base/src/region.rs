@@ -34,16 +34,22 @@
 //! takes one page fault per 2 MiB it touches instead of 512, and random
 //! record accesses miss the TLB less. Their resident memory is rounded
 //! up to whole 2 MiB extents, one per extent touched. The line versions
-//! are touched sparsely and stay on 4 KiB pages. `Pages` holds this
-//! module's only `unsafe` code: the `mmap` that makes the mapping, the
-//! `madvise` that hints it, the slice over it and the `munmap` that
-//! ends it.
+//! are touched sparsely and stay on 4 KiB pages.
+//!
+//! The same mappings, viewed as bytes, are [`ZeroedBytes`], always
+//! advised for 2 MiB pages: the slab chunks of the backup images
+//! (`drtm_core::replication`), which a load fills one slot after the
+//! next. The private `Mapping` under both views holds this module's
+//! only `unsafe` code: the `mmap` that makes the mapping, the `madvise`
+//! that hints it, the slices over it and the `munmap` that ends it.
+//! Outside `drtm-base`, only tests hold `unsafe` code (CI checks it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cacheline::{line_range, round_up_line, CACHE_LINE};
 
 use pages::Pages;
+pub use pages::ZeroedBytes;
 
 const WORD: usize = 8;
 
@@ -91,16 +97,35 @@ const _: () = {
     send_sync::<MemoryRegion>();
 };
 
+/// The extent a transparent huge page covers.
+const HUGE_PAGE: usize = 2 << 20;
+
+impl ZeroedBytes {
+    /// The most memory that writing the first `touched` bytes makes
+    /// resident: whole 2 MiB extents where the mapping spans one,
+    /// whole 4 KiB pages elsewhere, and never more than the mapping.
+    pub fn resident(&self, touched: usize) -> usize {
+        let page = if self.len() >= HUGE_PAGE {
+            HUGE_PAGE
+        } else {
+            4 << 10
+        };
+        touched.min(self.len()).next_multiple_of(page)
+    }
+}
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod pages {
-    //! Zeroed words in a private anonymous mapping, over a minimal FFI
+    //! Zeroed memory in private anonymous mappings, over a minimal FFI
     //! onto libc's `mmap(2)` / `madvise(2)` / `munmap(2)` (the flag and
     //! advice values are Linux's on x86-64 and AArch64).
 
     use std::sync::atomic::AtomicU64;
+
+    use super::HUGE_PAGE;
 
     const PROT_READ: i32 = 1;
     const PROT_WRITE: i32 = 2;
@@ -116,37 +141,57 @@ mod pages {
         fn munmap(addr: usize, len: usize) -> i32;
     }
 
-    /// Zeroed words that cost memory only where they are written: the
+    /// Zeroed bytes that cost memory only where they are written: the
     /// kernel supplies each page zeroed on first touch, and the mapping
     /// is unmapped on drop.
-    pub(super) struct Pages {
-        /// Address of the mapping (an integer, so `Pages` is
-        /// `Send + Sync` as the atomics it holds are).
+    struct Mapping {
+        /// Address of the mapping (an integer, so the owners below are
+        /// `Send + Sync` as the memory they view is).
         addr: usize,
-        words: usize,
+        /// Bytes mapped.
+        len: usize,
     }
 
-    impl Pages {
-        /// Maps `words` (at least one) zeroed words. With `huge_pages`
-        /// the mapping is advised for transparent huge pages, so the
-        /// kernel may back each touched 2 MiB extent with one page
-        /// (one fault, one TLB entry) instead of 512.
-        pub(super) fn zeroed(words: usize, huge_pages: bool) -> Self {
-            let bytes = words * size_of::<AtomicU64>();
+    impl Mapping {
+        /// Maps `len` (at least one) zeroed bytes. With `huge_pages` the
+        /// mapping is advised for transparent huge pages, so the kernel
+        /// may back each touched 2 MiB extent with one page (one fault,
+        /// one TLB entry) instead of 512.
+        fn zeroed(len: usize, huge_pages: bool) -> Self {
+            assert!(len > 0, "a mapping holds at least one byte");
             let (prot, flags) = (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS);
             // SAFETY: a fresh anonymous mapping aliases nothing.
-            let addr = unsafe { mmap(0, bytes, prot, flags, -1, 0) };
+            let addr = unsafe { mmap(0, len, prot, flags, -1, 0) };
             if addr == MAP_FAILED {
-                let layout = std::alloc::Layout::array::<AtomicU64>(words).expect("region size");
+                let layout = std::alloc::Layout::array::<u8>(len).expect("mapping size");
                 std::alloc::handle_alloc_error(layout);
             }
             if huge_pages {
                 // A hint: where the kernel refuses it (THP `never`, or
                 // no THP at all) the mapping stays on base pages.
                 // SAFETY: advice on this value's own fresh mapping.
-                unsafe { madvise(addr, bytes, MADV_HUGEPAGE) };
+                unsafe { madvise(addr, len, MADV_HUGEPAGE) };
             }
-            Self { addr, words }
+            Self { addr, len }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: the mapping is this value's own, and no borrow of
+            // it outlives `&mut self` of its owner.
+            unsafe { munmap(self.addr, self.len) };
+        }
+    }
+
+    /// Zeroed words in a mapping of their own.
+    pub(super) struct Pages(Mapping);
+
+    impl Pages {
+        /// Maps `words` (at least one) zeroed words, advised for huge
+        /// pages with `huge_pages`.
+        pub(super) fn zeroed(words: usize, huge_pages: bool) -> Self {
+            Self(Mapping::zeroed(words * size_of::<AtomicU64>(), huge_pages))
         }
     }
 
@@ -155,18 +200,56 @@ mod pages {
 
         #[inline]
         fn deref(&self) -> &[AtomicU64] {
+            let words = self.0.len / size_of::<AtomicU64>();
             // SAFETY: `addr` is a live, page-aligned, readable and
             // writable mapping of `words` words until `drop`; its pages
             // start zeroed, and zero is a valid `AtomicU64`.
-            unsafe { std::slice::from_raw_parts(self.addr as *const AtomicU64, self.words) }
+            unsafe { std::slice::from_raw_parts(self.0.addr as *const AtomicU64, words) }
         }
     }
 
-    impl Drop for Pages {
-        fn drop(&mut self) {
-            // SAFETY: the mapping is this value's own, and no borrow of
-            // it outlives `&mut self`.
-            unsafe { munmap(self.addr, self.words * size_of::<AtomicU64>()) };
+    /// Zeroed bytes in a mapping of their own, advised for 2 MiB pages
+    /// (see [`super::MemoryRegion`]'s module doc). A request of 2 MiB
+    /// or more maps whole 2 MiB extents, which the kernel aligns, so
+    /// every touched extent can be one huge page; the slice is the
+    /// length asked for.
+    pub struct ZeroedBytes {
+        map: Mapping,
+        len: usize,
+    }
+
+    impl ZeroedBytes {
+        /// Maps `len` (at least one) zeroed bytes.
+        pub fn new(len: usize) -> Self {
+            let mapped = if len >= HUGE_PAGE {
+                len.next_multiple_of(HUGE_PAGE)
+            } else {
+                len
+            };
+            Self {
+                map: Mapping::zeroed(mapped, true),
+                len,
+            }
+        }
+    }
+
+    impl std::ops::Deref for ZeroedBytes {
+        type Target = [u8];
+
+        #[inline]
+        fn deref(&self) -> &[u8] {
+            // SAFETY: a live, readable mapping of at least `len` bytes
+            // until `drop`, written only through `&mut self`.
+            unsafe { std::slice::from_raw_parts(self.map.addr as *const u8, self.len) }
+        }
+    }
+
+    impl std::ops::DerefMut for ZeroedBytes {
+        #[inline]
+        fn deref_mut(&mut self) -> &mut [u8] {
+            // SAFETY: as for `deref`, and `&mut self` makes this the
+            // mapping's only borrow.
+            unsafe { std::slice::from_raw_parts_mut(self.map.addr as *mut u8, self.len) }
         }
     }
 }
@@ -176,7 +259,7 @@ mod pages {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod pages {
-    //! Zeroed words in a zeroed `Box` (no mapping is made here).
+    //! Zeroed memory in zeroed `Box`es (no mapping is made here).
 
     use std::sync::atomic::AtomicU64;
 
@@ -194,6 +277,33 @@ mod pages {
         #[inline]
         fn deref(&self) -> &[AtomicU64] {
             &self.0
+        }
+    }
+
+    /// Zeroed bytes in a zeroed `Box`.
+    pub struct ZeroedBytes(Box<[u8]>);
+
+    impl ZeroedBytes {
+        /// Allocates `len` (at least one) zeroed bytes.
+        pub fn new(len: usize) -> Self {
+            assert!(len > 0, "a mapping holds at least one byte");
+            Self(vec![0; len].into_boxed_slice())
+        }
+    }
+
+    impl std::ops::Deref for ZeroedBytes {
+        type Target = [u8];
+
+        #[inline]
+        fn deref(&self) -> &[u8] {
+            &self.0
+        }
+    }
+
+    impl std::ops::DerefMut for ZeroedBytes {
+        #[inline]
+        fn deref_mut(&mut self) -> &mut [u8] {
+            &mut self.0
         }
     }
 }
@@ -451,6 +561,17 @@ impl MemoryRegion {
         self.copy_in(off, data);
     }
 
+    /// Stores the word at `off` (must be 8-aligned) without the seqlock
+    /// protocol: no line lock, no version bump, no count. Release: a
+    /// reader whose [`Self::load64`] finds the word finds every store
+    /// made before it too. Only for a sole writer before any reader
+    /// (a load).
+    #[inline]
+    pub fn store64_raw(&self, off: usize, val: u64) {
+        debug_assert_eq!(off % WORD, 0, "unaligned 64-bit store at {off}");
+        self.words[off / WORD].store(val, Ordering::Release);
+    }
+
     /// Reads bytes without the seqlock protocol. Only meaningful when no
     /// concurrent writer exists (tests, post-mortem inspection).
     pub fn read_bytes_raw(&self, off: usize, buf: &mut [u8]) {
@@ -665,6 +786,30 @@ mod tests {
         r.read_bytes_raw(0, &mut buf);
         assert!(buf.iter().all(|&b| b == 0), "a word reads nonzero");
         assert!((0..r.lines()).all(|l| r.line_version(l) == 0));
+    }
+
+    /// Zeroed bytes read zero, keep what is written, and bound their
+    /// resident memory by the pages the written prefix touches.
+    #[test]
+    fn zeroed_bytes_start_zero_and_bound_their_pages() {
+        for len in [2, 5000, 3 << 20] {
+            let mut b = ZeroedBytes::new(len);
+            assert_eq!(b.len(), len);
+            assert!(b.iter().all(|&x| x == 0));
+            b[len - 1] = 7;
+            b[0] = 9;
+            assert_eq!((b[0], b[len - 1]), (9, 7));
+        }
+        let small = ZeroedBytes::new(5000);
+        assert_eq!([small.resident(0), small.resident(1)], [0, 4096]);
+        assert_eq!(small.resident(5000), 8192);
+        let big = ZeroedBytes::new(3 << 20);
+        assert_eq!(big.resident(1), 2 << 20);
+        assert_eq!(
+            big.resident(3 << 20),
+            4 << 20,
+            "the mapping's whole last extent"
+        );
     }
 
     /// Torn-line check: two threads hammer a single line with full-line

@@ -555,16 +555,26 @@ impl DrtmCluster {
     /// machines loads its own partition.
     ///
     /// A load writes one store per home and one image of each home per
-    /// backup. Each of those destinations is one job: the body runs for
-    /// every shard of the home in shard order, with a seeder that writes
-    /// that destination alone, so a body runs once per copy of a record
-    /// and must put the same records each time. The jobs go to
-    /// `min(available_parallelism, machines)` scoped threads, the next
-    /// job to whichever thread is free. Each store and each image is
-    /// written by one thread in the order a serial loop over the shards
-    /// writes it, so allocator offsets, hash slots, incarnations and
-    /// image slots come out the same; a job locks only its own image, so
-    /// the threads cannot deadlock.
+    /// backup, in jobs: one per home's store and, under replication, one
+    /// per home's first backup image. A job runs the body for every
+    /// shard of its home in shard order, with a seeder that writes its
+    /// destination alone, so a body runs at most twice per shard and
+    /// must put the same records each time. Once its image is loaded, an
+    /// image job copies it to the home's other backups byte for byte
+    /// ([`BackupStore::copy_image`]): all backups of a primary start out
+    /// with the same image (§5.1), and the same puts in the same order
+    /// would have built each of them.
+    ///
+    /// The jobs go to `min(available_parallelism, machines)` scoped
+    /// threads, the next job to whichever thread is free. Each store
+    /// and each image is written by one thread in the order a serial
+    /// loop over the shards writes it, so allocator offsets, hash slots,
+    /// incarnations and image slots come out the same. Each seeder is
+    /// its destination's only writer, which is what lets
+    /// [`Seeder::put`] seed the store without the run-time write
+    /// protocol ([`Store::seed`]). A job locks only images of its own
+    /// home, the copy's source before its destination, so the threads
+    /// cannot deadlock.
     pub fn load_shards(&self, body: impl Fn(usize, &mut Seeder<'_>) + Sync) {
         let shard_map = self.shard_map.read().clone();
         let mut homes = shard_map.clone();
@@ -572,9 +582,9 @@ impl DrtmCluster {
         homes.dedup();
         // The stores first: they take longer than the images.
         let stores = homes.iter().map(|&home| (home, None));
-        let images = homes.iter().flat_map(|&home| {
-            let backups = self.backups_of(home).into_iter();
-            backups.map(move |b| (home, Some(b)))
+        let images = homes.iter().filter_map(|&home| {
+            let first = self.backups_of(home).first().copied();
+            first.map(|b| (home, Some(b)))
         });
         let jobs: Vec<(NodeId, Option<NodeId>)> = stores.chain(images).collect();
         // Relaxed: the counter publishes nothing; each add hands out one
@@ -592,6 +602,11 @@ impl DrtmCluster {
                             let store = backup.is_none().then(|| &*self.stores[home]);
                             body(shard, &mut Seeder { store, images });
                         }
+                        if let Some(first) = backup {
+                            for b in self.backups_of(home).into_iter().skip(1) {
+                                self.backups.copy_image(home, first, b);
+                            }
+                        }
                     }
                 });
             }
@@ -601,8 +616,10 @@ impl DrtmCluster {
     /// The installer of `shard`'s initial records on its serving node
     /// and every backup ([`Seeder`]): resolves the node and its backups
     /// once, and holds each backup's image of that node locked until
-    /// dropped; hold it only while loading. [`Self::load_shards`] gives
-    /// its bodies seeders that each write one of those destinations.
+    /// dropped. Seed only before any transaction runs: a seeder must be
+    /// the only writer of its store ([`Seeder::put`]).
+    /// [`Self::load_shards`] gives its bodies seeders that each write
+    /// one of those destinations.
     pub fn seeder(&self, shard: usize) -> Seeder<'_> {
         let home = self.home_of(shard);
         let backups = self.backups_of(home);
@@ -625,6 +642,12 @@ impl DrtmCluster {
 /// allocates or clones (DESIGN.md §4): the backups are a fixed-capacity
 /// list read once without cloning the membership, and their images stay
 /// locked for the seeder's life.
+///
+/// A seeder is the only writer of its destination: a load gives each
+/// store and each loaded image one job, and every caller seeds before
+/// any worker runs. So its puts skip the run-time write protocol
+/// ([`Store::seed`], [`ImageGuard::seed`]), as the record's own bytes
+/// always have.
 #[must_use]
 pub struct Seeder<'a> {
     /// The serving node's store; `None` in a load's image job.
@@ -644,11 +667,11 @@ impl Seeder<'_> {
     pub fn put(&mut self, table: u32, key: u64, value: &[u8]) {
         if let Some(store) = self.store {
             store
-                .insert(table, key, value, 2)
+                .seed(table, key, value, 2)
                 .unwrap_or_else(|| panic!("seed failed: table {table} key {key}"));
         }
         for image in self.images.iter_mut().flatten() {
-            image.put(table, key, 2, value);
+            image.seed(table, key, 2, value);
         }
     }
 }
@@ -716,20 +739,99 @@ mod tests {
         assert_eq!([live(0), live(1), live(2)], [5, 5, 0], "node 3's ring");
     }
 
+    /// A shard's body runs once for its store and once for its home's
+    /// first backup image; the other backups get copies of that image.
     #[test]
     fn load_shards_seeds_every_shard_on_its_home_once() {
-        let opts = EngineOpts::builder().replicas(2).build();
-        let c = DrtmCluster::new(5, &schema(), opts);
-        c.rehome(1, 3);
-        c.load_shards(|shard, seeder| {
-            for k in 0..=shard as u64 {
-                seeder.put(0, (shard as u64) << 32 | k, &[k as u8; 40]);
+        for (replicas, runs) in [(1, 1), (2, 2), (3, 2)] {
+            let opts = EngineOpts::builder().replicas(replicas).build();
+            let c = DrtmCluster::new(5, &schema(), opts);
+            c.rehome(1, 3);
+            let calls: [AtomicUsize; 5] = std::array::from_fn(|_| AtomicUsize::new(0));
+            c.load_shards(|shard, seeder| {
+                calls[shard].fetch_add(1, Ordering::Relaxed);
+                for k in 0..=shard as u64 {
+                    seeder.put(0, (shard as u64) << 32 | k, &[k as u8; 40]);
+                }
+            });
+            let calls = calls.map(AtomicUsize::into_inner);
+            assert_eq!(
+                calls, [runs; 5],
+                "body runs per shard at replicas {replicas}"
+            );
+            let on = |node: usize| c.stores[node].keys(0).len();
+            assert_eq!((0..5).map(on).collect::<Vec<_>>(), [1, 0, 3, 6, 5]);
+            for (primary, live) in [(0, 1), (2, 3), (3, 6), (4, 5)] {
+                for b in c.backups_of(primary) {
+                    assert_eq!(
+                        c.backups.live_len(b, primary),
+                        live,
+                        "{b}'s image of {primary}"
+                    );
+                }
             }
-        });
-        let on = |node: usize| c.stores[node].keys(0).len();
-        assert_eq!((0..5).map(on).collect::<Vec<_>>(), [1, 0, 3, 6, 5]);
-        let live = |b, p| c.backups.live_len(b, p);
-        assert_eq!([live(1, 0), live(4, 3), live(0, 4)], [1, 6, 5]);
+            assert_eq!(
+                c.backups.footprint().0,
+                15 * (replicas - 1),
+                "no other image"
+            );
+        }
+    }
+
+    /// A store built through a seeder holds what one built through
+    /// `Store::insert` holds: every region word, every index pair and
+    /// the allocator's mark. Only the line versions and the write count
+    /// stay where they were. A transaction then reads and overwrites
+    /// seeded records, locally and over RDMA.
+    #[test]
+    fn seeding_equals_inserting() {
+        let schema = [TableSpec::hash(0, 256, 40), TableSpec::ordered(1, 100)];
+        let opts = EngineOpts::builder()
+            .replicas(2)
+            .region_size(1 << 20)
+            .build();
+        let c = DrtmCluster::new(2, &schema, opts);
+        let inserted = Store::new(Arc::new(MemoryRegion::new(1 << 20)), &schema);
+        let value = |k: u64, len| (0..len).map(|i| (k * 31 + i) as u8).collect::<Vec<u8>>();
+        let mut seeder = c.seeder(0);
+        for k in 0..150u64 {
+            let (table, len) = if k % 3 == 0 { (1, 100) } else { (0, 40) };
+            seeder.put(table, k * 7, &value(k, len));
+            inserted.insert(table, k * 7, &value(k, len), 2).unwrap();
+        }
+        drop(seeder);
+        let seeded = &c.stores[0];
+        let words = |store: &Store| {
+            let mut bytes = vec![0; store.region.size()];
+            store.region.read_bytes_raw(0, &mut bytes);
+            bytes
+        };
+        assert!(words(seeded) == words(&inserted), "a region word differs");
+        for table in 0..2 {
+            let mut pairs = [seeded.keys(table), inserted.keys(table)];
+            pairs.iter_mut().for_each(|p| p.sort_unstable());
+            assert_eq!(pairs[0], pairs[1], "table {table}'s (key, offset) pairs");
+        }
+        assert_eq!(seeded.alloc.used(), inserted.alloc.used());
+        assert_eq!(seeded.region.line_writes(), 0, "seeding counts no write");
+        assert!(inserted.region.line_writes() > 0);
+
+        let bump = |v: Vec<u8>| {
+            v.into_iter()
+                .map(|b| b.wrapping_add(1))
+                .collect::<Vec<u8>>()
+        };
+        for (node, table, key) in [(0, 1, 0), (1, 0, 7), (0, 0, 14)] {
+            let mut w = c.worker(node, 1);
+            let old = w.run(|t| {
+                let v = t.read(0, table, key)?;
+                t.write(0, table, key, bump(v.clone()))?;
+                Ok(v)
+            });
+            let old = old.expect("commits");
+            let now = w.run_ro(|t| t.read(0, table, key)).expect("reads");
+            assert_eq!((now, old.len()), (bump(old), [40, 100][table as usize]));
+        }
     }
 
     #[test]

@@ -15,12 +15,19 @@
 //! An image holds no heap object per record: per table a chunked byte
 //! slab of fixed-stride slots and an open-addressing index of slot
 //! numbers into it. A key keeps its slot for good — a delete
-//! tombstones it in place — so applying an entry is a copy.
+//! tombstones it in place — so applying an entry is a copy. The slab's
+//! chunks are zeroed mappings advised for 2 MiB pages
+//! ([`drtm_base::ZeroedBytes`]), each twice the one before, so a load
+//! that fills a large image faults once per 2 MiB of slots, and a
+//! dropped image unmaps them at once; so is the index. All backups of a primary start out with
+//! the same image: a load fills one and copies it
+//! ([`BackupStore::copy_image`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::MutexGuard;
 
 use drtm_base::sync::Mutex;
+use drtm_base::ZeroedBytes;
 use drtm_cluster::LogEntryRef;
 use drtm_rdma::NodeId;
 use drtm_store::{hashtable::mix, TableKind, TableSpec};
@@ -44,22 +51,63 @@ pub type BackupRecordRef<'a> = BackupRecord<&'a [u8]>;
 const SEQ_AT: usize = 8;
 const DELETED_AT: usize = 16;
 const VALUE_AT: usize = 17;
-/// Slots per slab chunk. Chunks are never reallocated, so a slab grows
-/// without copying and leaves no freed copies of itself in the allocator.
-const CHUNK_SLOTS: usize = 1 << 10;
 
 /// One table of one image.
-#[derive(Default)]
 struct TableImage {
     /// Slot size: [`VALUE_AT`] + the table's `value_len`.
     stride: usize,
-    /// Index positions to start with: a hash table's capacity, 16 for
-    /// an ordered one. Past 3/4 full the index doubles.
-    reserve: usize,
-    slab: Vec<Vec<u8>>,
+    /// `log2` of the slots of the first slab chunk and of the index's
+    /// first length: a hash table's capacity, 16 for an ordered one.
+    first: u32,
+    /// Slab chunks, each a mapping twice the slots of the one before
+    /// (the first holds `1 << first`). Chunks are never reallocated, so
+    /// a slab grows without copying, and a chunk costs memory only
+    /// where its slots are written.
+    slab: Vec<ZeroedBytes>,
     slots: usize,
     /// Linear-probing table of `slot + 1` (0 = free), a power of two long.
-    index: Vec<u32>,
+    /// Past 3/4 full it doubles.
+    index: Index,
+}
+
+/// An image table's index: `u32` entries in a zeroed mapping, none
+/// before the table's first slot.
+#[derive(Default)]
+struct Index(Option<ZeroedBytes>);
+
+impl Index {
+    const ENTRY: usize = size_of::<u32>();
+
+    fn zeroed(len: usize) -> Self {
+        Self(Some(ZeroedBytes::new(len * Self::ENTRY)))
+    }
+
+    fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |m| m.len() / Self::ENTRY)
+    }
+
+    fn get(&self, at: usize) -> Option<u32> {
+        let entry = self.0.as_ref()?.get(at * Self::ENTRY..)?;
+        Some(u32::from_le_bytes(entry[..Self::ENTRY].try_into().unwrap()))
+    }
+
+    fn set(&mut self, at: usize, entry: u32) {
+        let map = self.0.as_mut().expect("an index to set");
+        map[at * Self::ENTRY..][..Self::ENTRY].copy_from_slice(&entry.to_le_bytes());
+    }
+
+    fn copied(&self) -> Self {
+        Self(self.0.as_ref().map(|m| {
+            let mut copy = ZeroedBytes::new(m.len());
+            copy.copy_from_slice(m);
+            copy
+        }))
+    }
+
+    /// The most memory the index holds: all its pages.
+    fn footprint(&self) -> usize {
+        self.0.as_ref().map_or(0, |m| m.resident(m.len()))
+    }
 }
 
 impl TableImage {
@@ -70,13 +118,31 @@ impl TableImage {
         };
         Self {
             stride: VALUE_AT + spec.value_len,
-            reserve: capacity.max(16),
-            ..Self::default()
+            first: capacity.max(16).ilog2(),
+            slab: Vec::new(),
+            slots: 0,
+            index: Index::default(),
         }
     }
 
+    /// The chunk that holds `slot` and the slot's byte offset in it.
+    fn chunk_of(&self, slot: usize) -> (usize, usize) {
+        let past = slot + (1 << self.first);
+        let chunk = past.ilog2() - self.first;
+        (
+            chunk as usize,
+            (past - (1 << (self.first + chunk))) * self.stride,
+        )
+    }
+
     fn slot(&self, slot: usize) -> &[u8] {
-        &self.slab[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS * self.stride..][..self.stride]
+        let (chunk, at) = self.chunk_of(slot);
+        &self.slab[chunk][at..][..self.stride]
+    }
+
+    fn slot_mut(&mut self, slot: usize) -> &mut [u8] {
+        let (chunk, at) = self.chunk_of(slot);
+        &mut self.slab[chunk][at..][..self.stride]
     }
 
     fn key_of(&self, slot: usize) -> u64 {
@@ -94,41 +160,46 @@ impl TableImage {
     }
 
     /// Where `key` is in the index, or the free position it would take:
-    /// `(position, slot)`.
-    fn probe(&self, key: u64) -> (usize, Option<usize>) {
+    /// `(position, slot)`. A `fresh` key is one the table does not hold:
+    /// only the free position is looked for, and no slot is read.
+    fn probe(&self, key: u64, fresh: bool) -> (usize, Option<usize>) {
         let mask = self.index.len().wrapping_sub(1);
         let mut at = mix(key) as usize & mask;
-        while let Some(&s) = self.index.get(at) {
+        while let Some(s) = self.index.get(at) {
             match s as usize {
                 0 => break,
-                s if self.key_of(s - 1) == key => return (at, Some(s - 1)),
+                s if !fresh && self.key_of(s - 1) == key => return (at, Some(s - 1)),
                 _ => at = (at + 1) & mask,
             }
         }
         (at, None)
     }
 
-    /// Installs `value` (`None` = a tombstone) as `key`'s newest version.
-    fn put(&mut self, key: u64, seq: u64, value: Option<&[u8]>) {
-        let stride = self.stride;
-        let slot = self.probe(key).1.unwrap_or_else(|| {
+    /// Installs `value` (`None` = a tombstone) as `key`'s newest version;
+    /// a `fresh` key is known to be new ([`Self::probe`]). A new key takes
+    /// the next slot and the free index position its probe found, unless
+    /// the index grows first.
+    fn put(&mut self, key: u64, seq: u64, value: Option<&[u8]>, fresh: bool) {
+        let (at, found) = self.probe(key, fresh);
+        let slot = found.unwrap_or_else(|| {
             let slot = self.slots;
-            if slot.is_multiple_of(CHUNK_SLOTS) {
-                self.slab.push(Vec::with_capacity(CHUNK_SLOTS * stride));
+            let (chunk, _) = self.chunk_of(slot);
+            if chunk == self.slab.len() {
+                let slots = 1 << (self.first as usize + chunk);
+                self.slab.push(ZeroedBytes::new(slots * self.stride));
             }
-            let chunk = self.slab.last_mut().expect("pushed above");
-            chunk.extend_from_slice(&key.to_le_bytes());
-            chunk.resize(chunk.len() + stride - SEQ_AT, 0);
+            self.slot_mut(slot)[..SEQ_AT].copy_from_slice(&key.to_le_bytes());
             self.slots += 1;
             if self.slots * 4 > self.index.len() * 3 {
                 // Double the index (or make the first one) and re-link.
-                self.index = vec![0; (self.index.len() * 2).max(self.reserve)];
-                (0..slot).for_each(|s| self.link(s));
+                self.index = Index::zeroed((self.index.len() * 2).max(1 << self.first));
+                (0..=slot).for_each(|s| self.link(s));
+            } else {
+                self.index.set(at, Self::entry(slot));
             }
-            self.link(slot);
             slot
         });
-        let s = &mut self.slab[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS * stride..][..stride];
+        let s = self.slot_mut(slot);
         s[SEQ_AT..DELETED_AT].copy_from_slice(&seq.to_le_bytes());
         s[DELETED_AT] = value.is_none() as u8;
         if let Some(v) = value {
@@ -137,8 +208,46 @@ impl TableImage {
     }
 
     fn link(&mut self, slot: usize) {
-        let (at, _) = self.probe(self.key_of(slot));
-        self.index[at] = u32::try_from(slot + 1).expect("image table over 4 G slots");
+        let (at, _) = self.probe(self.key_of(slot), true);
+        self.index.set(at, Self::entry(slot));
+    }
+
+    fn entry(slot: usize) -> u32 {
+        u32::try_from(slot + 1).expect("image table over 4 G slots")
+    }
+
+    /// The bytes of chunk `chunk` that hold slots.
+    fn used(&self, chunk: usize) -> usize {
+        let before = ((1 << chunk) - 1) << self.first;
+        (self.slots - before).min(1 << (self.first as usize + chunk)) * self.stride
+    }
+
+    /// A copy of this table, byte for byte: its own slab chunks of the
+    /// same sizes with the used bytes copied, the same index and the
+    /// same slot count.
+    fn copied(&self) -> Self {
+        let slab = self.slab.iter().enumerate().map(|(c, chunk)| {
+            let mut copy = ZeroedBytes::new(chunk.len());
+            let used = self.used(c);
+            copy[..used].copy_from_slice(&chunk[..used]);
+            copy
+        });
+        Self {
+            stride: self.stride,
+            first: self.first,
+            slab: slab.collect(),
+            slots: self.slots,
+            index: self.index.copied(),
+        }
+    }
+
+    /// The most memory the slab and the index hold: each chunk's used
+    /// bytes in the pages they touch ([`ZeroedBytes::resident`]), and
+    /// the whole index.
+    fn footprint(&self) -> usize {
+        let slab = self.slab.iter().enumerate();
+        let chunks = slab.map(|(c, chunk)| chunk.resident(self.used(c)));
+        chunks.sum::<usize>() + self.index.footprint()
     }
 }
 
@@ -150,14 +259,24 @@ impl ImageGuard<'_> {
     /// The image's version of `(table, key)`, tombstones included.
     pub fn get(&self, table: u32, key: u64) -> Option<BackupRecordRef<'_>> {
         let t = &self.0[table as usize];
-        t.probe(key).1.map(|slot| t.record(slot))
+        t.probe(key, false).1.map(|slot| t.record(slot))
     }
 
     /// Installs `value` as `(table, key)`'s version at `seq`, bypassing
-    /// the log: the initial load ([`crate::cluster::Seeder`]) and
-    /// recovery's re-replication.
+    /// the log: recovery's re-replication.
     pub fn put(&mut self, table: u32, key: u64, seq: u64, value: &[u8]) {
-        self.0[table as usize].put(key, seq, Some(value));
+        self.0[table as usize].put(key, seq, Some(value), false);
+    }
+
+    /// [`Self::put`] of a key the image does not hold: the initial load
+    /// ([`crate::cluster::Seeder`]). Its probe reads no slot. A key
+    /// seeded twice panics in the store's seed of the same record
+    /// ([`drtm_store::Store::seed`]), so no load that returns leaves two
+    /// slots for one key.
+    pub fn seed(&mut self, table: u32, key: u64, seq: u64, value: &[u8]) {
+        let t = &mut self.0[table as usize];
+        debug_assert!(t.probe(key, false).1.is_none(), "key {key} seeded twice");
+        t.put(key, seq, Some(value), true);
     }
 
     /// A pass over the whole image (counted): every record, tombstones
@@ -196,7 +315,7 @@ impl BackupStore {
     /// because a delete + re-insert restarts the key's sequence.
     pub fn apply(&self, backup: NodeId, primary: NodeId, e: LogEntryRef<'_>) {
         let value = (!e.delete).then_some(e.value);
-        self.images[backup][primary].lock()[e.table as usize].put(e.key, e.seq, value);
+        self.images[backup][primary].lock()[e.table as usize].put(e.key, e.seq, value, false);
     }
 
     /// Locks `primary`'s image on `backup`: point lookups, installs
@@ -204,6 +323,20 @@ impl BackupStore {
     /// shard rebuild.
     pub fn image(&self, backup: NodeId, primary: NodeId) -> ImageGuard<'_> {
         ImageGuard(self.images[backup][primary].lock(), &self.full_passes)
+    }
+
+    /// Makes `to`'s image of `primary` a copy of `from`'s, byte for
+    /// byte: slab chunks, index and slot count, replacing what `to` held.
+    /// The initial load ([`crate::cluster::DrtmCluster::load_shards`])
+    /// fills one backup's image and copies it to the others. Locks the
+    /// source, then the destination.
+    pub fn copy_image(&self, primary: NodeId, from: NodeId, to: NodeId) {
+        assert_ne!(from, to, "an image is not copied onto itself");
+        let src = self.images[from][primary].lock();
+        let mut dst = self.images[to][primary].lock();
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            *d = s.copied();
+        }
     }
 
     /// How many whole-image passes ([`ImageGuard::iter`]) were made.
@@ -217,15 +350,17 @@ impl BackupStore {
         image.iter().filter(|(_, r)| !r.deleted).count()
     }
 
-    /// Slots of all images (live records plus tombstones) and the bytes
-    /// their slabs and indexes have allocated for them.
+    /// Slots of all images (live records plus tombstones) and the most
+    /// memory their slabs and indexes hold: the pages their slots touch
+    /// and the indexes' pages.
     pub fn footprint(&self) -> (usize, usize) {
         let images = self.images.iter().flatten().map(|image| image.lock());
         images.fold((0, 0), |(slots, bytes), image| {
-            let slabs = image.iter().flat_map(|t| &t.slab).map(Vec::capacity);
-            let indexes = image.iter().map(|t| t.index.len() * size_of::<u32>());
             let slots = slots + image.iter().map(|t| t.slots).sum::<usize>();
-            (slots, bytes + slabs.sum::<usize>() + indexes.sum::<usize>())
+            (
+                slots,
+                bytes + image.iter().map(TableImage::footprint).sum::<usize>(),
+            )
         })
     }
 }
@@ -358,6 +493,46 @@ mod tests {
         assert_eq!((b.footprint().0, b.full_passes()), (1, 0));
         assert_eq!(b.image(1, 0).iter().count(), 1);
         assert_eq!(b.full_passes(), 1);
+    }
+
+    /// A copied image holds the source's records in the source's slot
+    /// order, costs as much again, and then changes only by its own
+    /// updates.
+    #[test]
+    fn a_copied_image_equals_its_source_and_then_diverges_alone() {
+        let b = BackupStore::new(3, &schema());
+        let mut rng = SplitMix64::new(0xC0B1);
+        for i in 0..3_000u64 {
+            let table = (i % 3) as u32;
+            let len = schema()[table as usize].value_len;
+            let value: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            b.image(1, 0)
+                .put(table, 1 << 32 | rng.below(1_000), 2, &value);
+        }
+        b.apply(1, 0, del(7, 4).view());
+        let (slots, bytes) = b.footprint();
+        b.copy_image(0, 1, 2);
+        let records = |node| -> Vec<_> {
+            let image = b.image(node, 0);
+            image.iter().map(|(k, r)| (k, owned(r))).collect()
+        };
+        let source = records(1);
+        assert_eq!(records(2), source, "same records in the same order");
+        assert!(
+            source.iter().any(|(_, r)| r.deleted),
+            "tombstones copied too"
+        );
+        assert_eq!(b.footprint(), (2 * slots, 2 * bytes));
+        b.apply(1, 0, put(7, 6, 1).view());
+        assert_eq!(records(2), source, "an update to the source stays in it");
+        b.apply(2, 0, put(9, 2, 5).view());
+        assert_eq!(
+            b.image(1, 0).get(1, 9),
+            None,
+            "an insert into the copy stays in it"
+        );
+        assert_eq!(b.image(1, 0).get(1, 7).map(|r| r.seq), Some(6));
+        assert_eq!(b.image(2, 0).get(1, 7).map(|r| r.deleted), Some(true));
     }
 
     /// The flat image against a map of owned records: 10 k seeded random

@@ -54,13 +54,32 @@ impl Allocator {
     ///
     /// Returns the byte offset, or `None` when the region is exhausted.
     pub fn alloc(&self, size: usize) -> Option<usize> {
+        self.take(size, false)
+    }
+
+    /// [`Self::alloc`] by the allocator's only user (a store's load,
+    /// whose seeder is its only writer): the bump is a load and a store
+    /// instead of an atomic add. On x86 an atomic add is a full barrier,
+    /// which holds every allocation until the previous record's stores
+    /// have left the store buffer.
+    pub fn alloc_sole(&self, size: usize) -> Option<usize> {
+        self.take(size, true)
+    }
+
+    fn take(&self, size: usize, sole: bool) -> Option<usize> {
         let size = round_up_line(size.max(1));
         if self.freed.load(Ordering::Acquire) & class_bit(size) != 0 {
             if let Some(off) = self.free.lock().get_mut(&size).and_then(Vec::pop) {
                 return Some(off);
             }
         }
-        let off = self.next.fetch_add(size, Ordering::Relaxed);
+        let off = if sole {
+            let off = self.next.load(Ordering::Relaxed);
+            self.next.store(off + size, Ordering::Relaxed);
+            off
+        } else {
+            self.next.fetch_add(size, Ordering::Relaxed)
+        };
         if off + size > self.end {
             // Undo is unnecessary: the allocator is permanently full and
             // `next` only ever grows; leaving it past `end` is harmless.

@@ -195,13 +195,33 @@ impl Store {
     /// record is written line by line from the stack, and the slot is
     /// published in one hold of its line.
     pub fn insert(&self, id: TableId, key: u64, value: &[u8], seq: u64) -> Option<u64> {
+        self.install(id, key, value, seq, false)
+    }
+
+    /// [`Self::insert`] by the store's only writer before any reader or
+    /// transaction: the initial load (`drtm_core`'s `Seeder`, one job
+    /// per store). It installs the same bytes at the same offsets, but
+    /// the block is bumped without an atomic add
+    /// ([`Allocator::alloc_sole`]) and a hash slot is written raw
+    /// ([`HashTable::seed`]): no table mutex, no line seqlock, no
+    /// version bump.
+    pub fn seed(&self, id: TableId, key: u64, value: &[u8], seq: u64) -> Option<u64> {
+        self.install(id, key, value, seq, true)
+    }
+
+    fn install(&self, id: TableId, key: u64, value: &[u8], seq: u64, raw: bool) -> Option<u64> {
         let t = self.table(id);
         assert_eq!(value.len(), t.spec.value_len, "value size mismatch");
-        let off = self.alloc.alloc(t.layout.size())?;
+        let off = if raw {
+            self.alloc.alloc_sole(t.layout.size())?
+        } else {
+            self.alloc.alloc(t.layout.size())?
+        };
         let rec = RecordRef::new(&self.region, off, t.layout);
         let incarnation = rec.incarnation() + 1;
         rec.init(value, seq, incarnation);
         let published = match &t.index {
+            Index::Hash(h) if raw => h.seed(&self.region, key + KEY_BIAS, off as u64),
             Index::Hash(h) => h.insert(&self.region, key + KEY_BIAS, off as u64),
             Index::Tree(tr) => tr.insert(key, off as u64).is_none(),
         };

@@ -87,27 +87,48 @@ impl HashTable {
     pub fn insert(&self, region: &MemoryRegion, key: u64, rec_off: u64) -> bool {
         Self::check_key(key);
         let _g = self.write_lock.lock();
+        let free = self.free_slot(region, key);
+        free.inspect(|&off| Self::publish(region, off, key, rec_off))
+            .is_some()
+    }
+
+    /// [`Self::insert`] by the table's only writer before any reader:
+    /// the initial load, one job per store (`drtm_core`'s `Seeder`).
+    /// The same probe finds the slot, which is then written raw, offset
+    /// first and key last ([`MemoryRegion::store64_raw`]): no table
+    /// mutex, no line seqlock, no write count, as
+    /// [`crate::RecordRef::init`] writes the record itself.
+    pub fn seed(&self, region: &MemoryRegion, key: u64, rec_off: u64) -> bool {
+        Self::check_key(key);
+        let free = self.free_slot(region, key);
+        free.inspect(|&off| {
+            region.store64_raw(off + 8, rec_off);
+            region.store64_raw(off, key);
+        })
+        .is_some()
+    }
+
+    /// The slot offset `key` is to take: the first tombstone of its
+    /// probe chain, else the empty slot that ends it. `None` if the key
+    /// is present or the table is full. The caller excludes other
+    /// writers.
+    fn free_slot(&self, region: &MemoryRegion, key: u64) -> Option<usize> {
         let start = mix(key) as usize;
         let mut free: Option<usize> = None;
         for i in 0..self.nslots {
             let off = self.slot_off(start + i);
             let k = region.load64(off);
             if k == key {
-                return false;
+                return None;
             }
             if k == TOMBSTONE && free.is_none() {
                 free = Some(off);
             }
             if k == EMPTY {
-                Self::publish(region, free.unwrap_or(off), key, rec_off);
-                return true;
+                return Some(free.unwrap_or(off));
             }
         }
-        if let Some(off) = free {
-            Self::publish(region, off, key, rec_off);
-            return true;
-        }
-        false
+        free
     }
 
     /// Fills the slot at `off` in one hold of its line's seqlock, offset

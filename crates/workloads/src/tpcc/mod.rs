@@ -263,10 +263,12 @@ pub fn fill_customer<'a>(
 /// `s`'s rows follow every earlier shard's draws. A draws-only pass
 /// first walks the shards on the calling thread and notes the stream's
 /// state at each shard's start; it skips each a-string's draws by count
-/// and installs nothing, so it costs little beside the load. Then the stores and backup images load at once, on up to one
-/// thread per machine ([`DrtmCluster::load_shards`]), each shard drawn
-/// again from its noted state for each copy: the loaded bytes are
-/// those of one serial pass.
+/// and installs nothing, so it costs little beside the load. Then the
+/// stores and backup images load at once, on up to one thread per
+/// machine ([`DrtmCluster::load_shards`]), each shard drawn again from
+/// its noted state for its store and, under replication, once more for
+/// its first backup's image, which the other backups copy: the loaded
+/// bytes are those of one serial pass.
 pub fn load(cluster: &DrtmCluster, cfg: &TpccCfg) {
     assert!(cfg.customers <= 4096, "customer id must fit 12 bits");
     assert!(cfg.items <= 1 << 20, "item id must fit 20 bits");

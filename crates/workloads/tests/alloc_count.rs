@@ -8,7 +8,7 @@
 //! a `Store::insert` into a hash table allocate nothing once warm, and
 //! a committed replicated SmallBank send-payment allocates a fixed
 //! count at steady state — the starting point of the allocation-free
-//! steady state (ROADMAP item 8).
+//! steady state (ROADMAP item 2(c)).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,9 +86,10 @@ fn smallbank_cluster(accounts: usize) -> (SbCfg, Arc<DrtmCluster>) {
 
 /// Loading a record allocates nothing: not the record image, not the
 /// backup list, not the configuration read. The first record of each
-/// backup image allocates its index and first slab chunk (warm-up); a
-/// further chunk of 1024 slots opens every 1024 records of one image
-/// table, which the 1000 pinned here stay inside.
+/// backup image table pushes the handle of its first slab chunk
+/// (warm-up); the chunks and the index are mappings, not heap, and the
+/// first chunk holds the table's capacity, which the 1000 pinned here
+/// stay inside.
 #[test]
 fn seed_record_of_a_hash_record_allocates_nothing() {
     let (cfg, cluster) = smallbank_cluster(2000);

@@ -11,20 +11,16 @@
 //!
 //! After each drop the resident set must come back within 8 MiB of its
 //! value before that cycle's build. The regions are mappings of their
-//! own and go back at once. The backup images' slab chunks are heap
-//! memory, and the bound holds through glibc's arena trimming alone:
-//! the loader's threads (`DrtmCluster::load_shards`) allocate them in
-//! their own arenas, which glibc trims as they empty. Loaded serially
-//! on the calling thread, the same chunks left about 66 MB resident in
-//! the main heap after the drop; with every thread on one arena
-//! (`MALLOC_ARENA_MAX=1`) the parallel load leaves about 6 MB.
+//! own and go back at once, and so are the backup images' slab chunks
+//! and indexes (`drtm_base::ZeroedBytes`), whatever thread loaded them.
 //!
 //! What a build and load adds to the resident set must be at most what
 //! the cluster has written: each store's words up to its allocator's
 //! high-water mark, rounded up to the 2 MiB extents that transparent
 //! huge pages fault in whole, plus its line versions (one word per
-//! 64-byte line, an eighth of the region's size), plus the backup
-//! images' allocated bytes, plus 8 MiB. A region whose every page were
+//! 64-byte line, an eighth of the region's size; a load no longer
+//! touches them), plus the pages the backup images' slots and indexes
+//! touch (`BackupStore::footprint`), plus 8 MiB. A region whose every page were
 //! made resident (`MAP_POPULATE`, or a `calloc` over recycled heap)
 //! breaks it. Everything is measured in one test because `VmRSS`
 //! covers the whole process.

@@ -1,10 +1,11 @@
 //! The loaded state of each workload, pinned by digest.
 //!
 //! A cluster is loaded through `DrtmCluster::load_shards`: one job per
-//! store and per backup image, on up to one thread per machine, each
-//! writing its destination one record at a time in shard order. The
-//! allocator picks each record's offset, the hash table its slot, and
-//! every backup image takes a copy. These tests load TPC-C, SmallBank
+//! store and per primary's first backup image, on up to one thread per
+//! machine, each writing its destination one record at a time in shard
+//! order. The allocator picks each record's offset, the hash table its
+//! slot, and the first backup image takes a copy of each record, which
+//! its job then copies whole to the primary's other backups. These tests load TPC-C, SmallBank
 //! and YCSB at small sizes and compare one digest of what that produced
 //! with a recorded value, so a change to the install path that moves
 //! one record, one slot, one sequence number or one incarnation shows
